@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-race race-smoke bench bench-json bench-smoke load-smoke chaos-smoke obs-smoke sim fmt vet lint lint-test
+.PHONY: build test test-race race-smoke bench bench-test bench-json bench-smoke load-smoke chaos-smoke obs-smoke sim fmt vet lint lint-test
 
 build:
 	$(GO) build ./...
@@ -23,6 +23,13 @@ race-smoke:
 # Full benchmark sweep (figures, ablations, micro, fairness).
 bench:
 	$(GO) test -run xxx -bench . -benchmem .
+
+# The benchmark harness (bench/, the command BENCHMARK.json names) is a
+# module of its own, so `make test` does not reach it; this does. A change
+# to condor, classad or core that breaks the harness fails here rather
+# than at the next benchmark run.
+bench-test:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # One-iteration sweep parsed into the repo's perf-trajectory JSON
 # (ns/op, allocs/op, and b.ReportMetric custom metrics per benchmark).

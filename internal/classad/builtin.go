@@ -87,12 +87,12 @@ func fnAbs(args []Value) Value {
 	}
 	switch args[0].kind {
 	case KindInt:
-		if args[0].i < 0 {
-			return Int(-args[0].i)
+		if args[0].i() < 0 {
+			return Int(-args[0].i())
 		}
 		return args[0]
 	case KindReal:
-		return Real(math.Abs(args[0].r))
+		return Real(math.Abs(args[0].r()))
 	case KindUndefined:
 		return Undefined()
 	}
@@ -178,7 +178,7 @@ func fnSize(args []Value) Value {
 	case KindString:
 		return Int(int64(len(args[0].s)))
 	case KindList:
-		return Int(int64(len(args[0].l)))
+		return Int(int64(len(args[0].list())))
 	case KindUndefined:
 		return Undefined()
 	}
@@ -318,9 +318,9 @@ func fnInt(args []Value) Value {
 	case KindInt:
 		return args[0]
 	case KindReal:
-		return Int(int64(args[0].r))
+		return Int(int64(args[0].r()))
 	case KindBool:
-		if args[0].b {
+		if args[0].b() {
 			return Int(1)
 		}
 		return Int(0)
@@ -348,9 +348,9 @@ func fnReal(args []Value) Value {
 	case KindReal:
 		return args[0]
 	case KindInt:
-		return Real(float64(args[0].i))
+		return Real(float64(args[0].i()))
 	case KindBool:
-		if args[0].b {
+		if args[0].b() {
 			return Real(1)
 		}
 		return Real(0)

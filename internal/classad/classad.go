@@ -67,14 +67,26 @@ func (k Kind) String() string {
 }
 
 // Value is a ClassAd value. The zero Value is undefined.
+//
+// The struct is five words: every Eval returns one by value, so its size
+// is the matchmaking hot path's copy cost. Booleans, integers and reals
+// share the 64-bit payload n; s holds a string's content or an error's
+// message; a list sits behind a pointer.
 type Value struct {
 	kind Kind
-	b    bool
-	i    int64
-	r    float64
+	n    uint64
 	s    string
-	l    []Value
-	emsg string
+	l    *[]Value
+}
+
+func (v Value) b() bool    { return v.n != 0 }
+func (v Value) i() int64   { return int64(v.n) }
+func (v Value) r() float64 { return math.Float64frombits(v.n) }
+func (v Value) list() []Value {
+	if v.l == nil {
+		return nil
+	}
+	return *v.l
 }
 
 // Constructors.
@@ -84,23 +96,28 @@ func Undefined() Value { return Value{kind: KindUndefined} }
 
 // Errorf returns an error value with a formatted message.
 func Errorf(format string, args ...any) Value {
-	return Value{kind: KindError, emsg: fmt.Sprintf(format, args...)}
+	return Value{kind: KindError, s: fmt.Sprintf(format, args...)}
 }
 
 // Bool returns a boolean value.
-func Bool(b bool) Value { return Value{kind: KindBool, b: b} }
+func Bool(b bool) Value {
+	if b {
+		return Value{kind: KindBool, n: 1}
+	}
+	return Value{kind: KindBool}
+}
 
 // Int returns an integer value.
-func Int(i int64) Value { return Value{kind: KindInt, i: i} }
+func Int(i int64) Value { return Value{kind: KindInt, n: uint64(i)} }
 
 // Real returns a real value.
-func Real(r float64) Value { return Value{kind: KindReal, r: r} }
+func Real(r float64) Value { return Value{kind: KindReal, n: math.Float64bits(r)} }
 
 // Str returns a string value.
 func Str(s string) Value { return Value{kind: KindString, s: s} }
 
 // List returns a list value.
-func List(vs ...Value) Value { return Value{kind: KindList, l: vs} }
+func List(vs ...Value) Value { return Value{kind: KindList, l: &vs} }
 
 // From converts a Go value into a ClassAd Value. Unsupported types yield
 // an error value.
@@ -151,18 +168,18 @@ func (v Value) IsUndefined() bool { return v.kind == KindUndefined }
 func (v Value) IsError() bool { return v.kind == KindError }
 
 // BoolVal returns the boolean content; ok is false for non-booleans.
-func (v Value) BoolVal() (val, ok bool) { return v.b, v.kind == KindBool }
+func (v Value) BoolVal() (val, ok bool) { return v.b(), v.kind == KindBool }
 
 // IntVal returns the integer content; ok is false for non-integers.
-func (v Value) IntVal() (int64, bool) { return v.i, v.kind == KindInt }
+func (v Value) IntVal() (int64, bool) { return v.i(), v.kind == KindInt }
 
 // RealVal returns the value as float64 for int or real kinds.
 func (v Value) RealVal() (float64, bool) {
 	switch v.kind {
 	case KindReal:
-		return v.r, true
+		return v.r(), true
 	case KindInt:
-		return float64(v.i), true
+		return float64(v.i()), true
 	}
 	return 0, false
 }
@@ -171,7 +188,7 @@ func (v Value) RealVal() (float64, bool) {
 func (v Value) StringVal() (string, bool) { return v.s, v.kind == KindString }
 
 // ListVal returns the list content; ok is false for non-lists.
-func (v Value) ListVal() ([]Value, bool) { return v.l, v.kind == KindList }
+func (v Value) ListVal() ([]Value, bool) { return v.list(), v.kind == KindList }
 
 // Go converts the value back to a plain Go value (nil for undefined,
 // error values become strings prefixed "error:").
@@ -180,18 +197,19 @@ func (v Value) Go() any {
 	case KindUndefined:
 		return nil
 	case KindError:
-		return "error:" + v.emsg
+		return "error:" + v.s
 	case KindBool:
-		return v.b
+		return v.b()
 	case KindInt:
-		return int(v.i)
+		return int(v.i())
 	case KindReal:
-		return v.r
+		return v.r()
 	case KindString:
 		return v.s
 	case KindList:
-		out := make([]any, len(v.l))
-		for i, e := range v.l {
+		l := v.list()
+		out := make([]any, len(l))
+		for i, e := range l {
 			out[i] = e.Go()
 		}
 		return out
@@ -205,21 +223,22 @@ func (v Value) String() string {
 	case KindUndefined:
 		return "undefined"
 	case KindError:
-		return "error(" + v.emsg + ")"
+		return "error(" + v.s + ")"
 	case KindBool:
-		if v.b {
+		if v.b() {
 			return "true"
 		}
 		return "false"
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.i(), 10)
 	case KindReal:
-		return strconv.FormatFloat(v.r, 'g', -1, 64)
+		return strconv.FormatFloat(v.r(), 'g', -1, 64)
 	case KindString:
 		return strconv.Quote(v.s)
 	case KindList:
-		parts := make([]string, len(v.l))
-		for i, e := range v.l {
+		l := v.list()
+		parts := make([]string, len(l))
+		for i, e := range l {
 			parts[i] = e.String()
 		}
 		return "{" + strings.Join(parts, ", ") + "}"
@@ -236,21 +255,22 @@ func (v Value) Equal(o Value) bool {
 	case KindUndefined:
 		return true
 	case KindError:
-		return v.emsg == o.emsg
+		return v.s == o.s
 	case KindBool:
-		return v.b == o.b
+		return v.b() == o.b()
 	case KindInt:
-		return v.i == o.i
+		return v.i() == o.i()
 	case KindReal:
-		return v.r == o.r || (math.IsNaN(v.r) && math.IsNaN(o.r))
+		return v.r() == o.r() || (math.IsNaN(v.r()) && math.IsNaN(o.r()))
 	case KindString:
 		return v.s == o.s
 	case KindList:
-		if len(v.l) != len(o.l) {
+		vl, ol := v.list(), o.list()
+		if len(vl) != len(ol) {
 			return false
 		}
-		for i := range v.l {
-			if !v.l[i].Equal(o.l[i]) {
+		for i := range vl {
+			if !vl[i].Equal(ol[i]) {
 				return false
 			}
 		}
@@ -419,7 +439,7 @@ func (a *Ad) Version() uint64 { return a.version }
 
 // Clone returns a deep-enough copy (expressions are immutable and shared).
 func (a *Ad) Clone() *Ad {
-	c := New()
+	c := &Ad{attrs: make(map[string]entry, len(a.attrs))}
 	for k, e := range a.attrs {
 		c.attrs[k] = e
 	}
@@ -497,12 +517,12 @@ func halfMatchLower(self, target *Ad) bool {
 }
 
 // Rank evaluates self's Rank expression against target, returning 0.0 when
-// absent or non-numeric (Condor semantics).
+// absent or non-numeric, NaN included (Condor semantics).
 func Rank(self, target *Ad) float64 {
 	if _, ok := self.attrs[attrRank]; !ok {
 		return 0
 	}
-	if f, ok := self.evalAttrLower(attrRank, target).RealVal(); ok {
+	if f, ok := self.evalAttrLower(attrRank, target).RealVal(); ok && f == f {
 		return f
 	}
 	return 0

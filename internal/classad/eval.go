@@ -81,9 +81,9 @@ func evalUnary(op string, v Value) Value {
 	case "-":
 		switch v.kind {
 		case KindInt:
-			return Int(-v.i)
+			return Int(-v.i())
 		case KindReal:
-			return Real(-v.r)
+			return Real(-v.r())
 		case KindUndefined:
 			return Undefined()
 		}
@@ -91,7 +91,7 @@ func evalUnary(op string, v Value) Value {
 	case "!":
 		switch v.kind {
 		case KindBool:
-			return Bool(!v.b)
+			return Bool(!v.b())
 		case KindUndefined:
 			return Undefined()
 		}
@@ -183,21 +183,21 @@ func evalArith(op string, l, r Value) Value {
 	if l.kind == KindInt && r.kind == KindInt {
 		switch op {
 		case "+":
-			return Int(l.i + r.i)
+			return Int(l.i() + r.i())
 		case "-":
-			return Int(l.i - r.i)
+			return Int(l.i() - r.i())
 		case "*":
-			return Int(l.i * r.i)
+			return Int(l.i() * r.i())
 		case "/":
-			if r.i == 0 {
+			if r.i() == 0 {
 				return Errorf("division by zero")
 			}
-			return Int(l.i / r.i)
+			return Int(l.i() / r.i())
 		case "%":
-			if r.i == 0 {
+			if r.i() == 0 {
 				return Errorf("modulo by zero")
 			}
-			return Int(l.i % r.i)
+			return Int(l.i() % r.i())
 		}
 	}
 	lf, lok := l.RealVal()
@@ -237,9 +237,9 @@ func evalCompare(op string, l, r Value) Value {
 	if l.kind == KindBool && r.kind == KindBool {
 		switch op {
 		case "==":
-			return Bool(l.b == r.b)
+			return Bool(l.b() == r.b())
 		case "!=":
-			return Bool(l.b != r.b)
+			return Bool(l.b() != r.b())
 		}
 		return Errorf("ordering comparison on booleans")
 	}

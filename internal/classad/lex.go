@@ -24,44 +24,30 @@ type token struct {
 }
 
 type lexer struct {
-	src  string
-	pos  int
-	toks []token
+	src string
+	pos int
 }
 
-// lex splits src into tokens. It is strict: unknown characters are errors
+// next scans one token; the parser pulls them on demand, so no token
+// slice is ever materialised. It is strict: unknown characters are errors
 // so misquoted job requirements fail loudly at submit time, not at match
 // time.
-func lex(src string) ([]token, error) {
-	l := &lexer{src: src}
-	for {
-		l.skipSpace()
-		if l.pos >= len(l.src) {
-			l.emit(tokEOF, "", l.pos)
-			return l.toks, nil
-		}
-		c := l.src[l.pos]
-		switch {
-		case c >= '0' && c <= '9', c == '.' && l.peekDigit():
-			if err := l.lexNumber(); err != nil {
-				return nil, err
-			}
-		case c == '"':
-			if err := l.lexString(); err != nil {
-				return nil, err
-			}
-		case isIdentStart(rune(c)):
-			l.lexIdent()
-		default:
-			if err := l.lexOp(); err != nil {
-				return nil, err
-			}
-		}
+func (l *lexer) next() (token, error) {
+	l.skipSpace()
+	if l.pos >= len(l.src) {
+		return token{kind: tokEOF, pos: l.pos}, nil
 	}
-}
-
-func (l *lexer) emit(k tokKind, text string, pos int) {
-	l.toks = append(l.toks, token{kind: k, text: text, pos: pos})
+	c := l.src[l.pos]
+	switch {
+	case c >= '0' && c <= '9', c == '.' && l.peekDigit():
+		return l.lexNumber(), nil
+	case c == '"':
+		return l.lexString()
+	case isIdentStart(rune(c)):
+		return l.lexIdent(), nil
+	default:
+		return l.lexOp()
+	}
 }
 
 func (l *lexer) skipSpace() {
@@ -86,7 +72,7 @@ func (l *lexer) peekDigit() bool {
 	return l.pos+1 < len(l.src) && l.src[l.pos+1] >= '0' && l.src[l.pos+1] <= '9'
 }
 
-func (l *lexer) lexNumber() error {
+func (l *lexer) lexNumber() token {
 	start := l.pos
 	seenDot, seenExp := false, false
 	for l.pos < len(l.src) {
@@ -110,14 +96,12 @@ func (l *lexer) lexNumber() error {
 done:
 	text := l.src[start:l.pos]
 	if seenDot || seenExp {
-		l.emit(tokReal, text, start)
-	} else {
-		l.emit(tokInt, text, start)
+		return token{kind: tokReal, text: text, pos: start}
 	}
-	return nil
+	return token{kind: tokInt, text: text, pos: start}
 }
 
-func (l *lexer) lexString() error {
+func (l *lexer) lexString() (token, error) {
 	start := l.pos
 	l.pos++ // opening quote
 	var sb strings.Builder
@@ -126,12 +110,11 @@ func (l *lexer) lexString() error {
 		switch c {
 		case '"':
 			l.pos++
-			l.emit(tokString, sb.String(), start)
-			return nil
+			return token{kind: tokString, text: sb.String(), pos: start}, nil
 		case '\\':
 			l.pos++
 			if l.pos >= len(l.src) {
-				return fmt.Errorf("classad: unterminated escape at %d", start)
+				return token{}, fmt.Errorf("classad: unterminated escape at %d", start)
 			}
 			switch e := l.src[l.pos]; e {
 			case 'n':
@@ -143,7 +126,7 @@ func (l *lexer) lexString() error {
 			case '"', '\\':
 				sb.WriteByte(e)
 			default:
-				return fmt.Errorf("classad: bad escape \\%c at %d", e, l.pos)
+				return token{}, fmt.Errorf("classad: bad escape \\%c at %d", e, l.pos)
 			}
 			l.pos++
 		default:
@@ -151,28 +134,27 @@ func (l *lexer) lexString() error {
 			l.pos++
 		}
 	}
-	return fmt.Errorf("classad: unterminated string at %d", start)
+	return token{}, fmt.Errorf("classad: unterminated string at %d", start)
 }
 
-func (l *lexer) lexIdent() {
+func (l *lexer) lexIdent() token {
 	start := l.pos
 	for l.pos < len(l.src) && isIdentPart(rune(l.src[l.pos])) {
 		l.pos++
 	}
-	l.emit(tokIdent, l.src[start:l.pos], start)
+	return token{kind: tokIdent, text: l.src[start:l.pos], pos: start}
 }
 
 var twoCharOps = []string{"==", "!=", "<=", ">=", "&&", "||"}
 
-func (l *lexer) lexOp() error {
+func (l *lexer) lexOp() (token, error) {
 	start := l.pos
 	if l.pos+1 < len(l.src) {
 		two := l.src[l.pos : l.pos+2]
 		for _, op := range twoCharOps {
 			if two == op {
 				l.pos += 2
-				l.emit(tokOp, op, start)
-				return nil
+				return token{kind: tokOp, text: op, pos: start}, nil
 			}
 		}
 	}
@@ -180,10 +162,9 @@ func (l *lexer) lexOp() error {
 	switch c {
 	case '+', '-', '*', '/', '%', '<', '>', '!', '(', ')', ',', '.', '{', '}', '?', ':':
 		l.pos++
-		l.emit(tokOp, string(c), start)
-		return nil
+		return token{kind: tokOp, text: l.src[start:l.pos], pos: start}, nil
 	}
-	return fmt.Errorf("classad: unexpected character %q at %d", c, start)
+	return token{}, fmt.Errorf("classad: unexpected character %q at %d", c, start)
 }
 
 func isIdentStart(r rune) bool {

@@ -74,6 +74,11 @@ type Matcher struct {
 	hasRank  bool
 	rankExpr Expr
 	rankVal  Value
+	// Rank classified as a function of the target alone (see RankClass):
+	// its canonical text and the TARGET attributes it reads.
+	rankByTarget bool
+	rankKey      string
+	rankAttrs    []string
 
 	sc scope
 }
@@ -97,6 +102,15 @@ func (m *Matcher) compile() {
 	m.version = m.ad.version
 	m.hasReq, m.reqExpr, m.reqVal = m.ad.entryParts(attrRequirements)
 	m.hasRank, m.rankExpr, m.rankVal = m.ad.entryParts(attrRank)
+	m.rankByTarget, m.rankKey, m.rankAttrs = true, "", m.rankAttrs[:0]
+	if m.rankExpr != nil {
+		var key strings.Builder
+		key.Grow(64)
+		m.rankByTarget = targetOnly(m.rankExpr, &key, &m.rankAttrs)
+		if m.rankByTarget && len(m.rankAttrs) > 0 {
+			m.rankKey = key.String()
+		}
+	}
 }
 
 func (m *Matcher) sync() {
@@ -105,14 +119,76 @@ func (m *Matcher) sync() {
 	}
 }
 
-// ConstantRank reports whether this ad's Rank is independent of the
-// match target — absent, or a literal value. Matchmakers use it to pick
-// the first acceptable candidate in a total preference order instead of
-// scoring every candidate: with a constant rank the tie-break alone
-// decides, so an ordered scan's first match IS the winner.
-func (m *Matcher) ConstantRank() bool {
+// RankClass reports whether this ad's Rank depends on the match target
+// alone — built from literals, parentheses and unary/binary operators over
+// explicitly TARGET.-scoped attributes — and returns the expression's
+// canonical text as the class key. An absent Rank and one that reads no
+// attribute at all are the degenerate class, key "": constant ranks order
+// nothing. Every ad of one class ranks any given target the same
+// (see TargetRank for the one exception), so a matchmaker can order its
+// candidates once per class and take the first acceptable one instead of
+// scoring every candidate for every ad. MY. and unscoped references read
+// the ad itself, and calls, lists and ternaries are not analysed: those
+// Ranks have no class.
+func (m *Matcher) RankClass() (key string, ok bool) {
 	m.sync()
-	return !m.hasRank || m.rankExpr == nil
+	return m.rankKey, m.rankByTarget
+}
+
+// TargetRank is Rank for an ad that has a rank class; ok is false when the
+// value is not a function of the target alone after all: t defines an
+// attribute the Rank reads as an expression, which evaluates with this ad
+// in scope.
+func (m *Matcher) TargetRank(t *Matcher) (rank float64, ok bool) {
+	m.sync()
+	if !m.rankByTarget {
+		return 0, false
+	}
+	for _, a := range m.rankAttrs {
+		if e, found := t.ad.attrs[a]; found && e.expr != nil {
+			return 0, false
+		}
+	}
+	return m.Rank(t), true
+}
+
+// targetOnly reports whether e reads nothing but literals and TARGET.-scoped
+// attributes, appending its canonical text to key and the attributes'
+// lower-case names to attrs.
+func targetOnly(e Expr, key *strings.Builder, attrs *[]string) bool {
+	switch x := e.(type) {
+	case *litExpr:
+		// Tagged with the kind: Int(2) and Real(2) print alike but divide
+		// differently.
+		key.WriteByte('a' + byte(x.v.kind))
+		key.WriteString(x.v.String())
+		return true
+	case *attrExpr:
+		if x.scope != "target" {
+			return false
+		}
+		key.WriteString("T.")
+		key.WriteString(x.lower)
+		*attrs = append(*attrs, x.lower)
+		return true
+	case *parenExpr:
+		key.WriteByte('(')
+		ok := targetOnly(x.e, key, attrs)
+		key.WriteByte(')')
+		return ok
+	case *unaryExpr:
+		key.WriteString(x.op)
+		return targetOnly(x.e, key, attrs)
+	case *binExpr:
+		if !targetOnly(x.l, key, attrs) {
+			return false
+		}
+		key.WriteByte(' ')
+		key.WriteString(x.op)
+		key.WriteByte(' ')
+		return targetOnly(x.r, key, attrs)
+	}
+	return false
 }
 
 // entryParts fetches an attribute's compiled pieces by pre-lowered name.
@@ -148,7 +224,8 @@ func (m *Matcher) Match(t *Matcher) bool {
 }
 
 // Rank evaluates m's Rank against the target's ad, with Condor's
-// absent/non-numeric → 0.0 semantics.
+// absent/non-numeric → 0.0 semantics; NaN is not a number either, so
+// ranks are always ordered.
 func (m *Matcher) Rank(t *Matcher) float64 {
 	m.sync()
 	if !m.hasRank {
@@ -159,7 +236,7 @@ func (m *Matcher) Rank(t *Matcher) float64 {
 		return f
 	}
 	m.sc.self, m.sc.target, m.sc.depth = m.ad, t.ad, 0
-	if f, ok := m.rankExpr.Eval(&m.sc).RealVal(); ok {
+	if f, ok := m.rankExpr.Eval(&m.sc).RealVal(); ok && f == f {
 		return f
 	}
 	return 0

@@ -16,12 +16,12 @@ type Expr interface {
 
 // Parse parses a single ClassAd expression.
 func Parse(src string) (Expr, error) {
-	toks, err := lex(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
+	p := parser{lx: lexer{src: src}}
+	p.advance()
 	e, err := p.parseTernary()
+	if p.err != nil {
+		return nil, p.err
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -40,17 +40,32 @@ func MustParse(src string) Expr {
 	return e
 }
 
+// parser pulls tokens from the lexer on demand with one token of
+// look-ahead. The first lexical error is kept in err and the stream reads
+// as ended from there, so Parse reports it in preference to whatever the
+// grammar made of the truncated input.
 type parser struct {
-	toks []token
-	i    int
+	lx  lexer
+	tok token
+	err error
 }
 
-func (p *parser) cur() token  { return p.toks[p.i] }
-func (p *parser) next() token { t := p.toks[p.i]; p.i++; return t }
+func (p *parser) cur() token { return p.tok }
+
+func (p *parser) advance() {
+	if p.err != nil {
+		return
+	}
+	if p.tok, p.err = p.lx.next(); p.err != nil {
+		p.tok = token{kind: tokEOF, pos: p.lx.pos}
+	}
+}
+
+func (p *parser) next() token { t := p.tok; p.advance(); return t }
 
 func (p *parser) eatOp(op string) bool {
 	if p.cur().kind == tokOp && p.cur().text == op {
-		p.i++
+		p.advance()
 		return true
 	}
 	return false
@@ -135,7 +150,7 @@ func (p *parser) parseCmp() (Expr, error) {
 	if p.cur().kind == tokOp {
 		for _, op := range cmpOps {
 			if p.cur().text == op {
-				p.i++
+				p.advance()
 				right, err := p.parseAdd()
 				if err != nil {
 					return nil, err
@@ -195,28 +210,28 @@ func (p *parser) parsePrimary() (Expr, error) {
 	t := p.cur()
 	switch t.kind {
 	case tokInt:
-		p.i++
+		p.advance()
 		n, err := strconv.ParseInt(t.text, 10, 64)
 		if err != nil {
 			return nil, fmt.Errorf("classad: bad integer %q at %d", t.text, t.pos)
 		}
 		return &litExpr{v: Int(n)}, nil
 	case tokReal:
-		p.i++
+		p.advance()
 		f, err := strconv.ParseFloat(t.text, 64)
 		if err != nil {
 			return nil, fmt.Errorf("classad: bad real %q at %d", t.text, t.pos)
 		}
 		return &litExpr{v: Real(f)}, nil
 	case tokString:
-		p.i++
+		p.advance()
 		return &litExpr{v: Str(t.text)}, nil
 	case tokIdent:
 		return p.parseIdent()
 	case tokOp:
 		switch t.text {
 		case "(":
-			p.i++
+			p.advance()
 			inner, err := p.parseTernary()
 			if err != nil {
 				return nil, err
@@ -275,13 +290,13 @@ func (p *parser) parseIdent() (Expr, error) {
 			if attr.kind != tokIdent {
 				return nil, fmt.Errorf("classad: expected attribute after %s. at %d", t.text, attr.pos)
 			}
-			p.i++
+			p.advance()
 			return &attrExpr{name: attr.text, lower: lowered(attr.text), scope: lower}, nil
 		}
 	}
 	// Function call.
 	if p.cur().kind == tokOp && p.cur().text == "(" {
-		p.i++
+		p.advance()
 		var args []Expr
 		if !p.eatOp(")") {
 			for {

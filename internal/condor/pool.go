@@ -1,7 +1,9 @@
 package condor
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -72,11 +74,11 @@ type Pool struct {
 	// live per pass (built and drained under p.mu), so its slices are
 	// reused instead of reallocated on every wake.
 	streamScratch negotiationStream
-	// pickGen/pickSorted back the constant-rank ordered pick: per pass,
-	// large free buckets are snapshotted in machine-name order and
+	// pickGen/pickSorted back the rank-ordered pick: per pass, large free
+	// buckets are snapshotted once per rank class in preference order and
 	// consumed by a cursor (see pickFromBucketLocked).
 	pickGen    uint64
-	pickSorted map[string]*pickBucket
+	pickSorted map[pickKey]*pickBucket
 	nextID     int
 	down       bool
 	flockPeer  *Pool
@@ -145,16 +147,22 @@ type Pool struct {
 	obsWakes       *telemetry.Counter
 	obsPasses      *telemetry.Counter
 	obsMatches     *telemetry.Counter
+	obsViewBuilds  *telemetry.Counter
+	obsScans       *telemetry.Counter
 	obsPassSeconds *telemetry.Histogram
 }
 
 // SetTelemetry registers the pool's negotiation metrics in reg, labeled
 // by site: wake-ups, negotiation passes (those with at least one idle
-// job), matches started, and wall-clock pass duration.
+// job), matches started, wall-clock pass duration, and what the passes'
+// picks cost: ordered views built (one sort of a free bucket each) and
+// exhaustive bucket scans (one Match + Rank per free machine each).
 func (p *Pool) SetTelemetry(reg *telemetry.Registry) {
 	p.obsWakes = reg.LabeledCounter("pool_wakes_total", "site", p.Name)
 	p.obsPasses = reg.LabeledCounter("negotiation_passes_total", "site", p.Name)
 	p.obsMatches = reg.LabeledCounter("negotiation_matches_total", "site", p.Name)
+	p.obsViewBuilds = reg.LabeledCounter("negotiation_view_builds_total", "site", p.Name)
+	p.obsScans = reg.LabeledCounter("negotiation_exhaustive_scans_total", "site", p.Name)
 	p.obsPassSeconds = reg.LabeledHistogram("negotiation_pass_seconds", "site", p.Name, nil)
 }
 
@@ -523,6 +531,25 @@ func (p *Pool) Jobs() ([]JobInfo, error) {
 	out := make([]JobInfo, 0, len(ids))
 	for _, id := range ids {
 		out = append(out, p.snapshotPosLocked(p.jobs[id], pos))
+	}
+	return out, nil
+}
+
+// LiveJobs returns snapshots of the non-terminal jobs in submission order,
+// without queue positions: a walk of the active list, whose cost follows
+// the jobs now in the pool rather than every job it ever held, for callers
+// that total over the queue.
+func (p *Pool) LiveJobs() ([]JobInfo, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.down {
+		return nil, ErrPoolDown
+	}
+	out := make([]JobInfo, 0, p.liveCount)
+	for _, id := range p.active {
+		if j := p.jobs[id]; !j.status.Terminal() {
+			out = append(out, p.snapshotPosLocked(j, nil))
+		}
 	}
 	return out, nil
 }
@@ -1078,7 +1105,14 @@ func (st *freeStats) merge(o freeStats) {
 // pool's free set only tracks its own placements) are excluded for this
 // pass.
 func (p *Pool) refreshFreeLocked(now time.Time) freeStats {
-	p.pickGen++ // new pass: constant-rank pick cursors rebuild lazily
+	// New pass: ordered views rebuild lazily; those the last pass had no
+	// use for go, so the map holds only the rank classes now queued.
+	for k, pb := range p.pickSorted {
+		if pb.gen != p.pickGen {
+			delete(p.pickSorted, k)
+		}
+	}
+	p.pickGen++
 	var st freeStats
 	p.visitFreeLocked(func(m *machine) {
 		if m.node.TaskCount() > 0 {
@@ -1152,14 +1186,25 @@ func (p *Pool) visitFreeLocked(visit func(*machine)) {
 	}
 }
 
-// pickBucket is one arch bucket's per-pass pick state for constant-rank
-// jobs: the bucket's free machines in node-name order with a cursor that
-// permanently skips machines claimed (or pass-excluded) earlier in the
-// same pass. Rebuilt lazily once per pass per bucket.
+// pickKey names one ordered view: an arch bucket as one rank class (see
+// classad.Matcher.RankClass) orders it.
+type pickKey struct{ arch, rank string }
+
+// pickBucket is one view's per-pass pick state: the bucket's free machines
+// by (rank descending, node name ascending) with a cursor that permanently
+// skips machines claimed (or pass-excluded) earlier in the same pass.
+// Rebuilt lazily once per pass; exhaustive marks a pass in which some
+// machine's rank is not a function of the machine alone.
 type pickBucket struct {
-	gen    uint64
-	sorted []*machine
-	cur    int
+	gen        uint64
+	sorted     []pickEntry
+	cur        int
+	exhaustive bool
+}
+
+type pickEntry struct {
+	m    *machine
+	rank float64
 }
 
 // pickIndexedLocked returns j's best matching local machine. Jobs whose
@@ -1181,43 +1226,71 @@ func (p *Pool) pickIndexedLocked(j *job) *machine {
 	return best
 }
 
-// sortedPickThreshold is the free-bucket size above which constant-rank
-// picks switch from the full best-rank scan to the per-pass name-sorted
-// cursor. Small buckets (the steady state: a completion frees one
-// machine) scan directly — building the sorted view would cost more.
+// sortedPickThreshold is the free-bucket size above which picks switch
+// from the full best-rank scan to the per-pass ordered cursor. Small
+// buckets (the steady state: a completion frees one machine) scan
+// directly — building the sorted view would cost more.
 const sortedPickThreshold = 16
 
 // pickFromBucketLocked folds one free bucket into the running
-// (best, bestRank) pair. For jobs whose Rank is constant the winner
-// under the pinned total order (rank, then machine name) is simply the
-// first acceptable machine in name order, so large buckets are consumed
-// through a per-pass sorted cursor with early exit instead of scoring
-// every free machine: the deep-backlog fill drops from
-// O(jobs x free machines) matches to O(jobs) without changing a single
-// placement. Target-dependent ranks keep the exhaustive scan.
+// (best, bestRank) pair. Jobs of one rank class rank a machine alike, so
+// under the pinned total order (rank, then machine name) the winner is
+// the first acceptable machine of the class's per-pass ordered view:
+// Rank runs once per free machine per pass and a pick costs about
+// 1/(share of machines that match) Match calls, not one Match + Rank per
+// free machine, without changing a single placement. Small buckets, Ranks
+// that read the job, and buckets holding a machine whose ranked attribute
+// is an expression keep the exhaustive scan.
 func (p *Pool) pickFromBucketLocked(j *job, key string, best *machine, bestRank float64) (*machine, float64) {
 	b := p.freeBuckets[key]
-	if len(b) <= sortedPickThreshold || !j.matcher.ConstantRank() {
-		return p.bestCandidate(j, b, best, bestRank)
-	}
-	pb := p.pickSorted[key]
-	if pb == nil {
-		if p.pickSorted == nil {
-			p.pickSorted = make(map[string]*pickBucket)
+	class, ok := j.matcher.RankClass()
+	if ok && len(b) > sortedPickThreshold {
+		view := pickKey{key, class}
+		pb := p.pickSorted[view]
+		if pb == nil {
+			if p.pickSorted == nil {
+				p.pickSorted = make(map[pickKey]*pickBucket)
+			}
+			pb = &pickBucket{}
+			p.pickSorted[view] = pb
 		}
-		pb = &pickBucket{}
-		p.pickSorted[key] = pb
+		if pb.gen != p.pickGen {
+			pb.build(p.pickGen, j, b)
+			p.obsViewBuilds.Inc()
+		}
+		if !pb.exhaustive {
+			return p.pickOrderedLocked(j, pb, best, bestRank)
+		}
 	}
-	if pb.gen != p.pickGen {
-		pb.gen = p.pickGen
-		pb.sorted = append(pb.sorted[:0], b...)
-		sort.Slice(pb.sorted, func(a, c int) bool {
-			return pb.sorted[a].node.Name < pb.sorted[c].node.Name
-		})
-		pb.cur = 0
+	p.obsScans.Inc()
+	return p.bestCandidate(j, b, best, bestRank)
+}
+
+// build snapshots free bucket b for pass gen in the preference order of
+// j's rank class.
+func (pb *pickBucket) build(gen uint64, j *job, b []*machine) {
+	pb.gen, pb.cur, pb.sorted, pb.exhaustive = gen, 0, pb.sorted[:0], false
+	for _, m := range b {
+		r, ok := j.matcher.TargetRank(m.matcher)
+		if !ok {
+			pb.exhaustive = true
+			return
+		}
+		pb.sorted = append(pb.sorted, pickEntry{m, r})
 	}
+	slices.SortFunc(pb.sorted, func(a, c pickEntry) int {
+		if byRank := cmp.Compare(c.rank, a.rank); byRank != 0 {
+			return byRank
+		}
+		return strings.Compare(a.m.node.Name, c.m.node.Name)
+	})
+}
+
+// pickOrderedLocked walks a view from its cursor to j's first acceptable
+// machine and folds it against the other buckets' carry.
+func (p *Pool) pickOrderedLocked(j *job, pb *pickBucket, best *machine, bestRank float64) (*machine, float64) {
 	for i := pb.cur; i < len(pb.sorted); i++ {
-		m := pb.sorted[i]
+		m := pb.sorted[i].m
 		if m.freeIdx < 0 || m.skipFor == p {
 			// Claimed earlier in this pass, or excluded for the whole
 			// pass: gone for good — compact the cursor past a leading run.
@@ -1232,9 +1305,9 @@ func (p *Pool) pickFromBucketLocked(j *job, key string, best *machine, bestRank 
 		if !j.matcher.Match(m.matcher) {
 			continue
 		}
-		// First acceptable machine in name order: no later machine in
-		// this bucket can beat it, so fold against the other buckets'
-		// carry and stop.
+		// First acceptable machine in preference order: no later one in
+		// this bucket can beat it. The job's own Rank (its constant, in
+		// the degenerate class) is what folds against the carry.
 		r := j.matcher.Rank(m.matcher)
 		if best == nil || r > bestRank || (r == bestRank && m.node.Name < best.node.Name) {
 			return m, r

@@ -575,15 +575,12 @@ func (s *Scheduler) backlogSeconds(site string, svc *SiteServices) float64 {
 }
 
 func (s *Scheduler) backlogSecondsUncached(svc *SiteServices) float64 {
-	jobs, err := svc.Pool.Jobs()
+	jobs, err := svc.Pool.LiveJobs()
 	if err != nil {
 		return 0
 	}
 	total := 0.0
 	for _, j := range jobs {
-		if j.Status.Terminal() {
-			continue
-		}
 		est := j.EstimatedRuntime
 		if v, ok := s.estDB.Lookup(j.Pool, j.ID); ok {
 			est = v
