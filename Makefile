@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-race race-smoke bench bench-test bench-json bench-smoke load-smoke chaos-smoke obs-smoke sim fmt vet lint lint-test
+.PHONY: build test test-race race-smoke bench bench-test fuzz-smoke bench-json bench-smoke load-smoke chaos-smoke obs-smoke sim fmt vet lint lint-test
 
 build:
 	$(GO) build ./...
@@ -30,6 +30,11 @@ bench:
 # than at the next benchmark run.
 bench-test:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# Differential fuzz of the XML-RPC scanner against the encoding/xml decoder
+# it replaced (kept in a _test.go file as the oracle): 20 s must run clean.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzDecodeAgainstEncodingXML -fuzztime 20s ./internal/xmlrpc
 
 # One-iteration sweep parsed into the repo's perf-trajectory JSON
 # (ns/op, allocs/op, and b.ReportMetric custom metrics per benchmark).

@@ -298,6 +298,7 @@ func (sp *serverProc) cleanup() {
 
 func waitReady(ctx context.Context, url string) error {
 	cc := clarens.NewClientTimeout(url, 5*time.Second)
+	defer cc.Close()
 	for {
 		if _, err := cc.Call(ctx, "system.ping"); err == nil {
 			return nil

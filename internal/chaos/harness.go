@@ -365,6 +365,7 @@ func (h *harness) controller(ctx context.Context) error {
 
 func (h *harness) waitReady(ctx context.Context, url string) error {
 	cc := clarens.NewClientTimeout(url, 5*time.Second)
+	defer cc.Close()
 	for {
 		if _, err := cc.Call(ctx, "system.ping"); err == nil {
 			return nil

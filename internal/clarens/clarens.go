@@ -25,42 +25,44 @@ import (
 	"errors"
 )
 
-// ctxKey is the package-private context key type.
-type ctxKey int
+// callInfo is what a handler context carries about the call being served:
+// one context value, set once per request by Server.ServeHTTP.
+type callInfo struct {
+	token      string // session token ("" when unauthenticated)
+	remoteAddr string
+	requestID  string // idempotency key ("" when unstamped)
+}
 
-const (
-	ctxSessionToken ctxKey = iota
-	ctxRemoteAddr
-	ctxRequestID
-)
+type callInfoKey struct{}
+
+func callInfoOf(ctx context.Context) callInfo {
+	ci, _ := ctx.Value(callInfoKey{}).(*callInfo)
+	if ci == nil {
+		return callInfo{}
+	}
+	return *ci
+}
 
 // SessionToken extracts the caller's session token from a handler context;
 // empty when the request was unauthenticated.
-func SessionToken(ctx context.Context) string {
-	s, _ := ctx.Value(ctxSessionToken).(string)
-	return s
-}
+func SessionToken(ctx context.Context) string { return callInfoOf(ctx).token }
 
 // RemoteAddr extracts the caller's network address from a handler context.
-func RemoteAddr(ctx context.Context) string {
-	s, _ := ctx.Value(ctxRemoteAddr).(string)
-	return s
-}
+func RemoteAddr(ctx context.Context) string { return callInfoOf(ctx).remoteAddr }
 
 // RequestID extracts the caller's idempotency key from a handler context;
 // empty when the call was not stamped. The key identifies one logical
 // mutation across retries: a server that has already applied it returns
 // the recorded result instead of applying it again.
-func RequestID(ctx context.Context) string {
-	s, _ := ctx.Value(ctxRequestID).(string)
-	return s
-}
+func RequestID(ctx context.Context) string { return callInfoOf(ctx).requestID }
 
 // WithRequestID stamps an idempotency key onto a context. On the wire the
 // key travels in RequestIDHeader; on the local transport the context
 // reaches the service layer directly.
 func WithRequestID(ctx context.Context, id string) context.Context {
-	return context.WithValue(ctx, ctxRequestID, id)
+	ci := callInfoOf(ctx)
+	ci.requestID = id
+	return context.WithValue(ctx, callInfoKey{}, &ci)
 }
 
 // ErrBadCredentials is returned by Authenticator implementations.

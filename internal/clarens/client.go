@@ -23,7 +23,7 @@ const DefaultTimeout = 30 * time.Second
 // NewClient creates a client for a Clarens endpoint with DefaultTimeout.
 func NewClient(endpoint string) *Client {
 	c := xmlrpc.NewClient(endpoint)
-	c.HTTP = &http.Client{Timeout: DefaultTimeout}
+	c.HTTP.Timeout = DefaultTimeout
 	c.Headers = make(map[string]string)
 	return &Client{Client: c}
 }
@@ -51,12 +51,15 @@ func (c *Client) SetTimeout(timeout time.Duration) {
 }
 
 // SetTransport installs a custom HTTP round-tripper (nil restores the
-// default), preserving the configured timeout. Fault-injection harnesses
-// wrap the transport here.
+// default, a connection pool of the client's own), preserving the
+// configured timeout. Fault-injection harnesses wrap the transport here.
 func (c *Client) SetTransport(rt http.RoundTripper) {
 	var timeout time.Duration
 	if c.HTTP != nil {
 		timeout = c.HTTP.Timeout
+	}
+	if rt == nil {
+		rt = xmlrpc.NewTransport()
 	}
 	c.HTTP = &http.Client{Timeout: timeout, Transport: rt}
 }

@@ -107,3 +107,16 @@ func TestSetTimeoutPreservesTransport(t *testing.T) {
 		t.Fatal("SetTransport did not install the round-tripper")
 	}
 }
+
+// SetTransport(nil) gives the client back a pool of its own, not the
+// process-wide http.DefaultTransport that NewClient moved away from.
+func TestSetTransportNilRestoresOwnPool(t *testing.T) {
+	c := NewClient("http://127.0.0.1:0")
+	own := c.HTTP.Transport
+	c.SetTransport(&countingTransport{base: http.DefaultTransport})
+	c.SetTransport(nil)
+	rt := c.HTTP.Transport
+	if _, ok := rt.(*http.Transport); !ok || rt == http.DefaultTransport || rt == own {
+		t.Fatalf("transport after SetTransport(nil) = %T %p, want a fresh *http.Transport", rt, rt)
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/vtime"
@@ -29,7 +30,7 @@ type Server struct {
 	peers    []string
 	listener net.Listener
 	httpSrv  *http.Server
-	draining bool
+	draining atomic.Bool // read on every RPC
 	httpMu   sync.RWMutex
 	http     map[string]http.Handler // extra plain-HTTP paths (exact match)
 }
@@ -254,8 +255,9 @@ func (s *Server) Discover(ctx context.Context, name string, forward bool) (Servi
 	}
 	for _, peer := range s.Peers() {
 		c := xmlrpc.NewClient(peer)
-		c.HTTP = &http.Client{Timeout: 5 * time.Second}
+		c.HTTP.Timeout = 5 * time.Second
 		res, err := c.Call(ctx, "registry.discover", name, false)
+		c.Close()
 		if err != nil {
 			continue
 		}
@@ -297,11 +299,11 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		h.ServeHTTP(w, r)
 		return
 	}
-	ctx := context.WithValue(r.Context(), ctxSessionToken, r.Header.Get(SessionHeader))
-	ctx = context.WithValue(ctx, ctxRemoteAddr, r.RemoteAddr)
-	if rid := r.Header.Get(RequestIDHeader); rid != "" {
-		ctx = WithRequestID(ctx, rid)
-	}
+	ctx := context.WithValue(r.Context(), callInfoKey{}, &callInfo{
+		token:      r.Header.Get(SessionHeader),
+		remoteAddr: r.RemoteAddr,
+		requestID:  r.Header.Get(RequestIDHeader),
+	})
 	s.mux.ServeHTTP(w, r.WithContext(ctx))
 }
 
@@ -347,18 +349,10 @@ func (s *Server) Start(addr string) (string, error) {
 // host answers every call with FaultUnavailable; servers flip it on
 // before a graceful stop so clients fail over (or back off) instead of
 // queueing behind a dying listener.
-func (s *Server) SetDraining(v bool) {
-	s.mu.Lock()
-	s.draining = v
-	s.mu.Unlock()
-}
+func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
 
 // Draining reports whether the host is refusing calls ahead of a stop.
-func (s *Server) Draining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
-}
+func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Kill abruptly closes the HTTP server without waiting for in-flight
 // requests — the chaos harness's stand-in for a crash.

@@ -1,11 +1,15 @@
 package experiments
 
 import (
+	"context"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/estimator"
+	"repro/internal/scheduler"
 )
 
 func TestTableCSV(t *testing.T) {
@@ -190,5 +194,43 @@ func TestFig7CheckpointingIsFaster(t *testing.T) {
 	if resumed.SteeredDone >= restart.SteeredDone {
 		t.Fatalf("checkpointed %v not faster than restart %v",
 			resumed.SteeredDone, restart.SteeredDone)
+	}
+}
+
+// TestFig6StopReturnsPromptly pins the cause of the ~5 s Figure 6 samples:
+// it was never a slow request but the host's graceful Stop waiting out
+// net/http's five-second grace for connections that 50 clients sharing
+// http.DefaultTransport had dialled in a race and never used. With a
+// connection pool per client no such connection is dialled. The race hit
+// about one deployment in five, so several are cycled.
+func TestFig6StopReturnsPromptly(t *testing.T) {
+	for cycle := 0; cycle < 10; cycle++ {
+		g := core.New(core.Config{
+			Seed:  6,
+			Sites: []core.SiteSpec{{Name: "siteA", Nodes: 4, CostPerCPUSecond: 0.01}},
+			Users: []core.UserSpec{{Name: "client", Password: "pw", Credits: 1e6}},
+		})
+		url, err := g.Start("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		tasks := make([]scheduler.TaskPlan, 4)
+		for i := range tasks {
+			tasks[i] = scheduler.TaskPlan{ID: fmt.Sprintf("t%d", i), CPUSeconds: 50, Queue: "short", Partition: "gae", Nodes: 1, JobType: "batch"}
+		}
+		if _, err := g.SubmitPlan(&scheduler.JobPlan{Name: "load", Owner: "client", Tasks: tasks}); err != nil {
+			t.Fatal(err)
+		}
+		g.Run(60 * time.Second)
+		if _, err := measureLevel(context.Background(), url, 50, 10, len(tasks)); err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		if err := g.Stop(); err != nil {
+			t.Fatal(err)
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Fatalf("cycle %d: Stop took %v after 50 clients x 10 calls, want < 1s", cycle, d)
+		}
 	}
 }

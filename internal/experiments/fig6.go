@@ -122,6 +122,7 @@ func measureLevel(ctx context.Context, url string, n, reqs, jobs int) (time.Dura
 		wg.Add(1)
 		go func(i int, c *clarens.Client) {
 			defer wg.Done()
+			defer c.Close() // no idle connection may outlive the level: see xmlrpc.NewClient
 			for r := 0; r < reqs; r++ {
 				jobID := (i+r)%jobs + 1
 				start := time.Now() //lint:walltime benchmark harness: measures real RPC round-trip latency over the wire

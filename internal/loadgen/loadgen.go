@@ -107,17 +107,22 @@ func Run(ctx context.Context, cfg Config, dial Dialer) (Result, error) {
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
-	for _, err := range dialErrs {
-		if err != nil {
-			return Result{}, err
-		}
-	}
-
 	res := Result{
 		Clients:        cfg.Clients,
 		ByOp:           make(map[string]int),
 		ErrorsByOp:     make(map[string]int),
 		ElapsedSeconds: elapsed.Seconds(),
+	}
+	for _, c := range clients {
+		if c != nil {
+			res.Retries += c.TransportStats().Retries
+			c.Close(ctx) //nolint:errcheck // best-effort logout; the run is over
+		}
+	}
+	for _, err := range dialErrs {
+		if err != nil {
+			return Result{}, err
+		}
 	}
 	var lat []time.Duration
 	for _, samples := range perWorker {
@@ -129,11 +134,6 @@ func Run(ctx context.Context, cfg Config, dial Dialer) (Result, error) {
 				res.ErrorsByOp[s.op]++
 			}
 			lat = append(lat, s.d)
-		}
-	}
-	for _, c := range clients {
-		if c != nil {
-			res.Retries += c.TransportStats().Retries
 		}
 	}
 	if elapsed > 0 {

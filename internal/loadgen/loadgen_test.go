@@ -63,6 +63,34 @@ func TestRunDialFailure(t *testing.T) {
 	}
 }
 
+// A run that aborts on one worker's dial error still closes the clients
+// that did dial: their sessions are logged out, not left to expire.
+func TestRunDialFailureClosesDialledClients(t *testing.T) {
+	g := testDeployment()
+	url, err := g.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Stop() //nolint:errcheck
+	boom := errors.New("boom")
+	var dialled *gae.Client
+	_, err = Run(context.Background(), Config{Clients: 2, Ops: 2},
+		func(ctx context.Context, w int) (*gae.Client, error) {
+			if w == 1 {
+				return nil, boom
+			}
+			c, err := gae.Dial(ctx, url, gae.WithCredentials("alice", "pw"))
+			dialled = c
+			return c, err
+		})
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want wrapped dial error", err)
+	}
+	if dialled == nil || dialled.Token() != "" {
+		t.Fatalf("the worker that dialled is still logged in after the aborted run")
+	}
+}
+
 func TestPercentileMillis(t *testing.T) {
 	if got := percentileMillis(nil, 0.5); got != 0 {
 		t.Fatalf("empty percentile = %v, want 0", got)

@@ -10,7 +10,7 @@ import (
 )
 
 // Client issues XML-RPC calls against a single endpoint URL.
-// The zero http.Client is used unless HTTP is set; Headers (for example a
+// http.DefaultClient is used unless HTTP is set; Headers (for example a
 // Clarens session token) are attached to every request.
 type Client struct {
 	URL     string
@@ -43,11 +43,27 @@ func callHeaders(ctx context.Context) []headerKV {
 }
 
 // NewClient returns a client for the endpoint with a default timeout
-// suitable for LAN service calls.
+// suitable for LAN service calls and a connection pool of its own: clients
+// sharing http.DefaultTransport race to dial connections that never carry
+// a request, and a server's graceful shutdown waits five seconds on those.
 func NewClient(url string) *Client {
-	return &Client{
-		URL:  url,
-		HTTP: &http.Client{Timeout: 30 * time.Second},
+	return &Client{URL: url, HTTP: &http.Client{Timeout: 30 * time.Second, Transport: NewTransport()}}
+}
+
+// NewTransport returns the connection pool a new client owns: a copy of
+// http.DefaultTransport's settings, or the zero settings if a program has
+// put another kind of round-tripper there.
+func NewTransport() *http.Transport {
+	if t, ok := http.DefaultTransport.(*http.Transport); ok {
+		return t.Clone()
+	}
+	return &http.Transport{}
+}
+
+// Close releases the client's idle connections; a later Call dials again.
+func (c *Client) Close() {
+	if c.HTTP != nil {
+		c.HTTP.CloseIdleConnections()
 	}
 }
 
@@ -82,7 +98,11 @@ func (c *Client) Call(ctx context.Context, method string, args ...any) (any, err
 		snippet, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
 		return nil, fmt.Errorf("xmlrpc: %s returned HTTP %d: %s", method, resp.StatusCode, snippet)
 	}
-	return DecodeResponse(resp.Body)
+	raw, err := readBody(resp.Body, resp.ContentLength)
+	if err != nil {
+		return nil, fmt.Errorf("xmlrpc: reading %s response: %w", method, err)
+	}
+	return decodeResponse(raw)
 }
 
 // CallString invokes method and asserts a string result.

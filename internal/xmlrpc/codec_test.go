@@ -11,6 +11,44 @@ import (
 	"time"
 )
 
+// The literal documents the decode tests feed the decoder, named so that
+// FuzzDecodeAgainstEncodingXML can seed its corpus with every one of them.
+const (
+	docNoParams          = `<?xml version="1.0"?><methodCall><methodName>ping</methodName></methodCall>`
+	docMissingMethodName = `<methodCall><params></params></methodCall>`
+	docUntypedValue      = `<methodCall><methodName>m</methodName><params><param><value>plain</value></param></params></methodCall>`
+	docI4AndI8           = `<methodCall><methodName>m</methodName><params>` +
+		`<param><value><i4>7</i4></value></param>` +
+		`<param><value><i8>1099511627776</i8></value></param>` +
+		`</params></methodCall>`
+	docBooleanWords = `<methodCall><methodName>m</methodName><params>` +
+		`<param><value><boolean>true</boolean></value></param>` +
+		`<param><value><boolean>0</boolean></value></param>` +
+		`</params></methodCall>`
+	docRFC3339Date = `<methodCall><methodName>m</methodName><params>` +
+		`<param><value><dateTime.iso8601>2005-06-01T10:00:00Z</dateTime.iso8601></value></param>` +
+		`</params></methodCall>`
+	docResponseEmpty          = `<methodResponse></methodResponse>`
+	docResponseMultipleParams = `<methodResponse><params>` +
+		`<param><value><int>1</int></value></param>` +
+		`<param><value><int>2</int></value></param>` +
+		`</params></methodResponse>`
+)
+
+var docsMalformed = []string{
+	``,
+	`<notxmlrpc/>`,
+	`<methodCall><methodName>m`,
+	`<methodCall><methodName>m</methodName><params><param></param></params></methodCall>`,
+	`<methodCall><methodName>m</methodName><params><param><value><int>NaN</int></value></param></params></methodCall>`,
+	`<methodCall><methodName>m</methodName><params><param><value><boolean>2</boolean></value></param></params></methodCall>`,
+	`<methodCall><methodName>m</methodName><params><param><value><unknowntype>1</unknowntype></value></param></params></methodCall>`,
+	`<methodCall><methodName>m</methodName><params><param><value><double>abc</double></value></param></params></methodCall>`,
+	`<methodCall><methodName>m</methodName><params><param><value><dateTime.iso8601>yesterday</dateTime.iso8601></value></param></params></methodCall>`,
+	`<methodCall><methodName>m</methodName><params><param><value><base64>!!!</base64></value></param></params></methodCall>`,
+	`<methodCall><methodName>m</methodName><params><param><value><struct><member><name>x</name></member></struct></value></param></params></methodCall>`,
+}
+
 // roundTripArg encodes v as the sole argument of a request and decodes it
 // back.
 func roundTripArg(t *testing.T, v any) any {
@@ -194,7 +232,7 @@ func TestEncodeRejectsInt64Overflow(t *testing.T) {
 }
 
 func TestDecodeRequestNoParams(t *testing.T) {
-	raw := `<?xml version="1.0"?><methodCall><methodName>ping</methodName></methodCall>`
+	raw := docNoParams
 	req, err := DecodeRequest(strings.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
@@ -205,14 +243,14 @@ func TestDecodeRequestNoParams(t *testing.T) {
 }
 
 func TestDecodeRequestMissingMethodName(t *testing.T) {
-	raw := `<methodCall><params></params></methodCall>`
+	raw := docMissingMethodName
 	if _, err := DecodeRequest(strings.NewReader(raw)); err == nil {
 		t.Fatal("missing methodName accepted")
 	}
 }
 
 func TestDecodeUntypedValueIsString(t *testing.T) {
-	raw := `<methodCall><methodName>m</methodName><params><param><value>plain</value></param></params></methodCall>`
+	raw := docUntypedValue
 	req, err := DecodeRequest(strings.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
@@ -223,10 +261,7 @@ func TestDecodeUntypedValueIsString(t *testing.T) {
 }
 
 func TestDecodeI4AndI8(t *testing.T) {
-	raw := `<methodCall><methodName>m</methodName><params>` +
-		`<param><value><i4>7</i4></value></param>` +
-		`<param><value><i8>1099511627776</i8></value></param>` +
-		`</params></methodCall>`
+	raw := docI4AndI8
 	req, err := DecodeRequest(strings.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
@@ -237,10 +272,7 @@ func TestDecodeI4AndI8(t *testing.T) {
 }
 
 func TestDecodeBooleanWords(t *testing.T) {
-	raw := `<methodCall><methodName>m</methodName><params>` +
-		`<param><value><boolean>true</boolean></value></param>` +
-		`<param><value><boolean>0</boolean></value></param>` +
-		`</params></methodCall>`
+	raw := docBooleanWords
 	req, err := DecodeRequest(strings.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
@@ -251,9 +283,7 @@ func TestDecodeBooleanWords(t *testing.T) {
 }
 
 func TestDecodeRFC3339DateAccepted(t *testing.T) {
-	raw := `<methodCall><methodName>m</methodName><params>` +
-		`<param><value><dateTime.iso8601>2005-06-01T10:00:00Z</dateTime.iso8601></value></param>` +
-		`</params></methodCall>`
+	raw := docRFC3339Date
 	req, err := DecodeRequest(strings.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
@@ -265,19 +295,7 @@ func TestDecodeRFC3339DateAccepted(t *testing.T) {
 }
 
 func TestDecodeMalformed(t *testing.T) {
-	cases := []string{
-		``,
-		`<notxmlrpc/>`,
-		`<methodCall><methodName>m`,
-		`<methodCall><methodName>m</methodName><params><param></param></params></methodCall>`,
-		`<methodCall><methodName>m</methodName><params><param><value><int>NaN</int></value></param></params></methodCall>`,
-		`<methodCall><methodName>m</methodName><params><param><value><boolean>2</boolean></value></param></params></methodCall>`,
-		`<methodCall><methodName>m</methodName><params><param><value><unknowntype>1</unknowntype></value></param></params></methodCall>`,
-		`<methodCall><methodName>m</methodName><params><param><value><double>abc</double></value></param></params></methodCall>`,
-		`<methodCall><methodName>m</methodName><params><param><value><dateTime.iso8601>yesterday</dateTime.iso8601></value></param></params></methodCall>`,
-		`<methodCall><methodName>m</methodName><params><param><value><base64>!!!</base64></value></param></params></methodCall>`,
-		`<methodCall><methodName>m</methodName><params><param><value><struct><member><name>x</name></member></struct></value></param></params></methodCall>`,
-	}
+	cases := docsMalformed
 	for _, raw := range cases {
 		if _, err := DecodeRequest(strings.NewReader(raw)); err == nil {
 			t.Errorf("malformed request accepted: %s", raw)
@@ -313,17 +331,14 @@ func TestFaultRoundTrip(t *testing.T) {
 }
 
 func TestDecodeResponseEmpty(t *testing.T) {
-	raw := `<methodResponse></methodResponse>`
+	raw := docResponseEmpty
 	if _, err := DecodeResponse(strings.NewReader(raw)); err == nil {
 		t.Fatal("empty methodResponse accepted")
 	}
 }
 
 func TestDecodeResponseMultipleParams(t *testing.T) {
-	raw := `<methodResponse><params>` +
-		`<param><value><int>1</int></value></param>` +
-		`<param><value><int>2</int></value></param>` +
-		`</params></methodResponse>`
+	raw := docResponseMultipleParams
 	if _, err := DecodeResponse(strings.NewReader(raw)); err == nil {
 		t.Fatal("two-param response accepted")
 	}

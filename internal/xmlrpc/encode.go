@@ -7,208 +7,228 @@ import (
 	"math"
 	"sort"
 	"strconv"
+	"sync"
 	"time"
+	"unicode/utf8"
 )
 
 // iso8601 is the dateTime layout mandated by the XML-RPC specification.
 // Note the absence of separators and timezone, per the original spec.
 const iso8601 = "20060102T15:04:05"
 
+const xmlHeader = `<?xml version="1.0" encoding="UTF-8"?>`
+
+// encodeBufs recycles the scratch buffers documents are built in, so the
+// only allocation an encoding keeps is its result, made at its final size.
+var encodeBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// encode returns a copy of the document build appends to a scratch buffer.
+func encode(build func(buf []byte) ([]byte, error)) ([]byte, error) {
+	scratch := encodeBufs.Get().(*[]byte)
+	buf, err := build((*scratch)[:0])
+	var out []byte
+	if err == nil {
+		out = bytes.Clone(buf)
+	}
+	if cap(buf) <= 64<<10 { // a huge document must not pin its buffer
+		*scratch = buf
+	}
+	encodeBufs.Put(scratch)
+	return out, err
+}
+
 // EncodeRequest serializes a method call with the given arguments.
 func EncodeRequest(method string, args []any) ([]byte, error) {
-	var buf bytes.Buffer
-	buf.WriteString(`<?xml version="1.0" encoding="UTF-8"?>`)
-	buf.WriteString("<methodCall><methodName>")
-	escapeInto(&buf, method)
-	buf.WriteString("</methodName><params>")
-	for _, a := range args {
-		buf.WriteString("<param>")
-		if err := encodeValue(&buf, a); err != nil {
-			return nil, fmt.Errorf("encoding request %q: %w", method, err)
+	return encode(func(buf []byte) ([]byte, error) {
+		buf = append(buf, xmlHeader+"<methodCall><methodName>"...)
+		buf = appendEscaped(buf, method)
+		buf = append(buf, "</methodName><params>"...)
+		for _, a := range args {
+			buf = append(buf, "<param>"...)
+			var err error
+			if buf, err = appendValue(buf, a); err != nil {
+				return buf, fmt.Errorf("encoding request %q: %w", method, err)
+			}
+			buf = append(buf, "</param>"...)
 		}
-		buf.WriteString("</param>")
-	}
-	buf.WriteString("</params></methodCall>")
-	return buf.Bytes(), nil
+		return append(buf, "</params></methodCall>"...), nil
+	})
 }
 
 // EncodeResponse serializes a successful method response carrying result.
 func EncodeResponse(result any) ([]byte, error) {
-	var buf bytes.Buffer
-	buf.WriteString(`<?xml version="1.0" encoding="UTF-8"?>`)
-	buf.WriteString("<methodResponse><params><param>")
-	if err := encodeValue(&buf, result); err != nil {
-		return nil, fmt.Errorf("encoding response: %w", err)
-	}
-	buf.WriteString("</param></params></methodResponse>")
-	return buf.Bytes(), nil
+	return encode(func(buf []byte) ([]byte, error) {
+		buf = append(buf, xmlHeader+"<methodResponse><params><param>"...)
+		buf, err := appendValue(buf, result)
+		if err != nil {
+			return buf, fmt.Errorf("encoding response: %w", err)
+		}
+		return append(buf, "</param></params></methodResponse>"...), nil
+	})
 }
 
 // EncodeFault serializes a fault response.
 func EncodeFault(f *Fault) []byte {
-	var buf bytes.Buffer
-	buf.WriteString(`<?xml version="1.0" encoding="UTF-8"?>`)
-	buf.WriteString("<methodResponse><fault>")
 	// A fault struct has exactly two members; encode by hand so EncodeFault
 	// cannot itself fail.
-	buf.WriteString("<value><struct>")
-	buf.WriteString("<member><name>faultCode</name><value><int>")
-	buf.WriteString(strconv.Itoa(f.Code))
-	buf.WriteString("</int></value></member>")
-	buf.WriteString("<member><name>faultString</name><value><string>")
-	escapeInto(&buf, f.Message)
-	buf.WriteString("</string></value></member>")
-	buf.WriteString("</struct></value>")
-	buf.WriteString("</fault></methodResponse>")
-	return buf.Bytes()
+	buf := append([]byte(nil), xmlHeader+"<methodResponse><fault><value><struct>"+
+		"<member><name>faultCode</name><value><int>"...)
+	buf = strconv.AppendInt(buf, int64(f.Code), 10)
+	buf = append(buf, "</int></value></member><member><name>faultString</name><value><string>"...)
+	buf = appendEscaped(buf, f.Message)
+	return append(buf, "</string></value></member></struct></value></fault></methodResponse>"...)
 }
 
-// encodeValue writes <value>...</value> for a single Go value.
-func encodeValue(buf *bytes.Buffer, v any) error {
-	buf.WriteString("<value>")
-	if err := encodeInner(buf, v); err != nil {
-		return err
-	}
-	buf.WriteString("</value>")
-	return nil
+// appendValue appends <value>...</value> for a single Go value.
+func appendValue(buf []byte, v any) ([]byte, error) {
+	buf = append(buf, "<value>"...)
+	buf, err := appendInner(buf, v)
+	return append(buf, "</value>"...), err
 }
 
-func encodeInner(buf *bytes.Buffer, v any) error {
+func appendInner(buf []byte, v any) ([]byte, error) {
 	switch x := v.(type) {
 	case nil:
-		buf.WriteString("<nil/>")
+		return append(buf, "<nil/>"...), nil
 	case bool:
 		if x {
-			buf.WriteString("<boolean>1</boolean>")
-		} else {
-			buf.WriteString("<boolean>0</boolean>")
+			return append(buf, "<boolean>1</boolean>"...), nil
 		}
+		return append(buf, "<boolean>0</boolean>"...), nil
 	case int:
-		return encodeInt(buf, int64(x))
+		return appendInt(buf, int64(x))
 	case int8:
-		return encodeInt(buf, int64(x))
+		return appendInt(buf, int64(x))
 	case int16:
-		return encodeInt(buf, int64(x))
+		return appendInt(buf, int64(x))
 	case int32:
-		return encodeInt(buf, int64(x))
+		return appendInt(buf, int64(x))
 	case int64:
-		return encodeInt(buf, x)
+		return appendInt(buf, x)
 	case uint:
-		return encodeInt(buf, int64(x))
+		return appendInt(buf, int64(x))
 	case uint8:
-		return encodeInt(buf, int64(x))
+		return appendInt(buf, int64(x))
 	case uint16:
-		return encodeInt(buf, int64(x))
+		return appendInt(buf, int64(x))
 	case uint32:
-		return encodeInt(buf, int64(x))
+		return appendInt(buf, int64(x))
 	case float32:
-		return encodeInner(buf, float64(x))
+		return appendInner(buf, float64(x))
 	case float64:
 		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return fmt.Errorf("%w: non-finite double %v", ErrUnsupportedType, x)
+			return buf, fmt.Errorf("%w: non-finite double %v", ErrUnsupportedType, x)
 		}
-		buf.WriteString("<double>")
-		buf.WriteString(strconv.FormatFloat(x, 'g', 17, 64))
-		buf.WriteString("</double>")
+		buf = append(buf, "<double>"...)
+		buf = strconv.AppendFloat(buf, x, 'g', 17, 64)
+		return append(buf, "</double>"...), nil
 	case string:
-		buf.WriteString("<string>")
-		escapeInto(buf, x)
-		buf.WriteString("</string>")
+		buf = append(buf, "<string>"...)
+		buf = appendEscaped(buf, x)
+		return append(buf, "</string>"...), nil
 	case time.Time:
-		buf.WriteString("<dateTime.iso8601>")
-		buf.WriteString(x.UTC().Format(iso8601))
-		buf.WriteString("</dateTime.iso8601>")
+		buf = append(buf, "<dateTime.iso8601>"...)
+		buf = x.UTC().AppendFormat(buf, iso8601)
+		return append(buf, "</dateTime.iso8601>"...), nil
 	case []byte:
-		buf.WriteString("<base64>")
-		buf.WriteString(base64.StdEncoding.EncodeToString(x))
-		buf.WriteString("</base64>")
+		buf = append(buf, "<base64>"...)
+		buf = base64.StdEncoding.AppendEncode(buf, x)
+		return append(buf, "</base64>"...), nil
 	case []any:
-		buf.WriteString("<array><data>")
+		buf = append(buf, "<array><data>"...)
 		for _, e := range x {
-			if err := encodeValue(buf, e); err != nil {
-				return err
+			var err error
+			if buf, err = appendValue(buf, e); err != nil {
+				return buf, err
 			}
 		}
-		buf.WriteString("</data></array>")
+		return append(buf, "</data></array>"...), nil
 	case []string:
 		arr := make([]any, len(x))
 		for i, s := range x {
 			arr[i] = s
 		}
-		return encodeInner(buf, arr)
+		return appendInner(buf, arr)
 	case []int:
 		arr := make([]any, len(x))
 		for i, n := range x {
 			arr[i] = n
 		}
-		return encodeInner(buf, arr)
+		return appendInner(buf, arr)
 	case []float64:
 		arr := make([]any, len(x))
 		for i, f := range x {
 			arr[i] = f
 		}
-		return encodeInner(buf, arr)
+		return appendInner(buf, arr)
 	case map[string]any:
-		buf.WriteString("<struct>")
+		buf = append(buf, "<struct>"...)
 		// Deterministic member order keeps golden tests and hashes stable.
-		keys := make([]string, 0, len(x))
+		var few [32]string
+		keys := few[:0]
 		for k := range x {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
 		for _, k := range keys {
-			buf.WriteString("<member><name>")
-			escapeInto(buf, k)
-			buf.WriteString("</name>")
-			if err := encodeValue(buf, x[k]); err != nil {
-				return err
+			buf = append(buf, "<member><name>"...)
+			buf = appendEscaped(buf, k)
+			buf = append(buf, "</name>"...)
+			var err error
+			if buf, err = appendValue(buf, x[k]); err != nil {
+				return buf, err
 			}
-			buf.WriteString("</member>")
+			buf = append(buf, "</member>"...)
 		}
-		buf.WriteString("</struct>")
+		return append(buf, "</struct>"...), nil
 	case map[string]string:
 		m := make(map[string]any, len(x))
 		for k, s := range x {
 			m[k] = s
 		}
-		return encodeInner(buf, m)
+		return appendInner(buf, m)
 	default:
-		return fmt.Errorf("%w: %T", ErrUnsupportedType, v)
+		return buf, fmt.Errorf("%w: %T", ErrUnsupportedType, v)
 	}
-	return nil
 }
 
-func encodeInt(buf *bytes.Buffer, x int64) error {
+func appendInt(buf []byte, x int64) ([]byte, error) {
 	if x > math.MaxInt32 || x < math.MinInt32 {
-		return fmt.Errorf("%w: integer %d overflows XML-RPC i4", ErrUnsupportedType, x)
+		return buf, fmt.Errorf("%w: integer %d overflows XML-RPC i4", ErrUnsupportedType, x)
 	}
-	buf.WriteString("<int>")
-	buf.WriteString(strconv.FormatInt(x, 10))
-	buf.WriteString("</int>")
-	return nil
+	buf = append(buf, "<int>"...)
+	buf = strconv.AppendInt(buf, x, 10)
+	return append(buf, "</int>"...), nil
 }
 
-// escapeInto writes s with the five XML predefined entities escaped.
+// appendEscaped appends s with the five XML predefined entities escaped.
 // Carriage returns become character references: a literal CR in content
 // would be folded to LF by the parser's line-ending normalization, while
-// the reference survives the round trip.
-func escapeInto(buf *bytes.Buffer, s string) {
-	for _, r := range s {
+// the reference survives the round trip. Most strings are ASCII with
+// nothing to escape and are appended whole.
+func appendEscaped(buf []byte, s string) []byte {
+	i := 0
+	for i < len(s) && s[i] < utf8.RuneSelf && s[i] != '&' && s[i] != '<' && s[i] != '>' && s[i] != '\'' && s[i] != '"' && s[i] != '\r' {
+		i++
+	}
+	buf = append(buf, s[:i]...)
+	for _, r := range s[i:] {
 		switch r {
 		case '&':
-			buf.WriteString("&amp;")
+			buf = append(buf, "&amp;"...)
 		case '<':
-			buf.WriteString("&lt;")
+			buf = append(buf, "&lt;"...)
 		case '>':
-			buf.WriteString("&gt;")
+			buf = append(buf, "&gt;"...)
 		case '\'':
-			buf.WriteString("&apos;")
+			buf = append(buf, "&apos;"...)
 		case '"':
-			buf.WriteString("&quot;")
+			buf = append(buf, "&quot;"...)
 		case '\r':
-			buf.WriteString("&#13;")
+			buf = append(buf, "&#13;"...)
 		default:
-			buf.WriteRune(r)
+			buf = utf8.AppendRune(buf, r)
 		}
 	}
+	return buf
 }

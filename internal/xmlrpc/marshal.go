@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -28,6 +29,48 @@ import (
 // are flattened into the parent struct.
 
 var timeType = reflect.TypeOf(time.Time{})
+
+// structField is one wire member of a struct: its own or an embedded one's.
+type structField struct {
+	name      string // wire member name
+	goName    string
+	index     []int // reflect.Value.FieldByIndex path from the outer struct
+	omitempty bool
+}
+
+// structPlans caches what the tags say, parsed once per struct type.
+var structPlans sync.Map // reflect.Type → []structField
+
+func structPlan(t reflect.Type) []structField {
+	if p, ok := structPlans.Load(t); ok {
+		return p.([]structField)
+	}
+	p, _ := structPlans.LoadOrStore(t, appendStructPlan(nil, t, nil))
+	return p.([]structField)
+}
+
+// appendStructPlan appends t's members in field order, embedded structs
+// flattened in place; prefix is the index path of t inside the outer type.
+func appendStructPlan(plan []structField, t reflect.Type, prefix []int) []structField {
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		tag := f.Tag.Get("xmlrpc")
+		if !f.IsExported() || tag == "-" {
+			continue
+		}
+		index := append(prefix[:len(prefix):len(prefix)], i)
+		if f.Anonymous && tag == "" && f.Type.Kind() == reflect.Struct && f.Type != timeType {
+			plan = appendStructPlan(plan, f.Type, index)
+			continue
+		}
+		name, opts, _ := strings.Cut(tag, ",")
+		if name == "" {
+			name = f.Name
+		}
+		plan = append(plan, structField{name, f.Name, index, strings.Contains(","+opts+",", ",omitempty,")})
+	}
+	return plan
+}
 
 // Marshal converts a typed Go value into the canonical wire value accepted
 // by EncodeRequest/EncodeResponse. Scalars pass through, structs become
@@ -93,43 +136,23 @@ func marshalValue(rv reflect.Value) (any, error) {
 		}
 		return out, nil
 	case reflect.Struct:
-		out := make(map[string]any)
-		if err := marshalStructInto(out, rv); err != nil {
-			return nil, err
+		plan := structPlan(rv.Type())
+		out := make(map[string]any, len(plan))
+		for i := range plan {
+			f := &plan[i]
+			fv := rv.FieldByIndex(f.index)
+			if f.omitempty && fv.IsZero() {
+				continue
+			}
+			w, err := marshalValue(fv)
+			if err != nil {
+				return nil, fmt.Errorf("field %s: %w", f.goName, err)
+			}
+			out[f.name] = w
 		}
 		return out, nil
 	}
 	return nil, fmt.Errorf("%w: %s", ErrUnsupportedType, rv.Type())
-}
-
-func marshalStructInto(out map[string]any, rv reflect.Value) error {
-	t := rv.Type()
-	for i := 0; i < t.NumField(); i++ {
-		f := t.Field(i)
-		if !f.IsExported() {
-			continue
-		}
-		name, omitempty, skip := fieldTag(f)
-		if skip {
-			continue
-		}
-		fv := rv.Field(i)
-		if f.Anonymous && f.Tag.Get("xmlrpc") == "" && fv.Kind() == reflect.Struct && fv.Type() != timeType {
-			if err := marshalStructInto(out, fv); err != nil {
-				return err
-			}
-			continue
-		}
-		if omitempty && fv.IsZero() {
-			continue
-		}
-		w, err := marshalValue(fv)
-		if err != nil {
-			return fmt.Errorf("field %s: %w", f.Name, err)
-		}
-		out[name] = w
-	}
-	return nil
 }
 
 // Unmarshal populates out (a non-nil pointer) from a wire value produced
@@ -271,29 +294,13 @@ func unmarshalValue(wire any, rv reflect.Value) error {
 }
 
 func unmarshalStructFrom(m map[string]any, rv reflect.Value) error {
-	t := rv.Type()
-	for i := 0; i < t.NumField(); i++ {
-		f := t.Field(i)
-		if !f.IsExported() {
-			continue
-		}
-		name, _, skip := fieldTag(f)
-		if skip {
-			continue
-		}
-		fv := rv.Field(i)
-		if f.Anonymous && f.Tag.Get("xmlrpc") == "" && fv.Kind() == reflect.Struct && fv.Type() != timeType {
-			if err := unmarshalStructFrom(m, fv); err != nil {
-				return err
-			}
-			continue
-		}
-		w, ok := m[name]
+	for _, f := range structPlan(rv.Type()) {
+		w, ok := m[f.name]
 		if !ok {
 			continue
 		}
-		if err := unmarshalValue(w, fv); err != nil {
-			return fmt.Errorf("member %q: %w", name, err)
+		if err := unmarshalValue(w, rv.FieldByIndex(f.index)); err != nil {
+			return fmt.Errorf("member %q: %w", f.name, err)
 		}
 	}
 	return nil
@@ -319,25 +326,4 @@ func wireInt(wire any) (int64, bool) {
 
 func unmarshalTypeError(wire any, rv reflect.Value) error {
 	return fmt.Errorf("xmlrpc: cannot unmarshal %T into %s", wire, rv.Type())
-}
-
-// fieldTag resolves a struct field's wire name from its xmlrpc tag.
-func fieldTag(f reflect.StructField) (name string, omitempty, skip bool) {
-	tag := f.Tag.Get("xmlrpc")
-	if tag == "-" {
-		return "", false, true
-	}
-	name = f.Name
-	if tag != "" {
-		parts := strings.Split(tag, ",")
-		if parts[0] != "" {
-			name = parts[0]
-		}
-		for _, opt := range parts[1:] {
-			if opt == "omitempty" {
-				omitempty = true
-			}
-		}
-	}
-	return name, omitempty, false
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 	"unicode/utf8"
@@ -256,4 +257,81 @@ func FuzzStructCodecRoundTrip(f *testing.F) {
 			t.Fatalf("time: in=%v out=%v", in.Started, out.Started)
 		}
 	})
+}
+
+type PlanBase struct {
+	ID      int       `xmlrpc:"id"`
+	Created time.Time `xmlrpc:"created,omitempty"`
+	Secret  string    `xmlrpc:"-"`
+}
+
+type PlanDeep struct {
+	Deep string `xmlrpc:"deep"`
+}
+
+type PlanMid struct {
+	PlanDeep
+	Note string `xmlrpc:"note,omitempty,future-option"`
+}
+
+type PlanTagged struct {
+	T string `xmlrpc:"t"`
+}
+
+type planHidden struct {
+	Hidden int `xmlrpc:"hidden"`
+}
+
+type planOuter struct {
+	planHidden                   // unexported embed: skipped
+	PlanBase                     // flattened
+	PlanMid                      // flattened, and PlanDeep through it
+	PlanTagged `xmlrpc:"tagged"` // tagged embed: a member of its own
+	Link       *planOuter        `xmlrpc:"link,omitempty"`
+}
+
+// TestStructPlan covers what the per-type plan has to get right: embedded
+// structs flatten (only exported, untagged ones), "-" skips, omitempty
+// drops a zero time.Time and a nil pointer, and concurrent first use of a
+// type is safe (run under -race).
+func TestStructPlan(t *testing.T) {
+	in := planOuter{
+		planHidden: planHidden{Hidden: 1},
+		PlanBase:   PlanBase{ID: 7, Secret: "s"},
+		PlanMid:    PlanMid{PlanDeep: PlanDeep{Deep: "d"}},
+	}
+	want := map[string]any{"id": 7, "deep": "d", "tagged": map[string]any{"t": ""}}
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got, err := Marshal(in); err != nil || !reflect.DeepEqual(got, want) {
+				t.Errorf("Marshal = %#v, %v\nwant %#v", got, err, want)
+			}
+		}()
+	}
+	wg.Wait()
+
+	in.Created = time.Date(2005, 4, 1, 0, 0, 0, 0, time.UTC)
+	in.Note = "n"
+	in.Link = &planOuter{PlanBase: PlanBase{ID: 8}}
+	want["created"], want["note"] = in.Created, "n"
+	want["link"] = map[string]any{"id": 8, "deep": "", "tagged": map[string]any{"t": ""}}
+	got, err := Marshal(in)
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("Marshal = %#v, %v\nwant %#v", got, err, want)
+	}
+	var out planOuter
+	if err := Unmarshal(got, &out); err != nil {
+		t.Fatal(err)
+	}
+	in.Secret, in.Hidden = "", 0 // neither travels
+	if !reflect.DeepEqual(out, in) {
+		t.Fatalf("Unmarshal = %+v\nwant %+v", out, in)
+	}
+	plan := structPlan(reflect.TypeOf(in))
+	if len(plan) != 6 || plan[1].name != "created" || !plan[1].omitempty || !reflect.DeepEqual(plan[2].index, []int{2, 0, 0}) || !plan[3].omitempty {
+		t.Fatalf("plan = %+v", plan)
+	}
 }

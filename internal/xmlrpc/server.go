@@ -3,9 +3,9 @@ package xmlrpc
 import (
 	"context"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -107,8 +107,12 @@ func (m *ServeMux) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "xmlrpc requires POST", http.StatusMethodNotAllowed)
 		return
 	}
-	body := io.LimitReader(r.Body, MaxRequestBytes+1)
-	req, err := DecodeRequest(body)
+	body, err := readBody(r.Body, r.ContentLength)
+	if err != nil {
+		writeFault(w, NewFault(FaultParse, "parse error: request %v", err))
+		return
+	}
+	req, err := decodeRequest(body)
 	if err != nil {
 		writeFault(w, NewFault(FaultParse, "parse error: %v", err))
 		return
@@ -123,8 +127,7 @@ func (m *ServeMux) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		writeFault(w, NewFault(FaultInternal, "unencodable result: %v", err))
 		return
 	}
-	w.Header().Set("Content-Type", "text/xml; charset=utf-8")
-	w.Write(out)
+	writeDocument(w, out)
 }
 
 func toFault(err error) *Fault {
@@ -135,9 +138,16 @@ func toFault(err error) *Fault {
 }
 
 func writeFault(w http.ResponseWriter, f *Fault) {
-	w.Header().Set("Content-Type", "text/xml; charset=utf-8")
 	// Faults ride on HTTP 200 per the XML-RPC specification.
-	w.Write(EncodeFault(f))
+	writeDocument(w, EncodeFault(f))
+}
+
+// writeDocument sends a response with its length declared (net/http would
+// chunk anything over 2 KiB); the client sizes its read buffer from it.
+func writeDocument(w http.ResponseWriter, doc []byte) {
+	w.Header().Set("Content-Type", "text/xml; charset=utf-8")
+	w.Header().Set("Content-Length", strconv.Itoa(len(doc)))
+	w.Write(doc)
 }
 
 // Params provides positional, type-checked access to handler arguments.

@@ -1,8 +1,10 @@
 package xmlrpc
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -324,8 +326,7 @@ func TestServerRejectsOversizedRequest(t *testing.T) {
 	srv := httptest.NewServer(mux)
 	defer srv.Close()
 	// A single string argument larger than MaxRequestBytes must produce a
-	// parse fault (the body is truncated at the limit), not a success or
-	// a hang.
+	// parse fault that names the bound, not a success or a hang.
 	huge := strings.Repeat("x", MaxRequestBytes+1024)
 	raw, err := EncodeRequest("big.echo", []any{huge})
 	if err != nil {
@@ -337,7 +338,72 @@ func TestServerRejectsOversizedRequest(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	_, derr := DecodeResponse(resp.Body)
-	if !IsFault(derr, FaultParse) {
-		t.Fatalf("oversized request error = %v, want parse fault", derr)
+	if !IsFault(derr, FaultParse) || !strings.Contains(derr.Error(), "request exceeds MaxRequestBytes") {
+		t.Fatalf("oversized request error = %v, want a parse fault naming MaxRequestBytes", derr)
+	}
+}
+
+// The same bound protects the client: it gives up on a response body over
+// MaxRequestBytes instead of reading without limit.
+func TestClientRejectsOversizedResponse(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Write([]byte("<methodResponse><params><param><value>"))
+		w.Write(bytes.Repeat([]byte("x"), MaxRequestBytes))
+		w.Write([]byte("</value></param></params></methodResponse>"))
+	}))
+	defer srv.Close()
+	c := NewClient(srv.URL)
+	defer c.Close()
+	_, err := c.Call(context.Background(), "big.reply")
+	if err == nil || !strings.Contains(err.Error(), "exceeds MaxRequestBytes") {
+		t.Fatalf("oversized response error = %v, want one naming MaxRequestBytes", err)
+	}
+}
+
+// Responses declare their length (net/http would chunk anything over
+// 2 KiB), which is what lets the client read into one buffer.
+func TestServerDeclaresContentLength(t *testing.T) {
+	mux := NewServeMux()
+	mux.Handle("big.list", func(context.Context, []any) (any, error) {
+		return strings.Repeat("y", 10<<10), nil
+	})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	for _, method := range []string{"big.list", "no.such"} {
+		body, err := EncodeRequest(method, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(srv.URL, "text/xml", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.ContentLength != int64(len(raw)) || len(resp.TransferEncoding) != 0 {
+			t.Errorf("%s: Content-Length %d, Transfer-Encoding %v for a %d-byte body",
+				method, resp.ContentLength, resp.TransferEncoding, len(raw))
+		}
+	}
+}
+
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+// A program may have put its own round-tripper in http.DefaultTransport;
+// NewClient must still hand out a working pool rather than panic.
+func TestNewClientWithReplacedDefaultTransport(t *testing.T) {
+	mux := NewServeMux()
+	mux.Handle("test.echo", echoHandler)
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	saved := http.DefaultTransport
+	defer func() { http.DefaultTransport = saved }()
+	http.DefaultTransport = roundTripFunc(saved.RoundTrip)
+	c := NewClient(srv.URL)
+	defer c.Close()
+	if got, err := c.CallArray(context.Background(), "test.echo", "hi"); err != nil || len(got) != 1 || got[0] != "hi" {
+		t.Fatalf("echo through a fallback transport = %v, %v", got, err)
 	}
 }

@@ -71,14 +71,16 @@ func (c *Client) Token() string {
 	return c.session.Token()
 }
 
-// Close releases the client's session: a remote client that logged in
-// itself logs out of the Clarens host; a local client, or one riding a
-// shared token from WithToken, has nothing to release.
+// Close releases the client's session and idle connections: a remote
+// client that logged in itself logs out of the Clarens host; a local
+// client has nothing to release, and one riding a shared token from
+// WithToken leaves the token valid for its other holders.
 func (c *Client) Close(ctx context.Context) error {
-	if c.session == nil || !c.ownsSession {
+	if c.session == nil {
 		return nil
 	}
-	if c.session.Token() == "" {
+	defer c.session.Close()
+	if !c.ownsSession || c.session.Token() == "" {
 		return nil
 	}
 	return c.session.Logout(ctx)

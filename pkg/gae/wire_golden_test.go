@@ -1,0 +1,135 @@
+package gae_test
+
+import (
+	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
+	"testing"
+	"time"
+
+	"repro/internal/xmlrpc"
+	"repro/pkg/gae"
+)
+
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/wire/*.xml from the current encoder")
+
+// wireJob is a JobInfo with every kind of member set, strings that need
+// escaping included, and the instant its timestamps derive from.
+func wireJob() (time.Time, gae.JobInfo) {
+	at := time.Date(2005, 4, 15, 10, 30, 45, 0, time.UTC)
+	return at, gae.JobInfo{
+		ID: 4711, Pool: "siteA", Status: "running", Owner: "alice", Cmd: "cmsRun -p <cfg> && echo 'done'",
+		Priority: -3, Env: "A=1;B=\"two\"", QueuePosition: 2, EstimatedRuntime: 1234.5,
+		RemainingEstimate: 0.1, WallclockSeconds: 1e-7, ElapsedSeconds: 3600, CPUSeconds: 3141.59265358979,
+		Progress: 0.75, InputMB: 2048, OutputMB: 1e21, Node: "siteA-node-07",
+		SubmitTime: at, StartTime: at.Add(90 * time.Second),
+	}
+}
+
+// TestWireGolden pins the bytes the encoder puts on the wire for the
+// service contract's types. The files under testdata/wire were written by
+// the encoding/xml-era encoder (the bytes.Buffer one of PR 14); a faster
+// encoder has to emit exactly the same documents.
+func TestWireGolden(t *testing.T) {
+	at, job := wireJob()
+	values := map[string]any{
+		"job_info":  job,
+		"job_list":  []gae.JobInfo{job, {ID: 1, Pool: "siteB", Status: "idle", Owner: "bøb", Cmd: "a\r\nb\tc"}},
+		"job_empty": []gae.JobInfo{},
+		"steering_status": gae.SteeringStatus{Plan: "p", Task: "t0", Owner: "alice", Site: "siteA", CondorID: 7,
+			State: "running", Attempts: 2, Job: &job},
+		"steering_status_no_job": gae.SteeringStatus{Plan: "p", Task: "t1", State: "pending"},
+		"plan_status": gae.PlanStatus{Name: "p", Owner: "alice", Done: true, Tasks: []gae.TaskAssignment{
+			{Task: "t0", Site: "siteA", CondorID: 7, State: "completed", Attempts: 1}}},
+		"plan_spec": gae.PlanSpec{Name: "p", Tasks: []gae.TaskSpec{{ID: "t0", CPUSeconds: 20, Queue: "short",
+			Nodes: 1, DependsOn: []string{"a", "b"}, Inputs: []gae.FileSpec{{Name: "d.root", SizeMB: 12.5}},
+			Requirements: `Arch == "x86_64" && Memory > 512`, Checkpointable: true}, {ID: "t1"}}},
+		"move_result":       gae.MoveResult{Site: "siteB", CondorID: 9},
+		"notification":      []gae.Notification{{Time: at, Plan: "p", Task: "t0", Kind: "moved", Message: "siteA → siteB"}},
+		"task_profile":      gae.TaskProfile{Queue: "short", Partition: "compute", Nodes: 4, JobType: "batch", ReqHours: 2.5},
+		"runtime_estimate":  gae.RuntimeEstimate{Seconds: 812.25, Similar: 17, Statistic: "mean"},
+		"queue_estimate":    gae.QueueEstimate{Seconds: 60, TasksAhead: 3},
+		"transfer_estimate": gae.TransferEstimate{Seconds: 10.5, BandwidthMBps: 100},
+		"cost_quote":        gae.CostQuote{Site: "siteB", Cost: 0.02},
+		"charge_request":    gae.ChargeRequest{User: "alice", Site: "siteA", CPUSeconds: 20, MB: 1.5},
+		"replica_locations": []gae.ReplicaLocation{{Site: "siteA", SizeMB: 100}},
+		"replica_choice":    gae.ReplicaChoice{Site: "siteA", SizeMB: 100, TransferSeconds: 1.25},
+		"metric_points":     []gae.MetricPoint{{Time: at, Value: 0.5}, {Time: at.Add(time.Minute), Value: -0.5}},
+		"grid_events":       []gae.GridEvent{{Time: at, Kind: "submit", Detail: "job 1"}},
+		"site_weather":      []gae.SiteWeather{{Site: "siteA", Load: 0.25, Running: 3, Free: 9}},
+		"scalars":           []any{"s", 1, -2.5, true, nil, []byte("gae"), at, map[string]string{"k": "v"}},
+	}
+	for name, v := range values {
+		w, err := xmlrpc.Marshal(v)
+		if err != nil {
+			t.Fatalf("%s: Marshal: %v", name, err)
+		}
+		resp, err := xmlrpc.EncodeResponse(w)
+		if err != nil {
+			t.Fatalf("%s: EncodeResponse: %v", name, err)
+		}
+		req, err := xmlrpc.EncodeRequest("svc."+name, []any{w, name, 42})
+		if err != nil {
+			t.Fatalf("%s: EncodeRequest: %v", name, err)
+		}
+		for kind, got := range map[string][]byte{"response": resp, "request": req} {
+			path := filepath.Join("testdata", "wire", name+"."+kind+".xml")
+			if *updateGolden {
+				if err := os.WriteFile(path, got, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s %s differs from the parent commit's bytes:\n got %s\nwant %s", name, kind, got, want)
+			}
+		}
+	}
+	fault := xmlrpc.EncodeFault(xmlrpc.NewFault(xmlrpc.FaultQuota, `user "alice" is <over> quota & blocked`))
+	path := filepath.Join("testdata", "wire", "fault.xml")
+	if *updateGolden {
+		if err := os.WriteFile(path, fault, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	if want, err := os.ReadFile(path); err != nil || !bytes.Equal(fault, want) {
+		t.Errorf("fault differs from the parent commit's bytes (%v):\n got %s\nwant %s", err, fault, want)
+	}
+}
+
+// TestWireAllocCeilings is the deterministic gate on the codec's cost for
+// the commonest monitoring reply, one JobInfo: allocation counts repeat
+// exactly where wall time does not. The encoding/xml decoder needed 600
+// allocations for this document and the bytes.Buffer encoder 65.
+func TestWireAllocCeilings(t *testing.T) {
+	_, job := wireJob()
+	encode := func() []byte {
+		w, err := xmlrpc.Marshal(job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		doc, err := xmlrpc.EncodeResponse(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return doc
+	}
+	doc := encode()
+	if n := testing.AllocsPerRun(100, func() { encode() }); n > 45 {
+		t.Errorf("Marshal+EncodeResponse of one JobInfo: %v allocations, ceiling 45", n)
+	}
+	decode := func() {
+		if _, err := xmlrpc.DecodeResponse(bytes.NewReader(doc)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(100, decode); n > 160 {
+		t.Errorf("DecodeResponse of one JobInfo: %v allocations, ceiling 160", n)
+	}
+}
