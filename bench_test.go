@@ -378,7 +378,7 @@ func BenchmarkCondorNegotiation(b *testing.B) {
 // of engine events dispatched. Sparse long-horizon is the case the
 // event engine exists for: the tick driver pays for every one of the
 // million boundaries, the event driver only for the ~hundred that carry
-// work — BENCH_3.json records the ≥10x gap.
+// work, a ≥10x gap.
 
 func scenarioDrivers(b *testing.B, simSeconds float64, run func(d simgrid.Driver) *simgrid.Engine) {
 	for _, d := range []struct {
@@ -660,7 +660,7 @@ func BenchmarkAblationCheckpointing(b *testing.B) {
 // configurations the durability work introduces: local vs XML-RPC
 // transport crossed with in-memory vs durable (journaling) state. Each
 // variant reports closed-loop rps and p50/p95/p99 operation latency, so
-// BENCH_5.json records both the wire cost and the journaling cost.
+// the wire cost and the journaling cost read off separately.
 
 func BenchmarkServing(b *testing.B) {
 	for _, transport := range []string{"local", "xmlrpc"} {

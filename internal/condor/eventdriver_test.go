@@ -8,6 +8,7 @@ import (
 	"repro/internal/classad"
 	"repro/internal/fairshare"
 	"repro/internal/simgrid"
+	"repro/internal/telemetry"
 )
 
 // The tick-vs-event equivalence suite: identically seeded scenarios must
@@ -173,5 +174,64 @@ func TestDriverEquivalenceSparseLongHorizon(t *testing.T) {
 	}
 	if evBoundaries*100 > tickBoundaries {
 		t.Fatalf("event driver visited %d boundaries vs %d ticks — expected ≥100x sparser", evBoundaries, tickBoundaries)
+	}
+}
+
+// TestPoolWakesOnlyForNews pins the wake policy at its smallest: on one
+// machine a backlog of n jobs costs the first negotiation plus one wake
+// per completion — the pool's own placement marks nothing dirty and
+// requests nothing, and a completion requests its wake once. Changes made
+// by anyone else (a load replaced, a foreign task placed, a job removed
+// through the API) wake it as ever.
+func TestPoolWakesOnlyForNews(t *testing.T) {
+	g, p := testPool(t, 1)
+	reg := telemetry.NewRegistry()
+	p.SetTelemetry(reg)
+	p.SetFairShare(fairshare.NewManager(fairshare.Config{Clock: g.Engine.Clock(), HalfLife: time.Hour}))
+	const n = 5
+	for i := 0; i < n; i++ {
+		mustSubmit(t, p, jobAd("alice", 10, 0))
+	}
+	g.Engine.RunFor(200 * time.Second)
+	wakes := func() (total, idle float64) {
+		snap := reg.Snapshot()
+		return snap.Total("pool_wakes_total"), snap.Total("pool_idle_wakes_total")
+	}
+	total, idle := wakes()
+	if total != n+1 || idle != 0 {
+		t.Fatalf("%d jobs on one machine: %v wakes (%v idle), want %d and 0", n, total, idle, n+1)
+	}
+	if got := reg.Snapshot().Total("negotiation_matches_total"); got != n {
+		t.Fatalf("matched %v jobs, want %d", got, n)
+	}
+	p.relMu.Lock()
+	dirty := len(p.dirtyNodes)
+	p.relMu.Unlock()
+	if dirty != 0 {
+		t.Fatalf("%d nodes marked dirty by the pool's own placements and completions", dirty)
+	}
+
+	// News from outside still wakes the pool, once each.
+	node := p.machines[0].node
+	for _, news := range []struct {
+		what string
+		do   func()
+	}{
+		{"a load change", func() { node.SetLoad(simgrid.ConstantLoad(0.25)) }},
+		{"a foreign placement", func() { node.Place(simgrid.NewTask("ext", 6, nil)) }},
+		{"a foreign completion", func() { g.Engine.RunFor(10 * time.Second) }},
+		{"a submission", func() { mustSubmit(t, p, jobAd("bob", 1000, 0)) }},
+		{"an API removal of a running job", func() {
+			if err := p.Remove(n + 1); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	} {
+		before, _ := wakes()
+		news.do()
+		g.Engine.RunFor(5 * time.Second)
+		if after, _ := wakes(); after == before {
+			t.Errorf("%s did not wake the pool", news.what)
+		}
 	}
 }

@@ -22,6 +22,7 @@ package condor
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"repro/internal/classad"
@@ -94,13 +95,21 @@ type Event struct {
 	At    time.Time
 }
 
-// job is the pool-internal job record.
+// job is the pool-internal job record. What the negotiation and
+// completion paths need from the ad is parsed into fields once, by
+// newJob: by the time a job completes its ad was last touched a whole
+// runtime ago, and re-reading attributes from it is a cache miss apiece.
 type job struct {
 	id       int
 	ad       *classad.Ad
 	status   Status
 	priority int
 	owner    string // cached AttrOwner, read on every accounting pass
+
+	need       float64 // AttrCpuSeconds: total work
+	outputFile string  // AttrOutputFile, "" for none
+	outputMB   float64 // size written for outputFile: AttrOutputMB, 1 when unset
+	taskID     string  // "<pool>-<id>", the ID of every task the job runs as
 
 	// matcher is the job ad compiled for repeated matchmaking; reqArch
 	// and reqOpSys are the static machine constraints extracted from its
@@ -146,6 +155,31 @@ type job struct {
 	flow     fairshare.UsageFlow
 	flowRate float64
 	flowNode *simgrid.Node
+}
+
+// newJob builds the pool's record of a job from its ad — the one place
+// that reads the ad's scheduling attributes, shared by Submit and
+// Restore so a recovered job carries exactly what a submitted one does.
+// The job starts idle at the ad's priority; Restore overlays the captured
+// lifecycle state.
+func (p *Pool) newJob(id int, ad *classad.Ad, submitted time.Time) *job {
+	j := &job{
+		id:         id,
+		ad:         ad,
+		status:     StatusIdle,
+		priority:   int(ad.Int(AttrPriority, 0)),
+		owner:      ad.Str(AttrOwner, ""),
+		need:       ad.Float(AttrCpuSeconds, 0),
+		outputFile: ad.Str(AttrOutputFile, ""),
+		outputMB:   ad.Float(AttrOutputMB, 1),
+		taskID:     p.Name + "-" + strconv.Itoa(id),
+		failAfter:  ad.Float(AttrFailAfter, 0),
+		matcher:    classad.NewMatcher(ad),
+		submitTime: submitted,
+	}
+	j.reqArch, _ = ad.ReqStringConstraint("Arch")
+	j.reqOpSys, _ = ad.ReqStringConstraint("OpSys")
+	return j
 }
 
 // JobInfo is an immutable snapshot of a job, carrying every field the

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -28,13 +27,20 @@ var ErrNoSuchJob = fmt.Errorf("condor: no such job")
 // Pool is one site's execution service: a schedd (queue) plus a negotiator
 // (matchmaker) over the site's machines. The pool is event-driven: it
 // asks the engine for a wakeup when there is work to do — a job was
-// submitted, a machine was freed, a running task completed — and keeps a
-// periodic (once-per-tick) wakeup only while it must re-examine state
-// that changes with time: idle jobs waiting for a match (machine loads,
-// and hence Requirements like `LoadAvg < 0.5`, vary every tick) and
-// running jobs that need per-tick supervision (fault injection via
-// AttrFailAfter, or incremental fair-share usage accrual). A drained pool
-// with no queue costs the simulation nothing.
+// submitted, a machine was freed, a running task completed, or someone
+// else changed one of its machines (a load replaced, a foreign task
+// placed or removed, an ad attribute written). What the pool does to its
+// own machines inside a pass wakes nobody: a placement it just made
+// offers it nothing new, and a completion reaches it through the task's
+// done callback, which requests the one wake that harvests it. A
+// periodic (once-per-tick) wakeup survives only while state must be
+// re-examined as time passes: idle jobs waiting on machines whose load is
+// an opaque function of time (Requirements like `LoadAvg < 0.5` may flip
+// at any tick; piecewise-constant loads wake the pool at their next
+// segment boundary instead), idle jobs under a Ranker the incremental
+// stream cannot serve, and running jobs that need per-tick supervision
+// (fault injection via AttrFailAfter, or eager fair-share usage accrual).
+// A drained pool with no queue costs the simulation nothing.
 //
 // The negotiation hot path is indexed: free machines are maintained
 // incrementally in per-architecture buckets as jobs start and finish
@@ -131,20 +137,25 @@ type Pool struct {
 	relMu      sync.Mutex
 	pendingRel []*machine
 	// dirtyNodes (relMu-guarded, like pendingRel) collects nodes whose
-	// load, task set, or wake observer fired since the last pass; the
-	// pool folds them in at the next wake to re-rate usage flows.
+	// observer fired since the last pass — someone other than this pool's
+	// own pass changed their load or task set; the pool folds them in at
+	// the next wake to re-rate usage flows. A node may be listed twice
+	// (folding is idempotent); dirtyScratch (p.mu-guarded) is the drained
+	// buffer, swapped back in so a drain allocates nothing.
 	// flockedFrom lists pools flocking into this one; they are woken
 	// whenever this pool's machine picture changes, since their
 	// negotiation reads it. Guarded by relMu because the notification
 	// paths run under the notifying pool's main lock.
-	dirtyNodes  map[*simgrid.Node]struct{}
-	flockedFrom []*Pool
+	dirtyNodes   []*simgrid.Node
+	dirtyScratch []*simgrid.Node
+	flockedFrom  []*Pool
 
 	// Pre-resolved telemetry handles (nil without SetTelemetry; nil
 	// instruments no-op). Negotiation metrics cover the indexed path
 	// only — the reference negotiator exists for the parity test, not
 	// production serving.
 	obsWakes       *telemetry.Counter
+	obsIdleWakes   *telemetry.Counter
 	obsPasses      *telemetry.Counter
 	obsMatches     *telemetry.Counter
 	obsViewBuilds  *telemetry.Counter
@@ -153,12 +164,16 @@ type Pool struct {
 }
 
 // SetTelemetry registers the pool's negotiation metrics in reg, labeled
-// by site: wake-ups, negotiation passes (those with at least one idle
-// job), matches started, wall-clock pass duration, and what the passes'
-// picks cost: ordered views built (one sort of a free bucket each) and
-// exhaustive bucket scans (one Match + Rank per free machine each).
+// by site: wake-ups, idle wake-ups (nothing harvested, nothing matched,
+// no flow re-rated, no supervised job and no load boundary to wait for —
+// a wake nothing needed), negotiation passes (those with at least one
+// idle job), matches started, wall-clock pass duration, and what the
+// passes' picks cost: ordered views built (one sort of a free bucket
+// each) and exhaustive bucket scans (one Match + Rank per free machine
+// each).
 func (p *Pool) SetTelemetry(reg *telemetry.Registry) {
 	p.obsWakes = reg.LabeledCounter("pool_wakes_total", "site", p.Name)
+	p.obsIdleWakes = reg.LabeledCounter("pool_idle_wakes_total", "site", p.Name)
 	p.obsPasses = reg.LabeledCounter("negotiation_passes_total", "site", p.Name)
 	p.obsMatches = reg.LabeledCounter("negotiation_matches_total", "site", p.Name)
 	p.obsViewBuilds = reg.LabeledCounter("negotiation_view_builds_total", "site", p.Name)
@@ -246,12 +261,13 @@ func (p *Pool) AddMachine(node *simgrid.Node, ad *classad.Ad) {
 	m := &machine{node: node, owner: p, ad: ad, freeIdx: -1}
 	m.snapshotAd()
 	// Subscriptions replace per-tick polling: an ad attribute change or a
-	// node-level change (load segment rollover, task placed or removed,
-	// progress settled) marks the node dirty and wakes the negotiator —
-	// this pool's and any pool flocking into it. The hook is registered
-	// after the standard attributes above so the pool's own writes don't
-	// self-wake. One observer per node: a node advertised to several
-	// pools keeps only the last registration.
+	// node-level change made by anyone but this pool's own pass (load
+	// replaced, foreign task placed or completed, any task removed) marks
+	// the node dirty and wakes the negotiator — this pool's and any pool
+	// flocking into it. The hook is registered after the standard
+	// attributes above so the pool's own writes don't self-wake. One
+	// observer per node: a node advertised to several pools keeps only
+	// the last registration.
 	ad.OnMutate(func() { p.machineChanged(nil) })
 	node.SetObserver(func() { p.machineChanged(node) })
 	p.mu.Lock()
@@ -268,10 +284,7 @@ func (p *Pool) AddMachine(node *simgrid.Node, ad *classad.Ad) {
 func (p *Pool) machineChanged(n *simgrid.Node) {
 	if n != nil {
 		p.relMu.Lock()
-		if p.dirtyNodes == nil {
-			p.dirtyNodes = make(map[*simgrid.Node]struct{})
-		}
-		p.dirtyNodes[n] = struct{}{}
+		p.dirtyNodes = append(p.dirtyNodes, n)
 		p.relMu.Unlock()
 	}
 	p.requestWake()
@@ -458,18 +471,7 @@ func (p *Pool) Submit(ad *classad.Ad) (int, error) {
 	}
 	p.nextID++
 	id := p.nextID
-	j := &job{
-		id:         id,
-		ad:         ad.Clone(),
-		status:     StatusIdle,
-		priority:   int(ad.Int(AttrPriority, 0)),
-		submitTime: p.grid.Engine.Now(),
-	}
-	j.owner = j.ad.Str(AttrOwner, "")
-	j.failAfter = j.ad.Float(AttrFailAfter, 0)
-	j.matcher = classad.NewMatcher(j.ad)
-	j.reqArch, _ = j.ad.ReqStringConstraint("Arch")
-	j.reqOpSys, _ = j.ad.ReqStringConstraint("OpSys")
+	j := p.newJob(id, ad.Clone(), p.grid.Engine.Now())
 	p.jobs[id] = j
 	p.active = append(p.active, id)
 	p.liveCount++
@@ -522,17 +524,25 @@ func (p *Pool) Jobs() ([]JobInfo, error) {
 	if p.down {
 		return nil, ErrPoolDown
 	}
-	ids := make([]int, 0, len(p.jobs))
-	for id := range p.jobs {
-		ids = append(ids, id)
+	var pos map[int]int
+	if p.idleCount > 0 {
+		pos = p.idlePositionsLocked()
 	}
-	sort.Ints(ids)
-	pos := p.idlePositionsLocked()
-	out := make([]JobInfo, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, p.snapshotPosLocked(p.jobs[id], pos))
-	}
+	out := make([]JobInfo, 0, len(p.jobs))
+	p.eachJobLocked(func(j *job) {
+		out = append(out, p.snapshotPosLocked(j, pos))
+	})
 	return out, nil
+}
+
+// eachJobLocked visits every job the pool ever held in ID order. IDs are
+// handed out densely from 1, so counting to nextID is the sorted walk.
+func (p *Pool) eachJobLocked(visit func(*job)) {
+	for id := 1; id <= p.nextID; id++ {
+		if j, ok := p.jobs[id]; ok {
+			visit(j)
+		}
+	}
 }
 
 // LiveJobs returns snapshots of the non-terminal jobs in submission order,
@@ -723,9 +733,13 @@ func (p *Pool) onWake(now time.Time) {
 		return
 	}
 	p.obsWakes.Inc()
-	p.drainDirtyLocked()
-	p.harvestLocked(now)
-	p.negotiateLocked(now)
+	supervising := p.superviseCount > 0
+	did := p.drainDirtyLocked()
+	did += p.harvestLocked(now)
+	did += p.negotiateLocked(now)
+	if did == 0 && !supervising && p.loadWakeAt.IsZero() {
+		p.obsIdleWakes.Inc()
+	}
 	p.rearmLocked(now)
 }
 
@@ -769,8 +783,11 @@ func (p *Pool) legacyTickLocked() bool {
 // completes (Condor's periodic usage update does the same). With no
 // supervised jobs the pass touches exactly the jobs whose completion
 // deadlines fired (doneQ), in ID order — the order the legacy walk
-// would have promoted them — and the active list compacts lazily.
-func (p *Pool) harvestLocked(now time.Time) {
+// would have promoted them — and the active list compacts lazily. A done
+// task needs no Remove: the node dropped it the moment it completed.
+// Returns the number of jobs taken to a terminal state.
+func (p *Pool) harvestLocked(now time.Time) int {
+	ended := 0
 	if p.superviseCount > 0 {
 		p.doneQ = p.doneQ[:0]
 		kept := p.active[:0]
@@ -789,30 +806,27 @@ func (p *Pool) harvestLocked(now time.Time) {
 				p.detachLocked(j)
 				j.completionTime = now
 				p.setStatusLocked(j, StatusFailed)
+				ended++
 				continue
 			}
 			if j.task.State() == simgrid.TaskDone {
-				j.node.Remove(j.task)
-				p.releaseClaimLocked(j)
-				j.completionTime = now
-				p.setStatusLocked(j, StatusCompleted)
-				p.produceOutputLocked(j)
+				p.completeLocked(j, now)
+				ended++
 			}
 		}
 		p.active = kept
-		return
+		return ended
 	}
 	if len(p.doneQ) > 0 {
-		sort.Slice(p.doneQ, func(a, b int) bool { return p.doneQ[a].id < p.doneQ[b].id })
+		if len(p.doneQ) > 1 {
+			slices.SortFunc(p.doneQ, func(a, b *job) int { return cmp.Compare(a.id, b.id) })
+		}
 		for _, j := range p.doneQ {
 			if j.status != StatusRunning || j.task == nil || j.task.State() != simgrid.TaskDone {
 				continue
 			}
-			j.node.Remove(j.task)
-			p.releaseClaimLocked(j)
-			j.completionTime = now
-			p.setStatusLocked(j, StatusCompleted)
-			p.produceOutputLocked(j)
+			p.completeLocked(j, now)
+			ended++
 		}
 		p.doneQ = p.doneQ[:0]
 	}
@@ -825,6 +839,15 @@ func (p *Pool) harvestLocked(now time.Time) {
 		}
 		p.active = kept
 	}
+	return ended
+}
+
+// completeLocked promotes a running job whose task finished.
+func (p *Pool) completeLocked(j *job, now time.Time) {
+	p.releaseClaimLocked(j) // a no-op once taskDone has run
+	j.completionTime = now
+	p.setStatusLocked(j, StatusCompleted)
+	p.produceOutputLocked(j)
 }
 
 // drainDirtyLocked folds queued node-change notifications in: each
@@ -832,17 +855,20 @@ func (p *Pool) harvestLocked(now time.Time) {
 // re-derived — adjusted in place when the node still qualifies, or the
 // flow is closed and the job demoted to eager supervision when it no
 // longer does (a second task landed, or the load is no longer a
-// constant segment).
-func (p *Pool) drainDirtyLocked() {
+// constant segment). Returns the number of flows looked at.
+func (p *Pool) drainDirtyLocked() int {
 	p.relMu.Lock()
 	dirty := p.dirtyNodes
-	p.dirtyNodes = nil
+	p.dirtyNodes = p.dirtyScratch[:0]
 	p.relMu.Unlock()
-	for node := range dirty {
+	p.dirtyScratch = dirty
+	flows := 0
+	for _, node := range dirty {
 		j := p.nodeJob[node]
 		if j == nil || j.flow == nil {
 			continue
 		}
+		flows++
 		if j.task != nil && j.task.State() == simgrid.TaskDone {
 			// Completing at this very wake (the completion is what marked
 			// the node dirty): the harvest's terminal settle closes the
@@ -866,18 +892,17 @@ func (p *Pool) drainDirtyLocked() {
 			}
 		}
 	}
+	return flows
 }
 
 // produceOutputLocked materializes the job's declared output file in the
 // site's storage element, so Backup & Recovery can fetch "local files that
 // were produced".
 func (p *Pool) produceOutputLocked(j *job) {
-	name := j.ad.Str(AttrOutputFile, "")
-	if name == "" {
+	if j.outputFile == "" {
 		return
 	}
-	size := j.ad.Float(AttrOutputMB, 1)
-	_ = p.site.Storage().Put(name, size)
+	_ = p.site.Storage().Put(j.outputFile, j.outputMB)
 }
 
 // idleOrderedLocked returns the idle jobs in negotiation order: the
@@ -958,19 +983,18 @@ func jobRef(j *job) fairshare.JobRef {
 // queue. Either way the pass records, in loadWakeAt, the earliest
 // instant a free machine's advertised load is known to change — the
 // only time-driven reason to negotiate again before the next event.
-func (p *Pool) negotiateLocked(now time.Time) {
+// Returns the number of jobs matched.
+func (p *Pool) negotiateLocked(now time.Time) int {
 	p.loadWakeAt = time.Time{}
 	if p.refNegotiate {
-		p.negotiateReferenceLocked(now)
-		return
+		return p.negotiateReferenceLocked(now)
 	}
 	if kr, ok := p.streamRankerLocked(); ok {
-		p.negotiateStreamLocked(now, kr)
-		return
+		return p.negotiateStreamLocked(now, kr)
 	}
 	idle := p.idleOrderedLocked()
 	if len(idle) == 0 {
-		return
+		return 0
 	}
 	var t0 time.Time
 	if p.obsPasses != nil {
@@ -1000,6 +1024,7 @@ func (p *Pool) negotiateLocked(now time.Time) {
 		p.obsMatches.Add(int64(matched))
 		p.obsPassSeconds.Observe(time.Since(t0).Seconds()) //lint:walltime telemetry: real pass latency for operator metrics, never read back into sim state
 	}
+	return matched
 }
 
 // negotiateStreamLocked is the event-driven pass: idle jobs arrive from
@@ -1010,9 +1035,9 @@ func (p *Pool) negotiateLocked(now time.Time) {
 // this pass, plus the flocking peer's snapshot. Jobs that match nothing
 // consume no offer and the stream simply moves on, so a queue full of
 // unmatchable jobs still drains passes quickly once offers run out.
-func (p *Pool) negotiateStreamLocked(now time.Time, kr fairshare.KeyRanker) {
+func (p *Pool) negotiateStreamLocked(now time.Time, kr fairshare.KeyRanker) int {
 	if p.idleCount == 0 {
-		return
+		return 0
 	}
 	var t0 time.Time
 	if p.obsPasses != nil {
@@ -1068,6 +1093,7 @@ func (p *Pool) negotiateStreamLocked(now time.Time, kr fairshare.KeyRanker) {
 		p.obsMatches.Add(int64(matched))
 		p.obsPassSeconds.Observe(time.Since(t0).Seconds()) //lint:walltime telemetry: real pass latency for operator metrics, never read back into sim state
 	}
+	return matched
 }
 
 // freeStats summarizes one pre-pass walk of the free machines: how many
@@ -1243,23 +1269,24 @@ const sortedPickThreshold = 16
 // is an expression keep the exhaustive scan.
 func (p *Pool) pickFromBucketLocked(j *job, key string, best *machine, bestRank float64) (*machine, float64) {
 	b := p.freeBuckets[key]
-	class, ok := j.matcher.RankClass()
-	if ok && len(b) > sortedPickThreshold {
-		view := pickKey{key, class}
-		pb := p.pickSorted[view]
-		if pb == nil {
-			if p.pickSorted == nil {
-				p.pickSorted = make(map[pickKey]*pickBucket)
+	if len(b) > sortedPickThreshold {
+		if class, ok := j.matcher.RankClass(); ok {
+			view := pickKey{key, class}
+			pb := p.pickSorted[view]
+			if pb == nil {
+				if p.pickSorted == nil {
+					p.pickSorted = make(map[pickKey]*pickBucket)
+				}
+				pb = &pickBucket{}
+				p.pickSorted[view] = pb
 			}
-			pb = &pickBucket{}
-			p.pickSorted[view] = pb
-		}
-		if pb.gen != p.pickGen {
-			pb.build(p.pickGen, j, b)
-			p.obsViewBuilds.Inc()
-		}
-		if !pb.exhaustive {
-			return p.pickOrderedLocked(j, pb, best, bestRank)
+			if pb.gen != p.pickGen {
+				pb.build(p.pickGen, j, b)
+				p.obsViewBuilds.Inc()
+			}
+			if !pb.exhaustive {
+				return p.pickOrderedLocked(j, pb, best, bestRank)
+			}
 		}
 	}
 	p.obsScans.Inc()
@@ -1399,20 +1426,18 @@ func (p *Pool) releaseClaimLocked(j *job) {
 		return
 	}
 	j.claimed = nil
-	if m.owner == p {
-		p.addFreeLocked(m)
-		// A machine freed is the negotiator's signal to run again; pools
-		// flocking into this one read the same free set, so they wake too.
-		p.requestWake()
-		p.wakeFlockedFrom()
-		return
-	}
 	o := m.owner
-	o.relMu.Lock()
-	o.pendingRel = append(o.pendingRel, m)
-	o.relMu.Unlock()
-	// Wake the owner so the queued release folds back into its free set
-	// even if it has nothing else scheduled.
+	if o == p {
+		p.addFreeLocked(m)
+	} else {
+		o.relMu.Lock()
+		o.pendingRel = append(o.pendingRel, m)
+		o.relMu.Unlock()
+	}
+	// A machine freed is its owner's signal to negotiate again (and, for
+	// a foreign machine, to fold the queued release back into its free
+	// set even if it has nothing else scheduled); pools flocking into the
+	// owner read the same free set, so they wake too.
 	o.requestWake()
 	o.wakeFlockedFrom()
 }
@@ -1438,16 +1463,17 @@ func (p *Pool) drainReleasesLocked() {
 // (TestNegotiationParity) replays seeded workloads through both paths and
 // requires identical job→machine assignments and timings.
 
-func (p *Pool) negotiateReferenceLocked(now time.Time) {
+func (p *Pool) negotiateReferenceLocked(now time.Time) int {
 	idle := p.idleOrderedLocked()
 	if len(idle) == 0 {
-		return
+		return 0
 	}
 	free := p.scanFreeRefLocked()
 	var peerFree []*machine
 	if p.flockPeer != nil {
 		peerFree = p.flockPeer.freeMachinesRef()
 	}
+	matched := 0
 	for _, j := range idle {
 		m := pickMachineReference(j.ad, free, now)
 		if m == nil && len(peerFree) > 0 {
@@ -1460,7 +1486,9 @@ func (p *Pool) negotiateReferenceLocked(now time.Time) {
 			continue
 		}
 		p.startLocked(j, m, now)
+		matched++
 	}
+	return matched
 }
 
 // scanFreeRefLocked lists machines with no running task by scanning the
@@ -1519,7 +1547,7 @@ func removeMachine(ms []*machine, m *machine) []*machine {
 // startLocked launches job j on machine m, claiming the machine in its
 // owner's free set for as long as the task occupies the node.
 func (p *Pool) startLocked(j *job, m *machine, now time.Time) {
-	need := j.ad.Float(AttrCpuSeconds, 0) - j.cpuBase
+	need := j.need - j.cpuBase
 	if need <= 0 {
 		// Checkpoint covered all remaining work; complete immediately. No
 		// machine time was consumed, so this is not an allocation for the
@@ -1535,32 +1563,52 @@ func (p *Pool) startLocked(j *job, m *machine, now time.Time) {
 	if p.fairStart != nil {
 		p.fairStart.ObserveStart(j.owner, now)
 	}
-	p.claimMachineLocked(m)
-	j.claimed = m
-	// The claim is released the moment the task completes (the node drops
-	// finished tasks immediately), not at the next harvest — so the free
-	// set always mirrors the physical machine state a full rescan would
-	// observe, including for flocking peers that negotiate between this
-	// pool's harvests. The callback fires lock-free on the engine
-	// goroutine; job status still transitions at harvest time, driven by
-	// the doneQ entry the callback leaves behind.
-	j.task = simgrid.NewTask(p.Name+"-"+strconv.Itoa(j.id), need, func(*simgrid.Task) {
-		p.mu.Lock()
-		p.releaseClaimLocked(j)
-		p.doneQ = append(p.doneQ, j)
-		p.mu.Unlock()
-		// Completion deadline fired: harvest at this boundary if the
-		// pool's turn is still ahead, otherwise at the next one — the
-		// same tick the legacy per-tick harvest would have seen it.
-		p.requestWake()
-	})
-	j.node = m.node
-	m.node.Place(j.task)
+	p.runTaskLocked(j, m, need)
 	if j.startTime.IsZero() {
 		j.startTime = now
 	}
 	p.openUsageLocked(j, m)
 	p.setStatusLocked(j, StatusRunning)
+}
+
+// runTaskLocked claims m for j and places a task for need CPU-seconds on
+// its node. On the pool's own machine the placement is unobserved: the
+// pool is the node's observer, it knows what it just placed (the claim is
+// taken, and the usage flow opens next at the right rate), and the
+// completion comes back through taskDone — marking the node dirty and
+// waking for either would only buy a pass that finds nothing changed. A
+// flocked-onto machine belongs to another pool, which is told as ever.
+func (p *Pool) runTaskLocked(j *job, m *machine, need float64) {
+	p.claimMachineLocked(m)
+	j.claimed = m
+	j.task = simgrid.NewTask(j.taskID, need, func(*simgrid.Task) { p.taskDone(j) })
+	j.node = m.node
+	if m.owner == p {
+		m.node.PlaceUnobserved(j.task)
+	} else {
+		m.node.Place(j.task)
+	}
+}
+
+// taskDone is every pool task's done callback; it fires lock-free on the
+// engine goroutine when the completion deadline is reached. The claim is
+// released at once (the node drops finished tasks immediately), not at
+// the next harvest — so the free set always mirrors the physical machine
+// state a full rescan would observe, including for flocking peers that
+// negotiate between this pool's harvests. Job status still transitions
+// at harvest time, driven by the doneQ entry left here, and the release
+// requests the wake that runs it: at this boundary if the pool's turn is
+// still ahead, otherwise at the next one — the same tick the legacy
+// per-tick harvest would have seen the completion.
+func (p *Pool) taskDone(j *job) {
+	p.mu.Lock()
+	own := j.claimed != nil && j.claimed.owner == p
+	p.releaseClaimLocked(j)
+	p.doneQ = append(p.doneQ, j)
+	p.mu.Unlock()
+	if !own {
+		p.requestWake() // a flocked-onto machine's release woke its owner, not this pool
+	}
 }
 
 // openUsageLocked decides how a starting job's fair-share usage will be
@@ -1746,8 +1794,7 @@ func (p *Pool) snapshotPosLocked(j *job, pos map[int]int) JobInfo {
 	if j.node != nil {
 		info.Node = j.node.Name
 	}
-	need := j.ad.Float(AttrCpuSeconds, 0)
-	if need > 0 {
+	if need := j.need; need > 0 {
 		info.Progress = info.CPUSeconds / need
 		if info.Progress > 1 {
 			info.Progress = 1

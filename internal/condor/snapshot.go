@@ -2,7 +2,6 @@ package condor
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/classad"
@@ -21,14 +20,8 @@ func (p *Pool) Export(leaseTTL time.Duration) durable.PoolState {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	now := p.grid.Engine.Now()
-	ids := make([]int, 0, len(p.jobs))
-	for id := range p.jobs {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
 	st := durable.PoolState{Name: p.Name, NextID: p.nextID}
-	for _, id := range ids {
-		j := p.jobs[id]
+	p.eachJobLocked(func(j *job) {
 		js := durable.JobState{
 			ID:             j.id,
 			Ad:             j.ad.String(),
@@ -47,7 +40,7 @@ func (p *Pool) Export(leaseTTL time.Duration) durable.PoolState {
 			js.LeaseExpires = now.Add(leaseTTL)
 		}
 		st.Jobs = append(st.Jobs, js)
-	}
+	})
 	return st
 }
 
@@ -77,22 +70,17 @@ func (p *Pool) Restore(st durable.PoolState) error {
 		if err != nil {
 			return fmt.Errorf("condor: restoring job %d: %w", js.ID, err)
 		}
-		j := &job{
-			id:             js.ID,
-			ad:             ad,
-			status:         Status(js.Status),
-			priority:       js.Priority,
-			owner:          js.Owner,
-			submitTime:     js.SubmitTime,
-			startTime:      js.StartTime,
-			completionTime: js.CompletionTime,
-			cpuBase:        js.CPUSeconds,
-		}
-		j.failAfter = ad.Float(AttrFailAfter, 0)
-		j.matcher = classad.NewMatcher(ad)
-		j.reqArch, _ = ad.ReqStringConstraint("Arch")
-		j.reqOpSys, _ = ad.ReqStringConstraint("OpSys")
+		j := p.newJob(js.ID, ad, js.SubmitTime)
+		j.status = Status(js.Status)
+		j.priority = js.Priority
+		j.owner = js.Owner
+		j.startTime = js.StartTime
+		j.completionTime = js.CompletionTime
+		j.cpuBase = js.CPUSeconds
 		p.jobs[j.id] = j
+		// Every ID at or below nextID: what Submit relies on to mint
+		// fresh ones and eachJobLocked to reach every job.
+		p.nextID = max(p.nextID, j.id)
 
 		if j.status.Terminal() {
 			// Terminal jobs keep their node name for the monitoring view
@@ -139,7 +127,7 @@ func (p *Pool) requeueRestoredLocked(j *job) {
 // restarts with the remaining work, the claim is re-taken, and the status
 // is reinstated without events or fair-share start observation.
 func (p *Pool) rebindLocked(j *job, m *machine, now time.Time) {
-	remaining := j.ad.Float(AttrCpuSeconds, 0) - j.cpuBase
+	remaining := j.need - j.cpuBase
 	if remaining <= 0 {
 		// The capture raced completion; the next harvest would have
 		// finished it, so finish it here.
@@ -149,17 +137,7 @@ func (p *Pool) rebindLocked(j *job, m *machine, now time.Time) {
 		p.produceOutputLocked(j)
 		return
 	}
-	p.claimMachineLocked(m)
-	j.claimed = m
-	j.task = simgrid.NewTask(fmt.Sprintf("%s-%d", p.Name, j.id), remaining, func(*simgrid.Task) {
-		p.mu.Lock()
-		p.releaseClaimLocked(j)
-		p.doneQ = append(p.doneQ, j)
-		p.mu.Unlock()
-		p.requestWake()
-	})
-	j.node = m.node
-	m.node.Place(j.task)
+	p.runTaskLocked(j, m, remaining)
 	if j.status == StatusSuspended {
 		j.task.Suspend()
 	}

@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"repro/internal/classad"
 )
 
 const testTTL = 10 * time.Minute
@@ -145,5 +147,94 @@ func TestRestoreIntoNonEmptyPoolFails(t *testing.T) {
 	_ = g
 	if err := p.Restore(st); err == nil {
 		t.Fatal("restore into non-empty pool accepted")
+	}
+}
+
+// submitFields is everything newJob parses out of an ad at submit time —
+// what the negotiation and completion paths read instead of the ad.
+type submitFields struct {
+	owner, outputFile, taskID, reqArch, reqOpSys, rankClass string
+	priority                                                int
+	need, outputMB, failAfter                               float64
+	compiled, rankClassOK                                   bool
+}
+
+func submitFieldsOf(j *job) submitFields {
+	f := submitFields{
+		owner: j.owner, outputFile: j.outputFile, taskID: j.taskID,
+		reqArch: j.reqArch, reqOpSys: j.reqOpSys,
+		priority: j.priority,
+		need:     j.need, outputMB: j.outputMB, failAfter: j.failAfter,
+		compiled: j.matcher != nil,
+	}
+	if j.matcher != nil {
+		f.rankClass, f.rankClassOK = j.matcher.RankClass()
+	}
+	return f
+}
+
+// TestRestoredJobsCarrySubmitFields pins that recovery goes through the
+// same constructor as Submit: a job restored idle, one re-bound to its
+// leased machine and one requeued after losing its machine each hold
+// exactly the fields a freshly submitted twin holds. A field cached at
+// submit but skipped by Restore recovers as zero, silently — a requeued
+// job with need 0 "completes" the moment it is matched.
+func TestRestoredJobsCarrySubmitFields(t *testing.T) {
+	ads := []*classad.Ad{
+		jobAd("alice", 500, 2).Set(AttrOutputFile, "alice.root").Set(AttrOutputMB, 7).
+			MustSetExpr(AttrRequirements, `TARGET.Arch == "x86" && TARGET.OpSys == "LINUX"`),
+		jobAd("bob", 400, 1).Set(AttrOutputFile, "bob.root").Set(AttrFailAfter, 9999).
+			MustSetExpr(AttrRank, "TARGET.Mips"),
+		jobAd("carol", 300, 0).Set(AttrOutputFile, "carol.root").Set(AttrOutputMB, 3),
+	}
+	g, p := testPool(t, 2)
+	_, twin := testPool(t, 2)
+	var ids []int
+	for _, ad := range ads {
+		ids = append(ids, mustSubmit(t, p, ad))
+		mustSubmit(t, twin, ad)
+	}
+	g.Engine.RunFor(60 * time.Second) // two run, carol waits
+	st := p.Export(testTTL)
+
+	// The recovered deployment kept one node: the lease on it re-binds,
+	// the other running job requeues, the idle one restores idle.
+	p2 := restoredPool(t, 1, 60*time.Second)
+	if err := p2.Restore(st); err != nil {
+		t.Fatal(err)
+	}
+	states := map[Status]int{}
+	for _, id := range ids {
+		got, want := submitFieldsOf(p2.jobs[id]), submitFieldsOf(twin.jobs[id])
+		if got != want {
+			t.Errorf("job %d restored with %+v,\n a submitted twin has %+v", id, got, want)
+		}
+		if want.need <= 0 || want.outputFile == "" || want.taskID == "" || !want.compiled {
+			t.Fatalf("job %d: vacuous twin %+v", id, want)
+		}
+		states[p2.jobs[id].status]++
+	}
+	if states[StatusRunning] != 1 || states[StatusIdle] != 2 {
+		t.Fatalf("restored states %v, want one re-bound and two idle (one requeued, one queued)", states)
+	}
+
+	// And the fields are live: every job runs its full remaining work on
+	// the one node and leaves its declared output behind.
+	p2.grid.Engine.Step()
+	for _, id := range ids {
+		if got := mustJob(t, p2, id); got.Status == StatusCompleted {
+			t.Fatalf("job %d completed one tick after restore: %+v", id, got)
+		}
+	}
+	p2.grid.Engine.RunFor(1300 * time.Second)
+	for i, id := range ids {
+		if got := mustJob(t, p2, id); got.Status != StatusCompleted {
+			t.Fatalf("job %d did not finish after restore: %+v", id, got)
+		}
+		name := ads[i].Str(AttrOutputFile, "")
+		f, ok := p2.site.Storage().Get(name)
+		if want := ads[i].Float(AttrOutputMB, 1); !ok || f.SizeMB != want {
+			t.Errorf("output %s after restore = %+v (present %v), want %v MB", name, f, ok, want)
+		}
 	}
 }

@@ -25,7 +25,6 @@
 package simgrid
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"math/rand"
@@ -69,14 +68,15 @@ type ActorFunc func(now time.Time, dt time.Duration)
 // OnTick implements Actor.
 func (f ActorFunc) OnTick(now time.Time, dt time.Duration) { f(now, dt) }
 
-// event is one scheduled callback in the engine's queue.
+// event is one scheduled callback in the engine's queue. Events are held
+// by value: scheduling one allocates nothing.
 type event struct {
-	fireAt time.Time // grid-aligned boundary at which the event runs
-	order  int       // component order; orderTimer for Schedule timers
-	at     time.Time // originally requested time (pre-quantization), for timer ordering
-	seq    int64     // scheduling sequence, final tiebreak
-	fn     func(now time.Time)
-	wake   *Wake // non-nil for component wake events
+	tick  int64 // index of the grid boundary at which the event runs
+	at    int64 // requested instant in ns since start (pre-quantization), for timer ordering
+	seq   int64 // scheduling sequence, final tiebreak
+	order int   // component order; orderTimer for Schedule timers
+	fn    func(now time.Time)
+	wake  *Wake // non-nil for component wake events
 }
 
 // orderTimer sorts Schedule timers ahead of every registered component at
@@ -84,31 +84,73 @@ type event struct {
 // in registration order).
 const orderTimer = -1
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	a, b := h[i], h[j]
-	if !a.fireAt.Equal(b.fireAt) {
-		return a.fireAt.Before(b.fireAt)
+// before is the dispatch order: boundary, component order, requested
+// time, scheduling sequence.
+func (a *event) before(b *event) bool {
+	if a.tick != b.tick {
+		return a.tick < b.tick
 	}
 	if a.order != b.order {
 		return a.order < b.order
 	}
-	if !a.at.Equal(b.at) {
-		return a.at.Before(b.at)
+	if a.at != b.at {
+		return a.at < b.at
 	}
 	return a.seq < b.seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
+
+// eventQueue is a 4-ary min-heap of event values ordered by before: half
+// the depth of a binary heap, and a node's children share cache lines.
+type eventQueue []event
+
+const queueArity = 4
+
+func (q *eventQueue) push(ev event) {
+	h := append(*q, ev)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / queueArity
+		if !ev.before(&h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = ev
+	*q = h
+}
+
+func (q *eventQueue) pop() event {
+	h := *q
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = event{} // drop the callback references
+	h = h[:n]
+	*q = h
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		first := i*queueArity + 1
+		if first >= n {
+			break
+		}
+		least := first
+		for c := first + 1; c < min(first+queueArity, n); c++ {
+			if h[c].before(&h[least]) {
+				least = c
+			}
+		}
+		if !h[least].before(&last) {
+			break
+		}
+		h[i] = h[least]
+		i = least
+	}
+	h[i] = last
+	return top
 }
 
 // Engine owns the simulated clock and the event queue. A default tick of
@@ -123,15 +165,17 @@ type Engine struct {
 	rng    *rand.Rand
 	driver Driver
 
-	eq        eventHeap
+	eq        eventQueue
 	seq       int64
 	nextOrder int
 
-	// cursor: position within the boundary currently being processed, so
+	// nowTick is the clock's position as a tick index (the clock reads
+	// start + nowTick·tick; only the engine advances it). processing and
+	// curOrder are the cursor within the boundary being dispatched, so
 	// wake requests made mid-boundary land on the same boundary exactly
 	// when the legacy per-tick actor order would have reached them.
+	nowTick    int64
 	processing bool
-	curAt      time.Time
 	curOrder   int
 
 	ticks  int64 // boundaries visited
@@ -219,13 +263,18 @@ func (e *Engine) AlignTicks(d time.Duration) time.Duration {
 	return time.Duration(k) * e.tick
 }
 
-// gridCeilLocked returns the earliest tick-grid boundary at or after t.
-func (e *Engine) gridCeilLocked(t time.Time) time.Time {
+// tickCeil returns the index of the earliest tick-grid boundary at or
+// after t (0, the start, for anything earlier).
+func (e *Engine) tickCeil(t time.Time) int64 {
 	d := t.Sub(e.start)
 	if d <= 0 {
-		return e.start
+		return 0
 	}
-	k := (d + e.tick - 1) / e.tick
+	return int64((d + e.tick - 1) / e.tick)
+}
+
+// timeOf returns the instant of tick-grid boundary k.
+func (e *Engine) timeOf(k int64) time.Time {
 	return e.start.Add(time.Duration(k) * e.tick)
 }
 
@@ -236,11 +285,14 @@ func (e *Engine) gridCeilLocked(t time.Time) time.Time {
 // would have reached it. Requests coalesce: the earliest pending request
 // wins.
 type Wake struct {
-	e         *Engine
-	fn        func(now time.Time)
-	order     int
-	next      time.Time // earliest pending fire time; zero when none (guarded by e.mu)
-	lastFired time.Time
+	e     *Engine
+	fn    func(now time.Time)
+	order int
+	// next is the tick index of the earliest pending request and lastFired
+	// that of the latest firing; 0 (the start, where nothing ever fires)
+	// means none. Guarded by e.mu.
+	next      int64
+	lastFired int64
 	canceled  bool
 }
 
@@ -272,21 +324,20 @@ func (w *Wake) Request(at time.Time) {
 	if w.canceled {
 		return
 	}
-	now := e.clock.Now()
-	fireAt := e.gridCeilLocked(at)
-	if !fireAt.After(now) {
-		if e.processing && now.Equal(e.curAt) && w.order > e.curOrder && !w.lastFired.Equal(now) {
-			fireAt = now
+	k := e.tickCeil(at)
+	if k <= e.nowTick {
+		if e.processing && w.order > e.curOrder && w.lastFired != e.nowTick {
+			k = e.nowTick
 		} else {
-			fireAt = now.Add(e.tick)
+			k = e.nowTick + 1
 		}
 	}
-	if !w.next.IsZero() && !w.next.After(fireAt) {
+	if w.next != 0 && w.next <= k {
 		return
 	}
-	w.next = fireAt
+	w.next = k
 	e.seq++
-	heap.Push(&e.eq, &event{fireAt: fireAt, order: w.order, at: fireAt, seq: e.seq, wake: w})
+	e.eq.push(event{tick: k, at: k * int64(e.tick), seq: e.seq, order: w.order, wake: w})
 }
 
 // Cancel drops any pending request and disables the wake permanently.
@@ -294,7 +345,7 @@ func (w *Wake) Cancel() {
 	w.e.mu.Lock()
 	defer w.e.mu.Unlock()
 	w.canceled = true
-	w.next = time.Time{}
+	w.next = 0
 }
 
 // Poller runs a function on a periodic schedule driven by a Wake: the
@@ -348,11 +399,10 @@ func (p *Poller) onWake(now time.Time) {
 func (e *Engine) horizonFor(order int) time.Time {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	now := e.clock.Now()
-	if e.processing && now.Equal(e.curAt) && order > e.curOrder {
-		return now.Add(-e.tick)
+	if e.processing && order > e.curOrder {
+		return e.timeOf(e.nowTick - 1)
 	}
-	return now
+	return e.timeOf(e.nowTick)
 }
 
 // AddActor registers a legacy actor: it becomes a self-rescheduling
@@ -419,66 +469,77 @@ func (e *Engine) Schedule(delay time.Duration, fn func(now time.Time)) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	now := e.clock.Now()
-	at := now.Add(delay)
-	fireAt := e.gridCeilLocked(at)
-	if !fireAt.After(now) {
-		fireAt = now.Add(e.tick)
+	at := e.nowTick*int64(e.tick) + int64(delay)
+	k := int64(0)
+	if at > 0 {
+		k = (at + int64(e.tick) - 1) / int64(e.tick)
+	}
+	if k <= e.nowTick {
+		k = e.nowTick + 1
 	}
 	e.seq++
-	heap.Push(&e.eq, &event{fireAt: fireAt, order: orderTimer, at: at, seq: e.seq, fn: fn})
+	e.eq.push(event{tick: k, at: at, seq: e.seq, order: orderTimer, fn: fn})
 }
 
-// nextEventTime peeks the earliest pending boundary.
-func (e *Engine) nextEventTime() (time.Time, bool) {
+// nextEventTick peeks the earliest pending boundary.
+func (e *Engine) nextEventTick() (int64, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if len(e.eq) == 0 {
-		return time.Time{}, false
+		return 0, false
 	}
-	return e.eq[0].fireAt, true
+	return e.eq[0].tick, true
 }
 
-// processBoundary advances the clock to t and dispatches every event due
-// there, in (time, order, requested-time, sequence) order. Events
-// scheduled during dispatch for the same boundary run in the same pass
-// when their component's turn is still ahead.
-func (e *Engine) processBoundary(t time.Time) {
+// jumpTo moves the clock to boundary k without dispatching anything.
+func (e *Engine) jumpTo(k int64) {
+	e.clock.AdvanceTo(e.timeOf(k))
+	e.mu.Lock()
+	e.nowTick = max(e.nowTick, k)
+	e.mu.Unlock()
+}
+
+// processBoundary advances the clock to boundary k and dispatches every
+// event due there, in (boundary, order, requested-time, sequence) order.
+// Events scheduled during dispatch for the same boundary run in the same
+// pass when their component's turn is still ahead.
+func (e *Engine) processBoundary(k int64) {
+	t := e.timeOf(k)
 	e.clock.AdvanceTo(t)
 	e.mu.Lock()
-	e.processing, e.curAt, e.curOrder = true, t, math.MinInt
+	e.nowTick, e.processing, e.curOrder = k, true, math.MinInt
 	e.ticks++
-	e.mu.Unlock()
-	for {
-		e.mu.Lock()
-		if len(e.eq) == 0 || e.eq[0].fireAt.After(t) {
-			e.processing = false
-			e.mu.Unlock()
-			return
-		}
-		ev := heap.Pop(&e.eq).(*event)
+	for len(e.eq) > 0 && e.eq[0].tick <= k {
+		ev := e.eq.pop()
 		fn := ev.fn
-		if ev.wake != nil {
-			w := ev.wake
-			if w.canceled || !w.next.Equal(ev.fireAt) {
-				e.mu.Unlock()
+		if w := ev.wake; w != nil {
+			if w.canceled || w.next != ev.tick {
 				continue // superseded or canceled request
 			}
-			w.next = time.Time{}
-			w.lastFired = ev.fireAt
+			w.next, w.lastFired = 0, ev.tick
 			fn = w.fn
 		}
 		e.curOrder = ev.order
 		e.events++
 		e.mu.Unlock()
 		fn(t)
+		e.mu.Lock()
 	}
+	e.processing = false
+	e.mu.Unlock()
+}
+
+// tickNow returns the clock's position as a tick index.
+func (e *Engine) tickNow() int64 {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.nowTick
 }
 
 // Step advances the simulation by exactly one tick, dispatching whatever
 // is due at that boundary — the legacy fixed-tick step.
 func (e *Engine) Step() {
-	e.processBoundary(e.Now().Add(e.tick))
+	e.processBoundary(e.tickNow() + 1)
 }
 
 // RunFor advances the simulation by d (rounded up to whole ticks). Under
@@ -493,15 +554,15 @@ func (e *Engine) RunFor(d time.Duration) {
 		}
 		return
 	}
-	target := e.Now().Add(time.Duration(steps) * e.tick)
+	target := e.tickNow() + steps
 	for {
-		t, ok := e.nextEventTime()
-		if !ok || t.After(target) {
+		k, ok := e.nextEventTick()
+		if !ok || k > target {
 			break
 		}
-		e.processBoundary(t)
+		e.processBoundary(k)
 	}
-	e.clock.AdvanceTo(target)
+	e.jumpTo(target)
 }
 
 // RunUntil advances the simulation until pred returns true, or fails once
@@ -516,12 +577,10 @@ func (e *Engine) RunUntil(pred func() bool, max time.Duration) error {
 	// driver must honor the same limit (not the raw deadline, which may
 	// lie off-grid) or the two drivers would diverge on events landing
 	// in that final overshoot step.
-	e.mu.Lock()
-	limit := e.gridCeilLocked(deadline)
-	if !limit.After(deadline) {
-		limit = limit.Add(e.tick)
+	limit := e.tickCeil(deadline)
+	if !e.timeOf(limit).After(deadline) {
+		limit++
 	}
-	e.mu.Unlock()
 	for !pred() {
 		if e.Now().After(deadline) {
 			return fmt.Errorf("simgrid: condition not reached within %v (now %v)", max, e.Now())
@@ -530,15 +589,15 @@ func (e *Engine) RunUntil(pred func() bool, max time.Duration) error {
 			e.Step()
 			continue
 		}
-		t, ok := e.nextEventTime()
-		if !ok || t.After(limit) {
+		k, ok := e.nextEventTick()
+		if !ok || k > limit {
 			// Nothing left inside the window can change pred; jump to the
 			// overshoot boundary so the next iteration reports the timeout
 			// with the clock exactly where the tick driver would leave it.
-			e.clock.AdvanceTo(limit)
+			e.jumpTo(limit)
 			continue
 		}
-		e.processBoundary(t)
+		e.processBoundary(k)
 	}
 	return nil
 }

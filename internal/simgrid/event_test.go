@@ -452,3 +452,53 @@ func TestRunUntilTimeoutLeavesClockOnGrid(t *testing.T) {
 		t.Fatalf("timeout left clock at %v (tick) vs %v (event)", ends[0], ends[1])
 	}
 }
+
+// TestPlaceUnobservedTellsObserverNothingItDid pins the observer
+// contract: a task the observer placed itself (PlaceUnobserved) fires the
+// observer neither when placed nor when it completes — onDone reports
+// that — while everything other parties do to the node, and any removal,
+// still notifies.
+func TestPlaceUnobservedTellsObserverNothingItDid(t *testing.T) {
+	g := NewGrid(time.Second, 1)
+	n := g.AddSite("s").AddNode(g.Engine, "n", 1, IdleLoad())
+	fired := 0
+	n.SetObserver(func() { fired++ })
+	expect := func(want int, after string) {
+		t.Helper()
+		if fired != want {
+			t.Fatalf("observer fired %d times after %s, want %d", fired, after, want)
+		}
+	}
+
+	done := 0
+	own := NewTask("own", 5, func(*Task) { done++ })
+	n.PlaceUnobserved(own)
+	expect(0, "its own placement")
+	g.Engine.RunFor(10 * time.Second)
+	if done != 1 || own.State() != TaskDone {
+		t.Fatalf("own task: onDone fired %d times, state %v", done, own.State())
+	}
+	expect(0, "its own task's completion")
+
+	n.Place(NewTask("foreign", 5, nil))
+	expect(1, "a foreign placement")
+	g.Engine.RunFor(10 * time.Second)
+	expect(2, "a foreign completion")
+
+	killed := NewTask("own2", 50, nil)
+	n.PlaceUnobserved(killed)
+	killed.Kill()
+	n.Remove(killed)
+	expect(3, "a removal")
+	n.SetLoad(ConstantLoad(0.5))
+	expect(4, "a load change")
+
+	// Sharing a completion boundary with a foreign task does not hide it.
+	n.SetLoad(IdleLoad())
+	fired = 0
+	n.PlaceUnobserved(NewTask("own3", 4, nil))
+	n.Place(NewTask("foreign2", 4, nil))
+	expect(1, "the foreign half of a shared placement")
+	g.Engine.RunFor(20 * time.Second)
+	expect(2, "a completion boundary shared with a foreign task")
+}

@@ -47,6 +47,10 @@ type Task struct {
 	wall   float64 // seconds the task was actually executing
 	onDone func(*Task)
 	node   *Node // node currently hosting the task, nil when detached
+	// unobserved marks a task the node's observer placed itself (see
+	// Node.PlaceUnobserved): its completion is reported through onDone
+	// alone.
+	unobserved bool
 }
 
 // NewTask creates a task requiring need CPU-seconds; onDone (optional)
@@ -245,10 +249,12 @@ func (n *Node) SetLoad(load Load) {
 }
 
 // SetObserver installs a callback fired — outside the node lock — after
-// any change that can alter the node's scheduling picture: a task placed
-// or removed, or the load replaced. Pools subscribe here so a freed
-// machine wakes the negotiator instead of the negotiator polling every
-// tick. Only one observer is supported; nil clears it.
+// any change that can alter the node's scheduling picture: a task placed,
+// completed or removed, or the load replaced. Pools subscribe here so a
+// freed machine wakes the negotiator instead of the negotiator polling
+// every tick. The observer's own placements (PlaceUnobserved) are the one
+// exception: it is told nothing it did or arranged to hear itself. Only
+// one observer is supported; nil clears it.
 func (n *Node) SetObserver(fn func()) {
 	n.mu.Lock()
 	n.observer = fn
@@ -288,15 +294,30 @@ func (n *Node) LoadSegment(t time.Time) (value float64, until time.Time, ok bool
 
 // Place starts a task on this node.
 func (n *Node) Place(t *Task) {
+	n.place(t, false)
+	n.notifyObserver()
+}
+
+// PlaceUnobserved is Place for the node's observer itself: the caller
+// knows what it just placed and hears of the completion through the
+// task's onDone callback, so the observer is notified of neither — an
+// echo of its own action would only make it look again at a picture it
+// has just drawn. Removing the task, and everything other parties do to
+// the node, still notifies.
+func (n *Node) PlaceUnobserved(t *Task) {
+	n.place(t, true)
+}
+
+func (n *Node) place(t *Task, unobserved bool) {
 	n.observeNow() // settle existing tasks before the share changes
 	t.mu.Lock()
 	t.node = n
+	t.unobserved = unobserved
 	t.mu.Unlock()
 	n.mu.Lock()
 	n.tasks = append(n.tasks, t)
 	n.rederiveLocked()
 	n.mu.Unlock()
-	n.notifyObserver()
 }
 
 // Remove detaches a task (completed, killed, or migrating) from the node.
@@ -386,15 +407,17 @@ func (n *Node) onWake(now time.Time) {
 	fin := n.syncLocked(now, false)
 	n.rederiveLocked()
 	n.mu.Unlock()
+	notify := false
 	for _, t := range fin {
 		t.mu.Lock()
 		cb := t.onDone
+		notify = notify || !t.unobserved
 		t.mu.Unlock()
 		if cb != nil {
 			cb(t)
 		}
 	}
-	if len(fin) > 0 {
+	if notify {
 		n.notifyObserver()
 	}
 }

@@ -5,14 +5,19 @@
 // event driver's work is proportional to completions while the tick driver
 // pays for every boundary of a multi-month horizon at millisecond ticks.
 //
-// The full scale (1M jobs, 100k machines) runs by default and is what
-// BENCH_*.json records; set GAE_SCENARIO_SCALE=smoke for the scaled-down
-// CI variant (100k jobs, 10k machines) with a small wall-time budget.
+// The benchmark runs the full scale (1M jobs, 100k machines) by default;
+// set GAE_SCENARIO_SCALE=smoke for the scaled-down CI variant (100k jobs,
+// 10k machines). The tests beside it gate what a completion costs by
+// counting — events, wakes, passes, mallocs — and pin the placements, so
+// neither depends on the host.
 package repro_test
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"os"
+	"runtime"
 	"testing"
 	"time"
 
@@ -20,6 +25,7 @@ import (
 	"repro/internal/condor"
 	"repro/internal/fairshare"
 	"repro/internal/simgrid"
+	"repro/internal/telemetry"
 )
 
 // millionScale parameterizes the scenario. Durations and the tick are
@@ -58,11 +64,12 @@ var millionSmoke = millionScale{
 	simSeconds: 26_000,
 }
 
-// buildMillionScenario constructs the grid, pools, machines and the full
-// backlog of submissions; the returned closure runs the simulation. The
-// split lets the benchmark exclude setup (ad construction, matcher
-// compilation, a million queue inserts) from the timed region.
-func buildMillionScenario(tb testing.TB, sc millionScale, d simgrid.Driver) (*simgrid.Grid, func() *simgrid.Engine) {
+// buildMillionScenario constructs the grid, pools (reporting to reg when
+// it is non-nil), machines and the full backlog of submissions; the
+// returned closure runs the simulation. The split lets the benchmark
+// exclude setup (ad construction, matcher compilation, a million queue
+// inserts) from the timed region.
+func buildMillionScenario(tb testing.TB, sc millionScale, d simgrid.Driver, reg *telemetry.Registry) ([]*condor.Pool, func() *simgrid.Engine) {
 	g := simgrid.NewGrid(sc.tick, 1)
 	g.Engine.SetDriver(d)
 	pools := make([]*condor.Pool, sc.pools)
@@ -70,6 +77,9 @@ func buildMillionScenario(tb testing.TB, sc millionScale, d simgrid.Driver) (*si
 		name := fmt.Sprintf("site%d", p)
 		site := g.AddSite(name)
 		pool := condor.NewPool(name, g, site)
+		if reg != nil {
+			pool.SetTelemetry(reg)
+		}
 		for i := 0; i < sc.machines; i++ {
 			pool.AddMachine(site.AddNode(g.Engine, fmt.Sprintf("%s-n%05d", name, i), 1, simgrid.IdleLoad()), nil)
 		}
@@ -91,7 +101,7 @@ func buildMillionScenario(tb testing.TB, sc millionScale, d simgrid.Driver) (*si
 		}
 		lastID, lastPool = id, j%sc.pools
 	}
-	return g, func() *simgrid.Engine {
+	return pools, func() *simgrid.Engine {
 		g.Engine.RunFor(sc.horizon)
 		// A scenario bug that strands the backlog would make the event
 		// side look absurdly fast; make sure the last submission ran.
@@ -109,20 +119,23 @@ func millionScaleFromEnv() millionScale {
 	return millionFull
 }
 
+// bothDrivers names the two clock-advance strategies a scenario runs under.
+var bothDrivers = []struct {
+	name   string
+	driver simgrid.Driver
+}{
+	{"driver=tick", simgrid.DriverTick},
+	{"driver=event", simgrid.DriverEvent},
+}
+
 func BenchmarkScenarioMillionJobs(b *testing.B) {
 	sc := millionScaleFromEnv()
-	for _, d := range []struct {
-		name   string
-		driver simgrid.Driver
-	}{
-		{"driver=tick", simgrid.DriverTick},
-		{"driver=event", simgrid.DriverEvent},
-	} {
+	for _, d := range bothDrivers {
 		b.Run(d.name, func(b *testing.B) {
 			var events int64
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				_, run := buildMillionScenario(b, sc, d.driver)
+				_, run := buildMillionScenario(b, sc, d.driver, nil)
 				b.StartTimer()
 				events = run().Events()
 			}
@@ -132,23 +145,117 @@ func BenchmarkScenarioMillionJobs(b *testing.B) {
 	}
 }
 
-// TestMillionSmokeWallBudget is the CI-sized wall-time assertion behind
-// `make bench-smoke`: the event driver must push the smoke scale (100k
-// jobs over 10k machines, a 26,000-second horizon) end to end well
-// inside a budget that would be unreachable if any converted path
-// regressed to per-tick or per-pass scanning. The budget is deliberately
-// loose — about 10x the measured wall time on a single modest core — so
-// it only trips on structural regressions, not machine noise.
-func TestMillionSmokeWallBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("wall-time budget is meaningless under the race detector's overhead")
+// TestMillionSmokeCounts is the CI-sized gate behind `make bench-smoke`:
+// what the smoke scale (100k jobs over 10k machines, a 26,000-second
+// horizon) costs, in counts that are functions of the workload and not of
+// the host. A completion is one node event plus the pool wake that
+// harvests it and starts the next job, and completions landing on one
+// boundary share that wake; so events stay under 1.7 per job, wakes under
+// 0.7, a pass matches 1.5 jobs or more, and no wake finds nothing to do.
+// Any converted path regressing to per-tick or per-pass scanning — or the
+// pool waking on its own placements again — breaks a ceiling outright.
+func TestMillionSmokeCounts(t *testing.T) {
+	sc := millionSmoke
+	reg := telemetry.NewRegistry()
+	_, run := buildMillionScenario(t, sc, simgrid.DriverEvent, reg)
+	events := float64(run().Events())
+	snap := reg.Snapshot()
+	jobs := float64(sc.jobs)
+	wakes := snap.Total("pool_wakes_total")
+	passes := snap.Total("negotiation_passes_total")
+	matches := snap.Total("negotiation_matches_total")
+	idle := snap.Total("pool_idle_wakes_total")
+	t.Logf("jobs %v: events %v, wakes %v (idle %v), passes %v, matches %v", jobs, events, wakes, idle, passes, matches)
+	if matches != jobs {
+		t.Errorf("matched %v jobs of %v", matches, jobs)
 	}
-	const budget = 45 * time.Second
-	_, run := buildMillionScenario(t, millionSmoke, simgrid.DriverEvent)
-	start := time.Now()
+	if events > 1.7*jobs {
+		t.Errorf("%v events for %v jobs, ceiling 1.7 per job", events, jobs)
+	}
+	if wakes > 0.7*jobs {
+		t.Errorf("%v pool wakes for %v jobs, ceiling 0.7 per job", wakes, jobs)
+	}
+	if passes == 0 || matches/passes < 1.5 {
+		t.Errorf("%v matches over %v passes = %.2f per pass, floor 1.5", matches, passes, matches/passes)
+	}
+	if idle != 0 {
+		t.Errorf("%v wakes harvested nothing, matched nothing and had nothing to wait for; want 0", idle)
+	}
+}
+
+// goldenScale is a 2-pool x 200-machine x 4,000-job backlog, ten waves
+// deep — small enough to run under both drivers in every test run.
+var goldenScale = millionScale{
+	pools:    2,
+	machines: 200,
+	jobs:     4_000,
+	tick:     time.Second / 128,
+	baseNeed: 600,
+	horizon:  12_000 * time.Second,
+}
+
+// placementHash folds every job's (ID, node, start, completion) into one
+// FNV-64a value, pool by pool in ID order.
+func placementHash(tb testing.TB, pools []*condor.Pool) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	put := func(v int64) {
+		binary.LittleEndian.PutUint64(buf[:], uint64(v))
+		h.Write(buf[:])
+	}
+	for _, p := range pools {
+		jobs, err := p.Jobs()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for _, j := range jobs {
+			if j.Status != condor.StatusCompleted {
+				tb.Fatalf("%s job %d is %v at the horizon, want completed", p.Name, j.ID, j.Status)
+			}
+			put(int64(j.ID))
+			h.Write([]byte(j.Node))
+			put(j.StartTime.UnixNano())
+			put(j.CompletionTime.UnixNano())
+		}
+	}
+	return h.Sum64()
+}
+
+// TestPlacementGolden pins where and when every job of the golden
+// scenario ran — the half of a benchmark digest that an engine or pool
+// optimisation must not move, kept apart from Engine.Events(), which such
+// a change is free to lower. The value was computed on the commit before
+// the completion cycle was reworked (echo wakes, by-value event queue,
+// job fields cached at submit) and holds under both drivers.
+func TestPlacementGolden(t *testing.T) {
+	const want = uint64(0x8d99e4b4a361b743)
+	for _, d := range bothDrivers {
+		pools, run := buildMillionScenario(t, goldenScale, d.driver, nil)
+		run()
+		if got := placementHash(t, pools); got != want {
+			t.Errorf("%s: placement hash %#x, want %#x — a job moved or changed its start or completion time", d.name, got, want)
+		}
+	}
+}
+
+// TestCompletionMallocCeiling bounds what the run of the golden scenario
+// allocates: at most 10 mallocs per job over Engine.RunFor (it was 14
+// with an allocation per queued event, a map per dirty-node drain and a
+// task ID per start). Submission is outside the measured region.
+func TestCompletionMallocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	_, run := buildMillionScenario(t, goldenScale, simgrid.DriverEvent, nil)
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
 	run()
-	if wall := time.Since(start); wall > budget {
-		t.Fatalf("smoke scenario took %v, budget %v — a hot path has regressed to per-tick cost", wall, budget)
+	runtime.ReadMemStats(&m1)
+	perJob := float64(m1.Mallocs-m0.Mallocs) / float64(goldenScale.jobs)
+	t.Logf("%.2f mallocs per job over RunFor", perJob)
+	if perJob > 10 {
+		t.Errorf("%.2f mallocs per job over RunFor, ceiling 10", perJob)
 	}
 }
 
@@ -158,17 +265,10 @@ func TestMillionSmokeWallBudget(t *testing.T) {
 // must process (nearly) the same events — completions and the pool passes
 // they trigger — rather than 128x more boundaries.
 func TestMillionScenarioEventCountTickIndependent(t *testing.T) {
-	sc := millionScale{
-		pools:    2,
-		machines: 200,
-		jobs:     4_000,
-		baseNeed: 600,
-		horizon:  12_000 * time.Second,
-	}
 	run := func(tick time.Duration) int64 {
-		sc := sc
+		sc := goldenScale
 		sc.tick = tick
-		_, runFn := buildMillionScenario(t, sc, simgrid.DriverEvent)
+		_, runFn := buildMillionScenario(t, sc, simgrid.DriverEvent, nil)
 		return runFn().Events()
 	}
 	coarse := run(time.Second)
