@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-race race-smoke bench bench-test fuzz-smoke bench-smoke load-smoke chaos-smoke obs-smoke sim fmt vet lint lint-test
+.PHONY: build test test-race race-smoke bench bench-test fuzz-smoke bench-smoke load-smoke chaos-smoke obs-smoke sim fmt vet lint lint-test loc
 
 build:
 	$(GO) build ./...
@@ -37,10 +37,10 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeAgainstEncodingXML -fuzztime 20s ./internal/xmlrpc
 
 # Short-run scenario smoke: exercises the discrete-event engine end to
-# end (tick and event drivers) without the full sweep. The million-job
-# scenario runs at its scaled-down CI size (100k jobs, 10k machines),
-# then its cost is gated in counts (events, wakes, matches per pass, idle
-# wakes — functions of the workload, not of the host).
+# end without the full sweep. The million-job scenario runs at its
+# scaled-down CI size (100k jobs, 10k machines), then its cost is gated in
+# counts (events, wakes, matches per pass, idle wakes — functions of the
+# workload, not of the host).
 bench-smoke:
 	GAE_SCENARIO_SCALE=smoke $(GO) test -run xxx -bench Scenario -benchtime 1x .
 	$(GO) test -run MillionSmokeCounts -count=1 .
@@ -86,3 +86,12 @@ lint:
 # self-lint regression test (equivalent to `make lint`, as a test).
 lint-test:
 	cd tools/lint && $(GO) vet ./... && $(GO) test ./...
+
+# The tracked sizes (ROADMAP north-star criterion 2), one definition each:
+# Go lines of the main module outside and inside _test.go files, of
+# tools/lint, and of bench/.
+loc:
+	@echo "main module, non-test: $$(find . -name '*.go' -not -name '*_test.go' -not -path './tools/*' -not -path './bench/*' | xargs cat | wc -l)"
+	@echo "main module, tests:    $$(find . -name '*_test.go' -not -path './tools/*' -not -path './bench/*' | xargs cat | wc -l)"
+	@echo "tools/lint:            $$(find tools/lint -name '*.go' | xargs cat | wc -l)"
+	@echo "bench:                 $$(find bench -name '*.go' | xargs cat | wc -l)"

@@ -369,43 +369,29 @@ func BenchmarkCondorNegotiation(b *testing.B) {
 	}
 }
 
-// --- Scenario: end-to-end simulation throughput, tick vs event driver ------
+// --- Scenario: end-to-end simulation throughput ----------------------------
 //
-// The discrete-event engine's headline numbers. Each scenario runs the
-// identical seeded workload under the legacy fixed-tick driver and the
-// event driver (the equivalence suite pins that their traces are
-// identical) and reports simulated-seconds-per-wall-second and the number
-// of engine events dispatched. Sparse long-horizon is the case the
-// event engine exists for: the tick driver pays for every one of the
-// million boundaries, the event driver only for the ~hundred that carry
-// work, a ≥10x gap.
+// The discrete-event engine's headline numbers. Each scenario runs a
+// seeded workload and reports simulated-seconds-per-wall-second and the
+// number of engine events dispatched. Sparse long-horizon is the case the
+// event engine exists for: of a million boundaries it pays only for the
+// ~thousand that carry work.
 
-func scenarioDrivers(b *testing.B, simSeconds float64, run func(d simgrid.Driver) *simgrid.Engine) {
-	for _, d := range []struct {
-		name   string
-		driver simgrid.Driver
-	}{
-		{"driver=tick", simgrid.DriverTick},
-		{"driver=event", simgrid.DriverEvent},
-	} {
-		b.Run(d.name, func(b *testing.B) {
-			var events int64
-			for i := 0; i < b.N; i++ {
-				events = run(d.driver).Events()
-			}
-			b.ReportMetric(simSeconds*float64(b.N)/b.Elapsed().Seconds(), "sim_s/wall_s")
-			b.ReportMetric(float64(events), "events")
-		})
+func scenarioBench(b *testing.B, simSeconds float64, run func() *simgrid.Engine) {
+	var events int64
+	for i := 0; i < b.N; i++ {
+		events = run().Events()
 	}
+	b.ReportMetric(simSeconds*float64(b.N)/b.Elapsed().Seconds(), "sim_s/wall_s")
+	b.ReportMetric(float64(events), "events")
 }
 
 func BenchmarkScenarioSparseLongHorizon(b *testing.B) {
 	// A trickle of batch jobs across a monitored three-site grid over
 	// ~11.5 simulated days: long stretches where nothing happens at all.
 	const horizon = 1_000_000.0
-	scenarioDrivers(b, horizon, func(d simgrid.Driver) *simgrid.Engine {
+	scenarioBench(b, horizon, func() *simgrid.Engine {
 		g := simgrid.NewGrid(time.Second, 1)
-		g.Engine.SetDriver(d)
 		repo := monalisa.NewRepository()
 		var pools []*condor.Pool
 		for s := 0; s < 3; s++ {
@@ -436,12 +422,11 @@ func BenchmarkScenarioSparseLongHorizon(b *testing.B) {
 
 func BenchmarkScenarioDenseBurst(b *testing.B) {
 	// A thousand short jobs slam one 64-machine pool at once: nearly every
-	// boundary carries work, so this bounds the event engine's overhead in
-	// the regime the tick loop was built for.
+	// boundary carries work, so this bounds the event queue's overhead in
+	// the regime where there is nothing to skip.
 	const horizon = 2_000.0
-	scenarioDrivers(b, horizon, func(d simgrid.Driver) *simgrid.Engine {
+	scenarioBench(b, horizon, func() *simgrid.Engine {
 		g := simgrid.NewGrid(time.Second, 1)
-		g.Engine.SetDriver(d)
 		site := g.AddSite("s")
 		pool := condor.NewPool("s", g, site)
 		for i := 0; i < 64; i++ {
@@ -464,13 +449,11 @@ func BenchmarkScenarioNetworkContention(b *testing.B) {
 	// Staging storms on a shared backbone: four leaf sites push bursts of
 	// replicas through one hub, 12 flows per burst contending on few
 	// links, with background utilization swinging between bursts. Bursts
-	// are separated by long idle stretches, so the tick driver pays for
-	// every boundary while the event driver pays only for flow
-	// perturbations — the network-flow analogue of SparseLongHorizon.
+	// are separated by long idle stretches, so the engine pays only for
+	// flow perturbations — the network-flow analogue of SparseLongHorizon.
 	const horizon = 200_000.0
-	scenarioDrivers(b, horizon, func(d simgrid.Driver) *simgrid.Engine {
+	scenarioBench(b, horizon, func() *simgrid.Engine {
 		g := simgrid.NewGrid(time.Second, 1)
-		g.Engine.SetDriver(d)
 		leaves := []string{"leaf0", "leaf1", "leaf2", "leaf3"}
 		hub := g.AddSite("hub")
 		for i, name := range leaves {

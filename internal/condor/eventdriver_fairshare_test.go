@@ -45,11 +45,11 @@ func (tr *fsTrace) diff(other *fsTrace) string {
 
 // runDriverFairshareScenario replays a multi-tenant fairness scenario
 // (the same specs the fairness simulator and benchmark use) under the
-// given driver and returns the full trace plus per-tenant completed CPU.
-func runDriverFairshareScenario(t *testing.T, sc workload.FairnessScenario, driver simgrid.Driver) (*fsTrace, map[string]float64) {
+// clock advanced by runFor and returns the full trace plus per-tenant
+// completed CPU.
+func runDriverFairshareScenario(t *testing.T, sc workload.FairnessScenario, runFor func(*simgrid.Engine, time.Duration)) (*fsTrace, map[string]float64) {
 	t.Helper()
 	g := simgrid.NewGrid(time.Second, 1)
-	g.Engine.SetDriver(driver)
 	site := g.AddSite("siteA")
 	pool := condor.NewPool("siteA", g, site)
 	for i := 0; i < sc.Machines; i++ {
@@ -99,7 +99,7 @@ func runDriverFairshareScenario(t *testing.T, sc workload.FairnessScenario, driv
 			meta[id] = sub
 		})
 	}
-	g.Engine.RunFor(time.Duration(sc.Ticks+60) * time.Second)
+	runFor(g.Engine, time.Duration(sc.Ticks+60)*time.Second)
 	for _, p := range pools {
 		infos, err := p.Jobs()
 		if err != nil {
@@ -111,7 +111,7 @@ func runDriverFairshareScenario(t *testing.T, sc workload.FairnessScenario, driv
 }
 
 // TestDriverEquivalenceFairshareScenarios runs every built-in
-// multi-tenant fairness scenario under both drivers: traces and
+// multi-tenant fairness scenario stepped and jumped: traces and
 // per-tenant allocation metrics must match exactly — the fair-share
 // accounting (decayed usage accrued tick by tick) is the most
 // timing-sensitive consumer of the engine.
@@ -119,10 +119,10 @@ func TestDriverEquivalenceFairshareScenarios(t *testing.T) {
 	for _, sc := range workload.FairnessScenarios() {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
-			tick, tickCPU := runDriverFairshareScenario(t, sc, simgrid.DriverTick)
-			ev, evCPU := runDriverFairshareScenario(t, sc, simgrid.DriverEvent)
+			tick, tickCPU := runDriverFairshareScenario(t, sc, condor.StepFor)
+			ev, evCPU := runDriverFairshareScenario(t, sc, (*simgrid.Engine).RunFor)
 			if d := tick.diff(ev); d != "" {
-				t.Fatalf("tick and event drivers diverged: %s", d)
+				t.Fatalf("stepping and event jumps diverged: %s", d)
 			}
 			if len(tickCPU) != len(evCPU) {
 				t.Fatalf("tenant sets diverged: %v vs %v", tickCPU, evCPU)

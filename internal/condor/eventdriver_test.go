@@ -13,10 +13,19 @@ import (
 
 // The tick-vs-event equivalence suite: identically seeded scenarios must
 // produce byte-identical job traces (every state transition with its
-// timestamp), assignments, and accounting under the legacy fixed-tick
-// driver and the discrete-event driver. This is the contract that lets
-// RunFor skip idle boundaries: nothing observable may depend on visiting
-// them.
+// timestamp), assignments, and accounting whether the clock steps through
+// every tick boundary or jumps from event to event. This is the contract
+// that lets RunFor skip idle boundaries: nothing observable may depend on
+// visiting them.
+
+// StepFor is Engine.RunFor visiting every boundary: the fixed-tick loop
+// whose traces RunFor's event jumps must reproduce. Exported for the
+// package's external tests.
+func StepFor(e *simgrid.Engine, d time.Duration) {
+	for n := (d + e.Tick() - 1) / e.Tick(); n > 0; n-- {
+		e.Step()
+	}
+}
 
 // driverTrace is one run's complete observable footprint.
 type driverTrace struct {
@@ -61,13 +70,12 @@ func collectOutcomes(t *testing.T, pools ...*Pool) []JobInfo {
 
 // runDriverParityScenario replays the golden-parity workload (flocking,
 // fair-share ordering, Requirements constraints, checkpoint-complete
-// migrants, fault injection) under the given driver, with submissions
-// arriving through engine timers so both drivers see the identical input
-// schedule.
-func runDriverParityScenario(t *testing.T, seed int64, driver simgrid.Driver) *driverTrace {
+// migrants, fault injection) advancing the clock with runFor, with
+// submissions arriving through engine timers so both runs see the
+// identical input schedule.
+func runDriverParityScenario(t *testing.T, seed int64, runFor func(*simgrid.Engine, time.Duration)) *driverTrace {
 	t.Helper()
 	g := simgrid.NewGrid(time.Second, 1)
-	g.Engine.SetDriver(driver)
 	siteA, siteB := g.AddSite("siteA"), g.AddSite("siteB")
 	poolA, poolB := NewPool("poolA", g, siteA), NewPool("poolB", g, siteB)
 	poolA.EnableFlocking(poolB)
@@ -114,22 +122,22 @@ func runDriverParityScenario(t *testing.T, seed int64, driver simgrid.Driver) *d
 			}
 		})
 	}
-	g.Engine.RunFor(400 * time.Second)
+	runFor(g.Engine, 400*time.Second)
 	tr.outcomes = collectOutcomes(t, poolA, poolB)
 	return tr
 }
 
-// TestDriverEquivalenceParitySeeds pins the refactor's core promise on
-// the condor parity seeds: the event driver reproduces the tick driver's
+// TestDriverEquivalenceParitySeeds pins the engine's core promise on the
+// condor parity seeds: event jumps reproduce every-boundary stepping's
 // traces transition for transition.
 func TestDriverEquivalenceParitySeeds(t *testing.T) {
 	for _, seed := range []int64{7, 42, 216} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
-			tick := runDriverParityScenario(t, seed, simgrid.DriverTick)
-			ev := runDriverParityScenario(t, seed, simgrid.DriverEvent)
+			tick := runDriverParityScenario(t, seed, StepFor)
+			ev := runDriverParityScenario(t, seed, (*simgrid.Engine).RunFor)
 			if d := tick.diff(ev); d != "" {
-				t.Fatalf("tick and event drivers diverged: %s", d)
+				t.Fatalf("stepping and event jumps diverged: %s", d)
 			}
 			if len(tick.events) == 0 {
 				t.Fatal("scenario produced no events; equivalence test is vacuous")
@@ -138,14 +146,13 @@ func TestDriverEquivalenceParitySeeds(t *testing.T) {
 	}
 }
 
-// TestDriverEquivalenceSparseLongHorizon is the sparse case the refactor
-// exists for: a long-horizon run with a handful of long jobs. The event
-// driver must visit orders of magnitude fewer boundaries while producing
+// TestDriverEquivalenceSparseLongHorizon is the sparse case the event
+// engine exists for: a long-horizon run with a handful of long jobs.
+// RunFor must visit orders of magnitude fewer boundaries while producing
 // the identical trace.
 func TestDriverEquivalenceSparseLongHorizon(t *testing.T) {
-	run := func(driver simgrid.Driver) (*driverTrace, int64) {
+	run := func(runFor func(*simgrid.Engine, time.Duration)) (*driverTrace, int64) {
 		g := simgrid.NewGrid(time.Second, 1)
-		g.Engine.SetDriver(driver)
 		site := g.AddSite("s")
 		pool := NewPool("s", g, site)
 		for i := 0; i < 16; i++ {
@@ -158,14 +165,14 @@ func TestDriverEquivalenceSparseLongHorizon(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		g.Engine.RunFor(200000 * time.Second)
+		runFor(g.Engine, 200000*time.Second)
 		tr.outcomes = collectOutcomes(t, pool)
 		return tr, g.Engine.Ticks()
 	}
-	tick, tickBoundaries := run(simgrid.DriverTick)
-	ev, evBoundaries := run(simgrid.DriverEvent)
+	tick, tickBoundaries := run(StepFor)
+	ev, evBoundaries := run((*simgrid.Engine).RunFor)
 	if d := tick.diff(ev); d != "" {
-		t.Fatalf("tick and event drivers diverged: %s", d)
+		t.Fatalf("stepping and event jumps diverged: %s", d)
 	}
 	for _, o := range tick.outcomes {
 		if o.Status != StatusCompleted {
@@ -173,7 +180,7 @@ func TestDriverEquivalenceSparseLongHorizon(t *testing.T) {
 		}
 	}
 	if evBoundaries*100 > tickBoundaries {
-		t.Fatalf("event driver visited %d boundaries vs %d ticks — expected ≥100x sparser", evBoundaries, tickBoundaries)
+		t.Fatalf("RunFor visited %d boundaries vs %d ticks — expected ≥100x sparser", evBoundaries, tickBoundaries)
 	}
 }
 

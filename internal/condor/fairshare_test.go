@@ -117,7 +117,8 @@ func TestFairShareCheckpointBaseNotDoubleCounted(t *testing.T) {
 	g.Engine.Step()
 	drought := fairshare.JobRef{Owner: "bob", Submitted: g.Engine.Now().Add(-time.Hour), Seq: 99}
 	fresh := fairshare.JobRef{Owner: "carol", Submitted: g.Engine.Now(), Seq: 100}
-	if !fs.LessAt(g.Engine.Now(), drought, fresh) {
+	keys := fs.SortKeysAt(g.Engine.Now(), []fairshare.JobRef{drought, fresh})
+	if !fairshare.LessKeys(drought, fresh, keys[0], keys[1]) {
 		t.Fatal("zero-work completion reset bob's starvation drought")
 	}
 }

@@ -130,8 +130,8 @@ type job struct {
 	ckptCPU float64  // last checkpointed CPU-seconds
 
 	// failAfter caches AttrFailAfter: >0 means the job needs per-tick
-	// supervision while running so fault injection trips at the same
-	// boundary the legacy per-tick harvest would have caught.
+	// supervision while running so fault injection trips at the first
+	// boundary where its CPU-seconds reach the threshold.
 	failAfter float64
 
 	// usageRecorded is the locally-executed CPU already reported to the

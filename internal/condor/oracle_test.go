@@ -1,0 +1,145 @@
+package condor
+
+import (
+	"sort"
+	"time"
+
+	"repro/internal/classad"
+	"repro/internal/fairshare"
+)
+
+// The seed's negotiation path, kept as the behavioral specification for
+// the production negotiator (negotiate.go, queue.go): a full re-sort of
+// the idle queue and a full free-machine rescan per tick, and a fresh ad
+// clone per (job, machine) candidate. TestNegotiationParity replays seeded
+// workloads through both and requires identical job→machine assignments
+// and timings; the order tests hold the incremental stream to the re-sort.
+// This is the replaced production code: the sort keeps the one Ranker arm
+// that ever had an implementation, and the negotiator asks for its own
+// per-tick cadence through loadWakeAt now that the pool re-arms for
+// nothing else.
+
+// useReferenceNegotiator switches p to the reference negotiator.
+func (p *Pool) useReferenceNegotiator() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.negotiateOracle = p.negotiateReferenceLocked
+}
+
+// idleSortedLocked returns the idle jobs in negotiation order by sorting
+// all of them: the fair-share policy's order when one is installed,
+// otherwise priority descending with FIFO within a level.
+func (p *Pool) idleSortedLocked() []*job {
+	var idle []*job
+	for _, id := range p.active {
+		j := p.jobs[id]
+		if j.status == StatusIdle {
+			idle = append(idle, j)
+		}
+	}
+	if p.fair != nil {
+		// Refs are built once per sort: a comparator that re-evaluates
+		// classad attributes per comparison dominates negotiation cost.
+		refs := make([]fairshare.JobRef, len(idle))
+		for i, j := range idle {
+			refs[i] = jobRef(j)
+		}
+		order := make([]int, len(idle))
+		for i := range order {
+			order[i] = i
+		}
+		// One timestamp for the whole pass keeps the comparator a strict
+		// weak ordering even on a clock that advances mid-sort, and the
+		// key form computes standing in one locked pass so the sort
+		// itself runs lock-free.
+		keys := p.fair.SortKeysAt(p.grid.Engine.Now(), refs)
+		sort.SliceStable(order, func(a, b int) bool {
+			ia, ib := order[a], order[b]
+			return fairshare.LessKeys(refs[ia], refs[ib], keys[ia], keys[ib])
+		})
+		out := make([]*job, len(idle))
+		for i, idx := range order {
+			out[i] = idle[idx]
+		}
+		return out
+	}
+	sort.SliceStable(idle, func(a, b int) bool {
+		if idle[a].priority != idle[b].priority {
+			return idle[a].priority > idle[b].priority
+		}
+		return idle[a].id < idle[b].id
+	})
+	return idle
+}
+
+func (p *Pool) negotiateReferenceLocked(now time.Time) int {
+	idle := p.idleSortedLocked()
+	if len(idle) == 0 {
+		return 0
+	}
+	free := p.scanFreeRefLocked()
+	var peerFree []*machine
+	if p.flockPeer != nil {
+		peerFree = p.flockPeer.freeMachinesRef()
+	}
+	matched := 0
+	for _, j := range idle {
+		m := pickMachineReference(j.ad, free, now)
+		if m == nil && len(peerFree) > 0 {
+			m = pickMachineReference(j.ad, peerFree, now)
+			peerFree = removeMachine(peerFree, m)
+		} else {
+			free = removeMachine(free, m)
+		}
+		if m == nil {
+			continue
+		}
+		p.startLocked(j, m, now)
+		matched++
+	}
+	if p.idleCount > 0 {
+		p.loadWakeAt = now.Add(p.grid.Engine.Tick())
+	}
+	return matched
+}
+
+// scanFreeRefLocked lists machines with no running task by scanning the
+// full machine list — the seed's per-tick behavior.
+func (p *Pool) scanFreeRefLocked() []*machine {
+	var out []*machine
+	for _, m := range p.machines {
+		if len(m.node.Tasks()) == 0 {
+			out = append(out, m)
+		}
+	}
+	return out
+}
+
+func (p *Pool) freeMachinesRef() []*machine {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.down {
+		return nil
+	}
+	return p.scanFreeRefLocked()
+}
+
+// pickMachineReference returns the matching machine with the highest job
+// Rank, breaking ties by machine name for determinism — cloning each
+// candidate's ad to overlay LoadAvg, as the seed did.
+func pickMachineReference(jobAd *classad.Ad, machines []*machine, now time.Time) *machine {
+	var best *machine
+	bestRank := 0.0
+	for _, m := range machines {
+		ad := m.ad.Clone()
+		ad.Set("LoadAvg", m.node.LoadAt(now))
+		if !classad.Match(jobAd, ad) {
+			continue
+		}
+		r := classad.Rank(jobAd, ad)
+		if best == nil || r > bestRank || (r == bestRank && m.node.Name < best.node.Name) {
+			best, bestRank = m, r
+		}
+	}
+	return best
+}

@@ -13,7 +13,7 @@ import (
 
 // The golden-parity suite: the indexed negotiator (per-cycle machine
 // snapshots, incremental free buckets, compiled matchers) must reproduce
-// the retained reference negotiator's job→machine assignments exactly —
+// the reference negotiator's (oracle_test.go) job→machine assignments exactly —
 // including flocking spillover, fair-share ordering, Requirements-
 // constrained jobs, checkpoint-complete submissions, and fault injection.
 
@@ -87,7 +87,10 @@ func runParityScenario(t *testing.T, seed int64, reference bool) []parityOutcome
 	g := simgrid.NewGrid(time.Second, 1)
 	siteA, siteB := g.AddSite("siteA"), g.AddSite("siteB")
 	poolA, poolB := NewPool("poolA", g, siteA), NewPool("poolB", g, siteB)
-	poolA.refNegotiate, poolB.refNegotiate = reference, reference
+	if reference {
+		poolA.useReferenceNegotiator()
+		poolB.useReferenceNegotiator()
+	}
 	poolA.EnableFlocking(poolB)
 	poolB.EnableFlocking(poolA)
 
@@ -204,7 +207,9 @@ func TestPickMachineDeterminismOnRankTies(t *testing.T) {
 			g := simgrid.NewGrid(time.Second, 1)
 			site := g.AddSite("s")
 			p := NewPool("p", g, site)
-			p.refNegotiate = reference
+			if reference {
+				p.useReferenceNegotiator()
+			}
 			for _, name := range order {
 				// Identical ads: every machine matches with rank 0.
 				p.AddMachine(site.AddNode(g.Engine, name, 1, simgrid.IdleLoad()), nil)

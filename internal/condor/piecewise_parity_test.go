@@ -10,19 +10,19 @@ import (
 	"repro/internal/simgrid"
 )
 
-// Driver parity across load-segment boundaries: machines whose background
-// load steps (StepLoad) or cycles (DiurnalLoad) gate matching through
-// LoadAvg requirements, so a job can only start once a segment boundary
-// lowers the load. The event driver computes those boundaries analytically
-// (loadWakeAt); the tick driver samples every boundary. Their traces must
-// be byte-identical, and the event run must stay sparse when every load
-// is piecewise. An opaque NoisyLoad machine pins the per-tick fallback.
+// Step/event parity across load-segment boundaries: machines whose
+// background load steps (StepLoad) or cycles (DiurnalLoad) gate matching
+// through LoadAvg requirements, so a job can only start once a segment
+// boundary lowers the load. The pool computes those boundaries
+// analytically (loadWakeAt); a Step loop visits every boundary anyway.
+// Their traces must be byte-identical, and the event run must stay sparse
+// when every load is piecewise. An opaque NoisyLoad machine pins the
+// per-tick fallback.
 
-func runPiecewiseParityScenario(t *testing.T, driver simgrid.Driver, noisy bool) (*driverTrace, int64) {
+func runPiecewiseParityScenario(t *testing.T, runFor func(*simgrid.Engine, time.Duration), noisy bool) (*driverTrace, int64) {
 	t.Helper()
 	epoch := time.Date(2005, 1, 1, 0, 0, 0, 0, time.UTC)
 	g := simgrid.NewGrid(time.Second, 1)
-	g.Engine.SetDriver(driver)
 	site := g.AddSite("s")
 	pool := NewPool("s", g, site)
 
@@ -63,16 +63,16 @@ func runPiecewiseParityScenario(t *testing.T, driver simgrid.Driver, noisy bool)
 			}
 		})
 	}
-	g.Engine.RunFor(3 * time.Hour)
+	runFor(g.Engine, 3*time.Hour)
 	tr.outcomes = collectOutcomes(t, pool)
 	return tr, g.Engine.Ticks()
 }
 
 func TestDriverEquivalencePiecewiseLoads(t *testing.T) {
-	tick, tickN := runPiecewiseParityScenario(t, simgrid.DriverTick, false)
-	ev, evN := runPiecewiseParityScenario(t, simgrid.DriverEvent, false)
+	tick, tickN := runPiecewiseParityScenario(t, StepFor, false)
+	ev, evN := runPiecewiseParityScenario(t, (*simgrid.Engine).RunFor, false)
 	if d := tick.diff(ev); d != "" {
-		t.Fatalf("tick and event drivers diverged: %s", d)
+		t.Fatalf("stepping and event jumps diverged: %s", d)
 	}
 	completed := 0
 	for _, o := range tick.outcomes {
@@ -83,17 +83,17 @@ func TestDriverEquivalencePiecewiseLoads(t *testing.T) {
 	if completed == 0 {
 		t.Fatal("no job completed; scenario is vacuous")
 	}
-	// Piecewise loads everywhere: the event driver needs at most one wake
+	// Piecewise loads everywhere: the event run needs at most one wake
 	// per load segment, not one per tick.
 	if evN*10 > tickN {
-		t.Fatalf("event driver visited %d boundaries vs %d ticks — expected ≥10x sparser", evN, tickN)
+		t.Fatalf("RunFor visited %d boundaries vs %d ticks — expected ≥10x sparser", evN, tickN)
 	}
 }
 
 func TestDriverEquivalenceOpaqueLoadFallback(t *testing.T) {
-	tick, _ := runPiecewiseParityScenario(t, simgrid.DriverTick, true)
-	ev, _ := runPiecewiseParityScenario(t, simgrid.DriverEvent, true)
+	tick, _ := runPiecewiseParityScenario(t, StepFor, true)
+	ev, _ := runPiecewiseParityScenario(t, (*simgrid.Engine).RunFor, true)
 	if d := tick.diff(ev); d != "" {
-		t.Fatalf("tick and event drivers diverged with an opaque load present: %s", d)
+		t.Fatalf("stepping and event jumps diverged with an opaque load present: %s", d)
 	}
 }

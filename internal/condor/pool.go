@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -37,10 +36,10 @@ var ErrNoSuchJob = fmt.Errorf("condor: no such job")
 // re-examined as time passes: idle jobs waiting on machines whose load is
 // an opaque function of time (Requirements like `LoadAvg < 0.5` may flip
 // at any tick; piecewise-constant loads wake the pool at their next
-// segment boundary instead), idle jobs under a Ranker the incremental
-// stream cannot serve, and running jobs that need per-tick supervision
-// (fault injection via AttrFailAfter, or eager fair-share usage accrual).
-// A drained pool with no queue costs the simulation nothing.
+// segment boundary instead), and running jobs that need per-tick
+// supervision (fault injection via AttrFailAfter, or eager fair-share
+// usage accrual). A drained pool with no queue costs the simulation
+// nothing.
 //
 // The negotiation hot path is indexed: free machines are maintained
 // incrementally in per-architecture buckets as jobs start and finish
@@ -50,9 +49,9 @@ var ErrNoSuchJob = fmt.Errorf("condor: no such job")
 // compiled to classad.Matchers with their static Arch/OpSys Requirements
 // constraints extracted, so each idle job evaluates the full ClassAd
 // match only against plausible candidates. The seed's O(idle × free)
-// clone-based negotiator is retained (see negotiateReferenceLocked) as
-// the specification the indexed path must reproduce assignment-for-
-// assignment; the golden-parity test runs both on identical workloads.
+// clone-based negotiator lives on in oracle_test.go as the specification
+// this path must reproduce assignment for assignment; the golden-parity
+// test runs both on identical workloads.
 type Pool struct {
 	Name string
 
@@ -76,9 +75,11 @@ type Pool struct {
 	peerScratch []*machine
 	refScratch  []fairshare.JobRef
 	curScratch  []ownerCursor
-	// streamScratch is the recycled negotiation stream: one stream is
-	// live per pass (built and drained under p.mu), so its slices are
-	// reused instead of reallocated on every wake.
+	// streamScratch is the recycled negotiation stream, its slices reused
+	// instead of reallocated on every wake. At most one stream is live at
+	// a time: a pass and an ordering query (Job, Jobs, QueueAbove) each
+	// build and drain theirs inside one critical section of p.mu, and
+	// nothing a pass calls asks for the order.
 	streamScratch negotiationStream
 	// pickGen/pickSorted back the rank-ordered pick: per pass, large free
 	// buckets are snapshotted once per rank class in preference order and
@@ -93,15 +94,15 @@ type Pool struct {
 	fairSink   fairshare.Sink
 	fairFlow   fairshare.FlowSink
 	fairStart  fairshare.StartObserver
-	// refNegotiate switches negotiation to the retained reference
-	// implementation; set only by the golden-parity test.
-	refNegotiate bool
+	// negotiateOracle, when set, runs in place of the negotiation pass. It
+	// is nil outside the golden-parity test, which installs the reference
+	// negotiator of oracle_test.go here.
+	negotiateOracle func(now time.Time) int
 
 	// owners holds the incrementally maintained negotiation queues (see
-	// queue.go): per-owner when a KeyRanker policy is installed
-	// (streamByOwner), one shared queue under the static policy.
-	owners        map[string]*ownerQueue
-	streamByOwner bool
+	// queue.go): per-owner under a fair-share policy, one shared queue
+	// under the static policy.
+	owners map[string]*ownerQueue
 
 	// idleCount / liveCount / superviseCount summarize the queue so the
 	// wake-up policy never walks it: idle jobs awaiting a match,
@@ -151,9 +152,7 @@ type Pool struct {
 	flockedFrom  []*Pool
 
 	// Pre-resolved telemetry handles (nil without SetTelemetry; nil
-	// instruments no-op). Negotiation metrics cover the indexed path
-	// only — the reference negotiator exists for the parity test, not
-	// production serving.
+	// instruments no-op).
 	obsWakes       *telemetry.Counter
 	obsIdleWakes   *telemetry.Counter
 	obsPasses      *telemetry.Counter
@@ -235,8 +234,7 @@ func NewPool(name string, grid *simgrid.Grid, site *simgrid.Site) *Pool {
 // requestWake asks for a negotiation/harvest pass at the earliest legal
 // boundary: the current one if this pool's turn is still ahead in the
 // boundary being processed (e.g. a completion deadline fired on a node
-// registered before the pool), the next one otherwise — exactly when the
-// legacy per-tick loop would next have reached the pool.
+// registered before the pool), the next one otherwise.
 func (p *Pool) requestWake() {
 	p.wake.Request(p.grid.Engine.Now())
 }
@@ -358,8 +356,9 @@ func (p *Pool) EnableFlocking(peer *Pool) {
 }
 
 // SetFairShare installs a fair-share policy: negotiation (and the
-// reported queue position) orders idle jobs by pol.Less instead of static
-// priority with FIFO, making the queue time-aware. If pol also implements
+// reported queue position) orders idle jobs by fairshare.LessKeys over
+// pol's keys instead of static priority with FIFO, making the queue
+// time-aware. If pol also implements
 // fairshare.Sink — as *fairshare.Manager does — the CPU-seconds each job
 // executed here are recorded as owner usage at this pool's site when the
 // job reaches a terminal state, closing the accounting loop the paper's
@@ -379,13 +378,12 @@ func (p *Pool) SetFairShare(pol fairshare.Ranker) {
 			p.closeFlowLocked(j)
 		}
 	}
+	rekey := (pol == nil) != (p.fair == nil)
 	p.fair = pol
 	p.fairSink, _ = pol.(fairshare.Sink)
 	p.fairFlow, _ = pol.(fairshare.FlowSink)
 	p.fairStart, _ = pol.(fairshare.StartObserver)
-	_, byOwner := p.fair.(fairshare.KeyRanker)
-	if byOwner != p.streamByOwner {
-		p.streamByOwner = byOwner
+	if rekey {
 		p.rebuildQueuesLocked()
 	}
 	// Re-derive supervision for running jobs under the new policy:
@@ -744,15 +742,14 @@ func (p *Pool) onWake(now time.Time) {
 }
 
 // rearmLocked schedules the pool's next wakeup. The per-tick drumbeat
-// survives only while a running job needs per-tick supervision, or while
-// idle jobs wait under a policy the incremental stream cannot serve
-// (an opaque Ranker, or the reference negotiator, which is specified as
-// a per-tick rescan). Otherwise the pool sleeps until an event wakes it
-// — with one analytic exception: when idle jobs went unmatched and some
-// free machine's advertised load will change at a known segment
-// boundary, the pass recorded that instant in loadWakeAt.
+// survives only while a running job needs per-tick supervision.
+// Otherwise the pool sleeps until an event wakes it — with one analytic
+// exception: when idle jobs went unmatched and some free machine's
+// advertised load will change at a known instant (a segment boundary, or
+// the next tick under an opaque load), the pass recorded that instant in
+// loadWakeAt.
 func (p *Pool) rearmLocked(now time.Time) {
-	if p.superviseCount > 0 || p.legacyTickLocked() {
+	if p.superviseCount > 0 {
 		p.wake.Request(now.Add(p.grid.Engine.Tick()))
 		return
 	}
@@ -761,29 +758,15 @@ func (p *Pool) rearmLocked(now time.Time) {
 	}
 }
 
-// legacyTickLocked reports whether idle jobs still force per-tick
-// negotiation: only under the reference negotiator or a Ranker outside
-// the incremental stream's reach.
-func (p *Pool) legacyTickLocked() bool {
-	if p.idleCount == 0 {
-		return false
-	}
-	if p.refNegotiate {
-		return true
-	}
-	_, ok := p.streamRankerLocked()
-	return !ok
-}
-
 // harvestLocked promotes finished tasks to Completed and applies fault
 // injection. While any running job is supervised (fault injection, or
-// eager fair-share accrual) it is the legacy walk over every active
+// eager fair-share accrual) it is a walk over every active
 // job, accruing usage tick by tick so a tenant holding machines with
 // long jobs is penalized while it runs — not only when the job finally
 // completes (Condor's periodic usage update does the same). With no
 // supervised jobs the pass touches exactly the jobs whose completion
-// deadlines fired (doneQ), in ID order — the order the legacy walk
-// would have promoted them — and the active list compacts lazily. A done
+// deadlines fired (doneQ), in ID order — the order the full walk
+// promotes them in — and the active list compacts lazily. A done
 // task needs no Remove: the node dropped it the moment it completed.
 // Returns the number of jobs taken to a terminal state.
 func (p *Pool) harvestLocked(now time.Time) int {
@@ -905,66 +888,6 @@ func (p *Pool) produceOutputLocked(j *job) {
 	_ = p.site.Storage().Put(j.outputFile, j.outputMB)
 }
 
-// idleOrderedLocked returns the idle jobs in negotiation order: the
-// fair-share policy's order when one is installed, otherwise priority
-// descending with FIFO within a level. The returned slice aliases a
-// per-pool scratch buffer valid until the next call under the same lock.
-func (p *Pool) idleOrderedLocked() []*job {
-	idle := p.idleScratch[:0]
-	for _, id := range p.active {
-		j := p.jobs[id]
-		if j.status == StatusIdle {
-			idle = append(idle, j)
-		}
-	}
-	p.idleScratch = idle
-	if p.fair != nil {
-		// Refs are built once per sort: a comparator that re-evaluates
-		// classad attributes per comparison dominates negotiation cost.
-		refs := make([]fairshare.JobRef, len(idle))
-		for i, j := range idle {
-			refs[i] = jobRef(j)
-		}
-		order := make([]int, len(idle))
-		for i := range order {
-			order[i] = i
-		}
-		// One timestamp for the whole pass keeps the comparator a strict
-		// weak ordering even on a clock that advances mid-sort, and the
-		// key form computes standing in one locked pass so the sort
-		// itself runs lock-free.
-		switch r := p.fair.(type) {
-		case fairshare.KeyRanker:
-			keys := r.SortKeysAt(p.grid.Engine.Now(), refs)
-			sort.SliceStable(order, func(a, b int) bool {
-				ia, ib := order[a], order[b]
-				return fairshare.LessKeys(refs[ia], refs[ib], keys[ia], keys[ib])
-			})
-		case fairshare.TickRanker:
-			now := p.grid.Engine.Now()
-			sort.SliceStable(order, func(a, b int) bool {
-				return r.LessAt(now, refs[order[a]], refs[order[b]])
-			})
-		default:
-			sort.SliceStable(order, func(a, b int) bool {
-				return p.fair.Less(refs[order[a]], refs[order[b]])
-			})
-		}
-		out := make([]*job, len(idle))
-		for i, idx := range order {
-			out[i] = idle[idx]
-		}
-		return out
-	}
-	sort.SliceStable(idle, func(a, b int) bool {
-		if idle[a].priority != idle[b].priority {
-			return idle[a].priority > idle[b].priority
-		}
-		return idle[a].id < idle[b].id
-	})
-	return idle
-}
-
 // jobRef is the fair-share policy's view of a queued job.
 func jobRef(j *job) fairshare.JobRef {
 	return fairshare.JobRef{
@@ -976,66 +899,23 @@ func jobRef(j *job) fairshare.JobRef {
 }
 
 // negotiateLocked matches idle jobs to free machines in negotiation
-// order; each job picks its highest-Rank matching machine. Under the
-// static policy or a KeyRanker the order comes from the incremental
-// stream (see queue.go) and the pass ends as soon as every offer is
-// spent; other rankers take the legacy sorted pass over the whole
-// queue. Either way the pass records, in loadWakeAt, the earliest
-// instant a free machine's advertised load is known to change — the
-// only time-driven reason to negotiate again before the next event.
-// Returns the number of jobs matched.
-func (p *Pool) negotiateLocked(now time.Time) int {
-	p.loadWakeAt = time.Time{}
-	if p.refNegotiate {
-		return p.negotiateReferenceLocked(now)
-	}
-	if kr, ok := p.streamRankerLocked(); ok {
-		return p.negotiateStreamLocked(now, kr)
-	}
-	idle := p.idleOrderedLocked()
-	if len(idle) == 0 {
-		return 0
-	}
-	var t0 time.Time
-	if p.obsPasses != nil {
-		t0 = time.Now() //lint:walltime telemetry: real pass latency for operator metrics, never read back into sim state
-	}
-	p.refreshFreeLocked(now)
-	var peerFree []*machine
-	if p.flockPeer != nil {
-		peerFree, _ = p.flockPeer.snapshotFreeFor(now, p.peerScratch[:0])
-		p.peerScratch = peerFree
-	}
-	matched := 0
-	for _, j := range idle {
-		m := p.pickIndexedLocked(j)
-		if m == nil && len(peerFree) > 0 {
-			m, _ = p.bestCandidate(j, peerFree, nil, 0)
-			peerFree = removeMachine(peerFree, m)
-		}
-		if m == nil {
-			continue
-		}
-		p.startLocked(j, m, now)
-		matched++
-	}
-	if p.obsPasses != nil {
-		p.obsPasses.Inc()
-		p.obsMatches.Add(int64(matched))
-		p.obsPassSeconds.Observe(time.Since(t0).Seconds()) //lint:walltime telemetry: real pass latency for operator metrics, never read back into sim state
-	}
-	return matched
-}
-
-// negotiateStreamLocked is the event-driven pass: idle jobs arrive from
-// the incrementally maintained queues in negotiation order, and the
-// walk stops the moment no offer remains — O(matched) plus the stream's
-// small per-owner bookkeeping, instead of O(idle log idle) every pass.
-// Offers are counted up front: local free machines not excluded for
+// order; each job picks its highest-Rank matching machine. Idle jobs
+// arrive from the incrementally maintained queues (see queue.go), and
+// the walk stops the moment no offer remains — O(matched) plus the
+// stream's small per-owner bookkeeping, instead of O(idle log idle) every
+// pass. Offers are counted up front: local free machines not excluded for
 // this pass, plus the flocking peer's snapshot. Jobs that match nothing
 // consume no offer and the stream simply moves on, so a queue full of
-// unmatchable jobs still drains passes quickly once offers run out.
-func (p *Pool) negotiateStreamLocked(now time.Time, kr fairshare.KeyRanker) int {
+// unmatchable jobs still drains passes quickly once offers run out. The
+// pass records, in loadWakeAt, the earliest instant a free machine's
+// advertised load is known to change — the only time-driven reason to
+// negotiate again before the next event. Returns the number of jobs
+// matched.
+func (p *Pool) negotiateLocked(now time.Time) int {
+	p.loadWakeAt = time.Time{}
+	if p.negotiateOracle != nil {
+		return p.negotiateOracle(now)
+	}
 	if p.idleCount == 0 {
 		return 0
 	}
@@ -1053,7 +933,7 @@ func (p *Pool) negotiateStreamLocked(now time.Time, kr fairshare.KeyRanker) int 
 	}
 	matched := 0
 	if st.avail > 0 || len(peerFree) > 0 {
-		stream := p.negotiationStreamLocked(now, kr)
+		stream := p.negotiationStreamLocked(now)
 		for st.avail > 0 || len(peerFree) > 0 {
 			j := stream.next()
 			if j == nil {
@@ -1078,8 +958,8 @@ func (p *Pool) negotiateStreamLocked(now time.Time, kr fairshare.KeyRanker) int 
 	}
 	if p.idleCount > 0 {
 		// Unmatched idle jobs remain: wake when a free machine's load is
-		// next known to change. Opaque (non-piecewise) loads force the
-		// legacy per-tick cadence; piecewise ones wake at the earliest
+		// next known to change. Opaque (non-piecewise) loads force a
+		// per-tick cadence; piecewise ones wake at the earliest
 		// segment boundary; with no free machines at all, only events can
 		// change the picture and no timer is needed.
 		if st.opaque {
@@ -1455,83 +1335,6 @@ func (p *Pool) drainReleasesLocked() {
 	p.relMu.Unlock()
 }
 
-// --- reference negotiator --------------------------------------------------
-//
-// The seed's negotiation path, kept as the behavioral specification for
-// the indexed implementation: a full free-machine rescan per tick and a
-// fresh ad clone per (job, machine) candidate. The golden-parity test
-// (TestNegotiationParity) replays seeded workloads through both paths and
-// requires identical job→machine assignments and timings.
-
-func (p *Pool) negotiateReferenceLocked(now time.Time) int {
-	idle := p.idleOrderedLocked()
-	if len(idle) == 0 {
-		return 0
-	}
-	free := p.scanFreeRefLocked()
-	var peerFree []*machine
-	if p.flockPeer != nil {
-		peerFree = p.flockPeer.freeMachinesRef()
-	}
-	matched := 0
-	for _, j := range idle {
-		m := pickMachineReference(j.ad, free, now)
-		if m == nil && len(peerFree) > 0 {
-			m = pickMachineReference(j.ad, peerFree, now)
-			peerFree = removeMachine(peerFree, m)
-		} else {
-			free = removeMachine(free, m)
-		}
-		if m == nil {
-			continue
-		}
-		p.startLocked(j, m, now)
-		matched++
-	}
-	return matched
-}
-
-// scanFreeRefLocked lists machines with no running task by scanning the
-// full machine list — the seed's per-tick behavior.
-func (p *Pool) scanFreeRefLocked() []*machine {
-	var out []*machine
-	for _, m := range p.machines {
-		if len(m.node.Tasks()) == 0 {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
-func (p *Pool) freeMachinesRef() []*machine {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.down {
-		return nil
-	}
-	return p.scanFreeRefLocked()
-}
-
-// pickMachineReference returns the matching machine with the highest job
-// Rank, breaking ties by machine name for determinism — cloning each
-// candidate's ad to overlay LoadAvg, as the seed did.
-func pickMachineReference(jobAd *classad.Ad, machines []*machine, now time.Time) *machine {
-	var best *machine
-	bestRank := 0.0
-	for _, m := range machines {
-		ad := m.ad.Clone()
-		ad.Set("LoadAvg", m.node.LoadAt(now))
-		if !classad.Match(jobAd, ad) {
-			continue
-		}
-		r := classad.Rank(jobAd, ad)
-		if best == nil || r > bestRank || (r == bestRank && m.node.Name < best.node.Name) {
-			best, bestRank = m, r
-		}
-	}
-	return best
-}
-
 func removeMachine(ms []*machine, m *machine) []*machine {
 	if m == nil {
 		return ms
@@ -1598,8 +1401,8 @@ func (p *Pool) runTaskLocked(j *job, m *machine, need float64) {
 // negotiate between this pool's harvests. Job status still transitions
 // at harvest time, driven by the doneQ entry left here, and the release
 // requests the wake that runs it: at this boundary if the pool's turn is
-// still ahead, otherwise at the next one — the same tick the legacy
-// per-tick harvest would have seen the completion.
+// still ahead, otherwise at the next one — the same tick the supervised
+// per-tick harvest sees the completion.
 func (p *Pool) taskDone(j *job) {
 	p.mu.Lock()
 	own := j.claimed != nil && j.claimed.owner == p

@@ -4,20 +4,21 @@ import (
 	"container/heap"
 	"sort"
 	"time"
-
-	"repro/internal/fairshare"
 )
 
-// This file maintains the negotiation order incrementally across passes.
+// This file maintains the negotiation order incrementally across passes
+// and is its one definition: negotiation passes, QueuePosition and
+// QueueAbove all read it off a negotiationStream.
 //
-// The legacy negotiator re-sorted every idle job on every pass —
-// O(idle log idle) per pass, ruinous for a deep backlog where each pass
-// matches only the handful of machines that freed since the last one.
-// The orders the pool actually negotiates under are both "block
-// orders" whose within-owner part is static:
+// Re-sorting every idle job on every pass is O(idle log idle) per pass,
+// ruinous for a deep backlog where each pass matches only the handful of
+// machines that freed since the last one (that sort survives in
+// oracle_test.go, where the order tests hold the stream to it). The
+// orders the pool negotiates under are both "block orders" whose
+// within-owner part is static:
 //
 //   - static policy (no fair share): priority desc, then ID asc;
-//   - fairshare.KeyRanker (the Manager): starved owners' oldest jobs
+//   - a fairshare.Ranker (the Manager): starved owners' oldest jobs
 //     first in FIFO order, then by (owner effective priority desc, job
 //     static priority desc, submit time, seq) — see fairshare.LessKeys.
 //
@@ -30,10 +31,6 @@ import (
 // owner-level standing — O(matched · log owners) instead of a full
 // sort. Stale entries (job left Idle, or priority changed) are skipped
 // lazily and garbage-collected as bucket heads advance past them.
-//
-// Rankers that are neither nil nor KeyRanker (an arbitrary Less) admit
-// no such decomposition; the pool falls back to the legacy sorted pass
-// for those.
 
 // qentry is one queue slot; it is stale once the job left Idle or its
 // qgen moved on (priority change re-filed it). A negative gen opts out
@@ -244,11 +241,11 @@ func (s *negotiationStream) next() *job {
 	return nil
 }
 
-// queueKey returns the owner queue a job files under: per-owner when a
-// key-ranking fair-share policy is installed, one shared queue under
-// the static policy.
+// queueKeyLocked returns the owner queue a job files under: per-owner
+// when a fair-share policy is installed, one shared queue under the
+// static policy.
 func (p *Pool) queueKeyLocked(j *job) string {
-	if p.streamByOwner {
+	if p.fair != nil {
 		return j.owner
 	}
 	return ""
@@ -292,27 +289,16 @@ func (p *Pool) rebuildQueuesLocked() {
 	}
 }
 
-// streamRanker reports whether the installed policy supports the
-// incremental stream (nil policy, or a KeyRanker whose order LessKeys
-// defines); other rankers use the legacy sorted pass.
-func (p *Pool) streamRankerLocked() (fairshare.KeyRanker, bool) {
-	if p.fair == nil {
-		return nil, true
-	}
-	kr, ok := p.fair.(fairshare.KeyRanker)
-	return kr, ok
-}
-
 // negotiationStreamLocked builds the pass's job stream at the given
 // instant. One SortKeysAt call over each owner's oldest job prices the
 // whole pass: it yields every owner's effective priority and marks the
 // starved picks, which a full-queue SortKeysAt would mark identically
 // (an owner's oldest job is starved iff any of its jobs is, and the
 // guard promotes exactly the oldest).
-func (p *Pool) negotiationStreamLocked(now time.Time, kr fairshare.KeyRanker) *negotiationStream {
+func (p *Pool) negotiationStreamLocked(now time.Time) *negotiationStream {
 	s := &p.streamScratch
 	s.starved, s.si, s.heap = s.starved[:0], 0, s.heap[:0]
-	if kr == nil {
+	if p.fair == nil {
 		// Static policy: single shared queue, priority desc then ID asc
 		// (submission order within a bucket), no owner-level standing.
 		if q, ok := p.owners[""]; ok && q.count > 0 {
@@ -346,7 +332,7 @@ func (p *Pool) negotiationStreamLocked(now time.Time, kr fairshare.KeyRanker) *n
 	if len(refs) == 0 {
 		return s
 	}
-	keys := kr.SortKeysAt(now, refs)
+	keys := p.fair.SortKeysAt(now, refs)
 	for i := range cursors {
 		cursors[i].ep = keys[i].Effective
 		if keys[i].Starved {
@@ -379,18 +365,15 @@ func (p *Pool) negotiationStreamLocked(now time.Time, kr fairshare.KeyRanker) *n
 // list head is already compacted.
 func (p *Pool) ownerOldest(q *ownerQueue) *job { return q.oldest() }
 
-// negotiationOrderLocked drains a fresh stream without matching —
-// test-only, for comparing the incremental order against the legacy
-// sorted order.
-func (p *Pool) negotiationOrderLocked(now time.Time) []*job {
-	kr, ok := p.streamRankerLocked()
-	if !ok {
-		return p.idleOrderedLocked()
-	}
-	s := p.negotiationStreamLocked(now, kr)
-	var out []*job
+// idleOrderedLocked returns the idle jobs in negotiation order by
+// draining a fresh stream without matching. The returned slice aliases a
+// per-pool scratch buffer valid until the next call under the same lock.
+func (p *Pool) idleOrderedLocked() []*job {
+	s := p.negotiationStreamLocked(p.grid.Engine.Now())
+	out := p.idleScratch[:0]
 	for j := s.next(); j != nil; j = s.next() {
 		out = append(out, j)
 	}
+	p.idleScratch = out
 	return out
 }

@@ -3,6 +3,7 @@ package condor
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -12,8 +13,8 @@ import (
 )
 
 // The incremental negotiation stream (per-owner FIFO buckets merged by a
-// cursor heap) must yield exactly the order the legacy full re-sort
-// produces — under the fair-share KeyRanker (effective priority, the
+// cursor heap) must yield exactly the order the full re-sort of
+// oracle_test.go produces — under the fair-share policy (effective priority, the
 // starvation guard's FIFO phase, static priority, submit time, id) and
 // under the static policy (priority desc, id asc). The scenarios below
 // churn the queue through every mutation that can stale an entry:
@@ -30,9 +31,8 @@ func orderIDs(js []*job) []int {
 func checkOrderParity(t *testing.T, p *Pool, label string) {
 	t.Helper()
 	p.mu.Lock()
-	now := p.grid.Engine.Now()
-	stream := orderIDs(p.negotiationOrderLocked(now))
-	legacy := orderIDs(p.idleOrderedLocked())
+	stream := orderIDs(p.idleOrderedLocked())
+	legacy := orderIDs(p.idleSortedLocked())
 	p.mu.Unlock()
 	if len(stream) != len(legacy) {
 		t.Fatalf("%s: stream yields %d jobs, legacy sort %d\nstream: %v\nlegacy: %v",
@@ -45,26 +45,42 @@ func checkOrderParity(t *testing.T, p *Pool, label string) {
 	}
 }
 
-func runOrderParityScenario(t *testing.T, seed int64, static bool) {
+// restoreCapture is one mid-run crash-recovery check of the order scenario:
+// at instant at the pool is exported with leases of ttl and restored into
+// a fresh pool on a fresh grid standing at the same instant.
+type restoreCapture struct {
+	at  time.Duration
+	ttl time.Duration
+}
+
+// orderCaptures takes one capture with live leases (running jobs re-bind)
+// and one with leases already expired (running jobs requeue idle).
+var orderCaptures = []restoreCapture{{150 * time.Second, testTTL}, {290 * time.Second, 0}}
+
+func runOrderParityScenario(t *testing.T, seed int64, static bool, captures []restoreCapture) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	g := simgrid.NewGrid(time.Second, 1)
-	g.Engine.SetDriver(simgrid.DriverEvent)
-	site := g.AddSite("s")
-	pool := NewPool("s", g, site)
-	// Few machines, many jobs: a deep backlog keeps a large idle queue
-	// alive across many negotiation passes.
-	for i := 0; i < 3; i++ {
-		pool.AddMachine(site.AddNode(g.Engine, fmt.Sprintf("n%d", i), 1, simgrid.ConstantLoad(0.25)), nil)
-	}
-	if !static {
+	// build makes the scenario's deployment: few machines for many jobs, so
+	// a deep backlog keeps a large idle queue alive across many passes.
+	build := func() (*simgrid.Grid, *Pool, *fairshare.Manager) {
+		g := simgrid.NewGrid(time.Second, 1)
+		site := g.AddSite("s")
+		pool := NewPool("s", g, site)
+		for i := 0; i < 3; i++ {
+			pool.AddMachine(site.AddNode(g.Engine, fmt.Sprintf("n%d", i), 1, simgrid.ConstantLoad(0.25)), nil)
+		}
+		if static {
+			return g, pool, nil
+		}
 		mgr := fairshare.NewManager(fairshare.Config{
 			Clock:            g.Engine.Clock(),
 			HalfLife:         time.Minute,
 			StarvationWindow: 40 * time.Second, // small: force phase-a promotions
 		})
 		pool.SetFairShare(mgr)
+		return g, pool, mgr
 	}
+	g, pool, mgr := build()
 
 	owners := []string{"alice", "bob", "carol", "dave", "erin"}
 	var ids []int
@@ -102,18 +118,120 @@ func runOrderParityScenario(t *testing.T, seed int64, static bool) {
 			checkOrderParity(t, pool, fmt.Sprintf("seed %d t=%ds", seed, s))
 		})
 	}
-	g.Engine.RunFor(420 * time.Second)
+	var ran time.Duration
+	for _, c := range captures {
+		g.Engine.RunFor(c.at - ran)
+		ran = c.at
+		label := fmt.Sprintf("seed %d restored at %v (ttl %v)", seed, c.at, c.ttl)
+		// The job at the tail of the order is re-filed just before the
+		// capture, so every capture holds a refile.
+		live := mustJobs(t, pool)
+		if tail := tailOfQueue(live); tail == nil {
+			t.Fatalf("%s: no idle job to re-file; the capture is vacuous", label)
+		} else if err := pool.SetPriority(tail.ID, tail.Priority+1); err != nil {
+			t.Fatal(err)
+		}
+		live = mustJobs(t, pool)
+
+		g2, pool2, mgr2 := build()
+		g2.Engine.RunFor(c.at)
+		if mgr2 != nil {
+			mgr2.Restore(mgr.Export())
+		}
+		if err := pool2.Restore(pool.Export(c.ttl)); err != nil {
+			t.Fatal(err)
+		}
+		checkOrderParity(t, pool2, label)
+		compareRestoredQueue(t, label, live, mustJobs(t, pool2), c.ttl > 0, static)
+	}
+	g.Engine.RunFor(420*time.Second - ran)
 	checkOrderParity(t, pool, fmt.Sprintf("seed %d final", seed))
+}
+
+func mustJobs(t *testing.T, p *Pool) []JobInfo {
+	t.Helper()
+	jobs, err := p.Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return jobs
+}
+
+// tailOfQueue returns the idle job with the last queue position, or nil.
+func tailOfQueue(jobs []JobInfo) *JobInfo {
+	var tail *JobInfo
+	for i := range jobs {
+		if j := &jobs[i]; j.Status == StatusIdle && (tail == nil || j.QueuePosition > tail.QueuePosition) {
+			tail = j
+		}
+	}
+	return tail
+}
+
+// compareRestoredQueue holds a restored pool's queue positions to the live
+// pool's at the capture instant. With leases live every job keeps its
+// status and its position. With leases expired the jobs that were running
+// requeue idle — at least one must — and take a place in the order, while
+// the jobs that were already idle stay idle and, under the static policy,
+// keep their order among themselves (under fair share a requeued job may
+// take over its owner's starvation pick, which moves the previous pick).
+func compareRestoredQueue(t *testing.T, label string, live, restored []JobInfo, leasesLive, static bool) {
+	t.Helper()
+	if len(live) != len(restored) {
+		t.Fatalf("%s: %d jobs live, %d restored", label, len(live), len(restored))
+	}
+	// idle lists the jobs idle on the live side by queue position there
+	// and here; positions are a permutation of 1..n on each side.
+	idleLive, idleRestored := make([]int, len(live)+1), make([]int, len(live)+1)
+	requeued := 0
+	for i, l := range live {
+		r := restored[i]
+		switch {
+		case l.ID != r.ID:
+			t.Fatalf("%s: job %d restored as %d", label, l.ID, r.ID)
+		case leasesLive && (l.Status != r.Status || l.QueuePosition != r.QueuePosition):
+			t.Errorf("%s: job %d is %v at position %d live, %v at position %d restored",
+				label, l.ID, l.Status, l.QueuePosition, r.Status, r.QueuePosition)
+		case l.Status == StatusRunning && r.Status == StatusIdle && r.QueuePosition > 0:
+			requeued++
+		case l.Status == StatusIdle:
+			if r.Status != StatusIdle {
+				t.Fatalf("%s: idle job %d restored as %v", label, l.ID, r.Status)
+			}
+			idleLive[l.QueuePosition], idleRestored[r.QueuePosition] = l.ID, r.ID
+		}
+	}
+	if leasesLive {
+		return
+	}
+	if requeued == 0 {
+		t.Fatalf("%s: no running job requeued by an expired lease; the capture is vacuous", label)
+	}
+	if !static {
+		return
+	}
+	var a, b []int
+	for i := range idleLive {
+		if idleLive[i] != 0 {
+			a = append(a, idleLive[i])
+		}
+		if idleRestored[i] != 0 {
+			b = append(b, idleRestored[i])
+		}
+	}
+	if !slices.Equal(a, b) {
+		t.Errorf("%s: idle jobs reordered among themselves\n live:     %v\n restored: %v", label, a, b)
+	}
 }
 
 func TestNegotiationOrderMatchesLegacySortFairShare(t *testing.T) {
 	for _, seed := range []int64{1, 33, 512} {
-		runOrderParityScenario(t, seed, false)
+		runOrderParityScenario(t, seed, false, orderCaptures)
 	}
 }
 
 func TestNegotiationOrderMatchesLegacySortStatic(t *testing.T) {
 	for _, seed := range []int64{2, 99} {
-		runOrderParityScenario(t, seed, true)
+		runOrderParityScenario(t, seed, true, orderCaptures)
 	}
 }

@@ -14,7 +14,8 @@ import (
 // deployment (scheduler site selection, input staging over the network,
 // MonALISA sampling, steering with an automatic migration, fault
 // injection with resubmission) must produce identical assignments, job
-// footprints, and notifications under both drivers.
+// footprints, and notifications whether the clock steps through every
+// boundary or jumps from event to event.
 
 type coreTrace struct {
 	assignments []scheduler.Assignment
@@ -22,7 +23,7 @@ type coreTrace struct {
 	notes       []steering.Notification
 }
 
-func runCoreScenario(t *testing.T, driver simgrid.Driver) *coreTrace {
+func runCoreScenario(t *testing.T, run func(*GAE, time.Duration)) *coreTrace {
 	t.Helper()
 	g := New(Config{
 		Seed: 7,
@@ -33,7 +34,6 @@ func runCoreScenario(t *testing.T, driver simgrid.Driver) *coreTrace {
 		Links: []LinkSpec{{A: "siteA", B: "siteB", MBps: 10, LatencyMS: 100}},
 		Users: []UserSpec{{Name: "physicist", Password: "pw", Credits: 1e6}},
 	})
-	g.Grid.Engine.SetDriver(driver)
 	g.Steering.PollInterval = 5 * time.Second
 	g.Steering.MinObservation = 20 * time.Second
 
@@ -65,7 +65,7 @@ func runCoreScenario(t *testing.T, driver simgrid.Driver) *coreTrace {
 		}
 	})
 
-	g.Run(600 * time.Second)
+	run(g, 600*time.Second)
 
 	tr := &coreTrace{notes: g.Steering.Notifications("physicist")}
 	for _, task := range []string{"prep", "main", "flaky"} {
@@ -89,8 +89,12 @@ func runCoreScenario(t *testing.T, driver simgrid.Driver) *coreTrace {
 }
 
 func TestDriverEquivalenceCoreScenario(t *testing.T) {
-	tick := runCoreScenario(t, simgrid.DriverTick)
-	ev := runCoreScenario(t, simgrid.DriverEvent)
+	tick := runCoreScenario(t, func(g *GAE, d time.Duration) {
+		for n := d / g.Grid.Engine.Tick(); n > 0; n-- {
+			g.Grid.Engine.Step()
+		}
+	})
+	ev := runCoreScenario(t, (*GAE).Run)
 
 	if len(tick.assignments) != len(ev.assignments) {
 		t.Fatalf("assignment counts diverged: %d vs %d", len(tick.assignments), len(ev.assignments))

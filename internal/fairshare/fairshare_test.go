@@ -2,6 +2,8 @@ package fairshare
 
 import (
 	"math"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 
@@ -92,27 +94,34 @@ func TestEffectivePriorityHierarchy(t *testing.T) {
 	}
 }
 
+// less reports whether a negotiation pass over a and b at the given
+// instant offers a first: LessKeys over one SortKeysAt call.
+func less(m *Manager, now time.Time, a, b JobRef) bool {
+	k := m.SortKeysAt(now, []JobRef{a, b})
+	return LessKeys(a, b, k[0], k[1])
+}
+
 func TestLessOrdersByEffectivePriority(t *testing.T) {
 	m, clock := newTestManager(Config{UsageScale: 100})
 	epoch := clock.Now()
 	a := JobRef{Owner: "alice", Submitted: epoch, Seq: 1}
 	b := JobRef{Owner: "bob", Submitted: epoch, Seq: 2}
 	// Equal standing: FIFO by sequence.
-	if !m.Less(a, b) || m.Less(b, a) {
+	if !less(m, clock.Now(), a, b) || less(m, clock.Now(), b, a) {
 		t.Fatal("equal standing should fall back to FIFO")
 	}
 	m.RecordUsage("alice", "", 500)
-	if !m.Less(b, a) || m.Less(a, b) {
+	if !less(m, clock.Now(), b, a) || less(m, clock.Now(), a, b) {
 		t.Fatal("bob should precede the heavy user alice")
 	}
 	// Static priority only breaks effective-priority ties.
 	hot := JobRef{Owner: "alice", StaticPriority: 99, Submitted: epoch, Seq: 3}
-	if m.Less(hot, b) {
+	if less(m, clock.Now(), hot, b) {
 		t.Fatal("static priority must not override fair-share standing")
 	}
 	aHot := JobRef{Owner: "alice", StaticPriority: 1, Submitted: epoch, Seq: 4}
 	aCold := JobRef{Owner: "alice", Submitted: epoch, Seq: 5}
-	if !m.Less(aHot, aCold) {
+	if !less(m, clock.Now(), aHot, aCold) {
 		t.Fatal("same owner: higher static priority first")
 	}
 }
@@ -123,7 +132,7 @@ func TestStarvationGuard(t *testing.T) {
 	m.RecordUsage("heavy", "", 1e6) // heavy is far beyond its share
 	clock.Advance(2 * time.Minute)
 	fresh := JobRef{Owner: "light", Submitted: clock.Now(), Seq: 2}
-	if !m.Less(old, fresh) {
+	if !less(m, clock.Now(), old, fresh) {
 		t.Fatal("starved job should outrank any fresh job")
 	}
 	// Guard disabled: standing decides again.
@@ -132,14 +141,14 @@ func TestStarvationGuard(t *testing.T) {
 	m2.RecordUsage("heavy", "", 1e6)
 	clock2.Advance(2 * time.Minute)
 	fresh2 := JobRef{Owner: "light", Submitted: clock2.Now(), Seq: 2}
-	if m2.Less(old2, fresh2) {
+	if less(m2, clock2.Now(), old2, fresh2) {
 		t.Fatal("with the guard disabled the light tenant should win")
 	}
 	// Two starved jobs: strict FIFO.
 	clock.Advance(time.Hour)
 	s1 := JobRef{Owner: "light", Submitted: clock.Now().Add(-3 * time.Hour), Seq: 9}
 	s2 := JobRef{Owner: "light", Submitted: clock.Now().Add(-2 * time.Hour), Seq: 3}
-	if !m.Less(s1, s2) || m.Less(s2, s1) {
+	if !less(m, clock.Now(), s1, s2) || less(m, clock.Now(), s2, s1) {
 		t.Fatal("starved jobs must order oldest-first")
 	}
 }
@@ -153,10 +162,10 @@ func TestServedTenantIsNotStarved(t *testing.T) {
 	m.ObserveStart("burst", clock.Now())
 	m.RecordUsage("burst", "", 500)
 	fresh := JobRef{Owner: "light", Submitted: clock.Now(), Seq: 2}
-	if m.Less(old, fresh) {
+	if less(m, clock.Now(), old, fresh) {
 		t.Fatal("backlogged-but-served tenant must not jump the queue via the guard")
 	}
-	if !m.Less(fresh, old) {
+	if !less(m, clock.Now(), fresh, old) {
 		t.Fatal("light tenant should win on effective priority")
 	}
 }
@@ -186,6 +195,10 @@ func TestStarvationGuardPromotesOneJobPerTenant(t *testing.T) {
 	}
 }
 
+// TestSortKeysMatchPairwiseOrder: LessKeys over one SortKeysAt call is a
+// strict total order on the refs priced together — exactly one direction
+// holds for every distinct pair — and sorting by it yields the policy's
+// order: the starved pick, then effective priority, static priority, FIFO.
 func TestSortKeysMatchPairwiseOrder(t *testing.T) {
 	m, clock := newTestManager(Config{UsageScale: 100, StarvationWindow: time.Minute})
 	epoch := clock.Now()
@@ -201,12 +214,19 @@ func TestSortKeysMatchPairwiseOrder(t *testing.T) {
 		{Owner: "fresh", StaticPriority: 5, Submitted: now, Seq: 5},
 	}
 	keys := m.SortKeysAt(now, refs)
+	order := []int{0, 1, 2, 3, 4}
+	sort.Slice(order, func(a, b int) bool {
+		return LessKeys(refs[order[a]], refs[order[b]], keys[order[a]], keys[order[b]])
+	})
+	if want := []int{0, 4, 2, 1, 3}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("sorted order = %v, want %v", order, want)
+	}
 	for i := range refs {
 		for j := range refs {
-			got := LessKeys(refs[i], refs[j], keys[i], keys[j])
-			want := m.LessAt(now, refs[i], refs[j])
-			if got != want {
-				t.Fatalf("LessKeys(%d,%d)=%v but LessAt=%v", i, j, got, want)
+			ij := LessKeys(refs[i], refs[j], keys[i], keys[j])
+			ji := LessKeys(refs[j], refs[i], keys[j], keys[i])
+			if (i == j && ij) || (i != j && ij == ji) {
+				t.Fatalf("LessKeys(%d,%d)=%v and LessKeys(%d,%d)=%v: not a strict total order", i, j, ij, j, i, ji)
 			}
 		}
 	}
@@ -246,24 +266,22 @@ func TestEffectivePriorityReadDoesNotRegister(t *testing.T) {
 	}
 }
 
+// TestLessAtUsesExplicitInstant: the instant handed to SortKeysAt — not
+// the manager's clock — decides who has starved.
 func TestLessAtUsesExplicitInstant(t *testing.T) {
 	m, clock := newTestManager(Config{UsageScale: 100, StarvationWindow: time.Minute})
 	a := JobRef{Owner: "x", Submitted: clock.Now(), Seq: 1}
 	b := JobRef{Owner: "y", Submitted: clock.Now(), Seq: 2}
 	m.RecordUsage("x", "", 500)
 	// At the current instant, y wins on effective priority.
-	if m.LessAt(clock.Now(), a, b) {
+	if less(m, clock.Now(), a, b) {
 		t.Fatal("heavy x should not precede y now")
 	}
 	// At an instant two windows in the future, a has starved: the explicit
 	// timestamp — not the clock — must decide.
 	future := clock.Now().Add(2 * time.Minute)
-	if !m.LessAt(future, a, b) {
+	if !less(m, future, a, b) {
 		t.Fatal("starved a should precede at the future instant")
-	}
-	// Less delegates to LessAt(clock.Now()).
-	if m.Less(a, b) != m.LessAt(clock.Now(), a, b) {
-		t.Fatal("Less and LessAt(now) disagree")
 	}
 }
 
@@ -283,10 +301,10 @@ func TestAnonymousOwnerCannotBypassFairShare(t *testing.T) {
 	m.ObserveStart("", clock.Now()) // ownerless work keeps being served
 	old := JobRef{Owner: "", Submitted: submitted, Seq: 1}
 	fresh := JobRef{Owner: "light", Submitted: clock.Now(), Seq: 2}
-	if m.Less(old, fresh) {
+	if less(m, clock.Now(), old, fresh) {
 		t.Fatal("ownerless job must not outrank a light tenant via the guard")
 	}
-	if !m.Less(fresh, old) {
+	if !less(m, clock.Now(), fresh, old) {
 		t.Fatal("light tenant should win on effective priority")
 	}
 }

@@ -28,23 +28,6 @@ type JobRef struct {
 	Seq            int       // submission sequence, the final FIFO tie-break
 }
 
-// Ranker orders competing idle jobs. Less reports whether a should be
-// offered a machine before b; implementations must be a strict weak
-// ordering so sorts are well-defined.
-type Ranker interface {
-	Less(a, b JobRef) bool
-}
-
-// TickRanker is the form callers should prefer when comparing pairs: the
-// caller captures one timestamp and uses it for the whole ordering pass,
-// so the comparator stays a strict weak ordering even on a clock that
-// advances mid-sort (a real-time vtime.Clock). Less alone re-reads the
-// clock per comparison, which is only safe on a frozen simulated clock.
-type TickRanker interface {
-	Ranker
-	LessAt(now time.Time, a, b JobRef) bool
-}
-
 // SortKey is one job's precomputed standing at one instant; together with
 // the JobRef's static fields it fully determines negotiation order.
 type SortKey struct {
@@ -52,11 +35,12 @@ type SortKey struct {
 	Effective float64
 }
 
-// KeyRanker is the bulk form sorts should prefer: all keys are computed
-// in one locked pass and the sort itself runs lock-free via LessKeys —
-// O(n) lock operations instead of O(n log n).
-type KeyRanker interface {
-	TickRanker
+// Ranker is a fair-share policy: SortKeysAt prices the refs considered
+// together in one negotiation pass — one key per ref, all at the single
+// instant the caller captured, so the order stays a strict weak ordering
+// even on a clock that advances mid-pass — and LessKeys orders any two of
+// them by those keys without calling back into the policy.
+type Ranker interface {
 	SortKeysAt(now time.Time, refs []JobRef) []SortKey
 }
 
@@ -96,8 +80,26 @@ func olderRef(a, b JobRef) bool {
 	return a.Seq < b.Seq
 }
 
-// LessKeys orders two jobs by their precomputed keys with exactly the
-// tie-breaks LessAt applies.
+// LessKeys reports whether a should be offered a machine before b, given
+// the keys one SortKeysAt call produced for both — the manager's
+// time-aware policy:
+//
+//  1. Starvation guard: each starved tenant's oldest queued job precedes
+//     any non-starved job; among those, oldest first. A tenant is starved
+//     when the job has waited longer than the configured window AND the
+//     tenant has not been allocated any machine within that window (per
+//     ObserveStart). Serving one job per starved tenant per pass, and
+//     treating a backlogged-but-served burst as not starved, keeps the
+//     guard a progress guarantee rather than a way to monopolize the
+//     pool. "Oldest" is decided over the refs of that one SortKeysAt call,
+//     so keys from different calls must not be mixed.
+//  2. Effective priority of the owning tenant, higher first.
+//  3. The job's static priority, higher first.
+//  4. Submission order (time, then sequence) — FIFO.
+//
+// Step 2 is what makes the queue time-aware: as a bursty tenant's decayed
+// usage grows, its remaining jobs sink below other tenants' regardless of
+// static priority.
 func LessKeys(a, b JobRef, ka, kb SortKey) bool {
 	if ka.Starved != kb.Starved {
 		return ka.Starved
@@ -155,39 +157,6 @@ func (m *Manager) ObserveStart(tenant string, at time.Time) {
 	if at.After(m.lastStart[tenant]) {
 		m.lastStart[tenant] = at
 	}
-}
-
-// Less implements Ranker with the manager's time-aware policy:
-//
-//  1. Starvation guard: each starved tenant's oldest queued job precedes
-//     any non-starved job; among those, oldest first. A tenant is starved
-//     when the job has waited longer than the configured window AND the
-//     tenant has not been allocated any machine within that window (per
-//     ObserveStart). Serving one job per starved tenant per pass, and
-//     treating a backlogged-but-served burst as not starved, keeps the
-//     guard a progress guarantee rather than a way to monopolize the
-//     pool. The guard is evaluated over the refs considered together, so
-//     pairwise Less sees a ref as its owner's oldest within that pair.
-//  2. Effective priority of the owning tenant, higher first.
-//  3. The job's static priority, higher first.
-//  4. Submission order (time, then sequence) — FIFO.
-//
-// Step 2 is what makes the queue time-aware: as a bursty tenant's decayed
-// usage grows, its remaining jobs sink below other tenants' regardless of
-// static priority.
-func (m *Manager) Less(a, b JobRef) bool {
-	return m.LessAt(m.clock.Now(), a, b)
-}
-
-// LessAt is Less evaluated at an explicit instant. It is defined in
-// terms of SortKeysAt/LessKeys, so pairwise comparison and bulk key
-// sorting can never disagree.
-func (m *Manager) LessAt(now time.Time, a, b JobRef) bool {
-	if a == b {
-		return false // irreflexive, and the oldest-starved pick needs distinct refs
-	}
-	keys := m.SortKeysAt(now, []JobRef{a, b})
-	return LessKeys(a, b, keys[0], keys[1])
 }
 
 // starvedLocked reports whether the job's wait and its owner's allocation

@@ -83,15 +83,34 @@ func TestStagingAbortedTaskNotSubmitted(t *testing.T) {
 	}
 }
 
-// runStagingStorm drives a staging storm under one driver: two tasks,
+// stepFor and stepUntil are Engine.RunFor and Engine.RunUntil visiting
+// every boundary: the fixed-tick loop whose traces the engine's event
+// jumps must reproduce.
+func stepFor(e *simgrid.Engine, d time.Duration) {
+	for n := (d + e.Tick() - 1) / e.Tick(); n > 0; n-- {
+		e.Step()
+	}
+}
+
+func stepUntil(e *simgrid.Engine, pred func() bool, max time.Duration) error {
+	for deadline := e.Now().Add(max); !pred(); e.Step() {
+		if e.Now().After(deadline) {
+			return fmt.Errorf("condition not reached within %v", max)
+		}
+	}
+	return nil
+}
+
+// runStagingStorm drives a staging storm, advancing the clock with runFor
+// and until (every boundary, or event to event): two tasks,
 // four 50MB inputs, all staged from siteA to siteB over one shared
 // 10MB/s link, with background utilization jumping to 0.5 mid-staging.
 // The trace captures assignments, pool job snapshots, and the staged
 // replica set.
-func runStagingStorm(t *testing.T, driver simgrid.Driver) []string {
+func runStagingStorm(t *testing.T, runFor func(*simgrid.Engine, time.Duration),
+	until func(*simgrid.Engine, func() bool, time.Duration) error) []string {
 	t.Helper()
 	g := simgrid.NewGrid(time.Second, 1)
-	g.Engine.SetDriver(driver)
 	repo := monalisa.NewRepository()
 	sched := New(Config{Grid: g, Monitor: repo})
 	pools := map[string]*condor.Pool{}
@@ -116,7 +135,7 @@ func runStagingStorm(t *testing.T, driver simgrid.Driver) []string {
 			t.Fatal(err)
 		}
 	}
-	g.Engine.RunFor(2 * time.Second)
+	runFor(g.Engine, 2*time.Second)
 
 	t1 := task("t1", 20)
 	t1.Inputs = []FileRef{
@@ -138,7 +157,7 @@ func runStagingStorm(t *testing.T, driver simgrid.Driver) []string {
 			t.Error(err)
 		}
 	})
-	if err := g.Engine.RunUntil(func() bool { d, ok := cp.Done(); return d && ok }, 10*time.Minute); err != nil {
+	if err := until(g.Engine, func() bool { d, ok := cp.Done(); return d && ok }, 10*time.Minute); err != nil {
 		t.Fatal(err)
 	}
 
@@ -163,11 +182,11 @@ func runStagingStorm(t *testing.T, driver simgrid.Driver) []string {
 }
 
 // TestStagingStormParityTickVsEvent: concurrent staging on a shared link
-// plus a mid-flight SetUtilization must leave byte-identical traces under
-// the tick and event drivers.
+// plus a mid-flight SetUtilization must leave byte-identical traces
+// whether the clock steps through every boundary or jumps between events.
 func TestStagingStormParityTickVsEvent(t *testing.T) {
-	tick := runStagingStorm(t, simgrid.DriverTick)
-	ev := runStagingStorm(t, simgrid.DriverEvent)
+	tick := runStagingStorm(t, stepFor, stepUntil)
+	ev := runStagingStorm(t, (*simgrid.Engine).RunFor, (*simgrid.Engine).RunUntil)
 	if len(tick) != len(ev) {
 		t.Fatalf("trace lengths diverged: %d vs %d\n tick: %v\n event: %v", len(tick), len(ev), tick, ev)
 	}

@@ -16,57 +16,22 @@
 // boundary. The engine is event-driven — it keeps a priority queue of
 // scheduled events and jumps the clock straight from boundary to
 // boundary, skipping grid points where nothing is scheduled — so cost
-// scales with work performed, not with simulated duration. The legacy
-// fixed-tick driver (visit every boundary; see Driver) and the Actor
-// compatibility layer (a registered actor becomes a self-rescheduling
-// once-per-tick event) are retained, and both drivers produce identical
-// traces by construction. All randomness flows from a single seeded
-// source, making every experiment reproducible bit for bit.
+// scales with work performed, not with simulated duration. Skipped
+// boundaries are empty by construction: stepping through every one of them
+// (Step) leaves the same trace, which the equivalence suites pin. All
+// randomness flows from a single seeded source, making every experiment
+// reproducible bit for bit.
 package simgrid
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
 	"sync"
 	"time"
 
 	"repro/internal/vtime"
 )
-
-// Driver selects how RunFor and RunUntil advance the simulation.
-type Driver int
-
-const (
-	// DriverEvent jumps the clock from scheduled event to scheduled
-	// event, skipping tick boundaries where nothing is due. This is the
-	// default: sparse scenarios cost what their events cost, not what
-	// their duration costs.
-	DriverEvent Driver = iota
-	// DriverTick visits every tick boundary, due events or not — the
-	// legacy fixed-tick loop. Traces are identical to DriverEvent (the
-	// extra boundaries are empty); the tick-vs-event equivalence suite
-	// pins that property.
-	DriverTick
-)
-
-// Actor is a component that evolves with simulated time. OnTick is called
-// once per engine step with the post-advance time and the tick duration.
-//
-// Actor is the compatibility layer over the event queue: AddActor wraps
-// the actor in a self-rescheduling once-per-tick event, so legacy
-// per-tick components keep working under either driver (at the cost of
-// forcing every boundary to be visited while registered).
-type Actor interface {
-	OnTick(now time.Time, dt time.Duration)
-}
-
-// ActorFunc adapts a function to the Actor interface.
-type ActorFunc func(now time.Time, dt time.Duration)
-
-// OnTick implements Actor.
-func (f ActorFunc) OnTick(now time.Time, dt time.Duration) { f(now, dt) }
 
 // event is one scheduled callback in the engine's queue. Events are held
 // by value: scheduling one allocates nothing.
@@ -80,8 +45,7 @@ type event struct {
 }
 
 // orderTimer sorts Schedule timers ahead of every registered component at
-// a boundary, mirroring the legacy Step order (timers first, then actors
-// in registration order).
+// a boundary: timers first, then components in registration order.
 const orderTimer = -1
 
 // before is the dispatch order: boundary, component order, requested
@@ -158,12 +122,11 @@ func (q *eventQueue) pop() event {
 // every axis); the tick is the simulation's time resolution — every event
 // fires on a multiple of it.
 type Engine struct {
-	mu     sync.Mutex
-	clock  *vtime.SimClock
-	start  time.Time
-	tick   time.Duration
-	rng    *rand.Rand
-	driver Driver
+	mu    sync.Mutex
+	clock *vtime.SimClock
+	start time.Time
+	tick  time.Duration
+	rng   *rand.Rand
 
 	eq        eventQueue
 	seq       int64
@@ -171,22 +134,15 @@ type Engine struct {
 
 	// nowTick is the clock's position as a tick index (the clock reads
 	// start + nowTick·tick; only the engine advances it). processing and
-	// curOrder are the cursor within the boundary being dispatched, so
-	// wake requests made mid-boundary land on the same boundary exactly
-	// when the legacy per-tick actor order would have reached them.
+	// curOrder are the cursor within the boundary being dispatched, so a
+	// wake requested mid-boundary lands on the same boundary exactly when
+	// the component's turn is still ahead.
 	nowTick    int64
 	processing bool
 	curOrder   int
 
 	ticks  int64 // boundaries visited
 	events int64 // events dispatched
-
-	actors []actorEntry
-}
-
-type actorEntry struct {
-	actor Actor
-	wake  *Wake
 }
 
 // NewEngine creates an engine with the given tick and RNG seed. A zero or
@@ -218,25 +174,8 @@ func (e *Engine) Tick() time.Duration { return e.tick }
 // it only from the simulation goroutine.
 func (e *Engine) Rand() *rand.Rand { return e.rng }
 
-// SetDriver selects the RunFor/RunUntil clock-advance strategy. The
-// default is DriverEvent; DriverTick restores the legacy visit-every-tick
-// loop. Traces are identical either way.
-func (e *Engine) SetDriver(d Driver) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.driver = d
-}
-
-// Driver returns the current clock-advance strategy.
-func (e *Engine) Driver() Driver {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.driver
-}
-
-// Ticks returns the number of tick boundaries visited so far. Under
-// DriverTick this is the legacy step count; under DriverEvent only
-// boundaries with scheduled events are visited (plus one per Step call).
+// Ticks returns the number of tick boundaries visited so far: those with
+// scheduled events, plus one per Step call.
 func (e *Engine) Ticks() int64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -253,8 +192,7 @@ func (e *Engine) Events() int64 {
 }
 
 // AlignTicks rounds d up to a whole number of ticks (minimum one) — the
-// period a legacy elapsed-accumulator actor with threshold d would
-// effectively fire at.
+// period at which a component polling every d actually fires.
 func (e *Engine) AlignTicks(d time.Duration) time.Duration {
 	k := (d + e.tick - 1) / e.tick
 	if k < 1 {
@@ -281,9 +219,8 @@ func (e *Engine) timeOf(k int64) time.Time {
 // Wake is a registered component's slot in the event queue. A component
 // holds one Wake and asks to be run at (or after) chosen instants; the
 // engine fires it at most once per tick boundary, ordered against other
-// components by registration order — exactly where the legacy tick loop
-// would have reached it. Requests coalesce: the earliest pending request
-// wins.
+// components by registration order. Requests coalesce: the earliest
+// pending request wins.
 type Wake struct {
 	e     *Engine
 	fn    func(now time.Time)
@@ -297,8 +234,7 @@ type Wake struct {
 }
 
 // Register adds a component to the engine and returns its Wake. The
-// registration order is the component's position within a tick boundary,
-// matching where AddActor would have placed it in the legacy loop.
+// registration order is the component's position within a tick boundary.
 func (e *Engine) Register(fn func(now time.Time)) *Wake {
 	if fn == nil {
 		panic("simgrid: Register with nil function")
@@ -311,12 +247,12 @@ func (e *Engine) Register(fn func(now time.Time)) *Wake {
 }
 
 // Request asks for the component to run at the first legal tick boundary
-// at or after at. "Legal" preserves the legacy once-per-tick actor
-// semantics: a request for the current boundary is honored only if the
-// component's turn (its registration order) has not yet passed in the
-// boundary being processed and it has not already fired there; otherwise
-// it lands on the next boundary. Requests never postpone an
-// earlier-or-equal pending request.
+// at or after at. "Legal" keeps a component to one firing per boundary,
+// in registration order: a request for the current boundary is honored
+// only if the component's turn has not yet passed in the boundary being
+// processed and it has not already fired there; otherwise it lands on the
+// next boundary. Requests never postpone an earlier-or-equal pending
+// request.
 func (w *Wake) Request(at time.Time) {
 	e := w.e
 	e.mu.Lock()
@@ -352,8 +288,7 @@ func (w *Wake) Cancel() {
 // engine wakes it only at poll boundaries, and the interval function is
 // re-read at every wakeup, so intervals configured after construction
 // (but before the simulation runs) take effect from the first poll and
-// later changes apply from the next one. The poll cadence matches the
-// legacy elapsed-accumulator actors: the interval rounds up to whole
+// later changes apply from the next one. The interval rounds up to whole
 // ticks, counted from the previous poll.
 type Poller struct {
 	e        *Engine
@@ -394,8 +329,8 @@ func (p *Poller) onWake(now time.Time) {
 
 // horizonFor reports the instant up to which a component with the given
 // registration order is current: mid-boundary, components whose turn has
-// not yet come see state as of the previous boundary, exactly as they
-// would have in the legacy tick loop.
+// not yet come see state as of the previous boundary — the ordering
+// contract the every-boundary equivalence suites pin.
 func (e *Engine) horizonFor(order int) time.Time {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -403,54 +338,6 @@ func (e *Engine) horizonFor(order int) time.Time {
 		return e.timeOf(e.nowTick - 1)
 	}
 	return e.timeOf(e.nowTick)
-}
-
-// AddActor registers a legacy actor: it becomes a self-rescheduling
-// once-per-tick event, invoked at every boundary in registration order.
-// While any actor is registered, every tick boundary is visited, so the
-// event driver degrades gracefully to the legacy cadence.
-func (e *Engine) AddActor(a Actor) {
-	var w *Wake
-	w = e.Register(func(now time.Time) {
-		a.OnTick(now, e.tick)
-		w.Request(now.Add(e.tick))
-	})
-	e.mu.Lock()
-	e.actors = append(e.actors, actorEntry{actor: a, wake: w})
-	e.mu.Unlock()
-	w.Request(e.Now().Add(e.tick))
-}
-
-// RemoveActor unregisters a previously added actor. Pointer actors compare
-// by identity; ActorFunc values compare by code pointer.
-func (e *Engine) RemoveActor(a Actor) {
-	e.mu.Lock()
-	var w *Wake
-	for i, entry := range e.actors {
-		if sameActor(entry.actor, a) {
-			w = entry.wake
-			e.actors = append(e.actors[:i], e.actors[i+1:]...)
-			break
-		}
-	}
-	e.mu.Unlock()
-	if w != nil {
-		w.Cancel()
-	}
-}
-
-func sameActor(a, b Actor) bool {
-	va, vb := reflect.ValueOf(a), reflect.ValueOf(b)
-	if va.Kind() == reflect.Func || vb.Kind() == reflect.Func {
-		return va.Kind() == vb.Kind() && va.Pointer() == vb.Pointer()
-	}
-	if va.Type() != vb.Type() {
-		return false
-	}
-	if !va.Comparable() {
-		return false
-	}
-	return a == b
 }
 
 // Schedule runs fn once the simulated clock has advanced by delay,
@@ -461,8 +348,7 @@ func sameActor(a, b Actor) bool {
 // A callback scheduled for the current instant — delay ≤ 0, whether
 // between boundaries or during event dispatch — never fires in the same
 // pass: it runs at the NEXT tick boundary. This is pinned by
-// TestScheduleCurrentInstantFiresNextBoundary and matches the legacy
-// fixed-tick behavior ("non-positive delays fire on the next step").
+// TestScheduleCurrentInstantFiresNextBoundary.
 func (e *Engine) Schedule(delay time.Duration, fn func(now time.Time)) {
 	if fn == nil {
 		panic("simgrid: Schedule with nil function")
@@ -537,24 +423,17 @@ func (e *Engine) tickNow() int64 {
 }
 
 // Step advances the simulation by exactly one tick, dispatching whatever
-// is due at that boundary — the legacy fixed-tick step.
+// is due at that boundary. A Step loop visits every boundary RunFor would
+// jump over; the two leave identical traces.
 func (e *Engine) Step() {
 	e.processBoundary(e.tickNow() + 1)
 }
 
-// RunFor advances the simulation by d (rounded up to whole ticks). Under
-// DriverEvent the clock jumps from scheduled boundary to scheduled
-// boundary and then straight to the target; under DriverTick every
-// boundary is visited.
+// RunFor advances the simulation by d (rounded up to whole ticks): the
+// clock jumps from scheduled boundary to scheduled boundary and then
+// straight to the target.
 func (e *Engine) RunFor(d time.Duration) {
-	steps := int64((d + e.tick - 1) / e.tick)
-	if e.Driver() == DriverTick {
-		for i := int64(0); i < steps; i++ {
-			e.Step()
-		}
-		return
-	}
-	target := e.tickNow() + steps
+	target := e.tickNow() + int64((d+e.tick-1)/e.tick)
 	for {
 		k, ok := e.nextEventTick()
 		if !ok || k > target {
@@ -571,12 +450,11 @@ func (e *Engine) RunFor(d time.Duration) {
 // so skipping empty boundaries cannot delay detection.
 func (e *Engine) RunUntil(pred func() bool, max time.Duration) error {
 	deadline := e.Now().Add(max)
-	// The tick loop keeps stepping while now ≤ deadline, so the last
+	// A Step loop keeps stepping while now ≤ deadline, so the last
 	// boundary it processes — and where it leaves the clock on timeout —
-	// is the first grid boundary strictly after the deadline. The event
-	// driver must honor the same limit (not the raw deadline, which may
-	// lie off-grid) or the two drivers would diverge on events landing
-	// in that final overshoot step.
+	// is the first grid boundary strictly after the deadline. The jumps
+	// honor the same limit (not the raw deadline, which may lie off-grid)
+	// so events landing in that final overshoot step still fire.
 	limit := e.tickCeil(deadline)
 	if !e.timeOf(limit).After(deadline) {
 		limit++
@@ -585,15 +463,11 @@ func (e *Engine) RunUntil(pred func() bool, max time.Duration) error {
 		if e.Now().After(deadline) {
 			return fmt.Errorf("simgrid: condition not reached within %v (now %v)", max, e.Now())
 		}
-		if e.Driver() == DriverTick {
-			e.Step()
-			continue
-		}
 		k, ok := e.nextEventTick()
 		if !ok || k > limit {
 			// Nothing left inside the window can change pred; jump to the
 			// overshoot boundary so the next iteration reports the timeout
-			// with the clock exactly where the tick driver would leave it.
+			// with the clock exactly where a Step loop would leave it.
 			e.jumpTo(limit)
 			continue
 		}

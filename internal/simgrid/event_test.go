@@ -8,8 +8,39 @@ import (
 )
 
 // Tests for the discrete-event engine core: Schedule quantization and
-// same-instant semantics, event-driver boundary skipping, wake ordering,
-// and the event-driven node's accrual/deadline machinery.
+// same-instant semantics, boundary skipping, wake ordering, and the
+// event-driven node's accrual/deadline machinery.
+
+// stepFor is RunFor visiting every boundary: the fixed-tick loop whose
+// traces RunFor's event jumps must reproduce.
+func stepFor(e *Engine, d time.Duration) {
+	for n := (d + e.Tick() - 1) / e.Tick(); n > 0; n-- {
+		e.Step()
+	}
+}
+
+// stepUntil is RunUntil visiting every boundary.
+func stepUntil(e *Engine, pred func() bool, max time.Duration) error {
+	deadline := e.Now().Add(max)
+	for !pred() {
+		if e.Now().After(deadline) {
+			return fmt.Errorf("condition not reached within %v (now %v)", max, e.Now())
+		}
+		e.Step()
+	}
+	return nil
+}
+
+// advances pairs the two ways of moving the clock the equivalence tests
+// compare.
+var advances = []struct {
+	name   string
+	runFor func(*Engine, time.Duration)
+	until  func(*Engine, func() bool, time.Duration) error
+}{
+	{"step", stepFor, stepUntil},
+	{"event", (*Engine).RunFor, (*Engine).RunUntil},
+}
 
 // TestScheduleCurrentInstantFiresNextBoundary pins the Schedule
 // semantics documented on the method: a callback scheduled for the
@@ -59,17 +90,16 @@ func TestScheduleQuantizesToGrid(t *testing.T) {
 	}
 }
 
-// TestEventDriverSkipsIdleBoundaries is the engine-level statement of the
-// refactor: with only a far-future timer scheduled, RunFor visits one
-// boundary instead of thousands, and the clock still lands exactly where
-// the tick driver would put it.
+// TestEventDriverSkipsIdleBoundaries: with only a far-future timer
+// scheduled, RunFor visits one boundary instead of thousands, and the
+// clock still lands exactly where stepping would put it.
 func TestEventDriverSkipsIdleBoundaries(t *testing.T) {
 	e := NewEngine(time.Second, 1)
 	fired := time.Time{}
 	e.Schedule(10000*time.Second, func(now time.Time) { fired = now })
 	e.RunFor(20000 * time.Second)
 	if e.Ticks() != 1 {
-		t.Fatalf("event driver visited %d boundaries, want 1", e.Ticks())
+		t.Fatalf("RunFor visited %d boundaries, want 1", e.Ticks())
 	}
 	if got := fired.Sub(NewEngine(time.Second, 1).Now()); got != 10000*time.Second {
 		t.Fatalf("timer fired at +%v, want +10000s", got)
@@ -124,7 +154,7 @@ func TestWakeRequestDuringOwnFiring(t *testing.T) {
 		}
 	}
 	if e.Ticks() != int64(len(want)) {
-		t.Fatalf("event driver visited %d boundaries for %d wakes", e.Ticks(), len(want))
+		t.Fatalf("RunFor visited %d boundaries for %d wakes", e.Ticks(), len(want))
 	}
 }
 
@@ -190,10 +220,9 @@ func TestPiecewiseDetection(t *testing.T) {
 	}
 }
 
-// TestAttachedNodeSchedulesDeadline: a constant-load attached node runs a
-// task to completion as a single deadline event, at the exact boundary
-// the legacy per-tick loop would have completed it, with onDone firing
-// there.
+// TestAttachedNodeSchedulesDeadline: a constant-load node runs a task to
+// completion as a single deadline event, at the exact boundary per-tick
+// accrual completes it, with onDone firing there.
 func TestAttachedNodeSchedulesDeadline(t *testing.T) {
 	g := NewGrid(time.Second, 1)
 	s := g.AddSite("s")
@@ -217,9 +246,11 @@ func TestAttachedNodeSchedulesDeadline(t *testing.T) {
 	}
 }
 
-// TestAttachedNodeLazyReads: progress read mid-run on an attached node
-// must reflect the elapsed simulated time even though no engine event has
-// touched the node since placement.
+// TestAttachedNodeLazyReads: progress read mid-run must reflect the
+// elapsed simulated time even though no engine event has touched the node
+// since placement. Under 60% background load a 100 CPU-second job
+// progresses at 0.4/s, and wall-clock shows 40s after 100s (Condor counts
+// only actual execution time — the Figure 7 progress proxy).
 func TestAttachedNodeLazyReads(t *testing.T) {
 	g := NewGrid(time.Second, 1)
 	s := g.AddSite("s")
@@ -238,38 +269,22 @@ func TestAttachedNodeLazyReads(t *testing.T) {
 	}
 }
 
-// TestAttachedNodeVaryingLoadMatchesActorNode: a time-varying load cannot
-// be solved analytically, so the attached node falls back to per-tick
-// wakeups — and must reproduce the plain actor-driven node's trajectory
-// bit for bit.
+// TestAttachedNodeVaryingLoadMatchesActorNode: under a stepped load the
+// node re-derives its deadline segment by segment — and must reproduce
+// the per-tick reference node's trajectory bit for bit.
 func TestAttachedNodeVaryingLoadMatchesActorNode(t *testing.T) {
 	epoch := time.Date(2005, 1, 1, 0, 0, 0, 0, time.UTC)
 	load := StepLoad(epoch, []time.Duration{30 * time.Second, 60 * time.Second}, []float64{0.1, 0.8, 0.4})
-
-	// Reference: standalone node driven as a per-tick actor.
-	eRef := NewEngine(time.Second, 1)
-	nRef := NewNode("n", "s", 1, load)
-	eRef.AddActor(nRef)
-	tRef := NewTask("t", 50, nil)
-	nRef.Place(tRef)
-
-	// Attached node under the event driver.
-	g := NewGrid(time.Second, 1)
-	nEv := g.AddSite("s").AddNode(g.Engine, "n", 1, load)
-	tEv := NewTask("t", 50, nil)
-	nEv.Place(tEv)
-
+	p := newNodePair(time.Second, 1, load)
+	p.do(func(s *nodeSide) { s.place(50) })
 	for i := 0; i < 120; i++ {
-		eRef.RunFor(time.Second)
-		g.Engine.RunFor(time.Second)
-		if tRef.CPUSeconds() != tEv.CPUSeconds() || tRef.WallClock() != tEv.WallClock() || tRef.State() != tEv.State() {
-			t.Fatalf("tick %d diverged: actor(cpu=%v wall=%v %v) vs event(cpu=%v wall=%v %v)",
-				i+1, tRef.CPUSeconds(), tRef.WallClock(), tRef.State(),
-				tEv.CPUSeconds(), tEv.WallClock(), tEv.State())
+		p.runFor(time.Second)
+		if d := p.check(); d != "" {
+			t.Fatalf("tick %d diverged: %s", i+1, d)
 		}
 	}
-	if tEv.State() != TaskDone {
-		t.Fatalf("task did not complete under varying load: %v", tEv.State())
+	if p.ev.tasks[0].State() != TaskDone {
+		t.Fatalf("task did not complete under varying load: %v", p.ev.tasks[0].State())
 	}
 }
 
@@ -283,6 +298,9 @@ func TestAttachedNodeSuspendResumeMidFlight(t *testing.T) {
 	n.Place(task)
 	g.Engine.RunFor(30 * time.Second)
 	task.Suspend()
+	if task.State() != TaskSuspended {
+		t.Fatalf("state after suspend = %v", task.State())
+	}
 	if got := task.CPUSeconds(); math.Abs(got-30) > 1e-9 {
 		t.Fatalf("cpu at suspend = %v, want 30", got)
 	}
@@ -302,7 +320,7 @@ func TestAttachedNodeSuspendResumeMidFlight(t *testing.T) {
 
 // TestAttachedNodeShareRecomputedOnPlacement: placing a second task
 // mid-flight settles the first under the old share and halves both
-// shares afterwards, matching the legacy loop's per-tick recomputation.
+// shares afterwards.
 func TestAttachedNodeShareRecomputedOnPlacement(t *testing.T) {
 	g := NewGrid(time.Second, 1)
 	n := g.AddSite("s").AddNode(g.Engine, "n", 1, IdleLoad())
@@ -363,20 +381,19 @@ func TestFullyLoadedNodeSchedulesNothing(t *testing.T) {
 }
 
 // TestRunUntilEventDriverTimesOut: with nothing scheduled, RunUntil must
-// still terminate with the legacy timeout error rather than spinning.
+// still terminate with the timeout error rather than spinning.
 func TestRunUntilEventDriverTimesOut(t *testing.T) {
 	e := NewEngine(time.Second, 1)
 	if err := e.RunUntil(func() bool { return false }, 5*time.Second); err == nil {
-		t.Fatal("RunUntil(never) did not time out under the event driver")
+		t.Fatal("RunUntil(never) did not time out with an empty queue")
 	}
 }
 
 // TestDriverIndependentTransferCompletion: network transfers are engine
-// timers; both drivers must deliver them at the same instant.
+// timers; stepping and jumping must deliver them at the same instant.
 func TestDriverIndependentTransferCompletion(t *testing.T) {
-	for _, driver := range []Driver{DriverTick, DriverEvent} {
+	for _, adv := range advances {
 		g := NewGrid(time.Second, 1)
-		g.Engine.SetDriver(driver)
 		g.AddSite("a")
 		g.AddSite("b")
 		g.Network.Connect("a", "b", Link{BandwidthMBps: 10, Latency: 100 * time.Millisecond})
@@ -384,10 +401,10 @@ func TestDriverIndependentTransferCompletion(t *testing.T) {
 		if _, err := g.Network.StartTransfer("a", "b", 50, func(time.Duration) { doneAt = g.Engine.Now() }); err != nil {
 			t.Fatal(err)
 		}
-		g.Engine.RunFor(10 * time.Second)
+		adv.runFor(g.Engine, 10*time.Second)
 		// 5s + 100ms latency, quantized up to the 6s boundary.
 		if got := doneAt.Sub(time.Date(2005, 1, 1, 0, 0, 0, 0, time.UTC)); got != 6*time.Second {
-			t.Fatalf("driver %v: transfer completed at +%v, want +6s", driver, got)
+			t.Fatalf("%s: transfer completed at +%v, want +6s", adv.name, got)
 		}
 	}
 }
@@ -397,7 +414,7 @@ func ExampleEngine_Schedule() {
 	e.Schedule(90*time.Second, func(now time.Time) {
 		fmt.Println("fired after", now.Sub(time.Date(2005, 1, 1, 0, 0, 0, 0, time.UTC)))
 	})
-	// The event driver jumps straight to the timer's boundary.
+	// RunFor jumps straight to the timer's boundary.
 	e.RunFor(10 * time.Minute)
 	fmt.Println("boundaries visited:", e.Ticks())
 	// Output:
@@ -405,51 +422,49 @@ func ExampleEngine_Schedule() {
 	// boundaries visited: 1
 }
 
-// TestRunUntilDriversAgreeOnOvershootEvent: the tick loop's last step
+// TestRunUntilDriversAgreeOnOvershootEvent: a Step loop's last step
 // overshoots the deadline by up to one tick and still fires events
-// there; the event driver must process that same overshoot boundary.
-// Regression test for a driver-equivalence break found in review.
+// there; RunUntil must process that same overshoot boundary.
+// Regression test for an equivalence break found in review.
 func TestRunUntilDriversAgreeOnOvershootEvent(t *testing.T) {
-	for _, d := range []Driver{DriverTick, DriverEvent} {
+	for _, adv := range advances {
 		e := NewEngine(time.Second, 1)
-		e.SetDriver(d)
 		flag := false
 		e.Schedule(11*time.Second, func(time.Time) { flag = true })
-		err := e.RunUntil(func() bool { return flag }, 10*time.Second)
+		err := adv.until(e, func() bool { return flag }, 10*time.Second)
 		if err != nil || !flag {
-			t.Fatalf("driver %v: err=%v flag=%v, want event at the overshoot boundary to fire", d, err, flag)
+			t.Fatalf("%s: err=%v flag=%v, want event at the overshoot boundary to fire", adv.name, err, flag)
 		}
 		if got := e.Now().Sub(NewEngine(time.Second, 1).Now()); got != 11*time.Second {
-			t.Fatalf("driver %v: clock at +%v, want +11s", d, got)
+			t.Fatalf("%s: clock at +%v, want +11s", adv.name, got)
 		}
 	}
 }
 
 // TestRunUntilTimeoutLeavesClockOnGrid: a timeout with a fractional max
-// must leave the clock on the tick grid (where the tick driver leaves
-// it), not at deadline+tick off-grid — otherwise every subsequent event
-// time desynchronizes between drivers. Regression test from review.
+// must leave the clock on the tick grid (where a Step loop leaves it),
+// not at deadline+tick off-grid — otherwise every subsequent event time
+// lands a boundary late. Regression test from review.
 func TestRunUntilTimeoutLeavesClockOnGrid(t *testing.T) {
 	var ends [2]time.Time
-	for i, d := range []Driver{DriverTick, DriverEvent} {
+	for i, adv := range advances {
 		e := NewEngine(time.Second, 1)
-		e.SetDriver(d)
-		if err := e.RunUntil(func() bool { return false }, 2500*time.Millisecond); err == nil {
-			t.Fatalf("driver %v: RunUntil(never) did not time out", d)
+		if err := adv.until(e, func() bool { return false }, 2500*time.Millisecond); err == nil {
+			t.Fatalf("%s: RunUntil(never) did not time out", adv.name)
 		}
 		ends[i] = e.Now()
 		fired := time.Time{}
 		e.Schedule(time.Second, func(now time.Time) { fired = now })
 		e.RunFor(5 * time.Second)
 		if fired.IsZero() {
-			t.Fatalf("driver %v: post-timeout timer never fired", d)
+			t.Fatalf("%s: post-timeout timer never fired", adv.name)
 		}
 		if i == 1 && !fired.Equal(ends[0].Add(time.Second)) {
-			t.Fatalf("post-timeout timer at %v under event driver, want %v as under tick", fired, ends[0].Add(time.Second))
+			t.Fatalf("post-timeout timer at %v after RunUntil, want %v as after stepping", fired, ends[0].Add(time.Second))
 		}
 	}
 	if !ends[0].Equal(ends[1]) {
-		t.Fatalf("timeout left clock at %v (tick) vs %v (event)", ends[0], ends[1])
+		t.Fatalf("timeout left clock at %v (step) vs %v (event)", ends[0], ends[1])
 	}
 }
 

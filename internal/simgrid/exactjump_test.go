@@ -77,38 +77,24 @@ func TestBulkTicksMatchesReplay(t *testing.T) {
 }
 
 // TestAttachedNodeExactRegimeMatchesActorNode drives the same power-of-two
-// step workload through a per-tick actor node and an event-driven attached
+// step workload through the per-tick reference node and an event-driven
 // node, comparing accrual at every second. The load mixes dyadic segments
 // (closed-form jump) with a non-dyadic one (per-tick replay), so the test
 // crosses both paths and their seams.
 func TestAttachedNodeExactRegimeMatchesActorNode(t *testing.T) {
 	epoch := time.Date(2005, 1, 1, 0, 0, 0, 0, time.UTC)
-	tick := time.Second / 128
 	load := StepLoad(epoch,
 		[]time.Duration{40 * time.Second, 80 * time.Second, 120 * time.Second},
 		[]float64{0, 0.5, 0.3, 0.75})
-
-	eRef := NewEngine(tick, 1)
-	nRef := NewNode("n", "s", 2, load)
-	eRef.AddActor(nRef)
-	tRef := NewTask("t", 250, nil)
-	nRef.Place(tRef)
-
-	g := NewGrid(tick, 1)
-	nEv := g.AddSite("s").AddNode(g.Engine, "n", 2, load)
-	tEv := NewTask("t", 250, nil)
-	nEv.Place(tEv)
-
+	p := newNodePair(time.Second/128, 2, load)
+	p.do(func(s *nodeSide) { s.place(250) })
 	for i := 0; i < 400; i++ {
-		eRef.RunFor(time.Second)
-		g.Engine.RunFor(time.Second)
-		if tRef.CPUSeconds() != tEv.CPUSeconds() || tRef.WallClock() != tEv.WallClock() || tRef.State() != tEv.State() {
-			t.Fatalf("second %d diverged: actor(cpu=%v wall=%v %v) vs event(cpu=%v wall=%v %v)",
-				i+1, tRef.CPUSeconds(), tRef.WallClock(), tRef.State(),
-				tEv.CPUSeconds(), tEv.WallClock(), tEv.State())
+		p.runFor(time.Second)
+		if d := p.check(); d != "" {
+			t.Fatalf("second %d diverged: %s", i+1, d)
 		}
 	}
-	if tEv.State() != TaskDone {
+	if tEv := p.ev.tasks[0]; tEv.State() != TaskDone {
 		t.Fatalf("task did not complete: %v (progress %v)", tEv.State(), tEv.Progress())
 	}
 }
@@ -171,7 +157,7 @@ func TestSegPredictionAgreesWithSync(t *testing.T) {
 		if task.State() != TaskDone {
 			t.Fatalf("trial %d: task incomplete (tick=%v l1=%v l2=%v need=%v)", trial, tick, l1, l2, need)
 		}
-		// Replay the ground truth with the legacy arithmetic.
+		// Replay the ground truth one addition per boundary.
 		done, bt := 0.0, epoch
 		sec := tick.Seconds()
 		for i := 0; ; i++ {
@@ -198,37 +184,25 @@ func TestSegPredictionAgreesWithSync(t *testing.T) {
 // TestExactJumpMisalignedAccumulatorFallsBack: a suspend mid-segment under
 // a non-dyadic load leaves the accumulator off the step grid; the
 // subsequent dyadic segment must then replay per tick and still match the
-// actor node exactly.
+// per-tick reference node exactly.
 func TestExactJumpMisalignedAccumulatorFallsBack(t *testing.T) {
 	epoch := time.Date(2005, 1, 1, 0, 0, 0, 0, time.UTC)
 	load := StepLoad(epoch, []time.Duration{10 * time.Second}, []float64{0.3, 0})
-
-	eRef := NewEngine(time.Second, 1)
-	nRef := NewNode("n", "s", 1, load)
-	eRef.AddActor(nRef)
-	tRef := NewTask("t", 55.5, nil)
-	nRef.Place(tRef)
-
-	g := NewGrid(time.Second, 1)
-	nEv := g.AddSite("s").AddNode(g.Engine, "n", 1, load)
-	tEv := NewTask("t", 55.5, nil)
-	nEv.Place(tEv)
-
+	p := newNodePair(time.Second, 1, load)
+	p.do(func(s *nodeSide) { s.place(55.5) })
 	for i := 0; i < 90; i++ {
-		eRef.RunFor(time.Second)
-		g.Engine.RunFor(time.Second)
+		p.runFor(time.Second)
 		if i == 5 {
-			tRef.Suspend()
-			tEv.Suspend()
+			p.do(func(s *nodeSide) { s.tasks[0].Suspend() })
 		}
 		if i == 8 {
-			tRef.Resume()
-			tEv.Resume()
+			p.do(func(s *nodeSide) { s.tasks[0].Resume() })
 		}
-		if tRef.CPUSeconds() != tEv.CPUSeconds() || tRef.WallClock() != tEv.WallClock() || tRef.State() != tEv.State() {
-			t.Fatalf("second %d diverged: actor cpu=%v vs event cpu=%v", i+1, tRef.CPUSeconds(), tEv.CPUSeconds())
+		if d := p.check(); d != "" {
+			t.Fatalf("second %d diverged: %s", i+1, d)
 		}
 	}
+	tEv := p.ev.tasks[0]
 	if tEv.State() != TaskDone {
 		t.Fatalf("task state = %v", tEv.State())
 	}

@@ -208,13 +208,12 @@ func TestLatencyTailNotRecharged(t *testing.T) {
 	}
 }
 
-// TestZeroSizeTransferFiresNextBoundary pins the same-instant semantics
-// under the event driver: a zero-payload transfer (and a zero-size local
-// copy) completes at the NEXT tick boundary, never within the same pass —
-// matching Engine.Schedule's documented behavior.
+// TestZeroSizeTransferFiresNextBoundary pins the same-instant semantics:
+// a zero-payload transfer (and a zero-size local copy) completes at the
+// NEXT tick boundary, never within the same pass — matching
+// Engine.Schedule's documented behavior.
 func TestZeroSizeTransferFiresNextBoundary(t *testing.T) {
 	g := NewGrid(time.Second, 1)
-	g.Engine.SetDriver(DriverEvent)
 	g.Network.Connect("a", "b", Link{BandwidthMBps: 10})
 	epoch := netEpoch(g)
 	var crossAt, localAt time.Time
@@ -343,10 +342,9 @@ func TestStorageReplicateContention(t *testing.T) {
 // on a shared link, cross-traffic on a second link, mid-flight
 // utilization changes in both directions, and a late joiner — and
 // returns its completion trace.
-func runNetworkScenario(t *testing.T, driver Driver) (trace []string, ticks, events int64) {
+func runNetworkScenario(t *testing.T, runFor func(*Engine, time.Duration)) (trace []string, ticks, events int64) {
 	t.Helper()
 	g := NewGrid(time.Second, 1)
-	g.Engine.SetDriver(driver)
 	for _, s := range []string{"a", "b", "c"} {
 		g.AddSite(s)
 	}
@@ -380,16 +378,17 @@ func runNetworkScenario(t *testing.T, driver Driver) (trace []string, ticks, eve
 			t.Error(err)
 		}
 	})
-	g.Engine.RunFor(300 * time.Second)
+	runFor(g.Engine, 300*time.Second)
 	return trace, g.Engine.Ticks(), g.Engine.Events()
 }
 
 // TestNetworkTraceParityTickVsEvent pins the acceptance criterion:
-// DriverTick and DriverEvent produce byte-identical traces for the
-// network scenarios, while the event driver visits far fewer boundaries.
+// stepping through every boundary and jumping from event to event produce
+// byte-identical traces for the network scenarios, while the jumps visit
+// far fewer boundaries.
 func TestNetworkTraceParityTickVsEvent(t *testing.T) {
-	tickTrace, tickTicks, tickEvents := runNetworkScenario(t, DriverTick)
-	evTrace, evTicks, evEvents := runNetworkScenario(t, DriverEvent)
+	tickTrace, tickTicks, tickEvents := runNetworkScenario(t, stepFor)
+	evTrace, evTicks, evEvents := runNetworkScenario(t, (*Engine).RunFor)
 	if len(tickTrace) != 5 {
 		t.Fatalf("scenario produced %d completions, want 5:\n%s", len(tickTrace), strings.Join(tickTrace, "\n"))
 	}
@@ -400,6 +399,6 @@ func TestNetworkTraceParityTickVsEvent(t *testing.T) {
 		t.Fatalf("event counts diverged: tick %d vs event %d", tickEvents, evEvents)
 	}
 	if evTicks >= tickTicks {
-		t.Fatalf("event driver visited %d boundaries, tick driver %d — no sparsity win", evTicks, tickTicks)
+		t.Fatalf("RunFor visited %d boundaries, the Step loop %d — no sparsity win", evTicks, tickTicks)
 	}
 }

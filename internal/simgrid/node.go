@@ -69,9 +69,9 @@ func (t *Task) nodeRef() *Node {
 	return t.node
 }
 
-// observe brings the task's accrued work up to date with simulated time.
-// On an engine-attached node, work is accrued lazily — replayed from the
-// last synchronization point whenever someone looks.
+// observe brings the task's accrued work up to date with simulated time:
+// a node accrues work lazily — replayed from the last synchronization
+// point whenever someone looks.
 func (t *Task) observe() {
 	if n := t.nodeRef(); n != nil {
 		n.observeNow()
@@ -133,7 +133,9 @@ func (t *Task) setState(to TaskState, from ...TaskState) {
 	}
 	t.mu.Unlock()
 	if changed && n != nil {
-		n.rederive()
+		n.mu.Lock()
+		n.rederiveLocked()
+		n.mu.Unlock()
 	}
 }
 
@@ -145,31 +147,6 @@ func (t *Task) Resume() { t.setState(TaskRunning, TaskSuspended) }
 
 // Kill terminates the task; it will never complete.
 func (t *Task) Kill() { t.setState(TaskKilled, TaskRunning, TaskSuspended) }
-
-// advance gives the task share×dt seconds of CPU and runFrac×dt seconds of
-// wall-clock; it reports whether the task just completed. This is the
-// legacy per-tick path, used only for nodes driven as plain actors.
-func (t *Task) advance(dt time.Duration, share, runFrac float64) bool {
-	t.mu.Lock()
-	if t.state != TaskRunning {
-		t.mu.Unlock()
-		return false
-	}
-	sec := dt.Seconds()
-	t.done += sec * share
-	t.wall += sec * runFrac
-	completed := t.done >= t.Need
-	if completed {
-		t.done = t.Need
-		t.state = TaskDone
-	}
-	cb := t.onDone
-	t.mu.Unlock()
-	if completed && cb != nil {
-		cb(t)
-	}
-	return completed
-}
 
 // maxPredictTicks bounds a single deadline-prediction replay. Shares so
 // small that completion lies beyond the cap re-derive again at the cap
@@ -183,15 +160,13 @@ const maxPredictTicks = 1 << 22
 // capacity equally — Condor would normally run one job per slot, but the
 // fair-share model also covers oversubscription experiments.
 //
-// A node created through Site.AddNode is attached to the grid engine and
-// is event-driven: running tasks accrue work lazily (the per-tick
+// A node is event-driven: running tasks accrue work lazily (the per-tick
 // arithmetic is replayed, bit for bit, whenever state is observed or
 // changed) and task completions are scheduled as engine events — the
 // exact tick boundary is found analytically for loads that advertise
 // the PiecewiseConstant contract (all loads this package constructs),
 // while opaque function loads fall back to per-tick wakeups, since they
-// must be sampled at every boundary. A node driven as a plain Actor
-// (AddActor) keeps the legacy per-tick OnTick path.
+// must be sampled at every boundary.
 type Node struct {
 	Name string
 	Site string
@@ -207,30 +182,19 @@ type Node struct {
 	observer func()    // fired (unlocked) after task-set or load changes
 }
 
-// NewNode creates a node. A nil load means idle; mips<=0 defaults to 1.
-func NewNode(name, site string, mips float64, load Load) *Node {
+// newNode creates a node on engine e. A nil load means idle; mips<=0
+// defaults to 1.
+func newNode(e *Engine, name, site string, mips float64, load Load) *Node {
 	if mips <= 0 {
 		mips = 1
 	}
 	if load == nil {
 		load = IdleLoad()
 	}
-	n := &Node{Name: name, Site: site, Mips: mips, load: load}
-	n.seg = pieceOf(load)
-	return n
-}
-
-// attach binds the node to an engine: accrual becomes lazy and
-// completions become scheduled deadline events.
-func (n *Node) attach(e *Engine) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.eng != nil {
-		panic("simgrid: node attached to an engine twice")
-	}
-	n.eng = e
+	n := &Node{Name: name, Site: site, Mips: mips, load: load, seg: pieceOf(load), eng: e}
 	n.lastSync = e.Now()
 	n.wake = e.Register(n.onWake)
+	return n
 }
 
 // SetLoad replaces the node's background load. Work accrued so far is
@@ -378,25 +342,11 @@ func (n *Node) RunningCount() int {
 
 // observeNow replays accrual up to the engine's consistency horizon for
 // this node: mid-boundary, a node whose turn has not yet come reports
-// work as of the previous boundary, exactly as the legacy loop would.
+// work as of the previous boundary.
 func (n *Node) observeNow() {
-	eng := n.eng
-	if eng == nil {
-		return
-	}
-	h := eng.horizonFor(n.wake.order)
+	h := n.eng.horizonFor(n.wake.order)
 	n.mu.Lock()
 	n.syncLocked(h, true)
-	n.mu.Unlock()
-}
-
-// rederive recomputes the node's next wake after external state changes.
-func (n *Node) rederive() {
-	if n.eng == nil {
-		return
-	}
-	n.mu.Lock()
-	n.rederiveLocked()
 	n.mu.Unlock()
 }
 
@@ -429,14 +379,14 @@ type taskRun struct {
 }
 
 // syncLocked replays the per-tick accrual arithmetic for every boundary
-// in (lastSync, to] — computing exactly the floating-point sums the
-// legacy per-tick loop produced, so event-driven and tick-driven runs are
-// bit-for-bit identical — and returns the tasks that completed. In
+// in (lastSync, to] — computing, bit for bit, the floating-point sums of
+// a node advanced at every boundary (the per-tick reference in
+// node_oracle_test.go) — and returns the tasks that completed. In
 // observe mode the replay stops just short of the first boundary at which
 // a task would complete, leaving the completion (and its onDone callback)
 // to the node's own deadline event.
 func (n *Node) syncLocked(to time.Time, observe bool) []*Task {
-	if n.eng == nil || !to.After(n.lastSync) {
+	if !to.After(n.lastSync) {
 		return nil
 	}
 	tick := n.eng.Tick()
@@ -626,13 +576,10 @@ func (n *Node) writeBackLocked(r taskRun, completed bool) {
 // replaying the same floating-point sums the sync will perform segment by
 // segment; for opaque function loads, the next boundary, since they must
 // be sampled every tick. Idle nodes — and nodes pinned at full load
-// forever — schedule nothing; this is what lets the event driver skip
-// their boundaries entirely and keeps the event count independent of the
-// tick resolution.
+// forever — schedule nothing; this is what lets RunFor skip their
+// boundaries entirely and keeps the event count independent of the tick
+// resolution.
 func (n *Node) rederiveLocked() {
-	if n.eng == nil {
-		return
-	}
 	count := 0
 	for _, t := range n.tasks {
 		t.mu.Lock()
@@ -773,50 +720,4 @@ func (n *Node) segTicksToComplete(done, need, m float64, tick time.Duration, lim
 		}
 	}
 	return limit
-}
-
-// OnTick advances every running task by one tick — the legacy fixed-tick
-// path for nodes driven as plain actors. Engine-attached nodes are
-// event-driven and ignore it. The free capacity (1-load)×Mips is divided
-// equally among running tasks; each task's wall-clock accrues at the
-// fraction of the tick it actually executed.
-func (n *Node) OnTick(now time.Time, dt time.Duration) {
-	n.mu.Lock()
-	if n.eng != nil {
-		n.mu.Unlock()
-		return
-	}
-	load := clamp01(n.load.LoadAt(now))
-	running := make([]*Task, 0, len(n.tasks))
-	for _, t := range n.tasks {
-		if t.State() == TaskRunning {
-			running = append(running, t)
-		}
-	}
-	n.mu.Unlock()
-
-	if len(running) == 0 {
-		return
-	}
-	free := (1 - load) * n.Mips
-	share := free / float64(len(running))
-	runFrac := (1 - load) / float64(len(running))
-	var finished []*Task
-	for _, t := range running {
-		if t.advance(dt, share, runFrac) {
-			finished = append(finished, t)
-		}
-	}
-	if len(finished) > 0 {
-		n.mu.Lock()
-		for _, f := range finished {
-			for i, x := range n.tasks {
-				if x == f {
-					n.tasks = append(n.tasks[:i], n.tasks[i+1:]...)
-					break
-				}
-			}
-		}
-		n.mu.Unlock()
-	}
 }

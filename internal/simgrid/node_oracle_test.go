@@ -1,0 +1,282 @@
+package simgrid
+
+import (
+	"fmt"
+	"math/rand"
+	"sync"
+	"testing"
+	"time"
+)
+
+// The per-tick reference node: CPU accrual as nodes computed it before
+// they became event-driven, one addition per running task per boundary.
+// Node (node.go) replays these sums lazily and jumps over them in closed
+// form; the differential tests hold it to this reference bit for bit.
+// OnTick and Task.advance are the replaced production code, verbatim.
+
+// tickNode is a node advanced at every boundary. Its tasks are plain
+// *Task values that never learn of a hosting Node (Task.node stays nil),
+// so their reads return exactly what advance wrote.
+type tickNode struct {
+	Mips float64
+
+	mu    sync.Mutex
+	load  Load
+	tasks []*Task
+}
+
+// newTickNode creates a reference node that asks e for a wake at every
+// boundary from the next one on.
+func newTickNode(e *Engine, mips float64, load Load) *tickNode {
+	n := &tickNode{Mips: mips, load: load}
+	var w *Wake
+	w = e.Register(func(now time.Time) {
+		n.OnTick(now, e.tick)
+		w.Request(now.Add(e.tick))
+	})
+	w.Request(e.Now().Add(e.tick))
+	return n
+}
+
+func (n *tickNode) Place(t *Task) {
+	n.mu.Lock()
+	n.tasks = append(n.tasks, t)
+	n.mu.Unlock()
+}
+
+func (n *tickNode) Remove(t *Task) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	for i, x := range n.tasks {
+		if x == t {
+			n.tasks = append(n.tasks[:i], n.tasks[i+1:]...)
+			return
+		}
+	}
+}
+
+func (n *tickNode) SetLoad(load Load) {
+	n.mu.Lock()
+	n.load = load
+	n.mu.Unlock()
+}
+
+// OnTick advances every running task by one tick. The free capacity
+// (1-load)×Mips is divided equally among running tasks; each task's
+// wall-clock accrues at the fraction of the tick it actually executed.
+func (n *tickNode) OnTick(now time.Time, dt time.Duration) {
+	n.mu.Lock()
+	load := clamp01(n.load.LoadAt(now))
+	running := make([]*Task, 0, len(n.tasks))
+	for _, t := range n.tasks {
+		if t.State() == TaskRunning {
+			running = append(running, t)
+		}
+	}
+	n.mu.Unlock()
+
+	if len(running) == 0 {
+		return
+	}
+	free := (1 - load) * n.Mips
+	share := free / float64(len(running))
+	runFrac := (1 - load) / float64(len(running))
+	var finished []*Task
+	for _, t := range running {
+		if t.advance(dt, share, runFrac) {
+			finished = append(finished, t)
+		}
+	}
+	if len(finished) > 0 {
+		n.mu.Lock()
+		for _, f := range finished {
+			for i, x := range n.tasks {
+				if x == f {
+					n.tasks = append(n.tasks[:i], n.tasks[i+1:]...)
+					break
+				}
+			}
+		}
+		n.mu.Unlock()
+	}
+}
+
+// advance gives the task share×dt seconds of CPU and runFrac×dt seconds of
+// wall-clock; it reports whether the task just completed.
+func (t *Task) advance(dt time.Duration, share, runFrac float64) bool {
+	t.mu.Lock()
+	if t.state != TaskRunning {
+		t.mu.Unlock()
+		return false
+	}
+	sec := dt.Seconds()
+	t.done += sec * share
+	t.wall += sec * runFrac
+	completed := t.done >= t.Need
+	if completed {
+		t.done = t.Need
+		t.state = TaskDone
+	}
+	cb := t.onDone
+	t.mu.Unlock()
+	if completed && cb != nil {
+		cb(t)
+	}
+	return completed
+}
+
+// nodeSide is one subject of a differential scenario — a production Node
+// or the per-tick reference — on an engine of its own, with the tasks
+// placed on it and the completion boundary each reported through onDone
+// (zero until then).
+type nodeSide struct {
+	e    *Engine
+	node interface {
+		Place(*Task)
+		Remove(*Task)
+		SetLoad(Load)
+	}
+	tasks []*Task
+	done  []time.Time
+}
+
+func (s *nodeSide) place(need float64) {
+	i := len(s.tasks)
+	s.done = append(s.done, time.Time{})
+	s.tasks = append(s.tasks, NewTask("t", need, func(*Task) { s.done[i] = s.e.Now() }))
+	s.node.Place(s.tasks[i])
+}
+
+// nodePair holds the two sides of a scenario; every operation goes to both.
+type nodePair struct{ ev, ref *nodeSide }
+
+func newNodePair(tick time.Duration, mips float64, load Load) nodePair {
+	g := NewGrid(tick, 1)
+	eRef := NewEngine(tick, 1)
+	return nodePair{
+		ev:  &nodeSide{e: g.Engine, node: g.AddSite("s").AddNode(g.Engine, "n", mips, load)},
+		ref: &nodeSide{e: eRef, node: newTickNode(eRef, mips, load)},
+	}
+}
+
+// do applies op to both sides now, from outside the engines.
+func (p nodePair) do(op func(*nodeSide)) {
+	op(p.ev)
+	op(p.ref)
+}
+
+// doAt applies op to both sides from a timer at the first boundary at or
+// after delay — inside dispatch, ahead of the node's own turn there.
+func (p nodePair) doAt(delay time.Duration, op func(*nodeSide)) {
+	p.do(func(s *nodeSide) { s.e.Schedule(delay, func(time.Time) { op(s) }) })
+}
+
+func (p nodePair) runFor(d time.Duration) {
+	p.do(func(s *nodeSide) { s.e.RunFor(d) })
+}
+
+// check requires every task's accrual, state and completion boundary to
+// be bit-identical on both sides, returning a description of the first
+// difference.
+func (p nodePair) check() string {
+	for i, ev := range p.ev.tasks {
+		ref := p.ref.tasks[i]
+		if ev.CPUSeconds() != ref.CPUSeconds() || ev.WallClock() != ref.WallClock() ||
+			ev.State() != ref.State() || !p.ev.done[i].Equal(p.ref.done[i]) {
+			return fmt.Sprintf("task %d: node(cpu=%v wall=%v %v done=%v) vs oracle(cpu=%v wall=%v %v done=%v)",
+				i, ev.CPUSeconds(), ev.WallClock(), ev.State(), p.ev.done[i],
+				ref.CPUSeconds(), ref.WallClock(), ref.State(), p.ref.done[i])
+		}
+	}
+	return ""
+}
+
+// oracleLoad draws a StepLoad of two to four segments starting at from,
+// mixing dyadic levels (closed-form jumps), non-dyadic ones (per-tick
+// replay) and full load (no progress); the last level always leaves
+// capacity, so tasks can finish.
+func oracleLoad(rng *rand.Rand, epoch time.Time, from time.Duration) Load {
+	levels := []float64{0, 0.5, 0.25, 0.75, 0.875, 0.3, 0.1, 0.6, 0.45, 1, 1}
+	n := 1 + rng.Intn(3)
+	bounds := make([]time.Duration, n)
+	vals := make([]float64, n+1)
+	at := from
+	for i := range bounds {
+		at += time.Duration(3+rng.Intn(40)) * time.Second
+		bounds[i] = at
+		vals[i] = levels[rng.Intn(len(levels))]
+	}
+	vals[n] = levels[rng.Intn(len(levels)-2)]
+	return StepLoad(epoch, bounds, vals)
+}
+
+// runNodeOracleScenario plays one seeded scenario on a production node
+// and the per-tick reference, comparing them after every simulated
+// second; it returns the first divergence, or "". Operations land on
+// whole seconds, from outside the engines or from a timer at the next
+// second's boundary, where the node's turn is still ahead.
+func runNodeOracleScenario(seed int64) string {
+	rng := rand.New(rand.NewSource(seed))
+	epoch := time.Date(2005, 1, 1, 0, 0, 0, 0, time.UTC)
+	tick := []time.Duration{time.Second, time.Second / 128, 10 * time.Millisecond}[rng.Intn(3)]
+	mips := []float64{1, 1.5, 2}[rng.Intn(3)]
+	need := func() float64 { return float64(4+rng.Intn(120)) / 4 }
+
+	p := newNodePair(tick, mips, oracleLoad(rng, epoch, 0))
+	placed := 1 + rng.Intn(3)
+	for i := 0; i < placed; i++ {
+		n := need()
+		p.do(func(s *nodeSide) { s.place(n) })
+	}
+	const horizon = 100
+	for sec := 1; sec <= horizon; sec++ {
+		p.runFor(time.Second)
+		if rng.Intn(8) == 0 {
+			var op func(*nodeSide)
+			i := rng.Intn(placed)
+			switch rng.Intn(6) {
+			case 0:
+				if placed < 4 {
+					placed++
+					n := need()
+					op = func(s *nodeSide) { s.place(n) }
+				}
+			case 1:
+				op = func(s *nodeSide) { s.tasks[i].Suspend() }
+			case 2:
+				op = func(s *nodeSide) { s.tasks[i].Resume() }
+			case 3:
+				op = func(s *nodeSide) { s.tasks[i].Kill() }
+			case 4:
+				op = func(s *nodeSide) { s.node.Remove(s.tasks[i]) }
+			case 5:
+				load := oracleLoad(rng, epoch, time.Duration(sec)*time.Second)
+				op = func(s *nodeSide) { s.node.SetLoad(load) }
+			}
+			switch {
+			case op == nil:
+			case rng.Intn(2) == 0:
+				p.do(op)
+			default:
+				p.doAt(time.Second, op)
+			}
+		}
+		if d := p.check(); d != "" {
+			return fmt.Sprintf("seed %d (tick %v, mips %v) second %d: %s", seed, tick, mips, sec, d)
+		}
+	}
+	return ""
+}
+
+// TestNodeMatchesTickOracle is the seeded differential between the
+// event-driven node and the per-tick reference: ticks of 1 s, 2⁻⁷ s and
+// 10 ms, Mips 1, 1.5 and 2, stepped loads crossing the closed-form and
+// replayed regimes, one to four tasks sharing the node, and whole-second
+// placements, suspensions, resumptions, kills, removals and load swaps.
+func TestNodeMatchesTickOracle(t *testing.T) {
+	for seed := int64(1); seed <= 200; seed++ {
+		if d := runNodeOracleScenario(seed); d != "" {
+			t.Error(d)
+		}
+	}
+}

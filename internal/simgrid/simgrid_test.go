@@ -39,27 +39,36 @@ func TestEngineRunFor(t *testing.T) {
 	}
 }
 
+// TestEngineActorsTickInOrder: components due at one boundary fire in
+// registration order, whatever order they asked in.
 func TestEngineActorsTickInOrder(t *testing.T) {
 	e := NewEngine(time.Second, 1)
 	var order []string
-	e.AddActor(ActorFunc(func(time.Time, time.Duration) { order = append(order, "a") }))
-	e.AddActor(ActorFunc(func(time.Time, time.Duration) { order = append(order, "b") }))
+	a := e.Register(func(time.Time) { order = append(order, "a") })
+	b := e.Register(func(time.Time) { order = append(order, "b") })
+	b.Request(e.Now())
+	a.Request(e.Now())
 	e.Step()
 	if len(order) != 2 || order[0] != "a" || order[1] != "b" {
-		t.Fatalf("actor order = %v", order)
+		t.Fatalf("firing order = %v", order)
 	}
 }
 
+// TestEngineRemoveActor: Wake.Cancel drops the pending request of a
+// self-rescheduling component and disables later ones.
 func TestEngineRemoveActor(t *testing.T) {
 	e := NewEngine(time.Second, 1)
 	n := 0
-	a := ActorFunc(func(time.Time, time.Duration) { n++ })
-	e.AddActor(a)
+	var w *Wake
+	w = e.Register(func(now time.Time) { n++; w.Request(now.Add(time.Second)) })
+	w.Request(e.Now())
 	e.Step()
-	e.RemoveActor(a)
+	w.Cancel()
+	e.Step()
+	w.Request(e.Now())
 	e.Step()
 	if n != 1 {
-		t.Fatalf("removed actor ticked %d times", n)
+		t.Fatalf("canceled wake fired %d times", n)
 	}
 }
 
@@ -107,7 +116,7 @@ func TestEngineScheduleNilPanics(t *testing.T) {
 func TestEngineRunUntil(t *testing.T) {
 	e := NewEngine(time.Second, 1)
 	hits := 0
-	e.AddActor(ActorFunc(func(time.Time, time.Duration) { hits++ }))
+	e.NewPoller(func() time.Duration { return time.Second }, func(time.Time) { hits++ })
 	if err := e.RunUntil(func() bool { return hits >= 10 }, time.Minute); err != nil {
 		t.Fatal(err)
 	}
@@ -119,10 +128,14 @@ func TestEngineRunUntil(t *testing.T) {
 	}
 }
 
+// testNode returns the engine and the single node of a fresh one-site grid.
+func testNode(mips float64, load Load) (*Engine, *Node) {
+	g := NewGrid(time.Second, 1)
+	return g.Engine, g.AddSite("s").AddNode(g.Engine, "n", mips, load)
+}
+
 func TestTaskOnIdleNodeFinishesInNeedSeconds(t *testing.T) {
-	e := NewEngine(time.Second, 1)
-	n := NewNode("n1", "siteA", 1.0, IdleLoad())
-	e.AddActor(n)
+	e, n := testNode(1, IdleLoad())
 	var doneAt time.Time
 	task := NewTask("t1", 283, func(*Task) { doneAt = e.Now() })
 	n.Place(task)
@@ -142,28 +155,8 @@ func TestTaskOnIdleNodeFinishesInNeedSeconds(t *testing.T) {
 	}
 }
 
-func TestTaskUnderLoadSlowsProportionally(t *testing.T) {
-	// Under 60% background load a 100 CPU-second job progresses at 0.4/s:
-	// after 100s only 40% done, and wall-clock shows 40s (Condor counts
-	// only actual execution time — the Figure 7 progress proxy).
-	e := NewEngine(time.Second, 1)
-	n := NewNode("n1", "siteA", 1.0, ConstantLoad(0.6))
-	e.AddActor(n)
-	task := NewTask("t1", 100, nil)
-	n.Place(task)
-	e.RunFor(100 * time.Second)
-	if got := task.Progress(); math.Abs(got-0.4) > 1e-9 {
-		t.Fatalf("progress = %v, want 0.40", got)
-	}
-	if got := task.WallClock().Seconds(); math.Abs(got-40) > 1e-6 {
-		t.Fatalf("wall clock = %vs, want 40s", got)
-	}
-}
-
 func TestTaskMipsScaling(t *testing.T) {
-	e := NewEngine(time.Second, 1)
-	fast := NewNode("fast", "s", 2.0, IdleLoad())
-	e.AddActor(fast)
+	e, fast := testNode(2, IdleLoad())
 	task := NewTask("t", 100, nil)
 	fast.Place(task)
 	e.RunFor(50 * time.Second)
@@ -173,9 +166,7 @@ func TestTaskMipsScaling(t *testing.T) {
 }
 
 func TestTasksShareNodeFairly(t *testing.T) {
-	e := NewEngine(time.Second, 1)
-	n := NewNode("n", "s", 1.0, IdleLoad())
-	e.AddActor(n)
+	e, n := testNode(1, IdleLoad())
 	a := NewTask("a", 100, nil)
 	b := NewTask("b", 100, nil)
 	n.Place(a)
@@ -186,36 +177,8 @@ func TestTasksShareNodeFairly(t *testing.T) {
 	}
 }
 
-func TestTaskSuspendResume(t *testing.T) {
-	e := NewEngine(time.Second, 1)
-	n := NewNode("n", "s", 1.0, IdleLoad())
-	e.AddActor(n)
-	task := NewTask("t", 100, nil)
-	n.Place(task)
-	e.RunFor(30 * time.Second)
-	task.Suspend()
-	if task.State() != TaskSuspended {
-		t.Fatalf("state after suspend = %v", task.State())
-	}
-	e.RunFor(50 * time.Second)
-	if got := task.Progress(); math.Abs(got-0.3) > 1e-9 {
-		t.Fatalf("suspended task progressed to %v", got)
-	}
-	task.Resume()
-	e.RunFor(70 * time.Second)
-	if task.State() != TaskDone {
-		t.Fatalf("resumed task state = %v (progress %v)", task.State(), task.Progress())
-	}
-	// Wall clock excludes the suspension window.
-	if got := task.WallClock(); got != 100*time.Second {
-		t.Fatalf("wall clock = %v, want 100s", got)
-	}
-}
-
 func TestTaskKill(t *testing.T) {
-	e := NewEngine(time.Second, 1)
-	n := NewNode("n", "s", 1.0, IdleLoad())
-	e.AddActor(n)
+	e, n := testNode(1, IdleLoad())
 	task := NewTask("t", 100, func(*Task) { t.Fatal("killed task reported done") })
 	n.Place(task)
 	e.RunFor(10 * time.Second)
@@ -230,9 +193,7 @@ func TestTaskKill(t *testing.T) {
 }
 
 func TestKillAfterDoneIsNoOp(t *testing.T) {
-	e := NewEngine(time.Second, 1)
-	n := NewNode("n", "s", 1.0, IdleLoad())
-	e.AddActor(n)
+	e, n := testNode(1, IdleLoad())
 	task := NewTask("t", 5, nil)
 	n.Place(task)
 	e.RunFor(10 * time.Second)
@@ -243,9 +204,7 @@ func TestKillAfterDoneIsNoOp(t *testing.T) {
 }
 
 func TestNodeRemoveDetachesTask(t *testing.T) {
-	e := NewEngine(time.Second, 1)
-	n := NewNode("n", "s", 1.0, IdleLoad())
-	e.AddActor(n)
+	e, n := testNode(1, IdleLoad())
 	task := NewTask("t", 100, nil)
 	n.Place(task)
 	e.RunFor(10 * time.Second)
@@ -260,9 +219,7 @@ func TestNodeRemoveDetachesTask(t *testing.T) {
 }
 
 func TestCompletedTaskLeavesNode(t *testing.T) {
-	e := NewEngine(time.Second, 1)
-	n := NewNode("n", "s", 1.0, IdleLoad())
-	e.AddActor(n)
+	e, n := testNode(1, IdleLoad())
 	n.Place(NewTask("t", 5, nil))
 	e.RunFor(10 * time.Second)
 	if got := len(n.Tasks()); got != 0 {
@@ -567,9 +524,7 @@ func TestQuickProgressUnderLoad(t *testing.T) {
 	f := func(loadPct uint8, needS uint8) bool {
 		load := float64(loadPct%90) / 100 // 0.00 .. 0.89
 		need := float64(needS%100) + 50   // 50 .. 149 cpu-seconds
-		e := NewEngine(time.Second, 1)
-		n := NewNode("n", "s", 1, ConstantLoad(load))
-		e.AddActor(n)
+		e, n := testNode(1, ConstantLoad(load))
 		task := NewTask("t", need, nil)
 		n.Place(task)
 		const runFor = 40

@@ -23,12 +23,11 @@ func NewSite(name string) *Site {
 	return &Site{Name: name, storage: NewStorage(name)}
 }
 
-// AddNode creates a node inside this site and attaches it to the engine:
+// AddNode creates a node inside this site, registered with the engine:
 // the node is event-driven, accruing task work lazily and scheduling its
 // own completion deadlines, so idle nodes cost the simulation nothing.
 func (s *Site) AddNode(e *Engine, name string, mips float64, load Load) *Node {
-	n := NewNode(name, s.Name, mips, load)
-	n.attach(e)
+	n := newNode(e, name, s.Name, mips, load)
 	s.mu.Lock()
 	s.nodes = append(s.nodes, n)
 	s.mu.Unlock()

@@ -2,8 +2,8 @@
 // engine. A deep backlog (10 waves of jobs per machine) over a six-figure
 // machine count, with fair-share flows accruing lazily and the negotiation
 // order maintained incrementally — every hot path is event-driven, so the
-// event driver's work is proportional to completions while the tick driver
-// pays for every boundary of a multi-month horizon at millisecond ticks.
+// engine's work is proportional to completions, not to the boundaries of a
+// multi-month horizon at millisecond ticks.
 //
 // The benchmark runs the full scale (1M jobs, 100k machines) by default;
 // set GAE_SCENARIO_SCALE=smoke for the scaled-down CI variant (100k jobs,
@@ -42,6 +42,9 @@ type millionScale struct {
 	baseNeed   float64       // CPU-seconds; stagger adds (job % 509) whole seconds
 	horizon    time.Duration // past the last completion of the deepest machine
 	simSeconds float64
+	// stepped runs the horizon one Step at a time instead of RunFor's event
+	// jumps: the fixed-tick loop whose placements the jumps must reproduce.
+	stepped bool
 }
 
 var millionFull = millionScale{
@@ -69,9 +72,8 @@ var millionSmoke = millionScale{
 // returned closure runs the simulation. The split lets the benchmark
 // exclude setup (ad construction, matcher compilation, a million queue
 // inserts) from the timed region.
-func buildMillionScenario(tb testing.TB, sc millionScale, d simgrid.Driver, reg *telemetry.Registry) ([]*condor.Pool, func() *simgrid.Engine) {
+func buildMillionScenario(tb testing.TB, sc millionScale, reg *telemetry.Registry) ([]*condor.Pool, func() *simgrid.Engine) {
 	g := simgrid.NewGrid(sc.tick, 1)
-	g.Engine.SetDriver(d)
 	pools := make([]*condor.Pool, sc.pools)
 	for p := range pools {
 		name := fmt.Sprintf("site%d", p)
@@ -102,7 +104,13 @@ func buildMillionScenario(tb testing.TB, sc millionScale, d simgrid.Driver, reg 
 		lastID, lastPool = id, j%sc.pools
 	}
 	return pools, func() *simgrid.Engine {
-		g.Engine.RunFor(sc.horizon)
+		if sc.stepped {
+			for n := sc.horizon / sc.tick; n > 0; n-- {
+				g.Engine.Step()
+			}
+		} else {
+			g.Engine.RunFor(sc.horizon)
+		}
 		// A scenario bug that strands the backlog would make the event
 		// side look absurdly fast; make sure the last submission ran.
 		if info, err := pools[lastPool].Job(lastID); err != nil || info.Status != condor.StatusCompleted {
@@ -119,30 +127,17 @@ func millionScaleFromEnv() millionScale {
 	return millionFull
 }
 
-// bothDrivers names the two clock-advance strategies a scenario runs under.
-var bothDrivers = []struct {
-	name   string
-	driver simgrid.Driver
-}{
-	{"driver=tick", simgrid.DriverTick},
-	{"driver=event", simgrid.DriverEvent},
-}
-
 func BenchmarkScenarioMillionJobs(b *testing.B) {
 	sc := millionScaleFromEnv()
-	for _, d := range bothDrivers {
-		b.Run(d.name, func(b *testing.B) {
-			var events int64
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				_, run := buildMillionScenario(b, sc, d.driver, nil)
-				b.StartTimer()
-				events = run().Events()
-			}
-			b.ReportMetric(sc.simSeconds*float64(b.N)/b.Elapsed().Seconds(), "sim_s/wall_s")
-			b.ReportMetric(float64(events), "events")
-		})
+	var events int64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		_, run := buildMillionScenario(b, sc, nil)
+		b.StartTimer()
+		events = run().Events()
 	}
+	b.ReportMetric(sc.simSeconds*float64(b.N)/b.Elapsed().Seconds(), "sim_s/wall_s")
+	b.ReportMetric(float64(events), "events")
 }
 
 // TestMillionSmokeCounts is the CI-sized gate behind `make bench-smoke`:
@@ -157,7 +152,7 @@ func BenchmarkScenarioMillionJobs(b *testing.B) {
 func TestMillionSmokeCounts(t *testing.T) {
 	sc := millionSmoke
 	reg := telemetry.NewRegistry()
-	_, run := buildMillionScenario(t, sc, simgrid.DriverEvent, reg)
+	_, run := buildMillionScenario(t, sc, reg)
 	events := float64(run().Events())
 	snap := reg.Snapshot()
 	jobs := float64(sc.jobs)
@@ -184,7 +179,7 @@ func TestMillionSmokeCounts(t *testing.T) {
 }
 
 // goldenScale is a 2-pool x 200-machine x 4,000-job backlog, ten waves
-// deep — small enough to run under both drivers in every test run.
+// deep — small enough to also step through every boundary in every test run.
 var goldenScale = millionScale{
 	pools:    2,
 	machines: 200,
@@ -226,14 +221,17 @@ func placementHash(tb testing.TB, pools []*condor.Pool) uint64 {
 // optimisation must not move, kept apart from Engine.Events(), which such
 // a change is free to lower. The value was computed on the commit before
 // the completion cycle was reworked (echo wakes, by-value event queue,
-// job fields cached at submit) and holds under both drivers.
+// job fields cached at submit) and holds whether the clock jumps from
+// event to event or steps through every boundary.
 func TestPlacementGolden(t *testing.T) {
 	const want = uint64(0x8d99e4b4a361b743)
-	for _, d := range bothDrivers {
-		pools, run := buildMillionScenario(t, goldenScale, d.driver, nil)
+	for _, stepped := range []bool{false, true} {
+		sc := goldenScale
+		sc.stepped = stepped
+		pools, run := buildMillionScenario(t, sc, nil)
 		run()
 		if got := placementHash(t, pools); got != want {
-			t.Errorf("%s: placement hash %#x, want %#x — a job moved or changed its start or completion time", d.name, got, want)
+			t.Errorf("stepped=%v: placement hash %#x, want %#x — a job moved or changed its start or completion time", stepped, got, want)
 		}
 	}
 }
@@ -246,7 +244,7 @@ func TestCompletionMallocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	_, run := buildMillionScenario(t, goldenScale, simgrid.DriverEvent, nil)
+	_, run := buildMillionScenario(t, goldenScale, nil)
 	var m0, m1 runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&m0)
@@ -260,15 +258,15 @@ func TestCompletionMallocCeiling(t *testing.T) {
 }
 
 // TestMillionScenarioEventCountTickIndependent pins the tentpole's
-// structural claim: under the event driver the number of processed events
-// depends on the workload, not on the tick resolution. A 128x finer grid
+// structural claim: the number of processed events depends on the
+// workload, not on the tick resolution. A 128x finer grid
 // must process (nearly) the same events — completions and the pool passes
 // they trigger — rather than 128x more boundaries.
 func TestMillionScenarioEventCountTickIndependent(t *testing.T) {
 	run := func(tick time.Duration) int64 {
 		sc := goldenScale
 		sc.tick = tick
-		_, runFn := buildMillionScenario(t, sc, simgrid.DriverEvent, nil)
+		_, runFn := buildMillionScenario(t, sc, nil)
 		return runFn().Events()
 	}
 	coarse := run(time.Second)
