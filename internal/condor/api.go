@@ -1,0 +1,282 @@
+package condor
+
+import (
+	"fmt"
+	"time"
+
+	"repro/internal/classad"
+	"repro/internal/simgrid"
+)
+
+// The job-facing API of the pool (the schedd side): submitting jobs,
+// reading them back, and the steering commands — suspend, resume, remove,
+// re-prioritise, checkpoint.
+
+// Submit enqueues a job described by ad. The ad must carry AttrCpuSeconds
+// (the ground-truth work) and should carry AttrOwner. The returned ID is
+// the pool-local "Condor ID".
+func (p *Pool) Submit(ad *classad.Ad) (int, error) {
+	if ad == nil {
+		return 0, fmt.Errorf("condor: nil job ad")
+	}
+	need := ad.Float(AttrCpuSeconds, 0)
+	if need <= 0 {
+		return 0, fmt.Errorf("condor: job ad missing positive %s", AttrCpuSeconds)
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.down {
+		return 0, ErrPoolDown
+	}
+	p.nextID++
+	id := p.nextID
+	j := p.newJob(id, ad.Clone(), p.grid.Engine.Now())
+	p.jobs[id] = j
+	p.active = append(p.active, id)
+	p.liveCount++
+	p.idleCount++
+	p.enqueueIdleLocked(j)
+	p.emitLocked(j, 0, StatusIdle)
+	p.requestWake()
+	return id, nil
+}
+
+// SubmitCheckpointed enqueues a job that already completed cpuDone seconds
+// of work elsewhere — the flocking/steering migration path for
+// checkpointable jobs.
+func (p *Pool) SubmitCheckpointed(ad *classad.Ad, cpuDone float64) (int, error) {
+	if cpuDone < 0 {
+		return 0, fmt.Errorf("condor: negative checkpoint %v", cpuDone)
+	}
+	id, err := p.Submit(ad)
+	if err != nil {
+		return 0, err
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if !p.jobs[id].ad.Bool(AttrCheckpoint, false) {
+		// Non-checkpointable jobs restart from zero.
+		return id, nil
+	}
+	p.jobs[id].cpuBase = cpuDone
+	return id, nil
+}
+
+// Job returns a snapshot of the identified job.
+func (p *Pool) Job(id int) (JobInfo, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.down {
+		return JobInfo{}, ErrPoolDown
+	}
+	j, ok := p.jobs[id]
+	if !ok {
+		return JobInfo{}, fmt.Errorf("%w: %d", ErrNoSuchJob, id)
+	}
+	return p.snapshotLocked(j), nil
+}
+
+// Jobs returns snapshots of every job, ordered by ID.
+func (p *Pool) Jobs() ([]JobInfo, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.down {
+		return nil, ErrPoolDown
+	}
+	var pos map[int]int
+	if p.idleCount > 0 {
+		pos = p.idlePositionsLocked()
+	}
+	out := make([]JobInfo, 0, len(p.jobs))
+	p.eachJobLocked(func(j *job) {
+		out = append(out, p.snapshotPosLocked(j, pos))
+	})
+	return out, nil
+}
+
+// eachJobLocked visits every job the pool ever held in ID order. IDs are
+// handed out densely from 1, so counting to nextID is the sorted walk.
+func (p *Pool) eachJobLocked(visit func(*job)) {
+	for id := 1; id <= p.nextID; id++ {
+		if j, ok := p.jobs[id]; ok {
+			visit(j)
+		}
+	}
+}
+
+// LiveJobs returns snapshots of the non-terminal jobs in submission order,
+// without queue positions: a walk of the active list, whose cost follows
+// the jobs now in the pool rather than every job it ever held, for callers
+// that total over the queue.
+func (p *Pool) LiveJobs() ([]JobInfo, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.down {
+		return nil, ErrPoolDown
+	}
+	out := make([]JobInfo, 0, p.liveCount)
+	for _, id := range p.active {
+		if j := p.jobs[id]; !j.status.Terminal() {
+			out = append(out, p.snapshotPosLocked(j, nil))
+		}
+	}
+	return out, nil
+}
+
+// QueueAbove returns the running and idle jobs scheduled ahead of job id
+// — the queue-time estimator's step (a)/(b) input. Under the default
+// static policy that is every non-terminal job with strictly greater
+// priority; when a fair-share policy is installed, it is every running
+// job plus the idle jobs the policy orders before this one, so queue-time
+// estimates track the order the negotiator will actually use.
+func (p *Pool) QueueAbove(id int) ([]JobInfo, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.down {
+		return nil, ErrPoolDown
+	}
+	j, ok := p.jobs[id]
+	if !ok {
+		return nil, fmt.Errorf("%w: %d", ErrNoSuchJob, id)
+	}
+	var out []JobInfo
+	if p.fair != nil {
+		// Running and suspended jobs both hold machines the target must
+		// wait on (a suspended task keeps its node until resumed); they
+		// carry no queue position, so the ordering pass is only paid when
+		// the target itself is idle.
+		var pos map[int]int
+		for _, oid := range p.active {
+			o := p.jobs[oid]
+			if o.id != id && (o.status == StatusRunning || o.status == StatusSuspended) {
+				out = append(out, p.snapshotPosLocked(o, pos))
+			}
+		}
+		if j.status == StatusIdle {
+			ordered := p.idleOrderedLocked()
+			pos = positionsOf(ordered)
+			for _, o := range ordered {
+				if o.id == id {
+					break
+				}
+				out = append(out, p.snapshotPosLocked(o, pos))
+			}
+		}
+		return out, nil
+	}
+	pos := p.idlePositionsLocked()
+	for _, oid := range p.active {
+		o := p.jobs[oid]
+		if o.id == id || o.status.Terminal() {
+			continue
+		}
+		if o.priority > j.priority {
+			out = append(out, p.snapshotPosLocked(o, pos))
+		}
+	}
+	return out, nil
+}
+
+// Suspend pauses a running job (paper: "pause").
+func (p *Pool) Suspend(id int) error {
+	return p.transition(id, func(j *job) error {
+		if j.status != StatusRunning {
+			return fmt.Errorf("condor: job %d is %v, cannot suspend", id, j.status)
+		}
+		j.task.Suspend()
+		if j.flow != nil {
+			j.flow.SetRate(0) // a paused task consumes nothing
+		}
+		p.setStatusLocked(j, StatusSuspended)
+		return nil
+	})
+}
+
+// Resume continues a suspended job.
+func (p *Pool) Resume(id int) error {
+	return p.transition(id, func(j *job) error {
+		if j.status != StatusSuspended {
+			return fmt.Errorf("condor: job %d is %v, cannot resume", id, j.status)
+		}
+		j.task.Resume()
+		if j.flow != nil {
+			j.flow.SetRate(j.flowRate)
+		}
+		p.setStatusLocked(j, StatusRunning)
+		if j.task.State() == simgrid.TaskDone {
+			// The completion deadline fired while suspended; re-enter the
+			// harvest queue so the fast path still promotes it.
+			p.doneQ = append(p.doneQ, j)
+		}
+		p.requestWake() // the job may need per-tick supervision again
+		return nil
+	})
+}
+
+// Remove kills a job (paper: "kill"); idle jobs leave the queue, running
+// jobs are torn down.
+func (p *Pool) Remove(id int) error {
+	return p.transition(id, func(j *job) error {
+		if j.status.Terminal() {
+			return fmt.Errorf("condor: job %d already %v", id, j.status)
+		}
+		p.detachLocked(j)
+		j.completionTime = p.grid.Engine.Now()
+		p.setStatusLocked(j, StatusRemoved)
+		return nil
+	})
+}
+
+// SetPriority changes a pending or running job's priority (paper: "change
+// priority of the job"). Queue order adjusts on the next negotiation.
+func (p *Pool) SetPriority(id, prio int) error {
+	return p.transition(id, func(j *job) error {
+		if j.status.Terminal() {
+			return fmt.Errorf("condor: job %d already %v", id, j.status)
+		}
+		j.priority = prio
+		j.ad.Set(AttrPriority, prio)
+		if j.status == StatusIdle {
+			p.refileIdleLocked(j)
+		}
+		p.requestWake() // queue order changed; re-negotiate next boundary
+		return nil
+	})
+}
+
+// Checkpoint records and returns the job's completed CPU-seconds; a
+// subsequent SubmitCheckpointed elsewhere resumes from this point.
+func (p *Pool) Checkpoint(id int) (float64, error) {
+	var cpu float64
+	err := p.transition(id, func(j *job) error {
+		cpu = p.cpuSecondsLocked(j)
+		j.ckptCPU = cpu
+		return nil
+	})
+	return cpu, err
+}
+
+// WallClock returns the job's accumulated execution time — Condor's
+// "wall-clock time the job has accumulated while running", the Figure 7
+// progress proxy.
+func (p *Pool) WallClock(id int) (time.Duration, error) {
+	info, err := p.Job(id)
+	if err != nil {
+		return 0, err
+	}
+	return info.WallClock, nil
+}
+
+// transition runs fn on the identified job under the pool lock.
+func (p *Pool) transition(id int, fn func(*job) error) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.down {
+		return ErrPoolDown
+	}
+	j, ok := p.jobs[id]
+	if !ok {
+		return fmt.Errorf("%w: %d", ErrNoSuchJob, id)
+	}
+	return fn(j)
+}

@@ -1,0 +1,311 @@
+package condor
+
+import (
+	"time"
+
+	"repro/internal/simgrid"
+)
+
+// What holds while a job occupies a machine: the free set and the claim
+// on it, the task on the node, the fair-share usage it accrues, and the
+// status transitions that open and close all three.
+
+// addFreeLocked inserts m into its arch bucket; the owner's lock is held.
+// A machine whose caller ad mutated while it was claimed resyncs here so
+// it re-enters under its current Arch key.
+func (p *Pool) addFreeLocked(m *machine) {
+	if m.freeIdx >= 0 {
+		return
+	}
+	if m.ad.Version() != m.adVersion {
+		m.snapshotAd()
+	}
+	b := p.freeBuckets[m.archKey]
+	m.freeIdx = len(b)
+	p.freeBuckets[m.archKey] = append(b, m)
+}
+
+// removeFreeLocked swap-removes m from its arch bucket.
+func (p *Pool) removeFreeLocked(m *machine) {
+	if m.freeIdx < 0 {
+		return
+	}
+	b := p.freeBuckets[m.archKey]
+	last := len(b) - 1
+	moved := b[last]
+	b[m.freeIdx] = moved
+	moved.freeIdx = m.freeIdx
+	b[last] = nil
+	p.freeBuckets[m.archKey] = b[:last]
+	m.freeIdx = -1
+}
+
+// claimMachineLocked removes m from its owner's free set when a job starts on
+// it. The caller holds p.mu; a flocked machine's owner is locked briefly,
+// which cannot deadlock because all cross-pool negotiation runs on the
+// single engine goroutine.
+func (p *Pool) claimMachineLocked(m *machine) {
+	if m.owner == p {
+		p.removeFreeLocked(m)
+		return
+	}
+	m.owner.mu.Lock()
+	m.owner.removeFreeLocked(m)
+	m.owner.mu.Unlock()
+}
+
+// releaseClaimLocked returns j's claimed machine (if any) to its owner's
+// free set — the completion/removal half of the incremental free-set
+// maintenance. A foreign (flocked-onto) machine is enqueued on its
+// owner's leaf-locked release queue rather than locked directly: this
+// path runs from API goroutines (Remove, fault teardown) already holding
+// this pool's lock, and taking another pool's main lock here would
+// invert the engine's negotiation lock order.
+func (p *Pool) releaseClaimLocked(j *job) {
+	m := j.claimed
+	if m == nil {
+		return
+	}
+	j.claimed = nil
+	o := m.owner
+	if o == p {
+		p.addFreeLocked(m)
+	} else {
+		o.relMu.Lock()
+		o.pendingRel = append(o.pendingRel, m)
+		o.relMu.Unlock()
+	}
+	// A machine freed is its owner's signal to negotiate again (and, for
+	// a foreign machine, to fold the queued release back into its free
+	// set even if it has nothing else scheduled); pools flocking into the
+	// owner read the same free set, so they wake too.
+	o.requestWake()
+	o.wakeFlockedFrom()
+}
+
+// drainReleasesLocked folds queued foreign releases into the free
+// buckets. Called wherever the buckets are about to be read — tick
+// start, pass refresh, peer snapshot — so the indexed view never lags
+// the physical machine state a full rescan would observe.
+func (p *Pool) drainReleasesLocked() {
+	p.relMu.Lock()
+	for _, m := range p.pendingRel {
+		p.addFreeLocked(m)
+	}
+	p.pendingRel = p.pendingRel[:0]
+	p.relMu.Unlock()
+}
+
+func removeMachine(ms []*machine, m *machine) []*machine {
+	if m == nil {
+		return ms
+	}
+	for i, x := range ms {
+		if x == m {
+			return append(ms[:i], ms[i+1:]...)
+		}
+	}
+	return ms
+}
+
+// startLocked launches job j on machine m, claiming the machine in its
+// owner's free set for as long as the task occupies the node.
+func (p *Pool) startLocked(j *job, m *machine, now time.Time) {
+	need := j.need - j.cpuBase
+	if need <= 0 {
+		// Checkpoint covered all remaining work; complete immediately. No
+		// machine time was consumed, so this is not an allocation for the
+		// starvation guard — but the offer is spent for this pass, as it
+		// was under the per-pass candidate list.
+		m.skipFor = p
+		j.startTime = now
+		j.completionTime = now
+		p.setStatusLocked(j, StatusCompleted)
+		p.produceOutputLocked(j)
+		return
+	}
+	if p.fairStart != nil {
+		p.fairStart.ObserveStart(j.owner, now)
+	}
+	p.runTaskLocked(j, m, need)
+	if j.startTime.IsZero() {
+		j.startTime = now
+	}
+	p.openUsageLocked(j, m)
+	p.setStatusLocked(j, StatusRunning)
+}
+
+// runTaskLocked claims m for j and places a task for need CPU-seconds on
+// its node. On the pool's own machine the placement is unobserved: the
+// pool is the node's observer, it knows what it just placed (the claim is
+// taken, and the usage flow opens next at the right rate), and the
+// completion comes back through taskDone — marking the node dirty and
+// waking for either would only buy a pass that finds nothing changed. A
+// flocked-onto machine belongs to another pool, which is told as ever.
+func (p *Pool) runTaskLocked(j *job, m *machine, need float64) {
+	p.claimMachineLocked(m)
+	j.claimed = m
+	j.task = simgrid.NewTask(j.taskID, need, func(*simgrid.Task) { p.taskDone(j) })
+	j.node = m.node
+	if m.owner == p {
+		m.node.PlaceUnobserved(j.task)
+	} else {
+		m.node.Place(j.task)
+	}
+}
+
+// taskDone is every pool task's done callback; it fires lock-free on the
+// engine goroutine when the completion deadline is reached. The claim is
+// released at once (the node drops finished tasks immediately), not at
+// the next harvest — so the free set always mirrors the physical machine
+// state a full rescan would observe, including for flocking peers that
+// negotiate between this pool's harvests. Job status still transitions
+// at harvest time, driven by the doneQ entry left here, and the release
+// requests the wake that runs it: at this boundary if the pool's turn is
+// still ahead, otherwise at the next one — the same tick the supervised
+// per-tick harvest sees the completion.
+func (p *Pool) taskDone(j *job) {
+	p.mu.Lock()
+	own := j.claimed != nil && j.claimed.owner == p
+	p.releaseClaimLocked(j)
+	p.doneQ = append(p.doneQ, j)
+	p.mu.Unlock()
+	if !own {
+		p.requestWake() // a flocked-onto machine's release woke its owner, not this pool
+	}
+}
+
+// openUsageLocked decides how a starting job's fair-share usage will be
+// accounted: through a lazily-accrued flow when the sink supports flows
+// and the machine's execution rate is analytically constant (sole
+// occupant, constant-forever load segment, no fault injection), or by
+// eager per-tick supervision otherwise.
+func (p *Pool) openUsageLocked(j *job, m *machine) {
+	j.supervised = false
+	if p.fairFlow != nil && j.failAfter <= 0 {
+		if rate, ok := p.flowRateFor(m.node); ok {
+			j.flow = p.fairFlow.OpenFlow(j.owner, m.node.Site, rate)
+			j.flowRate = rate
+			j.flowNode = m.node
+			p.nodeJob[m.node] = j
+			return
+		}
+	}
+	if j.failAfter > 0 || p.fairSink != nil {
+		j.supervised = true
+	}
+}
+
+// flowRateFor returns the node's analytic execution rate — (1-load) ×
+// Mips while the sole task runs under a constant-forever load segment —
+// or ok=false when no constant rate exists and the job must be
+// supervised eagerly.
+func (p *Pool) flowRateFor(node *simgrid.Node) (float64, bool) {
+	v, until, piecewise := node.LoadSegment(p.grid.Engine.Now())
+	if !piecewise || !until.IsZero() || node.TaskCount() != 1 {
+		return 0, false
+	}
+	rate := (1 - v) * node.Mips
+	if rate < 0 {
+		rate = 0
+	}
+	return rate, true
+}
+
+// closeFlowLocked settles and closes a job's usage flow against its
+// measured CPU-seconds, switching the job back to exact bookkeeping.
+func (p *Pool) closeFlowLocked(j *job) {
+	cpu := p.cpuSecondsLocked(j) - j.cpuBase
+	if cpu < 0 {
+		cpu = 0
+	}
+	j.flow.Close(cpu)
+	j.flow = nil
+	j.usageRecorded = cpu
+	if j.flowNode != nil && p.nodeJob[j.flowNode] == j {
+		delete(p.nodeJob, j.flowNode)
+	}
+	j.flowNode = nil
+}
+
+// detachLocked removes the job's task from its node, if any, and releases
+// its machine claim.
+func (p *Pool) detachLocked(j *job) {
+	if j.task != nil {
+		j.task.Kill()
+		if j.node != nil {
+			j.node.Remove(j.task)
+		}
+	}
+	p.releaseClaimLocked(j)
+}
+
+// cpuSecondsLocked returns checkpoint base plus live task CPU.
+func (p *Pool) cpuSecondsLocked(j *job) float64 {
+	cpu := j.cpuBase
+	if j.task != nil {
+		cpu += j.task.CPUSeconds()
+	}
+	return cpu
+}
+
+// accrueUsageLocked reports the job's locally-executed CPU-seconds to
+// the fair-share sink incrementally, attributed to the site whose
+// machine ran them — a flocked job charges the peer's site, not this
+// pool's. Checkpointed work carried in from another site is excluded;
+// that site already accounted for it.
+func (p *Pool) accrueUsageLocked(j *job) {
+	if p.fairSink == nil || j.flow != nil {
+		return // flow jobs accrue lazily inside the sink
+	}
+	cpu := p.cpuSecondsLocked(j) - j.cpuBase
+	if delta := cpu - j.usageRecorded; delta > 0 {
+		site := p.site.Name
+		if j.node != nil {
+			site = j.node.Site
+		}
+		p.fairSink.RecordUsage(j.owner, site, delta)
+		j.usageRecorded = cpu
+	}
+}
+
+// setStatusLocked applies a state change, maintains the queue summary
+// counters the wake-up policy reads, and notifies listeners. Jobs
+// reaching a terminal state settle any CPU not yet accounted — closing
+// their usage flow with the measured total, or accruing the eager
+// remainder.
+func (p *Pool) setStatusLocked(j *job, to Status) {
+	from := j.status
+	j.status = to
+	if from == StatusIdle && to != StatusIdle {
+		p.idleCount--
+		p.dequeueIdleLocked(j)
+	}
+	if j.supervised {
+		if from == StatusRunning && to != StatusRunning {
+			p.superviseCount--
+		} else if from != StatusRunning && to == StatusRunning {
+			p.superviseCount++
+		}
+	}
+	if to.Terminal() {
+		p.liveCount--
+		if j.flow != nil {
+			p.closeFlowLocked(j)
+		} else {
+			p.accrueUsageLocked(j)
+		}
+		j.supervised = false
+	}
+	p.emitLocked(j, from, to)
+}
+
+func (p *Pool) emitLocked(j *job, from, to Status) {
+	if len(p.listeners) == 0 {
+		return
+	}
+	ev := Event{Pool: p.Name, JobID: j.id, From: from, To: to, At: p.grid.Engine.Now()}
+	for _, fn := range p.listeners {
+		fn(ev)
+	}
+}

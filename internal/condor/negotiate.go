@@ -1,0 +1,385 @@
+package condor
+
+import (
+	"cmp"
+	"slices"
+	"time"
+
+	"repro/internal/fairshare"
+	"repro/internal/simgrid"
+)
+
+// The pool's engine event: fold queued signals in, harvest completions,
+// run one negotiation pass over the refreshed free machines, re-arm.
+
+// onWake folds queued machine/node signals in, harvests task
+// completions and faults, runs one negotiation cycle, and re-arms. A
+// failed (down) pool does not re-arm: Recover requests a fresh wakeup.
+func (p *Pool) onWake(now time.Time) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.drainReleasesLocked()
+	if p.down {
+		return
+	}
+	p.obsWakes.Inc()
+	supervising := p.superviseCount > 0
+	did := p.drainDirtyLocked()
+	did += p.harvestLocked(now)
+	did += p.negotiateLocked(now)
+	if did == 0 && !supervising && p.loadWakeAt.IsZero() {
+		p.obsIdleWakes.Inc()
+	}
+	p.rearmLocked(now)
+}
+
+// rearmLocked schedules the pool's next wakeup. The per-tick drumbeat
+// survives only while a running job needs per-tick supervision.
+// Otherwise the pool sleeps until an event wakes it — with one analytic
+// exception: when idle jobs went unmatched and some free machine's
+// advertised load will change at a known instant (a segment boundary, or
+// the next tick under an opaque load), the pass recorded that instant in
+// loadWakeAt.
+func (p *Pool) rearmLocked(now time.Time) {
+	if p.superviseCount > 0 {
+		p.wake.Request(now.Add(p.grid.Engine.Tick()))
+		return
+	}
+	if !p.loadWakeAt.IsZero() {
+		p.wake.Request(p.loadWakeAt)
+	}
+}
+
+// harvestLocked promotes finished tasks to Completed and applies fault
+// injection. While any running job is supervised (fault injection, or
+// eager fair-share accrual) it is a walk over every active
+// job, accruing usage tick by tick so a tenant holding machines with
+// long jobs is penalized while it runs — not only when the job finally
+// completes (Condor's periodic usage update does the same). With no
+// supervised jobs the pass touches exactly the jobs whose completion
+// deadlines fired (doneQ), in ID order — the order the full walk
+// promotes them in — and the active list compacts lazily. A done
+// task needs no Remove: the node dropped it the moment it completed.
+// Returns the number of jobs taken to a terminal state.
+func (p *Pool) harvestLocked(now time.Time) int {
+	ended := 0
+	if p.superviseCount > 0 {
+		p.doneQ = p.doneQ[:0]
+		kept := p.active[:0]
+		for _, id := range p.active {
+			j := p.jobs[id]
+			if j.status.Terminal() {
+				continue
+			}
+			kept = append(kept, id)
+			if j.status != StatusRunning || j.task == nil {
+				continue
+			}
+			p.accrueUsageLocked(j)
+			if fail := j.failAfter; fail > 0 && p.cpuSecondsLocked(j) >= fail {
+				j.task.Kill()
+				p.detachLocked(j)
+				j.completionTime = now
+				p.setStatusLocked(j, StatusFailed)
+				ended++
+				continue
+			}
+			if j.task.State() == simgrid.TaskDone {
+				p.completeLocked(j, now)
+				ended++
+			}
+		}
+		p.active = kept
+		return ended
+	}
+	if len(p.doneQ) > 0 {
+		if len(p.doneQ) > 1 {
+			slices.SortFunc(p.doneQ, func(a, b *job) int { return cmp.Compare(a.id, b.id) })
+		}
+		for _, j := range p.doneQ {
+			if j.status != StatusRunning || j.task == nil || j.task.State() != simgrid.TaskDone {
+				continue
+			}
+			p.completeLocked(j, now)
+			ended++
+		}
+		p.doneQ = p.doneQ[:0]
+	}
+	if len(p.active) > 128 && len(p.active) > 2*p.liveCount {
+		kept := p.active[:0]
+		for _, id := range p.active {
+			if !p.jobs[id].status.Terminal() {
+				kept = append(kept, id)
+			}
+		}
+		p.active = kept
+	}
+	return ended
+}
+
+// completeLocked promotes a running job whose task finished.
+func (p *Pool) completeLocked(j *job, now time.Time) {
+	p.releaseClaimLocked(j) // a no-op once taskDone has run
+	j.completionTime = now
+	p.setStatusLocked(j, StatusCompleted)
+	p.produceOutputLocked(j)
+}
+
+// drainDirtyLocked folds queued node-change notifications in: each
+// dirty node carrying a flow-accounted job gets its analytic rate
+// re-derived — adjusted in place when the node still qualifies, or the
+// flow is closed and the job demoted to eager supervision when it no
+// longer does (a second task landed, or the load is no longer a
+// constant segment). Returns the number of flows looked at.
+func (p *Pool) drainDirtyLocked() int {
+	p.relMu.Lock()
+	dirty := p.dirtyNodes
+	p.dirtyNodes = p.dirtyScratch[:0]
+	p.relMu.Unlock()
+	p.dirtyScratch = dirty
+	flows := 0
+	for _, node := range dirty {
+		j := p.nodeJob[node]
+		if j == nil || j.flow == nil {
+			continue
+		}
+		flows++
+		if j.task != nil && j.task.State() == simgrid.TaskDone {
+			// Completing at this very wake (the completion is what marked
+			// the node dirty): the harvest's terminal settle closes the
+			// flow exactly. Demoting to eager supervision here would force
+			// a full active-list walk for every completion.
+			continue
+		}
+		rate, ok := p.flowRateFor(node)
+		if !ok {
+			p.closeFlowLocked(j)
+			j.supervised = j.failAfter > 0 || p.fairSink != nil
+			if j.supervised && j.status == StatusRunning {
+				p.superviseCount++
+			}
+			continue
+		}
+		if rate != j.flowRate {
+			j.flowRate = rate
+			if j.status == StatusRunning {
+				j.flow.SetRate(rate)
+			}
+		}
+	}
+	return flows
+}
+
+// produceOutputLocked materializes the job's declared output file in the
+// site's storage element, so Backup & Recovery can fetch "local files that
+// were produced".
+func (p *Pool) produceOutputLocked(j *job) {
+	if j.outputFile == "" {
+		return
+	}
+	_ = p.site.Storage().Put(j.outputFile, j.outputMB)
+}
+
+// jobRef is the fair-share policy's view of a queued job.
+func jobRef(j *job) fairshare.JobRef {
+	return fairshare.JobRef{
+		Owner:          j.owner,
+		StaticPriority: j.priority,
+		Submitted:      j.submitTime,
+		Seq:            j.id,
+	}
+}
+
+// negotiateLocked matches idle jobs to free machines in negotiation
+// order; each job picks its highest-Rank matching machine. Idle jobs
+// arrive from the incrementally maintained queues (see queue.go), and
+// the walk stops the moment no offer remains — O(matched) plus the
+// stream's small per-owner bookkeeping, instead of O(idle log idle) every
+// pass. Offers are counted up front: local free machines not excluded for
+// this pass, plus the flocking peer's snapshot. Jobs that match nothing
+// consume no offer and the stream simply moves on, so a queue full of
+// unmatchable jobs still drains passes quickly once offers run out. The
+// pass records, in loadWakeAt, the earliest instant a free machine's
+// advertised load is known to change — the only time-driven reason to
+// negotiate again before the next event. Returns the number of jobs
+// matched.
+func (p *Pool) negotiateLocked(now time.Time) int {
+	p.loadWakeAt = time.Time{}
+	if p.negotiateOracle != nil {
+		return p.negotiateOracle(now)
+	}
+	if p.idleCount == 0 {
+		return 0
+	}
+	var t0 time.Time
+	if p.obsPasses != nil {
+		t0 = time.Now() //lint:walltime telemetry: real pass latency for operator metrics, never read back into sim state
+	}
+	st := p.refreshFreeLocked(now)
+	var peerFree []*machine
+	if p.flockPeer != nil {
+		var pst freeStats
+		peerFree, pst = p.flockPeer.snapshotFreeFor(now, p.peerScratch[:0])
+		p.peerScratch = peerFree
+		st.merge(pst)
+	}
+	matched := 0
+	if st.avail > 0 || len(peerFree) > 0 {
+		stream := p.negotiationStreamLocked(now)
+		for st.avail > 0 || len(peerFree) > 0 {
+			j := stream.next()
+			if j == nil {
+				break
+			}
+			var m *machine
+			if st.avail > 0 {
+				m = p.pickIndexedLocked(j)
+			}
+			if m != nil {
+				st.avail--
+			} else if len(peerFree) > 0 {
+				m, _ = p.bestCandidate(j, peerFree, nil, 0)
+				peerFree = removeMachine(peerFree, m)
+			}
+			if m == nil {
+				continue
+			}
+			p.startLocked(j, m, now)
+			matched++
+		}
+	}
+	if p.idleCount > 0 {
+		// Unmatched idle jobs remain: wake when a free machine's load is
+		// next known to change. Opaque (non-piecewise) loads force a
+		// per-tick cadence; piecewise ones wake at the earliest
+		// segment boundary; with no free machines at all, only events can
+		// change the picture and no timer is needed.
+		if st.opaque {
+			p.loadWakeAt = now.Add(p.grid.Engine.Tick())
+		} else {
+			p.loadWakeAt = st.until
+		}
+	}
+	if p.obsPasses != nil {
+		p.obsPasses.Inc()
+		p.obsMatches.Add(int64(matched))
+		p.obsPassSeconds.Observe(time.Since(t0).Seconds()) //lint:walltime telemetry: real pass latency for operator metrics, never read back into sim state
+	}
+	return matched
+}
+
+// freeStats summarizes one pre-pass walk of the free machines: how many
+// offers the pass holds, and when their advertised loads next change —
+// the earliest piecewise segment boundary (until), or "unknowable
+// analytically" (opaque) when any free machine's load is not piecewise.
+type freeStats struct {
+	avail  int
+	opaque bool
+	until  time.Time
+}
+
+func (st *freeStats) observe(until time.Time, piecewise bool) {
+	st.avail++
+	if !piecewise {
+		st.opaque = true
+		return
+	}
+	if !until.IsZero() && (st.until.IsZero() || until.Before(st.until)) {
+		st.until = until
+	}
+}
+
+func (st *freeStats) merge(o freeStats) {
+	st.opaque = st.opaque || o.opaque
+	if !o.until.IsZero() && (st.until.IsZero() || o.until.Before(st.until)) {
+		st.until = o.until
+	}
+}
+
+// refreshFreeLocked prepares the pool's free machines for one negotiation
+// pass: queued cross-pool releases fold back in, machines whose caller ad
+// mutated resync, each machine's LoadAvg is written into its match ad
+// exactly once, and machines occupied by externally placed tasks (the
+// pool's free set only tracks its own placements) are excluded for this
+// pass.
+func (p *Pool) refreshFreeLocked(now time.Time) freeStats {
+	// New pass: ordered views rebuild lazily; those the last pass had no
+	// use for go, so the map holds only the rank classes now queued.
+	for k, pb := range p.pickSorted {
+		if pb.gen != p.pickGen {
+			delete(p.pickSorted, k)
+		}
+	}
+	p.pickGen++
+	var st freeStats
+	p.visitFreeLocked(func(m *machine) {
+		if m.node.TaskCount() > 0 {
+			m.skipFor = p
+			return
+		}
+		m.skipFor = nil
+		v, until, piecewise := m.node.LoadSegment(now)
+		m.setLoadAvg(v)
+		st.observe(until, piecewise)
+	})
+	return st
+}
+
+// setLoadAvg writes the machine's current load into its match ad, skipping
+// the ad mutation (a map write plus a version bump) when the value hasn't
+// changed since the last pass — the overwhelmingly common case for idle and
+// piecewise-constant machines at scale.
+func (m *machine) setLoadAvg(v float64) {
+	if m.loadAvgSet && m.loadAvg == v {
+		return
+	}
+	m.matchAd.Set("LoadAvg", v)
+	m.loadAvg, m.loadAvgSet = v, true
+}
+
+// snapshotFreeFor lists this pool's free machines for a flocking peer's
+// negotiation pass, refreshing each match ad's LoadAvg under this pool's
+// lock. The caller supplies (and re-owns) the scratch buffer. Safe against
+// deadlock: cross-pool calls happen only on the engine goroutine, where
+// ticks are serialized.
+func (p *Pool) snapshotFreeFor(now time.Time, buf []*machine) ([]*machine, freeStats) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	var st freeStats
+	if p.down {
+		return buf, st
+	}
+	p.visitFreeLocked(func(m *machine) {
+		if m.node.TaskCount() > 0 {
+			return
+		}
+		m.skipFor = nil
+		v, until, piecewise := m.node.LoadSegment(now)
+		m.setLoadAvg(v)
+		st.observe(until, piecewise)
+		buf = append(buf, m)
+	})
+	return buf, st
+}
+
+// visitFreeLocked is the single pre-pass walk both negotiation views
+// share: queued cross-pool releases fold in, machines whose caller ad
+// mutated resync (possibly moving buckets, hence the deferral past the
+// iteration), and visit runs once per free machine.
+func (p *Pool) visitFreeLocked(visit func(*machine)) {
+	p.drainReleasesLocked()
+	var stale []*machine
+	for _, b := range p.freeBuckets {
+		for _, m := range b {
+			if m.ad.Version() != m.adVersion {
+				stale = append(stale, m)
+				continue
+			}
+			visit(m)
+		}
+	}
+	for _, m := range stale {
+		p.resyncMachineLocked(m)
+		visit(m)
+	}
+}
