@@ -356,11 +356,11 @@ func (p *Pool) EnableFlocking(peer *Pool) {
 // SetFairShare installs a fair-share policy: negotiation (and the
 // reported queue position) orders idle jobs by fairshare.LessKeys over
 // pol's keys instead of static priority with FIFO, making the queue
-// time-aware. If pol also implements
-// fairshare.Sink — as *fairshare.Manager does — the CPU-seconds each job
-// executed here are recorded as owner usage at this pool's site when the
-// job reaches a terminal state, closing the accounting loop the paper's
-// stack lacks. A nil pol restores the static ordering.
+// time-aware. If pol also implements fairshare.Sink — as
+// *fairshare.Manager does — the CPU-seconds each job executed here are
+// recorded as owner usage at this pool's site when the job reaches a
+// terminal state, closing the accounting loop the paper's stack lacks. A
+// nil pol restores the static ordering.
 func (p *Pool) SetFairShare(pol fairshare.Ranker) {
 	if fairshare.IsNil(pol) {
 		pol = nil

@@ -1,6 +1,7 @@
 package condor
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -180,25 +181,25 @@ func compareRestoredQueue(t *testing.T, label string, live, restored []JobInfo, 
 	if len(live) != len(restored) {
 		t.Fatalf("%s: %d jobs live, %d restored", label, len(live), len(restored))
 	}
-	// idle lists the jobs idle on the live side by queue position there
-	// and here; positions are a permutation of 1..n on each side.
-	idleLive, idleRestored := make([]int, len(live)+1), make([]int, len(live)+1)
+	var liveIdle, restoredIdle []JobInfo // the jobs idle on the live side, as each side sees them
 	requeued := 0
 	for i, l := range live {
 		r := restored[i]
 		switch {
 		case l.ID != r.ID:
 			t.Fatalf("%s: job %d restored as %d", label, l.ID, r.ID)
-		case leasesLive && (l.Status != r.Status || l.QueuePosition != r.QueuePosition):
-			t.Errorf("%s: job %d is %v at position %d live, %v at position %d restored",
-				label, l.ID, l.Status, l.QueuePosition, r.Status, r.QueuePosition)
+		case leasesLive:
+			if l.Status != r.Status || l.QueuePosition != r.QueuePosition {
+				t.Errorf("%s: job %d is %v at position %d live, %v at position %d restored",
+					label, l.ID, l.Status, l.QueuePosition, r.Status, r.QueuePosition)
+			}
 		case l.Status == StatusRunning && r.Status == StatusIdle && r.QueuePosition > 0:
 			requeued++
 		case l.Status == StatusIdle:
 			if r.Status != StatusIdle {
 				t.Fatalf("%s: idle job %d restored as %v", label, l.ID, r.Status)
 			}
-			idleLive[l.QueuePosition], idleRestored[r.QueuePosition] = l.ID, r.ID
+			liveIdle, restoredIdle = append(liveIdle, l), append(restoredIdle, r)
 		}
 	}
 	if leasesLive {
@@ -210,16 +211,15 @@ func compareRestoredQueue(t *testing.T, label string, live, restored []JobInfo, 
 	if !static {
 		return
 	}
-	var a, b []int
-	for i := range idleLive {
-		if idleLive[i] != 0 {
-			a = append(a, idleLive[i])
+	byPosition := func(jobs []JobInfo) []int {
+		slices.SortFunc(jobs, func(a, b JobInfo) int { return cmp.Compare(a.QueuePosition, b.QueuePosition) })
+		ids := make([]int, len(jobs))
+		for i, j := range jobs {
+			ids[i] = j.ID
 		}
-		if idleRestored[i] != 0 {
-			b = append(b, idleRestored[i])
-		}
+		return ids
 	}
-	if !slices.Equal(a, b) {
+	if a, b := byPosition(liveIdle), byPosition(restoredIdle); !slices.Equal(a, b) {
 		t.Errorf("%s: idle jobs reordered among themselves\n live:     %v\n restored: %v", label, a, b)
 	}
 }
