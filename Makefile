@@ -40,10 +40,11 @@ fuzz-smoke:
 # end without the full sweep. The million-job scenario runs at its
 # scaled-down CI size (100k jobs, 10k machines), then its cost is gated in
 # counts (events, wakes, matches per pass, idle wakes — functions of the
-# workload, not of the host).
+# workload, not of the host) and in live-heap bytes per queued and per
+# finished job.
 bench-smoke:
 	GAE_SCENARIO_SCALE=smoke $(GO) test -run xxx -bench Scenario -benchtime 1x .
-	$(GO) test -run MillionSmokeCounts -count=1 .
+	$(GO) test -run 'MillionSmokeCounts|JobBytesCeiling' -count=1 .
 
 # Closed-loop serving smoke: the gae-loadgen mixed workload against an
 # embedded durable deployment — exits non-zero if any operation fails.

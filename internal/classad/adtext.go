@@ -34,9 +34,9 @@ func ParseAd(src string) (*Ad, error) {
 			return nil, fmt.Errorf("classad: attribute %s: %w", name, err)
 		}
 		if lit, ok := e.(*litExpr); ok {
-			ad.attrs[lowered(name)] = entry{name: name, val: lit.v}
+			ad.put(entry{name: name, val: lit.v})
 		} else {
-			ad.attrs[lowered(name)] = entry{name: name, expr: e}
+			ad.put(entry{name: name, expr: e})
 		}
 		ad.version++
 	}

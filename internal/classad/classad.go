@@ -22,11 +22,16 @@
 //     toUpper substr member isUndefined ifThenElse pow
 //
 // Attribute names are case-insensitive, as in Condor.
+//
+// The execution service keeps an ad for every job it ever held, so what
+// one weighs is a budget: an Ad is one slice searched linearly (see Ad),
+// a Matcher holds only what a match reads, and tests gate the sizes.
 package classad
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -279,12 +284,21 @@ func (v Value) Equal(o Value) bool {
 	return false
 }
 
-// Ad is a ClassAd: a case-insensitive attribute map. Values stored may be
-// literals (Value) or unevaluated expressions (Expr).
+// Ad is a ClassAd: a case-insensitive set of named attributes, each a
+// literal (Value) or an unevaluated expression (Expr).
+//
+// The attributes sit in one slice, in the order they were first set, and
+// are found by linear search with a case-folding compare. The ads this
+// system builds carry 3 to 15 attributes: at that size a scan of one
+// contiguous array is as fast as hashing the name (classad.match_ns and
+// classad.rank_ns in bench/ are the rows that would say otherwise), and an
+// ad costs its header plus 72 bytes an attribute, a fraction of a hash
+// table's smallest bucket group. Nothing observable depends on the
+// order: Names, String and so the snapshot text sort.
 type Ad struct {
-	attrs map[string]entry
+	attrs []entry
 	// version counts mutations; compiled Matchers use it to detect that
-	// their cached Requirements/Rank entries are stale.
+	// their compiled Requirements/Rank are stale.
 	version uint64
 	// onMutate hooks fire synchronously after every mutation. Negotiators
 	// subscribe to advertised machine ads so an attribute change wakes
@@ -309,18 +323,44 @@ func (a *Ad) mutated() {
 	}
 }
 
+// entry is one attribute; names compare ignoring case, so there is no
+// second, lower-cased copy of one.
 type entry struct {
-	name string // original-case name, for printing
+	name string // as last written, for printing
 	val  Value
 	expr Expr // non-nil when the attribute is an expression
 }
 
 // New returns an empty ad.
-func New() *Ad { return &Ad{attrs: make(map[string]entry)} }
+func New() *Ad { return &Ad{} }
+
+// find returns the index of the attribute called name, or -1. Two names
+// are the same attribute when they are equal after strings.ToLower.
+func (a *Ad) find(name string) int {
+	for i := range a.attrs {
+		if foldCompare(a.attrs[i].name, name) == 0 {
+			return i
+		}
+	}
+	return -1
+}
+
+// put writes e over the attribute of the same name, in place, or appends
+// it; the first append sizes the slice for a small ad in one step.
+func (a *Ad) put(e entry) {
+	if i := a.find(e.name); i >= 0 {
+		a.attrs[i] = e
+		return
+	}
+	if a.attrs == nil {
+		a.attrs = make([]entry, 0, 4)
+	}
+	a.attrs = append(a.attrs, e)
+}
 
 // Set stores a literal attribute, converting the Go value via From.
 func (a *Ad) Set(name string, v any) *Ad {
-	a.attrs[lowered(name)] = entry{name: name, val: From(v)}
+	a.put(entry{name: name, val: From(v)})
 	a.mutated()
 	return a
 }
@@ -331,7 +371,7 @@ func (a *Ad) SetExpr(name, src string) error {
 	if err != nil {
 		return fmt.Errorf("classad: attribute %s: %w", name, err)
 	}
-	a.attrs[lowered(name)] = entry{name: name, expr: e}
+	a.put(entry{name: name, expr: e})
 	a.mutated()
 	return nil
 }
@@ -346,21 +386,20 @@ func (a *Ad) MustSetExpr(name, src string) *Ad {
 
 // Delete removes an attribute.
 func (a *Ad) Delete(name string) {
-	delete(a.attrs, lowered(name))
+	if i := a.find(name); i >= 0 {
+		a.attrs = slices.Delete(a.attrs, i, i+1)
+	}
 	a.mutated()
 }
 
 // Has reports whether the attribute exists.
-func (a *Ad) Has(name string) bool {
-	_, ok := a.attrs[lowered(name)]
-	return ok
-}
+func (a *Ad) Has(name string) bool { return a.find(name) >= 0 }
 
 // Names returns the attribute names in sorted order (original case).
 func (a *Ad) Names() []string {
-	out := make([]string, 0, len(a.attrs))
-	for _, e := range a.attrs {
-		out = append(out, e.name)
+	out := make([]string, len(a.attrs))
+	for i := range a.attrs {
+		out[i] = a.attrs[i].name
 	}
 	sort.Strings(out)
 	return out
@@ -370,43 +409,36 @@ func (a *Ad) Names() []string {
 func (a *Ad) Len() int { return len(a.attrs) }
 
 // Lookup evaluates the attribute in the context of this ad alone.
-func (a *Ad) Lookup(name string) Value {
-	return a.EvalAttr(name, nil)
-}
+func (a *Ad) Lookup(name string) Value { return a.EvalAttr(name, nil) }
 
 // EvalAttr evaluates attribute name with target as the TARGET scope.
 func (a *Ad) EvalAttr(name string, target *Ad) Value {
-	return a.evalAttrLower(lowered(name), target)
-}
-
-// evalAttrLower is EvalAttr with a pre-lowered name and a pooled scope,
-// so hot callers avoid both the case fold and the scope allocation.
-func (a *Ad) evalAttrLower(lowerName string, target *Ad) Value {
-	e, ok := a.attrs[lowerName]
-	if !ok {
+	i := a.find(name)
+	if i < 0 {
 		return Undefined()
 	}
+	return a.attrs[i].eval(scope{self: a, target: target})
+}
+
+// eval returns the attribute's value: its literal, or its expression
+// evaluated in sc.
+func (e *entry) eval(sc scope) Value {
 	if e.expr == nil {
 		return e.val
 	}
-	sc := scopePool.Get().(*scope)
-	sc.self, sc.target, sc.depth = a, target, 0
-	v := e.expr.Eval(sc)
-	sc.self, sc.target = nil, nil
-	scopePool.Put(sc)
-	return v
+	return e.expr.Eval(sc)
 }
 
 // String renders the ad in [a = 1; b = "x";] form with sorted attributes.
 func (a *Ad) String() string {
-	names := a.Names()
+	sorted := slices.Clone(a.attrs)
+	slices.SortFunc(sorted, func(x, y entry) int { return strings.Compare(x.name, y.name) })
 	var sb strings.Builder
 	sb.WriteString("[")
-	for i, n := range names {
+	for i, e := range sorted {
 		if i > 0 {
 			sb.WriteString("; ")
 		}
-		e := a.attrs[lowered(n)]
 		sb.WriteString(e.name)
 		sb.WriteString(" = ")
 		if e.expr != nil {
@@ -425,11 +457,11 @@ func (a *Ad) String() string {
 // differently against every candidate, even if it happens to produce a
 // string with no target in scope.
 func (a *Ad) LiteralString(name string) (string, bool) {
-	e, ok := a.attrs[lowered(name)]
-	if !ok || e.expr != nil {
+	i := a.find(name)
+	if i < 0 || a.attrs[i].expr != nil {
 		return "", false
 	}
-	return e.val.StringVal()
+	return a.attrs[i].val.StringVal()
 }
 
 // Version returns a counter incremented by every attribute mutation.
@@ -439,19 +471,15 @@ func (a *Ad) Version() uint64 { return a.version }
 
 // Clone returns a deep-enough copy (expressions are immutable and shared).
 func (a *Ad) Clone() *Ad {
-	c := &Ad{attrs: make(map[string]entry, len(a.attrs))}
-	for k, e := range a.attrs {
-		c.attrs[k] = e
-	}
-	return c
+	return &Ad{attrs: slices.Clone(a.attrs)}
 }
 
 // Project returns a new ad with only the named attributes (those present).
 func (a *Ad) Project(names ...string) *Ad {
 	c := New()
 	for _, n := range names {
-		if e, ok := a.attrs[lowered(n)]; ok {
-			c.attrs[lowered(n)] = e
+		if i := a.find(n); i >= 0 {
+			c.put(a.attrs[i])
 		}
 	}
 	return c
@@ -494,35 +522,23 @@ func (a *Ad) Bool(name string, def bool) bool {
 // A missing Requirements attribute counts as satisfied. For repeated
 // matches of long-lived ads, the compiled Matcher path is faster still.
 func Match(left, right *Ad) bool {
-	return halfMatchLower(left, right) && halfMatchLower(right, left)
+	return halfMatch(left, right) && halfMatch(right, left)
 }
 
-// halfMatchLower evaluates self's Requirements with target in scope,
-// using the canonical lower-case key and the pooled scope.
-func halfMatchLower(self, target *Ad) bool {
-	e, ok := self.attrs[attrRequirements]
-	if !ok {
+// halfMatch evaluates self's Requirements with target in scope.
+func halfMatch(self, target *Ad) bool {
+	i := self.find(attrRequirements)
+	if i < 0 {
 		return true
 	}
-	v := e.val
-	if e.expr != nil {
-		sc := scopePool.Get().(*scope)
-		sc.self, sc.target, sc.depth = self, target, 0
-		v = e.expr.Eval(sc)
-		sc.self, sc.target = nil, nil
-		scopePool.Put(sc)
-	}
-	b, ok := v.BoolVal()
+	b, ok := self.attrs[i].eval(scope{self: self, target: target}).BoolVal()
 	return ok && b
 }
 
 // Rank evaluates self's Rank expression against target, returning 0.0 when
 // absent or non-numeric, NaN included (Condor semantics).
 func Rank(self, target *Ad) float64 {
-	if _, ok := self.attrs[attrRank]; !ok {
-		return 0
-	}
-	if f, ok := self.evalAttrLower(attrRank, target).RealVal(); ok && f == f {
+	if f, ok := self.EvalAttr(attrRank, target).RealVal(); ok && f == f {
 		return f
 	}
 	return 0

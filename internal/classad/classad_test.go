@@ -385,6 +385,41 @@ func TestAdCloneIsIndependent(t *testing.T) {
 	}
 }
 
+// allocSink keeps what TestAdAllocations builds reachable: an ad that is
+// dropped on the spot never leaves the stack and counts as no allocation.
+var allocSink struct {
+	ad *Ad
+	v  Value
+}
+
+func TestAdAllocations(t *testing.T) {
+	owner, need, prio := "alice", 120.5, 300
+	job := New().Set("Owner", "alice").Set("CpuSeconds", 120.0).Set("JobPrio", 1)
+	machine := New().Set("Memory", 2048).MustSetExpr("Free", "Memory - 512")
+	for _, c := range []struct {
+		name string
+		max  float64
+		fn   func()
+	}{
+		{"Lookup of a literal", 0, func() { allocSink.v = job.Lookup("cpuseconds") }},
+		{"EvalAttr of a literal", 0, func() { allocSink.v = job.EvalAttr("OWNER", machine) }},
+		{"EvalAttr of an expression", 0, func() { allocSink.v = machine.EvalAttr("Free", job) }},
+		{"Set on an existing attribute", 0, func() { job.Set("jobprio", 2) }},
+		{"Clone", 2, func() { allocSink.ad = job.Clone() }},
+		{"New and three Sets", 5, func() {
+			// Values from variables, as a submitter's are: boxing the
+			// string, the float and the int is three of the five.
+			allocSink.ad = New().Set("Owner", owner).Set("CpuSeconds", need).Set("JobPrio", prio)
+		}},
+	} {
+		got := testing.AllocsPerRun(200, c.fn)
+		t.Logf("%s: %v allocations", c.name, got)
+		if got > c.max {
+			t.Errorf("%s: %v allocations, want <= %v", c.name, got, c.max)
+		}
+	}
+}
+
 func TestAdProject(t *testing.T) {
 	a := New().Set("Keep", 1).Set("Drop", 2)
 	p := a.Project("keep", "missing")

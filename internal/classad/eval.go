@@ -2,10 +2,12 @@ package classad
 
 import (
 	"math"
+	"strings"
 )
 
 // scope carries the self/target ads during evaluation, plus a depth guard
-// against mutually recursive attribute definitions.
+// against mutually recursive attribute definitions. It is three words,
+// passed by value: no evaluation, nested or not, allocates one.
 type scope struct {
 	self   *Ad
 	target *Ad
@@ -14,54 +16,45 @@ type scope struct {
 
 const maxEvalDepth = 64
 
-// resolve looks up an attribute reference by its pre-lowered name.
-// Unqualified names search self then target; MY restricts to self; TARGET
-// to target.
-func (sc *scope) resolve(lowerName, scopeName string) Value {
-	if sc == nil {
-		return Undefined()
-	}
+// resolve looks up an attribute reference. Unqualified names search self
+// then target; MY restricts to self; TARGET to target.
+func (sc scope) resolve(name, scopeName string) Value {
 	if sc.depth >= maxEvalDepth {
-		return Errorf("attribute recursion limit reached at %q", lowerName)
+		return Errorf("attribute recursion limit reached at %q", strings.ToLower(name))
 	}
 	switch scopeName {
 	case "my":
-		v, _ := sc.lookupIn(sc.self, sc.target, lowerName)
+		v, _ := sc.lookupIn(sc.self, sc.target, name)
 		return v
 	case "target":
-		v, _ := sc.lookupIn(sc.target, sc.self, lowerName)
+		v, _ := sc.lookupIn(sc.target, sc.self, name)
 		return v
 	default:
-		if v, ok := sc.lookupIn(sc.self, sc.target, lowerName); ok {
+		if v, ok := sc.lookupIn(sc.self, sc.target, name); ok {
 			return v
 		}
-		v, _ := sc.lookupIn(sc.target, sc.self, lowerName)
+		v, _ := sc.lookupIn(sc.target, sc.self, name)
 		return v
 	}
 }
 
-// lookupIn fetches lowerName from ad; expression attributes evaluate with
-// ad as self and other as target, one depth level down. Literal lookups —
-// the matchmaking common case — touch no new scope.
-func (sc *scope) lookupIn(ad, other *Ad, lowerName string) (Value, bool) {
+// lookupIn fetches name from ad; expression attributes evaluate with ad as
+// self and other as target, one depth level down.
+func (sc scope) lookupIn(ad, other *Ad, name string) (Value, bool) {
 	if ad == nil {
 		return Undefined(), false
 	}
-	e, ok := ad.attrs[lowerName]
-	if !ok {
+	i := ad.find(name)
+	if i < 0 {
 		return Undefined(), false
 	}
-	if e.expr == nil {
-		return e.val, true
-	}
-	inner := scope{self: ad, target: other, depth: sc.depth + 1}
-	return e.expr.Eval(&inner), true
+	return ad.attrs[i].eval(scope{self: ad, target: other, depth: sc.depth + 1}), true
 }
 
 // EvalInContext evaluates a parsed expression with explicit self/target
 // ads; either may be nil.
 func EvalInContext(e Expr, self, target *Ad) Value {
-	return e.Eval(&scope{self: self, target: target})
+	return e.Eval(scope{self: self, target: target})
 }
 
 // EvalString parses and evaluates src against self/target in one shot.
@@ -102,7 +95,7 @@ func evalUnary(op string, v Value) Value {
 
 // evalAnd implements Condor's three-valued conjunction:
 // false && anything == false (even error), undefined && true == undefined.
-func evalAnd(le, re Expr, sc *scope) Value {
+func evalAnd(le, re Expr, sc scope) Value {
 	l := le.Eval(sc)
 	if b, ok := l.BoolVal(); ok && !b {
 		return Bool(false)
@@ -129,7 +122,7 @@ func evalAnd(le, re Expr, sc *scope) Value {
 }
 
 // evalOr mirrors evalAnd: true || anything == true.
-func evalOr(le, re Expr, sc *scope) Value {
+func evalOr(le, re Expr, sc scope) Value {
 	l := le.Eval(sc)
 	if b, ok := l.BoolVal(); ok && b {
 		return Bool(true)

@@ -2,91 +2,39 @@ package classad
 
 import (
 	"strings"
-	"sync"
-	"sync/atomic"
 	"unicode/utf8"
 )
 
-// This file is the matchmaking fast path: attribute-name interning, a
-// reusable evaluation scope, and a compiled Matcher that pre-resolves an
-// ad's Requirements and Rank so the negotiator's inner loop performs no
-// map lookups, no case folding, and no allocation per candidate.
+// This file is the matchmaking fast path: a compiled Matcher that resolves
+// an ad's Requirements and Rank once, so the negotiator's inner loop
+// searches neither ad for them and allocates nothing per candidate.
 
-// Canonical lower-case keys of the matchmaking attributes.
+// Canonical lower-case names of the matchmaking attributes.
 const (
 	attrRequirements = "requirements"
 	attrRank         = "rank"
 )
 
-// internCap bounds the interning cache; attribute vocabularies are small,
-// so the cap only guards against pathological dynamic names.
-const internCap = 4096
-
-var (
-	internCache sync.Map // original-case name -> lower-case name
-	internCount atomic.Int64
-)
-
-// lowered returns the lower-cased form of an attribute name. Names that
-// are already lower-case ASCII — the common case on hot paths — are
-// returned unchanged without allocating; mixed-case names are interned so
-// each distinct spelling pays for strings.ToLower once.
-func lowered(s string) string {
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if (c >= 'A' && c <= 'Z') || c >= utf8.RuneSelf {
-			return lowerSlow(s)
-		}
-	}
-	return s
-}
-
-func lowerSlow(s string) string {
-	if v, ok := internCache.Load(s); ok {
-		return v.(string)
-	}
-	l := strings.ToLower(s)
-	if internCount.Load() < internCap {
-		if _, loaded := internCache.LoadOrStore(s, l); !loaded {
-			internCount.Add(1)
-		}
-	}
-	return l
-}
-
-// scopePool recycles evaluation scopes for the package-level Match/Rank
-// entry points, keeping them allocation-free at steady state.
-var scopePool = sync.Pool{New: func() any { return new(scope) }}
-
-// Matcher is the compiled form of one ad's matchmaking surface: its
-// Requirements and Rank entries resolved once, plus a private evaluation
-// scope reused across calls. A Matcher tracks its ad's mutation counter
-// and recompiles lazily after any Set/SetExpr/Delete, so holding one
-// across ad updates is safe. Matchers are not safe for concurrent use.
+// Matcher is the compiled form of one ad's matchmaking surface, and holds
+// only what a match reads: the Requirements and Rank expressions, the
+// Rank's class, and the ad version they were compiled at. A Matcher tracks
+// its ad's mutation counter and recompiles lazily after any
+// Set/SetExpr/Delete, so holding one across ad updates is safe. Every
+// queued job holds one, so its size is a per-job cost. Matchers are not
+// safe for concurrent use.
 type Matcher struct {
-	ad      *Matchable
+	ad      *Ad
 	version uint64
 
-	hasReq  bool
-	reqExpr Expr  // nil when the attribute is a literal
-	reqVal  Value // literal value when reqExpr == nil
-
-	hasRank  bool
-	rankExpr Expr
-	rankVal  Value
+	// req and rank are nil when the attribute is absent; a literal
+	// attribute compiles to a litExpr.
+	req, rank Expr
 	// Rank classified as a function of the target alone (see RankClass):
 	// its canonical text and the TARGET attributes it reads.
 	rankByTarget bool
 	rankKey      string
 	rankAttrs    []string
-
-	sc scope
 }
-
-// Matchable aliases Ad; it exists only so the godoc of Matcher reads
-// naturally. (Kept as a distinct name to discourage mutating the ad
-// through the matcher.)
-type Matchable = Ad
 
 // NewMatcher compiles ad's Requirements/Rank for repeated matching.
 func NewMatcher(ad *Ad) *Matcher {
@@ -100,17 +48,31 @@ func (m *Matcher) Ad() *Ad { return m.ad }
 
 func (m *Matcher) compile() {
 	m.version = m.ad.version
-	m.hasReq, m.reqExpr, m.reqVal = m.ad.entryParts(attrRequirements)
-	m.hasRank, m.rankExpr, m.rankVal = m.ad.entryParts(attrRank)
+	m.req = m.ad.compiled(attrRequirements)
+	m.rank = m.ad.compiled(attrRank)
 	m.rankByTarget, m.rankKey, m.rankAttrs = true, "", m.rankAttrs[:0]
-	if m.rankExpr != nil {
+	if _, literal := m.rank.(*litExpr); m.rank != nil && !literal {
 		var key strings.Builder
 		key.Grow(64)
-		m.rankByTarget = targetOnly(m.rankExpr, &key, &m.rankAttrs)
+		m.rankByTarget = targetOnly(m.rank, &key, &m.rankAttrs)
 		if m.rankByTarget && len(m.rankAttrs) > 0 {
 			m.rankKey = key.String()
 		}
 	}
+}
+
+// compiled returns the named attribute as an expression: nil when absent,
+// a literal wrapped in a litExpr.
+func (a *Ad) compiled(name string) Expr {
+	i := a.find(name)
+	if i < 0 {
+		return nil
+	}
+	e := &a.attrs[i]
+	if e.expr == nil {
+		return &litExpr{v: e.val}
+	}
+	return e.expr
 }
 
 func (m *Matcher) sync() {
@@ -145,7 +107,7 @@ func (m *Matcher) TargetRank(t *Matcher) (rank float64, ok bool) {
 		return 0, false
 	}
 	for _, a := range m.rankAttrs {
-		if e, found := t.ad.attrs[a]; found && e.expr != nil {
+		if i := t.ad.find(a); i >= 0 && t.ad.attrs[i].expr != nil {
 			return 0, false
 		}
 	}
@@ -153,8 +115,8 @@ func (m *Matcher) TargetRank(t *Matcher) (rank float64, ok bool) {
 }
 
 // targetOnly reports whether e reads nothing but literals and TARGET.-scoped
-// attributes, appending its canonical text to key and the attributes'
-// lower-case names to attrs.
+// attributes, appending its canonical text (attribute names lower-cased)
+// to key and the attributes' names to attrs.
 func targetOnly(e Expr, key *strings.Builder, attrs *[]string) bool {
 	switch x := e.(type) {
 	case *litExpr:
@@ -168,8 +130,8 @@ func targetOnly(e Expr, key *strings.Builder, attrs *[]string) bool {
 			return false
 		}
 		key.WriteString("T.")
-		key.WriteString(x.lower)
-		*attrs = append(*attrs, x.lower)
+		writeLower(key, x.name)
+		*attrs = append(*attrs, x.name)
 		return true
 	case *parenExpr:
 		key.WriteByte('(')
@@ -191,27 +153,12 @@ func targetOnly(e Expr, key *strings.Builder, attrs *[]string) bool {
 	return false
 }
 
-// entryParts fetches an attribute's compiled pieces by pre-lowered name.
-func (a *Ad) entryParts(lowerName string) (ok bool, e Expr, v Value) {
-	ent, ok := a.attrs[lowerName]
-	if !ok {
-		return false, nil, Undefined()
-	}
-	return true, ent.expr, ent.val
-}
-
-// halfOK evaluates m's Requirements against target, reusing m's scope.
+// halfOK evaluates m's Requirements against target.
 func (m *Matcher) halfOK(target *Ad) bool {
-	if !m.hasReq {
+	if m.req == nil {
 		return true
 	}
-	if m.reqExpr == nil {
-		b, ok := m.reqVal.BoolVal()
-		return ok && b
-	}
-	m.sc.self, m.sc.target, m.sc.depth = m.ad, target, 0
-	v := m.reqExpr.Eval(&m.sc)
-	b, ok := v.BoolVal()
+	b, ok := m.req.Eval(scope{self: m.ad, target: target}).BoolVal()
 	return ok && b
 }
 
@@ -228,15 +175,10 @@ func (m *Matcher) Match(t *Matcher) bool {
 // ranks are always ordered.
 func (m *Matcher) Rank(t *Matcher) float64 {
 	m.sync()
-	if !m.hasRank {
+	if m.rank == nil {
 		return 0
 	}
-	if m.rankExpr == nil {
-		f, _ := m.rankVal.RealVal()
-		return f
-	}
-	m.sc.self, m.sc.target, m.sc.depth = m.ad, t.ad, 0
-	if f, ok := m.rankExpr.Eval(&m.sc).RealVal(); ok && f == f {
+	if f, ok := m.rank.Eval(scope{self: m.ad, target: t.ad}).RealVal(); ok && f == f {
 		return f
 	}
 	return 0
@@ -252,30 +194,30 @@ func (m *Matcher) Rank(t *Matcher) float64 {
 // keys. ok is false when Requirements is absent, a literal, or carries no
 // such conjunct.
 func (a *Ad) ReqStringConstraint(attr string) (string, bool) {
-	ent, ok := a.attrs[attrRequirements]
-	if !ok || ent.expr == nil {
+	i := a.find(attrRequirements)
+	if i < 0 || a.attrs[i].expr == nil {
 		return "", false
 	}
-	return a.targetStringEq(ent.expr, lowered(attr))
+	return a.targetStringEq(a.attrs[i].expr, attr)
 }
 
 // targetStringEq walks &&-conjuncts looking for attr == "literal".
-func (a *Ad) targetStringEq(e Expr, attrLower string) (string, bool) {
+func (a *Ad) targetStringEq(e Expr, attr string) (string, bool) {
 	switch x := e.(type) {
 	case *parenExpr:
-		return a.targetStringEq(x.e, attrLower)
+		return a.targetStringEq(x.e, attr)
 	case *binExpr:
 		switch x.op {
 		case "&&":
-			if s, ok := a.targetStringEq(x.l, attrLower); ok {
+			if s, ok := a.targetStringEq(x.l, attr); ok {
 				return s, true
 			}
-			return a.targetStringEq(x.r, attrLower)
+			return a.targetStringEq(x.r, attr)
 		case "==":
-			if s, ok := a.eqLiteral(x.l, x.r, attrLower); ok {
+			if s, ok := a.eqLiteral(x.l, x.r, attr); ok {
 				return s, true
 			}
-			return a.eqLiteral(x.r, x.l, attrLower)
+			return a.eqLiteral(x.r, x.l, attr)
 		}
 	}
 	return "", false
@@ -285,15 +227,13 @@ func (a *Ad) targetStringEq(e Expr, attrLower string) (string, bool) {
 // the job's own attributes, so only TARGET references — or unqualified
 // ones the job itself cannot satisfy (unqualified names resolve in self
 // first) — constrain the machine.
-func (a *Ad) eqLiteral(ref, lit Expr, attrLower string) (string, bool) {
+func (a *Ad) eqLiteral(ref, lit Expr, attr string) (string, bool) {
 	ae, ok := ref.(*attrExpr)
-	if !ok || ae.lower != attrLower || ae.scope == "my" {
+	if !ok || foldCompare(ae.name, attr) != 0 || ae.scope == "my" {
 		return "", false
 	}
-	if ae.scope == "" {
-		if _, selfHas := a.attrs[ae.lower]; selfHas {
-			return "", false
-		}
+	if ae.scope == "" && a.Has(ae.name) {
+		return "", false
 	}
 	le, ok := lit.(*litExpr)
 	if !ok {
@@ -303,12 +243,30 @@ func (a *Ad) eqLiteral(ref, lit Expr, attrLower string) (string, bool) {
 	if !ok {
 		return "", false
 	}
-	return lowered(s), true
+	return strings.ToLower(s), true
+}
+
+// writeLower appends strings.ToLower(s) to b, allocating nothing for an
+// ASCII name.
+func writeLower(b *strings.Builder, s string) {
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c >= utf8.RuneSelf {
+			b.WriteString(strings.ToLower(s[i:]))
+			return
+		}
+		if c >= 'A' && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		b.WriteByte(c)
+	}
 }
 
 // foldCompare is a case-insensitive string comparison that avoids the
 // per-call ToLower allocations on the ASCII fast path; non-ASCII input
-// falls back to the exact ToLower semantics the dialect documents.
+// falls back to the exact ToLower semantics the dialect documents. It
+// orders string values and, compared with 0, is the equality of attribute
+// names (Ad.find).
 func foldCompare(a, b string) int {
 	for i := 0; i < len(a) && i < len(b); i++ {
 		ca, cb := a[i], b[i]

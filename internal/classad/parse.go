@@ -9,7 +9,7 @@ import (
 // Expr is a parsed ClassAd expression.
 type Expr interface {
 	// Eval evaluates the expression in the given scope.
-	Eval(sc *scope) Value
+	Eval(sc scope) Value
 	// String renders the expression in parseable form.
 	String() string
 }
@@ -291,7 +291,7 @@ func (p *parser) parseIdent() (Expr, error) {
 				return nil, fmt.Errorf("classad: expected attribute after %s. at %d", t.text, attr.pos)
 			}
 			p.advance()
-			return &attrExpr{name: attr.text, lower: lowered(attr.text), scope: lower}, nil
+			return &attrExpr{name: attr.text, scope: lower}, nil
 		}
 	}
 	// Function call.
@@ -318,24 +318,24 @@ func (p *parser) parseIdent() (Expr, error) {
 		}
 		return &callExpr{name: lower, args: args}, nil
 	}
-	return &attrExpr{name: t.text, lower: lowered(t.text)}, nil
+	return &attrExpr{name: t.text}, nil
 }
 
 // AST nodes.
 
 type litExpr struct{ v Value }
 
-func (e *litExpr) Eval(*scope) Value { return e.v }
-func (e *litExpr) String() string    { return e.v.String() }
+func (e *litExpr) Eval(scope) Value { return e.v }
+func (e *litExpr) String() string   { return e.v.String() }
 
 type parenExpr struct{ e Expr }
 
-func (e *parenExpr) Eval(sc *scope) Value { return e.e.Eval(sc) }
-func (e *parenExpr) String() string       { return "(" + e.e.String() + ")" }
+func (e *parenExpr) Eval(sc scope) Value { return e.e.Eval(sc) }
+func (e *parenExpr) String() string      { return "(" + e.e.String() + ")" }
 
 type listExpr struct{ elems []Expr }
 
-func (e *listExpr) Eval(sc *scope) Value {
+func (e *listExpr) Eval(sc scope) Value {
 	vs := make([]Value, len(e.elems))
 	for i, el := range e.elems {
 		vs[i] = el.Eval(sc)
@@ -352,12 +352,11 @@ func (e *listExpr) String() string {
 }
 
 type attrExpr struct {
-	name  string
-	lower string // pre-lowered at parse time; the eval path never folds case
+	name  string // as written; lookups compare ignoring case
 	scope string // "", "my", or "target"
 }
 
-func (e *attrExpr) Eval(sc *scope) Value { return sc.resolve(e.lower, e.scope) }
+func (e *attrExpr) Eval(sc scope) Value { return sc.resolve(e.name, e.scope) }
 
 func (e *attrExpr) String() string {
 	switch e.scope {
@@ -374,15 +373,15 @@ type unaryExpr struct {
 	e  Expr
 }
 
-func (e *unaryExpr) Eval(sc *scope) Value { return evalUnary(e.op, e.e.Eval(sc)) }
-func (e *unaryExpr) String() string       { return e.op + e.e.String() }
+func (e *unaryExpr) Eval(sc scope) Value { return evalUnary(e.op, e.e.Eval(sc)) }
+func (e *unaryExpr) String() string      { return e.op + e.e.String() }
 
 type binExpr struct {
 	op   string
 	l, r Expr
 }
 
-func (e *binExpr) Eval(sc *scope) Value {
+func (e *binExpr) Eval(sc scope) Value {
 	// && and || must short-circuit with three-valued logic.
 	switch e.op {
 	case "&&":
@@ -401,7 +400,7 @@ type ternaryExpr struct {
 	cond, then, els Expr
 }
 
-func (e *ternaryExpr) Eval(sc *scope) Value {
+func (e *ternaryExpr) Eval(sc scope) Value {
 	c := e.cond.Eval(sc)
 	b, ok := c.BoolVal()
 	if !ok {
@@ -425,7 +424,7 @@ type callExpr struct {
 	args []Expr
 }
 
-func (e *callExpr) Eval(sc *scope) Value {
+func (e *callExpr) Eval(sc scope) Value {
 	fn := builtins[e.name]
 	args := make([]Value, len(e.args))
 	for i, a := range e.args {

@@ -14,6 +14,22 @@ func TestValueSize(t *testing.T) {
 	}
 }
 
+// An ad costs its header plus one entry per attribute, and every queued job
+// holds a Matcher; the pool keeps an ad for every job it ever held. The
+// allocator rounds each object up to a size class, so a field added to
+// either moves memory in steps: fail here first.
+func TestAdAndMatcherSizes(t *testing.T) {
+	if got := unsafe.Sizeof(entry{}); got > 72 {
+		t.Errorf("unsafe.Sizeof(entry{}) = %d bytes, want <= 72 (name, value, expression)", got)
+	}
+	if got := unsafe.Sizeof(Ad{}); got > 64 {
+		t.Errorf("unsafe.Sizeof(Ad{}) = %d bytes, want <= 64", got)
+	}
+	if got := unsafe.Sizeof(Matcher{}); got > 112 {
+		t.Errorf("unsafe.Sizeof(Matcher{}) = %d bytes, want <= 112", got)
+	}
+}
+
 func TestValuePayloadRoundTrips(t *testing.T) {
 	for _, i := range []int64{0, 1, -1, math.MinInt64, math.MaxInt64} {
 		if got, ok := Int(i).IntVal(); !ok || got != i {

@@ -28,11 +28,10 @@ func (p *Pool) Submit(ad *classad.Ad) (int, error) {
 	if p.down {
 		return 0, ErrPoolDown
 	}
-	p.nextID++
-	id := p.nextID
+	id := len(p.jobs) + 1
 	j := p.newJob(id, ad.Clone(), p.grid.Engine.Now())
-	p.jobs[id] = j
-	p.active = append(p.active, id)
+	p.jobs = append(p.jobs, j)
+	p.active = append(p.active, j)
 	p.liveCount++
 	p.idleCount++
 	p.enqueueIdleLocked(j)
@@ -54,11 +53,14 @@ func (p *Pool) SubmitCheckpointed(ad *classad.Ad, cpuDone float64) (int, error) 
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if !p.jobs[id].ad.Bool(AttrCheckpoint, false) {
+	j := p.jobLocked(id)
+	if !j.ad.Bool(AttrCheckpoint, false) {
 		// Non-checkpointable jobs restart from zero.
 		return id, nil
 	}
-	p.jobs[id].cpuBase = cpuDone
+	// A migration carries the checkpointed CPU at Mips 1 as its wall-clock.
+	j.cpuBase = cpuDone
+	j.wallBase = time.Duration(cpuDone * float64(time.Second))
 	return id, nil
 }
 
@@ -69,8 +71,8 @@ func (p *Pool) Job(id int) (JobInfo, error) {
 	if p.down {
 		return JobInfo{}, ErrPoolDown
 	}
-	j, ok := p.jobs[id]
-	if !ok {
+	j := p.jobLocked(id)
+	if j == nil {
 		return JobInfo{}, fmt.Errorf("%w: %d", ErrNoSuchJob, id)
 	}
 	return p.snapshotLocked(j), nil
@@ -88,20 +90,22 @@ func (p *Pool) Jobs() ([]JobInfo, error) {
 		pos = p.idlePositionsLocked()
 	}
 	out := make([]JobInfo, 0, len(p.jobs))
-	p.eachJobLocked(func(j *job) {
-		out = append(out, p.snapshotPosLocked(j, pos))
-	})
+	for _, j := range p.jobs {
+		if j != nil {
+			out = append(out, p.snapshotPosLocked(j, pos))
+		}
+	}
 	return out, nil
 }
 
-// eachJobLocked visits every job the pool ever held in ID order. IDs are
-// handed out densely from 1, so counting to nextID is the sorted walk.
-func (p *Pool) eachJobLocked(visit func(*job)) {
-	for id := 1; id <= p.nextID; id++ {
-		if j, ok := p.jobs[id]; ok {
-			visit(j)
-		}
+// jobLocked returns the job with the given ID, or nil. IDs are handed out
+// densely from 1: job id sits at jobs[id-1], the next ID is the table's
+// length plus one, and only a snapshot that skips IDs leaves nil slots.
+func (p *Pool) jobLocked(id int) *job {
+	if id < 1 || id > len(p.jobs) {
+		return nil
 	}
+	return p.jobs[id-1]
 }
 
 // LiveJobs returns snapshots of the non-terminal jobs in submission order,
@@ -115,8 +119,8 @@ func (p *Pool) LiveJobs() ([]JobInfo, error) {
 		return nil, ErrPoolDown
 	}
 	out := make([]JobInfo, 0, p.liveCount)
-	for _, id := range p.active {
-		if j := p.jobs[id]; !j.status.Terminal() {
+	for _, j := range p.active {
+		if !j.status.Terminal() {
 			out = append(out, p.snapshotPosLocked(j, nil))
 		}
 	}
@@ -135,8 +139,8 @@ func (p *Pool) QueueAbove(id int) ([]JobInfo, error) {
 	if p.down {
 		return nil, ErrPoolDown
 	}
-	j, ok := p.jobs[id]
-	if !ok {
+	j := p.jobLocked(id)
+	if j == nil {
 		return nil, fmt.Errorf("%w: %d", ErrNoSuchJob, id)
 	}
 	var out []JobInfo
@@ -146,8 +150,7 @@ func (p *Pool) QueueAbove(id int) ([]JobInfo, error) {
 		// carry no queue position, so the ordering pass is only paid when
 		// the target itself is idle.
 		var pos map[int]int
-		for _, oid := range p.active {
-			o := p.jobs[oid]
+		for _, o := range p.active {
 			if o.id != id && (o.status == StatusRunning || o.status == StatusSuspended) {
 				out = append(out, p.snapshotPosLocked(o, pos))
 			}
@@ -165,8 +168,7 @@ func (p *Pool) QueueAbove(id int) ([]JobInfo, error) {
 		return out, nil
 	}
 	pos := p.idlePositionsLocked()
-	for _, oid := range p.active {
-		o := p.jobs[oid]
+	for _, o := range p.active {
 		if o.id == id || o.status.Terminal() {
 			continue
 		}
@@ -250,7 +252,6 @@ func (p *Pool) Checkpoint(id int) (float64, error) {
 	var cpu float64
 	err := p.transition(id, func(j *job) error {
 		cpu = p.cpuSecondsLocked(j)
-		j.ckptCPU = cpu
 		return nil
 	})
 	return cpu, err
@@ -274,8 +275,8 @@ func (p *Pool) transition(id int, fn func(*job) error) error {
 	if p.down {
 		return ErrPoolDown
 	}
-	j, ok := p.jobs[id]
-	if !ok {
+	j := p.jobLocked(id)
+	if j == nil {
 		return fmt.Errorf("%w: %d", ErrNoSuchJob, id)
 	}
 	return fn(j)

@@ -186,7 +186,6 @@ func (p *Pool) openUsageLocked(j *job, m *machine) {
 		if rate, ok := p.flowRateFor(m.node); ok {
 			j.flow = p.fairFlow.OpenFlow(j.owner, m.node.Site, rate)
 			j.flowRate = rate
-			j.flowNode = m.node
 			p.nodeJob[m.node] = j
 			return
 		}
@@ -222,10 +221,9 @@ func (p *Pool) closeFlowLocked(j *job) {
 	j.flow.Close(cpu)
 	j.flow = nil
 	j.usageRecorded = cpu
-	if j.flowNode != nil && p.nodeJob[j.flowNode] == j {
-		delete(p.nodeJob, j.flowNode)
+	if p.nodeJob[j.node] == j {
+		delete(p.nodeJob, j.node)
 	}
-	j.flowNode = nil
 }
 
 // detachLocked removes the job's task from its node, if any, and releases
@@ -247,6 +245,16 @@ func (p *Pool) cpuSecondsLocked(j *job) float64 {
 		cpu += j.task.CPUSeconds()
 	}
 	return cpu
+}
+
+// wallClockLocked returns the job's accumulated execution time: what it
+// carried in plus what its task has run.
+func (p *Pool) wallClockLocked(j *job) time.Duration {
+	wall := j.wallBase
+	if j.task != nil {
+		wall += j.task.WallClock()
+	}
+	return wall
 }
 
 // accrueUsageLocked reports the job's locally-executed CPU-seconds to
@@ -273,7 +281,8 @@ func (p *Pool) accrueUsageLocked(j *job) {
 // counters the wake-up policy reads, and notifies listeners. Jobs
 // reaching a terminal state settle any CPU not yet accounted — closing
 // their usage flow with the measured total, or accruing the eager
-// remainder.
+// remainder — and are then sealed: every terminal transition passes here,
+// so this is where a job becomes its terminal record.
 func (p *Pool) setStatusLocked(j *job, to Status) {
 	from := j.status
 	j.status = to
@@ -296,6 +305,7 @@ func (p *Pool) setStatusLocked(j *job, to Status) {
 			p.accrueUsageLocked(j)
 		}
 		j.supervised = false
+		j.seal()
 	}
 	p.emitLocked(j, from, to)
 }

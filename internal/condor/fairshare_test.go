@@ -3,6 +3,8 @@ package condor
 import (
 	"errors"
 	"math"
+	"slices"
+	"strconv"
 	"testing"
 	"time"
 
@@ -254,5 +256,54 @@ func TestSetPriorityEdgeCases(t *testing.T) {
 	}
 	if got := mustJob(t, p, x).QueuePosition; got != 2 {
 		t.Fatalf("demoted x position = %d, want 2", got)
+	}
+}
+
+// rateLog is a fair-share policy that records, in call order, which
+// owner's usage flow had its rate set to what.
+type rateLog struct {
+	*fairshare.Manager
+	calls []string
+}
+
+type loggedFlow struct {
+	fairshare.UsageFlow
+	log   *rateLog
+	owner string
+}
+
+func (r *rateLog) OpenFlow(tenant, site string, rate float64) fairshare.UsageFlow {
+	return &loggedFlow{r.Manager.OpenFlow(tenant, site, rate), r, tenant}
+}
+
+func (f *loggedFlow) SetRate(rate float64) {
+	f.log.calls = append(f.log.calls, f.owner+"="+strconv.FormatFloat(rate, 'g', -1, 64))
+	f.UsageFlow.SetRate(rate)
+}
+
+// TestFailRecoverWalkLiveJobsInSubmissionOrder pins what Fail and Recover
+// touch and in what order: the running jobs, as submitted — not every job
+// the pool ever held in whatever order a map yields them.
+func TestFailRecoverWalkLiveJobsInSubmissionOrder(t *testing.T) {
+	g, p := testPool(t, 8)
+	pol := &rateLog{Manager: fairManager(p)}
+	p.SetFairShare(pol)
+	owners := []string{"h", "b", "f", "a", "g", "c", "e", "d"}
+	for i, o := range owners {
+		need := 500.0
+		if i%4 == 1 {
+			need = 5 // two jobs are long finished when the pool fails
+		}
+		mustSubmit(t, p, jobAd(o, need, 0))
+	}
+	mustSubmit(t, p, jobAd("queued", 500, 0)) // takes a freed machine
+	g.Engine.RunFor(20 * time.Second)
+	pol.calls = nil
+	p.Fail()
+	p.Recover()
+	want := []string{"h=0", "f=0", "a=0", "g=0", "e=0", "d=0", "queued=0",
+		"h=1", "f=1", "a=1", "g=1", "e=1", "d=1", "queued=1"}
+	if !slices.Equal(pol.calls, want) {
+		t.Fatalf("Fail then Recover set rates\n %v\nwant %v", pol.calls, want)
 	}
 }

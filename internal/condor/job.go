@@ -99,6 +99,9 @@ type Event struct {
 // completion paths need from the ad is parsed into fields once, by
 // newJob: by the time a job completes its ad was last touched a whole
 // runtime ago, and re-reading attributes from it is a cache miss apiece.
+//
+// The pool keeps one for every job it ever held, so the size is a budget
+// (TestJobSize): one more word costs every job the next allocator class.
 type job struct {
 	id       int
 	ad       *classad.Ad
@@ -108,13 +111,12 @@ type job struct {
 
 	need       float64 // AttrCpuSeconds: total work
 	outputFile string  // AttrOutputFile, "" for none
-	outputMB   float64 // size written for outputFile: AttrOutputMB, 1 when unset
 	taskID     string  // "<pool>-<id>", the ID of every task the job runs as
 
-	// matcher is the job ad compiled for repeated matchmaking; reqArch
-	// and reqOpSys are the static machine constraints extracted from its
-	// Requirements (lower-cased, "" when unconstrained), which key the
-	// negotiator's free-machine index.
+	// matcher is the job ad compiled for repeated matchmaking, nil once the
+	// job is terminal; reqArch and reqOpSys are the static machine
+	// constraints extracted from its Requirements (lower-cased, "" when
+	// unconstrained), which key the negotiator's free-machine index.
 	matcher  *classad.Matcher
 	reqArch  string
 	reqOpSys string
@@ -123,11 +125,14 @@ type job struct {
 	startTime      time.Time
 	completionTime time.Time
 
-	node    *simgrid.Node
-	task    *simgrid.Task
-	claimed *machine // machine held while the task occupies its node
-	cpuBase float64  // CPU-seconds carried over from a checkpoint
-	ckptCPU float64  // last checkpointed CPU-seconds
+	node    *simgrid.Node // where the job runs or last ran
+	task    *simgrid.Task // nil unless the job is running or suspended
+	claimed *machine      // machine held while the task occupies its node
+	// cpuBase and wallBase are the CPU-seconds and wall-clock accumulated
+	// before the current task: carried over from a checkpoint or a
+	// snapshot, and, once the job is terminal, its final figures (see seal).
+	cpuBase  float64
+	wallBase time.Duration
 
 	// failAfter caches AttrFailAfter: >0 means the job needs per-tick
 	// supervision while running so fault injection trips at the first
@@ -138,23 +143,22 @@ type job struct {
 	// fair-share sink, so accrual stays incremental and exactly-once.
 	usageRecorded float64
 
+	// flow is the job's lazily-accrued fair-share usage stream (nil when
+	// accruing eagerly), opened against the load segment of node;
+	// flowRate is its current analytic rate.
+	flow     fairshare.UsageFlow
+	flowRate float64
+
 	// qgen invalidates this job's entries in the incremental negotiation
 	// queues: SetPriority bumps it and re-inserts, so the stale entry in
 	// the old priority bucket is skipped rather than searched for.
-	qgen int
+	qgen int32
 
 	// supervised marks a running job that needs the per-tick wakeup:
 	// fault injection (failAfter) or eager fair-share accrual when no
 	// usage flow could be opened. The pool counts supervised running
 	// jobs; zero means completions alone drive the wake schedule.
 	supervised bool
-
-	// flow is the job's lazily-accrued fair-share usage stream (nil when
-	// accruing eagerly); flowRate is its current analytic rate and
-	// flowNode the node whose load segment the rate was derived from.
-	flow     fairshare.UsageFlow
-	flowRate float64
-	flowNode *simgrid.Node
 }
 
 // newJob builds the pool's record of a job from its ad — the one place
@@ -171,7 +175,6 @@ func (p *Pool) newJob(id int, ad *classad.Ad, submitted time.Time) *job {
 		owner:      ad.Str(AttrOwner, ""),
 		need:       ad.Float(AttrCpuSeconds, 0),
 		outputFile: ad.Str(AttrOutputFile, ""),
-		outputMB:   ad.Float(AttrOutputMB, 1),
 		taskID:     p.Name + "-" + strconv.Itoa(id),
 		failAfter:  ad.Float(AttrFailAfter, 0),
 		matcher:    classad.NewMatcher(ad),
@@ -180,6 +183,19 @@ func (p *Pool) newJob(id int, ad *classad.Ad, submitted time.Time) *job {
 	j.reqArch, _ = ad.ReqStringConstraint("Arch")
 	j.reqOpSys, _ = ad.ReqStringConstraint("OpSys")
 	return j
+}
+
+// seal makes j the terminal record, the one Restore builds for a job
+// captured terminal: the task's final CPU-seconds and wall-clock fold into
+// the job's bases, and what only a live job needs goes — the task with its
+// done callback, and the compiled matcher.
+func (j *job) seal() {
+	if j.task != nil {
+		j.cpuBase += j.task.CPUSeconds()
+		j.wallBase += j.task.WallClock()
+		j.task = nil
+	}
+	j.matcher = nil
 }
 
 // JobInfo is an immutable snapshot of a job, carrying every field the

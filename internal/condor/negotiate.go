@@ -66,12 +66,11 @@ func (p *Pool) harvestLocked(now time.Time) int {
 	if p.superviseCount > 0 {
 		p.doneQ = p.doneQ[:0]
 		kept := p.active[:0]
-		for _, id := range p.active {
-			j := p.jobs[id]
+		for _, j := range p.active {
 			if j.status.Terminal() {
 				continue
 			}
-			kept = append(kept, id)
+			kept = append(kept, j)
 			if j.status != StatusRunning || j.task == nil {
 				continue
 			}
@@ -107,9 +106,9 @@ func (p *Pool) harvestLocked(now time.Time) int {
 	}
 	if len(p.active) > 128 && len(p.active) > 2*p.liveCount {
 		kept := p.active[:0]
-		for _, id := range p.active {
-			if !p.jobs[id].status.Terminal() {
-				kept = append(kept, id)
+		for _, j := range p.active {
+			if !j.status.Terminal() {
+				kept = append(kept, j)
 			}
 		}
 		p.active = kept
@@ -177,7 +176,7 @@ func (p *Pool) produceOutputLocked(j *job) {
 	if j.outputFile == "" {
 		return
 	}
-	_ = p.site.Storage().Put(j.outputFile, j.outputMB)
+	_ = p.site.Storage().Put(j.outputFile, j.ad.Float(AttrOutputMB, 1))
 }
 
 // jobRef is the fair-share policy's view of a queued job.
@@ -326,9 +325,9 @@ func (p *Pool) refreshFreeLocked(now time.Time) freeStats {
 }
 
 // setLoadAvg writes the machine's current load into its match ad, skipping
-// the ad mutation (a map write plus a version bump) when the value hasn't
-// changed since the last pass — the overwhelmingly common case for idle and
-// piecewise-constant machines at scale.
+// the ad mutation (a version bump, which recompiles the machine's matcher)
+// when the value hasn't changed since the last pass — the overwhelmingly
+// common case for idle and piecewise-constant machines at scale.
 func (m *machine) setLoadAvg(v float64) {
 	if m.loadAvgSet && m.loadAvg == v {
 		return

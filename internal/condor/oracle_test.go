@@ -31,8 +31,7 @@ func (p *Pool) useReferenceNegotiator() {
 // otherwise priority descending with FIFO within a level.
 func (p *Pool) idleSortedLocked() []*job {
 	var idle []*job
-	for _, id := range p.active {
-		j := p.jobs[id]
+	for _, j := range p.active {
 		if j.status == StatusIdle {
 			idle = append(idle, j)
 		}

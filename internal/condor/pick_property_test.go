@@ -119,7 +119,7 @@ func runPickProperty(t *testing.T, seed int64) (views, scans float64) {
 			ad.MustSetExpr(AttrRank, rank)
 		}
 		id := mustSubmit(t, p, ad)
-		jobs = append(jobs, p.jobs[id])
+		jobs = append(jobs, p.jobLocked(id))
 	}
 
 	p.mu.Lock()

@@ -64,11 +64,12 @@ type Pool struct {
 	// whose Arch is not a static string). Maintained incrementally by
 	// claim/release on job start/completion.
 	freeBuckets map[string][]*machine
-	jobs        map[int]*job
-	// active lists non-terminal job IDs in submission order; harvest
+	// jobs holds every job the pool ever held, job id at jobs[id-1].
+	jobs []*job
+	// active lists the non-terminal jobs in submission order; harvest
 	// compacts terminal entries out so per-tick passes cost O(live jobs),
 	// not O(every job ever submitted).
-	active      []int
+	active      []*job
 	idleScratch []*job
 	peerScratch []*machine
 	refScratch  []fairshare.JobRef
@@ -84,7 +85,6 @@ type Pool struct {
 	// consumed by a cursor (see pickFromBucketLocked).
 	pickGen    uint64
 	pickSorted map[pickKey]*pickBucket
-	nextID     int
 	down       bool
 	flockPeer  *Pool
 	listeners  []func(Event)
@@ -220,7 +220,6 @@ func NewPool(name string, grid *simgrid.Grid, site *simgrid.Site) *Pool {
 		Name:        name,
 		grid:        grid,
 		site:        site,
-		jobs:        make(map[int]*job),
 		freeBuckets: make(map[string][]*machine),
 		owners:      make(map[string]*ownerQueue),
 		nodeJob:     make(map[*simgrid.Node]*job),
@@ -301,7 +300,8 @@ func (p *Pool) wakeFlockedFrom() {
 // index keys from the caller's ad.
 func (m *machine) snapshotAd() {
 	m.adVersion = m.ad.Version()
-	m.matchAd = m.ad.Clone()
+	// LoadAvg takes its slot now: each pass's refresh then writes in place.
+	m.matchAd = m.ad.Clone().Set("LoadAvg", classad.Undefined())
 	m.matcher = classad.NewMatcher(m.matchAd)
 	m.loadAvgSet = false
 	// Only literal attributes are safe index keys: an expression-valued
@@ -370,8 +370,7 @@ func (p *Pool) SetFairShare(pol fairshare.Ranker) {
 	// Settle usage flows opened against the outgoing sink before the
 	// policy swap: each closes with its measured total, so the old sink's
 	// books end exactly where the eager path's would.
-	for _, id := range p.active {
-		j := p.jobs[id]
+	for _, j := range p.active {
 		if j.flow != nil {
 			p.closeFlowLocked(j)
 		}
@@ -387,8 +386,7 @@ func (p *Pool) SetFairShare(pol fairshare.Ranker) {
 	// Re-derive supervision for running jobs under the new policy:
 	// existing jobs accrue eagerly (flows reopen only at start time).
 	p.superviseCount = 0
-	for _, id := range p.active {
-		j := p.jobs[id]
+	for _, j := range p.active {
 		j.supervised = j.failAfter > 0 || p.fairSink != nil
 		if j.supervised && j.status == StatusRunning {
 			p.superviseCount++
@@ -413,7 +411,7 @@ func (p *Pool) Fail() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.down = true
-	for _, j := range p.jobs {
+	for _, j := range p.active {
 		if j.status == StatusRunning && j.task != nil {
 			j.task.Suspend()
 			if j.flow != nil {
@@ -429,7 +427,7 @@ func (p *Pool) Recover() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.down = false
-	for _, j := range p.jobs {
+	for _, j := range p.active {
 		if j.status == StatusRunning && j.task != nil {
 			j.task.Resume()
 			if j.flow != nil {

@@ -38,7 +38,7 @@ import (
 // priority-independent, so its entries stay valid across refiles.
 type qentry struct {
 	j   *job
-	gen int
+	gen int32
 }
 
 func (e qentry) valid() bool {
@@ -280,8 +280,7 @@ func (p *Pool) refileIdleLocked(j *job) {
 // the policy mode (per-owner vs shared keying) changes.
 func (p *Pool) rebuildQueuesLocked() {
 	p.owners = make(map[string]*ownerQueue)
-	for _, id := range p.active {
-		j := p.jobs[id]
+	for _, j := range p.active {
 		if j.status == StatusIdle {
 			j.qgen++
 			p.enqueueIdleLocked(j)

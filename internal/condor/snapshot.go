@@ -20,8 +20,11 @@ func (p *Pool) Export(leaseTTL time.Duration) durable.PoolState {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	now := p.grid.Engine.Now()
-	st := durable.PoolState{Name: p.Name, NextID: p.nextID}
-	p.eachJobLocked(func(j *job) {
+	st := durable.PoolState{Name: p.Name, NextID: len(p.jobs)}
+	for _, j := range p.jobs {
+		if j == nil {
+			continue
+		}
 		js := durable.JobState{
 			ID:             j.id,
 			Ad:             j.ad.String(),
@@ -32,6 +35,7 @@ func (p *Pool) Export(leaseTTL time.Duration) durable.PoolState {
 			StartTime:      j.startTime,
 			CompletionTime: j.completionTime,
 			CPUSeconds:     p.cpuSecondsLocked(j),
+			WallClock:      p.wallClockLocked(j),
 		}
 		if j.node != nil {
 			js.Node = j.node.Name
@@ -40,7 +44,7 @@ func (p *Pool) Export(leaseTTL time.Duration) durable.PoolState {
 			js.LeaseExpires = now.Add(leaseTTL)
 		}
 		st.Jobs = append(st.Jobs, js)
-	})
+	}
 	return st
 }
 
@@ -63,9 +67,17 @@ func (p *Pool) Restore(st durable.PoolState) error {
 	if len(p.jobs) != 0 {
 		return fmt.Errorf("condor: restore into non-empty pool %s", p.Name)
 	}
+	if st.NextID < 0 {
+		return fmt.Errorf("condor: restoring pool %s: next ID %d", p.Name, st.NextID)
+	}
 	now := p.grid.Engine.Now()
-	p.nextID = st.NextID
+	// Every ID the snapshot handed out gets its slot: the table's length is
+	// the ID allocator Submit mints fresh ones from.
+	p.jobs = make([]*job, st.NextID)
 	for _, js := range st.Jobs {
+		if js.ID < 1 || js.ID > st.NextID {
+			return fmt.Errorf("condor: restoring job %d: not among the snapshot's IDs 1..%d", js.ID, st.NextID)
+		}
 		ad, err := classad.ParseAd(js.Ad)
 		if err != nil {
 			return fmt.Errorf("condor: restoring job %d: %w", js.ID, err)
@@ -77,18 +89,21 @@ func (p *Pool) Restore(st durable.PoolState) error {
 		j.startTime = js.StartTime
 		j.completionTime = js.CompletionTime
 		j.cpuBase = js.CPUSeconds
-		p.jobs[j.id] = j
-		// Every ID at or below nextID: what Submit relies on to mint
-		// fresh ones and eachJobLocked to reach every job.
-		p.nextID = max(p.nextID, j.id)
+		j.wallBase = js.WallClock
+		if j.wallBase == 0 {
+			// A snapshot from before the field existed: as for a migration.
+			j.wallBase = time.Duration(j.cpuBase * float64(time.Second))
+		}
+		p.jobs[j.id-1] = j
 
 		if j.status.Terminal() {
 			// Terminal jobs keep their node name for the monitoring view
 			// but hold no claim.
 			j.node = p.nodeByNameLocked(js.Node)
+			j.seal()
 			continue
 		}
-		p.active = append(p.active, j.id)
+		p.active = append(p.active, j)
 		p.liveCount++
 
 		if j.status == StatusRunning || j.status == StatusSuspended {
@@ -115,7 +130,7 @@ func (p *Pool) Restore(st durable.PoolState) error {
 // lost, exactly as it would be on a migration.
 func (p *Pool) requeueRestoredLocked(j *job) {
 	if !j.ad.Bool(AttrCheckpoint, false) {
-		j.cpuBase = 0
+		j.cpuBase, j.wallBase = 0, 0
 	}
 	j.status = StatusIdle
 	j.node = nil
@@ -133,6 +148,7 @@ func (p *Pool) rebindLocked(j *job, m *machine, now time.Time) {
 		// finished it, so finish it here.
 		j.completionTime = now
 		j.status = StatusCompleted
+		j.seal()
 		p.liveCount--
 		p.produceOutputLocked(j)
 		return

@@ -1,6 +1,7 @@
 package condor
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 	"time"
@@ -150,12 +151,51 @@ func TestRestoreIntoNonEmptyPoolFails(t *testing.T) {
 	}
 }
 
+// TestRestoreRejectsIDsOutsideTheTable: the job table is indexed by ID, so
+// a snapshot naming a job outside the IDs it says it handed out is
+// malformed, not a table to grow.
+func TestRestoreRejectsIDsOutsideTheTable(t *testing.T) {
+	g, p := testPool(t, 1)
+	mustSubmit(t, p, jobAd("alice", 10, 0))
+	mustSubmit(t, p, jobAd("bob", 10, 0))
+	g.Engine.RunFor(5 * time.Second)
+	for _, id := range []int{0, -3, 3, 1 << 40} {
+		st := p.Export(testTTL)
+		st.Jobs[1].ID = id
+		if err := restoredPool(t, 1, 5*time.Second).Restore(st); err == nil {
+			t.Errorf("snapshot with next ID %d and a job %d restored", st.NextID, id)
+		}
+	}
+	st := p.Export(testTTL)
+	st.NextID = -1
+	if err := restoredPool(t, 1, 5*time.Second).Restore(st); err == nil {
+		t.Error("snapshot with next ID -1 restored")
+	}
+	// IDs the snapshot skips stay free slots; the next submission follows
+	// the allocator, not the jobs present.
+	st = p.Export(testTTL)
+	st.NextID = 5
+	p2 := restoredPool(t, 1, 5*time.Second)
+	if err := p2.Restore(st); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p2.Job(4); !errors.Is(err, ErrNoSuchJob) {
+		t.Errorf("Job(4) of a snapshot that skipped it: %v", err)
+	}
+	if jobs, err := p2.Jobs(); err != nil || len(jobs) != 2 {
+		t.Errorf("Jobs() = %d jobs, %v, want the 2 restored", len(jobs), err)
+	}
+	if id := mustSubmit(t, p2, jobAd("carol", 10, 0)); id != 6 {
+		t.Errorf("first submission after restore got ID %d, want 6", id)
+	}
+}
+
 // submitFields is everything newJob parses out of an ad at submit time —
 // what the negotiation and completion paths read instead of the ad.
 type submitFields struct {
 	owner, outputFile, taskID, reqArch, reqOpSys, rankClass string
 	priority                                                int
-	need, outputMB, failAfter                               float64
+	need, failAfter                                         float64
 	compiled, rankClassOK                                   bool
 }
 
@@ -164,7 +204,7 @@ func submitFieldsOf(j *job) submitFields {
 		owner: j.owner, outputFile: j.outputFile, taskID: j.taskID,
 		reqArch: j.reqArch, reqOpSys: j.reqOpSys,
 		priority: j.priority,
-		need:     j.need, outputMB: j.outputMB, failAfter: j.failAfter,
+		need:     j.need, failAfter: j.failAfter,
 		compiled: j.matcher != nil,
 	}
 	if j.matcher != nil {
@@ -205,14 +245,14 @@ func TestRestoredJobsCarrySubmitFields(t *testing.T) {
 	}
 	states := map[Status]int{}
 	for _, id := range ids {
-		got, want := submitFieldsOf(p2.jobs[id]), submitFieldsOf(twin.jobs[id])
+		got, want := submitFieldsOf(p2.jobLocked(id)), submitFieldsOf(twin.jobLocked(id))
 		if got != want {
 			t.Errorf("job %d restored with %+v,\n a submitted twin has %+v", id, got, want)
 		}
 		if want.need <= 0 || want.outputFile == "" || want.taskID == "" || !want.compiled {
 			t.Fatalf("job %d: vacuous twin %+v", id, want)
 		}
-		states[p2.jobs[id].status]++
+		states[p2.jobLocked(id).status]++
 	}
 	if states[StatusRunning] != 1 || states[StatusIdle] != 2 {
 		t.Fatalf("restored states %v, want one re-bound and two idle (one requeued, one queued)", states)
@@ -236,5 +276,37 @@ func TestRestoredJobsCarrySubmitFields(t *testing.T) {
 		if want := ads[i].Float(AttrOutputMB, 1); !ok || f.SizeMB != want {
 			t.Errorf("output %s after restore = %+v (present %v), want %v MB", name, f, ok, want)
 		}
+	}
+}
+
+// TestRestoredRunningJobKeepsWallClock: a job re-bound to its leased
+// machine carries the wall-clock it had accumulated — on a Mips-2 node
+// half its CPU-seconds, where the snapshot's CPU-seconds alone restored as
+// all of them — and finishes with the figure an uninterrupted run reports.
+func TestRestoredRunningJobKeepsWallClock(t *testing.T) {
+	g, p := shapedPool(t, 2, 0)
+	id := mustSubmit(t, p, jobAd("alice", 100, 0))
+	g.Engine.RunFor(20 * time.Second)
+	live := mustJob(t, p, id)
+	if live.Status != StatusRunning || live.WallClock <= 0 || live.WallClock.Seconds()*2 != live.CPUSeconds {
+		t.Fatalf("live job: %+v", live)
+	}
+
+	g2, p2 := shapedPool(t, 2, 0)
+	g2.Engine.RunFor(20 * time.Second)
+	if err := p2.Restore(p.Export(testTTL)); err != nil {
+		t.Fatal(err)
+	}
+	if got := mustJob(t, p2, id); got != live {
+		t.Errorf("re-bound job differs from the live one:\n got %+v\nwant %+v", got, live)
+	}
+	g.Engine.RunFor(100 * time.Second)
+	g2.Engine.RunFor(100 * time.Second)
+	want := mustJob(t, p, id)
+	if want.Status != StatusCompleted || want.WallClock != 50*time.Second {
+		t.Fatalf("uninterrupted run: %v after %v, want completed after 50s", want.Status, want.WallClock)
+	}
+	if got := mustJob(t, p2, id); got != want {
+		t.Errorf("recovered run ended differently:\n got %+v\nwant %+v", got, want)
 	}
 }

@@ -1,9 +1,6 @@
 package condor
 
-import (
-	"strings"
-	"time"
-)
+import "strings"
 
 // JobInfo views of the pool's jobs and their positions in the queue.
 
@@ -51,6 +48,7 @@ func (p *Pool) snapshotPosLocked(j *job, pos map[int]int) JobInfo {
 		InputMB:          j.ad.Float(AttrInputMB, 0),
 		OutputMB:         j.ad.Float(AttrOutputMB, 0),
 		CPUSeconds:       p.cpuSecondsLocked(j),
+		WallClock:        p.wallClockLocked(j),
 	}
 	if j.node != nil {
 		info.Node = j.node.Name
@@ -60,14 +58,6 @@ func (p *Pool) snapshotPosLocked(j *job, pos map[int]int) JobInfo {
 		if info.Progress > 1 {
 			info.Progress = 1
 		}
-	}
-	if j.task != nil {
-		info.WallClock = j.task.WallClock()
-	}
-	if j.cpuBase > 0 {
-		// Wall-clock carried from before the checkpointed migration is the
-		// base CPU at Mips 1.
-		info.WallClock += time.Duration(j.cpuBase * float64(time.Second))
 	}
 	end := now
 	if !j.completionTime.IsZero() {

@@ -92,6 +92,11 @@ type JobState struct {
 	CompletionTime time.Time `json:"completion_time"`
 
 	CPUSeconds float64 `json:"cpu_seconds"`
+	// WallClock is the execution time accumulated at capture time, which
+	// is CPUSeconds only on a machine of the reference speed. Absent in
+	// snapshots written before the field existed; restore then falls back
+	// to CPUSeconds at Mips 1.
+	WallClock time.Duration `json:"wall_clock,omitempty"`
 
 	// Node is the machine the job occupies (running/suspended jobs); the
 	// claim it represents is the job's lease on that machine.

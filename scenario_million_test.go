@@ -257,6 +257,51 @@ func TestCompletionMallocCeiling(t *testing.T) {
 	}
 }
 
+// bytesScale is a backlog a hundred waves deep over few machines, so that
+// what the heap holds is the jobs: 20,000 of the scenario's three-attribute
+// ads over 2 pools x 100 machines (the machines are about 20 bytes a job).
+var bytesScale = millionScale{
+	pools:    2,
+	machines: 100,
+	jobs:     20_000,
+	tick:     time.Second / 128,
+	baseNeed: 600,
+	horizon:  112_000 * time.Second,
+}
+
+func heapAfterGC() uint64 {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
+// TestJobBytesCeiling bounds what the pool's record of one job weighs on
+// the live heap: at most 900 bytes while it waits (it was 1,496 with a
+// hash table per ad, a 216-byte matcher and a map slot per job) and at
+// most 800 once it is terminal (it was 1,611: a finished job kept its
+// task, the task's done closure and its matcher). The pool keeps every job
+// it ever held, so these are the bytes a long-lived server grows by; a
+// million queued jobs hold under 0.9 GB.
+func TestJobBytesCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes what objects weigh")
+	}
+	before := heapAfterGC()
+	pools, run := buildMillionScenario(t, bytesScale, nil)
+	idle := float64(heapAfterGC()-before) / float64(bytesScale.jobs)
+	run()
+	terminal := float64(heapAfterGC()-before) / float64(bytesScale.jobs)
+	runtime.KeepAlive(pools)
+	t.Logf("%.0f bytes per idle job, %.0f per terminal job", idle, terminal)
+	if idle > 900 {
+		t.Errorf("%.0f bytes of heap per idle job, ceiling 900", idle)
+	}
+	if terminal > 800 {
+		t.Errorf("%.0f bytes of heap per terminal job, ceiling 800", terminal)
+	}
+}
+
 // TestMillionScenarioEventCountTickIndependent pins the tentpole's
 // structural claim: the number of processed events depends on the
 // workload, not on the tick resolution. A 128x finer grid
