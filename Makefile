@@ -33,8 +33,12 @@ bench-test:
 
 # Differential fuzz of the XML-RPC scanner against the encoding/xml decoder
 # it replaced (kept in a _test.go file as the oracle): 20 s must run clean.
+# Then 10 s of the journal scanner on arbitrary and corrupted journals: it
+# never panics, returns a prefix of what was written, and the length it
+# verified — what Open cuts the file to — rescans clean to the same ops.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeAgainstEncodingXML -fuzztime 20s ./internal/xmlrpc
+	$(GO) test -run '^$$' -fuzz FuzzJournalReplay -fuzztime 10s ./internal/durable
 
 # Short-run scenario smoke: exercises the discrete-event engine end to
 # end without the full sweep. The million-job scenario runs at its

@@ -20,7 +20,7 @@ func (p *Pool) Export(leaseTTL time.Duration) durable.PoolState {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	now := p.grid.Engine.Now()
-	st := durable.PoolState{Name: p.Name, NextID: len(p.jobs)}
+	st := durable.PoolState{Name: p.Name, NextID: len(p.jobs), Jobs: make([]durable.JobState, 0, len(p.jobs))}
 	for _, j := range p.jobs {
 		if j == nil {
 			continue

@@ -69,7 +69,7 @@ type (
 // most once, before serving traffic.
 func (g *GAE) AttachStore(s *durable.Store) error {
 	s.SetTelemetry(g.Telemetry)
-	snap, tail := s.Recovery()
+	snap, tail := s.TakeRecovery()
 	if snap != nil {
 		if err := g.RestoreState(snap.SimTime, &snap.State); err != nil {
 			return fmt.Errorf("core: restoring snapshot: %w", err)
@@ -94,21 +94,17 @@ func (g *GAE) Store() *durable.Store {
 	return g.store
 }
 
-// Checkpoint captures the full deployment state into the store's
-// snapshot and truncates the journal it supersedes. It takes the
-// durability barrier exclusively, so no journaled RPC is in flight while
-// the state is read. Without an attached store it does nothing.
+// Checkpoint streams the full deployment state into the store's snapshot
+// and truncates the journal it supersedes. It takes the durability
+// barrier exclusively, so no journaled RPC is in flight while the state
+// is read. Without an attached store it does nothing.
 func (g *GAE) Checkpoint() error {
 	g.persistMu.Lock()
 	defer g.persistMu.Unlock()
 	if g.store == nil {
 		return nil
 	}
-	st, err := g.captureStateLocked()
-	if err != nil {
-		return err
-	}
-	return g.store.Checkpoint(g.Now(), st)
+	return g.store.Checkpoint(g.Now(), g.emitStateLocked)
 }
 
 // CaptureState exports the deployment's full mutable state in the
@@ -117,35 +113,51 @@ func (g *GAE) Checkpoint() error {
 func (g *GAE) CaptureState() (durable.State, error) {
 	g.persistMu.Lock()
 	defer g.persistMu.Unlock()
-	return g.captureStateLocked()
+	return durable.CollectState(g.emitStateLocked)
 }
 
-func (g *GAE) captureStateLocked() (durable.State, error) {
+// emitStateLocked is the one list of what a deployment's state is made
+// of: it exports each durable.State section in field order and hands it
+// to emit before exporting the next, so a checkpoint holds one section at
+// a time. Checkpoint writes the sections out; CaptureState collects them.
+func (g *GAE) emitStateLocked(emit durable.Emit) error {
 	ttl := g.leaseTTL
 	if ttl <= 0 {
 		ttl = DefaultLeaseTTL
 	}
-	var st durable.State
-	poolNames := make([]string, 0, len(g.pools))
+	names := make([]string, 0, len(g.pools))
 	for name := range g.pools {
-		poolNames = append(poolNames, name)
+		names = append(names, name)
 	}
-	sort.Strings(poolNames)
-	for _, name := range poolNames {
-		st.Pools = append(st.Pools, g.pools[name].Export(ttl))
+	sort.Strings(names)
+	pools := make([]durable.PoolState, 0, len(names))
+	for _, name := range names {
+		pools = append(pools, g.pools[name].Export(ttl))
 	}
+	emit("pools", pools)
+	var fair *durable.FairShareState
 	if g.FairShare != nil {
-		st.FairShare = g.FairShare.Export()
+		fair = g.FairShare.Export()
 	}
-	st.Quota = g.Quota.Export()
-	st.Replicas = g.Replicas.Export()
-	st.UserState = g.State.Export()
-	st.Steering = durable.SteeringState{Preference: g.Steering.Preference.String()}
-	st.Idempotency = g.idem.export()
+	emit("fair_share", fair)
+	emit("quota", g.Quota.Export())
+	emit("replicas", g.Replicas.Export())
+	plans, err := g.exportPlans()
+	if err != nil {
+		return err
+	}
+	emit("plans", plans)
+	emit("steering", durable.SteeringState{Preference: g.Steering.Preference.String()})
+	emit("estimator", g.exportEstimator())
+	emit("user_state", g.State.Export())
+	emit("idempotency", g.idem.export())
+	return nil
+}
 
-	// The estimator layer feeds placement and the EstimatedRuntime
-	// stamped into job ads at submission — without it, the first
-	// post-restart submit would diverge from its pre-crash twin.
+// exportEstimator captures the estimator layer, which feeds placement and
+// the EstimatedRuntime stamped into job ads at submission — without it,
+// the first post-restart submit would diverge from its pre-crash twin.
+func (g *GAE) exportEstimator() *durable.EstimatorState {
 	est := durable.EstimatorState{Estimates: g.Scheduler.EstimateDB().Export()}
 	for _, site := range g.Scheduler.Sites() {
 		svc, ok := g.Scheduler.SiteServicesFor(site)
@@ -156,31 +168,35 @@ func (g *GAE) captureStateLocked() (durable.State, error) {
 			est.Sites = append(est.Sites, durable.SiteHistory{Site: site, Records: recs})
 		}
 	}
-	if len(est.Sites) > 0 || len(est.Estimates) > 0 {
-		st.Estimator = &est
+	if len(est.Sites) == 0 && len(est.Estimates) == 0 {
+		return nil
 	}
+	return &est
+}
 
+func (g *GAE) exportPlans() ([]durable.PlanState, error) {
 	g.planMu.Lock()
 	defer g.planMu.Unlock()
-	planNames := make([]string, 0, len(g.plans))
+	names := make([]string, 0, len(g.plans))
 	for name := range g.plans {
-		planNames = append(planNames, name)
+		names = append(names, name)
 	}
-	sort.Strings(planNames)
-	for _, name := range planNames {
+	sort.Strings(names)
+	plans := make([]durable.PlanState, 0, len(names))
+	for _, name := range names {
 		cp := g.plans[name]
 		spec, err := json.Marshal(PlanSpecOf(cp.Plan))
 		if err != nil {
-			return durable.State{}, fmt.Errorf("core: encoding plan %q: %w", name, err)
+			return nil, fmt.Errorf("core: encoding plan %q: %w", name, err)
 		}
-		st.Plans = append(st.Plans, durable.PlanState{
+		plans = append(plans, durable.PlanState{
 			Name:  name,
 			Owner: cp.Plan.Owner,
 			Spec:  spec,
 			Tasks: scheduler.ExportTasks(cp),
 		})
 	}
-	return st, nil
+	return plans, nil
 }
 
 // RestoreState rebuilds the deployment from an exported state captured

@@ -159,8 +159,16 @@ func TestCrashRecoveryByteIdentical(t *testing.T) {
 	if warn := s2.ScanWarning(); warn != nil {
 		t.Fatalf("clean journal reported corruption: %v", warn)
 	}
+	if snap, tail := s2.Recovery(); snap == nil || len(tail) != 5 {
+		t.Fatalf("Open found snapshot %v and %d tail ops, want the checkpoint and the 5 RPCs after it", snap != nil, len(tail))
+	}
 	if err := g2.AttachStore(s2); err != nil {
 		t.Fatal(err)
+	}
+	// What Open found has been applied and handed over: the store does
+	// not keep a second copy of the state for the life of the process.
+	if snap, tail := s2.Recovery(); snap != nil || tail != nil {
+		t.Fatalf("the store still holds its recovery after AttachStore (snapshot %v, %d ops)", snap != nil, len(tail))
 	}
 
 	if !g2.Now().Equal(g1.Now()) {

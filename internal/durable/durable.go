@@ -19,9 +19,14 @@
 //
 // # File formats
 //
-// A snapshot is a single JSON document (Snapshot) written with
-// write-temp + fsync + atomic-rename, so a crash can never leave a torn
-// snapshot — the previous one survives until the new one is complete.
+// A snapshot is a single JSON document (Snapshot), compact, one State
+// section per line. It is written in one pass — each section is exported,
+// encoded and let go before the next, so a checkpoint costs one section
+// of memory rather than the state several times over — into a temp file
+// that is fsynced and atomically renamed, so a crash can never leave a
+// torn snapshot: the previous one survives until the new one is
+// complete. Snapshots of the same version written indented, as one
+// document, load unchanged.
 //
 // The journal is a stream of length-prefixed, CRC-checked records:
 //
@@ -29,11 +34,11 @@
 //
 // Appends are made durable by group commit: concurrent appenders batch
 // into a single write+fsync, and Append returns only after the record's
-// batch is on disk. Recovery scans the longest verified prefix: an
-// incomplete record at the tail (a torn write) is skipped silently, while
-// a CRC mismatch on a complete record reports ErrCorrupt alongside the
-// verified prefix — replay never panics and never applies unverified
-// bytes.
+// batch is on disk. Recovery scans the longest verified prefix and cuts
+// the file to it: an incomplete record at the tail (a torn write) goes
+// silently, while a CRC mismatch on a complete record reports ErrCorrupt
+// alongside the verified prefix — replay never panics, never applies
+// unverified bytes, and new records never land behind them.
 package durable
 
 import (

@@ -90,12 +90,12 @@ func TestJournalShortWriteNeverAcks(t *testing.T) {
 	if len(raw) == 0 {
 		t.Fatal("short write should leave torn bytes to scan past")
 	}
-	payloads, scanErr := ScanJournal(bytes.NewReader(raw))
+	ops, scanErr := ScanJournalOps(bytes.NewReader(raw))
 	if scanErr != nil {
 		t.Fatalf("torn tail must scan as clean truncation, got %v", scanErr)
 	}
-	if len(payloads) != 0 {
-		t.Fatalf("recovered %d records from an unacknowledged write, want 0", len(payloads))
+	if len(ops) != 0 {
+		t.Fatalf("recovered %d records from an unacknowledged write, want 0", len(ops))
 	}
 }
 

@@ -31,6 +31,11 @@ func FuzzJournalReplay(f *testing.F) {
 	f.Add(valid, len(valid)/2, byte(0x01))
 	f.Add([]byte{}, -1, byte(0))
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}, -1, byte(0))
+	// What appending behind a torn record leaves on disk: one whole record,
+	// half of the second, then whole records where the second's payload
+	// should be (TestTornTailThenAppendKeepsAckedOps).
+	third := len(valid) / 3
+	f.Add(append(append([]byte(nil), valid[:third+third/2]...), valid[third:]...), -1, byte(0))
 
 	f.Fuzz(func(t *testing.T, data []byte, flipAt int, flipWith byte) {
 		input := append([]byte(nil), data...)
@@ -38,7 +43,18 @@ func FuzzJournalReplay(f *testing.F) {
 			input[flipAt] ^= flipWith
 		}
 
-		ops, err := ScanJournalOps(bytes.NewReader(input))
+		var ops []Op
+		verified, err := scanOps(bytes.NewReader(input), func(op Op) { ops = append(ops, op) })
+		// Contract 0: the verified length Open cuts the file to is itself a
+		// clean journal of exactly the ops returned — cutting loses nothing
+		// verified and leaves nothing unverified behind.
+		if verified < 0 || verified > int64(len(input)) {
+			t.Fatalf("verified length %d of a %d-byte input", verified, len(input))
+		}
+		again, aerr := ScanJournalOps(bytes.NewReader(input[:verified]))
+		if aerr != nil || len(again) != len(ops) {
+			t.Fatalf("verified prefix rescans as %d ops, err %v; the scan returned %d ops, err %v", len(again), aerr, len(ops), err)
+		}
 		// Contract 1: the scan itself already proved it doesn't panic by
 		// returning. Contract 2: any returned op decodes from bytes that
 		// passed a CRC — spot-check internal consistency.

@@ -1,12 +1,14 @@
 package durable
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 	"sync"
 	"time"
 
@@ -65,17 +67,8 @@ type File interface {
 	Truncate(size int64) error
 }
 
-// OpenJournal opens (creating if needed) the journal file for appending.
-func OpenJournal(path string) (*Journal, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("durable: opening journal: %w", err)
-	}
-	return NewJournal(f), nil
-}
-
-// NewJournal wraps an already-open journal file. Production code uses
-// OpenJournal; this entry point exists so tests can inject failing files.
+// NewJournal wraps an already-open journal file: the one recoverJournal
+// has scanned and cut, or a failing file a test injects.
 func NewJournal(f File) *Journal {
 	j := &Journal{f: f}
 	j.cond = sync.NewCond(&j.mu)
@@ -235,89 +228,97 @@ func (j *Journal) Close() error {
 	return nil
 }
 
-// ScanJournal reads every verified record payload from r. It returns the
-// longest verified prefix in every case:
+// scanOps reads journal records from r, hands visit each op of the
+// longest verified prefix in order, and returns that prefix's length in
+// bytes. The prefix ends
 //
-//   - a clean end of stream returns (payloads, nil);
-//   - an incomplete record at the tail — a torn write from a crash mid-
-//     append — is skipped silently, returning (payloads, nil);
-//   - a complete record whose CRC or declared length is invalid returns
-//     (payloads, ErrCorrupt): the file was damaged, not merely torn.
+//   - at a clean end of stream, or at an incomplete record — a torn write
+//     from a crash mid-append — with a nil error;
+//   - at a complete record whose declared length, CRC, payload or sequence
+//     number is invalid, with ErrCorrupt: the file was damaged, not merely
+//     torn (a checksummed payload that is no op, or ops out of order, mean
+//     writer and reader disagree or the damage forged a checksum).
 //
-// Callers replay the returned prefix either way; the error only decides
-// whether to warn. Scanning never panics on arbitrary input.
-func ScanJournal(r io.Reader) ([][]byte, error) {
-	br := newByteReader(r)
-	var payloads [][]byte
-	for {
-		size, err := binary.ReadUvarint(br)
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				return payloads, nil // clean end of journal
+// Callers replay the prefix either way and cut the file at the returned
+// length; ErrCorrupt only decides whether to warn. Any other error is r's
+// own. Each record is decoded as it is verified, out of one reused
+// buffer: a scan holds the ops, never the file. It never panics on
+// arbitrary input.
+func scanOps(r io.Reader, visit func(Op)) (int64, error) {
+	br := bufio.NewReaderSize(r, 64<<10)
+	var verified int64
+	var rec []byte // CRC + payload of the record at hand
+	var lastSeq uint64
+	for n := 0; ; n++ {
+		hdr, perr := br.Peek(binary.MaxVarintLen64) // short at the end of the stream
+		size, w := binary.Uvarint(hdr)
+		if w == 0 && perr != nil {
+			if perr == io.EOF {
+				return verified, nil // clean end of journal, or a torn length prefix
 			}
-			if errors.Is(err, io.ErrUnexpectedEOF) {
-				return payloads, nil // torn length prefix
-			}
-			// Overlong varint: binary.ReadUvarint reports overflow.
-			return payloads, fmt.Errorf("%w: record length: %v", ErrCorrupt, err)
+			return verified, perr
+		}
+		if w <= 0 {
+			return verified, fmt.Errorf("%w: record length overflows", ErrCorrupt)
 		}
 		if size > MaxRecordSize {
-			return payloads, fmt.Errorf("%w: record length %d exceeds limit", ErrCorrupt, size)
+			return verified, fmt.Errorf("%w: record length %d exceeds limit", ErrCorrupt, size)
 		}
-		var crcBuf [4]byte
-		if _, err := io.ReadFull(br, crcBuf[:]); err != nil {
-			return payloads, nil // torn header
+		br.Discard(w) // cannot fail: the w bytes were just peeked
+		rec = slices.Grow(rec[:0], 4+int(size))[:4+size]
+		if _, err := io.ReadFull(br, rec); err != nil {
+			if err == io.EOF || err == io.ErrUnexpectedEOF {
+				return verified, nil // torn header or payload
+			}
+			return verified, err
 		}
-		want := binary.LittleEndian.Uint32(crcBuf[:])
-		payload := make([]byte, size)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return payloads, nil // torn payload
+		if crc32.ChecksumIEEE(rec[4:]) != binary.LittleEndian.Uint32(rec) {
+			return verified, fmt.Errorf("%w: checksum mismatch on record %d", ErrCorrupt, n)
 		}
-		if crc32.ChecksumIEEE(payload) != want {
-			return payloads, fmt.Errorf("%w: checksum mismatch on record %d", ErrCorrupt, len(payloads))
-		}
-		payloads = append(payloads, payload)
-	}
-}
-
-// ScanJournalOps scans and decodes the journal into ops, additionally
-// verifying that sequence numbers are strictly increasing — a decoded-but-
-// out-of-order stream is corruption, not a verified prefix.
-func ScanJournalOps(r io.Reader) ([]Op, error) {
-	payloads, scanErr := ScanJournal(r)
-	ops := make([]Op, 0, len(payloads))
-	var lastSeq uint64
-	for i, p := range payloads {
-		op, err := DecodeOp(p)
+		op, err := DecodeOp(rec[4:])
 		if err != nil {
-			// The frame checksum passed but the payload is not a valid op:
-			// the writer and reader disagree, or the corruption forged a
-			// CRC. Stop at the verified prefix.
-			return ops, err
+			return verified, err
 		}
-		if op.Seq <= lastSeq && i > 0 {
-			return ops, fmt.Errorf("%w: op %d sequence %d not after %d", ErrCorrupt, i, op.Seq, lastSeq)
+		if n > 0 && op.Seq <= lastSeq {
+			return verified, fmt.Errorf("%w: op %d sequence %d not after %d", ErrCorrupt, n, op.Seq, lastSeq)
 		}
 		lastSeq = op.Seq
-		ops = append(ops, op)
+		visit(op)
+		verified += int64(w) + int64(len(rec))
 	}
-	return ops, scanErr
 }
 
-// byteReader adapts an io.Reader for binary.ReadUvarint while still
-// supporting bulk reads.
-type byteReader struct {
-	r io.Reader
-	b [1]byte
+// recoverJournal opens the journal at path for appending after scanning
+// what it holds: visit sees each op of the verified prefix, and whatever
+// follows the prefix — a torn tail as much as a corrupt suffix — is cut
+// off the file, so that new records extend the prefix. Left in place, a
+// torn length prefix would swallow the records appended behind it at the
+// next scan, and that scan would drop them as corrupt. warn is the scan's
+// ErrCorrupt, if any.
+func recoverJournal(path string, visit func(Op)) (j *Journal, warn, err error) {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, nil, fmt.Errorf("durable: opening journal: %w", err)
+	}
+	verified, warn := scanOps(f, visit)
+	if warn != nil && !errors.Is(warn, ErrCorrupt) {
+		f.Close()
+		return nil, nil, fmt.Errorf("durable: reading journal: %w", warn)
+	}
+	if err = f.Truncate(verified); err == nil {
+		err = f.Sync()
+	}
+	if err != nil {
+		f.Close()
+		return nil, nil, fmt.Errorf("durable: cutting journal to its verified prefix: %w", err)
+	}
+	return NewJournal(f), warn, nil
 }
 
-func newByteReader(r io.Reader) *byteReader { return &byteReader{r: r} }
-
-func (b *byteReader) Read(p []byte) (int, error) { return io.ReadFull(b.r, p) }
-
-func (b *byteReader) ReadByte() (byte, error) {
-	if _, err := io.ReadFull(b.r, b.b[:]); err != nil {
-		return 0, err
-	}
-	return b.b[0], nil
+// ScanJournalOps scans r into the ops of its longest verified prefix; a
+// non-nil error says why the prefix ended early (see scanOps).
+func ScanJournalOps(r io.Reader) ([]Op, error) {
+	var ops []Op
+	_, err := scanOps(r, func(op Op) { ops = append(ops, op) })
+	return ops, err
 }

@@ -23,6 +23,17 @@ func testOp(seq uint64, method string) Op {
 	}
 }
 
+// OpenJournal opens (creating if needed) a journal file for appending and
+// takes what it holds on trust; a Store opens its journal through
+// recoverJournal.
+func OpenJournal(path string) (*Journal, error) {
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, err
+	}
+	return NewJournal(f), nil
+}
+
 func TestJournalRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.wal")
 	j, err := OpenJournal(path)

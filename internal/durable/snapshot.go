@@ -1,12 +1,65 @@
 package durable
 
 import (
+	"bufio"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
+	"time"
 )
+
+// writeSnapshot streams the snapshot document to w in one pass: the
+// envelope by hand, then each section the producer emits through one
+// encoder as "name":value. Nothing is indented; the encoder's newline
+// after every value is legal JSON whitespace and leaves one section per
+// line. The document decodes to exactly what json.Marshal of the
+// equivalent Snapshot decodes to — sections that State tags omitempty are
+// left out when empty — without the State ever existing in memory.
+func writeSnapshot(w io.Writer, lastSeq uint64, simTime time.Time, produce func(Emit) error) error {
+	stamp, err := json.Marshal(simTime.UTC())
+	if err != nil {
+		return fmt.Errorf("durable: encoding snapshot time: %w", err)
+	}
+	if _, err := fmt.Fprintf(w, `{"version":%d,"last_seq":%d,"sim_time":%s,"state":{`, SnapshotVersion, lastSeq, stamp); err != nil {
+		return err
+	}
+	enc := json.NewEncoder(w)
+	sep := ""
+	err = consume(produce, func(_ int, name string, omitEmpty bool, v reflect.Value) error {
+		if omitEmpty && isEmptyValue(v) {
+			return nil
+		}
+		if _, err := fmt.Fprintf(w, "%s%q:", sep, name); err != nil {
+			return err
+		}
+		sep = ","
+		if err := enc.Encode(v.Interface()); err != nil {
+			return fmt.Errorf("durable: encoding snapshot section %q: %w", name, err)
+		}
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	_, err = io.WriteString(w, "}}\n")
+	return err
+}
+
+// isEmptyValue is encoding/json's omitempty test.
+func isEmptyValue(v reflect.Value) bool {
+	switch v.Kind() {
+	case reflect.Slice, reflect.Map, reflect.String, reflect.Array:
+		return v.Len() == 0
+	case reflect.Struct:
+		return false
+	}
+	return v.IsZero()
+}
 
 // WriteFileAtomic writes data to path with crash-safe replacement: the
 // bytes land in a temp file in the same directory, are fsynced, and only
@@ -14,33 +67,56 @@ import (
 // rename itself is durable. A crash at any point leaves either the old
 // file or the new one — never a torn mix.
 func WriteFileAtomic(path string, data []byte, perm fs.FileMode) error {
+	_, err := writeAtomic(path, perm, nil, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
+	return err
+}
+
+// writeAtomic is WriteFileAtomic for content that is produced rather than
+// held: fill writes it through a 64 KiB buffer into the temp file, and
+// the byte count written is returned. wrap, when non-nil, interposes on
+// the temp file (the fault-injection seam; nil in production).
+func writeAtomic(path string, perm fs.FileMode, wrap func(File) File, fill func(io.Writer) error) (int64, error) {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-*")
 	if err != nil {
-		return fmt.Errorf("durable: creating temp file: %w", err)
+		return 0, fmt.Errorf("durable: creating temp file: %w", err)
 	}
 	tmpName := tmp.Name()
 	defer os.Remove(tmpName) // no-op after a successful rename
 
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("durable: writing %s: %w", path, err)
+	var f File = tmp
+	if wrap != nil {
+		f = wrap(f)
 	}
-	if err := tmp.Chmod(perm); err != nil {
-		tmp.Close()
-		return fmt.Errorf("durable: chmod %s: %w", path, err)
+	var size int64
+	bw := bufio.NewWriterSize(f, 64<<10)
+	err = fill(bw)
+	if err == nil {
+		err = bw.Flush()
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("durable: fsync %s: %w", path, err)
+	if err == nil {
+		err = tmp.Chmod(perm)
 	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("durable: closing %s: %w", path, err)
+	if err == nil {
+		err = f.Sync()
+	}
+	if err == nil {
+		size, err = f.Seek(0, io.SeekCurrent) // the offset the writes left behind
+	}
+	if err != nil {
+		f.Close()
+		return 0, fmt.Errorf("durable: writing %s: %w", path, err)
+	}
+	if err := f.Close(); err != nil {
+		return 0, fmt.Errorf("durable: closing %s: %w", path, err)
 	}
 	if err := os.Rename(tmpName, path); err != nil {
-		return fmt.Errorf("durable: renaming into %s: %w", path, err)
+		return 0, fmt.Errorf("durable: renaming into %s: %w", path, err)
 	}
-	return syncDir(dir)
+	return size, syncDir(dir)
 }
 
 // syncDir fsyncs a directory so a just-completed rename survives a crash.
@@ -54,15 +130,6 @@ func syncDir(dir string) error {
 	defer d.Close()
 	d.Sync()
 	return nil
-}
-
-// SaveSnapshot atomically writes the snapshot to path.
-func SaveSnapshot(path string, s *Snapshot) error {
-	data, err := s.Encode()
-	if err != nil {
-		return err
-	}
-	return WriteFileAtomic(path, data, 0o644)
 }
 
 // LoadSnapshot reads and validates the snapshot at path. A missing file

@@ -1,9 +1,10 @@
 package durable
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
+	"reflect"
+	"strings"
 	"time"
 )
 
@@ -42,6 +43,66 @@ type State struct {
 	Estimator   *EstimatorState              `json:"estimator,omitempty"`
 	UserState   map[string]map[string]string `json:"user_state,omitempty"`
 	Idempotency []IdemUser                   `json:"idempotency,omitempty"`
+}
+
+// Emit receives one section of a State: field is the section's JSON name
+// and value a value of that State field's type. A producer calls it once
+// per field, in State's declaration order, and holds no section longer
+// than the call — which is what lets a checkpoint cost one section of
+// memory at a time instead of a whole State. A consumer keeps its first
+// failure, ignores what is emitted after it, and reports it when the
+// producer returns.
+type Emit func(field string, value any)
+
+// consume runs produce and hands visit each section with its index in
+// State, JSON name and omitempty tag. It is the half the consumers share,
+// and rejects anything but State's own fields in order, so a field added
+// to State and forgotten by a producer fails the checkpoint instead of
+// recovering as zero.
+func consume(produce func(Emit) error, visit func(i int, name string, omitEmpty bool, v reflect.Value) error) error {
+	fields := reflect.TypeOf(State{})
+	var next int
+	var err error
+	perr := produce(func(field string, value any) {
+		if err != nil {
+			return
+		}
+		if next == fields.NumField() {
+			err = fmt.Errorf("durable: state section %q emitted after the last field", field)
+			return
+		}
+		f := fields.Field(next)
+		name, opts, _ := strings.Cut(f.Tag.Get("json"), ",")
+		v := reflect.ValueOf(value)
+		switch {
+		case field != name:
+			err = fmt.Errorf("durable: state section %q emitted where %q is due", field, name)
+		case !v.IsValid() || v.Type() != f.Type:
+			err = fmt.Errorf("durable: state section %q emitted as %T, want %v", field, value, f.Type)
+		default:
+			err = visit(next, name, opts == "omitempty", v)
+			next++
+		}
+	})
+	switch {
+	case perr != nil:
+		return perr
+	case err == nil && next < fields.NumField():
+		return fmt.Errorf("durable: state producer stopped before field %s", fields.Field(next).Name)
+	}
+	return err
+}
+
+// CollectState assembles a State from a producer's sections — the
+// in-memory consumer, for callers that compare or encode a whole State.
+func CollectState(produce func(Emit) error) (State, error) {
+	var st State
+	into := reflect.ValueOf(&st).Elem()
+	err := consume(produce, func(i int, _ string, _ bool, v reflect.Value) error {
+		into.Field(i).Set(v)
+		return nil
+	})
+	return st, err
 }
 
 // IdemUser is one user's idempotency window: the request IDs of their
@@ -233,17 +294,6 @@ type JobEstimate struct {
 	Pool    string  `json:"pool"`
 	ID      int     `json:"id"`
 	Seconds float64 `json:"seconds"`
-}
-
-// Encode renders the snapshot as canonical, deterministic JSON.
-func (s *Snapshot) Encode() ([]byte, error) {
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(s); err != nil {
-		return nil, fmt.Errorf("durable: encoding snapshot: %w", err)
-	}
-	return buf.Bytes(), nil
 }
 
 // EncodeState renders just the state section — the byte-identity domain

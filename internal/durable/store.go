@@ -1,10 +1,9 @@
 package durable
 
 import (
-	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -31,9 +30,14 @@ type Store struct {
 	mu  sync.Mutex
 	seq uint64 // last sequence number assigned
 
-	snapshot *Snapshot // as found at Open (nil on cold start)
+	// What Open found, held until TakeRecovery hands it over.
+	snapshot *Snapshot // nil on cold start
 	tail     []Op      // verified journal ops with Seq > snapshot.LastSeq
 	scanErr  error     // non-fatal corruption note from the journal scan
+
+	// wrapTemp, when non-nil, interposes on the snapshot's temp file: the
+	// fault-injection seam of the checkpoint write (nil outside tests).
+	wrapTemp func(File) File
 
 	// Pre-resolved telemetry handles (nil without SetTelemetry).
 	obsCkpts       *telemetry.Counter
@@ -53,9 +57,9 @@ func (s *Store) SetTelemetry(reg *telemetry.Registry) {
 
 // Open prepares dir (creating it if needed), loads the latest snapshot,
 // scans the journal's verified prefix, and opens the journal for
-// appending. Corruption in the journal is not fatal: the verified prefix
-// is kept, the tail beyond it is dropped, and ScanWarning reports what
-// happened.
+// appending. A torn or corrupt journal is not fatal: the verified prefix
+// is kept, whatever follows it is cut off the file, and ScanWarning
+// reports corruption.
 func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("durable: creating data dir: %w", err)
@@ -63,15 +67,6 @@ func Open(dir string) (*Store, error) {
 	snap, err := LoadSnapshot(filepath.Join(dir, SnapshotFile))
 	if err != nil {
 		return nil, err
-	}
-
-	jpath := filepath.Join(dir, JournalFile)
-	var ops []Op
-	var scanErr error
-	if raw, rerr := os.ReadFile(jpath); rerr == nil {
-		ops, scanErr = ScanJournalOps(bytes.NewReader(raw))
-	} else if !errors.Is(rerr, os.ErrNotExist) {
-		return nil, fmt.Errorf("durable: reading journal: %w", rerr)
 	}
 
 	seq := uint64(0)
@@ -82,27 +77,12 @@ func Open(dir string) (*Store, error) {
 	// between snapshot write and journal truncate leaves covered ops
 	// behind, which replay must skip.
 	var tail []Op
-	for _, op := range ops {
+	j, scanErr, err := recoverJournal(filepath.Join(dir, JournalFile), func(op Op) {
 		if snap == nil || op.Seq > snap.LastSeq {
 			tail = append(tail, op)
+			seq = max(seq, op.Seq)
 		}
-	}
-	for _, op := range tail {
-		if op.Seq > seq {
-			seq = op.Seq
-		}
-	}
-
-	// If the scan stopped at corruption, drop the unverified bytes from
-	// the file so new appends extend the verified prefix instead of being
-	// unreachable behind garbage.
-	if scanErr != nil {
-		if terr := truncateToVerified(jpath, ops); terr != nil {
-			return nil, terr
-		}
-	}
-
-	j, err := OpenJournal(jpath)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -116,23 +96,19 @@ func Open(dir string) (*Store, error) {
 	}, nil
 }
 
-// truncateToVerified rewrites the journal to contain exactly the verified
-// ops, discarding the corrupt suffix.
-func truncateToVerified(path string, ops []Op) error {
-	var buf []byte
-	for _, op := range ops {
-		payload, err := encodeOp(op)
-		if err != nil {
-			return err
-		}
-		buf = appendFrame(buf, payload)
-	}
-	return WriteFileAtomic(path, buf, 0o644)
-}
-
 // Recovery returns the snapshot (nil on a cold start) and the verified
-// journal tail found at Open.
+// journal tail found at Open, until TakeRecovery has handed them over.
 func (s *Store) Recovery() (*Snapshot, []Op) { return s.snapshot, s.tail }
+
+// TakeRecovery is Recovery for the caller that applies what was found:
+// the store lets go of both, so that a recovered process does not hold
+// its start-up state — a second copy of everything — for the rest of its
+// life.
+func (s *Store) TakeRecovery() (*Snapshot, []Op) {
+	snap, tail := s.snapshot, s.tail
+	s.snapshot, s.tail = nil, nil
+	return snap, tail
+}
 
 // ScanWarning reports non-fatal corruption detected while scanning the
 // journal at Open (nil if the journal was clean).
@@ -178,23 +154,21 @@ func (s *Store) Append(at time.Time, user, service, method, requestID string, ar
 	return op.Seq, s.journal.waitDurable(gen)
 }
 
-// Checkpoint writes snap (stamped with the current version and sequence
-// horizon) atomically, then truncates the journal. The caller must ensure
-// no Append races the call — in the server the checkpointer holds the
-// mutation barrier.
-func (s *Store) Checkpoint(simTime time.Time, st State) error {
+// Checkpoint streams a snapshot of the state produce emits (stamped with
+// the current version and sequence horizon) into place atomically, then
+// truncates the journal. The caller must ensure no Append races the call
+// — in the server the checkpointer holds the mutation barrier.
+func (s *Store) Checkpoint(simTime time.Time, produce func(Emit) error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var t0 time.Time
 	if s.obsCkpts != nil {
 		t0 = time.Now() //lint:walltime telemetry: real checkpoint latency for operator metrics, never read back into store state
 	}
-	snap := &Snapshot{Version: SnapshotVersion, LastSeq: s.seq, SimTime: simTime.UTC(), State: st}
-	data, err := snap.Encode()
+	size, err := writeAtomic(filepath.Join(s.dir, SnapshotFile), 0o644, s.wrapTemp, func(w io.Writer) error {
+		return writeSnapshot(w, s.seq, simTime, produce)
+	})
 	if err != nil {
-		return err
-	}
-	if err := WriteFileAtomic(filepath.Join(s.dir, SnapshotFile), data, 0o644); err != nil {
 		return err
 	}
 	if err := s.journal.Truncate(); err != nil {
@@ -203,7 +177,7 @@ func (s *Store) Checkpoint(simTime time.Time, st State) error {
 	if s.obsCkpts != nil {
 		s.obsCkpts.Inc()
 		s.obsCkptSeconds.Observe(time.Since(t0).Seconds()) //lint:walltime telemetry: real checkpoint latency for operator metrics, never read back into store state
-		s.obsCkptBytes.Set(float64(len(data)))
+		s.obsCkptBytes.Set(float64(size))
 	}
 	return nil
 }

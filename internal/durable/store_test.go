@@ -1,7 +1,10 @@
 package durable
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -37,7 +40,7 @@ func TestStoreCheckpointCycle(t *testing.T) {
 		}
 	}
 	st := State{UserState: map[string]map[string]string{"alice": {"k": "v"}}}
-	if err := s.Checkpoint(storeEpoch.Add(5*time.Second), st); err != nil {
+	if err := s.Checkpoint(storeEpoch.Add(5*time.Second), producerOf(&st)); err != nil {
 		t.Fatal(err)
 	}
 	// Post-checkpoint appends form the replay tail.
@@ -94,8 +97,10 @@ func TestStoreSkipsCoveredOps(t *testing.T) {
 	}
 	// Write the snapshot directly (bypassing Checkpoint's truncate) to
 	// model the torn checkpoint.
-	snap := &Snapshot{Version: SnapshotVersion, LastSeq: 3, SimTime: storeEpoch}
-	if err := SaveSnapshot(filepath.Join(dir, SnapshotFile), snap); err != nil {
+	_, err = writeAtomic(filepath.Join(dir, SnapshotFile), 0o644, nil, func(w io.Writer) error {
+		return writeSnapshot(w, 3, storeEpoch, producerOf(&State{}))
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -201,8 +206,7 @@ func TestWriteFileAtomicReplaces(t *testing.T) {
 func TestSnapshotVersionRejected(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, SnapshotFile)
-	bad := &Snapshot{Version: 99, SimTime: storeEpoch}
-	data, err := bad.Encode()
+	data, err := json.Marshal(&Snapshot{Version: 99, SimTime: storeEpoch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,5 +215,117 @@ func TestSnapshotVersionRejected(t *testing.T) {
 	}
 	if _, err := LoadSnapshot(path); err == nil {
 		t.Fatal("version 99 snapshot should be rejected")
+	}
+}
+
+// reopenTail opens dir and returns the store with the tail it recovered,
+// failing on a scan warning.
+func reopenTail(t *testing.T, dir string) (*Store, []Op) {
+	t.Helper()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warn := s.ScanWarning(); warn != nil {
+		s.Close()
+		t.Fatalf("torn tail reported as corruption: %v", warn)
+	}
+	_, tail := s.Recovery()
+	return s, tail
+}
+
+func appendN(t *testing.T, s *Store, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		if _, err := s.Append(storeEpoch, "alice", "state", "set", "", map[string]string{"k": "v"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestTornTailThenAppendKeepsAckedOps: a record torn by a crash
+// mid-append must be cut off the file at the next Open, not merely
+// skipped by the scan. Left behind, its length prefix reaches across the
+// records appended after it, the following scan reads a checksum
+// mismatch, and every op acknowledged since the crash is dropped. Every
+// cut offset inside the last record is tried.
+func TestTornTailThenAppendKeepsAckedOps(t *testing.T) {
+	seedDir := filepath.Join(t.TempDir(), "seed")
+	s, err := Open(seedDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, s, 3)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	full, err := os.ReadFile(filepath.Join(seedDir, JournalFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	two := len(full) / 3 * 2 // the three records are the same size
+	if ops, err := ScanJournalOps(bytes.NewReader(full[:two])); err != nil || len(ops) != 2 {
+		t.Fatalf("seed journal: %d ops in the first %d bytes, err %v", len(ops), two, err)
+	}
+
+	for cut := two + 1; cut < len(full); cut++ {
+		dir := filepath.Join(t.TempDir(), "data")
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		jpath := filepath.Join(dir, JournalFile)
+		if err := os.WriteFile(jpath, full[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, tail := reopenTail(t, dir)
+		if len(tail) != 2 {
+			t.Fatalf("cut %d: %d ops recovered, want the 2 whole records", cut, len(tail))
+		}
+		if fi, err := os.Stat(jpath); err != nil || fi.Size() != int64(two) {
+			t.Fatalf("cut %d: journal is %d bytes after Open, want the verified %d (err %v)", cut, fi.Size(), two, err)
+		}
+		appendN(t, s, 3)
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		s, tail = reopenTail(t, dir)
+		if len(tail) != 5 || tail[4].Seq != 5 {
+			t.Fatalf("cut %d: %d ops after the restart, want 2 + the 3 acknowledged since (last seq 5)", cut, len(tail))
+		}
+		s.Close()
+	}
+}
+
+// TestShortWriteThenRestartKeepsAckedOps is the same failure by its
+// realistic route: a short write on a full disk fails the append (the
+// journal turns sticky, the server exits), and the restart must cut the
+// half-written record off before it appends.
+func TestShortWriteThenRestartKeepsAckedOps(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "data")
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	appendN(t, s, 2)
+	s.InjectFaults().ShortWriteNext()
+	if _, err := s.Append(storeEpoch, "alice", "state", "set", "", nil); !errors.Is(err, ErrInjected) {
+		t.Fatalf("append over a short write: err = %v, want the injected fault", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s, tail := reopenTail(t, dir)
+	if len(tail) != 2 {
+		t.Fatalf("%d ops recovered, want the 2 acknowledged", len(tail))
+	}
+	appendN(t, s, 3)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, tail = reopenTail(t, dir)
+	defer s.Close()
+	if len(tail) != 5 || tail[4].Seq != 5 {
+		t.Fatalf("%d ops after the second restart, want 5 ending at seq 5: %+v", len(tail), tail)
 	}
 }

@@ -12,7 +12,10 @@ import (
 func (s *Service) Export() durable.QuotaState {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := durable.QuotaState{}
+	st := durable.QuotaState{
+		Balances: make([]durable.QuotaBalance, 0, len(s.balances)),
+		Ledger:   make([]durable.QuotaCharge, 0, len(s.ledger)),
+	}
 	users := make([]string, 0, len(s.balances))
 	for u := range s.balances {
 		users = append(users, u)
