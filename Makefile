@@ -45,10 +45,11 @@ fuzz-smoke:
 # scaled-down CI size (100k jobs, 10k machines), then its cost is gated in
 # counts (events, wakes, matches per pass, idle wakes — functions of the
 # workload, not of the host) and in live-heap bytes per queued and per
-# finished job.
+# finished job; and what keeping the negotiator's ordered views costs is
+# gated in Rank evaluations per machine that changed.
 bench-smoke:
 	GAE_SCENARIO_SCALE=smoke $(GO) test -run xxx -bench Scenario -benchtime 1x .
-	$(GO) test -run 'MillionSmokeCounts|JobBytesCeiling' -count=1 .
+	$(GO) test -run 'MillionSmokeCounts|JobBytesCeiling|RankEvalsFollowChanges' -count=1 . ./internal/condor
 
 # Closed-loop serving smoke: the gae-loadgen mixed workload against an
 # embedded durable deployment — exits non-zero if any operation fails.

@@ -12,7 +12,9 @@ import (
 
 // addFreeLocked inserts m into its arch bucket; the owner's lock is held.
 // A machine whose caller ad mutated while it was claimed resyncs here so
-// it re-enters under its current Arch key.
+// it re-enters under its current Arch key. Entering is what the ordered
+// views key on: a resynced machine re-enters too (resyncMachineLocked), so
+// no rank outlives the match ad it was computed on.
 func (p *Pool) addFreeLocked(m *machine) {
 	if m.freeIdx >= 0 {
 		return
@@ -20,6 +22,7 @@ func (p *Pool) addFreeLocked(m *machine) {
 	if m.ad.Version() != m.adVersion {
 		m.snapshotAd()
 	}
+	m.viewDirty = true
 	b := p.freeBuckets[m.archKey]
 	m.freeIdx = len(b)
 	p.freeBuckets[m.archKey] = append(b, m)

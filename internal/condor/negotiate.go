@@ -298,42 +298,51 @@ func (st *freeStats) merge(o freeStats) {
 // refreshFreeLocked prepares the pool's free machines for one negotiation
 // pass: queued cross-pool releases fold back in, machines whose caller ad
 // mutated resync, each machine's LoadAvg is written into its match ad
-// exactly once, and machines occupied by externally placed tasks (the
+// exactly once, machines occupied by externally placed tasks (the
 // pool's free set only tracks its own placements) are excluded for this
-// pass.
+// pass, and the machines the ordered views must take in afresh are
+// collected into p.changed.
 func (p *Pool) refreshFreeLocked(now time.Time) freeStats {
-	// New pass: ordered views rebuild lazily; those the last pass had no
-	// use for go, so the map holds only the rank classes now queued.
-	for k, pb := range p.pickSorted {
-		if pb.gen != p.pickGen {
-			delete(p.pickSorted, k)
+	// New pass: views the last pass had no use for go, so the map holds
+	// only the rank classes now queued — and every view that stays has
+	// seen every changed list but this pass's.
+	for k, v := range p.pickViews {
+		if v.gen != p.pickGen {
+			delete(p.pickViews, k)
 		}
 	}
 	p.pickGen++
+	p.changed = p.changed[:0]
 	var st freeStats
 	p.visitFreeLocked(func(m *machine) {
 		if m.node.TaskCount() > 0 {
 			m.skipFor = p
-			return
+		} else {
+			m.skipFor = nil
+			v, until, piecewise := m.node.LoadSegment(now)
+			m.setLoadAvg(v)
+			st.observe(until, piecewise)
 		}
-		m.skipFor = nil
-		v, until, piecewise := m.node.LoadSegment(now)
-		m.setLoadAvg(v)
-		st.observe(until, piecewise)
+		if m.viewDirty {
+			m.viewDirty, m.viewGen = false, p.pickGen
+			p.changed = append(p.changed, m)
+		}
 	})
 	return st
 }
 
 // setLoadAvg writes the machine's current load into its match ad, skipping
-// the ad mutation (a version bump, which recompiles the machine's matcher)
-// when the value hasn't changed since the last pass — the overwhelmingly
-// common case for idle and piecewise-constant machines at scale.
+// the ad mutation (a version bump, which recompiles the machine's matcher
+// and stales its place in the ordered views) when the value hasn't changed
+// since the last pass — the overwhelmingly common case for idle and
+// piecewise-constant machines at scale.
 func (m *machine) setLoadAvg(v float64) {
 	if m.loadAvgSet && m.loadAvg == v {
 		return
 	}
 	m.matchAd.Set("LoadAvg", v)
 	m.loadAvg, m.loadAvgSet = v, true
+	m.viewDirty = true
 }
 
 // snapshotFreeFor lists this pool's free machines for a flocking peer's

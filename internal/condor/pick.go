@@ -13,21 +13,37 @@ import (
 // classad.Matcher.RankClass) orders it.
 type pickKey struct{ arch, rank string }
 
-// pickBucket is one view's per-pass pick state: the bucket's free machines
-// by (rank descending, node name ascending) with a cursor that permanently
-// skips machines claimed (or pass-excluded) earlier in the same pass.
-// Rebuilt lazily once per pass; exhaustive marks a pass in which some
-// machine's rank is not a function of the machine alone.
-type pickBucket struct {
-	gen        uint64
-	sorted     []pickEntry
-	cur        int
-	exhaustive bool
+// pickView is one (arch bucket, rank class) view: the bucket's free
+// machines by (rank descending, node name ascending), kept from pass to
+// pass. A rank is computed when a machine enters the view and stands until
+// the machine re-enters it — a machine freed, or whose match ad changed, is
+// collected by the pass refresh (machine.viewDirty) and merged in afresh,
+// which also retires its old entry. Machines claimed since stay behind as
+// tombstones the cursor skips; the next pass's sync compacts them away, so
+// they never outnumber the entries the pass began with.
+type pickView struct {
+	gen    uint64 // the pass (Pool.pickGen) the view was last synced in
+	sorted []pickEntry
+	// cur permanently skips the leading machines claimed (or
+	// pass-excluded) earlier in the same pass.
+	cur int
+	// unranked holds the bucket's free machines that define an attribute
+	// the class's Rank reads as an expression: their rank is not a function
+	// of the machine alone, so while any is free the view cannot order the
+	// bucket and picks fall back to the exhaustive scan.
+	unranked []*machine
 }
 
 type pickEntry struct {
 	m    *machine
 	rank float64
+}
+
+func (a pickEntry) compare(b pickEntry) int {
+	if byRank := cmp.Compare(b.rank, a.rank); byRank != 0 {
+		return byRank
+	}
+	return strings.Compare(a.m.node.Name, b.m.node.Name)
 }
 
 // pickIndexedLocked returns j's best matching local machine. Jobs whose
@@ -50,39 +66,39 @@ func (p *Pool) pickIndexedLocked(j *job) *machine {
 }
 
 // sortedPickThreshold is the free-bucket size above which picks switch
-// from the full best-rank scan to the per-pass ordered cursor. Small
-// buckets (the steady state: a completion frees one machine) scan
-// directly — building the sorted view would cost more.
+// from the full best-rank scan to the ordered view. Small buckets (the
+// steady state: a completion frees one machine) scan directly — keeping a
+// view would cost more.
 const sortedPickThreshold = 16
 
 // pickFromBucketLocked folds one free bucket into the running
 // (best, bestRank) pair. Jobs of one rank class rank a machine alike, so
 // under the pinned total order (rank, then machine name) the winner is
-// the first acceptable machine of the class's per-pass ordered view:
-// Rank runs once per free machine per pass and a pick costs about
-// 1/(share of machines that match) Match calls, not one Match + Rank per
-// free machine, without changing a single placement. Small buckets, Ranks
-// that read the job, and buckets holding a machine whose ranked attribute
-// is an expression keep the exhaustive scan.
+// the first acceptable machine of the class's ordered view: Rank runs once
+// per machine entering the view and a pick costs about 1/(share of
+// machines that match) Match calls, not one Match + Rank per free machine,
+// without changing a single placement. Small buckets, Ranks that read the
+// job, and buckets holding a machine whose ranked attribute is an
+// expression keep the exhaustive scan.
 func (p *Pool) pickFromBucketLocked(j *job, key string, best *machine, bestRank float64) (*machine, float64) {
 	b := p.freeBuckets[key]
 	if len(b) > sortedPickThreshold {
 		if class, ok := j.matcher.RankClass(); ok {
-			view := pickKey{key, class}
-			pb := p.pickSorted[view]
-			if pb == nil {
-				if p.pickSorted == nil {
-					p.pickSorted = make(map[pickKey]*pickBucket)
+			k := pickKey{key, class}
+			v := p.pickViews[k]
+			if v == nil {
+				if p.pickViews == nil {
+					p.pickViews = make(map[pickKey]*pickView)
 				}
-				pb = &pickBucket{}
-				p.pickSorted[view] = pb
-			}
-			if pb.gen != p.pickGen {
-				pb.build(p.pickGen, j, b)
+				v = &pickView{}
+				p.pickViews[k] = v
 				p.obsViewBuilds.Inc()
+				v.sync(p, j, k, b) // from empty, every free machine is new
+			} else if v.gen != p.pickGen {
+				v.sync(p, j, k, p.changed)
 			}
-			if !pb.exhaustive {
-				return p.pickOrderedLocked(j, pb, best, bestRank)
+			if len(v.unranked) == 0 {
+				return p.pickOrderedLocked(j, v, best, bestRank)
 			}
 		}
 	}
@@ -90,36 +106,63 @@ func (p *Pool) pickFromBucketLocked(j *job, key string, best *machine, bestRank 
 	return p.bestCandidate(j, b, best, bestRank)
 }
 
-// build snapshots free bucket b for pass gen in the preference order of
-// j's rank class.
-func (pb *pickBucket) build(gen uint64, j *job, b []*machine) {
-	pb.gen, pb.cur, pb.sorted, pb.exhaustive = gen, 0, pb.sorted[:0], false
-	for _, m := range b {
-		r, ok := j.matcher.TargetRank(m.matcher)
-		if !ok {
-			pb.exhaustive = true
-			return
+// sync brings the view up to the current pass: entries of machines claimed
+// since, or collected into this pass's changed list, go; the machines of
+// fresh that are free in this bucket are ranked by j (any job of the class
+// ranks them alike), sorted and merged in. Every surviving view saw the
+// previous pass (refreshFreeLocked drops the others), so the pass's
+// changed list is exactly what it has missed.
+func (v *pickView) sync(p *Pool, j *job, k pickKey, fresh []*machine) {
+	v.gen, v.cur = p.pickGen, 0
+	gone := func(m *machine) bool { return m.freeIdx < 0 || m.viewGen == p.pickGen }
+	kept := slices.DeleteFunc(v.sorted, func(e pickEntry) bool { return gone(e.m) })
+	unranked := slices.DeleteFunc(v.unranked, gone)
+	add := p.pickScratch[:0]
+	for _, m := range fresh {
+		if m.freeIdx < 0 || m.archKey != k.arch {
+			continue
 		}
-		pb.sorted = append(pb.sorted, pickEntry{m, r})
+		e := pickEntry{m: m}
+		// The degenerate class orders by name alone: its "rank" is each
+		// job's own constant, which must not outlive the job.
+		if k.rank != "" {
+			p.obsRankEvals.Inc()
+			r, ok := j.matcher.TargetRank(m.matcher)
+			if !ok {
+				unranked = append(unranked, m)
+				continue
+			}
+			e.rank = r
+		}
+		add = append(add, e)
 	}
-	slices.SortFunc(pb.sorted, func(a, c pickEntry) int {
-		if byRank := cmp.Compare(c.rank, a.rank); byRank != 0 {
-			return byRank
+	slices.SortFunc(add, pickEntry.compare)
+	// Merge from the back, in place: kept's tail moves up to make room and
+	// the walk ends with the last new entry placed.
+	i, n := len(kept)-1, len(add)-1
+	kept = append(kept, add...)
+	for w := len(kept) - 1; n >= 0; w-- {
+		if i >= 0 && kept[i].compare(add[n]) > 0 {
+			kept[w] = kept[i]
+			i--
+		} else {
+			kept[w] = add[n]
+			n--
 		}
-		return strings.Compare(a.m.node.Name, c.m.node.Name)
-	})
+	}
+	v.sorted, v.unranked, p.pickScratch = kept, unranked, add[:0]
 }
 
 // pickOrderedLocked walks a view from its cursor to j's first acceptable
 // machine and folds it against the other buckets' carry.
-func (p *Pool) pickOrderedLocked(j *job, pb *pickBucket, best *machine, bestRank float64) (*machine, float64) {
-	for i := pb.cur; i < len(pb.sorted); i++ {
-		m := pb.sorted[i].m
+func (p *Pool) pickOrderedLocked(j *job, v *pickView, best *machine, bestRank float64) (*machine, float64) {
+	for i := v.cur; i < len(v.sorted); i++ {
+		m := v.sorted[i].m
 		if m.freeIdx < 0 || m.skipFor == p {
 			// Claimed earlier in this pass, or excluded for the whole
 			// pass: gone for good — compact the cursor past a leading run.
-			if i == pb.cur {
-				pb.cur++
+			if i == v.cur {
+				v.cur++
 			}
 			continue
 		}

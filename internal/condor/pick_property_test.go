@@ -14,12 +14,16 @@ import (
 // The ordered pick must be invisible: over random pools and jobs,
 // pickIndexedLocked returns exactly the machine an exhaustive bestCandidate
 // scan of every free bucket returns, pass after pass, while machines are
-// claimed, excluded, released and re-advertised under it.
+// claimed, excluded, released and re-advertised under it. The views live
+// across the passes, so what one pass leaves in them is the next pass's
+// input: after every pass each view a pass used is also held, entry by
+// entry, to the bucket it orders (checkViewLocked).
 
 var (
 	propArchs  = []string{"x86", "ppc64", "sparc"}
 	propKFlops = []int{500, 500, 800, 1200, 1200, 2000} // few steps: rank ties within and across buckets
 	propMemory = []int{1024, 2048, 4096}
+	propLoads  = []float64{0, 0.25, 0.5}
 
 	propReqs = []string{
 		"",
@@ -38,6 +42,7 @@ var (
 		"TARGET.KFlops",
 		"TARGET.KFlops + TARGET.Memory/4",
 		"-(TARGET.Memory) * 2",
+		"TARGET.KFlops - TARGET.LoadAvg * 1000", // a class that reads what the refresh writes
 		"TARGET.KFlops / TARGET.NoSuchAttr",
 		"MY.Boost * TARGET.KFlops",
 		"TARGET.KFlops - MY.Boost * TARGET.Memory",
@@ -47,6 +52,10 @@ var (
 		"max(TARGET.KFlops, TARGET.Memory)",
 	}
 )
+
+// propExprKFlops makes KFlops, which most classes rank by, depend on the
+// job: a bucket holding such a machine cannot be pre-ordered.
+const propExprKFlops = "1000 + TARGET.Boost * 300"
 
 // exhaustivePickLocked is the oracle: every free bucket, scanned whole.
 func exhaustivePickLocked(p *Pool, j *job) *machine {
@@ -69,19 +78,30 @@ func propMachineAd(rng *rand.Rand) *classad.Ad {
 	return ad
 }
 
-func TestOrderedPickEqualsExhaustiveScan(t *testing.T) {
-	var views, scans float64
-	for seed := int64(1); seed <= 150; seed++ {
-		v, s := runPickProperty(t, seed)
-		views, scans = views+v, scans+s
-	}
-	// The property is vacuous unless both paths ran.
-	if views == 0 || scans == 0 {
-		t.Fatalf("ordered views built %v, exhaustive scans %v: both paths must be exercised", views, scans)
-	}
+// pickPropertyTally sums, over the seeds, how often each thing the
+// property is about actually happened.
+type pickPropertyTally struct {
+	builds, scans float64
+	kept          int // views that outlived a pass
+	rebuilt       int // views dropped and built again
+	cleared       int // views that left exhaustive mode
+	rebound       int // machines claimed, freed and claimed again between two passes
 }
 
-func runPickProperty(t *testing.T, seed int64) (views, scans float64) {
+func TestOrderedPickEqualsExhaustiveScan(t *testing.T) {
+	var sum pickPropertyTally
+	for seed := int64(1); seed <= 150; seed++ {
+		runPickProperty(t, seed, &sum)
+	}
+	// The property is vacuous unless both paths ran and views persisted
+	// through everything that can stale them.
+	if sum.builds == 0 || sum.scans == 0 || sum.kept == 0 || sum.rebuilt == 0 || sum.cleared == 0 || sum.rebound == 0 {
+		t.Fatalf("not every path was exercised: %+v", sum)
+	}
+	t.Logf("%+v", sum)
+}
+
+func runPickProperty(t *testing.T, seed int64, sum *pickPropertyTally) {
 	rng := rand.New(rand.NewSource(seed))
 	g := simgrid.NewGrid(time.Second, 1)
 	site := g.AddSite("s")
@@ -97,9 +117,7 @@ func runPickProperty(t *testing.T, seed int64) (views, scans float64) {
 		ad := propMachineAd(rng)
 		switch {
 		case i == 0 && seed%2 == 0:
-			// Expression-valued ranked attribute: its value depends on
-			// the job, so this machine's bucket cannot be pre-ordered.
-			ad.MustSetExpr("KFlops", "1000 + TARGET.Boost * 300")
+			ad.MustSetExpr("KFlops", propExprKFlops)
 		case i == 1 && seed%3 == 0:
 			ad.MustSetExpr("Arch", `TARGET.Boost > 0 ? "x86" : "sparc"`)
 		}
@@ -126,21 +144,42 @@ func runPickProperty(t *testing.T, seed int64) (views, scans float64) {
 	defer p.mu.Unlock()
 	now := g.Engine.Now()
 	var claimed []*machine
-	for pass := 0; pass < 6; pass++ {
+	type moved struct {
+		m    *machine
+		arch string
+	}
+	var away []moved                 // machines advertised under another Arch for one pass
+	exhaustive := map[pickKey]bool{} // views the previous pass left in exhaustive mode
+	everBuilt := map[pickKey]struct{}{}
+	for pass := 0; pass < 10; pass++ {
 		// Between passes: an external task occupies a node (excluded by
-		// the refresh), advertised ads change, claimed machines return.
+		// the refresh), advertised ads and loads change, claimed machines
+		// return, and a free one is claimed, freed and claimed again.
 		if rng.Intn(2) == 0 {
 			p.machines[rng.Intn(n)].node.Place(simgrid.NewTask("ext", 1e9, nil))
 		}
-		for k := rng.Intn(4); k > 0; k-- {
+		for _, a := range away {
+			a.m.ad.Set("Arch", a.arch) // and back
+		}
+		away = away[:0]
+		for k := rng.Intn(5); k > 0; k-- {
 			m := p.machines[rng.Intn(n)]
-			switch rng.Intn(3) {
+			switch rng.Intn(6) {
 			case 0:
 				m.ad.Set("KFlops", propKFlops[rng.Intn(len(propKFlops))])
 			case 1:
+				if arch, ok := m.ad.LiteralString("Arch"); ok {
+					away = append(away, moved{m, arch})
+				}
 				m.ad.Set("Arch", propArchs[rng.Intn(len(propArchs))])
-			default:
+			case 2:
 				m.ad.Set("Memory", propMemory[rng.Intn(len(propMemory))])
+			case 3:
+				m.ad.Set("Memory", m.ad.Int("Memory", 0)) // same ad, new match ad
+			case 4:
+				m.ad.MustSetExpr("KFlops", propExprKFlops)
+			default:
+				m.node.SetLoad(simgrid.ConstantLoad(propLoads[rng.Intn(len(propLoads))]))
 			}
 		}
 		rng.Shuffle(len(claimed), func(a, b int) { claimed[a], claimed[b] = claimed[b], claimed[a] })
@@ -149,10 +188,23 @@ func runPickProperty(t *testing.T, seed int64) (views, scans float64) {
 			p.addFreeLocked(m)
 		}
 		claimed = claimed[back:]
+		if m := p.machines[rng.Intn(n)]; m.freeIdx >= 0 {
+			p.claimMachineLocked(m)
+			p.addFreeLocked(m)
+			if rng.Intn(2) == 0 {
+				p.claimMachineLocked(m)
+				claimed = append(claimed, m)
+				sum.rebound++
+			}
+		}
 
 		p.refreshFreeLocked(now)
+		sum.kept += len(p.pickViews)
+		// A pass negotiates for the jobs queued at the time: a random part
+		// of them, so rank classes come and go and their views with them,
+		// and the first degenerate-class job differs from pass to pass.
 		rng.Shuffle(len(jobs), func(a, b int) { jobs[a], jobs[b] = jobs[b], jobs[a] })
-		for _, j := range jobs {
+		for _, j := range jobs[:1+rng.Intn(len(jobs))] {
 			want := exhaustivePickLocked(p, j)
 			got := p.pickIndexedLocked(j)
 			if got != want {
@@ -177,9 +229,178 @@ func runPickProperty(t *testing.T, seed int64) (views, scans float64) {
 				claimed = append(claimed, got)
 			}
 		}
+		for k, v := range p.pickViews {
+			if v.gen != p.pickGen {
+				continue // unused this pass: the next refresh drops it
+			}
+			everBuilt[k] = struct{}{}
+			checkViewLocked(t, p, k, v, jobs, fmt.Sprintf("seed %d pass %d", seed, pass))
+			if exhaustive[k] && len(v.unranked) == 0 {
+				sum.cleared++
+			}
+			exhaustive[k] = len(v.unranked) > 0
+		}
 	}
 	snap := reg.Snapshot()
-	return snap.Total("negotiation_view_builds_total"), snap.Total("negotiation_exhaustive_scans_total")
+	builds := snap.Total("negotiation_view_builds_total")
+	sum.builds += builds
+	sum.scans += snap.Total("negotiation_exhaustive_scans_total")
+	sum.rebuilt += int(builds) - len(everBuilt)
+}
+
+// checkViewLocked holds one synced view to the bucket it orders: its
+// entries still free, together with its unranked machines, are the
+// bucket's machines, each exactly once; the entries stand in (rank
+// descending, name ascending) order; and each carries the rank a job of
+// the class gives its machine now — 0 in the degenerate class, whatever
+// constants its jobs rank by.
+func checkViewLocked(t *testing.T, p *Pool, k pickKey, v *pickView, jobs []*job, at string) {
+	t.Helper()
+	var ranker *job
+	for _, j := range jobs {
+		if class, ok := j.matcher.RankClass(); ok && class == k.rank {
+			ranker = j
+		}
+	}
+	seen, tombs := map[*machine]bool{}, map[*machine]bool{}
+	var prev *pickEntry
+	for i := range v.sorted {
+		e := &v.sorted[i]
+		if seen[e.m] || tombs[e.m] {
+			t.Fatalf("%s view %q: %s is in the view twice", at, k, e.m.node.Name)
+		}
+		if e.m.freeIdx < 0 {
+			// Claimed in this pass: a tombstone. The sync left none, so
+			// there is at most one per machine and the next sync's
+			// compaction keeps them from piling up.
+			tombs[e.m] = true
+			continue
+		}
+		seen[e.m] = true
+		want := 0.0
+		if k.rank != "" {
+			var ok bool
+			if want, ok = ranker.matcher.TargetRank(e.m.matcher); !ok {
+				t.Fatalf("%s view %q: %s is ranked but has no target rank", at, k, e.m.node.Name)
+			}
+		}
+		if e.rank != want {
+			t.Fatalf("%s view %q: %s carries rank %v, its match ad %s ranks %v", at, k, e.m.node.Name, e.rank, e.m.matchAd, want)
+		}
+		if prev != nil && prev.compare(*e) >= 0 {
+			t.Fatalf("%s view %q: %s (%v) stands before %s (%v)", at, k, prev.m.node.Name, prev.rank, e.m.node.Name, e.rank)
+		}
+		prev = e
+	}
+	for _, m := range v.unranked {
+		if m.freeIdx < 0 {
+			continue
+		}
+		if _, ok := ranker.matcher.TargetRank(m.matcher); ok || seen[m] {
+			t.Fatalf("%s view %q: %s is unranked but rankable, or listed twice", at, k, m.node.Name)
+		}
+		seen[m] = true
+	}
+	for _, m := range p.freeBuckets[k.arch] {
+		if !seen[m] {
+			t.Fatalf("%s view %q: free machine %s is missing", at, k, m.node.Name)
+		}
+		delete(seen, m)
+	}
+	if len(seen) > 0 {
+		t.Fatalf("%s view %q: holds %d machines that are not free in bucket %q", at, k, len(seen), k.arch)
+	}
+}
+
+// TestRankEvalsFollowChanges is the count gate on what keeping the views
+// costs, at the shape of the benchmark's sim-match workload in small: 300
+// machines of two archs, jobs of two rank classes (one of them degenerate)
+// arriving in waves, and a few stragglers between waves. Counts are
+// functions of the workload, not of the host: a pass evaluates Rank at most
+// once per view for each machine that entered the free set or changed its
+// match ad since the pass before, never for a machine that merely stayed
+// free, and not at all in a pass before which nothing changed; and no view
+// is built twice, since every pass queues every class. A view re-ranked
+// per pass — the rebuild this replaced — would spend ~150 evaluations per
+// view in every pass.
+func TestRankEvalsFollowChanges(t *testing.T) {
+	g := simgrid.NewGrid(time.Second, 1)
+	site := g.AddSite("s")
+	p := NewPool("p", g, site)
+	reg := telemetry.NewRegistry()
+	p.SetTelemetry(reg)
+	const machines = 300
+	for i := 0; i < machines; i++ {
+		node := site.AddNode(g.Engine, fmt.Sprintf("n%04d", i), 1, simgrid.IdleLoad())
+		p.AddMachine(node, classad.New().
+			Set("Arch", propArchs[i%2]).
+			Set("Memory", propMemory[i/2%len(propMemory)]).
+			Set("KFlops", 500+i*7%machines))
+	}
+	submit := func(n, salt int) {
+		for i := 0; i < n; i++ {
+			ad := jobAd("u", float64(20+10*((i+salt)%3)), 0)
+			if i%3 == 0 {
+				ad.MustSetExpr(AttrRequirements, fmt.Sprintf("TARGET.Arch == %q && TARGET.Memory >= 2048", propArchs[(i+salt)%2]))
+			}
+			if i%2 == 0 {
+				ad.MustSetExpr(AttrRank, "TARGET.KFlops + TARGET.Memory/4")
+			}
+			mustSubmit(t, p, ad)
+		}
+	}
+	const waves, gap = 8, 10
+	for w := 0; w < waves; w++ {
+		g.Engine.Schedule(time.Duration(w*gap)*time.Second, func(time.Time) { submit(24, w) })
+		// Stragglers land between two boundaries on which jobs complete
+		// (needs are multiples of the gap): their pass finds nothing new.
+		g.Engine.Schedule(time.Duration(w*gap+3)*time.Second, func(time.Time) { submit(4, w) })
+	}
+	count := func(name string) int { return int(reg.Snapshot().Total(name)) }
+	var passes, evals, quiet, spent int
+	for s := 0; s < (waves+6)*gap; s++ {
+		g.Engine.Step()
+		ranPass := count("negotiation_passes_total") - passes
+		passes += ranPass
+		d := count("negotiation_rank_evals_total") - evals
+		evals += d
+		if ranPass == 0 {
+			if d != 0 {
+				t.Fatalf("t=%ds: %d rank evaluations outside a pass", s, d)
+			}
+			continue
+		}
+		p.mu.Lock()
+		changed, views := len(p.changed), len(p.pickViews)
+		p.mu.Unlock()
+		if d > changed*views {
+			t.Errorf("t=%ds: %d rank evaluations in a pass that saw %d machines change under %d views", s, d, changed, views)
+		}
+		if changed == 0 && views > 0 {
+			quiet++
+		}
+		if passes > 1 {
+			spent += d
+		}
+	}
+	builds, matches := count("negotiation_view_builds_total"), count("negotiation_matches_total")
+	t.Logf("passes %d (%d with nothing changed), matches %d, view builds %d, rank evaluations %d (%d after the first pass)",
+		passes, quiet, matches, builds, evals, spent)
+	if matches != waves*(24+4) {
+		t.Errorf("matched %d jobs of %d", matches, waves*(24+4))
+	}
+	if quiet == 0 {
+		t.Error("no pass ran with nothing changed since the pass before: the zero-evaluation case went unexercised")
+	}
+	// Two archs, two classes, built in the first pass and kept.
+	if builds != 4 {
+		t.Errorf("%d views built, want 4 built once", builds)
+	}
+	// Only the classed views evaluate Rank: once per machine up front, then
+	// once per machine coming back.
+	if evals < machines || spent > matches {
+		t.Errorf("%d rank evaluations (%d after the first pass): want every machine ranked once up front and at most one per match after", evals, spent)
+	}
 }
 
 // TestLiveJobsWalksLiveJobsOnly pins the cost of the scheduler's backlog

@@ -80,18 +80,24 @@ type Pool struct {
 	// build and drain theirs inside one critical section of p.mu, and
 	// nothing a pass calls asks for the order.
 	streamScratch negotiationStream
-	// pickGen/pickSorted back the rank-ordered pick: per pass, large free
-	// buckets are snapshotted once per rank class in preference order and
-	// consumed by a cursor (see pickFromBucketLocked).
-	pickGen    uint64
-	pickSorted map[pickKey]*pickBucket
-	down       bool
-	flockPeer  *Pool
-	listeners  []func(Event)
-	fair       fairshare.Ranker
-	fairSink   fairshare.Sink
-	fairFlow   fairshare.FlowSink
-	fairStart  fairshare.StartObserver
+	// pickGen/pickViews back the rank-ordered pick: large free buckets are
+	// kept in preference order, one view per rank class, and consumed by a
+	// per-pass cursor (see pickFromBucketLocked). pickGen numbers the
+	// passes; changed lists what the current pass's refresh collected —
+	// the machines that entered the free set or whose match ad changed
+	// since the previous pass — which is all a view has to rank and merge
+	// in. Derived state: rebuilt on demand, never exported.
+	pickGen     uint64
+	pickViews   map[pickKey]*pickView
+	changed     []*machine
+	pickScratch []pickEntry
+	down        bool
+	flockPeer   *Pool
+	listeners   []func(Event)
+	fair        fairshare.Ranker
+	fairSink    fairshare.Sink
+	fairFlow    fairshare.FlowSink
+	fairStart   fairshare.StartObserver
 	// negotiateOracle, when set, runs in place of the negotiation pass. It
 	// is nil outside the golden-parity test, which installs the reference
 	// negotiator of oracle_test.go here.
@@ -156,6 +162,7 @@ type Pool struct {
 	obsPasses      *telemetry.Counter
 	obsMatches     *telemetry.Counter
 	obsViewBuilds  *telemetry.Counter
+	obsRankEvals   *telemetry.Counter
 	obsScans       *telemetry.Counter
 	obsPassSeconds *telemetry.Histogram
 }
@@ -165,15 +172,17 @@ type Pool struct {
 // no flow re-rated, no supervised job and no load boundary to wait for —
 // a wake nothing needed), negotiation passes (those with at least one
 // idle job), matches started, wall-clock pass duration, and what the
-// passes' picks cost: ordered views built (one sort of a free bucket
-// each) and exhaustive bucket scans (one Match + Rank per free machine
-// each).
+// passes' picks cost: ordered views built (from empty: one Rank per free
+// machine of the bucket and a sort), Rank evaluations spent keeping views
+// (one per machine entering one) and exhaustive bucket scans (one Match +
+// Rank per free machine each).
 func (p *Pool) SetTelemetry(reg *telemetry.Registry) {
 	p.obsWakes = reg.LabeledCounter("pool_wakes_total", "site", p.Name)
 	p.obsIdleWakes = reg.LabeledCounter("pool_idle_wakes_total", "site", p.Name)
 	p.obsPasses = reg.LabeledCounter("negotiation_passes_total", "site", p.Name)
 	p.obsMatches = reg.LabeledCounter("negotiation_matches_total", "site", p.Name)
 	p.obsViewBuilds = reg.LabeledCounter("negotiation_view_builds_total", "site", p.Name)
+	p.obsRankEvals = reg.LabeledCounter("negotiation_rank_evals_total", "site", p.Name)
 	p.obsScans = reg.LabeledCounter("negotiation_exhaustive_scans_total", "site", p.Name)
 	p.obsPassSeconds = reg.LabeledHistogram("negotiation_pass_seconds", "site", p.Name, nil)
 }
@@ -206,6 +215,12 @@ type machine struct {
 	// freeIdx is the machine's position in its owner's free bucket, -1
 	// while claimed by a job.
 	freeIdx int
+	// viewDirty marks a machine that entered the free set, or whose match
+	// ad changed in place (LoadAvg), since a pass refresh last collected
+	// it: what the ordered views hold of it is stale. viewGen is the pass
+	// (owner's pickGen) whose refresh collected it into Pool.changed.
+	viewDirty bool
+	viewGen   uint64
 	// skipFor excludes the machine from the named pool's current
 	// negotiation pass: set when an externally placed task occupies the
 	// node, or when a checkpoint-complete job consumed the offer without

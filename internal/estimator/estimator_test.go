@@ -710,3 +710,36 @@ func TestAutoConfigureAppendsUniversalFallback(t *testing.T) {
 		t.Fatalf("fallback estimate failed: %v", err)
 	}
 }
+
+// TestEstimateAllocCeiling pins what one runtime estimate allocates: the
+// two columns it computes on (runtimes, requested hours), sized once per
+// template that matches anything, plus the regression it reports — not a
+// copy of every similar 200-byte record, grown by doubling. The first
+// template here matches 2 records (too few), the second all 200.
+func TestEstimateAllocCeiling(t *testing.T) {
+	h := NewHistory(0)
+	for i := 0; i < 200; i++ {
+		part := "px"
+		if i < 2 {
+			part = "p1"
+		}
+		if err := h.Add(rec("q1", part, 4, float64(1+i%5), float64(100+i%5*60+i%7))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e := NewRuntimeEstimator(h)
+	target := rec("q1", "p1", 4, 3, 0)
+	var got RuntimeEstimate
+	allocs := testing.AllocsPerRun(100, func() {
+		var err error
+		if got, err = e.Estimate(target); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got.Similar != 200 || got.Statistic != StatRegression {
+		t.Fatalf("provenance = %+v, want all 200 records under the regression", got)
+	}
+	if allocs > 6 {
+		t.Errorf("Estimate allocates %v times over 200 similar records, ceiling 6", allocs)
+	}
+}

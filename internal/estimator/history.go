@@ -106,17 +106,31 @@ func (h *History) All() []TaskRecord {
 	return out
 }
 
-// Select returns records matching pred, in insertion order.
-func (h *History) Select(pred func(TaskRecord) bool) []TaskRecord {
+// similarRuns returns the runtimes and requested CPU-hours of the
+// successful records that agree with target on every attribute of tpl, in
+// insertion order: the two columns an estimate computes on, sized by a
+// counting pass, so no record is copied out from under the lock.
+func (h *History) similarRuns(tpl Template, target *TaskRecord) (runtimes, reqs []float64) {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	var out []TaskRecord
-	for _, r := range h.records {
-		if pred(r) {
-			out = append(out, r)
+	similar := func(r *TaskRecord) bool { return r.Succeeded && tpl.matches(target, r) }
+	n := 0
+	for i := range h.records {
+		if similar(&h.records[i]) {
+			n++
 		}
 	}
-	return out
+	if n == 0 {
+		return nil, nil
+	}
+	runtimes, reqs = make([]float64, 0, n), make([]float64, 0, n)
+	for i := range h.records {
+		if r := &h.records[i]; similar(r) {
+			runtimes = append(runtimes, r.RuntimeSeconds)
+			reqs = append(reqs, r.ReqHours)
+		}
+	}
+	return runtimes, reqs
 }
 
 // Save writes the history as JSON to path.

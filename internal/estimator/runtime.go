@@ -37,7 +37,7 @@ var DefaultTemplates = []Template{
 
 // matches reports whether candidate agrees with target on every template
 // attribute.
-func (t Template) matches(target, candidate TaskRecord) bool {
+func (t Template) matches(target, candidate *TaskRecord) bool {
 	for _, a := range t {
 		switch a {
 		case AttrQueue:
@@ -146,34 +146,27 @@ func (e *RuntimeEstimator) Estimate(target TaskRecord) (RuntimeEstimate, error) 
 	if minSim <= 0 {
 		minSim = 3
 	}
-	var lastNonEmpty []TaskRecord
+	// The last non-empty similar set, as its two columns.
+	var runtimes, reqs []float64
 	var lastTemplate Template
 	for _, tpl := range templates {
-		similar := e.History.Select(func(r TaskRecord) bool {
-			return r.Succeeded && tpl.matches(target, r)
-		})
-		if len(similar) == 0 {
+		rt, rq := e.History.similarRuns(tpl, &target)
+		if len(rt) == 0 {
 			continue
 		}
-		lastNonEmpty, lastTemplate = similar, tpl
-		if len(similar) >= minSim {
-			return e.estimateFrom(target, tpl, similar)
+		runtimes, reqs, lastTemplate = rt, rq, tpl
+		if len(rt) >= minSim {
+			break
 		}
 	}
-	if lastNonEmpty == nil {
+	if runtimes == nil {
 		return RuntimeEstimate{}, fmt.Errorf("estimator: no similar tasks in history")
 	}
-	return e.estimateFrom(target, lastTemplate, lastNonEmpty)
+	return e.estimateFrom(target, lastTemplate, runtimes, reqs)
 }
 
-func (e *RuntimeEstimator) estimateFrom(target TaskRecord, tpl Template, similar []TaskRecord) (RuntimeEstimate, error) {
-	runtimes := make([]float64, len(similar))
-	reqs := make([]float64, len(similar))
-	for i, r := range similar {
-		runtimes[i] = r.RuntimeSeconds
-		reqs[i] = r.ReqHours
-	}
-	est := RuntimeEstimate{Similar: len(similar), Template: tpl}
+func (e *RuntimeEstimator) estimateFrom(target TaskRecord, tpl Template, runtimes, reqs []float64) (RuntimeEstimate, error) {
+	est := RuntimeEstimate{Similar: len(runtimes), Template: tpl}
 
 	applyMean := func() error {
 		m, err := Mean(runtimes)

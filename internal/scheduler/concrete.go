@@ -138,6 +138,18 @@ func (cp *ConcretePlan) Done() (done, succeeded bool) {
 	return true, succeeded
 }
 
+// hasPending reports whether any task still waits to be launched.
+func (cp *ConcretePlan) hasPending() bool {
+	cp.mu.Lock()
+	defer cp.mu.Unlock()
+	for _, a := range cp.assignments {
+		if a.State == TaskPending {
+			return true
+		}
+	}
+	return false
+}
+
 // update mutates an assignment under the plan lock.
 func (cp *ConcretePlan) update(taskID string, fn func(*Assignment)) {
 	cp.mu.Lock()

@@ -738,3 +738,38 @@ func TestQuickTopoOrderRespectsEdges(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPumpWalksPendingPlansOnly pins the cost of a Submit's pump: it
+// examines the plans that still hold a task waiting to launch, not every
+// plan the scheduler ever took.
+func TestPumpWalksPendingPlansOnly(t *testing.T) {
+	f := newFixture(t, map[string]struct {
+		nodes int
+		load  float64
+	}{"siteA": {2, 0}})
+	pending := func() int {
+		f.sched.mu.Lock()
+		defer f.sched.mu.Unlock()
+		return len(f.sched.pending)
+	}
+	for i := 0; i < 1000; i++ {
+		if _, err := f.sched.Submit(&JobPlan{Name: fmt.Sprintf("p%d", i), Owner: "u", Tasks: []TaskPlan{task("a", 1e6)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := pending(); n != 0 {
+		t.Fatalf("after 1000 launched single-task plans the next pump walks %d plans, want none of them", n)
+	}
+	// A plan with a task behind a dependency is all a further Submit's
+	// pump examines, and it stays until that task launches.
+	cp, err := f.sched.Submit(simplePlan("chain", task("a", 1), task("b", 1, "a")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := pending(); n != 1 {
+		t.Fatalf("pump walks %d plans, want the 1 with a task still pending", n)
+	}
+	if a, _ := cp.Assignment("b"); a.State != TaskPending {
+		t.Fatalf("task b is %v before its dependency completed", a.State)
+	}
+}

@@ -53,7 +53,7 @@ func (s *Scheduler) RestorePlan(plan *JobPlan, tasks []durable.PlanTaskState) (*
 		}
 	}
 	s.mu.Lock()
-	s.plans = append(s.plans, cp)
+	s.pending = append(s.pending, cp)
 	for _, a := range cp.assignments {
 		if a.State == TaskSubmitted && a.Site != "" {
 			if svc := s.sites[a.Site]; svc != nil {

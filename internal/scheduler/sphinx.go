@@ -2,6 +2,7 @@ package scheduler
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -86,9 +87,13 @@ type Scheduler struct {
 	// spreading each tenant's load across the grid. Default 0.02.
 	TieMargin float64
 
-	mu       sync.Mutex
-	sites    map[string]*SiteServices
-	plans    []*ConcretePlan
+	mu    sync.Mutex
+	sites map[string]*SiteServices
+	// pending holds, in submission order, the plans that may still have a
+	// task waiting to launch — what pump walks. A task is pending only
+	// from its plan's creation (or restoration) until its one launch, so a
+	// plan leaves the list for good.
+	pending  []*ConcretePlan
 	planSubs []func(*ConcretePlan)
 	jobIndex map[jobKey]planTask
 	events   []condor.Event
@@ -266,7 +271,7 @@ func (s *Scheduler) Submit(plan *JobPlan) (*ConcretePlan, error) {
 		return nil, fmt.Errorf("scheduler: no registered sites")
 	}
 	cp := newConcretePlan(plan)
-	s.plans = append(s.plans, cp)
+	s.pending = append(s.pending, cp)
 	subs := make([]func(*ConcretePlan), len(s.planSubs))
 	copy(subs, s.planSubs)
 	s.mu.Unlock()
@@ -380,12 +385,16 @@ func (s *Scheduler) registerOutput(pt planTask) {
 	_ = s.replicas.Register(task.OutputFile, a.Site, size)
 }
 
-// pump launches every pending task whose dependencies completed.
+// pump launches every pending task whose dependencies completed, plan by
+// plan in submission order, and forgets the plans left with none.
 func (s *Scheduler) pump() {
 	s.mu.Lock()
-	plans := make([]*ConcretePlan, len(s.plans))
-	copy(plans, s.plans)
+	plans := make([]*ConcretePlan, len(s.pending))
+	copy(plans, s.pending)
 	s.mu.Unlock()
+	if len(plans) == 0 {
+		return
+	}
 	for _, cp := range plans {
 		for _, t := range cp.Plan.Tasks {
 			a, ok := cp.Assignment(t.ID)
@@ -400,6 +409,13 @@ func (s *Scheduler) pump() {
 			}
 		}
 	}
+	// Re-derived under the lock rather than carried over from the walk:
+	// pumps run concurrently (Submit on API goroutines, onWake on the
+	// engine's) and the list may have changed; no task turns pending
+	// again, so a plan seen without one can go whoever saw it.
+	s.mu.Lock()
+	s.pending = slices.DeleteFunc(s.pending, func(cp *ConcretePlan) bool { return !cp.hasPending() })
+	s.mu.Unlock()
 }
 
 func (s *Scheduler) depsDone(cp *ConcretePlan, t TaskPlan) bool {
