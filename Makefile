@@ -44,12 +44,15 @@ fuzz-smoke:
 # end without the full sweep. The million-job scenario runs at its
 # scaled-down CI size (100k jobs, 10k machines), then its cost is gated in
 # counts (events, wakes, matches per pass, idle wakes — functions of the
-# workload, not of the host) and in live-heap bytes per queued and per
-# finished job; and what keeping the negotiator's ordered views costs is
-# gated in Rank evaluations per machine that changed.
+# workload, not of the host: the same on idle Mips-1 machines at 2⁻⁷ s, on
+# loaded Mips-1.5 machines at 10 ms, and with fault-injected jobs) and in
+# live-heap bytes per queued and per finished job; what keeping the
+# negotiator's ordered views costs is gated in Rank evaluations per machine
+# that changed; and what reading, suspending and resuming a long task costs
+# is gated in Segment calls, the same whatever the tick and the time gone by.
 bench-smoke:
 	GAE_SCENARIO_SCALE=smoke $(GO) test -run xxx -bench Scenario -benchtime 1x .
-	$(GO) test -run 'MillionSmokeCounts|JobBytesCeiling|RankEvalsFollowChanges' -count=1 . ./internal/condor
+	$(GO) test -run 'MillionSmokeCounts|JobBytesCeiling|RankEvalsFollowChanges|SegmentCallsIndependentOfTick' -count=1 . ./internal/condor ./internal/simgrid
 
 # Closed-loop serving smoke: the gae-loadgen mixed workload against an
 # embedded durable deployment — exits non-zero if any operation fails.
@@ -94,10 +97,12 @@ lint-test:
 	cd tools/lint && $(GO) vet ./... && $(GO) test ./...
 
 # The tracked sizes (ROADMAP north-star criterion 2), one definition each:
-# Go lines of the main module outside and inside _test.go files, of
+# Go lines of the main module outside and inside _test.go files (and of the
+# node's arithmetic, internal/simgrid/node.go, within the former), of
 # tools/lint, and of bench/.
 loc:
 	@echo "main module, non-test: $$(find . -name '*.go' -not -name '*_test.go' -not -path './tools/*' -not -path './bench/*' | xargs cat | wc -l)"
+	@echo "  simgrid/node.go:     $$(wc -l < internal/simgrid/node.go)"
 	@echo "main module, tests:    $$(find . -name '*_test.go' -not -path './tools/*' -not -path './bench/*' | xargs cat | wc -l)"
 	@echo "tools/lint:            $$(find tools/lint -name '*.go' | xargs cat | wc -l)"
 	@echo "bench:                 $$(find bench -name '*.go' | xargs cat | wc -l)"

@@ -1,8 +1,11 @@
 // Package repro_test is the benchmark harness of the reproduction: one
 // benchmark per measured artifact of the paper (Figures 5, 6 and 7), a
-// set of ablation benches for the design choices DESIGN.md calls out, and
-// micro-benchmarks of the substrate hot paths (XML-RPC codec, Clarens
-// dispatch, ClassAd matchmaking, scheduler site selection).
+// set of ablation benches for the design choices DESIGN.md calls out,
+// micro-benchmarks of the paper's two decision procedures (scheduler site
+// selection, runtime estimation), simulator scenarios, and the fairness
+// metrics. The wire codec, Clarens dispatch, ClassAd matching, negotiation
+// and serving throughput are measured end to end and layer by layer by
+// bench/ (the command BENCHMARK.json names).
 //
 // Regenerate everything with:
 //
@@ -14,29 +17,20 @@
 package repro_test
 
 import (
-	"bytes"
-	"context"
 	"fmt"
-	"net/http/httptest"
 	"testing"
 	"time"
 
-	"repro/internal/clarens"
 	"repro/internal/classad"
 	"repro/internal/condor"
-	"repro/internal/core"
-	"repro/internal/durable"
 	"repro/internal/estimator"
 	"repro/internal/experiments"
-	"repro/internal/loadgen"
 	"repro/internal/monalisa"
 	"repro/internal/quota"
 	"repro/internal/replica"
 	"repro/internal/scheduler"
 	"repro/internal/simgrid"
 	"repro/internal/workload"
-	"repro/internal/xmlrpc"
-	"repro/pkg/gae"
 )
 
 // --- Figure 5: runtime-estimator accuracy -------------------------------
@@ -198,78 +192,6 @@ func BenchmarkAblationSteeringOnOff(b *testing.B) {
 	}
 }
 
-// --- Micro: XML-RPC codec -------------------------------------------------
-
-var benchStruct = map[string]any{
-	"status": "running", "priority": 5, "cpu": 123.5,
-	"owner": "alice", "env": "MODE=bench;N=1",
-	"flags": []any{true, false, true},
-	"inner": map[string]any{"site": "caltech", "node": "n-17"},
-}
-
-func BenchmarkXMLRPCEncode(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := xmlrpc.EncodeRequest("jobmon.info", []any{"siteA", 42, benchStruct}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkXMLRPCDecode(b *testing.B) {
-	raw, err := xmlrpc.EncodeRequest("jobmon.info", []any{"siteA", 42, benchStruct})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := xmlrpc.DecodeRequest(bytes.NewReader(raw)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- Micro: Clarens dispatch (HTTP + session + ACL + codec) ---------------
-
-func BenchmarkClarensDispatch(b *testing.B) {
-	srv := clarens.NewServer("bench", nil)
-	srv.Users.Add("u", "pw")
-	srv.RegisterService("echo", "bench", map[string]xmlrpc.Handler{
-		"ping": func(context.Context, []any) (any, error) { return "pong", nil },
-	})
-	srv.ACL.Allow("authenticated", "echo.*")
-	hs := httptest.NewServer(srv)
-	defer hs.Close()
-	c := clarens.NewClient(hs.URL)
-	ctx := context.Background()
-	if err := c.Login(ctx, "u", "pw"); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Call(ctx, "echo.ping"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- Micro: ClassAd matchmaking -------------------------------------------
-
-func BenchmarkClassAdMatch(b *testing.B) {
-	job := classad.New().Set("ImageSize", 100).Set("Owner", "alice")
-	job.MustSetExpr("Requirements", `TARGET.Disk >= MY.ImageSize && TARGET.Arch == "x86" && TARGET.LoadAvg < 0.5`)
-	machine := classad.New().Set("Disk", 500).Set("Arch", "x86").Set("LoadAvg", 0.25)
-	machine.MustSetExpr("Requirements", "TARGET.ImageSize <= 200")
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if !classad.Match(job, machine) {
-			b.Fatal("match failed")
-		}
-	}
-}
-
 // --- Micro: scheduler site selection --------------------------------------
 
 func BenchmarkSchedulerSelectSite(b *testing.B) {
@@ -316,56 +238,6 @@ func BenchmarkRuntimeEstimate(b *testing.B) {
 		if _, err := e.Estimate(target); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// --- Micro: simulation engine throughput -----------------------------------
-
-func BenchmarkSimEngineStep(b *testing.B) {
-	g := simgrid.NewGrid(time.Second, 1)
-	site := g.AddSite("s")
-	pool := condor.NewPool("s", g, site)
-	for i := 0; i < 16; i++ {
-		n := site.AddNode(g.Engine, fmt.Sprintf("n%d", i), 1, simgrid.ConstantLoad(0.2))
-		pool.AddMachine(n, nil)
-		n.Place(simgrid.NewTask(fmt.Sprintf("t%d", i), 1e12, nil))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g.Engine.Step()
-	}
-}
-
-// --- Micro: condor negotiation cycle ---------------------------------------
-
-func BenchmarkCondorNegotiation(b *testing.B) {
-	g := simgrid.NewGrid(time.Second, 1)
-	site := g.AddSite("s")
-	pool := condor.NewPool("s", g, site)
-	for i := 0; i < 32; i++ {
-		pool.AddMachine(site.AddNode(g.Engine, fmt.Sprintf("n%d", i), 1, simgrid.IdleLoad()), nil)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		ids := make([]int, 32)
-		for j := range ids {
-			ad := classad.New().
-				Set(condor.AttrOwner, "u").
-				Set(condor.AttrCpuSeconds, 1.0)
-			id, err := pool.Submit(ad)
-			if err != nil {
-				b.Fatal(err)
-			}
-			ids[j] = id
-		}
-		b.StartTimer()
-		g.Engine.Step() // one negotiation cycle matches 32 jobs
-		b.StopTimer()
-		g.Engine.RunFor(3 * time.Second) // drain completions
-		b.StartTimer()
 	}
 }
 
@@ -633,76 +505,6 @@ func BenchmarkAblationCheckpointing(b *testing.B) {
 			}
 			b.ReportMetric(steered, "steered_s")
 		})
-	}
-}
-
-// --- Serving: closed-loop RPC throughput and latency ------------------------
-//
-// BenchmarkServing runs the gae-loadgen workload (submit / monitor /
-// steer / state / weather) against one deployment in the four serving
-// configurations the durability work introduces: local vs XML-RPC
-// transport crossed with in-memory vs durable (journaling) state. Each
-// variant reports closed-loop rps and p50/p95/p99 operation latency, so
-// the wire cost and the journaling cost read off separately.
-
-func BenchmarkServing(b *testing.B) {
-	for _, transport := range []string{"local", "xmlrpc"} {
-		for _, store := range []string{"memory", "durable"} {
-			b.Run("transport="+transport+"/store="+store, func(b *testing.B) {
-				ctx := context.Background()
-				g := core.New(core.Config{
-					Seed: 11,
-					Sites: []core.SiteSpec{
-						{Name: "siteA", Nodes: 4, Load: simgrid.IdleLoad(), CostPerCPUSecond: 0.05},
-						{Name: "siteB", Nodes: 4, Load: simgrid.ConstantLoad(0.3), CostPerCPUSecond: 0.02},
-					},
-					Links: []core.LinkSpec{{A: "siteA", B: "siteB", MBps: 10, LatencyMS: 50}},
-					Users: []core.UserSpec{{Name: "alice", Password: "pw", Credits: 1e9, Admin: true}},
-				})
-				if store == "durable" {
-					s, err := durable.Open(b.TempDir())
-					if err != nil {
-						b.Fatal(err)
-					}
-					defer s.Close()
-					if err := g.AttachStore(s); err != nil {
-						b.Fatal(err)
-					}
-				}
-				dial := func(context.Context, int) (*gae.Client, error) {
-					return g.Client("alice"), nil
-				}
-				if transport == "xmlrpc" {
-					url, err := g.Start("127.0.0.1:0")
-					if err != nil {
-						b.Fatal(err)
-					}
-					defer g.Stop()
-					dial = func(ctx context.Context, _ int) (*gae.Client, error) {
-						return gae.Dial(ctx, url, gae.WithCredentials("alice", "pw"))
-					}
-				}
-				var res loadgen.Result
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					r, err := loadgen.Run(ctx, loadgen.Config{
-						Clients: 4, Ops: 32, Seed: int64(i) + 1,
-						Prefix: fmt.Sprintf("bench%d", i),
-					}, dial)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if r.Errors > 0 {
-						b.Fatalf("%d of %d operations failed: %+v", r.Errors, r.Ops, r.ByOp)
-					}
-					res = r
-				}
-				b.ReportMetric(res.RPS, "rps")
-				b.ReportMetric(res.P50Millis, "p50_ms")
-				b.ReportMetric(res.P95Millis, "p95_ms")
-				b.ReportMetric(res.P99Millis, "p99_ms")
-			})
-		}
 	}
 }
 

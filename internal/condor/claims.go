@@ -114,17 +114,16 @@ func removeMachine(ms []*machine, m *machine) []*machine {
 // startLocked launches job j on machine m, claiming the machine in its
 // owner's free set for as long as the task occupies the node.
 func (p *Pool) startLocked(j *job, m *machine, now time.Time) {
-	need := j.need - j.cpuBase
+	need := j.stopAt() - j.cpuBase
 	if need <= 0 {
-		// Checkpoint covered all remaining work; complete immediately. No
-		// machine time was consumed, so this is not an allocation for the
-		// starvation guard — but the offer is spent for this pass, as it
-		// was under the per-pass candidate list.
+		// Checkpoint covered all remaining work (or carried the job past
+		// its fault-injection point); finish immediately. No machine time
+		// was consumed, so this is not an allocation for the starvation
+		// guard — but the offer is spent for this pass, as it was under
+		// the per-pass candidate list.
 		m.skipFor = p
 		j.startTime = now
-		j.completionTime = now
-		p.setStatusLocked(j, StatusCompleted)
-		p.produceOutputLocked(j)
+		p.finishLocked(j, now)
 		return
 	}
 	if p.fairStart != nil {
@@ -165,8 +164,8 @@ func (p *Pool) runTaskLocked(j *job, m *machine, need float64) {
 // negotiate between this pool's harvests. Job status still transitions
 // at harvest time, driven by the doneQ entry left here, and the release
 // requests the wake that runs it: at this boundary if the pool's turn is
-// still ahead, otherwise at the next one — the same tick the supervised
-// per-tick harvest sees the completion.
+// still ahead, otherwise at the next one — the same tick a harvest at
+// every boundary would see the completion.
 func (p *Pool) taskDone(j *job) {
 	p.mu.Lock()
 	own := j.claimed != nil && j.claimed.owner == p
@@ -181,21 +180,19 @@ func (p *Pool) taskDone(j *job) {
 // openUsageLocked decides how a starting job's fair-share usage will be
 // accounted: through a lazily-accrued flow when the sink supports flows
 // and the machine's execution rate is analytically constant (sole
-// occupant, constant-forever load segment, no fault injection), or by
-// eager per-tick supervision otherwise.
+// occupant, constant-forever load segment), or by eager per-tick
+// supervision otherwise.
 func (p *Pool) openUsageLocked(j *job, m *machine) {
-	j.supervised = false
-	if p.fairFlow != nil && j.failAfter <= 0 {
+	if p.fairFlow != nil {
 		if rate, ok := p.flowRateFor(m.node); ok {
 			j.flow = p.fairFlow.OpenFlow(j.owner, m.node.Site, rate)
 			j.flowRate = rate
+			j.supervised = false
 			p.nodeJob[m.node] = j
 			return
 		}
 	}
-	if j.failAfter > 0 || p.fairSink != nil {
-		j.supervised = true
-	}
+	j.supervised = p.fairSink != nil
 }
 
 // flowRateFor returns the node's analytic execution rate — (1-load) ×
@@ -203,8 +200,8 @@ func (p *Pool) openUsageLocked(j *job, m *machine) {
 // or ok=false when no constant rate exists and the job must be
 // supervised eagerly.
 func (p *Pool) flowRateFor(node *simgrid.Node) (float64, bool) {
-	v, until, piecewise := node.LoadSegment(p.grid.Engine.Now())
-	if !piecewise || !until.IsZero() || node.TaskCount() != 1 {
+	v, until := node.LoadSegment(p.grid.Engine.Now())
+	if !until.IsZero() || node.TaskCount() != 1 {
 		return 0, false
 	}
 	rate := (1 - v) * node.Mips

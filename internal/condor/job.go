@@ -134,9 +134,9 @@ type job struct {
 	cpuBase  float64
 	wallBase time.Duration
 
-	// failAfter caches AttrFailAfter: >0 means the job needs per-tick
-	// supervision while running so fault injection trips at the first
-	// boundary where its CPU-seconds reach the threshold.
+	// failAfter caches AttrFailAfter, the fault-injection point: a job
+	// with 0 < failAfter ≤ need runs a task cut short there, whose
+	// completion is the job's failure (see stopAt).
 	failAfter float64
 
 	// usageRecorded is the locally-executed CPU already reported to the
@@ -155,10 +155,24 @@ type job struct {
 	qgen int32
 
 	// supervised marks a running job that needs the per-tick wakeup:
-	// fault injection (failAfter) or eager fair-share accrual when no
-	// usage flow could be opened. The pool counts supervised running
-	// jobs; zero means completions alone drive the wake schedule.
+	// eager fair-share accrual when no usage flow could be opened. The
+	// pool counts supervised running jobs; zero means completions alone
+	// drive the wake schedule.
 	supervised bool
+}
+
+// faulty reports whether fault injection ends the job before its work does.
+func (j *job) faulty() bool { return j.failAfter > 0 && j.failAfter <= j.need }
+
+// stopAt is the CPU-seconds at which the job's task runs out: its need, or
+// the fault-injection point when that comes first. Work accounting is
+// exact, so "CPU reaches x" is the completion boundary of a task of x
+// CPU-seconds — no watcher has to look for it.
+func (j *job) stopAt() float64 {
+	if j.faulty() {
+		return j.failAfter
+	}
+	return j.need
 }
 
 // newJob builds the pool's record of a job from its ad — the one place

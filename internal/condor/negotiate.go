@@ -13,7 +13,7 @@ import (
 // run one negotiation pass over the refreshed free machines, re-arm.
 
 // onWake folds queued machine/node signals in, harvests task
-// completions and faults, runs one negotiation cycle, and re-arms. A
+// completions, runs one negotiation cycle, and re-arms. A
 // failed (down) pool does not re-arm: Recover requests a fresh wakeup.
 func (p *Pool) onWake(now time.Time) {
 	p.mu.Lock()
@@ -37,8 +37,8 @@ func (p *Pool) onWake(now time.Time) {
 // survives only while a running job needs per-tick supervision.
 // Otherwise the pool sleeps until an event wakes it — with one analytic
 // exception: when idle jobs went unmatched and some free machine's
-// advertised load will change at a known instant (a segment boundary, or
-// the next tick under an opaque load), the pass recorded that instant in
+// advertised load will change at a known instant (a segment boundary —
+// the next tick, under an opaque load), the pass recorded that instant in
 // loadWakeAt.
 func (p *Pool) rearmLocked(now time.Time) {
 	if p.superviseCount > 0 {
@@ -50,60 +50,34 @@ func (p *Pool) rearmLocked(now time.Time) {
 	}
 }
 
-// harvestLocked promotes finished tasks to Completed and applies fault
-// injection. While any running job is supervised (fault injection, or
-// eager fair-share accrual) it is a walk over every active
-// job, accruing usage tick by tick so a tenant holding machines with
-// long jobs is penalized while it runs — not only when the job finally
-// completes (Condor's periodic usage update does the same). With no
-// supervised jobs the pass touches exactly the jobs whose completion
-// deadlines fired (doneQ), in ID order — the order the full walk
-// promotes them in — and the active list compacts lazily. A done
-// task needs no Remove: the node dropped it the moment it completed.
+// harvestLocked takes jobs whose tasks ran out to their terminal state:
+// exactly the jobs whose completion deadlines fired (doneQ), in ID order,
+// with the active list compacting lazily. A done task needs no Remove: the
+// node dropped it the moment it completed. While any running job is
+// supervised (no usage flow fits its machine) the pass first walks every
+// active job, accruing usage tick by tick so a tenant holding machines
+// with long jobs is penalized while it runs — not only when the job
+// finally completes (Condor's periodic usage update does the same).
 // Returns the number of jobs taken to a terminal state.
 func (p *Pool) harvestLocked(now time.Time) int {
-	ended := 0
 	if p.superviseCount > 0 {
-		p.doneQ = p.doneQ[:0]
-		kept := p.active[:0]
 		for _, j := range p.active {
-			if j.status.Terminal() {
-				continue
-			}
-			kept = append(kept, j)
-			if j.status != StatusRunning || j.task == nil {
-				continue
-			}
-			p.accrueUsageLocked(j)
-			if fail := j.failAfter; fail > 0 && p.cpuSecondsLocked(j) >= fail {
-				j.task.Kill()
-				p.detachLocked(j)
-				j.completionTime = now
-				p.setStatusLocked(j, StatusFailed)
-				ended++
-				continue
-			}
-			if j.task.State() == simgrid.TaskDone {
-				p.completeLocked(j, now)
-				ended++
+			if j.status == StatusRunning && j.task != nil {
+				p.accrueUsageLocked(j)
 			}
 		}
-		p.active = kept
-		return ended
 	}
-	if len(p.doneQ) > 0 {
-		if len(p.doneQ) > 1 {
-			slices.SortFunc(p.doneQ, func(a, b *job) int { return cmp.Compare(a.id, b.id) })
-		}
-		for _, j := range p.doneQ {
-			if j.status != StatusRunning || j.task == nil || j.task.State() != simgrid.TaskDone {
-				continue
-			}
-			p.completeLocked(j, now)
+	ended := 0
+	if len(p.doneQ) > 1 {
+		slices.SortFunc(p.doneQ, func(a, b *job) int { return cmp.Compare(a.id, b.id) })
+	}
+	for _, j := range p.doneQ {
+		if j.status == StatusRunning && j.task != nil && j.task.State() == simgrid.TaskDone {
+			p.finishLocked(j, now)
 			ended++
 		}
-		p.doneQ = p.doneQ[:0]
 	}
+	p.doneQ = p.doneQ[:0]
 	if len(p.active) > 128 && len(p.active) > 2*p.liveCount {
 		kept := p.active[:0]
 		for _, j := range p.active {
@@ -116,10 +90,16 @@ func (p *Pool) harvestLocked(now time.Time) int {
 	return ended
 }
 
-// completeLocked promotes a running job whose task finished.
-func (p *Pool) completeLocked(j *job, now time.Time) {
+// finishLocked takes a job whose task ran out — or that had nothing left
+// to run — to its terminal state: Failed when the task was cut at the
+// fault-injection point, Completed, with its output, otherwise.
+func (p *Pool) finishLocked(j *job, now time.Time) {
 	p.releaseClaimLocked(j) // a no-op once taskDone has run
 	j.completionTime = now
+	if j.faulty() {
+		p.setStatusLocked(j, StatusFailed)
+		return
+	}
 	p.setStatusLocked(j, StatusCompleted)
 	p.produceOutputLocked(j)
 }
@@ -153,7 +133,7 @@ func (p *Pool) drainDirtyLocked() int {
 		rate, ok := p.flowRateFor(node)
 		if !ok {
 			p.closeFlowLocked(j)
-			j.supervised = j.failAfter > 0 || p.fairSink != nil
+			j.supervised = p.fairSink != nil
 			if j.supervised && j.status == StatusRunning {
 				p.superviseCount++
 			}
@@ -249,15 +229,10 @@ func (p *Pool) negotiateLocked(now time.Time) int {
 	}
 	if p.idleCount > 0 {
 		// Unmatched idle jobs remain: wake when a free machine's load is
-		// next known to change. Opaque (non-piecewise) loads force a
-		// per-tick cadence; piecewise ones wake at the earliest
-		// segment boundary; with no free machines at all, only events can
-		// change the picture and no timer is needed.
-		if st.opaque {
-			p.loadWakeAt = now.Add(p.grid.Engine.Tick())
-		} else {
-			p.loadWakeAt = st.until
-		}
+		// next known to change — the earliest segment boundary, which under
+		// an opaque load is the next tick; with no free machines at all,
+		// only events can change the picture and no timer is needed.
+		p.loadWakeAt = st.until
 	}
 	if p.obsPasses != nil {
 		p.obsPasses.Inc()
@@ -269,27 +244,19 @@ func (p *Pool) negotiateLocked(now time.Time) int {
 
 // freeStats summarizes one pre-pass walk of the free machines: how many
 // offers the pass holds, and when their advertised loads next change —
-// the earliest piecewise segment boundary (until), or "unknowable
-// analytically" (opaque) when any free machine's load is not piecewise.
+// the earliest segment boundary (until; the next tick, under an opaque
+// load).
 type freeStats struct {
-	avail  int
-	opaque bool
-	until  time.Time
+	avail int
+	until time.Time
 }
 
-func (st *freeStats) observe(until time.Time, piecewise bool) {
+func (st *freeStats) observe(until time.Time) {
 	st.avail++
-	if !piecewise {
-		st.opaque = true
-		return
-	}
-	if !until.IsZero() && (st.until.IsZero() || until.Before(st.until)) {
-		st.until = until
-	}
+	st.merge(freeStats{until: until})
 }
 
 func (st *freeStats) merge(o freeStats) {
-	st.opaque = st.opaque || o.opaque
 	if !o.until.IsZero() && (st.until.IsZero() || o.until.Before(st.until)) {
 		st.until = o.until
 	}
@@ -319,9 +286,9 @@ func (p *Pool) refreshFreeLocked(now time.Time) freeStats {
 			m.skipFor = p
 		} else {
 			m.skipFor = nil
-			v, until, piecewise := m.node.LoadSegment(now)
+			v, until := m.node.LoadSegment(now)
 			m.setLoadAvg(v)
-			st.observe(until, piecewise)
+			st.observe(until)
 		}
 		if m.viewDirty {
 			m.viewDirty, m.viewGen = false, p.pickGen
@@ -362,9 +329,9 @@ func (p *Pool) snapshotFreeFor(now time.Time, buf []*machine) ([]*machine, freeS
 			return
 		}
 		m.skipFor = nil
-		v, until, piecewise := m.node.LoadSegment(now)
+		v, until := m.node.LoadSegment(now)
 		m.setLoadAvg(v)
-		st.observe(until, piecewise)
+		st.observe(until)
 		buf = append(buf, m)
 	})
 	return buf, st

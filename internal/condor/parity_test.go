@@ -415,7 +415,9 @@ func TestFreeSetReleasedOnCompletion(t *testing.T) {
 	}
 	a, _ := p.Submit(classad.New().Set(AttrCpuSeconds, 2.0))
 	b, _ := p.Submit(classad.New().Set(AttrCpuSeconds, 100.0))
-	c, _ := p.Submit(classad.New().Set(AttrCpuSeconds, 100.0).Set(AttrFailAfter, 1.0))
+	// The fault point is two ticks in: a task cut to one tick would end — and
+	// hand its machine back — at the boundary the pool placed it at.
+	c, _ := p.Submit(classad.New().Set(AttrCpuSeconds, 100.0).Set(AttrFailAfter, 2.0))
 	g.Engine.Step()
 	if got := freeCount(); got != 0 {
 		t.Fatalf("free machines while 3 jobs run = %d, want 0", got)

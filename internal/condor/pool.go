@@ -34,10 +34,9 @@ var ErrNoSuchJob = fmt.Errorf("condor: no such job")
 // re-examined as time passes: idle jobs waiting on machines whose load is
 // an opaque function of time (Requirements like `LoadAvg < 0.5` may flip
 // at any tick; piecewise-constant loads wake the pool at their next
-// segment boundary instead), and running jobs that need per-tick
-// supervision (fault injection via AttrFailAfter, or eager fair-share
-// usage accrual). A drained pool with no queue costs the simulation
-// nothing.
+// segment boundary instead), and running jobs whose fair-share usage must
+// be accrued eagerly because no usage flow fits their machine. A drained
+// pool with no queue costs the simulation nothing.
 //
 // The negotiation hot path is indexed: free machines are maintained
 // incrementally in per-architecture buckets as jobs start and finish
@@ -111,8 +110,8 @@ type Pool struct {
 	// idleCount / liveCount / superviseCount summarize the queue so the
 	// wake-up policy never walks it: idle jobs awaiting a match,
 	// non-terminal jobs (for lazy active-list compaction), and running
-	// jobs that need per-tick supervision (fault injection or eager
-	// fair-share accrual). When superviseCount is zero the pool wakes
+	// jobs that need per-tick supervision (eager fair-share accrual).
+	// When superviseCount is zero the pool wakes
 	// only on events — submit, machine freed, ad mutated, node changed,
 	// completion deadline — plus the analytic load-segment boundary
 	// computed by the last pass (loadWakeAt).
@@ -122,8 +121,8 @@ type Pool struct {
 	loadWakeAt     time.Time
 
 	// doneQ collects jobs whose completion deadline fired since the last
-	// harvest; with no supervised jobs, harvest promotes exactly these
-	// instead of walking every active job.
+	// harvest, which finishes exactly these instead of walking every
+	// active job.
 	doneQ []*job
 
 	// nodeJob maps a node to the flow-accounted job running on it, so
@@ -399,10 +398,10 @@ func (p *Pool) SetFairShare(pol fairshare.Ranker) {
 		p.rebuildQueuesLocked()
 	}
 	// Re-derive supervision for running jobs under the new policy:
-	// existing jobs accrue eagerly (flows reopen only at start time).
+	// existing jobs accrue eagerly (flows open only at start and rebind).
 	p.superviseCount = 0
 	for _, j := range p.active {
-		j.supervised = j.failAfter > 0 || p.fairSink != nil
+		j.supervised = p.fairSink != nil
 		if j.supervised && j.status == StatusRunning {
 			p.superviseCount++
 		}

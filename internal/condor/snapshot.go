@@ -139,25 +139,33 @@ func (p *Pool) requeueRestoredLocked(j *job) {
 }
 
 // rebindLocked re-places a restored job on its leased machine: the task
-// restarts with the remaining work, the claim is re-taken, and the status
-// is reinstated without events or fair-share start observation.
+// restarts with the remaining work, the claim is re-taken, the usage flow
+// reopens (the fair-share policy must already hold its restored accounts:
+// a flow feeds the accounts it finds), and the status is reinstated
+// without events or fair-share start observation.
 func (p *Pool) rebindLocked(j *job, m *machine, now time.Time) {
-	remaining := j.need - j.cpuBase
+	remaining := j.stopAt() - j.cpuBase
 	if remaining <= 0 {
-		// The capture raced completion; the next harvest would have
-		// finished it, so finish it here.
+		// The capture raced the task's end; the next harvest would have
+		// finished the job, so finish it here.
 		j.completionTime = now
-		j.status = StatusCompleted
 		j.seal()
 		p.liveCount--
-		p.produceOutputLocked(j)
+		j.status = StatusFailed
+		if !j.faulty() {
+			j.status = StatusCompleted
+			p.produceOutputLocked(j)
+		}
 		return
 	}
 	p.runTaskLocked(j, m, remaining)
+	p.openUsageLocked(j, m)
 	if j.status == StatusSuspended {
 		j.task.Suspend()
+		if j.flow != nil {
+			j.flow.SetRate(0) // a paused task consumes nothing
+		}
 	}
-	j.supervised = j.failAfter > 0 || p.fairSink != nil
 	if j.supervised && j.status == StatusRunning {
 		p.superviseCount++
 	}

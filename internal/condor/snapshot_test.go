@@ -2,11 +2,15 @@ package condor
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 	"time"
 
 	"repro/internal/classad"
+	"repro/internal/fairshare"
+	"repro/internal/simgrid"
+	"repro/internal/telemetry"
 )
 
 const testTTL = 10 * time.Minute
@@ -308,5 +312,82 @@ func TestRestoredRunningJobKeepsWallClock(t *testing.T) {
 	}
 	if got := mustJob(t, p2, id); got != want {
 		t.Errorf("recovered run ended differently:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestRestoredPoolReopensUsageFlows: a recovered pool under a fair-share
+// manager accounts its re-bound jobs the way the process that never
+// crashed does — through usage flows. So it wakes for completions, not at
+// every tick until the last pre-crash job ends, and every tenant's usage
+// ends where the uncrashed twin's does (both sides accrue in closed form;
+// the recovered side's integral is cut once more, at the capture instant:
+// the flow path's 1e-9 relative tolerance, "only float association
+// differs"). The nodes are registered ahead of the pool, so a task starts
+// accruing at the boundary its flow opens at: behind a pool that goes
+// first, a task also accrues the tick that ends at its placement, which
+// its flow only makes up at Close — work a capture in between attributes
+// to the job and not yet to the tenant.
+func TestRestoredPoolReopensUsageFlows(t *testing.T) {
+	build := func() (*simgrid.Grid, *Pool, *fairshare.Manager, *telemetry.Registry) {
+		g := simgrid.NewGrid(time.Second, 1)
+		site := g.AddSite("siteA")
+		var nodes []*simgrid.Node
+		for i := 0; i < 4; i++ {
+			nodes = append(nodes, site.AddNode(g.Engine, nodeName(i), 1, simgrid.IdleLoad()))
+		}
+		p := NewPool("poolA", g, site)
+		for _, n := range nodes {
+			p.AddMachine(n, nil)
+		}
+		fs := fairshare.NewManager(fairshare.Config{Clock: g.Engine.Clock(), HalfLife: time.Hour})
+		reg := telemetry.NewRegistry()
+		p.SetFairShare(fs)
+		p.SetTelemetry(reg)
+		return g, p, fs, reg
+	}
+	g, p, fs, _ := build()
+	mustSubmit(t, p, jobAd("alice", 300, 0))
+	paused := mustSubmit(t, p, jobAd("alice", 700, 0))
+	mustSubmit(t, p, jobAd("bob", 500, 0))
+	mustSubmit(t, p, jobAd("bob", 36000, 0)) // outlives the run: the job a per-tick pool never stops watching
+	g.Engine.RunFor(100 * time.Second)
+	if err := p.Suspend(paused); err != nil {
+		t.Fatal(err)
+	}
+
+	g2, p2, fs2, reg2 := build()
+	g2.Engine.RunFor(100 * time.Second)
+	fs2.Restore(fs.Export()) // accounts first: a flow feeds the accounts it finds
+	if err := p2.Restore(p.Export(testTTL)); err != nil {
+		t.Fatal(err)
+	}
+	wakes0 := reg2.Snapshot().Total("pool_wakes_total")
+	for _, e := range []*simgrid.Engine{g.Engine, g2.Engine} {
+		e.RunFor(1000 * time.Second)
+	}
+	completed := 0
+	jobs, err := p2.Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range jobs {
+		if j.Status == StatusCompleted {
+			completed++
+		}
+	}
+	if completed != 2 {
+		t.Fatalf("%d jobs completed after recovery, want 2", completed)
+	}
+	if wakes := reg2.Snapshot().Total("pool_wakes_total") - wakes0; wakes > float64(completed)+2 {
+		t.Errorf("recovered pool woke %v times over 1000 ticks for %d completions", wakes, completed)
+	}
+	for _, tenant := range []string{"alice", "bob"} {
+		want, got := fs.Usage(tenant), fs2.Usage(tenant)
+		if want <= 0 || math.Abs(got-want) > 1e-9*want {
+			t.Errorf("%s: usage %v after recovery, %v without the crash", tenant, got, want)
+		}
+		if want, got := fs.SiteUsage(tenant, "siteA"), fs2.SiteUsage(tenant, "siteA"); math.Abs(got-want) > 1e-9*want {
+			t.Errorf("%s at siteA: usage %v after recovery, %v without the crash", tenant, got, want)
+		}
 	}
 }

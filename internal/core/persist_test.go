@@ -302,3 +302,35 @@ func TestRejectedRPCsAreNotJournaled(t *testing.T) {
 		t.Fatalf("rejected RPCs journaled: LastSeq = %d", got)
 	}
 }
+
+// TestRecoveredDeploymentAccruesThroughFlows pins what condor's rebind
+// relies on: RestoreState restores the fair-share accounts before the
+// pools, so the usage flow a re-bound job reopens feeds the restored
+// account (a flow opened first would feed an account Restore then
+// replaces). The tenant's usage keeps growing at the job's rate while it
+// runs, and the pools sleep through those ticks.
+func TestRecoveredDeploymentAccruesThroughFlows(t *testing.T) {
+	cfg := durableConfig()
+	cfg.FairShare = &fairshare.Config{HalfLife: -1} // exact accounting
+	g1 := New(cfg)
+	if _, err := g1.Client("alice").Submit(context.Background(), specOf("p-long", 5000)); err != nil {
+		t.Fatal(err)
+	}
+	g1.Run(50 * time.Second)
+	st, err := g1.CaptureState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g2 := New(cfg)
+	if err := g2.RestoreState(g1.Now(), &st); err != nil {
+		t.Fatal(err)
+	}
+	u0, wakes0 := g2.FairShare.Usage("alice"), g2.Telemetry.Snapshot().Total("pool_wakes_total")
+	g2.Run(1000 * time.Second)
+	if grew := g2.FairShare.Usage("alice") - u0; grew < 999 || grew > 1001 {
+		t.Errorf("usage grew by %v over 1000 s of a recovered running job, want ≈1000", grew)
+	}
+	if wakes := g2.Telemetry.Snapshot().Total("pool_wakes_total") - wakes0; wakes > 4 {
+		t.Errorf("recovered pools woke %v times over 1000 ticks with nothing to do", wakes)
+	}
+}

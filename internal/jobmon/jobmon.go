@@ -230,8 +230,9 @@ func (m *Manager) Get(pool string, id int) (condor.JobInfo, error) {
 	return m.Collector.Live(pool, id)
 }
 
-// List returns every known job at a pool (live list merged over stored
-// terminal records, keyed by ID).
+// List returns every job the pool holds: the pool keeps its terminal
+// jobs, so its own table is the whole list and the repository is not
+// consulted.
 func (m *Manager) List(pool string) ([]condor.JobInfo, error) {
 	p, ok := m.Collector.Pool(pool)
 	if !ok {
@@ -260,9 +261,9 @@ type Service struct {
 
 // NewService assembles a Job Monitoring Service and registers it with the
 // grid engine. The service is event-driven: a pool transition wakes its
-// collector at the next legal boundary (exactly when the legacy per-tick
-// drain would have seen it), and running-job progress publication runs
-// on a PollInterval poller.
+// collector at the next legal boundary (this one, when the collector's
+// turn is still ahead), and running-job progress publication runs on a
+// PollInterval poller.
 func NewService(grid *simgrid.Grid, repo *monalisa.Repository) *Service {
 	db := NewDBManager(repo)
 	col := NewCollector(db, repo)
@@ -277,8 +278,7 @@ func NewService(grid *simgrid.Grid, repo *monalisa.Repository) *Service {
 	col.notify = func() { s.drainWake.Request(grid.Engine.Now()) }
 	if repo != nil {
 		// Registered after the drain wake, so a poll landing on the same
-		// boundary as queued events publishes post-drain state — the
-		// legacy drain-then-publish order within one tick.
+		// boundary as queued events publishes post-drain state.
 		grid.Engine.NewPoller(func() time.Duration { return s.PollInterval }, s.publishProgress)
 	}
 	return s

@@ -21,6 +21,13 @@
 // (Step) leaves the same trace, which the equivalence suites pin. All
 // randomness flows from a single seeded source, making every experiment
 // reproducible bit for bit.
+//
+// CPU work is accounted exactly: in integer micro-CPU-seconds, at rates
+// quantised once where a load segment or a node's occupancy changes, with
+// the per-tick division remainder carried (node.go). Work done over ticks
+// [a,b) and then [b,c) is the work done over [a,c) by construction, so a
+// node settles any span in one step per load segment and a completion
+// boundary is a ceiling division.
 package simgrid
 
 import (
@@ -327,17 +334,18 @@ func (p *Poller) onWake(now time.Time) {
 	p.fn(now)
 }
 
-// horizonFor reports the instant up to which a component with the given
-// registration order is current: mid-boundary, components whose turn has
-// not yet come see state as of the previous boundary — the ordering
-// contract the every-boundary equivalence suites pin.
-func (e *Engine) horizonFor(order int) time.Time {
+// horizonFor reports the boundary (as a tick index) up to which a
+// component with the given registration order is current: mid-boundary,
+// components whose turn has not yet come see state as of the previous
+// boundary — the ordering contract the every-boundary equivalence suites
+// pin.
+func (e *Engine) horizonFor(order int) int64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.processing && order > e.curOrder {
-		return e.timeOf(e.nowTick - 1)
+		return e.nowTick - 1
 	}
-	return e.timeOf(e.nowTick)
+	return e.nowTick
 }
 
 // Schedule runs fn once the simulated clock has advanced by delay,

@@ -162,8 +162,9 @@ func TestWakeRequestDuringOwnFiring(t *testing.T) {
 // deadline path depends on: every load this package constructs (except
 // genuinely noisy ones) advertises PiecewiseConstant, wrappers preserve
 // it, and opaque function loads are conservatively treated as
-// time-varying.
+// time-varying — a segment per tick.
 func TestPiecewiseDetection(t *testing.T) {
+	pieceOf := func(l Load) PiecewiseConstant { return pieceOf(l, time.Second) }
 	if pc := pieceOf(ConstantLoad(0.3)); pc == nil {
 		t.Fatal("ConstantLoad not detected as piecewise")
 	} else if v, until := pc.Segment(time.Time{}); v != 0.3 || !until.IsZero() {
@@ -214,8 +215,8 @@ func TestPiecewiseDetection(t *testing.T) {
 		"noisy":  NoisyLoad(ConstantLoad(0.5), 0.1, 7),
 		"custom": LoadFn(func(time.Time) float64 { return 0.4 }),
 	} {
-		if pieceOf(fn) != nil {
-			t.Errorf("%s load misdetected as piecewise-constant", name)
+		if _, until := pieceOf(fn).Segment(epoch); !until.Equal(epoch.Add(time.Second)) {
+			t.Errorf("%s load's segment ends %v, want one tick after it starts", name, until)
 		}
 	}
 }

@@ -16,11 +16,12 @@ type Load interface {
 }
 
 // LoadFn adapts a plain function to the Load interface. Function loads
-// are conservatively treated as time-varying: nodes sample them at every
-// tick boundary. Loads that are constant over known intervals should
-// implement PiecewiseConstant instead (all constructors in this package
-// do), which lets the event engine compute analytic completion deadlines
-// and skip the per-tick sampling entirely.
+// are conservatively treated as time-varying — a constant segment per
+// tick: a node samples them at every boundary it settles over or looks
+// ahead to, so the function must depend on its argument alone. Loads that
+// are constant over known intervals should implement PiecewiseConstant
+// instead (all constructors in this package do), which makes a settle and
+// a completion deadline cost one step per segment, not per tick.
 type LoadFn func(t time.Time) float64
 
 // LoadAt implements Load.
@@ -41,17 +42,29 @@ type PiecewiseConstant interface {
 	Segment(t time.Time) (value float64, until time.Time)
 }
 
-// pieceOf reports the piecewise view of l, or nil when l only supports
-// point sampling. A nil load counts as permanently idle.
-func pieceOf(l Load) PiecewiseConstant {
+// pieceOf returns l by constant segments. A nil load counts as
+// permanently idle; a load that only supports point sampling is served
+// one tick at a time.
+func pieceOf(l Load, tick time.Duration) PiecewiseConstant {
 	if l == nil {
 		return constantLoad{0}
 	}
-	pc, ok := l.(PiecewiseConstant)
-	if !ok {
-		return nil
+	if pc, ok := l.(PiecewiseConstant); ok {
+		return pc
 	}
-	return pc
+	return tickSegments{l, tick}
+}
+
+// tickSegments adapts an opaque load to the PiecewiseConstant contract
+// the only way that is always true: each sample holds for the one
+// boundary it was taken at.
+type tickSegments struct {
+	Load
+	tick time.Duration
+}
+
+func (s tickSegments) Segment(t time.Time) (float64, time.Time) {
+	return clamp01(s.LoadAt(t)), t.Add(s.tick)
 }
 
 // constantLoad is a load fixed forever at v.
@@ -64,9 +77,8 @@ func (c constantLoad) Segment(time.Time) (float64, time.Time) {
 }
 
 // ConstantLoad returns a load fixed at x (clamped to [0, 1]). The result
-// implements PiecewiseConstant with a single unbounded segment, so
-// event-driven nodes compute analytic task-completion deadlines for it
-// instead of sampling the load every tick.
+// implements PiecewiseConstant with a single unbounded segment: a node
+// under it settles any span, and finds a completion, in one step.
 func ConstantLoad(x float64) Load { return constantLoad{clamp01(x)} }
 
 // IdleLoad is a node with no background activity.

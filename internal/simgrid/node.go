@@ -3,6 +3,8 @@ package simgrid
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sync"
 	"time"
 )
@@ -32,19 +34,81 @@ func (s TaskState) String() string {
 	return fmt.Sprintf("state(%d)", int(s))
 }
 
+// Work is counted in whole units of a micro-CPU-second, and a rate in
+// units per second of simulated time. A tick of tickNs nanoseconds at rate
+// r is worth r·tickNs/fracDenom units; the division's remainder stays in
+// the accumulator, so n one-tick steps and one n-tick step reach the same
+// state whatever the tick, load, Mips and sharing count, and a completion
+// boundary is a ceiling division.
+const (
+	unitsPerSecond = 1_000_000
+	fracDenom      = uint64(time.Second) // a rate is per second, a tick is in nanoseconds
+	maxUnits       = 1 << 62             // keeps (need-done)·fracDenom + one tick inside Div64's range
+	never          = math.MaxInt64       // a tick count or boundary that is not reached
+)
+
+// toUnits converts CPU-seconds to work units, rounding to the nearest (at
+// least one, so no task is born complete). float64(u)/unitsPerSecond
+// converts back, and the round trip is exact for every u < 2⁵⁰ (35
+// CPU-years; the two float roundings stay under half a unit): a checkpoint
+// loses only the accumulator's sub-unit remainder.
+func toUnits(sec float64) int64 {
+	u := math.Round(sec * unitsPerSecond)
+	return int64(min(max(u, 1), maxUnits))
+}
+
+// work is a task's exact accrual state: done + frac/fracDenom units of the
+// need units it requires, 0 ≤ frac < fracDenom.
+type work struct{ need, done, frac int64 }
+
+// ticksLeft returns after how many ticks, each worth perTick/fracDenom
+// units, the work completes: ⌈((need-done)·fracDenom - frac) / perTick⌉, at
+// least 1 for incomplete work, never when there is no progress or the
+// count is beyond int64.
+func (w work) ticksLeft(perTick uint64) int64 {
+	if perTick == 0 {
+		return never
+	}
+	hi, lo := bits.Mul64(uint64(w.need-w.done), fracDenom)
+	lo, borrow := bits.Sub64(lo, uint64(w.frac), 0)
+	lo, carry := bits.Add64(lo, perTick-1, 0)
+	if hi = hi - borrow + carry; hi >= perTick {
+		return never
+	}
+	q, _ := bits.Div64(hi, lo, perTick)
+	return int64(min(q, never))
+}
+
+// advance accrues k ticks' worth, k ≤ ticksLeft(perTick).
+func (w *work) advance(perTick uint64, k int64) {
+	hi, lo := bits.Mul64(perTick, uint64(k))
+	lo, carry := bits.Add64(lo, uint64(w.frac), 0)
+	q, r := bits.Div64(hi+carry, lo, fracDenom)
+	w.done += int64(q)
+	w.frac = int64(r)
+}
+
+// less orders accrual states by work left: a.less(b) means a completes
+// first under any schedule that gives both the same rate.
+func (w work) less(o work) bool {
+	lw, lo := w.need-w.done, o.need-o.done
+	return lw < lo || lw == lo && w.frac > o.frac
+}
+
 // Task is a unit of CPU work placed on a Node. Work is measured in
-// CPU-seconds on a reference (Mips=1.0) processor. WallClock accumulates
-// only while the task actually occupies the CPU — exactly Condor's
-// "accumulated wall-clock time" that the paper uses as its job-progress
-// proxy in Figure 7.
+// CPU-seconds on a reference (Mips=1.0) processor and accrued exactly, in
+// integer units (see toUnits). WallClock is the time the task actually
+// occupied the CPU — its work divided by the node's speed — exactly
+// Condor's "accumulated wall-clock time" that the paper uses as its
+// job-progress proxy in Figure 7.
 type Task struct {
 	ID   string
 	Need float64 // total CPU-seconds required on a Mips=1.0 node
 
-	mu     sync.Mutex
-	state  TaskState
-	done   float64 // CPU-seconds completed
-	wall   float64 // seconds the task was actually executing
+	mu    sync.Mutex
+	state TaskState
+	work
+	mips   float64 // speed of the node hosting (or that last hosted) the task
 	onDone func(*Task)
 	node   *Node // node currently hosting the task, nil when detached
 	// unobserved marks a task the node's observer placed itself (see
@@ -59,7 +123,7 @@ func NewTask(id string, need float64, onDone func(*Task)) *Task {
 	if need <= 0 {
 		panic("simgrid: task needs positive work")
 	}
-	return &Task{ID: id, Need: need, onDone: onDone}
+	return &Task{ID: id, Need: need, work: work{need: toUnits(need)}, mips: 1, onDone: onDone}
 }
 
 // nodeRef returns the hosting node, if any.
@@ -70,8 +134,8 @@ func (t *Task) nodeRef() *Node {
 }
 
 // observe brings the task's accrued work up to date with simulated time:
-// a node accrues work lazily — replayed from the last synchronization
-// point whenever someone looks.
+// a node accrues work lazily, settling in closed form whenever someone
+// looks.
 func (t *Task) observe() {
 	if n := t.nodeRef(); n != nil {
 		n.observeNow()
@@ -88,55 +152,56 @@ func (t *Task) State() TaskState {
 
 // Progress returns completed work as a fraction in [0, 1].
 func (t *Task) Progress() float64 {
-	t.observe()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	p := t.done / t.Need
-	if p > 1 {
-		p = 1
-	}
-	return p
+	return min(t.CPUSeconds()/t.Need, 1)
 }
 
-// WallClock returns the accumulated execution time (Condor wall-clock).
+// WallClock returns the accumulated execution time (Condor wall-clock),
+// to the microsecond.
 func (t *Task) WallClock() time.Duration {
 	t.observe()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return time.Duration(t.wall * float64(time.Second))
+	return time.Duration(float64(t.done)/t.mips) * (time.Second / unitsPerSecond)
 }
 
-// CPUSeconds returns the completed CPU-seconds.
+// CPUSeconds returns the completed CPU-seconds: Need itself once the task
+// is done, whole work units before.
 func (t *Task) CPUSeconds() float64 {
 	t.observe()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.done
+	if t.state == TaskDone {
+		return t.Need
+	}
+	return float64(t.done) / unitsPerSecond
 }
 
-// setState flips the task state after synchronizing its node's accrual,
-// then re-derives the node's completion deadlines. from lists the states
-// the transition applies to.
+// setState flips the task state after settling its node's accrual under
+// the old one, then re-derives the node's completion deadline. from lists
+// the states the transition applies to.
 func (t *Task) setState(to TaskState, from ...TaskState) {
 	n := t.nodeRef()
-	if n != nil {
-		n.observeNow() // accrue through the present under the old state
+	if n == nil {
+		t.flip(to, from)
+		return
 	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.settleObservedLocked()
+	if t.flip(to, from) {
+		n.rearmLocked()
+	}
+}
+
+// flip moves the task to state to if it is in one of from.
+func (t *Task) flip(to TaskState, from []TaskState) bool {
 	t.mu.Lock()
-	changed := false
-	for _, f := range from {
-		if t.state == f {
-			t.state = to
-			changed = true
-			break
-		}
+	defer t.mu.Unlock()
+	if !slices.Contains(from, t.state) {
+		return false
 	}
-	t.mu.Unlock()
-	if changed && n != nil {
-		n.mu.Lock()
-		n.rederiveLocked()
-		n.mu.Unlock()
-	}
+	t.state = to
+	return true
 }
 
 // Suspend pauses execution; progress and wall-clock stop accruing.
@@ -148,38 +213,38 @@ func (t *Task) Resume() { t.setState(TaskRunning, TaskSuspended) }
 // Kill terminates the task; it will never complete.
 func (t *Task) Kill() { t.setState(TaskKilled, TaskRunning, TaskSuspended) }
 
-// maxPredictTicks bounds a single deadline-prediction replay. Shares so
-// small that completion lies beyond the cap re-derive again at the cap
-// boundary, so pathological loads degrade to bounded chunks of work
-// rather than unbounded loops.
-const maxPredictTicks = 1 << 22
+// maxSegments bounds how many load segments one deadline derivation looks
+// ahead. A completion further off wakes the node at the last segment
+// looked at, where it derives again: a load of many short segments (an
+// opaque one is a segment per tick) costs bounded chunks of work, not an
+// unbounded walk at every placement or resume.
+const maxSegments = 1 << 12
 
 // Node is a single CPU execution slot within a site. Mips scales its speed
-// relative to the reference processor; Load supplies the background
+// relative to the reference processor; the load supplies the background
 // (non-Grid) utilization. Multiple tasks on one node share the remaining
 // capacity equally — Condor would normally run one job per slot, but the
 // fair-share model also covers oversubscription experiments.
 //
-// A node is event-driven: running tasks accrue work lazily (the per-tick
-// arithmetic is replayed, bit for bit, whenever state is observed or
-// changed) and task completions are scheduled as engine events — the
-// exact tick boundary is found analytically for loads that advertise
-// the PiecewiseConstant contract (all loads this package constructs),
-// while opaque function loads fall back to per-tick wakeups, since they
-// must be sampled at every boundary.
+// A node is event-driven: the free capacity (1-load)·Mips is quantised to
+// whole work units per second and divided among the running tasks where
+// the load segment or the occupancy changes, never per tick; accrual is
+// settled lazily, one multiplication per task per load segment, whenever
+// state is observed or changed; and the earliest completion is scheduled
+// as one engine event at the boundary a ceiling division finds. An opaque
+// Load (no Segment method) is a segment per tick.
 type Node struct {
 	Name string
 	Site string
 	Mips float64
 
 	mu       sync.Mutex
-	load     Load
-	seg      PiecewiseConstant // piecewise view of load, nil when opaque
+	seg      PiecewiseConstant // the background load, by constant segments
 	tasks    []*Task
 	eng      *Engine
 	wake     *Wake
-	lastSync time.Time // last boundary through which accrual has been applied
-	observer func()    // fired (unlocked) after task-set or load changes
+	synced   int64  // tick index of the boundary through which accrual has been applied
+	observer func() // fired (unlocked) after task-set or load changes
 }
 
 // newNode creates a node on engine e. A nil load means idle; mips<=0
@@ -188,11 +253,11 @@ func newNode(e *Engine, name, site string, mips float64, load Load) *Node {
 	if mips <= 0 {
 		mips = 1
 	}
-	if load == nil {
-		load = IdleLoad()
+	if mips*unitsPerSecond*float64(e.tick) >= 1<<63 {
+		panic("simgrid: Mips × tick too large for exact work accounting")
 	}
-	n := &Node{Name: name, Site: site, Mips: mips, load: load, seg: pieceOf(load), eng: e}
-	n.lastSync = e.Now()
+	n := &Node{Name: name, Site: site, Mips: mips, seg: pieceOf(load, e.tick), eng: e}
+	n.synced = e.tickNow()
 	n.wake = e.Register(n.onWake)
 	return n
 }
@@ -200,14 +265,10 @@ func newNode(e *Engine, name, site string, mips float64, load Load) *Node {
 // SetLoad replaces the node's background load. Work accrued so far is
 // settled under the old load first.
 func (n *Node) SetLoad(load Load) {
-	if load == nil {
-		load = IdleLoad()
-	}
-	n.observeNow()
 	n.mu.Lock()
-	n.load = load
-	n.seg = pieceOf(load)
-	n.rederiveLocked()
+	n.settleObservedLocked()
+	n.seg = pieceOf(load, n.eng.tick)
+	n.rearmLocked()
 	n.mu.Unlock()
 	n.notifyObserver()
 }
@@ -238,22 +299,17 @@ func (n *Node) notifyObserver() {
 
 // LoadAt reports the background load at time t.
 func (n *Node) LoadAt(t time.Time) float64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return clamp01(n.load.LoadAt(t))
+	v, _ := n.LoadSegment(t)
+	return v
 }
 
 // LoadSegment reports the background load at t together with the end of
-// the current constant segment (zero when the value holds forever), and
-// whether the node's load advertises piecewise segments at all.
-func (n *Node) LoadSegment(t time.Time) (value float64, until time.Time, ok bool) {
+// the current constant segment: zero when the value holds forever, one
+// tick past t under an opaque load.
+func (n *Node) LoadSegment(t time.Time) (value float64, until time.Time) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.seg == nil {
-		return clamp01(n.load.LoadAt(t)), time.Time{}, false
-	}
-	v, u := n.seg.Segment(t)
-	return v, u, true
+	return n.seg.Segment(t)
 }
 
 // Place starts a task on this node.
@@ -273,31 +329,25 @@ func (n *Node) PlaceUnobserved(t *Task) {
 }
 
 func (n *Node) place(t *Task, unobserved bool) {
-	n.observeNow() // settle existing tasks before the share changes
-	t.mu.Lock()
-	t.node = n
-	t.unobserved = unobserved
-	t.mu.Unlock()
 	n.mu.Lock()
+	defer n.mu.Unlock()
+	n.settleObservedLocked() // existing tasks first, before the share changes
+	t.mu.Lock()
+	t.node, t.mips, t.unobserved = n, n.Mips, unobserved
+	t.mu.Unlock()
 	n.tasks = append(n.tasks, t)
-	n.rederiveLocked()
-	n.mu.Unlock()
+	n.rearmLocked()
 }
 
 // Remove detaches a task (completed, killed, or migrating) from the node.
 func (n *Node) Remove(t *Task) {
-	n.observeNow()
 	n.mu.Lock()
-	removed := false
-	for i, x := range n.tasks {
-		if x == t {
-			n.tasks = append(n.tasks[:i], n.tasks[i+1:]...)
-			removed = true
-			break
-		}
-	}
+	n.settleObservedLocked()
+	i := slices.Index(n.tasks, t)
+	removed := i >= 0
 	if removed {
-		n.rederiveLocked()
+		n.tasks = slices.Delete(n.tasks, i, i+1)
+		n.rearmLocked()
 	}
 	n.mu.Unlock()
 	if removed {
@@ -340,22 +390,31 @@ func (n *Node) RunningCount() int {
 	return c
 }
 
-// observeNow replays accrual up to the engine's consistency horizon for
+// observeNow settles accrual up to the engine's consistency horizon for
 // this node: mid-boundary, a node whose turn has not yet come reports
 // work as of the previous boundary.
 func (n *Node) observeNow() {
-	h := n.eng.horizonFor(n.wake.order)
 	n.mu.Lock()
-	n.syncLocked(h, true)
+	n.settleObservedLocked()
 	n.mu.Unlock()
+}
+
+// settleObservedLocked is settleLocked for everyone but the node's own
+// event. A completion is always that event's to find: its wake is requested
+// for the exact completion boundary and fires before any later-ordered
+// component — or anyone outside the engine — can look at that boundary.
+func (n *Node) settleObservedLocked() {
+	if fin := n.settleLocked(n.eng.horizonFor(n.wake.order)); len(fin) > 0 {
+		panic("simgrid: a task completed ahead of its node's deadline event")
+	}
 }
 
 // onWake is the node's engine event: settle accrual through now (firing
 // completions due at this boundary), then schedule the next deadline.
-func (n *Node) onWake(now time.Time) {
+func (n *Node) onWake(time.Time) {
 	n.mu.Lock()
-	fin := n.syncLocked(now, false)
-	n.rederiveLocked()
+	fin := n.settleLocked(n.eng.horizonFor(n.wake.order))
+	n.rearmLocked()
 	n.mu.Unlock()
 	notify := false
 	for _, t := range fin {
@@ -372,352 +431,106 @@ func (n *Node) onWake(now time.Time) {
 	}
 }
 
-// taskRun is a running task's accrual state copied out for replay.
-type taskRun struct {
-	t          *Task
-	done, wall float64
+// perTick is what one tick is worth to each of m tasks sharing a node of
+// speed mips under background load v, in 1/fracDenom work units: the free
+// capacity quantised to whole units per second, split m ways.
+func perTick(v, mips float64, m int, tick time.Duration) uint64 {
+	rate := uint64(math.Round((1 - v) * mips * unitsPerSecond))
+	return rate / uint64(m) * uint64(tick)
 }
 
-// syncLocked replays the per-tick accrual arithmetic for every boundary
-// in (lastSync, to] — computing, bit for bit, the floating-point sums of
-// a node advanced at every boundary (the per-tick reference in
-// node_oracle_test.go) — and returns the tasks that completed. In
-// observe mode the replay stops just short of the first boundary at which
-// a task would complete, leaving the completion (and its onDone callback)
-// to the node's own deadline event.
-func (n *Node) syncLocked(to time.Time, observe bool) []*Task {
-	if !to.After(n.lastSync) {
-		return nil
+// perTickLocked returns what one tick is worth to each of m running tasks
+// in the load segment holding boundary k, and the last boundary of that
+// segment (never, when it has no end).
+func (n *Node) perTickLocked(k int64, m int) (step uint64, last int64) {
+	v, until := n.seg.Segment(n.eng.timeOf(k))
+	last = never
+	if !until.IsZero() {
+		last = max(k, n.eng.tickCeil(until)-1) // a segment covers at least its own start
 	}
-	tick := n.eng.Tick()
-	sec := tick.Seconds()
-	var running []taskRun
+	return perTick(v, n.Mips, m, n.eng.tick), last
+}
+
+// leastLeftLocked counts the running tasks and copies out the accrual
+// state of the one with the least work left. Running tasks share the node
+// equally, so whatever the load does they all accrue the same work: that
+// one completes first.
+func (n *Node) leastLeftLocked() (m int, least work) {
 	for _, t := range n.tasks {
 		t.mu.Lock()
 		if t.state == TaskRunning {
-			running = append(running, taskRun{t: t, done: t.done, wall: t.wall})
+			if m++; m == 1 || t.work.less(least) {
+				least = t.work
+			}
 		}
 		t.mu.Unlock()
 	}
-	if len(running) == 0 {
-		n.lastSync = to
-		return nil
-	}
-	var finished []*Task
-	end := to
-	base := n.lastSync
-	var segVal float64
-	var segUntil time.Time
-	segValid := false
-	tryJump := n.seg != nil // retried after each segment or task-set change
-loop:
-	for bt := base.Add(tick); !bt.After(to); bt = bt.Add(tick) {
-		if len(running) == 0 {
+	return m, least
+}
+
+// settleLocked applies the accrual of every boundary in (synced, to] and
+// returns the tasks that completed, removed from the node. It steps from
+// one change of rate to the next — the end of a load segment, or a
+// completion, which changes the sharing count — never over ticks.
+func (n *Node) settleLocked(to int64) (finished []*Task) {
+	for n.synced < to {
+		m, least := n.leastLeftLocked()
+		if m == 0 {
 			break
 		}
-		var load float64
-		if n.seg != nil {
-			if !segValid || (!segUntil.IsZero() && !bt.Before(segUntil)) {
-				segVal, segUntil = n.seg.Segment(bt)
-				segValid = true
-				tryJump = true
-			}
-			load = segVal
-			if load >= 1 {
-				if segUntil.IsZero() {
-					break // full load forever: nothing ever accrues
+		step, last := n.perTickLocked(n.synced+1, m)
+		k := min(min(last, to)-n.synced, least.ticksLeft(step))
+		n.synced += k
+		for _, t := range n.tasks {
+			t.mu.Lock()
+			if t.state == TaskRunning {
+				if t.advance(step, k); t.done >= t.need {
+					t.done, t.frac, t.state, t.node = t.need, 0, TaskDone, nil
+					finished = append(finished, t)
 				}
-				// Zero-progress segment: jump to its last boundary so the
-				// loop's Add(tick) lands on the first boundary past it.
-				// Adding share=0 per boundary would be bit-identical but
-				// cost one iteration per tick.
-				k := int64((segUntil.Sub(base) + tick - 1) / tick)
-				if nb := base.Add(time.Duration(k-1) * tick); nb.After(bt) {
-					bt = nb
-				}
-				continue
 			}
-		} else {
-			load = clamp01(n.load.LoadAt(bt))
+			t.mu.Unlock()
 		}
-		m := float64(len(running))
-		share := (1 - load) * n.Mips / m
-		runFrac := (1 - load) / m
-		if tryJump {
-			// Bulk-apply every boundary of this segment that no task
-			// completes at: when each per-tick step is an exact power of
-			// two and each accumulator an exact multiple of it, the closed
-			// form reproduces the repeated additions bit for bit. A failed
-			// exactness check stays off until the segment or the running
-			// set changes (alignment cannot spontaneously appear).
-			w := int64(to.Sub(bt)/tick) + 1
-			if !segUntil.IsZero() {
-				if ws := int64((segUntil.Sub(bt)-1)/tick) + 1; ws < w {
-					w = ws
-				}
-			}
-			if jump := bulkTicks(running, sec*share, sec*runFrac, w); jump > 0 {
-				for i := range running {
-					running[i].done += float64(jump) * (sec * share)
-					running[i].wall += float64(jump) * (sec * runFrac)
-				}
-				bt = bt.Add(time.Duration(jump-1) * tick)
-				continue
-			}
-			tryJump = false
-		}
-		if observe {
-			for i := range running {
-				if running[i].done+sec*share >= running[i].t.Need {
-					end = bt.Add(-tick)
-					break loop
-				}
-			}
-		}
-		for i := 0; i < len(running); i++ {
-			r := &running[i]
-			r.done += sec * share
-			r.wall += sec * runFrac
-			if r.done >= r.t.Need {
-				r.done = r.t.Need
-				finished = append(finished, r.t)
-				n.writeBackLocked(*r, true)
-				running = append(running[:i], running[i+1:]...)
-				i--
-				tryJump = n.seg != nil // share changes with the task count
-			}
+		if len(finished) > 0 {
+			n.tasks = slices.DeleteFunc(n.tasks, func(t *Task) bool { return slices.Contains(finished, t) })
 		}
 	}
-	n.lastSync = end
-	for _, r := range running {
-		n.writeBackLocked(r, false)
-	}
-	for _, t := range finished {
-		for i, x := range n.tasks {
-			if x == t {
-				n.tasks = append(n.tasks[:i], n.tasks[i+1:]...)
-				break
-			}
-		}
-	}
+	n.synced = max(n.synced, to)
 	return finished
 }
 
-// bulkTicks reports how many consecutive tick boundaries — at most window,
-// all within one constant load segment — can be applied to the running set
-// in closed form without changing a single floating-point result. The
-// per-tick accrual x += step is exactly reproduced by x + n·step when step
-// is a power of two, x is an exact multiple of it, and the scaled sums stay
-// below 2⁵³: every partial sum is then representable, so the repeated
-// additions never round. The jump stops just before the first boundary at
-// which a task would complete, leaving completion bookkeeping to the
-// regular per-tick body. Returns 0 when no exact jump is possible.
-func bulkTicks(running []taskRun, stepD, stepW float64, window int64) int64 {
-	if window <= 1 {
-		return 0
+// ticksToCompleteLocked returns how many boundaries past synced the first
+// running task completes, walking the load segments ahead: ok is false
+// when nothing runs or nothing can ever complete (full load for ever). A
+// completion more than maxSegments segments off is reported at the last
+// one looked at.
+func (n *Node) ticksToCompleteLocked() (ticks int64, ok bool) {
+	m, least := n.leastLeftLocked()
+	if m == 0 {
+		return 0, false
 	}
-	if fr, _ := math.Frexp(stepD); fr != 0.5 {
-		return 0
+	k := n.synced
+	for i := 0; i < maxSegments; i++ {
+		step, last := n.perTickLocked(k+1, m)
+		if c := least.ticksLeft(step); c != never && c <= last-k {
+			return k - n.synced + c, true
+		}
+		if last == never {
+			return 0, false
+		}
+		least.advance(step, last-k)
+		k = last
 	}
-	if fr, _ := math.Frexp(stepW); fr != 0.5 {
-		return 0
-	}
-	const maxExact = float64(1 << 53)
-	jump := window
-	for i := range running {
-		r := &running[i]
-		d := r.done / stepD
-		w := r.wall / stepW
-		if d != math.Trunc(d) || w != math.Trunc(w) ||
-			d+float64(window) >= maxExact || w+float64(window) >= maxExact {
-			return 0
-		}
-		if r.done+float64(jump)*stepD < r.t.Need {
-			continue // no completion inside the current jump
-		}
-		// Completes inside the window: find the exact first completing
-		// boundary (the float seed is within an ulp; the adjustment loops
-		// settle it against the exact products).
-		c := int64(math.Ceil((r.t.Need - r.done) / stepD))
-		if c < 1 {
-			c = 1
-		}
-		for c > 1 && r.done+float64(c-1)*stepD >= r.t.Need {
-			c--
-		}
-		for r.done+float64(c)*stepD < r.t.Need {
-			c++
-		}
-		if c-1 < jump {
-			jump = c - 1
-		}
-		if jump == 0 {
-			return 0
-		}
-	}
-	return jump
+	return k - n.synced, true
 }
 
-// writeBackLocked stores a replayed accrual state into its task,
-// completing it when done.
-func (n *Node) writeBackLocked(r taskRun, completed bool) {
-	r.t.mu.Lock()
-	r.t.done = r.done
-	r.t.wall = r.wall
-	if completed {
-		r.t.state = TaskDone
-		r.t.node = nil
+// rearmLocked requests the node's next wake at the earliest completion.
+// Idle nodes — and nodes pinned at full load for ever — schedule nothing;
+// this is what lets RunFor skip their boundaries entirely and keeps the
+// event count independent of the tick resolution.
+func (n *Node) rearmLocked() {
+	if k, ok := n.ticksToCompleteLocked(); ok {
+		k = min(k, math.MaxInt64/int64(n.eng.tick)-n.synced) // keep the duration multiply from overflowing
+		n.wake.Request(n.eng.timeOf(n.synced + k))
 	}
-	r.t.mu.Unlock()
-}
-
-// rederiveLocked recomputes the node's next wake: for piecewise-constant
-// loads, the exact tick boundary of the earliest completion, found by
-// replaying the same floating-point sums the sync will perform segment by
-// segment; for opaque function loads, the next boundary, since they must
-// be sampled every tick. Idle nodes — and nodes pinned at full load
-// forever — schedule nothing; this is what lets RunFor skip their
-// boundaries entirely and keeps the event count independent of the tick
-// resolution.
-func (n *Node) rederiveLocked() {
-	count := 0
-	for _, t := range n.tasks {
-		t.mu.Lock()
-		if t.state == TaskRunning {
-			count++
-		}
-		t.mu.Unlock()
-	}
-	if count == 0 {
-		return
-	}
-	tick := n.eng.Tick()
-	if n.seg == nil {
-		n.wake.Request(n.lastSync.Add(tick))
-		return
-	}
-	m := float64(count)
-	best := int64(math.MaxInt64)
-	scheduled := false
-	for _, t := range n.tasks {
-		t.mu.Lock()
-		state, done, need := t.state, t.done, t.Need
-		t.mu.Unlock()
-		if state != TaskRunning {
-			continue
-		}
-		lim := best
-		if lim > maxPredictTicks {
-			lim = maxPredictTicks // replay cap; the exact path may exceed it
-		}
-		k := n.segTicksToComplete(done, need, m, tick, lim)
-		if k < 0 {
-			continue // never completes under the remaining load profile
-		}
-		scheduled = true
-		if k < best {
-			best = k
-		}
-	}
-	if !scheduled {
-		return // no progress until the load or the task set changes
-	}
-	if maxK := int64(math.MaxInt64) / int64(tick); best > maxK {
-		best = maxK // keep the duration multiply from overflowing
-	}
-	n.wake.Request(n.lastSync.Add(time.Duration(best) * tick))
-}
-
-// segTicksToComplete replays done += step across the load's constant
-// segments until done ≥ need, returning the boundary count. The replay —
-// rather than a division — guarantees the predicted boundary matches the
-// accrual sum bit for bit: within each segment it mirrors syncLocked's
-// expression order exactly (share first, then scaled by the tick), since
-// any other float association can drift an ulp and predict a boundary the
-// accrual replay doesn't complete at. Full-load segments are jumped over
-// arithmetically, and segments in bulkTicks' exact power-of-two regime are
-// solved in closed form — in that regime the result may exceed limit,
-// since the cap only bounds replay work. Otherwise returns limit when
-// completion lies at or beyond limit boundaries, and -1 when the task can
-// never complete (full load forever).
-func (n *Node) segTicksToComplete(done, need, m float64, tick time.Duration, limit int64) int64 {
-	base := n.lastSync
-	sec := tick.Seconds()
-	var k int64
-	for k < limit {
-		bt := base.Add(time.Duration(k+1) * tick)
-		v, until := n.seg.Segment(bt)
-		kEnd := limit
-		if !until.IsZero() {
-			// Boundaries base+j·tick with j ≥ k+1 inside [bt, until).
-			if ke := int64((until.Sub(base) - 1) / tick); ke < kEnd {
-				kEnd = ke
-			}
-			if kEnd <= k {
-				kEnd = k + 1 // defensive: a segment must cover its own start
-			}
-		}
-		share := (1 - v) * n.Mips / m
-		step := sec * share
-		if step <= 0 {
-			if until.IsZero() {
-				return -1 // no progress, forever
-			}
-			k = kEnd
-			continue
-		}
-		// Exact closed form (same regime as bulkTicks): a power-of-two
-		// step over an aligned accumulator accrues without rounding, so
-		// the completing boundary is the exact ceiling — no replay needed.
-		if fr, _ := math.Frexp(step); fr == 0.5 {
-			if d := done / step; d == math.Trunc(d) && d+float64(kEnd-k) < float64(1<<53) {
-				if rem := float64(kEnd - k); done+rem*step < need {
-					if until.IsZero() && kEnd == limit {
-						// Unbounded final segment: the cap only bounds
-						// replay work, of which the closed form does none —
-						// return the true boundary so a long task wakes
-						// once, at completion, instead of at every cap.
-						c := int64(math.Ceil((need - done) / step))
-						if c < 1 {
-							c = 1
-						}
-						if d+float64(c)+1 < float64(1<<53) {
-							for c > 1 && done+float64(c-1)*step >= need {
-								c--
-							}
-							for done+float64(c)*step < need {
-								c++
-							}
-							return k + c
-						}
-					}
-					done += rem * step
-					k = kEnd
-					continue
-				}
-				c := int64(math.Ceil((need - done) / step))
-				if c < 1 {
-					c = 1
-				}
-				for c > 1 && done+float64(c-1)*step >= need {
-					c--
-				}
-				for done+float64(c)*step < need {
-					c++
-				}
-				return k + c
-			}
-		}
-		for k < kEnd {
-			done += step
-			k++
-			if done >= need {
-				if k < 1 {
-					k = 1
-				}
-				return k
-			}
-		}
-	}
-	return limit
 }

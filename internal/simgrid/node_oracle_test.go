@@ -3,16 +3,19 @@ package simgrid
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 )
 
-// The per-tick reference node: CPU accrual as nodes computed it before
-// they became event-driven, one addition per running task per boundary.
-// Node (node.go) replays these sums lazily and jumps over them in closed
-// form; the differential tests hold it to this reference bit for bit.
-// OnTick and Task.advance are the replaced production code, verbatim.
+// The per-tick reference node: CPU accrual one tick at a time, as nodes
+// computed it before they became event-driven. It shares two things with
+// Node (node.go) and nothing else: how a rate is quantised (perTick) and
+// what one tick adds to an accumulator (work.advance with k = 1). Node
+// settles whole load segments with one multiplication and finds completion
+// boundaries by ceiling division; the differential tests hold it to this
+// reference with exact comparison.
 
 // tickNode is a node advanced at every boundary. Its tasks are plain
 // *Task values that never learn of a hosting Node (Task.node stays nil),
@@ -40,6 +43,7 @@ func newTickNode(e *Engine, mips float64, load Load) *tickNode {
 
 func (n *tickNode) Place(t *Task) {
 	n.mu.Lock()
+	t.mips = n.Mips
 	n.tasks = append(n.tasks, t)
 	n.mu.Unlock()
 }
@@ -61,9 +65,8 @@ func (n *tickNode) SetLoad(load Load) {
 	n.mu.Unlock()
 }
 
-// OnTick advances every running task by one tick. The free capacity
-// (1-load)×Mips is divided equally among running tasks; each task's
-// wall-clock accrues at the fraction of the tick it actually executed.
+// OnTick advances every running task by one tick: the free capacity
+// (1-load)×Mips, quantised and divided equally among running tasks.
 func (n *tickNode) OnTick(now time.Time, dt time.Duration) {
 	n.mu.Lock()
 	load := clamp01(n.load.LoadAt(now))
@@ -78,44 +81,30 @@ func (n *tickNode) OnTick(now time.Time, dt time.Duration) {
 	if len(running) == 0 {
 		return
 	}
-	free := (1 - load) * n.Mips
-	share := free / float64(len(running))
-	runFrac := (1 - load) / float64(len(running))
+	step := perTick(load, n.Mips, len(running), dt)
 	var finished []*Task
 	for _, t := range running {
-		if t.advance(dt, share, runFrac) {
+		if t.tickOnce(step) {
 			finished = append(finished, t)
 		}
 	}
-	if len(finished) > 0 {
-		n.mu.Lock()
-		for _, f := range finished {
-			for i, x := range n.tasks {
-				if x == f {
-					n.tasks = append(n.tasks[:i], n.tasks[i+1:]...)
-					break
-				}
-			}
-		}
-		n.mu.Unlock()
-	}
+	n.mu.Lock()
+	n.tasks = slices.DeleteFunc(n.tasks, func(t *Task) bool { return slices.Contains(finished, t) })
+	n.mu.Unlock()
 }
 
-// advance gives the task share×dt seconds of CPU and runFrac×dt seconds of
-// wall-clock; it reports whether the task just completed.
-func (t *Task) advance(dt time.Duration, share, runFrac float64) bool {
+// tickOnce gives the task one tick's worth of work; it reports whether
+// the task just completed.
+func (t *Task) tickOnce(step uint64) bool {
 	t.mu.Lock()
 	if t.state != TaskRunning {
 		t.mu.Unlock()
 		return false
 	}
-	sec := dt.Seconds()
-	t.done += sec * share
-	t.wall += sec * runFrac
-	completed := t.done >= t.Need
+	t.advance(step, 1)
+	completed := t.done >= t.need
 	if completed {
-		t.done = t.Need
-		t.state = TaskDone
+		t.done, t.frac, t.state = t.need, 0, TaskDone
 	}
 	cb := t.onDone
 	t.mu.Unlock()
@@ -176,7 +165,7 @@ func (p nodePair) runFor(d time.Duration) {
 }
 
 // check requires every task's accrual, state and completion boundary to
-// be bit-identical on both sides, returning a description of the first
+// be equal on both sides, returning a description of the first
 // difference.
 func (p nodePair) check() string {
 	for i, ev := range p.ev.tasks {
@@ -192,8 +181,8 @@ func (p nodePair) check() string {
 }
 
 // oracleLoad draws a StepLoad of two to four segments starting at from,
-// mixing dyadic levels (closed-form jumps), non-dyadic ones (per-tick
-// replay) and full load (no progress); the last level always leaves
+// mixing dyadic levels, non-dyadic ones (whose per-tick work leaves a
+// remainder) and full load (no progress); the last level always leaves
 // capacity, so tasks can finish.
 func oracleLoad(rng *rand.Rand, epoch time.Time, from time.Duration) Load {
 	levels := []float64{0, 0.5, 0.25, 0.75, 0.875, 0.3, 0.1, 0.6, 0.45, 1, 1}
@@ -270,8 +259,8 @@ func runNodeOracleScenario(seed int64) string {
 
 // TestNodeMatchesTickOracle is the seeded differential between the
 // event-driven node and the per-tick reference: ticks of 1 s, 2⁻⁷ s and
-// 10 ms, Mips 1, 1.5 and 2, stepped loads crossing the closed-form and
-// replayed regimes, one to four tasks sharing the node, and whole-second
+// 10 ms, Mips 1, 1.5 and 2, stepped loads with and without per-tick
+// remainders, one to four tasks sharing the node, and whole-second
 // placements, suspensions, resumptions, kills, removals and load swaps.
 func TestNodeMatchesTickOracle(t *testing.T) {
 	for seed := int64(1); seed <= 200; seed++ {

@@ -28,20 +28,26 @@ import (
 	"repro/internal/telemetry"
 )
 
-// millionScale parameterizes the scenario. Durations and the tick are
-// chosen to keep the accrual arithmetic in the engine's exact
-// power-of-two regime (tick = 2⁻ᵏ seconds, idle machines, Mips 1), so
-// completion deadlines are closed-form: whole-second completion instants
-// that land on the grid at any dyadic tick — which is also what makes the
-// event count independent of the tick resolution.
+// millionScale parameterizes the scenario. Needs are a base plus a
+// per-job stagger of whole seconds, scaled by the machines' rate
+// (1-load)·Mips, so every job lasts a whole number of seconds whatever the
+// machines are: completion instants land on the grid at any tick that
+// divides a second — which is also what makes the event count independent
+// of the tick resolution, and lets legs with different machines be held to
+// the same counts.
 type millionScale struct {
 	pools      int
 	machines   int // per pool
 	jobs       int // total
 	tick       time.Duration
-	baseNeed   float64       // CPU-seconds; stagger adds (job % 509) whole seconds
+	mips, load float64       // of every machine; zero mips means 1 (idle Mips-1 machines by default)
+	baseNeed   float64       // seconds on these machines; stagger adds (job % 509) whole seconds
 	horizon    time.Duration // past the last completion of the deepest machine
 	simSeconds float64
+	// failEvery, when positive, marks every failEvery-th job but the last
+	// with AttrFailAfter at its full need: the job fails where it would have
+	// completed, so fault injection leaves every instant where it was.
+	failEvery int
 	// stepped runs the horizon one Step at a time instead of RunFor's event
 	// jumps: the fixed-tick loop whose placements the jumps must reproduce.
 	stepped bool
@@ -74,6 +80,10 @@ var millionSmoke = millionScale{
 // inserts) from the timed region.
 func buildMillionScenario(tb testing.TB, sc millionScale, reg *telemetry.Registry) ([]*condor.Pool, func() *simgrid.Engine) {
 	g := simgrid.NewGrid(sc.tick, 1)
+	if sc.mips == 0 {
+		sc.mips = 1
+	}
+	rate := (1 - sc.load) * sc.mips
 	pools := make([]*condor.Pool, sc.pools)
 	for p := range pools {
 		name := fmt.Sprintf("site%d", p)
@@ -83,7 +93,7 @@ func buildMillionScenario(tb testing.TB, sc millionScale, reg *telemetry.Registr
 			pool.SetTelemetry(reg)
 		}
 		for i := 0; i < sc.machines; i++ {
-			pool.AddMachine(site.AddNode(g.Engine, fmt.Sprintf("%s-n%05d", name, i), 1, simgrid.IdleLoad()), nil)
+			pool.AddMachine(site.AddNode(g.Engine, fmt.Sprintf("%s-n%05d", name, i), sc.mips, simgrid.ConstantLoad(sc.load)), nil)
 		}
 		mgr := fairshare.NewManager(fairshare.Config{Clock: g.Engine.Clock(), HalfLife: time.Hour})
 		pool.SetFairShare(mgr)
@@ -92,11 +102,14 @@ func buildMillionScenario(tb testing.TB, sc millionScale, reg *telemetry.Registr
 	owners := []string{"atlas", "cms", "lhcb", "alice"}
 	lastID, lastPool := 0, 0
 	for j := 0; j < sc.jobs; j++ {
-		need := sc.baseNeed + float64(j%509)
+		need := (sc.baseNeed + float64(j%509)) * rate
 		ad := classad.New().
 			Set(condor.AttrOwner, owners[j%len(owners)]).
 			Set(condor.AttrCpuSeconds, need).
 			Set(condor.AttrPriority, j%2)
+		if sc.failEvery > 0 && j%sc.failEvery == 0 && j != sc.jobs-1 {
+			ad.Set(condor.AttrFailAfter, need)
+		}
 		id, err := pools[j%sc.pools].Submit(ad)
 		if err != nil {
 			tb.Fatalf("submit %d: %v", j, err)
@@ -149,32 +162,49 @@ func BenchmarkScenarioMillionJobs(b *testing.B) {
 // 0.7, a pass matches 1.5 jobs or more, and no wake finds nothing to do.
 // Any converted path regressing to per-tick or per-pass scanning — or the
 // pool waking on its own placements again — breaks a ceiling outright.
+//
+// The counts are the workload's alone: the same jobs on machines of Mips
+// 1.5 under a 0.3 load at a 10 ms tick (no power of two anywhere in the
+// per-tick work), and the same jobs with every seventh failing by
+// AttrFailAfter where it would have completed, cost exactly the events
+// and wakes of the idle Mips-1 leg at 2⁻⁷ s.
 func TestMillionSmokeCounts(t *testing.T) {
-	sc := millionSmoke
-	reg := telemetry.NewRegistry()
-	_, run := buildMillionScenario(t, sc, reg)
-	events := float64(run().Events())
-	snap := reg.Snapshot()
-	jobs := float64(sc.jobs)
-	wakes := snap.Total("pool_wakes_total")
-	passes := snap.Total("negotiation_passes_total")
-	matches := snap.Total("negotiation_matches_total")
-	idle := snap.Total("pool_idle_wakes_total")
-	t.Logf("jobs %v: events %v, wakes %v (idle %v), passes %v, matches %v", jobs, events, wakes, idle, passes, matches)
-	if matches != jobs {
-		t.Errorf("matched %v jobs of %v", matches, jobs)
+	count := func(name string, sc millionScale) (events, wakes float64) {
+		reg := telemetry.NewRegistry()
+		_, run := buildMillionScenario(t, sc, reg)
+		events = float64(run().Events())
+		snap := reg.Snapshot()
+		jobs := float64(sc.jobs)
+		wakes = snap.Total("pool_wakes_total")
+		passes := snap.Total("negotiation_passes_total")
+		matches := snap.Total("negotiation_matches_total")
+		idle := snap.Total("pool_idle_wakes_total")
+		t.Logf("%s: jobs %v: events %v, wakes %v (idle %v), passes %v, matches %v", name, jobs, events, wakes, idle, passes, matches)
+		if matches != jobs {
+			t.Errorf("%s: matched %v jobs of %v", name, matches, jobs)
+		}
+		if events > 1.7*jobs {
+			t.Errorf("%s: %v events for %v jobs, ceiling 1.7 per job", name, events, jobs)
+		}
+		if wakes > 0.7*jobs {
+			t.Errorf("%s: %v pool wakes for %v jobs, ceiling 0.7 per job", name, wakes, jobs)
+		}
+		if passes == 0 || matches/passes < 1.5 {
+			t.Errorf("%s: %v matches over %v passes = %.2f per pass, floor 1.5", name, matches, passes, matches/passes)
+		}
+		if idle != 0 {
+			t.Errorf("%s: %v wakes harvested nothing, matched nothing and had nothing to wait for; want 0", name, idle)
+		}
+		return events, wakes
 	}
-	if events > 1.7*jobs {
-		t.Errorf("%v events for %v jobs, ceiling 1.7 per job", events, jobs)
-	}
-	if wakes > 0.7*jobs {
-		t.Errorf("%v pool wakes for %v jobs, ceiling 0.7 per job", wakes, jobs)
-	}
-	if passes == 0 || matches/passes < 1.5 {
-		t.Errorf("%v matches over %v passes = %.2f per pass, floor 1.5", matches, passes, matches/passes)
-	}
-	if idle != 0 {
-		t.Errorf("%v wakes harvested nothing, matched nothing and had nothing to wait for; want 0", idle)
+	events, wakes := count("dyadic", millionSmoke)
+	loaded, faulty := millionSmoke, millionSmoke
+	loaded.tick, loaded.mips, loaded.load = 10*time.Millisecond, 1.5, 0.3
+	faulty.failEvery = 7
+	for name, sc := range map[string]millionScale{"10 ms tick, load 0.3, Mips 1.5": loaded, "every 7th job fault-injected": faulty} {
+		if e, w := count(name, sc); e != events || w != wakes {
+			t.Errorf("%s: %v events and %v wakes, the dyadic leg %v and %v — the counts depend on the load model or on AttrFailAfter", name, e, w, events, wakes)
+		}
 	}
 }
 
