@@ -49,10 +49,12 @@ fuzz-smoke:
 # live-heap bytes per queued and per finished job; what keeping the
 # negotiator's ordered views costs is gated in Rank evaluations per machine
 # that changed; and what reading, suspending and resuming a long task costs
-# is gated in Segment calls, the same whatever the tick and the time gone by.
+# is gated in Segment calls, the same whatever the tick and the time gone by
+# (under a load of one-minute segments: the same whatever the tick, and at
+# most the look-ahead bound per change).
 bench-smoke:
 	GAE_SCENARIO_SCALE=smoke $(GO) test -run xxx -bench Scenario -benchtime 1x .
-	$(GO) test -run 'MillionSmokeCounts|JobBytesCeiling|RankEvalsFollowChanges|SegmentCallsIndependentOfTick' -count=1 . ./internal/condor ./internal/simgrid
+	$(GO) test -run 'MillionSmokeCounts|JobBytesCeiling|RankEvalsFollowChanges|SegmentCalls' -count=1 . ./internal/condor ./internal/simgrid
 
 # Closed-loop serving smoke: the gae-loadgen mixed workload against an
 # embedded durable deployment — exits non-zero if any operation fails.

@@ -442,4 +442,19 @@ func TestFreeSetReleasedOnCompletion(t *testing.T) {
 	if got := freeCount(); got != 3 {
 		t.Errorf("free machines after removal = %d, want 3", got)
 	}
+
+	// A fault point one tick in. The machine comes back at the boundary the
+	// job's CPU reaches the point, as after a completion — here the boundary
+	// the pool placed it at, since a pool registered ahead of its nodes hands
+	// a task the tick that ends at its placement — and the status follows
+	// when the pool next harvests, one boundary on.
+	d, _ := p.Submit(classad.New().Set(AttrCpuSeconds, 100.0).Set(AttrFailAfter, 1.0))
+	g.Engine.Step()
+	if info, _ := p.Job(d); info.Status != StatusRunning || freeCount() != 3 {
+		t.Errorf("at the fault boundary: job %v with %d machines free, want running and 3", info.Status, freeCount())
+	}
+	g.Engine.Step()
+	if info, _ := p.Job(d); info.Status != StatusFailed || info.CPUSeconds != 1 || freeCount() != 3 {
+		t.Errorf("one boundary on: job %v at cpu %v with %d machines free, want failed at exactly 1 and 3", info.Status, info.CPUSeconds, freeCount())
+	}
 }

@@ -1,8 +1,11 @@
 package simgrid
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -286,6 +289,134 @@ func TestSegPredictionAgreesWithSync(t *testing.T) {
 		if !doneAt.Equal(bt) {
 			t.Fatalf("trial %d: completed at %v, reference says %v (tick=%v l1=%v l2=%v need=%v)",
 				trial, doneAt, bt, tick, l1, l2, need)
+		}
+	}
+}
+
+// TestReadersLeaveCompletionsToTheNode runs the engine on one goroutine
+// while others read the tasks, as cmd/gae-server's ticker and its RPC
+// handlers do. A reader that gets the node lock after the engine marked the
+// node's turn and before the node's event took it is current through the
+// completion boundary; it must stop short of it, so that every completion
+// is still found — and its onDone fired — by the node's own event. Run with
+// -race.
+func TestReadersLeaveCompletionsToTheNode(t *testing.T) {
+	const nodes, perNode = 4, 5000
+	g := NewGrid(time.Second, 1)
+	site := g.AddSite("s")
+	var current [nodes]atomic.Pointer[Task]
+	var done atomic.Int64
+	for i := range current {
+		n := site.AddNode(g.Engine, fmt.Sprint("n", i), 1, ConstantLoad(0.3))
+		left := perNode
+		var next func(*Task)
+		next = func(*Task) {
+			done.Add(1)
+			if left--; left > 0 {
+				task := NewTask("t", 0.7*float64(1+left%3), next) // one to three ticks
+				current[i].Store(task)
+				n.Place(task)
+			}
+		}
+		left++
+		done.Add(-1)
+		next(nil)
+	}
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for i := range current {
+					task := current[i].Load()
+					if cpu := task.CPUSeconds(); cpu > task.Need {
+						t.Errorf("read cpu %v of a task needing %v", cpu, task.Need)
+					}
+					task.WallClock()
+				}
+			}
+		}()
+	}
+	g.Engine.RunFor(3 * perNode * time.Second)
+	close(stop)
+	readers.Wait()
+	if got := done.Load(); got != nodes*perNode {
+		t.Fatalf("%d completions reported, want %d", got, nodes*perNode)
+	}
+}
+
+// TestImpureLoadCompletesLate: a load that breaks the Load contract —
+// here a closure over a variable changed behind the node's back — makes
+// the look-ahead miss. No observer completes the task in the node's place:
+// the first read past the missed completion stops short of it and brings
+// the node's event to the next boundary, where the task completes.
+func TestImpureLoadCompletesLate(t *testing.T) {
+	g := NewGrid(time.Second, 1)
+	level := 0.9
+	n := g.AddSite("s").AddNode(g.Engine, "n", 1, LoadFn(func(time.Time) float64 { return level }))
+	var doneAt time.Duration
+	task := NewTask("t", 10, func(*Task) { doneAt = g.Engine.Now().Sub(epoch2005) })
+	n.Place(task) // expected at +100 s; the look-ahead wakes the node at +64 s
+	g.Engine.RunFor(10 * time.Second)
+	if got := task.CPUSeconds(); got != 1 {
+		t.Fatalf("cpu %v at +10 s under load 0.9, want 1", got)
+	}
+	level = 0 // the other 9 CPU-s by +19 s
+	g.Engine.RunFor(20 * time.Second)
+	if task.State() != TaskRunning {
+		t.Fatalf("state %v at +30 s with nobody looking", task.State())
+	}
+	if got := task.CPUSeconds(); got != 9 {
+		t.Fatalf("a read at +30 s saw cpu %v, want 9: one boundary short of the completion", got)
+	}
+	g.Engine.RunFor(5 * time.Second)
+	if task.State() != TaskDone || doneAt != 31*time.Second {
+		t.Fatalf("state %v, completion reported at +%v; want done at +31 s, the boundary after the read", task.State(), doneAt)
+	}
+}
+
+// TestSegmentCallsUnderShortSegments is the count gate under a load of
+// many segments, DiurnalLoad's one a minute: a settle looks at each
+// segment it covers once and a deadline derivation at no more than
+// maxSegments, so the whole sequence costs the same at every tick, and a
+// placement, a suspend and a resume on a task weeks from completion cost
+// at most maxSegments calls each on top of the segments gone by.
+func TestSegmentCallsUnderShortSegments(t *testing.T) {
+	count := func(tick time.Duration) (total int) {
+		calls := 0
+		g := NewGrid(tick, 1)
+		n := g.AddSite("s").AddNode(g.Engine, "n", 1.5, countedLoad{DiurnalLoad(0.4, 0.3, 14).(PiecewiseConstant), &calls})
+		task := NewTask("t", 1e7, nil)
+		op := func(name string, elapsedSegments int, f func()) {
+			before := calls
+			f()
+			if got := calls - before; got > elapsedSegments+maxSegments {
+				t.Errorf("tick %v: %s cost %d Segment calls, want ≤ %d", tick, name, got, elapsedSegments+maxSegments)
+			}
+		}
+		op("Place", 0, func() { n.Place(task) })
+		for i := 0; i < 100; i++ {
+			g.Engine.RunFor(90 * time.Second)
+			op("a read", 2, func() { task.CPUSeconds() })
+		}
+		g.Engine.RunFor(3 * time.Hour)
+		op("Suspend", 0, task.Suspend) // the node's own wakes have kept it within a segment of now
+		g.Engine.RunFor(time.Hour)
+		op("Resume", 0, task.Resume)
+		return calls
+	}
+	base := count(time.Second)
+	t.Logf("%d Segment calls", base)
+	for _, tick := range []time.Duration{10 * time.Millisecond, time.Second / 128} {
+		if got := count(tick); got != base {
+			t.Errorf("tick %v: %d Segment calls, %d at a 1 s tick", tick, got, base)
 		}
 	}
 }

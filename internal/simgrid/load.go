@@ -17,11 +17,15 @@ type Load interface {
 
 // LoadFn adapts a plain function to the Load interface. Function loads
 // are conservatively treated as time-varying — a constant segment per
-// tick: a node samples them at every boundary it settles over or looks
-// ahead to, so the function must depend on its argument alone. Loads that
-// are constant over known intervals should implement PiecewiseConstant
-// instead (all constructors in this package do), which makes a settle and
-// a completion deadline cost one step per segment, not per tick.
+// tick: a node samples them at every boundary it settles over and, to
+// schedule a completion, up to maxSegments boundaries ahead, so the
+// function must depend on its argument alone. One that does not (a closure
+// over state changed behind the node's back; SetLoad is the way to change
+// a load) has its completions reported late: at the node's next wake, or
+// the boundary after the next read. Loads that are constant over known
+// intervals should implement PiecewiseConstant instead (all constructors
+// in this package do), which makes a settle and a completion deadline cost
+// one step per segment, not per tick.
 type LoadFn func(t time.Time) float64
 
 // LoadAt implements Load.

@@ -138,7 +138,9 @@ func (t *Task) nodeRef() *Node {
 // looks.
 func (t *Task) observe() {
 	if n := t.nodeRef(); n != nil {
-		n.observeNow()
+		n.mu.Lock()
+		n.settleObservedLocked()
+		n.mu.Unlock()
 	}
 }
 
@@ -214,11 +216,16 @@ func (t *Task) Resume() { t.setState(TaskRunning, TaskSuspended) }
 func (t *Task) Kill() { t.setState(TaskKilled, TaskRunning, TaskSuspended) }
 
 // maxSegments bounds how many load segments one deadline derivation looks
-// ahead. A completion further off wakes the node at the last segment
-// looked at, where it derives again: a load of many short segments (an
-// opaque one is a segment per tick) costs bounded chunks of work, not an
-// unbounded walk at every placement or resume.
-const maxSegments = 1 << 12
+// ahead, and so what a placement, suspend, resume, removal or load change
+// costs: at most maxSegments Segment calls. A completion further off wakes
+// the node at the last segment looked at, where it derives again, so an
+// undisturbed task under a load of many short segments (an opaque one is a
+// segment per tick) pays one extra engine event per maxSegments segments
+// and looks at each segment once whatever the bound. At 64 resuming a task
+// weeks from completion takes 5 µs under DiurnalLoad and 0.9 ms under
+// NoisyLoad (which seeds a generator per sample), 0.5 ms and 49 ms at 4096,
+// for one event in 64 minutes of DiurnalLoad.
+const maxSegments = 64
 
 // Node is a single CPU execution slot within a site. Mips scales its speed
 // relative to the reference processor; the load supplies the background
@@ -390,22 +397,21 @@ func (n *Node) RunningCount() int {
 	return c
 }
 
-// observeNow settles accrual up to the engine's consistency horizon for
-// this node: mid-boundary, a node whose turn has not yet come reports
-// work as of the previous boundary.
-func (n *Node) observeNow() {
-	n.mu.Lock()
-	n.settleObservedLocked()
-	n.mu.Unlock()
-}
-
 // settleObservedLocked is settleLocked for everyone but the node's own
-// event. A completion is always that event's to find: its wake is requested
-// for the exact completion boundary and fires before any later-ordered
-// component — or anyone outside the engine — can look at that boundary.
+// event: up to the engine's consistency horizon for this node (mid-boundary,
+// a node whose turn has not yet come reports work as of the previous
+// boundary) and never through a completion, which is the node's event's to
+// find and fire onDone for. On one goroutine none is in reach: the node's
+// wake is requested for the exact completion boundary and fires before any
+// later-ordered component can look at it. One is when another goroutine
+// looks between the engine marking the node's turn and running it, or when
+// a load that broke the Load contract made the look-ahead miss; the settle
+// then stops a boundary short and the re-arm brings the node's event to
+// the next legal boundary.
 func (n *Node) settleObservedLocked() {
-	if fin := n.settleLocked(n.eng.horizonFor(n.wake.order)); len(fin) > 0 {
-		panic("simgrid: a task completed ahead of its node's deadline event")
+	to := n.eng.horizonFor(n.wake.order)
+	if n.settleLocked(to, false); n.synced < to {
+		n.rearmLocked()
 	}
 }
 
@@ -413,7 +419,7 @@ func (n *Node) settleObservedLocked() {
 // completions due at this boundary), then schedule the next deadline.
 func (n *Node) onWake(time.Time) {
 	n.mu.Lock()
-	fin := n.settleLocked(n.eng.horizonFor(n.wake.order))
+	fin := n.settleLocked(n.eng.horizonFor(n.wake.order), true)
 	n.rearmLocked()
 	n.mu.Unlock()
 	notify := false
@@ -471,15 +477,25 @@ func (n *Node) leastLeftLocked() (m int, least work) {
 // settleLocked applies the accrual of every boundary in (synced, to] and
 // returns the tasks that completed, removed from the node. It steps from
 // one change of rate to the next — the end of a load segment, or a
-// completion, which changes the sharing count — never over ticks.
-func (n *Node) settleLocked(to int64) (finished []*Task) {
+// completion, which changes the sharing count — never over ticks. With
+// complete unset it stops at the boundary before the first completion,
+// leaving synced short of to.
+func (n *Node) settleLocked(to int64, complete bool) (finished []*Task) {
 	for n.synced < to {
 		m, least := n.leastLeftLocked()
 		if m == 0 {
+			n.synced = to
 			break
 		}
 		step, last := n.perTickLocked(n.synced+1, m)
-		k := min(min(last, to)-n.synced, least.ticksLeft(step))
+		left := least.ticksLeft(step)
+		if !complete {
+			left--
+		}
+		k := min(min(last, to)-n.synced, left)
+		if k == 0 {
+			break
+		}
 		n.synced += k
 		for _, t := range n.tasks {
 			t.mu.Lock()
@@ -495,7 +511,6 @@ func (n *Node) settleLocked(to int64) (finished []*Task) {
 			n.tasks = slices.DeleteFunc(n.tasks, func(t *Task) bool { return slices.Contains(finished, t) })
 		}
 	}
-	n.synced = max(n.synced, to)
 	return finished
 }
 
