@@ -33,6 +33,10 @@ bench-test:
 
 # Differential fuzz of the XML-RPC scanner against the encoding/xml decoder
 # it replaced (kept in a _test.go file as the oracle): 20 s must run clean.
+# The same target is also differential over typed destinations: every
+# response both decoders accept is decoded straight into a set of Go types
+# and compared with Unmarshal over the oracle's tree, so the one-pass
+# decoder needs no target of its own.
 # Then 10 s of the journal scanner on arbitrary and corrupted journals: it
 # never panics, returns a prefix of what was written, and the length it
 # verified — what Open cuts the file to — rescans clean to the same ops.
@@ -51,10 +55,13 @@ fuzz-smoke:
 # that changed; and what reading, suspending and resuming a long task costs
 # is gated in Segment calls, the same whatever the tick and the time gone by
 # (under a load of one-minute segments: the same whatever the tick, and at
-# most the look-ahead bound per change).
+# most the look-ahead bound per change). Last, what one monitoring reply
+# costs the wire codec, the typed client and the serving mux, in
+# allocations that repeat exactly.
 bench-smoke:
 	GAE_SCENARIO_SCALE=smoke $(GO) test -run xxx -bench Scenario -benchtime 1x .
 	$(GO) test -run 'MillionSmokeCounts|JobBytesCeiling|RankEvalsFollowChanges|SegmentCalls' -count=1 . ./internal/condor ./internal/simgrid
+	$(GO) test -run 'WireAllocCeilings|ServeAllocCeiling' -count=1 ./pkg/gae ./internal/xmlrpc
 
 # Closed-loop serving smoke: the gae-loadgen mixed workload against an
 # embedded durable deployment — exits non-zero if any operation fails.

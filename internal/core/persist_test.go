@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/durable"
 	"repro/internal/fairshare"
+	"repro/internal/xmlrpc"
 	"repro/pkg/gae"
 )
 
@@ -332,5 +333,60 @@ func TestRecoveredDeploymentAccruesThroughFlows(t *testing.T) {
 	}
 	if wakes := g2.Telemetry.Snapshot().Total("pool_wakes_total") - wakes0; wakes > 4 {
 		t.Errorf("recovered pools woke %v times over 1000 ticks with nothing to do", wakes)
+	}
+}
+
+// TestSurplusArgumentsAreRejectedAndNotJournaled: steering.move takes two
+// or three parameters and steering.preference none or one. Both are
+// journaled mutations, so one call more must be a FaultInvalidParams that
+// reaches neither the service nor the journal, not a call that drops the
+// surplus and applies the rest.
+func TestSurplusArgumentsAreRejectedAndNotJournaled(t *testing.T) {
+	ctx := context.Background()
+	g, c := startGAE(t, durableConfig())
+	g.Steering.AutoSteer = false
+	s, err := durable.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := g.AttachStore(s); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.SubmitPlan(primePlan("alice", "p1", 300)); err != nil {
+		t.Fatal(err)
+	}
+	g.Run(5 * time.Second)
+	before, err := c.CallStruct(ctx, "steering.status", "p1", "main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := "siteB"
+	if before["site"] == "siteB" {
+		target = "siteA"
+	}
+	seq := s.LastSeq()
+	if _, err := c.Call(ctx, "steering.move", "p1", "main", target, "surplus"); !xmlrpc.IsFault(err, xmlrpc.FaultInvalidParams) {
+		t.Errorf("steering.move with four parameters: %v, want FaultInvalidParams", err)
+	}
+	if _, err := c.Call(ctx, "steering.preference", "cheap", "surplus"); !xmlrpc.IsFault(err, xmlrpc.FaultInvalidParams) {
+		t.Errorf("steering.preference with two parameters: %v, want FaultInvalidParams", err)
+	}
+	after, err := c.CallStruct(ctx, "steering.status", "p1", "main")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.LastSeq(); got != seq || after["site"] != before["site"] {
+		t.Fatalf("rejected calls journaled %d ops and left the task at %v (was %v)", got-seq, after["site"], before["site"])
+	}
+	// The legal counts still apply and journal.
+	if _, err := c.Call(ctx, "steering.move", "p1", "main", target); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Call(ctx, "steering.preference", "cheap"); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.LastSeq(); got != seq+2 {
+		t.Fatalf("two accepted mutations journaled %d ops", got-seq)
 	}
 }

@@ -289,6 +289,7 @@ func (s *Service) Watch(pool *condor.Pool) { s.Collector.Watch(pool) }
 
 // publishProgress publishes running-job progress and queue depths to
 // MonALISA; the engine's Poller invokes it on the PollInterval cadence.
+// Both are about live jobs, so it snapshots those, not all the pool held.
 func (s *Service) publishProgress(now time.Time) {
 	s.Collector.Drain()
 	for _, name := range s.Collector.Pools() {
@@ -296,7 +297,7 @@ func (s *Service) publishProgress(now time.Time) {
 		if !ok {
 			continue
 		}
-		jobs, err := pool.Jobs()
+		jobs, err := pool.LiveJobs()
 		if err != nil {
 			continue
 		}

@@ -2,11 +2,15 @@ package jobmon
 
 import (
 	"context"
+	"fmt"
 	"net/http/httptest"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/clarens"
 	"repro/internal/classad"
@@ -345,5 +349,60 @@ func TestDBManagerSaveLoad(t *testing.T) {
 	}
 	if err := fresh.Load(filepath.Join(t.TempDir(), "nope.json")); err == nil {
 		t.Fatal("loading missing file succeeded")
+	}
+}
+
+// TestPollSnapshotsLiveJobsOnly pins the cost of a progress poll: after
+// many completed jobs it snapshots the jobs still live, not every job the
+// pool ever held, and publishes what a walk over all of them would.
+func TestPollSnapshotsLiveJobsOnly(t *testing.T) {
+	g, pool, repo, svc := newFixture(t)
+	const done = 1000
+	for i := 0; i < done; i++ {
+		submit(t, pool, 1, 0)
+	}
+	g.Engine.RunFor((done + 10) * time.Second)
+	submit(t, pool, 1e6, 5) // runs
+	submit(t, pool, 10, 0)  // queued
+	submit(t, pool, 10, 0)  // queued
+	g.Engine.RunFor(10 * time.Second)
+
+	all, err := pool.Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	queued := 0
+	for _, j := range all {
+		switch j.Status {
+		case condor.StatusRunning:
+			want = append(want, fmt.Sprintf("%s %s %v", monalisa.FormatJobSource(j.Pool, j.ID), monalisa.MetricJobProgress, j.Progress))
+		case condor.StatusIdle:
+			queued++
+		}
+	}
+	want = append(want, fmt.Sprintf("poolA %s %v", monalisa.MetricQueuedJobs, float64(queued)))
+	if len(all) != done+3 || len(want) != 2 || queued != 2 {
+		t.Fatalf("pool holds %d jobs, %d queued, %d running; want %d, 2 and 1", len(all), queued, len(want)-1, done+3)
+	}
+	var got []string
+	cancel := repo.Subscribe("", "", func(m monalisa.Metric, p monalisa.Point) {
+		got = append(got, fmt.Sprintf("%s %s %v", m.Source, m.Name, p.Value))
+	})
+	svc.publishProgress(g.Engine.Now())
+	cancel()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("poll published %v, want %v", got, want)
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	svc.publishProgress(g.Engine.Now())
+	runtime.ReadMemStats(&after)
+	// A snapshot is a condor.JobInfo; the series the poll appends to and
+	// the repository's bookkeeping are a few more.
+	if got, room := after.TotalAlloc-before.TotalAlloc, uint64(64*unsafe.Sizeof(condor.JobInfo{})); got > room {
+		t.Fatalf("one poll allocated %d bytes, %d snapshots' worth; want under 64 with 3 jobs live and %d held",
+			got, got/uint64(unsafe.Sizeof(condor.JobInfo{})), len(all))
 	}
 }

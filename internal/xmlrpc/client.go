@@ -6,16 +6,21 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sync/atomic"
 	"time"
 )
 
 // Client issues XML-RPC calls against a single endpoint URL.
 // http.DefaultClient is used unless HTTP is set; Headers (for example a
-// Clarens session token) are attached to every request.
+// Clarens session token) are attached to every request as they are, so
+// their keys are to be in http.CanonicalHeaderKey's form. A Client is not
+// to be copied after its first call.
 type Client struct {
 	URL     string
 	HTTP    *http.Client
 	Headers map[string]string
+
+	endpoint atomic.Pointer[endpoint] // URL as last parsed
 }
 
 // ctxHeadersKey carries per-call HTTP headers through a context.
@@ -33,7 +38,7 @@ func WithCallHeader(ctx context.Context, key, value string) context.Context {
 	// mutable state between siblings.
 	next := make([]headerKV, len(prev), len(prev)+1)
 	copy(next, prev)
-	next = append(next, headerKV{key, value})
+	next = append(next, headerKV{http.CanonicalHeaderKey(key), value})
 	return context.WithValue(ctx, ctxHeadersKey{}, next)
 }
 
@@ -67,23 +72,53 @@ func (c *Client) Close() {
 	}
 }
 
+// endpoint is Client.URL parsed, once per URL and not per call, into the
+// request every call to it copies.
+type endpoint struct {
+	url string
+	req *http.Request // a POST to url, without body, headers or context
+}
+
+var contentType = []string{"text/xml; charset=utf-8"}
+
 // Call invokes method with args and returns the decoded result.
 // A remote fault is returned as a *Fault error.
 func (c *Client) Call(ctx context.Context, method string, args ...any) (any, error) {
+	var result any
+	err := c.CallInto(ctx, method, &result, args...)
+	return result, err
+}
+
+// CallInto invokes method with args, which may be any encodable values,
+// and decodes the result into *out as DecodeResponseInto does: a result
+// overwrites *out, a fault (returned as a *Fault error) or a reply that
+// does not decode zeroes it.
+func (c *Client) CallInto(ctx context.Context, method string, out any, args ...any) error {
 	body, err := EncodeRequest(method, args)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.URL, bytes.NewReader(body))
-	if err != nil {
-		return nil, err
+	ep := c.endpoint.Load()
+	if ep == nil || ep.url != c.URL {
+		req, err := http.NewRequest(http.MethodPost, c.URL, nil)
+		if err != nil {
+			return err
+		}
+		ep = &endpoint{c.URL, req}
+		c.endpoint.Store(ep)
 	}
-	req.Header.Set("Content-Type", "text/xml; charset=utf-8")
+	req := ep.req.WithContext(ctx)
+	req.Body, req.ContentLength = io.NopCloser(bytes.NewReader(body)), int64(len(body))
+	req.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(body)), nil }
+	// Keys are canonical where they are set (WithCallHeader; Headers by
+	// whoever fills it), so none is canonicalized again per request.
+	req.Header = make(http.Header, 1+len(c.Headers)+2)
+	req.Header["Content-Type"] = contentType
 	for k, v := range c.Headers {
-		req.Header.Set(k, v)
+		req.Header[k] = []string{v}
 	}
 	for _, h := range callHeaders(ctx) {
-		req.Header.Set(h.key, h.value)
+		req.Header[h.key] = []string{h.value}
 	}
 	httpClient := c.HTTP
 	if httpClient == nil {
@@ -91,100 +126,57 @@ func (c *Client) Call(ctx context.Context, method string, args ...any) (any, err
 	}
 	resp, err := httpClient.Do(req)
 	if err != nil {
-		return nil, fmt.Errorf("xmlrpc: calling %s: %w", method, err)
+		return fmt.Errorf("xmlrpc: calling %s: %w", method, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		snippet, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
-		return nil, fmt.Errorf("xmlrpc: %s returned HTTP %d: %s", method, resp.StatusCode, snippet)
+		return fmt.Errorf("xmlrpc: %s returned HTTP %d: %s", method, resp.StatusCode, snippet)
 	}
 	raw, err := readBody(resp.Body, resp.ContentLength)
 	if err != nil {
-		return nil, fmt.Errorf("xmlrpc: reading %s response: %w", method, err)
+		return fmt.Errorf("xmlrpc: reading %s response: %w", method, err)
 	}
-	return decodeResponse(raw)
+	return decodeResponse(raw, out)
 }
 
-// CallString invokes method and asserts a string result.
-func (c *Client) CallString(ctx context.Context, method string, args ...any) (string, error) {
-	v, err := c.Call(ctx, method, args...)
-	if err != nil {
-		return "", err
-	}
-	s, ok := v.(string)
-	if !ok {
-		return "", fmt.Errorf("xmlrpc: %s returned %T, want string", method, v)
-	}
-	return s, nil
+// The typed calls below decode the result into their own type under
+// CallInto's rules: a result of another type is an error, except that
+// CallInt takes a double with an integral value and CallFloat an int, and
+// <nil/> reads as the zero value.
+
+// CallString invokes method and returns its string result.
+func (c *Client) CallString(ctx context.Context, method string, args ...any) (s string, err error) {
+	err = c.CallInto(ctx, method, &s, args...)
+	return s, err
 }
 
-// CallInt invokes method and asserts an int result.
-func (c *Client) CallInt(ctx context.Context, method string, args ...any) (int, error) {
-	v, err := c.Call(ctx, method, args...)
-	if err != nil {
-		return 0, err
-	}
-	switch n := v.(type) {
-	case int:
-		return n, nil
-	case float64:
-		if n == float64(int(n)) {
-			return int(n), nil
-		}
-	}
-	return 0, fmt.Errorf("xmlrpc: %s returned %T, want int", method, v)
+// CallInt invokes method and returns its int result.
+func (c *Client) CallInt(ctx context.Context, method string, args ...any) (n int, err error) {
+	err = c.CallInto(ctx, method, &n, args...)
+	return n, err
 }
 
-// CallFloat invokes method and asserts a double result.
-func (c *Client) CallFloat(ctx context.Context, method string, args ...any) (float64, error) {
-	v, err := c.Call(ctx, method, args...)
-	if err != nil {
-		return 0, err
-	}
-	switch n := v.(type) {
-	case float64:
-		return n, nil
-	case int:
-		return float64(n), nil
-	}
-	return 0, fmt.Errorf("xmlrpc: %s returned %T, want double", method, v)
+// CallFloat invokes method and returns its double result.
+func (c *Client) CallFloat(ctx context.Context, method string, args ...any) (f float64, err error) {
+	err = c.CallInto(ctx, method, &f, args...)
+	return f, err
 }
 
-// CallBool invokes method and asserts a boolean result.
-func (c *Client) CallBool(ctx context.Context, method string, args ...any) (bool, error) {
-	v, err := c.Call(ctx, method, args...)
-	if err != nil {
-		return false, err
-	}
-	b, ok := v.(bool)
-	if !ok {
-		return false, fmt.Errorf("xmlrpc: %s returned %T, want boolean", method, v)
-	}
-	return b, nil
+// CallBool invokes method and returns its boolean result.
+func (c *Client) CallBool(ctx context.Context, method string, args ...any) (b bool, err error) {
+	err = c.CallInto(ctx, method, &b, args...)
+	return b, err
 }
 
-// CallStruct invokes method and asserts a struct result.
-func (c *Client) CallStruct(ctx context.Context, method string, args ...any) (map[string]any, error) {
-	v, err := c.Call(ctx, method, args...)
-	if err != nil {
-		return nil, err
-	}
-	m, ok := v.(map[string]any)
-	if !ok {
-		return nil, fmt.Errorf("xmlrpc: %s returned %T, want struct", method, v)
-	}
-	return m, nil
+// CallStruct invokes method and returns its struct result.
+func (c *Client) CallStruct(ctx context.Context, method string, args ...any) (m map[string]any, err error) {
+	err = c.CallInto(ctx, method, &m, args...)
+	return m, err
 }
 
-// CallArray invokes method and asserts an array result.
-func (c *Client) CallArray(ctx context.Context, method string, args ...any) ([]any, error) {
-	v, err := c.Call(ctx, method, args...)
-	if err != nil {
-		return nil, err
-	}
-	a, ok := v.([]any)
-	if !ok {
-		return nil, fmt.Errorf("xmlrpc: %s returned %T, want array", method, v)
-	}
-	return a, nil
+// CallArray invokes method and returns its array result.
+func (c *Client) CallArray(ctx context.Context, method string, args ...any) (a []any, err error) {
+	err = c.CallInto(ctx, method, &a, args...)
+	return a, err
 }

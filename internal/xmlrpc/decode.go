@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"reflect"
 	"strconv"
 	"time"
 	"unicode/utf8"
@@ -32,11 +33,22 @@ func DecodeRequest(r io.Reader) (*Request, error) {
 // DecodeResponse parses a <methodResponse> document, returning the result
 // value or a *Fault as the error.
 func DecodeResponse(r io.Reader) (any, error) {
+	var result any
+	err := DecodeResponseInto(r, &result)
+	return result, err
+}
+
+// DecodeResponseInto parses a <methodResponse> document into *out, under
+// Unmarshal's rules and without building the tree Unmarshal reads: structs
+// take their members, slices their elements and scalars their values as
+// the scanner meets them. A fault is returned as the *Fault error. *out is
+// overwritten, never merged into, and is left zero on any error.
+func DecodeResponseInto(r io.Reader, out any) error {
 	body, err := readBody(r, -1)
 	if err != nil {
-		return nil, fmt.Errorf("xmlrpc: reading methodResponse: %w", err)
+		return fmt.Errorf("xmlrpc: reading methodResponse: %w", err)
 	}
-	return decodeResponse(body)
+	return decodeResponse(body, out)
 }
 
 // readBody reads a message body of at most MaxRequestBytes into a buffer
@@ -72,7 +84,7 @@ func decodeRequest(body []byte) (*Request, error) {
 			b, err = s.text("methodName")
 			req.Method = string(bytes.TrimSpace(b))
 		case "params":
-			req.Args, err = s.params()
+			req.Args, err = s.params(reflect.Value{})
 		default:
 			err = s.skip(string(name))
 		}
@@ -87,7 +99,38 @@ func decodeRequest(body []byte) (*Request, error) {
 	return req, nil
 }
 
-func decodeResponse(body []byte) (any, error) {
+// errRedo is the direct walk into a typed destination giving up on a
+// document that is well-formed so far but whose value the destination
+// cannot hold or whose shape only a tree decides (a member repeated, named
+// twice or valued before its name; a second value in a <param>):
+// decodeResponse decodes it into a tree and leaves the verdict to
+// unmarshalValue, so such documents mean what they always did.
+var errRedo = errors.New("xmlrpc: document needs the tree")
+
+func decodeResponse(body []byte, out any) error {
+	rv := reflect.ValueOf(out)
+	if rv.Kind() != reflect.Pointer || rv.IsNil() {
+		return fmt.Errorf("xmlrpc: decoding into non-pointer %T", out)
+	}
+	rv = rv.Elem()
+	rv.SetZero()
+	_, err := scanResponse(body, rv)
+	if err == errRedo {
+		var tree any
+		rv.SetZero()
+		if tree, err = scanResponse(body, reflect.Value{}); err == nil {
+			err = unmarshalValue(tree, rv)
+		}
+	}
+	if err != nil {
+		rv.SetZero()
+	}
+	return err
+}
+
+// decodeResponseInto decodes the result into dst or, dst being invalid,
+// returns it as a tree.
+func scanResponse(body []byte, dst reflect.Value) (any, error) {
 	s := scanner{buf: body}
 	var result any
 	var fault *Fault
@@ -102,7 +145,7 @@ func decodeResponse(body []byte) (any, error) {
 			fault, err = s.fault()
 		default:
 			var args []any
-			if args, err = s.params(); err == nil && len(args) != 1 {
+			if args, err = s.params(dst); err == nil && len(args) != 1 {
 				err = fmt.Errorf("xmlrpc: response carries %d params, want 1", len(args))
 			} else if err == nil {
 				result = args[0]
@@ -435,9 +478,15 @@ func (s *scanner) text(elem string) ([]byte, error) {
 	return text, err
 }
 
+// The value builders below take the destination dst a value goes to. An
+// invalid dst stands for an interface{} one: the value is returned as its
+// canonical tree (int, bool, string, float64, time.Time, []byte, []any,
+// map[string]any), which costs no reflection. A valid dst is zero when a
+// builder is given it.
+
 // params consumes an open <params> element. Of several values in one
-// <param> the last wins.
-func (s *scanner) params() (args []any, err error) {
+// <param> the last wins. Every value goes to dst, which takes one.
+func (s *scanner) params(dst reflect.Value) (args []any, err error) {
 	err = s.each("params", func(name []byte) error {
 		if string(name) != "param" {
 			return s.unexpected(name, "params")
@@ -448,7 +497,10 @@ func (s *scanner) params() (args []any, err error) {
 			if string(name) != "value" {
 				return s.unexpected(name, "param")
 			}
-			val, err = s.value()
+			if dst.IsValid() && !isAny(dst) && (seen || len(args) > 0) {
+				return errRedo
+			}
+			val, err = s.value(dst)
 			seen = true
 			return err
 		})
@@ -463,13 +515,23 @@ func (s *scanner) params() (args []any, err error) {
 
 // value consumes an open <value> element: a typed element or, per the
 // specification, bare text that is a string.
-func (s *scanner) value() (any, error) {
+func (s *scanner) value(dst reflect.Value) (any, error) {
+	if isAny(dst) {
+		v, err := s.value(reflect.Value{})
+		if dst.SetZero(); err == nil && v != nil {
+			dst.Set(reflect.ValueOf(v))
+		}
+		return nil, err
+	}
 	var text []byte
 	name, start, err := s.token("value", &text)
-	if err != nil || !start {
-		return string(text), err
+	if err != nil {
+		return nil, err
 	}
-	v, err := s.typed(name)
+	if !start {
+		return s.deliver(&scalar{kind: reflect.String, s: string(text)}, dst)
+	}
+	v, err := s.typed(name, dst)
 	if err != nil {
 		return nil, err
 	}
@@ -479,11 +541,22 @@ func (s *scanner) value() (any, error) {
 	return v, err
 }
 
+// deliver hands a scalar to its destination.
+func (s *scanner) deliver(v *scalar, dst reflect.Value) (any, error) {
+	if !dst.IsValid() {
+		return v.box(), nil
+	}
+	if v.into(dst) != nil {
+		return nil, errRedo
+	}
+	return nil, nil
+}
+
 var typeNames = [...]string{"string", "int", "double", "struct", "array", "boolean",
 	"dateTime.iso8601", "i4", "i8", "base64", "nil"}
 
 // typed decodes the body of an open type element such as <int> or <array>.
-func (s *scanner) typed(name []byte) (any, error) {
+func (s *scanner) typed(name []byte, dst reflect.Value) (any, error) {
 	typ := ""
 	for _, n := range typeNames { // most frequent first
 		if string(name) == n {
@@ -494,76 +567,117 @@ func (s *scanner) typed(name []byte) (any, error) {
 	switch typ {
 	case "":
 		return nil, s.errorf("unknown value type <%s>", name)
-	case "array":
-		return s.array("array", []any{})
-	case "struct":
-		return s.structure()
+	case "array", "struct":
+		// A slice takes the elements and a struct the members one by one;
+		// any other destination takes the tree, under unmarshalValue.
+		switch d := settle(dst); {
+		case typ == "array" && d.Kind() == reflect.Slice && d.Type().Elem().Kind() != reflect.Uint8:
+			_, err := s.array("array", nil, d)
+			if err == nil && d.IsNil() {
+				d.Set(reflect.MakeSlice(d.Type(), 0, 0))
+			}
+			return nil, err
+		case typ == "struct" && d.Kind() == reflect.Struct && d.Type() != timeType:
+			if plan := planOf(d.Type()); plan.direct {
+				return s.structure(d, plan)
+			}
+		}
+		var tree any
+		var err error
+		if typ == "array" {
+			tree, err = s.array("array", []any{}, reflect.Value{})
+		} else {
+			tree, err = s.structure(reflect.Value{}, nil)
+		}
+		if err == nil && dst.IsValid() && unmarshalValue(tree, dst) != nil {
+			err = errRedo
+		}
+		return tree, err
 	}
 	b, err := s.text(typ)
 	if err != nil {
 		return nil, err
 	}
 	t := bytes.TrimSpace(b)
+	var v scalar // "nil": the zero scalar
+	ok := true
 	switch typ {
 	case "string":
-		return string(b), nil
-	case "nil":
-		return nil, nil
+		v.kind, v.s = reflect.String, string(b)
 	case "int", "i4", "i8":
-		if n, err := strconv.ParseInt(string(t), 10, 64); err == nil {
-			return int(n), nil
-		}
+		v.kind = reflect.Int
+		v.n, err = strconv.ParseInt(string(t), 10, 64)
+		ok = err == nil
 	case "boolean":
+		v.kind = reflect.Bool
 		switch string(t) {
 		case "1", "true":
-			return true, nil
+			v.n = 1
 		case "0", "false":
-			return false, nil
+		default:
+			ok = false
 		}
 	case "double":
-		if f, err := strconv.ParseFloat(string(t), 64); err == nil {
-			return f, nil
-		}
+		v.kind = reflect.Float64
+		v.f, err = strconv.ParseFloat(string(t), 64)
+		ok = err == nil
 	case "dateTime.iso8601":
+		v.kind, ok = reflect.Struct, false
 		for _, layout := range [...]string{iso8601, time.RFC3339, "2006-01-02T15:04:05"} {
 			if ts, err := time.Parse(layout, string(t)); err == nil {
-				return ts.UTC(), nil
+				v.t, ok = ts.UTC(), true
+				break
 			}
 		}
 	case "base64":
 		// The base64 decoder skips CR and LF itself.
 		t = bytes.ReplaceAll(bytes.ReplaceAll(b, []byte(" "), nil), []byte("\t"), nil)
-		out := make([]byte, base64.StdEncoding.DecodedLen(len(t)))
-		if n, err := base64.StdEncoding.Decode(out, t); err == nil {
-			return out[:n], nil
-		}
+		v.kind = reflect.Slice
+		v.b = make([]byte, base64.StdEncoding.DecodedLen(len(t)))
+		n, err := base64.StdEncoding.Decode(v.b, t)
+		v.b, ok = v.b[:n], err == nil
 	}
-	return nil, s.errorf("bad %s %q", typ, b[:min(len(b), 32)])
+	if !ok {
+		return nil, s.errorf("bad %s %q", typ, b[:min(len(b), 32)])
+	}
+	return s.deliver(&v, dst)
 }
 
-// array appends the values of an open <array> element, or of a <data>
-// inside one, to out. <data> wrappers may be absent, repeated or nested.
-func (s *scanner) array(elem string, out []any) ([]any, error) {
+// array adds the values of an open <array> element, or of a <data> inside
+// one, to the slice dst, which grows, or to out. <data> wrappers may be
+// absent, repeated or nested.
+func (s *scanner) array(elem string, out []any, dst reflect.Value) ([]any, error) {
 	err := s.each(elem, func(name []byte) (err error) {
-		switch string(name) {
-		case "data":
-			out, err = s.array("data", out)
-		case "value":
-			var v any
-			v, err = s.value()
-			out = append(out, v)
-		default:
+		switch {
+		case string(name) == "data":
+			out, err = s.array("data", out, dst)
+		case string(name) != "value":
 			err = s.unexpected(name, "array")
+		case dst.IsValid():
+			n := dst.Len()
+			dst.Grow(1)
+			dst.SetLen(n + 1)
+			_, err = s.value(dst.Index(n))
+		default:
+			var v any
+			v, err = s.value(dst)
+			out = append(out, v)
 		}
 		return err
 	})
 	return out, err
 }
 
-// structure consumes an open <struct> element; of members with one name
-// the last wins.
-func (s *scanner) structure() (map[string]any, error) {
-	out := map[string]any{}
+// structure consumes an open <struct> element into the struct dst by its
+// plan, a direct one, or without a plan into the map it returns; of members
+// with one name the last wins. A member dst has no field for is decoded all
+// the same, and dropped.
+func (s *scanner) structure(dst reflect.Value, plan *typePlan) (map[string]any, error) {
+	var out map[string]any
+	if plan == nil {
+		out = map[string]any{}
+	}
+	seen, next := uint64(0), 0
 	err := s.each("struct", func(name []byte) error {
 		if string(name) != "member" {
 			return s.unexpected(name, "struct")
@@ -574,10 +688,26 @@ func (s *scanner) structure() (map[string]any, error) {
 		err := s.each("member", func(name []byte) (err error) {
 			switch string(name) {
 			case "name":
+				if haveName && plan != nil {
+					return errRedo
+				}
 				key, err = s.text("name")
 				haveName = true
 			case "value":
-				val, err = s.value()
+				var field reflect.Value
+				if plan != nil {
+					if !haveName || haveVal {
+						return errRedo
+					}
+					if i := plan.find(key, next); i >= 0 {
+						if seen&(1<<i) != 0 {
+							return errRedo
+						}
+						seen, next = seen|1<<i, i+1
+						field = dst.FieldByIndex(plan.members[i].index)
+					}
+				}
+				val, err = s.value(field)
 				haveVal = true
 			default:
 				err = s.unexpected(name, "member")
@@ -587,7 +717,9 @@ func (s *scanner) structure() (map[string]any, error) {
 		if err == nil && !(haveName && haveVal) {
 			err = s.errorf("incomplete struct member")
 		}
-		out[string(key)] = val
+		if out != nil {
+			out[string(key)] = val
+		}
 		return err
 	})
 	return out, err
@@ -603,7 +735,7 @@ func (s *scanner) fault() (f *Fault, err error) {
 		if string(name) != "value" {
 			return s.unexpected(name, "fault")
 		}
-		v, err := s.value()
+		v, err := s.value(reflect.Value{})
 		m, ok := v.(map[string]any)
 		if err == nil && !ok {
 			err = s.errorf("fault value is %T, want struct", v)

@@ -329,7 +329,10 @@ func checkAgainstOracle(t *testing.T, what string, data []byte, got any, gotErr 
 // on every input it and the encoding/xml decoder it replaced must both
 // reject or decode equal values (the oracle's verdict extended by
 // well-formedness of the whole document), except that inputs using the
-// XML features the package comment lists must be rejected.
+// XML features the package comment lists must be rejected. Every response
+// both accept is also decoded straight into the typed destinations of
+// checkDecodeInto, which must take it as Unmarshal takes the oracle's tree:
+// equal value or both an error, never a panic.
 func FuzzDecodeAgainstEncodingXML(f *testing.F) {
 	seeds := []string{docNoParams, docMissingMethodName, docUntypedValue, docI4AndI8, docBooleanWords,
 		docRFC3339Date, docResponseEmpty, docResponseMultipleParams}
@@ -340,6 +343,9 @@ func FuzzDecodeAgainstEncodingXML(f *testing.F) {
 	seeds = append(seeds, nestedDoc(maxDepth-1, "<a>", "</a>"), nestedDoc(maxDepth, "<a>", "</a>"))
 	for _, s := range seeds {
 		f.Add([]byte(s))
+	}
+	for _, doc := range typedSeeds(f) {
+		f.Add(doc)
 	}
 	// Encoder output for the values FuzzStructCodecRoundTrip starts from,
 	// as a response, a request and a fault.
@@ -380,5 +386,8 @@ func FuzzDecodeAgainstEncodingXML(f *testing.F) {
 		got, err = DecodeResponse(bytes.NewReader(data))
 		want, wantErr = oracleDecodeResponse(bytes.NewReader(data))
 		checkAgainstOracle(t, "DecodeResponse", data, got, err, want, wantErr)
+		if err == nil && wantErr == nil {
+			checkDecodeInto(t, data, want)
+		}
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/base64"
 	"fmt"
 	"math"
+	"reflect"
 	"sort"
 	"strconv"
 	"sync"
@@ -22,24 +23,24 @@ const xmlHeader = `<?xml version="1.0" encoding="UTF-8"?>`
 // only allocation an encoding keeps is its result, made at its final size.
 var encodeBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-// encode returns a copy of the document build appends to a scratch buffer.
-func encode(build func(buf []byte) ([]byte, error)) ([]byte, error) {
+// encode builds a document in a scratch buffer and hands it to use before
+// the buffer goes back to the pool.
+func encode(build func(buf []byte) ([]byte, error), use func(doc []byte)) error {
 	scratch := encodeBufs.Get().(*[]byte)
 	buf, err := build((*scratch)[:0])
-	var out []byte
 	if err == nil {
-		out = bytes.Clone(buf)
+		use(buf)
 	}
 	if cap(buf) <= 64<<10 { // a huge document must not pin its buffer
 		*scratch = buf
 	}
 	encodeBufs.Put(scratch)
-	return out, err
+	return err
 }
 
 // EncodeRequest serializes a method call with the given arguments.
-func EncodeRequest(method string, args []any) ([]byte, error) {
-	return encode(func(buf []byte) ([]byte, error) {
+func EncodeRequest(method string, args []any) (out []byte, err error) {
+	err = encode(func(buf []byte) ([]byte, error) {
 		buf = append(buf, xmlHeader+"<methodCall><methodName>"...)
 		buf = appendEscaped(buf, method)
 		buf = append(buf, "</methodName><params>"...)
@@ -52,11 +53,17 @@ func EncodeRequest(method string, args []any) ([]byte, error) {
 			buf = append(buf, "</param>"...)
 		}
 		return append(buf, "</params></methodCall>"...), nil
-	})
+	}, func(doc []byte) { out = bytes.Clone(doc) })
+	return out, err
 }
 
 // EncodeResponse serializes a successful method response carrying result.
-func EncodeResponse(result any) ([]byte, error) {
+func EncodeResponse(result any) (out []byte, err error) {
+	err = encodeResponse(result, func(doc []byte) { out = bytes.Clone(doc) })
+	return out, err
+}
+
+func encodeResponse(result any, use func(doc []byte)) error {
 	return encode(func(buf []byte) ([]byte, error) {
 		buf = append(buf, xmlHeader+"<methodResponse><params><param>"...)
 		buf, err := appendValue(buf, result)
@@ -64,7 +71,7 @@ func EncodeResponse(result any) ([]byte, error) {
 			return buf, fmt.Errorf("encoding response: %w", err)
 		}
 		return append(buf, "</param></params></methodResponse>"...), nil
-	})
+	}, use)
 }
 
 // EncodeFault serializes a fault response.
@@ -86,54 +93,25 @@ func appendValue(buf []byte, v any) ([]byte, error) {
 	return append(buf, "</value>"...), err
 }
 
+// appendInner appends v's typed element. The canonical types the decoder
+// produces are matched by a type switch, which costs no reflection;
+// everything else is appendReflect's.
 func appendInner(buf []byte, v any) ([]byte, error) {
 	switch x := v.(type) {
 	case nil:
 		return append(buf, "<nil/>"...), nil
 	case bool:
-		if x {
-			return append(buf, "<boolean>1</boolean>"...), nil
-		}
-		return append(buf, "<boolean>0</boolean>"...), nil
+		return appendBool(buf, x), nil
 	case int:
 		return appendInt(buf, int64(x))
-	case int8:
-		return appendInt(buf, int64(x))
-	case int16:
-		return appendInt(buf, int64(x))
-	case int32:
-		return appendInt(buf, int64(x))
-	case int64:
-		return appendInt(buf, x)
-	case uint:
-		return appendInt(buf, int64(x))
-	case uint8:
-		return appendInt(buf, int64(x))
-	case uint16:
-		return appendInt(buf, int64(x))
-	case uint32:
-		return appendInt(buf, int64(x))
-	case float32:
-		return appendInner(buf, float64(x))
 	case float64:
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			return buf, fmt.Errorf("%w: non-finite double %v", ErrUnsupportedType, x)
-		}
-		buf = append(buf, "<double>"...)
-		buf = strconv.AppendFloat(buf, x, 'g', 17, 64)
-		return append(buf, "</double>"...), nil
+		return appendDouble(buf, x)
 	case string:
-		buf = append(buf, "<string>"...)
-		buf = appendEscaped(buf, x)
-		return append(buf, "</string>"...), nil
+		return appendString(buf, x), nil
 	case time.Time:
-		buf = append(buf, "<dateTime.iso8601>"...)
-		buf = x.UTC().AppendFormat(buf, iso8601)
-		return append(buf, "</dateTime.iso8601>"...), nil
+		return appendTime(buf, x), nil
 	case []byte:
-		buf = append(buf, "<base64>"...)
-		buf = base64.StdEncoding.AppendEncode(buf, x)
-		return append(buf, "</base64>"...), nil
+		return appendBase64(buf, x), nil
 	case []any:
 		buf = append(buf, "<array><data>"...)
 		for _, e := range x {
@@ -143,24 +121,6 @@ func appendInner(buf []byte, v any) ([]byte, error) {
 			}
 		}
 		return append(buf, "</data></array>"...), nil
-	case []string:
-		arr := make([]any, len(x))
-		for i, s := range x {
-			arr[i] = s
-		}
-		return appendInner(buf, arr)
-	case []int:
-		arr := make([]any, len(x))
-		for i, n := range x {
-			arr[i] = n
-		}
-		return appendInner(buf, arr)
-	case []float64:
-		arr := make([]any, len(x))
-		for i, f := range x {
-			arr[i] = f
-		}
-		return appendInner(buf, arr)
 	case map[string]any:
 		buf = append(buf, "<struct>"...)
 		// Deterministic member order keeps golden tests and hashes stable.
@@ -171,25 +131,145 @@ func appendInner(buf []byte, v any) ([]byte, error) {
 		}
 		sort.Strings(keys)
 		for _, k := range keys {
-			buf = append(buf, "<member><name>"...)
-			buf = appendEscaped(buf, k)
-			buf = append(buf, "</name>"...)
+			buf = appendMemberOpen(buf, k)
 			var err error
-			if buf, err = appendValue(buf, x[k]); err != nil {
+			if buf, err = appendInner(buf, x[k]); err != nil {
 				return buf, err
 			}
-			buf = append(buf, "</member>"...)
+			buf = append(buf, "</value></member>"...)
 		}
 		return append(buf, "</struct>"...), nil
-	case map[string]string:
-		m := make(map[string]any, len(x))
-		for k, s := range x {
-			m[k] = s
-		}
-		return appendInner(buf, m)
-	default:
-		return buf, fmt.Errorf("%w: %T", ErrUnsupportedType, v)
 	}
+	return appendReflect(buf, reflect.ValueOf(v))
+}
+
+// appendReflect appends the typed element of any other encodable value:
+// sized numbers, pointers, slices, arrays, string-keyed maps and structs
+// (their members as the xmlrpc tags say; see marshal.go). It writes what
+// appendInner writes for Marshal's tree of the same value, without
+// building the tree: members come from the type's plan already in wire
+// order, their <name> rendered when the plan was made.
+func appendReflect(buf []byte, rv reflect.Value) ([]byte, error) {
+	for rv.Kind() == reflect.Interface || rv.Kind() == reflect.Pointer {
+		if rv.IsNil() {
+			return append(buf, "<nil/>"...), nil
+		}
+		rv = rv.Elem()
+	}
+	if rv.Type() == timeType {
+		if rv.CanAddr() { // a slice element: Interface would copy it to the heap
+			return appendTime(buf, *timeIn(rv)), nil
+		}
+		return appendTime(buf, rv.Interface().(time.Time)), nil
+	}
+	var err error
+	switch rv.Kind() {
+	case reflect.Bool:
+		return appendBool(buf, rv.Bool()), nil
+	case reflect.String:
+		return appendString(buf, rv.String()), nil
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		return appendInt(buf, rv.Int())
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		if u := rv.Uint(); u <= math.MaxInt32 {
+			return appendInt(buf, int64(u))
+		}
+		return buf, fmt.Errorf("%w: unsigned %d overflows XML-RPC i4", ErrUnsupportedType, rv.Uint())
+	case reflect.Float32, reflect.Float64:
+		return appendDouble(buf, rv.Float())
+	case reflect.Slice, reflect.Array:
+		if rv.Kind() == reflect.Slice && rv.Type().Elem().Kind() == reflect.Uint8 {
+			return appendBase64(buf, rv.Bytes()), nil
+		}
+		buf = append(buf, "<array><data>"...)
+		for i, n := 0, rv.Len(); i < n; i++ {
+			buf = append(buf, "<value>"...)
+			if buf, err = appendReflect(buf, rv.Index(i)); err != nil {
+				return buf, err
+			}
+			buf = append(buf, "</value>"...)
+		}
+		return append(buf, "</data></array>"...), nil
+	case reflect.Map:
+		if rv.Type().Key().Kind() != reflect.String {
+			return buf, fmt.Errorf("%w: map key %s (want string)", ErrUnsupportedType, rv.Type().Key())
+		}
+		keys := rv.MapKeys()
+		sort.Slice(keys, func(i, j int) bool { return keys[i].String() < keys[j].String() })
+		buf = append(buf, "<struct>"...)
+		for _, k := range keys {
+			buf = appendMemberOpen(buf, k.String())
+			if buf, err = appendReflect(buf, rv.MapIndex(k)); err != nil {
+				return buf, err
+			}
+			buf = append(buf, "</value></member>"...)
+		}
+		return append(buf, "</struct>"...), nil
+	case reflect.Struct:
+		buf = append(buf, "<struct>"...)
+		members := planOf(rv.Type()).members
+		group := 0 // where the members of the current wire name start
+		for i := range members {
+			m := &members[i]
+			if !m.dup {
+				group = len(buf)
+			}
+			fv := rv.FieldByIndex(m.index)
+			if m.omitempty && fv.IsZero() {
+				continue
+			}
+			// Of fields sharing a wire name the last one present wins.
+			buf = append(buf[:group], m.open...)
+			if buf, err = appendReflect(buf, fv); err != nil {
+				return buf, fmt.Errorf("field %s: %w", m.goName, err)
+			}
+			buf = append(buf, "</value></member>"...)
+		}
+		return append(buf, "</struct>"...), nil
+	}
+	return buf, fmt.Errorf("%w: %s", ErrUnsupportedType, rv.Type())
+}
+
+// appendMemberOpen appends a struct member up to where its value's typed
+// element goes.
+func appendMemberOpen(buf []byte, name string) []byte {
+	buf = append(buf, "<member><name>"...)
+	buf = appendEscaped(buf, name)
+	return append(buf, "</name><value>"...)
+}
+
+func appendBool(buf []byte, x bool) []byte {
+	if x {
+		return append(buf, "<boolean>1</boolean>"...)
+	}
+	return append(buf, "<boolean>0</boolean>"...)
+}
+
+func appendDouble(buf []byte, x float64) ([]byte, error) {
+	if math.IsNaN(x) || math.IsInf(x, 0) {
+		return buf, fmt.Errorf("%w: non-finite double %v", ErrUnsupportedType, x)
+	}
+	buf = append(buf, "<double>"...)
+	buf = strconv.AppendFloat(buf, x, 'g', 17, 64)
+	return append(buf, "</double>"...), nil
+}
+
+func appendString(buf []byte, x string) []byte {
+	buf = append(buf, "<string>"...)
+	buf = appendEscaped(buf, x)
+	return append(buf, "</string>"...)
+}
+
+func appendTime(buf []byte, x time.Time) []byte {
+	buf = append(buf, "<dateTime.iso8601>"...)
+	buf = x.UTC().AppendFormat(buf, iso8601)
+	return append(buf, "</dateTime.iso8601>"...)
+}
+
+func appendBase64(buf []byte, x []byte) []byte {
+	buf = append(buf, "<base64>"...)
+	buf = base64.StdEncoding.AppendEncode(buf, x)
+	return append(buf, "</base64>"...)
 }
 
 func appendInt(buf []byte, x int64) ([]byte, error) {

@@ -4,17 +4,19 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"time"
 )
 
-// This file is the typed layer of the codec: reflection-based conversion
-// between Go structs/slices and the wire representation the encoder and
-// decoder speak (map[string]any, []any, int, bool, string, float64,
-// time.Time, []byte). Handlers and clients exchange typed values; the
-// hand-written field plucking the services used to carry is replaced by
-// struct tags:
+// This file is the typed layer of the codec: what the struct tags say (the
+// per-type plan the encoder and decoder walk typed values by), the one
+// table of what a destination accepts, and Marshal and Unmarshal, which
+// convert between typed values and the canonical tree (map[string]any,
+// []any, int, bool, string, float64, time.Time, []byte). Handlers and
+// clients exchange typed values; the hand-written field plucking the
+// services used to carry is replaced by struct tags:
 //
 //	type Estimate struct {
 //		Seconds    float64 `xmlrpc:"seconds"`
@@ -36,17 +38,49 @@ type structField struct {
 	goName    string
 	index     []int // reflect.Value.FieldByIndex path from the outer struct
 	omitempty bool
+	open      string // <member><name>NAME</name><value>, rendered once
+	dup       bool   // named as the member before it in the plan
 }
 
-// structPlans caches what the tags say, parsed once per struct type.
-var structPlans sync.Map // reflect.Type → []structField
+// typePlan is what a struct type's tags say, parsed once per type.
+type typePlan struct {
+	// members are the fields in wire order — sorted by wire name, fields
+	// of one name keeping field order — which is the order appendInner
+	// emits the keys of Marshal's map in.
+	members []structField
+	// direct: the decoder may fill the struct member by member, because
+	// every wire name is one field and a bitmask can note the ones seen.
+	direct bool
+}
 
-func structPlan(t reflect.Type) []structField {
-	if p, ok := structPlans.Load(t); ok {
-		return p.([]structField)
+var typePlans sync.Map // reflect.Type → *typePlan
+
+func planOf(t reflect.Type) *typePlan {
+	if p, ok := typePlans.Load(t); ok {
+		return p.(*typePlan)
 	}
-	p, _ := structPlans.LoadOrStore(t, appendStructPlan(nil, t, nil))
-	return p.([]structField)
+	p := &typePlan{members: appendStructPlan(nil, t, nil)}
+	slices.SortStableFunc(p.members, func(a, b structField) int { return strings.Compare(a.name, b.name) })
+	p.direct = len(p.members) <= 64
+	for i := 1; i < len(p.members); i++ {
+		if p.members[i].name == p.members[i-1].name {
+			p.members[i].dup, p.direct = true, false
+		}
+	}
+	actual, _ := typePlans.LoadOrStore(t, p)
+	return actual.(*typePlan)
+}
+
+// find returns the index of the member named key, or -1. Peers send
+// members in wire order, so the search starts at hint, one past the
+// member found last.
+func (p *typePlan) find(key []byte, hint int) int {
+	for k := range p.members {
+		if i := (hint + k) % len(p.members); p.members[i].name == string(key) {
+			return i
+		}
+	}
+	return -1
 }
 
 // appendStructPlan appends t's members in field order, embedded structs
@@ -67,7 +101,8 @@ func appendStructPlan(plan []structField, t reflect.Type, prefix []int) []struct
 		if name == "" {
 			name = f.Name
 		}
-		plan = append(plan, structField{name, f.Name, index, strings.Contains(","+opts+",", ",omitempty,")})
+		plan = append(plan, structField{name: name, goName: f.Name, index: index,
+			omitempty: strings.Contains(","+opts+",", ",omitempty,"), open: string(appendMemberOpen(nil, name))})
 	}
 	return plan
 }
@@ -136,7 +171,7 @@ func marshalValue(rv reflect.Value) (any, error) {
 		}
 		return out, nil
 	case reflect.Struct:
-		plan := structPlan(rv.Type())
+		plan := planOf(rv.Type()).members
 		out := make(map[string]any, len(plan))
 		for i := range plan {
 			f := &plan[i]
@@ -167,161 +202,185 @@ func Unmarshal(wire any, out any) error {
 	return unmarshalValue(wire, rv.Elem())
 }
 
+// unmarshalValue fills rv from a canonical tree: its containers here, its
+// leaves through scalar.into.
 func unmarshalValue(wire any, rv reflect.Value) error {
-	if wire == nil {
-		rv.SetZero()
-		return nil
+	if v, ok := scalarOf(wire); ok {
+		return v.into(rv)
 	}
-	if rv.Kind() == reflect.Pointer {
-		if rv.IsNil() {
-			rv.Set(reflect.New(rv.Type().Elem()))
-		}
-		return unmarshalValue(wire, rv.Elem())
-	}
-	if rv.Kind() == reflect.Interface && rv.NumMethod() == 0 {
+	if rv = settle(rv); isAny(rv) {
 		rv.Set(reflect.ValueOf(wire))
 		return nil
 	}
-	if rv.Type() == timeType {
-		t, ok := wire.(time.Time)
-		if !ok {
+	switch w := wire.(type) {
+	case []any:
+		switch {
+		case rv.Kind() == reflect.Slice && rv.Type().Elem().Kind() != reflect.Uint8:
+			rv.Set(reflect.MakeSlice(rv.Type(), len(w), len(w)))
+		case rv.Kind() != reflect.Array:
 			return unmarshalTypeError(wire, rv)
+		case len(w) != rv.Len():
+			return fmt.Errorf("xmlrpc: array carries %d elements, want %d for %s", len(w), rv.Len(), rv.Type())
 		}
-		rv.Set(reflect.ValueOf(t))
-		return nil
-	}
-	switch rv.Kind() {
-	case reflect.Bool:
-		b, ok := wire.(bool)
-		if !ok {
-			return unmarshalTypeError(wire, rv)
-		}
-		rv.SetBool(b)
-	case reflect.String:
-		s, ok := wire.(string)
-		if !ok {
-			return unmarshalTypeError(wire, rv)
-		}
-		rv.SetString(s)
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		n, ok := wireInt(wire)
-		if !ok {
-			return unmarshalTypeError(wire, rv)
-		}
-		if rv.OverflowInt(n) {
-			return fmt.Errorf("xmlrpc: %d overflows %s", n, rv.Type())
-		}
-		rv.SetInt(n)
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		n, ok := wireInt(wire)
-		if !ok || n < 0 {
-			return unmarshalTypeError(wire, rv)
-		}
-		if rv.OverflowUint(uint64(n)) {
-			return fmt.Errorf("xmlrpc: %d overflows %s", n, rv.Type())
-		}
-		rv.SetUint(uint64(n))
-	case reflect.Float32, reflect.Float64:
-		switch w := wire.(type) {
-		case float64:
-			rv.SetFloat(w)
-		case int:
-			rv.SetFloat(float64(w))
-		default:
-			return unmarshalTypeError(wire, rv)
-		}
-	case reflect.Slice:
-		if rv.Type().Elem().Kind() == reflect.Uint8 {
-			b, ok := wire.([]byte)
-			if !ok {
-				return unmarshalTypeError(wire, rv)
-			}
-			rv.SetBytes(b)
-			return nil
-		}
-		arr, ok := wire.([]any)
-		if !ok {
-			return unmarshalTypeError(wire, rv)
-		}
-		out := reflect.MakeSlice(rv.Type(), len(arr), len(arr))
-		for i, e := range arr {
-			if err := unmarshalValue(e, out.Index(i)); err != nil {
-				return fmt.Errorf("element %d: %w", i, err)
-			}
-		}
-		rv.Set(out)
-	case reflect.Array:
-		arr, ok := wire.([]any)
-		if !ok {
-			return unmarshalTypeError(wire, rv)
-		}
-		if len(arr) != rv.Len() {
-			return fmt.Errorf("xmlrpc: array carries %d elements, want %d for %s",
-				len(arr), rv.Len(), rv.Type())
-		}
-		for i, e := range arr {
+		for i, e := range w {
 			if err := unmarshalValue(e, rv.Index(i)); err != nil {
 				return fmt.Errorf("element %d: %w", i, err)
 			}
 		}
-	case reflect.Map:
-		if rv.Type().Key().Kind() != reflect.String {
-			return fmt.Errorf("xmlrpc: cannot unmarshal into map keyed by %s", rv.Type().Key())
-		}
-		m, ok := wire.(map[string]any)
-		if !ok {
-			return unmarshalTypeError(wire, rv)
-		}
-		out := reflect.MakeMapWithSize(rv.Type(), len(m))
-		for k, v := range m {
-			ev := reflect.New(rv.Type().Elem()).Elem()
-			if err := unmarshalValue(v, ev); err != nil {
-				return fmt.Errorf("key %q: %w", k, err)
+		return nil
+	case map[string]any:
+		switch {
+		case rv.Kind() == reflect.Map && rv.Type().Key().Kind() == reflect.String:
+			out := reflect.MakeMapWithSize(rv.Type(), len(w))
+			for k, v := range w {
+				ev := reflect.New(rv.Type().Elem()).Elem()
+				if err := unmarshalValue(v, ev); err != nil {
+					return fmt.Errorf("key %q: %w", k, err)
+				}
+				out.SetMapIndex(reflect.ValueOf(k).Convert(rv.Type().Key()), ev)
 			}
-			out.SetMapIndex(reflect.ValueOf(k), ev)
-		}
-		rv.Set(out)
-	case reflect.Struct:
-		m, ok := wire.(map[string]any)
-		if !ok {
-			return unmarshalTypeError(wire, rv)
-		}
-		return unmarshalStructFrom(m, rv)
-	default:
-		return fmt.Errorf("xmlrpc: cannot unmarshal into %s", rv.Type())
-	}
-	return nil
-}
-
-func unmarshalStructFrom(m map[string]any, rv reflect.Value) error {
-	for _, f := range structPlan(rv.Type()) {
-		w, ok := m[f.name]
-		if !ok {
-			continue
-		}
-		if err := unmarshalValue(w, rv.FieldByIndex(f.index)); err != nil {
-			return fmt.Errorf("member %q: %w", f.name, err)
+			rv.Set(out)
+			return nil
+		case rv.Kind() == reflect.Struct && rv.Type() != timeType:
+			for i, plan := 0, planOf(rv.Type()).members; i < len(plan); i++ {
+				if v, ok := w[plan[i].name]; ok {
+					if err := unmarshalValue(v, rv.FieldByIndex(plan[i].index)); err != nil {
+						return fmt.Errorf("member %q: %w", plan[i].name, err)
+					}
+				}
+			}
+			return nil
 		}
 	}
-	return nil
+	return unmarshalTypeError(wire, rv)
 }
 
-func wireInt(wire any) (int64, bool) {
-	// Bounds are exact float64 values; doubles outside them would make
-	// the int64 conversion implementation-defined.
-	const (
-		minInt64 = -9223372036854775808 // -2^63
-		maxInt64 = 9223372036854775808  // 2^63
-	)
+// settle follows rv through pointers, allocating the nil ones, to the
+// value a non-nil wire value lands in.
+func settle(rv reflect.Value) reflect.Value {
+	for rv.Kind() == reflect.Pointer {
+		if rv.IsNil() {
+			rv.Set(reflect.New(rv.Type().Elem()))
+		}
+		rv = rv.Elem()
+	}
+	return rv
+}
+
+// isAny reports whether rv is an interface{} variable, which holds the
+// canonical value as it is.
+func isAny(rv reflect.Value) bool { return rv.Kind() == reflect.Interface && rv.NumMethod() == 0 }
+
+// timeIn returns the time.Time that the addressable rv is, unboxed.
+func timeIn(rv reflect.Value) *time.Time { return rv.Addr().Interface().(*time.Time) }
+
+// scalar is one wire value that is not an <array> or a <struct>, unboxed.
+// The scanner makes one from a typed element and unmarshalValue from a
+// leaf of the tree, and both hand it to into: the one table of what a
+// destination accepts.
+type scalar struct {
+	// kind is the Kind of the canonical Go value: Bool, Int, Float64,
+	// String, Struct for a time.Time, Slice for base64, Invalid for nil.
+	kind reflect.Kind
+	n    int64 // Int; Bool as 0 or 1
+	f    float64
+	s    string
+	b    []byte
+	t    time.Time
+}
+
+func scalarOf(wire any) (v scalar, ok bool) {
 	switch w := wire.(type) {
-	case int:
-		return int64(w), true
-	case float64:
-		if w == math.Trunc(w) && w >= minInt64 && w < maxInt64 {
-			return int64(w), true
+	case nil:
+	case bool:
+		if v.kind = reflect.Bool; w {
+			v.n = 1
 		}
+	case int:
+		v.kind, v.n = reflect.Int, int64(w)
+	case float64:
+		v.kind, v.f = reflect.Float64, w
+	case string:
+		v.kind, v.s = reflect.String, w
+	case time.Time:
+		v.kind, v.t = reflect.Struct, w
+	case []byte:
+		v.kind, v.b = reflect.Slice, w
+	default:
+		return v, false
 	}
-	return 0, false
+	return v, true
+}
+
+// box returns v as its canonical Go value.
+func (v *scalar) box() any {
+	switch v.kind {
+	case reflect.Bool:
+		return v.n != 0
+	case reflect.Int:
+		return int(v.n)
+	case reflect.Float64:
+		return v.f
+	case reflect.String:
+		return v.s
+	case reflect.Struct:
+		return v.t
+	case reflect.Slice:
+		return v.b
+	}
+	return nil
+}
+
+// into sets rv to v. <nil/> zeroes any destination and allocates no
+// pointer; the numeric rules are the lenient ones of Params: ints accept
+// integral doubles and doubles accept ints, since XML-RPC peers disagree
+// about number types.
+func (v *scalar) into(rv reflect.Value) error {
+	if v.kind == reflect.Invalid {
+		rv.SetZero()
+		return nil
+	}
+	rv = settle(rv)
+	n, integral := v.int64()
+	switch k := rv.Kind(); {
+	case isAny(rv):
+		rv.Set(reflect.ValueOf(v.box()))
+	case rv.Type() == timeType && v.kind == reflect.Struct:
+		*timeIn(rv) = v.t
+	case k == reflect.Bool && v.kind == k:
+		rv.SetBool(v.n != 0)
+	case k == reflect.String && v.kind == k:
+		rv.SetString(v.s)
+	case k >= reflect.Int && k <= reflect.Int64 && integral:
+		if rv.OverflowInt(n) {
+			return fmt.Errorf("xmlrpc: %d overflows %s", n, rv.Type())
+		}
+		rv.SetInt(n)
+	case k >= reflect.Uint && k <= reflect.Uint64 && integral && n >= 0:
+		if rv.OverflowUint(uint64(n)) {
+			return fmt.Errorf("xmlrpc: %d overflows %s", n, rv.Type())
+		}
+		rv.SetUint(uint64(n))
+	case (k == reflect.Float32 || k == reflect.Float64) && v.kind == reflect.Int:
+		rv.SetFloat(float64(v.n))
+	case (k == reflect.Float32 || k == reflect.Float64) && v.kind == reflect.Float64:
+		rv.SetFloat(v.f)
+	case k == reflect.Slice && rv.Type().Elem().Kind() == reflect.Uint8 && v.kind == k:
+		rv.SetBytes(v.b)
+	default:
+		return unmarshalTypeError(v.box(), rv)
+	}
+	return nil
+}
+
+// int64 returns v as an integer: an int, or a double with an integral
+// value in [-2^63, 2^63) — bounds that are exact float64 values; outside
+// them the conversion would be implementation-defined.
+func (v *scalar) int64() (int64, bool) {
+	if v.kind == reflect.Float64 && v.f == math.Trunc(v.f) && v.f >= -1<<63 && v.f < 1<<63 {
+		return int64(v.f), true
+	}
+	return v.n, v.kind == reflect.Int
 }
 
 func unmarshalTypeError(wire any, rv reflect.Value) error {

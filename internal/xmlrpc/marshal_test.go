@@ -330,8 +330,8 @@ func TestStructPlan(t *testing.T) {
 	if !reflect.DeepEqual(out, in) {
 		t.Fatalf("Unmarshal = %+v\nwant %+v", out, in)
 	}
-	plan := structPlan(reflect.TypeOf(in))
-	if len(plan) != 6 || plan[1].name != "created" || !plan[1].omitempty || !reflect.DeepEqual(plan[2].index, []int{2, 0, 0}) || !plan[3].omitempty {
+	plan := planOf(reflect.TypeOf(in)).members // in wire order: created deep id link note tagged
+	if len(plan) != 6 || plan[0].name != "created" || !plan[0].omitempty || !reflect.DeepEqual(plan[1].index, []int{2, 0, 0}) || !plan[3].omitempty {
 		t.Fatalf("plan = %+v", plan)
 	}
 }

@@ -11,7 +11,8 @@ import (
 )
 
 // Handler executes a single XML-RPC method. Args carry the decoded
-// parameters; the returned value must be encodable (see package doc).
+// parameters; the returned value may be any encodable one (see package
+// doc), a tagged struct or a slice of them included.
 // Returning a *Fault propagates it verbatim; any other error becomes a
 // FaultInternal with the error text.
 type Handler func(ctx context.Context, args []any) (any, error)
@@ -34,7 +35,7 @@ type ServeMux struct {
 func NewServeMux() *ServeMux {
 	m := &ServeMux{handlers: make(map[string]Handler)}
 	m.Handle("system.listMethods", func(context.Context, []any) (any, error) {
-		return m.methodNames(), nil
+		return m.Methods(), nil
 	})
 	return m
 }
@@ -57,9 +58,8 @@ func (m *ServeMux) Unhandle(method string) {
 	delete(m.handlers, method)
 }
 
-// methodNames returns all registered method names sorted, as []any for
-// direct XML-RPC encoding.
-func (m *ServeMux) methodNames() []any {
+// Methods returns the registered method names, sorted.
+func (m *ServeMux) Methods() []string {
 	m.mu.RLock()
 	names := make([]string, 0, len(m.handlers))
 	for k := range m.handlers {
@@ -67,21 +67,7 @@ func (m *ServeMux) methodNames() []any {
 	}
 	m.mu.RUnlock()
 	sort.Strings(names)
-	out := make([]any, len(names))
-	for i, n := range names {
-		out[i] = n
-	}
-	return out
-}
-
-// Methods returns the registered method names, sorted.
-func (m *ServeMux) Methods() []string {
-	raw := m.methodNames()
-	out := make([]string, len(raw))
-	for i, v := range raw {
-		out[i] = v.(string)
-	}
-	return out
+	return names
 }
 
 // Dispatch runs one decoded request through the interceptor and handler.
@@ -122,12 +108,10 @@ func (m *ServeMux) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		writeFault(w, toFault(err))
 		return
 	}
-	out, err := EncodeResponse(result)
-	if err != nil {
+	// The response is written from the scratch buffer it was built in.
+	if err := encodeResponse(result, func(doc []byte) { writeDocument(w, doc) }); err != nil {
 		writeFault(w, NewFault(FaultInternal, "unencodable result: %v", err))
-		return
 	}
-	writeDocument(w, out)
 }
 
 func toFault(err error) *Fault {
@@ -251,6 +235,18 @@ func (p Params) Array(i int) ([]any, error) {
 		return nil, NewFault(FaultInvalidParams, "argument %d is %T, want array", i, p[i])
 	}
 	return a, nil
+}
+
+// Into decodes argument i into *out, a typed parameter, under Unmarshal's
+// rules.
+func (p Params) Into(i int, out any) error {
+	if i >= len(p) {
+		return NewFault(FaultInvalidParams, "missing argument %d", i)
+	}
+	if err := Unmarshal(p[i], out); err != nil {
+		return NewFault(FaultInvalidParams, "argument %d: %v", i, err)
+	}
+	return nil
 }
 
 // StringsArray returns argument i as []string, converting each element.

@@ -35,17 +35,26 @@
 //
 //	Go                      XML-RPC
 //	int, int8..int64        <int> / <i4>  (must fit in 32 bits on the wire)
+//	uint, uint8..uint64     <int>         (likewise)
 //	bool                    <boolean>
 //	string                  <string>
 //	float32, float64        <double>
 //	time.Time               <dateTime.iso8601>
 //	[]byte                  <base64>
-//	map[string]any          <struct>
-//	[]any                   <array>
+//	struct, map[string]T    <struct>      (members per the xmlrpc tags; see marshal.go)
+//	[]T, [N]T               <array>
+//	*T, interface           what it points to or holds
 //	nil                     <nil/> (common extension, accepted and emitted)
 //
-// Decoded values use the canonical Go types int, bool, string, float64,
-// time.Time, []byte, map[string]any and []any.
+// The codec goes between typed values and documents in one walk each way:
+// EncodeRequest, EncodeResponse and what a Handler returns take any value
+// of these types; Client.CallInto and DecodeResponseInto fill a typed
+// destination under Unmarshal's rules. An interface{} destination (Call,
+// DecodeResponse, a Handler's arguments) receives the canonical Go types
+// int, bool, string, float64, time.Time, []byte, map[string]any and []any.
+// Marshal and Unmarshal convert between typed values and that canonical
+// tree: composed with the encoder and decoder they are the two passes the
+// one walk replaced, and what its tests hold it to.
 package xmlrpc
 
 import "errors"

@@ -44,8 +44,8 @@ func (rs *retryState) state() breakerState {
 	return rs.br.state
 }
 
-func failingCall(ctx context.Context) (any, error) { return nil, errWire }
-func okCall(ctx context.Context) (any, error)      { return "ok", nil }
+func failingCall(ctx context.Context) error { return errWire }
+func okCall(ctx context.Context) error      { return nil }
 
 func TestBreakerTransitionCycle(t *testing.T) {
 	reg := telemetry.NewRegistry()
@@ -54,7 +54,7 @@ func TestBreakerTransitionCycle(t *testing.T) {
 	// closed → open: three consecutive failures trip the threshold.
 	// Each do() makes 2 attempts, so two failing calls give 4 failures.
 	for i := 0; i < 2; i++ {
-		if _, err := rs.do(context.Background(), failingCall); err == nil {
+		if err := rs.do(context.Background(), failingCall); err == nil {
 			t.Fatalf("do %d: expected error", i)
 		}
 	}
@@ -72,7 +72,7 @@ func TestBreakerTransitionCycle(t *testing.T) {
 	// Open with a live cooldown: calls fail fast with ErrCircuitOpen
 	// and never touch the wire.
 	callsBefore := rs.snapshot().Calls
-	if _, err := rs.do(context.Background(), failingCall); !errors.Is(err, ErrCircuitOpen) {
+	if err := rs.do(context.Background(), failingCall); !errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("open breaker: err = %v, want ErrCircuitOpen", err)
 	}
 	if got := rs.snapshot().Calls; got != callsBefore {
@@ -81,7 +81,7 @@ func TestBreakerTransitionCycle(t *testing.T) {
 
 	// open → half-open → open: cooldown elapses, the probe fails.
 	expireCooldown(rs)
-	if _, err := rs.do(context.Background(), failingCall); err == nil {
+	if err := rs.do(context.Background(), failingCall); err == nil {
 		t.Fatal("probe: expected error")
 	}
 	if got := rs.state(); got != breakerOpen {
@@ -100,7 +100,7 @@ func TestBreakerTransitionCycle(t *testing.T) {
 
 	// open → half-open → closed: cooldown elapses, the probe succeeds.
 	expireCooldown(rs)
-	if _, err := rs.do(context.Background(), okCall); err != nil {
+	if err := rs.do(context.Background(), okCall); err != nil {
 		t.Fatalf("successful probe: %v", err)
 	}
 	if got := rs.state(); got != breakerClosed {
@@ -133,7 +133,7 @@ func TestBreakerTransitionCycle(t *testing.T) {
 func TestBreakerSemanticFaultResets(t *testing.T) {
 	rs := newTestRetryState(nil)
 	// Two wire failures accumulate toward the threshold...
-	_, _ = rs.do(context.Background(), failingCall)
+	_ = rs.do(context.Background(), failingCall)
 	rs.br.mu.Lock()
 	failures := rs.br.failures
 	rs.br.mu.Unlock()
@@ -142,7 +142,7 @@ func TestBreakerSemanticFaultResets(t *testing.T) {
 	}
 	// ...then a success clears the streak without any transition: the
 	// breaker never left closed, so no edges are recorded.
-	if _, err := rs.do(context.Background(), okCall); err != nil {
+	if err := rs.do(context.Background(), okCall); err != nil {
 		t.Fatalf("ok call: %v", err)
 	}
 	st := rs.snapshot()

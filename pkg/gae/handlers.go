@@ -9,11 +9,11 @@ import (
 
 // This file is the generic handler adapter: it binds a service interface
 // implementation to the XML-RPC wire. Positional parameters are decoded
-// into typed arguments with the typed codec, results are marshaled back,
-// and plain errors become application faults (ErrNoSession becomes an
-// authentication fault). internal/core registers every Clarens service
-// through these bindings; the per-method map[string]any plumbing the
-// services used to hand-write is gone.
+// into typed arguments with the typed codec, results go to the mux as the
+// typed values they are, and plain errors become application faults
+// (ErrNoSession becomes an authentication fault). internal/core registers
+// every Clarens service through these bindings; the per-method
+// map[string]any plumbing the services used to hand-write is gone.
 //
 // Arity is checked exactly. The hand-written handlers were inconsistent
 // (some methods enforced Want(n), others silently ignored surplus
@@ -106,24 +106,17 @@ func Action3[A, B, C any](fn func(context.Context, A, B, C) error) xmlrpc.Handle
 }
 
 // arg decodes positional argument i into the method's parameter type.
-func arg[T any](args []any, i int) (T, error) {
-	var v T
-	if err := xmlrpc.Unmarshal(args[i], &v); err != nil {
-		return v, xmlrpc.NewFault(xmlrpc.FaultInvalidParams, "argument %d: %v", i, err)
-	}
-	return v, nil
+func arg[T any](args []any, i int) (v T, err error) {
+	err = xmlrpc.Params(args).Into(i, &v)
+	return v, err
 }
 
-// wireResult marshals a typed result, converting service errors to faults.
+// wireResult passes a typed result on, converting service errors to faults.
 func wireResult(v any, err error) (any, error) {
 	if err != nil {
 		return nil, toFault(err)
 	}
-	w, merr := xmlrpc.Marshal(v)
-	if merr != nil {
-		return nil, xmlrpc.NewFault(xmlrpc.FaultInternal, "unencodable result: %v", merr)
-	}
-	return w, nil
+	return v, nil
 }
 
 func toFault(err error) error {
@@ -159,9 +152,8 @@ func SteeringHandlers(s Steering) map[string]xmlrpc.Handler {
 		// move takes an optional third argument naming the target site;
 		// omitted, the scheduler chooses.
 		"move": func(ctx context.Context, args []any) (any, error) {
-			p := xmlrpc.Params(args)
-			if err := p.WantAtLeast(2); err != nil {
-				return nil, err
+			if len(args) != 2 && len(args) != 3 {
+				return nil, xmlrpc.NewFault(xmlrpc.FaultInvalidParams, "got %d arguments, want 2 or 3", len(args))
 			}
 			plan, err := arg[string](args, 0)
 			if err != nil {
@@ -181,6 +173,9 @@ func SteeringHandlers(s Steering) map[string]xmlrpc.Handler {
 		},
 		// preference reads with no arguments, sets with one.
 		"preference": func(ctx context.Context, args []any) (any, error) {
+			if len(args) > 1 {
+				return nil, xmlrpc.NewFault(xmlrpc.FaultInvalidParams, "got %d arguments, want 0 or 1", len(args))
+			}
 			if len(args) == 0 {
 				return wireResult(s.Preference(ctx))
 			}

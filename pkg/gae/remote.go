@@ -2,7 +2,6 @@ package gae
 
 import (
 	"context"
-	"fmt"
 	"net/http"
 	"time"
 
@@ -109,39 +108,18 @@ type remote struct {
 	retry *retryState // nil unless Dial got WithRetryPolicy
 }
 
-// call marshals typed arguments, performs the XML-RPC call, and
-// unmarshals the result into R. The context's idempotency key (stamped
-// by the Client façade) rides as a header so the server can suppress
-// duplicates; with a retry policy, every attempt reuses the same key.
+// call performs the XML-RPC call, encoding the typed arguments and decoding
+// the result into R in one pass each. The context's idempotency key
+// (stamped by the Client façade) rides as a header so the server can
+// suppress duplicates; with a retry policy every attempt reuses the key
+// and starts from a zero R, whatever a failed reply had filled in.
 func call[R any](ctx context.Context, r *remote, method string, args ...any) (R, error) {
 	var out R
-	wire := make([]any, len(args))
-	for i, a := range args {
-		w, err := xmlrpc.Marshal(a)
-		if err != nil {
-			return out, fmt.Errorf("gae: encoding %s argument %d: %w", method, i, err)
-		}
-		wire[i] = w
-	}
 	if rid := clarens.RequestID(ctx); rid != "" {
 		ctx = xmlrpc.WithCallHeader(ctx, clarens.RequestIDHeader, rid)
 	}
-	var res any
-	var err error
-	if r.retry != nil {
-		res, err = r.retry.do(ctx, func(ctx context.Context) (any, error) {
-			return r.c.Call(ctx, method, wire...)
-		})
-	} else {
-		res, err = r.c.Call(ctx, method, wire...)
-	}
-	if err != nil {
-		return out, err
-	}
-	if err := xmlrpc.Unmarshal(res, &out); err != nil {
-		return out, fmt.Errorf("gae: decoding %s result: %w", method, err)
-	}
-	return out, nil
+	err := r.retry.do(ctx, func(ctx context.Context) error { return r.c.CallInto(ctx, method, &out, args...) })
+	return out, err
 }
 
 // action performs a call whose result (the conventional true) is

@@ -312,10 +312,13 @@ func (rs *retryState) backoffFor(attempt int) time.Duration {
 	return d
 }
 
-// do runs one wire call under the retry policy. The same ctx — and so
-// the same idempotency key — rides every attempt, which is what makes
-// retrying a mutation safe.
-func (rs *retryState) do(ctx context.Context, call func(ctx context.Context) (any, error)) (any, error) {
+// do runs one wire call under the retry policy (a nil rs: once, as it
+// is). The same ctx — and so the same idempotency key — rides every
+// attempt, which is what makes retrying a mutation safe.
+func (rs *retryState) do(ctx context.Context, call func(ctx context.Context) error) error {
+	if rs == nil {
+		return call(ctx)
+	}
 	p := rs.policy
 	if p.Budget > 0 {
 		var cancel context.CancelFunc
@@ -334,7 +337,7 @@ func (rs *retryState) do(ctx context.Context, call func(ctx context.Context) (an
 			if err := rs.sleep(ctx, d); err != nil {
 				// Budget or caller context ended mid-backoff; the last
 				// attempt's error says why we were still retrying.
-				return nil, lastErr
+				return lastErr
 			}
 		}
 		if !rs.br.allow() {
@@ -348,10 +351,10 @@ func (rs *retryState) do(ctx context.Context, call func(ctx context.Context) (an
 		rs.calls++
 		rs.mu.Unlock()
 		rs.obsCalls.Inc()
-		out, err := call(ctx)
+		err := call(ctx)
 		if err == nil {
 			rs.br.success()
-			return out, nil
+			return nil
 		}
 		lastErr = err
 		if !IsRetryable(err) {
@@ -360,9 +363,9 @@ func (rs *retryState) do(ctx context.Context, call func(ctx context.Context) (an
 			if _, ok := xmlrpc.AsFault(err); ok {
 				rs.br.success()
 			}
-			return nil, err
+			return err
 		}
 		rs.br.failure()
 	}
-	return nil, lastErr
+	return lastErr
 }

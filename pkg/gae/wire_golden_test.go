@@ -2,6 +2,7 @@ package gae_test
 
 import (
 	"bytes"
+	"context"
 	"flag"
 	"os"
 	"path/filepath"
@@ -27,13 +28,11 @@ func wireJob() (time.Time, gae.JobInfo) {
 	}
 }
 
-// TestWireGolden pins the bytes the encoder puts on the wire for the
-// service contract's types. The files under testdata/wire were written by
-// the encoding/xml-era encoder (the bytes.Buffer one of PR 14); a faster
-// encoder has to emit exactly the same documents.
-func TestWireGolden(t *testing.T) {
+// wireValues is the table TestWireGolden pins, by golden file name: a value
+// of every type of the service contract.
+func wireValues() map[string]any {
 	at, job := wireJob()
-	values := map[string]any{
+	return map[string]any{
 		"job_info":  job,
 		"job_list":  []gae.JobInfo{job, {ID: 1, Pool: "siteB", Status: "idle", Owner: "bøb", Cmd: "a\r\nb\tc"}},
 		"job_empty": []gae.JobInfo{},
@@ -60,7 +59,14 @@ func TestWireGolden(t *testing.T) {
 		"site_weather":      []gae.SiteWeather{{Site: "siteA", Load: 0.25, Running: 3, Free: 9}},
 		"scalars":           []any{"s", 1, -2.5, true, nil, []byte("gae"), at, map[string]string{"k": "v"}},
 	}
-	for name, v := range values {
+}
+
+// TestWireGolden pins the bytes the encoder puts on the wire for the
+// service contract's types. The files under testdata/wire were written by
+// the encoding/xml-era encoder (the bytes.Buffer one of PR 14); a faster
+// encoder has to emit exactly the same documents.
+func TestWireGolden(t *testing.T) {
+	for name, v := range wireValues() {
 		w, err := xmlrpc.Marshal(v)
 		if err != nil {
 			t.Fatalf("%s: Marshal: %v", name, err)
@@ -106,7 +112,9 @@ func TestWireGolden(t *testing.T) {
 // TestWireAllocCeilings is the deterministic gate on the codec's cost for
 // the commonest monitoring reply, one JobInfo: allocation counts repeat
 // exactly where wall time does not. The encoding/xml decoder needed 600
-// allocations for this document and the bytes.Buffer encoder 65.
+// allocations for this document and the bytes.Buffer encoder 65. The
+// two-step legs are the exported API the benchmark's codec replay still
+// calls; the one-pass legs are what a served call costs.
 func TestWireAllocCeilings(t *testing.T) {
 	_, job := wireJob()
 	encode := func() []byte {
@@ -124,12 +132,50 @@ func TestWireAllocCeilings(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() { encode() }); n > 45 {
 		t.Errorf("Marshal+EncodeResponse of one JobInfo: %v allocations, ceiling 45", n)
 	}
+	rd := bytes.NewReader(doc)
 	decode := func() {
-		if _, err := xmlrpc.DecodeResponse(bytes.NewReader(doc)); err != nil {
+		rd.Reset(doc)
+		if _, err := xmlrpc.DecodeResponse(rd); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if n := testing.AllocsPerRun(100, decode); n > 160 {
 		t.Errorf("DecodeResponse of one JobInfo: %v allocations, ceiling 160", n)
 	}
+
+	var boxed any = job
+	if n := testing.AllocsPerRun(100, func() { xmlrpc.EncodeResponse(boxed) }); n > 1 && !raceEnabled {
+		t.Errorf("EncodeResponse of one JobInfo in one pass: %v allocations, ceiling 1 (the document)", n)
+	}
+	var out gae.JobInfo
+	decodeInto := func() {
+		rd.Reset(doc)
+		if err := xmlrpc.DecodeResponseInto(rd, &out); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(100, decodeInto); n > 12 || out != job {
+		t.Errorf("DecodeResponseInto one JobInfo: %v allocations, ceiling 12; decoded %+v", n, out)
+	}
+
+	// One call of the typed client over a transport that costs nothing:
+	// request built, headers set, reply read and decoded.
+	c, err := gae.Dial(context.Background(), "http://stub.invalid/", gae.WithToken("t"),
+		gae.WithTransport(&stubTransport{bodies: [][]byte{doc}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	call := func() {
+		if got, err := c.Job(context.Background(), "siteA", 4711); err != nil || got != job {
+			t.Fatalf("Job over the stub = %+v, %v", got, err)
+		}
+	}
+	if n := testing.AllocsPerRun(100, call); n > clientCallAllocs && !raceEnabled {
+		t.Errorf("one jobmon.info call over a stub transport: %v allocations, ceiling %d", n, clientCallAllocs)
+	}
 }
+
+// clientCallAllocs is the measured cost of one typed call, net/http's
+// share and the stub's three included (103 with the endpoint parsed and the
+// header keys canonicalized per call, and argument and reply built twice).
+const clientCallAllocs = 52
