@@ -55,12 +55,18 @@ fuzz-smoke:
 # that changed; and what reading, suspending and resuming a long task costs
 # is gated in Segment calls, the same whatever the tick and the time gone by
 # (under a load of one-minute segments: the same whatever the tick, and at
-# most the look-ahead bound per change). Last, what one monitoring reply
-# costs the wire codec, the typed client and the serving mux, in
-# allocations that repeat exactly.
+# most the look-ahead bound per change). What a grid with weather costs is
+# gated in boundaries and pool wakes: a load that steps costs each pool one
+# wake per step on top of the constant legs' counts (the stepped leg of
+# MillionSmokeCounts), six hours of two jobs under a diurnal load visit a
+# boundary a minute and not one a second (WeatherIsEventDriven), and a
+# usage flow is re-rated at its node's load boundaries by wakes that count
+# them (FlowFollowsLoadSegments). Last, what one monitoring reply costs the
+# wire codec, the typed client and the serving mux, in allocations that
+# repeat exactly.
 bench-smoke:
 	GAE_SCENARIO_SCALE=smoke $(GO) test -run xxx -bench Scenario -benchtime 1x .
-	$(GO) test -run 'MillionSmokeCounts|JobBytesCeiling|RankEvalsFollowChanges|SegmentCalls' -count=1 . ./internal/condor ./internal/simgrid
+	$(GO) test -run 'MillionSmokeCounts|JobBytesCeiling|RankEvalsFollowChanges|SegmentCalls|WeatherIsEventDriven|FlowFollowsLoadSegments' -count=1 . ./internal/condor ./internal/simgrid
 	$(GO) test -run 'WireAllocCeilings|ServeAllocCeiling' -count=1 ./pkg/gae ./internal/xmlrpc
 
 # Closed-loop serving smoke: the gae-loadgen mixed workload against an

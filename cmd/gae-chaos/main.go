@@ -6,7 +6,7 @@
 // nonzero unless the exactly-once invariant held: no acked op lost, no
 // op applied twice.
 //
-// By default it builds and supervises its own gae-server on a scratch
+// By default it builds and looks after its own gae-server on a scratch
 // data directory:
 //
 //	gae-chaos -clients 3 -ops 12 -kills 2
@@ -155,7 +155,7 @@ func main() {
 		rep.AckedOps, rep.Attempts, rep.Kills)
 }
 
-// serverProc supervises a gae-server child: SIGKILL on demand, restart
+// serverProc looks after a gae-server child: SIGKILL on demand, restart
 // on the same pinned address over the same data directory. A watchdog
 // also restarts the child when it crashes on its own — which the
 // injected fsync faults make it do: a durability-lost server exits

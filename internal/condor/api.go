@@ -186,9 +186,7 @@ func (p *Pool) Suspend(id int) error {
 			return fmt.Errorf("condor: job %d is %v, cannot suspend", id, j.status)
 		}
 		j.task.Suspend()
-		if j.flow != nil {
-			j.flow.SetRate(0) // a paused task consumes nothing
-		}
+		p.rerateLocked(j) // a paused task consumes nothing
 		p.setStatusLocked(j, StatusSuspended)
 		return nil
 	})
@@ -201,16 +199,15 @@ func (p *Pool) Resume(id int) error {
 			return fmt.Errorf("condor: job %d is %v, cannot resume", id, j.status)
 		}
 		j.task.Resume()
-		if j.flow != nil {
-			j.flow.SetRate(j.flowRate)
-		}
+		p.rerateLocked(j) // at what the node gives it now, not what it had
 		p.setStatusLocked(j, StatusRunning)
 		if j.task.State() == simgrid.TaskDone {
-			// The completion deadline fired while suspended; re-enter the
+			// The task completed before the suspend caught it; re-enter the
 			// harvest queue so the fast path still promotes it.
 			p.doneQ = append(p.doneQ, j)
+			p.requestWake()
 		}
-		p.requestWake() // the job may need per-tick supervision again
+		p.rearmLocked() // the flow may have a load boundary to be woken at
 		return nil
 	})
 }

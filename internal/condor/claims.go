@@ -133,7 +133,7 @@ func (p *Pool) startLocked(j *job, m *machine, now time.Time) {
 	if j.startTime.IsZero() {
 		j.startTime = now
 	}
-	p.openUsageLocked(j, m)
+	p.openUsageLocked(j)
 	p.setStatusLocked(j, StatusRunning)
 }
 
@@ -177,48 +177,55 @@ func (p *Pool) taskDone(j *job) {
 	}
 }
 
-// openUsageLocked decides how a starting job's fair-share usage will be
-// accounted: through a lazily-accrued flow when the sink supports flows
-// and the machine's execution rate is analytically constant (sole
-// occupant, constant-forever load segment), or by eager per-tick
-// supervision otherwise.
-func (p *Pool) openUsageLocked(j *job, m *machine) {
-	if p.fairFlow != nil {
-		if rate, ok := p.flowRateFor(m.node); ok {
-			j.flow = p.fairFlow.OpenFlow(j.owner, m.node.Site, rate)
-			j.flowRate = rate
-			j.supervised = false
-			p.nodeJob[m.node] = j
-			return
-		}
+// openUsageLocked opens j's usage flow against the installed policy, at
+// the rate its node gives its task now; the flow is the one way running
+// CPU reaches a fair-share policy. With no policy that takes flows
+// installed, nothing is accounted.
+func (p *Pool) openUsageLocked(j *job) {
+	if p.fairFlow == nil {
+		return
 	}
-	j.supervised = p.fairSink != nil
+	j.flowRate = p.flowRateForLocked(j)
+	j.flow = p.fairFlow.OpenFlow(j.owner, j.node.Site, j.flowRate)
+	p.nodeJob[j.node] = j
 }
 
-// flowRateFor returns the node's analytic execution rate — (1-load) ×
-// Mips while the sole task runs under a constant-forever load segment —
-// or ok=false when no constant rate exists and the job must be
-// supervised eagerly.
-func (p *Pool) flowRateFor(node *simgrid.Node) (float64, bool) {
-	v, until := node.LoadSegment(p.grid.Engine.Now())
-	if !until.IsZero() || node.TaskCount() != 1 {
-		return 0, false
+// flowRateForLocked returns what j's usage flow accrues per second from
+// now on: what its node gives each running task in the load segment in
+// force (Node.RateSegment), nothing while j's own task is paused. The
+// rate holds until the node's load segment ends or its occupancy changes;
+// the first is folded into flowWakeAt so the pool is woken to ask again,
+// the second reaches the pool as a dirty node.
+func (p *Pool) flowRateForLocked(j *job) float64 {
+	if j.task.State() != simgrid.TaskRunning {
+		return 0
 	}
-	rate := (1 - v) * node.Mips
-	if rate < 0 {
-		rate = 0
-	}
-	return rate, true
+	rate, until := j.node.RateSegment(p.grid.Engine.Now())
+	p.flowWakeAt = earlier(p.flowWakeAt, until)
+	return rate
 }
 
-// closeFlowLocked settles and closes a job's usage flow against its
-// measured CPU-seconds, switching the job back to exact bookkeeping.
+// rerateLocked brings j's usage flow, if it has one, to the rate in force.
+// A flow already at that rate is left alone, so a boundary between equal
+// segments costs the policy's books nothing.
+func (p *Pool) rerateLocked(j *job) {
+	if j.flow == nil {
+		return
+	}
+	if rate := p.flowRateForLocked(j); rate != j.flowRate {
+		j.flowRate = rate
+		j.flow.SetRate(rate)
+	}
+}
+
+// closeFlowLocked settles and closes j's usage flow against the CPU-seconds
+// its task measured: the flow accrues in floats at the node's analytic
+// rate, the node in whole work units, and Close applies the residual.
+// Work carried in from a checkpoint is excluded — the site that ran it
+// accounted for it — and so is what an earlier flow of j's already reported.
 func (p *Pool) closeFlowLocked(j *job) {
-	cpu := p.cpuSecondsLocked(j) - j.cpuBase
-	if cpu < 0 {
-		cpu = 0
-	}
-	j.flow.Close(cpu)
+	cpu := max(p.cpuSecondsLocked(j)-j.cpuBase, 0)
+	j.flow.Close(cpu - j.usageRecorded)
 	j.flow = nil
 	j.usageRecorded = cpu
 	if p.nodeJob[j.node] == j {
@@ -257,32 +264,11 @@ func (p *Pool) wallClockLocked(j *job) time.Duration {
 	return wall
 }
 
-// accrueUsageLocked reports the job's locally-executed CPU-seconds to
-// the fair-share sink incrementally, attributed to the site whose
-// machine ran them — a flocked job charges the peer's site, not this
-// pool's. Checkpointed work carried in from another site is excluded;
-// that site already accounted for it.
-func (p *Pool) accrueUsageLocked(j *job) {
-	if p.fairSink == nil || j.flow != nil {
-		return // flow jobs accrue lazily inside the sink
-	}
-	cpu := p.cpuSecondsLocked(j) - j.cpuBase
-	if delta := cpu - j.usageRecorded; delta > 0 {
-		site := p.site.Name
-		if j.node != nil {
-			site = j.node.Site
-		}
-		p.fairSink.RecordUsage(j.owner, site, delta)
-		j.usageRecorded = cpu
-	}
-}
-
 // setStatusLocked applies a state change, maintains the queue summary
-// counters the wake-up policy reads, and notifies listeners. Jobs
-// reaching a terminal state settle any CPU not yet accounted — closing
-// their usage flow with the measured total, or accruing the eager
-// remainder — and are then sealed: every terminal transition passes here,
-// so this is where a job becomes its terminal record.
+// counters the wake-up policy reads, and notifies listeners. A job
+// reaching a terminal state closes its usage flow with the measured total
+// and is then sealed: every terminal transition passes here, so this is
+// where a job becomes its terminal record.
 func (p *Pool) setStatusLocked(j *job, to Status) {
 	from := j.status
 	j.status = to
@@ -290,21 +276,11 @@ func (p *Pool) setStatusLocked(j *job, to Status) {
 		p.idleCount--
 		p.dequeueIdleLocked(j)
 	}
-	if j.supervised {
-		if from == StatusRunning && to != StatusRunning {
-			p.superviseCount--
-		} else if from != StatusRunning && to == StatusRunning {
-			p.superviseCount++
-		}
-	}
 	if to.Terminal() {
 		p.liveCount--
 		if j.flow != nil {
 			p.closeFlowLocked(j)
-		} else {
-			p.accrueUsageLocked(j)
 		}
-		j.supervised = false
 		j.seal()
 	}
 	p.emitLocked(j, from, to)

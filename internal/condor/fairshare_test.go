@@ -259,11 +259,30 @@ func TestSetPriorityEdgeCases(t *testing.T) {
 	}
 }
 
-// rateLog is a fair-share policy that records, in call order, which
-// owner's usage flow had its rate set to what.
+// rateLog is a fair-share policy that records what the pool does to the
+// usage flows it opens: calls lists, in call order, which owner's flow had
+// its rate set to what; ops lists every call — open, rate, close — with
+// its argument and the instant it was made.
 type rateLog struct {
 	*fairshare.Manager
+	now   func() time.Time
 	calls []string
+	ops   []flowOp
+}
+
+type flowOp struct {
+	op    string // "open", "rate" or "close"
+	owner string
+	v     float64 // the rate opened at or set, or the total closed with
+	at    time.Time
+}
+
+func newRateLog(p *Pool) *rateLog {
+	return &rateLog{Manager: fairManager(p), now: p.grid.Engine.Now}
+}
+
+func (r *rateLog) record(op, owner string, v float64) {
+	r.ops = append(r.ops, flowOp{op, owner, v, r.now()})
 }
 
 type loggedFlow struct {
@@ -273,12 +292,19 @@ type loggedFlow struct {
 }
 
 func (r *rateLog) OpenFlow(tenant, site string, rate float64) fairshare.UsageFlow {
+	r.record("open", tenant, rate)
 	return &loggedFlow{r.Manager.OpenFlow(tenant, site, rate), r, tenant}
 }
 
 func (f *loggedFlow) SetRate(rate float64) {
 	f.log.calls = append(f.log.calls, f.owner+"="+strconv.FormatFloat(rate, 'g', -1, 64))
+	f.log.record("rate", f.owner, rate)
 	f.UsageFlow.SetRate(rate)
+}
+
+func (f *loggedFlow) Close(total float64) {
+	f.log.record("close", f.owner, total)
+	f.UsageFlow.Close(total)
 }
 
 // TestFailRecoverWalkLiveJobsInSubmissionOrder pins what Fail and Recover
@@ -286,7 +312,7 @@ func (f *loggedFlow) SetRate(rate float64) {
 // the pool ever held in whatever order a map yields them.
 func TestFailRecoverWalkLiveJobsInSubmissionOrder(t *testing.T) {
 	g, p := testPool(t, 8)
-	pol := &rateLog{Manager: fairManager(p)}
+	pol := newRateLog(p)
 	p.SetFairShare(pol)
 	owners := []string{"h", "b", "f", "a", "g", "c", "e", "d"}
 	for i, o := range owners {

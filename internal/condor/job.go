@@ -139,13 +139,15 @@ type job struct {
 	// completion is the job's failure (see stopAt).
 	failAfter float64
 
-	// usageRecorded is the locally-executed CPU already reported to the
-	// fair-share sink, so accrual stays incremental and exactly-once.
+	// usageRecorded is the locally-executed CPU already reported through a
+	// flow that has closed — the base the next one reports against — which
+	// for a job that outlives the policy it started under (SetFairShare
+	// mid-run) keeps the accounting exactly-once across the swap.
 	usageRecorded float64
 
-	// flow is the job's lazily-accrued fair-share usage stream (nil when
-	// accruing eagerly), opened against the load segment of node;
-	// flowRate is its current analytic rate.
+	// flow is the job's fair-share usage stream, open while its task
+	// occupies a node and a policy takes flows; flowRate is the rate it was
+	// last given: what the node gives the task, nothing while it is paused.
 	flow     fairshare.UsageFlow
 	flowRate float64
 
@@ -153,12 +155,6 @@ type job struct {
 	// queues: SetPriority bumps it and re-inserts, so the stale entry in
 	// the old priority bucket is skipped rather than searched for.
 	qgen int32
-
-	// supervised marks a running job that needs the per-tick wakeup:
-	// eager fair-share accrual when no usage flow could be opened. The
-	// pool counts supervised running jobs; zero means completions alone
-	// drive the wake schedule.
-	supervised bool
 }
 
 // faulty reports whether fault injection ends the job before its work does.

@@ -13,8 +13,9 @@ import (
 // run one negotiation pass over the refreshed free machines, re-arm.
 
 // onWake folds queued machine/node signals in, harvests task
-// completions, runs one negotiation cycle, and re-arms. A
-// failed (down) pool does not re-arm: Recover requests a fresh wakeup.
+// completions, re-rates the usage flows whose node changed its rate, runs
+// one negotiation cycle, and re-arms. A failed (down) pool does not
+// re-arm: Recover requests a fresh wakeup.
 func (p *Pool) onWake(now time.Time) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -23,50 +24,43 @@ func (p *Pool) onWake(now time.Time) {
 		return
 	}
 	p.obsWakes.Inc()
-	supervising := p.superviseCount > 0
-	did := p.drainDirtyLocked()
-	did += p.harvestLocked(now)
+	did := p.harvestLocked(now)
+	did += p.rerateFlowsLocked(now)
 	did += p.negotiateLocked(now)
-	if did == 0 && !supervising && p.loadWakeAt.IsZero() {
+	if did == 0 && p.loadWakeAt.IsZero() {
 		p.obsIdleWakes.Inc()
 	}
-	p.rearmLocked(now)
+	p.rearmLocked()
 }
 
-// rearmLocked schedules the pool's next wakeup. The per-tick drumbeat
-// survives only while a running job needs per-tick supervision.
-// Otherwise the pool sleeps until an event wakes it — with one analytic
-// exception: when idle jobs went unmatched and some free machine's
-// advertised load will change at a known instant (a segment boundary —
-// the next tick, under an opaque load), the pass recorded that instant in
-// loadWakeAt.
-func (p *Pool) rearmLocked(now time.Time) {
-	if p.superviseCount > 0 {
-		p.wake.Request(now.Add(p.grid.Engine.Tick()))
-		return
+// rearmLocked schedules the pool's next wakeup. The pool sleeps until an
+// event wakes it, with two analytic exceptions, both the end of a load
+// segment (the next tick, under an opaque load): the earliest instant a
+// free machine's advertised load changes while idle jobs went unmatched
+// (loadWakeAt, recorded by the last pass), and the earliest instant the
+// rate of a node carrying one of the pool's usage flows changes
+// (flowWakeAt). Nothing here asks for the next tick as such.
+func (p *Pool) rearmLocked() {
+	if at := earlier(p.loadWakeAt, p.flowWakeAt); !at.IsZero() {
+		p.wake.Request(at)
 	}
-	if !p.loadWakeAt.IsZero() {
-		p.wake.Request(p.loadWakeAt)
+}
+
+// earlier returns the earlier of two instants, a zero one standing for
+// never.
+func earlier(a, b time.Time) time.Time {
+	if a.IsZero() || !b.IsZero() && b.Before(a) {
+		return b
 	}
+	return a
 }
 
 // harvestLocked takes jobs whose tasks ran out to their terminal state:
 // exactly the jobs whose completion deadlines fired (doneQ), in ID order,
 // with the active list compacting lazily. A done task needs no Remove: the
-// node dropped it the moment it completed. While any running job is
-// supervised (no usage flow fits its machine) the pass first walks every
-// active job, accruing usage tick by tick so a tenant holding machines
-// with long jobs is penalized while it runs — not only when the job
-// finally completes (Condor's periodic usage update does the same).
-// Returns the number of jobs taken to a terminal state.
+// node dropped it the moment it completed. Returns the number of jobs
+// taken to a terminal state.
 func (p *Pool) harvestLocked(now time.Time) int {
-	if p.superviseCount > 0 {
-		for _, j := range p.active {
-			if j.status == StatusRunning && j.task != nil {
-				p.accrueUsageLocked(j)
-			}
-		}
-	}
 	ended := 0
 	if len(p.doneQ) > 1 {
 		slices.SortFunc(p.doneQ, func(a, b *job) int { return cmp.Compare(a.id, b.id) })
@@ -104,49 +98,41 @@ func (p *Pool) finishLocked(j *job, now time.Time) {
 	p.produceOutputLocked(j)
 }
 
-// drainDirtyLocked folds queued node-change notifications in: each
-// dirty node carrying a flow-accounted job gets its analytic rate
-// re-derived — adjusted in place when the node still qualifies, or the
-// flow is closed and the job demoted to eager supervision when it no
-// longer does (a second task landed, or the load is no longer a
-// constant segment). Returns the number of flows looked at.
-func (p *Pool) drainDirtyLocked() int {
+// rerateFlowsLocked re-derives usage-flow rates where a node's per-task
+// rate may have changed since the flow was last rated: on the nodes whose
+// observer fired (someone else placed or removed a task there, or replaced
+// the load), and — once the earliest end of a load segment among the nodes
+// carrying a flow has come (flowWakeAt) — on every such node, which also
+// finds the next such instant. The work follows the running flows, never
+// the queue. Flows are visited in job-ID order: several re-rated at one
+// instant move one account's rate by float additions, and nodeJob is a
+// map. The harvest has already closed the flows of jobs completing at this
+// wake. Returns the number of flows looked at.
+func (p *Pool) rerateFlowsLocked(now time.Time) int {
 	p.relMu.Lock()
 	dirty := p.dirtyNodes
 	p.dirtyNodes = p.dirtyScratch[:0]
 	p.relMu.Unlock()
 	p.dirtyScratch = dirty
-	flows := 0
-	for _, node := range dirty {
-		j := p.nodeJob[node]
-		if j == nil || j.flow == nil {
-			continue
+	due := p.flowScratch[:0]
+	if !p.flowWakeAt.IsZero() && !now.Before(p.flowWakeAt) {
+		p.flowWakeAt = time.Time{}
+		for _, j := range p.nodeJob {
+			due = append(due, j)
 		}
-		flows++
-		if j.task != nil && j.task.State() == simgrid.TaskDone {
-			// Completing at this very wake (the completion is what marked
-			// the node dirty): the harvest's terminal settle closes the
-			// flow exactly. Demoting to eager supervision here would force
-			// a full active-list walk for every completion.
-			continue
-		}
-		rate, ok := p.flowRateFor(node)
-		if !ok {
-			p.closeFlowLocked(j)
-			j.supervised = p.fairSink != nil
-			if j.supervised && j.status == StatusRunning {
-				p.superviseCount++
-			}
-			continue
-		}
-		if rate != j.flowRate {
-			j.flowRate = rate
-			if j.status == StatusRunning {
-				j.flow.SetRate(rate)
+	} else {
+		for _, node := range dirty {
+			if j := p.nodeJob[node]; j != nil {
+				due = append(due, j)
 			}
 		}
 	}
-	return flows
+	slices.SortFunc(due, func(a, b *job) int { return cmp.Compare(a.id, b.id) })
+	for _, j := range due {
+		p.rerateLocked(j)
+	}
+	p.flowScratch = due
+	return len(due)
 }
 
 // produceOutputLocked materializes the job's declared output file in the
@@ -257,9 +243,7 @@ func (st *freeStats) observe(until time.Time) {
 }
 
 func (st *freeStats) merge(o freeStats) {
-	if !o.until.IsZero() && (st.until.IsZero() || o.until.Before(st.until)) {
-		st.until = o.until
-	}
+	st.until = earlier(st.until, o.until)
 }
 
 // refreshFreeLocked prepares the pool's free machines for one negotiation

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/classad"
 	"repro/internal/fairshare"
+	"repro/internal/simgrid"
 )
 
 // The seed's negotiation path, kept as the behavioral specification for
@@ -141,4 +142,46 @@ func pickMachineReference(jobAd *classad.Ad, machines []*machine, now time.Time)
 		}
 	}
 	return best
+}
+
+// eagerAccrual is the accrual path usage flows replaced, kept as their
+// oracle: woken every tick, it reads the CPU of each running job of the
+// pool it watches and records with sink what was executed since its last
+// reading, attributed to the site whose machine ran it. It must be
+// registered with the engine ahead of the pool (newEagerAccrual before
+// NewPool, pool set afterwards) and the pool ahead of its nodes: it then
+// reads, at every boundary, the work the nodes have settled through the
+// boundary before, which is what a flow opened and re-rated at the pool's
+// turn has integrated, and it sees every job's last delta before the pool's
+// harvest seals the job later in the same boundary. Terminal transitions
+// made between boundaries (Remove) are not followed.
+type eagerAccrual struct {
+	pool     *Pool
+	sink     fairshare.Sink
+	wake     *simgrid.Wake
+	recorded map[int]float64
+}
+
+func newEagerAccrual(e *simgrid.Engine, sink fairshare.Sink) *eagerAccrual {
+	d := &eagerAccrual{sink: sink, recorded: make(map[int]float64)}
+	d.wake = e.Register(d.onWake)
+	d.wake.Request(e.Now())
+	return d
+}
+
+func (d *eagerAccrual) onWake(now time.Time) {
+	p := d.pool
+	p.mu.Lock()
+	for _, j := range p.active {
+		if j.status != StatusRunning || j.task == nil {
+			continue
+		}
+		cpu := p.cpuSecondsLocked(j) - j.cpuBase
+		if delta := cpu - d.recorded[j.id]; delta > 0 {
+			d.sink.RecordUsage(j.owner, j.node.Site, delta)
+			d.recorded[j.id] = cpu
+		}
+	}
+	p.mu.Unlock()
+	d.wake.Request(now.Add(p.grid.Engine.Tick()))
 }

@@ -16,13 +16,28 @@ import (
 // boundary lowers the load. The pool computes those boundaries
 // analytically (loadWakeAt); a Step loop visits every boundary anyway.
 // Their traces must be byte-identical, and the event run must stay sparse
-// when every load is piecewise. An opaque NoisyLoad machine pins the
-// per-tick fallback.
+// when every load is piecewise. An opaque NoisyLoad machine is a segment
+// per tick, through the same path.
 
-func runPiecewiseParityScenario(t *testing.T, runFor func(*simgrid.Engine, time.Duration), noisy bool) (*driverTrace, int64) {
+// piecewiseScenario is the scenario, built and not yet run: mgr is the
+// fair-share policy installed on pool, tr collects the pool's transitions.
+type piecewiseScenario struct {
+	g    *simgrid.Grid
+	pool *Pool
+	mgr  *fairshare.Manager
+	tr   *driverTrace
+}
+
+// buildPiecewiseScenario builds the scenario with a policy of the given
+// half-life. ahead, when set, runs on the fresh engine before anything
+// registers with it: what it registers gets its turn ahead of the pool.
+func buildPiecewiseScenario(t *testing.T, noisy bool, halfLife time.Duration, ahead func(*simgrid.Engine)) *piecewiseScenario {
 	t.Helper()
 	epoch := time.Date(2005, 1, 1, 0, 0, 0, 0, time.UTC)
 	g := simgrid.NewGrid(time.Second, 1)
+	if ahead != nil {
+		ahead(g.Engine)
+	}
 	site := g.AddSite("s")
 	pool := NewPool("s", g, site)
 
@@ -39,7 +54,7 @@ func runPiecewiseParityScenario(t *testing.T, runFor func(*simgrid.Engine, time.
 		pool.AddMachine(site.AddNode(g.Engine, "noisy", 1, simgrid.NoisyLoad(simgrid.ConstantLoad(0.4), 0.2, 5)), nil)
 	}
 
-	mgr := fairshare.NewManager(fairshare.Config{Clock: g.Engine.Clock(), HalfLife: time.Minute})
+	mgr := fairshare.NewManager(fairshare.Config{Clock: g.Engine.Clock(), HalfLife: halfLife})
 	pool.SetFairShare(mgr)
 
 	tr := &driverTrace{}
@@ -63,9 +78,15 @@ func runPiecewiseParityScenario(t *testing.T, runFor func(*simgrid.Engine, time.
 			}
 		})
 	}
-	runFor(g.Engine, 3*time.Hour)
-	tr.outcomes = collectOutcomes(t, pool)
-	return tr, g.Engine.Ticks()
+	return &piecewiseScenario{g, pool, mgr, tr}
+}
+
+func runPiecewiseParityScenario(t *testing.T, runFor func(*simgrid.Engine, time.Duration), noisy bool) (*driverTrace, int64) {
+	t.Helper()
+	sc := buildPiecewiseScenario(t, noisy, time.Minute, nil)
+	runFor(sc.g.Engine, 3*time.Hour)
+	sc.tr.outcomes = collectOutcomes(t, sc.pool)
+	return sc.tr, sc.g.Engine.Ticks()
 }
 
 func TestDriverEquivalencePiecewiseLoads(t *testing.T) {
@@ -83,10 +104,13 @@ func TestDriverEquivalencePiecewiseLoads(t *testing.T) {
 	if completed == 0 {
 		t.Fatal("no job completed; scenario is vacuous")
 	}
-	// Piecewise loads everywhere: the event run needs at most one wake
-	// per load segment, not one per tick.
-	if evN*10 > tickN {
-		t.Fatalf("RunFor visited %d boundaries vs %d ticks — expected ≥10x sparser", evN, tickN)
+	// Piecewise loads everywhere: the event run wakes for the jobs' events
+	// and at the ends of load segments while something waits on one — a
+	// machine for an idle job, or a running job's usage flow — never at a
+	// tick for being a tick: 69 boundaries of 10 800 (430 while the flows of
+	// jobs on these machines were accrued tick by tick).
+	if evN*100 > tickN {
+		t.Fatalf("RunFor visited %d boundaries vs %d ticks — expected ≥100x sparser", evN, tickN)
 	}
 }
 

@@ -29,14 +29,15 @@ var ErrNoSuchJob = fmt.Errorf("condor: no such job")
 // placed or removed, an ad attribute written). What the pool does to its
 // own machines inside a pass wakes nobody: a placement it just made
 // offers it nothing new, and a completion reaches it through the task's
-// done callback, which requests the one wake that harvests it. A
-// periodic (once-per-tick) wakeup survives only while state must be
-// re-examined as time passes: idle jobs waiting on machines whose load is
-// an opaque function of time (Requirements like `LoadAvg < 0.5` may flip
-// at any tick; piecewise-constant loads wake the pool at their next
-// segment boundary instead), and running jobs whose fair-share usage must
-// be accrued eagerly because no usage flow fits their machine. A drained
-// pool with no queue costs the simulation nothing.
+// done callback, which requests the one wake that harvests it. Time
+// passing wakes the pool in two cases only, both the end of a load
+// segment: idle jobs waiting on free machines whose advertised load is
+// about to change (Requirements like `LoadAvg < 0.5` may flip there), and
+// running jobs whose fair-share usage flow must be re-rated because their
+// node's rate changes there. Under a piecewise-constant load that is the
+// segment's boundary; under an opaque function of time every tick is one,
+// which is what such a load costs and the only per-tick wake-up left. A
+// drained pool with no queue costs the simulation nothing.
 //
 // The negotiation hot path is indexed: free machines are maintained
 // incrementally in per-architecture buckets as jobs start and finish
@@ -66,8 +67,8 @@ type Pool struct {
 	// jobs holds every job the pool ever held, job id at jobs[id-1].
 	jobs []*job
 	// active lists the non-terminal jobs in submission order; harvest
-	// compacts terminal entries out so per-tick passes cost O(live jobs),
-	// not O(every job ever submitted).
+	// compacts terminal entries out so a walk of it costs O(live jobs), not
+	// O(every job ever submitted).
 	active      []*job
 	idleScratch []*job
 	peerScratch []*machine
@@ -93,10 +94,12 @@ type Pool struct {
 	down        bool
 	flockPeer   *Pool
 	listeners   []func(Event)
-	fair        fairshare.Ranker
-	fairSink    fairshare.Sink
-	fairFlow    fairshare.FlowSink
-	fairStart   fairshare.StartObserver
+	// fair orders negotiation; fairFlow and fairStart are the same policy
+	// seen as what running jobs' usage flows open against and as what hears
+	// of job starts, nil when it is neither.
+	fair      fairshare.Ranker
+	fairFlow  fairshare.FlowSink
+	fairStart fairshare.StartObserver
 	// negotiateOracle, when set, runs in place of the negotiation pass. It
 	// is nil outside the golden-parity test, which installs the reference
 	// negotiator of oracle_test.go here.
@@ -107,27 +110,31 @@ type Pool struct {
 	// under the static policy.
 	owners map[string]*ownerQueue
 
-	// idleCount / liveCount / superviseCount summarize the queue so the
-	// wake-up policy never walks it: idle jobs awaiting a match,
-	// non-terminal jobs (for lazy active-list compaction), and running
-	// jobs that need per-tick supervision (eager fair-share accrual).
-	// When superviseCount is zero the pool wakes
-	// only on events — submit, machine freed, ad mutated, node changed,
-	// completion deadline — plus the analytic load-segment boundary
-	// computed by the last pass (loadWakeAt).
-	idleCount      int
-	liveCount      int
-	superviseCount int
-	loadWakeAt     time.Time
+	// idleCount / liveCount summarize the queue so the wake-up policy never
+	// walks it: idle jobs awaiting a match, and non-terminal jobs (for lazy
+	// active-list compaction). The pool wakes only on events — submit,
+	// machine freed, ad mutated, node changed, completion deadline — plus
+	// two analytic instants, each the end of a load segment: loadWakeAt, the
+	// earliest change of a free machine's advertised load, computed by the
+	// last pass while idle jobs went unmatched; and flowWakeAt, the earliest
+	// change of rate on a node carrying one of the pool's usage flows, kept
+	// as flows are rated and recomputed when it comes due.
+	idleCount  int
+	liveCount  int
+	loadWakeAt time.Time
+	flowWakeAt time.Time
 
 	// doneQ collects jobs whose completion deadline fired since the last
 	// harvest, which finishes exactly these instead of walking every
 	// active job.
 	doneQ []*job
 
-	// nodeJob maps a node to the flow-accounted job running on it, so
-	// node-change notifications can re-rate or demote the flow.
-	nodeJob map[*simgrid.Node]*job
+	// nodeJob maps a node to the job of this pool whose usage flow is open
+	// on it — all the open flows there are — so node-change notifications
+	// and load boundaries can re-rate them; flowScratch is the reused list
+	// of the ones a wake re-rates.
+	nodeJob     map[*simgrid.Node]*job
+	flowScratch []*job
 
 	// relMu guards pendingRel, the cross-pool release queue. A flocked
 	// job's terminal transition can run on an arbitrary API goroutine
@@ -167,8 +174,8 @@ type Pool struct {
 }
 
 // SetTelemetry registers the pool's negotiation metrics in reg, labeled
-// by site: wake-ups, idle wake-ups (nothing harvested, nothing matched,
-// no flow re-rated, no supervised job and no load boundary to wait for —
+// by site: wake-ups, idle wake-ups (nothing harvested, no usage flow
+// looked at, nothing matched, and no idle job waiting for a load boundary —
 // a wake nothing needed), negotiation passes (those with at least one
 // idle job), matches started, wall-clock pass duration, and what the
 // passes' picks cost: ordered views built (from empty: one Rank per free
@@ -370,20 +377,22 @@ func (p *Pool) EnableFlocking(peer *Pool) {
 // SetFairShare installs a fair-share policy: negotiation (and the
 // reported queue position) orders idle jobs by fairshare.LessKeys over
 // pol's keys instead of static priority with FIFO, making the queue
-// time-aware. If pol also implements fairshare.Sink — as
-// *fairshare.Manager does — the CPU-seconds each job executed here are
-// recorded as owner usage at this pool's site when the job reaches a
-// terminal state, closing the accounting loop the paper's stack lacks. A
-// nil pol restores the static ordering.
+// time-aware. If pol also implements fairshare.FlowSink — as
+// *fairshare.Manager does — the CPU-seconds each job executes here accrue
+// to its owner at the executing site while it runs, through a usage flow
+// closed with the measured total when the job reaches a terminal state,
+// closing the accounting loop the paper's stack lacks. A nil pol restores
+// the static ordering.
 func (p *Pool) SetFairShare(pol fairshare.Ranker) {
 	if fairshare.IsNil(pol) {
 		pol = nil
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	// Settle usage flows opened against the outgoing sink before the
-	// policy swap: each closes with its measured total, so the old sink's
-	// books end exactly where the eager path's would.
+	// A running job's usage flow follows the policy across the swap: it
+	// closes against the outgoing sink with its measured total, so those
+	// books end where the job stands, and reopens against the incoming one
+	// to report what is executed from here on.
 	for _, j := range p.active {
 		if j.flow != nil {
 			p.closeFlowLocked(j)
@@ -391,23 +400,18 @@ func (p *Pool) SetFairShare(pol fairshare.Ranker) {
 	}
 	rekey := (pol == nil) != (p.fair == nil)
 	p.fair = pol
-	p.fairSink, _ = pol.(fairshare.Sink)
 	p.fairFlow, _ = pol.(fairshare.FlowSink)
 	p.fairStart, _ = pol.(fairshare.StartObserver)
 	if rekey {
 		p.rebuildQueuesLocked()
 	}
-	// Re-derive supervision for running jobs under the new policy:
-	// existing jobs accrue eagerly (flows open only at start and rebind).
-	p.superviseCount = 0
-	for _, j := range p.active {
-		j.supervised = p.fairSink != nil
-		if j.supervised && j.status == StatusRunning {
-			p.superviseCount++
+	if p.fairFlow != nil {
+		for _, j := range p.active {
+			if j.task != nil {
+				p.openUsageLocked(j)
+			}
 		}
-	}
-	if p.fairSink != nil {
-		p.requestWake() // running jobs now need per-tick usage accrual
+		p.rearmLocked() // an opened flow may have a load boundary to be woken at
 	}
 }
 
@@ -428,9 +432,7 @@ func (p *Pool) Fail() {
 	for _, j := range p.active {
 		if j.status == StatusRunning && j.task != nil {
 			j.task.Suspend()
-			if j.flow != nil {
-				j.flow.SetRate(0) // tasks stop progressing while down
-			}
+			p.rerateLocked(j) // tasks stop progressing while down
 		}
 	}
 }
@@ -444,9 +446,7 @@ func (p *Pool) Recover() {
 	for _, j := range p.active {
 		if j.status == StatusRunning && j.task != nil {
 			j.task.Resume()
-			if j.flow != nil {
-				j.flow.SetRate(j.flowRate)
-			}
+			p.rerateLocked(j)
 		}
 	}
 	p.requestWake()

@@ -140,9 +140,10 @@ func (p *Pool) requeueRestoredLocked(j *job) {
 
 // rebindLocked re-places a restored job on its leased machine: the task
 // restarts with the remaining work, the claim is re-taken, the usage flow
-// reopens (the fair-share policy must already hold its restored accounts:
-// a flow feeds the accounts it finds), and the status is reinstated
-// without events or fair-share start observation.
+// reopens at the load segment in force at the restored instant — at
+// nothing for a suspended job — (the fair-share policy must already hold
+// its restored accounts: a flow feeds the accounts it finds), and the
+// status is reinstated without events or fair-share start observation.
 func (p *Pool) rebindLocked(j *job, m *machine, now time.Time) {
 	remaining := j.stopAt() - j.cpuBase
 	if remaining <= 0 {
@@ -159,16 +160,10 @@ func (p *Pool) rebindLocked(j *job, m *machine, now time.Time) {
 		return
 	}
 	p.runTaskLocked(j, m, remaining)
-	p.openUsageLocked(j, m)
 	if j.status == StatusSuspended {
 		j.task.Suspend()
-		if j.flow != nil {
-			j.flow.SetRate(0) // a paused task consumes nothing
-		}
 	}
-	if j.supervised && j.status == StatusRunning {
-		p.superviseCount++
-	}
+	p.openUsageLocked(j)
 }
 
 // machineByNameLocked resolves an advertised machine by node name.

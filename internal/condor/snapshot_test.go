@@ -317,23 +317,35 @@ func TestRestoredRunningJobKeepsWallClock(t *testing.T) {
 
 // TestRestoredPoolReopensUsageFlows: a recovered pool under a fair-share
 // manager accounts its re-bound jobs the way the process that never
-// crashed does — through usage flows. So it wakes for completions, not at
-// every tick until the last pre-crash job ends, and every tenant's usage
-// ends where the uncrashed twin's does (both sides accrue in closed form;
-// the recovered side's integral is cut once more, at the capture instant:
-// the flow path's 1e-9 relative tolerance, "only float association
-// differs"). The nodes are registered ahead of the pool, so a task starts
-// accruing at the boundary its flow opens at: behind a pool that goes
-// first, a task also accrues the tick that ends at its placement, which
-// its flow only makes up at Close — work a capture in between attributes
-// to the job and not yet to the tenant.
+// crashed does — through usage flows. So it wakes for completions and for
+// the load boundaries its flows are re-rated at, not at every tick until
+// the last pre-crash job ends, and every tenant's usage ends where the
+// uncrashed twin's does (both sides accrue in closed form; the recovered
+// side's integral is cut once more, at the capture instant: the flow
+// path's 1e-9 relative tolerance, "only float association differs"). Under
+// the stepped load the capture falls in mid-segment: the recovered flows
+// open at the rate of the segment in force — at nothing, for the suspended
+// job — and must find the boundaries still ahead. The nodes are registered
+// ahead of the pool, so a task starts accruing at the boundary its flow
+// opens at: behind a pool that goes first, a task also accrues the tick
+// that ends at its placement, which its flow only makes up at Close — work
+// a capture in between attributes to the job and not yet to the tenant.
 func TestRestoredPoolReopensUsageFlows(t *testing.T) {
+	epoch := time.Date(2005, 1, 1, 0, 0, 0, 0, time.UTC)
+	steps := []time.Duration{400 * time.Second, 800 * time.Second}
+	t.Run("idle", func(t *testing.T) { testRestoredPoolReopensUsageFlows(t, simgrid.IdleLoad(), 0) })
+	t.Run("stepped", func(t *testing.T) {
+		testRestoredPoolReopensUsageFlows(t, simgrid.StepLoad(epoch, steps, []float64{0.25, 0.5, 0}), len(steps))
+	})
+}
+
+func testRestoredPoolReopensUsageFlows(t *testing.T, load simgrid.Load, boundaries int) {
 	build := func() (*simgrid.Grid, *Pool, *fairshare.Manager, *telemetry.Registry) {
 		g := simgrid.NewGrid(time.Second, 1)
 		site := g.AddSite("siteA")
 		var nodes []*simgrid.Node
 		for i := 0; i < 4; i++ {
-			nodes = append(nodes, site.AddNode(g.Engine, nodeName(i), 1, simgrid.IdleLoad()))
+			nodes = append(nodes, site.AddNode(g.Engine, nodeName(i), 1, load))
 		}
 		p := NewPool("poolA", g, site)
 		for _, n := range nodes {
@@ -378,8 +390,8 @@ func TestRestoredPoolReopensUsageFlows(t *testing.T) {
 	if completed != 2 {
 		t.Fatalf("%d jobs completed after recovery, want 2", completed)
 	}
-	if wakes := reg2.Snapshot().Total("pool_wakes_total") - wakes0; wakes > float64(completed)+2 {
-		t.Errorf("recovered pool woke %v times over 1000 ticks for %d completions", wakes, completed)
+	if wakes := reg2.Snapshot().Total("pool_wakes_total") - wakes0; wakes > float64(completed+boundaries)+2 {
+		t.Errorf("recovered pool woke %v times over 1000 ticks for %d completions and %d load boundaries", wakes, completed, boundaries)
 	}
 	for _, tenant := range []string{"alice", "bob"} {
 		want, got := fs.Usage(tenant), fs2.Usage(tenant)

@@ -24,6 +24,8 @@ import (
 	"os"
 	"sync"
 	"time"
+
+	"repro/internal/durable"
 )
 
 // TaskRecord is one completed task in the history. The fields mirror the
@@ -133,7 +135,9 @@ func (h *History) similarRuns(tpl Template, target *TaskRecord) (runtimes, reqs 
 	return runtimes, reqs
 }
 
-// Save writes the history as JSON to path.
+// Save writes the history as JSON to path, replacing the file atomically:
+// a save that fails, or a crash in the middle of one, leaves the previous
+// history whole.
 func (h *History) Save(path string) error {
 	h.mu.RLock()
 	data, err := json.MarshalIndent(h.records, "", "  ")
@@ -141,7 +145,7 @@ func (h *History) Save(path string) error {
 	if err != nil {
 		return fmt.Errorf("estimator: encoding history: %w", err)
 	}
-	return os.WriteFile(path, data, 0o644)
+	return durable.WriteFileAtomic(path, data, 0o644)
 }
 
 // Load replaces the history contents from a JSON file written by Save.

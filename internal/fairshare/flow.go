@@ -2,15 +2,15 @@ package fairshare
 
 import "time"
 
-// UsageFlow is one job's constant-rate usage stream. The execution
-// service opens a flow when a job starts on a machine whose execution
-// rate is analytically known (constant background load, sole occupant),
-// adjusts the rate when the machine's picture changes, and closes it
-// with the exact executed total when the job reaches a terminal state.
-// Between those calls the owning accounts accrue the flow lazily, in
-// closed form, at read points — replacing the per-tick RecordUsage
-// drumbeat that otherwise forces a pool wake-up every tick for every
-// running job.
+// UsageFlow is one job's usage stream: a chain of constant-rate intervals,
+// each of which meets the next. The execution service opens a flow when a
+// job's task takes a node, at the rate the node gives the task; sets the
+// rate anew at the instants it changes — the end of a load segment, a
+// change in the number of tasks running on the node, suspend and resume —
+// and closes it with the exact executed total when the job reaches a
+// terminal state. Between those calls the owning accounts accrue the flow
+// lazily, in closed form, at read points: running CPU reaches the policy
+// while the job runs, and nothing is read tick by tick.
 type UsageFlow interface {
 	// SetRate changes the flow's inflow (CPU-seconds per second of
 	// simulated time) from now on; accrual so far is settled first.
@@ -18,14 +18,16 @@ type UsageFlow interface {
 	// Close settles the flow and reconciles it against the exact total
 	// CPU-seconds the job actually executed: any residual between the
 	// analytic integral and the measured total is applied as an
-	// instantaneous usage correction, so terminal accounting matches the
-	// eager path to float precision. A closed flow is inert.
+	// instantaneous usage correction, so terminal accounting is the
+	// measured CPU to float precision. A closed flow is inert.
 	Close(total float64)
 }
 
-// FlowSink is the optional Sink extension for lazily-accrued usage.
-// Pools probe for it with a type assertion; sinks that only implement
-// RecordUsage keep receiving eager per-tick deltas.
+// FlowSink is the Sink extension through which an execution service
+// accounts running CPU, and the only way it does: pools probe the installed
+// policy for it with a type assertion and report nothing to one that lacks
+// it. RecordUsage stays for usage that arrives as amounts — the quota
+// ledger's charges.
 type FlowSink interface {
 	Sink
 	OpenFlow(tenant, site string, rate float64) UsageFlow

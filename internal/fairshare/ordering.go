@@ -126,9 +126,9 @@ func LessKeys(a, b JobRef, ka, kb SortKey) bool {
 	return a.Seq < b.Seq
 }
 
-// Sink receives consumed usage. The execution service reports the
-// CPU-seconds of each job reaching a terminal state; the quota service's
-// ledger subscribers report charged usage.
+// Sink receives consumed usage as amounts: the quota service's ledger
+// subscribers report charged usage through it. The execution service
+// reports running jobs' CPU through the FlowSink extension instead.
 type Sink interface {
 	RecordUsage(tenant, site string, cpuSeconds float64)
 }

@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"repro/internal/condor"
+	"repro/internal/durable"
 	"repro/internal/monalisa"
 	"repro/internal/simgrid"
 )
@@ -83,7 +84,8 @@ func (db *DBManager) Len() int {
 
 // Save persists the repository to a JSON file — each Job Monitoring
 // Service instance owns "a database repository" in the paper; this is its
-// durability path.
+// durability path. The file is replaced atomically: a save that fails, or
+// a crash in the middle of one, leaves the previous repository whole.
 func (db *DBManager) Save(path string) error {
 	db.mu.RLock()
 	data, err := json.MarshalIndent(db.records, "", "  ")
@@ -91,7 +93,7 @@ func (db *DBManager) Save(path string) error {
 	if err != nil {
 		return fmt.Errorf("jobmon: encoding repository: %w", err)
 	}
-	return os.WriteFile(path, data, 0o644)
+	return durable.WriteFileAtomic(path, data, 0o644)
 }
 
 // Load replaces the repository contents from a file written by Save.

@@ -1,9 +1,12 @@
 package jobmon
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -404,5 +407,56 @@ func TestPollSnapshotsLiveJobsOnly(t *testing.T) {
 	if got, room := after.TotalAlloc-before.TotalAlloc, uint64(64*unsafe.Sizeof(condor.JobInfo{})); got > room {
 		t.Fatalf("one poll allocated %d bytes, %d snapshots' worth; want under 64 with 3 jobs live and %d held",
 			got, got/uint64(unsafe.Sizeof(condor.JobInfo{})), len(all))
+	}
+}
+
+// TestDBManagerSaveReplacesAtomically: the repository file is never
+// written in place. A save that cannot complete — here the name is so long
+// that no temp file fits beside it — says so and leaves the previous
+// repository byte for byte; one that completes swaps the new file in whole,
+// so that a reader holding the previous one open still reads all of it, and
+// leaves no temp file behind.
+func TestDBManagerSaveReplacesAtomically(t *testing.T) {
+	g, pool, _, svc := newFixture(t)
+	submit(t, pool, 10, 0)
+	g.Engine.RunFor(15 * time.Second)
+	dir := t.TempDir()
+	previous := []byte(`{"the previous":"repository"}`)
+
+	long := filepath.Join(dir, strings.Repeat("r", 250))
+	if err := os.WriteFile(long, previous, 0o644); err != nil {
+		t.Skipf("no 250-byte file names here: %v", err)
+	}
+	if err := svc.DB.Save(long); err == nil {
+		t.Error("a save with no room for its temp file reported success")
+	}
+	if got, err := os.ReadFile(long); err != nil || !bytes.Equal(got, previous) {
+		t.Errorf("after the failed save the previous file reads %q (%v), want %q", got, err, previous)
+	}
+
+	path := filepath.Join(dir, "jobdb.json")
+	if err := os.WriteFile(path, previous, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reader, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reader.Close()
+	if err := svc.DB.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := io.ReadAll(reader); err != nil || !bytes.Equal(got, previous) {
+		t.Errorf("a reader of the previous file got %q (%v) across the save, want %q", got, err, previous)
+	}
+	if err := NewDBManager(nil).Load(path); err != nil {
+		t.Errorf("loading the saved repository: %v", err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 2 {
+		t.Errorf("the saves left %d files in the directory, want the 2 saved to: %v", len(entries), entries)
 	}
 }

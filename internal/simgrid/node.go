@@ -457,6 +457,23 @@ func (n *Node) perTickLocked(k int64, m int) (step uint64, last int64) {
 	return perTick(v, n.Mips, m, n.eng.tick), last
 }
 
+// RateSegment reports what each running task accrues, in CPU-seconds per
+// second of simulated time, in the load segment holding t, and when that
+// segment ends (zero: never). It is the float reading of the rule
+// perTickLocked quantises: the free capacity (1-load)·Mips, shared equally
+// among the running tasks — a suspended neighbour takes nothing. With
+// nothing running it is what a sole task would get.
+func (n *Node) RateSegment(t time.Time) (perTask float64, until time.Time) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	v, until := n.seg.Segment(t)
+	perTask = (1 - v) * n.Mips
+	if m, _ := n.leastLeftLocked(); m > 1 {
+		perTask /= float64(m)
+	}
+	return perTask, until
+}
+
 // leastLeftLocked counts the running tasks and copies out the accrual
 // state of the one with the least work left. Running tasks share the node
 // equally, so whatever the load does they all accrue the same work: that

@@ -40,7 +40,12 @@ type millionScale struct {
 	machines   int // per pool
 	jobs       int // total
 	tick       time.Duration
-	mips, load float64       // of every machine; zero mips means 1 (idle Mips-1 machines by default)
+	mips, load float64 // of every machine; zero mips means 1 (idle Mips-1 machines by default)
+	// steps, when set, cuts every machine's load into segments ending at
+	// these offsets, each at the same level: boundaries the pools' usage
+	// flows must be woken at, between rates that leave every job where the
+	// constant load has it.
+	steps      []time.Duration
 	baseNeed   float64       // seconds on these machines; stagger adds (job % 509) whole seconds
 	horizon    time.Duration // past the last completion of the deepest machine
 	simSeconds float64
@@ -84,6 +89,14 @@ func buildMillionScenario(tb testing.TB, sc millionScale, reg *telemetry.Registr
 		sc.mips = 1
 	}
 	rate := (1 - sc.load) * sc.mips
+	load := simgrid.ConstantLoad(sc.load)
+	if len(sc.steps) > 0 {
+		levels := make([]float64, len(sc.steps)+1)
+		for i := range levels {
+			levels[i] = sc.load
+		}
+		load = simgrid.StepLoad(g.Engine.Now(), sc.steps, levels)
+	}
 	pools := make([]*condor.Pool, sc.pools)
 	for p := range pools {
 		name := fmt.Sprintf("site%d", p)
@@ -93,7 +106,7 @@ func buildMillionScenario(tb testing.TB, sc millionScale, reg *telemetry.Registr
 			pool.SetTelemetry(reg)
 		}
 		for i := 0; i < sc.machines; i++ {
-			pool.AddMachine(site.AddNode(g.Engine, fmt.Sprintf("%s-n%05d", name, i), sc.mips, simgrid.ConstantLoad(sc.load)), nil)
+			pool.AddMachine(site.AddNode(g.Engine, fmt.Sprintf("%s-n%05d", name, i), sc.mips, load), nil)
 		}
 		mgr := fairshare.NewManager(fairshare.Config{Clock: g.Engine.Clock(), HalfLife: time.Hour})
 		pool.SetFairShare(mgr)
@@ -167,7 +180,11 @@ func BenchmarkScenarioMillionJobs(b *testing.B) {
 // 1.5 under a 0.3 load at a 10 ms tick (no power of two anywhere in the
 // per-tick work), and the same jobs with every seventh failing by
 // AttrFailAfter where it would have completed, cost exactly the events
-// and wakes of the idle Mips-1 leg at 2⁻⁷ s.
+// and wakes of the idle Mips-1 leg at 2⁻⁷ s. A load that steps costs one
+// wake of each pool per step, where its running jobs' usage flows are
+// re-rated, and nothing else: the loaded leg again with its load cut into
+// three segments, off the whole seconds the completions land on, is the
+// same counts plus one event and one wake per pool per boundary.
 func TestMillionSmokeCounts(t *testing.T) {
 	count := func(name string, sc millionScale) (events, wakes float64) {
 		reg := telemetry.NewRegistry()
@@ -205,6 +222,12 @@ func TestMillionSmokeCounts(t *testing.T) {
 		if e, w := count(name, sc); e != events || w != wakes {
 			t.Errorf("%s: %v events and %v wakes, the dyadic leg %v and %v — the counts depend on the load model or on AttrFailAfter", name, e, w, events, wakes)
 		}
+	}
+	stepped := loaded
+	stepped.steps = []time.Duration{5000*time.Second + 500*time.Millisecond, 15000*time.Second + 500*time.Millisecond}
+	rerates := float64(stepped.pools * len(stepped.steps))
+	if e, w := count("stepped load", stepped); e != events+rerates || w != wakes+rerates {
+		t.Errorf("stepped load: %v events and %v wakes, want the constant legs' %v and %v plus %v: one wake per pool per step boundary", e, w, events, wakes, rerates)
 	}
 }
 
