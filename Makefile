@@ -40,9 +40,12 @@ bench-test:
 # Then 10 s of the journal scanner on arbitrary and corrupted journals: it
 # never panics, returns a prefix of what was written, and the length it
 # verified — what Open cuts the file to — rescans clean to the same ops.
+# Then 10 s of the same contract for the history segment's scanner, under
+# every record count a snapshot could name.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeAgainstEncodingXML -fuzztime 20s ./internal/xmlrpc
 	$(GO) test -run '^$$' -fuzz FuzzJournalReplay -fuzztime 10s ./internal/durable
+	$(GO) test -run '^$$' -fuzz FuzzHistoryReplay -fuzztime 10s ./internal/durable
 
 # Short-run scenario smoke: exercises the discrete-event engine end to
 # end without the full sweep. The million-job scenario runs at its
@@ -61,13 +64,16 @@ fuzz-smoke:
 # MillionSmokeCounts), six hours of two jobs under a diurnal load visit a
 # boundary a minute and not one a second (WeatherIsEventDriven), and a
 # usage flow is re-rated at its node's load boundaries by wakes that count
-# them (FlowFollowsLoadSegments). Last, what one monitoring reply costs the
+# them (FlowFollowsLoadSegments). Then what one monitoring reply costs the
 # wire codec, the typed client and the serving mux, in allocations that
-# repeat exactly.
+# repeat exactly. Last, what a checkpoint writes and allocates: the same
+# after 10 new charges whether 100 or 10 000 were billed before them
+# (CheckpointFollowsDelta).
 bench-smoke:
 	GAE_SCENARIO_SCALE=smoke $(GO) test -run xxx -bench Scenario -benchtime 1x .
 	$(GO) test -run 'MillionSmokeCounts|JobBytesCeiling|RankEvalsFollowChanges|SegmentCalls|WeatherIsEventDriven|FlowFollowsLoadSegments' -count=1 . ./internal/condor ./internal/simgrid
 	$(GO) test -run 'WireAllocCeilings|ServeAllocCeiling' -count=1 ./pkg/gae ./internal/xmlrpc
+	$(GO) test -run 'CheckpointFollowsDelta' -count=1 ./internal/core
 
 # Closed-loop serving smoke: the gae-loadgen mixed workload against an
 # embedded durable deployment — exits non-zero if any operation fails.

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"os"
@@ -29,7 +28,7 @@ func TestProducerCoversEveryStateField(t *testing.T) {
 	g := New(durableConfig())
 	var got []string
 	g.persistMu.Lock()
-	err := g.emitStateLocked(func(field string, value any) {
+	err := g.emitStateLocked(0, func(field string, value any) {
 		if i := len(got); i < st.NumField() && reflect.TypeOf(value) != st.Field(i).Type {
 			t.Errorf("section %d (%q) emitted as %T, want %v", i, field, value, st.Field(i).Type)
 		}
@@ -44,68 +43,13 @@ func TestProducerCoversEveryStateField(t *testing.T) {
 	}
 }
 
-// TestLegacyIndentedSnapshotRestores: testdata/snapshot_v1_indented.json
-// was written by the SetIndent encoder this repository used before
-// snapshots were streamed compact (same SnapshotVersion). It must still
-// load, restore, and capture back to the state it holds.
-func TestLegacyIndentedSnapshotRestores(t *testing.T) {
-	raw, err := os.ReadFile(filepath.Join("testdata", "snapshot_v1_indented.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(raw, []byte("\n    \"pools\": [\n")) {
-		t.Fatal("the fixture is not the indented form any more")
-	}
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, durable.SnapshotFile), raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, err := durable.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	snap, _ := s.Recovery()
-	if snap == nil || snap.LastSeq != 6 {
-		t.Fatalf("fixture loaded as %+v, want a snapshot at seq 6", snap)
-	}
-	want, err := durable.EncodeState(&snap.State)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := New(durableConfig())
-	if err := g.AttachStore(s); err != nil {
-		t.Fatal(err)
-	}
-	if got := encodeState(t, g); !bytes.Equal(want, got) {
-		diffLines(t, want, got)
-	}
-	// And the next checkpoint rewrites it compact, one section per line.
-	if err := g.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	compact, err := os.ReadFile(filepath.Join(dir, durable.SnapshotFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lines := bytes.Count(compact, []byte("\n")); lines != 10 || len(compact) >= len(raw)*2/3 {
-		t.Fatalf("re-checkpointed fixture is %d bytes on %d lines (indented: %d bytes), want 9 sections and a closing line", len(compact), lines, len(raw))
-	}
-	again, err := durable.DecodeSnapshot(compact)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, err := durable.EncodeState(&again.State); err != nil || !bytes.Equal(want, got) {
-		t.Fatalf("the compact rewrite holds a different state (err %v)", err)
-	}
-}
-
 // TestCheckpointAllocCeiling bounds what a checkpoint allocates against
-// what it writes: at most 8 bytes per byte of snapshot on a first, cold
-// checkpoint (4.5 measured, 2.1 MB for this state; capturing a whole
-// State and then encoding it, indented, as one document took 7.5 MB, 8.9
-// per byte of a file twice the size). The state is sized so that the
-// ledger and the plans — sections of thousands of entries — dominate.
+// what it writes — snapshot plus the history records it appends: at most
+// 8 bytes per byte on a first, cold checkpoint (2.9 measured, 1.4 MB for
+// this state; capturing a whole State and then encoding it, indented, as
+// one document took 7.5 MB, 8.9 per byte of a file twice the size). The
+// state is sized so that the ledger and the plans — sections of thousands
+// of entries — dominate.
 func TestCheckpointAllocCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -156,13 +100,87 @@ func TestCheckpointAllocCeiling(t *testing.T) {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&m1)
-	fi, err := os.Stat(filepath.Join(dir, durable.SnapshotFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ratio := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(fi.Size())
-	t.Logf("checkpoint allocated %d bytes to write %d: %.1fx", m1.TotalAlloc-m0.TotalAlloc, fi.Size(), ratio)
+	written := fileSize(t, dir, durable.SnapshotFile) + fileSize(t, dir, durable.HistoryFile)
+	ratio := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(written)
+	t.Logf("checkpoint allocated %d bytes to write %d: %.1fx", m1.TotalAlloc-m0.TotalAlloc, written, ratio)
 	if ratio > 8 {
 		t.Errorf("checkpoint allocated %.1f bytes per byte written, ceiling 8", ratio)
 	}
+}
+
+// TestCheckpointFollowsDelta: what a checkpoint writes and allocates
+// follows live state plus what was billed since the previous one, not the
+// length of the ledger. A checkpoint after 10 new charges on top of 10 000
+// old ones writes within 64 bytes (the digits of larger counts and sums;
+// 3 244 against 3 211 measured) and allocates within a tenth (138–143 KB
+// both) of what it does on top of 100. With the ledger in the snapshot it
+// wrote 1 383 171 bytes against 16 940 and allocated 1.6 MB against 88 KB.
+func TestCheckpointFollowsDelta(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	ctx := context.Background()
+	measure := func(old int) (written, allocated int64) {
+		cfg := durableConfig()
+		cfg.IdemWindow = 16 // full in both runs: the window is live state
+		g := New(cfg)
+		root := g.Client("root")
+		if err := root.Grant(ctx, "alice", 1e6); err != nil {
+			t.Fatal(err)
+		}
+		charge := func(n int) {
+			for i := 0; i < n; i++ {
+				if _, err := root.ChargeUsage(ctx, gae.ChargeRequest{User: "alice", Site: "siteA", CPUSeconds: 1, Note: "imported"}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		charge(old)
+		s, err := durable.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if err := g.AttachStore(s); err != nil {
+			t.Fatal(err)
+		}
+		if err := g.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		charge(10)
+		var m0, m1 runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m0)
+		if err := g.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&m1)
+		snap := g.Telemetry.Snapshot()
+		bytes, _ := snap.Value("checkpoint_bytes", "")
+		if records, _ := snap.Value("checkpoint_history_records", ""); records != 10 {
+			t.Fatalf("the checkpoint after 10 charges on top of %d appended %v history records", old, records)
+		}
+		if got := len(g.Quota.Ledger("")); got != old+10 {
+			t.Fatalf("the ledger holds %d entries, want %d", got, old+10)
+		}
+		return int64(bytes), int64(m1.TotalAlloc - m0.TotalAlloc)
+	}
+	smallW, smallA := measure(100)
+	largeW, largeA := measure(10000)
+	t.Logf("on top of 100 charges: %d bytes written, %d allocated; on top of 10 000: %d written, %d allocated", smallW, smallA, largeW, largeA)
+	if largeW > smallW+64 {
+		t.Errorf("a checkpoint on top of 10 000 charges wrote %d bytes, %d on top of 100: it should follow the 10 new ones", largeW, smallW)
+	}
+	if largeA > smallA+smallA/10 {
+		t.Errorf("a checkpoint on top of 10 000 charges allocated %d bytes, %d on top of 100: it should follow the 10 new ones", largeA, smallA)
+	}
+}
+
+func fileSize(t *testing.T, dir, name string) int64 {
+	t.Helper()
+	fi, err := os.Stat(filepath.Join(dir, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fi.Size()
 }

@@ -94,10 +94,12 @@ func (g *GAE) Store() *durable.Store {
 	return g.store
 }
 
-// Checkpoint streams the full deployment state into the store's snapshot
-// and truncates the journal it supersedes. It takes the durability
-// barrier exclusively, so no journaled RPC is in flight while the state
-// is read. Without an attached store it does nothing.
+// Checkpoint streams the deployment state into the store — live state
+// into the snapshot, the ledger entries billed since the last checkpoint
+// into the history segment — and truncates the journal it supersedes. It
+// takes the durability barrier exclusively, so no journaled RPC is in
+// flight while the state is read. Without an attached store it does
+// nothing.
 func (g *GAE) Checkpoint() error {
 	g.persistMu.Lock()
 	defer g.persistMu.Unlock()
@@ -113,14 +115,16 @@ func (g *GAE) Checkpoint() error {
 func (g *GAE) CaptureState() (durable.State, error) {
 	g.persistMu.Lock()
 	defer g.persistMu.Unlock()
-	return durable.CollectState(g.emitStateLocked)
+	return durable.CollectState(func(emit durable.Emit) error { return g.emitStateLocked(0, emit) })
 }
 
 // emitStateLocked is the one list of what a deployment's state is made
 // of: it exports each durable.State section in field order and hands it
 // to emit before exporting the next, so a checkpoint holds one section at
 // a time. Checkpoint writes the sections out; CaptureState collects them.
-func (g *GAE) emitStateLocked(emit durable.Emit) error {
+// The ledger is emitted from entry ledgerFrom on: everything for a
+// capture, what the store's history segment lacks for a checkpoint.
+func (g *GAE) emitStateLocked(ledgerFrom int, emit durable.Emit) error {
 	ttl := g.leaseTTL
 	if ttl <= 0 {
 		ttl = DefaultLeaseTTL
@@ -140,7 +144,11 @@ func (g *GAE) emitStateLocked(emit durable.Emit) error {
 		fair = g.FairShare.Export()
 	}
 	emit("fair_share", fair)
-	emit("quota", g.Quota.Export())
+	quota, err := g.Quota.Export(ledgerFrom)
+	if err != nil {
+		return err
+	}
+	emit("quota", quota)
 	emit("replicas", g.Replicas.Export())
 	plans, err := g.exportPlans()
 	if err != nil {

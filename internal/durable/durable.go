@@ -1,9 +1,10 @@
 // Package durable is the persistence layer of the GAE reproduction: a
-// versioned snapshot codec plus an append-only RPC journal (write-ahead
-// log), combined by a Store into the classic checkpoint cycle — snapshot
-// the full state, truncate the journal, append every mutating RPC as it
-// is acknowledged, and on restart load the latest snapshot and replay the
-// journal tail.
+// versioned snapshot codec, an append-only RPC journal (write-ahead log)
+// and an append-only history segment, combined by a Store into the classic
+// checkpoint cycle — append what history gained, snapshot the live state,
+// truncate the journal, append every mutating RPC as it is acknowledged,
+// and on restart load the latest snapshot with the history it stands on
+// and replay the journal tail.
 //
 // The paper's GAE exists to "store the state of users' analysis sessions"
 // across interactive logins; this package is what lets a gae-server crash
@@ -25,20 +26,31 @@
 // of memory rather than the state several times over — into a temp file
 // that is fsynced and atomically renamed, so a crash can never leave a
 // torn snapshot: the previous one survives until the new one is
-// complete. Snapshots of the same version written indented, as one
-// document, load unchanged.
+// complete.
 //
-// The journal is a stream of length-prefixed, CRC-checked records:
+// The journal and the history segment are streams of length-prefixed,
+// CRC-checked records:
 //
 //	uvarint payload length | uint32 little-endian CRC-32 (IEEE) | payload
 //
-// Appends are made durable by group commit: concurrent appenders batch
-// into a single write+fsync, and Append returns only after the record's
-// batch is on disk. Recovery scans the longest verified prefix and cuts
-// the file to it: an incomplete record at the tail (a torn write) goes
-// silently, while a CRC mismatch on a complete record reports ErrCorrupt
-// alongside the verified prefix — replay never panics, never applies
-// unverified bytes, and new records never land behind them.
+// Journal appends are made durable by group commit: concurrent appenders
+// batch into a single write+fsync, and Append returns only after the
+// record's batch is on disk. Recovery scans the longest verified prefix
+// and cuts the file to it: an incomplete record at the tail (a torn write)
+// goes silently, while a CRC mismatch on a complete record reports
+// ErrCorrupt alongside the verified prefix — replay never panics, never
+// applies unverified bytes, and new records never land behind them.
+//
+// The history segment holds what is immutable once written — the quota
+// ledger, one entry per record — so that a checkpoint costs live state
+// plus what changed, not everything that ever happened. A checkpoint
+// appends the entries billed since the previous one and fsyncs them, and
+// only then renames in a snapshot that records how many history records it
+// stands on. Recovery reads exactly that many and cuts the rest: they
+// belong to a checkpoint that died between its append and its rename, and
+// the journal, not yet truncated, still holds the ops that re-create
+// them. A segment that verifies fewer records than the snapshot counts is
+// an error, never a shorter ledger.
 package durable
 
 import (

@@ -2,6 +2,8 @@ package durable
 
 import (
 	"bytes"
+	"encoding/json"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -85,6 +87,67 @@ func FuzzJournalReplay(f *testing.F) {
 				if op.Seq != want.Seq && err == nil {
 					t.Fatalf("silent divergence at op %d: got seq %d want %d", i, op.Seq, want.Seq)
 				}
+			}
+		}
+	})
+}
+
+// FuzzHistoryReplay feeds arbitrary bytes, and corrupted copies of a valid
+// segment, to the history scanner under every record limit a snapshot
+// could name. The contract is the journal's: never panic; return only
+// records that passed their CRC, so a corruption of a valid segment yields
+// a prefix of what was written; and the verified length — what Open cuts
+// the file to — rescans clean to the same records.
+func FuzzHistoryReplay(f *testing.F) {
+	epoch := time.Date(2005, 6, 1, 0, 0, 0, 0, time.UTC)
+	var valid []byte
+	var validLedger []QuotaCharge
+	for i := 0; i < 3; i++ {
+		c := QuotaCharge{Time: epoch.Add(time.Duration(i) * time.Second), User: "alice", Site: "siteA", CPUSeconds: float64(i), Credits: 0.5, Note: "n"}
+		validLedger = append(validLedger, c)
+		payload, err := json.Marshal(c)
+		if err != nil {
+			f.Fatal(err)
+		}
+		valid = appendFrame(valid, payload)
+	}
+	third := len(valid) / 3
+
+	f.Add(valid, -1, byte(0), 3)
+	f.Add(valid, -1, byte(0), 2)
+	f.Add(valid, -1, byte(0), 0)
+	f.Add(valid, 0, byte(0xFF), 3)
+	f.Add(valid, len(valid)/2, byte(0x01), 3)
+	f.Add(valid[:third+third/2], -1, byte(0), 3)
+	f.Add([]byte{}, -1, byte(0), 1)
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}, -1, byte(0), 1)
+	f.Add(appendFrame(nil, []byte(`{"time":"not a time"}`)), -1, byte(0), 1)
+
+	f.Fuzz(func(t *testing.T, data []byte, flipAt int, flipWith byte, limit int) {
+		input := append([]byte(nil), data...)
+		if flipAt >= 0 && flipAt < len(input) {
+			input[flipAt] ^= flipWith
+		}
+		ledger, verified, err := scanHistory(bytes.NewReader(input), limit)
+		if verified < 0 || verified > int64(len(input)) {
+			t.Fatalf("verified length %d of a %d-byte input", verified, len(input))
+		}
+		if limit >= 0 && len(ledger) > limit {
+			t.Fatalf("%d records returned under a limit of %d", len(ledger), limit)
+		}
+		if len(ledger) == limit && err != nil {
+			t.Fatalf("the limit was reached and the scan still failed: %v", err)
+		}
+		again, size, aerr := scanHistory(bytes.NewReader(input[:verified]), len(ledger))
+		if aerr != nil || size != verified || len(again) != len(ledger) || (len(ledger) > 0 && !reflect.DeepEqual(again, ledger)) {
+			t.Fatalf("verified prefix rescans as %d records over %d of %d bytes, err %v; the scan returned %d, err %v", len(again), size, verified, aerr, len(ledger), err)
+		}
+		if bytes.Equal(data, valid) {
+			if len(ledger) > len(validLedger) || (len(ledger) > 0 && !reflect.DeepEqual(ledger, validLedger[:len(ledger)])) {
+				t.Fatalf("a corruption of the valid segment diverged from it: %+v (err %v)", ledger, err)
+			}
+			if bytes.Equal(input, valid) && limit >= len(validLedger) && (err != nil || len(ledger) != len(validLedger)) {
+				t.Fatalf("valid segment misread: %d records, err %v", len(ledger), err)
 			}
 		}
 	})

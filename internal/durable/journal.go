@@ -228,33 +228,30 @@ func (j *Journal) Close() error {
 	return nil
 }
 
-// scanOps reads journal records from r, hands visit each op of the
-// longest verified prefix in order, and returns that prefix's length in
-// bytes. The prefix ends
+// scanRecords reads framed records from r — the journal's framing, which
+// the history segment shares — hands visit each payload of the longest
+// verified prefix in order, and returns that prefix's length in bytes. The
+// prefix ends
 //
 //   - at a clean end of stream, or at an incomplete record — a torn write
 //     from a crash mid-append — with a nil error;
-//   - at a complete record whose declared length, CRC, payload or sequence
-//     number is invalid, with ErrCorrupt: the file was damaged, not merely
-//     torn (a checksummed payload that is no op, or ops out of order, mean
-//     writer and reader disagree or the damage forged a checksum).
+//   - at a complete record whose declared length or CRC is invalid, with
+//     ErrCorrupt: the file was damaged, not merely torn;
+//   - before a record visit refuses, with visit's error.
 //
-// Callers replay the prefix either way and cut the file at the returned
-// length; ErrCorrupt only decides whether to warn. Any other error is r's
-// own. Each record is decoded as it is verified, out of one reused
-// buffer: a scan holds the ops, never the file. It never panics on
-// arbitrary input.
-func scanOps(r io.Reader, visit func(Op)) (int64, error) {
+// The payload is valid only during the call: every record is verified in
+// one reused buffer, so a scan holds what visit keeps, never the file. Any
+// other error is r's own. It never panics on arbitrary input.
+func scanRecords(r io.Reader, visit func(n int, payload []byte) error) (int64, error) {
 	br := bufio.NewReaderSize(r, 64<<10)
 	var verified int64
 	var rec []byte // CRC + payload of the record at hand
-	var lastSeq uint64
 	for n := 0; ; n++ {
 		hdr, perr := br.Peek(binary.MaxVarintLen64) // short at the end of the stream
 		size, w := binary.Uvarint(hdr)
 		if w == 0 && perr != nil {
 			if perr == io.EOF {
-				return verified, nil // clean end of journal, or a torn length prefix
+				return verified, nil // clean end of stream, or a torn length prefix
 			}
 			return verified, perr
 		}
@@ -275,17 +272,33 @@ func scanOps(r io.Reader, visit func(Op)) (int64, error) {
 		if crc32.ChecksumIEEE(rec[4:]) != binary.LittleEndian.Uint32(rec) {
 			return verified, fmt.Errorf("%w: checksum mismatch on record %d", ErrCorrupt, n)
 		}
-		op, err := DecodeOp(rec[4:])
-		if err != nil {
+		if err := visit(n, rec[4:]); err != nil {
 			return verified, err
 		}
+		verified += int64(w) + int64(len(rec))
+	}
+}
+
+// scanOps is scanRecords over a journal: each payload must decode as an
+// op, in strictly increasing sequence order, or the prefix ends there with
+// ErrCorrupt (a checksummed payload that is no op, or ops out of order,
+// mean writer and reader disagree or the damage forged a checksum).
+// Callers replay the prefix either way and cut the file at the returned
+// length; ErrCorrupt only decides whether to warn.
+func scanOps(r io.Reader, visit func(Op)) (int64, error) {
+	var lastSeq uint64
+	return scanRecords(r, func(n int, payload []byte) error {
+		op, err := DecodeOp(payload)
+		if err != nil {
+			return err
+		}
 		if n > 0 && op.Seq <= lastSeq {
-			return verified, fmt.Errorf("%w: op %d sequence %d not after %d", ErrCorrupt, n, op.Seq, lastSeq)
+			return fmt.Errorf("%w: op %d sequence %d not after %d", ErrCorrupt, n, op.Seq, lastSeq)
 		}
 		lastSeq = op.Seq
 		visit(op)
-		verified += int64(w) + int64(len(rec))
-	}
+		return nil
+	})
 }
 
 // recoverJournal opens the journal at path for appending after scanning

@@ -19,8 +19,11 @@ import (
 // after every value is legal JSON whitespace and leaves one section per
 // line. The document decodes to exactly what json.Marshal of the
 // equivalent Snapshot decodes to — sections that State tags omitempty are
-// left out when empty — without the State ever existing in memory.
-func writeSnapshot(w io.Writer, lastSeq uint64, simTime time.Time, produce func(Emit) error) error {
+// left out when empty — without the State ever existing in memory. One
+// thing is not in the document: the quota section's ledger goes to history
+// (the store's segment append), and the count history returns — the
+// records the snapshot stands on — closes the envelope.
+func writeSnapshot(w io.Writer, lastSeq uint64, simTime time.Time, produce func(Emit) error, history func([]QuotaCharge) (int, error)) error {
 	stamp, err := json.Marshal(simTime.UTC())
 	if err != nil {
 		return fmt.Errorf("durable: encoding snapshot time: %w", err)
@@ -30,7 +33,16 @@ func writeSnapshot(w io.Writer, lastSeq uint64, simTime time.Time, produce func(
 	}
 	enc := json.NewEncoder(w)
 	sep := ""
+	covered := 0
 	err = consume(produce, func(_ int, name string, omitEmpty bool, v reflect.Value) error {
+		if q, ok := v.Interface().(QuotaState); ok {
+			var err error
+			if covered, err = history(q.Ledger); err != nil {
+				return err
+			}
+			q.Ledger = nil
+			v = reflect.ValueOf(q)
+		}
 		if omitEmpty && isEmptyValue(v) {
 			return nil
 		}
@@ -46,7 +58,7 @@ func writeSnapshot(w io.Writer, lastSeq uint64, simTime time.Time, produce func(
 	if err != nil {
 		return err
 	}
-	_, err = io.WriteString(w, "}}\n")
+	_, err = fmt.Fprintf(w, "},\"history_records\":%d}\n", covered)
 	return err
 }
 

@@ -32,6 +32,20 @@ func producerOf(st *State) func(Emit) error {
 	}
 }
 
+// checkpointOf is producerOf in the form Store.Checkpoint takes: the
+// ledger from the entry asked for on.
+func checkpointOf(st *State) func(int, Emit) error {
+	return func(ledgerFrom int, emit Emit) error {
+		cut := *st
+		cut.Quota.Ledger = st.Quota.Ledger[ledgerFrom:]
+		return producerOf(&cut)(emit)
+	}
+}
+
+// countLedger stands in for the history segment where a test streams a
+// snapshot into memory: it holds nothing and counts what it is handed.
+func countLedger(ledger []QuotaCharge) (int, error) { return len(ledger), nil }
+
 // fullState has every State field populated; the test below fails on a
 // field added to State and not to this literal.
 func fullState() State {
@@ -73,7 +87,7 @@ func fullState() State {
 func streamSnapshot(t *testing.T, lastSeq uint64, simTime time.Time, produce func(Emit) error) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := writeSnapshot(&buf, lastSeq, simTime, produce); err != nil {
+	if err := writeSnapshot(&buf, lastSeq, simTime, produce, countLedger); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -83,7 +97,8 @@ func streamSnapshot(t *testing.T, lastSeq uint64, simTime time.Time, produce fun
 // document it replaced: for a State with every field populated and for
 // the zero State (whose quota and steering sections are never omitted),
 // the streamed bytes are, whitespace aside, json.Marshal of the
-// equivalent Snapshot — so DecodeSnapshot reads old and new alike.
+// equivalent Snapshot — the one whose ledger has gone to the history
+// segment and been counted.
 func TestStreamedSnapshotMatchesMarshal(t *testing.T) {
 	full := fullState()
 	fv := reflect.ValueOf(full)
@@ -105,9 +120,14 @@ func TestStreamedSnapshotMatchesMarshal(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			streamed := streamSnapshot(t, 42, simTime, producerOf(&tc.st))
-			marshaled, err := json.Marshal(&Snapshot{Version: SnapshotVersion, LastSeq: 42, SimTime: simTime.UTC(), State: tc.st})
+			onDisk := tc.st
+			onDisk.Quota.Ledger = nil
+			marshaled, err := json.Marshal(&Snapshot{Version: SnapshotVersion, LastSeq: 42, SimTime: simTime.UTC(), State: onDisk, HistoryRecords: len(tc.st.Quota.Ledger)})
 			if err != nil {
 				t.Fatal(err)
+			}
+			if bytes.Contains(streamed, []byte(`"ledger"`)) {
+				t.Fatalf("the ledger reached the snapshot document:\n%s", streamed)
 			}
 			var got, want bytes.Buffer
 			if err := json.Compact(&got, streamed); err != nil {
@@ -154,7 +174,7 @@ func TestSectionOrderEnforced(t *testing.T) {
 	}
 	for name, emits := range bad {
 		produce := func(emit Emit) error { emits(emit); return nil }
-		if err := writeSnapshot(&bytes.Buffer{}, 1, storeEpoch, produce); err == nil {
+		if err := writeSnapshot(&bytes.Buffer{}, 1, storeEpoch, produce, countLedger); err == nil {
 			t.Errorf("writeSnapshot accepted a producer that is %s", name)
 		}
 		if _, err := CollectState(produce); err == nil {

@@ -9,8 +9,9 @@ import (
 )
 
 // SnapshotVersion is the current snapshot format version. Loaders reject
-// versions they do not understand instead of guessing.
-const SnapshotVersion = 1
+// versions they do not understand instead of guessing. Version 2 moved the
+// quota ledger out of the document into the history segment.
+const SnapshotVersion = 2
 
 // Snapshot is the durable image of a full deployment at one instant.
 type Snapshot struct {
@@ -22,6 +23,11 @@ type Snapshot struct {
 	// advances a fresh engine to it before injecting state.
 	SimTime time.Time `json:"sim_time"`
 	State   State     `json:"state"`
+	// HistoryRecords is how many records of the history segment the
+	// snapshot stands on: State.Quota.Ledger is exactly those, and is not
+	// in the document. Records behind them belong to a checkpoint that
+	// never landed and are cut at Open.
+	HistoryRecords int `json:"history_records"`
 }
 
 // State is the serializable form of every mutable GAE domain: Condor job
@@ -195,6 +201,10 @@ type FairShareTenant struct {
 
 // QuotaState captures user balances and the charge ledger. Site rates are
 // deployment configuration and are rebuilt from the Config, not restored.
+// A ledger entry never changes once billed, so on disk the ledger lives in
+// the history segment, appended to and never rewritten: a producer asked
+// for the entries from a cursor on emits only those, a checkpoint moves
+// them to the segment, and Open puts the covered ones back here.
 type QuotaState struct {
 	Balances []QuotaBalance `json:"balances,omitempty"`
 	Ledger   []QuotaCharge  `json:"ledger,omitempty"`

@@ -16,16 +16,18 @@ import (
 const (
 	SnapshotFile = "snapshot.json"
 	JournalFile  = "journal.wal"
+	HistoryFile  = "history.log"
 )
 
 // Store combines the snapshot codec and the journal into the checkpoint
 // cycle: Open recovers the latest snapshot plus the journal's verified
 // tail, Append journals acknowledged mutations with fresh sequence
-// numbers, and Checkpoint atomically writes a new snapshot then truncates
-// the journal.
+// numbers, and Checkpoint appends the new history records, atomically
+// writes a new snapshot that counts them, then truncates the journal.
 type Store struct {
 	dir     string
 	journal *Journal
+	history *history
 
 	mu  sync.Mutex
 	seq uint64 // last sequence number assigned
@@ -43,6 +45,7 @@ type Store struct {
 	obsCkpts       *telemetry.Counter
 	obsCkptSeconds *telemetry.Histogram
 	obsCkptBytes   *telemetry.Gauge
+	obsCkptHistory *telemetry.Gauge
 }
 
 // SetTelemetry registers the store's checkpoint metrics in reg and
@@ -52,14 +55,16 @@ func (s *Store) SetTelemetry(reg *telemetry.Registry) {
 	s.obsCkpts = reg.Counter("checkpoints_total")
 	s.obsCkptSeconds = reg.Histogram("checkpoint_seconds", nil)
 	s.obsCkptBytes = reg.Gauge("checkpoint_bytes")
+	s.obsCkptHistory = reg.Gauge("checkpoint_history_records")
 	s.journal.SetTelemetry(reg)
 }
 
-// Open prepares dir (creating it if needed), loads the latest snapshot,
-// scans the journal's verified prefix, and opens the journal for
-// appending. A torn or corrupt journal is not fatal: the verified prefix
-// is kept, whatever follows it is cut off the file, and ScanWarning
-// reports corruption.
+// Open prepares dir (creating it if needed), loads the latest snapshot
+// and the history records it stands on, scans the journal's verified
+// prefix, and opens journal and history for appending. A torn or corrupt
+// journal is not fatal: the verified prefix is kept, whatever follows it
+// is cut off the file, and ScanWarning reports corruption. History past
+// the snapshot's count is cut the same way; history short of it is fatal.
 func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("durable: creating data dir: %w", err)
@@ -69,9 +74,16 @@ func Open(dir string) (*Store, error) {
 		return nil, err
 	}
 
-	seq := uint64(0)
+	seq, covered := uint64(0), 0
 	if snap != nil {
-		seq = snap.LastSeq
+		seq, covered = snap.LastSeq, snap.HistoryRecords
+	}
+	hist, ledger, err := recoverHistory(filepath.Join(dir, HistoryFile), covered)
+	if err != nil {
+		return nil, err
+	}
+	if snap != nil {
+		snap.State.Quota.Ledger = ledger
 	}
 	// Keep only ops past the snapshot horizon; a checkpoint that crashed
 	// between snapshot write and journal truncate leaves covered ops
@@ -84,11 +96,13 @@ func Open(dir string) (*Store, error) {
 		}
 	})
 	if err != nil {
+		hist.f.Close()
 		return nil, err
 	}
 	return &Store{
 		dir:      dir,
 		journal:  j,
+		history:  hist,
 		seq:      seq,
 		snapshot: snap,
 		tail:     tail,
@@ -156,17 +170,25 @@ func (s *Store) Append(at time.Time, user, service, method, requestID string, ar
 
 // Checkpoint streams a snapshot of the state produce emits (stamped with
 // the current version and sequence horizon) into place atomically, then
-// truncates the journal. The caller must ensure no Append races the call
-// — in the server the checkpointer holds the mutation barrier.
-func (s *Store) Checkpoint(simTime time.Time, produce func(Emit) error) error {
+// truncates the journal. produce is told how many ledger entries the
+// history segment already holds and emits the ledger from there on: those
+// entries are appended to the segment and fsynced before the snapshot that
+// counts them is renamed in, so a checkpoint writes live state plus what
+// history gained, never history again. The caller must ensure no Append
+// races the call — in the server the checkpointer holds the mutation
+// barrier.
+func (s *Store) Checkpoint(simTime time.Time, produce func(ledgerFrom int, emit Emit) error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var t0 time.Time
 	if s.obsCkpts != nil {
 		t0 = time.Now() //lint:walltime telemetry: real checkpoint latency for operator metrics, never read back into store state
 	}
+	heldRecords, heldSize := s.history.records, s.history.size
 	size, err := writeAtomic(filepath.Join(s.dir, SnapshotFile), 0o644, s.wrapTemp, func(w io.Writer) error {
-		return writeSnapshot(w, s.seq, simTime, produce)
+		return writeSnapshot(w, s.seq, simTime, func(emit Emit) error {
+			return produce(s.history.records, emit)
+		}, s.history.append)
 	})
 	if err != nil {
 		return err
@@ -177,7 +199,8 @@ func (s *Store) Checkpoint(simTime time.Time, produce func(Emit) error) error {
 	if s.obsCkpts != nil {
 		s.obsCkpts.Inc()
 		s.obsCkptSeconds.Observe(time.Since(t0).Seconds()) //lint:walltime telemetry: real checkpoint latency for operator metrics, never read back into store state
-		s.obsCkptBytes.Set(float64(size))
+		s.obsCkptBytes.Set(float64(size + s.history.size - heldSize))
+		s.obsCkptHistory.Set(float64(s.history.records - heldRecords))
 	}
 	return nil
 }
@@ -185,5 +208,8 @@ func (s *Store) Checkpoint(simTime time.Time, produce func(Emit) error) error {
 // Dir returns the store's data directory.
 func (s *Store) Dir() string { return s.dir }
 
-// Close flushes and closes the journal.
-func (s *Store) Close() error { return s.journal.Close() }
+// Close flushes and closes the journal, and closes the history segment.
+func (s *Store) Close() error {
+	s.history.f.Close() // nothing to lose: the checkpoint that appended a record fsynced it
+	return s.journal.Close()
+}

@@ -40,7 +40,7 @@ func TestStoreCheckpointCycle(t *testing.T) {
 		}
 	}
 	st := State{UserState: map[string]map[string]string{"alice": {"k": "v"}}}
-	if err := s.Checkpoint(storeEpoch.Add(5*time.Second), producerOf(&st)); err != nil {
+	if err := s.Checkpoint(storeEpoch.Add(5*time.Second), checkpointOf(&st)); err != nil {
 		t.Fatal(err)
 	}
 	// Post-checkpoint appends form the replay tail.
@@ -98,7 +98,7 @@ func TestStoreSkipsCoveredOps(t *testing.T) {
 	// Write the snapshot directly (bypassing Checkpoint's truncate) to
 	// model the torn checkpoint.
 	_, err = writeAtomic(filepath.Join(dir, SnapshotFile), 0o644, nil, func(w io.Writer) error {
-		return writeSnapshot(w, 3, storeEpoch, producerOf(&State{}))
+		return writeSnapshot(w, 3, storeEpoch, producerOf(&State{}), countLedger)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -203,18 +203,26 @@ func TestWriteFileAtomicReplaces(t *testing.T) {
 	}
 }
 
+// TestSnapshotVersionRejected: a loader reads its own version only —
+// version 1, whose ledger sat in the document, as much as one from the
+// future.
 func TestSnapshotVersionRejected(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, SnapshotFile)
-	data, err := json.Marshal(&Snapshot{Version: 99, SimTime: storeEpoch})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadSnapshot(path); err == nil {
-		t.Fatal("version 99 snapshot should be rejected")
+	for _, version := range []int{1, 99} {
+		dir := t.TempDir()
+		path := filepath.Join(dir, SnapshotFile)
+		data, err := json.Marshal(&Snapshot{Version: version, SimTime: storeEpoch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadSnapshot(path); err == nil {
+			t.Fatalf("version %d snapshot should be rejected", version)
+		}
+		if _, err := Open(dir); err == nil {
+			t.Fatalf("Open should refuse a version %d snapshot", version)
+		}
 	}
 }
 

@@ -132,12 +132,19 @@ func NewCollector(db *DBManager, repo *monalisa.Repository) *Collector {
 	return &Collector{db: db, repo: repo, pools: make(map[string]*condor.Pool)}
 }
 
-// Watch subscribes the collector to an execution service's events.
+// Watch subscribes the collector to an execution service's events. A
+// transition that leaves the job live is published to MonALISA as it
+// happens — the repository's event log is bounded, a backlog here is not —
+// and only a terminal one, whose snapshot needs the pool, waits for Drain.
 func (c *Collector) Watch(pool *condor.Pool) {
 	c.mu.Lock()
 	c.pools[pool.Name] = pool
 	c.mu.Unlock()
 	pool.Subscribe(func(e condor.Event) {
+		if !e.To.Terminal() {
+			c.publish(e)
+			return
+		}
 		c.mu.Lock()
 		c.events = append(c.events, e)
 		notify := c.notify
@@ -146,6 +153,15 @@ func (c *Collector) Watch(pool *condor.Pool) {
 			notify()
 		}
 	})
+}
+
+// publish sends one transition to MonALISA ("sends an update to MonALISA
+// whenever the state of a job changes").
+func (c *Collector) publish(e condor.Event) {
+	if c.repo != nil {
+		src := monalisa.FormatJobSource(e.Pool, e.JobID)
+		c.repo.PublishEvent(e.At, src, "status", fmt.Sprintf("%v->%v", e.From, e.To))
+	}
 }
 
 // Pools returns the watched execution service names, sorted.
@@ -168,10 +184,8 @@ func (c *Collector) Pool(name string) (*condor.Pool, bool) {
 	return p, ok
 }
 
-// Drain flushes queued execution-service events: every transition is
-// published to MonALISA ("sends an update to MonALISA whenever the state
-// of a job changes"), and terminal transitions store the job's final
-// snapshot in the DBManager.
+// Drain flushes the queued terminal transitions: each is published to
+// MonALISA and stores the job's final snapshot in the DBManager.
 func (c *Collector) Drain() {
 	c.mu.Lock()
 	events := c.events
@@ -183,13 +197,7 @@ func (c *Collector) Drain() {
 	c.mu.Unlock()
 
 	for _, e := range events {
-		if c.repo != nil {
-			src := monalisa.FormatJobSource(e.Pool, e.JobID)
-			c.repo.PublishEvent(e.At, src, "status", fmt.Sprintf("%v->%v", e.From, e.To))
-		}
-		if !e.To.Terminal() {
-			continue
-		}
+		c.publish(e)
 		pool := pools[e.Pool]
 		if pool == nil {
 			continue

@@ -125,6 +125,69 @@ func TestStatusChangePublishedToMonALISA(t *testing.T) {
 	}
 }
 
+// TestLiveTransitionsAreNotBacklogged: a transition that leaves the job
+// live goes to MonALISA when it happens, so a steered job that is paused
+// and resumed for hours between two engine wake-ups costs the collector
+// nothing — 10 000 suspend/resume transitions with no Drain leave its
+// queue empty and the repository's bounded event log at its cap, in order.
+func TestLiveTransitionsAreNotBacklogged(t *testing.T) {
+	g := simgrid.NewGrid(time.Second, 1)
+	site := g.AddSite("siteA")
+	pool := condor.NewPool("poolA", g, site)
+	pool.AddMachine(site.AddNode(g.Engine, "n1", 1, simgrid.IdleLoad()), nil)
+	const eventCap = 512
+	repo := monalisa.NewRepository(monalisa.WithEventCap(eventCap))
+	svc := NewService(g, repo)
+	svc.Watch(pool)
+	id := submit(t, pool, 1e6, 0)
+	g.Engine.RunFor(5 * time.Second)
+
+	for i := 0; i < 5000; i++ {
+		if err := pool.Suspend(id); err != nil {
+			t.Fatal(err)
+		}
+		if err := pool.Resume(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	svc.Collector.mu.Lock()
+	queued := len(svc.Collector.events)
+	svc.Collector.mu.Unlock()
+	if queued != 0 {
+		t.Fatalf("collector queues %d events with no terminal transition among them", queued)
+	}
+	events := repo.Events(time.Time{}, monalisa.FormatJobSource("poolA", id))
+	if len(events) != eventCap {
+		t.Fatalf("repository holds %d events, want its cap of %d", len(events), eventCap)
+	}
+	for i, e := range events {
+		want := "running->suspended"
+		if i%2 == 1 {
+			want = "suspended->running"
+		}
+		if e.Detail != want {
+			t.Fatalf("event %d of the last %d is %q, want %q", i, eventCap, e.Detail, want)
+		}
+	}
+
+	// The terminal transition still waits for Drain, and is published
+	// after everything that preceded it.
+	if err := pool.Remove(id); err != nil {
+		t.Fatal(err)
+	}
+	if svc.DB.Len() != 0 {
+		t.Fatal("the terminal snapshot was stored before Drain")
+	}
+	svc.Collector.Drain()
+	if svc.DB.Len() != 1 {
+		t.Fatalf("DB records = %d after Drain, want 1", svc.DB.Len())
+	}
+	events = repo.Events(time.Time{}, "")
+	if n := len(events); events[n-2].Detail != "running->removed" || events[n-1].Detail != "removed" {
+		t.Fatalf("last published events = %+v, want the removal and the DBManager's record of it", events[n-2:])
+	}
+}
+
 func TestRunningProgressPublished(t *testing.T) {
 	g, pool, repo, _ := newFixture(t)
 	id := submit(t, pool, 120, 0)

@@ -1,20 +1,26 @@
 package quota
 
 import (
+	"fmt"
 	"sort"
 
 	"repro/internal/durable"
 )
 
 // Export serializes user balances (sorted by user) and the charge ledger
-// (in charge order) for the durable snapshot codec. Site rates are
-// deployment configuration and are not exported.
-func (s *Service) Export() durable.QuotaState {
+// from entry ledgerFrom on (in charge order) for the durable snapshot
+// codec: a checkpoint asks for the entries its history segment does not
+// hold yet, so what it copies follows what was billed since the last one.
+// Site rates are deployment configuration and are not exported.
+func (s *Service) Export(ledgerFrom int) (durable.QuotaState, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if ledgerFrom < 0 || ledgerFrom > len(s.ledger) {
+		return durable.QuotaState{}, fmt.Errorf("quota: export from ledger entry %d of %d", ledgerFrom, len(s.ledger))
+	}
 	st := durable.QuotaState{
 		Balances: make([]durable.QuotaBalance, 0, len(s.balances)),
-		Ledger:   make([]durable.QuotaCharge, 0, len(s.ledger)),
+		Ledger:   make([]durable.QuotaCharge, 0, len(s.ledger)-ledgerFrom),
 	}
 	users := make([]string, 0, len(s.balances))
 	for u := range s.balances {
@@ -24,14 +30,14 @@ func (s *Service) Export() durable.QuotaState {
 	for _, u := range users {
 		st.Balances = append(st.Balances, durable.QuotaBalance{User: u, Credits: s.balances[u]})
 	}
-	for _, c := range s.ledger {
+	for _, c := range s.ledger[ledgerFrom:] {
 		st.Ledger = append(st.Ledger, durable.QuotaCharge{
 			Time: c.Time, User: c.User, Site: c.Site,
 			CPUSeconds: c.CPUSeconds, MB: c.MB,
 			Credits: c.Credits, TransferCredits: c.TransferCredits, Note: c.Note,
 		})
 	}
-	return st
+	return st, nil
 }
 
 // Restore overwrites balances and ledger from an exported state without

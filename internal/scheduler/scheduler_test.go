@@ -773,3 +773,49 @@ func TestPumpWalksPendingPlansOnly(t *testing.T) {
 		t.Fatalf("task b is %v before its dependency completed", a.State)
 	}
 }
+
+// TestSubscriberQueuesOnlyWhatDrainActsOn: drainEvents applies completions
+// and failures and drops everything else, so nothing else is held for it.
+// A job paused and resumed 5 000 times between two engine wake-ups queues
+// no event; each transition still drops the site's cached backlog. The
+// completion that follows is queued and applied.
+func TestSubscriberQueuesOnlyWhatDrainActsOn(t *testing.T) {
+	f := newFixture(t, map[string]struct {
+		nodes int
+		load  float64
+	}{"siteA": {1, 0}})
+	cp, err := f.sched.Submit(simplePlan("u", task("a", 30)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.grid.Engine.RunFor(5 * time.Second)
+	a, _ := cp.Assignment("a")
+	if a.State != TaskSubmitted {
+		t.Fatalf("task a is %v after 5 s, want it submitted", a.State)
+	}
+	state := func() (queued int, gen uint64) {
+		f.sched.mu.Lock()
+		defer f.sched.mu.Unlock()
+		return len(f.sched.events), f.sched.backlogGen
+	}
+	_, gen0 := state()
+	for i := 0; i < 5000; i++ {
+		if err := f.pools["siteA"].Suspend(a.CondorID); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.pools["siteA"].Resume(a.CondorID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	queued, gen := state()
+	if queued != 0 {
+		t.Fatalf("the scheduler queues %d pause/resume events its drain would drop", queued)
+	}
+	if gen != gen0+10000 {
+		t.Fatalf("10000 transitions invalidated the backlog cache %d times", gen-gen0)
+	}
+	f.grid.Engine.RunFor(60 * time.Second)
+	if a, _ := cp.Assignment("a"); a.State != TaskCompleted {
+		t.Fatalf("task a is %v after its job completed", a.State)
+	}
+}

@@ -214,13 +214,15 @@ func (s *Scheduler) RegisterSite(site string, svc *SiteServices) {
 	s.mu.Lock()
 	s.sites[site] = svc
 	s.mu.Unlock()
-	// Queue pool events; they are processed at the scheduler's next
-	// engine wakeup to avoid re-entering the pool from inside its own
-	// lock. Any event means the site's queue changed, so its cached
-	// backlog is stale immediately.
+	// Queue the transitions drainEvents acts on; they are processed at
+	// the scheduler's next engine wakeup to avoid re-entering the pool
+	// from inside its own lock. Any event means the site's queue changed,
+	// so its cached backlog is stale immediately.
 	svc.Pool.Subscribe(func(e condor.Event) {
 		s.mu.Lock()
-		s.events = append(s.events, e)
+		if e.To == condor.StatusCompleted || e.To == condor.StatusFailed {
+			s.events = append(s.events, e)
+		}
 		delete(s.backlogCache, site)
 		s.backlogGen++
 		s.mu.Unlock()
