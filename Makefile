@@ -52,10 +52,11 @@ fuzz-smoke:
 # scaled-down CI size (100k jobs, 10k machines), then its cost is gated in
 # counts (events, wakes, matches per pass, idle wakes — functions of the
 # workload, not of the host: the same on idle Mips-1 machines at 2⁻⁷ s, on
-# loaded Mips-1.5 machines at 10 ms, and with fault-injected jobs) and in
-# live-heap bytes per queued and per finished job; what keeping the
-# negotiator's ordered views costs is gated in Rank evaluations per machine
-# that changed; and what reading, suspending and resuming a long task costs
+# loaded Mips-1.5 machines at 10 ms, and with fault-injected jobs), in the
+# size of the pool's job record, in live-heap bytes per queued and per
+# finished job, and in the mallocs and bytes a job costs the run; what
+# keeping the negotiator's ordered views costs is gated in Rank evaluations
+# per machine that changed; and what reading, suspending and resuming a long task costs
 # is gated in Segment calls, the same whatever the tick and the time gone by
 # (under a load of one-minute segments: the same whatever the tick, and at
 # most the look-ahead bound per change). What a grid with weather costs is
@@ -71,7 +72,7 @@ fuzz-smoke:
 # (CheckpointFollowsDelta).
 bench-smoke:
 	GAE_SCENARIO_SCALE=smoke $(GO) test -run xxx -bench Scenario -benchtime 1x .
-	$(GO) test -run 'MillionSmokeCounts|JobBytesCeiling|RankEvalsFollowChanges|SegmentCalls|WeatherIsEventDriven|FlowFollowsLoadSegments' -count=1 . ./internal/condor ./internal/simgrid
+	$(GO) test -run 'MillionSmokeCounts|JobSize|JobBytesCeiling|CompletionMallocCeiling|RunBytesPerJob|RankEvalsFollowChanges|SegmentCalls|WeatherIsEventDriven|FlowFollowsLoadSegments' -count=1 . ./internal/condor ./internal/simgrid
 	$(GO) test -run 'WireAllocCeilings|ServeAllocCeiling' -count=1 ./pkg/gae ./internal/xmlrpc
 	$(GO) test -run 'CheckpointFollowsDelta' -count=1 ./internal/core
 

@@ -2,7 +2,8 @@ package chaos
 
 import (
 	"context"
-	"strings"
+	"net"
+	"net/http"
 	"sync"
 	"testing"
 	"time"
@@ -13,18 +14,90 @@ import (
 )
 
 // testServer runs a crash-recoverable deployment in-process. kill is
-// the crash stand-in: the listener closes immediately (no drain) and
-// the store closes without a checkpoint, leaving a stale-or-absent
-// snapshot plus a live journal tail — exactly what a SIGKILL leaves on
-// disk.
+// the crash stand-in: the instance stops accepting and its connections
+// close immediately (no drain), and the store closes without a
+// checkpoint, leaving a stale-or-absent snapshot plus a live journal tail
+// — exactly what a SIGKILL leaves on disk.
+//
+// The socket outlives the instances: the test server holds one listener
+// for its whole life and serves each instance's handler on it, so a
+// restart comes back at the same endpoint without re-binding a port that
+// another package's test may have taken in between.
 type testServer struct {
-	t    *testing.T
-	dir  string
-	addr string
+	t   *testing.T
+	dir string
+	ln  *sharedListener
+	url string
 
 	mu    sync.Mutex
 	g     *core.GAE
 	store *durable.Store
+	srv   *http.Server
+}
+
+// sharedListener is the test server's one socket. An accept loop hands
+// each connection to whichever instance is serving; one that arrives
+// while none is waits for the next, as it would in the kernel's backlog.
+type sharedListener struct {
+	net.Listener
+	conns chan net.Conn
+	stop  chan struct{}
+}
+
+func listenShared(t *testing.T) *sharedListener {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &sharedListener{Listener: ln, conns: make(chan net.Conn), stop: make(chan struct{})}
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			select {
+			case s.conns <- c:
+			case <-s.stop:
+				c.Close()
+				return
+			}
+		}
+	}()
+	t.Cleanup(func() {
+		close(s.stop)
+		ln.Close()
+	})
+	return s
+}
+
+// instanceListener is one instance's view of the shared socket: closing
+// it, as the instance's http.Server does when killed, ends that
+// instance's accepting and leaves the socket open.
+type instanceListener struct {
+	*sharedListener
+	done chan struct{}
+	once sync.Once
+}
+
+func (l *instanceListener) Accept() (net.Conn, error) {
+	select {
+	case <-l.done:
+		return nil, net.ErrClosed
+	default:
+	}
+	select {
+	case c := <-l.conns:
+		return c, nil
+	case <-l.done:
+		return nil, net.ErrClosed
+	}
+}
+
+func (l *instanceListener) Close() error {
+	l.once.Do(func() { close(l.done) })
+	return nil
 }
 
 func serverConfig() core.Config {
@@ -52,30 +125,20 @@ func (ts *testServer) start() (string, error) {
 		store.Close()
 		return "", err
 	}
-	var url string
-	for i := 0; ; i++ {
-		url, err = g.Start(ts.addr)
-		if err == nil {
-			break
-		}
-		// The previous instance's port can take a moment to free.
-		if i >= 100 {
-			store.Close()
-			return "", err
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	g.Clarens.SetBaseURL(ts.url)
+	srv := &http.Server{Handler: g.Handler()}
+	go srv.Serve(&instanceListener{sharedListener: ts.ln, done: make(chan struct{})}) //nolint:errcheck // returns when killed
 	ts.mu.Lock()
-	ts.g, ts.store = g, store
+	ts.g, ts.store, ts.srv = g, store, srv
 	ts.mu.Unlock()
-	return url, nil
+	return ts.url, nil
 }
 
 func (ts *testServer) kill() error {
 	ts.mu.Lock()
-	g, store := ts.g, ts.store
+	srv, store := ts.srv, ts.store
 	ts.mu.Unlock()
-	if err := g.Clarens.Kill(); err != nil {
+	if err := srv.Close(); err != nil {
 		return err
 	}
 	return store.Close()
@@ -106,13 +169,11 @@ func dialRetry(t *testing.T, ctx context.Context, url string) *gae.Client {
 
 func startTestServer(t *testing.T) *testServer {
 	t.Helper()
-	ts := &testServer{t: t, dir: t.TempDir(), addr: "127.0.0.1:0"}
-	url, err := ts.start()
-	if err != nil {
+	ts := &testServer{t: t, dir: t.TempDir(), ln: listenShared(t)}
+	ts.url = "http://" + ts.ln.Addr().String()
+	if _, err := ts.start(); err != nil {
 		t.Fatal(err)
 	}
-	// Pin the ephemeral port so restarts come back at the same endpoint.
-	ts.addr = strings.TrimPrefix(url, "http://")
 	t.Cleanup(func() { _ = ts.kill() })
 	return ts
 }
@@ -128,7 +189,7 @@ func TestChaosExactlyOnceAcrossKills(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 90*time.Second)
 	defer cancel()
 	rep, err := Run(ctx, Config{
-		URL:     "http://" + ts.addr,
+		URL:     ts.url,
 		User:    "alice",
 		Pass:    "pw",
 		Workers: 3,
@@ -170,7 +231,7 @@ func TestChaosExactlyOnceAcrossKills(t *testing.T) {
 func TestDuplicateSuppressedAcrossCheckpointRestart(t *testing.T) {
 	ts := startTestServer(t)
 	ctx := context.Background()
-	cl, err := gae.Dial(ctx, "http://"+ts.addr, gae.WithCredentials("alice", "pw"))
+	cl, err := gae.Dial(ctx, ts.url, gae.WithCredentials("alice", "pw"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +256,7 @@ func TestDuplicateSuppressedAcrossCheckpointRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cl2 := dialRetry(t, ctx, "http://"+ts.addr)
+	cl2 := dialRetry(t, ctx, ts.url)
 	if err := cl2.Grant(gae.WithRequestID(ctx, "dup-grant-1"), "alice", GrantAmount); err != nil {
 		t.Fatalf("retried grant after restart: %v, want deduplicated success", err)
 	}

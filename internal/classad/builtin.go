@@ -160,7 +160,7 @@ func fnStrcat(args []Value) Value {
 	for _, a := range args {
 		switch a.kind {
 		case KindString:
-			sb.WriteString(a.s)
+			sb.WriteString(a.str())
 		case KindUndefined:
 			return Undefined()
 		default:
@@ -176,7 +176,7 @@ func fnSize(args []Value) Value {
 	}
 	switch args[0].kind {
 	case KindString:
-		return Int(int64(len(args[0].s)))
+		return Int(int64(len(args[0].str())))
 	case KindList:
 		return Int(int64(len(args[0].list())))
 	case KindUndefined:
@@ -264,7 +264,7 @@ func fnMember(args []Value) Value {
 	for _, e := range list {
 		// Case-insensitive string membership, matching comparison rules.
 		if e.kind == KindString && args[0].kind == KindString {
-			if strings.EqualFold(e.s, args[0].s) {
+			if strings.EqualFold(e.str(), args[0].str()) {
 				return Bool(true)
 			}
 			continue
@@ -327,13 +327,13 @@ func fnInt(args []Value) Value {
 	case KindString:
 		var n int64
 		var f float64
-		if _, err := fmtSscan(args[0].s, &n); err == nil {
+		if _, err := fmtSscan(args[0].str(), &n); err == nil {
 			return Int(n)
 		}
-		if _, err := fmtSscan(args[0].s, &f); err == nil {
+		if _, err := fmtSscan(args[0].str(), &f); err == nil {
 			return Int(int64(f))
 		}
-		return Errorf("int: cannot parse %q", args[0].s)
+		return Errorf("int: cannot parse %q", args[0].str())
 	case KindUndefined:
 		return Undefined()
 	}
@@ -356,10 +356,10 @@ func fnReal(args []Value) Value {
 		return Real(0)
 	case KindString:
 		var f float64
-		if _, err := fmtSscan(args[0].s, &f); err == nil {
+		if _, err := fmtSscan(args[0].str(), &f); err == nil {
 			return Real(f)
 		}
-		return Errorf("real: cannot parse %q", args[0].s)
+		return Errorf("real: cannot parse %q", args[0].str())
 	case KindUndefined:
 		return Undefined()
 	}

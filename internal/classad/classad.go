@@ -35,6 +35,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // Kind enumerates value kinds.
@@ -73,25 +74,40 @@ func (k Kind) String() string {
 
 // Value is a ClassAd value. The zero Value is undefined.
 //
-// The struct is five words: every Eval returns one by value, so its size
-// is the matchmaking hot path's copy cost. Booleans, integers and reals
-// share the 64-bit payload n; s holds a string's content or an error's
-// message; a list sits behind a pointer.
+// The struct is three words: every Eval returns one by value, so its size
+// is the matchmaking hot path's copy cost, and every literal attribute of
+// every ad holds one. Booleans, integers and reals share the 64-bit payload
+// n; a string's content or an error's message is p and n, its bytes and
+// length; a list is p, pointing at its slice.
 type Value struct {
 	kind Kind
 	n    uint64
-	s    string
-	l    *[]Value
+	p    unsafe.Pointer
 }
 
 func (v Value) b() bool    { return v.n != 0 }
 func (v Value) i() int64   { return int64(v.n) }
 func (v Value) r() float64 { return math.Float64frombits(v.n) }
+
+// str returns a string's content or an error's message, "" for any other
+// kind.
+func (v Value) str() string {
+	if v.kind != KindString && v.kind != KindError {
+		return ""
+	}
+	return unsafe.String((*byte)(v.p), int(v.n))
+}
+
 func (v Value) list() []Value {
-	if v.l == nil {
+	if v.kind != KindList {
 		return nil
 	}
-	return *v.l
+	return *(*[]Value)(v.p)
+}
+
+// text returns a string or error value holding s.
+func text(k Kind, s string) Value {
+	return Value{kind: k, n: uint64(len(s)), p: unsafe.Pointer(unsafe.StringData(s))}
 }
 
 // Constructors.
@@ -101,7 +117,7 @@ func Undefined() Value { return Value{kind: KindUndefined} }
 
 // Errorf returns an error value with a formatted message.
 func Errorf(format string, args ...any) Value {
-	return Value{kind: KindError, s: fmt.Sprintf(format, args...)}
+	return text(KindError, fmt.Sprintf(format, args...))
 }
 
 // Bool returns a boolean value.
@@ -119,10 +135,10 @@ func Int(i int64) Value { return Value{kind: KindInt, n: uint64(i)} }
 func Real(r float64) Value { return Value{kind: KindReal, n: math.Float64bits(r)} }
 
 // Str returns a string value.
-func Str(s string) Value { return Value{kind: KindString, s: s} }
+func Str(s string) Value { return text(KindString, s) }
 
 // List returns a list value.
-func List(vs ...Value) Value { return Value{kind: KindList, l: &vs} }
+func List(vs ...Value) Value { return Value{kind: KindList, p: unsafe.Pointer(&vs)} }
 
 // From converts a Go value into a ClassAd Value. Unsupported types yield
 // an error value.
@@ -190,7 +206,7 @@ func (v Value) RealVal() (float64, bool) {
 }
 
 // StringVal returns the string content; ok is false for non-strings.
-func (v Value) StringVal() (string, bool) { return v.s, v.kind == KindString }
+func (v Value) StringVal() (string, bool) { return v.str(), v.kind == KindString }
 
 // ListVal returns the list content; ok is false for non-lists.
 func (v Value) ListVal() ([]Value, bool) { return v.list(), v.kind == KindList }
@@ -202,7 +218,7 @@ func (v Value) Go() any {
 	case KindUndefined:
 		return nil
 	case KindError:
-		return "error:" + v.s
+		return "error:" + v.str()
 	case KindBool:
 		return v.b()
 	case KindInt:
@@ -210,7 +226,7 @@ func (v Value) Go() any {
 	case KindReal:
 		return v.r()
 	case KindString:
-		return v.s
+		return v.str()
 	case KindList:
 		l := v.list()
 		out := make([]any, len(l))
@@ -228,7 +244,7 @@ func (v Value) String() string {
 	case KindUndefined:
 		return "undefined"
 	case KindError:
-		return "error(" + v.s + ")"
+		return "error(" + v.str() + ")"
 	case KindBool:
 		if v.b() {
 			return "true"
@@ -239,7 +255,7 @@ func (v Value) String() string {
 	case KindReal:
 		return strconv.FormatFloat(v.r(), 'g', -1, 64)
 	case KindString:
-		return strconv.Quote(v.s)
+		return strconv.Quote(v.str())
 	case KindList:
 		l := v.list()
 		parts := make([]string, len(l))
@@ -260,7 +276,7 @@ func (v Value) Equal(o Value) bool {
 	case KindUndefined:
 		return true
 	case KindError:
-		return v.s == o.s
+		return v.str() == o.str()
 	case KindBool:
 		return v.b() == o.b()
 	case KindInt:
@@ -268,7 +284,7 @@ func (v Value) Equal(o Value) bool {
 	case KindReal:
 		return v.r() == o.r() || (math.IsNaN(v.r()) && math.IsNaN(o.r()))
 	case KindString:
-		return v.s == o.s
+		return v.str() == o.str()
 	case KindList:
 		vl, ol := v.list(), o.list()
 		if len(vl) != len(ol) {
@@ -292,9 +308,10 @@ func (v Value) Equal(o Value) bool {
 // system builds carry 3 to 15 attributes: at that size a scan of one
 // contiguous array is as fast as hashing the name (classad.match_ns and
 // classad.rank_ns in bench/ are the rows that would say otherwise), and an
-// ad costs its header plus 72 bytes an attribute, a fraction of a hash
-// table's smallest bucket group. Nothing observable depends on the
-// order: Names, String and so the snapshot text sort.
+// ad costs a 48-byte header plus 56 bytes an attribute (a three-attribute
+// job ad: 48 + 176), a fraction of a hash table's smallest bucket group.
+// Nothing observable depends on the order: Names, String and so the
+// snapshot text sort.
 type Ad struct {
 	attrs []entry
 	// version counts mutations; compiled Matchers use it to detect that
@@ -302,24 +319,31 @@ type Ad struct {
 	version uint64
 	// onMutate hooks fire synchronously after every mutation. Negotiators
 	// subscribe to advertised machine ads so an attribute change wakes
-	// them instead of being discovered by per-tick polling. Hooks are not
-	// carried by Clone/Project — derived ads are private snapshots.
-	onMutate []func()
+	// them instead of being discovered by per-tick polling; no job ad has
+	// one, so they sit behind a pointer. Hooks are not carried by
+	// Clone/Project — derived ads are private snapshots.
+	onMutate *[]func()
 }
 
 // OnMutate registers fn to run after every mutation of this ad (Set,
 // SetExpr, Delete). Hooks must be fast and must not mutate the ad.
 func (a *Ad) OnMutate(fn func()) {
-	if fn != nil {
-		a.onMutate = append(a.onMutate, fn)
+	if fn == nil {
+		return
 	}
+	if a.onMutate == nil {
+		a.onMutate = new([]func())
+	}
+	*a.onMutate = append(*a.onMutate, fn)
 }
 
 // mutated bumps the version and fires mutation hooks.
 func (a *Ad) mutated() {
 	a.version++
-	for _, fn := range a.onMutate {
-		fn()
+	if a.onMutate != nil {
+		for _, fn := range *a.onMutate {
+			fn()
+		}
 	}
 }
 

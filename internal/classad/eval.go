@@ -170,7 +170,7 @@ func evalArith(op string, l, r Value) Value {
 	}
 	// String concatenation via "+" is a convenience extension.
 	if op == "+" && l.kind == KindString && r.kind == KindString {
-		return Str(l.s + r.s)
+		return Str(l.str() + r.str())
 	}
 	// Integer arithmetic stays integral (Condor semantics).
 	if l.kind == KindInt && r.kind == KindInt {
@@ -225,7 +225,7 @@ func evalCompare(op string, l, r Value) Value {
 	}
 	// Strings compare case-insensitively, as in classic ClassAds.
 	if l.kind == KindString && r.kind == KindString {
-		return cmpResult(op, foldCompare(l.s, r.s))
+		return cmpResult(op, foldCompare(l.str(), r.str()))
 	}
 	if l.kind == KindBool && r.kind == KindBool {
 		switch op {

@@ -16,12 +16,13 @@ const (
 )
 
 // Matcher is the compiled form of one ad's matchmaking surface, and holds
-// only what a match reads: the Requirements and Rank expressions, the
-// Rank's class, and the ad version they were compiled at. A Matcher tracks
-// its ad's mutation counter and recompiles lazily after any
+// only what a match reads: the Requirements and Rank expressions, the ad
+// version they were compiled at and, out of line, the Rank's class. A
+// Matcher tracks its ad's mutation counter and recompiles lazily after any
 // Set/SetExpr/Delete, so holding one across ad updates is safe. Every
-// queued job holds one, so its size is a per-job cost. Matchers are not
-// safe for concurrent use.
+// queued job holds one, so its size is a per-job cost: 56 bytes (a 64-byte
+// allocation), plus the class for a job with a Rank expression. Matchers
+// are not safe for concurrent use.
 type Matcher struct {
 	ad      *Ad
 	version uint64
@@ -29,11 +30,18 @@ type Matcher struct {
 	// req and rank are nil when the attribute is absent; a literal
 	// attribute compiles to a litExpr.
 	req, rank Expr
-	// Rank classified as a function of the target alone (see RankClass):
-	// its canonical text and the TARGET attributes it reads.
-	rankByTarget bool
-	rankKey      string
-	rankAttrs    []string
+	// class is the Rank's class (see RankClass), nil while the Rank is
+	// absent or a literal: the degenerate class.
+	class *rankClass
+}
+
+// rankClass is a Rank expression classified as a function of the target
+// alone or not (byTarget): when it is, its canonical text (key) and the
+// TARGET attributes it reads.
+type rankClass struct {
+	byTarget bool
+	key      string
+	attrs    []string
 }
 
 // NewMatcher compiles ad's Requirements/Rank for repeated matching.
@@ -50,14 +58,22 @@ func (m *Matcher) compile() {
 	m.version = m.ad.version
 	m.req = m.ad.compiled(attrRequirements)
 	m.rank = m.ad.compiled(attrRank)
-	m.rankByTarget, m.rankKey, m.rankAttrs = true, "", m.rankAttrs[:0]
-	if _, literal := m.rank.(*litExpr); m.rank != nil && !literal {
-		var key strings.Builder
-		key.Grow(64)
-		m.rankByTarget = targetOnly(m.rank, &key, &m.rankAttrs)
-		if m.rankByTarget && len(m.rankAttrs) > 0 {
-			m.rankKey = key.String()
-		}
+	if _, literal := m.rank.(*litExpr); m.rank == nil || literal {
+		m.class = nil
+		return
+	}
+	c := m.class
+	if c == nil {
+		c = &rankClass{}
+		m.class = c
+	}
+	var key strings.Builder
+	key.Grow(64)
+	c.attrs = c.attrs[:0]
+	c.byTarget = targetOnly(m.rank, &key, &c.attrs)
+	c.key = ""
+	if c.byTarget && len(c.attrs) > 0 {
+		c.key = key.String()
 	}
 }
 
@@ -94,7 +110,10 @@ func (m *Matcher) sync() {
 // Ranks have no class.
 func (m *Matcher) RankClass() (key string, ok bool) {
 	m.sync()
-	return m.rankKey, m.rankByTarget
+	if m.class == nil {
+		return "", true
+	}
+	return m.class.key, m.class.byTarget
 }
 
 // TargetRank is Rank for an ad that has a rank class; ok is false when the
@@ -103,12 +122,14 @@ func (m *Matcher) RankClass() (key string, ok bool) {
 // in scope.
 func (m *Matcher) TargetRank(t *Matcher) (rank float64, ok bool) {
 	m.sync()
-	if !m.rankByTarget {
-		return 0, false
-	}
-	for _, a := range m.rankAttrs {
-		if i := t.ad.find(a); i >= 0 && t.ad.attrs[i].expr != nil {
+	if c := m.class; c != nil {
+		if !c.byTarget {
 			return 0, false
+		}
+		for _, a := range c.attrs {
+			if i := t.ad.find(a); i >= 0 && t.ad.attrs[i].expr != nil {
+				return 0, false
+			}
 		}
 	}
 	return m.Rank(t), true

@@ -6,27 +6,52 @@ import (
 	"unsafe"
 )
 
-// Every Eval returns a Value by value; the matchmaking loop pays for its
-// size in copies. Five words is the budget.
+// Every Eval returns a Value by value and every literal attribute holds
+// one; the matchmaking loop pays for its size in copies. Three words is the
+// budget.
 func TestValueSize(t *testing.T) {
-	if got := unsafe.Sizeof(Value{}); got > 40 {
-		t.Fatalf("unsafe.Sizeof(Value{}) = %d bytes, want <= 40", got)
+	if got := unsafe.Sizeof(Value{}); got > 24 {
+		t.Fatalf("unsafe.Sizeof(Value{}) = %d bytes, want <= 24", got)
 	}
 }
 
 // An ad costs its header plus one entry per attribute, and every queued job
 // holds a Matcher; the pool keeps an ad for every job it ever held. The
 // allocator rounds each object up to a size class, so a field added to
-// either moves memory in steps: fail here first.
+// either moves memory in steps: fail here first. A three-attribute job ad
+// is a 48-byte header and a 176-byte slot (224 with 72-byte entries).
 func TestAdAndMatcherSizes(t *testing.T) {
-	if got := unsafe.Sizeof(entry{}); got > 72 {
-		t.Errorf("unsafe.Sizeof(entry{}) = %d bytes, want <= 72 (name, value, expression)", got)
+	if got := unsafe.Sizeof(entry{}); got > 56 {
+		t.Errorf("unsafe.Sizeof(entry{}) = %d bytes, want <= 56 (name, value, expression)", got)
 	}
-	if got := unsafe.Sizeof(Ad{}); got > 64 {
-		t.Errorf("unsafe.Sizeof(Ad{}) = %d bytes, want <= 64", got)
+	if got := unsafe.Sizeof(Ad{}); got > 48 {
+		t.Errorf("unsafe.Sizeof(Ad{}) = %d bytes, want <= 48", got)
 	}
-	if got := unsafe.Sizeof(Matcher{}); got > 112 {
-		t.Errorf("unsafe.Sizeof(Matcher{}) = %d bytes, want <= 112", got)
+	if got := unsafe.Sizeof(Matcher{}); got > 64 {
+		t.Errorf("unsafe.Sizeof(Matcher{}) = %d bytes, want <= 64", got)
+	}
+}
+
+var matcherSink *Matcher
+
+// A Matcher holds its Rank class only when the ad has a Rank expression:
+// what it allocates beyond itself follows the Rank, and a recompile reuses
+// the class it has.
+func TestMatcherAllocatesClassOnlyForRank(t *testing.T) {
+	plain := New().Set("Owner", "alice").MustSetExpr("Requirements", "TARGET.Memory > 1024")
+	ranked := plain.Clone().MustSetExpr("Rank", "TARGET.KFlops")
+	for _, c := range []struct {
+		name string
+		ad   *Ad
+		want float64
+	}{{"no Rank", plain, 1}, {"literal Rank", plain.Clone().Set("Rank", 3), 2}, {"Rank expression", ranked, 4}} {
+		if got := testing.AllocsPerRun(100, func() { matcherSink = NewMatcher(c.ad) }); got != c.want {
+			t.Errorf("%s: NewMatcher allocates %v times, want %v (the matcher; a literal's wrapper; the class, its attribute list and key)", c.name, got, c.want)
+		}
+	}
+	m := NewMatcher(ranked)
+	if got := testing.AllocsPerRun(100, func() { m.version--; m.sync() }); got != 1 {
+		t.Errorf("a recompile allocates %v times, want 1 (the key)", got)
 	}
 }
 

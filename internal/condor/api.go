@@ -1,7 +1,9 @@
 package condor
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/classad"
@@ -75,24 +77,27 @@ func (p *Pool) Job(id int) (JobInfo, error) {
 	if j == nil {
 		return JobInfo{}, fmt.Errorf("%w: %d", ErrNoSuchJob, id)
 	}
-	return p.snapshotLocked(j), nil
+	return p.snapshotLocked(j, p.queuePositionLocked(j)), nil
 }
 
-// Jobs returns snapshots of every job, ordered by ID.
+// Jobs returns snapshots of every job, ordered by ID. The idle ones take
+// their queue positions from one drain of the negotiation stream.
 func (p *Pool) Jobs() ([]JobInfo, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.down {
 		return nil, ErrPoolDown
 	}
-	var pos map[int]int
-	if p.idleCount > 0 {
-		pos = p.idlePositionsLocked()
-	}
 	out := make([]JobInfo, 0, len(p.jobs))
 	for _, j := range p.jobs {
 		if j != nil {
-			out = append(out, p.snapshotPosLocked(j, pos))
+			out = append(out, p.snapshotLocked(j, 0))
+		}
+	}
+	if p.idleCount > 0 {
+		for i, j := range p.idleOrderedLocked() {
+			k, _ := slices.BinarySearchFunc(out, j.id, func(info JobInfo, id int) int { return cmp.Compare(info.ID, id) })
+			out[k].QueuePosition = i + 1
 		}
 	}
 	return out, nil
@@ -121,7 +126,7 @@ func (p *Pool) LiveJobs() ([]JobInfo, error) {
 	out := make([]JobInfo, 0, p.liveCount)
 	for _, j := range p.active {
 		if !j.status.Terminal() {
-			out = append(out, p.snapshotPosLocked(j, nil))
+			out = append(out, p.snapshotLocked(j, 0))
 		}
 	}
 	return out, nil
@@ -149,31 +154,26 @@ func (p *Pool) QueueAbove(id int) ([]JobInfo, error) {
 		// wait on (a suspended task keeps its node until resumed); they
 		// carry no queue position, so the ordering pass is only paid when
 		// the target itself is idle.
-		var pos map[int]int
 		for _, o := range p.active {
 			if o.id != id && (o.status == StatusRunning || o.status == StatusSuspended) {
-				out = append(out, p.snapshotPosLocked(o, pos))
+				out = append(out, p.snapshotLocked(o, 0))
 			}
 		}
 		if j.status == StatusIdle {
-			ordered := p.idleOrderedLocked()
-			pos = positionsOf(ordered)
-			for _, o := range ordered {
-				if o.id == id {
-					break
-				}
-				out = append(out, p.snapshotPosLocked(o, pos))
+			s := p.negotiationStreamLocked(p.grid.Engine.Now())
+			for o, n := s.next(), 1; o != nil && o != j; o, n = s.next(), n+1 {
+				out = append(out, p.snapshotLocked(o, n))
 			}
 		}
 		return out, nil
 	}
-	pos := p.idlePositionsLocked()
+	pos := positionsOf(p.idleOrderedLocked())
 	for _, o := range p.active {
 		if o.id == id || o.status.Terminal() {
 			continue
 		}
 		if o.priority > j.priority {
-			out = append(out, p.snapshotPosLocked(o, pos))
+			out = append(out, p.snapshotLocked(o, pos[o.id]))
 		}
 	}
 	return out, nil
@@ -220,7 +220,7 @@ func (p *Pool) Remove(id int) error {
 			return fmt.Errorf("condor: job %d already %v", id, j.status)
 		}
 		p.detachLocked(j)
-		j.completionTime = p.grid.Engine.Now()
+		j.completed = p.instantOf(p.grid.Engine.Now())
 		p.setStatusLocked(j, StatusRemoved)
 		return nil
 	})

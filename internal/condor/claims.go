@@ -65,11 +65,11 @@ func (p *Pool) claimMachineLocked(m *machine) {
 // this pool's lock, and taking another pool's main lock here would
 // invert the engine's negotiation lock order.
 func (p *Pool) releaseClaimLocked(j *job) {
-	m := j.claimed
-	if m == nil {
+	if !j.claimed {
 		return
 	}
-	j.claimed = nil
+	j.claimed = false
+	m := j.host
 	o := m.owner
 	if o == p {
 		p.addFreeLocked(m)
@@ -122,7 +122,7 @@ func (p *Pool) startLocked(j *job, m *machine, now time.Time) {
 		// guard — but the offer is spent for this pass, as it was under
 		// the per-pass candidate list.
 		m.skipFor = p
-		j.startTime = now
+		j.started = p.instantOf(now)
 		p.finishLocked(j, now)
 		return
 	}
@@ -130,25 +130,27 @@ func (p *Pool) startLocked(j *job, m *machine, now time.Time) {
 		p.fairStart.ObserveStart(j.owner, now)
 	}
 	p.runTaskLocked(j, m, need)
-	if j.startTime.IsZero() {
-		j.startTime = now
+	if j.started == notYet {
+		j.started = p.instantOf(now)
 	}
 	p.openUsageLocked(j)
 	p.setStatusLocked(j, StatusRunning)
 }
 
 // runTaskLocked claims m for j and places a task for need CPU-seconds on
-// its node. On the pool's own machine the placement is unobserved: the
-// pool is the node's observer, it knows what it just placed (the claim is
-// taken, and the usage flow opens next at the right rate), and the
-// completion comes back through taskDone — marking the node dirty and
-// waking for either would only buy a pass that finds nothing changed. A
-// flocked-onto machine belongs to another pool, which is told as ever.
+// its node, with the machine's completion callback: the machine names the
+// job it runs, so a start allocates no closure. On the pool's own machine
+// the placement is unobserved: the pool is the node's observer, it knows
+// what it just placed (the claim is taken, and the usage flow opens next
+// at the right rate), and the completion comes back through taskDone —
+// marking the node dirty and waking for either would only buy a pass that
+// finds nothing changed. A flocked-onto machine belongs to another pool,
+// which is told as ever.
 func (p *Pool) runTaskLocked(j *job, m *machine, need float64) {
 	p.claimMachineLocked(m)
-	j.claimed = m
-	j.task = simgrid.NewTask(j.taskID, need, func(*simgrid.Task) { p.taskDone(j) })
-	j.node = m.node
+	j.host, j.claimed = m, true
+	m.runner, m.runnerPool = j, p
+	j.task = simgrid.NewTask(need, m.onDone)
 	if m.owner == p {
 		m.node.PlaceUnobserved(j.task)
 	} else {
@@ -168,7 +170,7 @@ func (p *Pool) runTaskLocked(j *job, m *machine, need float64) {
 // every boundary would see the completion.
 func (p *Pool) taskDone(j *job) {
 	p.mu.Lock()
-	own := j.claimed != nil && j.claimed.owner == p
+	own := j.claimed && j.host.owner == p
 	p.releaseClaimLocked(j)
 	p.doneQ = append(p.doneQ, j)
 	p.mu.Unlock()
@@ -186,8 +188,8 @@ func (p *Pool) openUsageLocked(j *job) {
 		return
 	}
 	j.flowRate = p.flowRateForLocked(j)
-	j.flow = p.fairFlow.OpenFlow(j.owner, j.node.Site, j.flowRate)
-	p.nodeJob[j.node] = j
+	j.flow = p.fairFlow.OpenFlow(j.owner, j.host.node.Site, j.flowRate)
+	p.nodeJob[j.host.node] = j
 }
 
 // flowRateForLocked returns what j's usage flow accrues per second from
@@ -200,7 +202,7 @@ func (p *Pool) flowRateForLocked(j *job) float64 {
 	if j.task.State() != simgrid.TaskRunning {
 		return 0
 	}
-	rate, until := j.node.RateSegment(p.grid.Engine.Now())
+	rate, until := j.host.node.RateSegment(p.grid.Engine.Now())
 	p.flowWakeAt = earlier(p.flowWakeAt, until)
 	return rate
 }
@@ -228,8 +230,8 @@ func (p *Pool) closeFlowLocked(j *job) {
 	j.flow.Close(cpu - j.usageRecorded)
 	j.flow = nil
 	j.usageRecorded = cpu
-	if p.nodeJob[j.node] == j {
-		delete(p.nodeJob, j.node)
+	if p.nodeJob[j.host.node] == j {
+		delete(p.nodeJob, j.host.node)
 	}
 }
 
@@ -238,9 +240,7 @@ func (p *Pool) closeFlowLocked(j *job) {
 func (p *Pool) detachLocked(j *job) {
 	if j.task != nil {
 		j.task.Kill()
-		if j.node != nil {
-			j.node.Remove(j.task)
-		}
+		j.host.node.Remove(j.task)
 	}
 	p.releaseClaimLocked(j)
 }

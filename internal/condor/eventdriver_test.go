@@ -225,7 +225,7 @@ func TestPoolWakesOnlyForNews(t *testing.T) {
 		do   func()
 	}{
 		{"a load change", func() { node.SetLoad(simgrid.ConstantLoad(0.25)) }},
-		{"a foreign placement", func() { node.Place(simgrid.NewTask("ext", 6, nil)) }},
+		{"a foreign placement", func() { node.Place(simgrid.NewTask(6, nil)) }},
 		{"a foreign completion", func() { g.Engine.RunFor(10 * time.Second) }},
 		{"a submission", func() { mustSubmit(t, p, jobAd("bob", 1000, 0)) }},
 		{"an API removal of a running job", func() {

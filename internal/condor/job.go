@@ -22,7 +22,7 @@ package condor
 
 import (
 	"fmt"
-	"strconv"
+	"math"
 	"time"
 
 	"repro/internal/classad"
@@ -31,8 +31,8 @@ import (
 )
 
 // Status is a job's lifecycle state, mirroring Condor's JobStatus integers
-// where they exist.
-type Status int
+// where they exist. It is a byte: the pool's record of every job holds one.
+type Status uint8
 
 // Job states.
 const (
@@ -101,33 +101,30 @@ type Event struct {
 // runtime ago, and re-reading attributes from it is a cache miss apiece.
 //
 // The pool keeps one for every job it ever held, so the size is a budget
-// (TestJobSize): one more word costs every job the next allocator class.
+// (TestJobSize): 176 bytes, an allocator class of its own, and one more
+// word costs every job the next one. So the record holds facts, not their
+// containers: timestamps are 8-byte offsets from the pool's epoch, the
+// static machine constraints are keys into a pool-local table, whether the
+// ad names an output file is a bool (the completion path reads the ad only
+// then), and the flags share a word.
 type job struct {
 	id       int
 	ad       *classad.Ad
-	status   Status
 	priority int
-	owner    string // cached AttrOwner, read on every accounting pass
-
-	need       float64 // AttrCpuSeconds: total work
-	outputFile string  // AttrOutputFile, "" for none
-	taskID     string  // "<pool>-<id>", the ID of every task the job runs as
+	owner    string  // cached AttrOwner, read on every accounting pass
+	need     float64 // AttrCpuSeconds: total work
 
 	// matcher is the job ad compiled for repeated matchmaking, nil once the
-	// job is terminal; reqArch and reqOpSys are the static machine
-	// constraints extracted from its Requirements (lower-cased, "" when
-	// unconstrained), which key the negotiator's free-machine index.
-	matcher  *classad.Matcher
-	reqArch  string
-	reqOpSys string
+	// job is terminal.
+	matcher *classad.Matcher
 
-	submitTime     time.Time
-	startTime      time.Time
-	completionTime time.Time
+	submitted, started, completed instant // started and completed notYet until then
 
-	node    *simgrid.Node // where the job runs or last ran
-	task    *simgrid.Task // nil unless the job is running or suspended
-	claimed *machine      // machine held while the task occupies its node
+	// host is the machine the job runs on or last ran on, claimed while its
+	// task occupies the node; task is nil unless the job is running or
+	// suspended.
+	host *machine
+	task *simgrid.Task
 	// cpuBase and wallBase are the CPU-seconds and wall-clock accumulated
 	// before the current task: carried over from a checkpoint or a
 	// snapshot, and, once the job is terminal, its final figures (see seal).
@@ -154,7 +151,62 @@ type job struct {
 	// qgen invalidates this job's entries in the incremental negotiation
 	// queues: SetPriority bumps it and re-inserts, so the stale entry in
 	// the old priority bucket is skipped rather than searched for.
-	qgen int32
+	qgen      int32
+	status    Status
+	claimed   bool // host is held for the task
+	hasOutput bool // the ad names an AttrOutputFile
+	// reqArch and reqOpSys are the static machine constraints extracted
+	// from the Requirements, which key the negotiator's free-machine index
+	// (see Pool.constraint); noConstraint when unconstrained.
+	reqArch, reqOpSys constraintKey
+}
+
+// instant is a job timestamp as its offset from the pool's epoch. notYet
+// is the zero time — not started, not completed — kept apart from offset
+// 0, since a job can start at the epoch.
+type instant int64
+
+const notYet instant = math.MinInt64
+
+// instantOf returns t as an offset from the pool's epoch.
+func (p *Pool) instantOf(t time.Time) instant {
+	if t.IsZero() {
+		return notYet
+	}
+	return instant(t.Sub(p.epoch))
+}
+
+// timeOf returns the time an offset from the pool's epoch stands for.
+func (p *Pool) timeOf(i instant) time.Time {
+	if i == notYet {
+		return time.Time{}
+	}
+	return p.epoch.Add(time.Duration(i))
+}
+
+// constraintKey is a lower-cased Arch or OpSys literal pinned by a job's
+// Requirements, as its index in the pool's table of those seen
+// (Pool.constraints, which only grows); noConstraint is the unconstrained
+// job.
+type constraintKey uint32
+
+const noConstraint constraintKey = 0
+
+// constraint returns the key of the string ad's Requirements pin attr to
+// (see classad.Ad.ReqStringConstraint), entering it in the pool's table on
+// first sight.
+func (p *Pool) constraint(ad *classad.Ad, attr string) constraintKey {
+	s, _ := ad.ReqStringConstraint(attr)
+	if s == "" {
+		return noConstraint
+	}
+	k, seen := p.constraintKeys[s]
+	if !seen {
+		k = constraintKey(len(p.constraints))
+		p.constraints = append(p.constraints, s)
+		p.constraintKeys[s] = k
+	}
+	return k
 }
 
 // faulty reports whether fault injection ends the job before its work does.
@@ -177,22 +229,22 @@ func (j *job) stopAt() float64 {
 // The job starts idle at the ad's priority; Restore overlays the captured
 // lifecycle state.
 func (p *Pool) newJob(id int, ad *classad.Ad, submitted time.Time) *job {
-	j := &job{
-		id:         id,
-		ad:         ad,
-		status:     StatusIdle,
-		priority:   int(ad.Int(AttrPriority, 0)),
-		owner:      ad.Str(AttrOwner, ""),
-		need:       ad.Float(AttrCpuSeconds, 0),
-		outputFile: ad.Str(AttrOutputFile, ""),
-		taskID:     p.Name + "-" + strconv.Itoa(id),
-		failAfter:  ad.Float(AttrFailAfter, 0),
-		matcher:    classad.NewMatcher(ad),
-		submitTime: submitted,
+	return &job{
+		id:        id,
+		ad:        ad,
+		status:    StatusIdle,
+		priority:  int(ad.Int(AttrPriority, 0)),
+		owner:     ad.Str(AttrOwner, ""),
+		need:      ad.Float(AttrCpuSeconds, 0),
+		hasOutput: ad.Str(AttrOutputFile, "") != "",
+		failAfter: ad.Float(AttrFailAfter, 0),
+		matcher:   classad.NewMatcher(ad),
+		submitted: p.instantOf(submitted),
+		started:   notYet,
+		completed: notYet,
+		reqArch:   p.constraint(ad, "Arch"),
+		reqOpSys:  p.constraint(ad, "OpSys"),
 	}
-	j.reqArch, _ = ad.ReqStringConstraint("Arch")
-	j.reqOpSys, _ = ad.ReqStringConstraint("OpSys")
-	return j
 }
 
 // seal makes j the terminal record, the one Restore builds for a job

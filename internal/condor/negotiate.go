@@ -89,7 +89,7 @@ func (p *Pool) harvestLocked(now time.Time) int {
 // fault-injection point, Completed, with its output, otherwise.
 func (p *Pool) finishLocked(j *job, now time.Time) {
 	p.releaseClaimLocked(j) // a no-op once taskDone has run
-	j.completionTime = now
+	j.completed = p.instantOf(now)
 	if j.faulty() {
 		p.setStatusLocked(j, StatusFailed)
 		return
@@ -137,20 +137,20 @@ func (p *Pool) rerateFlowsLocked(now time.Time) int {
 
 // produceOutputLocked materializes the job's declared output file in the
 // site's storage element, so Backup & Recovery can fetch "local files that
-// were produced".
+// were produced". Only a job whose ad names one reads it.
 func (p *Pool) produceOutputLocked(j *job) {
-	if j.outputFile == "" {
+	if !j.hasOutput {
 		return
 	}
-	_ = p.site.Storage().Put(j.outputFile, j.ad.Float(AttrOutputMB, 1))
+	_ = p.site.Storage().Put(j.ad.Str(AttrOutputFile, ""), j.ad.Float(AttrOutputMB, 1))
 }
 
 // jobRef is the fair-share policy's view of a queued job.
-func jobRef(j *job) fairshare.JobRef {
+func (p *Pool) jobRef(j *job) fairshare.JobRef {
 	return fairshare.JobRef{
 		Owner:          j.owner,
 		StaticPriority: j.priority,
-		Submitted:      j.submitTime,
+		Submitted:      p.timeOf(j.submitted),
 		Seq:            j.id,
 	}
 }

@@ -42,7 +42,7 @@ func (p *Pool) idleSortedLocked() []*job {
 		// classad attributes per comparison dominates negotiation cost.
 		refs := make([]fairshare.JobRef, len(idle))
 		for i, j := range idle {
-			refs[i] = jobRef(j)
+			refs[i] = p.jobRef(j)
 		}
 		order := make([]int, len(idle))
 		for i := range order {
@@ -52,7 +52,7 @@ func (p *Pool) idleSortedLocked() []*job {
 		// weak ordering even on a clock that advances mid-sort, and the
 		// key form computes standing in one locked pass so the sort
 		// itself runs lock-free.
-		keys := p.fair.SortKeysAt(p.grid.Engine.Now(), refs)
+		keys := p.fair.AppendSortKeys(nil, p.grid.Engine.Now(), refs)
 		sort.SliceStable(order, func(a, b int) bool {
 			ia, ib := order[a], order[b]
 			return fairshare.LessKeys(refs[ia], refs[ib], keys[ia], keys[ib])
@@ -178,7 +178,7 @@ func (d *eagerAccrual) onWake(now time.Time) {
 		}
 		cpu := p.cpuSecondsLocked(j) - j.cpuBase
 		if delta := cpu - d.recorded[j.id]; delta > 0 {
-			d.sink.RecordUsage(j.owner, j.node.Site, delta)
+			d.sink.RecordUsage(j.owner, j.host.node.Site, delta)
 			d.recorded[j.id] = cpu
 		}
 	}

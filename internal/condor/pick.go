@@ -52,8 +52,8 @@ func (a pickEntry) compare(b pickEntry) int {
 // the highest job-Rank match, ties broken by machine name, a total order
 // that makes the result independent of bucket iteration order.
 func (p *Pool) pickIndexedLocked(j *job) *machine {
-	if j.reqArch != "" {
-		best, bestRank := p.pickFromBucketLocked(j, j.reqArch, nil, 0)
+	if j.reqArch != noConstraint {
+		best, bestRank := p.pickFromBucketLocked(j, p.constraints[j.reqArch], nil, 0)
 		best, _ = p.pickFromBucketLocked(j, dynamicBucket, best, bestRank)
 		return best
 	}
@@ -166,7 +166,7 @@ func (p *Pool) pickOrderedLocked(j *job, v *pickView, best *machine, bestRank fl
 			}
 			continue
 		}
-		if j.reqOpSys != "" && m.opsKnown && m.opsKey != j.reqOpSys {
+		if j.reqOpSys != noConstraint && m.opsKnown && m.opsKey != p.constraints[j.reqOpSys] {
 			continue // rejected for this job only; later jobs may differ
 		}
 		if !j.matcher.Match(m.matcher) {
@@ -192,10 +192,10 @@ func (p *Pool) bestCandidate(j *job, cands []*machine, best *machine, bestRank f
 		if m.skipFor == p {
 			continue
 		}
-		if j.reqArch != "" && m.archKey != j.reqArch && m.archKey != dynamicBucket {
+		if j.reqArch != noConstraint && m.archKey != p.constraints[j.reqArch] && m.archKey != dynamicBucket {
 			continue
 		}
-		if j.reqOpSys != "" && m.opsKnown && m.opsKey != j.reqOpSys {
+		if j.reqOpSys != noConstraint && m.opsKnown && m.opsKey != p.constraints[j.reqOpSys] {
 			continue
 		}
 		if !j.matcher.Match(m.matcher) {

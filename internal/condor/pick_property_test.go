@@ -156,7 +156,7 @@ func runPickProperty(t *testing.T, seed int64, sum *pickPropertyTally) {
 		// the refresh), advertised ads and loads change, claimed machines
 		// return, and a free one is claimed, freed and claimed again.
 		if rng.Intn(2) == 0 {
-			p.machines[rng.Intn(n)].node.Place(simgrid.NewTask("ext", 1e9, nil))
+			p.machines[rng.Intn(n)].node.Place(simgrid.NewTask(1e9, nil))
 		}
 		for _, a := range away {
 			a.m.ad.Set("Arch", a.arch) // and back

@@ -57,8 +57,17 @@ type Pool struct {
 	site *simgrid.Site
 	wake *simgrid.Wake
 
+	// epoch is the engine's clock when the pool was made: job timestamps are
+	// offsets from it (job.submitted, .started, .completed).
+	epoch time.Time
+
 	mu       sync.Mutex
 	machines []*machine
+	// constraints lists the Arch and OpSys literals jobs' Requirements
+	// have pinned, constraintKeys indexes it: a job holds the index
+	// (job.reqArch, job.reqOpSys). Entry 0 is "", noConstraint.
+	constraints    []string
+	constraintKeys map[string]constraintKey
 	// freeBuckets holds machines with no pool-placed task, keyed by the
 	// lower-cased literal Arch of their ad (dynamicBucket for machines
 	// whose Arch is not a static string). Maintained incrementally by
@@ -73,11 +82,12 @@ type Pool struct {
 	idleScratch []*job
 	peerScratch []*machine
 	refScratch  []fairshare.JobRef
+	keyScratch  []fairshare.SortKey
 	curScratch  []ownerCursor
 	// streamScratch is the recycled negotiation stream, its slices reused
 	// instead of reallocated on every wake. At most one stream is live at
 	// a time: a pass and an ordering query (Job, Jobs, QueueAbove) each
-	// build and drain theirs inside one critical section of p.mu, and
+	// build and read theirs inside one critical section of p.mu, and
 	// nothing a pass calls asks for the order.
 	streamScratch negotiationStream
 	// pickGen/pickViews back the rank-ordered pick: large free buckets are
@@ -232,18 +242,27 @@ type machine struct {
 	// node, or when a checkpoint-complete job consumed the offer without
 	// placing work.
 	skipFor *Pool
+	// runner is the job whose task occupies the node, of runnerPool — the
+	// owner, or a pool flocking onto the machine: a claim is exclusive, so
+	// there is one. onDone, made once, is that task's completion callback.
+	runner     *job
+	runnerPool *Pool
+	onDone     func(*simgrid.Task)
 }
 
 // NewPool creates an execution service for site, registered with the
 // grid's engine.
 func NewPool(name string, grid *simgrid.Grid, site *simgrid.Site) *Pool {
 	p := &Pool{
-		Name:        name,
-		grid:        grid,
-		site:        site,
-		freeBuckets: make(map[string][]*machine),
-		owners:      make(map[string]*ownerQueue),
-		nodeJob:     make(map[*simgrid.Node]*job),
+		Name:           name,
+		grid:           grid,
+		site:           site,
+		epoch:          grid.Engine.Now(),
+		constraints:    []string{""},
+		constraintKeys: make(map[string]constraintKey),
+		freeBuckets:    make(map[string][]*machine),
+		owners:         make(map[string]*ownerQueue),
+		nodeJob:        make(map[*simgrid.Node]*job),
 	}
 	p.wake = grid.Engine.Register(p.onWake)
 	return p
@@ -275,6 +294,7 @@ func (p *Pool) AddMachine(node *simgrid.Node, ad *classad.Ad) {
 		ad.Set("OpSys", "LINUX")
 	}
 	m := &machine{node: node, owner: p, ad: ad, freeIdx: -1}
+	m.onDone = func(*simgrid.Task) { m.runnerPool.taskDone(m.runner) }
 	m.snapshotAd()
 	// Subscriptions replace per-tick polling: an ad attribute change or a
 	// node-level change made by anyone but this pool's own pass (load

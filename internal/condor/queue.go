@@ -1,7 +1,9 @@
 package condor
 
 import (
+	"cmp"
 	"container/heap"
+	"slices"
 	"sort"
 	"time"
 )
@@ -101,8 +103,8 @@ func (q *ownerQueue) refile(j *job) {
 	items := b.items
 	i := b.head + sort.Search(len(items)-b.head, func(k int) bool {
 		o := items[b.head+k].j
-		if !o.submitTime.Equal(j.submitTime) {
-			return o.submitTime.After(j.submitTime)
+		if o.submitted != j.submitted {
+			return o.submitted > j.submitted
 		}
 		return o.id > j.id
 	})
@@ -187,8 +189,8 @@ func (h cursorHeap) Less(a, b int) bool {
 	if x.cur.priority != y.cur.priority {
 		return x.cur.priority > y.cur.priority
 	}
-	if !x.cur.submitTime.Equal(y.cur.submitTime) {
-		return x.cur.submitTime.Before(y.cur.submitTime)
+	if x.cur.submitted != y.cur.submitted {
+		return x.cur.submitted < y.cur.submitted
 	}
 	return x.cur.id < y.cur.id
 }
@@ -323,7 +325,7 @@ func (p *Pool) negotiationStreamLocked(now time.Time) *negotiationStream {
 			q.count = 0 // lost count to stale entries; resync
 			continue
 		}
-		refs = append(refs, jobRef(j))
+		refs = append(refs, p.jobRef(j))
 		cursors = append(cursors, ownerCursor{q: q})
 	}
 	p.refScratch = refs[:0]
@@ -331,7 +333,8 @@ func (p *Pool) negotiationStreamLocked(now time.Time) *negotiationStream {
 	if len(refs) == 0 {
 		return s
 	}
-	keys := p.fair.SortKeysAt(now, refs)
+	keys := p.fair.AppendSortKeys(p.keyScratch[:0], now, refs)
+	p.keyScratch = keys
 	for i := range cursors {
 		cursors[i].ep = keys[i].Effective
 		if keys[i].Starved {
@@ -342,11 +345,8 @@ func (p *Pool) negotiationStreamLocked(now time.Time) *negotiationStream {
 	}
 	// Phase (a): starved picks in strict FIFO, as LessKeys orders the
 	// starved block.
-	sort.Slice(s.starved, func(a, b int) bool {
-		if !s.starved[a].submitTime.Equal(s.starved[b].submitTime) {
-			return s.starved[a].submitTime.Before(s.starved[b].submitTime)
-		}
-		return s.starved[a].id < s.starved[b].id
+	slices.SortFunc(s.starved, func(a, b *job) int {
+		return cmp.Or(cmp.Compare(a.submitted, b.submitted), cmp.Compare(a.id, b.id))
 	})
 	for i := range cursors {
 		c := &cursors[i]

@@ -44,6 +44,40 @@ func checkOrderParity(t *testing.T, p *Pool, label string) {
 			t.Fatalf("%s: order diverges at %d\nstream: %v\nlegacy: %v", label, i, stream, legacy)
 		}
 	}
+	// What a status query reports, counted off the stream up to the job, is
+	// what the whole listing reports, and both are the order's.
+	for _, info := range mustJobs(t, p) {
+		want := slices.Index(legacy, info.ID) + 1
+		if got := mustJob(t, p, info.ID).QueuePosition; got != info.QueuePosition || got != want {
+			t.Fatalf("%s: job %d (%v): Job reports position %d, Jobs %d, the order %d", label, info.ID, info.Status, got, info.QueuePosition, want)
+		}
+	}
+}
+
+// TestJobStatusQueryFollowsItsPlace: a status query on the job at the head
+// of the queue costs the same allocations behind 10 queued jobs as behind
+// 10 000, under either policy — it counts its way down the negotiation
+// stream to the job instead of mapping every idle job's position.
+func TestJobStatusQueryFollowsItsPlace(t *testing.T) {
+	for _, fair := range []bool{false, true} {
+		allocs := func(queued int) float64 {
+			g := simgrid.NewGrid(time.Second, 1)
+			p := NewPool("s", g, g.AddSite("s")) // no machines: every job waits
+			if fair {
+				p.SetFairShare(fairshare.NewManager(fairshare.Config{Clock: g.Engine.Clock()}))
+			}
+			for i := 0; i < queued; i++ {
+				mustSubmit(t, p, jobAd([]string{"alice", "bob"}[i%2], 100, 0))
+			}
+			if pos := mustJob(t, p, 1).QueuePosition; pos != 1 {
+				t.Fatalf("fair=%v: job 1 at position %d, want the head", fair, pos)
+			}
+			return testing.AllocsPerRun(50, func() { mustJob(t, p, 1) })
+		}
+		if few, many := allocs(10), allocs(10_000); few != many {
+			t.Errorf("fair=%v: Job on the head of the queue allocates %v times behind 10 jobs, %v behind 10 000", fair, few, many)
+		}
+	}
 }
 
 // restoreCapture is one mid-run crash-recovery check of the order scenario:

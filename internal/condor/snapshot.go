@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/classad"
 	"repro/internal/durable"
-	"repro/internal/simgrid"
 )
 
 // Export serializes the pool's queue for the durable snapshot codec:
@@ -31,16 +30,16 @@ func (p *Pool) Export(leaseTTL time.Duration) durable.PoolState {
 			Status:         int(j.status),
 			Priority:       j.priority,
 			Owner:          j.owner,
-			SubmitTime:     j.submitTime,
-			StartTime:      j.startTime,
-			CompletionTime: j.completionTime,
+			SubmitTime:     p.timeOf(j.submitted),
+			StartTime:      p.timeOf(j.started),
+			CompletionTime: p.timeOf(j.completed),
 			CPUSeconds:     p.cpuSecondsLocked(j),
 			WallClock:      p.wallClockLocked(j),
 		}
-		if j.node != nil {
-			js.Node = j.node.Name
+		if j.host != nil {
+			js.Node = j.host.node.Name
 		}
-		if j.claimed != nil && (j.status == StatusRunning || j.status == StatusSuspended) {
+		if j.claimed && (j.status == StatusRunning || j.status == StatusSuspended) {
 			js.LeaseExpires = now.Add(leaseTTL)
 		}
 		st.Jobs = append(st.Jobs, js)
@@ -86,8 +85,8 @@ func (p *Pool) Restore(st durable.PoolState) error {
 		j.status = Status(js.Status)
 		j.priority = js.Priority
 		j.owner = js.Owner
-		j.startTime = js.StartTime
-		j.completionTime = js.CompletionTime
+		j.started = p.instantOf(js.StartTime)
+		j.completed = p.instantOf(js.CompletionTime)
 		j.cpuBase = js.CPUSeconds
 		j.wallBase = js.WallClock
 		if j.wallBase == 0 {
@@ -99,7 +98,7 @@ func (p *Pool) Restore(st durable.PoolState) error {
 		if j.status.Terminal() {
 			// Terminal jobs keep their node name for the monitoring view
 			// but hold no claim.
-			j.node = p.nodeByNameLocked(js.Node)
+			j.host = p.machineByNameLocked(js.Node)
 			j.seal()
 			continue
 		}
@@ -133,7 +132,7 @@ func (p *Pool) requeueRestoredLocked(j *job) {
 		j.cpuBase, j.wallBase = 0, 0
 	}
 	j.status = StatusIdle
-	j.node = nil
+	j.host = nil
 	p.idleCount++
 	p.enqueueIdleLocked(j)
 }
@@ -149,7 +148,7 @@ func (p *Pool) rebindLocked(j *job, m *machine, now time.Time) {
 	if remaining <= 0 {
 		// The capture raced the task's end; the next harvest would have
 		// finished the job, so finish it here.
-		j.completionTime = now
+		j.completed = p.instantOf(now)
 		j.seal()
 		p.liveCount--
 		j.status = StatusFailed
@@ -175,14 +174,6 @@ func (p *Pool) machineByNameLocked(name string) *machine {
 		if m.node.Name == name {
 			return m
 		}
-	}
-	return nil
-}
-
-// nodeByNameLocked resolves a node for display-only restoration.
-func (p *Pool) nodeByNameLocked(name string) *simgrid.Node {
-	if m := p.machineByNameLocked(name); m != nil {
-		return m.node
 	}
 	return nil
 }

@@ -197,16 +197,16 @@ func TestRestoreRejectsIDsOutsideTheTable(t *testing.T) {
 // submitFields is everything newJob parses out of an ad at submit time —
 // what the negotiation and completion paths read instead of the ad.
 type submitFields struct {
-	owner, outputFile, taskID, reqArch, reqOpSys, rankClass string
-	priority                                                int
-	need, failAfter                                         float64
-	compiled, rankClassOK                                   bool
+	owner, reqArch, reqOpSys, rankClass string
+	priority                            int
+	need, failAfter                     float64
+	hasOutput, compiled, rankClassOK    bool
 }
 
-func submitFieldsOf(j *job) submitFields {
+func submitFieldsOf(p *Pool, j *job) submitFields {
 	f := submitFields{
-		owner: j.owner, outputFile: j.outputFile, taskID: j.taskID,
-		reqArch: j.reqArch, reqOpSys: j.reqOpSys,
+		owner: j.owner, hasOutput: j.hasOutput,
+		reqArch: p.constraints[j.reqArch], reqOpSys: p.constraints[j.reqOpSys],
 		priority: j.priority,
 		need:     j.need, failAfter: j.failAfter,
 		compiled: j.matcher != nil,
@@ -249,11 +249,11 @@ func TestRestoredJobsCarrySubmitFields(t *testing.T) {
 	}
 	states := map[Status]int{}
 	for _, id := range ids {
-		got, want := submitFieldsOf(p2.jobLocked(id)), submitFieldsOf(twin.jobLocked(id))
+		got, want := submitFieldsOf(p2, p2.jobLocked(id)), submitFieldsOf(twin, twin.jobLocked(id))
 		if got != want {
 			t.Errorf("job %d restored with %+v,\n a submitted twin has %+v", id, got, want)
 		}
-		if want.need <= 0 || want.outputFile == "" || want.taskID == "" || !want.compiled {
+		if want.need <= 0 || !want.hasOutput || !want.compiled {
 			t.Fatalf("job %d: vacuous twin %+v", id, want)
 		}
 		states[p2.jobLocked(id).status]++

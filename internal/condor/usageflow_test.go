@@ -166,7 +166,7 @@ func TestFlowFollowsOccupancy(t *testing.T) {
 	id := mustSubmit(t, p, jobAd("alice", 1000, 0))
 	g.Engine.RunFor(10 * time.Second)
 
-	paused := simgrid.NewTask("paused", 500, nil)
+	paused := simgrid.NewTask(500, nil)
 	paused.Suspend()
 	node.Place(paused)
 	g.Engine.RunFor(10 * time.Second)
@@ -174,7 +174,7 @@ func TestFlowFollowsOccupancy(t *testing.T) {
 		t.Fatalf("a suspended foreign task re-rated the flow: %v", pol.calls)
 	}
 
-	ext := simgrid.NewTask("ext", 500, nil)
+	ext := simgrid.NewTask(500, nil)
 	node.Place(ext)
 	g.Engine.RunFor(10 * time.Second)
 	node.Remove(ext)
@@ -377,7 +377,7 @@ func TestFlowsMatchPerTickEagerOracle(t *testing.T) {
 				slack := 1e-9
 				sc.pool.mu.Lock()
 				for _, j := range sc.pool.nodeJob {
-					slack += 0.5e-6 * sc.g.Engine.Now().Sub(j.startTime).Seconds()
+					slack += 0.5e-6 * sc.g.Engine.Now().Sub(sc.pool.timeOf(j.started)).Seconds()
 				}
 				sc.pool.mu.Unlock()
 				for _, tenant := range []string{"alice", "bob", "carol"} {

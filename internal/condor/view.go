@@ -4,13 +4,8 @@ import "strings"
 
 // JobInfo views of the pool's jobs and their positions in the queue.
 
-// idlePositionsLocked maps idle job IDs to their 1-based place in
-// negotiation order. Bulk snapshotters compute it once so a whole-queue
-// listing costs one ordering pass instead of one per job.
-func (p *Pool) idlePositionsLocked() map[int]int {
-	return positionsOf(p.idleOrderedLocked())
-}
-
+// positionsOf maps the IDs of jobs in negotiation order to their 1-based
+// places.
 func positionsOf(ordered []*job) map[int]int {
 	pos := make(map[int]int, len(ordered))
 	for i, j := range ordered {
@@ -19,19 +14,28 @@ func positionsOf(ordered []*job) map[int]int {
 	return pos
 }
 
-// snapshotLocked builds the JobInfo view of a single job, paying for an
-// ordering pass only when the job is idle.
-func (p *Pool) snapshotLocked(j *job) JobInfo {
-	var pos map[int]int
-	if j.status == StatusIdle {
-		pos = p.idlePositionsLocked()
+// queuePositionLocked returns j's 1-based place among the idle jobs in
+// negotiation order, 0 when it is not idle: the stream is drained only up
+// to j, so a status query costs the jobs ahead of it and no map of the
+// queue.
+func (p *Pool) queuePositionLocked(j *job) int {
+	if j.status != StatusIdle {
+		return 0
 	}
-	return p.snapshotPosLocked(j, pos)
+	s := p.negotiationStreamLocked(p.grid.Engine.Now())
+	for n := 1; ; n++ {
+		switch s.next() {
+		case j:
+			return n
+		case nil:
+			return 0
+		}
+	}
 }
 
-// snapshotPosLocked builds the JobInfo view using precomputed idle
-// positions.
-func (p *Pool) snapshotPosLocked(j *job, pos map[int]int) JobInfo {
+// snapshotLocked builds the JobInfo view of a job at queue position pos
+// (0 for a job that is not idle).
+func (p *Pool) snapshotLocked(j *job, pos int) JobInfo {
 	now := p.grid.Engine.Now()
 	info := JobInfo{
 		ID:               j.id,
@@ -41,17 +45,17 @@ func (p *Pool) snapshotPosLocked(j *job, pos map[int]int) JobInfo {
 		Cmd:              j.ad.Str(AttrCmd, ""),
 		Priority:         j.priority,
 		Env:              j.ad.Str(AttrEnv, ""),
-		SubmitTime:       j.submitTime,
-		StartTime:        j.startTime,
-		CompletionTime:   j.completionTime,
+		SubmitTime:       p.timeOf(j.submitted),
+		StartTime:        p.timeOf(j.started),
+		CompletionTime:   p.timeOf(j.completed),
 		EstimatedRuntime: j.ad.Float(AttrEstimate, 0),
 		InputMB:          j.ad.Float(AttrInputMB, 0),
 		OutputMB:         j.ad.Float(AttrOutputMB, 0),
 		CPUSeconds:       p.cpuSecondsLocked(j),
 		WallClock:        p.wallClockLocked(j),
 	}
-	if j.node != nil {
-		info.Node = j.node.Name
+	if j.host != nil {
+		info.Node = j.host.node.Name
 	}
 	if need := j.need; need > 0 {
 		info.Progress = info.CPUSeconds / need
@@ -60,10 +64,10 @@ func (p *Pool) snapshotPosLocked(j *job, pos map[int]int) JobInfo {
 		}
 	}
 	end := now
-	if !j.completionTime.IsZero() {
-		end = j.completionTime
+	if j.completed != notYet {
+		end = info.CompletionTime
 	}
-	info.Elapsed = end.Sub(j.submitTime)
+	info.Elapsed = end.Sub(info.SubmitTime)
 	if info.EstimatedRuntime > 0 {
 		rem := info.EstimatedRuntime - info.WallClock.Seconds()
 		if rem < 0 {
@@ -72,7 +76,7 @@ func (p *Pool) snapshotPosLocked(j *job, pos map[int]int) JobInfo {
 		info.RemainingEstimate = rem
 	}
 	if j.status == StatusIdle {
-		info.QueuePosition = pos[j.id]
+		info.QueuePosition = pos
 	}
 	return info
 }

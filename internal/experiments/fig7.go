@@ -125,7 +125,7 @@ func Fig7(cfg Fig7Config) (*Fig7Result, error) {
 	// the paper "allowed [the original] to continue running on site A for
 	// testing purposes".
 	siteA := g.Grid.Site("siteA")
-	control := simgrid.NewTask("control", cfg.FreeCPUSeconds, nil)
+	control := simgrid.NewTask(cfg.FreeCPUSeconds, nil)
 	siteA.Node("siteA-n1").Place(control)
 
 	// Site A develops significant CPU load on both nodes.

@@ -1,6 +1,9 @@
 package fairshare
 
-import "time"
+import (
+	"math"
+	"time"
+)
 
 // UsageFlow is one job's usage stream: a chain of constant-rate intervals,
 // each of which meets the next. The execution service opens a flow when a
@@ -33,18 +36,22 @@ type FlowSink interface {
 	OpenFlow(tenant, site string, rate float64) UsageFlow
 }
 
-// flow is the Manager's UsageFlow: it pins the tenant, group, and site
-// accounts its rate feeds and tracks the undecayed total it has emitted
-// so Close can reconcile against the measured CPU-seconds.
+// flow is the Manager's UsageFlow: it names the tenant and site accounts
+// its rate feeds and tracks the undecayed total it has emitted so Close can
+// reconcile against the measured CPU-seconds. Every running job holds one,
+// so it is kept to 64 bytes: the instant the current rate took effect is
+// held in Unix nanoseconds, and a closed flow is one whose since is
+// flowClosed.
 type flow struct {
 	m       *Manager
 	tenant  string
 	site    string
 	rate    float64
-	since   time.Time // when the current rate took effect
-	emitted float64   // undecayed CPU-seconds contributed so far
-	closed  bool
+	since   int64   // when the current rate took effect, in Unix nanoseconds
+	emitted float64 // undecayed CPU-seconds contributed so far
 }
+
+const flowClosed = math.MinInt64
 
 // OpenFlow starts a constant-rate usage flow for tenant at site,
 // implementing FlowSink. An empty tenant accounts to Anonymous; an empty
@@ -56,8 +63,9 @@ func (m *Manager) OpenFlow(tenant, site string, rate float64) UsageFlow {
 	tenant = tenantName(tenant)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	f := &flow{m: m, tenant: tenant, site: site}
-	m.setFlowRateLocked(f, rate, m.clock.Now())
+	now := m.clock.Now()
+	f := &flow{m: m, tenant: tenant, site: site, since: now.UnixNano()}
+	m.setFlowRateLocked(f, rate, now)
 	return f
 }
 
@@ -69,7 +77,7 @@ func (f *flow) SetRate(rate float64) {
 	m := f.m
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if f.closed {
+	if f.since == flowClosed {
 		return
 	}
 	m.setFlowRateLocked(f, rate, m.clock.Now())
@@ -80,12 +88,11 @@ func (f *flow) SetRate(rate float64) {
 // it runs under is m.mu, not anything of the flow's — so the *Locked
 // suffix names whose lock is held.
 func (m *Manager) setFlowRateLocked(f *flow, rate float64, now time.Time) {
-	if !f.since.IsZero() {
-		f.emitted += f.rate * now.Sub(f.since).Seconds()
-	}
+	at := now.UnixNano()
+	f.emitted += f.rate * time.Duration(at-f.since).Seconds()
 	delta := rate - f.rate
 	f.rate = rate
-	f.since = now
+	f.since = at
 	if delta == 0 {
 		return
 	}
@@ -112,12 +119,12 @@ func (f *flow) Close(total float64) {
 	m := f.m
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if f.closed {
+	if f.since == flowClosed {
 		return
 	}
 	now := m.clock.Now()
 	m.setFlowRateLocked(f, 0, now)
-	f.closed = true
+	f.since = flowClosed
 	residual := total - f.emitted
 	if residual == 0 {
 		return

@@ -3,8 +3,10 @@ package fairshare
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/vtime"
 )
@@ -112,5 +114,24 @@ func TestFlowRateZeroAccruesNothing(t *testing.T) {
 	f.Close(30)
 	if d := relDiff(m.Usage("bob"), 30); d > 1e-9 {
 		t.Fatalf("closed usage %v, want 30", m.Usage("bob"))
+	}
+}
+
+// Every running job holds a usage flow for as long as it runs: one 64-byte
+// allocation, and none for a negotiation pass's sort keys once the
+// negotiator's buffer has grown to the pass.
+func TestFlowAndSortKeysAllocations(t *testing.T) {
+	if got := unsafe.Sizeof(flow{}); got > 64 {
+		t.Errorf("unsafe.Sizeof(flow{}) = %d bytes, want <= 64", got)
+	}
+	clk := vtime.NewSimClock(time.Time{})
+	m := NewManager(Config{Clock: clk})
+	refs := []JobRef{{Owner: "atlas", Submitted: clk.Now(), Seq: 1}, {Owner: "cms", Submitted: clk.Now(), Seq: 2}}
+	keys := m.AppendSortKeys(nil, clk.Now(), refs)
+	if got := testing.AllocsPerRun(100, func() { keys = m.AppendSortKeys(keys[:0], clk.Now(), refs) }); got != 0 {
+		t.Errorf("AppendSortKeys into a grown buffer allocates %v times, want 0", got)
+	}
+	if want := m.SortKeysAt(clk.Now(), refs); !slices.Equal(keys, want) {
+		t.Errorf("AppendSortKeys = %v, SortKeysAt = %v", keys, want)
 	}
 }

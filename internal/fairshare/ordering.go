@@ -2,6 +2,7 @@ package fairshare
 
 import (
 	"reflect"
+	"slices"
 	"time"
 )
 
@@ -35,22 +36,33 @@ type SortKey struct {
 	Effective float64
 }
 
-// Ranker is a fair-share policy: SortKeysAt prices the refs considered
+// Ranker is a fair-share policy: AppendSortKeys prices the refs considered
 // together in one negotiation pass — one key per ref, all at the single
 // instant the caller captured, so the order stays a strict weak ordering
 // even on a clock that advances mid-pass — and LessKeys orders any two of
-// them by those keys without calling back into the policy.
+// them by those keys without calling back into the policy. The keys are
+// appended to the caller's buffer, which a negotiator reuses pass after
+// pass.
 type Ranker interface {
-	SortKeysAt(now time.Time, refs []JobRef) []SortKey
+	AppendSortKeys(dst []SortKey, now time.Time, refs []JobRef) []SortKey
 }
 
-// SortKeysAt computes each ref's standing at the given instant in a
-// single locked pass. Among a starved tenant's refs, only the oldest is
-// marked Starved: promoting one job per tenant per pass bounds the guard
-// to its purpose — guaranteeing progress — instead of handing a starved
-// tenant's whole backlog every machine that frees in the same cycle.
+// SortKeysAt is AppendSortKeys into a fresh slice.
 func (m *Manager) SortKeysAt(now time.Time, refs []JobRef) []SortKey {
-	keys := make([]SortKey, len(refs))
+	return m.AppendSortKeys(nil, now, refs)
+}
+
+// AppendSortKeys computes each ref's standing at the given instant in a
+// single locked pass and appends the keys to dst. Among a starved tenant's
+// refs, only the oldest is marked Starved: promoting one job per tenant per
+// pass bounds the guard to its purpose — guaranteeing progress — instead of
+// handing a starved tenant's whole backlog every machine that frees in the
+// same cycle.
+func (m *Manager) AppendSortKeys(dst []SortKey, now time.Time, refs []JobRef) []SortKey {
+	n := len(dst)
+	dst = slices.Grow(dst, len(refs))[:n+len(refs)]
+	keys := dst[n:]
+	clear(keys)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var oldest map[string]int // starved owner → index of their oldest ref
@@ -69,7 +81,7 @@ func (m *Manager) SortKeysAt(now time.Time, refs []JobRef) []SortKey {
 	for _, i := range oldest {
 		keys[i].Starved = true
 	}
-	return keys
+	return dst
 }
 
 // olderRef reports whether a entered the queue before b.

@@ -186,7 +186,7 @@ func TestFarmMonitorPublishesSiteWeather(t *testing.T) {
 	}
 
 	// Occupy siteB's node and advance past one interval.
-	sb.Nodes()[0].Place(simgrid.NewTask("t", 1000, nil))
+	sb.Nodes()[0].Place(simgrid.NewTask(1000, nil))
 	g.Engine.RunFor(11 * time.Second)
 
 	if got := r.LatestValue("siteB", MetricRunningJobs, -1); got != 1 {

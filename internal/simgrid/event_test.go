@@ -229,7 +229,7 @@ func TestAttachedNodeSchedulesDeadline(t *testing.T) {
 	s := g.AddSite("s")
 	n := s.AddNode(g.Engine, "n", 1, ConstantLoad(0.25))
 	var doneAt time.Time
-	task := NewTask("t", 300, func(*Task) { doneAt = g.Engine.Now() })
+	task := NewTask(300, func(*Task) { doneAt = g.Engine.Now() })
 	n.Place(task)
 	g.Engine.RunFor(1000 * time.Second)
 	if task.State() != TaskDone {
@@ -256,7 +256,7 @@ func TestAttachedNodeLazyReads(t *testing.T) {
 	g := NewGrid(time.Second, 1)
 	s := g.AddSite("s")
 	n := s.AddNode(g.Engine, "n", 1, ConstantLoad(0.6))
-	task := NewTask("t", 100, nil)
+	task := NewTask(100, nil)
 	n.Place(task)
 	g.Engine.RunFor(100 * time.Second)
 	if got := task.Progress(); math.Abs(got-0.4) > 1e-9 {
@@ -295,7 +295,7 @@ func TestAttachedNodeVaryingLoadMatchesActorNode(t *testing.T) {
 func TestAttachedNodeSuspendResumeMidFlight(t *testing.T) {
 	g := NewGrid(time.Second, 1)
 	n := g.AddSite("s").AddNode(g.Engine, "n", 1, IdleLoad())
-	task := NewTask("t", 100, nil)
+	task := NewTask(100, nil)
 	n.Place(task)
 	g.Engine.RunFor(30 * time.Second)
 	task.Suspend()
@@ -325,10 +325,10 @@ func TestAttachedNodeSuspendResumeMidFlight(t *testing.T) {
 func TestAttachedNodeShareRecomputedOnPlacement(t *testing.T) {
 	g := NewGrid(time.Second, 1)
 	n := g.AddSite("s").AddNode(g.Engine, "n", 1, IdleLoad())
-	a := NewTask("a", 100, nil)
+	a := NewTask(100, nil)
 	n.Place(a)
 	g.Engine.RunFor(20 * time.Second)
-	b := NewTask("b", 100, nil)
+	b := NewTask(100, nil)
 	n.Place(b)
 	g.Engine.RunFor(40 * time.Second)
 	if got := a.CPUSeconds(); math.Abs(got-40) > 1e-9 { // 20 + 40×0.5
@@ -346,7 +346,7 @@ func TestAttachedNodeSetLoadRederives(t *testing.T) {
 	g := NewGrid(time.Second, 1)
 	n := g.AddSite("s").AddNode(g.Engine, "n", 1, IdleLoad())
 	var doneAt time.Time
-	task := NewTask("t", 100, func(*Task) { doneAt = g.Engine.Now() })
+	task := NewTask(100, func(*Task) { doneAt = g.Engine.Now() })
 	n.Place(task)
 	g.Engine.RunFor(50 * time.Second)
 	n.SetLoad(ConstantLoad(0.5)) // remaining 50 cpu-seconds at rate 0.5
@@ -364,7 +364,7 @@ func TestAttachedNodeSetLoadRederives(t *testing.T) {
 func TestFullyLoadedNodeSchedulesNothing(t *testing.T) {
 	g := NewGrid(time.Second, 1)
 	n := g.AddSite("s").AddNode(g.Engine, "n", 1, ConstantLoad(1.0))
-	task := NewTask("t", 10, nil)
+	task := NewTask(10, nil)
 	n.Place(task)
 	g.Engine.RunFor(10000 * time.Second)
 	if g.Engine.Ticks() != 0 {
@@ -487,7 +487,7 @@ func TestPlaceUnobservedTellsObserverNothingItDid(t *testing.T) {
 	}
 
 	done := 0
-	own := NewTask("own", 5, func(*Task) { done++ })
+	own := NewTask(5, func(*Task) { done++ })
 	n.PlaceUnobserved(own)
 	expect(0, "its own placement")
 	g.Engine.RunFor(10 * time.Second)
@@ -496,12 +496,12 @@ func TestPlaceUnobservedTellsObserverNothingItDid(t *testing.T) {
 	}
 	expect(0, "its own task's completion")
 
-	n.Place(NewTask("foreign", 5, nil))
+	n.Place(NewTask(5, nil))
 	expect(1, "a foreign placement")
 	g.Engine.RunFor(10 * time.Second)
 	expect(2, "a foreign completion")
 
-	killed := NewTask("own2", 50, nil)
+	killed := NewTask(50, nil)
 	n.PlaceUnobserved(killed)
 	killed.Kill()
 	n.Remove(killed)
@@ -512,8 +512,8 @@ func TestPlaceUnobservedTellsObserverNothingItDid(t *testing.T) {
 	// Sharing a completion boundary with a foreign task does not hide it.
 	n.SetLoad(IdleLoad())
 	fired = 0
-	n.PlaceUnobserved(NewTask("own3", 4, nil))
-	n.Place(NewTask("foreign2", 4, nil))
+	n.PlaceUnobserved(NewTask(4, nil))
+	n.Place(NewTask(4, nil))
 	expect(1, "the foreign half of a shared placement")
 	g.Engine.RunFor(20 * time.Second)
 	expect(2, "a completion boundary shared with a foreign task")

@@ -88,7 +88,7 @@ func TestWorkArithmeticEdges(t *testing.T) {
 	// node still settles exactly when it is looked at.
 	g := NewGrid(time.Second, 1)
 	n := g.AddSite("s").AddNode(g.Engine, "n", 1, ConstantLoad(0.999999)) // one unit a second
-	task := NewTask("t", 4e12, nil)
+	task := NewTask(4e12, nil)
 	n.Place(task)
 	g.Engine.RunFor(1000 * time.Second)
 	if got := task.CPUSeconds(); got != 0.001 {
@@ -119,7 +119,7 @@ func TestStepsEqualRun(t *testing.T) {
 			g := NewGrid(tick, 1)
 			node := g.AddSite("s").AddNode(g.Engine, "n", mips, load)
 			for _, need := range needs {
-				task := NewTask("t", math.Max(need, 1e-6), nil)
+				task := NewTask(math.Max(need, 1e-6), nil)
 				node.Place(task)
 				sides[s] = append(sides[s], task)
 			}
@@ -172,7 +172,7 @@ func TestSegmentCallsIndependentOfTick(t *testing.T) {
 		calls := 0
 		g := NewGrid(tick, 1)
 		n := g.AddSite("s").AddNode(g.Engine, "n", 1.5, countedLoad{ConstantLoad(0.3).(PiecewiseConstant), &calls})
-		task := NewTask("t", 1e7, nil)
+		task := NewTask(1e7, nil)
 		n.Place(task)
 		for i := 0; i < 1000; i++ {
 			g.Engine.RunFor(between)
@@ -232,7 +232,7 @@ func TestLongTaskSinglePredictionBeyondReplayCap(t *testing.T) {
 	g := NewGrid(10*time.Millisecond, 1)
 	n := g.AddSite("s").AddNode(g.Engine, "n", 1.5, ConstantLoad(0.3))
 	var doneAt time.Time
-	task := NewTask("t", 1e7, func(*Task) { doneAt = g.Engine.Now() })
+	task := NewTask(1e7, func(*Task) { doneAt = g.Engine.Now() })
 	n.Place(task)
 	g.Engine.RunFor(9_600_000 * time.Second)
 	if task.State() != TaskDone {
@@ -270,7 +270,7 @@ func TestSegPredictionAgreesWithSync(t *testing.T) {
 		g := NewGrid(tick, 1)
 		n := g.AddSite("s").AddNode(g.Engine, "n", mips, load)
 		var doneAt time.Time
-		task := NewTask("t", need, func(*Task) { doneAt = g.Engine.Now() })
+		task := NewTask(need, func(*Task) { doneAt = g.Engine.Now() })
 		n.Place(task)
 		g.Engine.RunFor(4000 * time.Second)
 		if task.State() != TaskDone {
@@ -313,7 +313,7 @@ func TestReadersLeaveCompletionsToTheNode(t *testing.T) {
 		next = func(*Task) {
 			done.Add(1)
 			if left--; left > 0 {
-				task := NewTask("t", 0.7*float64(1+left%3), next) // one to three ticks
+				task := NewTask(0.7*float64(1+left%3), next) // one to three ticks
 				current[i].Store(task)
 				n.Place(task)
 			}
@@ -362,7 +362,7 @@ func TestImpureLoadCompletesLate(t *testing.T) {
 	level := 0.9
 	n := g.AddSite("s").AddNode(g.Engine, "n", 1, LoadFn(func(time.Time) float64 { return level }))
 	var doneAt time.Duration
-	task := NewTask("t", 10, func(*Task) { doneAt = g.Engine.Now().Sub(epoch2005) })
+	task := NewTask(10, func(*Task) { doneAt = g.Engine.Now().Sub(epoch2005) })
 	n.Place(task) // expected at +100 s; the look-ahead wakes the node at +64 s
 	g.Engine.RunFor(10 * time.Second)
 	if got := task.CPUSeconds(); got != 1 {
@@ -393,7 +393,7 @@ func TestSegmentCallsUnderShortSegments(t *testing.T) {
 		calls := 0
 		g := NewGrid(tick, 1)
 		n := g.AddSite("s").AddNode(g.Engine, "n", 1.5, countedLoad{DiurnalLoad(0.4, 0.3, 14).(PiecewiseConstant), &calls})
-		task := NewTask("t", 1e7, nil)
+		task := NewTask(1e7, nil)
 		op := func(name string, elapsedSegments int, f func()) {
 			before := calls
 			f()

@@ -100,9 +100,9 @@ func (w work) less(o work) bool {
 // integer units (see toUnits). WallClock is the time the task actually
 // occupied the CPU — its work divided by the node's speed — exactly
 // Condor's "accumulated wall-clock time" that the paper uses as its
-// job-progress proxy in Figure 7.
+// job-progress proxy in Figure 7. A running job holds one, so it carries no
+// name: 73 bytes, an 80-byte allocation.
 type Task struct {
-	ID   string
 	Need float64 // total CPU-seconds required on a Mips=1.0 node
 
 	mu    sync.Mutex
@@ -119,11 +119,11 @@ type Task struct {
 
 // NewTask creates a task requiring need CPU-seconds; onDone (optional)
 // fires when the work completes.
-func NewTask(id string, need float64, onDone func(*Task)) *Task {
+func NewTask(need float64, onDone func(*Task)) *Task {
 	if need <= 0 {
 		panic("simgrid: task needs positive work")
 	}
-	return &Task{ID: id, Need: need, work: work{need: toUnits(need)}, mips: 1, onDone: onDone}
+	return &Task{Need: need, work: work{need: toUnits(need)}, mips: 1, onDone: onDone}
 }
 
 // nodeRef returns the hosting node, if any.
@@ -250,8 +250,9 @@ type Node struct {
 	tasks    []*Task
 	eng      *Engine
 	wake     *Wake
-	synced   int64  // tick index of the boundary through which accrual has been applied
-	observer func() // fired (unlocked) after task-set or load changes
+	synced   int64   // tick index of the boundary through which accrual has been applied
+	observer func()  // fired (unlocked) after task-set or load changes
+	finished []*Task // what the last wake completed: settleLocked's reused buffer
 }
 
 // newNode creates a node on engine e. A nil load means idle; mips<=0
@@ -432,6 +433,7 @@ func (n *Node) onWake(time.Time) {
 			cb(t)
 		}
 	}
+	clear(fin) // the buffer is the node's, reused by its next wake
 	if notify {
 		n.notifyObserver()
 	}
@@ -496,8 +498,12 @@ func (n *Node) leastLeftLocked() (m int, least work) {
 // one change of rate to the next — the end of a load segment, or a
 // completion, which changes the sharing count — never over ticks. With
 // complete unset it stops at the boundary before the first completion,
-// leaving synced short of to.
+// leaving synced short of to. The completed tasks are listed in the node's
+// own buffer, which only its wake (complete set) writes.
 func (n *Node) settleLocked(to int64, complete bool) (finished []*Task) {
+	if complete {
+		finished = n.finished[:0]
+	}
 	for n.synced < to {
 		m, least := n.leastLeftLocked()
 		if m == 0 {
@@ -527,6 +533,9 @@ func (n *Node) settleLocked(to int64, complete bool) (finished []*Task) {
 		if len(finished) > 0 {
 			n.tasks = slices.DeleteFunc(n.tasks, func(t *Task) bool { return slices.Contains(finished, t) })
 		}
+	}
+	if complete {
+		n.finished = finished[:0]
 	}
 	return finished
 }

@@ -132,7 +132,7 @@ type nodeSide struct {
 func (s *nodeSide) place(need float64) {
 	i := len(s.tasks)
 	s.done = append(s.done, time.Time{})
-	s.tasks = append(s.tasks, NewTask("t", need, func(*Task) { s.done[i] = s.e.Now() }))
+	s.tasks = append(s.tasks, NewTask(need, func(*Task) { s.done[i] = s.e.Now() }))
 	s.node.Place(s.tasks[i])
 }
 

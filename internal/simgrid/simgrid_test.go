@@ -137,7 +137,7 @@ func testNode(mips float64, load Load) (*Engine, *Node) {
 func TestTaskOnIdleNodeFinishesInNeedSeconds(t *testing.T) {
 	e, n := testNode(1, IdleLoad())
 	var doneAt time.Time
-	task := NewTask("t1", 283, func(*Task) { doneAt = e.Now() })
+	task := NewTask(283, func(*Task) { doneAt = e.Now() })
 	n.Place(task)
 	e.RunFor(300 * time.Second)
 	if task.State() != TaskDone {
@@ -157,7 +157,7 @@ func TestTaskOnIdleNodeFinishesInNeedSeconds(t *testing.T) {
 
 func TestTaskMipsScaling(t *testing.T) {
 	e, fast := testNode(2, IdleLoad())
-	task := NewTask("t", 100, nil)
+	task := NewTask(100, nil)
 	fast.Place(task)
 	e.RunFor(50 * time.Second)
 	if task.State() != TaskDone {
@@ -167,8 +167,8 @@ func TestTaskMipsScaling(t *testing.T) {
 
 func TestTasksShareNodeFairly(t *testing.T) {
 	e, n := testNode(1, IdleLoad())
-	a := NewTask("a", 100, nil)
-	b := NewTask("b", 100, nil)
+	a := NewTask(100, nil)
+	b := NewTask(100, nil)
 	n.Place(a)
 	n.Place(b)
 	e.RunFor(100 * time.Second)
@@ -179,7 +179,7 @@ func TestTasksShareNodeFairly(t *testing.T) {
 
 func TestTaskKill(t *testing.T) {
 	e, n := testNode(1, IdleLoad())
-	task := NewTask("t", 100, func(*Task) { t.Fatal("killed task reported done") })
+	task := NewTask(100, func(*Task) { t.Fatal("killed task reported done") })
 	n.Place(task)
 	e.RunFor(10 * time.Second)
 	task.Kill()
@@ -194,7 +194,7 @@ func TestTaskKill(t *testing.T) {
 
 func TestKillAfterDoneIsNoOp(t *testing.T) {
 	e, n := testNode(1, IdleLoad())
-	task := NewTask("t", 5, nil)
+	task := NewTask(5, nil)
 	n.Place(task)
 	e.RunFor(10 * time.Second)
 	task.Kill()
@@ -205,7 +205,7 @@ func TestKillAfterDoneIsNoOp(t *testing.T) {
 
 func TestNodeRemoveDetachesTask(t *testing.T) {
 	e, n := testNode(1, IdleLoad())
-	task := NewTask("t", 100, nil)
+	task := NewTask(100, nil)
 	n.Place(task)
 	e.RunFor(10 * time.Second)
 	n.Remove(task)
@@ -220,7 +220,7 @@ func TestNodeRemoveDetachesTask(t *testing.T) {
 
 func TestCompletedTaskLeavesNode(t *testing.T) {
 	e, n := testNode(1, IdleLoad())
-	n.Place(NewTask("t", 5, nil))
+	n.Place(NewTask(5, nil))
 	e.RunFor(10 * time.Second)
 	if got := len(n.Tasks()); got != 0 {
 		t.Fatalf("node holds %d tasks after completion", got)
@@ -233,7 +233,7 @@ func TestNewTaskValidations(t *testing.T) {
 			t.Fatal("NewTask(need=0) did not panic")
 		}
 	}()
-	NewTask("t", 0, nil)
+	NewTask(0, nil)
 }
 
 func TestLoadFns(t *testing.T) {
@@ -337,8 +337,8 @@ func TestLeastLoadedNode(t *testing.T) {
 		t.Fatalf("LeastLoadedNode = %v", got.Name)
 	}
 	// Placing a task makes the idle node less attractive.
-	idle.Place(NewTask("t", 1000, nil))
-	idle.Place(NewTask("t2", 1000, nil))
+	idle.Place(NewTask(1000, nil))
+	idle.Place(NewTask(1000, nil))
 	if got := s.LeastLoadedNode(g.Engine.Now()); got.Name != "busy" {
 		t.Fatalf("LeastLoadedNode with queue = %v", got.Name)
 	}
@@ -525,7 +525,7 @@ func TestQuickProgressUnderLoad(t *testing.T) {
 		load := float64(loadPct%90) / 100 // 0.00 .. 0.89
 		need := float64(needS%100) + 50   // 50 .. 149 cpu-seconds
 		e, n := testNode(1, ConstantLoad(load))
-		task := NewTask("t", need, nil)
+		task := NewTask(need, nil)
 		n.Place(task)
 		const runFor = 40
 		e.RunFor(runFor * time.Second)

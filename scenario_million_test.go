@@ -289,11 +289,10 @@ func TestPlacementGolden(t *testing.T) {
 	}
 }
 
-// TestCompletionMallocCeiling bounds what the run of the golden scenario
-// allocates: at most 10 mallocs per job over Engine.RunFor (it was 14
-// with an allocation per queued event, a map per dirty-node drain and a
-// task ID per start). Submission is outside the measured region.
-func TestCompletionMallocCeiling(t *testing.T) {
+// runAllocsPerJob runs the golden scenario and returns what Engine.RunFor
+// allocated per job, in mallocs and bytes. Submission is outside the
+// measured region.
+func runAllocsPerJob(t *testing.T) (mallocs, bytes float64) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
@@ -303,10 +302,35 @@ func TestCompletionMallocCeiling(t *testing.T) {
 	runtime.ReadMemStats(&m0)
 	run()
 	runtime.ReadMemStats(&m1)
-	perJob := float64(m1.Mallocs-m0.Mallocs) / float64(goldenScale.jobs)
+	jobs := float64(goldenScale.jobs)
+	return float64(m1.Mallocs-m0.Mallocs) / jobs, float64(m1.TotalAlloc-m0.TotalAlloc) / jobs
+}
+
+// TestCompletionMallocCeiling bounds what the run of the golden scenario
+// allocates: at most 5 mallocs per job over Engine.RunFor (it was 14 with
+// an allocation per queued event, a map per dirty-node drain and a task ID
+// per start, 5.86 with a done closure per task, a completed-task list per
+// node wake and sort keys per pass; a start is now the task and the usage
+// flow, 2.25).
+func TestCompletionMallocCeiling(t *testing.T) {
+	perJob, _ := runAllocsPerJob(t)
 	t.Logf("%.2f mallocs per job over RunFor", perJob)
-	if perJob > 10 {
-		t.Errorf("%.2f mallocs per job over RunFor, ceiling 10", perJob)
+	if perJob > 5 {
+		t.Errorf("%.2f mallocs per job over RunFor, ceiling 5", perJob)
+	}
+}
+
+// TestRunBytesPerJob bounds the bytes the run of the golden scenario
+// allocates: at most 220 per job over Engine.RunFor (it was 305.5: a
+// 96-byte task carrying its ID, a 96-byte usage flow, the done closure and
+// per-pass sort keys; now an 80-byte task and a 64-byte flow are most of
+// 179). No collection runs inside RunFor on a deep backlog, so these bytes
+// are heap the run's high-water mark carries.
+func TestRunBytesPerJob(t *testing.T) {
+	_, perJob := runAllocsPerJob(t)
+	t.Logf("%.1f bytes allocated per job over RunFor", perJob)
+	if perJob > 220 {
+		t.Errorf("%.1f bytes allocated per job over RunFor, ceiling 220", perJob)
 	}
 }
 
@@ -330,12 +354,14 @@ func heapAfterGC() uint64 {
 }
 
 // TestJobBytesCeiling bounds what the pool's record of one job weighs on
-// the live heap: at most 900 bytes while it waits (it was 1,496 with a
-// hash table per ad, a 216-byte matcher and a map slot per job) and at
-// most 800 once it is terminal (it was 1,611: a finished job kept its
-// task, the task's done closure and its matcher). The pool keeps every job
-// it ever held, so these are the bytes a long-lived server grows by; a
-// million queued jobs hold under 0.9 GB.
+// the live heap: at most 600 bytes while it waits and 540 once it is
+// terminal. It was 1,496 / 1,611 with a hash table per ad, a 216-byte
+// matcher, a map slot per job and a finished job keeping its task; 754 /
+// 659 with a 288-byte job record, 72-byte attributes, a 64-byte ad header,
+// a 96-byte matcher and a task-ID string; 527 / 465 with a 176-byte
+// record, 56-byte attributes, a 48-byte header and a 64-byte matcher. The
+// pool keeps every job it ever held, so these are the bytes a long-lived
+// server grows by; a million queued jobs hold about 0.53 GB.
 func TestJobBytesCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes what objects weigh")
@@ -347,11 +373,11 @@ func TestJobBytesCeiling(t *testing.T) {
 	terminal := float64(heapAfterGC()-before) / float64(bytesScale.jobs)
 	runtime.KeepAlive(pools)
 	t.Logf("%.0f bytes per idle job, %.0f per terminal job", idle, terminal)
-	if idle > 900 {
-		t.Errorf("%.0f bytes of heap per idle job, ceiling 900", idle)
+	if idle > 600 {
+		t.Errorf("%.0f bytes of heap per idle job, ceiling 600", idle)
 	}
-	if terminal > 800 {
-		t.Errorf("%.0f bytes of heap per terminal job, ceiling 800", terminal)
+	if terminal > 540 {
+		t.Errorf("%.0f bytes of heap per terminal job, ceiling 540", terminal)
 	}
 }
 
