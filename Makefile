@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-race race-smoke bench bench-test fuzz-smoke bench-smoke load-smoke chaos-smoke obs-smoke sim fmt vet lint lint-test loc
+.PHONY: build test test-race race-smoke bench bench-test fuzz-smoke bench-smoke load-smoke chaos-smoke obs-smoke examples-smoke sim fmt vet lint lint-test loc
 
 build:
 	$(GO) build ./...
@@ -93,6 +93,13 @@ chaos-smoke:
 # and /debug/rpcs carries the burst's trace spans.
 obs-smoke:
 	$(GO) run ./cmd/gae-obs-smoke
+
+# Every program under examples/ built and run to completion; a non-zero
+# exit fails the target. Each runs in well under a second.
+examples-smoke:
+	@set -e; for d in examples/*/; do \
+		echo "examples-smoke: $$d"; $(GO) run ./$$d > /dev/null; \
+	done
 
 # Replay a fairness scenario; override with e.g.
 #   make sim SCENARIO=bursty-tenant SIMFLAGS=-fairshare=false

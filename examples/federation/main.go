@@ -19,7 +19,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/scheduler"
 	"repro/internal/simgrid"
-	"repro/internal/xmlrpc"
 	"repro/pkg/gae"
 )
 
@@ -78,19 +77,12 @@ func main() {
 	fmt.Printf("discovered %s at %s via P2P lookup\n", svc, info.Endpoint)
 	sc := clarens.NewClient(info.Endpoint)
 	sc.SetToken(c.Token())
-	profile, err := xmlrpc.Marshal(gae.TaskProfile{
+	profile := gae.TaskProfile{
 		Queue: "short", Partition: "gae", Nodes: 1, JobType: "batch",
 		ReqHours: 90.0 / 3600,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	raw, err := sc.CallStruct(ctx, svc+".runtime", profile)
-	if err != nil {
-		log.Fatal(err)
 	}
 	var est gae.RuntimeEstimate
-	if err := xmlrpc.Unmarshal(raw, &est); err != nil {
+	if err := sc.CallInto(ctx, svc+".runtime", &est, profile); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("site-local runtime estimate: %.0fs from %d similar task(s) [%s]\n",

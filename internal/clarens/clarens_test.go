@@ -3,7 +3,6 @@ package clarens
 import (
 	"context"
 	"net/http/httptest"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -42,8 +41,8 @@ func startHost(t *testing.T, clock vtime.Clock) (*Server, *Client) {
 
 func TestPingIsPublic(t *testing.T) {
 	_, c := startHost(t, nil)
-	name, err := c.CallString(context.Background(), "system.ping")
-	if err != nil {
+	var name string
+	if err := c.CallInto(context.Background(), "system.ping", &name); err != nil {
 		t.Fatal(err)
 	}
 	if name != "testhost" {
@@ -72,19 +71,19 @@ func TestAuthFlow(t *testing.T) {
 	if c.Token() == "" {
 		t.Fatal("no token after login")
 	}
-	who, err := c.CallString(ctx, "demo.who")
-	if err != nil {
+	var who string
+	if err := c.CallInto(ctx, "demo.who", &who); err != nil {
 		t.Fatal(err)
 	}
 	if who != "alice" {
 		t.Fatalf("who = %q", who)
 	}
 	// whoami built-in.
-	info, err := c.CallStruct(ctx, "system.whoami")
-	if err != nil {
+	var info Identity
+	if err := c.CallInto(ctx, "system.whoami", &info); err != nil {
 		t.Fatal(err)
 	}
-	if info["user"] != "alice" {
+	if info.User != "alice" || len(info.Roles) != 1 || info.Roles[0] != "physicist" {
 		t.Fatalf("whoami = %v", info)
 	}
 	// Logout invalidates the session.
@@ -236,11 +235,11 @@ func TestRegistryListAndLookup(t *testing.T) {
 	if !strings.HasPrefix(svcs[0].Endpoint, "http://") {
 		t.Fatalf("endpoint = %q", svcs[0].Endpoint)
 	}
-	got, err := c.CallStruct(ctx, "registry.lookup", "demo")
-	if err != nil {
+	var got ServiceInfo
+	if err := c.CallInto(ctx, "registry.lookup", &got, "demo"); err != nil {
 		t.Fatal(err)
 	}
-	if got["name"] != "demo" {
+	if got.Name != "demo" || len(got.Methods) != 2 {
 		t.Fatalf("lookup = %v", got)
 	}
 	if _, err := c.Call(ctx, "registry.lookup", "nope"); err == nil {
@@ -316,8 +315,8 @@ func TestStartStopRealListener(t *testing.T) {
 		t.Fatalf("BaseURL = %q, want %q", srv.BaseURL(), url)
 	}
 	c := NewClient(url)
-	name, err := c.CallString(context.Background(), "system.ping")
-	if err != nil {
+	var name string
+	if err := c.CallInto(context.Background(), "system.ping", &name); err != nil {
 		t.Fatal(err)
 	}
 	if name != "live" {
@@ -389,25 +388,69 @@ func TestStateStore(t *testing.T) {
 	}
 }
 
-func TestStateStoreSaveLoad(t *testing.T) {
+// TestStateStoreExportRestore: the durable snapshot's user_state section is
+// the store's one persistence path; a restored store reads what was exported.
+func TestStateStoreExportRestore(t *testing.T) {
 	s := NewStateStore()
 	s.Set("alice", "k1", "v1")
 	s.Set("bob", "k2", "v2")
-	path := filepath.Join(t.TempDir(), "state.json")
-	if err := s.Save(path); err != nil {
-		t.Fatal(err)
-	}
 	fresh := NewStateStore()
-	if err := fresh.Load(path); err != nil {
-		t.Fatal(err)
-	}
+	fresh.Set("carol", "stale", "x")
+	fresh.Restore(s.Export())
 	if v, ok := fresh.Get("alice", "k1"); !ok || v != "v1" {
 		t.Fatalf("round trip = %q, %v", v, ok)
 	}
 	if v, ok := fresh.Get("bob", "k2"); !ok || v != "v2" {
 		t.Fatalf("round trip = %q, %v", v, ok)
 	}
-	if err := fresh.Load(filepath.Join(t.TempDir(), "missing.json")); err == nil {
-		t.Fatal("loading missing file succeeded")
+	if _, ok := fresh.Get("carol", "stale"); ok {
+		t.Fatal("Restore kept state the export did not hold")
+	}
+	if NewStateStore().Export() != nil {
+		t.Fatal("an empty store exports a non-nil map")
+	}
+}
+
+// TestBuiltinsAreStrict: the system.* and registry.* built-ins reject a
+// surplus argument, or one of the wrong type, the way every hosted service
+// does — registry.discover's optional second argument included, which
+// must be a boolean rather than be ignored.
+func TestBuiltinsAreStrict(t *testing.T) {
+	_, c := startHost(t, nil)
+	ctx := context.Background()
+	if err := c.Login(ctx, "alice", "secret"); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		method string
+		args   []any
+	}{
+		{"system.ping", []any{1}},
+		{"system.whoami", []any{"x"}},
+		{"system.auth", []any{"alice"}},
+		{"system.auth", []any{"alice", 7}},
+		{"system.auth", []any{"alice", "secret", "x"}},
+		{"registry.list", []any{"demo"}},
+		{"registry.peers", []any{true}},
+		{"registry.lookup", nil},
+		{"registry.lookup", []any{"demo", "x"}},
+		{"registry.lookup", []any{1}},
+		{"registry.discover", nil},
+		{"registry.discover", []any{"demo", "no"}},
+		{"registry.discover", []any{"demo", 0}},
+		{"registry.discover", []any{"demo", false, 1}},
+		{"system.logout", []any{"x"}}, // last: a valid logout would end the session
+	} {
+		if _, err := c.Call(ctx, tc.method, tc.args...); !xmlrpc.IsFault(err, xmlrpc.FaultInvalidParams) {
+			t.Errorf("%s%v: %v, want FaultInvalidParams", tc.method, tc.args, err)
+		}
+	}
+	var info ServiceInfo
+	if err := c.CallInto(ctx, "registry.discover", &info, "demo", false); err != nil || info.Name != "demo" {
+		t.Fatalf("registry.discover with forwarding off = %+v, %v", info, err)
+	}
+	var ok bool
+	if err := c.CallInto(ctx, "system.logout", &ok); err != nil || !ok {
+		t.Fatalf("logout = %v, %v", ok, err)
 	}
 }

@@ -10,8 +10,8 @@ import (
 )
 
 // Client is a session-aware Clarens client. After Login every call carries
-// the session token; the embedded typed helpers (CallString, CallStruct,
-// ...) come from the XML-RPC client.
+// the session token; Call and CallInto come from the embedded XML-RPC
+// client.
 type Client struct {
 	*xmlrpc.Client
 }
@@ -66,8 +66,8 @@ func (c *Client) SetTransport(rt http.RoundTripper) {
 
 // Login authenticates and attaches the session token to future calls.
 func (c *Client) Login(ctx context.Context, user, password string) error {
-	token, err := c.CallString(ctx, "system.auth", user, password)
-	if err != nil {
+	var token string
+	if err := c.CallInto(ctx, "system.auth", &token, user, password); err != nil {
 		return fmt.Errorf("clarens: login %q: %w", user, err)
 	}
 	c.Headers[SessionHeader] = token
@@ -95,25 +95,13 @@ func (c *Client) SetToken(token string) {
 }
 
 // Discover asks the host (and its peers) for a service endpoint.
-func (c *Client) Discover(ctx context.Context, service string) (ServiceInfo, error) {
-	res, err := c.CallStruct(ctx, "registry.discover", service, true)
-	if err != nil {
-		return ServiceInfo{}, err
-	}
-	return structToServiceInfo(res), nil
+func (c *Client) Discover(ctx context.Context, service string) (info ServiceInfo, err error) {
+	err = c.CallInto(ctx, "registry.discover", &info, service, true)
+	return info, err
 }
 
 // Services lists the host's registered services.
-func (c *Client) Services(ctx context.Context) ([]ServiceInfo, error) {
-	raw, err := c.CallArray(ctx, "registry.list")
-	if err != nil {
-		return nil, err
-	}
-	out := make([]ServiceInfo, 0, len(raw))
-	for _, v := range raw {
-		if m, ok := v.(map[string]any); ok {
-			out = append(out, structToServiceInfo(m))
-		}
-	}
-	return out, nil
+func (c *Client) Services(ctx context.Context) (infos []ServiceInfo, err error) {
+	err = c.CallInto(ctx, "registry.list", &infos)
+	return infos, err
 }

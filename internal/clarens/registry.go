@@ -7,10 +7,10 @@ import (
 
 // ServiceInfo describes one registered service for lookup and discovery.
 type ServiceInfo struct {
-	Name        string // service prefix, e.g. "jobmon"
-	Endpoint    string // URL of the hosting Clarens server
-	Description string
-	Methods     []string // fully qualified method names
+	Name        string   `xmlrpc:"name"`     // service prefix, e.g. "jobmon"
+	Endpoint    string   `xmlrpc:"endpoint"` // URL of the hosting Clarens server
+	Description string   `xmlrpc:"description"`
+	Methods     []string `xmlrpc:"methods"` // fully qualified method names
 }
 
 // Registry is a Clarens host's service directory. Lookups can be local or

@@ -96,22 +96,18 @@ func (s *Server) RegisterService(name, description string, methods map[string]xm
 }
 
 // registerBuiltins installs the system.* and registry.* methods every
-// Clarens host exposes.
+// Clarens host exposes. Like every hosted service they are strict: a
+// surplus argument, or one of the wrong type, is FaultInvalidParams.
 func (s *Server) registerBuiltins() {
-	s.mux.Handle("system.ping", func(context.Context, []any) (any, error) {
+	s.mux.Handle("system.ping", func(_ context.Context, args []any) (any, error) {
+		if err := decodeArgs(args); err != nil {
+			return nil, err
+		}
 		return s.Name, nil
 	})
 	s.mux.Handle("system.auth", func(_ context.Context, args []any) (any, error) {
-		p := xmlrpc.Params(args)
-		if err := p.Want(2); err != nil {
-			return nil, err
-		}
-		user, err := p.String(0)
-		if err != nil {
-			return nil, err
-		}
-		pass, err := p.String(1)
-		if err != nil {
+		var user, pass string
+		if err := decodeArgs(args, &user, &pass); err != nil {
 			return nil, err
 		}
 		u, err := s.Users.Verify(user, pass)
@@ -124,66 +120,62 @@ func (s *Server) registerBuiltins() {
 		}
 		return sess.Token, nil
 	})
-	s.mux.Handle("system.logout", func(ctx context.Context, _ []any) (any, error) {
+	s.mux.Handle("system.logout", func(ctx context.Context, args []any) (any, error) {
+		if err := decodeArgs(args); err != nil {
+			return nil, err
+		}
 		return s.Sessions.Close(SessionToken(ctx)), nil
 	})
-	s.mux.Handle("system.whoami", func(ctx context.Context, _ []any) (any, error) {
+	s.mux.Handle("system.whoami", func(ctx context.Context, args []any) (any, error) {
+		if err := decodeArgs(args); err != nil {
+			return nil, err
+		}
 		sess, ok := s.Sessions.Lookup(SessionToken(ctx))
 		if !ok {
 			return nil, xmlrpc.NewFault(xmlrpc.FaultAuth, "no session")
 		}
-		roles := make([]any, len(sess.User.Roles))
-		for i, r := range sess.User.Roles {
-			roles[i] = r
-		}
-		return map[string]any{"user": sess.User.Name, "roles": roles}, nil
+		return Identity{User: sess.User.Name, Roles: sess.User.Roles}, nil
 	})
-	s.mux.Handle("registry.list", func(context.Context, []any) (any, error) {
-		infos := s.Registry.List()
-		out := make([]any, len(infos))
-		for i, info := range infos {
-			out[i] = serviceInfoToStruct(info)
+	s.mux.Handle("registry.list", func(_ context.Context, args []any) (any, error) {
+		if err := decodeArgs(args); err != nil {
+			return nil, err
 		}
-		return out, nil
+		return s.Registry.List(), nil
 	})
 	s.mux.Handle("registry.lookup", func(_ context.Context, args []any) (any, error) {
-		p := xmlrpc.Params(args)
-		name, err := p.String(0)
-		if err != nil {
+		var name string
+		if err := decodeArgs(args, &name); err != nil {
 			return nil, err
 		}
 		info, ok := s.Registry.Lookup(name)
 		if !ok {
 			return nil, xmlrpc.NewFault(xmlrpc.FaultApplication, "no service %q", name)
 		}
-		return serviceInfoToStruct(info), nil
+		return info, nil
 	})
-	s.mux.Handle("registry.peers", func(context.Context, []any) (any, error) {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		out := make([]any, len(s.peers))
-		for i, p := range s.peers {
-			out[i] = p
-		}
-		return out, nil
-	})
-	s.mux.Handle("registry.discover", func(ctx context.Context, args []any) (any, error) {
-		p := xmlrpc.Params(args)
-		name, err := p.String(0)
-		if err != nil {
+	s.mux.Handle("registry.peers", func(_ context.Context, args []any) (any, error) {
+		if err := decodeArgs(args); err != nil {
 			return nil, err
 		}
+		return s.Peers(), nil
+	})
+	// registry.discover takes an optional second argument, whether to ask
+	// the peers (the default) or this host alone.
+	s.mux.Handle("registry.discover", func(ctx context.Context, args []any) (any, error) {
+		var name string
 		forward := true
-		if p.Len() >= 2 {
-			if fwd, err := p.Bool(1); err == nil {
-				forward = fwd
-			}
+		dst := []any{&name, &forward}
+		if len(args) < 2 {
+			dst = dst[:1]
+		}
+		if err := decodeArgs(args, dst...); err != nil {
+			return nil, err
 		}
 		info, ok := s.Discover(ctx, name, forward)
 		if !ok {
 			return nil, xmlrpc.NewFault(xmlrpc.FaultApplication, "service %q not found in federation", name)
 		}
-		return serviceInfoToStruct(info), nil
+		return info, nil
 	})
 
 	// Built-in ACLs: registry reads are open to all; logout/whoami need a
@@ -193,32 +185,24 @@ func (s *Server) registerBuiltins() {
 	s.ACL.Allow("authenticated", "system.whoami")
 }
 
-func serviceInfoToStruct(info ServiceInfo) map[string]any {
-	methods := make([]any, len(info.Methods))
-	for i, m := range info.Methods {
-		methods[i] = m
-	}
-	return map[string]any{
-		"name":        info.Name,
-		"endpoint":    info.Endpoint,
-		"description": info.Description,
-		"methods":     methods,
-	}
+// Identity is system.whoami's reply: the session's user and roles.
+type Identity struct {
+	User  string   `xmlrpc:"user"`
+	Roles []string `xmlrpc:"roles"`
 }
 
-func structToServiceInfo(m map[string]any) ServiceInfo {
-	info := ServiceInfo{}
-	info.Name, _ = m["name"].(string)
-	info.Endpoint, _ = m["endpoint"].(string)
-	info.Description, _ = m["description"].(string)
-	if raw, ok := m["methods"].([]any); ok {
-		for _, v := range raw {
-			if s, ok := v.(string); ok {
-				info.Methods = append(info.Methods, s)
-			}
+// decodeArgs decodes exactly len(dst) positional arguments into dst.
+func decodeArgs(args []any, dst ...any) error {
+	p := xmlrpc.Params(args)
+	if err := p.Want(len(dst)); err != nil {
+		return err
+	}
+	for i, d := range dst {
+		if err := p.Into(i, d); err != nil {
+			return err
 		}
 	}
-	return info
+	return nil
 }
 
 // AddPeer connects this host to another Clarens server's endpoint for
@@ -256,16 +240,11 @@ func (s *Server) Discover(ctx context.Context, name string, forward bool) (Servi
 	for _, peer := range s.Peers() {
 		c := xmlrpc.NewClient(peer)
 		c.HTTP.Timeout = 5 * time.Second
-		res, err := c.Call(ctx, "registry.discover", name, false)
+		var info ServiceInfo
+		err := c.CallInto(ctx, "registry.discover", &info, name, false)
 		c.Close()
-		if err != nil {
-			continue
-		}
-		if m, ok := res.(map[string]any); ok {
-			info := structToServiceInfo(m)
-			if info.Name == name {
-				return info, true
-			}
+		if err == nil && info.Name == name {
+			return info, true
 		}
 	}
 	return ServiceInfo{}, false

@@ -1,13 +1,9 @@
 package clarens
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
 	"sync"
-
-	"repro/internal/durable"
 )
 
 // StateStore holds per-user analysis-session state. The GAE's services
@@ -84,19 +80,6 @@ func (s *StateStore) Keys(user string) []string {
 	return out
 }
 
-// Save persists the store as JSON with crash-safe replacement (write-temp
-// + fsync + atomic rename): a crash mid-save leaves the previous file
-// intact, never a torn one.
-func (s *StateStore) Save(path string) error {
-	s.mu.RLock()
-	data, err := json.MarshalIndent(s.data, "", "  ")
-	s.mu.RUnlock()
-	if err != nil {
-		return fmt.Errorf("clarens: encoding state: %w", err)
-	}
-	return durable.WriteFileAtomic(path, data, 0o600)
-}
-
 // Export copies the full user→key→value contents for the durable snapshot
 // codec (nil when empty, so an empty store round-trips canonically).
 func (s *StateStore) Export() map[string]map[string]string {
@@ -128,20 +111,4 @@ func (s *StateStore) Restore(data map[string]map[string]string) {
 		}
 		s.data[user] = um
 	}
-}
-
-// Load replaces the store contents from a file written by Save.
-func (s *StateStore) Load(path string) error {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("clarens: reading state: %w", err)
-	}
-	data := make(map[string]map[string]string)
-	if err := json.Unmarshal(raw, &data); err != nil {
-		return fmt.Errorf("clarens: decoding state: %w", err)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.data = data
-	return nil
 }

@@ -16,6 +16,13 @@ import (
 	"repro/pkg/gae"
 )
 
+// callAs invokes method and decodes its reply into a T under CallInto's
+// rules.
+func callAs[T any](ctx context.Context, c *clarens.Client, method string, args ...any) (v T, err error) {
+	err = c.CallInto(ctx, method, &v, args...)
+	return v, err
+}
+
 // twoSiteConfig is the canonical test deployment: two single-node sites
 // with a 10 MB/s link, alice and an admin user.
 func twoSiteConfig() Config {
@@ -138,14 +145,14 @@ func TestJobMonOverRPC(t *testing.T) {
 	g.Run(20 * time.Second)
 	a, _ := cp.Assignment("main")
 	ctx := context.Background()
-	status, err := c.CallString(ctx, "jobmon.status", a.Site, a.CondorID)
+	status, err := callAs[string](ctx, c, "jobmon.status", a.Site, a.CondorID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if status != "running" {
 		t.Fatalf("status = %q", status)
 	}
-	wall, err := c.CallFloat(ctx, "jobmon.wallclock", a.Site, a.CondorID)
+	wall, err := callAs[float64](ctx, c, "jobmon.wallclock", a.Site, a.CondorID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,14 +170,14 @@ func TestSteeringOverRPC(t *testing.T) {
 	g.Run(5 * time.Second)
 	ctx := context.Background()
 
-	jobs, err := c.CallArray(ctx, "steering.jobs")
+	jobs, err := callAs[[]any](ctx, c, "steering.jobs")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(jobs) != 1 || jobs[0] != "p1/main" {
 		t.Fatalf("steering.jobs = %v", jobs)
 	}
-	st, err := c.CallStruct(ctx, "steering.status", "p1", "main")
+	st, err := callAs[map[string]any](ctx, c, "steering.status", "p1", "main")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +189,7 @@ func TestSteeringOverRPC(t *testing.T) {
 		t.Fatal(err)
 	}
 	g.Run(10 * time.Second)
-	st, _ = c.CallStruct(ctx, "steering.status", "p1", "main")
+	st, _ = callAs[map[string]any](ctx, c, "steering.status", "p1", "main")
 	job := st["job"].(map[string]any)
 	if job["status"] != "suspended" {
 		t.Fatalf("paused job = %v", job["status"])
@@ -196,7 +203,7 @@ func TestSteeringOverRPC(t *testing.T) {
 	if before == "siteB" {
 		target = "siteA"
 	}
-	moved, err := c.CallStruct(ctx, "steering.move", "p1", "main", target)
+	moved, err := callAs[map[string]any](ctx, c, "steering.move", "p1", "main", target)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +211,7 @@ func TestSteeringOverRPC(t *testing.T) {
 		t.Fatalf("moved = %v", moved)
 	}
 	// Notifications mention the move.
-	ns, err := c.CallArray(ctx, "steering.notifications")
+	ns, err := callAs[[]any](ctx, c, "steering.notifications")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +266,7 @@ func TestEstimatorOverRPC(t *testing.T) {
 	}
 	g.Run(5 * time.Second)
 	a, _ := cp.Assignment("main")
-	est, err := c.CallStruct(ctx, "estimator.runtime", a.Site, map[string]any{
+	est, err := callAs[map[string]any](ctx, c, "estimator.runtime", a.Site, map[string]any{
 		"queue": "short", "partition": "gae", "nodes": 1, "job_type": "batch",
 		"req_cpu_hours": 120.0 / 3600,
 	})
@@ -271,7 +278,7 @@ func TestEstimatorOverRPC(t *testing.T) {
 		t.Fatalf("runtime estimate = %v, want ≈120", sec)
 	}
 	// Transfer estimate.
-	tr, err := c.CallStruct(ctx, "estimator.transfer", "siteA", "siteB", 100.0)
+	tr, err := callAs[map[string]any](ctx, c, "estimator.transfer", "siteA", "siteB", 100.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +301,7 @@ func TestEstimatorOverRPC(t *testing.T) {
 	g.Run(3 * time.Second)
 	aLow, _ := cpLow.Assignment("main")
 	if aLow.Site == "siteA" && aLow.CondorID != 0 {
-		qt, err := c.CallStruct(ctx, "estimator.queuetime", "siteA", aLow.CondorID)
+		qt, err := callAs[map[string]any](ctx, c, "estimator.queuetime", "siteA", aLow.CondorID)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -308,21 +315,21 @@ func TestEstimatorOverRPC(t *testing.T) {
 func TestQuotaOverRPC(t *testing.T) {
 	_, c := startGAE(t, twoSiteConfig())
 	ctx := context.Background()
-	bal, err := c.CallFloat(ctx, "quota.balance")
+	bal, err := callAs[float64](ctx, c, "quota.balance")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if bal != 1000 {
 		t.Fatalf("balance = %v", bal)
 	}
-	cost, err := c.CallFloat(ctx, "quota.cost", "siteA", 100.0, 0.0)
+	cost, err := callAs[float64](ctx, c, "quota.cost", "siteA", 100.0, 0.0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cost != 10 {
 		t.Fatalf("cost = %v", cost)
 	}
-	ch, err := c.CallStruct(ctx, "quota.cheapest", []string{"siteA", "siteB"}, 100.0, 0.0)
+	ch, err := callAs[map[string]any](ctx, c, "quota.cheapest", []string{"siteA", "siteB"}, 100.0, 0.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +385,7 @@ func TestSchedulerSubmitOverRPC(t *testing.T) {
 				"depends_on": []any{"a"}, "output_file": "b.out", "output_mb": 3.0},
 		},
 	}
-	name, err := c.CallString(ctx, "scheduler.submit", plan)
+	name, err := callAs[string](ctx, c, "scheduler.submit", plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +397,7 @@ func TestSchedulerSubmitOverRPC(t *testing.T) {
 		t.Fatalf("duplicate submit error = %v", err)
 	}
 	g.Run(90 * time.Second)
-	status, err := c.CallStruct(ctx, "scheduler.plan", "rpcplan")
+	status, err := callAs[map[string]any](ctx, c, "scheduler.plan", "rpcplan")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,7 +418,7 @@ func TestSchedulerSubmitOverRPC(t *testing.T) {
 	if _, err := c.Call(ctx, "scheduler.plan", "ghost"); !xmlrpc.IsFault(err, xmlrpc.FaultApplication) {
 		t.Fatalf("ghost plan error = %v", err)
 	}
-	sites, err := c.CallArray(ctx, "scheduler.sites")
+	sites, err := callAs[[]any](ctx, c, "scheduler.sites")
 	if err != nil || len(sites) != 2 {
 		t.Fatalf("sites = %v, %v", sites, err)
 	}
@@ -459,11 +466,11 @@ func TestPutDatasetAndReplicaRPC(t *testing.T) {
 		t.Fatal("PutDataset at unknown site succeeded")
 	}
 	ctx := context.Background()
-	ds, err := c.CallArray(ctx, "replica.datasets")
+	ds, err := callAs[[]any](ctx, c, "replica.datasets")
 	if err != nil || len(ds) != 1 || ds[0] != "raw.data" {
 		t.Fatalf("datasets = %v, %v", ds, err)
 	}
-	locs, err := c.CallArray(ctx, "replica.locations", "raw.data")
+	locs, err := callAs[[]any](ctx, c, "replica.locations", "raw.data")
 	if err != nil || len(locs) != 1 {
 		t.Fatalf("locations = %v, %v", locs, err)
 	}
@@ -473,7 +480,7 @@ func TestPutDatasetAndReplicaRPC(t *testing.T) {
 	if _, err := c.Call(ctx, "replica.register", "raw.data", "siteB", 120.0); err != nil {
 		t.Fatal(err)
 	}
-	best, err := c.CallStruct(ctx, "replica.best", "raw.data", "siteB")
+	best, err := callAs[map[string]any](ctx, c, "replica.best", "raw.data", "siteB")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,7 +496,7 @@ func TestMonitorRPC(t *testing.T) {
 	g, c := startGAE(t, twoSiteConfig())
 	g.Run(30 * time.Second)
 	ctx := context.Background()
-	load, err := c.CallFloat(ctx, "monitor.latest", "siteA", "LoadAvg")
+	load, err := callAs[float64](ctx, c, "monitor.latest", "siteA", "LoadAvg")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -499,18 +506,18 @@ func TestMonitorRPC(t *testing.T) {
 	if _, err := c.Call(ctx, "monitor.latest", "nowhere", "LoadAvg"); !xmlrpc.IsFault(err, xmlrpc.FaultApplication) {
 		t.Fatalf("missing metric error = %v", err)
 	}
-	series, err := c.CallArray(ctx, "monitor.series", "siteA", "LoadAvg", 60.0)
+	series, err := callAs[[]any](ctx, c, "monitor.series", "siteA", "LoadAvg", 60.0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(series) < 3 {
 		t.Fatalf("series = %d points", len(series))
 	}
-	metrics, err := c.CallArray(ctx, "monitor.metrics")
+	metrics, err := callAs[[]any](ctx, c, "monitor.metrics")
 	if err != nil || len(metrics) == 0 {
 		t.Fatalf("metrics = %v, %v", metrics, err)
 	}
-	sitesRows, err := c.CallArray(ctx, "monitor.sites")
+	sitesRows, err := callAs[[]any](ctx, c, "monitor.sites")
 	if err != nil || len(sitesRows) != 2 {
 		t.Fatalf("sites = %v, %v", sitesRows, err)
 	}
@@ -519,7 +526,7 @@ func TestMonitorRPC(t *testing.T) {
 		t.Fatal(err)
 	}
 	g.Run(20 * time.Second)
-	events, err := c.CallArray(ctx, "monitor.events", "", 120.0)
+	events, err := callAs[[]any](ctx, c, "monitor.events", "", 120.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -559,11 +566,11 @@ func TestStateRPCPerUserIsolation(t *testing.T) {
 	if _, err := alice.Call(ctx, "state.set", "cuts", "pt>20"); err != nil {
 		t.Fatal(err)
 	}
-	v, err := alice.CallString(ctx, "state.get", "cuts")
+	v, err := callAs[string](ctx, alice, "state.get", "cuts")
 	if err != nil || v != "pt>20" {
 		t.Fatalf("get = %q, %v", v, err)
 	}
-	keys, err := alice.CallArray(ctx, "state.keys")
+	keys, err := callAs[[]any](ctx, alice, "state.keys")
 	if err != nil || len(keys) != 1 || keys[0] != "cuts" {
 		t.Fatalf("keys = %v, %v", keys, err)
 	}
@@ -572,7 +579,7 @@ func TestStateRPCPerUserIsolation(t *testing.T) {
 	if err := rootC.Login(ctx, "root", "rootpw"); err != nil {
 		t.Fatal(err)
 	}
-	rootKeys, err := rootC.CallArray(ctx, "state.keys")
+	rootKeys, err := callAs[[]any](ctx, rootC, "state.keys")
 	if err != nil || len(rootKeys) != 0 {
 		t.Fatalf("root keys = %v, %v", rootKeys, err)
 	}
@@ -580,11 +587,11 @@ func TestStateRPCPerUserIsolation(t *testing.T) {
 		t.Fatalf("cross-user get error = %v", err)
 	}
 	// Delete round trip.
-	ok, err := alice.CallBool(ctx, "state.delete", "cuts")
+	ok, err := callAs[bool](ctx, alice, "state.delete", "cuts")
 	if err != nil || !ok {
 		t.Fatalf("delete = %v, %v", ok, err)
 	}
-	ok, err = alice.CallBool(ctx, "state.delete", "cuts")
+	ok, err = callAs[bool](ctx, alice, "state.delete", "cuts")
 	if err != nil || ok {
 		t.Fatalf("double delete = %v, %v", ok, err)
 	}
@@ -631,7 +638,7 @@ func TestFederationDiscoveryAndSiteServices(t *testing.T) {
 
 	siteClient := clarens.NewClient(info.Endpoint)
 	siteClient.SetToken(c.Token())
-	est, err := siteClient.CallStruct(ctx, "estimator-"+a.Site+".runtime", map[string]any{
+	est, err := callAs[map[string]any](ctx, siteClient, "estimator-"+a.Site+".runtime", map[string]any{
 		"queue": "short", "partition": "gae", "nodes": 1, "job_type": "batch",
 		"req_cpu_hours": 100.0 / 3600,
 	})
@@ -643,7 +650,7 @@ func TestFederationDiscoveryAndSiteServices(t *testing.T) {
 		}
 		siteClient = clarens.NewClient(info2.Endpoint)
 		siteClient.SetToken(c.Token())
-		est, err = siteClient.CallStruct(ctx, "estimator-"+a.Site+".runtime", map[string]any{
+		est, err = callAs[map[string]any](ctx, siteClient, "estimator-"+a.Site+".runtime", map[string]any{
 			"queue": "short", "partition": "gae", "nodes": 1, "job_type": "batch",
 			"req_cpu_hours": 100.0 / 3600,
 		})
@@ -663,7 +670,7 @@ func TestFederationDiscoveryAndSiteServices(t *testing.T) {
 	}
 	jmClient := clarens.NewClient(jmInfo.Endpoint)
 	jmClient.SetToken(c.Token())
-	status, err := jmClient.CallString(ctx, "jobmon-"+a.Site+".status", a.CondorID)
+	status, err := callAs[string](ctx, jmClient, "jobmon-"+a.Site+".status", a.CondorID)
 	if err != nil {
 		t.Fatal(err)
 	}

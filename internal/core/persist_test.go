@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
+	"repro/internal/clarens"
 	"repro/internal/durable"
 	"repro/internal/fairshare"
 	"repro/internal/xmlrpc"
@@ -198,6 +201,94 @@ func TestCrashRecoveryByteIdentical(t *testing.T) {
 	}
 }
 
+// serveRaw serves one call on g's Clarens host, as alice, and returns the
+// reply document as it goes on the wire.
+func serveRaw(t *testing.T, g *GAE, method string, args ...any) []byte {
+	t.Helper()
+	post := func(token, method string, args []any) []byte {
+		body, err := xmlrpc.EncodeRequest(method, args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(body))
+		req.Header.Set(clarens.SessionHeader, token)
+		rec := httptest.NewRecorder()
+		g.Handler().ServeHTTP(rec, req)
+		return rec.Body.Bytes()
+	}
+	var token string
+	if err := xmlrpc.DecodeResponseInto(bytes.NewReader(post("", "system.auth", []any{"alice", "pw"})), &token); err != nil {
+		t.Fatal(err)
+	}
+	return post(token, method, args)
+}
+
+// TestJobmonAnswersSameAcrossRestart: a finished job's monitoring record
+// lives in the pool, which the durable store snapshots — the DBManager's
+// copy is memory only. Across a kill and a recovery from the same directory
+// jobmon.info and jobmon.list answer with the same bytes.
+func TestJobmonAnswersSameAcrossRestart(t *testing.T) {
+	dir := t.TempDir()
+	cfg := durableConfig()
+	ctx := context.Background()
+
+	g1 := New(cfg)
+	s1, err := durable.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g1.AttachStore(s1); err != nil {
+		t.Fatal(err)
+	}
+	alice := g1.Client("alice")
+	for _, spec := range []gae.PlanSpec{specOf("p-done", 30), specOf("p-long", 600)} {
+		if _, err := alice.Submit(ctx, spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g1.Run(90 * time.Second)
+	if err := g1.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	// A journal tail, so recovery replays as well as restores.
+	if _, err := alice.Submit(ctx, specOf("p-tail", 45)); err != nil {
+		t.Fatal(err)
+	}
+	cp, ok := g1.Plan("p-done")
+	if !ok {
+		t.Fatal("no plan p-done")
+	}
+	a, _ := cp.Assignment("main")
+	info := serveRaw(t, g1, "jobmon.info", a.Site, a.CondorID)
+	list := serveRaw(t, g1, "jobmon.list", a.Site)
+	var job gae.JobInfo
+	if err := xmlrpc.DecodeResponseInto(bytes.NewReader(info), &job); err != nil || job.Status != "completed" {
+		t.Fatalf("jobmon.info before the kill = %+v, %v; want a completed job", job, err)
+	}
+	if _, stored := g1.JobMon.DB.Lookup(a.Site, a.CondorID); !stored {
+		t.Fatal("the finished job never reached the DBManager, so the test compares nothing")
+	}
+	if err := s1.Close(); err != nil { // the process dies here
+		t.Fatal(err)
+	}
+
+	g2 := New(cfg)
+	s2, err := durable.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if err := g2.AttachStore(s2); err != nil {
+		t.Fatal(err)
+	}
+	if got := serveRaw(t, g2, "jobmon.info", a.Site, a.CondorID); !bytes.Equal(got, info) {
+		t.Errorf("jobmon.info after recovery:\n got %s\nwant %s", got, info)
+	}
+	if got := serveRaw(t, g2, "jobmon.list", a.Site); !bytes.Equal(got, list) {
+		t.Errorf("jobmon.list after recovery:\n got %s\nwant %s", got, list)
+	}
+}
+
 // TestJournalOnlyRecovery recovers with no snapshot at all: the journal
 // replays every acknowledged RPC at its recorded simulated time against
 // a fresh deployment, re-running the deterministic simulation in
@@ -357,7 +448,7 @@ func TestSurplusArgumentsAreRejectedAndNotJournaled(t *testing.T) {
 		t.Fatal(err)
 	}
 	g.Run(5 * time.Second)
-	before, err := c.CallStruct(ctx, "steering.status", "p1", "main")
+	before, err := callAs[map[string]any](ctx, c, "steering.status", "p1", "main")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +463,7 @@ func TestSurplusArgumentsAreRejectedAndNotJournaled(t *testing.T) {
 	if _, err := c.Call(ctx, "steering.preference", "cheap", "surplus"); !xmlrpc.IsFault(err, xmlrpc.FaultInvalidParams) {
 		t.Errorf("steering.preference with two parameters: %v, want FaultInvalidParams", err)
 	}
-	after, err := c.CallStruct(ctx, "steering.status", "p1", "main")
+	after, err := callAs[map[string]any](ctx, c, "steering.status", "p1", "main")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,6 @@ type FaultyFile struct {
 	failSyncs  int
 	shortWrite bool
 	syncs      int
-	writes     int
 }
 
 // NewFaultyFile wraps f with a pass-through script.
@@ -69,16 +68,8 @@ func (f *FaultyFile) Syncs() int {
 	return f.syncs
 }
 
-// Writes reports how many Write calls were attempted.
-func (f *FaultyFile) Writes() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.writes
-}
-
 func (f *FaultyFile) Write(p []byte) (int, error) {
 	f.mu.Lock()
-	f.writes++
 	short := f.shortWrite
 	f.shortWrite = false
 	f.mu.Unlock()

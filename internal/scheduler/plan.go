@@ -16,7 +16,14 @@
 //   - the resulting concrete job plan (tasks bound to sites) is sent to
 //     the Steering Service, which subscribes to plan announcements;
 //   - the Steering Service sends "requests for job redirection ... to the
-//     scheduler", handled here by Reschedule.
+//     scheduler", handled here by Reschedule;
+//   - a failed task stays failed until "the Backup and Recovery module
+//     contacts Sphinx to allocate a new execution service" — the Steering
+//     Service calls Resubmit; the scheduler never retries on its own.
+//
+// Site scoring has no knobs: the load weight, the tie margin of the
+// fair-share tie-break and the fallback estimate are constants, and the
+// estimator learns from every completed task.
 package scheduler
 
 import (

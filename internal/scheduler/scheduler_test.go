@@ -455,36 +455,6 @@ func TestResubmitSingleSiteFallsBack(t *testing.T) {
 	}
 }
 
-func TestAutoResubmitRetriesFailedTask(t *testing.T) {
-	f := newFixture(t, map[string]struct {
-		nodes int
-		load  float64
-	}{
-		"siteA": {1, 0},
-		"siteB": {1, 0},
-	})
-	f.sched.AutoResubmit = true
-	f.sched.MaxAttempts = 2
-	tk := task("t1", 100)
-	tk.FailAfterCPU = 5 // fails everywhere; exercises the retry loop
-	cp, err := f.sched.Submit(simplePlan("alice", tk))
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.grid.Engine.RunFor(60 * time.Second)
-	a, _ := cp.Assignment("t1")
-	if a.State != TaskFailed {
-		t.Fatalf("state = %v, want failed after exhausting retries", a.State)
-	}
-	if a.Attempts != 2 {
-		t.Fatalf("attempts = %d, want 2", a.Attempts)
-	}
-	// The retry went to the other site.
-	if len(a.Considered) == 0 || a.Site == "" {
-		t.Fatalf("assignment lost provenance: %+v", a)
-	}
-}
-
 func TestSchedulerMarksCondorFailure(t *testing.T) {
 	f := newFixture(t, map[string]struct {
 		nodes int
@@ -498,8 +468,8 @@ func TestSchedulerMarksCondorFailure(t *testing.T) {
 	}
 	f.grid.Engine.RunFor(30 * time.Second)
 	a, _ := cp.Assignment("t1")
-	if a.State != TaskFailed {
-		t.Fatalf("state = %v, want failed", a.State)
+	if a.State != TaskFailed || a.Attempts != 1 {
+		t.Fatalf("state = %v after %d attempts, want failed after 1: resubmission is the Steering Service's call", a.State, a.Attempts)
 	}
 	// Steering-driven recovery: Resubmit places it again (single site →
 	// same site) and it fails again; the scheduler must keep functioning.

@@ -24,68 +24,34 @@ import (
 type SiteServices struct {
 	Pool    *condor.Pool
 	Runtime *estimator.RuntimeEstimator
-	// RuntimeSource, when set, overrides Runtime as the site's runtime
-	// oracle — typically a proxy to a remote Estimator Service, which can
-	// be down. An error degrades the estimate to the plan's own hints
-	// (ReqHours, then the scheduler default) instead of failing the
-	// submit.
-	RuntimeSource RuntimeSource
 }
 
-// RuntimeSource is a fallible per-site runtime oracle.
-type RuntimeSource interface {
-	EstimateRuntime(rec estimator.TaskRecord) (float64, error)
-}
-
-// LoadSource supplies a site's observed load for scoring. It is
-// fallible on purpose: a deployment may proxy a remote monitor, and an
-// unreachable monitor must degrade site selection (zero load assumed),
-// not break it.
-type LoadSource interface {
-	SiteLoad(site string) (float64, error)
-}
-
-// repoLoad adapts the in-process MonALISA repository to LoadSource.
-type repoLoad struct {
-	repo *monalisa.Repository
-}
-
-func (r repoLoad) SiteLoad(site string) (float64, error) {
-	return r.repo.LatestValue(site, monalisa.MetricLoadAvg, 0), nil
-}
+// Site scoring's fixed parameters.
+const (
+	// loadWeight scales how strongly MonALISA's observed site load
+	// penalizes a site's score: a fully loaded site doubles its effective
+	// runtime.
+	loadWeight = 1.0
+	// defaultEstimate substitutes, in seconds, when a site has no usable
+	// history and the task no requested-hours hint.
+	defaultEstimate = 300.0
+	// tieMargin is the relative score band within which site estimates
+	// count as tied; when a fair-share standing is configured, ties break
+	// toward the site where the plan owner has the least decayed usage,
+	// spreading each tenant's load across the grid.
+	tieMargin = 0.02
+)
 
 // Scheduler is the Sphinx-like middleware.
 type Scheduler struct {
 	grid     *simgrid.Grid
 	wake     *simgrid.Wake
-	repo     *monalisa.Repository
-	load     LoadSource // nil: score with zero load
+	repo     *monalisa.Repository // nil: score with zero load
 	estDB    *estimator.EstimateDB
 	transfer *estimator.TransferEstimator
 	quota    *quota.Service         // optional
 	replicas *replica.Catalog       // optional
 	fair     fairshare.SiteStanding // optional
-
-	// LoadWeight scales how strongly MonALISA's observed site load
-	// penalizes a site's score (default 1: a fully loaded site doubles
-	// its effective runtime).
-	LoadWeight float64
-	// DefaultEstimate substitutes when a site has no usable history.
-	DefaultEstimate float64
-	// AutoResubmit makes the scheduler retry failed tasks on the
-	// next-best site by itself. The paper routes this decision through
-	// the Steering Service's Backup & Recovery module, so it defaults to
-	// false.
-	AutoResubmit bool
-	// MaxAttempts bounds per-task submissions when AutoResubmit is on.
-	MaxAttempts int
-	// Learn feeds completed tasks back into the executing site's history.
-	Learn bool
-	// TieMargin is the relative score band within which site estimates
-	// count as tied; when a fair-share standing is configured, ties break
-	// toward the site where the plan owner has the least decayed usage,
-	// spreading each tenant's load across the grid. Default 0.02.
-	TieMargin float64
 
 	mu    sync.Mutex
 	sites map[string]*SiteServices
@@ -114,8 +80,6 @@ type Scheduler struct {
 	// instruments no-op).
 	obsWakes        *telemetry.Counter
 	obsPlaceSeconds *telemetry.Histogram
-	obsDegradedLoad *telemetry.Counter
-	obsDegradedRun  *telemetry.Counter
 }
 
 type jobKey struct {
@@ -130,12 +94,9 @@ type planTask struct {
 
 // Config carries the scheduler's collaborators.
 type Config struct {
-	Grid    *simgrid.Grid
-	Monitor *monalisa.Repository
-	// Load, when set, replaces Monitor as the site-load oracle (e.g. a
-	// proxy to a remote Grid-weather service). Errors degrade scoring to
-	// zero load for that site; they never fail a submit.
-	Load     LoadSource
+	Grid *simgrid.Grid
+	// Monitor, when set, supplies each site's observed load for scoring.
+	Monitor  *monalisa.Repository
 	EstDB    *estimator.EstimateDB
 	Transfer *estimator.TransferEstimator
 	Quota    *quota.Service
@@ -144,12 +105,10 @@ type Config struct {
 	// closest replica and registers new copies it creates.
 	Replicas *replica.Catalog
 	// FairShare, when set, supplies per-tenant per-site standing used as
-	// the site-selection tie-break (see Scheduler.TieMargin).
+	// the site-selection tie-break (see tieMargin).
 	FairShare fairshare.SiteStanding
-	// Telemetry, when set, records scheduler vitals: wake-ups, site-
-	// selection latency, and oracle degradations (a load or runtime
-	// oracle answering with an error while placement proceeds on
-	// fallbacks).
+	// Telemetry, when set, records scheduler vitals: wake-ups and site-
+	// selection latency.
 	Telemetry *telemetry.Registry
 }
 
@@ -167,33 +126,21 @@ func New(cfg Config) *Scheduler {
 	if cfg.Transfer == nil {
 		cfg.Transfer = &estimator.TransferEstimator{Network: cfg.Grid.Network}
 	}
-	load := cfg.Load
-	if load == nil && cfg.Monitor != nil {
-		load = repoLoad{repo: cfg.Monitor}
-	}
 	s := &Scheduler{
-		grid:            cfg.Grid,
-		repo:            cfg.Monitor,
-		load:            load,
-		estDB:           cfg.EstDB,
-		transfer:        cfg.Transfer,
-		quota:           cfg.Quota,
-		replicas:        cfg.Replicas,
-		fair:            cfg.FairShare,
-		LoadWeight:      1.0,
-		TieMargin:       0.02,
-		DefaultEstimate: 300,
-		MaxAttempts:     3,
-		Learn:           true,
-		sites:           make(map[string]*SiteServices),
-		jobIndex:        make(map[jobKey]planTask),
-		backlogCache:    make(map[string]float64),
+		grid:         cfg.Grid,
+		repo:         cfg.Monitor,
+		estDB:        cfg.EstDB,
+		transfer:     cfg.Transfer,
+		quota:        cfg.Quota,
+		replicas:     cfg.Replicas,
+		fair:         cfg.FairShare,
+		sites:        make(map[string]*SiteServices),
+		jobIndex:     make(map[jobKey]planTask),
+		backlogCache: make(map[string]float64),
 	}
 	if cfg.Telemetry != nil {
 		s.obsWakes = cfg.Telemetry.Counter("scheduler_wakes_total")
 		s.obsPlaceSeconds = cfg.Telemetry.Histogram("scheduler_place_seconds", nil)
-		s.obsDegradedLoad = cfg.Telemetry.LabeledCounter("scheduler_degraded_total", "oracle", "load")
-		s.obsDegradedRun = cfg.Telemetry.LabeledCounter("scheduler_degraded_total", "oracle", "runtime")
 	}
 	s.wake = cfg.Grid.Engine.Register(s.onWake)
 	return s
@@ -314,12 +261,9 @@ func (s *Scheduler) drainEvents() {
 			s.learnFrom(pt, e)
 			s.registerOutput(pt)
 		case condor.StatusFailed:
+			// Resubmission is the Steering Service's decision (its Backup
+			// and Recovery module calls Resubmit), never the scheduler's.
 			pt.cp.update(pt.taskID, func(a *Assignment) { a.State = TaskFailed })
-			if s.AutoResubmit {
-				if a, ok := pt.cp.Assignment(pt.taskID); ok && a.Attempts < s.MaxAttempts {
-					_, _ = s.Resubmit(pt.cp, pt.taskID)
-				}
-			}
 		}
 	}
 }
@@ -327,9 +271,6 @@ func (s *Scheduler) drainEvents() {
 // learnFrom closes the estimator's feedback loop: the actual runtime of a
 // completed task becomes a history record at its execution site.
 func (s *Scheduler) learnFrom(pt planTask, e condor.Event) {
-	if !s.Learn {
-		return
-	}
 	a, ok := pt.cp.Assignment(pt.taskID)
 	if !ok {
 		return
@@ -456,7 +397,7 @@ func (s *Scheduler) SelectSite(t TaskPlan, exclude map[string]bool) (SiteEstimat
 // SelectSiteFor performs the paper's steps (a)–(e): per-site runtime
 // estimates, queue-time estimates, MonALISA load, transfer time, and (when
 // a quota service is configured) monetary cost. When a fair-share standing
-// is configured, candidates whose score lies within TieMargin of the best
+// is configured, candidates whose score lies within tieMargin of the best
 // are re-ranked by the owner's decayed usage at each site, lowest first —
 // planning then steers tenants toward sites they have used least recently
 // (an empty owner accounts to the Anonymous tenant, as in the execution
@@ -490,21 +431,15 @@ func (s *Scheduler) SelectSiteFor(owner string, t TaskPlan, exclude map[string]b
 		est.RuntimeSeconds = s.runtimeEstimate(svc, t)
 		est.QueueSeconds = s.backlogSeconds(site, svc)
 		est.TransferSeconds = s.transferSeconds(t, site)
-		if s.load != nil {
-			// Graceful degradation: an unreachable monitor contributes
-			// zero load rather than failing the placement.
-			if v, err := s.load.SiteLoad(site); err == nil {
-				est.Load = v
-			} else {
-				s.obsDegradedLoad.Inc()
-			}
+		if s.repo != nil {
+			est.Load = s.repo.LatestValue(site, monalisa.MetricLoadAvg, 0)
 		}
 		if s.quota != nil {
 			if c, err := s.quota.Cost(site, est.RuntimeSeconds, inputMB(t)); err == nil {
 				est.CostCredits = c
 			}
 		}
-		est.Score = est.RuntimeSeconds*(1+s.LoadWeight*est.Load) + est.QueueSeconds + est.TransferSeconds
+		est.Score = est.RuntimeSeconds*(1+loadWeight*est.Load) + est.QueueSeconds + est.TransferSeconds
 		all = append(all, est)
 	}
 	best := all[0]
@@ -522,7 +457,7 @@ func (s *Scheduler) SelectSiteFor(owner string, t TaskPlan, exclude map[string]b
 		if owner == "" {
 			owner = fairshare.Anonymous
 		}
-		limit := best.Score * (1 + s.TieMargin)
+		limit := best.Score * (1 + tieMargin)
 		chosen, chosenUsage := best, s.fair.SiteUsage(owner, best.Site)
 		for _, e := range all {
 			if e.Score > limit {
@@ -537,29 +472,17 @@ func (s *Scheduler) SelectSiteFor(owner string, t TaskPlan, exclude map[string]b
 	return best, all, nil
 }
 
-// runtimeEstimate queries a site's runtime oracle — the injected
-// RuntimeSource if any, else the decentralized estimator — falling back
-// to the requested-hours hint and then the scheduler default. Oracle
-// errors (an unreachable Estimator Service) degrade, never fail.
+// runtimeEstimate queries a site's decentralized runtime estimator,
+// falling back to the requested-hours hint and then defaultEstimate when
+// the site has no similar history.
 func (s *Scheduler) runtimeEstimate(svc *SiteServices, t TaskPlan) float64 {
-	if svc.RuntimeSource != nil {
-		sec, err := svc.RuntimeSource.EstimateRuntime(taskRecordOf(t))
-		if err == nil && sec > 0 {
-			return sec
-		}
-		if err != nil {
-			s.obsDegradedRun.Inc()
-		}
-	} else if svc.Runtime != nil {
-		est, err := svc.Runtime.Estimate(taskRecordOf(t))
-		if err == nil && est.Seconds > 0 {
-			return est.Seconds
-		}
+	if est, err := svc.Runtime.Estimate(taskRecordOf(t)); err == nil && est.Seconds > 0 {
+		return est.Seconds
 	}
 	if t.ReqHours > 0 {
 		return t.ReqHours * 3600
 	}
-	return s.DefaultEstimate
+	return defaultEstimate
 }
 
 // backlogSeconds approximates a site's queue wait: the summed remaining
@@ -604,7 +527,7 @@ func (s *Scheduler) backlogSecondsUncached(svc *SiteServices) float64 {
 			est = v
 		}
 		if est <= 0 {
-			est = s.DefaultEstimate
+			est = defaultEstimate
 		}
 		rem := est - j.WallClock.Seconds()
 		if rem > 0 {

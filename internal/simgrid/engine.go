@@ -16,7 +16,9 @@
 // boundary. The engine is event-driven — it keeps a priority queue of
 // scheduled events and jumps the clock straight from boundary to
 // boundary, skipping grid points where nothing is scheduled — so cost
-// scales with work performed, not with simulated duration. Skipped
+// scales with work performed, not with simulated duration. The queue is
+// the one way anything waits on simulated time: the clock itself only
+// reads and advances, and nothing blocks on it. Skipped
 // boundaries are empty by construction: stepping through every one of them
 // (Step) leaves the same trace, which the equivalence suites pin. All
 // randomness flows from a single seeded source, making every experiment

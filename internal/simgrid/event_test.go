@@ -90,6 +90,132 @@ func TestScheduleQuantizesToGrid(t *testing.T) {
 	}
 }
 
+// TestTimersAcrossOneJumpFireOnceAtTheirOwnDeadlines: the event queue is
+// the one way to wait on simulated time, and RunFor moves the clock in
+// jumps that cross many deadlines at once. Every timer crossed fires
+// exactly once, sees the clock at its own deadline rather than at the
+// jump's target, and fires in deadline order whatever order it was
+// scheduled in; a timer not yet due has not fired.
+func TestTimersAcrossOneJumpFireOnceAtTheirOwnDeadlines(t *testing.T) {
+	e := NewEngine(time.Second, 1)
+	start := e.Now()
+	delays := []time.Duration{7 * time.Second, 3 * time.Second, 3600 * time.Second, 59 * time.Second, 4 * time.Second}
+	fired := make([][]time.Duration, len(delays))
+	var order []int
+	for i, d := range delays {
+		e.Schedule(d, func(now time.Time) {
+			fired[i] = append(fired[i], now.Sub(start))
+			order = append(order, i)
+		})
+	}
+	e.RunFor(time.Hour - time.Second)
+	if fired[2] != nil {
+		t.Fatalf("the timer due at +1h fired at %v, before the clock reached it", fired[2])
+	}
+	e.RunFor(time.Hour)
+	for i, d := range delays {
+		if len(fired[i]) != 1 || fired[i][0] != d {
+			t.Errorf("timer %d (due +%v) fired at %v, want once at its own deadline", i, d, fired[i])
+		}
+	}
+	if want := []int{1, 4, 0, 3, 2}; fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("timers fired in order %v, want deadline order %v", order, want)
+	}
+}
+
+// TestTimerFiresAtItsDeadlineNotBefore: a timer has not fired one tick
+// short of its deadline and has fired, seeing its deadline, once the clock
+// reaches it.
+func TestTimerFiresAtItsDeadlineNotBefore(t *testing.T) {
+	e := NewEngine(time.Second, 1)
+	start := e.Now()
+	var fired []time.Duration
+	e.Schedule(10*time.Second, func(now time.Time) { fired = append(fired, now.Sub(start)) })
+	e.RunFor(9 * time.Second)
+	if fired != nil {
+		t.Fatalf("timer due at +10s fired at %v, before its deadline", fired)
+	}
+	e.RunFor(time.Second)
+	if len(fired) != 1 || fired[0] != 10*time.Second {
+		t.Fatalf("timer due at +10s fired at %v, want once at +10s", fired)
+	}
+}
+
+// TestTimerCrossedByJumpSeesItsOwnDeadline: a timer crossed by a jump far
+// past it sees the clock at its own deadline, not at the jump's target,
+// so a chain of timers measures the durations it asked for.
+func TestTimerCrossedByJumpSeesItsOwnDeadline(t *testing.T) {
+	e := NewEngine(time.Second, 1)
+	start := e.Now()
+	var seen, chained time.Duration
+	e.Schedule(10*time.Second, func(now time.Time) {
+		seen = now.Sub(start)
+		e.Schedule(5*time.Second, func(now time.Time) { chained = now.Sub(start) })
+	})
+	e.RunFor(time.Hour)
+	if seen != 10*time.Second || chained != 15*time.Second {
+		t.Fatalf("timers saw +%v and +%v, want their deadlines +10s and +15s", seen, chained)
+	}
+	if got := e.Now().Sub(start); got != time.Hour {
+		t.Fatalf("clock at +%v after the jump, want +1h", got)
+	}
+}
+
+// TestTimersFireInDeadlineOrder: timers scheduled out of deadline order
+// and crossed one at a time fire in deadline order.
+func TestTimersFireInDeadlineOrder(t *testing.T) {
+	e := NewEngine(time.Second, 1)
+	var order []int
+	for i, d := range []time.Duration{30 * time.Second, 10 * time.Second, 20 * time.Second} {
+		e.Schedule(d, func(time.Time) { order = append(order, i) })
+	}
+	for i := 0; i < 3; i++ {
+		e.RunFor(10 * time.Second)
+	}
+	if want := []int{1, 2, 0}; fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("timers fired in order %v, want deadline order %v", order, want)
+	}
+}
+
+// TestPollerFiresEachPeriod: a periodic component fires once per period,
+// seeing the period's boundary, as the clock advances one period at a
+// time.
+func TestPollerFiresEachPeriod(t *testing.T) {
+	e := NewEngine(time.Second, 1)
+	start := e.Now()
+	var polls []time.Duration
+	e.NewPoller(func() time.Duration { return 10 * time.Second }, func(now time.Time) {
+		polls = append(polls, now.Sub(start))
+	})
+	for i := 1; i <= 3; i++ {
+		e.RunFor(10 * time.Second)
+		if len(polls) != i || polls[i-1] != time.Duration(i)*10*time.Second {
+			t.Fatalf("after %d periods polls at %v, want one more at +%ds", i, polls, 10*i)
+		}
+	}
+}
+
+// TestPollerAcrossOneJumpFiresEveryPeriod: a periodic component registered
+// with the engine sees each of its periods exactly once, on the period
+// grid, whether the clock gets there a boundary at a time or in one jump.
+func TestPollerAcrossOneJumpFiresEveryPeriod(t *testing.T) {
+	for _, adv := range advances {
+		e := NewEngine(time.Second, 1)
+		start := e.Now()
+		var polls []time.Duration
+		e.NewPoller(func() time.Duration { return 10 * time.Second }, func(now time.Time) {
+			polls = append(polls, now.Sub(start))
+		})
+		adv.runFor(e, 30*time.Second)
+		adv.runFor(e, 65*time.Second)
+		want := []time.Duration{10 * time.Second, 20 * time.Second, 30 * time.Second, 40 * time.Second,
+			50 * time.Second, 60 * time.Second, 70 * time.Second, 80 * time.Second, 90 * time.Second}
+		if fmt.Sprint(polls) != fmt.Sprint(want) {
+			t.Errorf("%s: polls at %v, want %v", adv.name, polls, want)
+		}
+	}
+}
+
 // TestEventDriverSkipsIdleBoundaries: with only a far-future timer
 // scheduled, RunFor visits one boundary instead of thousands, and the
 // clock still lands exactly where stepping would put it.

@@ -90,18 +90,15 @@ func (s *Site) LeastLoadedNode(t time.Time) *Node {
 		return nil
 	}
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i].Name < nodes[j].Name })
+	key := func(n *Node) float64 { return n.LoadAt(t) + float64(n.RunningCount()) }
 	best := nodes[0]
-	bestKey := placementKey(best, t)
+	bestKey := key(best)
 	for _, n := range nodes[1:] {
-		if k := placementKey(n, t); k < bestKey {
+		if k := key(n); k < bestKey {
 			best, bestKey = n, k
 		}
 	}
 	return best
-}
-
-func placementKey(n *Node, t time.Time) float64 {
-	return n.LoadAt(t) + float64(n.RunningCount())
 }
 
 // Grid is the top-level simulated infrastructure: engine, sites, network.

@@ -283,14 +283,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return r.get(name, kindGauge, "", "", nil, func() any { return new(Gauge) }).(*Gauge)
 }
 
-// LabeledGauge resolves the gauge name{key=label}.
-func (r *Registry) LabeledGauge(name, key, label string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	return r.get(name, kindGauge, key, label, nil, func() any { return new(Gauge) }).(*Gauge)
-}
-
 // Histogram resolves the unlabeled histogram name with the given bucket
 // bounds (nil selects DefBuckets). Bounds are fixed at first resolution.
 func (r *Registry) Histogram(name string, buckets []float64) *Histogram {

@@ -1,13 +1,14 @@
 // Package vtime provides the time abstraction used throughout the GAE
 // reproduction. Services never call time.Now directly; they hold a Clock.
 // Production deployments use the real clock, while experiments run on a
-// deterministic simulated clock that can be advanced instantly, making the
-// paper's multi-hundred-second scenarios (Figure 7) reproducible in
-// milliseconds of wall time.
+// deterministic simulated clock that the discrete-event engine moves from
+// one scheduled boundary to the next, making the paper's multi-hundred-second
+// scenarios (Figure 7) reproducible in milliseconds of wall time. Nothing
+// blocks on a Clock: the engine's event queue is the one way code waits on
+// simulated time.
 package vtime
 
 import (
-	"sort"
 	"sync"
 	"time"
 )
@@ -16,11 +17,6 @@ import (
 type Clock interface {
 	// Now returns the current time on this clock.
 	Now() time.Time
-	// Sleep blocks until the clock has advanced by d.
-	Sleep(d time.Duration)
-	// After returns a channel that receives the clock time once the clock
-	// has advanced by d.
-	After(d time.Duration) <-chan time.Time
 }
 
 // Real returns a Clock backed by the system clock.
@@ -28,25 +24,13 @@ func Real() Clock { return realClock{} }
 
 type realClock struct{}
 
-func (realClock) Now() time.Time                         { return time.Now() }    //lint:walltime realClock is the explicit wall-clock escape hatch; sim code injects SimClock
-func (realClock) Sleep(d time.Duration)                  { time.Sleep(d) }        //lint:walltime realClock is the explicit wall-clock escape hatch; sim code injects SimClock
-func (realClock) After(d time.Duration) <-chan time.Time { return time.After(d) } //lint:walltime realClock is the explicit wall-clock escape hatch; sim code injects SimClock
+func (realClock) Now() time.Time { return time.Now() } //lint:walltime realClock is the explicit wall-clock escape hatch; sim code injects SimClock
 
 // SimClock is a deterministic simulated clock. Time advances only when
-// Advance or Run is called. Goroutines blocked in Sleep/After are woken in
-// timestamp order as the clock passes their deadline, which makes
-// multi-goroutine simulations reproducible.
+// Advance or AdvanceTo is called.
 type SimClock struct {
-	mu      sync.Mutex
-	now     time.Time
-	waiters []*simWaiter
-	// tickers registered via NewTicker, retained so Advance fires them.
-	tickers []*SimTicker
-}
-
-type simWaiter struct {
-	deadline time.Time
-	ch       chan time.Time
+	mu  sync.Mutex
+	now time.Time
 }
 
 // NewSimClock returns a SimClock starting at the given epoch. A zero epoch
@@ -66,154 +50,22 @@ func (c *SimClock) Now() time.Time {
 	return c.now
 }
 
-// Sleep blocks the calling goroutine until the simulated clock has been
-// advanced by at least d. Sleeping for a non-positive duration returns
-// immediately.
-func (c *SimClock) Sleep(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	<-c.After(d)
-}
-
-// After returns a channel that receives the simulated time when the clock
-// reaches now+d. For non-positive d the channel is immediately ready.
-func (c *SimClock) After(d time.Duration) <-chan time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ch := make(chan time.Time, 1)
-	if d <= 0 {
-		ch <- c.now
-		return ch
-	}
-	c.waiters = append(c.waiters, &simWaiter{deadline: c.now.Add(d), ch: ch})
-	return ch
-}
-
-// Advance moves simulated time forward by d, waking every sleeper whose
-// deadline falls inside the advanced window in deadline order.
+// Advance moves simulated time forward by d.
 func (c *SimClock) Advance(d time.Duration) {
 	if d < 0 {
 		panic("vtime: negative advance")
 	}
 	c.mu.Lock()
-	target := c.now.Add(d)
-	for {
-		next, ok := c.earliestDeadlineLocked(target)
-		if !ok {
-			break
-		}
-		c.now = next
-		c.fireDueLocked()
-	}
-	c.now = target
-	c.fireDueLocked()
+	c.now = c.now.Add(d)
 	c.mu.Unlock()
 }
 
 // AdvanceTo moves simulated time forward to the absolute instant t.
 // It is a no-op if t is not after the current time.
 func (c *SimClock) AdvanceTo(t time.Time) {
-	now := c.Now()
-	if t.After(now) {
-		c.Advance(t.Sub(now))
-	}
-}
-
-// earliestDeadlineLocked reports the earliest pending waiter or ticker
-// deadline that is not after limit.
-func (c *SimClock) earliestDeadlineLocked(limit time.Time) (time.Time, bool) {
-	var best time.Time
-	found := false
-	consider := func(t time.Time) {
-		if t.After(limit) || !t.After(c.now) {
-			return
-		}
-		if !found || t.Before(best) {
-			best, found = t, true
-		}
-	}
-	for _, w := range c.waiters {
-		consider(w.deadline)
-	}
-	for _, tk := range c.tickers {
-		consider(tk.next)
-	}
-	return best, found
-}
-
-// fireDueLocked delivers to all waiters and tickers whose deadline has
-// passed, in deadline order for determinism.
-func (c *SimClock) fireDueLocked() {
-	sort.SliceStable(c.waiters, func(i, j int) bool {
-		return c.waiters[i].deadline.Before(c.waiters[j].deadline)
-	})
-	kept := c.waiters[:0]
-	for _, w := range c.waiters {
-		if w.deadline.After(c.now) {
-			kept = append(kept, w)
-			continue
-		}
-		w.ch <- c.now
-	}
-	c.waiters = kept
-	for _, tk := range c.tickers {
-		for !tk.stopped && !tk.next.After(c.now) {
-			select {
-			case tk.C <- tk.next:
-			default: // ticker semantics: drop ticks nobody consumed
-			}
-			tk.next = tk.next.Add(tk.period)
-		}
-	}
-}
-
-// PendingWaiters reports how many goroutines are currently blocked on the
-// clock. Tests use it to synchronize Advance with worker goroutines.
-func (c *SimClock) PendingWaiters() int {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.waiters)
-}
-
-// SimTicker delivers ticks on simulated-clock advancement, mirroring
-// time.Ticker semantics (missed ticks are dropped, not queued).
-type SimTicker struct {
-	C       chan time.Time
-	clock   *SimClock
-	period  time.Duration
-	next    time.Time
-	stopped bool
-}
-
-// NewTicker registers a ticker with period d on the simulated clock.
-func (c *SimClock) NewTicker(d time.Duration) *SimTicker {
-	if d <= 0 {
-		panic("vtime: non-positive ticker period")
+	if t.After(c.now) {
+		c.now = t
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	t := &SimTicker{
-		C:      make(chan time.Time, 1),
-		clock:  c,
-		period: d,
-		next:   c.now.Add(d),
-	}
-	c.tickers = append(c.tickers, t)
-	return t
-}
-
-// Stop disables the ticker. Unlike time.Ticker it also removes the ticker
-// from the clock so long simulations do not accumulate garbage.
-func (t *SimTicker) Stop() {
-	c := t.clock
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	t.stopped = true
-	for i, tk := range c.tickers {
-		if tk == t {
-			c.tickers = append(c.tickers[:i], c.tickers[i+1:]...)
-			break
-		}
-	}
+	c.mu.Unlock()
 }

@@ -1,7 +1,6 @@
 package vtime
 
 import (
-	"sync"
 	"testing"
 	"time"
 )
@@ -13,15 +12,6 @@ func TestRealClockNow(t *testing.T) {
 	after := time.Now() //lint:walltime test exercises the real wall-clock escape hatch itself
 	if got.Before(before) || got.After(after) {
 		t.Fatalf("Real().Now() = %v, want within [%v, %v]", got, before, after)
-	}
-}
-
-func TestRealClockAfter(t *testing.T) {
-	c := Real()
-	select {
-	case <-c.After(time.Millisecond):
-	case <-time.After(5 * time.Second): //lint:walltime real-time watchdog for a test of the real clock
-		t.Fatal("Real().After(1ms) did not fire")
 	}
 }
 
@@ -63,312 +53,4 @@ func TestSimClockNegativeAdvancePanics(t *testing.T) {
 		}
 	}()
 	NewSimClock(time.Time{}).Advance(-1)
-}
-
-func TestSimClockAfterImmediate(t *testing.T) {
-	c := NewSimClock(time.Time{})
-	select {
-	case got := <-c.After(0):
-		if !got.Equal(c.Now()) {
-			t.Fatalf("After(0) delivered %v, want %v", got, c.Now())
-		}
-	default:
-		t.Fatal("After(0) not immediately ready")
-	}
-}
-
-func TestSimClockAfterFiresAtDeadline(t *testing.T) {
-	c := NewSimClock(time.Time{})
-	ch := c.After(10 * time.Second)
-	select {
-	case <-ch:
-		t.Fatal("After fired before any advance")
-	default:
-	}
-	c.Advance(9 * time.Second)
-	select {
-	case <-ch:
-		t.Fatal("After fired one second early")
-	default:
-	}
-	c.Advance(time.Second)
-	select {
-	case got := <-ch:
-		if !got.Equal(c.Now()) {
-			t.Fatalf("After delivered %v, want %v", got, c.Now())
-		}
-	default:
-		t.Fatal("After did not fire at its deadline")
-	}
-}
-
-func TestSimClockWakeOrderIsDeadlineOrder(t *testing.T) {
-	c := NewSimClock(time.Time{})
-	var mu sync.Mutex
-	var order []int
-	var wg sync.WaitGroup
-	durations := []time.Duration{30 * time.Second, 10 * time.Second, 20 * time.Second}
-	for i, d := range durations {
-		wg.Add(1)
-		go func(i int, d time.Duration) {
-			defer wg.Done()
-			<-c.After(d)
-			mu.Lock()
-			order = append(order, i)
-			mu.Unlock()
-		}(i, d)
-	}
-	// Wait for all three goroutines to register.
-	for c.PendingWaiters() != 3 {
-		time.Sleep(time.Millisecond) //lint:walltime real sleep lets the woken goroutine run; sim state is unaffected
-	}
-	// Advance in small steps so each deadline is crossed separately; the
-	// wake order must then be 1 (10s), 2 (20s), 0 (30s).
-	for i := 0; i < 3; i++ {
-		c.Advance(10 * time.Second)
-		time.Sleep(5 * time.Millisecond) // let the woken goroutine record itself //lint:walltime real sleep lets the woken goroutine record itself; sim state is unaffected
-	}
-	wg.Wait()
-	want := []int{1, 2, 0}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("wake order = %v, want %v", order, want)
-		}
-	}
-}
-
-func TestSimClockSleepNonPositive(t *testing.T) {
-	c := NewSimClock(time.Time{})
-	done := make(chan struct{})
-	go func() {
-		c.Sleep(0)
-		c.Sleep(-time.Second)
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(time.Second): //lint:walltime real-time watchdog so a missed wake fails instead of hanging
-		t.Fatal("Sleep(<=0) blocked")
-	}
-}
-
-func TestSimClockIntermediateWakeTimes(t *testing.T) {
-	// A waiter woken mid-advance must observe its own deadline, not the
-	// final target, so chained sleeps measure correct durations.
-	c := NewSimClock(time.Time{})
-	ch := c.After(10 * time.Second)
-	c.Advance(time.Hour)
-	got := <-ch
-	want := time.Date(2005, 1, 1, 0, 0, 10, 0, time.UTC)
-	if !got.Equal(want) {
-		t.Fatalf("waiter observed %v, want its deadline %v", got, want)
-	}
-}
-
-func TestSimTickerFiresEachPeriod(t *testing.T) {
-	c := NewSimClock(time.Time{})
-	tk := c.NewTicker(10 * time.Second)
-	defer tk.Stop()
-	for i := 1; i <= 3; i++ {
-		c.Advance(10 * time.Second)
-		select {
-		case got := <-tk.C:
-			want := time.Date(2005, 1, 1, 0, 0, 10*i, 0, time.UTC)
-			if !got.Equal(want) {
-				t.Fatalf("tick %d at %v, want %v", i, got, want)
-			}
-		default:
-			t.Fatalf("tick %d missing", i)
-		}
-	}
-}
-
-func TestSimTickerDropsMissedTicks(t *testing.T) {
-	c := NewSimClock(time.Time{})
-	tk := c.NewTicker(time.Second)
-	defer tk.Stop()
-	c.Advance(10 * time.Second) // 10 ticks due, channel capacity 1
-	n := 0
-	for {
-		select {
-		case <-tk.C:
-			n++
-			continue
-		default:
-		}
-		break
-	}
-	if n != 1 {
-		t.Fatalf("received %d buffered ticks, want 1 (missed ticks dropped)", n)
-	}
-}
-
-func TestSimTickerStopRemoves(t *testing.T) {
-	c := NewSimClock(time.Time{})
-	tk := c.NewTicker(time.Second)
-	tk.Stop()
-	c.Advance(5 * time.Second)
-	select {
-	case <-tk.C:
-		t.Fatal("stopped ticker delivered a tick")
-	default:
-	}
-}
-
-func TestSimTickerNonPositivePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewTicker(0) did not panic")
-		}
-	}()
-	NewSimClock(time.Time{}).NewTicker(0)
-}
-
-func TestSimClockConcurrentAfter(t *testing.T) {
-	c := NewSimClock(time.Time{})
-	const n = 50
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			<-c.After(time.Duration(i+1) * time.Second)
-		}(i)
-	}
-	for c.PendingWaiters() != n {
-		time.Sleep(time.Millisecond) //lint:walltime real sleep lets woken goroutines register; sim state is unaffected
-	}
-	c.Advance(time.Duration(n) * time.Second)
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second): //lint:walltime real-time watchdog so a missed wake fails instead of hanging
-		t.Fatalf("%d waiters still pending after advance", c.PendingWaiters())
-	}
-}
-
-// --- Large-jump coverage -----------------------------------------------------
-//
-// The discrete-event engine advances the clock in arbitrarily large jumps
-// (AdvanceTo straight to the next scheduled boundary), so a single
-// Advance may cross many waiter deadlines and many ticker periods at
-// once. These tests pin the contract that makes that safe: every waiter
-// fires exactly once, stamped with its own deadline, in timestamp order.
-
-func TestAfterWaitersUnderLargeAdvanceJump(t *testing.T) {
-	c := NewSimClock(time.Time{})
-	start := c.Now()
-	delays := []time.Duration{
-		7 * time.Second, 3 * time.Second, 3600 * time.Second, 59 * time.Second, 3 * time.Second,
-	}
-	chans := make([]<-chan time.Time, len(delays))
-	for i, d := range delays {
-		chans[i] = c.After(d)
-	}
-	// One advance crosses every deadline.
-	c.Advance(2 * time.Hour)
-	for i, ch := range chans {
-		select {
-		case got := <-ch:
-			if want := start.Add(delays[i]); !got.Equal(want) {
-				t.Errorf("waiter %d woke with timestamp %v, want its own deadline %v", i, got, want)
-			}
-		default:
-			t.Fatalf("waiter %d did not fire after the jump", i)
-		}
-		// Exactly once: the channel must now be empty.
-		select {
-		case extra := <-ch:
-			t.Fatalf("waiter %d fired twice (second value %v)", i, extra)
-		default:
-		}
-	}
-	if got := c.PendingWaiters(); got != 0 {
-		t.Fatalf("%d waiters left registered after the jump", got)
-	}
-}
-
-func TestWaitersAndTickersInterleavedAcrossJump(t *testing.T) {
-	c := NewSimClock(time.Time{})
-	start := c.Now()
-	late := c.After(25 * time.Second)
-	tk := c.NewTicker(10 * time.Second)
-	defer tk.Stop()
-	early := c.After(5 * time.Second)
-	// One jump crosses the early waiter, two ticker periods, and the late
-	// waiter. Each consumer observes its own deadline timestamp — proof
-	// the clock visited the deadlines in order rather than stamping
-	// everything with the jump target.
-	c.Advance(60 * time.Second)
-	if got := <-early; !got.Equal(start.Add(5 * time.Second)) {
-		t.Fatalf("early waiter stamped %v, want +5s", got)
-	}
-	if got := <-late; !got.Equal(start.Add(25 * time.Second)) {
-		t.Fatalf("late waiter stamped %v, want +25s", got)
-	}
-	if got := <-tk.C; !got.Equal(start.Add(10 * time.Second)) {
-		t.Fatalf("ticker stamped %v, want +10s (its first period)", got)
-	}
-}
-
-func TestTickerUnderLargeAdvanceJump(t *testing.T) {
-	c := NewSimClock(time.Time{})
-	start := c.Now()
-	tk := c.NewTicker(10 * time.Second)
-	defer tk.Stop()
-	// Crossing many periods in one advance delivers the first tick (the
-	// channel buffers one) and drops the rest — time.Ticker semantics —
-	// while the ticker's schedule stays aligned to its period.
-	c.Advance(95 * time.Second)
-	select {
-	case got := <-tk.C:
-		if want := start.Add(10 * time.Second); !got.Equal(want) {
-			t.Fatalf("first tick stamped %v, want %v", got, want)
-		}
-	default:
-		t.Fatal("no tick delivered across the jump")
-	}
-	select {
-	case extra := <-tk.C:
-		t.Fatalf("queued more than one tick across the jump (%v)", extra)
-	default:
-	}
-	// The next period lands on the grid (t=100s), not 95+10.
-	c.Advance(5 * time.Second)
-	select {
-	case got := <-tk.C:
-		if want := start.Add(100 * time.Second); !got.Equal(want) {
-			t.Fatalf("post-jump tick stamped %v, want %v (period-aligned)", got, want)
-		}
-	default:
-		t.Fatal("ticker missed its period-aligned tick after the jump")
-	}
-}
-
-func TestTickerConsumedAcrossJumpSeesEachPeriodOnce(t *testing.T) {
-	c := NewSimClock(time.Time{})
-	start := c.Now()
-	tk := c.NewTicker(time.Second)
-	defer tk.Stop()
-	var got []time.Time
-	// Consuming between single-period advances must observe every period
-	// exactly once, even when interleaved with one large jump.
-	for i := 0; i < 3; i++ {
-		c.Advance(time.Second)
-		got = append(got, <-tk.C)
-	}
-	c.Advance(10 * time.Second) // jump: delivers t=4s, drops 5..13
-	got = append(got, <-tk.C)
-	c.Advance(time.Second)
-	got = append(got, <-tk.C)
-	want := []time.Duration{1 * time.Second, 2 * time.Second, 3 * time.Second, 4 * time.Second, 14 * time.Second}
-	if len(got) != len(want) {
-		t.Fatalf("got %d ticks, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if w := start.Add(want[i]); !got[i].Equal(w) {
-			t.Fatalf("tick %d stamped %v, want %v", i, got[i], w)
-		}
-	}
 }

@@ -139,44 +139,3 @@ func (c *Client) CallInto(ctx context.Context, method string, out any, args ...a
 	}
 	return decodeResponse(raw, out)
 }
-
-// The typed calls below decode the result into their own type under
-// CallInto's rules: a result of another type is an error, except that
-// CallInt takes a double with an integral value and CallFloat an int, and
-// <nil/> reads as the zero value.
-
-// CallString invokes method and returns its string result.
-func (c *Client) CallString(ctx context.Context, method string, args ...any) (s string, err error) {
-	err = c.CallInto(ctx, method, &s, args...)
-	return s, err
-}
-
-// CallInt invokes method and returns its int result.
-func (c *Client) CallInt(ctx context.Context, method string, args ...any) (n int, err error) {
-	err = c.CallInto(ctx, method, &n, args...)
-	return n, err
-}
-
-// CallFloat invokes method and returns its double result.
-func (c *Client) CallFloat(ctx context.Context, method string, args ...any) (f float64, err error) {
-	err = c.CallInto(ctx, method, &f, args...)
-	return f, err
-}
-
-// CallBool invokes method and returns its boolean result.
-func (c *Client) CallBool(ctx context.Context, method string, args ...any) (b bool, err error) {
-	err = c.CallInto(ctx, method, &b, args...)
-	return b, err
-}
-
-// CallStruct invokes method and returns its struct result.
-func (c *Client) CallStruct(ctx context.Context, method string, args ...any) (m map[string]any, err error) {
-	err = c.CallInto(ctx, method, &m, args...)
-	return m, err
-}
-
-// CallArray invokes method and returns its array result.
-func (c *Client) CallArray(ctx context.Context, method string, args ...any) (a []any, err error) {
-	err = c.CallInto(ctx, method, &a, args...)
-	return a, err
-}

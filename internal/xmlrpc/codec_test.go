@@ -344,15 +344,15 @@ func TestDecodeResponseMultipleParams(t *testing.T) {
 }
 
 func TestIsFaultAndAsFault(t *testing.T) {
-	f := NewFault(FaultQuota, "over quota")
+	f := NewFault(FaultApplication, "no such plan")
 	wrapped := errorsJoin(f)
-	if !IsFault(wrapped, FaultQuota) {
+	if !IsFault(wrapped, FaultApplication) {
 		t.Fatal("IsFault failed on wrapped fault")
 	}
 	if IsFault(wrapped, FaultAuth) {
 		t.Fatal("IsFault matched wrong code")
 	}
-	if IsFault(errors.New("plain"), FaultQuota) {
+	if IsFault(errors.New("plain"), FaultApplication) {
 		t.Fatal("IsFault matched non-fault")
 	}
 	if _, ok := AsFault(nil); ok {
@@ -455,22 +455,4 @@ func isValidXMLString(s string) bool {
 		}
 	}
 	return true
-}
-
-func TestMethodServiceSplit(t *testing.T) {
-	cases := []struct{ in, svc, name string }{
-		{"jobmon.status", "jobmon", "status"},
-		{"system.listMethods", "system", "listMethods"},
-		{"a.b.c", "a.b", "c"},
-		{"plain", "", "plain"},
-	}
-	for _, c := range cases {
-		svc, name := MethodService(c.in)
-		if svc != c.svc || name != c.name {
-			t.Errorf("MethodService(%q) = (%q,%q), want (%q,%q)", c.in, svc, name, c.svc, c.name)
-		}
-		if got := FormatMethod(svc, name); got != c.in {
-			t.Errorf("FormatMethod(%q,%q) = %q, want %q", svc, name, got, c.in)
-		}
-	}
 }

@@ -12,7 +12,6 @@ const (
 	FaultInternal       = -32603 // handler returned a non-fault error
 	FaultApplication    = -32500 // generic application error
 	FaultAuth           = -32401 // authentication / authorization failure
-	FaultQuota          = -32402 // quota exhausted
 	FaultUnavailable    = -32503 // server temporarily unavailable (draining, overloaded); safe to retry
 )
 

@@ -2,11 +2,9 @@ package xmlrpc
 
 import (
 	"context"
-	"fmt"
 	"net/http"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 )
 
@@ -49,13 +47,6 @@ func (m *ServeMux) Handle(method string, h Handler) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.handlers[method] = h
-}
-
-// Unhandle removes a method registration if present.
-func (m *ServeMux) Unhandle(method string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	delete(m.handlers, method)
 }
 
 // Methods returns the registered method names, sorted.
@@ -134,9 +125,9 @@ func writeDocument(w http.ResponseWriter, doc []byte) {
 	w.Write(doc)
 }
 
-// Params provides positional, type-checked access to handler arguments.
-// It converts between the numeric types XML-RPC can deliver, so handlers
-// accept an int where a client sent a double and vice versa.
+// Params provides positional, type-checked access to handler arguments:
+// an arity check and decoding into typed parameters under Unmarshal's
+// rules.
 type Params []any
 
 // Len returns the number of arguments.
@@ -150,93 +141,6 @@ func (p Params) Want(n int) error {
 	return nil
 }
 
-// WantAtLeast returns a FaultInvalidParams unless at least n arguments are
-// present.
-func (p Params) WantAtLeast(n int) error {
-	if len(p) < n {
-		return NewFault(FaultInvalidParams, "got %d arguments, want at least %d", len(p), n)
-	}
-	return nil
-}
-
-// String returns argument i as a string.
-func (p Params) String(i int) (string, error) {
-	if i >= len(p) {
-		return "", NewFault(FaultInvalidParams, "missing argument %d", i)
-	}
-	s, ok := p[i].(string)
-	if !ok {
-		return "", NewFault(FaultInvalidParams, "argument %d is %T, want string", i, p[i])
-	}
-	return s, nil
-}
-
-// Int returns argument i as an int, accepting doubles with integral value.
-func (p Params) Int(i int) (int, error) {
-	if i >= len(p) {
-		return 0, NewFault(FaultInvalidParams, "missing argument %d", i)
-	}
-	switch v := p[i].(type) {
-	case int:
-		return v, nil
-	case float64:
-		if v == float64(int(v)) {
-			return int(v), nil
-		}
-	}
-	return 0, NewFault(FaultInvalidParams, "argument %d is %T, want int", i, p[i])
-}
-
-// Float returns argument i as a float64, accepting ints.
-func (p Params) Float(i int) (float64, error) {
-	if i >= len(p) {
-		return 0, NewFault(FaultInvalidParams, "missing argument %d", i)
-	}
-	switch v := p[i].(type) {
-	case float64:
-		return v, nil
-	case int:
-		return float64(v), nil
-	}
-	return 0, NewFault(FaultInvalidParams, "argument %d is %T, want double", i, p[i])
-}
-
-// Bool returns argument i as a bool.
-func (p Params) Bool(i int) (bool, error) {
-	if i >= len(p) {
-		return false, NewFault(FaultInvalidParams, "missing argument %d", i)
-	}
-	b, ok := p[i].(bool)
-	if !ok {
-		return false, NewFault(FaultInvalidParams, "argument %d is %T, want boolean", i, p[i])
-	}
-	return b, nil
-}
-
-// Struct returns argument i as a map (XML-RPC struct).
-func (p Params) Struct(i int) (map[string]any, error) {
-	if i >= len(p) {
-		return nil, NewFault(FaultInvalidParams, "missing argument %d", i)
-	}
-	m, ok := p[i].(map[string]any)
-	if !ok {
-		return nil, NewFault(FaultInvalidParams, "argument %d is %T, want struct", i, p[i])
-	}
-	return m, nil
-}
-
-// Array returns argument i as a slice (XML-RPC array).
-func (p Params) Array(i int) ([]any, error) {
-	if i >= len(p) {
-		return nil, NewFault(FaultInvalidParams, "missing argument %d", i)
-	}
-	a, ok := p[i].([]any)
-	if !ok {
-		return nil, NewFault(FaultInvalidParams, "argument %d is %T, want array", i, p[i])
-	}
-	return a, nil
-}
-
 // Into decodes argument i into *out, a typed parameter, under Unmarshal's
 // rules.
 func (p Params) Into(i int, out any) error {
@@ -247,39 +151,4 @@ func (p Params) Into(i int, out any) error {
 		return NewFault(FaultInvalidParams, "argument %d: %v", i, err)
 	}
 	return nil
-}
-
-// StringsArray returns argument i as []string, converting each element.
-func (p Params) StringsArray(i int) ([]string, error) {
-	raw, err := p.Array(i)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]string, len(raw))
-	for j, v := range raw {
-		s, ok := v.(string)
-		if !ok {
-			return nil, NewFault(FaultInvalidParams,
-				"argument %d element %d is %T, want string", i, j, v)
-		}
-		out[j] = s
-	}
-	return out, nil
-}
-
-// MethodService splits "service.method" into its two halves; method-only
-// names yield an empty service.
-func MethodService(method string) (service, name string) {
-	if i := strings.LastIndex(method, "."); i >= 0 {
-		return method[:i], method[i+1:]
-	}
-	return "", method
-}
-
-// FormatMethod joins a service and method name.
-func FormatMethod(service, name string) string {
-	if service == "" {
-		return name
-	}
-	return fmt.Sprintf("%s.%s", service, name)
 }

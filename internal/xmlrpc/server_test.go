@@ -23,15 +23,14 @@ func newTestServer(t *testing.T) (*ServeMux, *Client) {
 	mux.Handle("test.echo", echoHandler)
 	mux.Handle("test.add", func(_ context.Context, args []any) (any, error) {
 		p := Params(args)
+		var a, b int
 		if err := p.Want(2); err != nil {
 			return nil, err
 		}
-		a, err := p.Int(0)
-		if err != nil {
+		if err := p.Into(0, &a); err != nil {
 			return nil, err
 		}
-		b, err := p.Int(1)
-		if err != nil {
+		if err := p.Into(1, &b); err != nil {
 			return nil, err
 		}
 		return a + b, nil
@@ -40,7 +39,7 @@ func newTestServer(t *testing.T) (*ServeMux, *Client) {
 		return nil, errors.New("boom")
 	})
 	mux.Handle("test.fault", func(context.Context, []any) (any, error) {
-		return nil, NewFault(FaultQuota, "quota exceeded")
+		return nil, NewFault(FaultApplication, "no such plan")
 	})
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
@@ -61,8 +60,8 @@ func TestEndToEndEcho(t *testing.T) {
 
 func TestEndToEndAdd(t *testing.T) {
 	_, c := newTestServer(t)
-	n, err := c.CallInt(context.Background(), "test.add", 40, 2)
-	if err != nil {
+	var n int
+	if err := c.CallInto(context.Background(), "test.add", &n, 40, 2); err != nil {
 		t.Fatal(err)
 	}
 	if n != 42 {
@@ -90,8 +89,8 @@ func TestEndToEndInternalFault(t *testing.T) {
 func TestEndToEndApplicationFault(t *testing.T) {
 	_, c := newTestServer(t)
 	_, err := c.Call(context.Background(), "test.fault")
-	if !IsFault(err, FaultQuota) {
-		t.Fatalf("error = %v, want quota fault", err)
+	if !IsFault(err, FaultApplication) {
+		t.Fatalf("error = %v, want application fault", err)
 	}
 }
 
@@ -109,13 +108,9 @@ func TestEndToEndInvalidParams(t *testing.T) {
 
 func TestSystemListMethods(t *testing.T) {
 	_, c := newTestServer(t)
-	got, err := c.CallArray(context.Background(), "system.listMethods")
-	if err != nil {
+	var names []string
+	if err := c.CallInto(context.Background(), "system.listMethods", &names); err != nil {
 		t.Fatal(err)
-	}
-	names := make([]string, len(got))
-	for i, v := range got {
-		names[i] = v.(string)
 	}
 	joined := strings.Join(names, ",")
 	for _, want := range []string{"system.listMethods", "test.add", "test.echo"} {
@@ -209,15 +204,6 @@ func TestHandlePanicsOnBadArgs(t *testing.T) {
 	}
 }
 
-func TestUnhandle(t *testing.T) {
-	mux, c := newTestServer(t)
-	mux.Unhandle("test.echo")
-	_, err := c.Call(context.Background(), "test.echo")
-	if !IsFault(err, FaultMethodNotFound) {
-		t.Fatalf("error after Unhandle = %v", err)
-	}
-}
-
 func TestConcurrentCalls(t *testing.T) {
 	_, c := newTestServer(t)
 	const n = 32
@@ -227,8 +213,8 @@ func TestConcurrentCalls(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got, err := c.CallInt(context.Background(), "test.add", i, i)
-			if err != nil {
+			var got int
+			if err := c.CallInto(context.Background(), "test.add", &got, i, i); err != nil {
 				errs <- err
 				return
 			}
@@ -249,74 +235,56 @@ func TestParamsAccessors(t *testing.T) {
 		"str", 7, 2.5, true,
 		map[string]any{"k": "v"},
 		[]any{"a", "b"},
-		3.0, // integral double should satisfy Int
+		3.0, // integral double should satisfy int
 	}
-	if s, err := p.String(0); err != nil || s != "str" {
-		t.Errorf("String = %q, %v", s, err)
+	var (
+		s  string
+		n  int
+		f  float64
+		b  bool
+		m  map[string]string
+		ss []string
+	)
+	for i, dst := range []any{&s, &n, &f, &b, &m, &ss} {
+		if err := p.Into(i, dst); err != nil {
+			t.Errorf("Into(%d, %T): %v", i, dst, err)
+		}
 	}
-	if n, err := p.Int(1); err != nil || n != 7 {
-		t.Errorf("Int = %d, %v", n, err)
+	if s != "str" || n != 7 || f != 2.5 || !b || m["k"] != "v" || len(ss) != 2 || ss[1] != "b" {
+		t.Errorf("decoded %q %d %v %v %v %v", s, n, f, b, m, ss)
 	}
-	if f, err := p.Float(2); err != nil || f != 2.5 {
-		t.Errorf("Float = %v, %v", f, err)
+	if err := p.Into(1, &f); err != nil || f != 7.0 {
+		t.Errorf("Into(int, *float64) = %v, %v", f, err)
 	}
-	if f, err := p.Float(1); err != nil || f != 7.0 {
-		t.Errorf("Float(int) = %v, %v", f, err)
-	}
-	if b, err := p.Bool(3); err != nil || !b {
-		t.Errorf("Bool = %v, %v", b, err)
-	}
-	if m, err := p.Struct(4); err != nil || m["k"] != "v" {
-		t.Errorf("Struct = %v, %v", m, err)
-	}
-	if a, err := p.Array(5); err != nil || len(a) != 2 {
-		t.Errorf("Array = %v, %v", a, err)
-	}
-	if ss, err := p.StringsArray(5); err != nil || ss[1] != "b" {
-		t.Errorf("StringsArray = %v, %v", ss, err)
-	}
-	if n, err := p.Int(6); err != nil || n != 3 {
-		t.Errorf("Int(integral double) = %d, %v", n, err)
+	if err := p.Into(6, &n); err != nil || n != 3 {
+		t.Errorf("Into(integral double, *int) = %d, %v", n, err)
 	}
 	// Type errors.
-	if _, err := p.Int(0); !IsFault(err, FaultInvalidParams) {
-		t.Errorf("Int(string) error = %v", err)
+	if err := p.Into(0, &n); !IsFault(err, FaultInvalidParams) {
+		t.Errorf("Into(string, *int) error = %v", err)
 	}
-	if _, err := p.String(99); !IsFault(err, FaultInvalidParams) {
-		t.Errorf("String(oob) error = %v", err)
+	if err := p.Into(99, &s); !IsFault(err, FaultInvalidParams) {
+		t.Errorf("Into(oob) error = %v", err)
 	}
-	if _, err := p.StringsArray(4); !IsFault(err, FaultInvalidParams) {
-		t.Errorf("StringsArray(struct) error = %v", err)
+	if err := p.Into(4, &ss); !IsFault(err, FaultInvalidParams) {
+		t.Errorf("Into(struct, *[]string) error = %v", err)
 	}
 	if err := p.Want(3); !IsFault(err, FaultInvalidParams) {
 		t.Errorf("Want(3) on len-7 error = %v", err)
 	}
-	if err := p.WantAtLeast(8); !IsFault(err, FaultInvalidParams) {
-		t.Errorf("WantAtLeast(8) error = %v", err)
-	}
-	if err := p.WantAtLeast(2); err != nil {
-		t.Errorf("WantAtLeast(2) error = %v", err)
+	if err := p.Want(p.Len()); err != nil {
+		t.Errorf("Want(Len()) error = %v", err)
 	}
 }
 
 func TestClientTypedCallErrors(t *testing.T) {
 	_, c := newTestServer(t)
 	ctx := context.Background()
-	// test.echo returns an array; every scalar-typed call must fail cleanly.
-	if _, err := c.CallString(ctx, "test.echo", 1); err == nil {
-		t.Error("CallString on array succeeded")
-	}
-	if _, err := c.CallInt(ctx, "test.echo", 1); err == nil {
-		t.Error("CallInt on array succeeded")
-	}
-	if _, err := c.CallBool(ctx, "test.echo", 1); err == nil {
-		t.Error("CallBool on array succeeded")
-	}
-	if _, err := c.CallStruct(ctx, "test.echo", 1); err == nil {
-		t.Error("CallStruct on array succeeded")
-	}
-	if _, err := c.CallFloat(ctx, "test.echo", 1); err == nil {
-		t.Error("CallFloat on array succeeded")
+	// test.echo returns an array; every scalar destination must fail cleanly.
+	for _, dst := range []any{new(string), new(int), new(bool), new(map[string]any), new(float64)} {
+		if err := c.CallInto(ctx, "test.echo", dst, 1); err == nil {
+			t.Errorf("CallInto(%T) on array succeeded", dst)
+		}
 	}
 }
 
@@ -403,7 +371,8 @@ func TestNewClientWithReplacedDefaultTransport(t *testing.T) {
 	http.DefaultTransport = roundTripFunc(saved.RoundTrip)
 	c := NewClient(srv.URL)
 	defer c.Close()
-	if got, err := c.CallArray(context.Background(), "test.echo", "hi"); err != nil || len(got) != 1 || got[0] != "hi" {
+	var got []any
+	if err := c.CallInto(context.Background(), "test.echo", &got, "hi"); err != nil || len(got) != 1 || got[0] != "hi" {
 		t.Fatalf("echo through a fallback transport = %v, %v", got, err)
 	}
 }

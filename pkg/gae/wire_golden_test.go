@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"context"
 	"flag"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
+	"repro/internal/clarens"
 	"repro/internal/xmlrpc"
 	"repro/pkg/gae"
 )
@@ -96,7 +99,8 @@ func TestWireGolden(t *testing.T) {
 			}
 		}
 	}
-	fault := xmlrpc.EncodeFault(xmlrpc.NewFault(xmlrpc.FaultQuota, `user "alice" is <over> quota & blocked`))
+	// -32402 is a code no constant names: the encoder passes any code through.
+	fault := xmlrpc.EncodeFault(xmlrpc.NewFault(-32402, `user "alice" is <over> quota & blocked`))
 	path := filepath.Join("testdata", "wire", "fault.xml")
 	if *updateGolden {
 		if err := os.WriteFile(path, fault, 0o644); err != nil {
@@ -106,6 +110,33 @@ func TestWireGolden(t *testing.T) {
 	}
 	if want, err := os.ReadFile(path); err != nil || !bytes.Equal(fault, want) {
 		t.Errorf("fault differs from the parent commit's bytes (%v):\n got %s\nwant %s", err, fault, want)
+	}
+}
+
+// TestRegistryDiscoverWireGolden pins the bytes a Clarens host serves for
+// registry.discover, the built-in a federation resolves services with.
+func TestRegistryDiscoverWireGolden(t *testing.T) {
+	srv := clarens.NewServer("host", nil)
+	srv.SetBaseURL("http://host.example:8080/")
+	noop := func(context.Context, []any) (any, error) { return true, nil }
+	srv.RegisterService("estimator", `runtime <estimates> & "queue" times`,
+		map[string]xmlrpc.Handler{"runtime": noop, "queuetime": noop})
+	req, err := xmlrpc.EncodeRequest("registry.discover", []any{"estimator", false})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(req)))
+	got := rec.Body.Bytes()
+	path := filepath.Join("testdata", "wire", "registry_discover.response.xml")
+	if *updateGolden {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	if want, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("registry.discover reply differs from the golden bytes (%v):\n got %s\nwant %s", err, got, want)
 	}
 }
 
