@@ -1,7 +1,10 @@
 // Command gae-obs-smoke is the observability smoke check: it boots a
 // real gae-server on a scratch durable directory, drives a short
-// gae-loadgen burst at it over the wire, then scrapes /metrics and
-// fails unless every required metric family is present and non-zero.
+// gae-loadgen burst at it over a wire that delivers every request twice,
+// then scrapes /metrics and fails unless every required metric family is
+// present and non-zero. The second delivery of each mutation must be
+// answered from the server's idempotency window, so a mutating call that
+// goes out without a request ID fails the burst.
 // It also checks /healthz answers 200 and /debug/rpcs carries spans
 // for the burst, so a regression anywhere in the telemetry plumbing —
 // registry, instrumentation points, or the HTTP surface — turns the
@@ -23,6 +26,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/loadgen"
 	"repro/internal/telemetry"
 	"repro/pkg/gae"
@@ -113,10 +117,13 @@ func run(ctx context.Context, clients, ops int, server string) error {
 		return err
 	}
 
+	// Every request is delivered twice, back to back; the client sees the
+	// second reply. That is what moves idem_hits_total.
+	dup := chaos.NewTransport(nil, chaos.Faults{DupProb: 1})
 	res, err := loadgen.Run(ctx, loadgen.Config{
 		Clients: clients, Ops: ops, Seed: 7, Prefix: "obs",
 	}, func(ctx context.Context, _ int) (*gae.Client, error) {
-		return gae.Dial(ctx, url, gae.WithCredentials("alice", "pw"))
+		return gae.Dial(ctx, url, gae.WithCredentials("alice", "pw"), gae.WithTransport(dup))
 	})
 	if err != nil {
 		return fmt.Errorf("loadgen burst: %w", err)
@@ -124,23 +131,7 @@ func run(ctx context.Context, clients, ops int, server string) error {
 	if res.Errors > 0 {
 		return fmt.Errorf("loadgen burst: %d of %d ops failed", res.Errors, res.Ops)
 	}
-	log.Printf("burst done: %d ops, p99 %.2fms", res.Ops, res.P99Millis)
-
-	// The burst never redelivers, so exercise the dedup window directly:
-	// the same mutation twice under one pinned request ID. The second
-	// delivery must be answered from the window, which is what moves
-	// idem_hits_total.
-	cl, err := gae.Dial(ctx, url, gae.WithCredentials("alice", "pw"))
-	if err != nil {
-		return fmt.Errorf("dedup probe dial: %w", err)
-	}
-	defer cl.Close(ctx)
-	dupCtx := gae.WithRequestID(ctx, "obs-smoke-dup-1")
-	for i := 0; i < 2; i++ {
-		if err := cl.SetState(dupCtx, "obs-smoke-dup-key", "v"); err != nil {
-			return fmt.Errorf("dedup probe delivery %d: %w", i+1, err)
-		}
-	}
+	log.Printf("burst done: %d ops (each delivered twice), p99 %.2fms", res.Ops, res.P99Millis)
 
 	// Some families fill on the server's own cadence (checkpoints fire on
 	// a timer, negotiation on scheduler wakes), so poll until every

@@ -128,9 +128,12 @@ func TestCheckpointFollowsDelta(t *testing.T) {
 		if err := root.Grant(ctx, "alice", 1e6); err != nil {
 			t.Fatal(err)
 		}
+		charged := 0
 		charge := func(n int) {
 			for i := 0; i < n; i++ {
-				if _, err := root.ChargeUsage(ctx, gae.ChargeRequest{User: "alice", Site: "siteA", CPUSeconds: 1, Note: "imported"}); err != nil {
+				charged++
+				rctx := gae.WithRequestID(ctx, fmt.Sprintf("charge-%d", charged))
+				if _, err := root.ChargeUsage(rctx, gae.ChargeRequest{User: "alice", Site: "siteA", CPUSeconds: 1, Note: "imported"}); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -78,14 +78,6 @@ type Config struct {
 
 	// MonitorInterval is the MonALISA farm sampling period (default 5s).
 	MonitorInterval time.Duration
-	// HostName names the Clarens host (default "gae").
-	HostName string
-
-	// LeaseTTL bounds how long a durable snapshot may re-bind a running
-	// job to its claimed machine on recovery (default DefaultLeaseTTL).
-	// A snapshot older than this — in simulated time — recovers with its
-	// claims expired and the affected jobs requeued.
-	LeaseTTL time.Duration
 
 	// IdemWindow bounds the per-user duplicate-suppression window for
 	// idempotency-keyed RPCs (default DefaultIdemPerUser). The window is
@@ -144,8 +136,10 @@ type GAE struct {
 	// which replay would then apply twice).
 	persistMu sync.RWMutex
 	store     *durable.Store
-	leaseTTL  time.Duration
 	idem      *idemWindow
+	// replay maps each journaled service.method to the unjournaled call
+	// ApplyOp drives (replayTable).
+	replay map[string]replayFn
 
 	// durabilityLost fires (once) when a journal append fails after its
 	// mutation already applied in memory. From that moment the live
@@ -181,7 +175,6 @@ func New(cfg Config) *GAE {
 		Telemetry: reg,
 		pools:     make(map[string]*condor.Pool),
 		plans:     make(map[string]*scheduler.ConcretePlan),
-		leaseTTL:  cfg.LeaseTTL,
 		idem:      newIdemWindow(cfg.IdemWindow, cfg.IdemTTL),
 		obs:       newRPCObserver(reg),
 		trace:     telemetry.NewTraceRing(0),
@@ -301,11 +294,7 @@ func New(cfg Config) *GAE {
 	})
 
 	// Clarens host with every service registered.
-	hostName := cfg.HostName
-	if hostName == "" {
-		hostName = "gae"
-	}
-	g.Clarens = clarens.NewServer(hostName, grid.Engine.Clock())
+	g.Clarens = clarens.NewServer("gae", grid.Engine.Clock())
 	g.State = clarens.NewStateStore()
 	for _, u := range cfg.Users {
 		if err := g.Clarens.Users.Add(u.Name, u.Password, u.Roles...); err != nil {
@@ -319,6 +308,7 @@ func New(cfg Config) *GAE {
 		}
 	}
 	g.registerServices()
+	g.replay = replayTable(g.rawServices(replayUser))
 	return g
 }
 

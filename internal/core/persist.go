@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/clarens"
@@ -37,31 +38,9 @@ import (
 // continues with its remaining work; an expired claim requeues the job.
 
 // DefaultLeaseTTL is the machine-claim lease horizon stamped into
-// snapshots when Config.LeaseTTL is unset.
+// snapshots: a snapshot older than this, in simulated time, recovers with
+// its claims expired and the affected jobs requeued.
 const DefaultLeaseTTL = 10 * time.Minute
-
-// Journal argument payloads — one stable JSON shape per mutating method.
-// Replay decodes exactly what the journaling wrappers encoded.
-type (
-	opSubmit   struct{ Spec gae.PlanSpec }
-	opTaskRef  struct{ Plan, Task string }
-	opMove     struct{ Plan, Task, Site string }
-	opPriority struct {
-		Plan, Task string
-		Priority   int
-	}
-	opPreference struct{ Preference string }
-	opStateSet   struct{ Key, Value string }
-	opStateKey   struct{ Key string }
-	opReplica    struct {
-		Dataset, Site string
-		SizeMB        float64
-	}
-	opGrant struct {
-		User    string
-		Credits float64
-	}
-)
 
 // AttachStore binds a durable store to the deployment. The store's
 // recovered contents are applied first — snapshot restore, then journal
@@ -125,10 +104,6 @@ func (g *GAE) CaptureState() (durable.State, error) {
 // The ledger is emitted from entry ledgerFrom on: everything for a
 // capture, what the store's history segment lacks for a checkpoint.
 func (g *GAE) emitStateLocked(ledgerFrom int, emit durable.Emit) error {
-	ttl := g.leaseTTL
-	if ttl <= 0 {
-		ttl = DefaultLeaseTTL
-	}
 	names := make([]string, 0, len(g.pools))
 	for name := range g.pools {
 		names = append(names, name)
@@ -136,7 +111,7 @@ func (g *GAE) emitStateLocked(ledgerFrom int, emit durable.Emit) error {
 	sort.Strings(names)
 	pools := make([]durable.PoolState, 0, len(names))
 	for _, name := range names {
-		pools = append(pools, g.pools[name].Export(ttl))
+		pools = append(pools, g.pools[name].Export(DefaultLeaseTTL))
 	}
 	emit("pools", pools)
 	var fair *durable.FairShareState
@@ -291,127 +266,107 @@ func (g *GAE) RestoreState(simTime time.Time, st *durable.State) error {
 // ApplyOp re-applies one journaled RPC: the engine advances to the op's
 // recorded simulated time, then the call runs through the unjournaled
 // service layer as the recorded user — the same code path that served it
-// live. Ops that carried an idempotency key are re-recorded into the
-// duplicate-suppression window (a journaled op is an acknowledged op),
-// with the same result shapes journalCall/journalDo recorded live, so a
-// retry arriving after recovery still dedups.
+// live — on its recorded wire arguments. Ops that carried an idempotency
+// key are re-recorded into the duplicate-suppression window (a journaled
+// op is an acknowledged op), with the same result shapes journalCall
+// recorded live, so a retry arriving after recovery still dedups.
 func (g *GAE) ApplyOp(op durable.Op) error {
 	if d := op.Time.Sub(g.Now()); d > 0 {
 		g.Grid.Engine.RunFor(d)
 	}
-	ctx := context.Background()
-	svcs := g.rawServices(func(context.Context) string { return op.User })
-	dec := func(v any) error {
-		if err := json.Unmarshal(op.Args, v); err != nil {
-			return fmt.Errorf("core: decoding %s.%s args: %w", op.Service, op.Method, err)
-		}
-		return nil
+	fq := op.Service + "." + op.Method
+	replay, ok := g.replay[fq]
+	if !ok {
+		return fmt.Errorf("core: journal op %d names unknown method %s", op.Seq, fq)
 	}
-	out, err := func() (any, error) {
-		switch op.Service + "." + op.Method {
-		case "scheduler.submit":
-			var a opSubmit
-			if err := dec(&a); err != nil {
-				return nil, err
-			}
-			return svcs.Scheduler.Submit(ctx, a.Spec)
-		case "steering.kill":
-			var a opTaskRef
-			if err := dec(&a); err != nil {
-				return nil, err
-			}
-			return true, svcs.Steering.Kill(ctx, a.Plan, a.Task)
-		case "steering.pause":
-			var a opTaskRef
-			if err := dec(&a); err != nil {
-				return nil, err
-			}
-			return true, svcs.Steering.Pause(ctx, a.Plan, a.Task)
-		case "steering.resume":
-			var a opTaskRef
-			if err := dec(&a); err != nil {
-				return nil, err
-			}
-			return true, svcs.Steering.Resume(ctx, a.Plan, a.Task)
-		case "steering.move":
-			var a opMove
-			if err := dec(&a); err != nil {
-				return nil, err
-			}
-			return svcs.Steering.Move(ctx, a.Plan, a.Task, a.Site)
-		case "steering.setpriority":
-			var a opPriority
-			if err := dec(&a); err != nil {
-				return nil, err
-			}
-			return true, svcs.Steering.SetPriority(ctx, a.Plan, a.Task, a.Priority)
-		case "steering.setpreference":
-			var a opPreference
-			if err := dec(&a); err != nil {
-				return nil, err
-			}
-			return svcs.Steering.SetPreference(ctx, a.Preference)
-		case "state.set":
-			var a opStateSet
-			if err := dec(&a); err != nil {
-				return nil, err
-			}
-			return true, svcs.State.SetState(ctx, a.Key, a.Value)
-		case "state.delete":
-			var a opStateKey
-			if err := dec(&a); err != nil {
-				return nil, err
-			}
-			return svcs.State.DeleteState(ctx, a.Key)
-		case "replica.register":
-			var a opReplica
-			if err := dec(&a); err != nil {
-				return nil, err
-			}
-			return true, svcs.Replica.RegisterReplica(ctx, a.Dataset, a.Site, a.SizeMB)
-		case "quota.grant":
-			var a opGrant
-			if err := dec(&a); err != nil {
-				return nil, err
-			}
-			return true, svcs.Quota.Grant(ctx, a.User, a.Credits)
-		case "quota.charge":
-			var a gae.ChargeRequest
-			if err := dec(&a); err != nil {
-				return nil, err
-			}
-			return svcs.Quota.ChargeUsage(ctx, a)
-		}
-		return nil, fmt.Errorf("core: journal op %d names unknown method %s.%s", op.Seq, op.Service, op.Method)
-	}()
+	var args []json.RawMessage
+	if err := json.Unmarshal(op.Args, &args); err != nil {
+		return fmt.Errorf("core: decoding %s args: %w", fq, err)
+	}
+	out, err := replay(context.WithValue(context.Background(), replayUserKey{}, op.User), args)
 	if err != nil {
 		return err
 	}
 	if op.RequestID != "" && op.User != "" {
 		if res, merr := json.Marshal(out); merr == nil {
-			g.idem.record(op.User, op.RequestID, op.Service+"."+op.Method, res, op.Seq, op.Time)
+			g.idem.record(op.User, op.RequestID, fq, res, op.Seq, op.Time)
 		}
 	}
 	return nil
 }
 
-// journaled wraps the mutating methods of every service with journal
-// appends. Read-only methods pass through the embedded interfaces.
-func (g *GAE) journaled(svcs gae.Services, userOf gae.UserResolver) gae.Services {
-	svcs.Scheduler = journaledScheduler{Scheduler: svcs.Scheduler, g: g, userOf: userOf}
-	svcs.Steering = journaledSteering{Steering: svcs.Steering, g: g, userOf: userOf}
-	svcs.State = journaledState{State: svcs.State, g: g, userOf: userOf}
-	svcs.Replica = journaledReplica{Replica: svcs.Replica, g: g, userOf: userOf}
-	svcs.Quota = journaledQuota{Quota: svcs.Quota, g: g, userOf: userOf}
-	return svcs
+// replayUserKey carries a replayed op's recorded user to the services
+// replayTable is built over.
+type replayUserKey struct{}
+
+func replayUser(ctx context.Context) string {
+	user, _ := ctx.Value(replayUserKey{}).(string)
+	return user
 }
 
-// journalCall runs a mutating RPC under the shared durability barrier
-// with duplicate suppression and, once it has succeeded, appends its
-// journal record — the call is acknowledged only after the record is
-// fsynced, so every acknowledged mutation survives a crash. args is
-// deferred so wrappers can journal values resolved by the call itself
-// (e.g. the site a move landed on).
+func replay1[A, R any](fn func(context.Context, A) (R, error)) replayFn {
+	return func(ctx context.Context, args []json.RawMessage) (any, error) {
+		var a A
+		if err := decodeArgs(args, &a); err != nil {
+			return nil, err
+		}
+		return fn(ctx, a)
+	}
+}
+
+func replay2[A, B, R any](fn func(context.Context, A, B) (R, error)) replayFn {
+	return func(ctx context.Context, args []json.RawMessage) (any, error) {
+		var a A
+		var b B
+		if err := decodeArgs(args, &a, &b); err != nil {
+			return nil, err
+		}
+		return fn(ctx, a, b)
+	}
+}
+
+func replay3[A, B, C, R any](fn func(context.Context, A, B, C) (R, error)) replayFn {
+	return func(ctx context.Context, args []json.RawMessage) (any, error) {
+		var a A
+		var b B
+		var c C
+		if err := decodeArgs(args, &a, &b, &c); err != nil {
+			return nil, err
+		}
+		return fn(ctx, a, b, c)
+	}
+}
+
+// decodeArgs decodes each recorded argument into its parameter.
+func decodeArgs(args []json.RawMessage, dst ...any) error {
+	if len(args) != len(dst) {
+		return fmt.Errorf("core: journal op has %d arguments, want %d", len(args), len(dst))
+	}
+	for i, d := range dst {
+		if err := json.Unmarshal(args[i], d); err != nil {
+			return fmt.Errorf("core: decoding journal argument %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
+// acked2 and acked3 give a command the result its journaled call
+// acknowledges: the conventional true.
+func acked2[A, B any](fn func(context.Context, A, B) error) func(context.Context, A, B) (bool, error) {
+	return func(ctx context.Context, a A, b B) (bool, error) { return true, fn(ctx, a, b) }
+}
+
+func acked3[A, B, C any](fn func(context.Context, A, B, C) error) func(context.Context, A, B, C) (bool, error) {
+	return func(ctx context.Context, a A, b B, c C) (bool, error) { return true, fn(ctx, a, b, c) }
+}
+
+// journalCall runs the mutating RPC fq ("service.method") under the
+// shared durability barrier with duplicate suppression and, once it has
+// succeeded, appends its journal record — the call is acknowledged only
+// after the record is fsynced, so every acknowledged mutation survives a
+// crash. args gives the call's positional wire arguments, in wire order;
+// it is deferred so wrappers can journal values resolved by the call
+// itself (the site a move landed on, the preference applied).
 //
 // Exactly-once protocol: if the context carries an idempotency key the
 // per-user window has already acknowledged, the recorded result is
@@ -422,11 +377,10 @@ func (g *GAE) journaled(svcs gae.Services, userOf gae.UserResolver) gae.Services
 // but failed its journal append is NOT recorded: the client sees an
 // error, the journal is sticky-broken until the next checkpoint, and
 // recovery rolls the un-journaled mutation back.
-func journalCall[T any](g *GAE, ctx context.Context, user, service, method string, args func() any, apply func() (T, error)) (T, error) {
+func journalCall[T any](g *GAE, ctx context.Context, user, fq string, args func() []any, apply func() (T, error)) (T, error) {
 	var zero T
 	g.persistMu.RLock()
 	defer g.persistMu.RUnlock()
-	fq := service + "." + method
 	rid := clarens.RequestID(ctx)
 	mo := g.obs.forMethod(fq)
 	var t0 time.Time
@@ -466,6 +420,7 @@ func journalCall[T any](g *GAE, ctx context.Context, user, service, method strin
 	// byte-identity suite compares the two).
 	now := g.Now()
 	if g.store != nil {
+		service, method, _ := strings.Cut(fq, ".")
 		seq, err = g.store.Append(now, user, service, method, rid, args())
 		if err != nil {
 			g.finishSpan(mo, t0, fq, user, rid, "journal", 0, false, err)
@@ -554,10 +509,44 @@ func (g *GAE) finishSpan(mo *methodObs, t0 time.Time, fq, user, rid, stage strin
 
 // journalDo is journalCall for void mutations; the recorded result is
 // the conventional true.
-func journalDo(g *GAE, ctx context.Context, user, service, method string, args func() any, apply func() error) error {
-	_, err := journalCall(g, ctx, user, service, method, args,
+func journalDo(g *GAE, ctx context.Context, user, fq string, args func() []any, apply func() error) error {
+	_, err := journalCall(g, ctx, user, fq, args,
 		func() (bool, error) { return true, apply() })
 	return err
+}
+
+// journaled wraps the mutating methods of every service with journal
+// appends. Read-only methods pass through the embedded interfaces.
+func (g *GAE) journaled(svcs gae.Services, userOf gae.UserResolver) gae.Services {
+	svcs.Scheduler = journaledScheduler{Scheduler: svcs.Scheduler, g: g, userOf: userOf}
+	svcs.Steering = journaledSteering{Steering: svcs.Steering, g: g, userOf: userOf}
+	svcs.State = journaledState{State: svcs.State, g: g, userOf: userOf}
+	svcs.Replica = journaledReplica{Replica: svcs.Replica, g: g, userOf: userOf}
+	svcs.Quota = journaledQuota{Quota: svcs.Quota, g: g, userOf: userOf}
+	return svcs
+}
+
+// replayFn re-applies one journaled call on its recorded wire arguments
+// and returns the result the live call acknowledged.
+type replayFn func(ctx context.Context, args []json.RawMessage) (any, error)
+
+// replayTable maps every method the journaled wrappers below record, by
+// its journal name, to its implementation in the unjournaled services s.
+func replayTable(s gae.Services) map[string]replayFn {
+	return map[string]replayFn{
+		"scheduler.submit":       replay1(s.Scheduler.Submit),
+		"steering.kill":          replay2(acked2(s.Steering.Kill)),
+		"steering.pause":         replay2(acked2(s.Steering.Pause)),
+		"steering.resume":        replay2(acked2(s.Steering.Resume)),
+		"steering.move":          replay3(s.Steering.Move),
+		"steering.setpriority":   replay3(acked3(s.Steering.SetPriority)),
+		"steering.setpreference": replay1(s.Steering.SetPreference),
+		"state.set":              replay2(acked2(s.State.SetState)),
+		"state.delete":           replay1(s.State.DeleteState),
+		"replica.register":       replay3(acked3(s.Replica.RegisterReplica)),
+		"quota.grant":            replay2(acked2(s.Quota.Grant)),
+		"quota.charge":           replay1(s.Quota.ChargeUsage),
+	}
 }
 
 type journaledScheduler struct {
@@ -567,8 +556,8 @@ type journaledScheduler struct {
 }
 
 func (s journaledScheduler) Submit(ctx context.Context, spec gae.PlanSpec) (string, error) {
-	return journalCall(s.g, ctx, s.userOf(ctx), "scheduler", "submit",
-		func() any { return opSubmit{Spec: spec} },
+	return journalCall(s.g, ctx, s.userOf(ctx), "scheduler.submit",
+		func() []any { return []any{spec} },
 		func() (string, error) { return s.Scheduler.Submit(ctx, spec) })
 }
 
@@ -579,20 +568,20 @@ type journaledSteering struct {
 }
 
 func (s journaledSteering) Kill(ctx context.Context, plan, task string) error {
-	return journalDo(s.g, ctx, s.userOf(ctx), "steering", "kill",
-		func() any { return opTaskRef{Plan: plan, Task: task} },
+	return journalDo(s.g, ctx, s.userOf(ctx), "steering.kill",
+		func() []any { return []any{plan, task} },
 		func() error { return s.Steering.Kill(ctx, plan, task) })
 }
 
 func (s journaledSteering) Pause(ctx context.Context, plan, task string) error {
-	return journalDo(s.g, ctx, s.userOf(ctx), "steering", "pause",
-		func() any { return opTaskRef{Plan: plan, Task: task} },
+	return journalDo(s.g, ctx, s.userOf(ctx), "steering.pause",
+		func() []any { return []any{plan, task} },
 		func() error { return s.Steering.Pause(ctx, plan, task) })
 }
 
 func (s journaledSteering) Resume(ctx context.Context, plan, task string) error {
-	return journalDo(s.g, ctx, s.userOf(ctx), "steering", "resume",
-		func() any { return opTaskRef{Plan: plan, Task: task} },
+	return journalDo(s.g, ctx, s.userOf(ctx), "steering.resume",
+		func() []any { return []any{plan, task} },
 		func() error { return s.Steering.Resume(ctx, plan, task) })
 }
 
@@ -601,8 +590,8 @@ func (s journaledSteering) Move(ctx context.Context, plan, task, site string) (g
 	// The journal records the site the move actually landed on, not the
 	// request's (possibly empty) preference: replay must not re-run site
 	// selection against monitoring state that no longer exists.
-	return journalCall(s.g, ctx, s.userOf(ctx), "steering", "move",
-		func() any { return opMove{Plan: plan, Task: task, Site: res.Site} },
+	return journalCall(s.g, ctx, s.userOf(ctx), "steering.move",
+		func() []any { return []any{plan, task, res.Site} },
 		func() (gae.MoveResult, error) {
 			var err error
 			res, err = s.Steering.Move(ctx, plan, task, site)
@@ -611,15 +600,15 @@ func (s journaledSteering) Move(ctx context.Context, plan, task, site string) (g
 }
 
 func (s journaledSteering) SetPriority(ctx context.Context, plan, task string, priority int) error {
-	return journalDo(s.g, ctx, s.userOf(ctx), "steering", "setpriority",
-		func() any { return opPriority{Plan: plan, Task: task, Priority: priority} },
+	return journalDo(s.g, ctx, s.userOf(ctx), "steering.setpriority",
+		func() []any { return []any{plan, task, priority} },
 		func() error { return s.Steering.SetPriority(ctx, plan, task, priority) })
 }
 
 func (s journaledSteering) SetPreference(ctx context.Context, preference string) (string, error) {
 	var applied string
-	return journalCall(s.g, ctx, s.userOf(ctx), "steering", "setpreference",
-		func() any { return opPreference{Preference: applied} },
+	return journalCall(s.g, ctx, s.userOf(ctx), "steering.setpreference",
+		func() []any { return []any{applied} },
 		func() (string, error) {
 			var err error
 			applied, err = s.Steering.SetPreference(ctx, preference)
@@ -634,14 +623,14 @@ type journaledState struct {
 }
 
 func (s journaledState) SetState(ctx context.Context, key, value string) error {
-	return journalDo(s.g, ctx, s.userOf(ctx), "state", "set",
-		func() any { return opStateSet{Key: key, Value: value} },
+	return journalDo(s.g, ctx, s.userOf(ctx), "state.set",
+		func() []any { return []any{key, value} },
 		func() error { return s.State.SetState(ctx, key, value) })
 }
 
 func (s journaledState) DeleteState(ctx context.Context, key string) (bool, error) {
-	return journalCall(s.g, ctx, s.userOf(ctx), "state", "delete",
-		func() any { return opStateKey{Key: key} },
+	return journalCall(s.g, ctx, s.userOf(ctx), "state.delete",
+		func() []any { return []any{key} },
 		func() (bool, error) { return s.State.DeleteState(ctx, key) })
 }
 
@@ -652,8 +641,8 @@ type journaledReplica struct {
 }
 
 func (s journaledReplica) RegisterReplica(ctx context.Context, dataset, site string, sizeMB float64) error {
-	return journalDo(s.g, ctx, s.userOf(ctx), "replica", "register",
-		func() any { return opReplica{Dataset: dataset, Site: site, SizeMB: sizeMB} },
+	return journalDo(s.g, ctx, s.userOf(ctx), "replica.register",
+		func() []any { return []any{dataset, site, sizeMB} },
 		func() error { return s.Replica.RegisterReplica(ctx, dataset, site, sizeMB) })
 }
 
@@ -664,13 +653,13 @@ type journaledQuota struct {
 }
 
 func (s journaledQuota) Grant(ctx context.Context, user string, credits float64) error {
-	return journalDo(s.g, ctx, s.userOf(ctx), "quota", "grant",
-		func() any { return opGrant{User: user, Credits: credits} },
+	return journalDo(s.g, ctx, s.userOf(ctx), "quota.grant",
+		func() []any { return []any{user, credits} },
 		func() error { return s.Quota.Grant(ctx, user, credits) })
 }
 
 func (s journaledQuota) ChargeUsage(ctx context.Context, req gae.ChargeRequest) (float64, error) {
-	return journalCall(s.g, ctx, s.userOf(ctx), "quota", "charge",
-		func() any { return req },
+	return journalCall(s.g, ctx, s.userOf(ctx), "quota.charge",
+		func() []any { return []any{req} },
 		func() (float64, error) { return s.Quota.ChargeUsage(ctx, req) })
 }

@@ -79,9 +79,9 @@ const MaxRecordSize = 16 << 20
 
 // Op is one journaled mutating RPC, recorded after the mutation was
 // applied and acknowledged. Service and Method name the RPC as it appears
-// on the wire ("scheduler"/"submit", "state"/"set", ...); Args holds the
-// method-specific argument struct encoded as JSON by the service layer,
-// which also owns decoding it again at replay.
+// on the wire ("scheduler"/"submit", "state"/"set", ...); Args is the JSON
+// array of the call's positional wire arguments, in wire order, which the
+// service layer also owns decoding again at replay.
 type Op struct {
 	// Seq is the op's journal sequence number, strictly increasing across
 	// checkpoints. Recovery applies only ops with Seq greater than the

@@ -3,6 +3,7 @@ package steering
 import (
 	"fmt"
 
+	"repro/internal/condor"
 	"repro/internal/scheduler"
 )
 
@@ -11,96 +12,48 @@ import (
 // the execution service directly — except redirection, which is "sent to
 // the scheduler (Sphinx)" per the paper.
 
-// poolFor resolves the execution service currently running the task.
-func (s *Service) poolFor(w *watched) (a scheduler.Assignment, err error) {
+// onJob authorizes user against the task's owner, then applies act to
+// the task's job at the execution service currently running it.
+func (s *Service) onJob(user string, ref TaskRef, act func(p *condor.Pool, id int) error) error {
+	w, err := s.lookup(ref)
+	if err != nil {
+		return err
+	}
+	if err := s.Sessions.Authorize(user, w.owner); err != nil {
+		return err
+	}
 	a, ok := w.cp.Assignment(w.ref.Task)
 	if !ok {
-		return a, fmt.Errorf("steering: assignment missing for %s", w.ref)
+		return fmt.Errorf("steering: assignment missing for %s", w.ref)
 	}
 	if a.Site == "" || a.CondorID == 0 {
-		return a, fmt.Errorf("steering: task %s is not submitted (state %v)", w.ref, a.State)
+		return fmt.Errorf("steering: task %s is not submitted (state %v)", w.ref, a.State)
 	}
-	return a, nil
+	svc, ok := s.cfg.Scheduler.SiteServicesFor(a.Site)
+	if !ok {
+		return fmt.Errorf("steering: site %q not registered", a.Site)
+	}
+	return act(svc.Pool, a.CondorID)
 }
 
 // Kill terminates a task on behalf of user.
 func (s *Service) Kill(user string, ref TaskRef) error {
-	w, err := s.lookup(ref)
-	if err != nil {
-		return err
-	}
-	if err := s.Sessions.Authorize(user, w.owner); err != nil {
-		return err
-	}
-	a, err := s.poolFor(w)
-	if err != nil {
-		return err
-	}
-	svc, ok := s.cfg.Scheduler.SiteServicesFor(a.Site)
-	if !ok {
-		return fmt.Errorf("steering: site %q not registered", a.Site)
-	}
-	return svc.Pool.Remove(a.CondorID)
+	return s.onJob(user, ref, (*condor.Pool).Remove)
 }
 
 // Pause suspends a running task.
 func (s *Service) Pause(user string, ref TaskRef) error {
-	w, err := s.lookup(ref)
-	if err != nil {
-		return err
-	}
-	if err := s.Sessions.Authorize(user, w.owner); err != nil {
-		return err
-	}
-	a, err := s.poolFor(w)
-	if err != nil {
-		return err
-	}
-	svc, ok := s.cfg.Scheduler.SiteServicesFor(a.Site)
-	if !ok {
-		return fmt.Errorf("steering: site %q not registered", a.Site)
-	}
-	return svc.Pool.Suspend(a.CondorID)
+	return s.onJob(user, ref, (*condor.Pool).Suspend)
 }
 
 // Resume continues a paused task.
 func (s *Service) Resume(user string, ref TaskRef) error {
-	w, err := s.lookup(ref)
-	if err != nil {
-		return err
-	}
-	if err := s.Sessions.Authorize(user, w.owner); err != nil {
-		return err
-	}
-	a, err := s.poolFor(w)
-	if err != nil {
-		return err
-	}
-	svc, ok := s.cfg.Scheduler.SiteServicesFor(a.Site)
-	if !ok {
-		return fmt.Errorf("steering: site %q not registered", a.Site)
-	}
-	return svc.Pool.Resume(a.CondorID)
+	return s.onJob(user, ref, (*condor.Pool).Resume)
 }
 
 // SetPriority changes a task's priority.
 func (s *Service) SetPriority(user string, ref TaskRef, prio int) error {
-	w, err := s.lookup(ref)
-	if err != nil {
-		return err
-	}
-	if err := s.Sessions.Authorize(user, w.owner); err != nil {
-		return err
-	}
-	a, err := s.poolFor(w)
-	if err != nil {
-		return err
-	}
-	svc, ok := s.cfg.Scheduler.SiteServicesFor(a.Site)
-	if !ok {
-		return fmt.Errorf("steering: site %q not registered", a.Site)
-	}
-	return svc.Pool.SetPriority(a.CondorID, prio)
+	return s.onJob(user, ref, func(p *condor.Pool, id int) error { return p.SetPriority(id, prio) })
 }
 
 // Move redirects a task to another execution site. With target == "" the

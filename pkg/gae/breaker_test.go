@@ -5,27 +5,24 @@ import (
 	"errors"
 	"testing"
 	"time"
-
-	"repro/internal/telemetry"
 )
 
 // Breaker state-machine tests drive retryState.do directly with scripted
 // call functions. Backoff sleeps are stubbed to return immediately, and
-// the open→half-open cooldown is skipped by back-dating openedAt.
+// the open→half-open cooldown (one second) is skipped by back-dating
+// openedAt.
 
 var errWire = errors.New("connection reset by peer")
 
-// newTestRetryState builds a retryState with a threshold-3 breaker, a
-// no-op sleep, and telemetry registered under the given endpoint.
-func newTestRetryState(reg *telemetry.Registry) *retryState {
+// newTestRetryState builds a retryState with a threshold-3 breaker and a
+// no-op sleep.
+func newTestRetryState() *retryState {
 	rs := newRetryState(RetryPolicy{
 		MaxAttempts:      2,
 		BaseBackoff:      time.Nanosecond,
 		MaxBackoff:       time.Nanosecond,
-		Jitter:           -1,
 		BreakerThreshold: 3,
-		BreakerCooldown:  time.Hour,
-	}, "test-endpoint", reg)
+	})
 	rs.sleep = func(ctx context.Context, d time.Duration) error { return nil }
 	return rs
 }
@@ -48,8 +45,7 @@ func failingCall(ctx context.Context) error { return errWire }
 func okCall(ctx context.Context) error      { return nil }
 
 func TestBreakerTransitionCycle(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	rs := newTestRetryState(reg)
+	rs := newTestRetryState()
 
 	// closed → open: three consecutive failures trip the threshold.
 	// Each do() makes 2 attempts, so two failing calls give 4 failures.
@@ -111,27 +107,10 @@ func TestBreakerTransitionCycle(t *testing.T) {
 	if st.BreakerTransitions != want {
 		t.Fatalf("transitions = %+v, want %+v", st.BreakerTransitions, want)
 	}
-
-	// The registry mirrors the per-endpoint transition counters.
-	snap := reg.Snapshot()
-	for name, wantN := range map[string]float64{
-		"closed_open": 1, "open_halfopen": 2, "halfopen_closed": 1, "halfopen_open": 1,
-	} {
-		label := "test-endpoint|" + name
-		if got, ok := snap.Value("client_breaker_transitions_total", label); !ok || got != wantN {
-			t.Errorf("registry %s = %v (present %v), want %v", label, got, ok, wantN)
-		}
-	}
-	if got, ok := snap.Value("client_calls_total", "test-endpoint"); !ok || got == 0 {
-		t.Error("client_calls_total not recorded")
-	}
-	if got, ok := snap.Value("client_retries_total", "test-endpoint"); !ok || got == 0 {
-		t.Error("client_retries_total not recorded")
-	}
 }
 
 func TestBreakerSemanticFaultResets(t *testing.T) {
-	rs := newTestRetryState(nil)
+	rs := newTestRetryState()
 	// Two wire failures accumulate toward the threshold...
 	_ = rs.do(context.Background(), failingCall)
 	rs.br.mu.Lock()

@@ -44,21 +44,17 @@ type Client struct {
 }
 
 // NewClient assembles a client from service implementations. Deployments
-// normally use core.GAE.Client (local) or Dial (remote) instead. Every
-// mutating method is wrapped to stamp an idempotency key into its
-// context (see ids.go), on both transports, so retried duplicates are
-// suppressed server-side.
+// normally use core.GAE.Client (local) or Dial (remote) instead.
 func NewClient(s Services) *Client {
-	st := stamper{ids: newIDGen()}
 	return &Client{
-		Scheduler: stampScheduler{Scheduler: s.Scheduler, stamper: st},
-		Steering:  stampSteering{Steering: s.Steering, stamper: st},
+		Scheduler: s.Scheduler,
+		Steering:  s.Steering,
 		JobMon:    s.JobMon,
 		Estimator: s.Estimator,
-		Quota:     stampQuota{Quota: s.Quota, stamper: st},
-		Replica:   stampReplica{Replica: s.Replica, stamper: st},
+		Quota:     s.Quota,
+		Replica:   s.Replica,
 		Monitor:   s.Monitor,
-		State:     stampState{State: s.State, stamper: st},
+		State:     s.State,
 	}
 }
 

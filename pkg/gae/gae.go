@@ -33,6 +33,12 @@
 //	defer client.Close(ctx)
 //	sites, err := client.Sites(ctx)
 //
+// Each mutating remote call carries a request ID, minted by the transport
+// once per logical call or pinned by the caller with WithRequestID, so a
+// retry of a call whose reply was lost is answered from the server's
+// idempotency window instead of applying twice. A local call is never
+// retried and carries an ID only when one is pinned.
+//
 // Both constructions yield the same *Client, so libraries written against
 // the interfaces (or against *Client) are transport-agnostic. The
 // transport-parity test suite pins both paths to identical observable

@@ -10,25 +10,22 @@ import (
 	"repro/internal/clarens"
 )
 
-// Every mutating call through a Client carries an idempotency key: a
-// request ID unique to that logical operation. The server's journaled
-// service layer dedups against a per-user window of acknowledged IDs, so
-// a retry of an ack-lost call — same ID, because retries reuse the same
-// context — returns the originally acknowledged result instead of
-// applying twice. NewClient stamps IDs automatically; WithRequestID pins
-// an explicit one (harnesses pin IDs so an op's identity survives a
-// re-dialed client).
+// A mutating call carries an idempotency key: a request ID unique to that
+// logical operation. The server's journaled service layer dedups against
+// a per-user window of acknowledged IDs, so a retry of an ack-lost call —
+// same ID — returns the originally acknowledged result instead of
+// applying twice. The remote transport is where retries happen, so it is
+// what mints an ID, once per logical call and before its first attempt
+// (mutate in remote.go); reads carry none. An in-process call is never
+// retried and carries an ID only when the caller pins one. WithRequestID
+// pins an explicit ID on either transport (harnesses pin IDs so an op's
+// identity survives a re-dialed client).
 
 // WithRequestID pins the idempotency key for the calls made under ctx.
-// The stamping layer leaves an existing key untouched, so all calls
+// The remote transport sends a pinned key verbatim, so all mutating calls
 // sharing this context are one logical operation to the server.
 func WithRequestID(ctx context.Context, id string) context.Context {
 	return clarens.WithRequestID(ctx, id)
-}
-
-// RequestIDFrom returns ctx's idempotency key ("" if unstamped).
-func RequestIDFrom(ctx context.Context) string {
-	return clarens.RequestID(ctx)
 }
 
 // idGen mints request IDs: a random per-client prefix (so two clients —
@@ -48,94 +45,4 @@ func newIDGen() *idGen {
 
 func (g *idGen) next() string {
 	return fmt.Sprintf("%s-%d", g.prefix, g.n.Add(1))
-}
-
-// stamper ensures a context carries a request ID, minting one only when
-// the caller didn't pin its own.
-type stamper struct {
-	ids *idGen
-}
-
-func (s stamper) ensure(ctx context.Context) context.Context {
-	if clarens.RequestID(ctx) != "" {
-		return ctx
-	}
-	return clarens.WithRequestID(ctx, s.ids.next())
-}
-
-// The stamp* wrappers override exactly the mutating methods of each
-// service contract; reads pass through the embedded interface unstamped
-// (they are safe to retry without deduplication).
-
-type stampScheduler struct {
-	Scheduler
-	stamper
-}
-
-func (s stampScheduler) Submit(ctx context.Context, spec PlanSpec) (string, error) {
-	return s.Scheduler.Submit(s.ensure(ctx), spec)
-}
-
-type stampSteering struct {
-	Steering
-	stamper
-}
-
-func (s stampSteering) Kill(ctx context.Context, plan, task string) error {
-	return s.Steering.Kill(s.ensure(ctx), plan, task)
-}
-
-func (s stampSteering) Pause(ctx context.Context, plan, task string) error {
-	return s.Steering.Pause(s.ensure(ctx), plan, task)
-}
-
-func (s stampSteering) Resume(ctx context.Context, plan, task string) error {
-	return s.Steering.Resume(s.ensure(ctx), plan, task)
-}
-
-func (s stampSteering) Move(ctx context.Context, plan, task, site string) (MoveResult, error) {
-	return s.Steering.Move(s.ensure(ctx), plan, task, site)
-}
-
-func (s stampSteering) SetPriority(ctx context.Context, plan, task string, priority int) error {
-	return s.Steering.SetPriority(s.ensure(ctx), plan, task, priority)
-}
-
-func (s stampSteering) SetPreference(ctx context.Context, preference string) (string, error) {
-	return s.Steering.SetPreference(s.ensure(ctx), preference)
-}
-
-type stampState struct {
-	State
-	stamper
-}
-
-func (s stampState) SetState(ctx context.Context, key, value string) error {
-	return s.State.SetState(s.ensure(ctx), key, value)
-}
-
-func (s stampState) DeleteState(ctx context.Context, key string) (bool, error) {
-	return s.State.DeleteState(s.ensure(ctx), key)
-}
-
-type stampReplica struct {
-	Replica
-	stamper
-}
-
-func (s stampReplica) RegisterReplica(ctx context.Context, dataset, site string, sizeMB float64) error {
-	return s.Replica.RegisterReplica(s.ensure(ctx), dataset, site, sizeMB)
-}
-
-type stampQuota struct {
-	Quota
-	stamper
-}
-
-func (s stampQuota) Grant(ctx context.Context, user string, credits float64) error {
-	return s.Quota.Grant(s.ensure(ctx), user, credits)
-}
-
-func (s stampQuota) ChargeUsage(ctx context.Context, req ChargeRequest) (float64, error) {
-	return s.Quota.ChargeUsage(s.ensure(ctx), req)
 }

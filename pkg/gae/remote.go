@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/clarens"
-	"repro/internal/telemetry"
 	"repro/internal/xmlrpc"
 )
 
@@ -14,7 +13,8 @@ import (
 // XML-RPC calls. Requests honor the caller's context (cancellation and
 // deadlines propagate into the HTTP layer), the session token from Dial
 // rides every call, and the HTTP client enforces a configurable timeout
-// so a hung server cannot wedge a CLI.
+// so a hung server cannot wedge a CLI. Each mutating call carries a
+// request ID (see ids.go) across all of its attempts.
 
 // Option configures Dial.
 type Option func(*dialOptions)
@@ -25,7 +25,6 @@ type dialOptions struct {
 	timeout    time.Duration
 	retry      *RetryPolicy
 	transport  http.RoundTripper
-	telemetry  *telemetry.Registry
 }
 
 // WithCredentials makes Dial authenticate and attach the resulting
@@ -59,14 +58,6 @@ func WithTransport(rt http.RoundTripper) Option {
 	return func(o *dialOptions) { o.transport = rt }
 }
 
-// WithTelemetry publishes the retry layer's activity — wire attempts,
-// retries, backoff sleeps, and circuit-breaker transitions, all labeled
-// by endpoint — into reg. It only has effect alongside WithRetryPolicy,
-// since those counters live in the retry layer.
-func WithTelemetry(reg *telemetry.Registry) Option {
-	return func(o *dialOptions) { o.telemetry = reg }
-}
-
 // Dial connects to a Clarens endpoint and returns a remote-transport
 // Client. With WithCredentials it logs in before returning.
 func Dial(ctx context.Context, endpoint string, opts ...Option) (*Client, error) {
@@ -88,9 +79,9 @@ func Dial(ctx context.Context, endpoint string, opts ...Option) (*Client, error)
 		}
 		loggedIn = true
 	}
-	r := &remote{c: cc}
+	r := &remote{c: cc, ids: newIDGen()}
 	if o.retry != nil {
-		r.retry = newRetryState(*o.retry, endpoint, o.telemetry)
+		r.retry = newRetryState(*o.retry)
 	}
 	client := NewClient(Services{
 		Scheduler: r, Steering: r, JobMon: r, Estimator: r,
@@ -105,34 +96,41 @@ func Dial(ctx context.Context, endpoint string, opts ...Option) (*Client, error)
 // remote implements every service interface over one Clarens client.
 type remote struct {
 	c     *clarens.Client
+	ids   *idGen
 	retry *retryState // nil unless Dial got WithRetryPolicy
 }
 
 // call performs the XML-RPC call, encoding the typed arguments and decoding
-// the result into R in one pass each. The context's idempotency key
-// (stamped by the Client façade) rides as a header so the server can
-// suppress duplicates; with a retry policy every attempt reuses the key
-// and starts from a zero R, whatever a failed reply had filled in.
+// the result into R in one pass each. With a retry policy every attempt
+// starts from a zero R, whatever a failed reply had filled in.
 func call[R any](ctx context.Context, r *remote, method string, args ...any) (R, error) {
 	var out R
-	if rid := clarens.RequestID(ctx); rid != "" {
-		ctx = xmlrpc.WithCallHeader(ctx, clarens.RequestIDHeader, rid)
-	}
 	err := r.retry.do(ctx, func(ctx context.Context) error { return r.c.CallInto(ctx, method, &out, args...) })
 	return out, err
 }
 
-// action performs a call whose result (the conventional true) is
-// discarded.
+// mutate performs a mutating call: the ID WithRequestID pinned on ctx,
+// or one minted here, rides every attempt as a header, so the server
+// applies the call at most once however often it is retried.
+func mutate[R any](ctx context.Context, r *remote, method string, args ...any) (R, error) {
+	rid := clarens.RequestID(ctx)
+	if rid == "" {
+		rid = r.ids.next()
+	}
+	return call[R](xmlrpc.WithCallHeader(ctx, clarens.RequestIDHeader, rid), r, method, args...)
+}
+
+// action performs a mutating call whose result (the conventional true)
+// is discarded.
 func action(ctx context.Context, r *remote, method string, args ...any) error {
-	_, err := call[any](ctx, r, method, args...)
+	_, err := mutate[any](ctx, r, method, args...)
 	return err
 }
 
 // Scheduler.
 
 func (r *remote) Submit(ctx context.Context, plan PlanSpec) (string, error) {
-	return call[string](ctx, r, "scheduler.submit", plan)
+	return mutate[string](ctx, r, "scheduler.submit", plan)
 }
 
 func (r *remote) Plan(ctx context.Context, name string) (PlanStatus, error) {
@@ -167,9 +165,9 @@ func (r *remote) Resume(ctx context.Context, plan, task string) error {
 
 func (r *remote) Move(ctx context.Context, plan, task, site string) (MoveResult, error) {
 	if site == "" {
-		return call[MoveResult](ctx, r, "steering.move", plan, task)
+		return mutate[MoveResult](ctx, r, "steering.move", plan, task)
 	}
-	return call[MoveResult](ctx, r, "steering.move", plan, task, site)
+	return mutate[MoveResult](ctx, r, "steering.move", plan, task, site)
 }
 
 func (r *remote) SetPriority(ctx context.Context, plan, task string, priority int) error {
@@ -189,7 +187,7 @@ func (r *remote) Preference(ctx context.Context) (string, error) {
 }
 
 func (r *remote) SetPreference(ctx context.Context, preference string) (string, error) {
-	return call[string](ctx, r, "steering.preference", preference)
+	return mutate[string](ctx, r, "steering.preference", preference)
 }
 
 // JobMon.
@@ -263,7 +261,7 @@ func (r *remote) Grant(ctx context.Context, user string, credits float64) error 
 }
 
 func (r *remote) ChargeUsage(ctx context.Context, req ChargeRequest) (float64, error) {
-	return call[float64](ctx, r, "quota.charge", req)
+	return mutate[float64](ctx, r, "quota.charge", req)
 }
 
 // Replica.
@@ -321,5 +319,5 @@ func (r *remote) StateKeys(ctx context.Context) ([]string, error) {
 }
 
 func (r *remote) DeleteState(ctx context.Context, key string) (bool, error) {
-	return call[bool](ctx, r, "state.delete", key)
+	return mutate[bool](ctx, r, "state.delete", key)
 }

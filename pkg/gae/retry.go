@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/telemetry"
 	"repro/internal/xmlrpc"
 )
 
@@ -26,6 +25,14 @@ import (
 // endpoint's circuit breaker is shedding calls.
 var ErrCircuitOpen = errors.New("gae: circuit breaker open")
 
+const (
+	// backoffJitter spreads each retry delay uniformly over ±25% of itself.
+	backoffJitter = 0.5
+	// breakerCooldown is how long the circuit stays open before one probe
+	// call may test the endpoint.
+	breakerCooldown = time.Second
+)
+
 // RetryPolicy tunes the remote transport's retry loop. The zero value
 // of each field selects the documented default; Dial enables the layer
 // only when WithRetryPolicy is given.
@@ -37,18 +44,9 @@ type RetryPolicy struct {
 	BaseBackoff time.Duration
 	// MaxBackoff caps the (pre-jitter) delay (default 2s).
 	MaxBackoff time.Duration
-	// Jitter spreads each delay uniformly over ±Jitter/2 of itself
-	// (default 0.5; negative disables jitter).
-	Jitter float64
-	// Budget bounds one logical call's wall-clock across all attempts,
-	// backoffs included (default 0: only the caller's context bounds it).
-	Budget time.Duration
 	// BreakerThreshold is the consecutive-failure count that opens the
 	// circuit (default 5).
 	BreakerThreshold int
-	// BreakerCooldown is how long the circuit stays open before one
-	// probe call may test the endpoint (default 1s).
-	BreakerCooldown time.Duration
 }
 
 func (p RetryPolicy) withDefaults() RetryPolicy {
@@ -61,16 +59,8 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	if p.MaxBackoff <= 0 {
 		p.MaxBackoff = 2 * time.Second
 	}
-	if p.Jitter == 0 {
-		p.Jitter = 0.5
-	} else if p.Jitter < 0 {
-		p.Jitter = 0
-	}
 	if p.BreakerThreshold <= 0 {
 		p.BreakerThreshold = 5
-	}
-	if p.BreakerCooldown <= 0 {
-		p.BreakerCooldown = time.Second
 	}
 	return p
 }
@@ -123,7 +113,7 @@ type BreakerTransitions struct {
 	HalfOpenOpen int64
 }
 
-// breaker transition indices (the order of breakerTransitionNames).
+// Indices into breaker.trans, one per state-machine edge.
 const (
 	transClosedOpen = iota
 	transOpenHalfOpen
@@ -131,12 +121,6 @@ const (
 	transHalfOpenOpen
 	numTransitions
 )
-
-// breakerTransitionNames are the metric label values for
-// client_breaker_transitions_total.
-var breakerTransitionNames = [numTransitions]string{
-	"closed_open", "open_halfopen", "halfopen_closed", "halfopen_open",
-}
 
 // TransportStats reports the client's retry counters. A local-transport
 // client, or a remote one dialed without WithRetryPolicy, reports zeros.
@@ -160,7 +144,6 @@ const (
 // closes or re-opens the circuit.
 type breaker struct {
 	threshold int
-	cooldown  time.Duration
 
 	mu       sync.Mutex
 	state    breakerState
@@ -168,15 +151,6 @@ type breaker struct {
 	openedAt time.Time
 	opens    int64
 	trans    [numTransitions]int64
-
-	// obsTrans mirrors trans into the registry; nil counters no-op.
-	obsTrans [numTransitions]*telemetry.Counter
-}
-
-// transition records one state-machine edge. Callers hold b.mu.
-func (b *breaker) transition(t int) {
-	b.trans[t]++
-	b.obsTrans[t].Inc()
 }
 
 func (b *breaker) allow() bool {
@@ -184,11 +158,11 @@ func (b *breaker) allow() bool {
 	defer b.mu.Unlock()
 	switch b.state {
 	case breakerOpen:
-		if time.Since(b.openedAt) < b.cooldown {
+		if time.Since(b.openedAt) < breakerCooldown {
 			return false
 		}
 		b.state = breakerHalfOpen
-		b.transition(transOpenHalfOpen)
+		b.trans[transOpenHalfOpen]++
 		return true
 	case breakerHalfOpen:
 		// A probe is already in flight.
@@ -200,7 +174,7 @@ func (b *breaker) allow() bool {
 func (b *breaker) success() {
 	b.mu.Lock()
 	if b.state == breakerHalfOpen {
-		b.transition(transHalfOpenClosed)
+		b.trans[transHalfOpenClosed]++
 	}
 	b.state = breakerClosed
 	b.failures = 0
@@ -214,7 +188,7 @@ func (b *breaker) failure() {
 		b.state = breakerOpen
 		b.openedAt = time.Now()
 		b.opens++
-		b.transition(transHalfOpenOpen)
+		b.trans[transHalfOpenOpen]++
 		return
 	}
 	b.failures++
@@ -222,7 +196,7 @@ func (b *breaker) failure() {
 		b.state = breakerOpen
 		b.openedAt = time.Now()
 		b.opens++
-		b.transition(transClosedOpen)
+		b.trans[transClosedOpen]++
 	}
 }
 
@@ -233,35 +207,19 @@ type retryState struct {
 	br     breaker
 	sleep  func(ctx context.Context, d time.Duration) error
 
-	// Registry handles, all nil (no-op) unless Dial got WithTelemetry.
-	obsCalls   *telemetry.Counter
-	obsRetries *telemetry.Counter
-	obsBackoff *telemetry.Histogram
-
 	mu      sync.Mutex
 	calls   int64
 	retries int64
 }
 
 // newRetryState builds the retry machinery for one dialed endpoint.
-// endpoint labels the client_* metric families; reg may be nil.
-func newRetryState(p RetryPolicy, endpoint string, reg *telemetry.Registry) *retryState {
+func newRetryState(p RetryPolicy) *retryState {
 	p = p.withDefaults()
-	rs := &retryState{
+	return &retryState{
 		policy: p,
-		br:     breaker{threshold: p.BreakerThreshold, cooldown: p.BreakerCooldown},
+		br:     breaker{threshold: p.BreakerThreshold},
 		sleep:  sleepCtx,
 	}
-	if reg != nil {
-		rs.obsCalls = reg.LabeledCounter("client_calls_total", "endpoint", endpoint)
-		rs.obsRetries = reg.LabeledCounter("client_retries_total", "endpoint", endpoint)
-		rs.obsBackoff = reg.LabeledHistogram("client_backoff_seconds", "endpoint", endpoint, telemetry.DefBuckets)
-		for i, name := range breakerTransitionNames {
-			rs.br.obsTrans[i] = reg.LabeledCounter(
-				"client_breaker_transitions_total", "endpoint_transition", endpoint+"|"+name)
-		}
-	}
-	return rs
 }
 
 func sleepCtx(ctx context.Context, d time.Duration) error {
@@ -305,11 +263,7 @@ func (rs *retryState) backoffFor(attempt int) time.Duration {
 	if d > rs.policy.MaxBackoff {
 		d = rs.policy.MaxBackoff
 	}
-	if j := rs.policy.Jitter; j > 0 {
-		f := 1 + j*(rand.Float64()-0.5)
-		d = time.Duration(float64(d) * f)
-	}
-	return d
+	return time.Duration(float64(d) * (1 + backoffJitter*(rand.Float64()-0.5)))
 }
 
 // do runs one wire call under the retry policy (a nil rs: once, as it
@@ -319,23 +273,14 @@ func (rs *retryState) do(ctx context.Context, call func(ctx context.Context) err
 	if rs == nil {
 		return call(ctx)
 	}
-	p := rs.policy
-	if p.Budget > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, p.Budget)
-		defer cancel()
-	}
 	var lastErr error
-	for attempt := 0; attempt < p.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < rs.policy.MaxAttempts; attempt++ {
 		if attempt > 0 {
 			rs.mu.Lock()
 			rs.retries++
 			rs.mu.Unlock()
-			rs.obsRetries.Inc()
-			d := rs.backoffFor(attempt)
-			rs.obsBackoff.Observe(d.Seconds())
-			if err := rs.sleep(ctx, d); err != nil {
-				// Budget or caller context ended mid-backoff; the last
+			if err := rs.sleep(ctx, rs.backoffFor(attempt)); err != nil {
+				// The caller's context ended mid-backoff; the last
 				// attempt's error says why we were still retrying.
 				return lastErr
 			}
@@ -350,7 +295,6 @@ func (rs *retryState) do(ctx context.Context, call func(ctx context.Context) err
 		rs.mu.Lock()
 		rs.calls++
 		rs.mu.Unlock()
-		rs.obsCalls.Inc()
 		err := call(ctx)
 		if err == nil {
 			rs.br.success()
