@@ -13,8 +13,11 @@ test-race:
 
 # Race-enabled smoke legs at reduced sizes: the serving, chaos, and
 # observability harnesses under the race detector, with a
-# race-instrumented gae-server for the spawning harnesses.
+# race-instrumented gae-server for the spawning harnesses. First, twenty
+# runs each of the concurrent-submission tests: a pump that launches a
+# task twice, or a plan name that two submissions both win, fails here.
 race-smoke:
+	$(GO) test -race -count=20 -run 'TestConcurrentSubmits|TestRunMixedWorkload' ./internal/scheduler ./internal/core ./internal/loadgen
 	$(GO) build -race -o bin/gae-server-race ./cmd/gae-server
 	$(GO) run -race ./cmd/gae-loadgen -clients 2 -ops 8 -data "$$(mktemp -d)" -json -
 	$(GO) run -race ./cmd/gae-chaos -clients 2 -ops 6 -kills 1 -server bin/gae-server-race

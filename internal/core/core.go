@@ -395,21 +395,21 @@ func (g *GAE) Handler() http.Handler { return g.Clarens }
 
 // SubmitPlan validates and schedules an abstract job plan, registering
 // the concrete plan under the plan's name for later lookup (including by
-// the scheduler's XML-RPC facade).
+// the scheduler's XML-RPC facade). The name check and the registration
+// are one critical section, so of concurrent submissions of one name
+// exactly one succeeds; nothing under Scheduler.Submit calls back into
+// core.
 func (g *GAE) SubmitPlan(plan *scheduler.JobPlan) (*scheduler.ConcretePlan, error) {
 	g.planMu.Lock()
+	defer g.planMu.Unlock()
 	if _, dup := g.plans[plan.Name]; dup {
-		g.planMu.Unlock()
 		return nil, fmt.Errorf("core: plan %q already submitted", plan.Name)
 	}
-	g.planMu.Unlock()
 	cp, err := g.Scheduler.Submit(plan)
 	if err != nil {
 		return nil, err
 	}
-	g.planMu.Lock()
 	g.plans[plan.Name] = cp
-	g.planMu.Unlock()
 	return cp, nil
 }
 

@@ -20,9 +20,7 @@ type methodObs struct {
 	latency  *telemetry.Histogram
 }
 
-// rpcObserver caches methodObs by method name. A nil observer (a GAE
-// built without telemetry) resolves every method to nil, and journalCall
-// skips its timing work entirely.
+// rpcObserver caches methodObs by method name.
 type rpcObserver struct {
 	reg  *telemetry.Registry
 	mu   sync.RWMutex
@@ -30,16 +28,10 @@ type rpcObserver struct {
 }
 
 func newRPCObserver(reg *telemetry.Registry) *rpcObserver {
-	if reg == nil {
-		return nil
-	}
 	return &rpcObserver{reg: reg, byFQ: make(map[string]*methodObs)}
 }
 
 func (o *rpcObserver) forMethod(fq string) *methodObs {
-	if o == nil {
-		return nil
-	}
 	o.mu.RLock()
 	mo := o.byFQ[fq]
 	o.mu.RUnlock()

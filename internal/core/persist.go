@@ -377,90 +377,57 @@ func acked3[A, B, C any](fn func(context.Context, A, B, C) error) func(context.C
 // but failed its journal append is NOT recorded: the client sees an
 // error, the journal is sticky-broken until the next checkpoint, and
 // recovery rolls the un-journaled mutation back.
-func journalCall[T any](g *GAE, ctx context.Context, user, fq string, args func() []any, apply func() (T, error)) (T, error) {
+func journalCall[T any](g *GAE, ctx context.Context, user, fq string, args func() []any, apply func() (T, error)) (out T, err error) {
 	var zero T
 	g.persistMu.RLock()
 	defer g.persistMu.RUnlock()
 	rid := clarens.RequestID(ctx)
-	mo := g.obs.forMethod(fq)
-	var t0 time.Time
-	if mo != nil {
-		t0 = time.Now() //lint:walltime telemetry: real RPC latency span, never read back into deployment state
-		mo.requests.Inc()
-	}
+	span := telemetry.Span{RequestID: rid, Method: fq, User: user, Start: time.Now()} //lint:walltime telemetry: real RPC latency span, never read back into deployment state
+	// applied is when apply returned (zero if it never ran); appending is
+	// set once the journal append starts.
+	var applied time.Time
+	appending := false
+	defer func() { g.finishSpan(&span, applied, appending, err) }()
 	if rid != "" && user != "" {
 		if e, ok := g.idem.lookup(user, rid); ok {
 			if e.Method != fq {
-				g.finishSpan(mo, t0, fq, user, rid, "mismatch", 0, false, errRequestIDReuse)
 				return zero, fmt.Errorf("core: request id %q reused for %s (recorded for %s)", rid, fq, e.Method)
 			}
-			var out T
+			var recorded T
 			if len(e.Result) > 0 {
-				if err := json.Unmarshal(e.Result, &out); err != nil {
+				if err := json.Unmarshal(e.Result, &recorded); err != nil {
 					return zero, fmt.Errorf("core: decoding recorded %s result: %w", fq, err)
 				}
 			}
-			g.finishSpan(mo, t0, fq, user, rid, "dedup", 0, true, nil)
-			return out, nil
+			span.Dedup = true
+			return recorded, nil
 		}
 	}
-	out, err := apply()
-	var applied time.Time
-	if mo != nil {
-		applied = time.Now() //lint:walltime telemetry: real RPC latency span, never read back into deployment state
-	}
+	out, err = apply()
+	applied = time.Now() //lint:walltime telemetry: real RPC latency span, never read back into deployment state
 	if err != nil {
-		g.finishSpan(mo, t0, fq, user, rid, "handler", 0, false, err)
 		return zero, err
 	}
-	var seq uint64
 	// One sim-time read serves both the journal record and the window
 	// entry: replay re-records at the journaled op.Time, so the live and
 	// replayed windows must stamp the identical instant (the recovery
 	// byte-identity suite compares the two).
 	now := g.Now()
 	if g.store != nil {
+		appending = true
 		service, method, _ := strings.Cut(fq, ".")
-		seq, err = g.store.Append(now, user, service, method, rid, args())
-		if err != nil {
-			g.finishSpan(mo, t0, fq, user, rid, "journal", 0, false, err)
+		if span.Seq, err = g.store.Append(now, user, service, method, rid, args()); err != nil {
 			g.durabilityLost(err)
 			return zero, err
 		}
 	}
 	if rid != "" && user != "" {
 		if res, merr := json.Marshal(out); merr == nil {
-			g.idem.record(user, rid, fq, res, seq, now)
+			g.idem.record(user, rid, fq, res, span.Seq, now)
 		}
-	}
-	if mo != nil {
-		end := time.Now() //lint:walltime telemetry: real RPC latency span, never read back into deployment state
-		total := end.Sub(t0)
-		mo.latency.Observe(total.Seconds())
-		span := telemetry.Span{
-			RequestID:   rid,
-			Method:      fq,
-			User:        user,
-			Start:       t0,
-			TotalMillis: float64(total) / float64(time.Millisecond),
-			Seq:         seq,
-			Stages: []telemetry.Stage{
-				{Name: "handler", Millis: float64(applied.Sub(t0)) / float64(time.Millisecond)},
-			},
-		}
-		if g.store != nil {
-			span.Stages = append(span.Stages, telemetry.Stage{
-				Name: "journal", Millis: float64(end.Sub(applied)) / float64(time.Millisecond),
-			})
-		}
-		g.trace.Add(span)
 	}
 	return out, nil
 }
-
-// errRequestIDReuse tags the reuse-span error without allocating the
-// formatted message twice.
-var errRequestIDReuse = fmt.Errorf("request id reused across methods")
 
 // OnDurabilityLoss registers fn to run — once, on the first occurrence —
 // when a journal append fails after its mutation already applied. See
@@ -477,35 +444,33 @@ func (g *GAE) durabilityLost(err error) {
 	g.durabilityLossOnce.Do(func() { g.onDurabilityLoss(err) })
 }
 
-// finishSpan records the latency observation and trace span for the
-// non-happy exits of journalCall (dedup hits, handler errors, journal
-// append failures). A nil mo means telemetry is off and the whole call
-// is skipped.
-func (g *GAE) finishSpan(mo *methodObs, t0 time.Time, fq, user, rid, stage string, seq uint64, dedup bool, err error) {
-	if mo == nil {
-		return
-	}
+// finishSpan closes the span of one journalCall exit — success, dedup,
+// request-ID mismatch, handler error or journal error — and records it
+// with the method's request, error and latency observations. The handler
+// stage runs from the start until apply returned, the journal stage from
+// there to the end once an append was attempted; a window hit ran
+// neither.
+func (g *GAE) finishSpan(span *telemetry.Span, applied time.Time, appending bool, err error) {
 	end := time.Now() //lint:walltime telemetry: real RPC latency span, never read back into deployment state
-	total := end.Sub(t0)
+	total := end.Sub(span.Start)
+	mo := g.obs.forMethod(span.Method)
+	mo.requests.Inc()
 	mo.latency.Observe(total.Seconds())
+	span.TotalMillis = millis(total)
 	if err != nil {
 		mo.errors.Inc()
-	}
-	span := telemetry.Span{
-		RequestID:   rid,
-		Method:      fq,
-		User:        user,
-		Start:       t0,
-		TotalMillis: float64(total) / float64(time.Millisecond),
-		Seq:         seq,
-		Dedup:       dedup,
-		Stages:      []telemetry.Stage{{Name: stage, Millis: float64(total) / float64(time.Millisecond)}},
-	}
-	if err != nil {
 		span.Err = err.Error()
 	}
-	g.trace.Add(span)
+	if !applied.IsZero() {
+		span.Stages = []telemetry.Stage{{Name: "handler", Millis: millis(applied.Sub(span.Start))}}
+		if appending {
+			span.Stages = append(span.Stages, telemetry.Stage{Name: "journal", Millis: millis(end.Sub(applied))})
+		}
+	}
+	g.trace.Add(*span)
 }
+
+func millis(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
 // journalDo is journalCall for void mutations; the recorded result is
 // the conventional true.

@@ -313,8 +313,8 @@ func serveRaw(t *testing.T, g *GAE, method string, args ...any) []byte {
 }
 
 // TestJobmonAnswersSameAcrossRestart: a finished job's monitoring record
-// lives in the pool, which the durable store snapshots — the DBManager's
-// copy is memory only. Across a kill and a recovery from the same directory
+// lives in the pool, which the durable store snapshots — jobmon's record
+// of it is memory only. Across a kill and a recovery from the same directory
 // jobmon.info and jobmon.list answer with the same bytes.
 func TestJobmonAnswersSameAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
@@ -354,8 +354,11 @@ func TestJobmonAnswersSameAcrossRestart(t *testing.T) {
 	if err := xmlrpc.DecodeResponseInto(bytes.NewReader(info), &job); err != nil || job.Status != "completed" {
 		t.Fatalf("jobmon.info before the kill = %+v, %v; want a completed job", job, err)
 	}
-	if _, stored := g1.JobMon.DB.Lookup(a.Site, a.CondorID); !stored {
-		t.Fatal("the finished job never reached the DBManager, so the test compares nothing")
+	// With its pool down, only a stored record can answer.
+	pool, _ := g1.Pool(a.Site)
+	pool.Fail()
+	if got := serveRaw(t, g1, "jobmon.info", a.Site, a.CondorID); !bytes.Equal(got, info) {
+		t.Fatalf("the finished job never reached the records, so the test compares nothing: with its pool down jobmon.info = %s", got)
 	}
 	if err := s1.Close(); err != nil { // the process dies here
 		t.Fatal(err)

@@ -45,65 +45,32 @@ func (g *GAE) rawServices(userOf gae.UserResolver) gae.Services {
 	}
 }
 
-// PlanSpecOf converts an abstract job plan to its API representation —
-// the inverse of the conversion scheduler.Submit applies, used by typed
-// submit clients and tests.
+// PlanSpecOf gives an abstract job plan its API representation — the
+// inverse of planFromSpec, used by typed submit clients and tests.
 func PlanSpecOf(plan *scheduler.JobPlan) gae.PlanSpec {
-	spec := gae.PlanSpec{Name: plan.Name, Tasks: make([]gae.TaskSpec, len(plan.Tasks))}
-	for i, t := range plan.Tasks {
-		ts := gae.TaskSpec{
-			ID:             t.ID,
-			CPUSeconds:     t.CPUSeconds,
-			Queue:          t.Queue,
-			Partition:      t.Partition,
-			Nodes:          t.Nodes,
-			JobType:        t.JobType,
-			ReqHours:       t.ReqHours,
-			Priority:       t.Priority,
-			DependsOn:      append([]string(nil), t.DependsOn...),
-			OutputFile:     t.OutputFile,
-			OutputMB:       t.OutputMB,
-			Checkpointable: t.Checkpointable,
-			Requirements:   t.Requirements,
-			FailAfterCPU:   t.FailAfterCPU,
-		}
-		for _, in := range t.Inputs {
-			ts.Inputs = append(ts.Inputs, gae.FileSpec{Name: in.Name, Site: in.Site, SizeMB: in.SizeMB})
-		}
-		spec.Tasks[i] = ts
-	}
-	return spec
+	return gae.PlanSpec{Name: plan.Name, Tasks: cloneTasks(plan.Tasks)}
 }
 
 // planFromSpec builds a validated scheduler plan owned by owner.
 func planFromSpec(spec gae.PlanSpec, owner string) (*scheduler.JobPlan, error) {
-	plan := &scheduler.JobPlan{Name: spec.Name, Owner: owner}
-	for _, t := range spec.Tasks {
-		tp := scheduler.TaskPlan{
-			ID:             t.ID,
-			CPUSeconds:     t.CPUSeconds,
-			Queue:          t.Queue,
-			Partition:      t.Partition,
-			Nodes:          t.Nodes,
-			JobType:        t.JobType,
-			ReqHours:       t.ReqHours,
-			Priority:       t.Priority,
-			DependsOn:      append([]string(nil), t.DependsOn...),
-			OutputFile:     t.OutputFile,
-			OutputMB:       t.OutputMB,
-			Checkpointable: t.Checkpointable,
-			Requirements:   t.Requirements,
-			FailAfterCPU:   t.FailAfterCPU,
-		}
-		for _, in := range t.Inputs {
-			tp.Inputs = append(tp.Inputs, scheduler.FileRef{Name: in.Name, Site: in.Site, SizeMB: in.SizeMB})
-		}
-		plan.Tasks = append(plan.Tasks, tp)
-	}
+	plan := &scheduler.JobPlan{Name: spec.Name, Owner: owner, Tasks: cloneTasks(spec.Tasks)}
 	if err := plan.Validate(); err != nil {
 		return nil, err
 	}
 	return plan, nil
+}
+
+// cloneTasks copies tasks so the copy shares no slice with them. An empty
+// dependency or input list becomes nil, which is how a snapshot encodes
+// it.
+func cloneTasks(tasks []gae.TaskSpec) []gae.TaskSpec {
+	out := make([]gae.TaskSpec, len(tasks))
+	for i, t := range tasks {
+		t.DependsOn = append([]string(nil), t.DependsOn...)
+		t.Inputs = append([]gae.FileSpec(nil), t.Inputs...)
+		out[i] = t
+	}
+	return out
 }
 
 // taskRecord builds an estimator covariate record from a task profile.
@@ -195,24 +162,11 @@ func (e estimatorAPI) EstimateQueueTime(_ context.Context, site string, condorID
 	if !ok {
 		return gae.QueueEstimate{}, fmt.Errorf("unknown site %q", site)
 	}
-	qt := &estimator.QueueTimeEstimator{Pool: pool, DB: e.g.Scheduler.EstimateDB()}
-	est, err := qt.Estimate(condorID)
-	if err != nil {
-		return gae.QueueEstimate{}, err
-	}
-	return gae.QueueEstimate{Seconds: est.Seconds, TasksAhead: est.TasksAhead}, nil
+	return estimator.QueueTime(pool, e.g.Scheduler.EstimateDB(), condorID)
 }
 
 func (e estimatorAPI) EstimateTransfer(_ context.Context, src, dst string, sizeMB float64) (gae.TransferEstimate, error) {
-	est, err := e.g.Transfer.Estimate(src, dst, sizeMB)
-	if err != nil {
-		return gae.TransferEstimate{}, err
-	}
-	return gae.TransferEstimate{
-		Seconds:        est.Seconds,
-		BandwidthMBps:  est.BandwidthMBps,
-		LatencySeconds: est.LatencySeconds,
-	}, nil
+	return e.g.Transfer.Estimate(src, dst, sizeMB)
 }
 
 // quotaAPI exposes the Quota and Accounting Service.

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -257,5 +260,27 @@ func TestManyUsersQuotaIsolation(t *testing.T) {
 		if got := len(g.Steering.Watched(user)); got != 1 {
 			t.Fatalf("%s watched = %d", user, got)
 		}
+	}
+}
+
+// TestConcurrentSubmitsOfOneName: of concurrent submissions of one plan
+// name, exactly one succeeds.
+func TestConcurrentSubmitsOfOneName(t *testing.T) {
+	g := New(twoSiteConfig())
+	const n = 8
+	var wg sync.WaitGroup
+	var ok atomic.Int32
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := g.Client("alice").Submit(context.Background(), specOf("same", 30)); err == nil {
+				ok.Add(1)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := ok.Load(); got != 1 {
+		t.Fatalf("%d of %d concurrent submissions of one name succeeded, want 1", got, n)
 	}
 }

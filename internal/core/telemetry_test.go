@@ -11,6 +11,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clarens"
+	"repro/internal/durable"
 	"repro/internal/telemetry"
 )
 
@@ -218,5 +220,58 @@ func TestDebugRPCsEndpoint(t *testing.T) {
 		if len(sp.Stages) == 0 || sp.Stages[0].Name != "handler" {
 			t.Fatalf("span stages = %+v, want leading handler stage", sp.Stages)
 		}
+	}
+}
+
+// TestEveryJournaledExitLeavesOneSpan: a success, a dedup, a request ID
+// reused for another method and a handler error each record one span
+// and one request, built the same way: a stage for each of handler and
+// journal that ran.
+func TestEveryJournaledExitLeavesOneSpan(t *testing.T) {
+	g := New(twoSiteConfig())
+	store, err := durable.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	if err := g.AttachStore(store); err != nil {
+		t.Fatal(err)
+	}
+	alice := g.Client("alice")
+	ctx := context.Background()
+	pinned := clarens.WithRequestID(ctx, "rid-1")
+	if err := alice.SetState(pinned, "k", "v"); err != nil {
+		t.Fatal(err)
+	}
+	if err := alice.SetState(pinned, "k", "v"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := alice.DeleteState(pinned, "k"); err == nil {
+		t.Fatal("a request ID reused for another method was accepted")
+	}
+	if err := alice.Kill(ctx, "ghost", "t"); err == nil {
+		t.Fatal("killing a task of no plan succeeded")
+	}
+
+	var got []string
+	for _, sp := range g.Trace().Recent(0) {
+		var stages []string
+		for _, st := range sp.Stages {
+			stages = append(stages, st.Name)
+		}
+		got = append([]string{fmt.Sprintf("%s dedup=%v failed=%v stages=%v", sp.Method, sp.Dedup, sp.Err != "", stages)}, got...)
+	}
+	want := []string{
+		"state.set dedup=false failed=false stages=[handler journal]",
+		"state.set dedup=true failed=false stages=[]",
+		"state.delete dedup=false failed=true stages=[]",
+		"steering.kill dedup=false failed=true stages=[handler]",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("spans:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	snap := g.Telemetry.Snapshot()
+	if n, e := snap.Total("rpc_requests_total"), snap.Total("rpc_errors_total"); n != 4 || e != 2 {
+		t.Fatalf("rpc_requests_total = %v, rpc_errors_total = %v; want 4 and 2", n, e)
 	}
 }

@@ -376,8 +376,7 @@ func queueFixture(t *testing.T) (*simgrid.Grid, *condor.Pool, *EstimateDB, int) 
 
 func TestQueueTimeEstimator(t *testing.T) {
 	_, p, db, probe := queueFixture(t)
-	q := &QueueTimeEstimator{Pool: p, DB: db}
-	got, err := q.Estimate(probe)
+	got, err := QueueTime(p, db, probe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,8 +396,7 @@ func TestQueueTimeEstimatorClampsOverruns(t *testing.T) {
 	// must clamp at zero, not go negative.
 	db.Record("pool", 1, 5)
 	g.Engine.RunFor(10 * time.Second)
-	q := &QueueTimeEstimator{Pool: p, DB: db}
-	got, err := q.Estimate(probe)
+	got, err := QueueTime(p, db, probe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,35 +407,20 @@ func TestQueueTimeEstimatorClampsOverruns(t *testing.T) {
 
 func TestQueueTimeEstimatorMissingDB(t *testing.T) {
 	_, p, _, probe := queueFixture(t)
-	q := &QueueTimeEstimator{Pool: p, DB: NewEstimateDB(), DefaultEstimate: 60}
-	got, err := q.Estimate(probe)
+	// Jobs the database does not know, with no estimate in their ads, are
+	// skipped entirely.
+	got, err := QueueTime(p, NewEstimateDB(), probe)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Both ahead jobs default to 60: running one has ~20 elapsed → ~40;
-	// queued one → 60. Total ≈ 100.
-	if got.Seconds < 95 || got.Seconds > 105 {
-		t.Fatalf("default-estimate total = %v", got.Seconds)
-	}
-	// Without defaults, unknown jobs are skipped entirely.
-	q2 := &QueueTimeEstimator{Pool: p, DB: NewEstimateDB()}
-	got2, err := q2.Estimate(probe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got2.Seconds != 0 || got2.TasksAhead != 0 {
-		t.Fatalf("skip-unknown = %+v", got2)
+	if got.Seconds != 0 || got.TasksAhead != 0 {
+		t.Fatalf("skip-unknown = %+v", got)
 	}
 }
 
 func TestQueueTimeEstimatorErrors(t *testing.T) {
-	q := &QueueTimeEstimator{}
-	if _, err := q.Estimate(1); err == nil {
-		t.Fatal("no-pool estimate succeeded")
-	}
 	_, p, db, _ := queueFixture(t)
-	q = &QueueTimeEstimator{Pool: p, DB: db}
-	if _, err := q.Estimate(12345); err == nil {
+	if _, err := QueueTime(p, db, 12345); err == nil {
 		t.Fatal("unknown job estimate succeeded")
 	}
 }

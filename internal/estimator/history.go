@@ -16,6 +16,12 @@
 // History maintenance is decentralized, as in the paper: each execution
 // site owns a History, and the scheduler fans out estimate requests to
 // every site.
+//
+// Queue time (§6.2) is a function, QueueTime(pool, db, id), of the pool's
+// queue and the EstimateDB the scheduler records submission-time
+// estimates in; it holds no state of its own. The queue and transfer
+// predictions are the wire records gae.QueueEstimate and
+// gae.TransferEstimate.
 package estimator
 
 import (

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"repro/internal/condor"
+	"repro/pkg/gae"
 )
 
 // EstimateDB is the paper's "separate database" of per-job runtime
@@ -51,53 +52,37 @@ func (db *EstimateDB) Len() int {
 	return len(db.estimates)
 }
 
-// QueueTimeEstimator implements the paper's §6.2 algorithm:
+// QueueEstimate is a queued job's predicted wait and the number of jobs
+// it was summed over.
+type QueueEstimate = gae.QueueEstimate
+
+// QueueTime predicts how long job id of pool will wait before starting —
+// the paper's §6.2 algorithm:
 //
 //	(a) take the Condor ID of the input task;
 //	(b) fetch from the execution service the IDs and elapsed runtimes of
 //	    all tasks with priority greater than the input task;
 //	(c) fetch those tasks' submission-time runtime estimates from the
-//	    estimate database;
+//	    estimate database db;
 //	(d) remaining = estimate − elapsed for each, and the queue time is
 //	    the sum of the remainders.
-type QueueTimeEstimator struct {
-	Pool *condor.Pool
-	DB   *EstimateDB
-	// DefaultEstimate substitutes for jobs missing from the database
-	// (e.g. submitted outside the GAE path); 0 skips them.
-	DefaultEstimate float64
-}
-
-// QueueEstimate carries the prediction and its inputs for transparency.
-type QueueEstimate struct {
-	Seconds    float64
-	TasksAhead int
-}
-
-// Estimate predicts how long job id will wait before starting.
-func (q *QueueTimeEstimator) Estimate(id int) (QueueEstimate, error) {
-	if q.Pool == nil {
-		return QueueEstimate{}, fmt.Errorf("estimator: queue estimator has no execution service")
-	}
-	ahead, err := q.Pool.QueueAbove(id)
+//
+// A job missing from db (submitted outside the GAE path) counts with the
+// estimate its ad carries, and is skipped without one.
+func QueueTime(pool *condor.Pool, db *EstimateDB, id int) (QueueEstimate, error) {
+	ahead, err := pool.QueueAbove(id)
 	if err != nil {
 		return QueueEstimate{}, fmt.Errorf("estimator: querying execution service: %w", err)
 	}
 	total := 0.0
 	counted := 0
 	for _, info := range ahead {
-		est, ok := 0.0, false
-		if q.DB != nil {
-			est, ok = q.DB.Lookup(info.Pool, info.ID)
-		}
+		est, ok := db.Lookup(info.Pool, info.ID)
 		if !ok {
-			if info.EstimatedRuntime > 0 {
-				est = info.EstimatedRuntime
-			} else if q.DefaultEstimate > 0 {
-				est = q.DefaultEstimate
-			} else {
+			if info.EstimatedRuntime <= 0 {
 				continue
 			}
+			est = info.EstimatedRuntime
 		}
 		remaining := est - info.WallClock.Seconds()
 		if remaining < 0 {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/simgrid"
+	"repro/pkg/gae"
 )
 
 // TransferEstimator implements the paper's §6.3 file-transfer-time
@@ -23,16 +24,11 @@ type TransferEstimator struct {
 	ProbeMB float64
 }
 
-// TransferEstimate is a prediction with the measurement that produced it.
-type TransferEstimate struct {
-	Seconds float64
-	// BandwidthMBps is the latency-excluded steady-state share the probe
-	// measured — what a new flow on the link would sustain right now,
-	// current contention included.
-	BandwidthMBps float64
-	// LatencySeconds is the one-shot latency term included in Seconds.
-	LatencySeconds float64
-}
+// TransferEstimate is a prediction with the measurement that produced it:
+// the latency-excluded steady-state share the probe measured (what a new
+// flow on the link would sustain right now, current contention included)
+// and the one-shot latency term included in Seconds.
+type TransferEstimate = gae.TransferEstimate
 
 // Estimate predicts how long sizeMB takes from src to dst as
 // latency + size/bandwidth, with the bandwidth measured at call time (an

@@ -162,7 +162,7 @@ func Fig7(cfg Fig7Config) (*Fig7Result, error) {
 				if res.MovedAt == 0 {
 					res.MovedAt = elapsed
 				}
-				if info, err := g.JobMon.Manager.Get(cur.Site, cur.CondorID); err == nil {
+				if info, err := g.JobMon.Job(cur.Site, cur.CondorID); err == nil {
 					pb = info.WallClock.Seconds() / cfg.FreeCPUSeconds * 100
 				}
 			}

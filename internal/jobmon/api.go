@@ -40,12 +40,8 @@ func (s *Service) API() gae.JobMon { return jobMonAPI{s} }
 
 type jobMonAPI struct{ s *Service }
 
-func (a jobMonAPI) get(pool string, id int) (condor.JobInfo, error) {
-	return a.s.Manager.Get(pool, id)
-}
-
 func (a jobMonAPI) Job(_ context.Context, pool string, id int) (gae.JobInfo, error) {
-	info, err := a.get(pool, id)
+	info, err := a.s.Job(pool, id)
 	if err != nil {
 		return gae.JobInfo{}, err
 	}
@@ -53,7 +49,7 @@ func (a jobMonAPI) Job(_ context.Context, pool string, id int) (gae.JobInfo, err
 }
 
 func (a jobMonAPI) JobStatus(_ context.Context, pool string, id int) (string, error) {
-	info, err := a.get(pool, id)
+	info, err := a.s.Job(pool, id)
 	if err != nil {
 		return "", err
 	}
@@ -61,7 +57,7 @@ func (a jobMonAPI) JobStatus(_ context.Context, pool string, id int) (string, er
 }
 
 func (a jobMonAPI) JobProgress(_ context.Context, pool string, id int) (float64, error) {
-	info, err := a.get(pool, id)
+	info, err := a.s.Job(pool, id)
 	if err != nil {
 		return 0, err
 	}
@@ -69,7 +65,7 @@ func (a jobMonAPI) JobProgress(_ context.Context, pool string, id int) (float64,
 }
 
 func (a jobMonAPI) JobWallclock(_ context.Context, pool string, id int) (float64, error) {
-	info, err := a.get(pool, id)
+	info, err := a.s.Job(pool, id)
 	if err != nil {
 		return 0, err
 	}
@@ -77,7 +73,7 @@ func (a jobMonAPI) JobWallclock(_ context.Context, pool string, id int) (float64
 }
 
 func (a jobMonAPI) JobElapsed(_ context.Context, pool string, id int) (float64, error) {
-	info, err := a.get(pool, id)
+	info, err := a.s.Job(pool, id)
 	if err != nil {
 		return 0, err
 	}
@@ -85,7 +81,7 @@ func (a jobMonAPI) JobElapsed(_ context.Context, pool string, id int) (float64, 
 }
 
 func (a jobMonAPI) JobRemaining(_ context.Context, pool string, id int) (float64, error) {
-	info, err := a.get(pool, id)
+	info, err := a.s.Job(pool, id)
 	if err != nil {
 		return 0, err
 	}
@@ -93,7 +89,7 @@ func (a jobMonAPI) JobRemaining(_ context.Context, pool string, id int) (float64
 }
 
 func (a jobMonAPI) JobQueuePosition(_ context.Context, pool string, id int) (int, error) {
-	info, err := a.get(pool, id)
+	info, err := a.s.Job(pool, id)
 	if err != nil {
 		return 0, err
 	}
@@ -101,7 +97,7 @@ func (a jobMonAPI) JobQueuePosition(_ context.Context, pool string, id int) (int
 }
 
 func (a jobMonAPI) JobList(_ context.Context, pool string) ([]gae.JobInfo, error) {
-	jobs, err := a.s.Manager.List(pool)
+	jobs, err := a.s.List(pool)
 	if err != nil {
 		return nil, err
 	}
@@ -113,5 +109,5 @@ func (a jobMonAPI) JobList(_ context.Context, pool string) ([]gae.JobInfo, error
 }
 
 func (a jobMonAPI) Pools(context.Context) ([]string, error) {
-	return a.s.Collector.Pools(), nil
+	return a.s.Pools(), nil
 }

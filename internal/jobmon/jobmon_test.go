@@ -56,20 +56,35 @@ func submit(t *testing.T, pool *condor.Pool, cpu float64, prio int) int {
 	return id
 }
 
+// stored counts the finished-job records.
+func (s *Service) stored() int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return len(s.records)
+}
+
+// record fetches a finished-job record.
+func (s *Service) record(pool string, id int) (condor.JobInfo, bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	info, ok := s.records[jobKey{pool: pool, id: id}]
+	return info, ok
+}
+
 func TestManagerLiveLookup(t *testing.T) {
 	g, pool, _, svc := newFixture(t)
 	id := submit(t, pool, 100, 0)
 	g.Engine.RunFor(10 * time.Second)
-	info, err := svc.Manager.Get("poolA", id)
+	info, err := svc.Job("poolA", id)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if info.Status != condor.StatusRunning || info.Owner != "alice" {
 		t.Fatalf("live info = %+v", info)
 	}
-	// Live lookups do not come from the DB.
-	if svc.DB.Len() != 0 {
-		t.Fatalf("DB has %d records for a running job", svc.DB.Len())
+	// Live lookups do not come from the records.
+	if svc.stored() != 0 {
+		t.Fatalf("%d records for a running job", svc.stored())
 	}
 }
 
@@ -77,16 +92,16 @@ func TestTerminalJobStoredInDB(t *testing.T) {
 	g, pool, _, svc := newFixture(t)
 	id := submit(t, pool, 10, 0)
 	g.Engine.RunFor(15 * time.Second)
-	if svc.DB.Len() != 1 {
-		t.Fatalf("DB records = %d, want 1", svc.DB.Len())
+	if svc.stored() != 1 {
+		t.Fatalf("records = %d, want 1", svc.stored())
 	}
-	stored, ok := svc.DB.Lookup("poolA", id)
+	stored, ok := svc.record("poolA", id)
 	if !ok || stored.Status != condor.StatusCompleted {
 		t.Fatalf("stored = %+v, %v", stored, ok)
 	}
-	// Manager now answers from the DB even if the pool dies.
+	// Job now answers from the records even if the pool dies.
 	pool.Fail()
-	info, err := svc.Manager.Get("poolA", id)
+	info, err := svc.Job("poolA", id)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,16 +114,16 @@ func TestManagerFallsBackToLiveOnMiss(t *testing.T) {
 	g, pool, _, svc := newFixture(t)
 	id := submit(t, pool, 100, 0)
 	g.Engine.RunFor(5 * time.Second)
-	if _, ok := svc.DB.Lookup("poolA", id); ok {
-		t.Fatal("running job unexpectedly in DB")
+	if _, ok := svc.record("poolA", id); ok {
+		t.Fatal("running job unexpectedly in the records")
 	}
-	if _, err := svc.Manager.Get("poolA", id); err != nil {
+	if _, err := svc.Job("poolA", id); err != nil {
 		t.Fatalf("fallback failed: %v", err)
 	}
-	if _, err := svc.Manager.Get("ghostpool", 1); err == nil {
+	if _, err := svc.Job("ghostpool", 1); err == nil {
 		t.Fatal("unknown pool lookup succeeded")
 	}
-	if _, err := svc.Manager.Get("poolA", 999); err == nil {
+	if _, err := svc.Job("poolA", 999); err == nil {
 		t.Fatal("unknown job lookup succeeded")
 	}
 }
@@ -153,9 +168,9 @@ func TestLiveTransitionsAreNotBacklogged(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	svc.Collector.mu.Lock()
-	queued := len(svc.Collector.events)
-	svc.Collector.mu.Unlock()
+	svc.mu.Lock()
+	queued := len(svc.events)
+	svc.mu.Unlock()
 	if queued != 0 {
 		t.Fatalf("collector queues %d events with no terminal transition among them", queued)
 	}
@@ -178,16 +193,16 @@ func TestLiveTransitionsAreNotBacklogged(t *testing.T) {
 	if err := pool.Remove(id); err != nil {
 		t.Fatal(err)
 	}
-	if svc.DB.Len() != 0 {
+	if svc.stored() != 0 {
 		t.Fatal("the terminal snapshot was stored before Drain")
 	}
-	svc.Collector.Drain()
-	if svc.DB.Len() != 1 {
-		t.Fatalf("DB records = %d after Drain, want 1", svc.DB.Len())
+	svc.Drain()
+	if svc.stored() != 1 {
+		t.Fatalf("records = %d after Drain, want 1", svc.stored())
 	}
 	events = repo.Events(time.Time{}, "")
 	if n := len(events); events[n-2].Detail != "running->removed" || events[n-1].Detail != "removed" {
-		t.Fatalf("last published events = %+v, want the removal and the DBManager's record of it", events[n-2:])
+		t.Fatalf("last published events = %+v, want the removal and the record's publication", events[n-2:])
 	}
 }
 
@@ -228,14 +243,14 @@ func TestManagerList(t *testing.T) {
 	submit(t, pool, 10, 0)
 	submit(t, pool, 20, 0)
 	g.Engine.Step()
-	jobs, err := svc.Manager.List("poolA")
+	jobs, err := svc.List("poolA")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(jobs) != 2 {
 		t.Fatalf("List = %d jobs", len(jobs))
 	}
-	if _, err := svc.Manager.List("ghost"); err == nil {
+	if _, err := svc.List("ghost"); err == nil {
 		t.Fatal("List of unknown pool succeeded")
 	}
 }
@@ -244,7 +259,7 @@ func TestInfoDTOFields(t *testing.T) {
 	g, pool, _, svc := newFixture(t)
 	id := submit(t, pool, 100, 3)
 	g.Engine.RunFor(10 * time.Second)
-	info, err := svc.Manager.Get("poolA", id)
+	info, err := svc.Job("poolA", id)
 	if err != nil {
 		t.Fatal(err)
 	}

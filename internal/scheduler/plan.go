@@ -24,49 +24,25 @@
 // Site scoring has no knobs: the load weight, the tie margin of the
 // fair-share tie-break and the fallback estimate are constants, and the
 // estimator learns from every completed task.
+//
+// A task is the record a client submits: TaskPlan is gae.TaskSpec — the
+// work description (CPU-seconds on a reference processor, an optional
+// injected fault) plus the estimator covariates (queue, partition, nodes,
+// job type, requested hours — the SDSC accounting attributes the runtime
+// estimator matches on) — and FileRef is gae.FileSpec.
 package scheduler
 
 import (
 	"fmt"
+
+	"repro/pkg/gae"
 )
 
 // FileRef names an input dataset and the site currently holding it.
-type FileRef struct {
-	Name   string
-	Site   string
-	SizeMB float64
-}
+type FileRef = gae.FileSpec
 
-// TaskPlan is one node of an abstract job plan: the work description plus
-// the estimator covariates (queue, partition, nodes, job type, requested
-// hours — the SDSC accounting attributes the runtime estimator matches
-// on).
-type TaskPlan struct {
-	ID string
-
-	// Simulation ground truth: CPU-seconds on a reference processor.
-	CPUSeconds float64
-
-	// Estimator covariates.
-	Queue     string
-	Partition string
-	Nodes     int
-	JobType   string
-	ReqHours  float64
-
-	Priority       int
-	DependsOn      []string
-	Inputs         []FileRef
-	OutputFile     string
-	OutputMB       float64
-	Checkpointable bool
-	// Requirements is an optional ClassAd constraint on machines.
-	Requirements string
-	// FailAfterCPU injects a fault: the task fails once it has consumed
-	// this many CPU-seconds. Zero disables injection. Used by failure
-	//-recovery tests and the steering ablation benches.
-	FailAfterCPU float64
-}
+// TaskPlan is one node of an abstract job plan.
+type TaskPlan = gae.TaskSpec
 
 // JobPlan is an abstract job: a named DAG of tasks owned by a user.
 type JobPlan struct {

@@ -2,6 +2,7 @@ package scheduler
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -787,5 +788,60 @@ func TestSubscriberQueuesOnlyWhatDrainActsOn(t *testing.T) {
 	f.grid.Engine.RunFor(60 * time.Second)
 	if a, _ := cp.Assignment("a"); a.State != TaskCompleted {
 		t.Fatalf("task a is %v after its job completed", a.State)
+	}
+}
+
+// TestConcurrentSubmitsLaunchEachTaskOnce: Submit pumps on its caller's
+// goroutine, so concurrent submissions walk the pending plans at the same
+// time. Each task must still launch exactly once, on the site its
+// assignment names.
+func TestConcurrentSubmitsLaunchEachTaskOnce(t *testing.T) {
+	f := newFixture(t, map[string]struct {
+		nodes int
+		load  float64
+	}{"siteA": {4, 0}, "siteB": {4, 0}})
+	const n = 8
+	cps := make([]*ConcretePlan, n)
+	var wg sync.WaitGroup
+	for i := range cps {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			cp, err := f.sched.Submit(&JobPlan{Name: fmt.Sprintf("p%d", i), Owner: "u", Tasks: []TaskPlan{task("a", 100)}})
+			if err != nil {
+				t.Error(err)
+			}
+			cps[i] = cp
+		}(i)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	held := 0
+	for _, pool := range f.pools {
+		jobs, err := pool.Jobs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		held += len(jobs)
+	}
+	if held != n {
+		t.Fatalf("the pools hold %d jobs for %d one-task plans", held, n)
+	}
+	named := map[jobKey]bool{}
+	for i, cp := range cps {
+		a, _ := cp.Assignment("a")
+		if a.State != TaskSubmitted || a.Attempts != 1 {
+			t.Fatalf("plan %d: assignment %+v, want submitted once", i, a)
+		}
+		if _, err := f.pools[a.Site].Job(a.CondorID); err != nil {
+			t.Fatalf("plan %d names job %d at %s: %v", i, a.CondorID, a.Site, err)
+		}
+		k := jobKey{pool: a.Site, id: a.CondorID}
+		if named[k] {
+			t.Fatalf("plan %d names job %d at %s, already another plan's", i, a.CondorID, a.Site)
+		}
+		named[k] = true
 	}
 }

@@ -53,6 +53,10 @@ type Scheduler struct {
 	replicas *replica.Catalog       // optional
 	fair     fairshare.SiteStanding // optional
 
+	// pumpMu serializes pump: two walks reading one task as pending
+	// would both launch it.
+	pumpMu sync.Mutex
+
 	mu    sync.Mutex
 	sites map[string]*SiteServices
 	// pending holds, in submission order, the plans that may still have a
@@ -329,8 +333,12 @@ func (s *Scheduler) registerOutput(pt planTask) {
 }
 
 // pump launches every pending task whose dependencies completed, plan by
-// plan in submission order, and forgets the plans left with none.
+// plan in submission order, and forgets the plans left with none. Submit
+// calls it on API goroutines and onWake on the engine's; one walk runs at
+// a time, and nothing under launch re-enters it.
 func (s *Scheduler) pump() {
+	s.pumpMu.Lock()
+	defer s.pumpMu.Unlock()
 	s.mu.Lock()
 	plans := make([]*ConcretePlan, len(s.pending))
 	copy(plans, s.pending)
@@ -353,9 +361,8 @@ func (s *Scheduler) pump() {
 		}
 	}
 	// Re-derived under the lock rather than carried over from the walk:
-	// pumps run concurrently (Submit on API goroutines, onWake on the
-	// engine's) and the list may have changed; no task turns pending
-	// again, so a plan seen without one can go whoever saw it.
+	// Submit may have appended a plan meanwhile; no task turns pending
+	// again, so a plan seen without one can go.
 	s.mu.Lock()
 	s.pending = slices.DeleteFunc(s.pending, func(cp *ConcretePlan) bool { return !cp.hasPending() })
 	s.mu.Unlock()

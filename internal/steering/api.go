@@ -82,18 +82,7 @@ func (a steeringAPI) EstimateCompletion(_ context.Context, plan, task string) (f
 }
 
 func (a steeringAPI) Notifications(ctx context.Context) ([]gae.Notification, error) {
-	ns := a.s.Notifications(a.userOf(ctx))
-	out := make([]gae.Notification, len(ns))
-	for i, n := range ns {
-		out[i] = gae.Notification{
-			Time:    n.Time,
-			Plan:    n.Plan,
-			Task:    n.Task,
-			Kind:    n.Kind,
-			Message: n.Message,
-		}
-	}
-	return out, nil
+	return a.s.Notifications(a.userOf(ctx)), nil
 }
 
 func (a steeringAPI) Preference(context.Context) (string, error) {

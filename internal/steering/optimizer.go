@@ -61,7 +61,7 @@ func (s *Service) pollTask(w *watched, now time.Time) {
 	w.downHandled = false
 	s.mu.Unlock()
 
-	info, err := s.cfg.Monitor.Manager.Get(a.Site, a.CondorID)
+	info, err := s.cfg.Monitor.Job(a.Site, a.CondorID)
 	if err != nil {
 		return
 	}
@@ -80,7 +80,7 @@ func (s *Service) optimize(w *watched, a scheduler.Assignment, info condor.JobIn
 	s.mu.Lock()
 	moves := w.moves
 	s.mu.Unlock()
-	if moves >= s.MaxMoves {
+	if moves >= maxMoves {
 		return
 	}
 	if info.StartTime.IsZero() {
@@ -94,7 +94,7 @@ func (s *Service) optimize(w *watched, a scheduler.Assignment, info condor.JobIn
 	// CPU. On an unloaded node this is ~1.0; Figure 7's site A delivers
 	// ~0.3.
 	rate := info.WallClock.Seconds() / runningFor.Seconds()
-	if rate >= s.SlownessThreshold {
+	if rate >= slownessThreshold {
 		return
 	}
 	target, reason := s.chooseBestSite(w, a)
@@ -102,7 +102,7 @@ func (s *Service) optimize(w *watched, a scheduler.Assignment, info condor.JobIn
 		return // nowhere better to go
 	}
 	_, err := s.moveTask(w, target,
-		fmt.Sprintf("slow execution rate %.2f < %.2f; %s", rate, s.SlownessThreshold, reason))
+		fmt.Sprintf("slow execution rate %.2f < %.2f; %s", rate, slownessThreshold, reason))
 	_ = err // a failed move leaves the job where it is; next poll retries
 }
 

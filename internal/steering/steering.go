@@ -36,6 +36,17 @@ import (
 	"repro/internal/quota"
 	"repro/internal/scheduler"
 	"repro/internal/simgrid"
+	"repro/pkg/gae"
+)
+
+// The Optimizer's fixed parameters.
+const (
+	// slownessThreshold: a job is slow when wall-clock ÷ time-since-start
+	// falls below this fraction — the job is getting less than half a CPU.
+	slownessThreshold = 0.5
+	// maxMoves bounds automatic moves per task, so a job slow everywhere
+	// is not thrashed between sites.
+	maxMoves = 1
 )
 
 // Preference selects the Optimizer's notion of "Best Site".
@@ -68,14 +79,9 @@ func ParsePreference(s string) (Preference, error) {
 	return 0, fmt.Errorf("steering: unknown preference %q (want fast or cheap)", s)
 }
 
-// Notification is a message the service queues for a job owner.
-type Notification struct {
-	Time    time.Time
-	Plan    string
-	Task    string
-	Kind    string // "moved", "completed", "failed", "recovered", "service-failure"
-	Message string
-}
+// Notification is a message the service queues for a job owner. Its Kind
+// is "moved", "completed", "failed", "recovered" or "service-failure".
+type Notification = gae.Notification
 
 // TaskRef identifies a watched task.
 type TaskRef struct {
@@ -120,17 +126,11 @@ type Service struct {
 	// thrash (the paper: "it takes some time to detect the slow execution
 	// rate of a job").
 	MinObservation time.Duration
-	// SlownessThreshold: a job is slow when wall-clock ÷ time-since-start
-	// falls below this fraction (default 0.5 — the job is getting less
-	// than half a CPU).
-	SlownessThreshold float64
 	// AutoSteer lets the Optimizer move slow jobs without a client
 	// command. Advanced users can instead move jobs manually (the paper
 	// notes "the user could have moved the job from site A to site B
 	// manually as well").
 	AutoSteer bool
-	// MaxMoves bounds automatic moves per task (default 1).
-	MaxMoves int
 	// Preference chooses fast (estimators) or cheap (quota) placement.
 	Preference Preference
 	// ServiceFailureGrace is how long an execution service must stay
@@ -155,9 +155,7 @@ func New(cfg Config) *Service {
 		cfg:                 cfg,
 		PollInterval:        10 * time.Second,
 		MinObservation:      30 * time.Second,
-		SlownessThreshold:   0.5,
 		AutoSteer:           true,
-		MaxMoves:            1,
 		ServiceFailureGrace: 20 * time.Second,
 		Sessions:            NewSessionManager(),
 		tasks:               make(map[TaskRef]*watched),
@@ -274,7 +272,7 @@ func (s *Service) TaskStatus(ref TaskRef) (Status, error) {
 	}
 	st := Status{Ref: ref, Owner: w.owner, Assignment: a}
 	if a.CondorID != 0 && a.Site != "" {
-		if info, err := s.cfg.Monitor.Manager.Get(a.Site, a.CondorID); err == nil {
+		if info, err := s.cfg.Monitor.Job(a.Site, a.CondorID); err == nil {
 			st.Job = info
 			st.HaveJob = true
 		}

@@ -322,12 +322,11 @@ func TestOptimizerRespectsMinObservation(t *testing.T) {
 
 func TestOptimizerMaxMovesBound(t *testing.T) {
 	f := newFixture(t)
-	f.svc.MaxMoves = 1
 	cp := f.submit(t, "alice", "p1", primeTask("t1", 500))
 	f.grid.Engine.RunFor(2 * time.Second)
 	first, _ := cp.Assignment("t1")
 	// Both sites loaded: after the first move the job is slow again, but
-	// MaxMoves must prevent thrashing.
+	// maxMoves must prevent thrashing.
 	f.nodes["siteA"].SetLoad(simgrid.ConstantLoad(0.8))
 	f.nodes["siteB"].SetLoad(simgrid.ConstantLoad(0.8))
 	f.grid.Engine.RunFor(3 * time.Minute)

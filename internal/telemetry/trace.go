@@ -21,9 +21,9 @@ type Span struct {
 	Start time.Time `json:"start"`
 	// TotalMillis is the full server-side duration through ack.
 	TotalMillis float64 `json:"total_ms"`
-	// Stages breaks TotalMillis down; stage names are "handler",
-	// "journal" (append + group-commit fsync), and "dedup" for window
-	// hits answered without re-applying.
+	// Stages breaks TotalMillis down; stage names are "handler" and
+	// "journal" (append + group-commit fsync). A window hit, answered
+	// without re-applying, has neither.
 	Stages []Stage `json:"stages,omitempty"`
 	// Err is the call's error text ("" on success).
 	Err string `json:"error,omitempty"`
