@@ -339,11 +339,16 @@ func BenchmarkScenarioNetworkContention(b *testing.B) {
 		for burst := 0; burst < 20; burst++ {
 			at := time.Duration(burst) * 10_000 * time.Second
 			g.Engine.Schedule(at, func(time.Time) {
+				// Staged the way the scheduler stages: a flow, then the
+				// file stored at the destination when it lands.
 				for i, name := range leaves {
 					src := g.Site(name).Storage()
 					for f := 0; f < 3; f++ {
-						if _, err := src.Replicate(g.Network, hub.Storage(), fmt.Sprintf("d%d-%d", i, f),
-							func() { completed++ }); err != nil {
+						file, _ := src.Get(fmt.Sprintf("d%d-%d", i, f))
+						if _, err := g.Network.StartTransfer(name, "hub", file.SizeMB, func(time.Duration) {
+							_ = hub.Storage().Put(file.Name, file.SizeMB)
+							completed++
+						}); err != nil {
 							b.Error(err)
 						}
 					}
@@ -363,12 +368,6 @@ func BenchmarkScenarioNetworkContention(b *testing.B) {
 					if err := g.Network.SetUtilization(name, "hub", 0); err != nil {
 						b.Error(err)
 					}
-				}
-			})
-			// Hub storage must be empty for the next burst to re-transfer.
-			g.Engine.Schedule(at+5_000*time.Second, func(time.Time) {
-				for _, f := range hub.Storage().List() {
-					hub.Storage().Delete(f.Name)
 				}
 			})
 		}

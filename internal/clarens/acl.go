@@ -5,15 +5,16 @@ import (
 	"sync"
 )
 
-// ACL is the per-method access control list. Rules name a principal — a
-// user ("alice"), a role ("role:admin"), any authenticated caller
-// ("authenticated"), or anyone ("*") — and a method pattern: exact
-// ("steering.move"), service-wide ("steering.*"), or global ("*").
+// ACL is the per-method access control list, made of allow rules. A rule
+// names a principal — a user ("alice"), a role ("role:admin"), any
+// authenticated caller ("authenticated"), or anyone ("*") — and a method
+// pattern: exact ("steering.move"), service-wide ("steering.*"), or
+// global ("*").
 //
-// Deny rules beat allow rules; more specific patterns beat less specific
-// ones; and the default (no matching rule) is deny, with two built-in
-// exceptions so that a fresh host is usable: system.auth and
-// system.listMethods are public.
+// A call is allowed when some rule matches both its caller and its
+// method, and denied otherwise, with built-in exceptions so that a fresh
+// host is usable: system.auth, system.listMethods and system.ping are
+// public.
 type ACL struct {
 	mu    sync.RWMutex
 	rules []aclRule
@@ -22,7 +23,6 @@ type ACL struct {
 type aclRule struct {
 	principal string
 	pattern   string
-	allow     bool
 }
 
 // NewACL creates an empty (deny-by-default) ACL.
@@ -30,23 +30,13 @@ func NewACL() *ACL { return &ACL{} }
 
 // Allow grants principal access to methods matching pattern.
 func (a *ACL) Allow(principal, pattern string) *ACL {
-	a.add(principal, pattern, true)
-	return a
-}
-
-// Deny revokes access; deny rules override any allow.
-func (a *ACL) Deny(principal, pattern string) *ACL {
-	a.add(principal, pattern, false)
-	return a
-}
-
-func (a *ACL) add(principal, pattern string, allow bool) {
 	if principal == "" || pattern == "" {
 		panic("clarens: ACL rule with empty principal or pattern")
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.rules = append(a.rules, aclRule{principal: principal, pattern: pattern, allow: allow})
+	a.rules = append(a.rules, aclRule{principal: principal, pattern: pattern})
+	return a
 }
 
 // alwaysPublic lists methods reachable without a session on every host.
@@ -64,24 +54,12 @@ func (a *ACL) Check(sess *Session, method string) bool {
 	}
 	a.mu.RLock()
 	defer a.mu.RUnlock()
-
-	bestSpec := -1
-	allowed := false
 	for _, r := range a.rules {
-		if !principalMatches(r.principal, sess) {
-			continue
-		}
-		spec := patternSpecificity(r.pattern, method)
-		if spec < 0 {
-			continue
-		}
-		// Higher specificity wins; at equal specificity deny wins.
-		if spec > bestSpec || (spec == bestSpec && !r.allow) {
-			bestSpec = spec
-			allowed = r.allow
+		if principalMatches(r.principal, sess) && patternMatches(r.pattern, method) {
+			return true
 		}
 	}
-	return bestSpec >= 0 && allowed
+	return false
 }
 
 func principalMatches(principal string, sess *Session) bool {
@@ -106,29 +84,14 @@ func principalMatches(principal string, sess *Session) bool {
 	}
 }
 
-// patternSpecificity returns -1 for no match, or a rank: 0 for "*",
-// 1 for "service.*", 2 for an exact method.
-func patternSpecificity(pattern, method string) int {
-	switch {
-	case pattern == "*":
-		return 0
-	case strings.HasSuffix(pattern, ".*"):
-		svc := strings.TrimSuffix(pattern, ".*")
-		msvc, _ := splitMethod(method)
-		if svc == msvc {
-			return 1
-		}
-		return -1
-	case pattern == method:
-		return 2
-	default:
-		return -1
+// patternMatches reports whether pattern — "*", "service.*" or an exact
+// method — covers method.
+func patternMatches(pattern, method string) bool {
+	if pattern == "*" {
+		return true
 	}
-}
-
-func splitMethod(method string) (service, name string) {
-	if i := strings.LastIndex(method, "."); i >= 0 {
-		return method[:i], method[i+1:]
+	if svc, ok := strings.CutSuffix(pattern, ".*"); ok {
+		return method[:max(strings.LastIndex(method, "."), 0)] == svc
 	}
-	return "", method
+	return pattern == method
 }

@@ -82,14 +82,6 @@ func (s *UserStore) Verify(name, password string) (User, error) {
 	return User{Name: name, Roles: roles}, nil
 }
 
-// HasRole reports whether the named user holds the role.
-func (s *UserStore) HasRole(name, role string) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	u, ok := s.users[name]
-	return ok && u.roles[role]
-}
-
 func digest(salt []byte, password string) []byte {
 	h := sha256.New()
 	h.Write(salt)
@@ -171,12 +163,4 @@ func (s *SessionStore) Close(token string) bool {
 	_, ok := s.sessions[token]
 	delete(s.sessions, token)
 	return ok
-}
-
-// Active returns the number of live sessions (expired ones included until
-// reaped).
-func (s *SessionStore) Active() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.sessions)
 }

@@ -9,7 +9,8 @@
 //     "service.method" XML-RPC calls over HTTP POST
 //   - authentication: system.auth issues session tokens; requests carry
 //     the token in the X-Clarens-Session header
-//   - access control: per-method ACLs checked on every dispatch
+//   - access control: per-method ACLs checked on every dispatch; a rule
+//     allows, and a call no rule allows is denied
 //   - lookup and discovery: a registry of hosted services, federated
 //     peer-to-peer so a client of one Clarens host can discover services
 //     hosted by any connected peer (the paper's "peer-to-peer based

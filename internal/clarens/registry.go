@@ -36,13 +36,6 @@ func (r *Registry) Register(info ServiceInfo) {
 	r.services[info.Name] = info
 }
 
-// Unregister removes a service record.
-func (r *Registry) Unregister(name string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.services, name)
-}
-
 // Lookup finds a service by name.
 func (r *Registry) Lookup(name string) (ServiceInfo, bool) {
 	r.mu.RLock()

@@ -11,8 +11,8 @@ import (
 
 // The map-backed ad: attribute storage as Ad kept it before it became one
 // slice searched linearly — a map keyed by the lower-cased name. Set,
-// SetExpr, Delete, Has, Names, Len, String, LiteralString, Clone and
-// Project are the replaced production code, verbatim but for the
+// SetExpr, Delete, Has, Names, Len, String, LiteralString and Clone are
+// the replaced production code, verbatim but for the
 // lower-casing, which is strings.ToLower where production interned. The
 // differential test below holds Ad to it observation for observation.
 
@@ -106,16 +106,6 @@ func (a *mapAd) Clone() *mapAd {
 	return c
 }
 
-func (a *mapAd) Project(names ...string) *mapAd {
-	c := newMapAd()
-	for _, n := range names {
-		if e, ok := a.attrs[strings.ToLower(n)]; ok {
-			c.attrs[strings.ToLower(n)] = e
-		}
-	}
-	return c
-}
-
 // fresh builds the Ad the map describes from nothing, by appending its
 // attributes in key order: an ad with no history. Expressions evaluate
 // against *Ad scopes, so the oracle's evaluations run on fresh ads — which
@@ -146,7 +136,7 @@ func (a *mapAd) EvalAttr(name string, target *mapAd) Value {
 	if target != nil {
 		t = target.fresh()
 	}
-	return EvalInContext(e.expr, a.fresh(), t)
+	return e.expr.Eval(scope{self: a.fresh(), target: t})
 }
 
 // oraclePair is one ad under test with its oracle, the mutation-hook
@@ -238,7 +228,7 @@ func TestAdMatchesMapOracle(t *testing.T) {
 		for step := 0; step < 300; step++ {
 			p := pairs[rng.Intn(len(pairs))]
 			name := spelling(rng, oracleNames[rng.Intn(len(oracleNames))])
-			op := rng.Intn(10)
+			op := rng.Intn(9)
 			if p.want.Len() >= 20 && !p.want.Has(name) {
 				op = 6 // an ad holds 0-20 attributes: at the cap, only overwrite or delete
 			}
@@ -262,7 +252,7 @@ func TestAdMatchesMapOracle(t *testing.T) {
 				trace = append(trace, fmt.Sprintf("Delete(%q)", name))
 				p.ad.Delete(name)
 				p.want.Delete(name)
-			case op == 8:
+			default:
 				trace = append(trace, "Clone")
 				c := newOraclePair(p.ad.Clone(), p.want.Clone())
 				if len(pairs) < 4 {
@@ -270,16 +260,9 @@ func TestAdMatchesMapOracle(t *testing.T) {
 				} else {
 					pairs[rng.Intn(len(pairs))] = c
 				}
-			default:
-				var names []string
-				for n := rng.Intn(6); n > 0; n-- {
-					names = append(names, spelling(rng, oracleNames[rng.Intn(len(oracleNames))]))
-				}
-				trace = append(trace, fmt.Sprintf("Project(%q)", names))
-				pairs[rng.Intn(len(pairs))] = newOraclePair(p.ad.Project(names...), p.want.Project(names...))
 			}
-			// Every pair, not only the one touched: a Clone or Project that
-			// shares storage with its source shows up in the other.
+			// Every pair, not only the one touched: a Clone that shares
+			// storage with its source shows up in the other.
 			for i, q := range pairs {
 				target := pairs[(i+1)%len(pairs)]
 				if msg := q.diverges(rng, target); msg != "" {

@@ -211,33 +211,6 @@ func (v Value) StringVal() (string, bool) { return v.str(), v.kind == KindString
 // ListVal returns the list content; ok is false for non-lists.
 func (v Value) ListVal() ([]Value, bool) { return v.list(), v.kind == KindList }
 
-// Go converts the value back to a plain Go value (nil for undefined,
-// error values become strings prefixed "error:").
-func (v Value) Go() any {
-	switch v.kind {
-	case KindUndefined:
-		return nil
-	case KindError:
-		return "error:" + v.str()
-	case KindBool:
-		return v.b()
-	case KindInt:
-		return int(v.i())
-	case KindReal:
-		return v.r()
-	case KindString:
-		return v.str()
-	case KindList:
-		l := v.list()
-		out := make([]any, len(l))
-		for i, e := range l {
-			out[i] = e.Go()
-		}
-		return out
-	}
-	return nil
-}
-
 // String renders the value in ClassAd literal syntax.
 func (v Value) String() string {
 	switch v.kind {
@@ -320,8 +293,8 @@ type Ad struct {
 	// onMutate hooks fire synchronously after every mutation. Negotiators
 	// subscribe to advertised machine ads so an attribute change wakes
 	// them instead of being discovered by per-tick polling; no job ad has
-	// one, so they sit behind a pointer. Hooks are not carried by
-	// Clone/Project — derived ads are private snapshots.
+	// one, so they sit behind a pointer. Hooks are not carried by Clone —
+	// a clone is a private snapshot.
 	onMutate *[]func()
 }
 
@@ -496,17 +469,6 @@ func (a *Ad) Version() uint64 { return a.version }
 // Clone returns a deep-enough copy (expressions are immutable and shared).
 func (a *Ad) Clone() *Ad {
 	return &Ad{attrs: slices.Clone(a.attrs)}
-}
-
-// Project returns a new ad with only the named attributes (those present).
-func (a *Ad) Project(names ...string) *Ad {
-	c := New()
-	for _, n := range names {
-		if i := a.find(n); i >= 0 {
-			c.put(a.attrs[i])
-		}
-	}
-	return c
 }
 
 // Float fetches a numeric attribute as float64 with a default.

@@ -9,11 +9,11 @@ import (
 // evalSrc parses and evaluates src with optional self/target ads.
 func evalSrc(t *testing.T, src string, self, target *Ad) Value {
 	t.Helper()
-	v, err := EvalString(src, self, target)
+	e, err := Parse(src)
 	if err != nil {
-		t.Fatalf("EvalString(%q): %v", src, err)
+		t.Fatalf("Parse(%q): %v", src, err)
 	}
-	return v
+	return e.Eval(scope{self: self, target: target})
 }
 
 func TestLiterals(t *testing.T) {
@@ -420,14 +420,6 @@ func TestAdAllocations(t *testing.T) {
 	}
 }
 
-func TestAdProject(t *testing.T) {
-	a := New().Set("Keep", 1).Set("Drop", 2)
-	p := a.Project("keep", "missing")
-	if p.Len() != 1 || !p.Has("Keep") {
-		t.Fatalf("Project = %v", p)
-	}
-}
-
 func TestAdNamesSorted(t *testing.T) {
 	a := New().Set("zz", 1).Set("aa", 2).Set("mm", 3)
 	names := a.Names()
@@ -516,13 +508,10 @@ func TestQuickIntArithmetic(t *testing.T) {
 
 func (a *Ad) clampEval(t *testing.T, src string) int64 {
 	t.Helper()
-	v, err := EvalString(src, a, nil)
-	if err != nil {
-		t.Fatalf("EvalString(%q): %v", src, err)
-	}
+	v := evalSrc(t, src, a, nil)
 	n, ok := v.IntVal()
 	if !ok {
-		t.Fatalf("EvalString(%q) = %v, want int", src, v)
+		t.Fatalf("%q = %v, want int", src, v)
 	}
 	return n
 }
@@ -542,9 +531,9 @@ func TestQuickComparisonConsistency(t *testing.T) {
 }
 
 func evalBool(ad *Ad, src string) (bool, bool) {
-	v, err := EvalString(src, ad, nil)
+	e, err := Parse(src)
 	if err != nil {
 		return false, false
 	}
-	return v.BoolVal()
+	return e.Eval(scope{self: ad}).BoolVal()
 }

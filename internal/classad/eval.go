@@ -51,21 +51,6 @@ func (sc scope) lookupIn(ad, other *Ad, name string) (Value, bool) {
 	return ad.attrs[i].eval(scope{self: ad, target: other, depth: sc.depth + 1}), true
 }
 
-// EvalInContext evaluates a parsed expression with explicit self/target
-// ads; either may be nil.
-func EvalInContext(e Expr, self, target *Ad) Value {
-	return e.Eval(scope{self: self, target: target})
-}
-
-// EvalString parses and evaluates src against self/target in one shot.
-func EvalString(src string, self, target *Ad) (Value, error) {
-	e, err := Parse(src)
-	if err != nil {
-		return Undefined(), err
-	}
-	return EvalInContext(e, self, target), nil
-}
-
 func evalUnary(op string, v Value) Value {
 	if v.IsError() {
 		return v

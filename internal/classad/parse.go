@@ -31,15 +31,6 @@ func Parse(src string) (Expr, error) {
 	return e, nil
 }
 
-// MustParse parses src, panicking on error; for expression literals in code.
-func MustParse(src string) Expr {
-	e, err := Parse(src)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
 // parser pulls tokens from the lexer on demand with one token of
 // look-ahead. The first lexical error is kept in err and the stream reads
 // as ended from there, so Parse reports it in preference to whatever the

@@ -186,7 +186,7 @@ func TestTargetRank(t *testing.T) {
 	}
 	huge := NewMatcher(New().Set("KFlops", math.MaxFloat64))
 	nan := NewMatcher(New().MustSetExpr("Rank", "TARGET.KFlops * 10 - TARGET.KFlops * 10"))
-	if v := EvalInContext(MustParse("TARGET.KFlops * 10 - TARGET.KFlops * 10"), nil, huge.Ad()); !math.IsNaN(v.r()) {
+	if v := evalSrc(t, "TARGET.KFlops * 10 - TARGET.KFlops * 10", nil, huge.Ad()); !math.IsNaN(v.r()) {
 		t.Fatalf("the NaN Rank evaluates to %v", v)
 	}
 	if r, ok := nan.TargetRank(huge); !ok || r != 0 || Rank(nan.Ad(), huge.Ad()) != 0 {

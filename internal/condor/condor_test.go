@@ -527,16 +527,6 @@ func TestRemainingEstimate(t *testing.T) {
 	}
 }
 
-func TestParseEnv(t *testing.T) {
-	m := ParseEnv("HOME=/u/alice;DEBUG=1;;BAD;X=a=b")
-	if m["HOME"] != "/u/alice" || m["DEBUG"] != "1" || m["X"] != "a=b" {
-		t.Fatalf("ParseEnv = %v", m)
-	}
-	if len(ParseEnv("")) != 0 {
-		t.Fatal("empty env not empty")
-	}
-}
-
 func TestErrNoSuchJob(t *testing.T) {
 	_, p := testPool(t, 0)
 	if _, err := p.Job(42); !errors.Is(err, ErrNoSuchJob) {

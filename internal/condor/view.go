@@ -1,7 +1,5 @@
 package condor
 
-import "strings"
-
 // JobInfo views of the pool's jobs and their positions in the queue.
 
 // positionsOf maps the IDs of jobs in negotiation order to their 1-based
@@ -79,18 +77,4 @@ func (p *Pool) snapshotLocked(j *job, pos int) JobInfo {
 		info.QueuePosition = pos
 	}
 	return info
-}
-
-// ParseEnv splits the AttrEnv convention "K=V;K2=V2" into a map.
-func ParseEnv(env string) map[string]string {
-	out := make(map[string]string)
-	for _, kv := range strings.Split(env, ";") {
-		if kv == "" {
-			continue
-		}
-		if i := strings.IndexByte(kv, '='); i > 0 {
-			out[kv[:i]] = kv[i+1:]
-		}
-	}
-	return out
 }

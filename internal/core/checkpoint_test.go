@@ -121,9 +121,8 @@ func TestCheckpointFollowsDelta(t *testing.T) {
 	}
 	ctx := context.Background()
 	measure := func(old int) (written, allocated int64) {
-		cfg := durableConfig()
-		cfg.IdemWindow = 16 // full in both runs: the window is live state
-		g := New(cfg)
+		g := New(durableConfig())
+		g.idem.limit = 16 // full in both runs: the window is live state
 		root := g.Client("root")
 		if err := root.Grant(ctx, "alice", 1e6); err != nil {
 			t.Fatal(err)

@@ -79,20 +79,6 @@ type Config struct {
 	// MonitorInterval is the MonALISA farm sampling period (default 5s).
 	MonitorInterval time.Duration
 
-	// IdemWindow bounds the per-user duplicate-suppression window for
-	// idempotency-keyed RPCs (default DefaultIdemPerUser). The window is
-	// part of the durable state: snapshots carry it and journal replay
-	// rebuilds it, so retried duplicates dedup across restarts.
-	IdemWindow int
-
-	// IdemTTL additionally bounds the window by age in simulated time:
-	// when a new mutation is acknowledged, entries acknowledged more than
-	// IdemTTL before it are evicted even if the count budget has room. A
-	// hot multi-session user can wrap a count-only window in seconds;
-	// the TTL keeps the guarantee time-shaped ("retries within IdemTTL
-	// dedup") instead of load-shaped. Zero disables age eviction.
-	IdemTTL time.Duration
-
 	// FairShare, when non-nil, enables time-aware fair-share arbitration:
 	// every pool orders idle jobs by effective priority, the scheduler
 	// breaks site-selection ties by fair-share standing, and the transfer
@@ -175,7 +161,7 @@ func New(cfg Config) *GAE {
 		Telemetry: reg,
 		pools:     make(map[string]*condor.Pool),
 		plans:     make(map[string]*scheduler.ConcretePlan),
-		idem:      newIdemWindow(cfg.IdemWindow, cfg.IdemTTL),
+		idem:      newIdemWindow(),
 		obs:       newRPCObserver(reg),
 		trace:     telemetry.NewTraceRing(0),
 	}

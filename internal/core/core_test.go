@@ -4,11 +4,13 @@ import (
 	"context"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/clarens"
+	"repro/internal/replica"
 	"repro/internal/scheduler"
 	"repro/internal/simgrid"
 	"repro/internal/workload"
@@ -555,7 +557,7 @@ func TestReplicaDrivenPlanOverCore(t *testing.T) {
 	}
 	a, _ := cp.Assignment("main")
 	// Wherever it ran, the dataset must now be present there.
-	if !g.Replicas.Has("big.raw", a.Site) {
+	if !slices.ContainsFunc(g.Replicas.Locations("big.raw"), func(l replica.Location) bool { return l.Site == a.Site }) {
 		t.Fatalf("no replica at execution site %s", a.Site)
 	}
 }

@@ -10,12 +10,12 @@ import (
 	"repro/internal/telemetry"
 )
 
-// DefaultIdemPerUser bounds each user's idempotency window when
-// Config.IdemWindow is unset: the request IDs of their most recent
-// acknowledged mutations, with the acknowledged results. A retry that
-// falls outside the window is applied as a fresh call — the window only
-// needs to outlive a client's retry horizon, not history.
-const DefaultIdemPerUser = 128
+// idemPerUser bounds each user's idempotency window: the request IDs of
+// their most recent acknowledged mutations, with the acknowledged
+// results. A retry that falls outside the window is applied as a fresh
+// call — the window only needs to outlive a client's retry horizon, not
+// history.
+const idemPerUser = 128
 
 // idemItem is one acknowledged mutation in the window. seq orders
 // eviction deterministically: it is the op's journal sequence number, so
@@ -38,16 +38,11 @@ type idemUserWin struct {
 // suppression survives a restart that falls between a call's first
 // delivery and its retry.
 //
-// The window is bounded two ways: by count (limit, per user) and — when
-// ttl > 0 — by age in simulated time. Age pruning happens only when a
-// new entry is recorded, against the new entry's own timestamp: both
-// the live path and journal replay record at the op's journaled sim
-// time, so the two evict identically and the byte-identity suite keeps
-// holding. Lookups never prune (a lookup has no deterministic clock).
+// The window is bounded by count, limit entries per user, evicting in
+// sequence order, so a live window and a replayed one evict identically.
 type idemWindow struct {
 	mu    sync.Mutex
 	limit int
-	ttl   time.Duration
 	users map[string]*idemUserWin
 	// fallbackSeq orders entries recorded with no journal sequence (a
 	// storeless deployment). Restored entries are renumbered from 1, which
@@ -57,25 +52,17 @@ type idemWindow struct {
 	// Telemetry handles (nil when unobserved; nil instruments no-op).
 	obsHits     *telemetry.Counter
 	obsEvictCap *telemetry.Counter
-	obsEvictAge *telemetry.Counter
 }
 
-func newIdemWindow(limit int, ttl time.Duration) *idemWindow {
-	if limit <= 0 {
-		limit = DefaultIdemPerUser
-	}
-	if ttl < 0 {
-		ttl = 0
-	}
-	return &idemWindow{limit: limit, ttl: ttl, users: make(map[string]*idemUserWin)}
+func newIdemWindow() *idemWindow {
+	return &idemWindow{limit: idemPerUser, users: make(map[string]*idemUserWin)}
 }
 
 // setTelemetry registers the window's counters in reg: dedup hits and
-// evictions split by cause (capacity vs age).
+// evictions, whose one cause is capacity.
 func (w *idemWindow) setTelemetry(reg *telemetry.Registry) {
 	w.obsHits = reg.Counter("idem_hits_total")
 	w.obsEvictCap = reg.LabeledCounter("idem_evictions_total", "cause", "capacity")
-	w.obsEvictAge = reg.LabeledCounter("idem_evictions_total", "cause", "age")
 }
 
 // lookup returns the recorded entry for (user, id), if any.
@@ -133,23 +120,6 @@ func (w *idemWindow) record(user, id, method string, result json.RawMessage, seq
 	u.list = append(u.list, nil)
 	copy(u.list[pos+1:], u.list[pos:])
 	u.list[pos] = it
-	// Age eviction first: entries whose acknowledgment is more than ttl
-	// of simulated time behind this record's are past any client's retry
-	// horizon. The list is seq-ordered and op times are monotone with
-	// seq, so expired entries form a prefix. Entries with a zero At
-	// (pre-TTL snapshots, storeless deployments without a recorded time)
-	// are exempt.
-	if w.ttl > 0 && !at.IsZero() {
-		for len(u.list) > 0 {
-			head := u.list[0]
-			if head.entry.At.IsZero() || at.Sub(head.entry.At) <= w.ttl {
-				break
-			}
-			u.list = u.list[1:]
-			delete(u.byID, head.entry.ID)
-			w.obsEvictAge.Inc()
-		}
-	}
 	for len(u.list) > w.limit {
 		evicted := u.list[0]
 		u.list = u.list[1:]
@@ -185,10 +155,7 @@ func (w *idemWindow) export() []durable.IdemUser {
 
 // restore rebuilds the window from a snapshot export, renumbering
 // entries from 1 in their recorded order. Journal replay then layers its
-// ops on top with their (strictly larger) sequence numbers. Restore
-// re-records through the normal path — including TTL pruning against
-// each entry's own snapshotted timestamp — so a window restored under a
-// tighter ttl converges to what a live window would hold.
+// ops on top with their (strictly larger) sequence numbers.
 func (w *idemWindow) restore(users []durable.IdemUser) {
 	w.mu.Lock()
 	w.users = make(map[string]*idemUserWin)

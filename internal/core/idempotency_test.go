@@ -101,7 +101,7 @@ func TestDedupSurvivesCheckpointRestart(t *testing.T) {
 }
 
 // TestDedupWindowEvictsOldest bounds the per-user window: once more
-// than DefaultIdemPerUser ops are recorded, the oldest request IDs fall
+// than idemPerUser ops are recorded, the oldest request IDs fall
 // out and a very late retry is treated as a fresh call again.
 func TestDedupWindowEvictsOldest(t *testing.T) {
 	g := New(durableConfig())
@@ -115,7 +115,7 @@ func TestDedupWindowEvictsOldest(t *testing.T) {
 	if err := root.Grant(first, "alice", 1); err != nil {
 		t.Fatalf("in-window retry: %v", err)
 	}
-	for i := 1; i <= DefaultIdemPerUser; i++ {
+	for i := 1; i <= idemPerUser; i++ {
 		if err := root.Grant(clarens.WithRequestID(ctx, ridN(i)), "alice", 1); err != nil {
 			t.Fatal(err)
 		}

@@ -294,22 +294,32 @@ func TestEveryJournaledMethodReplays(t *testing.T) {
 // reply document as it goes on the wire.
 func serveRaw(t *testing.T, g *GAE, method string, args ...any) []byte {
 	t.Helper()
-	post := func(token, method string, args []any) []byte {
-		body, err := xmlrpc.EncodeRequest(method, args)
-		if err != nil {
-			t.Fatal(err)
-		}
+	body, err := xmlrpc.EncodeRequest(method, args)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return serveDoc(t, g, body)
+}
+
+// serveDoc serves one request document on g's Clarens host, as alice.
+func serveDoc(t *testing.T, g *GAE, body []byte) []byte {
+	t.Helper()
+	post := func(token string, body []byte) []byte {
 		req := httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(body))
 		req.Header.Set(clarens.SessionHeader, token)
 		rec := httptest.NewRecorder()
 		g.Handler().ServeHTTP(rec, req)
 		return rec.Body.Bytes()
 	}
-	var token string
-	if err := xmlrpc.DecodeResponseInto(bytes.NewReader(post("", "system.auth", []any{"alice", "pw"})), &token); err != nil {
+	login, err := xmlrpc.EncodeRequest("system.auth", []any{"alice", "pw"})
+	if err != nil {
 		t.Fatal(err)
 	}
-	return post(token, method, args)
+	var token string
+	if err := xmlrpc.DecodeResponseInto(bytes.NewReader(post("", login)), &token); err != nil {
+		t.Fatal(err)
+	}
+	return post(token, body)
 }
 
 // TestJobmonAnswersSameAcrossRestart: a finished job's monitoring record
@@ -571,5 +581,92 @@ func TestSurplusArgumentsAreRejectedAndNotJournaled(t *testing.T) {
 	}
 	if got := s.LastSeq(); got != seq+2 {
 		t.Fatalf("two accepted mutations journaled %d ops", got-seq)
+	}
+}
+
+// TestReplicaAtUnknownSiteIsRejected: a catalog entry at a site the grid
+// does not have cannot be restored, so registering one is an error and
+// the deployment stays recoverable — from its journal alone, then from
+// the checkpoint taken after that recovery.
+func TestReplicaAtUnknownSiteIsRejected(t *testing.T) {
+	dir := t.TempDir()
+	cfg := durableConfig()
+	ctx := context.Background()
+	start := func() (*GAE, *durable.Store) {
+		t.Helper()
+		g := New(cfg)
+		s, err := durable.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := g.AttachStore(s); err != nil {
+			t.Fatal(err)
+		}
+		return g, s
+	}
+	g1, s1 := start()
+	alice := g1.Client("alice")
+	if err := alice.RegisterReplica(ctx, "ds", "nowhere", 1); err == nil {
+		t.Fatal("replica at an unknown site accepted")
+	}
+	if err := alice.RegisterReplica(ctx, "ds", "siteB", 1); err != nil {
+		t.Fatal(err)
+	}
+	want := encodeState(t, g1)
+	if err := s1.Close(); err != nil {
+		t.Fatal(err)
+	}
+	g2, s2 := start()
+	if got := encodeState(t, g2); !bytes.Equal(want, got) {
+		diffLines(t, want, got)
+	}
+	if err := g2.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	g3, s3 := start()
+	defer s3.Close()
+	if got := encodeState(t, g3); !bytes.Equal(want, got) {
+		diffLines(t, want, got)
+	}
+}
+
+// TestNonFiniteDoubleIsAFault: a document carrying a NaN or infinite
+// double is a parse fault before any service sees it — nothing applies, nothing
+// journals, the durability-loss hook stays quiet and the next checkpoint
+// encodes.
+func TestNonFiniteDoubleIsAFault(t *testing.T) {
+	g := New(durableConfig())
+	s, err := durable.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := g.AttachStore(s); err != nil {
+		t.Fatal(err)
+	}
+	var lost error
+	g.OnDurabilityLoss(func(err error) { lost = err })
+	for _, x := range []string{"NaN", "Inf", "-Inf"} {
+		doc := `<methodCall><methodName>replica.register</methodName><params>` +
+			`<param><value><string>ds</string></value></param>` +
+			`<param><value><string>siteB</string></value></param>` +
+			`<param><value><double>` + x + `</double></value></param></params></methodCall>`
+		var v any
+		err := xmlrpc.DecodeResponseInto(bytes.NewReader(serveDoc(t, g, []byte(doc))), &v)
+		if !xmlrpc.IsFault(err, xmlrpc.FaultParse) {
+			t.Errorf("size %s: %v, want a parse fault", x, err)
+		}
+	}
+	if lost != nil {
+		t.Fatalf("durability-loss hook fired: %v", lost)
+	}
+	if got := g.Replicas.Locations("ds"); len(got) != 0 || s.LastSeq() != 0 {
+		t.Fatalf("a rejected call applied %+v and journaled %d ops", got, s.LastSeq())
+	}
+	if err := g.Checkpoint(); err != nil {
+		t.Fatal(err)
 	}
 }

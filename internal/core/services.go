@@ -244,7 +244,12 @@ func (r replicaAPI) Replicas(_ context.Context, dataset string) ([]gae.ReplicaLo
 	return out, nil
 }
 
+// RegisterReplica records a replica at one of the deployment's sites; a
+// catalog entry anywhere else could not be restored.
 func (r replicaAPI) RegisterReplica(_ context.Context, dataset, site string, sizeMB float64) error {
+	if r.g.Grid.Site(site) == nil {
+		return fmt.Errorf("core: unknown site %q", site)
+	}
 	return r.g.Replicas.Register(dataset, site, sizeMB)
 }
 

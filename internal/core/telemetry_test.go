@@ -16,84 +16,29 @@ import (
 	"repro/internal/telemetry"
 )
 
-// --- idempotency window: TTL sizing and eviction causes ---
+// --- idempotency window: eviction and hit counters ---
 
 func idemAt(sec int) time.Time {
 	return time.Date(2005, 6, 1, 0, 0, sec, 0, time.UTC)
 }
 
-func TestIdemWindowTTLEviction(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	w := newIdemWindow(100, 10*time.Second)
-	w.setTelemetry(reg)
-
-	for i := 0; i < 5; i++ {
-		w.record("alice", fmt.Sprintf("r%d", i), "quota.grant", nil, uint64(i+1), idemAt(i))
-	}
-	// All five are within 10s of each other: nothing ages out.
-	if _, ok := w.lookup("alice", "r0"); !ok {
-		t.Fatal("r0 evicted inside the TTL")
-	}
-
-	// An entry 11s after r0 pushes r0 (and only r0) past the horizon.
-	w.record("alice", "late", "quota.grant", nil, 6, idemAt(11))
-	if _, ok := w.lookup("alice", "r0"); ok {
-		t.Fatal("r0 still present 11s after acknowledgment with a 10s TTL")
-	}
-	if _, ok := w.lookup("alice", "r1"); !ok {
-		t.Fatal("r1 evicted at age 10s with a 10s TTL (boundary is exclusive)")
-	}
-
-	snap := reg.Snapshot()
-	if got, _ := snap.Value("idem_evictions_total", "age"); got != 1 {
-		t.Fatalf("age evictions = %v, want 1", got)
-	}
-	if got, _ := snap.Value("idem_evictions_total", "capacity"); got != 0 {
-		t.Fatalf("capacity evictions = %v, want 0", got)
-	}
-	// The successful lookups above count as dedup hits.
-	if got := snap.Total("idem_hits_total"); got == 0 {
-		t.Fatal("idem hits not counted")
-	}
-}
-
 func TestIdemWindowCapacityEvictionCounted(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	w := newIdemWindow(2, 0)
+	w := newIdemWindow()
+	w.limit = 2
 	w.setTelemetry(reg)
 	for i := 0; i < 4; i++ {
 		w.record("alice", fmt.Sprintf("r%d", i), "state.set", nil, uint64(i+1), idemAt(i))
+	}
+	if _, ok := w.lookup("alice", "r3"); !ok {
+		t.Fatal("newest entry evicted")
 	}
 	snap := reg.Snapshot()
 	if got, _ := snap.Value("idem_evictions_total", "capacity"); got != 2 {
 		t.Fatalf("capacity evictions = %v, want 2", got)
 	}
-	if got, _ := snap.Value("idem_evictions_total", "age"); got != 0 {
-		t.Fatalf("age evictions = %v, want 0 with ttl disabled", got)
-	}
-}
-
-// Entries without a recorded acknowledgment time (pre-TTL snapshots)
-// must never age out: there is nothing deterministic to age them
-// against.
-func TestIdemWindowZeroTimeExemptFromTTL(t *testing.T) {
-	w := newIdemWindow(100, time.Second)
-	w.record("alice", "old", "state.set", nil, 1, time.Time{})
-	w.record("alice", "new", "state.set", nil, 2, idemAt(3600))
-	if _, ok := w.lookup("alice", "old"); !ok {
-		t.Fatal("zero-time entry was age-evicted")
-	}
-}
-
-func TestConfigIdemTTLPlumbed(t *testing.T) {
-	g := New(Config{
-		Seed:    1,
-		Sites:   []SiteSpec{{Name: "siteA", Nodes: 1}},
-		Users:   []UserSpec{{Name: "alice", Password: "pw"}},
-		IdemTTL: 42 * time.Second,
-	})
-	if g.idem.ttl != 42*time.Second {
-		t.Fatalf("idem ttl = %v, want 42s", g.idem.ttl)
+	if got := snap.Total("idem_hits_total"); got != 1 {
+		t.Fatalf("idem hits = %v, want the one lookup", got)
 	}
 }
 

@@ -61,13 +61,6 @@ func (f *FaultyFile) ShortWriteNext() {
 	f.mu.Unlock()
 }
 
-// Syncs reports how many Sync calls were attempted (failed ones included).
-func (f *FaultyFile) Syncs() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.syncs
-}
-
 func (f *FaultyFile) Write(p []byte) (int, error) {
 	f.mu.Lock()
 	short := f.shortWrite

@@ -117,3 +117,10 @@ func TestStoreAppendPropagatesFlushFailure(t *testing.T) {
 		t.Fatalf("store append: err = %v, want injected fsync failure", err)
 	}
 }
+
+// Syncs reports how many Sync calls were attempted (failed ones included).
+func (f *FaultyFile) Syncs() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.syncs
+}

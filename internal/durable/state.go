@@ -216,16 +216,21 @@ type QuotaBalance struct {
 	Credits float64 `json:"credits"`
 }
 
-// QuotaCharge is one accounting ledger entry.
+// QuotaCharge is one accounting ledger entry; the quota service's Charge
+// is this type.
 type QuotaCharge struct {
-	Time            time.Time `json:"time"`
-	User            string    `json:"user"`
-	Site            string    `json:"site"`
-	CPUSeconds      float64   `json:"cpu_seconds"`
-	MB              float64   `json:"mb"`
-	Credits         float64   `json:"credits"`
-	TransferCredits float64   `json:"transfer_credits"`
-	Note            string    `json:"note,omitempty"`
+	Time       time.Time `json:"time"`
+	User       string    `json:"user"`
+	Site       string    `json:"site"`
+	CPUSeconds float64   `json:"cpu_seconds"`
+	MB         float64   `json:"mb"`
+	Credits    float64   `json:"credits"`
+	// TransferCredits is the slice of Credits attributable to data
+	// movement, priced at the rate in force when the charge was billed —
+	// ledger subscribers (the fair-share bridge) read it instead of
+	// re-deriving it from rates that may have changed since.
+	TransferCredits float64 `json:"transfer_credits"`
+	Note            string  `json:"note,omitempty"`
 }
 
 // ReplicaLocation is one replica catalog entry.
@@ -278,24 +283,25 @@ type SiteHistory struct {
 	Records []HistoryRecord `json:"records,omitempty"`
 }
 
-// HistoryRecord mirrors the estimator's accounting record fields.
+// HistoryRecord is one completed task of a site's history; the estimator's
+// TaskRecord is this type.
 type HistoryRecord struct {
 	Account   string  `json:"account,omitempty"`
 	Login     string  `json:"login,omitempty"`
 	Partition string  `json:"partition,omitempty"`
 	Nodes     int     `json:"nodes,omitempty"`
-	JobType   string  `json:"job_type,omitempty"`
+	JobType   string  `json:"job_type,omitempty"` // "batch" or "interactive"
 	Succeeded bool    `json:"succeeded"`
-	ReqHours  float64 `json:"req_cpu_hours,omitempty"`
+	ReqHours  float64 `json:"req_cpu_hours,omitempty"` // requested CPU hours
 	Queue     string  `json:"queue,omitempty"`
-	CPURate   float64 `json:"cpu_rate,omitempty"`
-	IdleRate  float64 `json:"idle_rate,omitempty"`
+	CPURate   float64 `json:"cpu_rate,omitempty"`  // charge rate for CPU hours
+	IdleRate  float64 `json:"idle_rate,omitempty"` // charge rate for idle hours
 
 	Submitted time.Time `json:"submitted,omitzero"`
 	Started   time.Time `json:"started,omitzero"`
 	Completed time.Time `json:"completed,omitzero"`
 
-	RuntimeSeconds float64 `json:"runtime_seconds"`
+	RuntimeSeconds float64 `json:"runtime_seconds"` // actual execution time
 }
 
 // JobEstimate is one submission-time runtime estimate, keyed by the

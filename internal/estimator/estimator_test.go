@@ -1,7 +1,6 @@
 package estimator
 
 import (
-	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -34,14 +33,14 @@ func TestHistoryAddLenAll(t *testing.T) {
 	if h.Len() != 5 {
 		t.Fatalf("Len = %d", h.Len())
 	}
-	all := h.All()
+	all := h.Export()
 	if len(all) != 5 || all[4].RuntimeSeconds != 104 {
-		t.Fatalf("All = %+v", all)
+		t.Fatalf("Export = %+v", all)
 	}
-	// All returns a copy.
+	// Export returns a copy.
 	all[0].RuntimeSeconds = -999
-	if h.All()[0].RuntimeSeconds == -999 {
-		t.Fatal("All exposed internal slice")
+	if h.Export()[0].RuntimeSeconds == -999 {
+		t.Fatal("Export exposed internal slice")
 	}
 }
 
@@ -63,7 +62,7 @@ func TestHistoryCapEvictsOldest(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		h.Add(rec("q", "p", 1, 1, float64(i)))
 	}
-	all := h.All()
+	all := h.Export()
 	if len(all) != 3 || all[0].RuntimeSeconds != 7 {
 		t.Fatalf("capped history = %+v", all)
 	}
@@ -81,17 +80,17 @@ func TestHistoryExportRestore(t *testing.T) {
 	h2 := NewHistory(0)
 	h2.Add(rec("stale", "x", 1, 1, 1))
 	h2.Restore(h.Export())
-	if got := h2.All(); len(got) != 2 || got[0] != r || got[1].RuntimeSeconds != 99 {
+	if got := h2.Export(); len(got) != 2 || got[0] != r || got[1].RuntimeSeconds != 99 {
 		t.Fatalf("round trip = %+v, want %+v first", got, r)
 	}
 	capped := NewHistory(1)
 	capped.Restore(h.Export())
-	if got := capped.All(); len(got) != 1 || got[0].RuntimeSeconds != 99 {
+	if got := capped.Export(); len(got) != 1 || got[0].RuntimeSeconds != 99 {
 		t.Fatalf("restore into a 1-record history = %+v, want the newest record", got)
 	}
 }
 
-func TestStatsMeanMedianStdDev(t *testing.T) {
+func TestStatsMeanMedian(t *testing.T) {
 	if _, err := Mean(nil); err == nil {
 		t.Error("Mean(nil) succeeded")
 	}
@@ -106,13 +105,6 @@ func TestStatsMeanMedianStdDev(t *testing.T) {
 	}
 	if _, err := Median(nil); err == nil {
 		t.Error("Median(nil) succeeded")
-	}
-	if _, err := StdDev([]float64{1}); err == nil {
-		t.Error("StdDev(1 sample) succeeded")
-	}
-	sd, _ := StdDev([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if math.Abs(sd-2.138) > 0.01 {
-		t.Errorf("StdDev = %v", sd)
 	}
 }
 
@@ -573,123 +565,6 @@ func TestQuickRegressionRecoversLine(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSearchTemplatesRanksInformativeTemplateFirst(t *testing.T) {
-	// Runtime is fully determined by queue; partition is noise. The
-	// queue template must beat the universal template.
-	h := NewHistory(0)
-	queues := map[string]float64{"qa": 100, "qb": 1000, "qc": 10000}
-	parts := []string{"p1", "p2", "p3"}
-	i := 0
-	for q, rt := range queues {
-		for _, p := range parts {
-			for k := 0; k < 4; k++ {
-				h.Add(rec(q, p, 1, 1, rt))
-				i++
-			}
-		}
-	}
-	scores, err := SearchTemplates(h, []Template{
-		{AttrQueue},
-		{},
-	}, StatMean, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(scores) != 2 {
-		t.Fatalf("scores = %+v", scores)
-	}
-	if len(scores[0].Template) != 1 || scores[0].Template[0] != AttrQueue {
-		t.Fatalf("best template = %+v", scores[0])
-	}
-	if scores[0].MAPE >= scores[1].MAPE {
-		t.Fatalf("queue template %v not better than universal %v", scores[0].MAPE, scores[1].MAPE)
-	}
-	if scores[0].Coverage <= 0.9 {
-		t.Fatalf("coverage = %v", scores[0].Coverage)
-	}
-}
-
-func TestSearchTemplatesErrors(t *testing.T) {
-	if _, err := SearchTemplates(NewHistory(0), nil, StatMean, 0); err == nil {
-		t.Error("empty history accepted")
-	}
-	h := NewHistory(0)
-	h.Add(rec("q", "p", 1, 1, 100))
-	if _, err := SearchTemplates(h, nil, StatMean, 0); err == nil {
-		t.Error("single-record history accepted")
-	}
-}
-
-func TestSearchTemplatesUnpredictableTemplateRanksLast(t *testing.T) {
-	h := NewHistory(0)
-	// Every record has a distinct account, so the account template never
-	// finds a similar held-out task.
-	for i := 0; i < 6; i++ {
-		r := rec("q", "p", 1, 1, 100)
-		r.Account = fmt.Sprintf("acct%d", i)
-		h.Add(r)
-	}
-	scores, err := SearchTemplates(h, []Template{{AttrAccount}, {AttrQueue}}, StatMean, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if scores[len(scores)-1].Template[0] != AttrAccount {
-		t.Fatalf("unpredictable template not last: %+v", scores)
-	}
-	if scores[len(scores)-1].Evaluated != 0 {
-		t.Fatalf("account template evaluated %d", scores[len(scores)-1].Evaluated)
-	}
-}
-
-func TestAutoConfigureInstallsWinningOrder(t *testing.T) {
-	h := NewHistory(0)
-	for i := 0; i < 8; i++ {
-		h.Add(rec("qa", "p", 1, 1, 100))
-		h.Add(rec("qb", "p", 1, 1, 5000))
-	}
-	e := NewRuntimeEstimator(h)
-	e.Statistic = StatMean
-	scores, err := e.AutoConfigure([]Template{{AttrQueue}, {}}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(scores) != 2 {
-		t.Fatalf("scores = %+v", scores)
-	}
-	// The installed order must start with the winner and end with the
-	// universal fallback.
-	if len(e.Templates) != 2 || len(e.Templates[0]) != 1 {
-		t.Fatalf("installed templates = %+v", e.Templates)
-	}
-	got, err := e.Estimate(rec("qa", "p", 1, 1, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got.Seconds-100) > 1e-9 {
-		t.Fatalf("estimate after auto-configure = %v", got.Seconds)
-	}
-}
-
-func TestAutoConfigureAppendsUniversalFallback(t *testing.T) {
-	h := NewHistory(0)
-	for i := 0; i < 4; i++ {
-		h.Add(rec("qa", "p", 1, 1, 100))
-	}
-	e := NewRuntimeEstimator(h)
-	e.Statistic = StatMean
-	if _, err := e.AutoConfigure([]Template{{AttrQueue}}, 0); err != nil {
-		t.Fatal(err)
-	}
-	last := e.Templates[len(e.Templates)-1]
-	if len(last) != 0 {
-		t.Fatalf("no universal fallback appended: %+v", e.Templates)
-	}
-	// A task from an unseen queue still gets an estimate via the fallback.
-	if _, err := e.Estimate(rec("unseen", "p", 1, 1, 0)); err != nil {
-		t.Fatalf("fallback estimate failed: %v", err)
 	}
 }
 

@@ -11,7 +11,9 @@
 // compute a statistical estimate (the mean and linear regression) of
 // their runtimes." Similarity is defined by attribute templates in the
 // style of Smith, Taylor and Foster [25], the technique the paper cites
-// for the approach.
+// for the approach. The templates are tried in a fixed order,
+// DefaultTemplates unless a caller sets its own; the deployment and
+// Figure 5 use that order and nothing searches for a better one.
 //
 // History maintenance is decentralized, as in the paper: each execution
 // site owns a History, and the scheduler fans out estimate requests to
@@ -27,7 +29,8 @@ package estimator
 import (
 	"fmt"
 	"sync"
-	"time"
+
+	"repro/internal/durable"
 )
 
 // TaskRecord is one completed task in the history. The fields mirror the
@@ -35,27 +38,12 @@ import (
 // login name; partition...; the number of nodes...; the job type (batch or
 // interactive); the job status...; the number of requested CPU hours; the
 // name of the queue...; the rate of charge...; and the task's duration".
-type TaskRecord struct {
-	Account   string  `json:"account"`
-	Login     string  `json:"login"`
-	Partition string  `json:"partition"`
-	Nodes     int     `json:"nodes"`
-	JobType   string  `json:"job_type"` // "batch" or "interactive"
-	Succeeded bool    `json:"succeeded"`
-	ReqHours  float64 `json:"req_cpu_hours"` // requested CPU hours
-	Queue     string  `json:"queue"`
-	CPURate   float64 `json:"cpu_rate"`  // charge rate for CPU hours
-	IdleRate  float64 `json:"idle_rate"` // charge rate for idle hours
-
-	Submitted time.Time `json:"submitted"`
-	Started   time.Time `json:"started"`
-	Completed time.Time `json:"completed"`
-
-	RuntimeSeconds float64 `json:"runtime_seconds"` // actual execution time
-}
+// It is the durable snapshot's record, so the estimator section is the
+// history itself.
+type TaskRecord = durable.HistoryRecord
 
 // Validate reports structural problems with a record.
-func (r TaskRecord) Validate() error {
+func Validate(r TaskRecord) error {
 	switch {
 	case r.RuntimeSeconds < 0:
 		return fmt.Errorf("estimator: negative runtime %v", r.RuntimeSeconds)
@@ -82,7 +70,7 @@ func NewHistory(cap int) *History {
 
 // Add appends a record, evicting the oldest when over capacity.
 func (h *History) Add(r TaskRecord) error {
-	if err := r.Validate(); err != nil {
+	if err := Validate(r); err != nil {
 		return err
 	}
 	h.mu.Lock()
@@ -99,15 +87,6 @@ func (h *History) Len() int {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	return len(h.records)
-}
-
-// All returns a copy of the records in insertion order.
-func (h *History) All() []TaskRecord {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	out := make([]TaskRecord, len(h.records))
-	copy(out, h.records)
-	return out
 }
 
 // similarRuns returns the runtimes and requested CPU-hours of the

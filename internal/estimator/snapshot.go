@@ -1,49 +1,29 @@
 package estimator
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/durable"
 )
 
-// Export serializes the history's records in insertion order for the
-// durable snapshot codec.
-func (h *History) Export() []durable.HistoryRecord {
+// Export copies the history's records in insertion order for the durable
+// snapshot codec.
+func (h *History) Export() []TaskRecord {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
-	var out []durable.HistoryRecord
-	for _, r := range h.records {
-		out = append(out, durable.HistoryRecord{
-			Account: r.Account, Login: r.Login, Partition: r.Partition,
-			Nodes: r.Nodes, JobType: r.JobType, Succeeded: r.Succeeded,
-			ReqHours: r.ReqHours, Queue: r.Queue,
-			CPURate: r.CPURate, IdleRate: r.IdleRate,
-			Submitted: r.Submitted, Started: r.Started, Completed: r.Completed,
-			RuntimeSeconds: r.RuntimeSeconds,
-		})
-	}
-	return out
+	return slices.Clone(h.records)
 }
 
 // Restore replaces the history's contents with exported records,
 // re-applying the capacity bound.
-func (h *History) Restore(records []durable.HistoryRecord) {
+func (h *History) Restore(records []TaskRecord) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.records = h.records[:0]
-	for _, r := range records {
-		h.records = append(h.records, TaskRecord{
-			Account: r.Account, Login: r.Login, Partition: r.Partition,
-			Nodes: r.Nodes, JobType: r.JobType, Succeeded: r.Succeeded,
-			ReqHours: r.ReqHours, Queue: r.Queue,
-			CPURate: r.CPURate, IdleRate: r.IdleRate,
-			Submitted: r.Submitted, Started: r.Started, Completed: r.Completed,
-			RuntimeSeconds: r.RuntimeSeconds,
-		})
+	if h.cap > 0 && len(records) > h.cap {
+		records = records[len(records)-h.cap:]
 	}
-	if h.cap > 0 && len(h.records) > h.cap {
-		h.records = h.records[len(h.records)-h.cap:]
-	}
+	h.records = slices.Clone(records)
 }
 
 // Export serializes the estimate database sorted by pool then job ID —

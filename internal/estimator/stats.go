@@ -32,20 +32,6 @@ func Median(xs []float64) (float64, error) {
 	return (s[n/2-1] + s[n/2]) / 2, nil
 }
 
-// StdDev returns the sample standard deviation (n-1 denominator).
-func StdDev(xs []float64) (float64, error) {
-	if len(xs) < 2 {
-		return 0, fmt.Errorf("estimator: stddev needs >=2 samples, got %d", len(xs))
-	}
-	m, _ := Mean(xs)
-	ss := 0.0
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(xs)-1)), nil
-}
-
 // Regression is a fitted simple linear model y = Intercept + Slope·x.
 type Regression struct {
 	Slope     float64

@@ -21,7 +21,6 @@ package fairshare
 
 import (
 	"math"
-	"sort"
 	"sync"
 	"time"
 
@@ -397,43 +396,4 @@ func (m *Manager) tenantLocked(name string) *tenantAccount {
 		m.groupLocked(t.group)
 	}
 	return t
-}
-
-// Standing is one tenant's snapshot in the fairness state.
-type Standing struct {
-	Tenant     string
-	Group      string
-	Weight     float64
-	Usage      float64 // decayed CPU-seconds
-	GroupUsage float64
-	Effective  float64 // effective priority, higher is better
-}
-
-// Standings snapshots every known tenant, sorted by name — the fairness
-// view the simulator emits per tick.
-func (m *Manager) Standings() []Standing {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	now := m.clock.Now()
-	names := make([]string, 0, len(m.tenants))
-	for name := range m.tenants {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	out := make([]Standing, 0, len(names))
-	for _, name := range names {
-		t := m.tenants[name]
-		m.decayLocked(&t.account, now)
-		g := m.groupLocked(t.group)
-		m.decayLocked(g, now)
-		out = append(out, Standing{
-			Tenant:     name,
-			Group:      t.group,
-			Weight:     t.weight,
-			Usage:      t.usage,
-			GroupUsage: g.usage,
-			Effective:  m.effectiveAtLocked(name, now),
-		})
-	}
-	return out
 }

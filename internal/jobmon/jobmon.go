@@ -46,13 +46,12 @@ type jobKey struct {
 	id   int
 }
 
+// pollInterval is how often running-job progress is published to
+// MonALISA.
+const pollInterval = 5 * time.Second
+
 // Service is the complete Job Monitoring Service instance.
 type Service struct {
-	// PollInterval controls how often running-job progress is published
-	// to MonALISA. It is re-read at every poll, so changes apply from the
-	// next one.
-	PollInterval time.Duration
-
 	engine    *simgrid.Engine
 	drainWake *simgrid.Wake
 	repo      *monalisa.Repository // nil disables publication
@@ -67,20 +66,19 @@ type Service struct {
 // disables publication) and registers it with the grid engine. The
 // service is event-driven: a terminal transition wakes it at the next
 // legal boundary (this one, when its turn is still ahead) to Drain, and
-// running-job progress publication runs on a PollInterval poller.
+// running-job progress publication runs on a pollInterval poller.
 func NewService(grid *simgrid.Grid, repo *monalisa.Repository) *Service {
 	s := &Service{
-		PollInterval: 5 * time.Second,
-		engine:       grid.Engine,
-		repo:         repo,
-		pools:        make(map[string]*condor.Pool),
-		records:      make(map[jobKey]condor.JobInfo),
+		engine:  grid.Engine,
+		repo:    repo,
+		pools:   make(map[string]*condor.Pool),
+		records: make(map[jobKey]condor.JobInfo),
 	}
 	s.drainWake = grid.Engine.Register(func(time.Time) { s.Drain() })
 	if repo != nil {
 		// Registered after the drain wake, so a poll landing on the same
 		// boundary as queued events publishes post-drain state.
-		grid.Engine.NewPoller(func() time.Duration { return s.PollInterval }, s.publishProgress)
+		grid.Engine.NewPoller(func() time.Duration { return pollInterval }, s.publishProgress)
 	}
 	return s
 }
@@ -195,7 +193,7 @@ func (s *Service) List(pool string) ([]condor.JobInfo, error) {
 }
 
 // publishProgress publishes running-job progress and queue depths to
-// MonALISA; the engine's Poller invokes it on the PollInterval cadence.
+// MonALISA; the engine's Poller invokes it on the pollInterval cadence.
 // Both are about live jobs, so it snapshots those, not all the pool held.
 func (s *Service) publishProgress(now time.Time) {
 	s.Drain()

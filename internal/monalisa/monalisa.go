@@ -8,6 +8,9 @@
 // before placing a task. This package provides both: a time-series metric
 // repository with publish/subscribe, and a farm monitor that samples
 // site load from the simulated grid on a fixed interval.
+//
+// The repository is bounded: each series keeps its last 4096 points, and
+// the event log its last 65536 events unless WithEventCap says fewer.
 package monalisa
 
 import (
@@ -43,14 +46,9 @@ type Event struct {
 // Repository is the MonALISA store: bounded time series plus an event log.
 // All methods are safe for concurrent use.
 type Repository struct {
-	mu     sync.RWMutex
-	series map[Metric][]Point
-	// latest caches each metric's newest sample so the scheduler's
-	// per-site load reads (one per candidate site per placement) cost one
-	// map hit instead of indexing the series tail under contention.
-	latest    map[Metric]Point
+	mu        sync.RWMutex
+	series    map[Metric][]Point
 	events    []Event
-	maxPoints int
 	maxEvents int
 	subs      []*subscription
 	nextSubID int
@@ -66,15 +64,6 @@ type subscription struct {
 // Option configures a Repository.
 type Option func(*Repository)
 
-// WithSeriesCap bounds the number of retained points per series.
-func WithSeriesCap(n int) Option {
-	return func(r *Repository) {
-		if n > 0 {
-			r.maxPoints = n
-		}
-	}
-}
-
 // WithEventCap bounds the retained event log length.
 func WithEventCap(n int) Option {
 	return func(r *Repository) {
@@ -84,13 +73,14 @@ func WithEventCap(n int) Option {
 	}
 }
 
-// NewRepository creates an empty repository. Default caps keep the last
-// 4096 points per series and 65536 events.
+// seriesCap is how many points a series retains.
+const seriesCap = 4096
+
+// NewRepository creates an empty repository. The default event cap keeps
+// the last 65536 events.
 func NewRepository(opts ...Option) *Repository {
 	r := &Repository{
 		series:    make(map[Metric][]Point),
-		latest:    make(map[Metric]Point),
-		maxPoints: 4096,
 		maxEvents: 65536,
 	}
 	for _, o := range opts {
@@ -105,11 +95,10 @@ func (r *Repository) Publish(source, name string, t time.Time, v float64) {
 	m := Metric{Source: source, Name: name}
 	r.mu.Lock()
 	s := append(r.series[m], Point{Time: t, Value: v})
-	if len(s) > r.maxPoints {
-		s = s[len(s)-r.maxPoints:]
+	if len(s) > seriesCap {
+		s = s[len(s)-seriesCap:]
 	}
 	r.series[m] = s
-	r.latest[m] = Point{Time: t, Value: v}
 	subs := make([]*subscription, len(r.subs))
 	copy(subs, r.subs)
 	r.mu.Unlock()
@@ -130,12 +119,16 @@ func (r *Repository) PublishEvent(t time.Time, source, kind, detail string) {
 	}
 }
 
-// Latest returns the most recent sample of the metric in O(1).
+// Latest returns the most recent sample of the metric: the tail of its
+// series, one map lookup.
 func (r *Repository) Latest(source, name string) (Point, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	p, ok := r.latest[Metric{Source: source, Name: name}]
-	return p, ok
+	s := r.series[Metric{Source: source, Name: name}]
+	if len(s) == 0 {
+		return Point{}, false
+	}
+	return s[len(s)-1], true
 }
 
 // LatestValue returns the most recent value, or def when the series is
@@ -219,33 +212,6 @@ func (r *Repository) Subscribe(source, name string, fn func(Metric, Point)) (can
 			}
 		}
 	}
-}
-
-// Stats summarizes a series over [from, to].
-type Stats struct {
-	Count          int
-	Min, Max, Mean float64
-}
-
-// SeriesStats computes summary statistics for a metric window.
-func (r *Repository) SeriesStats(source, name string, from, to time.Time) Stats {
-	pts := r.Series(source, name, from, to)
-	if len(pts) == 0 {
-		return Stats{}
-	}
-	st := Stats{Count: len(pts), Min: pts[0].Value, Max: pts[0].Value}
-	sum := 0.0
-	for _, p := range pts {
-		if p.Value < st.Min {
-			st.Min = p.Value
-		}
-		if p.Value > st.Max {
-			st.Max = p.Value
-		}
-		sum += p.Value
-	}
-	st.Mean = sum / float64(len(pts))
-	return st
 }
 
 // Conventional metric names used across the GAE services.

@@ -45,16 +45,20 @@ func TestSeriesWindow(t *testing.T) {
 }
 
 func TestSeriesCapBounded(t *testing.T) {
-	r := NewRepository(WithSeriesCap(5))
-	for i := 0; i < 100; i++ {
+	r := NewRepository()
+	n := seriesCap + 5
+	for i := 0; i < n; i++ {
 		r.Publish("s", "m", epoch.Add(time.Duration(i)*time.Second), float64(i))
 	}
-	pts := r.Series("s", "m", epoch, epoch.Add(time.Hour))
-	if len(pts) != 5 {
-		t.Fatalf("retained %d points, want 5", len(pts))
+	pts := r.Series("s", "m", epoch, epoch.Add(24*time.Hour))
+	if len(pts) != seriesCap {
+		t.Fatalf("retained %d points, want %d", len(pts), seriesCap)
 	}
-	if pts[0].Value != 95 || pts[4].Value != 99 {
-		t.Fatalf("kept wrong window: %+v", pts)
+	if pts[0].Value != 5 || pts[seriesCap-1].Value != float64(n-1) {
+		t.Fatalf("kept wrong window: first %v, last %v", pts[0], pts[seriesCap-1])
+	}
+	if p, _ := r.Latest("s", "m"); p.Value != float64(n-1) {
+		t.Fatalf("Latest after trimming = %+v", p)
 	}
 }
 
@@ -155,20 +159,6 @@ func TestMetricsSorted(t *testing.T) {
 	}
 }
 
-func TestSeriesStats(t *testing.T) {
-	r := NewRepository()
-	for i, v := range []float64{2, 4, 6} {
-		r.Publish("s", "m", epoch.Add(time.Duration(i)*time.Second), v)
-	}
-	st := r.SeriesStats("s", "m", epoch, epoch.Add(time.Minute))
-	if st.Count != 3 || st.Min != 2 || st.Max != 6 || math.Abs(st.Mean-4) > 1e-9 {
-		t.Fatalf("Stats = %+v", st)
-	}
-	if empty := r.SeriesStats("s", "none", epoch, epoch.Add(time.Minute)); empty.Count != 0 {
-		t.Fatalf("empty stats = %+v", empty)
-	}
-}
-
 func TestFarmMonitorPublishesSiteWeather(t *testing.T) {
 	g := simgrid.NewGrid(time.Second, 1)
 	sa := g.AddSite("siteA")
@@ -239,7 +229,7 @@ func TestConcurrentPublishers(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if st := r.SeriesStats("s", "m", epoch, epoch.Add(time.Hour)); st.Count != 800 {
-		t.Fatalf("points = %d, want 800", st.Count)
+	if n := len(r.Series("s", "m", epoch, epoch.Add(time.Hour))); n != 800 {
+		t.Fatalf("points = %d, want 800", n)
 	}
 }

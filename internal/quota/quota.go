@@ -11,6 +11,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"repro/internal/durable"
 )
 
 // ErrInsufficientCredit is returned when a charge would overdraw a user.
@@ -34,21 +36,9 @@ func (r Rate) price(cpuSeconds, mb float64) float64 {
 	return cpuSeconds*r.CPUSecond + mb*r.TransferMB
 }
 
-// Charge is one accounting ledger entry.
-type Charge struct {
-	Time       time.Time
-	User       string
-	Site       string
-	CPUSeconds float64
-	MB         float64
-	Credits    float64
-	// TransferCredits is the slice of Credits attributable to data
-	// movement, priced at the rate in force when the charge was billed —
-	// ledger subscribers (the fair-share bridge) read it instead of
-	// re-deriving it from rates that may have changed since.
-	TransferCredits float64
-	Note            string
-}
+// Charge is one accounting ledger entry; it is the durable history
+// segment's record.
+type Charge = durable.QuotaCharge
 
 // Service is the quota and accounting service.
 type Service struct {

@@ -2,6 +2,7 @@ package quota
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/durable"
@@ -20,7 +21,7 @@ func (s *Service) Export(ledgerFrom int) (durable.QuotaState, error) {
 	}
 	st := durable.QuotaState{
 		Balances: make([]durable.QuotaBalance, 0, len(s.balances)),
-		Ledger:   make([]durable.QuotaCharge, 0, len(s.ledger)-ledgerFrom),
+		Ledger:   slices.Clone(s.ledger[ledgerFrom:]),
 	}
 	users := make([]string, 0, len(s.balances))
 	for u := range s.balances {
@@ -29,13 +30,6 @@ func (s *Service) Export(ledgerFrom int) (durable.QuotaState, error) {
 	sort.Strings(users)
 	for _, u := range users {
 		st.Balances = append(st.Balances, durable.QuotaBalance{User: u, Credits: s.balances[u]})
-	}
-	for _, c := range s.ledger[ledgerFrom:] {
-		st.Ledger = append(st.Ledger, durable.QuotaCharge{
-			Time: c.Time, User: c.User, Site: c.Site,
-			CPUSeconds: c.CPUSeconds, MB: c.MB,
-			Credits: c.Credits, TransferCredits: c.TransferCredits, Note: c.Note,
-		})
 	}
 	return st, nil
 }
@@ -50,12 +44,5 @@ func (s *Service) Restore(st durable.QuotaState) {
 	for _, b := range st.Balances {
 		s.balances[b.User] = b.Credits
 	}
-	s.ledger = s.ledger[:0]
-	for _, c := range st.Ledger {
-		s.ledger = append(s.ledger, Charge{
-			Time: c.Time, User: c.User, Site: c.Site,
-			CPUSeconds: c.CPUSeconds, MB: c.MB,
-			Credits: c.Credits, TransferCredits: c.TransferCredits, Note: c.Note,
-		})
-	}
+	s.ledger = slices.Clone(st.Ledger)
 }

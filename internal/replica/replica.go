@@ -15,18 +15,17 @@ package replica
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
+	"repro/internal/durable"
 	"repro/internal/estimator"
 )
 
-// Location is one replica of a dataset.
-type Location struct {
-	Dataset string
-	Site    string
-	SizeMB  float64
-}
+// Location is one replica of a dataset; it is the durable snapshot's
+// catalog entry.
+type Location = durable.ReplicaLocation
 
 // Catalog is a concurrency-safe replica catalog.
 type Catalog struct {
@@ -44,8 +43,8 @@ func (c *Catalog) Register(dataset, site string, sizeMB float64) error {
 	if dataset == "" || site == "" {
 		return fmt.Errorf("replica: empty dataset or site")
 	}
-	if sizeMB < 0 {
-		return fmt.Errorf("replica: negative size for %q", dataset)
+	if sizeMB < 0 || math.IsNaN(sizeMB) || math.IsInf(sizeMB, 0) {
+		return fmt.Errorf("replica: invalid size %v for %q", sizeMB, dataset)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -56,24 +55,6 @@ func (c *Catalog) Register(dataset, site string, sizeMB float64) error {
 	}
 	m[site] = sizeMB
 	return nil
-}
-
-// Unregister removes a replica; it reports whether it existed.
-func (c *Catalog) Unregister(dataset, site string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	m, ok := c.sets[dataset]
-	if !ok {
-		return false
-	}
-	if _, ok := m[site]; !ok {
-		return false
-	}
-	delete(m, site)
-	if len(m) == 0 {
-		delete(c.sets, dataset)
-	}
-	return true
 }
 
 // Locations lists a dataset's replicas sorted by site.
@@ -89,14 +70,6 @@ func (c *Catalog) Locations(dataset string) []Location {
 	return out
 }
 
-// Has reports whether a replica of dataset exists at site.
-func (c *Catalog) Has(dataset, site string) bool {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	_, ok := c.sets[dataset][site]
-	return ok
-}
-
 // Datasets lists the catalogued dataset names, sorted.
 func (c *Catalog) Datasets() []string {
 	c.mu.RLock()
@@ -107,13 +80,6 @@ func (c *Catalog) Datasets() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Len returns the number of catalogued datasets.
-func (c *Catalog) Len() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return len(c.sets)
 }
 
 // Best selects the replica of dataset with the lowest estimated transfer

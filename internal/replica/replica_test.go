@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -23,15 +24,12 @@ func TestRegisterAndLocations(t *testing.T) {
 	if len(locs) != 2 || locs[0].Site != "caltech" || locs[1].Site != "cern" {
 		t.Fatalf("Locations = %+v", locs)
 	}
-	if !c.Has("run1.raw", "cern") || c.Has("run1.raw", "nust") || c.Has("ghost", "cern") {
-		t.Fatal("Has broken")
+	if got := c.Locations("ghost"); len(got) != 0 {
+		t.Fatalf("Locations of an unknown dataset = %+v", got)
 	}
 	ds := c.Datasets()
 	if len(ds) != 2 || ds[0] != "run1.raw" || ds[1] != "run2.raw" {
 		t.Fatalf("Datasets = %v", ds)
-	}
-	if c.Len() != 2 {
-		t.Fatalf("Len = %d", c.Len())
 	}
 }
 
@@ -43,28 +41,13 @@ func TestRegisterValidation(t *testing.T) {
 	if err := c.Register("d", "", 1); err == nil {
 		t.Error("empty site accepted")
 	}
-	if err := c.Register("d", "s", -1); err == nil {
-		t.Error("negative size accepted")
+	for _, size := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := c.Register("d", "s", size); err == nil {
+			t.Errorf("size %v accepted", size)
+		}
 	}
-}
-
-func TestUnregister(t *testing.T) {
-	c := NewCatalog()
-	c.Register("d", "a", 10)
-	c.Register("d", "b", 10)
-	if !c.Unregister("d", "a") {
-		t.Fatal("Unregister existing = false")
-	}
-	if c.Unregister("d", "a") {
-		t.Fatal("double Unregister = true")
-	}
-	if c.Unregister("ghost", "a") {
-		t.Fatal("Unregister of phantom dataset = true")
-	}
-	// Removing the last replica removes the dataset.
-	c.Unregister("d", "b")
-	if c.Len() != 0 {
-		t.Fatalf("Len after full unregister = %d", c.Len())
+	if got := c.Datasets(); len(got) != 0 {
+		t.Fatalf("rejected registrations left datasets %v", got)
 	}
 }
 

@@ -1,23 +1,17 @@
 package replica
 
-import (
-	"repro/internal/durable"
-)
-
-// Export serializes the catalog for the durable snapshot codec, sorted by
+// Export lists the catalog for the durable snapshot codec, sorted by
 // dataset then site — the canonical order the recovery suite compares.
-func (c *Catalog) Export() []durable.ReplicaLocation {
-	var out []durable.ReplicaLocation
+func (c *Catalog) Export() []Location {
+	var out []Location
 	for _, d := range c.Datasets() {
-		for _, l := range c.Locations(d) {
-			out = append(out, durable.ReplicaLocation{Dataset: l.Dataset, Site: l.Site, SizeMB: l.SizeMB})
-		}
+		out = append(out, c.Locations(d)...)
 	}
 	return out
 }
 
 // Restore overwrites the catalog with the exported entries.
-func (c *Catalog) Restore(locs []durable.ReplicaLocation) error {
+func (c *Catalog) Restore(locs []Location) error {
 	c.mu.Lock()
 	c.sets = make(map[string]map[string]float64)
 	c.mu.Unlock()

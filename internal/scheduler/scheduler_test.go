@@ -2,6 +2,7 @@ package scheduler
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -619,7 +620,7 @@ func TestReplicaCatalogStaging(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The staged copy is now catalogued at siteB.
-	if !cat.Has("data.root", "siteB") {
+	if !slices.ContainsFunc(cat.Locations("data.root"), func(l replica.Location) bool { return l.Site == "siteB" }) {
 		t.Fatal("staged replica not registered")
 	}
 	if _, ok := g.Site("siteB").Storage().Get("data.root"); !ok {

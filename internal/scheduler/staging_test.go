@@ -175,8 +175,10 @@ func runStagingStorm(t *testing.T, runFor func(*simgrid.Engine, time.Duration),
 			trace = append(trace, fmt.Sprintf("%s job %+v", name, j))
 		}
 	}
-	for _, f := range g.Site("siteB").Storage().List() {
-		trace = append(trace, fmt.Sprintf("replica %+v", f))
+	for i := 0; i < 4; i++ {
+		if f, ok := g.Site("siteB").Storage().Get(fmt.Sprintf("d%d.root", i)); ok {
+			trace = append(trace, fmt.Sprintf("replica %+v", f))
+		}
 	}
 	return trace
 }

@@ -30,6 +30,13 @@
 // [a,b) and then [b,c) is the work done over [a,c) by construction, so a
 // node settles any span in one step per load segment and a completion
 // boundary is a ceiling division.
+//
+// A site's storage element holds named files, Put and Get; it moves
+// nothing itself. Staging a file is a transfer on the Network
+// (StartTransfer, a flow sharing its link with the others in flight)
+// followed by a Put at the destination when the flow lands, which is how
+// the scheduler stages. Placing a task on a node is the execution
+// service's decision; this package offers no placement policy.
 package simgrid
 
 import (
@@ -239,7 +246,6 @@ type Wake struct {
 	// means none. Guarded by e.mu.
 	next      int64
 	lastFired int64
-	canceled  bool
 }
 
 // Register adds a component to the engine and returns its Wake. The
@@ -266,9 +272,6 @@ func (w *Wake) Request(at time.Time) {
 	e := w.e
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if w.canceled {
-		return
-	}
 	k := e.tickCeil(at)
 	if k <= e.nowTick {
 		if e.processing && w.order > e.curOrder && w.lastFired != e.nowTick {
@@ -283,14 +286,6 @@ func (w *Wake) Request(at time.Time) {
 	w.next = k
 	e.seq++
 	e.eq.push(event{tick: k, at: k * int64(e.tick), seq: e.seq, order: w.order, wake: w})
-}
-
-// Cancel drops any pending request and disables the wake permanently.
-func (w *Wake) Cancel() {
-	w.e.mu.Lock()
-	defer w.e.mu.Unlock()
-	w.canceled = true
-	w.next = 0
 }
 
 // Poller runs a function on a periodic schedule driven by a Wake: the
@@ -409,8 +404,8 @@ func (e *Engine) processBoundary(k int64) {
 		ev := e.eq.pop()
 		fn := ev.fn
 		if w := ev.wake; w != nil {
-			if w.canceled || w.next != ev.tick {
-				continue // superseded or canceled request
+			if w.next != ev.tick {
+				continue // superseded request
 			}
 			w.next, w.lastFired = 0, ev.tick
 			fn = w.fn

@@ -15,7 +15,7 @@ import (
 // The engine's previous event queue — container/heap over []*oracleEvent
 // keyed on time.Time — kept verbatim as the oracle for the by-value
 // tick-index queue that replaced it. Only names changed: every rule of
-// Request, Cancel, Schedule and boundary dispatch below is the replaced
+// Request, Schedule and boundary dispatch below is the replaced
 // production code.
 
 type oracleEvent struct {
@@ -76,7 +76,6 @@ type oracleWake struct {
 	order     int
 	next      time.Time
 	lastFired time.Time
-	canceled  bool
 }
 
 func newOracleEngine(tick time.Duration) *oracleEngine {
@@ -101,9 +100,6 @@ func (e *oracleEngine) Register(fn func(now time.Time)) *oracleWake {
 
 func (w *oracleWake) Request(at time.Time) {
 	e := w.e
-	if w.canceled {
-		return
-	}
 	now := e.clock.Now()
 	fireAt := e.gridCeil(at)
 	if !fireAt.After(now) {
@@ -119,11 +115,6 @@ func (w *oracleWake) Request(at time.Time) {
 	w.next = fireAt
 	e.seq++
 	heap.Push(&e.eq, &oracleEvent{fireAt: fireAt, order: w.order, at: fireAt, seq: e.seq, wake: w})
-}
-
-func (w *oracleWake) Cancel() {
-	w.canceled = true
-	w.next = time.Time{}
 }
 
 func (e *oracleEngine) Schedule(delay time.Duration, fn func(now time.Time)) {
@@ -145,7 +136,7 @@ func (e *oracleEngine) processBoundary(t time.Time) {
 		fn := ev.fn
 		if ev.wake != nil {
 			w := ev.wake
-			if w.canceled || !w.next.Equal(ev.fireAt) {
+			if !w.next.Equal(ev.fireAt) {
 				continue
 			}
 			w.next = time.Time{}
@@ -173,7 +164,7 @@ func (e *oracleEngine) RunFor(d time.Duration) {
 // scheduler is what the property test drives: the production engine and
 // the oracle behind one face.
 type scheduler interface {
-	register(fn func(now time.Time)) (request func(at time.Time), cancel func())
+	register(fn func(now time.Time)) (request func(at time.Time))
 	schedule(delay time.Duration, fn func(now time.Time))
 	step()
 	runFor(d time.Duration)
@@ -183,9 +174,8 @@ type scheduler interface {
 
 type prodScheduler struct{ e *Engine }
 
-func (s prodScheduler) register(fn func(time.Time)) (func(time.Time), func()) {
-	w := s.e.Register(fn)
-	return w.Request, w.Cancel
+func (s prodScheduler) register(fn func(time.Time)) func(time.Time) {
+	return s.e.Register(fn).Request
 }
 func (s prodScheduler) schedule(d time.Duration, fn func(time.Time)) { s.e.Schedule(d, fn) }
 func (s prodScheduler) step()                                        { s.e.Step() }
@@ -195,9 +185,8 @@ func (s prodScheduler) dispatched() int64                            { return s.
 
 type oracleScheduler struct{ e *oracleEngine }
 
-func (s oracleScheduler) register(fn func(time.Time)) (func(time.Time), func()) {
-	w := s.e.Register(fn)
-	return w.Request, w.Cancel
+func (s oracleScheduler) register(fn func(time.Time)) func(time.Time) {
+	return s.e.Register(fn).Request
 }
 func (s oracleScheduler) schedule(d time.Duration, fn func(time.Time)) { s.e.Schedule(d, fn) }
 func (s oracleScheduler) step()                                        { s.e.Step() }
@@ -206,7 +195,7 @@ func (s oracleScheduler) now() time.Time                               { return 
 func (s oracleScheduler) dispatched() int64                            { return s.e.events }
 
 // queueScript replays one seeded interleaving of Schedule / Request /
-// Cancel / dispatch on s and returns the dispatch log. Every random draw
+// dispatch on s and returns the dispatch log. Every random draw
 // comes from the script's own source in an order fixed by the log so far,
 // so two schedulers that dispatch alike see identical scripts — and the
 // first divergence shows up as differing logs.
@@ -216,7 +205,7 @@ func (s oracleScheduler) dispatched() int64                            { return 
 // still ahead or already behind (same-boundary vs next-boundary landing),
 // pile an earlier request on a pending later one (supersession),
 // schedule sub-tick timers (same-boundary ties ordered by requested
-// time, then sequence), and cancel one another.
+// time, then sequence).
 func queueScript(seed int64, s scheduler, tick time.Duration) []string {
 	rng := rand.New(rand.NewSource(seed))
 	const comps = 7
@@ -226,7 +215,6 @@ func queueScript(seed int64, s scheduler, tick time.Duration) []string {
 		log = append(log, fmt.Sprintf("%s@%d", what, now.Sub(epoch)/time.Nanosecond))
 	}
 	requests := make([]func(time.Time), comps)
-	cancels := make([]func(), comps)
 	jitter := func() time.Duration {
 		// Off-grid, on-grid, past and same-instant offsets alike.
 		switch rng.Intn(5) {
@@ -257,10 +245,10 @@ func queueScript(seed int64, s scheduler, tick time.Duration) []string {
 	}
 	for i := 0; i < comps; i++ {
 		i := i
-		requests[i], cancels[i] = s.register(func(now time.Time) {
+		requests[i] = s.register(func(now time.Time) {
 			stamp(fmt.Sprintf("c%d", i), now)
 			for n := rng.Intn(4); n > 0; n-- {
-				switch rng.Intn(6) {
+				switch rng.Intn(5) {
 				case 0: // itself, again
 					requests[i](now.Add(jitter()))
 				case 1: // a component ahead in this boundary
@@ -273,10 +261,6 @@ func queueScript(seed int64, s scheduler, tick time.Duration) []string {
 					requests[j](now.Add(time.Duration(rng.Intn(3)) * tick))
 				case 4:
 					addTimer(jitter(), 0)
-				case 5:
-					if rng.Intn(8) == 0 {
-						cancels[rng.Intn(comps)]()
-					}
 				}
 			}
 		})
@@ -307,7 +291,7 @@ func queueScript(seed int64, s scheduler, tick time.Duration) []string {
 
 // TestQueueMatchesHeapOracle holds the by-value tick-index queue to the
 // container/heap implementation it replaced: on random interleavings of
-// Schedule, Wake.Request, Cancel and dispatch the two engines must fire
+// Schedule, Wake.Request and dispatch the two engines must fire
 // the same callbacks at the same instants in the same order, and count
 // the same events.
 func TestQueueMatchesHeapOracle(t *testing.T) {

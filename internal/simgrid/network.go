@@ -42,8 +42,8 @@ func (l Link) EffectiveMBps() float64 {
 	return l.BandwidthMBps * (1 - clampUtil(l.Utilization))
 }
 
-// Flow is one in-flight transfer on a link. Flows are first-class: each
-// tracks its remaining payload and its current rate (the link's effective
+// flow is one in-flight transfer on a link. Each flow tracks its
+// remaining payload and its current rate (the link's effective
 // bandwidth split equally among concurrent flows), and its completion is
 // an analytically derived deadline event on the engine queue. On any
 // perturbation — a flow starting or finishing on the link, a background
@@ -51,12 +51,8 @@ func (l Link) EffectiveMBps() float64 {
 // settled (progress accrued at the old rate through the present) and its
 // rate and deadline re-derived, the same settle-and-re-derive pattern
 // Node uses for CPU shares.
-type Flow struct {
-	From, To string
-	SizeMB   float64
-
-	// All mutable state below is guarded by the owning Network's mu.
-	n          *Network
+type flow struct {
+	// Guarded by the owning Network's mu.
 	seq        int64
 	started    time.Time
 	lastSettle time.Time
@@ -69,40 +65,7 @@ type Flow struct {
 	// the link cannot postpone a transfer whose bytes are already sent.
 	drainedAt time.Time
 	deadline  time.Time // analytic completion instant under the current rate
-	finished  bool
 	done      func(elapsed time.Duration)
-}
-
-// Remaining reports the MB of payload left right now, without perturbing
-// the flow (reads never settle, so both engine drivers perform identical
-// float arithmetic).
-func (f *Flow) Remaining() float64 {
-	f.n.mu.Lock()
-	defer f.n.mu.Unlock()
-	if f.finished {
-		return 0
-	}
-	rem := f.remaining - f.rate*f.n.engine.Now().Sub(f.lastSettle).Seconds()
-	if rem < 0 {
-		rem = 0
-	}
-	return rem
-}
-
-// Deadline reports the flow's current analytic completion instant. It
-// moves whenever the link is perturbed: later when new flows squeeze the
-// share, earlier when contention or background load clears.
-func (f *Flow) Deadline() time.Time {
-	f.n.mu.Lock()
-	defer f.n.mu.Unlock()
-	return f.deadline
-}
-
-// Finished reports whether the flow has completed.
-func (f *Flow) Finished() bool {
-	f.n.mu.Lock()
-	defer f.n.mu.Unlock()
-	return f.finished
 }
 
 // Network is the grid's site-to-site fabric. Links are symmetric; a
@@ -124,7 +87,7 @@ type Network struct {
 
 	mu      sync.Mutex
 	links   map[[2]string]Link
-	flows   map[[2]string][]*Flow
+	flows   map[[2]string][]*flow
 	linkMin map[[2]string]time.Time // earliest flow deadline per link
 	seq     int64
 }
@@ -144,7 +107,7 @@ func NewNetwork(e *Engine) *Network {
 	n := &Network{
 		engine:  e,
 		links:   make(map[[2]string]Link),
-		flows:   make(map[[2]string][]*Flow),
+		flows:   make(map[[2]string][]*flow),
 		linkMin: make(map[[2]string]time.Time),
 	}
 	n.wake = e.Register(n.onWake)
@@ -209,21 +172,6 @@ func (n *Network) SetUtilization(a, b string, u float64) error {
 	return nil
 }
 
-// ActiveFlows reports how many transfers currently occupy bandwidth on
-// the link between a and b (flows riding out their latency tail with the
-// payload already drained are not counted).
-func (n *Network) ActiveFlows(a, b string) int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	active := 0
-	for _, f := range n.flows[linkKey(a, b)] {
-		if f.drainedAt.IsZero() {
-			active++
-		}
-	}
-	return active
-}
-
 // TransferDuration quotes how long moving sizeMB from site a to site b
 // would take as a solo flow under current background utilization —
 // concurrent flows are not counted. It is a quote, not a promise: actual
@@ -250,36 +198,26 @@ func (n *Network) TransferDuration(a, b string, sizeMB float64) (time.Duration, 
 // the actually elapsed duration) when it completes in simulated time. The
 // returned duration is the solo-flow quote at start time; under
 // contention or utilization changes the actual transfer takes longer (or
-// shorter) and done observes the difference.
+// shorter) and done observes the difference. A cross-site transfer is a
+// flow on the link; a same-site copy contends with nothing and stays a
+// plain engine timer.
 func (n *Network) StartTransfer(a, b string, sizeMB float64, done func(elapsed time.Duration)) (time.Duration, error) {
-	_, quote, err := n.StartFlow(a, b, sizeMB, done)
-	return quote, err
-}
-
-// StartFlow begins an asynchronous transfer and returns its Flow handle
-// alongside the solo-flow quote. Same-site copies contend with nothing
-// and stay plain engine timers; their handle is nil.
-func (n *Network) StartFlow(a, b string, sizeMB float64, done func(elapsed time.Duration)) (*Flow, time.Duration, error) {
 	quote, err := n.TransferDuration(a, b, sizeMB)
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	if a == b {
 		if done != nil {
 			n.engine.Schedule(quote, func(time.Time) { done(quote) })
 		}
-		return nil, quote, nil
+		return quote, nil
 	}
 	now := n.engine.Now()
 	k := linkKey(a, b)
 	n.mu.Lock()
 	n.settleLinkLocked(k, now)
 	n.seq++
-	f := &Flow{
-		From: a, To: b, SizeMB: sizeMB,
-		n: n, seq: n.seq,
-		started: now, lastSettle: now, remaining: sizeMB, done: done,
-	}
+	f := &flow{seq: n.seq, started: now, lastSettle: now, remaining: sizeMB, done: done}
 	if sizeMB == 0 {
 		// Nothing to drain: the flow is all latency tail from the start
 		// and never occupies link share.
@@ -291,7 +229,7 @@ func (n *Network) StartFlow(a, b string, sizeMB float64, done func(elapsed time.
 	n.rederiveLinkLocked(k)
 	n.requestWakeLocked()
 	n.mu.Unlock()
-	return f, quote, nil
+	return quote, nil
 }
 
 // settleLinkLocked accrues every undrained flow on link k through t at
@@ -395,7 +333,7 @@ func (n *Network) requestWakeLocked() {
 // order.
 func (n *Network) onWake(now time.Time) {
 	n.mu.Lock()
-	var completed []*Flow
+	var completed []*flow
 	for k, m := range n.linkMin {
 		if m.After(now) {
 			continue
@@ -407,7 +345,6 @@ func (n *Network) onWake(now time.Time) {
 		keep := fs[:0]
 		for _, f := range fs {
 			if !f.drainedAt.IsZero() && !f.deadline.After(now) {
-				f.finished = true
 				completed = append(completed, f)
 			} else {
 				keep = append(keep, f)
@@ -478,17 +415,6 @@ func (n *Network) Probe(a, b string, probeMB float64) (BandwidthProbe, error) {
 		Latency:         l.Latency,
 		ObservedMBps:    probeMB / elapsed,
 	}, nil
-}
-
-// MeasureBandwidth performs an iperf-style probe and reports the observed
-// MB/s with latency included, exactly as a real iperf TCP test would
-// observe. Use Probe for the latency-excluded steady-state rate.
-func (n *Network) MeasureBandwidth(a, b string, probeMB float64) (float64, error) {
-	p, err := n.Probe(a, b, probeMB)
-	if err != nil {
-		return 0, err
-	}
-	return p.ObservedMBps, nil
 }
 
 func secs(s float64) time.Duration {

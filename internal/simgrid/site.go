@@ -81,26 +81,6 @@ func (s *Site) RunningTasks() int {
 	return total
 }
 
-// LeastLoadedNode returns the node with the lowest (load, running tasks)
-// pair at time t, or nil for an empty site. Ties break by node name so
-// placement is deterministic.
-func (s *Site) LeastLoadedNode(t time.Time) *Node {
-	nodes := s.Nodes()
-	if len(nodes) == 0 {
-		return nil
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i].Name < nodes[j].Name })
-	key := func(n *Node) float64 { return n.LoadAt(t) + float64(n.RunningCount()) }
-	best := nodes[0]
-	bestKey := key(best)
-	for _, n := range nodes[1:] {
-		if k := key(n); k < bestKey {
-			best, bestKey = n, k
-		}
-	}
-	return best
-}
-
 // Grid is the top-level simulated infrastructure: engine, sites, network.
 type Grid struct {
 	Engine  *Engine

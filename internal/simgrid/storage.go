@@ -2,9 +2,7 @@ package simgrid
 
 import (
 	"fmt"
-	"sort"
 	"sync"
-	"time"
 )
 
 // File is a named dataset replica held by a storage element.
@@ -13,10 +11,12 @@ type File struct {
 	SizeMB float64
 }
 
-// Storage is a site's storage element: a set of named files. The data-grid
-// side of the paper (selecting and accessing datasets from suitable
-// storage elements) reduces to replica lookup plus transfer-time
-// estimation over the Network.
+// Storage is a site's storage element: a set of named files, written with
+// Put and read with Get. The data-grid side of the paper (selecting and
+// accessing datasets from suitable storage elements) reduces to replica
+// lookup plus transfer-time estimation over the Network. Staging a dataset
+// to another site is the scheduler's: Network.StartTransfer, then Put at
+// the destination and a replica-catalog registration when the flow lands.
 type Storage struct {
 	Site string
 
@@ -49,65 +49,4 @@ func (s *Storage) Get(name string) (File, bool) {
 	defer s.mu.Unlock()
 	f, ok := s.files[name]
 	return f, ok
-}
-
-// Delete removes a file; it reports whether the file existed.
-func (s *Storage) Delete(name string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.files[name]
-	delete(s.files, name)
-	return ok
-}
-
-// List returns all files sorted by name.
-func (s *Storage) List() []File {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]File, 0, len(s.files))
-	for _, f := range s.files {
-		out = append(out, f)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// UsedMB returns the total stored size.
-func (s *Storage) UsedMB() float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	total := 0.0
-	for _, f := range s.files {
-		total += f.SizeMB
-	}
-	return total
-}
-
-// Replicate copies a file from this storage element to dst over the
-// network. The file appears at dst when the simulated transfer completes;
-// done (optional) fires at that moment. The returned duration is the
-// solo-flow quote at start time; the replication runs as a network flow,
-// so concurrent transfers on the same link and mid-flight utilization
-// changes stretch (or shrink) the actual completion.
-func (s *Storage) Replicate(n *Network, dst *Storage, name string, done func()) (time.Duration, error) {
-	_, d, err := s.ReplicateFlow(n, dst, name, done)
-	return d, err
-}
-
-// ReplicateFlow is Replicate with the underlying network Flow handle
-// exposed, so callers can observe remaining payload and the moving
-// completion deadline. Same-site copies return a nil handle.
-func (s *Storage) ReplicateFlow(n *Network, dst *Storage, name string, done func()) (*Flow, time.Duration, error) {
-	f, ok := s.Get(name)
-	if !ok {
-		return nil, 0, fmt.Errorf("simgrid: %s has no file %q", s.Site, name)
-	}
-	return n.StartFlow(s.Site, dst.Site, f.SizeMB, func(time.Duration) {
-		dst.mu.Lock()
-		dst.files[f.Name] = f
-		dst.mu.Unlock()
-		if done != nil {
-			done()
-		}
-	})
 }

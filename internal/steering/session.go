@@ -25,13 +25,6 @@ func (m *SessionManager) GrantAdmin(user string) {
 	m.admins[user] = true
 }
 
-// RevokeAdmin removes administrative rights.
-func (m *SessionManager) RevokeAdmin(user string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	delete(m.admins, user)
-}
-
 // IsAdmin reports administrator status.
 func (m *SessionManager) IsAdmin(user string) bool {
 	m.mu.RLock()

@@ -145,22 +145,9 @@ func (h *Histogram) Sum() float64 {
 	return math.Float64frombits(h.sum.Load())
 }
 
-// Quantile estimates the q-th quantile (0 < q < 1) by interpolating
-// inside the bucket holding the target rank. Values in the +Inf bucket
-// clamp to the top finite bound.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	counts := make([]int64, len(h.counts))
-	var total int64
-	for i := range h.counts {
-		counts[i] = h.counts[i].Load()
-		total += counts[i]
-	}
-	return quantileOf(h.bounds, counts, total, q)
-}
-
+// quantileOf estimates the q-th quantile (0 < q < 1) of a histogram's
+// bucket counts by interpolating inside the bucket holding the target
+// rank. Values in the +Inf bucket clamp to the top finite bound.
 func quantileOf(bounds []float64, counts []int64, total int64, q float64) float64 {
 	if total == 0 {
 		return 0

@@ -58,8 +58,19 @@ func TestNilSafety(t *testing.T) {
 	}
 }
 
+// snapshotOf is the histogram's state as a Snapshot reports it.
+func snapshotOf(t *testing.T, r *Registry, name string) Metric {
+	t.Helper()
+	m, ok := r.Snapshot().Find(name, "")
+	if !ok {
+		t.Fatalf("%s missing from snapshot", name)
+	}
+	return m
+}
+
 func TestHistogramQuantiles(t *testing.T) {
-	h := newHistogram([]float64{1, 2, 4, 8, 16})
+	r := NewRegistry()
+	h := r.Histogram("h", []float64{1, 2, 4, 8, 16})
 	// 100 observations uniform over (0, 10].
 	for i := 1; i <= 100; i++ {
 		h.Observe(float64(i) / 10)
@@ -72,11 +83,11 @@ func TestHistogramQuantiles(t *testing.T) {
 	}
 	// p50 of uniform(0,10] is 5; bucket (4,8] interpolation should land
 	// within the bucket.
-	p50 := h.Quantile(0.50)
+	m := snapshotOf(t, r, "h")
+	p50, p99 := m.P50, m.P99
 	if p50 < 4 || p50 > 8 {
 		t.Fatalf("p50 = %v, want within (4,8]", p50)
 	}
-	p99 := h.Quantile(0.99)
 	if p99 < 8 || p99 > 16 {
 		t.Fatalf("p99 = %v, want within (8,16]", p99)
 	}
@@ -86,9 +97,9 @@ func TestHistogramQuantiles(t *testing.T) {
 }
 
 func TestHistogramOverflowBucket(t *testing.T) {
-	h := newHistogram([]float64{1, 2})
-	h.Observe(100)
-	if got := h.Quantile(0.99); got != 2 {
+	r := NewRegistry()
+	r.Histogram("h", []float64{1, 2}).Observe(100)
+	if got := snapshotOf(t, r, "h").P99; got != 2 {
 		t.Fatalf("overflow quantile = %v, want top bound 2", got)
 	}
 }

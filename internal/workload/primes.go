@@ -1,13 +1,10 @@
 package workload
 
-import "math"
-
 // The paper's Figure 7 job is "a simple C++ program that calculates prime
 // numbers over an input range", calibrated to take 283 seconds on a free
 // CPU. PrimeJob models that: it carries the input range, knows how many
 // CPU-seconds the computation takes on the reference processor (via a
-// calibrated cost model), and can actually perform the computation (used
-// by examples to produce a verifiable answer).
+// calibrated cost model).
 
 // PrimeJob is a prime-counting task over [From, To].
 type PrimeJob struct {
@@ -34,40 +31,4 @@ func (j PrimeJob) CPUSeconds() float64 {
 		return 0
 	}
 	return float64(j.To-j.From) / referenceRate
-}
-
-// CountPrimes actually counts primes in [From, To] with a segmented trial
-// division over odd candidates — the real computation, for ranges small
-// enough to run inside tests and examples.
-func (j PrimeJob) CountPrimes() int {
-	if j.To < 2 || j.To < j.From {
-		return 0
-	}
-	from := j.From
-	if from < 2 {
-		from = 2
-	}
-	count := 0
-	for n := from; n <= j.To; n++ {
-		if isPrime(n) {
-			count++
-		}
-	}
-	return count
-}
-
-func isPrime(n int) bool {
-	if n < 2 {
-		return false
-	}
-	if n%2 == 0 {
-		return n == 2
-	}
-	limit := int(math.Sqrt(float64(n)))
-	for d := 3; d <= limit; d += 2 {
-		if n%d == 0 {
-			return false
-		}
-	}
-	return true
 }

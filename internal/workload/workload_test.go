@@ -28,7 +28,7 @@ func TestParagonTraceShape(t *testing.T) {
 	queues := map[string]bool{}
 	var failures, interactive int
 	for i, r := range trace {
-		if err := r.Validate(); err != nil {
+		if err := estimator.Validate(r); err != nil {
 			t.Fatalf("record %d invalid: %v", i, err)
 		}
 		if r.RuntimeSeconds < 10 {
@@ -173,25 +173,5 @@ func TestPrimeJobCostModel(t *testing.T) {
 	}
 	if (PrimeJob{From: 10, To: 5}).CPUSeconds() != 0 {
 		t.Fatal("inverted range has nonzero cost")
-	}
-}
-
-func TestCountPrimes(t *testing.T) {
-	cases := []struct {
-		from, to, want int
-	}{
-		{1, 10, 4}, // 2 3 5 7
-		{1, 100, 25},
-		{90, 100, 1}, // 97
-		{2, 2, 1},
-		{14, 16, 0},
-		{1, 1, 0},
-		{10, 5, 0},
-	}
-	for _, c := range cases {
-		got := PrimeJob{From: c.from, To: c.to}.CountPrimes()
-		if got != c.want {
-			t.Errorf("CountPrimes(%d..%d) = %d, want %d", c.from, c.to, got, c.want)
-		}
 	}
 }

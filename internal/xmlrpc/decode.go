@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"reflect"
 	"strconv"
 	"time"
@@ -618,9 +619,11 @@ func (s *scanner) typed(name []byte, dst reflect.Value) (any, error) {
 			ok = false
 		}
 	case "double":
+		// Finite only, as appendDouble writes: strconv also reads NaN and
+		// Inf, which no caller can store or journal.
 		v.kind = reflect.Float64
 		v.f, err = strconv.ParseFloat(string(t), 64)
-		ok = err == nil
+		ok = err == nil && !math.IsNaN(v.f) && !math.IsInf(v.f, 0)
 	case "dateTime.iso8601":
 		v.kind, ok = reflect.Struct, false
 		for _, layout := range [...]string{iso8601, time.RFC3339, "2006-01-02T15:04:05"} {

@@ -86,6 +86,9 @@ var grammarContract = []grammarCase{
 	{name: "-- in comment", doc: reqDoc(`<value>v</value>`) + `<!-- a -- b -->`, fail: true},
 	{name: "unterminated CDATA", doc: reqDoc(`<value><![CDATA[v</value>`), fail: true},
 	{name: "XML 1.1", doc: `<?xml version="1.1"?>` + reqDoc(`<value>v</value>`), fail: true},
+	{name: "NaN double", doc: reqDoc(`<value><double>NaN</double></value>`), fail: true},
+	{name: "Inf double", doc: reqDoc(`<value><double>Inf</double></value>`), fail: true},
+	{name: "-Inf double", doc: reqDoc(`<value><double> -Inf </double></value>`), fail: true},
 
 	// The XML features XML-RPC peers do not use and the scanner refuses.
 	{name: "DOCTYPE", doc: `<!DOCTYPE methodCall>` + reqDoc(`<value>v</value>`), fail: true},

@@ -5,6 +5,7 @@ import (
 	"encoding/xml"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -13,7 +14,8 @@ import (
 // This file is the encoding/xml token-walk decoder that served production
 // until the hand-written scanner in decode.go replaced it, moved here
 // verbatim (identifiers prefixed "oracle") as the differential oracle of
-// FuzzDecodeAgainstEncodingXML.
+// FuzzDecodeAgainstEncodingXML. One rule was added to both since: a double
+// must be finite.
 
 // oracleDecodeRequest parses a <methodCall> document.
 func oracleDecodeRequest(r io.Reader) (*Request, error) {
@@ -216,7 +218,7 @@ func oracleDecodeTyped(d *xml.Decoder, typ string) (any, error) {
 			return nil, err
 		}
 		f, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
-		if err != nil {
+		if err != nil || math.IsNaN(f) || math.IsInf(f, 0) {
 			return nil, fmt.Errorf("xmlrpc: bad double %q", s)
 		}
 		return f, nil
