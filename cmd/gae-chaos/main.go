@@ -30,7 +30,6 @@ import (
 	"time"
 
 	"repro/internal/chaos"
-	"repro/internal/clarens"
 	"repro/pkg/gae"
 )
 
@@ -116,9 +115,6 @@ func main() {
 		}
 		u, err := sp.start()
 		if err != nil {
-			log.Fatal(err)
-		}
-		if err := waitReady(ctx, u); err != nil {
 			log.Fatal(err)
 		}
 		cfg.URL = u
@@ -293,20 +289,5 @@ func (sp *serverProc) cleanup() {
 	sp.kill()
 	if sp.scratch != "" {
 		os.RemoveAll(sp.scratch)
-	}
-}
-
-func waitReady(ctx context.Context, url string) error {
-	cc := clarens.NewClientTimeout(url, 5*time.Second)
-	defer cc.Close()
-	for {
-		if _, err := cc.Call(ctx, "system.ping"); err == nil {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return fmt.Errorf("server at %s never answered: %w", url, ctx.Err())
-		case <-time.After(25 * time.Millisecond):
-		}
 	}
 }

@@ -48,7 +48,6 @@ func main() {
 		users = flag.String("users", "alice:secret:1000",
 			"comma-separated user specs name:password:credits (first user is admin)")
 		accel = flag.Int("accel", 1, "simulated seconds per wall-clock second")
-		seed  = flag.Int64("seed", 2005, "simulation random seed")
 		data  = flag.String("data", "",
 			"durable state directory (empty = in-memory only)")
 		checkpoint = flag.Duration("checkpoint", time.Minute,
@@ -64,7 +63,7 @@ func main() {
 	)
 	flag.Parse()
 
-	cfg := core.Config{Seed: *seed}
+	var cfg core.Config
 	var err error
 	if cfg.Sites, err = parseSites(*sites); err != nil {
 		log.Fatalf("gae-server: %v", err)

@@ -29,7 +29,6 @@ func main() {
 		list      = flag.Bool("list", false, "list built-in scenarios and exit")
 		output    = flag.String("output", "-", "CSV destination path, or - for stdout")
 		ticks     = flag.Int("ticks", 0, "override the scenario horizon (simulated seconds)")
-		seed      = flag.Int64("seed", 1, "grid engine RNG seed")
 		fair      = flag.Bool("fairshare", true, "arbitrate with the fair-share subsystem (false = static-priority ablation)")
 		halfLife  = flag.Duration("halflife", 0, "usage decay half-life (0 = default, <0 disables decay)")
 		starveWin = flag.Duration("starvation-window", 0, "starvation guard window (0 = default, <0 disables)")
@@ -50,7 +49,6 @@ func main() {
 	res, err := experiments.Fairness(experiments.FairnessConfig{
 		Scenario:         *scenario,
 		Ticks:            *ticks,
-		Seed:             *seed,
 		FairShare:        *fair,
 		HalfLife:         time.Duration(*halfLife),
 		StarvationWindow: time.Duration(*starveWin),

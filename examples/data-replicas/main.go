@@ -22,7 +22,6 @@ import (
 
 func main() {
 	gae := core.New(core.Config{
-		Seed: 21,
 		Sites: []core.SiteSpec{
 			// CERN holds the data but its farm is saturated, so analysis
 			// runs elsewhere and the data must travel.

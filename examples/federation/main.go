@@ -24,7 +24,6 @@ import (
 
 func main() {
 	fed := core.NewFederation(core.Config{
-		Seed: 44,
 		Sites: []core.SiteSpec{
 			{Name: "caltech", Nodes: 2, CostPerCPUSecond: 0.05},
 			{Name: "nust", Nodes: 2, Load: simgrid.ConstantLoad(0.2), CostPerCPUSecond: 0.01},

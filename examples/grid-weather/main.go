@@ -23,7 +23,6 @@ import (
 
 func main() {
 	gae := core.New(core.Config{
-		Seed: 33,
 		Sites: []core.SiteSpec{
 			// Peak hours chosen so the sites trade places through the day.
 			{Name: "cern", Nodes: 2, Load: simgrid.DiurnalLoad(0.45, 0.4, 14), CostPerCPUSecond: 0.08},

@@ -21,7 +21,6 @@ import (
 
 func main() {
 	gae := core.New(core.Config{
-		Seed: 11,
 		Sites: []core.SiteSpec{
 			{Name: "cern", Nodes: 2, Load: simgrid.DiurnalLoad(0.3, 0.2, 14), CostPerCPUSecond: 0.08},
 			{Name: "caltech", Nodes: 4, CostPerCPUSecond: 0.05},

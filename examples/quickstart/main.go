@@ -22,7 +22,6 @@ func main() {
 	ctx := context.Background()
 	// A deployment: two sites, one link, one user.
 	gae := core.New(core.Config{
-		Seed: 1,
 		Sites: []core.SiteSpec{
 			{Name: "caltech", Nodes: 2, CostPerCPUSecond: 0.05},
 			{Name: "nust", Nodes: 1, Load: simgrid.ConstantLoad(0.3), CostPerCPUSecond: 0.01},

@@ -130,9 +130,10 @@ func (h *harness) setEndpoint(u string) {
 	h.mu.Unlock()
 }
 
-// Run drives the configured load through the fault transport while the
-// controller kills and restarts the server, then reconciles. The
-// returned Report is valid when err is nil.
+// Run waits for the server at cfg.URL to answer, drives the configured
+// load through the fault transport while the controller kills and
+// restarts the server, then reconciles. The returned Report is valid when
+// err is nil.
 func Run(ctx context.Context, cfg Config) (*Report, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 3
@@ -145,6 +146,9 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	}
 	h := &harness{cfg: cfg, url: cfg.URL, workersDone: make(chan struct{})}
 	h.transport = NewTransport(nil, cfg.Faults)
+	if err := h.waitReady(ctx, cfg.URL); err != nil {
+		return nil, fmt.Errorf("chaos: %w", err)
+	}
 
 	// The grant ledger is reconciled by exact arithmetic from this
 	// starting balance (the data dir may carry credits from other runs).
@@ -364,7 +368,8 @@ func (h *harness) controller(ctx context.Context) error {
 }
 
 func (h *harness) waitReady(ctx context.Context, url string) error {
-	cc := clarens.NewClientTimeout(url, 5*time.Second)
+	cc := clarens.NewClient(url)
+	cc.HTTP.Timeout = 5 * time.Second
 	defer cc.Close()
 	for {
 		if _, err := cc.Call(ctx, "system.ping"); err == nil {

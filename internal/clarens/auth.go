@@ -28,7 +28,6 @@ type UserStore struct {
 }
 
 type storedUser struct {
-	name   string
 	salt   []byte
 	digest []byte
 	roles  map[string]bool
@@ -49,7 +48,6 @@ func (s *UserStore) Add(name, password string, roles ...string) error {
 		return fmt.Errorf("clarens: generating salt: %w", err)
 	}
 	u := &storedUser{
-		name:   name,
 		salt:   salt,
 		digest: digest(salt, password),
 		roles:  make(map[string]bool, len(roles)),
@@ -93,7 +91,6 @@ func digest(salt []byte, password string) []byte {
 type Session struct {
 	Token   string
 	User    User
-	Created time.Time
 	Expires time.Time
 }
 
@@ -124,12 +121,10 @@ func (s *SessionStore) Open(u User) (*Session, error) {
 	if _, err := rand.Read(raw); err != nil {
 		return nil, fmt.Errorf("clarens: generating session token: %w", err)
 	}
-	now := s.clock.Now()
 	sess := &Session{
 		Token:   hex.EncodeToString(raw),
 		User:    u,
-		Created: now,
-		Expires: now.Add(s.ttl),
+		Expires: s.clock.Now().Add(s.ttl),
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -29,9 +29,8 @@ import (
 // callInfo is what a handler context carries about the call being served:
 // one context value, set once per request by Server.ServeHTTP.
 type callInfo struct {
-	token      string // session token ("" when unauthenticated)
-	remoteAddr string
-	requestID  string // idempotency key ("" when unstamped)
+	token     string // session token ("" when unauthenticated)
+	requestID string // idempotency key ("" when unstamped)
 }
 
 type callInfoKey struct{}
@@ -47,9 +46,6 @@ func callInfoOf(ctx context.Context) callInfo {
 // SessionToken extracts the caller's session token from a handler context;
 // empty when the request was unauthenticated.
 func SessionToken(ctx context.Context) string { return callInfoOf(ctx).token }
-
-// RemoteAddr extracts the caller's network address from a handler context.
-func RemoteAddr(ctx context.Context) string { return callInfoOf(ctx).remoteAddr }
 
 // RequestID extracts the caller's idempotency key from a handler context;
 // empty when the call was not stamped. The key identifies one logical

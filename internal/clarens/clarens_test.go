@@ -227,12 +227,12 @@ func TestUserStoreVerify(t *testing.T) {
 func TestRegistryListAndLookup(t *testing.T) {
 	_, c := startHost(t, nil)
 	ctx := context.Background()
-	svcs, err := c.Services(ctx)
-	if err != nil {
+	var svcs []ServiceInfo
+	if err := c.CallInto(ctx, "registry.list", &svcs); err != nil {
 		t.Fatal(err)
 	}
 	if len(svcs) != 1 || svcs[0].Name != "demo" {
-		t.Fatalf("Services = %+v", svcs)
+		t.Fatalf("registry.list = %+v", svcs)
 	}
 	if len(svcs[0].Methods) != 2 || svcs[0].Methods[0] != "demo.echo" {
 		t.Fatalf("methods = %v", svcs[0].Methods)
@@ -345,8 +345,12 @@ func TestRegisterServiceValidation(t *testing.T) {
 }
 
 func TestMethodsIncludeBuiltinsAndService(t *testing.T) {
-	srv, _ := startHost(t, nil)
-	joined := strings.Join(srv.Methods(), ",")
+	_, c := startHost(t, nil)
+	var methods []string
+	if err := c.CallInto(context.Background(), "system.listMethods", &methods); err != nil {
+		t.Fatal(err)
+	}
+	joined := strings.Join(methods, ",")
 	for _, want := range []string{"system.auth", "system.ping", "registry.discover", "demo.echo"} {
 		if !strings.Contains(joined, want) {
 			t.Errorf("Methods missing %s", want)

@@ -3,8 +3,6 @@ package clarens
 import (
 	"context"
 	"fmt"
-	"net/http"
-	"time"
 
 	"repro/internal/xmlrpc"
 )
@@ -16,52 +14,14 @@ type Client struct {
 	*xmlrpc.Client
 }
 
-// DefaultTimeout bounds every HTTP request of a new client. Use
-// SetTimeout (or a context deadline on individual calls) to change it.
-const DefaultTimeout = 30 * time.Second
-
-// NewClient creates a client for a Clarens endpoint with DefaultTimeout.
+// NewClient creates a client for a Clarens endpoint, with xmlrpc.NewClient's
+// HTTP client: a connection pool of its own and a 30 s bound on every
+// request. Change HTTP.Timeout or HTTP.Transport before the client is
+// shared between goroutines.
 func NewClient(endpoint string) *Client {
 	c := xmlrpc.NewClient(endpoint)
-	c.HTTP.Timeout = DefaultTimeout
 	c.Headers = make(map[string]string)
 	return &Client{Client: c}
-}
-
-// NewClientTimeout creates a client whose HTTP requests are bounded by
-// timeout (0 disables the bound; per-call contexts still apply).
-func NewClientTimeout(endpoint string, timeout time.Duration) *Client {
-	c := NewClient(endpoint)
-	c.SetTimeout(timeout)
-	return c
-}
-
-// SetTimeout rebounds every future HTTP request. A timeout of 0 removes
-// the bound, leaving cancellation to per-call contexts. Like SetToken
-// and the Headers map, it is part of client configuration: call it
-// before the client is shared between goroutines (typically right after
-// construction), not concurrently with Call. A custom Transport
-// installed with SetTransport survives the change.
-func (c *Client) SetTimeout(timeout time.Duration) {
-	var transport http.RoundTripper
-	if c.HTTP != nil {
-		transport = c.HTTP.Transport
-	}
-	c.HTTP = &http.Client{Timeout: timeout, Transport: transport}
-}
-
-// SetTransport installs a custom HTTP round-tripper (nil restores the
-// default, a connection pool of the client's own), preserving the
-// configured timeout. Fault-injection harnesses wrap the transport here.
-func (c *Client) SetTransport(rt http.RoundTripper) {
-	var timeout time.Duration
-	if c.HTTP != nil {
-		timeout = c.HTTP.Timeout
-	}
-	if rt == nil {
-		rt = xmlrpc.NewTransport()
-	}
-	c.HTTP = &http.Client{Timeout: timeout, Transport: rt}
 }
 
 // Login authenticates and attaches the session token to future calls.
@@ -98,10 +58,4 @@ func (c *Client) SetToken(token string) {
 func (c *Client) Discover(ctx context.Context, service string) (info ServiceInfo, err error) {
 	err = c.CallInto(ctx, "registry.discover", &info, service, true)
 	return info, err
-}
-
-// Services lists the host's registered services.
-func (c *Client) Services(ctx context.Context) (infos []ServiceInfo, err error) {
-	err = c.CallInto(ctx, "registry.list", &infos)
-	return infos, err
 }

@@ -28,7 +28,6 @@ type Server struct {
 	mu       sync.Mutex
 	baseURL  string
 	peers    []string
-	listener net.Listener
 	httpSrv  *http.Server
 	draining atomic.Bool // read on every RPC
 	httpMu   sync.RWMutex
@@ -279,9 +278,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	ctx := context.WithValue(r.Context(), callInfoKey{}, &callInfo{
-		token:      r.Header.Get(SessionHeader),
-		remoteAddr: r.RemoteAddr,
-		requestID:  r.Header.Get(RequestIDHeader),
+		token:     r.Header.Get(SessionHeader),
+		requestID: r.Header.Get(RequestIDHeader),
 	})
 	s.mux.ServeHTTP(w, r.WithContext(ctx))
 }
@@ -316,7 +314,6 @@ func (s *Server) Start(addr string) (string, error) {
 	url := "http://" + ln.Addr().String()
 	srv := &http.Server{Handler: s}
 	s.mu.Lock()
-	s.listener = ln
 	s.httpSrv = srv
 	s.mu.Unlock()
 	s.SetBaseURL(url)
@@ -339,7 +336,6 @@ func (s *Server) Kill() error {
 	s.mu.Lock()
 	srv := s.httpSrv
 	s.httpSrv = nil
-	s.listener = nil
 	s.mu.Unlock()
 	if srv == nil {
 		return nil
@@ -352,7 +348,6 @@ func (s *Server) Stop() error {
 	s.mu.Lock()
 	srv := s.httpSrv
 	s.httpSrv = nil
-	s.listener = nil
 	s.mu.Unlock()
 	if srv == nil {
 		return nil
@@ -361,6 +356,3 @@ func (s *Server) Stop() error {
 	defer cancel()
 	return srv.Shutdown(ctx)
 }
-
-// Methods returns every dispatchable method name, sorted.
-func (s *Server) Methods() []string { return s.mux.Methods() }

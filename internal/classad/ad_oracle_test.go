@@ -11,7 +11,7 @@ import (
 
 // The map-backed ad: attribute storage as Ad kept it before it became one
 // slice searched linearly — a map keyed by the lower-cased name. Set,
-// SetExpr, Delete, Has, Names, Len, String, LiteralString and Clone are
+// SetExpr, Has, Names, Len, String, LiteralString and Clone are
 // the replaced production code, verbatim but for the
 // lower-casing, which is strings.ToLower where production interned. The
 // differential test below holds Ad to it observation for observation.
@@ -46,11 +46,6 @@ func (a *mapAd) SetExpr(name, src string) error {
 	a.attrs[strings.ToLower(name)] = entry{name: name, expr: e}
 	a.mutated()
 	return nil
-}
-
-func (a *mapAd) Delete(name string) {
-	delete(a.attrs, strings.ToLower(name))
-	a.mutated()
 }
 
 func (a *mapAd) Has(name string) bool {
@@ -109,7 +104,7 @@ func (a *mapAd) Clone() *mapAd {
 // fresh builds the Ad the map describes from nothing, by appending its
 // attributes in key order: an ad with no history. Expressions evaluate
 // against *Ad scopes, so the oracle's evaluations run on fresh ads — which
-// no Delete, overwrite or Clone has ever touched — with the attribute
+// no overwrite or Clone has ever touched — with the attribute
 // itself still fetched from the map.
 func (a *mapAd) fresh() *Ad {
 	keys := make([]string, 0, len(a.attrs))
@@ -228,9 +223,11 @@ func TestAdMatchesMapOracle(t *testing.T) {
 		for step := 0; step < 300; step++ {
 			p := pairs[rng.Intn(len(pairs))]
 			name := spelling(rng, oracleNames[rng.Intn(len(oracleNames))])
-			op := rng.Intn(9)
+			op := rng.Intn(7)
 			if p.want.Len() >= 20 && !p.want.Has(name) {
-				op = 6 // an ad holds 0-20 attributes: at the cap, only overwrite or delete
+				// An ad holds 0-20 attributes: at the cap, only overwrite.
+				names := p.want.Names()
+				name, op = spelling(rng, names[rng.Intn(len(names))]), 0
 			}
 			switch {
 			case op < 4:
@@ -245,13 +242,6 @@ func TestAdMatchesMapOracle(t *testing.T) {
 				if err, werr := p.ad.SetExpr(name, src), p.want.SetExpr(name, src); err != nil || werr != nil {
 					t.Fatalf("seed %d: SetExpr(%q, %q): %v / %v", seed, name, src, err, werr)
 				}
-			case op < 8:
-				if names := p.want.Names(); len(names) > 0 && rng.Intn(4) > 0 {
-					name = spelling(rng, names[rng.Intn(len(names))]) // mostly delete something present
-				}
-				trace = append(trace, fmt.Sprintf("Delete(%q)", name))
-				p.ad.Delete(name)
-				p.want.Delete(name)
 			default:
 				trace = append(trace, "Clone")
 				c := newOraclePair(p.ad.Clone(), p.want.Clone())

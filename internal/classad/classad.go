@@ -299,7 +299,7 @@ type Ad struct {
 }
 
 // OnMutate registers fn to run after every mutation of this ad (Set,
-// SetExpr, Delete). Hooks must be fast and must not mutate the ad.
+// SetExpr). Hooks must be fast and must not mutate the ad.
 func (a *Ad) OnMutate(fn func()) {
 	if fn == nil {
 		return
@@ -379,14 +379,6 @@ func (a *Ad) MustSetExpr(name, src string) *Ad {
 		panic(err)
 	}
 	return a
-}
-
-// Delete removes an attribute.
-func (a *Ad) Delete(name string) {
-	if i := a.find(name); i >= 0 {
-		a.attrs = slices.Delete(a.attrs, i, i+1)
-	}
-	a.mutated()
 }
 
 // Has reports whether the attribute exists.
@@ -501,31 +493,4 @@ func (a *Ad) Bool(name string, def bool) bool {
 		return b
 	}
 	return def
-}
-
-// Match reports whether left.Requirements is satisfied against right and
-// vice versa — symmetric gang-matching as Condor's negotiator performs.
-// A missing Requirements attribute counts as satisfied. For repeated
-// matches of long-lived ads, the compiled Matcher path is faster still.
-func Match(left, right *Ad) bool {
-	return halfMatch(left, right) && halfMatch(right, left)
-}
-
-// halfMatch evaluates self's Requirements with target in scope.
-func halfMatch(self, target *Ad) bool {
-	i := self.find(attrRequirements)
-	if i < 0 {
-		return true
-	}
-	b, ok := self.attrs[i].eval(scope{self: self, target: target}).BoolVal()
-	return ok && b
-}
-
-// Rank evaluates self's Rank expression against target, returning 0.0 when
-// absent or non-numeric, NaN included (Condor semantics).
-func Rank(self, target *Ad) float64 {
-	if f, ok := self.EvalAttr(attrRank, target).RealVal(); ok && f == f {
-		return f
-	}
-	return 0
 }

@@ -26,3 +26,30 @@ func (v Value) Go() any {
 	}
 	return nil
 }
+
+// Match reports whether left.Requirements is satisfied against right and
+// vice versa, evaluating each attribute afresh: the interpreted match the
+// compiled Matcher is held to. A missing Requirements attribute counts as
+// satisfied.
+func Match(left, right *Ad) bool {
+	return halfMatch(left, right) && halfMatch(right, left)
+}
+
+// halfMatch evaluates self's Requirements with target in scope.
+func halfMatch(self, target *Ad) bool {
+	i := self.find(attrRequirements)
+	if i < 0 {
+		return true
+	}
+	b, ok := self.attrs[i].eval(scope{self: self, target: target}).BoolVal()
+	return ok && b
+}
+
+// Rank evaluates self's Rank expression against target, returning 0.0 when
+// absent or non-numeric, NaN included (Condor semantics).
+func Rank(self, target *Ad) float64 {
+	if f, ok := self.EvalAttr(attrRank, target).RealVal(); ok && f == f {
+		return f
+	}
+	return 0
+}

@@ -19,7 +19,7 @@ const (
 // only what a match reads: the Requirements and Rank expressions, the ad
 // version they were compiled at and, out of line, the Rank's class. A
 // Matcher tracks its ad's mutation counter and recompiles lazily after any
-// Set/SetExpr/Delete, so holding one across ad updates is safe. Every
+// Set/SetExpr, so holding one across ad updates is safe. Every
 // queued job holds one, so its size is a per-job cost: 56 bytes (a 64-byte
 // allocation), plus the class for a job with a Rank expression. Matchers
 // are not safe for concurrent use.
@@ -50,9 +50,6 @@ func NewMatcher(ad *Ad) *Matcher {
 	m.compile()
 	return m
 }
-
-// Ad returns the underlying ad.
-func (m *Matcher) Ad() *Ad { return m.ad }
 
 func (m *Matcher) compile() {
 	m.version = m.ad.version
@@ -183,8 +180,9 @@ func (m *Matcher) halfOK(target *Ad) bool {
 	return ok && b
 }
 
-// Match reports symmetric gang-matching between the two compiled ads —
-// the same answer as Match(m.Ad(), t.Ad()) with no per-call allocation.
+// Match reports symmetric gang-matching between the two compiled ads: each
+// ad's Requirements holds with the other as TARGET, a missing Requirements
+// counting as satisfied — as Condor's negotiator matches.
 func (m *Matcher) Match(t *Matcher) bool {
 	m.sync()
 	t.sync()

@@ -17,7 +17,23 @@ import (
 // Submit enqueues a job described by ad. The ad must carry AttrCpuSeconds
 // (the ground-truth work) and should carry AttrOwner. The returned ID is
 // the pool-local "Condor ID".
-func (p *Pool) Submit(ad *classad.Ad) (int, error) {
+func (p *Pool) Submit(ad *classad.Ad) (int, error) { return p.submit(ad, 0) }
+
+// SubmitCheckpointed enqueues a job that already completed cpuDone seconds
+// of work elsewhere — the flocking/steering migration path for
+// checkpointable jobs.
+func (p *Pool) SubmitCheckpointed(ad *classad.Ad, cpuDone float64) (int, error) {
+	if cpuDone < 0 {
+		return 0, fmt.Errorf("condor: negative checkpoint %v", cpuDone)
+	}
+	return p.submit(ad, cpuDone)
+}
+
+// submit queues a job whose checkpoint, if the ad allows one, carries
+// cpuDone seconds of work; a job that is not checkpointable restarts from
+// zero. The checkpoint is in place before the job is queued: from then on
+// the engine may start it, with whatever work is left.
+func (p *Pool) submit(ad *classad.Ad, cpuDone float64) (int, error) {
 	if ad == nil {
 		return 0, fmt.Errorf("condor: nil job ad")
 	}
@@ -32,6 +48,11 @@ func (p *Pool) Submit(ad *classad.Ad) (int, error) {
 	}
 	id := len(p.jobs) + 1
 	j := p.newJob(id, ad.Clone(), p.grid.Engine.Now())
+	if cpuDone > 0 && j.ad.Bool(AttrCheckpoint, false) {
+		// A migration carries the checkpointed CPU at Mips 1 as its wall-clock.
+		j.cpuBase = cpuDone
+		j.wallBase = time.Duration(cpuDone * float64(time.Second))
+	}
 	p.jobs = append(p.jobs, j)
 	p.active = append(p.active, j)
 	p.liveCount++
@@ -39,30 +60,6 @@ func (p *Pool) Submit(ad *classad.Ad) (int, error) {
 	p.enqueueIdleLocked(j)
 	p.emitLocked(j, 0, StatusIdle)
 	p.requestWake()
-	return id, nil
-}
-
-// SubmitCheckpointed enqueues a job that already completed cpuDone seconds
-// of work elsewhere — the flocking/steering migration path for
-// checkpointable jobs.
-func (p *Pool) SubmitCheckpointed(ad *classad.Ad, cpuDone float64) (int, error) {
-	if cpuDone < 0 {
-		return 0, fmt.Errorf("condor: negative checkpoint %v", cpuDone)
-	}
-	id, err := p.Submit(ad)
-	if err != nil {
-		return 0, err
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	j := p.jobLocked(id)
-	if !j.ad.Bool(AttrCheckpoint, false) {
-		// Non-checkpointable jobs restart from zero.
-		return id, nil
-	}
-	// A migration carries the checkpointed CPU at Mips 1 as its wall-clock.
-	j.cpuBase = cpuDone
-	j.wallBase = time.Duration(cpuDone * float64(time.Second))
 	return id, nil
 }
 
@@ -252,17 +249,6 @@ func (p *Pool) Checkpoint(id int) (float64, error) {
 		return nil
 	})
 	return cpu, err
-}
-
-// WallClock returns the job's accumulated execution time — Condor's
-// "wall-clock time the job has accumulated while running", the Figure 7
-// progress proxy.
-func (p *Pool) WallClock(id int) (time.Duration, error) {
-	info, err := p.Job(id)
-	if err != nil {
-		return 0, err
-	}
-	return info.WallClock, nil
 }
 
 // transition runs fn on the identified job under the pool lock.

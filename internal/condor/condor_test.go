@@ -330,7 +330,7 @@ func TestOutputFileProduced(t *testing.T) {
 	ad.Set(AttrOutputMB, 42.0)
 	mustSubmit(t, p, ad)
 	g.Engine.RunFor(10 * time.Second)
-	f, ok := p.Site().Storage().Get("result.root")
+	f, ok := g.Site("siteA").Storage().Get("result.root")
 	if !ok || f.SizeMB != 42 {
 		t.Fatalf("output file = %+v, %v", f, ok)
 	}
@@ -449,6 +449,48 @@ func TestNonCheckpointableRestartsFromZero(t *testing.T) {
 	}
 	if _, err := p.SubmitCheckpointed(ad, -1); err == nil {
 		t.Fatal("negative checkpoint accepted")
+	}
+}
+
+// TestCheckpointedSubmitBesideRunningEngine submits checkpointed jobs while
+// the engine runs on another goroutine, as gae-server's does. A job the
+// engine could start between being queued and getting its checkpoint
+// would run its full work on top of the checkpoint: 1 600 CPU-seconds for
+// a 1 000-second job.
+func TestCheckpointedSubmitBesideRunningEngine(t *testing.T) {
+	const jobs, machines, need, done = 20000, 64, 1000.0, 600.0
+	g, p := testPool(t, machines)
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				g.Engine.RunFor(time.Second)
+			}
+		}
+	}()
+	for i := 0; i < jobs; i++ {
+		if _, err := p.SubmitCheckpointed(jobAd("alice", need, 0).Set(AttrCheckpoint, true), done); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	close(stop)
+	<-stopped
+	g.Engine.RunFor(time.Duration(jobs/machines+1) * time.Duration(need-done) * time.Second)
+	wrong := 0
+	for _, info := range mustJobs(t, p) {
+		if info.Status != StatusCompleted || info.CPUSeconds != need {
+			if wrong++; wrong <= 3 {
+				t.Errorf("job %d: %v with %v CPU-seconds, want completed with %v", info.ID, info.Status, info.CPUSeconds, need)
+			}
+		}
+	}
+	if wrong > 0 {
+		t.Errorf("%d of %d jobs did not complete with exactly their own work", wrong, jobs)
 	}
 }
 
@@ -631,7 +673,7 @@ func TestQuickOneJobPerMachine(t *testing.T) {
 		}
 		g.Engine.RunFor(5 * time.Second)
 		for _, n := range nodes {
-			if len(n.Tasks()) > 1 {
+			if n.TaskCount() > 1 {
 				return false
 			}
 		}

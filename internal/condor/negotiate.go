@@ -35,11 +35,10 @@ func (p *Pool) onWake(now time.Time) {
 
 // rearmLocked schedules the pool's next wakeup. The pool sleeps until an
 // event wakes it, with two analytic exceptions, both the end of a load
-// segment (the next tick, under an opaque load): the earliest instant a
-// free machine's advertised load changes while idle jobs went unmatched
-// (loadWakeAt, recorded by the last pass), and the earliest instant the
-// rate of a node carrying one of the pool's usage flows changes
-// (flowWakeAt). Nothing here asks for the next tick as such.
+// segment: the earliest instant a free machine's advertised load changes
+// while idle jobs went unmatched (loadWakeAt, recorded by the last pass),
+// and the earliest instant the rate of a node carrying one of the pool's
+// usage flows changes (flowWakeAt). Nothing here asks for the next tick as such.
 func (p *Pool) rearmLocked() {
 	if at := earlier(p.loadWakeAt, p.flowWakeAt); !at.IsZero() {
 		p.wake.Request(at)
@@ -215,9 +214,9 @@ func (p *Pool) negotiateLocked(now time.Time) int {
 	}
 	if p.idleCount > 0 {
 		// Unmatched idle jobs remain: wake when a free machine's load is
-		// next known to change — the earliest segment boundary, which under
-		// an opaque load is the next tick; with no free machines at all,
-		// only events can change the picture and no timer is needed.
+		// next known to change — the earliest segment boundary; with no free
+		// machines at all, only events can change the picture and no timer
+		// is needed.
 		p.loadWakeAt = st.until
 	}
 	if p.obsPasses != nil {
@@ -230,8 +229,7 @@ func (p *Pool) negotiateLocked(now time.Time) int {
 
 // freeStats summarizes one pre-pass walk of the free machines: how many
 // offers the pass holds, and when their advertised loads next change —
-// the earliest segment boundary (until; the next tick, under an opaque
-// load).
+// the earliest segment boundary (until).
 type freeStats struct {
 	avail int
 	until time.Time

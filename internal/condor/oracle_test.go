@@ -108,7 +108,7 @@ func (p *Pool) negotiateReferenceLocked(now time.Time) int {
 func (p *Pool) scanFreeRefLocked() []*machine {
 	var out []*machine
 	for _, m := range p.machines {
-		if len(m.node.Tasks()) == 0 {
+		if m.node.TaskCount() == 0 {
 			out = append(out, m)
 		}
 	}
@@ -130,13 +130,15 @@ func (p *Pool) freeMachinesRef() []*machine {
 func pickMachineReference(jobAd *classad.Ad, machines []*machine, now time.Time) *machine {
 	var best *machine
 	bestRank := 0.0
+	job := classad.NewMatcher(jobAd)
 	for _, m := range machines {
 		ad := m.ad.Clone()
 		ad.Set("LoadAvg", m.node.LoadAt(now))
-		if !classad.Match(jobAd, ad) {
+		target := classad.NewMatcher(ad)
+		if !job.Match(target) {
 			continue
 		}
-		r := classad.Rank(jobAd, ad)
+		r := job.Rank(target)
 		if best == nil || r > bestRank || (r == bestRank && m.node.Name < best.node.Name) {
 			best, bestRank = m, r
 		}

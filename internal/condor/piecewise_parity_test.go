@@ -16,8 +16,8 @@ import (
 // boundary lowers the load. The pool computes those boundaries
 // analytically (loadWakeAt); a Step loop visits every boundary anyway.
 // Their traces must be byte-identical, and the event run must stay sparse
-// when every load is piecewise. An opaque NoisyLoad machine is a segment
-// per tick, through the same path.
+// when every load is piecewise. A NoisyLoad machine is a segment a second,
+// through the same path.
 
 // piecewiseScenario is the scenario, built and not yet run: mgr is the
 // fair-share policy installed on pool, tr collects the pool's transitions.
@@ -118,6 +118,6 @@ func TestDriverEquivalenceOpaqueLoadFallback(t *testing.T) {
 	tick, _ := runPiecewiseParityScenario(t, StepFor, true)
 	ev, _ := runPiecewiseParityScenario(t, (*simgrid.Engine).RunFor, true)
 	if d := tick.diff(ev); d != "" {
-		t.Fatalf("stepping and event jumps diverged with an opaque load present: %s", d)
+		t.Fatalf("stepping and event jumps diverged with a noisy load present: %s", d)
 	}
 }

@@ -34,10 +34,9 @@ var ErrNoSuchJob = fmt.Errorf("condor: no such job")
 // segment: idle jobs waiting on free machines whose advertised load is
 // about to change (Requirements like `LoadAvg < 0.5` may flip there), and
 // running jobs whose fair-share usage flow must be re-rated because their
-// node's rate changes there. Under a piecewise-constant load that is the
-// segment's boundary; under an opaque function of time every tick is one,
-// which is what such a load costs and the only per-tick wake-up left. A
-// drained pool with no queue costs the simulation nothing.
+// node's rate changes there. Nothing wakes per tick as such: a load of
+// one-second segments (NoisyLoad) costs a wake a second. A drained pool
+// with no queue costs the simulation nothing.
 //
 // The negotiation hot path is indexed: free machines are maintained
 // incrementally in per-architecture buckets as jobs start and finish
@@ -275,9 +274,6 @@ func NewPool(name string, grid *simgrid.Grid, site *simgrid.Site) *Pool {
 func (p *Pool) requestWake() {
 	p.wake.Request(p.grid.Engine.Now())
 }
-
-// Site returns the site this pool executes on.
-func (p *Pool) Site() *simgrid.Site { return p.site }
 
 // AddMachine advertises a node to the negotiator. The machine ad is
 // augmented with standard attributes (Machine, Mips); a nil ad is allowed.

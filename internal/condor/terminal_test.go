@@ -161,9 +161,6 @@ func TestTerminalRecord(t *testing.T) {
 				if c, err := p.Checkpoint(id); err != nil || c != cpu {
 					t.Errorf("Checkpoint = %v, %v, want %v", c, err, cpu)
 				}
-				if w, err := p.WallClock(id); err != nil || w != wall {
-					t.Errorf("WallClock = %v, %v, want %v", w, err, wall)
-				}
 				js := exportedJob(t, p, id)
 				if js.CPUSeconds != cpu || js.WallClock != wall || Status(js.Status) != oc.status || js.Node != node || !js.LeaseExpires.IsZero() {
 					t.Errorf("exported %+v, want cpu %v wall %v status %v node %q and no lease", js, cpu, wall, oc.status, node)

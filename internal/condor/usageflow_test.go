@@ -329,7 +329,7 @@ func TestPolicySwapMidRun(t *testing.T) {
 }
 
 // TestFlowsMatchPerTickEagerOracle runs the piecewise-load scenario — step
-// and diurnal machines, and again with the opaque noisy one — once, with
+// and diurnal machines, and again with the noisy one — once, with
 // two sets of books kept on it: the installed policy's, fed by usage flows,
 // and a second manager's, fed by the per-tick eager accrual flows replaced
 // (eagerAccrual, which reads every running task's CPU at every tick). After

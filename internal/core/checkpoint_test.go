@@ -162,8 +162,8 @@ func TestCheckpointFollowsDelta(t *testing.T) {
 		if records, _ := snap.Value("checkpoint_history_records", ""); records != 10 {
 			t.Fatalf("the checkpoint after 10 charges on top of %d appended %v history records", old, records)
 		}
-		if got := len(g.Quota.Ledger("")); got != old+10 {
-			t.Fatalf("the ledger holds %d entries, want %d", got, old+10)
+		if st, err := g.Quota.Export(0); err != nil || len(st.Ledger) != old+10 {
+			t.Fatalf("the ledger holds %d entries (%v), want %d", len(st.Ledger), err, old+10)
 		}
 		return int64(bytes), int64(m1.TotalAlloc - m0.TotalAlloc)
 	}

@@ -70,6 +70,9 @@ type UserSpec struct {
 // Config describes a GAE deployment.
 type Config struct {
 	Tick time.Duration // simulation step (default 1s)
+	// Seed is ignored: nothing in the simulator draws random numbers. The
+	// field stays only because bench/ sets it, and goes with ROADMAP item
+	// 4, the benchmark change.
 	Seed int64
 
 	Sites []SiteSpec
@@ -275,7 +278,6 @@ func New(cfg Config) *GAE {
 		Grid:      grid,
 		Scheduler: g.Scheduler,
 		Monitor:   g.JobMon,
-		MonaLisa:  repo,
 		Quota:     q,
 	})
 

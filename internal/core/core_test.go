@@ -110,8 +110,8 @@ func startGAE(t *testing.T, cfg Config) (*GAE, *clarens.Client) {
 
 func TestClarensHostsAllFourServices(t *testing.T) {
 	g, c := startGAE(t, twoSiteConfig())
-	svcs, err := c.Services(context.Background())
-	if err != nil {
+	var svcs []clarens.ServiceInfo
+	if err := c.CallInto(context.Background(), "registry.list", &svcs); err != nil {
 		t.Fatal(err)
 	}
 	names := map[string]bool{}

@@ -97,12 +97,6 @@ func (f *Federation) Start() (string, error) {
 	return central, nil
 }
 
-// Client returns a local-transport gae.Client on the central deployment
-// acting as user — the typed equivalent of calling the central host.
-func (f *Federation) Client(user string) *gae.Client {
-	return f.Central.Client(user)
-}
-
 // URL returns a started host's endpoint ("central" or a site name).
 func (f *Federation) URL(name string) (string, bool) {
 	u, ok := f.urls[name]

@@ -65,14 +65,6 @@ func (g *GAE) AttachStore(s *durable.Store) error {
 	return nil
 }
 
-// Store returns the attached durable store (nil for an in-memory
-// deployment).
-func (g *GAE) Store() *durable.Store {
-	g.persistMu.RLock()
-	defer g.persistMu.RUnlock()
-	return g.store
-}
-
 // Checkpoint streams the deployment state into the store — live state
 // into the snapshot, the ledger entries billed since the last checkpoint
 // into the history segment — and truncates the journal it supersedes. It

@@ -146,7 +146,6 @@ func TestLargeDAGCampaign(t *testing.T) {
 func TestChaosRecoveryCampaign(t *testing.T) {
 	g := New(threeSiteConfig())
 	g.Steering.PollInterval = 5 * time.Second
-	g.Steering.ServiceFailureGrace = 10 * time.Second
 	g.Steering.AutoSteer = false // isolate recovery from optimization
 
 	var plans []*scheduler.ConcretePlan
@@ -249,9 +248,12 @@ func TestManyUsersQuotaIsolation(t *testing.T) {
 		if bal >= 10000 {
 			t.Fatalf("%s not charged (balance %v)", user, bal)
 		}
-		ledger := g.Quota.Ledger(user)
-		if len(ledger) != 1 {
-			t.Fatalf("%s ledger = %d entries", user, len(ledger))
+		st, err := g.Quota.Export(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(st.Ledger); n != i+1 || st.Ledger[n-1].User != user {
+			t.Fatalf("after charging %s the ledger is %+v", user, st.Ledger)
 		}
 	}
 	// Steering watch lists are per-owner.

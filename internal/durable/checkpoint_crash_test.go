@@ -257,7 +257,8 @@ func TestHistoryCrashEnumeration(t *testing.T) {
 	points := 0
 	for _, sp := range splits {
 		// The uncrashed run, stopped where the second checkpoint begins.
-		g, s := recoverInto(t, t.TempDir())
+		dir := t.TempDir()
+		g, s := recoverInto(t, dir)
 		root := g.Client("root")
 		charge := func(i int) {
 			t.Helper()
@@ -278,11 +279,11 @@ func TestHistoryCrashEnumeration(t *testing.T) {
 			charge(i)
 		}
 		want := encodedState(t, g)
-		before := readCrashDir(t, s.Dir())
+		before := readCrashDir(t, dir)
 		if err := g.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
-		delta := readCrashDir(t, s.Dir()).history[len(before.history):]
+		delta := readCrashDir(t, dir).history[len(before.history):]
 		appended := len(delta)
 		s.Close()
 		// Where to tear the append: around every record boundary, and
@@ -308,7 +309,11 @@ func TestHistoryCrashEnumeration(t *testing.T) {
 			points++
 			for _, from := range []string{"after the replay", "from snapshot and segment alone"} {
 				g, s := recoverInto(t, dir)
-				ledger := g.Quota.Ledger("")
+				st, err := g.Quota.Export(0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ledger := st.Ledger
 				if len(ledger) != sp.first+sp.second {
 					t.Fatalf("split %+v, %s, %s: %d ledger entries, want %d", sp, name, from, len(ledger), sp.first+sp.second)
 				}

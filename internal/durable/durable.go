@@ -34,12 +34,15 @@
 //	uvarint payload length | uint32 little-endian CRC-32 (IEEE) | payload
 //
 // Journal appends are made durable by group commit: concurrent appenders
-// batch into a single write+fsync, and Append returns only after the
-// record's batch is on disk. Recovery scans the longest verified prefix
-// and cuts the file to it: an incomplete record at the tail (a torn write)
-// goes silently, while a CRC mismatch on a complete record reports
-// ErrCorrupt alongside the verified prefix — replay never panics, never
-// applies unverified bytes, and new records never land behind them.
+// batch into a single write+fsync. Store.Append is the one way a record
+// reaches the journal: it takes the next sequence number and queues the
+// record under one lock, so journal order is sequence order, then waits
+// outside the lock until the record's batch is on disk. Recovery scans
+// the longest verified prefix and cuts the file to it: an incomplete
+// record at the tail (a torn write) goes silently, while a CRC mismatch
+// on a complete record reports ErrCorrupt alongside the verified prefix —
+// replay never panics, never applies unverified bytes, and new records
+// never land behind them.
 //
 // The history segment holds what is immutable once written — the quota
 // ledger, one entry per record — so that a checkpoint costs live state

@@ -60,13 +60,13 @@ func TestJournalFsyncFailureFailsWholeBatch(t *testing.T) {
 
 	// The error is sticky: the journal refuses further appends until the
 	// checkpoint cycle truncates it.
-	if err := j.AppendRaw([]byte("late")); !errors.Is(err, ErrInjected) {
+	if err := appendRaw(j, []byte("late")); !errors.Is(err, ErrInjected) {
 		t.Fatalf("append after failed flush: err = %v, want sticky injected error", err)
 	}
 	if err := j.Truncate(); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.AppendRaw([]byte("recovered")); err != nil {
+	if err := appendRaw(j, []byte("recovered")); err != nil {
 		t.Fatalf("append after truncate: %v", err)
 	}
 }
@@ -77,7 +77,7 @@ func TestJournalFsyncFailureFailsWholeBatch(t *testing.T) {
 func TestJournalShortWriteNeverAcks(t *testing.T) {
 	j, ff, path := openFaultyJournal(t)
 	ff.ShortWriteNext()
-	if err := j.Append(testOp(1, "set")); !errors.Is(err, ErrInjected) {
+	if err := appendOp(j, testOp(1, "set")); !errors.Is(err, ErrInjected) {
 		t.Fatalf("append: err = %v, want injected short write", err)
 	}
 	if err := j.Close(); err != nil {

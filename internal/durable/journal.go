@@ -19,9 +19,10 @@ import (
 //
 //	uvarint payload length | uint32 LE CRC-32 (IEEE) | payload
 //
-// and made durable by group commit: Append queues the encoded record and
-// blocks until a flusher has written and fsynced the batch containing it.
-// Under concurrent load many appenders share one fsync; a lone appender
+// and made durable by group commit: enqueue adds the encoded record to the
+// pending batch and waitDurable blocks until a flusher has written and
+// fsynced the batch containing it (Store.Append does both). Under
+// concurrent load many appenders share one fsync; a lone appender
 // degenerates to write+fsync with no added latency.
 type Journal struct {
 	mu       sync.Mutex
@@ -83,25 +84,6 @@ func appendFrame(buf []byte, payload []byte) []byte {
 	binary.LittleEndian.PutUint32(hdr[n:], crc32.ChecksumIEEE(payload))
 	buf = append(buf, hdr[:n+4]...)
 	return append(buf, payload...)
-}
-
-// Append journals one op and returns once it is durable (its batch has
-// been written and fsynced).
-func (j *Journal) Append(op Op) error {
-	payload, err := encodeOp(op)
-	if err != nil {
-		return err
-	}
-	return j.AppendRaw(payload)
-}
-
-// AppendRaw journals one pre-encoded payload with group-commit durability.
-func (j *Journal) AppendRaw(payload []byte) error {
-	gen, err := j.enqueue(payload)
-	if err != nil {
-		return err
-	}
-	return j.waitDurable(gen)
 }
 
 // enqueue frames the payload into the pending batch and returns the batch

@@ -34,6 +34,26 @@ func OpenJournal(path string) (*Journal, error) {
 	return NewJournal(f), nil
 }
 
+// appendRaw journals one encoded payload the way Store.Append does:
+// queued into the pending batch, then waited on until that batch is
+// durable.
+func appendRaw(j *Journal, payload []byte) error {
+	gen, err := j.enqueue(payload)
+	if err != nil {
+		return err
+	}
+	return j.waitDurable(gen)
+}
+
+// appendOp journals one op through appendRaw.
+func appendOp(j *Journal, op Op) error {
+	payload, err := encodeOp(op)
+	if err != nil {
+		return err
+	}
+	return appendRaw(j, payload)
+}
+
 func TestJournalRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "journal.wal")
 	j, err := OpenJournal(path)
@@ -41,7 +61,7 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := uint64(1); i <= 10; i++ {
-		if err := j.Append(testOp(i, "submit")); err != nil {
+		if err := appendOp(j, testOp(i, "submit")); err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
 	}
@@ -81,7 +101,7 @@ func TestJournalTornTail(t *testing.T) {
 	}
 	var offsets []int64
 	for i := uint64(1); i <= 3; i++ {
-		if err := j.Append(testOp(i, "set")); err != nil {
+		if err := appendOp(j, testOp(i, "set")); err != nil {
 			t.Fatal(err)
 		}
 		st, err := os.Stat(path)
@@ -122,7 +142,7 @@ func TestJournalCorruptRecord(t *testing.T) {
 	}
 	var afterFirst int64
 	for i := uint64(1); i <= 3; i++ {
-		if err := j.Append(testOp(i, "set")); err != nil {
+		if err := appendOp(j, testOp(i, "set")); err != nil {
 			t.Fatal(err)
 		}
 		if i == 1 {
@@ -219,7 +239,7 @@ func TestJournalOversizeRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	if err := j.AppendRaw(make([]byte, MaxRecordSize+1)); !errors.Is(err, ErrTooLarge) {
+	if err := appendRaw(j, make([]byte, MaxRecordSize+1)); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("want ErrTooLarge, got %v", err)
 	}
 }
@@ -233,7 +253,7 @@ func TestJournalAppendAfterClose(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Append(testOp(1, "late")); !errors.Is(err, ErrClosed) {
+	if err := appendOp(j, testOp(1, "late")); !errors.Is(err, ErrClosed) {
 		t.Fatalf("want ErrClosed, got %v", err)
 	}
 }

@@ -128,13 +128,6 @@ func (s *Store) TakeRecovery() (*Snapshot, []Op) {
 // journal at Open (nil if the journal was clean).
 func (s *Store) ScanWarning() error { return s.scanErr }
 
-// LastSeq returns the highest sequence number assigned so far.
-func (s *Store) LastSeq() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.seq
-}
-
 // Append journals one acknowledged mutation, assigning it the next
 // sequence number, and returns the assigned sequence once the record is
 // durable. requestID is the call's idempotency key ("" for unstamped
@@ -204,9 +197,6 @@ func (s *Store) Checkpoint(simTime time.Time, produce func(ledgerFrom int, emit 
 	}
 	return nil
 }
-
-// Dir returns the store's data directory.
-func (s *Store) Dir() string { return s.dir }
 
 // Close flushes and closes the journal, and closes the history segment.
 func (s *Store) Close() error {

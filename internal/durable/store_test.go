@@ -23,8 +23,8 @@ func TestStoreColdStart(t *testing.T) {
 	if snap != nil || len(tail) != 0 {
 		t.Fatalf("cold start should be empty, got snap=%v tail=%v", snap, tail)
 	}
-	if s.LastSeq() != 0 {
-		t.Fatalf("seq = %d, want 0", s.LastSeq())
+	if s.seq != 0 {
+		t.Fatalf("seq = %d, want 0", s.seq)
 	}
 }
 
@@ -76,8 +76,8 @@ func TestStoreCheckpointCycle(t *testing.T) {
 			t.Fatalf("tail[%d] = %+v", i, op)
 		}
 	}
-	if s2.LastSeq() != 8 {
-		t.Fatalf("recovered seq = %d, want 8", s2.LastSeq())
+	if s2.seq != 8 {
+		t.Fatalf("recovered seq = %d, want 8", s2.seq)
 	}
 }
 

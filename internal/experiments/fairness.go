@@ -23,9 +23,6 @@ type FairnessConfig struct {
 	// Ticks overrides the scenario's horizon (1 tick = 1 simulated
 	// second); zero keeps the scenario default.
 	Ticks int
-	// Seed feeds the grid engine's RNG (the schedules themselves are
-	// deterministic; the seed only matters if scenarios grow noise).
-	Seed int64
 	// FairShare installs the fair-share policy on every pool. False is
 	// the ablation: static priority with FIFO, no usage feedback.
 	FairShare bool
@@ -139,7 +136,7 @@ func Fairness(cfg FairnessConfig) (*FairnessResult, error) {
 		sample = 5
 	}
 
-	grid := simgrid.NewGrid(time.Second, cfg.Seed)
+	grid := simgrid.NewGrid(time.Second, 0)
 	site := grid.AddSite("siteA")
 	pool := condor.NewPool("siteA", grid, site)
 	for i := 0; i < sc.Machines; i++ {

@@ -56,7 +56,6 @@ func Fig6(cfg Fig6Config) (*Fig6Result, error) {
 		cfg.Jobs = 10
 	}
 	g := core.New(core.Config{
-		Seed: 6,
 		Sites: []core.SiteSpec{
 			{Name: "siteA", Nodes: 4, CostPerCPUSecond: 0.01},
 		},

@@ -82,7 +82,6 @@ func Fig7(cfg Fig7Config) (*Fig7Result, error) {
 		cfg.Horizon = 1000 * time.Second
 	}
 	g := core.New(core.Config{
-		Seed: 7,
 		Sites: []core.SiteSpec{
 			{Name: "siteA", Nodes: 2, CostPerCPUSecond: 0.05},
 			{Name: "siteB", Nodes: 1, CostPerCPUSecond: 0.05},

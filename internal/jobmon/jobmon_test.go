@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -439,12 +440,21 @@ func TestPollSnapshotsLiveJobsOnly(t *testing.T) {
 	if len(all) != done+3 || len(want) != 2 || queued != 2 {
 		t.Fatalf("pool holds %d jobs, %d queued, %d running; want %d, 2 and 1", len(all), queued, len(want)-1, done+3)
 	}
+	// What the poll published: the last point of every series it grew.
+	now := g.Engine.Now()
+	held := map[monalisa.Metric]int{}
+	for _, m := range repo.Metrics() {
+		held[m] = len(repo.Series(m.Source, m.Name, time.Time{}, now))
+	}
+	svc.publishProgress(now)
 	var got []string
-	cancel := repo.Subscribe("", "", func(m monalisa.Metric, p monalisa.Point) {
-		got = append(got, fmt.Sprintf("%s %s %v", m.Source, m.Name, p.Value))
-	})
-	svc.publishProgress(g.Engine.Now())
-	cancel()
+	for _, m := range repo.Metrics() {
+		if s := repo.Series(m.Source, m.Name, time.Time{}, now); len(s) > held[m] {
+			got = append(got, fmt.Sprintf("%s %s %v", m.Source, m.Name, s[len(s)-1].Value))
+		}
+	}
+	sort.Strings(got)
+	sort.Strings(want)
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("poll published %v, want %v", got, want)
 	}

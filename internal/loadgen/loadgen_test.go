@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/simgrid"
+	"repro/internal/xmlrpc"
 	"repro/pkg/gae"
 )
 
@@ -86,8 +87,11 @@ func TestRunDialFailureClosesDialledClients(t *testing.T) {
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped dial error", err)
 	}
-	if dialled == nil || dialled.Token() != "" {
-		t.Fatalf("the worker that dialled is still logged in after the aborted run")
+	if dialled == nil {
+		t.Fatal("no worker dialled")
+	}
+	if _, err := dialled.Balance(context.Background()); !xmlrpc.IsFault(err, xmlrpc.FaultAuth) {
+		t.Fatalf("the worker that dialled is still logged in after the aborted run: Balance = %v, want an authentication fault", err)
 	}
 }
 

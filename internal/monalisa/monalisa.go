@@ -6,8 +6,8 @@
 // whenever a job changes state, and the scheduler "contact[s] the
 // MonALISA repository to get the status of load at execution sites"
 // before placing a task. This package provides both: a time-series metric
-// repository with publish/subscribe, and a farm monitor that samples
-// site load from the simulated grid on a fixed interval.
+// repository that services publish to and query, and a farm monitor that
+// samples site load from the simulated grid on a fixed interval.
 //
 // The repository is bounded: each series keeps its last 4096 points, and
 // the event log its last 65536 events unless WithEventCap says fewer.
@@ -50,15 +50,6 @@ type Repository struct {
 	series    map[Metric][]Point
 	events    []Event
 	maxEvents int
-	subs      []*subscription
-	nextSubID int
-}
-
-type subscription struct {
-	id     int
-	source string // "" matches all
-	name   string // "" matches all
-	fn     func(Metric, Point)
 }
 
 // Option configures a Repository.
@@ -89,24 +80,16 @@ func NewRepository(opts ...Option) *Repository {
 	return r
 }
 
-// Publish appends a sample to the metric's series and fans it out to
-// matching subscribers.
+// Publish appends a sample to the metric's series.
 func (r *Repository) Publish(source, name string, t time.Time, v float64) {
 	m := Metric{Source: source, Name: name}
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	s := append(r.series[m], Point{Time: t, Value: v})
 	if len(s) > seriesCap {
 		s = s[len(s)-seriesCap:]
 	}
 	r.series[m] = s
-	subs := make([]*subscription, len(r.subs))
-	copy(subs, r.subs)
-	r.mu.Unlock()
-	for _, sub := range subs {
-		if (sub.source == "" || sub.source == source) && (sub.name == "" || sub.name == name) {
-			sub.fn(m, Point{Time: t, Value: v})
-		}
-	}
 }
 
 // PublishEvent appends a discrete event (e.g. a job status transition).
@@ -188,30 +171,6 @@ func (r *Repository) Events(since time.Time, source string) []Event {
 		out = append(out, e)
 	}
 	return out
-}
-
-// Subscribe registers fn for samples matching source/name ("" wildcards).
-// It returns an unsubscribe function. Callbacks run synchronously on the
-// publisher's goroutine.
-func (r *Repository) Subscribe(source, name string, fn func(Metric, Point)) (cancel func()) {
-	if fn == nil {
-		panic("monalisa: Subscribe with nil callback")
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.nextSubID++
-	sub := &subscription{id: r.nextSubID, source: source, name: name, fn: fn}
-	r.subs = append(r.subs, sub)
-	return func() {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		for i, s := range r.subs {
-			if s.id == sub.id {
-				r.subs = append(r.subs[:i], r.subs[i+1:]...)
-				return
-			}
-		}
-	}
 }
 
 // Conventional metric names used across the GAE services.

@@ -91,54 +91,6 @@ func TestEventCapBounded(t *testing.T) {
 	}
 }
 
-func TestSubscribeWildcardsAndCancel(t *testing.T) {
-	r := NewRepository()
-	var mu sync.Mutex
-	counts := map[string]int{}
-	record := func(key string) func(Metric, Point) {
-		return func(Metric, Point) {
-			mu.Lock()
-			counts[key]++
-			mu.Unlock()
-		}
-	}
-	cancelAll := r.Subscribe("", "", record("all"))
-	r.Subscribe("siteA", "", record("siteA"))
-	r.Subscribe("", "LoadAvg", record("load"))
-	r.Subscribe("siteA", "LoadAvg", record("exact"))
-
-	r.Publish("siteA", "LoadAvg", epoch, 1)
-	r.Publish("siteB", "LoadAvg", epoch, 2)
-	r.Publish("siteA", "FreeNodes", epoch, 3)
-
-	mu.Lock()
-	if counts["all"] != 3 || counts["siteA"] != 2 || counts["load"] != 2 || counts["exact"] != 1 {
-		mu.Unlock()
-		t.Fatalf("counts = %v", counts)
-	}
-	mu.Unlock()
-
-	cancelAll()
-	r.Publish("siteA", "LoadAvg", epoch, 4)
-	mu.Lock()
-	defer mu.Unlock()
-	if counts["all"] != 3 {
-		t.Fatalf("cancelled subscriber still firing: %v", counts)
-	}
-	if counts["exact"] != 2 {
-		t.Fatalf("remaining subscriber missed publish: %v", counts)
-	}
-}
-
-func TestSubscribeNilPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Subscribe(nil) did not panic")
-		}
-	}()
-	NewRepository().Subscribe("", "", nil)
-}
-
 func TestMetricsSorted(t *testing.T) {
 	r := NewRepository()
 	r.Publish("b", "y", epoch, 1)

@@ -189,20 +189,6 @@ func (s *Service) Charge(user, site string, cpuSeconds, mb float64, at time.Time
 	return cost, nil
 }
 
-// Ledger returns a copy of the charge history, optionally filtered by
-// user ("" matches all).
-func (s *Service) Ledger(user string) []Charge {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []Charge
-	for _, c := range s.ledger {
-		if user == "" || c.User == user {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // Sites lists the sites with configured rates, sorted.
 func (s *Service) Sites() []string {
 	s.mu.Lock()

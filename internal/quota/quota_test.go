@@ -133,16 +133,16 @@ func TestLedger(t *testing.T) {
 	s.Charge("alice", "s", 10, 0, t0, "a1")
 	s.Charge("bob", "s", 20, 0, t0.Add(time.Minute), "b1")
 	s.Charge("alice", "s", 5, 0, t0.Add(2*time.Minute), "a2")
-	all := s.Ledger("")
-	if len(all) != 3 {
-		t.Fatalf("ledger = %d entries", len(all))
+	st, err := s.Export(0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	alice := s.Ledger("alice")
-	if len(alice) != 2 || alice[0].Note != "a1" || alice[1].Note != "a2" {
-		t.Fatalf("alice ledger = %+v", alice)
+	ledger := st.Ledger
+	if len(ledger) != 3 || ledger[0].Note != "a1" || ledger[1].Note != "b1" || ledger[2].Note != "a2" {
+		t.Fatalf("ledger = %+v", ledger)
 	}
-	if alice[0].Credits != 10 {
-		t.Fatalf("charge credits = %v", alice[0].Credits)
+	if ledger[0].User != "alice" || ledger[0].Credits != 10 {
+		t.Fatalf("first charge = %+v", ledger[0])
 	}
 }
 

@@ -20,9 +20,9 @@
 // the one way anything waits on simulated time: the clock itself only
 // reads and advances, and nothing blocks on it. Skipped
 // boundaries are empty by construction: stepping through every one of them
-// (Step) leaves the same trace, which the equivalence suites pin. All
-// randomness flows from a single seeded source, making every experiment
-// reproducible bit for bit.
+// (Step) leaves the same trace, which the equivalence suites pin. Nothing
+// here draws random numbers — NoisyLoad's noise is a hash of its seed and
+// the second — so every experiment is reproducible bit for bit.
 //
 // CPU work is accounted exactly: in integer micro-CPU-seconds, at rates
 // quantised once where a load segment or a node's occupancy changes, with
@@ -42,7 +42,6 @@ package simgrid
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sync"
 	"time"
 
@@ -142,7 +141,6 @@ type Engine struct {
 	clock *vtime.SimClock
 	start time.Time
 	tick  time.Duration
-	rng   *rand.Rand
 
 	eq        eventQueue
 	seq       int64
@@ -161,9 +159,9 @@ type Engine struct {
 	events int64 // events dispatched
 }
 
-// NewEngine creates an engine with the given tick and RNG seed. A zero or
-// negative tick defaults to one second.
-func NewEngine(tick time.Duration, seed int64) *Engine {
+// NewEngine creates an engine with the given tick. A zero or negative tick
+// defaults to one second.
+func NewEngine(tick time.Duration) *Engine {
 	if tick <= 0 {
 		tick = time.Second
 	}
@@ -172,7 +170,6 @@ func NewEngine(tick time.Duration, seed int64) *Engine {
 		clock: clock,
 		start: clock.Now(),
 		tick:  tick,
-		rng:   rand.New(rand.NewSource(seed)),
 	}
 }
 
@@ -185,10 +182,6 @@ func (e *Engine) Now() time.Time { return e.clock.Now() }
 
 // Tick returns the engine's time resolution.
 func (e *Engine) Tick() time.Duration { return e.tick }
-
-// Rand returns the engine's deterministic random source. Callers must use
-// it only from the simulation goroutine.
-func (e *Engine) Rand() *rand.Rand { return e.rng }
 
 // Ticks returns the number of tick boundaries visited so far: those with
 // scheduled events, plus one per Step call.

@@ -297,7 +297,7 @@ func queueScript(seed int64, s scheduler, tick time.Duration) []string {
 func TestQueueMatchesHeapOracle(t *testing.T) {
 	for _, tick := range []time.Duration{time.Second, time.Second / 128, 7 * time.Millisecond} {
 		for seed := int64(1); seed <= 40; seed++ {
-			got := queueScript(seed, prodScheduler{NewEngine(tick, 1)}, tick)
+			got := queueScript(seed, prodScheduler{NewEngine(tick)}, tick)
 			want := queueScript(seed, oracleScheduler{newOracleEngine(tick)}, tick)
 			if !slices.Equal(got, want) {
 				for i := range want {
@@ -358,7 +358,7 @@ func TestQueuePopsInOrder(t *testing.T) {
 // dispatch allocate nothing, and neither does a Schedule of an existing
 // function value.
 func TestQueueAllocationFree(t *testing.T) {
-	e := NewEngine(time.Second, 1)
+	e := NewEngine(time.Second)
 	fires := 0
 	w := e.Register(func(time.Time) { fires++ })
 	timer := func(time.Time) { fires++ }

@@ -47,7 +47,7 @@ var advances = []struct {
 // current instant — whether from outside the engine or during event
 // dispatch — fires at the NEXT tick boundary, never in the same pass.
 func TestScheduleCurrentInstantFiresNextBoundary(t *testing.T) {
-	e := NewEngine(time.Second, 1)
+	e := NewEngine(time.Second)
 	epoch := e.Now()
 
 	// From outside the engine.
@@ -78,7 +78,7 @@ func TestScheduleCurrentInstantFiresNextBoundary(t *testing.T) {
 // next boundary — the tick is the simulation's time resolution — while
 // ordering among timers still follows the originally requested times.
 func TestScheduleQuantizesToGrid(t *testing.T) {
-	e := NewEngine(time.Second, 1)
+	e := NewEngine(time.Second)
 	var order []string
 	// 1.7s requested after 1.2s: both land on the +2s boundary, and fire
 	// in requested-time order even though both were quantized.
@@ -97,7 +97,7 @@ func TestScheduleQuantizesToGrid(t *testing.T) {
 // jump's target, and fires in deadline order whatever order it was
 // scheduled in; a timer not yet due has not fired.
 func TestTimersAcrossOneJumpFireOnceAtTheirOwnDeadlines(t *testing.T) {
-	e := NewEngine(time.Second, 1)
+	e := NewEngine(time.Second)
 	start := e.Now()
 	delays := []time.Duration{7 * time.Second, 3 * time.Second, 3600 * time.Second, 59 * time.Second, 4 * time.Second}
 	fired := make([][]time.Duration, len(delays))
@@ -127,7 +127,7 @@ func TestTimersAcrossOneJumpFireOnceAtTheirOwnDeadlines(t *testing.T) {
 // short of its deadline and has fired, seeing its deadline, once the clock
 // reaches it.
 func TestTimerFiresAtItsDeadlineNotBefore(t *testing.T) {
-	e := NewEngine(time.Second, 1)
+	e := NewEngine(time.Second)
 	start := e.Now()
 	var fired []time.Duration
 	e.Schedule(10*time.Second, func(now time.Time) { fired = append(fired, now.Sub(start)) })
@@ -145,7 +145,7 @@ func TestTimerFiresAtItsDeadlineNotBefore(t *testing.T) {
 // past it sees the clock at its own deadline, not at the jump's target,
 // so a chain of timers measures the durations it asked for.
 func TestTimerCrossedByJumpSeesItsOwnDeadline(t *testing.T) {
-	e := NewEngine(time.Second, 1)
+	e := NewEngine(time.Second)
 	start := e.Now()
 	var seen, chained time.Duration
 	e.Schedule(10*time.Second, func(now time.Time) {
@@ -164,7 +164,7 @@ func TestTimerCrossedByJumpSeesItsOwnDeadline(t *testing.T) {
 // TestTimersFireInDeadlineOrder: timers scheduled out of deadline order
 // and crossed one at a time fire in deadline order.
 func TestTimersFireInDeadlineOrder(t *testing.T) {
-	e := NewEngine(time.Second, 1)
+	e := NewEngine(time.Second)
 	var order []int
 	for i, d := range []time.Duration{30 * time.Second, 10 * time.Second, 20 * time.Second} {
 		e.Schedule(d, func(time.Time) { order = append(order, i) })
@@ -181,7 +181,7 @@ func TestTimersFireInDeadlineOrder(t *testing.T) {
 // seeing the period's boundary, as the clock advances one period at a
 // time.
 func TestPollerFiresEachPeriod(t *testing.T) {
-	e := NewEngine(time.Second, 1)
+	e := NewEngine(time.Second)
 	start := e.Now()
 	var polls []time.Duration
 	e.NewPoller(func() time.Duration { return 10 * time.Second }, func(now time.Time) {
@@ -200,7 +200,7 @@ func TestPollerFiresEachPeriod(t *testing.T) {
 // grid, whether the clock gets there a boundary at a time or in one jump.
 func TestPollerAcrossOneJumpFiresEveryPeriod(t *testing.T) {
 	for _, adv := range advances {
-		e := NewEngine(time.Second, 1)
+		e := NewEngine(time.Second)
 		start := e.Now()
 		var polls []time.Duration
 		e.NewPoller(func() time.Duration { return 10 * time.Second }, func(now time.Time) {
@@ -220,14 +220,14 @@ func TestPollerAcrossOneJumpFiresEveryPeriod(t *testing.T) {
 // scheduled, RunFor visits one boundary instead of thousands, and the
 // clock still lands exactly where stepping would put it.
 func TestEventDriverSkipsIdleBoundaries(t *testing.T) {
-	e := NewEngine(time.Second, 1)
+	e := NewEngine(time.Second)
 	fired := time.Time{}
 	e.Schedule(10000*time.Second, func(now time.Time) { fired = now })
 	e.RunFor(20000 * time.Second)
 	if e.Ticks() != 1 {
 		t.Fatalf("RunFor visited %d boundaries, want 1", e.Ticks())
 	}
-	if got := fired.Sub(NewEngine(time.Second, 1).Now()); got != 10000*time.Second {
+	if got := fired.Sub(NewEngine(time.Second).Now()); got != 10000*time.Second {
 		t.Fatalf("timer fired at +%v, want +10000s", got)
 	}
 	if got := e.Now().Sub(fired); got != 10000*time.Second {
@@ -239,7 +239,7 @@ func TestEventDriverSkipsIdleBoundaries(t *testing.T) {
 // the same instant coalesce, and a component fires at most once per
 // boundary.
 func TestWakeOncePerBoundary(t *testing.T) {
-	e := NewEngine(time.Second, 1)
+	e := NewEngine(time.Second)
 	fires := 0
 	var w *Wake
 	w = e.Register(func(now time.Time) { fires++ })
@@ -260,7 +260,7 @@ func TestWakeOncePerBoundary(t *testing.T) {
 // wake that re-requests itself from its own callback fires once per
 // requested period.
 func TestWakeRequestDuringOwnFiring(t *testing.T) {
-	e := NewEngine(time.Second, 1)
+	e := NewEngine(time.Second)
 	var times []time.Duration
 	epoch := e.Now()
 	var w *Wake
@@ -281,69 +281,6 @@ func TestWakeRequestDuringOwnFiring(t *testing.T) {
 	}
 	if e.Ticks() != int64(len(want)) {
 		t.Fatalf("RunFor visited %d boundaries for %d wakes", e.Ticks(), len(want))
-	}
-}
-
-// TestPiecewiseDetection pins the structural contract the analytic-
-// deadline path depends on: every load this package constructs (except
-// genuinely noisy ones) advertises PiecewiseConstant, wrappers preserve
-// it, and opaque function loads are conservatively treated as
-// time-varying — a segment per tick.
-func TestPiecewiseDetection(t *testing.T) {
-	pieceOf := func(l Load) PiecewiseConstant { return pieceOf(l, time.Second) }
-	if pc := pieceOf(ConstantLoad(0.3)); pc == nil {
-		t.Fatal("ConstantLoad not detected as piecewise")
-	} else if v, until := pc.Segment(time.Time{}); v != 0.3 || !until.IsZero() {
-		t.Fatalf("ConstantLoad segment = (%v, %v), want (0.3, forever)", v, until)
-	}
-	if pc := pieceOf(IdleLoad()); pc == nil {
-		t.Fatal("IdleLoad not detected as piecewise")
-	} else if v, _ := pc.Segment(time.Time{}); v != 0 {
-		t.Fatalf("IdleLoad segment value = %v, want 0", v)
-	}
-	if pc := pieceOf(nil); pc == nil {
-		t.Fatal("nil load not treated as idle piecewise")
-	} else if v, until := pc.Segment(time.Time{}); v != 0 || !until.IsZero() {
-		t.Fatalf("nil load segment = (%v, %v), want (0, forever)", v, until)
-	}
-	epoch := time.Date(2005, 1, 1, 0, 0, 0, 0, time.UTC)
-	if pc := pieceOf(DiurnalLoad(0.5, 0.3, 14)); pc == nil {
-		t.Fatal("DiurnalLoad not detected as piecewise")
-	} else {
-		at := epoch.Add(90 * time.Second)
-		v, until := pc.Segment(at)
-		if want := pc.LoadAt(at); v != want {
-			t.Fatalf("diurnal segment value %v != sampled %v", v, want)
-		}
-		if want := epoch.Add(2 * time.Minute); !until.Equal(want) {
-			t.Fatalf("diurnal segment ends %v, want minute boundary %v", until, want)
-		}
-	}
-	if pc := pieceOf(StepLoad(epoch, []time.Duration{time.Minute}, []float64{0.1, 0.9})); pc == nil {
-		t.Fatal("StepLoad not detected as piecewise")
-	} else {
-		if v, until := pc.Segment(epoch.Add(10 * time.Second)); v != 0.1 || !until.Equal(epoch.Add(time.Minute)) {
-			t.Fatalf("step segment = (%v, %v), want (0.1, %v)", v, until, epoch.Add(time.Minute))
-		}
-		if v, until := pc.Segment(epoch.Add(2 * time.Minute)); v != 0.9 || !until.IsZero() {
-			t.Fatalf("final step segment = (%v, %v), want (0.9, forever)", v, until)
-		}
-	}
-	// The old code-pointer detection silently degraded wrapped constants;
-	// the structural contract must not: zero-amplitude noise is exactly
-	// the base load and keeps its segments.
-	if pc := pieceOf(NoisyLoad(ConstantLoad(0.4), 0, 7)); pc == nil {
-		t.Fatal("NoisyLoad(const, amplitude=0) lost the piecewise contract")
-	} else if v, until := pc.Segment(epoch); v != 0.4 || !until.IsZero() {
-		t.Fatalf("zero-noise const segment = (%v, %v), want (0.4, forever)", v, until)
-	}
-	for name, fn := range map[string]Load{
-		"noisy":  NoisyLoad(ConstantLoad(0.5), 0.1, 7),
-		"custom": LoadFn(func(time.Time) float64 { return 0.4 }),
-	} {
-		if _, until := pieceOf(fn).Segment(epoch); !until.Equal(epoch.Add(time.Second)) {
-			t.Errorf("%s load's segment ends %v, want one tick after it starts", name, until)
-		}
 	}
 }
 
@@ -385,8 +322,8 @@ func TestAttachedNodeLazyReads(t *testing.T) {
 	task := NewTask(100, nil)
 	n.Place(task)
 	g.Engine.RunFor(100 * time.Second)
-	if got := task.Progress(); math.Abs(got-0.4) > 1e-9 {
-		t.Fatalf("lazy progress = %v, want 0.40", got)
+	if got := task.CPUSeconds(); math.Abs(got-40) > 1e-9 {
+		t.Fatalf("lazy cpu = %v, want 40", got)
 	}
 	if got := task.WallClock().Seconds(); math.Abs(got-40) > 1e-6 {
 		t.Fatalf("lazy wall clock = %vs, want 40s", got)
@@ -432,13 +369,13 @@ func TestAttachedNodeSuspendResumeMidFlight(t *testing.T) {
 		t.Fatalf("cpu at suspend = %v, want 30", got)
 	}
 	g.Engine.RunFor(50 * time.Second)
-	if got := task.Progress(); math.Abs(got-0.3) > 1e-9 {
-		t.Fatalf("suspended task progressed to %v", got)
+	if got := task.CPUSeconds(); math.Abs(got-30) > 1e-9 {
+		t.Fatalf("suspended task progressed to %v cpu-seconds", got)
 	}
 	task.Resume()
 	g.Engine.RunFor(70 * time.Second)
 	if task.State() != TaskDone {
-		t.Fatalf("resumed task state = %v (progress %v)", task.State(), task.Progress())
+		t.Fatalf("resumed task state = %v (cpu %v)", task.State(), task.CPUSeconds())
 	}
 	if got := task.WallClock(); got != 100*time.Second {
 		t.Fatalf("wall clock = %v, want 100s", got)
@@ -496,8 +433,8 @@ func TestFullyLoadedNodeSchedulesNothing(t *testing.T) {
 	if g.Engine.Ticks() != 0 {
 		t.Fatalf("fully loaded node woke the engine %d times", g.Engine.Ticks())
 	}
-	if got := task.Progress(); got != 0 {
-		t.Fatalf("task progressed to %v under full load", got)
+	if got := task.CPUSeconds(); got != 0 {
+		t.Fatalf("task progressed to %v cpu-seconds under full load", got)
 	}
 	// Relieving the load re-derives a deadline and the task completes.
 	n.SetLoad(IdleLoad())
@@ -510,7 +447,7 @@ func TestFullyLoadedNodeSchedulesNothing(t *testing.T) {
 // TestRunUntilEventDriverTimesOut: with nothing scheduled, RunUntil must
 // still terminate with the timeout error rather than spinning.
 func TestRunUntilEventDriverTimesOut(t *testing.T) {
-	e := NewEngine(time.Second, 1)
+	e := NewEngine(time.Second)
 	if err := e.RunUntil(func() bool { return false }, 5*time.Second); err == nil {
 		t.Fatal("RunUntil(never) did not time out with an empty queue")
 	}
@@ -537,7 +474,7 @@ func TestDriverIndependentTransferCompletion(t *testing.T) {
 }
 
 func ExampleEngine_Schedule() {
-	e := NewEngine(time.Second, 1)
+	e := NewEngine(time.Second)
 	e.Schedule(90*time.Second, func(now time.Time) {
 		fmt.Println("fired after", now.Sub(time.Date(2005, 1, 1, 0, 0, 0, 0, time.UTC)))
 	})
@@ -555,14 +492,14 @@ func ExampleEngine_Schedule() {
 // Regression test for an equivalence break found in review.
 func TestRunUntilDriversAgreeOnOvershootEvent(t *testing.T) {
 	for _, adv := range advances {
-		e := NewEngine(time.Second, 1)
+		e := NewEngine(time.Second)
 		flag := false
 		e.Schedule(11*time.Second, func(time.Time) { flag = true })
 		err := adv.until(e, func() bool { return flag }, 10*time.Second)
 		if err != nil || !flag {
 			t.Fatalf("%s: err=%v flag=%v, want event at the overshoot boundary to fire", adv.name, err, flag)
 		}
-		if got := e.Now().Sub(NewEngine(time.Second, 1).Now()); got != 11*time.Second {
+		if got := e.Now().Sub(NewEngine(time.Second).Now()); got != 11*time.Second {
 			t.Fatalf("%s: clock at +%v, want +11s", adv.name, got)
 		}
 	}
@@ -575,7 +512,7 @@ func TestRunUntilDriversAgreeOnOvershootEvent(t *testing.T) {
 func TestRunUntilTimeoutLeavesClockOnGrid(t *testing.T) {
 	var ends [2]time.Time
 	for i, adv := range advances {
-		e := NewEngine(time.Second, 1)
+		e := NewEngine(time.Second)
 		if err := adv.until(e, func() bool { return false }, 2500*time.Millisecond); err == nil {
 			t.Fatalf("%s: RunUntil(never) did not time out", adv.name)
 		}

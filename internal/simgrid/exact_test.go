@@ -153,13 +153,13 @@ func TestStepsEqualRun(t *testing.T) {
 
 // countedLoad counts the Segment calls a load serves.
 type countedLoad struct {
-	PiecewiseConstant
+	Load
 	calls *int
 }
 
 func (c countedLoad) Segment(t time.Time) (float64, time.Time) {
 	*c.calls++
-	return c.PiecewiseConstant.Segment(t)
+	return c.Load.Segment(t)
 }
 
 // TestSegmentCallsIndependentOfTick is the count gate on a read: placing a
@@ -171,7 +171,7 @@ func TestSegmentCallsIndependentOfTick(t *testing.T) {
 	count := func(tick, between time.Duration) int {
 		calls := 0
 		g := NewGrid(tick, 1)
-		n := g.AddSite("s").AddNode(g.Engine, "n", 1.5, countedLoad{ConstantLoad(0.3).(PiecewiseConstant), &calls})
+		n := g.AddSite("s").AddNode(g.Engine, "n", 1.5, countedLoad{ConstantLoad(0.3), &calls})
 		task := NewTask(1e7, nil)
 		n.Place(task)
 		for i := 0; i < 1000; i++ {
@@ -219,7 +219,7 @@ func TestAttachedNodeExactRegimeMatchesActorNode(t *testing.T) {
 		}
 	}
 	if tEv := p.ev.tasks[0]; tEv.State() != TaskDone {
-		t.Fatalf("task did not complete: %v (progress %v)", tEv.State(), tEv.Progress())
+		t.Fatalf("task did not complete: %v (cpu %v)", tEv.State(), tEv.CPUSeconds())
 	}
 }
 
@@ -352,15 +352,23 @@ func TestReadersLeaveCompletionsToTheNode(t *testing.T) {
 	}
 }
 
-// TestImpureLoadCompletesLate: a load that breaks the Load contract —
-// here a closure over a variable changed behind the node's back — makes
+// levelLoad breaks the Load contract: its value is a variable changed
+// behind the node's back, served a segment per tick.
+type levelLoad struct {
+	level *float64
+	tick  time.Duration
+}
+
+func (l levelLoad) Segment(t time.Time) (float64, time.Time) { return *l.level, t.Add(l.tick) }
+
+// TestImpureLoadCompletesLate: a load that breaks the Load contract makes
 // the look-ahead miss. No observer completes the task in the node's place:
 // the first read past the missed completion stops short of it and brings
 // the node's event to the next boundary, where the task completes.
 func TestImpureLoadCompletesLate(t *testing.T) {
 	g := NewGrid(time.Second, 1)
 	level := 0.9
-	n := g.AddSite("s").AddNode(g.Engine, "n", 1, LoadFn(func(time.Time) float64 { return level }))
+	n := g.AddSite("s").AddNode(g.Engine, "n", 1, levelLoad{&level, time.Second})
 	var doneAt time.Duration
 	task := NewTask(10, func(*Task) { doneAt = g.Engine.Now().Sub(epoch2005) })
 	n.Place(task) // expected at +100 s; the look-ahead wakes the node at +64 s
@@ -392,7 +400,7 @@ func TestSegmentCallsUnderShortSegments(t *testing.T) {
 	count := func(tick time.Duration) (total int) {
 		calls := 0
 		g := NewGrid(tick, 1)
-		n := g.AddSite("s").AddNode(g.Engine, "n", 1.5, countedLoad{DiurnalLoad(0.4, 0.3, 14).(PiecewiseConstant), &calls})
+		n := g.AddSite("s").AddNode(g.Engine, "n", 1.5, countedLoad{DiurnalLoad(0.4, 0.3, 14), &calls})
 		task := NewTask(1e7, nil)
 		op := func(name string, elapsedSegments int, f func()) {
 			before := calls

@@ -6,83 +6,29 @@ import (
 	"time"
 )
 
-// Load models background CPU load on a node as a function of simulated
-// time: LoadAt returns a value in [0, 1], the fraction of the CPU
-// consumed by non-Grid work (interactive users, system daemons,
-// higher-priority owners). A Condor job on the node makes progress at
-// rate 1-load.
+// Load models background CPU load on a node as a run of constant
+// segments: Segment(t) returns the fraction of the CPU, in [0, 1], that
+// non-Grid work (interactive users, system daemons, higher-priority
+// owners) consumes at t, and the instant the constant segment holding t
+// ends — zero when the value holds forever. The value must hold over all
+// of [t, until) and depend on t alone: a node reads a segment once and
+// trusts it to its end, so settling a span and finding a completion cost
+// one step per segment, not per tick. A Condor job on the node makes
+// progress at rate 1-load.
 type Load interface {
-	LoadAt(t time.Time) float64
-}
-
-// LoadFn adapts a plain function to the Load interface. Function loads
-// are conservatively treated as time-varying — a constant segment per
-// tick: a node samples them at every boundary it settles over and, to
-// schedule a completion, up to maxSegments boundaries ahead, so the
-// function must depend on its argument alone. One that does not (a closure
-// over state changed behind the node's back; SetLoad is the way to change
-// a load) has its completions reported late: at the node's next wake, or
-// the boundary after the next read. Loads that are constant over known
-// intervals should implement PiecewiseConstant instead (all constructors
-// in this package do), which makes a settle and a completion deadline cost
-// one step per segment, not per tick.
-type LoadFn func(t time.Time) float64
-
-// LoadAt implements Load.
-func (f LoadFn) LoadAt(t time.Time) float64 { return f(t) }
-
-// PiecewiseConstant is the optional contract that makes a load
-// event-friendly: Segment(t) returns the load value in effect at t and
-// the instant the current constant segment ends. The value must already
-// be clamped to [0, 1] and must equal clamp01(LoadAt(u)) for every u in
-// [t, until). A zero until means the value holds forever.
-//
-// Detection is structural — a type assertion — so wrappers compose: a
-// decorator that preserves piecewise-ness simply implements Segment by
-// delegation, and one that destroys it (e.g. additive noise) simply
-// doesn't.
-type PiecewiseConstant interface {
-	Load
 	Segment(t time.Time) (value float64, until time.Time)
-}
-
-// pieceOf returns l by constant segments. A nil load counts as
-// permanently idle; a load that only supports point sampling is served
-// one tick at a time.
-func pieceOf(l Load, tick time.Duration) PiecewiseConstant {
-	if l == nil {
-		return constantLoad{0}
-	}
-	if pc, ok := l.(PiecewiseConstant); ok {
-		return pc
-	}
-	return tickSegments{l, tick}
-}
-
-// tickSegments adapts an opaque load to the PiecewiseConstant contract
-// the only way that is always true: each sample holds for the one
-// boundary it was taken at.
-type tickSegments struct {
-	Load
-	tick time.Duration
-}
-
-func (s tickSegments) Segment(t time.Time) (float64, time.Time) {
-	return clamp01(s.LoadAt(t)), t.Add(s.tick)
 }
 
 // constantLoad is a load fixed forever at v.
 type constantLoad struct{ v float64 }
 
-func (c constantLoad) LoadAt(time.Time) float64 { return c.v }
-
 func (c constantLoad) Segment(time.Time) (float64, time.Time) {
 	return c.v, time.Time{}
 }
 
-// ConstantLoad returns a load fixed at x (clamped to [0, 1]). The result
-// implements PiecewiseConstant with a single unbounded segment: a node
-// under it settles any span, and finds a completion, in one step.
+// ConstantLoad returns a load fixed at x (clamped to [0, 1]): a single
+// unbounded segment, so a node under it settles any span, and finds a
+// completion, in one step.
 func ConstantLoad(x float64) Load { return constantLoad{clamp01(x)} }
 
 // IdleLoad is a node with no background activity.
@@ -96,14 +42,10 @@ type diurnalLoad struct {
 	peakHour        int
 }
 
-func (d diurnalLoad) LoadAt(t time.Time) float64 {
+func (d diurnalLoad) Segment(t time.Time) (float64, time.Time) {
 	hour := float64(t.Hour()) + float64(t.Minute())/60
 	phase := 2 * math.Pi * (hour - float64(d.peakHour)) / 24
-	return clamp01(d.base + d.amplitude*math.Cos(phase))
-}
-
-func (d diurnalLoad) Segment(t time.Time) (float64, time.Time) {
-	return d.LoadAt(t), t.Truncate(time.Minute).Add(time.Minute)
+	return clamp01(d.base + d.amplitude*math.Cos(phase)), t.Truncate(time.Minute).Add(time.Minute)
 }
 
 // DiurnalLoad models a daily usage cycle: base load plus a sinusoid
@@ -120,11 +62,6 @@ type stepLoad struct {
 	epoch      time.Time
 	boundaries []time.Duration
 	levels     []float64
-}
-
-func (s stepLoad) LoadAt(t time.Time) float64 {
-	v, _ := s.Segment(t)
-	return v
 }
 
 func (s stepLoad) Segment(t time.Time) (float64, time.Time) {
@@ -154,48 +91,39 @@ func StepLoad(epoch time.Time, boundaries []time.Duration, levels []float64) Loa
 	return stepLoad{epoch: epoch, boundaries: boundaries, levels: levels}
 }
 
-// noisyLoad perturbs a base load with seeded, time-hashed noise.
+// noisyLoad perturbs a base load with seeded noise keyed on the whole
+// second.
 type noisyLoad struct {
 	base      Load
 	amplitude float64
 	seed      int64
 }
 
-func (n noisyLoad) LoadAt(t time.Time) float64 {
+func (n noisyLoad) Segment(t time.Time) (float64, time.Time) {
+	v, until := n.base.Segment(t)
+	if next := t.Truncate(time.Second).Add(time.Second); until.IsZero() || next.Before(until) {
+		until = next
+	}
 	h := n.seed ^ t.Unix()
 	h ^= h << 13
 	h ^= h >> 7
 	h ^= h << 17
 	r := rand.New(rand.NewSource(h))
-	return clamp01(n.base.LoadAt(t) + n.amplitude*(2*r.Float64()-1))
+	return clamp01(v + n.amplitude*(2*r.Float64()-1)), until
 }
 
-// clampedLoad clamps a base load into [0, 1], preserving its piecewise
-// segments when it has them.
-type clampedLoad struct{ base PiecewiseConstant }
-
-func (c clampedLoad) LoadAt(t time.Time) float64 { return clamp01(c.base.LoadAt(t)) }
-
-func (c clampedLoad) Segment(t time.Time) (float64, time.Time) {
-	v, until := c.base.Segment(t)
-	return clamp01(v), until
-}
-
-// NoisyLoad wraps a base load with seeded, time-hashed noise of the given
-// amplitude. The same (seed, time) pair always yields the same value, so
-// simulations remain reproducible regardless of call order. A zero
-// amplitude adds exactly nothing: the result then preserves the base's
-// piecewise-constant segments instead of degrading it to per-tick
-// sampling.
+// NoisyLoad wraps a base load with seeded noise of the given amplitude,
+// drawn afresh each whole second of simulated time: the same (seed,
+// second) pair always yields the same value, so simulations remain
+// reproducible regardless of call order, and a segment ends at the next
+// whole second or at the base's own boundary, whichever comes first. A
+// zero amplitude adds nothing: the result is the base.
 func NoisyLoad(base Load, amplitude float64, seed int64) Load {
 	if base == nil {
 		base = IdleLoad()
 	}
 	if amplitude == 0 {
-		if pc, ok := base.(PiecewiseConstant); ok {
-			return clampedLoad{base: pc}
-		}
-		return LoadFn(func(t time.Time) float64 { return clamp01(base.LoadAt(t)) })
+		return base
 	}
 	return noisyLoad{base: base, amplitude: amplitude, seed: seed}
 }

@@ -152,11 +152,6 @@ func (t *Task) State() TaskState {
 	return t.state
 }
 
-// Progress returns completed work as a fraction in [0, 1].
-func (t *Task) Progress() float64 {
-	return min(t.CPUSeconds()/t.Need, 1)
-}
-
 // WallClock returns the accumulated execution time (Condor wall-clock),
 // to the microsecond.
 func (t *Task) WallClock() time.Duration {
@@ -219,8 +214,8 @@ func (t *Task) Kill() { t.setState(TaskKilled, TaskRunning, TaskSuspended) }
 // ahead, and so what a placement, suspend, resume, removal or load change
 // costs: at most maxSegments Segment calls. A completion further off wakes
 // the node at the last segment looked at, where it derives again, so an
-// undisturbed task under a load of many short segments (an opaque one is a
-// segment per tick) pays one extra engine event per maxSegments segments
+// undisturbed task under a load of many short segments (NoisyLoad's last a
+// second) pays one extra engine event per maxSegments segments
 // and looks at each segment once whatever the bound. At 64 resuming a task
 // weeks from completion takes 5 µs under DiurnalLoad and 0.9 ms under
 // NoisyLoad (which seeds a generator per sample), 0.5 ms and 49 ms at 4096,
@@ -238,15 +233,14 @@ const maxSegments = 64
 // the load segment or the occupancy changes, never per tick; accrual is
 // settled lazily, one multiplication per task per load segment, whenever
 // state is observed or changed; and the earliest completion is scheduled
-// as one engine event at the boundary a ceiling division finds. An opaque
-// Load (no Segment method) is a segment per tick.
+// as one engine event at the boundary a ceiling division finds.
 type Node struct {
 	Name string
 	Site string
 	Mips float64
 
 	mu       sync.Mutex
-	seg      PiecewiseConstant // the background load, by constant segments
+	seg      Load // the background load
 	tasks    []*Task
 	eng      *Engine
 	wake     *Wake
@@ -264,10 +258,18 @@ func newNode(e *Engine, name, site string, mips float64, load Load) *Node {
 	if mips*unitsPerSecond*float64(e.tick) >= 1<<63 {
 		panic("simgrid: Mips × tick too large for exact work accounting")
 	}
-	n := &Node{Name: name, Site: site, Mips: mips, seg: pieceOf(load, e.tick), eng: e}
+	n := &Node{Name: name, Site: site, Mips: mips, seg: orIdle(load), eng: e}
 	n.synced = e.tickNow()
 	n.wake = e.Register(n.onWake)
 	return n
+}
+
+// orIdle is load, or the idle load for nil.
+func orIdle(load Load) Load {
+	if load == nil {
+		return IdleLoad()
+	}
+	return load
 }
 
 // SetLoad replaces the node's background load. Work accrued so far is
@@ -275,7 +277,7 @@ func newNode(e *Engine, name, site string, mips float64, load Load) *Node {
 func (n *Node) SetLoad(load Load) {
 	n.mu.Lock()
 	n.settleObservedLocked()
-	n.seg = pieceOf(load, n.eng.tick)
+	n.seg = orIdle(load)
 	n.rearmLocked()
 	n.mu.Unlock()
 	n.notifyObserver()
@@ -312,8 +314,7 @@ func (n *Node) LoadAt(t time.Time) float64 {
 }
 
 // LoadSegment reports the background load at t together with the end of
-// the current constant segment: zero when the value holds forever, one
-// tick past t under an opaque load.
+// the current constant segment: zero when the value holds forever.
 func (n *Node) LoadSegment(t time.Time) (value float64, until time.Time) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -374,15 +375,6 @@ func (n *Node) TaskCount() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return len(n.tasks)
-}
-
-// Tasks returns a snapshot of the tasks currently placed on the node.
-func (n *Node) Tasks() []*Task {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	out := make([]*Task, len(n.tasks))
-	copy(out, n.tasks)
-	return out
 }
 
 // RunningCount returns the number of tasks in the running state.

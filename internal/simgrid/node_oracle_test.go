@@ -69,7 +69,7 @@ func (n *tickNode) SetLoad(load Load) {
 // (1-load)×Mips, quantised and divided equally among running tasks.
 func (n *tickNode) OnTick(now time.Time, dt time.Duration) {
 	n.mu.Lock()
-	load := clamp01(n.load.LoadAt(now))
+	load, _ := n.load.Segment(now)
 	running := make([]*Task, 0, len(n.tasks))
 	for _, t := range n.tasks {
 		if t.State() == TaskRunning {
@@ -141,7 +141,7 @@ type nodePair struct{ ev, ref *nodeSide }
 
 func newNodePair(tick time.Duration, mips float64, load Load) nodePair {
 	g := NewGrid(tick, 1)
-	eRef := NewEngine(tick, 1)
+	eRef := NewEngine(tick)
 	return nodePair{
 		ev:  &nodeSide{e: g.Engine, node: g.AddSite("s").AddNode(g.Engine, "n", mips, load)},
 		ref: &nodeSide{e: eRef, node: newTickNode(eRef, mips, load)},

@@ -8,7 +8,7 @@ import (
 )
 
 func TestEngineStepAdvancesClock(t *testing.T) {
-	e := NewEngine(time.Second, 1)
+	e := NewEngine(time.Second)
 	start := e.Now()
 	e.Step()
 	if got := e.Now().Sub(start); got != time.Second {
@@ -20,13 +20,13 @@ func TestEngineStepAdvancesClock(t *testing.T) {
 }
 
 func TestEngineDefaultTick(t *testing.T) {
-	if e := NewEngine(0, 1); e.Tick() != time.Second {
+	if e := NewEngine(0); e.Tick() != time.Second {
 		t.Fatalf("default tick = %v", e.Tick())
 	}
 }
 
 func TestEngineRunFor(t *testing.T) {
-	e := NewEngine(time.Second, 1)
+	e := NewEngine(time.Second)
 	start := e.Now()
 	e.RunFor(90 * time.Second)
 	if got := e.Now().Sub(start); got != 90*time.Second {
@@ -42,7 +42,7 @@ func TestEngineRunFor(t *testing.T) {
 // TestEngineActorsTickInOrder: components due at one boundary fire in
 // registration order, whatever order they asked in.
 func TestEngineActorsTickInOrder(t *testing.T) {
-	e := NewEngine(time.Second, 1)
+	e := NewEngine(time.Second)
 	var order []string
 	a := e.Register(func(time.Time) { order = append(order, "a") })
 	b := e.Register(func(time.Time) { order = append(order, "b") })
@@ -55,7 +55,7 @@ func TestEngineActorsTickInOrder(t *testing.T) {
 }
 
 func TestEngineScheduleFiresOnce(t *testing.T) {
-	e := NewEngine(time.Second, 1)
+	e := NewEngine(time.Second)
 	fired := 0
 	var at time.Time
 	e.Schedule(5*time.Second, func(now time.Time) { fired++; at = now })
@@ -73,7 +73,7 @@ func TestEngineScheduleFiresOnce(t *testing.T) {
 }
 
 func TestEngineScheduleOrdering(t *testing.T) {
-	e := NewEngine(time.Second, 1)
+	e := NewEngine(time.Second)
 	var order []int
 	// Same deadline: scheduling order wins. Earlier deadline fires first
 	// even when scheduled later.
@@ -92,11 +92,11 @@ func TestEngineScheduleNilPanics(t *testing.T) {
 			t.Fatal("Schedule(nil) did not panic")
 		}
 	}()
-	NewEngine(time.Second, 1).Schedule(time.Second, nil)
+	NewEngine(time.Second).Schedule(time.Second, nil)
 }
 
 func TestEngineRunUntil(t *testing.T) {
-	e := NewEngine(time.Second, 1)
+	e := NewEngine(time.Second)
 	hits := 0
 	e.NewPoller(func() time.Duration { return time.Second }, func(time.Time) { hits++ })
 	if err := e.RunUntil(func() bool { return hits >= 10 }, time.Minute); err != nil {
@@ -132,8 +132,8 @@ func TestTaskOnIdleNodeFinishesInNeedSeconds(t *testing.T) {
 	if got := task.WallClock(); got != 283*time.Second {
 		t.Fatalf("wall clock = %v, want 283s", got)
 	}
-	if task.Progress() != 1 {
-		t.Fatalf("progress = %v", task.Progress())
+	if got := task.CPUSeconds(); got != task.Need {
+		t.Fatalf("cpu = %v, want %v", got, task.Need)
 	}
 }
 
@@ -143,7 +143,7 @@ func TestTaskMipsScaling(t *testing.T) {
 	fast.Place(task)
 	e.RunFor(50 * time.Second)
 	if task.State() != TaskDone {
-		t.Fatalf("2-mips node: task not done after 50s (progress %v)", task.Progress())
+		t.Fatalf("2-mips node: task not done after 50s (cpu %v)", task.CPUSeconds())
 	}
 }
 
@@ -154,8 +154,8 @@ func TestTasksShareNodeFairly(t *testing.T) {
 	n.Place(a)
 	n.Place(b)
 	e.RunFor(100 * time.Second)
-	if pa, pb := a.Progress(), b.Progress(); math.Abs(pa-0.5) > 1e-9 || math.Abs(pb-0.5) > 1e-9 {
-		t.Fatalf("shared progress = %v, %v, want 0.5 each", pa, pb)
+	if ca, cb := a.CPUSeconds(), b.CPUSeconds(); math.Abs(ca-50) > 1e-9 || math.Abs(cb-50) > 1e-9 {
+		t.Fatalf("shared cpu = %v, %v, want 50 each", ca, cb)
 	}
 }
 
@@ -192,10 +192,10 @@ func TestNodeRemoveDetachesTask(t *testing.T) {
 	e.RunFor(10 * time.Second)
 	n.Remove(task)
 	e.RunFor(50 * time.Second)
-	if got := task.Progress(); math.Abs(got-0.1) > 1e-9 {
-		t.Fatalf("detached task progressed to %v", got)
+	if got := task.CPUSeconds(); math.Abs(got-10) > 1e-9 {
+		t.Fatalf("detached task progressed to %v cpu-seconds", got)
 	}
-	if len(n.Tasks()) != 0 {
+	if n.TaskCount() != 0 {
 		t.Fatal("node still holds detached task")
 	}
 }
@@ -204,7 +204,7 @@ func TestCompletedTaskLeavesNode(t *testing.T) {
 	e, n := testNode(1, IdleLoad())
 	n.Place(NewTask(5, nil))
 	e.RunFor(10 * time.Second)
-	if got := len(n.Tasks()); got != 0 {
+	if got := n.TaskCount(); got != 0 {
 		t.Fatalf("node holds %d tasks after completion", got)
 	}
 }
@@ -220,30 +220,33 @@ func TestNewTaskValidations(t *testing.T) {
 
 func TestLoadFns(t *testing.T) {
 	epoch := time.Date(2005, 1, 1, 0, 0, 0, 0, time.UTC)
-	if got := ConstantLoad(0.5).LoadAt(epoch); got != 0.5 {
-		t.Errorf("ConstantLoad = %v", got)
+	for _, c := range []struct{ x, want float64 }{{0.5, 0.5}, {1.5, 1}, {-1, 0}} {
+		if v, until := ConstantLoad(c.x).Segment(epoch); v != c.want || !until.IsZero() {
+			t.Errorf("ConstantLoad(%v) segment = (%v, %v), want (%v, forever)", c.x, v, until, c.want)
+		}
 	}
-	if got := ConstantLoad(1.5).LoadAt(epoch); got != 1 {
-		t.Errorf("ConstantLoad clamps high = %v", got)
-	}
-	if got := ConstantLoad(-1).LoadAt(epoch); got != 0 {
-		t.Errorf("ConstantLoad clamps low = %v", got)
+	g := NewGrid(time.Second, 1)
+	if v, until := g.AddSite("s").AddNode(g.Engine, "n", 1, nil).LoadSegment(epoch); v != 0 || !until.IsZero() {
+		t.Errorf("a node given no load: segment (%v, %v), want idle forever", v, until)
 	}
 	d := DiurnalLoad(0.5, 0.3, 14)
-	peak := d.LoadAt(time.Date(2005, 1, 1, 14, 0, 0, 0, time.UTC))
-	trough := d.LoadAt(time.Date(2005, 1, 1, 2, 0, 0, 0, time.UTC))
+	peak, until := d.Segment(time.Date(2005, 1, 1, 14, 0, 30, 0, time.UTC))
+	trough, _ := d.Segment(time.Date(2005, 1, 1, 2, 0, 0, 0, time.UTC))
 	if peak <= trough {
 		t.Errorf("diurnal peak %v <= trough %v", peak, trough)
 	}
 	if math.Abs(peak-0.8) > 1e-9 {
 		t.Errorf("diurnal peak = %v, want 0.8", peak)
 	}
-	st := StepLoad(epoch, []time.Duration{time.Minute}, []float64{0.1, 0.9})
-	if got := st.LoadAt(epoch.Add(30 * time.Second)); got != 0.1 {
-		t.Errorf("step before boundary = %v", got)
+	if want := time.Date(2005, 1, 1, 14, 1, 0, 0, time.UTC); !until.Equal(want) {
+		t.Errorf("diurnal segment ends %v, want the minute boundary %v", until, want)
 	}
-	if got := st.LoadAt(epoch.Add(2 * time.Minute)); got != 0.9 {
-		t.Errorf("step after boundary = %v", got)
+	st := StepLoad(epoch, []time.Duration{time.Minute}, []float64{0.1, 0.9})
+	if v, until := st.Segment(epoch.Add(30 * time.Second)); v != 0.1 || !until.Equal(epoch.Add(time.Minute)) {
+		t.Errorf("step before boundary = (%v, %v)", v, until)
+	}
+	if v, until := st.Segment(epoch.Add(2 * time.Minute)); v != 0.9 || !until.IsZero() {
+		t.Errorf("step after boundary = (%v, %v), want (0.9, forever)", v, until)
 	}
 }
 
@@ -260,18 +263,32 @@ func TestNoisyLoadDeterministicAndBounded(t *testing.T) {
 	base := ConstantLoad(0.5)
 	noisy := NoisyLoad(base, 0.2, 42)
 	ts := time.Date(2005, 3, 1, 9, 30, 0, 0, time.UTC)
-	a, b := noisy.LoadAt(ts), noisy.LoadAt(ts)
+	a, _ := noisy.Segment(ts)
+	b, _ := noisy.Segment(ts.Add(700 * time.Millisecond))
 	if a != b {
-		t.Fatalf("NoisyLoad not deterministic: %v vs %v", a, b)
+		t.Fatalf("NoisyLoad not constant over its second: %v vs %v", a, b)
 	}
 	for i := 0; i < 100; i++ {
-		v := noisy.LoadAt(ts.Add(time.Duration(i) * time.Second))
+		at := ts.Add(time.Duration(i)*time.Second + 250*time.Millisecond)
+		v, until := noisy.Segment(at)
 		if v < 0 || v > 1 {
 			t.Fatalf("NoisyLoad out of range: %v", v)
 		}
 		if math.Abs(v-0.5) > 0.2+1e-9 {
 			t.Fatalf("NoisyLoad outside amplitude: %v", v)
 		}
+		if want := ts.Add(time.Duration(i+1) * time.Second); !until.Equal(want) {
+			t.Fatalf("NoisyLoad segment at %v ends %v, want the next whole second %v", at, until, want)
+		}
+	}
+	// A base boundary inside the second ends the segment there.
+	stepped := NoisyLoad(StepLoad(ts, []time.Duration{1500 * time.Millisecond}, []float64{0.2, 0.6}), 0.1, 42)
+	if _, until := stepped.Segment(ts.Add(time.Second)); !until.Equal(ts.Add(1500 * time.Millisecond)) {
+		t.Fatalf("noise over a step ends %v, want the step at %v", until, ts.Add(1500*time.Millisecond))
+	}
+	// Zero amplitude adds nothing: the base, with its segments.
+	if got := NoisyLoad(base, 0, 7); got != base {
+		t.Fatalf("NoisyLoad(base, 0) = %v, want the base", got)
 	}
 }
 
@@ -446,8 +463,8 @@ func TestStorageBasics(t *testing.T) {
 	}
 }
 
-// Property: a task under constant load L on a Mips-1 node reaches progress
-// ≈ (1-L)·t/Need after t seconds (before completion).
+// Property: a task under constant load L on a Mips-1 node has done
+// ≈ (1-L)·t CPU-seconds after t seconds (before completion).
 func TestQuickProgressUnderLoad(t *testing.T) {
 	f := func(loadPct uint8, needS uint8) bool {
 		load := float64(loadPct%90) / 100 // 0.00 .. 0.89
@@ -457,11 +474,8 @@ func TestQuickProgressUnderLoad(t *testing.T) {
 		n.Place(task)
 		const runFor = 40
 		e.RunFor(runFor * time.Second)
-		want := (1 - load) * runFor / need
-		if want > 1 {
-			want = 1
-		}
-		return math.Abs(task.Progress()-want) < 1e-6
+		want := (1 - load) * runFor // under need: at most 40 of at least 50
+		return math.Abs(task.CPUSeconds()-want) < 1e-6*need
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

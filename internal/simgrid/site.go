@@ -90,9 +90,11 @@ type Grid struct {
 	sites map[string]*Site
 }
 
-// NewGrid creates a grid with the given tick and seed.
+// NewGrid creates a grid with the given tick. The seed is ignored: nothing
+// in the simulator draws random numbers. The parameter stays only because
+// bench/ passes it, and goes with ROADMAP item 4, the benchmark change.
 func NewGrid(tick time.Duration, seed int64) *Grid {
-	e := NewEngine(tick, seed)
+	e := NewEngine(tick)
 	return &Grid{Engine: e, Network: NewNetwork(e), sites: make(map[string]*Site)}
 }
 

@@ -10,6 +10,10 @@ import (
 
 // The Backup & Recovery module (paper §4.2.4).
 
+// serviceFailureGrace is how long an execution service must stay
+// unhealthy before Backup & Recovery reallocates its jobs.
+const serviceFailureGrace = 20 * time.Second
+
 // handleServiceFailure reacts to a dead execution service: after the
 // grace period, the module "contacts Sphinx to allocate a new execution
 // service" and the scheduler resubmits the job there.
@@ -21,7 +25,7 @@ func (s *Service) handleServiceFailure(w *watched, a scheduler.Assignment, now t
 	waited := now.Sub(w.downSince)
 	handled := w.downHandled
 	s.mu.Unlock()
-	if handled || waited < s.ServiceFailureGrace {
+	if handled || waited < serviceFailureGrace {
 		return
 	}
 	s.mu.Lock()

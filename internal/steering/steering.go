@@ -32,7 +32,6 @@ import (
 
 	"repro/internal/condor"
 	"repro/internal/jobmon"
-	"repro/internal/monalisa"
 	"repro/internal/quota"
 	"repro/internal/scheduler"
 	"repro/internal/simgrid"
@@ -99,10 +98,8 @@ type watched struct {
 	moves int
 	// terminalNotified ensures completion/failure is announced once.
 	terminalNotified bool
-	// lastSite tracks the site for failure detection transitions.
-	lastSite    string
-	downSince   time.Time
-	downHandled bool
+	downSince        time.Time
+	downHandled      bool
 }
 
 // Config wires the Steering Service's collaborators.
@@ -110,8 +107,7 @@ type Config struct {
 	Grid      *simgrid.Grid
 	Scheduler *scheduler.Scheduler
 	Monitor   *jobmon.Service
-	MonaLisa  *monalisa.Repository // optional
-	Quota     *quota.Service       // optional (needed for PreferCheap)
+	Quota     *quota.Service // optional (needed for PreferCheap)
 }
 
 // Service is the Steering Service.
@@ -133,9 +129,6 @@ type Service struct {
 	AutoSteer bool
 	// Preference chooses fast (estimators) or cheap (quota) placement.
 	Preference Preference
-	// ServiceFailureGrace is how long an execution service must stay
-	// unhealthy before Backup & Recovery reallocates its jobs.
-	ServiceFailureGrace time.Duration
 
 	Sessions *SessionManager
 
@@ -152,15 +145,14 @@ func New(cfg Config) *Service {
 		panic("steering: Config needs Grid, Scheduler and Monitor")
 	}
 	s := &Service{
-		cfg:                 cfg,
-		PollInterval:        10 * time.Second,
-		MinObservation:      30 * time.Second,
-		AutoSteer:           true,
-		ServiceFailureGrace: 20 * time.Second,
-		Sessions:            NewSessionManager(),
-		tasks:               make(map[TaskRef]*watched),
-		notifications:       make(map[string][]Notification),
-		execState:           make(map[TaskRef][]simgrid.File),
+		cfg:            cfg,
+		PollInterval:   10 * time.Second,
+		MinObservation: 30 * time.Second,
+		AutoSteer:      true,
+		Sessions:       NewSessionManager(),
+		tasks:          make(map[TaskRef]*watched),
+		notifications:  make(map[string][]Notification),
+		execState:      make(map[TaskRef][]simgrid.File),
 	}
 	cfg.Scheduler.SubscribePlans(s.ReceivePlan)
 	cfg.Grid.Engine.NewPoller(func() time.Duration { return s.PollInterval }, s.poll)

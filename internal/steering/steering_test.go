@@ -62,7 +62,7 @@ func newFixture(t *testing.T) *fixture {
 	for _, pool := range f.pools {
 		f.mon.Watch(pool)
 	}
-	f.svc = New(Config{Grid: g, Scheduler: f.sched, Monitor: f.mon, MonaLisa: repo, Quota: f.quota})
+	f.svc = New(Config{Grid: g, Scheduler: f.sched, Monitor: f.mon, Quota: f.quota})
 	f.svc.PollInterval = 5 * time.Second
 	f.svc.MinObservation = 20 * time.Second
 	return f
@@ -380,7 +380,6 @@ func TestPreferCheapUsesQuota(t *testing.T) {
 
 func TestBackupRecoveryOnServiceFailure(t *testing.T) {
 	f := newFixture(t)
-	f.svc.ServiceFailureGrace = 10 * time.Second
 	cp := f.submit(t, "alice", "p1", primeTask("t1", 400))
 	f.grid.Engine.RunFor(3 * time.Second)
 	start, _ := cp.Assignment("t1")
@@ -410,12 +409,11 @@ func TestBackupRecoveryGraceAvoidsFalsePositive(t *testing.T) {
 	// Isolate Backup & Recovery: the Optimizer would (correctly) see the
 	// suspension-induced low execution rate as slowness and move the job.
 	f.svc.AutoSteer = false
-	f.svc.ServiceFailureGrace = 60 * time.Second
 	cp := f.submit(t, "alice", "p1", primeTask("t1", 400))
 	f.grid.Engine.RunFor(3 * time.Second)
 	start, _ := cp.Assignment("t1")
 	f.pools[start.Site].Fail()
-	f.grid.Engine.RunFor(20 * time.Second)
+	f.grid.Engine.RunFor(serviceFailureGrace / 2)
 	f.pools[start.Site].Recover()
 	f.grid.Engine.RunFor(30 * time.Second)
 	a, _ := cp.Assignment("t1")

@@ -196,7 +196,6 @@ type family struct {
 	name     string
 	kind     string
 	labelKey string
-	buckets  []float64
 	metrics  map[string]any // label value ("" when unlabeled) -> instrument
 }
 
@@ -216,7 +215,7 @@ func NewRegistry() *Registry {
 
 // get resolves (or creates) the instrument for name/label. Kind and
 // label-key conflicts are programmer errors and panic.
-func (r *Registry) get(name, kind, labelKey, label string, buckets []float64, make func() any) any {
+func (r *Registry) get(name, kind, labelKey, label string, make func() any) any {
 	r.mu.RLock()
 	f, ok := r.families[name]
 	if ok {
@@ -231,7 +230,7 @@ func (r *Registry) get(name, kind, labelKey, label string, buckets []float64, ma
 	defer r.mu.Unlock()
 	f, ok = r.families[name]
 	if !ok {
-		f = &family{name: name, kind: kind, labelKey: labelKey, buckets: buckets, metrics: map[string]any{}}
+		f = &family{name: name, kind: kind, labelKey: labelKey, metrics: map[string]any{}}
 		r.families[name] = f
 	}
 	if f.kind != kind || f.labelKey != labelKey {
@@ -250,7 +249,7 @@ func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	return r.get(name, kindCounter, "", "", nil, func() any { return new(Counter) }).(*Counter)
+	return r.get(name, kindCounter, "", "", func() any { return new(Counter) }).(*Counter)
 }
 
 // LabeledCounter resolves the counter name{key=label}. Every call for
@@ -259,7 +258,7 @@ func (r *Registry) LabeledCounter(name, key, label string) *Counter {
 	if r == nil {
 		return nil
 	}
-	return r.get(name, kindCounter, key, label, nil, func() any { return new(Counter) }).(*Counter)
+	return r.get(name, kindCounter, key, label, func() any { return new(Counter) }).(*Counter)
 }
 
 // Gauge resolves the unlabeled gauge name.
@@ -267,7 +266,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	return r.get(name, kindGauge, "", "", nil, func() any { return new(Gauge) }).(*Gauge)
+	return r.get(name, kindGauge, "", "", func() any { return new(Gauge) }).(*Gauge)
 }
 
 // Histogram resolves the unlabeled histogram name with the given bucket
@@ -276,7 +275,7 @@ func (r *Registry) Histogram(name string, buckets []float64) *Histogram {
 	if r == nil {
 		return nil
 	}
-	return r.get(name, kindHistogram, "", "", buckets, func() any { return newHistogram(buckets) }).(*Histogram)
+	return r.get(name, kindHistogram, "", "", func() any { return newHistogram(buckets) }).(*Histogram)
 }
 
 // LabeledHistogram resolves the histogram name{key=label}.
@@ -284,7 +283,7 @@ func (r *Registry) LabeledHistogram(name, key, label string, buckets []float64) 
 	if r == nil {
 		return nil
 	}
-	return r.get(name, kindHistogram, key, label, buckets, func() any { return newHistogram(buckets) }).(*Histogram)
+	return r.get(name, kindHistogram, key, label, func() any { return newHistogram(buckets) }).(*Histogram)
 }
 
 // Metric is one instrument's state in a snapshot. Counters and gauges

@@ -58,15 +58,6 @@ func NewClient(s Services) *Client {
 	}
 }
 
-// Token returns the remote session token ("" on the local transport or
-// when logged out).
-func (c *Client) Token() string {
-	if c.session == nil {
-		return ""
-	}
-	return c.session.Token()
-}
-
 // Close releases the client's session and idle connections: a remote
 // client that logged in itself logs out of the Clarens host; a local
 // client has nothing to release, and one riding a shared token from

@@ -65,9 +65,10 @@ func Dial(ctx context.Context, endpoint string, opts ...Option) (*Client, error)
 	for _, opt := range opts {
 		opt(&o)
 	}
-	cc := clarens.NewClientTimeout(endpoint, o.timeout)
+	cc := clarens.NewClient(endpoint)
+	cc.HTTP.Timeout = o.timeout
 	if o.transport != nil {
-		cc.SetTransport(o.transport)
+		cc.HTTP.Transport = o.transport
 	}
 	if o.token != "" {
 		cc.SetToken(o.token)

@@ -1,10 +1,17 @@
 package repro_test
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"go/ast"
+	"go/importer"
 	"go/parser"
 	"go/token"
-	"io/fs"
+	"go/types"
+	"io"
+	"os"
+	"os/exec"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -20,6 +27,8 @@ var reachAllowed = map[string]string{
 	"condor.Pool.Recover":             "fault injection for the recovery, jobmon and core tests",
 	"simgrid.StepLoad":                "stepped-load fixture the condor and root tests share",
 	"simgrid.Network.SetUtilization":  "background-traffic fixture the estimator and scheduler tests share",
+	"simgrid.Engine.Tick":             "the time resolution the condor, scheduler and core step loops and oracles advance by",
+	"simgrid.Engine.Ticks":            "boundaries visited: the count the condor and simgrid event gates read",
 	"vtime.SimClock.Advance":          "how tests move a simulated clock without an engine",
 	"fairshare.LessKeys":              "the reference order condor's oracle tests compare against",
 	"classad.Ad.Names":                "how the condor tests read which attributes an ad carries",
@@ -31,8 +40,8 @@ var reachAllowed = map[string]string{
 }
 
 // reachInterfaceMethods are method names a standard-library interface
-// calls, so a method by that name is reached without its name being
-// written anywhere in the repository.
+// calls, so a method by that name is reached without the repository
+// calling it.
 var reachInterfaceMethods = map[string]bool{
 	"String": true, "Error": true, "Unwrap": true, "Format": true,
 	"Len": true, "Less": true, "Swap": true, "Push": true, "Pop": true,
@@ -42,21 +51,23 @@ var reachInterfaceMethods = map[string]bool{
 }
 
 // TestEveryFunctionIsReached fails on a function or method declared
-// outside _test.go files whose name no other non-test code mentions:
-// production code is what a binary, an example, an experiment or the
-// benchmark harness runs. The match is on names, so it is conservative —
-// a name written anywhere outside its own declarations keeps every
-// declaration by that name — and transitive: a mention inside an
-// unreached function does not count, so a chain that only tests enter
-// is reported whole. bench/ is read for mentions, never reported.
+// outside _test.go files that no binary, example, experiment or the
+// benchmark harness reaches: production code is what they run. Every
+// identifier is resolved by go/types to the function it names, so a
+// declaration is not kept alive by another that shares its name; a call
+// through an interface method reaches every method of the module by that
+// name. The scan is transitive — a reference inside an unreached function
+// does not count, so a chain that only tests enter is reported whole.
+// bench/ is type-checked with the module and is all roots, never reported.
 func TestEveryFunctionIsReached(t *testing.T) {
-	if unreached := unreachedFuncs(t, ".", reachAllowed); len(unreached) > 0 {
+	g := loadReachGraph(t)
+	if unreached := g.unreached(reachAllowed); len(unreached) > 0 {
 		t.Errorf("%d functions only tests reach; delete them, move them into an export_test.go, or allow them in reachAllowed with a reason:\n\t%s",
 			len(unreached), strings.Join(unreached, "\n\t"))
 	}
 	// An entry stays only while it is needed.
 	needed := map[string]bool{}
-	for _, u := range unreachedFuncs(t, ".", nil) {
+	for _, u := range g.unreached(nil) {
 		needed[u[:strings.IndexByte(u, ' ')]] = true
 	}
 	for key := range reachAllowed {
@@ -66,112 +77,200 @@ func TestEveryFunctionIsReached(t *testing.T) {
 	}
 }
 
-type reachDecl struct {
-	key  string // package.Func or package.Type.Method
-	name string
-	pos  token.Position
-	root bool // never reported: allowed, an entry point, or in bench/
+// reachGraph holds every function and method declared in the main
+// module's non-test files and the functions each one names. The nil key
+// of uses collects what is named outside any such declaration: in
+// package-level initializers, and anywhere in bench/.
+type reachGraph struct {
+	root    string
+	fset    *token.FileSet
+	decls   []*types.Func
+	uses    map[*types.Func][]*types.Func
+	methods map[string][]*types.Func // concrete module methods by name
 }
 
-type reachMention struct {
-	name  string
-	encl  int  // index into decls of the enclosing function, or -1
-	owner bool // the enclosing function has this name
-}
-
-func unreachedFuncs(t *testing.T, root string, allowed map[string]string) []string {
-	t.Helper()
-	fset := token.NewFileSet()
-	var decls []reachDecl
-	var mentions []reachMention
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
+// unreached lists, as "key (file)", the declarations no root reaches.
+// Roots are what uses[nil] names, main and init, methods named in
+// reachInterfaceMethods and the keys of allowed.
+func (g *reachGraph) unreached(allowed map[string]string) []string {
+	reached := map[*types.Func]bool{}
+	var queue []*types.Func
+	visit := func(f *types.Func) {
+		if !reached[f] {
+			reached[f] = true
+			queue = append(queue, f)
 		}
-		if d.IsDir() {
-			name := d.Name()
-			if path != root && (name == "tools" || name == "testdata" || strings.HasPrefix(name, ".")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		inBench := strings.HasPrefix(filepath.ToSlash(path), "bench/")
-		pkg := f.Name.Name
-		for _, decl := range f.Decls {
-			fn, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				collectMentions(decl, -1, "", &mentions)
-				continue
-			}
-			key := pkg + "." + fn.Name.Name
-			if fn.Recv != nil && len(fn.Recv.List) == 1 {
-				key = pkg + "." + recvTypeName(fn.Recv.List[0].Type) + "." + fn.Name.Name
-			}
-			_, isAllowed := allowed[key]
-			root := isAllowed || inBench || fn.Name.Name == "main" || fn.Name.Name == "init" ||
-				(fn.Recv != nil && reachInterfaceMethods[fn.Name.Name])
-			decls = append(decls, reachDecl{key: key, name: fn.Name.Name, pos: fset.Position(fn.Pos()), root: root})
-			collectMentions(fn, len(decls)-1, fn.Name.Name, &mentions)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-
-	// A name is live while some mention of it sits outside every
-	// unreached function and outside the declarations of that name.
-	dead := make([]bool, len(decls))
-	for changed := true; changed; {
-		changed = false
-		live := map[string]bool{}
-		for _, m := range mentions {
-			if m.encl < 0 || (!dead[m.encl] && !m.owner) {
-				live[m.name] = true
-			}
+	for _, f := range g.decls {
+		_, isAllowed := allowed[reachKey(f)]
+		isMethod := f.Type().(*types.Signature).Recv() != nil
+		if isAllowed || (!isMethod && (f.Name() == "main" || f.Name() == "init")) ||
+			(isMethod && reachInterfaceMethods[f.Name()]) {
+			visit(f)
 		}
-		for i, d := range decls {
-			if !dead[i] && !d.root && !live[d.name] {
-				dead[i], changed = true, true
+	}
+	for _, f := range g.uses[nil] {
+		visit(f)
+	}
+	for len(queue) > 0 {
+		f := queue[0]
+		queue = queue[1:]
+		for _, u := range g.uses[f] {
+			visit(u)
+			if recv := u.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+				for _, m := range g.methods[u.Name()] {
+					visit(m)
+				}
 			}
 		}
 	}
 	var out []string
-	for i, d := range decls {
-		if dead[i] {
-			out = append(out, d.key+" ("+filepath.ToSlash(d.pos.Filename)+")")
+	for _, f := range g.decls {
+		if !reached[f] {
+			file, err := filepath.Rel(g.root, g.fset.Position(f.Pos()).Filename)
+			if err != nil {
+				file = g.fset.Position(f.Pos()).Filename
+			}
+			out = append(out, reachKey(f)+" ("+filepath.ToSlash(file)+")")
 		}
 	}
 	sort.Strings(out)
 	return out
 }
 
-func collectMentions(n ast.Node, encl int, fn string, mentions *[]reachMention) {
-	ast.Inspect(n, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok {
-			*mentions = append(*mentions, reachMention{name: id.Name, encl: encl, owner: id.Name == fn})
+// reachKey names f as "package.Func" or "package.Type.Method".
+func reachKey(f *types.Func) string {
+	key := f.Pkg().Name() + "."
+	if recv := f.Type().(*types.Signature).Recv(); recv != nil {
+		t := recv.Type()
+		if p, ok := t.(*types.Pointer); ok {
+			t = p.Elem()
 		}
-		return true
-	})
+		if n, ok := t.(*types.Named); ok {
+			key += n.Obj().Name() + "."
+		}
+	}
+	return key + f.Name()
 }
 
-func recvTypeName(e ast.Expr) string {
-	switch e := e.(type) {
-	case *ast.StarExpr:
-		return recvTypeName(e.X)
-	case *ast.IndexExpr:
-		return recvTypeName(e.X)
-	case *ast.IndexListExpr:
-		return recvTypeName(e.X)
-	case *ast.Ident:
-		return e.Name
-	}
-	return "?"
+// reachPkg is the part of `go list -json` output the scan reads.
+type reachPkg struct {
+	ImportPath string
+	Dir        string
+	Export     string
+	GoFiles    []string
+	Standard   bool
+	Error      *struct{ Err string }
 }
+
+// loadReachGraph type-checks the main module's packages and bench/ from
+// source, in dependency order, with the standard library imported from
+// the export data `go list -export` leaves in the build cache.
+func loadReachGraph(t *testing.T) *reachGraph {
+	t.Helper()
+	root, err := filepath.Abs(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs := append(goListDeps(t, root), goListDeps(t, filepath.Join(root, "bench"))...)
+	exports := map[string]string{}
+	for _, p := range pkgs {
+		if p.Export != "" {
+			exports[p.ImportPath] = p.Export
+		}
+	}
+	g := &reachGraph{
+		root:    root,
+		fset:    token.NewFileSet(),
+		uses:    map[*types.Func][]*types.Func{},
+		methods: map[string][]*types.Func{},
+	}
+	std := importer.ForCompiler(g.fset, "gc", func(path string) (io.ReadCloser, error) {
+		f, ok := exports[path]
+		if !ok {
+			return nil, fmt.Errorf("no export data for %q", path)
+		}
+		return os.Open(f)
+	})
+	checked := map[string]*types.Package{}
+	conf := types.Config{Importer: reachImporter(func(path string) (*types.Package, error) {
+		if p := checked[path]; p != nil {
+			return p, nil
+		}
+		return std.Import(path)
+	})}
+	for _, p := range pkgs {
+		if p.Standard || checked[p.ImportPath] != nil || len(p.GoFiles) == 0 {
+			continue
+		}
+		var files []*ast.File
+		for _, name := range p.GoFiles {
+			f, err := parser.ParseFile(g.fset, filepath.Join(p.Dir, name), nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files = append(files, f)
+		}
+		info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
+		tpkg, err := conf.Check(p.ImportPath, g.fset, files, info)
+		if err != nil {
+			t.Fatalf("type-checking %s: %v", p.ImportPath, err)
+		}
+		checked[p.ImportPath] = tpkg
+		inBench := strings.HasPrefix(p.ImportPath, "repro/bench")
+		for _, f := range files {
+			for _, decl := range f.Decls {
+				var encl *types.Func
+				if fd, ok := decl.(*ast.FuncDecl); ok && !inBench {
+					encl = info.Defs[fd.Name].(*types.Func)
+					g.decls = append(g.decls, encl)
+					if fd.Recv != nil {
+						g.methods[encl.Name()] = append(g.methods[encl.Name()], encl)
+					}
+				}
+				ast.Inspect(decl, func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok {
+						if fn, ok := info.Uses[id].(*types.Func); ok {
+							g.uses[encl] = append(g.uses[encl], fn.Origin())
+						}
+					}
+					return true
+				})
+			}
+		}
+	}
+	return g
+}
+
+// goListDeps lists the packages of the module in dir and their
+// dependencies, dependencies first, compiling export data as it goes.
+func goListDeps(t *testing.T, dir string) []reachPkg {
+	t.Helper()
+	cmd := exec.Command("go", "list", "-deps", "-export",
+		"-json=ImportPath,Dir,Export,GoFiles,Standard,Error", "./...")
+	cmd.Dir = dir
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("go list in %s: %v\n%s", dir, err, stderr.String())
+	}
+	var pkgs []reachPkg
+	for dec := json.NewDecoder(bytes.NewReader(out)); ; {
+		var p reachPkg
+		if err := dec.Decode(&p); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		if p.Error != nil {
+			t.Fatalf("go list: %s: %s", p.ImportPath, p.Error.Err)
+		}
+		pkgs = append(pkgs, p)
+	}
+	return pkgs
+}
+
+type reachImporter func(path string) (*types.Package, error)
+
+func (f reachImporter) Import(path string) (*types.Package, error) { return f(path) }

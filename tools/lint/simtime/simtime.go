@@ -4,8 +4,8 @@
 // Every determinism guarantee in this repo — tick-vs-event trace
 // parity, replay-identical crash recovery, byte-identical snapshot
 // exports — assumes simulation state advances only on sim time
-// (Engine.Now(), vtime.Clock) and seeded randomness (Engine.Rand(),
-// rand.New(rand.NewSource(seed))). A single time.Now() or global
+// (Engine.Now(), vtime.Clock) and seeded randomness
+// (rand.New(rand.NewSource(seed))). A single time.Now() or global
 // math/rand call in a critical package silently breaks replay.
 //
 // simtime therefore forbids, in the configured critical packages:
