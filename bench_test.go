@@ -74,7 +74,7 @@ func BenchmarkFigure6(b *testing.B) {
 func BenchmarkFigure7(b *testing.B) {
 	var steered, unsteered, moved float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig7(experiments.DefaultFig7())
+		res, err := experiments.Fig7(experiments.Fig7Config{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -148,9 +148,7 @@ func BenchmarkAblationSteeringPollPeriod(b *testing.B) {
 		b.Run(poll.String(), func(b *testing.B) {
 			var steered float64
 			for i := 0; i < b.N; i++ {
-				cfg := experiments.DefaultFig7()
-				cfg.PollInterval = poll
-				cfg.SampleEvery = 10 * time.Second
+				cfg := experiments.Fig7Config{PollInterval: poll}
 				res, err := experiments.Fig7(cfg)
 				if err != nil {
 					b.Fatal(err)
@@ -173,9 +171,7 @@ func BenchmarkAblationSteeringOnOff(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var done float64
 			for i := 0; i < b.N; i++ {
-				cfg := experiments.DefaultFig7()
-				cfg.DisableSteering = !on
-				cfg.SampleEvery = 10 * time.Second
+				cfg := experiments.Fig7Config{DisableSteering: !on}
 				res, err := experiments.Fig7(cfg)
 				if err != nil {
 					b.Fatal(err)
@@ -493,9 +489,7 @@ func BenchmarkAblationCheckpointing(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var steered float64
 			for i := 0; i < b.N; i++ {
-				cfg := experiments.DefaultFig7()
-				cfg.Checkpointable = ckpt
-				cfg.SampleEvery = 10 * time.Second
+				cfg := experiments.Fig7Config{Checkpointable: ckpt}
 				res, err := experiments.Fig7(cfg)
 				if err != nil {
 					b.Fatal(err)

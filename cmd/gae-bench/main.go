@@ -41,7 +41,7 @@ func main() {
 			return r.Table, nil
 		},
 		"7": func() (*experiments.Table, error) {
-			r, err := experiments.Fig7(experiments.DefaultFig7())
+			r, err := experiments.Fig7(experiments.Fig7Config{})
 			if err != nil {
 				return nil, err
 			}

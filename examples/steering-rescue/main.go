@@ -16,8 +16,7 @@ import (
 )
 
 func main() {
-	cfg := experiments.DefaultFig7()
-	res, err := experiments.Fig7(cfg)
+	res, err := experiments.Fig7(experiments.Fig7Config{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,6 @@
 // Package chaos is the fault-injection and reconciliation harness for
 // the exactly-once RPC layer: a wrappable HTTP transport that drops,
-// delays, duplicates, or ack-loses requests, and a load harness that
+// duplicates, or ack-loses requests, and a load harness that
 // drives real traffic through those faults — across server kills — then
 // reconciles the client-side acked-op log against the recovered server
 // state. The invariant it checks is the paper-era durability contract:
@@ -14,11 +14,10 @@ import (
 	"net/http"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Faults scripts a Transport. Probabilities are evaluated per request in
-// the order drop, ack-loss, duplicate, delay; at most one fires.
+// the order drop, ack-loss, duplicate; at most one fires.
 type Faults struct {
 	Seed int64
 	// DropProb fails the request without delivering it — the server
@@ -31,9 +30,6 @@ type Faults struct {
 	// DupProb delivers the request twice, back to back, returning the
 	// second response — a retransmitting network.
 	DupProb float64
-	// DelayProb stalls the request by Delay before delivering it.
-	DelayProb float64
-	Delay     time.Duration
 }
 
 // Stats counts the faults a Transport actually injected.
@@ -42,7 +38,6 @@ type Stats struct {
 	Drops     int64
 	AckLosses int64
 	Dups      int64
-	Delays    int64
 }
 
 // Transport wraps an http.RoundTripper with scripted faults. It is safe
@@ -54,7 +49,7 @@ type Transport struct {
 	mu sync.Mutex
 	rn *rand.Rand
 
-	calls, drops, ackLosses, dups, delays atomic.Int64
+	calls, drops, ackLosses, dups atomic.Int64
 }
 
 // NewTransport wraps base (nil for the default transport) with f.
@@ -69,7 +64,6 @@ func (t *Transport) Stats() Stats {
 		Drops:     t.drops.Load(),
 		AckLosses: t.ackLosses.Load(),
 		Dups:      t.dups.Load(),
-		Delays:    t.delays.Load(),
 	}
 }
 
@@ -87,7 +81,6 @@ const (
 	faultDrop
 	faultAckLost
 	faultDup
-	faultDelay
 )
 
 func (t *Transport) pick() faultKind {
@@ -101,8 +94,6 @@ func (t *Transport) pick() faultKind {
 		return faultAckLost
 	case p < t.f.DropProb+t.f.AckLossProb+t.f.DupProb:
 		return faultDup
-	case p < t.f.DropProb+t.f.AckLossProb+t.f.DupProb+t.f.DelayProb:
-		return faultDelay
 	}
 	return faultNone
 }
@@ -139,17 +130,6 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 					t.dups.Add(1)
 				}
 			}
-		}
-		return t.base().RoundTrip(req)
-	case faultDelay:
-		t.delays.Add(1)
-		select {
-		case <-req.Context().Done():
-			if req.Body != nil {
-				req.Body.Close()
-			}
-			return nil, req.Context().Err()
-		case <-time.After(t.f.Delay):
 		}
 	}
 	return t.base().RoundTrip(req)

@@ -37,8 +37,6 @@ import (
 type SiteSpec struct {
 	Name  string
 	Nodes int
-	// Mips scales node speed (default 1.0).
-	Mips float64
 	// Load is the background CPU load (default idle).
 	Load simgrid.Load
 	// CostPerCPUSecond configures the Quota & Accounting rate.
@@ -60,7 +58,6 @@ type LinkSpec struct {
 type UserSpec struct {
 	Name     string
 	Password string
-	Roles    []string
 	// Credits is the initial quota grant.
 	Credits float64
 	// Admin lets the user steer anyone's jobs.
@@ -69,7 +66,6 @@ type UserSpec struct {
 
 // Config describes a GAE deployment.
 type Config struct {
-	Tick time.Duration // simulation step (default 1s)
 	// Seed is ignored: nothing in the simulator draws random numbers. The
 	// field stays only because bench/ sets it, and goes with ROADMAP item
 	// 4, the benchmark change.
@@ -149,11 +145,7 @@ func New(cfg Config) *GAE {
 	if len(cfg.Sites) == 0 {
 		panic("core: Config needs at least one site")
 	}
-	tick := cfg.Tick
-	if tick <= 0 {
-		tick = time.Second
-	}
-	grid := simgrid.NewGrid(tick, cfg.Seed)
+	grid := simgrid.NewGrid(time.Second, cfg.Seed)
 	repo := monalisa.NewRepository()
 	q := quota.NewService()
 	reg := telemetry.NewRegistry()
@@ -175,16 +167,12 @@ func New(cfg Config) *GAE {
 		site := grid.AddSite(spec.Name)
 		pool := condor.NewPool(spec.Name, grid, site)
 		pool.SetTelemetry(reg)
-		mips := spec.Mips
-		if mips <= 0 {
-			mips = 1
-		}
 		nodes := spec.Nodes
 		if nodes <= 0 {
 			nodes = 1
 		}
 		for i := 0; i < nodes; i++ {
-			n := site.AddNode(grid.Engine, fmt.Sprintf("%s-n%d", spec.Name, i), mips, spec.Load)
+			n := site.AddNode(grid.Engine, fmt.Sprintf("%s-n%d", spec.Name, i), 1, spec.Load)
 			pool.AddMachine(n, nil)
 		}
 		g.pools[spec.Name] = pool
@@ -227,22 +215,12 @@ func New(cfg Config) *GAE {
 			// The pools already record execution CPU at terminal state, and
 			// deployments conventionally Charge for that same CPU — folding
 			// c.CPUSeconds in here would double-count it. Only the transfer
-			// component of the charge adds standing, converted to
-			// CPU-second equivalents at the site's own rates.
-			// When the fairness config sets an explicit MB→CPU-second
-			// exchange rate, data movement accrues standing in physical
-			// units. Otherwise one billed transfer credit counts as one
-			// CPU-second: a site-rate-based conversion would blow up as a
-			// site's CPU price approaches zero and would re-read rates
-			// that may have changed since billing, while the flat exchange
-			// is bounded, continuous, and derived purely from the ledger
-			// entry.
-			if per := g.FairShare.TransferUsagePerMB(); per > 0 {
-				if c.MB > 0 {
-					g.FairShare.RecordUsage(c.User, c.Site, c.MB*per)
-				}
-				return
-			}
+			// component of the charge adds standing: one billed transfer
+			// credit counts as one CPU-second. A site-rate-based conversion
+			// would blow up as a site's CPU price approaches zero and would
+			// re-read rates that may have changed since billing, while the
+			// flat exchange is bounded, continuous, and derived purely from
+			// the ledger entry.
 			if c.TransferCredits > 0 {
 				g.FairShare.RecordUsage(c.User, c.Site, c.TransferCredits)
 			}
@@ -254,7 +232,6 @@ func New(cfg Config) *GAE {
 	g.Scheduler = scheduler.New(scheduler.Config{
 		Grid:      grid,
 		Monitor:   repo,
-		Quota:     q,
 		Transfer:  g.Transfer,
 		Replicas:  g.Replicas,
 		FairShare: g.FairShare,
@@ -285,7 +262,7 @@ func New(cfg Config) *GAE {
 	g.Clarens = clarens.NewServer("gae", grid.Engine.Clock())
 	g.State = clarens.NewStateStore()
 	for _, u := range cfg.Users {
-		if err := g.Clarens.Users.Add(u.Name, u.Password, u.Roles...); err != nil {
+		if err := g.Clarens.Users.Add(u.Name, u.Password); err != nil {
 			panic(err)
 		}
 		if u.Credits > 0 {

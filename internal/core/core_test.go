@@ -36,7 +36,7 @@ func twoSiteConfig() Config {
 		},
 		Links: []LinkSpec{{A: "siteA", B: "siteB", MBps: 10}},
 		Users: []UserSpec{
-			{Name: "alice", Password: "pw", Roles: []string{"physicist"}, Credits: 1000},
+			{Name: "alice", Password: "pw", Credits: 1000},
 			{Name: "root", Password: "rootpw", Admin: true},
 		},
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"sort"
 	"sync"
@@ -48,14 +49,20 @@ type idemWindow struct {
 	// storeless deployment). Restored entries are renumbered from 1, which
 	// stays below any journal sequence a later attach could assign.
 	fallbackSeq uint64
+	// inflight holds the request IDs claimed by a delivery that has not
+	// finished; a second delivery waits on the channel, which the first
+	// closes when it is done.
+	inflight map[idemKey]chan struct{}
 
 	// Telemetry handles (nil when unobserved; nil instruments no-op).
 	obsHits     *telemetry.Counter
 	obsEvictCap *telemetry.Counter
 }
 
+type idemKey struct{ user, id string }
+
 func newIdemWindow() *idemWindow {
-	return &idemWindow{limit: idemPerUser, users: make(map[string]*idemUserWin)}
+	return &idemWindow{limit: idemPerUser, users: make(map[string]*idemUserWin), inflight: make(map[idemKey]chan struct{})}
 }
 
 // setTelemetry registers the window's counters in reg: dedup hits and
@@ -65,20 +72,43 @@ func (w *idemWindow) setTelemetry(reg *telemetry.Registry) {
 	w.obsEvictCap = reg.LabeledCounter("idem_evictions_total", "cause", "capacity")
 }
 
-// lookup returns the recorded entry for (user, id), if any.
-func (w *idemWindow) lookup(user, id string) (durable.IdemEntry, bool) {
+// claim returns the recorded entry for (user, id) and a nil release if
+// the window holds one. Otherwise it marks the ID in flight and returns
+// the release the caller must call once it has recorded the call or given
+// up. A delivery of an ID already in flight waits for that release and
+// then looks again, so it either returns the first delivery's result or,
+// if that failed, claims the ID itself.
+func (w *idemWindow) claim(ctx context.Context, user, id string) (durable.IdemEntry, func(), error) {
+	k := idemKey{user, id}
 	w.mu.Lock()
-	defer w.mu.Unlock()
-	u, ok := w.users[user]
-	if !ok {
-		return durable.IdemEntry{}, false
+	for {
+		if u := w.users[user]; u != nil && u.byID[id] != nil {
+			e := u.byID[id].entry
+			w.mu.Unlock()
+			w.obsHits.Inc()
+			return e, nil, nil
+		}
+		done, busy := w.inflight[k]
+		if !busy {
+			break
+		}
+		w.mu.Unlock()
+		select {
+		case <-done:
+		case <-ctx.Done():
+			return durable.IdemEntry{}, nil, ctx.Err()
+		}
+		w.mu.Lock()
 	}
-	it, ok := u.byID[id]
-	if !ok {
-		return durable.IdemEntry{}, false
-	}
-	w.obsHits.Inc()
-	return it.entry, true
+	done := make(chan struct{})
+	w.inflight[k] = done
+	w.mu.Unlock()
+	return durable.IdemEntry{}, func() {
+		w.mu.Lock()
+		delete(w.inflight, k)
+		w.mu.Unlock()
+		close(done)
+	}, nil
 }
 
 // record stores one acknowledged mutation. seq is the op's journal

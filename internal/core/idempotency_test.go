@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/clarens"
@@ -97,6 +98,50 @@ func TestDedupSurvivesCheckpointRestart(t *testing.T) {
 	}
 	if after != before {
 		t.Fatalf("balance %v after retried grant, want %v (grant re-applied across restart)", after, before)
+	}
+}
+
+// TestConcurrentDuplicateDeliveryAppliesOnce sends each of 100 request
+// IDs twice at once, the way a retry can overtake its own first delivery
+// while that one is still applying or waiting on the fsync: every grant
+// must apply once.
+func TestConcurrentDuplicateDeliveryAppliesOnce(t *testing.T) {
+	g := New(durableConfig())
+	s, err := durable.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := g.AttachStore(s); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	before, err := g.Client("alice").Balance(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ids = 100
+	root := g.Client("root")
+	var wg sync.WaitGroup
+	for i := 0; i < ids; i++ {
+		rctx := clarens.WithRequestID(ctx, ridN(i))
+		for range 2 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := root.Grant(rctx, "alice", 7); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+	}
+	wg.Wait()
+	after, err := g.Client("alice").Balance(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := (after - before) / 7; got != ids {
+		t.Fatalf("%v grants applied for %d request IDs delivered twice each", got, ids)
 	}
 }
 

@@ -362,13 +362,16 @@ func acked3[A, B, C any](fn func(context.Context, A, B, C) error) func(context.C
 //
 // Exactly-once protocol: if the context carries an idempotency key the
 // per-user window has already acknowledged, the recorded result is
-// returned without re-applying — the retry of an ack-lost call. Fresh
-// calls run apply → journal append (fsync) → window record → ack, so the
-// window holds only acknowledged ops, which is precisely the set the
-// chaos harness reconciles client ack logs against. A call that applied
-// but failed its journal append is NOT recorded: the client sees an
-// error, the journal is sticky-broken until the next checkpoint, and
-// recovery rolls the un-journaled mutation back.
+// returned without re-applying — the retry of an ack-lost call. A
+// delivery of a key still in flight waits for the first delivery to
+// finish, then returns its recorded result, or applies the call itself if
+// the first failed. Fresh calls claim the key and run apply → journal
+// append (fsync) → window record → release → ack, so the window holds
+// only acknowledged ops, which is precisely the set the chaos harness
+// reconciles client ack logs against. A call that applied but failed its
+// journal append is NOT recorded: the client sees an error, the journal
+// is sticky-broken until the next checkpoint, and recovery rolls the
+// un-journaled mutation back.
 func journalCall[T any](g *GAE, ctx context.Context, user, fq string, args func() []any, apply func() (T, error)) (out T, err error) {
 	var zero T
 	g.persistMu.RLock()
@@ -381,7 +384,13 @@ func journalCall[T any](g *GAE, ctx context.Context, user, fq string, args func(
 	appending := false
 	defer func() { g.finishSpan(&span, applied, appending, err) }()
 	if rid != "" && user != "" {
-		if e, ok := g.idem.lookup(user, rid); ok {
+		e, release, err := g.idem.claim(ctx, user, rid)
+		if err != nil {
+			return zero, err
+		}
+		if release != nil {
+			defer release()
+		} else {
 			if e.Method != fq {
 				return zero, fmt.Errorf("core: request id %q reused for %s (recorded for %s)", rid, fq, e.Method)
 			}

@@ -23,7 +23,6 @@ type FaultyFile struct {
 	mu         sync.Mutex
 	failSyncs  int
 	shortWrite bool
-	syncs      int
 }
 
 // NewFaultyFile wraps f with a pass-through script.
@@ -78,7 +77,6 @@ func (f *FaultyFile) Write(p []byte) (int, error) {
 
 func (f *FaultyFile) Sync() error {
 	f.mu.Lock()
-	f.syncs++
 	fail := f.failSyncs > 0
 	if fail {
 		f.failSyncs--

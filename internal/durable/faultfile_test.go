@@ -28,7 +28,8 @@ func openFaultyJournal(t *testing.T) (*Journal, *FaultyFile, string) {
 func TestJournalFsyncFailureFailsWholeBatch(t *testing.T) {
 	j, ff, _ := openFaultyJournal(t)
 	defer j.Close()
-	ff.FailSyncs(1)
+	// Two armed failures: one flush consumes one of them.
+	ff.FailSyncs(2)
 
 	const waiters = 5
 	gens := make([]uint64, waiters)
@@ -54,9 +55,10 @@ func TestJournalFsyncFailureFailsWholeBatch(t *testing.T) {
 			t.Fatalf("waiter %d: err = %v, want injected fsync failure", i, err)
 		}
 	}
-	if ff.Syncs() != 1 {
-		t.Fatalf("syncs = %d, want one shared (failed) flush", ff.Syncs())
+	if left := ff.pendingSyncFailures(); left != 1 {
+		t.Fatalf("%d syncs, want one shared (failed) flush", 2-left)
 	}
+	ff.FailSyncs(0)
 
 	// The error is sticky: the journal refuses further appends until the
 	// checkpoint cycle truncates it.
@@ -118,9 +120,9 @@ func TestStoreAppendPropagatesFlushFailure(t *testing.T) {
 	}
 }
 
-// Syncs reports how many Sync calls were attempted (failed ones included).
-func (f *FaultyFile) Syncs() int {
+// pendingSyncFailures reports how many armed Sync failures are left.
+func (f *FaultyFile) pendingSyncFailures() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.syncs
+	return f.failSyncs
 }

@@ -101,34 +101,35 @@ func (s Statistic) String() string {
 
 // RuntimeEstimate is a prediction with its provenance.
 type RuntimeEstimate struct {
-	Seconds    float64
-	Similar    int       // size of the similar set used
-	Template   Template  // template that produced the set
-	Statistic  Statistic // statistic actually applied (never StatAuto)
-	Regression *Regression
+	Seconds   float64
+	Similar   int       // size of the similar set used
+	Statistic Statistic // statistic actually applied (never StatAuto)
 }
 
-// RuntimeEstimator predicts task runtimes from a site's history.
+// RuntimeEstimator predicts task runtimes from a site's history. A
+// template's similar set must hold minSimilar runs before the search stops
+// at it, and StatAuto uses the regression only at an R² of minR2 or more.
 type RuntimeEstimator struct {
 	History   *History
 	Templates []Template
 	Statistic Statistic
-	// MinSimilar is the smallest similar-set size a template may return
-	// before the search falls through to the next template (default 3).
-	MinSimilar int
-	// MinR2 gates StatAuto's use of the regression (default 0.25).
-	MinR2 float64
 }
+
+const (
+	// minSimilar is the smallest similar-set size a template may return
+	// before the search falls through to the next template.
+	minSimilar = 3
+	// minR2 gates StatAuto's use of the regression.
+	minR2 = 0.25
+)
 
 // NewRuntimeEstimator creates an estimator over hist with default
 // templates and the auto statistic.
 func NewRuntimeEstimator(hist *History) *RuntimeEstimator {
 	return &RuntimeEstimator{
-		History:    hist,
-		Templates:  DefaultTemplates,
-		Statistic:  StatAuto,
-		MinSimilar: 3,
-		MinR2:      0.25,
+		History:   hist,
+		Templates: DefaultTemplates,
+		Statistic: StatAuto,
 	}
 }
 
@@ -142,31 +143,26 @@ func (e *RuntimeEstimator) Estimate(target TaskRecord) (RuntimeEstimate, error) 
 	if len(templates) == 0 {
 		templates = DefaultTemplates
 	}
-	minSim := e.MinSimilar
-	if minSim <= 0 {
-		minSim = 3
-	}
 	// The last non-empty similar set, as its two columns.
 	var runtimes, reqs []float64
-	var lastTemplate Template
 	for _, tpl := range templates {
 		rt, rq := e.History.similarRuns(tpl, &target)
 		if len(rt) == 0 {
 			continue
 		}
-		runtimes, reqs, lastTemplate = rt, rq, tpl
-		if len(rt) >= minSim {
+		runtimes, reqs = rt, rq
+		if len(rt) >= minSimilar {
 			break
 		}
 	}
 	if runtimes == nil {
 		return RuntimeEstimate{}, fmt.Errorf("estimator: no similar tasks in history")
 	}
-	return e.estimateFrom(target, lastTemplate, runtimes, reqs)
+	return e.estimateFrom(target, runtimes, reqs)
 }
 
-func (e *RuntimeEstimator) estimateFrom(target TaskRecord, tpl Template, runtimes, reqs []float64) (RuntimeEstimate, error) {
-	est := RuntimeEstimate{Similar: len(runtimes), Template: tpl}
+func (e *RuntimeEstimator) estimateFrom(target TaskRecord, runtimes, reqs []float64) (RuntimeEstimate, error) {
+	est := RuntimeEstimate{Similar: len(runtimes)}
 
 	applyMean := func() error {
 		m, err := Mean(runtimes)
@@ -195,17 +191,13 @@ func (e *RuntimeEstimator) estimateFrom(target TaskRecord, tpl Template, runtime
 		if err != nil {
 			return est, fmt.Errorf("estimator: regression unavailable: %w", err)
 		}
-		est.Seconds, est.Statistic, est.Regression = reg.Predict(target.ReqHours), StatRegression, &reg
+		est.Seconds, est.Statistic = reg.Predict(target.ReqHours), StatRegression
 	case StatAuto:
-		minR2 := e.MinR2
-		if minR2 <= 0 {
-			minR2 = 0.25
-		}
 		reg, err := LinearRegression(reqs, runtimes)
 		if err == nil && reg.R2 >= minR2 {
 			pred := reg.Predict(target.ReqHours)
 			if pred > 0 {
-				est.Seconds, est.Statistic, est.Regression = pred, StatRegression, &reg
+				est.Seconds, est.Statistic = pred, StatRegression
 				break
 			}
 		}

@@ -37,7 +37,6 @@ type Regression struct {
 	Slope     float64
 	Intercept float64
 	R2        float64 // coefficient of determination
-	N         int
 }
 
 // Predict evaluates the model at x.
@@ -77,7 +76,7 @@ func LinearRegression(xs, ys []float64) (Regression, error) {
 	if syy > 0 {
 		r2 = (sxy * sxy) / (sxx * syy)
 	}
-	return Regression{Slope: slope, Intercept: intercept, R2: r2, N: n}, nil
+	return Regression{Slope: slope, Intercept: intercept, R2: r2}, nil
 }
 
 // MeanAbsolutePercentageError computes the paper's accuracy metric:

@@ -20,8 +20,6 @@ import (
 // file size, mispricing small files on long links in both directions.
 type TransferEstimator struct {
 	Network *simgrid.Network
-	// ProbeMB is the iperf probe payload (default 8 MB).
-	ProbeMB float64
 }
 
 // TransferEstimate is a prediction with the measurement that produced it:
@@ -41,7 +39,7 @@ func (t *TransferEstimator) Estimate(src, dst string, sizeMB float64) (TransferE
 	if sizeMB < 0 {
 		return TransferEstimate{}, fmt.Errorf("estimator: negative file size %v", sizeMB)
 	}
-	p, err := t.Network.Probe(src, dst, t.ProbeMB)
+	p, err := t.Network.Probe(src, dst)
 	if err != nil {
 		return TransferEstimate{}, fmt.Errorf("estimator: bandwidth probe: %w", err)
 	}

@@ -123,9 +123,7 @@ func TestFig6SmallLadder(t *testing.T) {
 }
 
 func TestFig7SteeringRescue(t *testing.T) {
-	cfg := DefaultFig7()
-	cfg.SampleEvery = 10 * time.Second
-	res, err := Fig7(cfg)
+	res, err := Fig7(Fig7Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,32 +160,25 @@ func TestFig7SteeringRescue(t *testing.T) {
 }
 
 func TestFig7ControlWithoutSteering(t *testing.T) {
-	cfg := DefaultFig7()
-	cfg.DisableSteering = true
-	cfg.SampleEvery = 20 * time.Second
-	cfg.Horizon = 500 * time.Second
-	res, err := Fig7(cfg)
+	res, err := Fig7(Fig7Config{DisableSteering: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.MovedAt != 0 {
 		t.Fatalf("control run moved the job at %v", res.MovedAt)
 	}
-	if res.SteeredDone != 0 {
-		t.Fatalf("unsteered job finished in %v < horizon; load model broken", res.SteeredDone)
+	// At a 0.3 progress rate the 283 s job needs ≈ 943 s.
+	if res.SteeredDone != 0 && res.SteeredDone < 900*time.Second {
+		t.Fatalf("unsteered job finished in %v; load model broken", res.SteeredDone)
 	}
 }
 
 func TestFig7CheckpointingIsFaster(t *testing.T) {
-	base := DefaultFig7()
-	base.SampleEvery = 10 * time.Second
-	restart, err := Fig7(base)
+	restart, err := Fig7(Fig7Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ckpt := base
-	ckpt.Checkpointable = true
-	resumed, err := Fig7(ckpt)
+	resumed, err := Fig7(Fig7Config{Checkpointable: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -55,7 +55,6 @@ type FairnessOutcome struct {
 	Tenant              string
 	Group               string
 	Weight              float64
-	Entitlement         float64 // fraction of the grid the weights entitle it to
 	SubmittedJobs       int
 	CompletedJobs       int
 	CompletedCPU        float64
@@ -288,7 +287,6 @@ func Fairness(cfg FairnessConfig) (*FairnessResult, error) {
 			Tenant:              t.Name,
 			Group:               g,
 			Weight:              t.Weight,
-			Entitlement:         ent,
 			SubmittedJobs:       submitted[t.Name],
 			CompletedJobs:       completedJobs[t.Name],
 			CompletedCPU:        completedCPU[t.Name],

@@ -10,24 +10,26 @@ import (
 	"repro/internal/workload"
 )
 
-// Fig7Config parameterizes the steering-rescue experiment.
+// The steering-rescue scenario's fixed shape. The job is the paper's
+// prime-number program, 283 s on an unloaded CPU (workload.PaperPrimeJob).
+const (
+	// fig7SiteALoad is the background load that develops at the job's
+	// first site (paper: "significant CPU load"; ~0.7 reproduces the
+	// observed ~0.3 progress rate).
+	fig7SiteALoad = 0.7
+	// fig7SampleEvery is the progress-sampling period (paper's chart uses
+	// ≈28.3 s ticks; 5 s gives a smoother series).
+	fig7SampleEvery = 5 * time.Second
+	// fig7Horizon bounds the simulation.
+	fig7Horizon = 1000 * time.Second
+)
+
+// Fig7Config parameterizes the steering-rescue experiment; the zero value
+// is the paper's scenario.
 type Fig7Config struct {
-	// FreeCPUSeconds is the job's runtime on an unloaded CPU; the paper
-	// calibrated its prime-number program at 283 s.
-	FreeCPUSeconds float64
-	// SiteALoad is the background load that develops at the job's first
-	// site (paper: "significant CPU load"; ~0.7 reproduces the observed
-	// ~0.3 progress rate).
-	SiteALoad float64
-	// SampleEvery is the progress-sampling period (paper's chart uses
-	// ≈28.3 s ticks; default 5 s for a smoother series).
-	SampleEvery time.Duration
-	// Horizon bounds the simulation (default 1000 s).
-	Horizon time.Duration
-	// PollInterval / MinObservation tune the steering service; zero keeps
-	// the defaults (10 s / 30 s).
-	PollInterval   time.Duration
-	MinObservation time.Duration
+	// PollInterval tunes the steering service's poll period; zero keeps
+	// the default (10 s).
+	PollInterval time.Duration
 	// DisableSteering runs the control experiment: the job stays at the
 	// loaded site (used by the ablation bench).
 	DisableSteering bool
@@ -36,16 +38,6 @@ type Fig7Config struct {
 	// and flocking is enabled" — the migrated job resumes from its
 	// accumulated CPU work instead of restarting.
 	Checkpointable bool
-}
-
-// DefaultFig7 matches the paper's scenario.
-func DefaultFig7() Fig7Config {
-	return Fig7Config{
-		FreeCPUSeconds: workload.PaperPrimeJob().CPUSeconds(), // 283 s
-		SiteALoad:      0.7,
-		SampleEvery:    5 * time.Second,
-		Horizon:        1000 * time.Second,
-	}
 }
 
 // Fig7Result carries both progress series and the headline times.
@@ -72,15 +64,7 @@ type Fig7Result struct {
 // measured it: accumulated Condor wall-clock divided by the free-CPU
 // estimate.
 func Fig7(cfg Fig7Config) (*Fig7Result, error) {
-	if cfg.FreeCPUSeconds <= 0 {
-		cfg.FreeCPUSeconds = 283
-	}
-	if cfg.SampleEvery <= 0 {
-		cfg.SampleEvery = 5 * time.Second
-	}
-	if cfg.Horizon <= 0 {
-		cfg.Horizon = 1000 * time.Second
-	}
+	freeCPU := workload.PaperPrimeJob().CPUSeconds()
 	g := core.New(core.Config{
 		Sites: []core.SiteSpec{
 			{Name: "siteA", Nodes: 2, CostPerCPUSecond: 0.05},
@@ -91,9 +75,6 @@ func Fig7(cfg Fig7Config) (*Fig7Result, error) {
 	})
 	if cfg.PollInterval > 0 {
 		g.Steering.PollInterval = cfg.PollInterval
-	}
-	if cfg.MinObservation > 0 {
-		g.Steering.MinObservation = cfg.MinObservation
 	}
 	g.Steering.AutoSteer = !cfg.DisableSteering
 
@@ -106,7 +87,7 @@ func Fig7(cfg Fig7Config) (*Fig7Result, error) {
 	cp, err := g.SubmitPlan(&scheduler.JobPlan{
 		Name: "primes", Owner: "physicist",
 		Tasks: []scheduler.TaskPlan{{
-			ID: "main", CPUSeconds: cfg.FreeCPUSeconds,
+			ID: "main", CPUSeconds: freeCPU,
 			Queue: "short", Partition: "gae", Nodes: 1, JobType: "batch",
 			Checkpointable: cfg.Checkpointable,
 		}},
@@ -124,16 +105,16 @@ func Fig7(cfg Fig7Config) (*Fig7Result, error) {
 	// the paper "allowed [the original] to continue running on site A for
 	// testing purposes".
 	siteA := g.Grid.Site("siteA")
-	control := simgrid.NewTask(cfg.FreeCPUSeconds, nil)
+	control := simgrid.NewTask(freeCPU, nil)
 	siteA.Node("siteA-n1").Place(control)
 
 	// Site A develops significant CPU load on both nodes.
 	for _, n := range siteA.Nodes() {
-		n.SetLoad(simgrid.ConstantLoad(cfg.SiteALoad))
+		n.SetLoad(simgrid.ConstantLoad(fig7SiteALoad))
 	}
 
 	res := &Fig7Result{
-		Estimate: cfg.FreeCPUSeconds,
+		Estimate: freeCPU,
 		Table: &Table{
 			Title: "Figure 7: Job Completion at different sites",
 			// As in the paper's chart, the site-B line is a separate
@@ -148,7 +129,7 @@ func Fig7(cfg Fig7Config) (*Fig7Result, error) {
 		elapsed := now.Sub(epoch)
 		// Progress of the job at site A (the copy the paper left running
 		// there).
-		pa := control.WallClock().Seconds() / cfg.FreeCPUSeconds * 100
+		pa := control.WallClock().Seconds() / freeCPU * 100
 		if pa > 100 {
 			pa = 100
 		}
@@ -162,7 +143,7 @@ func Fig7(cfg Fig7Config) (*Fig7Result, error) {
 					res.MovedAt = elapsed
 				}
 				if info, err := g.JobMon.Job(cur.Site, cur.CondorID); err == nil {
-					pb = info.WallClock.Seconds() / cfg.FreeCPUSeconds * 100
+					pb = info.WallClock.Seconds() / freeCPU * 100
 				}
 			}
 		}
@@ -180,13 +161,12 @@ func Fig7(cfg Fig7Config) (*Fig7Result, error) {
 		}
 	}
 	sample(g.Now())
-	steps := int(cfg.Horizon / cfg.SampleEvery)
-	for i := 0; i < steps; i++ {
-		g.Run(cfg.SampleEvery)
+	for i := 0; i < int(fig7Horizon/fig7SampleEvery); i++ {
+		g.Run(fig7SampleEvery)
 		sample(g.Now())
 	}
 	res.Table.Notes = append(res.Table.Notes,
-		fmt.Sprintf("free-CPU estimate = %.0f s (paper: 283 s)", cfg.FreeCPUSeconds))
+		fmt.Sprintf("free-CPU estimate = %.0f s (paper: 283 s)", freeCPU))
 	if res.MovedAt > 0 {
 		res.Table.Notes = append(res.Table.Notes,
 			fmt.Sprintf("steering moved the job at %.0f s", res.MovedAt.Seconds()))
@@ -200,7 +180,7 @@ func Fig7(cfg Fig7Config) (*Fig7Result, error) {
 			fmt.Sprintf("unsteered site-A copy completed at %.0f s", res.UnsteeredDone.Seconds()))
 	} else {
 		res.Table.Notes = append(res.Table.Notes,
-			fmt.Sprintf("unsteered site-A copy not finished within %.0f s horizon", cfg.Horizon.Seconds()))
+			fmt.Sprintf("unsteered site-A copy not finished within %.0f s horizon", fig7Horizon.Seconds()))
 	}
 	return res, nil
 }

@@ -38,16 +38,27 @@ const (
 	// DefaultHalfLife is the usage decay half-life: a tenant's recorded
 	// CPU-seconds count half after this much (virtual) time.
 	DefaultHalfLife = 10 * time.Minute
-	// DefaultUsageScale is the decayed usage (CPU-seconds) at which a
-	// tenant's effective priority halves relative to an idle tenant of
-	// equal weight.
-	DefaultUsageScale = 300
 	// DefaultStarvationWindow is how long a job may sit idle before the
 	// starvation guard promotes it ahead of effective-priority order.
 	DefaultStarvationWindow = 5 * time.Minute
 )
 
-// Config parameterizes a Manager.
+// The priority function's fixed shape.
+const (
+	// usageScale is the decayed usage (CPU-seconds) at which a tenant's
+	// effective priority halves relative to an idle tenant of equal
+	// weight.
+	usageScale = 300
+	// defaultGroup receives the tenants first seen via RecordUsage or
+	// ordering rather than SetTenant; they, and groups never set with
+	// SetGroup, weigh defaultWeight.
+	defaultGroup  = "default"
+	defaultWeight = 1.0
+)
+
+// Config parameterizes a Manager. What it does not set is constant:
+// usageScale (300 CPU-seconds), defaultGroup ("default") and
+// defaultWeight (1).
 type Config struct {
 	// Clock drives usage decay and the starvation guard. Required:
 	// deployments pass the grid engine's simulated clock so fairness
@@ -57,29 +68,11 @@ type Config struct {
 	// DefaultHalfLife; a negative value disables decay entirely (usage
 	// accumulates forever — the "infinite memory" ablation).
 	HalfLife time.Duration
-	// UsageScale is the decayed usage that halves effective priority.
-	// Zero selects DefaultUsageScale.
-	UsageScale float64
 	// StarvationWindow bounds how long any job waits regardless of its
 	// owner's standing. Zero selects DefaultStarvationWindow; a negative
 	// value disables the guard.
 	StarvationWindow time.Duration
-	// DefaultWeight is assigned to tenants first seen via RecordUsage or
-	// ordering rather than SetTenant. Zero selects 1.
-	DefaultWeight float64
-	// DefaultGroup receives auto-registered tenants. Empty selects
-	// "default".
-	DefaultGroup string
-	// TransferUsagePerMB is the CPU-second-equivalents of standing one
-	// transferred MB accrues, making the fairness weight of data movement
-	// an explicit policy choice in physical units. Zero leaves the
-	// integration's fallback in force (the core wiring falls back to one
-	// billed transfer credit = one CPU-second).
-	TransferUsagePerMB float64
 }
-
-// TransferUsagePerMB exposes the configured MB→CPU-second exchange rate.
-func (m *Manager) TransferUsagePerMB() float64 { return m.cfg.TransferUsagePerMB }
 
 // account is one node of the accounting hierarchy: a group, a tenant, or
 // a tenant's per-site usage bucket. Usage decays lazily: it is brought
@@ -134,17 +127,8 @@ func NewManager(cfg Config) *Manager {
 	if cfg.HalfLife == 0 {
 		cfg.HalfLife = DefaultHalfLife
 	}
-	if cfg.UsageScale <= 0 {
-		cfg.UsageScale = DefaultUsageScale
-	}
 	if cfg.StarvationWindow == 0 {
 		cfg.StarvationWindow = DefaultStarvationWindow
-	}
-	if cfg.DefaultWeight <= 0 {
-		cfg.DefaultWeight = 1
-	}
-	if cfg.DefaultGroup == "" {
-		cfg.DefaultGroup = "default"
 	}
 	return &Manager{
 		clock:     cfg.Clock,
@@ -177,7 +161,7 @@ func (m *Manager) SetTenant(name, group string, weight float64) {
 		panic("fairshare: non-positive tenant weight")
 	}
 	if group == "" {
-		group = m.cfg.DefaultGroup
+		group = defaultGroup
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -281,7 +265,7 @@ func (m *Manager) SiteUsage(tenant, site string) float64 {
 // EffectivePriority returns the tenant's Condor-style effective priority:
 // the product of the tenant's and its group's weight-over-decayed-usage
 // factors. An idle tenant scores groupWeight×tenantWeight; every
-// UsageScale CPU-seconds of decayed usage halves the corresponding
+// usageScale CPU-seconds of decayed usage halves the corresponding
 // factor. Higher is better. Unknown tenants score as fresh default-weight
 // tenants.
 func (m *Manager) EffectivePriority(tenant string) float64 {
@@ -310,9 +294,9 @@ func (m *Manager) effectiveAtLocked(tenant string, now time.Time) float64 {
 	// Read-only: unknown tenants score as fresh default-weight members of
 	// the default group without being registered (registration happens on
 	// RecordUsage/SetTenant, so a typo'd query can't mint ghost tenants).
-	tw, tu := m.cfg.DefaultWeight, 0.0
-	gw, gu := m.cfg.DefaultWeight, 0.0
-	group := m.cfg.DefaultGroup
+	tw, tu := defaultWeight, 0.0
+	gw, gu := defaultWeight, 0.0
+	group := defaultGroup
 	if t, ok := m.tenants[tenantName(tenant)]; ok {
 		m.decayLocked(&t.account, now)
 		tw, tu, group = t.weight, t.usage, t.group
@@ -321,7 +305,7 @@ func (m *Manager) effectiveAtLocked(tenant string, now time.Time) float64 {
 		m.decayLocked(g, now)
 		gw, gu = g.weight, g.usage
 	}
-	u := m.cfg.UsageScale
+	const u = usageScale
 	ep := tw * (u / (u + tu)) * gw * (u / (u + gu))
 	m.epCache[tenant] = ep
 	return ep
@@ -367,7 +351,7 @@ func (m *Manager) decayLocked(a *account, now time.Time) {
 func (m *Manager) groupLocked(name string) *account {
 	g, ok := m.groups[name]
 	if !ok {
-		g = &account{weight: m.cfg.DefaultWeight}
+		g = &account{weight: defaultWeight}
 		m.groups[name] = g
 	}
 	return g
@@ -388,8 +372,8 @@ func (m *Manager) tenantLocked(name string) *tenantAccount {
 	t, ok := m.tenants[name]
 	if !ok {
 		t = &tenantAccount{
-			account: account{weight: m.cfg.DefaultWeight},
-			group:   m.cfg.DefaultGroup,
+			account: account{weight: defaultWeight},
+			group:   defaultGroup,
 			sites:   make(map[string]*account),
 		}
 		m.tenants[name] = t

@@ -58,13 +58,13 @@ func TestNegativeHalfLifeDisablesDecay(t *testing.T) {
 }
 
 func TestEffectivePriorityWeightOverUsage(t *testing.T) {
-	m, _ := newTestManager(Config{UsageScale: 100})
+	m, _ := newTestManager(Config{})
 	m.SetTenant("alice", "", 1)
 	m.SetTenant("bob", "", 1)
 	if ea, eb := m.EffectivePriority("alice"), m.EffectivePriority("bob"); math.Abs(ea-eb) > 1e-12 {
 		t.Fatalf("idle equal-weight tenants differ: %v vs %v", ea, eb)
 	}
-	m.RecordUsage("alice", "", 100) // one UsageScale halves the tenant factor
+	m.RecordUsage("alice", "", 300) // one usageScale halves the tenant factor
 	ea, eb := m.EffectivePriority("alice"), m.EffectivePriority("bob")
 	if ea >= eb {
 		t.Fatalf("used tenant not deprioritized: alice %v, bob %v", ea, eb)
@@ -77,7 +77,7 @@ func TestEffectivePriorityWeightOverUsage(t *testing.T) {
 }
 
 func TestEffectivePriorityHierarchy(t *testing.T) {
-	m, _ := newTestManager(Config{UsageScale: 100})
+	m, _ := newTestManager(Config{})
 	m.SetGroup("atlas", 3)
 	m.SetGroup("cms", 1)
 	m.SetTenant("a1", "atlas", 1)
@@ -87,9 +87,9 @@ func TestEffectivePriorityHierarchy(t *testing.T) {
 	}
 	// Usage by a sibling drags down the whole group.
 	m.SetTenant("a2", "atlas", 1)
-	m.RecordUsage("a2", "", 300)
+	m.RecordUsage("a2", "", 900)
 	ea, ec := m.EffectivePriority("a1"), m.EffectivePriority("c1")
-	if math.Abs(ea/ec-0.75) > 1e-9 { // 3 × 100/(100+300) = 0.75
+	if math.Abs(ea/ec-0.75) > 1e-9 { // 3 × 300/(300+900) = 0.75
 		t.Fatalf("post-sibling-usage ratio = %v, want 0.75", ea/ec)
 	}
 }
@@ -102,7 +102,7 @@ func less(m *Manager, now time.Time, a, b JobRef) bool {
 }
 
 func TestLessOrdersByEffectivePriority(t *testing.T) {
-	m, clock := newTestManager(Config{UsageScale: 100})
+	m, clock := newTestManager(Config{})
 	epoch := clock.Now()
 	a := JobRef{Owner: "alice", Submitted: epoch, Seq: 1}
 	b := JobRef{Owner: "bob", Submitted: epoch, Seq: 2}
@@ -127,7 +127,7 @@ func TestLessOrdersByEffectivePriority(t *testing.T) {
 }
 
 func TestStarvationGuard(t *testing.T) {
-	m, clock := newTestManager(Config{UsageScale: 100, StarvationWindow: time.Minute})
+	m, clock := newTestManager(Config{StarvationWindow: time.Minute})
 	old := JobRef{Owner: "heavy", Submitted: clock.Now(), Seq: 1}
 	m.RecordUsage("heavy", "", 1e6) // heavy is far beyond its share
 	clock.Advance(2 * time.Minute)
@@ -136,7 +136,7 @@ func TestStarvationGuard(t *testing.T) {
 		t.Fatal("starved job should outrank any fresh job")
 	}
 	// Guard disabled: standing decides again.
-	m2, clock2 := newTestManager(Config{UsageScale: 100, StarvationWindow: -1})
+	m2, clock2 := newTestManager(Config{StarvationWindow: -1})
 	old2 := JobRef{Owner: "heavy", Submitted: clock2.Now(), Seq: 1}
 	m2.RecordUsage("heavy", "", 1e6)
 	clock2.Advance(2 * time.Minute)
@@ -154,7 +154,7 @@ func TestStarvationGuard(t *testing.T) {
 }
 
 func TestServedTenantIsNotStarved(t *testing.T) {
-	m, clock := newTestManager(Config{UsageScale: 100, StarvationWindow: time.Minute})
+	m, clock := newTestManager(Config{StarvationWindow: time.Minute})
 	old := JobRef{Owner: "burst", Submitted: clock.Now(), Seq: 1}
 	clock.Advance(2 * time.Minute)
 	// burst keeps receiving machines, so its aged backlog is merely
@@ -171,7 +171,7 @@ func TestServedTenantIsNotStarved(t *testing.T) {
 }
 
 func TestStarvationGuardPromotesOneJobPerTenant(t *testing.T) {
-	m, clock := newTestManager(Config{UsageScale: 100, StarvationWindow: time.Minute})
+	m, clock := newTestManager(Config{StarvationWindow: time.Minute})
 	epoch := clock.Now()
 	m.RecordUsage("heavy", "", 1000) // heavy would lose on effective priority
 	clock.Advance(2 * time.Minute)
@@ -200,7 +200,7 @@ func TestStarvationGuardPromotesOneJobPerTenant(t *testing.T) {
 // holds for every distinct pair — and sorting by it yields the policy's
 // order: the starved pick, then effective priority, static priority, FIFO.
 func TestSortKeysMatchPairwiseOrder(t *testing.T) {
-	m, clock := newTestManager(Config{UsageScale: 100, StarvationWindow: time.Minute})
+	m, clock := newTestManager(Config{StarvationWindow: time.Minute})
 	epoch := clock.Now()
 	m.RecordUsage("heavy", "", 800)
 	m.RecordUsage("mid", "", 100)
@@ -267,7 +267,7 @@ func TestEffectivePriorityReadDoesNotRegister(t *testing.T) {
 // TestLessAtUsesExplicitInstant: the instant handed to SortKeysAt — not
 // the manager's clock — decides who has starved.
 func TestLessAtUsesExplicitInstant(t *testing.T) {
-	m, clock := newTestManager(Config{UsageScale: 100, StarvationWindow: time.Minute})
+	m, clock := newTestManager(Config{StarvationWindow: time.Minute})
 	a := JobRef{Owner: "x", Submitted: clock.Now(), Seq: 1}
 	b := JobRef{Owner: "y", Submitted: clock.Now(), Seq: 2}
 	m.RecordUsage("x", "", 500)
@@ -284,7 +284,7 @@ func TestLessAtUsesExplicitInstant(t *testing.T) {
 }
 
 func TestAnonymousOwnerCannotBypassFairShare(t *testing.T) {
-	m, clock := newTestManager(Config{UsageScale: 100, StarvationWindow: time.Minute})
+	m, clock := newTestManager(Config{StarvationWindow: time.Minute})
 	// Ownerless work accounts to the Anonymous tenant: it accrues usage
 	// and allocation history like anyone else.
 	m.RecordUsage("", "siteA", 500)

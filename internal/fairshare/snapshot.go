@@ -93,7 +93,7 @@ func (m *Manager) Restore(st *durable.FairShareState) {
 		}
 		// Ensure the tenant's group exists even if it carried no usage.
 		if _, ok := m.groups[ta.group]; !ok {
-			m.groups[ta.group] = &account{weight: m.cfg.DefaultWeight}
+			m.groups[ta.group] = &account{weight: defaultWeight}
 		}
 	}
 }

@@ -37,14 +37,13 @@ func (s TaskState) String() string {
 
 // SiteEstimate is one site's predicted cost for a task — the quantities
 // the paper's selection step weighs (estimated runtime, queue time,
-// transfer time, monetary cost, observed load).
+// transfer time, observed load).
 type SiteEstimate struct {
 	Site            string
 	RuntimeSeconds  float64
 	QueueSeconds    float64
 	TransferSeconds float64
 	Load            float64
-	CostCredits     float64
 	Score           float64 // lower is better
 }
 

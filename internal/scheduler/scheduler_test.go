@@ -12,7 +12,6 @@ import (
 	"repro/internal/condor"
 	"repro/internal/estimator"
 	"repro/internal/monalisa"
-	"repro/internal/quota"
 	"repro/internal/replica"
 	"repro/internal/simgrid"
 )
@@ -483,42 +482,6 @@ func TestSchedulerMarksCondorFailure(t *testing.T) {
 	if a.State != TaskFailed {
 		t.Fatalf("state after doomed resubmit = %v", a.State)
 	}
-}
-
-func TestQuotaCostInSelection(t *testing.T) {
-	g := simgrid.NewGrid(time.Second, 1)
-	repo := monalisa.NewRepository()
-	q := quota.NewService()
-	q.SetRate("siteA", quota.Rate{CPUSecond: 0.5})
-	q.SetRate("siteB", quota.Rate{CPUSecond: 0.1})
-	sched := New(Config{Grid: g, Monitor: repo, Quota: q})
-	for _, name := range []string{"siteA", "siteB"} {
-		site := g.AddSite(name)
-		pool := condor.NewPool(name, g, site)
-		pool.AddMachine(site.AddNode(g.Engine, name+"-n", 1, simgrid.IdleLoad()), nil)
-		sched.RegisterSite(name, &SiteServices{Pool: pool})
-	}
-	_, all, err := sched.SelectSite(task("t", 100), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range all {
-		if e.Site == "siteA" && e.CostCredits <= 0 {
-			t.Fatalf("siteA cost = %v", e.CostCredits)
-		}
-		if e.Site == "siteB" && e.CostCredits >= allCost(all, "siteA") {
-			t.Fatalf("cost ordering wrong: %+v", all)
-		}
-	}
-}
-
-func allCost(all []SiteEstimate, site string) float64 {
-	for _, e := range all {
-		if e.Site == site {
-			return e.CostCredits
-		}
-	}
-	return 0
 }
 
 func TestPlanSubscriberReceivesConcretePlan(t *testing.T) {

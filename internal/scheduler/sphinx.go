@@ -12,7 +12,6 @@ import (
 	"repro/internal/estimator"
 	"repro/internal/fairshare"
 	"repro/internal/monalisa"
-	"repro/internal/quota"
 	"repro/internal/replica"
 	"repro/internal/simgrid"
 	"repro/internal/telemetry"
@@ -49,7 +48,6 @@ type Scheduler struct {
 	repo     *monalisa.Repository // nil: score with zero load
 	estDB    *estimator.EstimateDB
 	transfer *estimator.TransferEstimator
-	quota    *quota.Service         // optional
 	replicas *replica.Catalog       // optional
 	fair     fairshare.SiteStanding // optional
 
@@ -101,9 +99,7 @@ type Config struct {
 	Grid *simgrid.Grid
 	// Monitor, when set, supplies each site's observed load for scoring.
 	Monitor  *monalisa.Repository
-	EstDB    *estimator.EstimateDB
 	Transfer *estimator.TransferEstimator
-	Quota    *quota.Service
 	// Replicas, when set, lets task inputs name a dataset without a
 	// fixed source (FileRef.Site == ""): the scheduler resolves the
 	// closest replica and registers new copies it creates.
@@ -124,18 +120,14 @@ func New(cfg Config) *Scheduler {
 	if fairshare.IsNil(cfg.FairShare) {
 		cfg.FairShare = nil
 	}
-	if cfg.EstDB == nil {
-		cfg.EstDB = estimator.NewEstimateDB()
-	}
 	if cfg.Transfer == nil {
 		cfg.Transfer = &estimator.TransferEstimator{Network: cfg.Grid.Network}
 	}
 	s := &Scheduler{
 		grid:         cfg.Grid,
 		repo:         cfg.Monitor,
-		estDB:        cfg.EstDB,
+		estDB:        estimator.NewEstimateDB(),
 		transfer:     cfg.Transfer,
-		quota:        cfg.Quota,
 		replicas:     cfg.Replicas,
 		fair:         cfg.FairShare,
 		sites:        make(map[string]*SiteServices),
@@ -262,7 +254,7 @@ func (s *Scheduler) drainEvents() {
 		switch e.To {
 		case condor.StatusCompleted:
 			pt.cp.update(pt.taskID, func(a *Assignment) { a.State = TaskCompleted })
-			s.learnFrom(pt, e)
+			s.learnFrom(pt)
 			s.registerOutput(pt)
 		case condor.StatusFailed:
 			// Resubmission is the Steering Service's decision (its Backup
@@ -274,7 +266,7 @@ func (s *Scheduler) drainEvents() {
 
 // learnFrom closes the estimator's feedback loop: the actual runtime of a
 // completed task becomes a history record at its execution site.
-func (s *Scheduler) learnFrom(pt planTask, e condor.Event) {
+func (s *Scheduler) learnFrom(pt planTask) {
 	a, ok := pt.cp.Assignment(pt.taskID)
 	if !ok {
 		return
@@ -402,13 +394,13 @@ func (s *Scheduler) SelectSite(t TaskPlan, exclude map[string]bool) (SiteEstimat
 }
 
 // SelectSiteFor performs the paper's steps (a)–(e): per-site runtime
-// estimates, queue-time estimates, MonALISA load, transfer time, and (when
-// a quota service is configured) monetary cost. When a fair-share standing
-// is configured, candidates whose score lies within tieMargin of the best
-// are re-ranked by the owner's decayed usage at each site, lowest first —
-// planning then steers tenants toward sites they have used least recently
-// (an empty owner accounts to the Anonymous tenant, as in the execution
-// service). The returned slice holds every candidate for explainability.
+// estimates, queue-time estimates, MonALISA load and transfer time. When a
+// fair-share standing is configured, candidates whose score lies within
+// tieMargin of the best are re-ranked by the owner's decayed usage at each
+// site, lowest first — planning then steers tenants toward sites they have
+// used least recently (an empty owner accounts to the Anonymous tenant, as
+// in the execution service). The returned slice holds every candidate for
+// explainability.
 func (s *Scheduler) SelectSiteFor(owner string, t TaskPlan, exclude map[string]bool) (SiteEstimate, []SiteEstimate, error) {
 	s.mu.Lock()
 	names := make([]string, 0, len(s.sites))
@@ -440,11 +432,6 @@ func (s *Scheduler) SelectSiteFor(owner string, t TaskPlan, exclude map[string]b
 		est.TransferSeconds = s.transferSeconds(t, site)
 		if s.repo != nil {
 			est.Load = s.repo.LatestValue(site, monalisa.MetricLoadAvg, 0)
-		}
-		if s.quota != nil {
-			if c, err := s.quota.Cost(site, est.RuntimeSeconds, inputMB(t)); err == nil {
-				est.CostCredits = c
-			}
 		}
 		est.Score = est.RuntimeSeconds*(1+loadWeight*est.Load) + est.QueueSeconds + est.TransferSeconds
 		all = append(all, est)

@@ -374,10 +374,6 @@ type BandwidthProbe struct {
 	// estimators can charge it once instead of amortizing it into the
 	// bandwidth.
 	Latency time.Duration
-	// ObservedMBps is the classic iperf figure for the probe payload —
-	// probe size over total elapsed time, latency included — which
-	// understates steady-state bandwidth on latency-dominated paths.
-	ObservedMBps float64
 }
 
 // Probe performs an iperf-style bandwidth measurement between two sites.
@@ -386,12 +382,9 @@ type BandwidthProbe struct {
 // is that measurement. The probe observes current contention: concurrent
 // flows on the link shrink the share it reports, exactly as a real iperf
 // run through a busy pipe would.
-func (n *Network) Probe(a, b string, probeMB float64) (BandwidthProbe, error) {
-	if probeMB <= 0 {
-		probeMB = 8 // default probe: 8 MB, ~iperf's default 10-second window
-	}
+func (n *Network) Probe(a, b string) (BandwidthProbe, error) {
 	if a == b {
-		return BandwidthProbe{SteadyStateMBps: LocalCopyMBps, ObservedMBps: LocalCopyMBps}, nil
+		return BandwidthProbe{SteadyStateMBps: LocalCopyMBps}, nil
 	}
 	n.mu.Lock()
 	k := linkKey(a, b)
@@ -408,12 +401,9 @@ func (n *Network) Probe(a, b string, probeMB float64) (BandwidthProbe, error) {
 	}
 	// Positive by construction: Connect enforces positive bandwidth and
 	// utilization is clamped below 1.
-	steady := l.EffectiveMBps() / float64(active+1)
-	elapsed := l.Latency.Seconds() + probeMB/steady
 	return BandwidthProbe{
-		SteadyStateMBps: steady,
+		SteadyStateMBps: l.EffectiveMBps() / float64(active+1),
 		Latency:         l.Latency,
-		ObservedMBps:    probeMB / elapsed,
 	}, nil
 }
 

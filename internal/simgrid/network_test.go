@@ -238,17 +238,17 @@ func TestZeroSizeTransferFiresNextBoundary(t *testing.T) {
 func TestProbeObservesContention(t *testing.T) {
 	g := NewGrid(time.Second, 1)
 	g.Network.Connect("a", "b", Link{BandwidthMBps: 10})
-	idle, err := g.Network.Probe("a", "b", 8)
+	idle, err := g.Network.Probe("a", "b")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(idle.ObservedMBps-10) > 1e-9 {
+	if math.Abs(idle.SteadyStateMBps-10) > 1e-9 {
 		t.Fatalf("idle probe = %v, want 10", idle)
 	}
 	if _, err := g.Network.StartTransfer("a", "b", 1000, nil); err != nil {
 		t.Fatal(err)
 	}
-	busy, err := g.Network.Probe("a", "b", 8)
+	busy, err := g.Network.Probe("a", "b")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,15 +261,12 @@ func TestProbeObservesContention(t *testing.T) {
 	}
 	// Latency is reported separately and excluded from the steady rate.
 	g.Network.Connect("a", "c", Link{BandwidthMBps: 12.5, Latency: 2 * time.Second})
-	p, err := g.Network.Probe("a", "c", 8)
+	p, err := g.Network.Probe("a", "c")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(p.SteadyStateMBps-12.5) > 1e-9 || p.Latency != 2*time.Second {
 		t.Fatalf("probe = %+v, want steady 12.5 / latency 2s", p)
-	}
-	if p.ObservedMBps >= p.SteadyStateMBps {
-		t.Fatalf("latency-inclusive figure %v not below steady-state %v", p.ObservedMBps, p.SteadyStateMBps)
 	}
 }
 

@@ -416,29 +416,20 @@ func TestStartTransferCompletesInSimTime(t *testing.T) {
 func TestMeasureBandwidth(t *testing.T) {
 	g := NewGrid(time.Second, 1)
 	g.Network.Connect("a", "b", Link{BandwidthMBps: 12.5})
-	p, err := g.Network.Probe("a", "b", 0) // default probe
+	p, err := g.Network.Probe("a", "b")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bw := p.ObservedMBps; math.Abs(bw-12.5) > 0.01 {
+	if bw := p.SteadyStateMBps; math.Abs(bw-12.5) > 0.01 {
 		t.Fatalf("measured %v MB/s, want ~12.5", bw)
 	}
-	// Latency reduces measured throughput for small probes, as with iperf.
-	g.Network.Connect("a", "c", Link{BandwidthMBps: 12.5, Latency: 2 * time.Second})
-	p2, err := g.Network.Probe("a", "c", 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p2.ObservedMBps >= p.ObservedMBps {
-		t.Fatalf("latency did not reduce measured bandwidth: %v vs %v", p2.ObservedMBps, p.ObservedMBps)
-	}
-	if _, err := g.Network.Probe("a", "zz", 1); err == nil {
+	if _, err := g.Network.Probe("a", "zz"); err == nil {
 		t.Fatal("probe over missing link succeeded")
 	}
 }
 
 func TestStorageBasics(t *testing.T) {
-	s := NewStorage("site")
+	s := NewStorage()
 	if err := s.Put("data.root", 150); err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ type Site struct {
 
 // NewSite creates an empty site with its own storage element.
 func NewSite(name string) *Site {
-	return &Site{Name: name, storage: NewStorage(name)}
+	return &Site{Name: name, storage: NewStorage()}
 }
 
 // AddNode creates a node inside this site, registered with the engine:

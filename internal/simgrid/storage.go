@@ -18,15 +18,13 @@ type File struct {
 // to another site is the scheduler's: Network.StartTransfer, then Put at
 // the destination and a replica-catalog registration when the flow lands.
 type Storage struct {
-	Site string
-
 	mu    sync.Mutex
 	files map[string]File
 }
 
-// NewStorage creates an empty storage element for a site.
-func NewStorage(site string) *Storage {
-	return &Storage{Site: site, files: make(map[string]File)}
+// NewStorage creates an empty storage element.
+func NewStorage() *Storage {
+	return &Storage{files: make(map[string]File)}
 }
 
 // Put stores (or replaces) a file.

@@ -51,7 +51,7 @@ func newFixture(t *testing.T) *fixture {
 	f.quota.SetRate("siteA", quota.Rate{CPUSecond: 0.10})
 	f.quota.SetRate("siteB", quota.Rate{CPUSecond: 0.02})
 
-	f.sched = scheduler.New(scheduler.Config{Grid: g, Monitor: repo, Quota: f.quota})
+	f.sched = scheduler.New(scheduler.Config{Grid: g, Monitor: repo})
 	for name, pool := range f.pools {
 		f.sched.RegisterSite(name, &scheduler.SiteServices{
 			Pool:    pool,

@@ -46,39 +46,27 @@ var DefaultQueues = []QueueClass{
 	{Name: "q64l", Nodes: 64, MeanSecs: 28800, SigmaLog: 0.65, ChargeRate: 1.4},
 }
 
-// ParagonConfig controls trace synthesis.
+// ParagonConfig controls trace synthesis. Jobs are drawn from
+// DefaultQueues, submitted from paragonStart on, and paragonFailureRate
+// of them fail and paragonInteractive are interactive.
 type ParagonConfig struct {
-	Jobs   int
-	Seed   int64
-	Queues []QueueClass
-	Start  time.Time // submission window start (default 1995-01-01)
-	// FailureRate is the fraction of unsuccessful jobs (default 0.05).
-	FailureRate float64
-	// Interactive is the fraction of interactive (vs batch) jobs
-	// (default 0.2).
-	Interactive float64
+	Jobs int
+	Seed int64
 }
+
+// The trace's fixed shape.
+const (
+	paragonFailureRate = 0.05 // fraction of unsuccessful jobs
+	paragonInteractive = 0.2  // fraction of interactive (vs batch) jobs
+)
+
+// paragonStart is when the trace's submission window opens.
+var paragonStart = time.Date(1995, time.January, 1, 0, 0, 0, 0, time.UTC)
 
 // ParagonTrace generates a deterministic synthetic accounting trace.
 func ParagonTrace(cfg ParagonConfig) []estimator.TaskRecord {
 	if cfg.Jobs <= 0 {
 		return nil
-	}
-	queues := cfg.Queues
-	if len(queues) == 0 {
-		queues = DefaultQueues
-	}
-	start := cfg.Start
-	if start.IsZero() {
-		start = time.Date(1995, time.January, 1, 0, 0, 0, 0, time.UTC)
-	}
-	failRate := cfg.FailureRate
-	if failRate == 0 {
-		failRate = 0.05
-	}
-	interactive := cfg.Interactive
-	if interactive == 0 {
-		interactive = 0.2
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
@@ -86,9 +74,9 @@ func ParagonTrace(cfg ParagonConfig) []estimator.TaskRecord {
 	logins := []string{"downey", "feitel", "smith", "taylor", "foster", "bunn", "anjum"}
 
 	records := make([]estimator.TaskRecord, 0, cfg.Jobs)
-	submit := start
+	submit := paragonStart
 	for i := 0; i < cfg.Jobs; i++ {
-		q := queues[rng.Intn(len(queues))]
+		q := DefaultQueues[rng.Intn(len(DefaultQueues))]
 		// Log-normal runtime around the class median.
 		runtime := q.MeanSecs * math.Exp(rng.NormFloat64()*q.SigmaLog)
 		if runtime < 10 {
@@ -100,10 +88,10 @@ func ParagonTrace(cfg ParagonConfig) []estimator.TaskRecord {
 		reqHours := runtime / 3600 * (1.1 + 1.1*rng.Float64())
 		reqHours = math.Ceil(reqHours*4) / 4 // quarter-hour granularity
 		jobType := "batch"
-		if rng.Float64() < interactive {
+		if rng.Float64() < paragonInteractive {
 			jobType = "interactive"
 		}
-		succeeded := rng.Float64() >= failRate
+		succeeded := rng.Float64() >= paragonFailureRate
 		// Poisson-ish arrivals: exponential gaps, mean 20 minutes.
 		submit = submit.Add(time.Duration(rng.ExpFloat64() * 20 * float64(time.Minute)))
 		queueWait := time.Duration(rng.ExpFloat64() * 10 * float64(time.Minute))

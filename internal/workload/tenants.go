@@ -38,7 +38,6 @@ type GroupWeight struct {
 type Submission struct {
 	Tick       int
 	Tenant     string
-	Group      string
 	Priority   int
 	CPUSeconds float64
 }
@@ -92,7 +91,6 @@ func (s FairnessScenario) Submissions() []Submission {
 				out = append(out, Submission{
 					Tick:       tick,
 					Tenant:     t.Name,
-					Group:      t.Group,
 					Priority:   t.Priority,
 					CPUSeconds: t.JobCPUSeconds,
 				})

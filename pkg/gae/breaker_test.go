@@ -46,52 +46,43 @@ func okCall(ctx context.Context) error      { return nil }
 
 func TestBreakerTransitionCycle(t *testing.T) {
 	rs := newTestRetryState()
+	wire := 0
+	failing := func(ctx context.Context) error { wire++; return errWire }
 
 	// closed → open: three consecutive failures trip the threshold.
 	// Each do() makes 2 attempts, so two failing calls give 4 failures.
 	for i := 0; i < 2; i++ {
-		if err := rs.do(context.Background(), failingCall); err == nil {
+		if err := rs.do(context.Background(), failing); err == nil {
 			t.Fatalf("do %d: expected error", i)
 		}
 	}
 	if got := rs.state(); got != breakerOpen {
 		t.Fatalf("after failures: state = %v, want open", got)
 	}
-	st := rs.snapshot()
-	if st.BreakerTransitions.ClosedOpen != 1 {
-		t.Fatalf("ClosedOpen = %d, want 1", st.BreakerTransitions.ClosedOpen)
-	}
-	if st.BreakerOpens != 1 {
-		t.Fatalf("BreakerOpens = %d, want 1", st.BreakerOpens)
+	if wire != 3 {
+		t.Fatalf("wire calls before the trip = %d, want 3", wire)
 	}
 
 	// Open with a live cooldown: calls fail fast with ErrCircuitOpen
 	// and never touch the wire.
-	callsBefore := rs.snapshot().Calls
-	if err := rs.do(context.Background(), failingCall); !errors.Is(err, ErrCircuitOpen) {
+	if err := rs.do(context.Background(), failing); !errors.Is(err, ErrCircuitOpen) {
 		t.Fatalf("open breaker: err = %v, want ErrCircuitOpen", err)
 	}
-	if got := rs.snapshot().Calls; got != callsBefore {
-		t.Fatalf("open breaker made wire calls: %d -> %d", callsBefore, got)
+	if wire != 3 {
+		t.Fatalf("open breaker made wire calls: 3 -> %d", wire)
 	}
 
-	// open → half-open → open: cooldown elapses, the probe fails.
+	// open → half-open → open: cooldown elapses, one probe goes out and
+	// fails.
 	expireCooldown(rs)
-	if err := rs.do(context.Background(), failingCall); err == nil {
+	if err := rs.do(context.Background(), failing); err == nil {
 		t.Fatal("probe: expected error")
 	}
 	if got := rs.state(); got != breakerOpen {
 		t.Fatalf("after failed probe: state = %v, want open", got)
 	}
-	st = rs.snapshot()
-	if st.BreakerTransitions.OpenHalfOpen != 1 {
-		t.Fatalf("OpenHalfOpen = %d, want 1", st.BreakerTransitions.OpenHalfOpen)
-	}
-	if st.BreakerTransitions.HalfOpenOpen != 1 {
-		t.Fatalf("HalfOpenOpen = %d, want 1", st.BreakerTransitions.HalfOpenOpen)
-	}
-	if st.BreakerOpens != 2 {
-		t.Fatalf("BreakerOpens = %d, want 2", st.BreakerOpens)
+	if wire != 4 {
+		t.Fatalf("wire calls after the probe = %d, want 4", wire)
 	}
 
 	// open → half-open → closed: cooldown elapses, the probe succeeds.
@@ -101,11 +92,6 @@ func TestBreakerTransitionCycle(t *testing.T) {
 	}
 	if got := rs.state(); got != breakerClosed {
 		t.Fatalf("after successful probe: state = %v, want closed", got)
-	}
-	st = rs.snapshot()
-	want := BreakerTransitions{ClosedOpen: 1, OpenHalfOpen: 2, HalfOpenClosed: 1, HalfOpenOpen: 1}
-	if st.BreakerTransitions != want {
-		t.Fatalf("transitions = %+v, want %+v", st.BreakerTransitions, want)
 	}
 }
 
@@ -119,13 +105,14 @@ func TestBreakerSemanticFaultResets(t *testing.T) {
 	if failures == 0 {
 		t.Fatal("wire failures not counted")
 	}
-	// ...then a success clears the streak without any transition: the
-	// breaker never left closed, so no edges are recorded.
+	// ...then a success clears the streak: the breaker never left closed.
 	if err := rs.do(context.Background(), okCall); err != nil {
 		t.Fatalf("ok call: %v", err)
 	}
-	st := rs.snapshot()
-	if st.BreakerTransitions != (BreakerTransitions{}) {
-		t.Fatalf("closed-state success recorded transitions: %+v", st.BreakerTransitions)
+	rs.br.mu.Lock()
+	failures = rs.br.failures
+	rs.br.mu.Unlock()
+	if got := rs.state(); got != breakerClosed || failures != 0 {
+		t.Fatalf("after success: state %v, %d failures; want closed, 0", got, failures)
 	}
 }

@@ -29,7 +29,7 @@ func parityConfig() core.Config {
 		},
 		Links: []core.LinkSpec{{A: "siteA", B: "siteB", MBps: 10}},
 		Users: []core.UserSpec{
-			{Name: "alice", Password: "pw", Roles: []string{"physicist"}, Credits: 1000},
+			{Name: "alice", Password: "pw", Credits: 1000},
 			{Name: "root", Password: "rootpw", Admin: true},
 		},
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/xmlrpc"
@@ -88,39 +89,9 @@ func IsRetryable(err error) bool {
 
 // TransportStats counts the remote transport's retry activity.
 type TransportStats struct {
-	// Calls is the number of wire attempts made (retries included).
-	Calls int64
 	// Retries is the number of re-attempts after retryable failures.
 	Retries int64
-	// BreakerOpens is how many times the circuit tripped open (the sum
-	// of the ClosedOpen and HalfOpenOpen transitions).
-	BreakerOpens int64
-	// BreakerTransitions breaks the breaker's state changes down by
-	// edge. A client dials one endpoint, so these are per-endpoint
-	// counts by construction.
-	BreakerTransitions BreakerTransitions
 }
-
-// BreakerTransitions counts each circuit-breaker state change by edge.
-type BreakerTransitions struct {
-	// ClosedOpen: consecutive failures reached the threshold.
-	ClosedOpen int64
-	// OpenHalfOpen: the cooldown elapsed and a probe was admitted.
-	OpenHalfOpen int64
-	// HalfOpenClosed: the probe succeeded and the circuit closed.
-	HalfOpenClosed int64
-	// HalfOpenOpen: the probe failed and the circuit re-opened.
-	HalfOpenOpen int64
-}
-
-// Indices into breaker.trans, one per state-machine edge.
-const (
-	transClosedOpen = iota
-	transOpenHalfOpen
-	transHalfOpenClosed
-	transHalfOpenOpen
-	numTransitions
-)
 
 // TransportStats reports the client's retry counters. A local-transport
 // client, or a remote one dialed without WithRetryPolicy, reports zeros.
@@ -149,8 +120,6 @@ type breaker struct {
 	state    breakerState
 	failures int
 	openedAt time.Time
-	opens    int64
-	trans    [numTransitions]int64
 }
 
 func (b *breaker) allow() bool {
@@ -162,7 +131,6 @@ func (b *breaker) allow() bool {
 			return false
 		}
 		b.state = breakerHalfOpen
-		b.trans[transOpenHalfOpen]++
 		return true
 	case breakerHalfOpen:
 		// A probe is already in flight.
@@ -173,9 +141,6 @@ func (b *breaker) allow() bool {
 
 func (b *breaker) success() {
 	b.mu.Lock()
-	if b.state == breakerHalfOpen {
-		b.trans[transHalfOpenClosed]++
-	}
 	b.state = breakerClosed
 	b.failures = 0
 	b.mu.Unlock()
@@ -187,16 +152,12 @@ func (b *breaker) failure() {
 	if b.state == breakerHalfOpen {
 		b.state = breakerOpen
 		b.openedAt = time.Now()
-		b.opens++
-		b.trans[transHalfOpenOpen]++
 		return
 	}
 	b.failures++
 	if b.state == breakerClosed && b.failures >= b.threshold {
 		b.state = breakerOpen
 		b.openedAt = time.Now()
-		b.opens++
-		b.trans[transClosedOpen]++
 	}
 }
 
@@ -207,9 +168,7 @@ type retryState struct {
 	br     breaker
 	sleep  func(ctx context.Context, d time.Duration) error
 
-	mu      sync.Mutex
-	calls   int64
-	retries int64
+	retries atomic.Int64
 }
 
 // newRetryState builds the retry machinery for one dialed endpoint.
@@ -234,23 +193,7 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 }
 
 func (rs *retryState) snapshot() TransportStats {
-	rs.mu.Lock()
-	calls, retries := rs.calls, rs.retries
-	rs.mu.Unlock()
-	rs.br.mu.Lock()
-	opens, trans := rs.br.opens, rs.br.trans
-	rs.br.mu.Unlock()
-	return TransportStats{
-		Calls:        calls,
-		Retries:      retries,
-		BreakerOpens: opens,
-		BreakerTransitions: BreakerTransitions{
-			ClosedOpen:     trans[transClosedOpen],
-			OpenHalfOpen:   trans[transOpenHalfOpen],
-			HalfOpenClosed: trans[transHalfOpenClosed],
-			HalfOpenOpen:   trans[transHalfOpenOpen],
-		},
-	}
+	return TransportStats{Retries: rs.retries.Load()}
 }
 
 // backoffFor computes the (jittered) delay before retry number attempt
@@ -276,9 +219,7 @@ func (rs *retryState) do(ctx context.Context, call func(ctx context.Context) err
 	var lastErr error
 	for attempt := 0; attempt < rs.policy.MaxAttempts; attempt++ {
 		if attempt > 0 {
-			rs.mu.Lock()
-			rs.retries++
-			rs.mu.Unlock()
+			rs.retries.Add(1)
 			if err := rs.sleep(ctx, rs.backoffFor(attempt)); err != nil {
 				// The caller's context ended mid-backoff; the last
 				// attempt's error says why we were still retrying.
@@ -292,9 +233,6 @@ func (rs *retryState) do(ctx context.Context, call func(ctx context.Context) err
 			lastErr = ErrCircuitOpen
 			continue
 		}
-		rs.mu.Lock()
-		rs.calls++
-		rs.mu.Unlock()
 		err := call(ctx)
 		if err == nil {
 			rs.br.success()
