@@ -16,10 +16,11 @@ test-race:
 # race-instrumented gae-server for the spawning harnesses. First, twenty
 # runs each of the concurrent-submission tests: a pump that launches a
 # task twice, a plan name that two submissions both win, a checkpointed
-# job the engine goroutine starts before its checkpoint is set, or a
-# request ID delivered twice at once and applied twice, fails here.
+# job the engine goroutine starts before its checkpoint is set, a
+# request ID delivered twice at once and applied twice, or concurrent
+# mutations journaled in another order than they were applied, fails here.
 race-smoke:
-	$(GO) test -race -count=20 -run 'TestConcurrentSubmits|TestConcurrentDuplicateDelivery|TestRunMixedWorkload|TestCheckpointedSubmitBesideRunningEngine' ./internal/scheduler ./internal/core ./internal/loadgen ./internal/condor
+	$(GO) test -race -count=20 -run 'TestConcurrentSubmits|TestConcurrentDuplicateDelivery|TestConcurrentMutationsReplayInApplyOrder|TestRunMixedWorkload|TestCheckpointedSubmitBesideRunningEngine' ./internal/scheduler ./internal/core ./internal/loadgen ./internal/condor
 	$(GO) build -race -o bin/gae-server-race ./cmd/gae-server
 	$(GO) run -race ./cmd/gae-loadgen -clients 2 -ops 8 -data "$$(mktemp -d)" -json -
 	$(GO) run -race ./cmd/gae-chaos -clients 2 -ops 6 -kills 1 -server bin/gae-server-race

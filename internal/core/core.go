@@ -114,26 +114,27 @@ type GAE struct {
 	planMu sync.Mutex
 	plans  map[string]*scheduler.ConcretePlan
 
-	// persistMu is the durability barrier: journaled RPCs hold it shared
-	// across apply+append, Checkpoint holds it exclusively across
-	// capture+snapshot, so no acknowledged mutation can straddle a
+	// persistMu orders every mutation: a journaled RPC holds it from the
+	// window lookup to the window record (journalCall), Checkpoint and
+	// CaptureState across the capture, so no mutation straddles a
 	// checkpoint (applied before the capture but journaled after it —
-	// which replay would then apply twice).
-	persistMu sync.RWMutex
+	// which replay would then apply twice). It guards store and idem;
+	// recovery runs without it, on one goroutine, before serving starts.
+	persistMu sync.Mutex
 	store     *durable.Store
 	idem      *idemWindow
 	// replay maps each journaled service.method to the unjournaled call
 	// ApplyOp drives (replayTable).
 	replay map[string]replayFn
 
-	// durabilityLost fires (once) when a journal append fails after its
-	// mutation already applied in memory. From that moment the live
-	// state is ahead of the durable state in a way no retry can repair:
-	// a continued process would re-apply on the client's retry (the op
-	// was never recorded in the idempotency window) and the next
+	// durabilityLost fires (once) when a journal enqueue or fsync fails
+	// after its mutation already applied in memory. From that moment the
+	// live state is ahead of the durable state: a call applied while the
+	// journal was broken is not in the idempotency window, so a continued
+	// process would re-apply it on the client's retry and the next
 	// checkpoint would persist both applications. The hook's job is to
 	// crash the process so recovery replays the journal — which rolls
-	// the un-journaled mutation back and keeps exactly-once intact.
+	// the un-journaled mutations back and keeps exactly-once intact.
 	durabilityLossOnce sync.Once
 	onDurabilityLoss   func(error)
 }

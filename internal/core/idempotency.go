@@ -1,10 +1,8 @@
 package core
 
 import (
-	"context"
 	"encoding/json"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/durable"
@@ -34,35 +32,29 @@ type idemUserWin struct {
 }
 
 // idemWindow is the deployment-wide duplicate-suppression state. It has
-// its own lock (callers already serialize against checkpoints through
-// persistMu) and is exported into every snapshot, so duplicate
-// suppression survives a restart that falls between a call's first
-// delivery and its retry.
+// no lock of its own: journalCall, Checkpoint and CaptureState reach it
+// under GAE.persistMu, and recovery (RestoreState, ApplyOp) runs on one
+// goroutine before serving starts. It is exported into every snapshot, so
+// duplicate suppression survives a restart that falls between a call's
+// first delivery and its retry.
 //
 // The window is bounded by count, limit entries per user, evicting in
 // sequence order, so a live window and a replayed one evict identically.
 type idemWindow struct {
-	mu    sync.Mutex
 	limit int
 	users map[string]*idemUserWin
 	// fallbackSeq orders entries recorded with no journal sequence (a
 	// storeless deployment). Restored entries are renumbered from 1, which
 	// stays below any journal sequence a later attach could assign.
 	fallbackSeq uint64
-	// inflight holds the request IDs claimed by a delivery that has not
-	// finished; a second delivery waits on the channel, which the first
-	// closes when it is done.
-	inflight map[idemKey]chan struct{}
 
 	// Telemetry handles (nil when unobserved; nil instruments no-op).
 	obsHits     *telemetry.Counter
 	obsEvictCap *telemetry.Counter
 }
 
-type idemKey struct{ user, id string }
-
 func newIdemWindow() *idemWindow {
-	return &idemWindow{limit: idemPerUser, users: make(map[string]*idemUserWin), inflight: make(map[idemKey]chan struct{})}
+	return &idemWindow{limit: idemPerUser, users: make(map[string]*idemUserWin)}
 }
 
 // setTelemetry registers the window's counters in reg: dedup hits and
@@ -72,43 +64,15 @@ func (w *idemWindow) setTelemetry(reg *telemetry.Registry) {
 	w.obsEvictCap = reg.LabeledCounter("idem_evictions_total", "cause", "capacity")
 }
 
-// claim returns the recorded entry for (user, id) and a nil release if
-// the window holds one. Otherwise it marks the ID in flight and returns
-// the release the caller must call once it has recorded the call or given
-// up. A delivery of an ID already in flight waits for that release and
-// then looks again, so it either returns the first delivery's result or,
-// if that failed, claims the ID itself.
-func (w *idemWindow) claim(ctx context.Context, user, id string) (durable.IdemEntry, func(), error) {
-	k := idemKey{user, id}
-	w.mu.Lock()
-	for {
-		if u := w.users[user]; u != nil && u.byID[id] != nil {
-			e := u.byID[id].entry
-			w.mu.Unlock()
-			w.obsHits.Inc()
-			return e, nil, nil
-		}
-		done, busy := w.inflight[k]
-		if !busy {
-			break
-		}
-		w.mu.Unlock()
-		select {
-		case <-done:
-		case <-ctx.Done():
-			return durable.IdemEntry{}, nil, ctx.Err()
-		}
-		w.mu.Lock()
+// lookup returns the recorded entry for (user, id), if the window holds
+// one, and counts the hit.
+func (w *idemWindow) lookup(user, id string) (durable.IdemEntry, bool) {
+	u := w.users[user]
+	if u == nil || u.byID[id] == nil {
+		return durable.IdemEntry{}, false
 	}
-	done := make(chan struct{})
-	w.inflight[k] = done
-	w.mu.Unlock()
-	return durable.IdemEntry{}, func() {
-		w.mu.Lock()
-		delete(w.inflight, k)
-		w.mu.Unlock()
-		close(done)
-	}, nil
+	w.obsHits.Inc()
+	return u.byID[id].entry, true
 }
 
 // record stores one acknowledged mutation. seq is the op's journal
@@ -124,8 +88,6 @@ func (w *idemWindow) record(user, id, method string, result json.RawMessage, seq
 	if !at.IsZero() {
 		at = at.UTC()
 	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if seq == 0 {
 		w.fallbackSeq++
 		seq = w.fallbackSeq
@@ -161,8 +123,6 @@ func (w *idemWindow) record(user, id, method string, result json.RawMessage, seq
 // export renders the window in canonical form: users sorted by name,
 // entries in acknowledgment (eviction) order.
 func (w *idemWindow) export() []durable.IdemUser {
-	w.mu.Lock()
-	defer w.mu.Unlock()
 	if len(w.users) == 0 {
 		return nil
 	}
@@ -187,10 +147,8 @@ func (w *idemWindow) export() []durable.IdemUser {
 // entries from 1 in their recorded order. Journal replay then layers its
 // ops on top with their (strictly larger) sequence numbers.
 func (w *idemWindow) restore(users []durable.IdemUser) {
-	w.mu.Lock()
 	w.users = make(map[string]*idemUserWin)
 	w.fallbackSeq = 0
-	w.mu.Unlock()
 	for _, u := range users {
 		for _, e := range u.Entries {
 			w.record(u.User, e.ID, e.Method, e.Result, 0, e.At)

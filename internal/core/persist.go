@@ -68,9 +68,8 @@ func (g *GAE) AttachStore(s *durable.Store) error {
 // Checkpoint streams the deployment state into the store — live state
 // into the snapshot, the ledger entries billed since the last checkpoint
 // into the history segment — and truncates the journal it supersedes. It
-// takes the durability barrier exclusively, so no journaled RPC is in
-// flight while the state is read. Without an attached store it does
-// nothing.
+// holds persistMu, so no journaled RPC applies while the state is read.
+// Without an attached store it does nothing.
 func (g *GAE) Checkpoint() error {
 	g.persistMu.Lock()
 	defer g.persistMu.Unlock()
@@ -352,79 +351,89 @@ func acked3[A, B, C any](fn func(context.Context, A, B, C) error) func(context.C
 	return func(ctx context.Context, a A, b B, c C) (bool, error) { return true, fn(ctx, a, b, c) }
 }
 
-// journalCall runs the mutating RPC fq ("service.method") under the
-// shared durability barrier with duplicate suppression and, once it has
-// succeeded, appends its journal record — the call is acknowledged only
-// after the record is fsynced, so every acknowledged mutation survives a
-// crash. args gives the call's positional wire arguments, in wire order;
-// it is deferred so wrappers can journal values resolved by the call
-// itself (the site a move landed on, the preference applied).
+// journalCall runs the mutating RPC fq ("service.method") with duplicate
+// suppression and, once it has succeeded, journals it — the call is
+// acknowledged only after its record is fsynced, so every acknowledged
+// mutation survives a crash. args gives the call's positional wire
+// arguments, in wire order; it is deferred so wrappers can journal values
+// resolved by the call itself (the site a move landed on, the preference
+// applied).
 //
-// Exactly-once protocol: if the context carries an idempotency key the
-// per-user window has already acknowledged, the recorded result is
-// returned without re-applying — the retry of an ack-lost call. A
-// delivery of a key still in flight waits for the first delivery to
-// finish, then returns its recorded result, or applies the call itself if
-// the first failed. Fresh calls claim the key and run apply → journal
-// append (fsync) → window record → release → ack, so the window holds
-// only acknowledged ops, which is precisely the set the chaos harness
-// reconciles client ack logs against. A call that applied but failed its
-// journal append is NOT recorded: the client sees an error, the journal
-// is sticky-broken until the next checkpoint, and recovery rolls the
-// un-journaled mutation back.
+// Under persistMu it looks the request ID up in the per-user window,
+// applies the call, enqueues its journal record and records the result in
+// the window, so journal order is apply order; it waits for the fsync,
+// which concurrent calls share, after releasing the lock. A delivery whose
+// ID the window holds — the retry of an ack-lost call, or a duplicate of
+// one still waiting on its fsync — returns the recorded result without
+// re-applying, once everything enqueued so far is durable. A failed fsync
+// fails every caller waiting on it, duplicates included, until the next
+// checkpoint persists what was applied. A call whose enqueue failed is not
+// recorded: recovery rolls the un-journaled mutation back.
 func journalCall[T any](g *GAE, ctx context.Context, user, fq string, args func() []any, apply func() (T, error)) (out T, err error) {
 	var zero T
-	g.persistMu.RLock()
-	defer g.persistMu.RUnlock()
 	rid := clarens.RequestID(ctx)
 	span := telemetry.Span{RequestID: rid, Method: fq, User: user, Start: time.Now()} //lint:walltime telemetry: real RPC latency span, never read back into deployment state
 	// applied is when apply returned (zero if it never ran); appending is
-	// set once the journal append starts.
+	// set once the journal enqueue starts.
 	var applied time.Time
 	appending := false
 	defer func() { g.finishSpan(&span, applied, appending, err) }()
-	if rid != "" && user != "" {
-		e, release, err := g.idem.claim(ctx, user, rid)
+	var store *durable.Store
+	var batch uint64 // the journal batch to wait on
+	out, err = func() (T, error) {
+		g.persistMu.Lock()
+		defer g.persistMu.Unlock()
+		store = g.store
+		if rid != "" && user != "" {
+			if e, ok := g.idem.lookup(user, rid); ok {
+				if e.Method != fq {
+					return zero, fmt.Errorf("core: request id %q reused for %s (recorded for %s)", rid, fq, e.Method)
+				}
+				var recorded T
+				if len(e.Result) > 0 {
+					if err := json.Unmarshal(e.Result, &recorded); err != nil {
+						return zero, fmt.Errorf("core: decoding recorded %s result: %w", fq, err)
+					}
+				}
+				span.Dedup = true
+				if store != nil {
+					batch = store.Enqueued()
+				}
+				return recorded, nil
+			}
+		}
+		out, err := apply()
+		applied = time.Now() //lint:walltime telemetry: real RPC latency span, never read back into deployment state
 		if err != nil {
 			return zero, err
 		}
-		if release != nil {
-			defer release()
-		} else {
-			if e.Method != fq {
-				return zero, fmt.Errorf("core: request id %q reused for %s (recorded for %s)", rid, fq, e.Method)
+		// One sim-time read serves both the journal record and the window
+		// entry: replay re-records at the journaled op.Time, so the live and
+		// replayed windows must stamp the identical instant (the recovery
+		// byte-identity suite compares the two).
+		now := g.Now()
+		if store != nil {
+			appending = true
+			service, method, _ := strings.Cut(fq, ".")
+			if span.Seq, batch, err = store.Enqueue(now, user, service, method, rid, args()); err != nil {
+				g.durabilityLost(err)
+				return zero, err
 			}
-			var recorded T
-			if len(e.Result) > 0 {
-				if err := json.Unmarshal(e.Result, &recorded); err != nil {
-					return zero, fmt.Errorf("core: decoding recorded %s result: %w", fq, err)
-				}
-			}
-			span.Dedup = true
-			return recorded, nil
 		}
-	}
-	out, err = apply()
-	applied = time.Now() //lint:walltime telemetry: real RPC latency span, never read back into deployment state
+		if rid != "" && user != "" {
+			if res, merr := json.Marshal(out); merr == nil {
+				g.idem.record(user, rid, fq, res, span.Seq, now)
+			}
+		}
+		return out, nil
+	}()
 	if err != nil {
 		return zero, err
 	}
-	// One sim-time read serves both the journal record and the window
-	// entry: replay re-records at the journaled op.Time, so the live and
-	// replayed windows must stamp the identical instant (the recovery
-	// byte-identity suite compares the two).
-	now := g.Now()
-	if g.store != nil {
-		appending = true
-		service, method, _ := strings.Cut(fq, ".")
-		if span.Seq, err = g.store.Append(now, user, service, method, rid, args()); err != nil {
+	if store != nil {
+		if err := store.Wait(batch); err != nil {
 			g.durabilityLost(err)
 			return zero, err
-		}
-	}
-	if rid != "" && user != "" {
-		if res, merr := json.Marshal(out); merr == nil {
-			g.idem.record(user, rid, fq, res, span.Seq, now)
 		}
 	}
 	return out, nil
@@ -448,9 +457,9 @@ func (g *GAE) durabilityLost(err error) {
 // finishSpan closes the span of one journalCall exit — success, dedup,
 // request-ID mismatch, handler error or journal error — and records it
 // with the method's request, error and latency observations. The handler
-// stage runs from the start until apply returned, the journal stage from
-// there to the end once an append was attempted; a window hit ran
-// neither.
+// stage runs from the start until apply returned, so it includes the wait
+// for persistMu; the journal stage runs from there to the end once an
+// enqueue was attempted; a window hit ran neither.
 func (g *GAE) finishSpan(span *telemetry.Span, applied time.Time, appending bool, err error) {
 	end := time.Now() //lint:walltime telemetry: real RPC latency span, never read back into deployment state
 	total := end.Sub(span.Start)

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -435,6 +436,136 @@ func TestJournalOnlyRecovery(t *testing.T) {
 	got := encodeState(t, g2)
 	if !bytes.Equal(want, got) {
 		diffLines(t, want, got)
+	}
+}
+
+// TestConcurrentMutationsReplayInApplyOrder fires calls that do not
+// commute from many goroutines at once against a durable deployment,
+// then recovers a second deployment from the journal alone. The journal
+// must hold the calls in the order they were applied: replayed in any
+// other, the recovered state differs from the live one, or a replayed
+// call fails that succeeded live. Calls that fail live are part of the
+// race (a charge before any grant, a move after the kill) and are not
+// journaled.
+func TestConcurrentMutationsReplayInApplyOrder(t *testing.T) {
+	type call func(ctx context.Context, alice, root *gae.Client) error
+	const n = 48
+	// alternate builds the n calls of a pair: even slots call a, odd
+	// slots call b, each told its slot.
+	alternate := func(a, b func(i int) call) []call {
+		calls := make([]call, n)
+		for i := range calls {
+			if i%2 == 0 {
+				calls[i] = a(i)
+			} else {
+				calls[i] = b(i)
+			}
+		}
+		return calls
+	}
+	submit := func(i int) call {
+		return func(ctx context.Context, alice, _ *gae.Client) error {
+			_, err := alice.Submit(ctx, specOf(fmt.Sprintf("p%02d", i), 30))
+			return err
+		}
+	}
+	setPriority := func(i int) call {
+		return func(ctx context.Context, alice, _ *gae.Client) error {
+			return alice.SetPriority(ctx, "p", "main", i)
+		}
+	}
+	grant := func(int) call {
+		return func(ctx context.Context, _, root *gae.Client) error { return root.Grant(ctx, "bob", 1) }
+	}
+	charge := func(int) call {
+		return func(ctx context.Context, _, root *gae.Client) error {
+			_, err := root.ChargeUsage(ctx, gae.ChargeRequest{User: "bob", Site: "siteA", CPUSeconds: 10})
+			return err
+		}
+	}
+	move := func(i int) call {
+		site := [2]string{"siteA", "siteB"}[i/2%2]
+		return func(ctx context.Context, alice, _ *gae.Client) error {
+			_, err := alice.Move(ctx, "p", "main", site)
+			return err
+		}
+	}
+	// Moves race each other in the first half of the slots, and kills
+	// join them in the second, so that some moves land before the kill.
+	moveThenKill := func(i int) call {
+		if i < n/2 {
+			return move(i)
+		}
+		return func(ctx context.Context, alice, _ *gae.Client) error { return alice.Kill(ctx, "p", "main") }
+	}
+	setState := func(i int) call {
+		return func(ctx context.Context, alice, _ *gae.Client) error { return alice.SetState(ctx, "k", fmt.Sprint(i)) }
+	}
+	deleteState := func(int) call {
+		return func(ctx context.Context, alice, _ *gae.Client) error {
+			_, err := alice.DeleteState(ctx, "k")
+			return err
+		}
+	}
+	cases := []struct {
+		name  string
+		setup bool // submit plan "p" (task "main") first
+		calls []call
+	}{
+		{"submit-submit", false, alternate(submit, submit)},
+		{"setpriority-setpriority", true, alternate(setPriority, setPriority)},
+		{"grant-charge", false, alternate(grant, charge)},
+		{"move-kill", true, alternate(move, moveThenKill)},
+		{"set-delete", false, alternate(setState, deleteState)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := durableConfig()
+			cfg.Users = append(cfg.Users, UserSpec{Name: "bob", Password: "pw"}) // no credits, no account
+			ctx := context.Background()
+
+			g1 := New(cfg)
+			s1, err := durable.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := g1.AttachStore(s1); err != nil {
+				t.Fatal(err)
+			}
+			alice, root := g1.Client("alice"), g1.Client("root")
+			if tc.setup {
+				if _, err := alice.Submit(ctx, specOf("p", 600)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var wg sync.WaitGroup
+			for _, c := range tc.calls {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					_ = c(ctx, alice, root) // losing the race is an answer too
+				}()
+			}
+			wg.Wait()
+			want := encodeState(t, g1)
+			if err := s1.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			g2 := New(cfg)
+			s2, err := durable.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s2.Close()
+			if err := g2.AttachStore(s2); err != nil {
+				t.Fatalf("journal-only recovery: %v", err)
+			}
+			if got := encodeState(t, g2); !bytes.Equal(want, got) {
+				diffLines(t, want, got)
+			}
+		})
 	}
 }
 

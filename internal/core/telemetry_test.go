@@ -30,7 +30,7 @@ func TestIdemWindowCapacityEvictionCounted(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		w.record("alice", fmt.Sprintf("r%d", i), "state.set", nil, uint64(i+1), idemAt(i))
 	}
-	if _, release, _ := w.claim(context.Background(), "alice", "r3"); release != nil {
+	if _, ok := w.lookup("alice", "r3"); !ok {
 		t.Fatal("newest entry evicted")
 	}
 	snap := reg.Snapshot()

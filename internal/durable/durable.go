@@ -34,15 +34,18 @@
 //	uvarint payload length | uint32 little-endian CRC-32 (IEEE) | payload
 //
 // Journal appends are made durable by group commit: concurrent appenders
-// batch into a single write+fsync. Store.Append is the one way a record
+// batch into a single write+fsync. Store.Enqueue is the one way a record
 // reaches the journal: it takes the next sequence number and queues the
-// record under one lock, so journal order is sequence order, then waits
-// outside the lock until the record's batch is on disk. Recovery scans
-// the longest verified prefix and cuts the file to it: an incomplete
-// record at the tail (a torn write) goes silently, while a CRC mismatch
-// on a complete record reports ErrCorrupt alongside the verified prefix —
-// replay never panics, never applies unverified bytes, and new records
-// never land behind them.
+// record under one lock, so journal order is sequence order; Store.Wait
+// then blocks, outside any lock, until the record's batch is on disk.
+// internal/core enqueues under the lock it applies under, so journal
+// order is also apply order, and waits after releasing it.
+//
+// Recovery scans the longest verified prefix and cuts the file to it: an
+// incomplete record at the tail (a torn write) goes silently, while a CRC
+// mismatch on a complete record reports ErrCorrupt alongside the verified
+// prefix — replay never panics, never applies unverified bytes, and new
+// records never land behind them.
 //
 // The history segment holds what is immutable once written — the quota
 // ledger, one entry per record — so that a checkpoint costs live state
@@ -81,7 +84,7 @@ var (
 const MaxRecordSize = 16 << 20
 
 // Op is one journaled mutating RPC, recorded after the mutation was
-// applied and acknowledged. Service and Method name the RPC as it appears
+// applied and before it is acknowledged. Service and Method name the RPC as it appears
 // on the wire ("scheduler"/"submit", "state"/"set", ...); Args is the JSON
 // array of the call's positional wire arguments, in wire order, which the
 // service layer also owns decoding again at replay.
@@ -90,7 +93,7 @@ type Op struct {
 	// checkpoints. Recovery applies only ops with Seq greater than the
 	// snapshot's LastSeq.
 	Seq uint64 `json:"seq"`
-	// Time is the simulated time at which the op was acknowledged; replay
+	// Time is the simulated time at which the op was applied; replay
 	// advances the engine to it before re-applying.
 	Time time.Time `json:"time"`
 	// User is the acting (authenticated) user the op executed as.

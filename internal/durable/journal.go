@@ -21,7 +21,7 @@ import (
 //
 // and made durable by group commit: enqueue adds the encoded record to the
 // pending batch and waitDurable blocks until a flusher has written and
-// fsynced the batch containing it (Store.Append does both). Under
+// fsynced the batch containing it (Store.Enqueue and Store.Wait). Under
 // concurrent load many appenders share one fsync; a lone appender
 // degenerates to write+fsync with no added latency.
 type Journal struct {
@@ -31,8 +31,8 @@ type Journal struct {
 	pending  []byte // encoded records awaiting the next flush
 	pendingN int64  // record count in pending
 	flushing bool   // a flusher is in the write+fsync critical section
-	queued   uint64 // generation of the batch currently accumulating
-	synced   uint64 // highest generation known durable
+	queued   uint64 // generation of the batch currently accumulating, from 1
+	synced   uint64 // highest generation written and fsynced (or failed)
 	err      error  // sticky I/O error; fails all subsequent appends
 	closed   bool
 
@@ -71,13 +71,12 @@ type File interface {
 // NewJournal wraps an already-open journal file: the one recoverJournal
 // has scanned and cut, or a failing file a test injects.
 func NewJournal(f File) *Journal {
-	j := &Journal{f: f}
+	j := &Journal{f: f, queued: 1}
 	j.cond = sync.NewCond(&j.mu)
 	return j
 }
 
-// appendFrame frames one payload into the pending batch and returns the
-// batch generation the caller must wait for.
+// appendFrame appends payload to buf, framed.
 func appendFrame(buf []byte, payload []byte) []byte {
 	var hdr [binary.MaxVarintLen64 + 4]byte
 	n := binary.PutUvarint(hdr[:], uint64(len(payload)))
@@ -88,9 +87,9 @@ func appendFrame(buf []byte, payload []byte) []byte {
 
 // enqueue frames the payload into the pending batch and returns the batch
 // generation the caller must wait on. The split from waitDurable lets the
-// Store assign sequence numbers and enqueue under one short critical
-// section — journal order then matches sequence order — while the fsync
-// wait happens outside any store lock so appenders still share flushes.
+// caller assign sequence numbers and enqueue under one short critical
+// section — journal order then matches sequence order — and wait for the
+// fsync outside it, so that appenders still share flushes.
 func (j *Journal) enqueue(payload []byte) (uint64, error) {
 	if len(payload) > MaxRecordSize {
 		return 0, fmt.Errorf("%w: %d bytes", ErrTooLarge, len(payload))
@@ -109,12 +108,12 @@ func (j *Journal) enqueue(payload []byte) (uint64, error) {
 	return j.queued, nil
 }
 
-// waitDurable blocks until batch generation gen is on disk. The first
-// waiter to observe no active flusher becomes the flusher for everything
-// pending.
+// waitDurable blocks until batch generation gen is on disk and returns the
+// sticky error, if any. The first waiter to observe no active flusher
+// becomes the flusher for everything pending.
 func (j *Journal) waitDurable(gen uint64) error {
 	j.mu.Lock()
-	for j.synced <= gen && j.err == nil && !j.closed {
+	for j.synced < gen && j.err == nil && !j.closed {
 		if !j.flushing {
 			j.flushLocked()
 			continue
@@ -122,7 +121,7 @@ func (j *Journal) waitDurable(gen uint64) error {
 		j.cond.Wait()
 	}
 	err := j.err
-	if err == nil && j.synced <= gen && j.closed {
+	if err == nil && j.synced < gen && j.closed {
 		err = ErrClosed
 	}
 	j.mu.Unlock()
@@ -136,8 +135,8 @@ func (j *Journal) flushLocked() {
 	records := j.pendingN
 	j.pending = nil
 	j.pendingN = 0
-	j.queued++
 	gen := j.queued
+	j.queued++
 	j.flushing = true
 	j.mu.Unlock()
 
@@ -169,8 +168,8 @@ func (j *Journal) flushLocked() {
 }
 
 // Truncate discards the journal's contents (the checkpoint cycle's
-// "snapshot-then-truncate" step). It must not race appends; the Store
-// serializes the two.
+// "snapshot-then-truncate" step) and clears the sticky error. It must not
+// race a flush; the Store drains the journal first and holds off appends.
 func (j *Journal) Truncate() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()

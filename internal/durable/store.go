@@ -21,16 +21,18 @@ const (
 
 // Store combines the snapshot codec and the journal into the checkpoint
 // cycle: Open recovers the latest snapshot plus the journal's verified
-// tail, Append journals acknowledged mutations with fresh sequence
-// numbers, and Checkpoint appends the new history records, atomically
-// writes a new snapshot that counts them, then truncates the journal.
+// tail, Enqueue and Wait journal acknowledged mutations with fresh
+// sequence numbers, and Checkpoint appends the new history records,
+// atomically writes a new snapshot that counts them, then truncates the
+// journal.
 type Store struct {
 	dir     string
 	journal *Journal
 	history *history
 
-	mu  sync.Mutex
-	seq uint64 // last sequence number assigned
+	mu    sync.Mutex
+	seq   uint64 // last sequence number assigned
+	batch uint64 // the journal batch that record went into
 
 	// What Open found, held until TakeRecovery hands it over.
 	snapshot *Snapshot // nil on cold start
@@ -128,37 +130,55 @@ func (s *Store) TakeRecovery() (*Snapshot, []Op) {
 // journal at Open (nil if the journal was clean).
 func (s *Store) ScanWarning() error { return s.scanErr }
 
-// Append journals one acknowledged mutation, assigning it the next
-// sequence number, and returns the assigned sequence once the record is
-// durable. requestID is the call's idempotency key ("" for unstamped
-// calls). Safe for concurrent use; concurrent appends share fsyncs via
-// group commit.
-func (s *Store) Append(at time.Time, user, service, method, requestID string, args any) (uint64, error) {
+// Enqueue journals one acknowledged mutation: it assigns the next
+// sequence number and queues the record under one lock, so journal order
+// is sequence order, and returns the sequence and the batch that Wait
+// then makes durable. requestID is the call's idempotency key ("" for
+// unstamped calls). Concurrent callers that wait share fsyncs.
+func (s *Store) Enqueue(at time.Time, user, service, method, requestID string, args any) (seq, batch uint64, err error) {
 	var raw json.RawMessage
 	if args != nil {
 		b, err := json.Marshal(args)
 		if err != nil {
-			return 0, fmt.Errorf("durable: encoding args for %s.%s: %w", service, method, err)
+			return 0, 0, fmt.Errorf("durable: encoding args for %s.%s: %w", service, method, err)
 		}
 		raw = b
 	}
-	// Assign the sequence number and enqueue under one lock so journal
-	// order always matches sequence order; wait for the fsync outside it.
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	op := Op{Seq: s.seq + 1, Time: at.UTC(), User: user, Service: service, Method: method, Args: raw, RequestID: requestID}
 	payload, err := encodeOp(op)
 	if err != nil {
-		s.mu.Unlock()
-		return 0, err
+		return 0, 0, err
 	}
-	gen, err := s.journal.enqueue(payload)
+	if batch, err = s.journal.enqueue(payload); err != nil {
+		return 0, 0, err
+	}
+	s.seq, s.batch = op.Seq, batch
+	return op.Seq, batch, nil
+}
+
+// Enqueued returns the batch of the last record enqueued: waiting on it
+// waits for every record enqueued so far.
+func (s *Store) Enqueued() uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.batch
+}
+
+// Wait blocks until batch is written and fsynced, flushing it if no other
+// waiter is, and returns the journal's sticky error, if any: a failed
+// flush fails every later wait until the next checkpoint.
+func (s *Store) Wait(batch uint64) error { return s.journal.waitDurable(batch) }
+
+// Append is Enqueue, then Wait: it returns the record's sequence once the
+// record is durable.
+func (s *Store) Append(at time.Time, user, service, method, requestID string, args any) (uint64, error) {
+	seq, batch, err := s.Enqueue(at, user, service, method, requestID, args)
 	if err != nil {
-		s.mu.Unlock()
 		return 0, err
 	}
-	s.seq = op.Seq
-	s.mu.Unlock()
-	return op.Seq, s.journal.waitDurable(gen)
+	return seq, s.Wait(batch)
 }
 
 // Checkpoint streams a snapshot of the state produce emits (stamped with
@@ -167,12 +187,18 @@ func (s *Store) Append(at time.Time, user, service, method, requestID string, ar
 // history segment already holds and emits the ledger from there on: those
 // entries are appended to the segment and fsynced before the snapshot that
 // counts them is renamed in, so a checkpoint writes live state plus what
-// history gained, never history again. The caller must ensure no Append
-// races the call — in the server the checkpointer holds the mutation
-// barrier.
+// history gained, never history again.
+//
+// Records already enqueued are flushed first, so no flush races the
+// truncation, and Enqueue waits for the checkpoint to finish. The caller
+// must not let produce see a mutation whose record is not yet enqueued:
+// core holds its mutation lock across both.
 func (s *Store) Checkpoint(simTime time.Time, produce func(ledgerFrom int, emit Emit) error) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	// A failed flush does not fail the checkpoint: the snapshot holds what
+	// the lost batch held, and the truncation clears the sticky error.
+	_ = s.journal.waitDurable(s.batch)
 	var t0 time.Time
 	if s.obsCkpts != nil {
 		t0 = time.Now() //lint:walltime telemetry: real checkpoint latency for operator metrics, never read back into store state
