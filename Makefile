@@ -17,10 +17,11 @@ test-race:
 # runs each of the concurrent-submission tests: a pump that launches a
 # task twice, a plan name that two submissions both win, a checkpointed
 # job the engine goroutine starts before its checkpoint is set, a
-# request ID delivered twice at once and applied twice, or concurrent
-# mutations journaled in another order than they were applied, fails here.
+# request ID delivered twice at once and applied twice, concurrent
+# mutations journaled in another order than they were applied, or usage
+# flows racing the fair-share manager's readers, fails here.
 race-smoke:
-	$(GO) test -race -count=20 -run 'TestConcurrentSubmits|TestConcurrentDuplicateDelivery|TestConcurrentMutationsReplayInApplyOrder|TestRunMixedWorkload|TestCheckpointedSubmitBesideRunningEngine' ./internal/scheduler ./internal/core ./internal/loadgen ./internal/condor
+	$(GO) test -race -count=20 -run 'TestConcurrentSubmits|TestConcurrentDuplicateDelivery|TestConcurrentMutationsReplayInApplyOrder|TestRunMixedWorkload|TestCheckpointedSubmitBesideRunningEngine|TestConcurrentFlowsBesideReaders' ./internal/scheduler ./internal/core ./internal/loadgen ./internal/condor ./internal/fairshare
 	$(GO) build -race -o bin/gae-server-race ./cmd/gae-server
 	$(GO) run -race ./cmd/gae-loadgen -clients 2 -ops 8 -data "$$(mktemp -d)" -json -
 	$(GO) run -race ./cmd/gae-chaos -clients 2 -ops 6 -kills 1 -server bin/gae-server-race
@@ -59,8 +60,10 @@ fuzz-smoke:
 # counts (events, wakes, matches per pass, idle wakes — functions of the
 # workload, not of the host: the same on idle Mips-1 machines at 2⁻⁷ s, on
 # loaded Mips-1.5 machines at 10 ms, and with fault-injected jobs), in the
-# size of the pool's job record, in live-heap bytes per queued and per
-# finished job, and in the mallocs and bytes a job costs the run; what
+# size of the pool's job record and of a fair-share usage flow, in the
+# allocations a pass's sort keys cost (none, starved owners or not), in
+# live-heap bytes per queued and per finished job, and in the mallocs and
+# bytes a job costs the run; what
 # keeping the negotiator's ordered views costs is gated in Rank evaluations
 # per machine that changed; and what reading, suspending and resuming a long task costs
 # is gated in Segment calls, the same whatever the tick and the time gone by
@@ -78,7 +81,7 @@ fuzz-smoke:
 # (CheckpointFollowsDelta).
 bench-smoke:
 	GAE_SCENARIO_SCALE=smoke $(GO) test -run xxx -bench Scenario -benchtime 1x .
-	$(GO) test -run 'MillionSmokeCounts|JobSize|JobBytesCeiling|CompletionMallocCeiling|RunBytesPerJob|RankEvalsFollowChanges|SegmentCalls|WeatherIsEventDriven|FlowFollowsLoadSegments' -count=1 . ./internal/condor ./internal/simgrid
+	$(GO) test -run 'MillionSmokeCounts|JobSize|FlowAndSortKeysAllocations|JobBytesCeiling|CompletionMallocCeiling|RunBytesPerJob|RankEvalsFollowChanges|SegmentCalls|WeatherIsEventDriven|FlowFollowsLoadSegments' -count=1 . ./internal/condor ./internal/fairshare ./internal/simgrid
 	$(GO) test -run 'WireAllocCeilings|ServeAllocCeiling' -count=1 ./pkg/gae ./internal/xmlrpc
 	$(GO) test -run 'CheckpointFollowsDelta' -count=1 ./internal/core
 

@@ -189,7 +189,6 @@ func (p *Pool) openUsageLocked(j *job) {
 	}
 	j.flowRate = p.flowRateForLocked(j)
 	j.flow = p.fairFlow.OpenFlow(j.owner, j.host.node.Site, j.flowRate)
-	p.nodeJob[j.host.node] = j
 }
 
 // flowRateForLocked returns what j's usage flow accrues per second from
@@ -230,9 +229,6 @@ func (p *Pool) closeFlowLocked(j *job) {
 	j.flow.Close(cpu - j.usageRecorded)
 	j.flow = nil
 	j.usageRecorded = cpu
-	if p.nodeJob[j.host.node] == j {
-		delete(p.nodeJob, j.host.node)
-	}
 }
 
 // detachLocked removes the job's task from its node, if any, and releases

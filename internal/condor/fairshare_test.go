@@ -172,6 +172,52 @@ func TestFairShareFlockedUsageChargesExecutingSite(t *testing.T) {
 	}
 }
 
+// TestFlockedFlowIsRatedByItsOwnPool: a flocked job's usage flow on the
+// peer's machine is the origin pool's to re-rate. A change to that node is
+// news to the peer, the machine's owner, and the peer's wake re-rates only
+// the flows of its own jobs: it leaves the origin's at the rate the origin
+// gave it, without calling into the origin's policy under its own lock.
+// The job's Close then reconciles the books to the measured CPU.
+func TestFlockedFlowIsRatedByItsOwnPool(t *testing.T) {
+	g, origin := testPool(t, 0)
+	peerSite := g.AddSite("siteB")
+	peer := NewPool("poolB", g, peerSite)
+	n := peerSite.AddNode(g.Engine, "siteB-n0", 1.0, simgrid.IdleLoad())
+	peer.AddMachine(n, nil)
+	origin.EnableFlocking(peer)
+	fsA, fsB := fairManager(origin), fairManager(peer)
+	origin.SetFairShare(fsA)
+	peer.SetFairShare(fsB)
+
+	id := mustSubmit(t, origin, jobAd("alice", 30, 0))
+	g.Engine.RunFor(10 * time.Second)
+	if got := mustJob(t, origin, id); got.Status != StatusRunning || got.Node != "siteB-n0" {
+		t.Fatalf("job is %v on %q, want running on the peer's siteB-n0", got.Status, got.Node)
+	}
+	before := fsA.Usage("alice")
+	n.SetLoad(simgrid.ConstantLoad(0.5)) // the peer's node changes: the peer wakes with it dirty
+	g.Engine.RunFor(10 * time.Second)
+	origin.mu.Lock()
+	rate := origin.jobLocked(id).flowRate
+	origin.mu.Unlock()
+	if rate != 1 {
+		t.Fatalf("flocked flow rate = %v after the peer's wake, want the origin's 1", rate)
+	}
+	if got := fsA.Usage("alice") - before; got != 10 {
+		t.Fatalf("flocked flow accrued %v over 10 s after the peer's wake, want 10 at the origin's rate", got)
+	}
+	if u := fsB.Usage("alice"); u != 0 {
+		t.Fatalf("peer's policy holds %v of alice's usage, want 0", u)
+	}
+	g.Engine.RunFor(time.Minute)
+	if got := mustJob(t, origin, id).Status; got != StatusCompleted {
+		t.Fatalf("job = %v, want completed", got)
+	}
+	if u := fsA.Usage("alice"); math.Abs(u-30) > 1e-6 {
+		t.Fatalf("closed flow usage = %v, want the measured 30", u)
+	}
+}
+
 func TestQueueAboveFollowsFairShareOrder(t *testing.T) {
 	g, p := testPool(t, 1)
 	fs := fairManager(p)

@@ -98,30 +98,36 @@ func (p *Pool) finishLocked(j *job, now time.Time) {
 }
 
 // rerateFlowsLocked re-derives usage-flow rates where a node's per-task
-// rate may have changed since the flow was last rated: on the nodes whose
-// observer fired (someone else placed or removed a task there, or replaced
-// the load), and — once the earliest end of a load segment among the nodes
-// carrying a flow has come (flowWakeAt) — on every such node, which also
-// finds the next such instant. The work follows the running flows, never
-// the queue. Flows are visited in job-ID order: several re-rated at one
-// instant move one account's rate by float additions, and nodeJob is a
-// map. The harvest has already closed the flows of jobs completing at this
-// wake. Returns the number of flows looked at.
+// rate may have changed since the flow was last rated: on the machines
+// whose node's observer fired (someone else placed or removed a task
+// there, or replaced the load), and — once the earliest end of a load
+// segment among the nodes carrying a flow has come (flowWakeAt) — on every
+// machine carrying one of this pool's flows, its own and its flocking
+// peer's, which also finds the next such instant. The work follows the
+// machines, never the queue. Flows are visited in job-ID order, whatever
+// machines they run on: several re-rated at one instant move one account's
+// rate by float additions, whose result depends on their order. The
+// harvest has already closed the flows of jobs completing at this wake.
+// Returns the number of flows looked at.
 func (p *Pool) rerateFlowsLocked(now time.Time) int {
 	p.relMu.Lock()
-	dirty := p.dirtyNodes
-	p.dirtyNodes = p.dirtyScratch[:0]
+	dirty := p.dirty
+	p.dirty = p.dirtyScratch[:0]
 	p.relMu.Unlock()
 	p.dirtyScratch = dirty
 	due := p.flowScratch[:0]
 	if !p.flowWakeAt.IsZero() && !now.Before(p.flowWakeAt) {
 		p.flowWakeAt = time.Time{}
-		for _, j := range p.nodeJob {
-			due = append(due, j)
+		due = p.appendFlowJobs(due, p.machines)
+		if q := p.flockPeer; q != nil && q != p {
+			// Negotiation's lock order: this pool, then its peer.
+			q.mu.Lock()
+			due = p.appendFlowJobs(due, q.machines)
+			q.mu.Unlock()
 		}
 	} else {
-		for _, node := range dirty {
-			if j := p.nodeJob[node]; j != nil {
+		for _, m := range dirty {
+			if j := m.flowJob(p); j != nil {
 				due = append(due, j)
 			}
 		}
@@ -132,6 +138,17 @@ func (p *Pool) rerateFlowsLocked(now time.Time) int {
 	}
 	p.flowScratch = due
 	return len(due)
+}
+
+// appendFlowJobs appends to due the jobs of p whose usage flows are open
+// on machines ms.
+func (p *Pool) appendFlowJobs(due []*job, ms []*machine) []*job {
+	for _, m := range ms {
+		if j := m.flowJob(p); j != nil {
+			due = append(due, j)
+		}
+	}
+	return due
 }
 
 // produceOutputLocked materializes the job's declared output file in the

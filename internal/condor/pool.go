@@ -116,8 +116,10 @@ type Pool struct {
 
 	// owners holds the incrementally maintained negotiation queues (see
 	// queue.go): per-owner under a fair-share policy, one shared queue
-	// under the static policy.
+	// under the static policy. queues lists the same queues in the order
+	// they were made, for the per-pass stream to read without a map walk.
 	owners map[string]*ownerQueue
+	queues []*ownerQueue
 
 	// idleCount / liveCount summarize the queue so the wake-up policy never
 	// walks it: idle jobs awaiting a match, and non-terminal jobs (for lazy
@@ -138,11 +140,8 @@ type Pool struct {
 	// active job.
 	doneQ []*job
 
-	// nodeJob maps a node to the job of this pool whose usage flow is open
-	// on it — all the open flows there are — so node-change notifications
-	// and load boundaries can re-rate them; flowScratch is the reused list
-	// of the ones a wake re-rates.
-	nodeJob     map[*simgrid.Node]*job
+	// flowScratch is the reused list of the usage flows a wake re-rates,
+	// found on the machines carrying them (machine.flowJob).
 	flowScratch []*job
 
 	// relMu guards pendingRel, the cross-pool release queue. A flocked
@@ -156,18 +155,18 @@ type Pool struct {
 	// observe the machine idle.
 	relMu      sync.Mutex
 	pendingRel []*machine
-	// dirtyNodes (relMu-guarded, like pendingRel) collects nodes whose
-	// observer fired since the last pass — someone other than this pool's
-	// own pass changed their load or task set; the pool folds them in at
-	// the next wake to re-rate usage flows. A node may be listed twice
-	// (folding is idempotent); dirtyScratch (p.mu-guarded) is the drained
-	// buffer, swapped back in so a drain allocates nothing.
+	// dirty (relMu-guarded, like pendingRel) collects the machines whose
+	// node's observer fired since the last pass — someone other than this
+	// pool's own pass changed their load or task set; the pool folds them
+	// in at the next wake to re-rate usage flows. A machine may be listed
+	// twice (folding is idempotent); dirtyScratch (p.mu-guarded) is the
+	// drained buffer, swapped back in so a drain allocates nothing.
 	// flockedFrom lists pools flocking into this one; they are woken
 	// whenever this pool's machine picture changes, since their
 	// negotiation reads it. Guarded by relMu because the notification
 	// paths run under the notifying pool's main lock.
-	dirtyNodes   []*simgrid.Node
-	dirtyScratch []*simgrid.Node
+	dirty        []*machine
+	dirtyScratch []*machine
 	flockedFrom  []*Pool
 
 	// Pre-resolved telemetry handles (nil without SetTelemetry; nil
@@ -244,9 +243,25 @@ type machine struct {
 	// runner is the job whose task occupies the node, of runnerPool — the
 	// owner, or a pool flocking onto the machine: a claim is exclusive, so
 	// there is one. onDone, made once, is that task's completion callback.
+	// They stay set after the task ends, until the next job starts here.
 	runner     *job
 	runnerPool *Pool
 	onDone     func(*simgrid.Task)
+}
+
+// flowJob returns the job of pool p whose usage flow is open on m — all
+// the open flows there are — or nil. runnerPool is read first: a machine
+// another pool runs on holds none of p's flows, and its runner is that
+// pool's to read. Nothing is written when a flow closes, so a flocked job
+// closing its flow leaves the owner's machine alone.
+func (m *machine) flowJob(p *Pool) *job {
+	if m.runnerPool != p {
+		return nil
+	}
+	if j := m.runner; j.flow != nil && j.host == m {
+		return j
+	}
+	return nil
 }
 
 // NewPool creates an execution service for site, registered with the
@@ -261,7 +276,6 @@ func NewPool(name string, grid *simgrid.Grid, site *simgrid.Site) *Pool {
 		constraintKeys: make(map[string]constraintKey),
 		freeBuckets:    make(map[string][]*machine),
 		owners:         make(map[string]*ownerQueue),
-		nodeJob:        make(map[*simgrid.Node]*job),
 	}
 	p.wake = grid.Engine.Register(p.onWake)
 	return p
@@ -301,7 +315,7 @@ func (p *Pool) AddMachine(node *simgrid.Node, ad *classad.Ad) {
 	// observer per node: a node advertised to several pools keeps only
 	// the last registration.
 	ad.OnMutate(func() { p.machineChanged(nil) })
-	node.SetObserver(func() { p.machineChanged(node) })
+	node.SetObserver(func() { p.machineChanged(m) })
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.machines = append(p.machines, m)
@@ -313,10 +327,10 @@ func (p *Pool) AddMachine(node *simgrid.Node, ad *classad.Ad) {
 // machineChanged records a machine-side change and wakes every
 // negotiator that reads this pool's machines. It must not take p.mu:
 // node observers fire from paths already holding it (detach, harvest).
-func (p *Pool) machineChanged(n *simgrid.Node) {
-	if n != nil {
+func (p *Pool) machineChanged(m *machine) {
+	if m != nil {
 		p.relMu.Lock()
-		p.dirtyNodes = append(p.dirtyNodes, n)
+		p.dirty = append(p.dirty, m)
 		p.relMu.Unlock()
 	}
 	p.requestWake()

@@ -259,6 +259,7 @@ func (p *Pool) enqueueIdleLocked(j *job) {
 	if !ok {
 		q = newOwnerQueue()
 		p.owners[key] = q
+		p.queues = append(p.queues, q)
 	}
 	q.add(j)
 }
@@ -282,6 +283,7 @@ func (p *Pool) refileIdleLocked(j *job) {
 // the policy mode (per-owner vs shared keying) changes.
 func (p *Pool) rebuildQueuesLocked() {
 	p.owners = make(map[string]*ownerQueue)
+	p.queues = nil
 	for _, j := range p.active {
 		if j.status == StatusIdle {
 			j.qgen++
@@ -315,8 +317,7 @@ func (p *Pool) negotiationStreamLocked(now time.Time) *negotiationStream {
 	}
 	refs := p.refScratch[:0]
 	cursors := p.curScratch[:0]
-	//lint:unordered cursorHeap.Less fully tie-breaks (ep, priority, submitTime, id), so the heap's pop order is independent of this seed order
-	for _, q := range p.owners {
+	for _, q := range p.queues {
 		if q.count <= 0 {
 			continue
 		}

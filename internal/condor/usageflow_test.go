@@ -376,8 +376,10 @@ func TestFlowsMatchPerTickEagerOracle(t *testing.T) {
 				// added and taken away, an ulp of it, shows.)
 				slack := 1e-9
 				sc.pool.mu.Lock()
-				for _, j := range sc.pool.nodeJob {
-					slack += 0.5e-6 * sc.g.Engine.Now().Sub(sc.pool.timeOf(j.started)).Seconds()
+				for _, m := range sc.pool.machines {
+					if j := m.flowJob(sc.pool); j != nil {
+						slack += 0.5e-6 * sc.g.Engine.Now().Sub(sc.pool.timeOf(j.started)).Seconds()
+					}
 				}
 				sc.pool.mu.Unlock()
 				for _, tenant := range []string{"alice", "bob", "carol"} {

@@ -80,19 +80,34 @@ type Config struct {
 // rate is the aggregate inflow (CPU-seconds per second) of the open
 // usage flows feeding this account; the lazy settle folds it in with the
 // closed-form integral, so a million running jobs cost nothing between
-// read points.
+// read points. last is the instant of the last settle in Unix
+// nanoseconds, unsettled before the first (Export and Restore convert).
 type account struct {
 	weight float64
 	usage  float64
 	rate   float64
-	last   time.Time
+	last   int64
 }
 
-// tenantAccount adds group membership and a per-site usage breakdown.
+// unsettled is the last of an account never settled: the zero Last of the
+// snapshot.
+const unsettled = math.MinInt64
+
+// tenantAccount adds group membership, a per-site usage breakdown and the
+// tenant's effective priority memoized for one memo generation (see
+// Manager.epGen). g is the account of the group named by group: what a
+// flow feeds reaches the group through it, so moving the tenant moves
+// where the flow's usage lands. A tenantAccount with a nil g is a usage
+// flow's placeholder for a tenant not registered yet (see OpenFlow); it is
+// in no map.
 type tenantAccount struct {
 	account
+	name  string
 	group string
+	g     *account
 	sites map[string]*account
+	ep    float64
+	epGen uint64
 }
 
 // Manager is the central fair-share state: a two-level hierarchy of
@@ -106,16 +121,19 @@ type Manager struct {
 	tenants   map[string]*tenantAccount
 	lastStart map[string]time.Time // most recent machine allocation per tenant
 
-	// Effective priorities memoized for one clock instant: negotiation
-	// sorts call EffectivePriority O(n log n) times with the clock frozen,
-	// so each tenant's hierarchy walk happens once per tick instead of
-	// once per comparison. Any usage or weight mutation clears the memo.
-	// The map itself is recycled across invalidations (clear, not
-	// reallocate): negotiation passes invalidate it on every completion,
-	// and at million-job scale the per-pass make() showed up in profiles.
-	epCache   map[string]float64
-	epCacheAt time.Time
-	epCacheOK bool
+	// Effective priorities are memoized on the tenant accounts, each
+	// stamped with the generation it was computed in: negotiation prices
+	// every owner of a pass at one frozen instant, so each tenant's
+	// hierarchy walk happens once per instant instead of once per ref.
+	// epGen moves on with any usage or weight mutation and whenever a read
+	// asks at another instant than epAt, the one the generation holds for;
+	// a tenant's memo is good while its epGen equals the Manager's.
+	epGen uint64
+	epAt  int64
+
+	// starved is AppendSortKeys' scratch list of the refs found starved,
+	// kept across calls so a pass with starved owners allocates nothing.
+	starved []int
 }
 
 // NewManager creates a Manager. It panics if cfg.Clock is nil, since a
@@ -136,6 +154,7 @@ func NewManager(cfg Config) *Manager {
 		groups:    make(map[string]*account),
 		tenants:   make(map[string]*tenantAccount),
 		lastStart: make(map[string]time.Time),
+		epGen:     1, // a new tenant's zero epGen holds no memo
 	}
 }
 
@@ -148,7 +167,7 @@ func (m *Manager) SetGroup(name string, weight float64) {
 	defer m.mu.Unlock()
 	g := m.groupLocked(name)
 	g.weight = weight
-	m.epCacheOK = false
+	m.epGen++
 }
 
 // SetTenant declares (or moves/reweights) a tenant within a group. An
@@ -168,9 +187,9 @@ func (m *Manager) SetTenant(name, group string, weight float64) {
 	t := m.tenantLocked(name)
 	t.weight = weight
 	if t.group != group {
-		now := m.clock.Now()
+		now := m.nowLocked()
 		m.decayLocked(&t.account, now)
-		old := m.groupLocked(t.group)
+		old := t.g
 		m.decayLocked(old, now)
 		old.usage -= t.usage
 		if old.usage < 0 {
@@ -181,10 +200,9 @@ func (m *Manager) SetTenant(name, group string, weight float64) {
 		m.decayLocked(next, now)
 		next.usage += t.usage
 		next.rate += t.rate
-		t.group = group
+		t.group, t.g = group, next
 	}
-	m.groupLocked(group)
-	m.epCacheOK = false
+	m.epGen++
 }
 
 // RecordUsage folds cpuSeconds of consumption by tenant at site into the
@@ -199,20 +217,15 @@ func (m *Manager) RecordUsage(tenant, site string, cpuSeconds float64) {
 	tenant = tenantName(tenant)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.epCacheOK = false
-	now := m.clock.Now()
+	m.epGen++
+	now := m.nowLocked()
 	t := m.tenantLocked(tenant)
 	m.decayLocked(&t.account, now)
 	t.usage += cpuSeconds
-	g := m.groupLocked(t.group)
-	m.decayLocked(g, now)
-	g.usage += cpuSeconds
+	m.decayLocked(t.g, now)
+	t.g.usage += cpuSeconds
 	if site != "" {
-		s, ok := t.sites[site]
-		if !ok {
-			s = &account{last: now}
-			t.sites[site] = s
-		}
+		s := m.siteLocked(t, site, now)
 		m.decayLocked(s, now)
 		s.usage += cpuSeconds
 	}
@@ -227,7 +240,7 @@ func (m *Manager) Usage(tenant string) float64 {
 	if !ok {
 		return 0
 	}
-	m.decayLocked(&t.account, m.clock.Now())
+	m.decayLocked(&t.account, m.nowLocked())
 	return t.usage
 }
 
@@ -240,7 +253,7 @@ func (m *Manager) GroupUsage(group string) float64 {
 	if !ok {
 		return 0
 	}
-	m.decayLocked(g, m.clock.Now())
+	m.decayLocked(g, m.nowLocked())
 	return g.usage
 }
 
@@ -258,7 +271,7 @@ func (m *Manager) SiteUsage(tenant, site string) float64 {
 	if !ok {
 		return 0
 	}
-	m.decayLocked(s, m.clock.Now())
+	m.decayLocked(s, m.nowLocked())
 	return s.usage
 }
 
@@ -271,43 +284,40 @@ func (m *Manager) SiteUsage(tenant, site string) float64 {
 func (m *Manager) EffectivePriority(tenant string) float64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.effectiveLocked(tenant)
+	return m.effectiveAtLocked(m.tenants[tenantName(tenant)], m.nowLocked())
 }
 
-func (m *Manager) effectiveLocked(tenant string) float64 {
-	return m.effectiveAtLocked(tenant, m.clock.Now())
-}
-
-func (m *Manager) effectiveAtLocked(tenant string, now time.Time) float64 {
-	if !m.epCacheOK || !m.epCacheAt.Equal(now) {
-		if m.epCache == nil {
-			m.epCache = make(map[string]float64)
-		} else {
-			clear(m.epCache)
-		}
-		m.epCacheAt = now
-		m.epCacheOK = true
+// effectiveAtLocked returns t's effective priority at now, from t's memo
+// when the memo generation still holds. A nil t is an unknown tenant: it
+// scores as a fresh default-weight member of the default group without
+// being registered (registration happens on RecordUsage/SetTenant, so a
+// typo'd query can't mint ghost tenants) and without a memo.
+func (m *Manager) effectiveAtLocked(t *tenantAccount, now int64) float64 {
+	if now != m.epAt {
+		m.epAt = now
+		m.epGen++
 	}
-	if ep, ok := m.epCache[tenant]; ok {
-		return ep
-	}
-	// Read-only: unknown tenants score as fresh default-weight members of
-	// the default group without being registered (registration happens on
-	// RecordUsage/SetTenant, so a typo'd query can't mint ghost tenants).
 	tw, tu := defaultWeight, 0.0
-	gw, gu := defaultWeight, 0.0
-	group := defaultGroup
-	if t, ok := m.tenants[tenantName(tenant)]; ok {
+	var g *account
+	if t != nil {
+		if t.epGen == m.epGen {
+			return t.ep
+		}
 		m.decayLocked(&t.account, now)
-		tw, tu, group = t.weight, t.usage, t.group
+		tw, tu, g = t.weight, t.usage, t.g
+	} else {
+		g = m.groups[defaultGroup]
 	}
-	if g, ok := m.groups[group]; ok {
+	gw, gu := defaultWeight, 0.0
+	if g != nil {
 		m.decayLocked(g, now)
 		gw, gu = g.weight, g.usage
 	}
 	const u = usageScale
 	ep := tw * (u / (u + tu)) * gw * (u / (u + gu))
-	m.epCache[tenant] = ep
+	if t != nil {
+		t.ep, t.epGen = ep, m.epGen
+	}
 	return ep
 }
 
@@ -318,12 +328,12 @@ func (m *Manager) effectiveAtLocked(tenant string, now time.Time) float64 {
 // u(now) = u·2^(−dt/HL) + rate·(HL/ln2)·(1 − 2^(−dt/HL)); with decay
 // disabled it degenerates to u += rate·dt. When no flows feed the
 // account (rate == 0) this is exactly the pre-flow settle, bit for bit.
-func (m *Manager) decayLocked(a *account, now time.Time) {
-	if a.last.IsZero() {
+func (m *Manager) decayLocked(a *account, now int64) {
+	if a.last == unsettled {
 		a.last = now
 		return
 	}
-	dt := now.Sub(a.last)
+	dt := time.Duration(now - a.last)
 	if dt <= 0 {
 		return
 	}
@@ -346,12 +356,15 @@ func (m *Manager) decayLocked(a *account, now time.Time) {
 	a.usage = u
 }
 
+// nowLocked reads the clock in Unix nanoseconds, the unit accounts settle in.
+func (m *Manager) nowLocked() int64 { return m.clock.Now().UnixNano() }
+
 // groupLocked returns the named group, creating it with the default
 // weight on first reference.
 func (m *Manager) groupLocked(name string) *account {
 	g, ok := m.groups[name]
 	if !ok {
-		g = &account{weight: defaultWeight}
+		g = &account{weight: defaultWeight, last: unsettled}
 		m.groups[name] = g
 	}
 	return g
@@ -371,13 +384,28 @@ func (m *Manager) tenantLocked(name string) *tenantAccount {
 	name = tenantName(name)
 	t, ok := m.tenants[name]
 	if !ok {
-		t = &tenantAccount{
-			account: account{weight: defaultWeight},
-			group:   defaultGroup,
-			sites:   make(map[string]*account),
-		}
-		m.tenants[name] = t
-		m.groupLocked(t.group)
+		t = &tenantAccount{name: name}
+		m.registerLocked(t)
 	}
 	return t
+}
+
+// registerLocked enters t, named but otherwise blank, as a fresh tenant of
+// the default group with the default weight.
+func (m *Manager) registerLocked(t *tenantAccount) {
+	t.account = account{weight: defaultWeight, last: unsettled}
+	t.group, t.g = defaultGroup, m.groupLocked(defaultGroup)
+	t.sites = make(map[string]*account)
+	m.tenants[t.name] = t
+}
+
+// siteLocked returns t's account at site, creating it settled at now on
+// first reference.
+func (m *Manager) siteLocked(t *tenantAccount, site string, now int64) *account {
+	s, ok := t.sites[site]
+	if !ok {
+		s = &account{last: now}
+		t.sites[site] = s
+	}
+	return s
 }

@@ -36,15 +36,23 @@ type FlowSink interface {
 	OpenFlow(tenant, site string, rate float64) UsageFlow
 }
 
-// flow is the Manager's UsageFlow: it names the tenant and site accounts
-// its rate feeds and tracks the undecayed total it has emitted so Close can
-// reconcile against the measured CPU-seconds. Every running job holds one,
-// so it is kept to 64 bytes: the instant the current rate took effect is
-// held in Unix nanoseconds, and a closed flow is one whose since is
-// flowClosed.
+// flow is the Manager's UsageFlow: it holds the tenant and site accounts
+// its rate feeds — the group's it reaches through the tenant's, so a
+// tenant moved to another group mid-flow feeds the new one — and tracks
+// the undecayed total it has emitted so Close can reconcile against the
+// measured CPU-seconds. Every running job holds one, so it is kept to 64
+// bytes: the instant the current rate took effect is held in Unix
+// nanoseconds, and a closed flow is one whose since is flowClosed.
+//
+// Nothing is registered for a flow until it first runs at a non-zero rate:
+// until then t may be a placeholder holding only the tenant's name, and s
+// is nil. The accounts are taken by pointer, so the flows must not outlive
+// them: Manager.Restore replaces every account and runs only on a manager
+// with no open flows.
 type flow struct {
 	m       *Manager
-	tenant  string
+	t       *tenantAccount
+	s       *account // the site account; nil until a non-zero rate, or with no site
 	site    string
 	rate    float64
 	since   int64   // when the current rate took effect, in Unix nanoseconds
@@ -63,8 +71,12 @@ func (m *Manager) OpenFlow(tenant, site string, rate float64) UsageFlow {
 	tenant = tenantName(tenant)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	now := m.clock.Now()
-	f := &flow{m: m, tenant: tenant, site: site, since: now.UnixNano()}
+	now := m.nowLocked()
+	t := m.tenants[tenant]
+	if t == nil {
+		t = &tenantAccount{name: tenant}
+	}
+	f := &flow{m: m, t: t, site: site, since: now}
 	m.setFlowRateLocked(f, rate, now)
 	return f
 }
@@ -80,38 +92,48 @@ func (f *flow) SetRate(rate float64) {
 	if f.since == flowClosed {
 		return
 	}
-	m.setFlowRateLocked(f, rate, m.clock.Now())
+	m.setFlowRateLocked(f, rate, m.nowLocked())
 }
 
 // setFlowRateLocked settles the accounts f feeds through now at the old
 // rate, then swaps in the new one. It is a Manager method — the mutex
 // it runs under is m.mu, not anything of the flow's — so the *Locked
 // suffix names whose lock is held.
-func (m *Manager) setFlowRateLocked(f *flow, rate float64, now time.Time) {
-	at := now.UnixNano()
-	f.emitted += f.rate * time.Duration(at-f.since).Seconds()
+func (m *Manager) setFlowRateLocked(f *flow, rate float64, now int64) {
+	f.emitted += f.rate * time.Duration(now-f.since).Seconds()
 	delta := rate - f.rate
 	f.rate = rate
-	f.since = at
+	f.since = now
 	if delta == 0 {
 		return
 	}
-	m.epCacheOK = false
-	t := m.tenantLocked(f.tenant)
+	m.epGen++
+	t := m.flowTenantLocked(f)
 	m.decayLocked(&t.account, now)
 	t.rate += delta
-	g := m.groupLocked(t.group)
-	m.decayLocked(g, now)
-	g.rate += delta
+	m.decayLocked(t.g, now)
+	t.g.rate += delta
 	if f.site != "" {
-		s, ok := t.sites[f.site]
-		if !ok {
-			s = &account{last: now}
-			t.sites[f.site] = s
+		if f.s == nil {
+			f.s = m.siteLocked(t, f.site, now)
 		}
-		m.decayLocked(s, now)
-		s.rate += delta
+		m.decayLocked(f.s, now)
+		f.s.rate += delta
 	}
+}
+
+// flowTenantLocked returns the registered account of f's tenant. A
+// placeholder is registered here, on first use — or, if someone registered
+// the name since the flow opened, swapped for that account.
+func (m *Manager) flowTenantLocked(f *flow) *tenantAccount {
+	if f.t.g == nil {
+		if t, ok := m.tenants[f.t.name]; ok {
+			f.t = t
+		} else {
+			m.registerLocked(f.t)
+		}
+	}
+	return f.t
 }
 
 // Close implements UsageFlow.
@@ -122,33 +144,34 @@ func (f *flow) Close(total float64) {
 	if f.since == flowClosed {
 		return
 	}
-	now := m.clock.Now()
+	now := m.nowLocked()
 	m.setFlowRateLocked(f, 0, now)
 	f.since = flowClosed
 	residual := total - f.emitted
 	if residual == 0 {
 		return
 	}
-	m.epCacheOK = false
-	t := m.tenantLocked(f.tenant)
+	m.epGen++
+	t := m.flowTenantLocked(f)
 	m.decayLocked(&t.account, now)
 	t.usage += residual
 	if t.usage < 0 {
 		t.usage = 0
 	}
-	g := m.groupLocked(t.group)
-	m.decayLocked(g, now)
-	g.usage += residual
-	if g.usage < 0 {
-		g.usage = 0
+	m.decayLocked(t.g, now)
+	t.g.usage += residual
+	if t.g.usage < 0 {
+		t.g.usage = 0
 	}
-	if f.site != "" {
-		if s, ok := t.sites[f.site]; ok {
-			m.decayLocked(s, now)
-			s.usage += residual
-			if s.usage < 0 {
-				s.usage = 0
-			}
+	s := f.s
+	if s == nil && f.site != "" {
+		s = t.sites[f.site] // a flow that never ran made no site account; another may have
+	}
+	if s != nil {
+		m.decayLocked(s, now)
+		s.usage += residual
+		if s.usage < 0 {
+			s.usage = 0
 		}
 	}
 }

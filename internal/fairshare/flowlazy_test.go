@@ -1,9 +1,12 @@
 package fairshare
 
 import (
+	"encoding/json"
 	"math"
 	"math/rand"
 	"slices"
+	"strconv"
+	"sync"
 	"testing"
 	"time"
 	"unsafe"
@@ -119,19 +122,194 @@ func TestFlowRateZeroAccruesNothing(t *testing.T) {
 
 // Every running job holds a usage flow for as long as it runs: one 64-byte
 // allocation, and none for a negotiation pass's sort keys once the
-// negotiator's buffer has grown to the pass.
+// negotiator's buffer has grown to the pass — nor when owners have starved
+// and the guard picks each one's oldest ref.
 func TestFlowAndSortKeysAllocations(t *testing.T) {
 	if got := unsafe.Sizeof(flow{}); got > 64 {
 		t.Errorf("unsafe.Sizeof(flow{}) = %d bytes, want <= 64", got)
 	}
 	clk := vtime.NewSimClock(time.Time{})
 	m := NewManager(Config{Clock: clk})
-	refs := []JobRef{{Owner: "atlas", Submitted: clk.Now(), Seq: 1}, {Owner: "cms", Submitted: clk.Now(), Seq: 2}}
+	submitted := clk.Now()
+	refs := []JobRef{{Owner: "atlas", Submitted: submitted, Seq: 1}, {Owner: "cms", Submitted: submitted, Seq: 2}}
 	keys := m.AppendSortKeys(nil, clk.Now(), refs)
 	if got := testing.AllocsPerRun(100, func() { keys = m.AppendSortKeys(keys[:0], clk.Now(), refs) }); got != 0 {
 		t.Errorf("AppendSortKeys into a grown buffer allocates %v times, want 0", got)
 	}
 	if want := m.SortKeysAt(clk.Now(), refs); !slices.Equal(keys, want) {
 		t.Errorf("AppendSortKeys = %v, SortKeysAt = %v", keys, want)
+	}
+
+	// Starved: every ref has waited past the window and nobody was served.
+	// Each owner's oldest ref — whatever its place in refs — is marked.
+	clk.Advance(2 * DefaultStarvationWindow)
+	starved := []JobRef{
+		{Owner: "atlas", Submitted: submitted.Add(time.Second), Seq: 3},
+		{Owner: "cms", Submitted: submitted, Seq: 2},
+		{Owner: "atlas", Submitted: submitted, Seq: 4},
+		{Owner: "", Submitted: submitted, Seq: 5},
+		{Owner: "atlas", Submitted: submitted, Seq: 1},
+		{Owner: Anonymous, Submitted: submitted, Seq: 6},
+	}
+	keys = m.AppendSortKeys(keys[:0], clk.Now(), starved)
+	if got := testing.AllocsPerRun(100, func() { keys = m.AppendSortKeys(keys[:0], clk.Now(), starved) }); got != 0 {
+		t.Errorf("AppendSortKeys with starved owners allocates %v times, want 0", got)
+	}
+	if want := m.SortKeysAt(clk.Now(), starved); !slices.Equal(keys, want) {
+		t.Errorf("starved: AppendSortKeys = %v, SortKeysAt = %v", keys, want)
+	}
+	for i, want := range []bool{false, true, false, true, true, false} {
+		if keys[i].Starved != want {
+			t.Errorf("ref %d (%+v): Starved = %v, want %v", i, starved[i], keys[i].Starved, want)
+		}
+	}
+}
+
+// TestSetTenantMidFlowMovesAccrual: a tenant moved to another group while
+// its flow is open takes the flow with it — what accrues after the move
+// lands in the new group — with the arithmetic of
+// TestSetTenantMoveMigratesUsage for what accrued before.
+func TestSetTenantMidFlowMovesAccrual(t *testing.T) {
+	m, clock := newTestManager(Config{HalfLife: -1})
+	m.SetGroup("g1", 1)
+	m.SetGroup("g2", 1)
+	m.SetTenant("x", "g1", 1)
+	m.SetTenant("y", "g1", 1)
+	f := m.OpenFlow("x", "siteA", 2)
+	clock.Advance(100 * time.Second)
+	m.RecordUsage("y", "", 50)
+	m.SetTenant("x", "g2", 1) // x has accrued 200
+	clock.Advance(100 * time.Second)
+	if u := m.GroupUsage("g1"); u != 50 {
+		t.Fatalf("old group usage = %v, want 50 (y's share only)", u)
+	}
+	if u := m.GroupUsage("g2"); u != 400 {
+		t.Fatalf("new group usage = %v, want 400 (x's 200 carried over + 200 since)", u)
+	}
+	f.SetRate(1)
+	clock.Advance(100 * time.Second)
+	f.Close(550) // 50 more than the flow emitted
+	for _, c := range []struct {
+		what      string
+		got, want float64
+	}{
+		{"g1", m.GroupUsage("g1"), 50},
+		{"g2", m.GroupUsage("g2"), 550},
+		{"x", m.Usage("x"), 550},
+		{"x at siteA", m.SiteUsage("x", "siteA"), 550},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s usage = %v, want %v", c.what, c.got, c.want)
+		}
+	}
+}
+
+// TestZeroRateFlowRegistersNothing: a flow opened at rate 0 registers no
+// tenant and makes no site account — the export is byte for byte what it
+// was — until it first runs at a non-zero rate; two flows opened for the
+// same unknown tenant then feed the one account.
+func TestZeroRateFlowRegistersNothing(t *testing.T) {
+	m, clock := newTestManager(Config{HalfLife: -1})
+	m.SetTenant("real", "", 1)
+	m.RecordUsage("real", "siteA", 10)
+	export := func() string {
+		b, err := json.Marshal(m.Export())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	before := export()
+	ghost := m.OpenFlow("ghost", "siteA", 0)
+	twin := m.OpenFlow("ghost", "siteB", 0)
+	known := m.OpenFlow("real", "siteB", 0)
+	ghost.SetRate(0)
+	known.SetRate(0)
+	if after := export(); after != before {
+		t.Fatalf("zero-rate flows changed the export:\n%s\n%s", before, after)
+	}
+	if _, ok := m.tenants["ghost"]; ok {
+		t.Fatal("a zero-rate flow registered its tenant")
+	}
+	if _, ok := m.tenants["real"].sites["siteB"]; ok {
+		t.Fatal("a zero-rate flow made its site account")
+	}
+	known.Close(0)
+	if after := export(); after != before {
+		t.Fatalf("closing a zero-rate flow changed the export:\n%s\n%s", before, after)
+	}
+
+	ghost.SetRate(1)
+	twin.SetRate(2)
+	clock.Advance(10 * time.Second)
+	if u := m.Usage("ghost"); u != 30 {
+		t.Fatalf("ghost usage = %v, want 30 from both flows", u)
+	}
+	if a, b := m.SiteUsage("ghost", "siteA"), m.SiteUsage("ghost", "siteB"); a != 10 || b != 20 {
+		t.Fatalf("ghost site usage = %v at siteA, %v at siteB, want 10 and 20", a, b)
+	}
+	ghost.Close(10)
+	twin.Close(25)
+	if u := m.Usage("ghost"); u != 35 {
+		t.Fatalf("ghost usage after close = %v, want the measured 35", u)
+	}
+}
+
+// TestConcurrentFlowsBesideReaders opens, re-rates and closes flows on
+// several goroutines while others advance the clock, price sort keys, move
+// tenants between groups and export. Rates, totals and clock steps are
+// whole numbers, so the books are exact: at the end each tenant's usage is
+// the sum of its closed flows' totals. Run under -race by make race-smoke.
+func TestConcurrentFlowsBesideReaders(t *testing.T) {
+	m, clock := newTestManager(Config{HalfLife: -1, StarvationWindow: time.Second})
+	tenants := []string{"atlas", "cms", "lhcb", "alice"}
+	const flowsEach = 200
+	var wg sync.WaitGroup
+	totals := make([]float64, len(tenants))
+	for w, tenant := range tenants {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < flowsEach; i++ {
+				f := m.OpenFlow(tenant, "site"+strconv.Itoa(i%3), float64(i%3))
+				f.SetRate(float64(i % 5))
+				total := float64(i % 7)
+				f.Close(total)
+				totals[w] += total
+			}
+		}()
+	}
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	reader := func(do func(i int)) {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+					do(i)
+				}
+			}
+		}()
+	}
+	reader(func(int) { clock.Advance(time.Second) })
+	refs := make([]JobRef, len(tenants))
+	for i, tenant := range tenants {
+		refs[i] = JobRef{Owner: tenant, Submitted: clock.Now(), Seq: i}
+	}
+	var keys []SortKey
+	reader(func(int) { keys = m.AppendSortKeys(keys[:0], clock.Now(), refs) })
+	reader(func(i int) { m.SetTenant(tenants[i%len(tenants)], "g"+strconv.Itoa(i%2), 1) })
+	reader(func(int) { m.Export() })
+	wg.Wait()
+	close(stop)
+	readers.Wait()
+	for w, tenant := range tenants {
+		if u := m.Usage(tenant); u != totals[w] {
+			t.Errorf("%s usage = %v, want %v, the sum of its closed flows' totals", tenant, u, totals[w])
+		}
 	}
 }

@@ -1,8 +1,10 @@
 package fairshare
 
 import (
+	"cmp"
 	"reflect"
 	"slices"
+	"strings"
 	"time"
 )
 
@@ -65,22 +67,36 @@ func (m *Manager) AppendSortKeys(dst []SortKey, now time.Time, refs []JobRef) []
 	clear(keys)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var oldest map[string]int // starved owner → index of their oldest ref
+	at := now.UnixNano()
+	starved := m.starved[:0]
 	for i, r := range refs {
-		keys[i].Effective = m.effectiveAtLocked(r.Owner, now)
+		keys[i].Effective = m.effectiveAtLocked(m.tenants[tenantName(r.Owner)], at)
 		if m.cfg.StarvationWindow > 0 && m.starvedLocked(r, now) {
-			if oldest == nil {
-				oldest = make(map[string]int)
-			}
-			owner := tenantName(r.Owner)
-			if j, ok := oldest[owner]; !ok || olderRef(r, refs[j]) {
-				oldest[owner] = i
-			}
+			starved = append(starved, i)
 		}
 	}
-	for _, i := range oldest {
-		keys[i].Starved = true
+	if len(starved) > 1 {
+		// Each starved owner's refs in a run, its oldest first.
+		slices.SortFunc(starved, func(i, j int) int {
+			a, b := refs[i], refs[j]
+			if c := strings.Compare(tenantName(a.Owner), tenantName(b.Owner)); c != 0 {
+				return c
+			}
+			if olderRef(a, b) {
+				return -1
+			}
+			if olderRef(b, a) {
+				return 1
+			}
+			return cmp.Compare(i, j)
+		})
 	}
+	for k, i := range starved {
+		if k == 0 || tenantName(refs[i].Owner) != tenantName(refs[starved[k-1]].Owner) {
+			keys[i].Starved = true
+		}
+	}
+	m.starved = starved
 	return dst
 }
 
