@@ -104,10 +104,18 @@ obs-smoke:
 	$(GO) run ./cmd/gae-obs-smoke
 
 # Every program under examples/ built and run to completion; a non-zero
-# exit fails the target. Each runs in well under a second.
+# exit fails the target, and so does stdout that differs from the
+# program's testdata/stdout.golden once loopback ports (which federation
+# binds anew each run) are masked. Each runs in well under a second. After
+# an intended change of output, rewrite a golden with
+#   go run ./examples/NAME | sed -E 's/127\.0\.0\.1:[0-9]+/127.0.0.1:PORT/g' \
+#     > examples/NAME/testdata/stdout.golden
+PORTMASK = s/127\.0\.0\.1:[0-9]+/127.0.0.1:PORT/g
 examples-smoke:
-	@set -e; for d in examples/*/; do \
-		echo "examples-smoke: $$d"; $(GO) run ./$$d > /dev/null; \
+	@set -e; out=$$(mktemp); trap 'rm -f "$$out"' EXIT; \
+	for d in examples/*/; do \
+		echo "examples-smoke: $$d"; $(GO) run ./$$d > "$$out"; \
+		sed -E '$(PORTMASK)' "$$out" | diff -u $${d}testdata/stdout.golden -; \
 	done
 
 # Replay a fairness scenario; override with e.g.

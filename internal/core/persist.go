@@ -128,11 +128,13 @@ func (g *GAE) emitStateLocked(ledgerFrom int, emit durable.Emit) error {
 	return nil
 }
 
-// exportEstimator captures the estimator layer, which feeds placement and
-// the EstimatedRuntime stamped into job ads at submission — without it,
+// exportEstimator captures the site histories, which feed placement and
+// the EstimatedRuntime stamped into job ads at submission — without them,
 // the first post-restart submit would diverge from its pre-crash twin.
+// The stamped estimates need no section of their own: they live in the
+// job ads the pools section carries.
 func (g *GAE) exportEstimator() *durable.EstimatorState {
-	est := durable.EstimatorState{Estimates: g.Scheduler.EstimateDB().Export()}
+	var est durable.EstimatorState
 	for _, site := range g.Scheduler.Sites() {
 		svc, ok := g.Scheduler.SiteServicesFor(site)
 		if !ok || svc.Runtime == nil || svc.Runtime.History == nil {
@@ -142,7 +144,7 @@ func (g *GAE) exportEstimator() *durable.EstimatorState {
 			est.Sites = append(est.Sites, durable.SiteHistory{Site: site, Records: recs})
 		}
 	}
-	if len(est.Sites) == 0 && len(est.Estimates) == 0 {
+	if len(est.Sites) == 0 {
 		return nil
 	}
 	return &est
@@ -213,7 +215,6 @@ func (g *GAE) RestoreState(simTime time.Time, st *durable.State) error {
 	}
 
 	if st.Estimator != nil {
-		g.Scheduler.EstimateDB().Restore(st.Estimator.Estimates)
 		for _, sh := range st.Estimator.Sites {
 			svc, ok := g.Scheduler.SiteServicesFor(sh.Site)
 			if !ok || svc.Runtime == nil || svc.Runtime.History == nil {

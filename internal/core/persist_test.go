@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/clarens"
+	"repro/internal/condor"
 	"repro/internal/durable"
 	"repro/internal/fairshare"
 	"repro/internal/xmlrpc"
@@ -391,6 +392,117 @@ func TestJobmonAnswersSameAcrossRestart(t *testing.T) {
 	}
 	if got := serveRaw(t, g2, "jobmon.list", a.Site); !bytes.Equal(got, list) {
 		t.Errorf("jobmon.list after recovery:\n got %s\nwant %s", got, list)
+	}
+}
+
+// TestCompletionEstimateSameAcrossRestart pins that a task's time to
+// completion is computed from what a recovery restores — the job ads and
+// the queue — and not from the placement-time decision record:
+// steering.estimate, estimator.queuetime and jobmon.remaining answer byte
+// for byte the same for a queued and a running task across a kill and a
+// recovery, and a running task's estimate is its remaining runtime alone.
+func TestCompletionEstimateSameAcrossRestart(t *testing.T) {
+	dir := t.TempDir()
+	cfg := durableConfig()
+	ctx := context.Background()
+
+	g1 := New(cfg)
+	s1, err := durable.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g1.AttachStore(s1); err != nil {
+		t.Fatal(err)
+	}
+	alice := g1.Client("alice")
+	// Three 600 s plans per one-node site: at 700 s the first two are
+	// done, the two placed behind them run with ~500 s left, and the last
+	// two are queued.
+	var names []string
+	for i := 1; i <= 6; i++ {
+		name := fmt.Sprintf("p%d", i)
+		names = append(names, name)
+		if _, err := alice.Submit(ctx, specOf(name, 600)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g1.Run(700 * time.Second)
+	if err := g1.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	// A journal tail, so recovery replays as well as restores.
+	if err := alice.SetState(ctx, "after", "checkpoint"); err != nil {
+		t.Fatal(err)
+	}
+
+	type probe struct {
+		plan string
+		site string
+		id   int
+	}
+	var running, queued *probe
+	for _, name := range names {
+		cp, ok := g1.Plan(name)
+		if !ok {
+			t.Fatalf("no plan %s", name)
+		}
+		a, _ := cp.Assignment("main")
+		pool, _ := g1.Pool(a.Site)
+		info, err := pool.Job(a.CondorID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := &probe{plan: name, site: a.Site, id: a.CondorID}
+		switch {
+		case info.Status == condor.StatusRunning && running == nil:
+			running = p
+		case info.Status == condor.StatusIdle && queued == nil:
+			queued = p
+		}
+	}
+	if running == nil || queued == nil {
+		t.Fatalf("want a running and a queued task at 700 s; running %+v, queued %+v", running, queued)
+	}
+	answers := func(g *GAE) [][]byte {
+		var out [][]byte
+		for _, p := range []*probe{running, queued} {
+			out = append(out,
+				serveRaw(t, g, "steering.estimate", p.plan, "main"),
+				serveRaw(t, g, "estimator.queuetime", p.site, p.id),
+				serveRaw(t, g, "jobmon.remaining", p.site, p.id))
+		}
+		return out
+	}
+	before := answers(g1)
+	var estimate, remaining float64
+	if err := xmlrpc.DecodeResponseInto(bytes.NewReader(before[0]), &estimate); err != nil {
+		t.Fatal(err)
+	}
+	if err := xmlrpc.DecodeResponseInto(bytes.NewReader(before[2]), &remaining); err != nil {
+		t.Fatal(err)
+	}
+	if estimate != remaining || remaining <= 0 {
+		t.Fatalf("running task: steering.estimate = %v, want its remaining estimate %v", estimate, remaining)
+	}
+	if err := s1.Close(); err != nil { // the process dies here
+		t.Fatal(err)
+	}
+
+	g2 := New(cfg)
+	s2, err := durable.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if err := g2.AttachStore(s2); err != nil {
+		t.Fatal(err)
+	}
+	methods := []string{"steering.estimate", "estimator.queuetime", "jobmon.remaining"}
+	for i, got := range answers(g2) {
+		task := []string{"running", "queued"}[i/len(methods)]
+		if !bytes.Equal(got, before[i]) {
+			t.Errorf("%s for the %s task after recovery:\n got %s\nwant %s", methods[i%len(methods)], task, got, before[i])
+		}
 	}
 }
 

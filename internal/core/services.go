@@ -162,7 +162,7 @@ func (e estimatorAPI) EstimateQueueTime(_ context.Context, site string, condorID
 	if !ok {
 		return gae.QueueEstimate{}, fmt.Errorf("unknown site %q", site)
 	}
-	return estimator.QueueTime(pool, e.g.Scheduler.EstimateDB(), condorID)
+	return estimator.QueueTime(pool, condorID)
 }
 
 func (e estimatorAPI) EstimateTransfer(_ context.Context, src, dst string, sizeMB float64) (gae.TransferEstimate, error) {

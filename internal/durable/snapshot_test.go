@@ -76,8 +76,7 @@ func fullState() State {
 		}},
 		Steering: SteeringState{Preference: "cheap"},
 		Estimator: &EstimatorState{
-			Sites:     []SiteHistory{{Site: "siteA", Records: []HistoryRecord{{Login: "alice", Queue: "short", Succeeded: true, Completed: at, RuntimeSeconds: 30}}}},
-			Estimates: []JobEstimate{{Pool: "siteA", ID: 1, Seconds: 600}},
+			Sites: []SiteHistory{{Site: "siteA", Records: []HistoryRecord{{Login: "alice", Queue: "short", Succeeded: true, Completed: at, RuntimeSeconds: 30}}}},
 		},
 		UserState:   map[string]map[string]string{"alice": {"cuts": "pt>20 && |eta|<2.4"}, "bob": {"k": "v"}},
 		Idempotency: []IdemUser{{User: "alice", Entries: []IdemEntry{{ID: "rid-1", Method: "state.set", At: at, Result: json.RawMessage(`true`)}}}},
@@ -151,6 +150,41 @@ func TestStreamedSnapshotMatchesMarshal(t *testing.T) {
 				t.Fatalf("streamed as %d lines, want %d sections and the closing line:\n%s", lines, tc.sections, streamed)
 			}
 		})
+	}
+}
+
+// TestEarlierEstimatorSectionStillDecodes: snapshots written while the
+// scheduler kept a second copy of every job's runtime estimate carry an
+// "estimates" array in their estimator section. Such a document still
+// decodes, to the state the same document without the array decodes to,
+// site histories intact — the job ads in its pools section hold every
+// estimate, so nothing is lost and SnapshotVersion need not move.
+func TestEarlierEstimatorSectionStillDecodes(t *testing.T) {
+	full := fullState()
+	doc := streamSnapshot(t, 7, storeEpoch, producerOf(&full))
+	sites, err := json.Marshal(full.Estimator.Sites)
+	if err != nil {
+		t.Fatal(err)
+	}
+	section := `"estimator":{"sites":` + string(sites)
+	if !bytes.Contains(doc, []byte(section+"}")) {
+		t.Fatalf("no estimator section %s} in the snapshot:\n%s", section, doc)
+	}
+	earlier := bytes.Replace(doc, []byte(section+"}"),
+		[]byte(section+`,"estimates":[{"pool":"siteA","id":1,"seconds":600},{"pool":"siteB","id":4,"seconds":30}]}`), 1)
+	got, err := DecodeSnapshot(earlier)
+	if err != nil {
+		t.Fatalf("earlier snapshot does not decode: %v", err)
+	}
+	want, err := DecodeSnapshot(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.State.Estimator == nil || !reflect.DeepEqual(got.State.Estimator.Sites, full.Estimator.Sites) {
+		t.Fatalf("estimator section decoded as %+v, want sites %+v", got.State.Estimator, full.Estimator.Sites)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("earlier snapshot decoded as\n %+v\nwant\n %+v", got, want)
 	}
 }
 

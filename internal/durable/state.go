@@ -268,13 +268,13 @@ type SteeringState struct {
 }
 
 // EstimatorState captures the decentralized estimator layer: each site's
-// completed-task history (the paper's SDSC-style accounting records) and
-// the scheduler's submission-time estimate database. Both feed placement
-// and the EstimatedRuntime stamped into job ads, so a recovery that
-// dropped them would diverge on the first post-restart submission.
+// completed-task history (the paper's SDSC-style accounting records). It
+// feeds placement and the EstimatedRuntime stamped into job ads, so a
+// recovery that dropped it would diverge on the first post-restart
+// submission. The submission-time estimates themselves live in the job
+// ads, which the pools section carries.
 type EstimatorState struct {
-	Sites     []SiteHistory `json:"sites,omitempty"`
-	Estimates []JobEstimate `json:"estimates,omitempty"`
+	Sites []SiteHistory `json:"sites,omitempty"`
 }
 
 // SiteHistory is one site's completed-task history, in insertion order.
@@ -302,14 +302,6 @@ type HistoryRecord struct {
 	Completed time.Time `json:"completed,omitzero"`
 
 	RuntimeSeconds float64 `json:"runtime_seconds"` // actual execution time
-}
-
-// JobEstimate is one submission-time runtime estimate, keyed by the
-// job's pool and Condor ID.
-type JobEstimate struct {
-	Pool    string  `json:"pool"`
-	ID      int     `json:"id"`
-	Seconds float64 `json:"seconds"`
 }
 
 // EncodeState renders just the state section — the byte-identity domain

@@ -318,57 +318,41 @@ func TestStatisticStrings(t *testing.T) {
 	}
 }
 
-func TestEstimateDB(t *testing.T) {
-	db := NewEstimateDB()
-	db.Record("poolA", 1, 100)
-	db.Record("poolA", 2, 200)
-	db.Record("poolB", 1, 300)
-	if v, ok := db.Lookup("poolA", 1); !ok || v != 100 {
-		t.Fatalf("Lookup = %v, %v", v, ok)
-	}
-	if v, ok := db.Lookup("poolB", 1); !ok || v != 300 {
-		t.Fatalf("cross-pool Lookup = %v, %v", v, ok)
-	}
-	if _, ok := db.Lookup("poolC", 1); ok {
-		t.Fatal("phantom estimate")
-	}
-	if db.Len() != 3 {
-		t.Fatalf("Len = %d", db.Len())
-	}
-}
-
 // queueFixture builds a pool with one busy machine, a running high-prio
-// job, a queued high-prio job, and the queued probe job.
-func queueFixture(t *testing.T) (*simgrid.Grid, *condor.Pool, *EstimateDB, int) {
+// job, a queued high-prio job, and the queued probe job. The two jobs
+// ahead of the probe carry the given estimates in their ads; 0 stamps
+// none.
+func queueFixture(t *testing.T, runningEst, queuedEst float64) (*simgrid.Grid, *condor.Pool, int) {
 	t.Helper()
 	g := simgrid.NewGrid(time.Second, 1)
 	site := g.AddSite("s")
 	p := condor.NewPool("pool", g, site)
 	p.AddMachine(site.AddNode(g.Engine, "n1", 1, simgrid.IdleLoad()), nil)
-	db := NewEstimateDB()
 
 	submit := func(cpu float64, prio int, est float64) int {
 		ad := classad.New().
 			Set(condor.AttrOwner, "u").
 			Set(condor.AttrCpuSeconds, cpu).
 			Set(condor.AttrPriority, prio)
+		if est > 0 {
+			ad.Set(condor.AttrEstimate, est)
+		}
 		id, err := p.Submit(ad)
 		if err != nil {
 			t.Fatal(err)
 		}
-		db.Record("pool", id, est)
 		return id
 	}
-	submit(100, 10, 100) // will run first
-	submit(50, 5, 50)    // queued ahead of probe
+	submit(100, 10, runningEst) // will run first
+	submit(50, 5, queuedEst)    // queued ahead of probe
 	probe := submit(10, 1, 10)
 	g.Engine.RunFor(20 * time.Second) // first job now has ~19s wallclock
-	return g, p, db, probe
+	return g, p, probe
 }
 
 func TestQueueTimeEstimator(t *testing.T) {
-	_, p, db, probe := queueFixture(t)
-	got, err := QueueTime(p, db, probe)
+	_, p, probe := queueFixture(t, 100, 50)
+	got, err := QueueTime(p, probe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,12 +367,11 @@ func TestQueueTimeEstimator(t *testing.T) {
 }
 
 func TestQueueTimeEstimatorClampsOverruns(t *testing.T) {
-	g, p, db, probe := queueFixture(t)
-	// Re-record the running job's estimate as far too small; remaining
-	// must clamp at zero, not go negative.
-	db.Record("pool", 1, 5)
+	// The running job's estimate is far too small; its remaining must
+	// clamp at zero, not go negative.
+	g, p, probe := queueFixture(t, 5, 50)
 	g.Engine.RunFor(10 * time.Second)
-	got, err := QueueTime(p, db, probe)
+	got, err := QueueTime(p, probe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,22 +380,30 @@ func TestQueueTimeEstimatorClampsOverruns(t *testing.T) {
 	}
 }
 
-func TestQueueTimeEstimatorMissingDB(t *testing.T) {
-	_, p, _, probe := queueFixture(t)
-	// Jobs the database does not know, with no estimate in their ads, are
-	// skipped entirely.
-	got, err := QueueTime(p, NewEstimateDB(), probe)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Seconds != 0 || got.TasksAhead != 0 {
-		t.Fatalf("skip-unknown = %+v", got)
+func TestQueueTimeEstimatorSkipsJobsWithoutEstimate(t *testing.T) {
+	// A job whose ad carries no estimate is skipped; the others still
+	// count.
+	for _, tc := range []struct {
+		queuedEst float64
+		want      QueueEstimate
+	}{
+		{0, QueueEstimate{}},
+		{50, QueueEstimate{Seconds: 50, TasksAhead: 1}},
+	} {
+		_, p, probe := queueFixture(t, 0, tc.queuedEst)
+		got, err := QueueTime(p, probe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != tc.want {
+			t.Fatalf("queued estimate %v: QueueTime = %+v, want %+v", tc.queuedEst, got, tc.want)
+		}
 	}
 }
 
 func TestQueueTimeEstimatorErrors(t *testing.T) {
-	_, p, db, _ := queueFixture(t)
-	if _, err := QueueTime(p, db, 12345); err == nil {
+	_, p, _ := queueFixture(t, 100, 50)
+	if _, err := QueueTime(p, 12345); err == nil {
 		t.Fatal("unknown job estimate succeeded")
 	}
 }

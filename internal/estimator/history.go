@@ -19,10 +19,10 @@
 // site owns a History, and the scheduler fans out estimate requests to
 // every site.
 //
-// Queue time (§6.2) is a function, QueueTime(pool, db, id), of the pool's
-// queue and the EstimateDB the scheduler records submission-time
-// estimates in; it holds no state of its own. The queue and transfer
-// predictions are the wire records gae.QueueEstimate and
+// Queue time (§6.2) is a function, QueueTime(pool, id), of the pool's
+// queue: the submission-time estimates it sums live in the job ads, where
+// the scheduler stamps them, so it holds no state of its own. The queue
+// and transfer predictions are the wire records gae.QueueEstimate and
 // gae.TransferEstimate.
 package estimator
 

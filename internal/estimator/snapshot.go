@@ -1,11 +1,6 @@
 package estimator
 
-import (
-	"slices"
-	"sort"
-
-	"repro/internal/durable"
-)
+import "slices"
 
 // Export copies the history's records in insertion order for the durable
 // snapshot codec.
@@ -24,35 +19,4 @@ func (h *History) Restore(records []TaskRecord) {
 		records = records[len(records)-h.cap:]
 	}
 	h.records = slices.Clone(records)
-}
-
-// Export serializes the estimate database sorted by pool then job ID —
-// the canonical order the recovery suite compares.
-func (db *EstimateDB) Export() []durable.JobEstimate {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	out := make([]durable.JobEstimate, 0, len(db.estimates))
-	for k, v := range db.estimates {
-		out = append(out, durable.JobEstimate{Pool: k.pool, ID: k.id, Seconds: v})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Pool != out[j].Pool {
-			return out[i].Pool < out[j].Pool
-		}
-		return out[i].ID < out[j].ID
-	})
-	if len(out) == 0 {
-		return nil
-	}
-	return out
-}
-
-// Restore replaces the database contents with exported estimates.
-func (db *EstimateDB) Restore(estimates []durable.JobEstimate) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.estimates = make(map[dbKey]float64, len(estimates))
-	for _, e := range estimates {
-		db.estimates[dbKey{pool: e.Pool, id: e.ID}] = e.Seconds
-	}
 }

@@ -325,8 +325,13 @@ func TestEstimateRecordedAtSubmission(t *testing.T) {
 	}
 	f.grid.Engine.Step()
 	a, _ := cp.Assignment("t1")
-	if _, ok := f.sched.EstimateDB().Lookup("siteA", a.CondorID); !ok {
-		t.Fatal("submission-time estimate not recorded")
+	info, err := f.pools["siteA"].Job(a.CondorID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Estimates.RuntimeSeconds <= 0 || info.EstimatedRuntime != a.Estimates.RuntimeSeconds {
+		t.Fatalf("job ad's EstimatedRuntime = %v, want the submission-time estimate %v",
+			info.EstimatedRuntime, a.Estimates.RuntimeSeconds)
 	}
 }
 

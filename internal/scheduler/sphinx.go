@@ -46,7 +46,6 @@ type Scheduler struct {
 	grid     *simgrid.Grid
 	wake     *simgrid.Wake
 	repo     *monalisa.Repository // nil: score with zero load
-	estDB    *estimator.EstimateDB
 	transfer *estimator.TransferEstimator
 	replicas *replica.Catalog       // optional
 	fair     fairshare.SiteStanding // optional
@@ -126,7 +125,6 @@ func New(cfg Config) *Scheduler {
 	s := &Scheduler{
 		grid:         cfg.Grid,
 		repo:         cfg.Monitor,
-		estDB:        estimator.NewEstimateDB(),
 		transfer:     cfg.Transfer,
 		replicas:     cfg.Replicas,
 		fair:         cfg.FairShare,
@@ -141,10 +139,6 @@ func New(cfg Config) *Scheduler {
 	s.wake = cfg.Grid.Engine.Register(s.onWake)
 	return s
 }
-
-// EstimateDB exposes the submission-time estimate database (shared with
-// the queue-time estimator).
-func (s *Scheduler) EstimateDB() *estimator.EstimateDB { return s.estDB }
 
 // RegisterSite makes an execution site schedulable.
 func (s *Scheduler) RegisterSite(site string, svc *SiteServices) {
@@ -517,9 +511,6 @@ func (s *Scheduler) backlogSecondsUncached(svc *SiteServices) float64 {
 	total := 0.0
 	for _, j := range jobs {
 		est := j.EstimatedRuntime
-		if v, ok := s.estDB.Lookup(j.Pool, j.ID); ok {
-			est = v
-		}
 		if est <= 0 {
 			est = defaultEstimate
 		}
@@ -709,7 +700,6 @@ func (s *Scheduler) submitTask(cp *ConcretePlan, t TaskPlan, est SiteEstimate, c
 	if err != nil {
 		return fmt.Errorf("scheduler: submitting %q to %s: %w", t.ID, est.Site, err)
 	}
-	s.estDB.Record(svc.Pool.Name, id, est.RuntimeSeconds)
 	s.mu.Lock()
 	s.jobIndex[jobKey{pool: svc.Pool.Name, id: id}] = planTask{cp: cp, taskID: t.ID}
 	// The submission changed this site's queue mid-tick; drop its cached

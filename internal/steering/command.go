@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/condor"
+	"repro/internal/estimator"
 	"repro/internal/scheduler"
 )
 
@@ -113,10 +114,10 @@ func orDash(s string) string {
 
 // EstimateCompletion returns the Optimizer's view of the expected time to
 // completion (seconds) for a watched task at its current site: the
-// remaining runtime estimate plus, when queued, the site backlog. Clients
-// use it through the steering API ("the steering service determines the
-// estimated time to completion of a job ... by invoking the estimator
-// service").
+// remaining runtime estimate plus, while the job is idle, its queue time
+// now. Clients use it through the steering API ("the steering service
+// determines the estimated time to completion of a job ... by invoking
+// the estimator service").
 func (s *Service) EstimateCompletion(ref TaskRef) (float64, error) {
 	st, err := s.TaskStatus(ref)
 	if err != nil {
@@ -125,12 +126,16 @@ func (s *Service) EstimateCompletion(ref TaskRef) (float64, error) {
 	if !st.HaveJob {
 		return 0, fmt.Errorf("steering: no live job for %s", ref)
 	}
-	rem := st.Job.RemainingEstimate
-	if rem <= 0 && st.Job.EstimatedRuntime == 0 {
-		rem = st.Assignment.Estimates.RuntimeSeconds - st.Job.WallClock.Seconds()
-		if rem < 0 {
-			rem = 0
-		}
+	if st.Job.Status != condor.StatusIdle {
+		return st.Job.RemainingEstimate, nil
 	}
-	return rem + st.Assignment.Estimates.QueueSeconds, nil
+	svc, ok := s.cfg.Scheduler.SiteServicesFor(st.Assignment.Site)
+	if !ok {
+		return 0, fmt.Errorf("steering: site %q not registered", st.Assignment.Site)
+	}
+	q, err := estimator.QueueTime(svc.Pool, st.Assignment.CondorID)
+	if err != nil {
+		return 0, err
+	}
+	return st.Job.RemainingEstimate + q.Seconds, nil
 }

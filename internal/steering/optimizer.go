@@ -97,7 +97,7 @@ func (s *Service) optimize(w *watched, a scheduler.Assignment, info condor.JobIn
 	if rate >= slownessThreshold {
 		return
 	}
-	target, reason := s.chooseBestSite(w, a)
+	target, reason := s.chooseBestSite(w, a, info.EstimatedRuntime)
 	if target == a.Site {
 		return // nowhere better to go
 	}
@@ -108,8 +108,10 @@ func (s *Service) optimize(w *watched, a scheduler.Assignment, info condor.JobIn
 
 // chooseBestSite applies the optimization preference. "The meaning of
 // 'Best Site' depends on the optimization preference chosen (cheap or
-// fast execution)."
-func (s *Service) chooseBestSite(w *watched, a scheduler.Assignment) (site, reason string) {
+// fast execution)." The cheap preference prices estimate, the runtime
+// estimate in the job's ad (the scheduler stamps a positive one on every
+// job it submits).
+func (s *Service) chooseBestSite(w *watched, a scheduler.Assignment, estimate float64) (site, reason string) {
 	task, ok := w.cp.Plan.Task(w.ref.Task)
 	if !ok {
 		return a.Site, "plan lost"
@@ -121,11 +123,7 @@ func (s *Service) chooseBestSite(w *watched, a scheduler.Assignment) (site, reas
 				candidates = append(candidates, site)
 			}
 		}
-		cpu := a.Estimates.RuntimeSeconds
-		if cpu <= 0 {
-			cpu = task.CPUSeconds
-		}
-		if best, cost, err := s.cfg.Quota.CheapestSite(candidates, cpu, 0); err == nil {
+		if best, cost, err := s.cfg.Quota.CheapestSite(candidates, estimate, 0); err == nil {
 			return best, fmt.Sprintf("cheapest site at %.2f credits", cost)
 		}
 	}

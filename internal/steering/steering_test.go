@@ -1,6 +1,7 @@
 package steering
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -458,6 +459,29 @@ func TestCompletionNotificationAndExecutionState(t *testing.T) {
 	files := f.svc.ExecutionState(TaskRef{Plan: "p1", Task: "t1"})
 	if len(files) != 1 || files[0].Name != "t1.out" {
 		t.Fatalf("execution state = %+v", files)
+	}
+}
+
+// TestCheapMovePricesTheJobsEstimate: the cheap preference prices the
+// runtime estimate the job's ad carries, not the placement-time decision
+// record (which a recovered plan holds zeroed) nor the task's CPU seconds.
+func TestCheapMovePricesTheJobsEstimate(t *testing.T) {
+	f := newFixture(t)
+	f.svc.Preference = PreferCheap
+	f.submit(t, "alice", "p1", primeTask("t1", 283))
+	w, err := f.svc.lookup(TaskRef{Plan: "p1", Task: "t1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const estimate = 1000.0
+	site, reason := f.svc.chooseBestSite(w, scheduler.Assignment{TaskID: "t1", Site: "siteA"}, estimate)
+	_, cost, err := f.quota.CheapestSite([]string{"siteB"}, estimate, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, cpuCost, _ := f.quota.CheapestSite([]string{"siteB"}, 283, 0)
+	if want := fmt.Sprintf("cheapest site at %.2f credits", cost); site != "siteB" || reason != want || cost == cpuCost {
+		t.Fatalf("chooseBestSite = %s, %q; want siteB, %q", site, reason, want)
 	}
 }
 
