@@ -15,13 +15,14 @@ test-race:
 # observability harnesses under the race detector, with a
 # race-instrumented gae-server for the spawning harnesses. First, twenty
 # runs each of the concurrent-submission tests: a pump that launches a
-# task twice, a plan name that two submissions both win, a checkpointed
+# task twice, a plan name that two submissions both win (in the
+# scheduler's plan table, and through core's RPC binding), a checkpointed
 # job the engine goroutine starts before its checkpoint is set, a
 # request ID delivered twice at once and applied twice, concurrent
 # mutations journaled in another order than they were applied, or usage
 # flows racing the fair-share manager's readers, fails here.
 race-smoke:
-	$(GO) test -race -count=20 -run 'TestConcurrentSubmits|TestConcurrentDuplicateDelivery|TestConcurrentMutationsReplayInApplyOrder|TestRunMixedWorkload|TestCheckpointedSubmitBesideRunningEngine|TestConcurrentFlowsBesideReaders' ./internal/scheduler ./internal/core ./internal/loadgen ./internal/condor ./internal/fairshare
+	$(GO) test -race -count=20 -run 'TestConcurrentSubmitsLaunchEachTaskOnce|TestConcurrentSubmitsOfOneName|TestConcurrentDuplicateDelivery|TestConcurrentMutationsReplayInApplyOrder|TestRunMixedWorkload|TestCheckpointedSubmitBesideRunningEngine|TestConcurrentFlowsBesideReaders' ./internal/scheduler ./internal/core ./internal/loadgen ./internal/condor ./internal/fairshare
 	$(GO) build -race -o bin/gae-server-race ./cmd/gae-server
 	$(GO) run -race ./cmd/gae-loadgen -clients 2 -ops 8 -data "$$(mktemp -d)" -json -
 	$(GO) run -race ./cmd/gae-chaos -clients 2 -ops 6 -kills 1 -server bin/gae-server-race

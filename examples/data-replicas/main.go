@@ -46,7 +46,7 @@ func main() {
 	// First analysis pass: wherever it runs, the scheduler stages from
 	// the closest replica (only CERN exists yet).
 	run := func(planName string) {
-		cp, err := gae.SubmitPlan(&scheduler.JobPlan{
+		cp, err := gae.Scheduler.Submit(&scheduler.JobPlan{
 			Name: planName, Owner: "alice",
 			Tasks: []scheduler.TaskPlan{{
 				ID: "analyze", CPUSeconds: 120,

@@ -49,7 +49,7 @@ func main() {
 	}
 
 	// Run a job so caltech's estimator has history.
-	cp, err := fed.Central.SubmitPlan(&scheduler.JobPlan{
+	cp, err := fed.Central.Scheduler.Submit(&scheduler.JobPlan{
 		Name: "train", Owner: "alice",
 		Tasks: []scheduler.TaskPlan{{
 			ID: "t", CPUSeconds: 90,

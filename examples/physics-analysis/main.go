@@ -64,7 +64,7 @@ func main() {
 			},
 		},
 	}
-	cp, err := gae.SubmitPlan(plan)
+	cp, err := gae.Scheduler.Submit(plan)
 	if err != nil {
 		log.Fatal(err)
 	}

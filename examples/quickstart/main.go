@@ -43,7 +43,7 @@ func main() {
 			OutputMB:   25,
 		}},
 	}
-	cp, err := gae.SubmitPlan(plan)
+	cp, err := gae.Scheduler.Submit(plan)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -330,19 +330,6 @@ func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
 // Draining reports whether the host is refusing calls ahead of a stop.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-// Kill abruptly closes the HTTP server without waiting for in-flight
-// requests — the chaos harness's stand-in for a crash.
-func (s *Server) Kill() error {
-	s.mu.Lock()
-	srv := s.httpSrv
-	s.httpSrv = nil
-	s.mu.Unlock()
-	if srv == nil {
-		return nil
-	}
-	return srv.Close()
-}
-
 // Stop shuts the HTTP listener down.
 func (s *Server) Stop() error {
 	s.mu.Lock()

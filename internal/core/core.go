@@ -106,13 +106,8 @@ type GAE struct {
 	// records into it, and the Clarens host serves it at /metrics.
 	Telemetry *telemetry.Registry
 
-	pools map[string]*condor.Pool
-
 	obs   *rpcObserver         // per-method RPC handles over Telemetry
 	trace *telemetry.TraceRing // recent RPC spans, served at /debug/rpcs
-
-	planMu sync.Mutex
-	plans  map[string]*scheduler.ConcretePlan
 
 	// persistMu orders every mutation: a journaled RPC holds it from the
 	// window lookup to the window record (journalCall), Checkpoint and
@@ -155,16 +150,15 @@ func New(cfg Config) *GAE {
 		MonALISA:  repo,
 		Quota:     q,
 		Telemetry: reg,
-		pools:     make(map[string]*condor.Pool),
-		plans:     make(map[string]*scheduler.ConcretePlan),
 		idem:      newIdemWindow(),
 		obs:       newRPCObserver(reg),
 		trace:     telemetry.NewTraceRing(0),
 	}
 	g.idem.setTelemetry(reg)
 
-	// Sites, nodes, pools.
-	for _, spec := range cfg.Sites {
+	// Sites, nodes, pools, in cfg.Sites order.
+	pools := make([]*condor.Pool, len(cfg.Sites))
+	for i, spec := range cfg.Sites {
 		site := grid.AddSite(spec.Name)
 		pool := condor.NewPool(spec.Name, grid, site)
 		pool.SetTelemetry(reg)
@@ -176,7 +170,7 @@ func New(cfg Config) *GAE {
 			n := site.AddNode(grid.Engine, fmt.Sprintf("%s-n%d", spec.Name, i), 1, spec.Load)
 			pool.AddMachine(n, nil)
 		}
-		g.pools[spec.Name] = pool
+		pools[i] = pool
 		q.SetRate(spec.Name, quota.Rate{
 			CPUSecond:  spec.CostPerCPUSecond,
 			TransferMB: spec.CostPerTransferMB,
@@ -209,7 +203,7 @@ func New(cfg Config) *GAE {
 			fscfg.Clock = grid.Engine.Clock()
 		}
 		g.FairShare = fairshare.NewManager(fscfg)
-		for _, pool := range g.pools {
+		for _, pool := range pools {
 			pool.SetFairShare(g.FairShare)
 		}
 		q.Subscribe(func(c quota.Charge) {
@@ -238,8 +232,8 @@ func New(cfg Config) *GAE {
 		FairShare: g.FairShare,
 		Telemetry: reg,
 	})
-	for name, pool := range g.pools {
-		g.Scheduler.RegisterSite(name, &scheduler.SiteServices{
+	for _, pool := range pools {
+		g.Scheduler.RegisterSite(pool.Name, &scheduler.SiteServices{
 			Pool:    pool,
 			Runtime: estimator.NewRuntimeEstimator(estimator.NewHistory(0)),
 		})
@@ -247,7 +241,7 @@ func New(cfg Config) *GAE {
 
 	// Job monitoring.
 	g.JobMon = jobmon.NewService(grid, repo)
-	for _, pool := range g.pools {
+	for _, pool := range pools {
 		g.JobMon.Watch(pool)
 	}
 
@@ -340,10 +334,14 @@ func (g *GAE) PutDataset(site, name string, sizeMB float64) error {
 	return g.Replicas.Register(name, site, sizeMB)
 }
 
-// Pool returns a site's execution service.
+// Pool returns a site's execution service, as the scheduler's site table
+// holds it.
 func (g *GAE) Pool(site string) (*condor.Pool, bool) {
-	p, ok := g.pools[site]
-	return p, ok
+	svc, ok := g.Scheduler.SiteServicesFor(site)
+	if !ok {
+		return nil, false
+	}
+	return svc.Pool, true
 }
 
 // Sites returns the deployment's site names, sorted.
@@ -358,34 +356,6 @@ func (g *GAE) Stop() error { return g.Clarens.Stop() }
 
 // Handler exposes the Clarens host for in-process HTTP testing.
 func (g *GAE) Handler() http.Handler { return g.Clarens }
-
-// SubmitPlan validates and schedules an abstract job plan, registering
-// the concrete plan under the plan's name for later lookup (including by
-// the scheduler's XML-RPC facade). The name check and the registration
-// are one critical section, so of concurrent submissions of one name
-// exactly one succeeds; nothing under Scheduler.Submit calls back into
-// core.
-func (g *GAE) SubmitPlan(plan *scheduler.JobPlan) (*scheduler.ConcretePlan, error) {
-	g.planMu.Lock()
-	defer g.planMu.Unlock()
-	if _, dup := g.plans[plan.Name]; dup {
-		return nil, fmt.Errorf("core: plan %q already submitted", plan.Name)
-	}
-	cp, err := g.Scheduler.Submit(plan)
-	if err != nil {
-		return nil, err
-	}
-	g.plans[plan.Name] = cp
-	return cp, nil
-}
-
-// Plan returns a previously submitted plan by name.
-func (g *GAE) Plan(name string) (*scheduler.ConcretePlan, bool) {
-	g.planMu.Lock()
-	defer g.planMu.Unlock()
-	cp, ok := g.plans[name]
-	return cp, ok
-}
 
 // RunUntilDone advances simulated time until the plan reaches a terminal
 // state or max simulated time passes.

@@ -65,7 +65,7 @@ func TestNewValidation(t *testing.T) {
 
 func TestEndToEndPlanExecution(t *testing.T) {
 	g := New(twoSiteConfig())
-	cp, err := g.SubmitPlan(primePlan("alice", "p1", 60))
+	cp, err := g.Scheduler.Submit(primePlan("alice", "p1", 60))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestServicesRequireAuthentication(t *testing.T) {
 
 func TestJobMonOverRPC(t *testing.T) {
 	g, c := startGAE(t, twoSiteConfig())
-	cp, err := g.SubmitPlan(primePlan("alice", "p1", 200))
+	cp, err := g.Scheduler.Submit(primePlan("alice", "p1", 200))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestJobMonOverRPC(t *testing.T) {
 func TestSteeringOverRPC(t *testing.T) {
 	g, c := startGAE(t, twoSiteConfig())
 	g.Steering.AutoSteer = false
-	if _, err := g.SubmitPlan(primePlan("alice", "p1", 300)); err != nil {
+	if _, err := g.Scheduler.Submit(primePlan("alice", "p1", 300)); err != nil {
 		t.Fatal(err)
 	}
 	g.Run(5 * time.Second)
@@ -229,7 +229,7 @@ func TestSteeringOverRPC(t *testing.T) {
 func TestSteeringRPCAuthorization(t *testing.T) {
 	g, _ := startGAE(t, twoSiteConfig())
 	g.Steering.AutoSteer = false
-	if _, err := g.SubmitPlan(primePlan("alice", "p1", 300)); err != nil {
+	if _, err := g.Scheduler.Submit(primePlan("alice", "p1", 300)); err != nil {
 		t.Fatal(err)
 	}
 	g.Run(5 * time.Second)
@@ -259,7 +259,7 @@ func TestEstimatorOverRPC(t *testing.T) {
 	g, c := startGAE(t, twoSiteConfig())
 	ctx := context.Background()
 	// Train siteA's history by completing a plan there.
-	cp, err := g.SubmitPlan(primePlan("alice", "warmup", 120))
+	cp, err := g.Scheduler.Submit(primePlan("alice", "warmup", 120))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,12 +291,12 @@ func TestEstimatorOverRPC(t *testing.T) {
 	pool, _ := g.Pool("siteA")
 	hog := primePlan("alice", "hog", 1000)
 	hog.Tasks[0].Priority = 9
-	if _, err := g.SubmitPlan(hog); err != nil {
+	if _, err := g.Scheduler.Submit(hog); err != nil {
 		t.Fatal(err)
 	}
 	g.Run(3 * time.Second)
 	low := primePlan("alice", "low", 50)
-	cpLow, err := g.SubmitPlan(low)
+	cpLow, err := g.Scheduler.Submit(low)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +351,7 @@ func TestFigure7ScenarioInProcess(t *testing.T) {
 	// Make siteB look busy at decision time so the job starts at siteA.
 	g.MonALISA.Publish("siteB", "LoadAvg", g.Now(), 0.95)
 	job := workload.PaperPrimeJob()
-	cp, err := g.SubmitPlan(primePlan("alice", "primes", job.CPUSeconds()))
+	cp, err := g.Scheduler.Submit(primePlan("alice", "primes", job.CPUSeconds()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -524,7 +524,7 @@ func TestMonitorRPC(t *testing.T) {
 		t.Fatalf("sites = %v, %v", sitesRows, err)
 	}
 	// Job events appear after a plan runs.
-	if _, err := g.SubmitPlan(primePlan("alice", "evplan", 10)); err != nil {
+	if _, err := g.Scheduler.Submit(primePlan("alice", "evplan", 10)); err != nil {
 		t.Fatal(err)
 	}
 	g.Run(20 * time.Second)
@@ -545,7 +545,7 @@ func TestReplicaDrivenPlanOverCore(t *testing.T) {
 	}
 	plan := primePlan("alice", "dataplan", 40)
 	plan.Tasks[0].Inputs = []scheduler.FileRef{{Name: "big.raw"}} // catalog-resolved
-	cp, err := g.SubmitPlan(plan)
+	cp, err := g.Scheduler.Submit(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -628,7 +628,7 @@ func TestFederationDiscoveryAndSiteServices(t *testing.T) {
 
 	// Train siteA's history, then call its site-local estimator directly
 	// at the discovered endpoint using the same session token.
-	cp, err := g.SubmitPlan(primePlan("alice", "train", 100))
+	cp, err := g.Scheduler.Submit(primePlan("alice", "train", 100))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,7 +42,7 @@ func runCoreScenario(t *testing.T, run func(*GAE, time.Duration)) *coreTrace {
 		t.Fatal(err)
 	}
 
-	cp, err := g.SubmitPlan(&scheduler.JobPlan{
+	cp, err := g.Scheduler.Submit(&scheduler.JobPlan{
 		Name: "analysis", Owner: "physicist",
 		Tasks: []scheduler.TaskPlan{
 			{ID: "prep", CPUSeconds: 30, Queue: "short", Nodes: 1, OutputFile: "prep.out", OutputMB: 50},

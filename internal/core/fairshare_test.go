@@ -21,7 +21,7 @@ func TestFairShareWiring(t *testing.T) {
 	}
 
 	// Execution feeds usage: run a plan to completion.
-	cp, err := g.SubmitPlan(&scheduler.JobPlan{
+	cp, err := g.Scheduler.Submit(&scheduler.JobPlan{
 		Name: "p", Owner: "alice",
 		Tasks: []scheduler.TaskPlan{{
 			ID: "main", CPUSeconds: 30,

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -95,14 +94,11 @@ func (g *GAE) CaptureState() (durable.State, error) {
 // The ledger is emitted from entry ledgerFrom on: everything for a
 // capture, what the store's history segment lacks for a checkpoint.
 func (g *GAE) emitStateLocked(ledgerFrom int, emit durable.Emit) error {
-	names := make([]string, 0, len(g.pools))
-	for name := range g.pools {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	pools := make([]durable.PoolState, 0, len(names))
-	for _, name := range names {
-		pools = append(pools, g.pools[name].Export(DefaultLeaseTTL))
+	sites := g.Scheduler.Sites()
+	pools := make([]durable.PoolState, 0, len(sites))
+	for _, site := range sites {
+		pool, _ := g.Pool(site)
+		pools = append(pools, pool.Export(DefaultLeaseTTL))
 	}
 	emit("pools", pools)
 	var fair *durable.FairShareState
@@ -150,17 +146,13 @@ func (g *GAE) exportEstimator() *durable.EstimatorState {
 	return &est
 }
 
+// exportPlans captures the scheduler's plan table, sorted by name; an
+// empty table is an empty list, never null.
 func (g *GAE) exportPlans() ([]durable.PlanState, error) {
-	g.planMu.Lock()
-	defer g.planMu.Unlock()
-	names := make([]string, 0, len(g.plans))
-	for name := range g.plans {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	plans := make([]durable.PlanState, 0, len(names))
-	for _, name := range names {
-		cp := g.plans[name]
+	cps := g.Scheduler.Plans()
+	plans := make([]durable.PlanState, 0, len(cps))
+	for _, cp := range cps {
+		name := cp.Plan.Name
 		spec, err := json.Marshal(PlanSpecOf(cp.Plan))
 		if err != nil {
 			return nil, fmt.Errorf("core: encoding plan %q: %w", name, err)
@@ -225,7 +217,7 @@ func (g *GAE) RestoreState(simTime time.Time, st *durable.State) error {
 	}
 
 	for _, ps := range st.Pools {
-		pool, ok := g.pools[ps.Name]
+		pool, ok := g.Pool(ps.Name)
 		if !ok {
 			return fmt.Errorf("core: snapshot names unknown site %q", ps.Name)
 		}
@@ -243,13 +235,9 @@ func (g *GAE) RestoreState(simTime time.Time, st *durable.State) error {
 		if err != nil {
 			return fmt.Errorf("core: rebuilding plan %q: %w", pl.Name, err)
 		}
-		cp, err := g.Scheduler.RestorePlan(plan, pl.Tasks)
-		if err != nil {
+		if _, err := g.Scheduler.RestorePlan(plan, pl.Tasks); err != nil {
 			return err
 		}
-		g.planMu.Lock()
-		g.plans[pl.Name] = cp
-		g.planMu.Unlock()
 	}
 	g.Scheduler.Pump()
 	return nil

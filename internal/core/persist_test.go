@@ -3,11 +3,13 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -189,7 +191,7 @@ func TestCrashRecoveryByteIdentical(t *testing.T) {
 
 	// The recovered deployment is live: the mid-flight plan runs to
 	// completion on its re-bound lease.
-	cp, ok := g2.Plan("p-long")
+	cp, ok := g2.Scheduler.Plan("p-long")
 	if !ok {
 		t.Fatal("recovered deployment lost plan p-long")
 	}
@@ -329,7 +331,9 @@ func serveDoc(t *testing.T, g *GAE, body []byte) []byte {
 // TestJobmonAnswersSameAcrossRestart: a finished job's monitoring record
 // lives in the pool, which the durable store snapshots — jobmon's record
 // of it is memory only. Across a kill and a recovery from the same directory
-// jobmon.info and jobmon.list answer with the same bytes.
+// jobmon.info and jobmon.list answer with the same bytes. So do
+// steering.jobs and a restored task's steering.status: steering reads the
+// plans the scheduler restored, nothing of its own.
 func TestJobmonAnswersSameAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
 	cfg := durableConfig()
@@ -357,13 +361,19 @@ func TestJobmonAnswersSameAcrossRestart(t *testing.T) {
 	if _, err := alice.Submit(ctx, specOf("p-tail", 45)); err != nil {
 		t.Fatal(err)
 	}
-	cp, ok := g1.Plan("p-done")
+	cp, ok := g1.Scheduler.Plan("p-done")
 	if !ok {
 		t.Fatal("no plan p-done")
 	}
 	a, _ := cp.Assignment("main")
 	info := serveRaw(t, g1, "jobmon.info", a.Site, a.CondorID)
 	list := serveRaw(t, g1, "jobmon.list", a.Site)
+	jobs := serveRaw(t, g1, "steering.jobs")
+	status := serveRaw(t, g1, "steering.status", "p-long", "main")
+	var st gae.SteeringStatus
+	if err := xmlrpc.DecodeResponseInto(bytes.NewReader(status), &st); err != nil || st.Plan != "p-long" {
+		t.Fatalf("steering.status before the kill = %+v, %v", st, err)
+	}
 	var job gae.JobInfo
 	if err := xmlrpc.DecodeResponseInto(bytes.NewReader(info), &job); err != nil || job.Status != "completed" {
 		t.Fatalf("jobmon.info before the kill = %+v, %v; want a completed job", job, err)
@@ -392,6 +402,12 @@ func TestJobmonAnswersSameAcrossRestart(t *testing.T) {
 	}
 	if got := serveRaw(t, g2, "jobmon.list", a.Site); !bytes.Equal(got, list) {
 		t.Errorf("jobmon.list after recovery:\n got %s\nwant %s", got, list)
+	}
+	if got := serveRaw(t, g2, "steering.jobs"); !bytes.Equal(got, jobs) {
+		t.Errorf("steering.jobs after recovery:\n got %s\nwant %s", got, jobs)
+	}
+	if got := serveRaw(t, g2, "steering.status", "p-long", "main"); !bytes.Equal(got, status) {
+		t.Errorf("steering.status of a restored task after recovery:\n got %s\nwant %s", got, status)
 	}
 }
 
@@ -442,7 +458,7 @@ func TestCompletionEstimateSameAcrossRestart(t *testing.T) {
 	}
 	var running, queued *probe
 	for _, name := range names {
-		cp, ok := g1.Plan(name)
+		cp, ok := g1.Scheduler.Plan(name)
 		if !ok {
 			t.Fatalf("no plan %s", name)
 		}
@@ -806,7 +822,7 @@ func TestSurplusArgumentsAreRejectedAndNotJournaled(t *testing.T) {
 	if err := g.AttachStore(s); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := g.SubmitPlan(primePlan("alice", "p1", 300)); err != nil {
+	if _, err := g.Scheduler.Submit(primePlan("alice", "p1", 300)); err != nil {
 		t.Fatal(err)
 	}
 	g.Run(5 * time.Second)
@@ -890,6 +906,24 @@ func TestReplicaAtUnknownSiteIsRejected(t *testing.T) {
 	defer s3.Close()
 	if got := encodeState(t, g3); !bytes.Equal(want, got) {
 		diffLines(t, want, got)
+	}
+}
+
+// TestDuplicatePlanInSnapshotIsRejected: a snapshot whose plans section
+// names one plan twice does not restore. The scheduler registers a plan
+// name once, restored or submitted, so the second entry is refused rather
+// than scheduled beside the first where nothing could reach it by name.
+func TestDuplicatePlanInSnapshotIsRejected(t *testing.T) {
+	g := New(twoSiteConfig())
+	spec, err := json.Marshal(specOf("twice", 30))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := durable.PlanState{Name: "twice", Owner: "alice", Spec: spec}
+	st := durable.State{Plans: []durable.PlanState{plan, plan}}
+	err = g.RestoreState(g.Now(), &st)
+	if err == nil || !strings.Contains(err.Error(), "already submitted") {
+		t.Fatalf("RestoreState of a plan named twice: err = %v, want already submitted", err)
 	}
 }
 

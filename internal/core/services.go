@@ -101,14 +101,14 @@ func (s schedulerAPI) Submit(ctx context.Context, spec gae.PlanSpec) (string, er
 	if err != nil {
 		return "", err
 	}
-	if _, err := s.g.SubmitPlan(plan); err != nil {
+	if _, err := s.g.Scheduler.Submit(plan); err != nil {
 		return "", err
 	}
 	return plan.Name, nil
 }
 
 func (s schedulerAPI) Plan(_ context.Context, name string) (gae.PlanStatus, error) {
-	cp, ok := s.g.Plan(name)
+	cp, ok := s.g.Scheduler.Plan(name)
 	if !ok {
 		return gae.PlanStatus{}, fmt.Errorf("no plan %q", name)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -75,7 +76,7 @@ func TestLargeDAGCampaign(t *testing.T) {
 	}
 	plan.Tasks = append(plan.Tasks, final)
 
-	cp, err := g.SubmitPlan(plan)
+	cp, err := g.Scheduler.Submit(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,12 @@ func TestLargeDAGCampaign(t *testing.T) {
 	}
 
 	// Work spread across sites.
-	sites := cp.Sites()
+	var sites []string
+	for _, a := range cp.Assignments() {
+		if !slices.Contains(sites, a.Site) {
+			sites = append(sites, a.Site)
+		}
+	}
 	if len(sites) < 2 {
 		t.Fatalf("all 30 tasks ran at %v", sites)
 	}
@@ -150,7 +156,7 @@ func TestChaosRecoveryCampaign(t *testing.T) {
 
 	var plans []*scheduler.ConcretePlan
 	for i := 0; i < 6; i++ {
-		cp, err := g.SubmitPlan(&scheduler.JobPlan{
+		cp, err := g.Scheduler.Submit(&scheduler.JobPlan{
 			Name: fmt.Sprintf("chaos%d", i), Owner: "alice",
 			Tasks: []scheduler.TaskPlan{{
 				ID: "work", CPUSeconds: float64(100 + 20*i),
@@ -209,7 +215,7 @@ func TestManyUsersQuotaIsolation(t *testing.T) {
 	g := New(cfg)
 	var cps []*scheduler.ConcretePlan
 	for i := 0; i < 4; i++ {
-		cp, err := g.SubmitPlan(&scheduler.JobPlan{
+		cp, err := g.Scheduler.Submit(&scheduler.JobPlan{
 			Name: fmt.Sprintf("u%dplan", i), Owner: fmt.Sprintf("user%d", i),
 			Tasks: []scheduler.TaskPlan{{
 				ID: "t", CPUSeconds: 50,

@@ -209,7 +209,7 @@ func TestFig6StopReturnsPromptly(t *testing.T) {
 		for i := range tasks {
 			tasks[i] = scheduler.TaskPlan{ID: fmt.Sprintf("t%d", i), CPUSeconds: 50, Queue: "short", Partition: "gae", Nodes: 1, JobType: "batch"}
 		}
-		if _, err := g.SubmitPlan(&scheduler.JobPlan{Name: "load", Owner: "client", Tasks: tasks}); err != nil {
+		if _, err := g.Scheduler.Submit(&scheduler.JobPlan{Name: "load", Owner: "client", Tasks: tasks}); err != nil {
 			t.Fatal(err)
 		}
 		g.Run(60 * time.Second)

@@ -75,7 +75,7 @@ func Fig6(cfg Fig6Config) (*Fig6Result, error) {
 			Queue: "short", Partition: "gae", Nodes: 1, JobType: "batch",
 		}
 	}
-	if _, err := g.SubmitPlan(&scheduler.JobPlan{Name: "load", Owner: "client", Tasks: tasks}); err != nil {
+	if _, err := g.Scheduler.Submit(&scheduler.JobPlan{Name: "load", Owner: "client", Tasks: tasks}); err != nil {
 		return nil, err
 	}
 	g.Run(60 * time.Second) // some complete, some run, some queue

@@ -84,7 +84,7 @@ func Fig7(cfg Fig7Config) (*Fig7Result, error) {
 	g.MonALISA.Publish("siteB", "LoadAvg", epoch, 0.95)
 
 	// The steered job goes through the full scheduler/steering path.
-	cp, err := g.SubmitPlan(&scheduler.JobPlan{
+	cp, err := g.Scheduler.Submit(&scheduler.JobPlan{
 		Name: "primes", Owner: "physicist",
 		Tasks: []scheduler.TaskPlan{{
 			ID: "main", CPUSeconds: freeCPU,

@@ -50,7 +50,7 @@ func TestRunMixedWorkload(t *testing.T) {
 			res.P50Millis, res.P95Millis, res.P99Millis)
 	}
 	// The workload's plans really landed in the deployment.
-	if _, ok := g.Plan("load-w0-0"); !ok {
+	if _, ok := g.Scheduler.Plan("load-w0-0"); !ok {
 		t.Fatal("worker 0's first plan not found in the deployment")
 	}
 }

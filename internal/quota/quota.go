@@ -188,15 +188,3 @@ func (s *Service) Charge(user, site string, cpuSeconds, mb float64, at time.Time
 	}
 	return cost, nil
 }
-
-// Sites lists the sites with configured rates, sorted.
-func (s *Service) Sites() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.rates))
-	for site := range s.rates {
-		out = append(out, site)
-	}
-	sort.Strings(out)
-	return out
-}

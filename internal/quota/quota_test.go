@@ -146,16 +146,6 @@ func TestLedger(t *testing.T) {
 	}
 }
 
-func TestSitesSorted(t *testing.T) {
-	s := NewService()
-	s.SetRate("z", Rate{})
-	s.SetRate("a", Rate{})
-	got := s.Sites()
-	if len(got) != 2 || got[0] != "a" || got[1] != "z" {
-		t.Fatalf("Sites = %v", got)
-	}
-}
-
 func TestSubscribeNotifiesSuccessfulChargesOnly(t *testing.T) {
 	s := NewService()
 	s.SetRate("caltech", Rate{CPUSecond: 0.01, TransferMB: 0.001})

@@ -61,7 +61,7 @@ type Assignment struct {
 
 // ConcretePlan is the scheduler's output: "a job plan precisely describing
 // the nodes where the job will be executed", which the Steering Service's
-// Subscriber analyzes for the list of execution services in play.
+// Subscriber reads from the scheduler's plan table.
 type ConcretePlan struct {
 	Plan *JobPlan
 
@@ -97,25 +97,6 @@ func (cp *ConcretePlan) Assignments() []Assignment {
 		out = append(out, *a)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].TaskID < out[j].TaskID })
-	return out
-}
-
-// Sites returns the distinct execution sites this plan touches — what the
-// steering Subscriber extracts.
-func (cp *ConcretePlan) Sites() []string {
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
-	set := make(map[string]bool)
-	for _, a := range cp.assignments {
-		if a.Site != "" {
-			set[a.Site] = true
-		}
-	}
-	out := make([]string, 0, len(set))
-	for s := range set {
-		out = append(out, s)
-	}
-	sort.Strings(out)
 	return out
 }
 

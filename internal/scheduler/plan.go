@@ -13,8 +13,9 @@
 //   - it "select[s] a site that has the least estimated run time and
 //     where the queue time for the task is a minimum", also accounting
 //     for input-file transfer time;
-//   - the resulting concrete job plan (tasks bound to sites) is sent to
-//     the Steering Service, which subscribes to plan announcements;
+//   - the resulting concrete job plan (tasks bound to sites) stays in
+//     the scheduler's plan table, the one registry of plans, which the
+//     Steering Service reads;
 //   - the Steering Service sends "requests for job redirection ... to the
 //     scheduler", handled here by Reschedule;
 //   - a failed task stays failed until "the Backup and Recovery module

@@ -3,7 +3,9 @@ package scheduler
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -489,23 +491,29 @@ func TestSchedulerMarksCondorFailure(t *testing.T) {
 	}
 }
 
-func TestPlanSubscriberReceivesConcretePlan(t *testing.T) {
+// TestSubmitRegistersPlanOnce: a submitted plan is in the plan table
+// under its name, and a second plan of that name is refused, leaving the
+// first in place.
+func TestSubmitRegistersPlanOnce(t *testing.T) {
 	f := newFixture(t, map[string]struct {
 		nodes int
 		load  float64
 	}{"siteA": {1, 0}})
-	var got *ConcretePlan
-	f.sched.SubscribePlans(func(cp *ConcretePlan) { got = cp })
 	cp, err := f.sched.Submit(simplePlan("alice", task("t1", 10)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != cp {
-		t.Fatal("subscriber did not receive the plan")
+	if got, ok := f.sched.Plan("plan-alice"); !ok || got != cp {
+		t.Fatalf("Plan(plan-alice) = %p, %v; want the submitted plan", got, ok)
 	}
-	f.grid.Engine.Step()
-	if sites := cp.Sites(); len(sites) != 1 || sites[0] != "siteA" {
-		t.Fatalf("plan sites = %v", sites)
+	if _, err := f.sched.Submit(simplePlan("alice", task("t2", 10))); err == nil || !strings.Contains(err.Error(), "already submitted") {
+		t.Fatalf("second submission of one name: err = %v, want already submitted", err)
+	}
+	if plans := f.sched.Plans(); len(plans) != 1 || plans[0] != cp {
+		t.Fatalf("Plans() = %v, want only the first plan", plans)
+	}
+	if _, ok := f.sched.Plan("ghost"); ok {
+		t.Fatal("Plan(ghost) found a plan")
 	}
 }
 
@@ -812,5 +820,33 @@ func TestConcurrentSubmitsLaunchEachTaskOnce(t *testing.T) {
 			t.Fatalf("plan %d names job %d at %s, already another plan's", i, a.CondorID, a.Site)
 		}
 		named[k] = true
+	}
+}
+
+// TestConcurrentSubmitsOfOneName: of concurrent submissions of one plan
+// name, exactly one succeeds and the plan table holds one plan.
+func TestConcurrentSubmitsOfOneName(t *testing.T) {
+	f := newFixture(t, map[string]struct {
+		nodes int
+		load  float64
+	}{"siteA": {4, 0}, "siteB": {4, 0}})
+	const n = 8
+	var wg sync.WaitGroup
+	var won atomic.Int32
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := f.sched.Submit(&JobPlan{Name: "same", Owner: "u", Tasks: []TaskPlan{task("a", 100)}}); err == nil {
+				won.Add(1)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := won.Load(); got != 1 {
+		t.Fatalf("%d of %d concurrent submissions of one name succeeded, want 1", got, n)
+	}
+	if plans := f.sched.Plans(); len(plans) != 1 {
+		t.Fatalf("the plan table holds %d plans, want 1", len(plans))
 	}
 }

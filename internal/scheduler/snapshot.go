@@ -25,11 +25,10 @@ func ExportTasks(cp *ConcretePlan) []durable.PlanTaskState {
 	return out
 }
 
-// RestorePlan rebuilds a submitted plan from its exported bindings: the
-// concrete plan re-registers with the scheduler, submitted tasks rejoin
-// the job index (so pool completions find their plan again), and the plan
-// is announced to subscribers exactly as a fresh submission would be — the
-// steering service re-learns its watches through the same channel. Tasks
+// RestorePlan rebuilds a submitted plan from its exported bindings and
+// registers it the way Submit does (add): the plan rejoins the plan
+// table, where the steering service finds it, a name the table already
+// holds is refused, and submitted tasks rejoin the job index. Tasks
 // captured mid-staging restart as pending: their in-flight transfers died
 // with the process, so the next pump re-stages them.
 func (s *Scheduler) RestorePlan(plan *JobPlan, tasks []durable.PlanTaskState) (*ConcretePlan, error) {
@@ -52,20 +51,8 @@ func (s *Scheduler) RestorePlan(plan *JobPlan, tasks []durable.PlanTaskState) (*
 			a.Site, a.CondorID = "", 0
 		}
 	}
-	s.mu.Lock()
-	s.pending = append(s.pending, cp)
-	for _, a := range cp.assignments {
-		if a.State == TaskSubmitted && a.Site != "" {
-			if svc := s.sites[a.Site]; svc != nil {
-				s.jobIndex[jobKey{pool: svc.Pool.Name, id: a.CondorID}] = planTask{cp: cp, taskID: a.TaskID}
-			}
-		}
-	}
-	subs := make([]func(*ConcretePlan), len(s.planSubs))
-	copy(subs, s.planSubs)
-	s.mu.Unlock()
-	for _, fn := range subs {
-		fn(cp)
+	if err := s.add(cp); err != nil {
+		return nil, err
 	}
 	return cp, nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -56,12 +57,14 @@ type Scheduler struct {
 
 	mu    sync.Mutex
 	sites map[string]*SiteServices
+	// plans is the plan table: every submitted or restored plan by name,
+	// the one place a plan is registered and looked up.
+	plans map[string]*ConcretePlan
 	// pending holds, in submission order, the plans that may still have a
 	// task waiting to launch — what pump walks. A task is pending only
 	// from its plan's creation (or restoration) until its one launch, so a
 	// plan leaves the list for good.
 	pending  []*ConcretePlan
-	planSubs []func(*ConcretePlan)
 	jobIndex map[jobKey]planTask
 	events   []condor.Event
 
@@ -129,6 +132,7 @@ func New(cfg Config) *Scheduler {
 		replicas:     cfg.Replicas,
 		fair:         cfg.FairShare,
 		sites:        make(map[string]*SiteServices),
+		plans:        make(map[string]*ConcretePlan),
 		jobIndex:     make(map[jobKey]planTask),
 		backlogCache: make(map[string]float64),
 	}
@@ -187,38 +191,68 @@ func (s *Scheduler) SiteServicesFor(site string) (*SiteServices, bool) {
 	return svc, ok
 }
 
-// SubscribePlans registers a callback invoked with every new concrete
-// plan — how the Steering Service's Subscriber receives plans.
-func (s *Scheduler) SubscribePlans(fn func(*ConcretePlan)) {
-	if fn == nil {
-		panic("scheduler: SubscribePlans with nil callback")
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.planSubs = append(s.planSubs, fn)
-}
-
-// Submit validates an abstract plan, creates its concrete plan, announces
-// it to subscribers, and begins scheduling ready tasks.
+// Submit validates an abstract plan, registers its concrete plan under
+// the plan's name in the plan table — a plan's one home (ROADMAP "A
+// finished job has one home, and what the system holds is bounded by
+// what is live") — and begins scheduling ready tasks. Of concurrent
+// submissions of one name exactly one succeeds (see add).
 func (s *Scheduler) Submit(plan *JobPlan) (*ConcretePlan, error) {
 	if err := plan.Validate(); err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	if len(s.sites) == 0 {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("scheduler: no registered sites")
-	}
 	cp := newConcretePlan(plan)
-	s.pending = append(s.pending, cp)
-	subs := make([]func(*ConcretePlan), len(s.planSubs))
-	copy(subs, s.planSubs)
-	s.mu.Unlock()
-	for _, fn := range subs {
-		fn(cp)
+	if err := s.add(cp); err != nil {
+		return nil, err
 	}
 	s.pump()
 	return cp, nil
+}
+
+// add registers cp in the plan table and hands it to pump; its submitted
+// tasks (a restored plan's) rejoin the job index, so pool completions find
+// their plan again. It is the one way a plan enters the table — Submit's
+// and RestorePlan's — and the name check and the registration are one
+// critical section, so no name ever holds two plans.
+func (s *Scheduler) add(cp *ConcretePlan) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.sites) == 0 {
+		return fmt.Errorf("scheduler: no registered sites")
+	}
+	name := cp.Plan.Name
+	if _, dup := s.plans[name]; dup {
+		return fmt.Errorf("scheduler: plan %q already submitted", name)
+	}
+	s.plans[name] = cp
+	s.pending = append(s.pending, cp)
+	for _, a := range cp.assignments {
+		if a.State == TaskSubmitted && a.Site != "" {
+			if svc := s.sites[a.Site]; svc != nil {
+				s.jobIndex[jobKey{pool: svc.Pool.Name, id: a.CondorID}] = planTask{cp: cp, taskID: a.TaskID}
+			}
+		}
+	}
+	return nil
+}
+
+// Plan returns the registered plan by name.
+func (s *Scheduler) Plan(name string) (*ConcretePlan, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	cp, ok := s.plans[name]
+	return cp, ok
+}
+
+// Plans returns every registered plan, sorted by name.
+func (s *Scheduler) Plans() []*ConcretePlan {
+	s.mu.Lock()
+	out := make([]*ConcretePlan, 0, len(s.plans))
+	for _, cp := range s.plans {
+		out = append(out, cp)
+	}
+	s.mu.Unlock()
+	slices.SortFunc(out, func(a, b *ConcretePlan) int { return strings.Compare(a.Plan.Name, b.Plan.Name) })
+	return out
 }
 
 // onWake processes queued execution-service events, then launches any

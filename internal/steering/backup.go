@@ -17,26 +17,27 @@ const serviceFailureGrace = 20 * time.Second
 // handleServiceFailure reacts to a dead execution service: after the
 // grace period, the module "contacts Sphinx to allocate a new execution
 // service" and the scheduler resubmits the job there.
-func (s *Service) handleServiceFailure(w *watched, a scheduler.Assignment, now time.Time) {
+func (s *Service) handleServiceFailure(w watched, a scheduler.Assignment, now time.Time) {
 	s.mu.Lock()
-	if w.downSince.IsZero() {
-		w.downSince = now
+	st := s.steeredLocked(w.ref)
+	if st.downSince.IsZero() {
+		st.downSince = now
 	}
-	waited := now.Sub(w.downSince)
-	handled := w.downHandled
+	waited := now.Sub(st.downSince)
+	handled := st.downHandled
 	s.mu.Unlock()
 	if handled || waited < serviceFailureGrace {
 		return
 	}
 	s.mu.Lock()
-	w.downHandled = true
+	st.downHandled = true
 	s.mu.Unlock()
-	s.notify(w.owner, Notification{
+	s.notify(w.owner(), Notification{
 		Time: now, Plan: w.ref.Plan, Task: w.ref.Task, Kind: "service-failure",
 		Message: fmt.Sprintf("execution service at %s unresponsive for %v; reallocating", a.Site, waited),
 	})
 	if na, err := s.cfg.Scheduler.Resubmit(w.cp, w.ref.Task); err == nil {
-		s.notify(w.owner, Notification{
+		s.notify(w.owner(), Notification{
 			Time: now, Plan: w.ref.Plan, Task: w.ref.Task, Kind: "recovered",
 			Message: fmt.Sprintf("task %s resubmitted to %s after service failure at %s",
 				w.ref, na.Site, a.Site),
@@ -48,16 +49,12 @@ func (s *Service) handleServiceFailure(w *watched, a scheduler.Assignment, now t
 // Steering Service notifies the client about the failure. It then
 // contacts the execution service to get all the local files that were
 // produced by the failed job."
-func (s *Service) handleJobFailure(w *watched, a scheduler.Assignment, info condor.JobInfo, now time.Time) {
-	s.mu.Lock()
-	if w.terminalNotified {
-		s.mu.Unlock()
+func (s *Service) handleJobFailure(w watched, a scheduler.Assignment, info condor.JobInfo, now time.Time) {
+	if !s.firstTerminal(w.ref) {
 		return
 	}
-	w.terminalNotified = true
-	s.mu.Unlock()
 	s.collectFiles(w, a)
-	s.notify(w.owner, Notification{
+	s.notify(w.owner(), Notification{
 		Time: now, Plan: w.ref.Plan, Task: w.ref.Task, Kind: "failed",
 		Message: fmt.Sprintf("task %s failed at %s after %.0f cpu-seconds",
 			w.ref, a.Site, info.CPUSeconds),
@@ -69,27 +66,34 @@ func (s *Service) handleJobFailure(w *watched, a scheduler.Assignment, info cond
 // Recovery module notifies the client about the completion of the job and
 // gets the execution state from the execution service. This execution
 // state is made available for download."
-func (s *Service) handleTerminal(w *watched, a scheduler.Assignment, now time.Time) {
-	s.mu.Lock()
-	if w.terminalNotified {
-		s.mu.Unlock()
+func (s *Service) handleTerminal(w watched, a scheduler.Assignment, now time.Time) {
+	if !s.firstTerminal(w.ref) {
 		return
 	}
-	w.terminalNotified = true
-	s.mu.Unlock()
 	s.collectFiles(w, a)
 	kind, msg := "completed", fmt.Sprintf("task %s completed at %s", w.ref, a.Site)
 	if a.State == scheduler.TaskFailed {
 		kind, msg = "failed", fmt.Sprintf("task %s failed at %s", w.ref, a.Site)
 	}
-	s.notify(w.owner, Notification{
+	s.notify(w.owner(), Notification{
 		Time: now, Plan: w.ref.Plan, Task: w.ref.Task, Kind: kind, Message: msg,
 	})
 }
 
+// firstTerminal marks ref's terminal state announced and reports whether
+// it was not already.
+func (s *Service) firstTerminal(ref TaskRef) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	st := s.steeredLocked(ref)
+	first := !st.terminalNotified
+	st.terminalNotified = true
+	return first
+}
+
 // collectFiles snapshots the task's output files from the execution
 // site's storage element into the downloadable execution state.
-func (s *Service) collectFiles(w *watched, a scheduler.Assignment) {
+func (s *Service) collectFiles(w watched, a scheduler.Assignment) {
 	task, ok := w.cp.Plan.Task(w.ref.Task)
 	if !ok || task.OutputFile == "" || a.Site == "" {
 		return

@@ -16,16 +16,12 @@ import (
 // onJob authorizes user against the task's owner, then applies act to
 // the task's job at the execution service currently running it.
 func (s *Service) onJob(user string, ref TaskRef, act func(p *condor.Pool, id int) error) error {
-	w, err := s.lookup(ref)
+	w, a, err := s.lookup(ref)
 	if err != nil {
 		return err
 	}
-	if err := s.Sessions.Authorize(user, w.owner); err != nil {
+	if err := s.Sessions.Authorize(user, w.owner()); err != nil {
 		return err
-	}
-	a, ok := w.cp.Assignment(w.ref.Task)
-	if !ok {
-		return fmt.Errorf("steering: assignment missing for %s", w.ref)
 	}
 	if a.Site == "" || a.CondorID == 0 {
 		return fmt.Errorf("steering: task %s is not submitted (state %v)", w.ref, a.State)
@@ -62,20 +58,19 @@ func (s *Service) SetPriority(user string, ref TaskRef, prio int) error {
 // current site); otherwise the task goes to the named site. Redirection
 // always flows through the scheduler, as in the paper.
 func (s *Service) Move(user string, ref TaskRef, target string) (scheduler.Assignment, error) {
-	w, err := s.lookup(ref)
+	w, a, err := s.lookup(ref)
 	if err != nil {
 		return scheduler.Assignment{}, err
 	}
-	if err := s.Sessions.Authorize(user, w.owner); err != nil {
+	if err := s.Sessions.Authorize(user, w.owner()); err != nil {
 		return scheduler.Assignment{}, err
 	}
-	return s.moveTask(w, target, fmt.Sprintf("moved by %s", user))
+	return s.moveTask(w, a, target, fmt.Sprintf("moved by %s", user))
 }
 
-// moveTask performs the redirection and notifies the owner. target == ""
-// lets the scheduler choose.
-func (s *Service) moveTask(w *watched, target string, reason string) (scheduler.Assignment, error) {
-	before, _ := w.cp.Assignment(w.ref.Task)
+// moveTask performs the redirection of a task assigned as before and
+// notifies the owner. target == "" lets the scheduler choose.
+func (s *Service) moveTask(w watched, before scheduler.Assignment, target string, reason string) (scheduler.Assignment, error) {
 	var exclude []string
 	if target != "" {
 		for _, site := range s.cfg.Scheduler.Sites() {
@@ -92,9 +87,9 @@ func (s *Service) moveTask(w *watched, target string, reason string) (scheduler.
 		return scheduler.Assignment{}, err
 	}
 	s.mu.Lock()
-	w.moves++
+	s.steeredLocked(w.ref).moves++
 	s.mu.Unlock()
-	s.notify(w.owner, Notification{
+	s.notify(w.owner(), Notification{
 		Time: s.cfg.Grid.Engine.Now(),
 		Plan: w.ref.Plan,
 		Task: w.ref.Task,

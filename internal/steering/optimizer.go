@@ -12,13 +12,12 @@ import (
 // poll drives the Optimizer and the Backup & Recovery module; the
 // engine's Poller invokes it on the service's PollInterval cadence.
 func (s *Service) poll(now time.Time) {
-	s.mu.Lock()
-	tasks := make([]*watched, 0, len(s.tasks))
-	for _, w := range s.tasks {
-		tasks = append(tasks, w)
+	var tasks []watched
+	for _, cp := range s.cfg.Scheduler.Plans() {
+		for _, t := range cp.Plan.Tasks {
+			tasks = append(tasks, watched{cp: cp, ref: TaskRef{Plan: cp.Plan.Name, Task: t.ID}})
+		}
 	}
-	s.mu.Unlock()
-
 	// Deterministic iteration order.
 	sort.Slice(tasks, func(i, j int) bool {
 		return tasks[i].ref.String() < tasks[j].ref.String()
@@ -31,7 +30,7 @@ func (s *Service) poll(now time.Time) {
 // pollTask runs one observation cycle for one task: terminal-state
 // handling (Backup & Recovery), service-failure detection, and the
 // Optimizer's slow-execution check.
-func (s *Service) pollTask(w *watched, now time.Time) {
+func (s *Service) pollTask(w watched, now time.Time) {
 	a, ok := w.cp.Assignment(w.ref.Task)
 	if !ok {
 		return
@@ -57,8 +56,10 @@ func (s *Service) pollTask(w *watched, now time.Time) {
 		return
 	}
 	s.mu.Lock()
-	w.downSince = time.Time{}
-	w.downHandled = false
+	if st := s.tasks[w.ref]; st != nil {
+		st.downSince = time.Time{}
+		st.downHandled = false
+	}
 	s.mu.Unlock()
 
 	info, err := s.cfg.Monitor.Job(a.Site, a.CondorID)
@@ -76,11 +77,12 @@ func (s *Service) pollTask(w *watched, now time.Time) {
 
 // optimize is the Optimizer: detect a slow execution rate via the Job
 // Monitoring Service and redirect the job to the best site.
-func (s *Service) optimize(w *watched, a scheduler.Assignment, info condor.JobInfo, now time.Time) {
+func (s *Service) optimize(w watched, a scheduler.Assignment, info condor.JobInfo, now time.Time) {
 	s.mu.Lock()
-	moves := w.moves
+	st := s.tasks[w.ref]
+	moved := st != nil && st.moves >= maxMoves
 	s.mu.Unlock()
-	if moves >= maxMoves {
+	if moved {
 		return
 	}
 	if info.StartTime.IsZero() {
@@ -101,7 +103,7 @@ func (s *Service) optimize(w *watched, a scheduler.Assignment, info condor.JobIn
 	if target == a.Site {
 		return // nowhere better to go
 	}
-	_, err := s.moveTask(w, target,
+	_, err := s.moveTask(w, a, target,
 		fmt.Sprintf("slow execution rate %.2f < %.2f; %s", rate, slownessThreshold, reason))
 	_ = err // a failed move leaves the job where it is; next poll retries
 }
@@ -111,7 +113,7 @@ func (s *Service) optimize(w *watched, a scheduler.Assignment, info condor.JobIn
 // fast execution)." The cheap preference prices estimate, the runtime
 // estimate in the job's ad (the scheduler stamps a positive one on every
 // job it submits).
-func (s *Service) chooseBestSite(w *watched, a scheduler.Assignment, estimate float64) (site, reason string) {
+func (s *Service) chooseBestSite(w watched, a scheduler.Assignment, estimate float64) (site, reason string) {
 	task, ok := w.cp.Plan.Task(w.ref.Task)
 	if !ok {
 		return a.Site, "plan lost"

@@ -6,9 +6,11 @@
 //
 // The five components of Figure 2 map onto this package:
 //
-//   - Subscriber: receives concrete job plans from the scheduler and
-//     "analyzes the received job plan to get the list of Execution
-//     Services to be used";
+//   - Subscriber: reads the concrete job plans in the scheduler's plan
+//     table, where Sphinx holds each plan once and steering keeps no copy
+//     (ROADMAP "A finished job has one home, and what the system holds is
+//     bounded by what is live"), and finds the Execution Service of each
+//     task in its assignment;
 //   - Command Processor: "handles the requests of the client and requests
 //     of the optimizer to perform job control e.g. kill, pause, resume,
 //     move job. Requests for job redirection are sent to the scheduler";
@@ -90,11 +92,18 @@ type TaskRef struct {
 
 func (r TaskRef) String() string { return r.Plan + "/" + r.Task }
 
-// watched is the service's record of one task under steering.
+// watched is one task under steering: a task of a plan in the
+// scheduler's plan table. Every task of every registered plan is watched.
 type watched struct {
-	cp    *scheduler.ConcretePlan
-	ref   TaskRef
-	owner string
+	cp  *scheduler.ConcretePlan
+	ref TaskRef
+}
+
+func (w watched) owner() string { return w.cp.Plan.Owner }
+
+// steered is what the service itself records about a task, beyond what
+// its plan says; a task has one from the first time it needs one.
+type steered struct {
 	moves int
 	// terminalNotified ensures completion/failure is announced once.
 	terminalNotified bool
@@ -133,13 +142,13 @@ type Service struct {
 	Sessions *SessionManager
 
 	mu            sync.Mutex
-	tasks         map[TaskRef]*watched
+	tasks         map[TaskRef]*steered
 	notifications map[string][]Notification
 	execState     map[TaskRef][]simgrid.File
 }
 
-// New creates a Steering Service, registers it with the grid engine, and
-// subscribes it to the scheduler's concrete-plan announcements.
+// New creates a Steering Service and registers it with the grid engine;
+// it watches the plans in cfg.Scheduler's plan table.
 func New(cfg Config) *Service {
 	if cfg.Grid == nil || cfg.Scheduler == nil || cfg.Monitor == nil {
 		panic("steering: Config needs Grid, Scheduler and Monitor")
@@ -150,73 +159,48 @@ func New(cfg Config) *Service {
 		MinObservation: 30 * time.Second,
 		AutoSteer:      true,
 		Sessions:       NewSessionManager(),
-		tasks:          make(map[TaskRef]*watched),
+		tasks:          make(map[TaskRef]*steered),
 		notifications:  make(map[string][]Notification),
 		execState:      make(map[TaskRef][]simgrid.File),
 	}
-	cfg.Scheduler.SubscribePlans(s.ReceivePlan)
 	cfg.Grid.Engine.NewPoller(func() time.Duration { return s.PollInterval }, s.poll)
 	return s
-}
-
-// ReceivePlan is the Subscriber: it registers every task of a concrete
-// plan for steering.
-func (s *Service) ReceivePlan(cp *scheduler.ConcretePlan) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, t := range cp.Plan.Tasks {
-		ref := TaskRef{Plan: cp.Plan.Name, Task: t.ID}
-		s.tasks[ref] = &watched{cp: cp, ref: ref, owner: cp.Plan.Owner}
-	}
 }
 
 // Watched returns the refs under steering, sorted; owner filters ("" for
 // all).
 func (s *Service) Watched(owner string) []TaskRef {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	var out []TaskRef
-	for ref, w := range s.tasks {
-		if owner == "" || w.owner == owner {
-			out = append(out, ref)
+	for _, cp := range s.cfg.Scheduler.Plans() {
+		if owner == "" || cp.Plan.Owner == owner {
+			for _, t := range cp.Plan.Tasks {
+				out = append(out, TaskRef{Plan: cp.Plan.Name, Task: t.ID})
+			}
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
 	return out
 }
 
-// Sites returns the distinct execution sites across all watched plans —
-// what the Subscriber extracted from the concrete plans.
-func (s *Service) Sites() []string {
-	s.mu.Lock()
-	plans := map[*scheduler.ConcretePlan]bool{}
-	for _, w := range s.tasks {
-		plans[w.cp] = true
-	}
-	s.mu.Unlock()
-	set := map[string]bool{}
-	for cp := range plans {
-		for _, site := range cp.Sites() {
-			set[site] = true
+// lookup resolves a watched task and its current assignment.
+func (s *Service) lookup(ref TaskRef) (watched, scheduler.Assignment, error) {
+	if cp, ok := s.cfg.Scheduler.Plan(ref.Plan); ok {
+		if a, ok := cp.Assignment(ref.Task); ok {
+			return watched{cp: cp, ref: ref}, a, nil
 		}
 	}
-	out := make([]string, 0, len(set))
-	for site := range set {
-		out = append(out, site)
-	}
-	sort.Strings(out)
-	return out
+	return watched{}, scheduler.Assignment{}, fmt.Errorf("steering: no watched task %s", ref)
 }
 
-// lookup resolves a watched task.
-func (s *Service) lookup(ref TaskRef) (*watched, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	w, ok := s.tasks[ref]
-	if !ok {
-		return nil, fmt.Errorf("steering: no watched task %s", ref)
+// steeredLocked returns ref's record, creating it on first need. s.mu
+// must be held.
+func (s *Service) steeredLocked(ref TaskRef) *steered {
+	st := s.tasks[ref]
+	if st == nil {
+		st = &steered{}
+		s.tasks[ref] = st
 	}
-	return w, nil
+	return st
 }
 
 // notify queues a message for an owner.
@@ -254,15 +238,11 @@ type Status struct {
 
 // TaskStatus fetches the combined steering view of a task.
 func (s *Service) TaskStatus(ref TaskRef) (Status, error) {
-	w, err := s.lookup(ref)
+	w, a, err := s.lookup(ref)
 	if err != nil {
 		return Status{}, err
 	}
-	a, ok := w.cp.Assignment(ref.Task)
-	if !ok {
-		return Status{}, fmt.Errorf("steering: assignment missing for %s", ref)
-	}
-	st := Status{Ref: ref, Owner: w.owner, Assignment: a}
+	st := Status{Ref: ref, Owner: w.owner(), Assignment: a}
 	if a.CondorID != 0 && a.Site != "" {
 		if info, err := s.cfg.Monitor.Job(a.Site, a.CondorID); err == nil {
 			st.Job = info

@@ -97,11 +97,6 @@ func TestSubscriberWatchesPlans(t *testing.T) {
 	if got := f.svc.Watched(""); len(got) != 3 {
 		t.Fatalf("all watched = %v", got)
 	}
-	f.grid.Engine.Step()
-	sites := f.svc.Sites()
-	if len(sites) == 0 {
-		t.Fatal("no sites extracted from concrete plans")
-	}
 }
 
 func TestSessionManager(t *testing.T) {
@@ -469,7 +464,7 @@ func TestCheapMovePricesTheJobsEstimate(t *testing.T) {
 	f := newFixture(t)
 	f.svc.Preference = PreferCheap
 	f.submit(t, "alice", "p1", primeTask("t1", 283))
-	w, err := f.svc.lookup(TaskRef{Plan: "p1", Task: "t1"})
+	w, _, err := f.svc.lookup(TaskRef{Plan: "p1", Task: "t1"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -277,7 +277,7 @@ func TestParityEstimator(t *testing.T) {
 		if _, err := e.c.Submit(ctx, parityPlan("warmup", 120)); err != nil {
 			t.Fatal(err)
 		}
-		cp, _ := e.g.Plan("warmup")
+		cp, _ := e.g.Scheduler.Plan("warmup")
 		if err := e.g.RunUntilDone(cp, 10*time.Minute); err != nil {
 			t.Fatal(err)
 		}

@@ -83,8 +83,8 @@ var reachInterfaceMethods = map[string]bool{
 // benchmark harness reaches: production code is what they run. Every
 // identifier is resolved by go/types to the function it names, so a
 // declaration is not kept alive by another that shares its name; a call
-// through an interface method reaches every method of the module by that
-// name. The scan is transitive — a reference inside an unreached function
+// through an interface method reaches the methods of that name on the
+// module's types that implement the interface. The scan is transitive — a reference inside an unreached function
 // does not count, so a chain that only tests enter is reported whole.
 // bench/ is type-checked with the module and is all roots, never reported.
 func TestEveryFunctionIsReached(t *testing.T) {
@@ -223,8 +223,11 @@ func (g *reachGraph) reached(allowed map[string]string) map[*types.Func]bool {
 		for _, u := range g.uses[f] {
 			visit(u)
 			if recv := u.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+				iface := recv.Type().Underlying().(*types.Interface)
 				for _, m := range g.methods[u.Name()] {
-					visit(m)
+					if implements(m, iface) {
+						visit(m)
+					}
 				}
 			}
 		}
@@ -296,23 +299,27 @@ func (g *reachGraph) unset() []string {
 // satisfiesInterface reports whether fn is a method some interface the
 // module names asks for.
 func (g *reachGraph) satisfiesInterface(fn *types.Func) bool {
-	recv := fn.Type().(*types.Signature).Recv()
-	if recv == nil {
+	if fn.Type().(*types.Signature).Recv() == nil {
 		return false
-	}
-	t := recv.Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
 	}
 	for _, iface := range g.interfaces {
 		for i := 0; i < iface.NumMethods(); i++ {
-			if iface.Method(i).Name() == fn.Name() &&
-				(types.Implements(t, iface) || types.Implements(types.NewPointer(t), iface)) {
+			if iface.Method(i).Name() == fn.Name() && implements(fn, iface) {
 				return true
 			}
 		}
 	}
 	return false
+}
+
+// implements reports whether the receiver type of method fn, or a pointer
+// to it, implements iface.
+func implements(fn *types.Func, iface *types.Interface) bool {
+	t := fn.Type().(*types.Signature).Recv().Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	return types.Implements(t, iface) || types.Implements(types.NewPointer(t), iface)
 }
 
 // isSetting reports whether the field key names a field of a type a

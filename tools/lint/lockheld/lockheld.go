@@ -117,7 +117,7 @@ func (c *checker) checkDecl(fd *ast.FuncDecl) {
 		}
 		// Only the receiver's primary mutex — the conventional `mu`
 		// field or an embedded mutex — is held by contract. Auxiliary
-		// leaf mutexes (p.relMu, g.planMu) are different locks; a
+		// leaf mutexes (p.relMu) are different locks; a
 		// *Locked method may layer them briefly.
 		if ev.base == recv.Name || ev.base == recv.Name+".mu" {
 			if !c.anns.Suppressed(AnnotationName, call.Pos()) {
