@@ -57,7 +57,8 @@ func (p *Pool) submit(ad *classad.Ad, cpuDone float64) (int, error) {
 	p.active = append(p.active, j)
 	p.liveCount++
 	p.idleCount++
-	p.enqueueIdleLocked(j)
+	j.queue = p.queueLocked(j.owner)
+	j.queue.add(j)
 	p.emitLocked(j, 0, StatusIdle)
 	p.requestWake()
 	return id, nil
@@ -233,7 +234,7 @@ func (p *Pool) SetPriority(id, prio int) error {
 		j.priority = prio
 		j.ad.Set(AttrPriority, prio)
 		if j.status == StatusIdle {
-			p.refileIdleLocked(j)
+			j.queue.refile(j)
 		}
 		p.requestWake() // queue order changed; re-negotiate next boundary
 		return nil

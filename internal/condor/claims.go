@@ -127,7 +127,7 @@ func (p *Pool) startLocked(j *job, m *machine, now time.Time) {
 		return
 	}
 	if p.fairStart != nil {
-		p.fairStart.ObserveStart(j.owner, now)
+		p.fairStart.ObserveStart(j.queue.tenant, now)
 	}
 	p.runTaskLocked(j, m, need)
 	if j.started == notYet {
@@ -188,7 +188,7 @@ func (p *Pool) openUsageLocked(j *job) {
 		return
 	}
 	j.flowRate = p.flowRateForLocked(j)
-	j.flow = p.fairFlow.OpenFlow(j.owner, j.host.node.Site, j.flowRate)
+	j.flow = p.fairFlow.OpenFlow(j.queue.tenant, j.host.node.Site, j.flowRate)
 }
 
 // flowRateForLocked returns what j's usage flow accrues per second from
@@ -270,7 +270,7 @@ func (p *Pool) setStatusLocked(j *job, to Status) {
 	j.status = to
 	if from == StatusIdle && to != StatusIdle {
 		p.idleCount--
-		p.dequeueIdleLocked(j)
+		j.queue.count-- // its entries go stale with the status and are collected lazily
 	}
 	if to.Terminal() {
 		p.liveCount--

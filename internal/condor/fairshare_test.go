@@ -305,15 +305,53 @@ func TestSetPriorityEdgeCases(t *testing.T) {
 	}
 }
 
+// TestPolicySwapReordersByIncomingStandings: queues made under one
+// manager price their owners, once another is installed, by its standings
+// — the next pass's order and the machine it hands out both follow them —
+// and what the job it starts uses accrues to the incoming manager alone.
+func TestPolicySwapReordersByIncomingStandings(t *testing.T) {
+	g, p := testPool(t, 1)
+	first, second := fairManager(p), fairManager(p)
+	first.RecordUsage("alice", "siteA", 1000)
+	second.RecordUsage("bob", "siteA", 1000)
+	p.SetFairShare(first)
+	mustSubmit(t, p, jobAd("carol", 100, 0)) // holds the one machine
+	g.Engine.Step()
+	alice := mustSubmit(t, p, jobAd("alice", 10, 0))
+	bob := mustSubmit(t, p, jobAd("bob", 10, 0))
+	if a, b := mustJob(t, p, alice).QueuePosition, mustJob(t, p, bob).QueuePosition; a != 2 || b != 1 {
+		t.Fatalf("under the first manager alice is %d, bob %d; want bob first", a, b)
+	}
+	p.SetFairShare(second)
+	if a, b := mustJob(t, p, alice).QueuePosition, mustJob(t, p, bob).QueuePosition; a != 1 || b != 2 {
+		t.Fatalf("under the second manager alice is %d, bob %d; want alice first", a, b)
+	}
+	g.Engine.RunFor(105 * time.Second) // carol's job ends, the machine frees
+	if got := mustJob(t, p, alice).Status; got != StatusRunning {
+		t.Fatalf("alice's job is %v, want running on the freed machine", got)
+	}
+	if got := mustJob(t, p, bob).Status; got != StatusIdle {
+		t.Fatalf("bob's job is %v, want idle", got)
+	}
+	if u := second.Usage("alice"); u <= 0 {
+		t.Fatalf("the incoming manager accrued alice %v, want her running job's usage", u)
+	}
+	if u := first.Usage("alice"); u != 1000 {
+		t.Fatalf("the outgoing manager accrued alice %v, want 1000", u)
+	}
+}
+
 // rateLog is a fair-share policy that records what the pool does to the
 // usage flows it opens: calls lists, in call order, which owner's flow had
 // its rate set to what; ops lists every call — open, rate, close — with
-// its argument and the instant it was made.
+// its argument and the instant it was made. names maps the tenant handles
+// it resolved back to their owners.
 type rateLog struct {
 	*fairshare.Manager
 	now   func() time.Time
 	calls []string
 	ops   []flowOp
+	names map[*fairshare.Tenant]string
 }
 
 type flowOp struct {
@@ -324,7 +362,13 @@ type flowOp struct {
 }
 
 func newRateLog(p *Pool) *rateLog {
-	return &rateLog{Manager: fairManager(p), now: p.grid.Engine.Now}
+	return &rateLog{Manager: fairManager(p), now: p.grid.Engine.Now, names: make(map[*fairshare.Tenant]string)}
+}
+
+func (r *rateLog) Tenant(owner string) *fairshare.Tenant {
+	t := r.Manager.Tenant(owner)
+	r.names[t] = owner
+	return t
 }
 
 func (r *rateLog) record(op, owner string, v float64) {
@@ -337,9 +381,10 @@ type loggedFlow struct {
 	owner string
 }
 
-func (r *rateLog) OpenFlow(tenant, site string, rate float64) fairshare.UsageFlow {
-	r.record("open", tenant, rate)
-	return &loggedFlow{r.Manager.OpenFlow(tenant, site, rate), r, tenant}
+func (r *rateLog) OpenFlow(t *fairshare.Tenant, site string, rate float64) fairshare.UsageFlow {
+	owner := r.names[t]
+	r.record("open", owner, rate)
+	return &loggedFlow{r.Manager.OpenFlow(t, site, rate), r, owner}
 }
 
 func (f *loggedFlow) SetRate(rate float64) {

@@ -106,7 +106,13 @@ type Event struct {
 // containers: timestamps are 8-byte offsets from the pool's epoch, the
 // static machine constraints are keys into a pool-local table, whether the
 // ad names an output file is a bool (the completion path reads the ad only
-// then), and the flags share a word.
+// then), and the flags share a word with the queue generation: the
+// status, the claim, the output file, and whether the ad constrains its
+// match at all. The pool's clone of the ad is written only at JobPrio
+// (SetPriority), so what newJob read of Requirements and Rank stays true.
+// queue is the owner queue the job files under, which holds the owner's
+// fair-share tenant: a start and a flow read the tenant through it, not by
+// the owner's name.
 type job struct {
 	id       int
 	ad       *classad.Ad
@@ -155,10 +161,18 @@ type job struct {
 	status    Status
 	claimed   bool // host is held for the task
 	hasOutput bool // the ad names an AttrOutputFile
+	// anyMachine: the ad has neither Requirements nor Rank, so it takes, at
+	// rank 0, any machine whose own Requirements take it (see
+	// machine.anyJob).
+	anyMachine bool
 	// reqArch and reqOpSys are the static machine constraints extracted
 	// from the Requirements, which key the negotiator's free-machine index
 	// (see Pool.constraint); noConstraint when unconstrained.
 	reqArch, reqOpSys constraintKey
+
+	// queue is the owner queue the job files under while it is not
+	// terminal; set at submit and restore, moved by rebuildQueuesLocked.
+	queue *ownerQueue
 }
 
 // instant is a job timestamp as its offset from the pool's epoch. notYet
@@ -230,20 +244,21 @@ func (j *job) stopAt() float64 {
 // lifecycle state.
 func (p *Pool) newJob(id int, ad *classad.Ad, submitted time.Time) *job {
 	return &job{
-		id:        id,
-		ad:        ad,
-		status:    StatusIdle,
-		priority:  int(ad.Int(AttrPriority, 0)),
-		owner:     ad.Str(AttrOwner, ""),
-		need:      ad.Float(AttrCpuSeconds, 0),
-		hasOutput: ad.Str(AttrOutputFile, "") != "",
-		failAfter: ad.Float(AttrFailAfter, 0),
-		matcher:   classad.NewMatcher(ad),
-		submitted: p.instantOf(submitted),
-		started:   notYet,
-		completed: notYet,
-		reqArch:   p.constraint(ad, "Arch"),
-		reqOpSys:  p.constraint(ad, "OpSys"),
+		id:         id,
+		ad:         ad,
+		status:     StatusIdle,
+		priority:   int(ad.Int(AttrPriority, 0)),
+		owner:      ad.Str(AttrOwner, ""),
+		need:       ad.Float(AttrCpuSeconds, 0),
+		hasOutput:  ad.Str(AttrOutputFile, "") != "",
+		anyMachine: !ad.Has(AttrRequirements) && !ad.Has(AttrRank),
+		failAfter:  ad.Float(AttrFailAfter, 0),
+		matcher:    classad.NewMatcher(ad),
+		submitted:  p.instantOf(submitted),
+		started:    notYet,
+		completed:  notYet,
+		reqArch:    p.constraint(ad, "Arch"),
+		reqOpSys:   p.constraint(ad, "OpSys"),
 	}
 }
 

@@ -165,6 +165,7 @@ func (p *Pool) produceOutputLocked(j *job) {
 func (p *Pool) jobRef(j *job) fairshare.JobRef {
 	return fairshare.JobRef{
 		Owner:          j.owner,
+		Tenant:         j.queue.tenant,
 		StaticPriority: j.priority,
 		Submitted:      p.timeOf(j.submitted),
 		Seq:            j.id,

@@ -101,6 +101,11 @@ func runParityScenario(t *testing.T, seed int64, reference bool) []parityOutcome
 		}
 		load := simgrid.ConstantLoad(float64(i%5) / 10)
 		adA := classad.New().Set("Arch", arch).Set("Disk", 100+40*i)
+		if i == 7 {
+			// One of site A's machines constrains its jobs too, so a job
+			// without Requirements or Rank meets machines with and without.
+			adA.MustSetExpr(AttrRequirements, "TARGET.ImageSize <= 200")
+		}
 		poolA.AddMachine(siteA.AddNode(g.Engine, fmt.Sprintf("a%02d", i), float64(1+i%3), load), adA)
 		adB := classad.New().Set("Arch", arch).Set("Disk", 80+60*i)
 		if i == 4 {
@@ -324,6 +329,41 @@ func TestMachineAdResync(t *testing.T) {
 	g.Engine.Step()
 	if info, _ := p.Job(id2); info.Node != "m1" {
 		t.Fatalf("sparc-pinned job did not match rebucketed machine; status %v", info.Status)
+	}
+}
+
+// TestMachineRequirementsGainedWhileClaimed: a machine whose caller ad
+// gains a Requirements while a job holds it is offered, once freed, only
+// to jobs the new Requirements accept — also to a job that constrains
+// nothing, which matches a machine without Requirements unevaluated. One
+// machine is picked by the exhaustive scan, seventeen by an ordered view.
+func TestMachineRequirementsGainedWhileClaimed(t *testing.T) {
+	for _, n := range []int{1, sortedPickThreshold + 1} {
+		t.Run(fmt.Sprintf("machines-%d", n), func(t *testing.T) {
+			g, p := testPool(t, 0)
+			site := g.Sites()[0]
+			ads := make([]*classad.Ad, n)
+			for i := range ads {
+				ads[i] = classad.New()
+				p.AddMachine(site.AddNode(g.Engine, fmt.Sprintf("m%02d", i), 1, simgrid.IdleLoad()), ads[i])
+			}
+			for i := 0; i < n; i++ {
+				mustSubmit(t, p, jobAd("alice", 3, 0))
+			}
+			g.Engine.Step()
+			for _, ad := range ads {
+				ad.MustSetExpr(AttrRequirements, `TARGET.Owner != "bob"`)
+			}
+			bob := mustSubmit(t, p, jobAd("bob", 3, 0))
+			carol := mustSubmit(t, p, jobAd("carol", 3, 0))
+			g.Engine.RunFor(10 * time.Second)
+			if got := mustJob(t, p, bob).Status; got != StatusIdle {
+				t.Fatalf("bob's job is %v on a machine whose Requirements reject bob", got)
+			}
+			if got := mustJob(t, p, carol).Status; got != StatusCompleted {
+				t.Fatalf("carol's job is %v, want completed on a freed machine", got)
+			}
+		})
 	}
 }
 

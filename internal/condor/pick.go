@@ -83,7 +83,11 @@ const sortedPickThreshold = 16
 func (p *Pool) pickFromBucketLocked(j *job, key string, best *machine, bestRank float64) (*machine, float64) {
 	b := p.freeBuckets[key]
 	if len(b) > sortedPickThreshold {
-		if class, ok := j.matcher.RankClass(); ok {
+		class, ok := "", true // a job without Rank is of the degenerate class
+		if !j.anyMachine {
+			class, ok = j.matcher.RankClass()
+		}
+		if ok {
 			k := pickKey{key, class}
 			v := p.pickViews[k]
 			if v == nil {
@@ -169,13 +173,13 @@ func (p *Pool) pickOrderedLocked(j *job, v *pickView, best *machine, bestRank fl
 		if j.reqOpSys != noConstraint && m.opsKnown && m.opsKey != p.constraints[j.reqOpSys] {
 			continue // rejected for this job only; later jobs may differ
 		}
-		if !j.matcher.Match(m.matcher) {
+		r, ok := pairMatch(j, m)
+		if !ok {
 			continue
 		}
 		// First acceptable machine in preference order: no later one in
 		// this bucket can beat it. The job's own Rank (its constant, in
 		// the degenerate class) is what folds against the carry.
-		r := j.matcher.Rank(m.matcher)
 		if best == nil || r > bestRank || (r == bestRank && m.node.Name < best.node.Name) {
 			return m, r
 		}
@@ -198,13 +202,26 @@ func (p *Pool) bestCandidate(j *job, cands []*machine, best *machine, bestRank f
 		if j.reqOpSys != noConstraint && m.opsKnown && m.opsKey != p.constraints[j.reqOpSys] {
 			continue
 		}
-		if !j.matcher.Match(m.matcher) {
+		r, ok := pairMatch(j, m)
+		if !ok {
 			continue
 		}
-		r := j.matcher.Rank(m.matcher)
 		if best == nil || r > bestRank || (r == bestRank && m.node.Name < best.node.Name) {
 			best, bestRank = m, r
 		}
 	}
 	return best, bestRank
+}
+
+// pairMatch reports whether j and m match and, if they do, j's Rank of m.
+// A job with neither Requirements nor Rank ranks every machine 0, and
+// matches one without Requirements without evaluating either ad.
+func pairMatch(j *job, m *machine) (rank float64, ok bool) {
+	if j.anyMachine {
+		return 0, m.anyJob || j.matcher.Match(m.matcher)
+	}
+	if !j.matcher.Match(m.matcher) {
+		return 0, false
+	}
+	return j.matcher.Rank(m.matcher), true
 }

@@ -223,9 +223,12 @@ type machine struct {
 	// values skip the ad mutation on every negotiation pass.
 	loadAvg    float64
 	loadAvgSet bool
-	archKey    string // lowered Arch value, or dynamicBucket
-	opsKey     string // lowered OpSys value when opsKnown
-	opsKnown   bool
+	// anyJob: the match ad has no Requirements, so it takes any job (see
+	// job.anyMachine). Between snapshots only LoadAvg is written.
+	anyJob   bool
+	archKey  string // lowered Arch value, or dynamicBucket
+	opsKey   string // lowered OpSys value when opsKnown
+	opsKnown bool
 	// freeIdx is the machine's position in its owner's free bucket, -1
 	// while claimed by a job.
 	freeIdx int
@@ -347,14 +350,15 @@ func (p *Pool) wakeFlockedFrom() {
 	}
 }
 
-// snapshotAd (re)builds the machine's match ad, compiled matcher, and
-// index keys from the caller's ad.
+// snapshotAd (re)builds the machine's match ad, compiled matcher, index
+// keys and anyJob from the caller's ad.
 func (m *machine) snapshotAd() {
 	m.adVersion = m.ad.Version()
 	// LoadAvg takes its slot now: each pass's refresh then writes in place.
 	m.matchAd = m.ad.Clone().Set("LoadAvg", classad.Undefined())
 	m.matcher = classad.NewMatcher(m.matchAd)
 	m.loadAvgSet = false
+	m.anyJob = !m.matchAd.Has(AttrRequirements)
 	// Only literal attributes are safe index keys: an expression-valued
 	// Arch/OpSys can evaluate differently per candidate job, so such
 	// machines take the catch-all bucket / skip the OpSys pre-filter.
@@ -434,6 +438,11 @@ func (p *Pool) SetFairShare(pol fairshare.Ranker) {
 	p.fairStart, _ = pol.(fairshare.StartObserver)
 	if rekey {
 		p.rebuildQueuesLocked()
+	} else if pol != nil {
+		// The queues stay; the tenants they hold are the incoming policy's.
+		for _, q := range p.queues {
+			q.tenant = pol.Tenant(q.owner)
+		}
 	}
 	if p.fairFlow != nil {
 		for _, j := range p.active {

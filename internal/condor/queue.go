@@ -6,6 +6,8 @@ import (
 	"slices"
 	"sort"
 	"time"
+
+	"repro/internal/fairshare"
 )
 
 // This file maintains the negotiation order incrementally across passes
@@ -72,15 +74,17 @@ func (l *qlist) gcHead() {
 // ownerQueue holds one owner's idle jobs (or, under the static policy,
 // the whole pool's) in negotiation order: per-priority FIFO buckets
 // plus a submission-order list for the starvation guard's oldest pick.
+// Under a fair-share policy it also holds the owner's tenant handle,
+// resolved when the queue is made and again when the policy changes: what
+// the pass prices the owner by, and what its jobs' starts and usage flows
+// are accounted to. The static policy's shared queue has none.
 type ownerQueue struct {
+	owner  string
+	tenant *fairshare.Tenant
 	prios  []int // distinct priorities seen, sorted desc
 	byPrio map[int]*qlist
 	sub    qlist
 	count  int // valid entries (one per idle job filed here)
-}
-
-func newOwnerQueue() *ownerQueue {
-	return &ownerQueue{byPrio: make(map[int]*qlist)}
 }
 
 // add files j under its current priority. Submissions arrive in
@@ -243,51 +247,39 @@ func (s *negotiationStream) next() *job {
 	return nil
 }
 
-// queueKeyLocked returns the owner queue a job files under: per-owner
-// when a fair-share policy is installed, one shared queue under the
-// static policy.
-func (p *Pool) queueKeyLocked(j *job) string {
-	if p.fair != nil {
-		return j.owner
+// queueLocked returns the queue a job of owner files under, made on first
+// use: the owner's own, holding its tenant handle, when a fair-share policy
+// is installed; the one shared queue under the static policy.
+func (p *Pool) queueLocked(owner string) *ownerQueue {
+	if p.fair == nil {
+		owner = ""
 	}
-	return ""
-}
-
-func (p *Pool) enqueueIdleLocked(j *job) {
-	key := p.queueKeyLocked(j)
-	q, ok := p.owners[key]
+	q, ok := p.owners[owner]
 	if !ok {
-		q = newOwnerQueue()
-		p.owners[key] = q
+		q = &ownerQueue{owner: owner, byPrio: make(map[int]*qlist)}
+		if p.fair != nil {
+			q.tenant = p.fair.Tenant(owner)
+		}
+		p.owners[owner] = q
 		p.queues = append(p.queues, q)
 	}
-	q.add(j)
+	return q
 }
 
-// dequeueIdleLocked accounts a job leaving Idle; its queue entries are
-// invalidated by the status change itself and collected lazily.
-func (p *Pool) dequeueIdleLocked(j *job) {
-	if q, ok := p.owners[p.queueKeyLocked(j)]; ok {
-		q.count--
-	}
-}
-
-// refileIdleLocked re-ranks an idle job after a priority change.
-func (p *Pool) refileIdleLocked(j *job) {
-	if q, ok := p.owners[p.queueKeyLocked(j)]; ok {
-		q.refile(j)
-	}
-}
-
-// rebuildQueuesLocked refiles every idle job from scratch; called when
-// the policy mode (per-owner vs shared keying) changes.
+// rebuildQueuesLocked files every live job under a queue of the policy
+// mode (per-owner vs shared) now installed, and every idle one in it
+// afresh; called when the mode changes.
 func (p *Pool) rebuildQueuesLocked() {
 	p.owners = make(map[string]*ownerQueue)
 	p.queues = nil
 	for _, j := range p.active {
+		if j.status.Terminal() {
+			continue
+		}
+		j.queue = p.queueLocked(j.owner)
 		if j.status == StatusIdle {
 			j.qgen++
-			p.enqueueIdleLocked(j)
+			j.queue.add(j)
 		}
 	}
 }
@@ -304,7 +296,8 @@ func (p *Pool) negotiationStreamLocked(now time.Time) *negotiationStream {
 	if p.fair == nil {
 		// Static policy: single shared queue, priority desc then ID asc
 		// (submission order within a bucket), no owner-level standing.
-		if q, ok := p.owners[""]; ok && q.count > 0 {
+		if len(p.queues) == 1 && p.queues[0].count > 0 {
+			q := p.queues[0]
 			cursors := append(p.curScratch[:0], ownerCursor{q: q})
 			p.curScratch = cursors[:0]
 			c := &cursors[0]

@@ -104,6 +104,7 @@ func (p *Pool) Restore(st durable.PoolState) error {
 		}
 		p.active = append(p.active, j)
 		p.liveCount++
+		j.queue = p.queueLocked(j.owner)
 
 		if j.status == StatusRunning || j.status == StatusSuspended {
 			m := p.machineByNameLocked(js.Node)
@@ -118,7 +119,7 @@ func (p *Pool) Restore(st durable.PoolState) error {
 		// Idle: nothing held; cpuBase is whatever the capture carried
 		// (checkpointed submissions), which cpuSecondsLocked re-exports.
 		p.idleCount++
-		p.enqueueIdleLocked(j)
+		j.queue.add(j)
 	}
 	p.requestWake()
 	return nil
@@ -134,7 +135,7 @@ func (p *Pool) requeueRestoredLocked(j *job) {
 	j.status = StatusIdle
 	j.host = nil
 	p.idleCount++
-	p.enqueueIdleLocked(j)
+	j.queue.add(j)
 }
 
 // rebindLocked re-places a restored job on its leased machine: the task

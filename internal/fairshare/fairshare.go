@@ -17,6 +17,13 @@
 // is that accounting core. It depends only on vtime, so experiments
 // drive it with a simulated clock and replay multi-hundred-second
 // fairness scenarios in milliseconds.
+//
+// A caller that accounts to the same tenant over and over — the execution
+// service, once per job start, usage flow and negotiation pass — resolves
+// the tenant's name once (Manager.Tenant) and holds the handle, the
+// tenant's account itself: OpenFlow, ObserveStart and a JobRef carrying it
+// look nothing up by name. The tenant's last start lives on that account,
+// beside its usage, and is exported with it.
 package fairshare
 
 import (
@@ -93,33 +100,47 @@ type account struct {
 // snapshot.
 const unsettled = math.MinInt64
 
-// tenantAccount adds group membership, a per-site usage breakdown and the
-// tenant's effective priority memoized for one memo generation (see
+// Tenant is one tenant's account and the handle callers hold on it
+// (Manager.Tenant): it adds group membership, a per-site usage breakdown,
+// the instant the tenant was last allocated a machine (ObserveStart), and
+// the tenant's effective priority memoized for one memo generation (see
 // Manager.epGen). g is the account of the group named by group: what a
 // flow feeds reaches the group through it, so moving the tenant moves
-// where the flow's usage lands. A tenantAccount with a nil g is a usage
-// flow's placeholder for a tenant not registered yet (see OpenFlow); it is
-// in no map.
-type tenantAccount struct {
+// where the flow's usage lands.
+//
+// A Tenant with a nil g is not registered: a handle resolved, or a flow
+// opened, for a name nothing has accounted to yet. It scores as a fresh
+// default-weight tenant, exports nothing, and is registered in place on
+// its first usage or start. One name has one Tenant for the manager's
+// lifetime — Restore rewrites the accounts in place — so a handle never
+// goes stale. Handles are the manager's: one from another manager must not
+// be passed in.
+type Tenant struct {
 	account
-	name  string
-	group string
-	g     *account
-	sites map[string]*account
-	ep    float64
-	epGen uint64
+	name      string
+	group     string
+	g         *account
+	sites     map[string]*account
+	lastStart time.Time // the tenant's most recent machine allocation
+	ep        float64
+	epGen     uint64
 }
 
 // Manager is the central fair-share state: a two-level hierarchy of
 // groups and tenants, each carrying exponentially-decayed CPU-second
-// usage. All methods are safe for concurrent use.
+// usage, and each tenant the instant it was last allocated a machine.
+// Callers on a hot path resolve a tenant's name once (Tenant) and hand the
+// handle to OpenFlow, ObserveStart and the refs of AppendSortKeys, which
+// then look nothing up by name. All methods are safe for concurrent use.
 type Manager struct {
-	mu        sync.Mutex
-	clock     vtime.Clock
-	cfg       Config
-	groups    map[string]*account
-	tenants   map[string]*tenantAccount
-	lastStart map[string]time.Time // most recent machine allocation per tenant
+	mu     sync.Mutex
+	clock  vtime.Clock
+	cfg    Config
+	groups map[string]*account
+	// tenants holds the registered tenants, which Export writes;
+	// unregistered holds the handles resolved for names not registered yet.
+	tenants      map[string]*Tenant
+	unregistered map[string]*Tenant
 
 	// Effective priorities are memoized on the tenant accounts, each
 	// stamped with the generation it was computed in: negotiation prices
@@ -149,12 +170,12 @@ func NewManager(cfg Config) *Manager {
 		cfg.StarvationWindow = DefaultStarvationWindow
 	}
 	return &Manager{
-		clock:     cfg.Clock,
-		cfg:       cfg,
-		groups:    make(map[string]*account),
-		tenants:   make(map[string]*tenantAccount),
-		lastStart: make(map[string]time.Time),
-		epGen:     1, // a new tenant's zero epGen holds no memo
+		clock:        cfg.Clock,
+		cfg:          cfg,
+		groups:       make(map[string]*account),
+		tenants:      make(map[string]*Tenant),
+		unregistered: make(map[string]*Tenant),
+		epGen:        1, // a new tenant's zero epGen holds no memo
 	}
 }
 
@@ -288,21 +309,22 @@ func (m *Manager) EffectivePriority(tenant string) float64 {
 }
 
 // effectiveAtLocked returns t's effective priority at now, from t's memo
-// when the memo generation still holds. A nil t is an unknown tenant: it
-// scores as a fresh default-weight member of the default group without
-// being registered (registration happens on RecordUsage/SetTenant, so a
-// typo'd query can't mint ghost tenants) and without a memo.
-func (m *Manager) effectiveAtLocked(t *tenantAccount, now int64) float64 {
+// when the memo generation still holds. A nil t, or one not registered, is
+// an unknown tenant: it scores as a fresh default-weight member of the
+// default group without being registered (registration happens on
+// RecordUsage, SetTenant, a start or a flow's first running instant, so a
+// typo'd query can't mint ghost tenants); a nil t has no memo.
+func (m *Manager) effectiveAtLocked(t *Tenant, now int64) float64 {
 	if now != m.epAt {
 		m.epAt = now
 		m.epGen++
 	}
+	if t != nil && t.epGen == m.epGen {
+		return t.ep
+	}
 	tw, tu := defaultWeight, 0.0
 	var g *account
-	if t != nil {
-		if t.epGen == m.epGen {
-			return t.ep
-		}
+	if t != nil && t.g != nil {
 		m.decayLocked(&t.account, now)
 		tw, tu, g = t.weight, t.usage, t.g
 	} else {
@@ -378,13 +400,36 @@ func tenantName(s string) string {
 	return s
 }
 
+// Tenant returns the handle on the named tenant's account, for callers
+// that account to one tenant over and over: OpenFlow, ObserveStart and a
+// JobRef's Tenant read through it instead of looking the name up. An empty
+// name is Anonymous. Resolving registers nothing: the handle of a name
+// nothing has accounted to is an unregistered Tenant, which the first
+// usage or start registers in place.
+func (m *Manager) Tenant(name string) *Tenant {
+	name = tenantName(name)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if t, ok := m.tenants[name]; ok {
+		return t
+	}
+	t, ok := m.unregistered[name]
+	if !ok {
+		t = &Tenant{name: name}
+		m.unregistered[name] = t
+	}
+	return t
+}
+
 // tenantLocked returns the named tenant, auto-registering unknown ones in
 // the default group with the default weight.
-func (m *Manager) tenantLocked(name string) *tenantAccount {
+func (m *Manager) tenantLocked(name string) *Tenant {
 	name = tenantName(name)
 	t, ok := m.tenants[name]
 	if !ok {
-		t = &tenantAccount{name: name}
+		if t, ok = m.unregistered[name]; !ok {
+			t = &Tenant{name: name}
+		}
 		m.registerLocked(t)
 	}
 	return t
@@ -392,16 +437,17 @@ func (m *Manager) tenantLocked(name string) *tenantAccount {
 
 // registerLocked enters t, named but otherwise blank, as a fresh tenant of
 // the default group with the default weight.
-func (m *Manager) registerLocked(t *tenantAccount) {
+func (m *Manager) registerLocked(t *Tenant) {
 	t.account = account{weight: defaultWeight, last: unsettled}
 	t.group, t.g = defaultGroup, m.groupLocked(defaultGroup)
 	t.sites = make(map[string]*account)
+	delete(m.unregistered, t.name)
 	m.tenants[t.name] = t
 }
 
 // siteLocked returns t's account at site, creating it settled at now on
 // first reference.
-func (m *Manager) siteLocked(t *tenantAccount, site string, now int64) *account {
+func (m *Manager) siteLocked(t *Tenant, site string, now int64) *account {
 	s, ok := t.sites[site]
 	if !ok {
 		s = &account{last: now}

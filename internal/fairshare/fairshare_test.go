@@ -159,7 +159,7 @@ func TestServedTenantIsNotStarved(t *testing.T) {
 	clock.Advance(2 * time.Minute)
 	// burst keeps receiving machines, so its aged backlog is merely
 	// queued, not starved — effective priority must decide instead.
-	m.ObserveStart("burst", clock.Now())
+	m.ObserveStart(m.Tenant("burst"), clock.Now())
 	m.RecordUsage("burst", "", 500)
 	fresh := JobRef{Owner: "light", Submitted: clock.Now(), Seq: 2}
 	if less(m, clock.Now(), old, fresh) {
@@ -296,7 +296,7 @@ func TestAnonymousOwnerCannotBypassFairShare(t *testing.T) {
 	}
 	submitted := clock.Now()
 	clock.Advance(2 * time.Minute)
-	m.ObserveStart("", clock.Now()) // ownerless work keeps being served
+	m.ObserveStart(m.Tenant(""), clock.Now()) // ownerless work keeps being served
 	old := JobRef{Owner: "", Submitted: submitted, Seq: 1}
 	fresh := JobRef{Owner: "light", Submitted: clock.Now(), Seq: 2}
 	if less(m, clock.Now(), old, fresh) {

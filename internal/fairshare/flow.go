@@ -33,7 +33,7 @@ type UsageFlow interface {
 // ledger's charges.
 type FlowSink interface {
 	Sink
-	OpenFlow(tenant, site string, rate float64) UsageFlow
+	OpenFlow(t *Tenant, site string, rate float64) UsageFlow
 }
 
 // flow is the Manager's UsageFlow: it holds the tenant and site accounts
@@ -45,13 +45,13 @@ type FlowSink interface {
 // nanoseconds, and a closed flow is one whose since is flowClosed.
 //
 // Nothing is registered for a flow until it first runs at a non-zero rate:
-// until then t may be a placeholder holding only the tenant's name, and s
-// is nil. The accounts are taken by pointer, so the flows must not outlive
-// them: Manager.Restore replaces every account and runs only on a manager
-// with no open flows.
+// until then t may be unregistered, and s is nil. The site account is
+// taken by pointer, so the flows must not outlive it: Manager.Restore
+// replaces every site account and runs only on a manager with no open
+// flows.
 type flow struct {
 	m       *Manager
-	t       *tenantAccount
+	t       *Tenant
 	s       *account // the site account; nil until a non-zero rate, or with no site
 	site    string
 	rate    float64
@@ -61,21 +61,16 @@ type flow struct {
 
 const flowClosed = math.MinInt64
 
-// OpenFlow starts a constant-rate usage flow for tenant at site,
-// implementing FlowSink. An empty tenant accounts to Anonymous; an empty
-// site accrues tenant/group usage only. Negative rates are clamped to 0.
-func (m *Manager) OpenFlow(tenant, site string, rate float64) UsageFlow {
+// OpenFlow starts a constant-rate usage flow for tenant t (a handle of this
+// manager's, see Tenant) at site, implementing FlowSink. An empty site
+// accrues tenant/group usage only. Negative rates are clamped to 0.
+func (m *Manager) OpenFlow(t *Tenant, site string, rate float64) UsageFlow {
 	if rate < 0 {
 		rate = 0
 	}
-	tenant = tenantName(tenant)
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	now := m.nowLocked()
-	t := m.tenants[tenant]
-	if t == nil {
-		t = &tenantAccount{name: tenant}
-	}
 	f := &flow{m: m, t: t, site: site, since: now}
 	m.setFlowRateLocked(f, rate, now)
 	return f
@@ -122,16 +117,10 @@ func (m *Manager) setFlowRateLocked(f *flow, rate float64, now int64) {
 	}
 }
 
-// flowTenantLocked returns the registered account of f's tenant. A
-// placeholder is registered here, on first use — or, if someone registered
-// the name since the flow opened, swapped for that account.
-func (m *Manager) flowTenantLocked(f *flow) *tenantAccount {
+// flowTenantLocked returns f's tenant, registering it on first use.
+func (m *Manager) flowTenantLocked(f *flow) *Tenant {
 	if f.t.g == nil {
-		if t, ok := m.tenants[f.t.name]; ok {
-			f.t = t
-		} else {
-			m.registerLocked(f.t)
-		}
+		m.registerLocked(f.t)
 	}
 	return f.t
 }

@@ -41,7 +41,7 @@ func TestFlowLazyMatchesEagerAccrual(t *testing.T) {
 		eager := NewManager(Config{Clock: clkE, HalfLife: halfLife})
 
 		rate := 0.5 + rng.Float64()
-		flow := lazy.OpenFlow("alice", "cern", rate)
+		flow := lazy.OpenFlow(lazy.Tenant("alice"), "cern", rate)
 		var accrued float64 // ground-truth CPU delivered, tick by tick
 
 		// Random piecewise-constant rate schedule, advanced in lockstep.
@@ -104,7 +104,7 @@ func TestFlowLazyMatchesEagerAccrual(t *testing.T) {
 func TestFlowRateZeroAccruesNothing(t *testing.T) {
 	clk := vtime.NewSimClock(time.Time{})
 	m := NewManager(Config{Clock: clk, HalfLife: -1})
-	f := m.OpenFlow("bob", "desy", 2.0)
+	f := m.OpenFlow(m.Tenant("bob"), "desy", 2.0)
 	clk.Advance(10 * time.Second)
 	got := m.Usage("bob")
 	f.SetRate(0)
@@ -123,7 +123,7 @@ func TestFlowRateZeroAccruesNothing(t *testing.T) {
 // Every running job holds a usage flow for as long as it runs: one 64-byte
 // allocation, and none for a negotiation pass's sort keys once the
 // negotiator's buffer has grown to the pass — nor when owners have starved
-// and the guard picks each one's oldest ref.
+// and the guard picks each one's oldest ref, by name or by handle.
 func TestFlowAndSortKeysAllocations(t *testing.T) {
 	if got := unsafe.Sizeof(flow{}); got > 64 {
 		t.Errorf("unsafe.Sizeof(flow{}) = %d bytes, want <= 64", got)
@@ -138,6 +138,17 @@ func TestFlowAndSortKeysAllocations(t *testing.T) {
 	}
 	if want := m.SortKeysAt(clk.Now(), refs); !slices.Equal(keys, want) {
 		t.Errorf("AppendSortKeys = %v, SortKeysAt = %v", keys, want)
+	}
+	// Refs that carry their tenant's handle, as a negotiator's do.
+	handled := slices.Clone(refs)
+	for i := range handled {
+		handled[i].Tenant = m.Tenant(handled[i].Owner)
+	}
+	if got := testing.AllocsPerRun(100, func() { keys = m.AppendSortKeys(keys[:0], clk.Now(), handled) }); got != 0 {
+		t.Errorf("AppendSortKeys over handle refs allocates %v times, want 0", got)
+	}
+	if want := m.SortKeysAt(clk.Now(), refs); !slices.Equal(keys, want) {
+		t.Errorf("handle refs: AppendSortKeys = %v, by name = %v", keys, want)
 	}
 
 	// Starved: every ref has waited past the window and nobody was served.
@@ -158,6 +169,16 @@ func TestFlowAndSortKeysAllocations(t *testing.T) {
 	if want := m.SortKeysAt(clk.Now(), starved); !slices.Equal(keys, want) {
 		t.Errorf("starved: AppendSortKeys = %v, SortKeysAt = %v", keys, want)
 	}
+	handled = slices.Clone(starved)
+	for i := range handled {
+		handled[i].Tenant = m.Tenant(handled[i].Owner)
+	}
+	if got := testing.AllocsPerRun(100, func() { keys = m.AppendSortKeys(keys[:0], clk.Now(), handled) }); got != 0 {
+		t.Errorf("AppendSortKeys over starved handle refs allocates %v times, want 0", got)
+	}
+	if want := m.SortKeysAt(clk.Now(), starved); !slices.Equal(keys, want) {
+		t.Errorf("starved handle refs: AppendSortKeys = %v, by name = %v", keys, want)
+	}
 	for i, want := range []bool{false, true, false, true, true, false} {
 		if keys[i].Starved != want {
 			t.Errorf("ref %d (%+v): Starved = %v, want %v", i, starved[i], keys[i].Starved, want)
@@ -175,7 +196,7 @@ func TestSetTenantMidFlowMovesAccrual(t *testing.T) {
 	m.SetGroup("g2", 1)
 	m.SetTenant("x", "g1", 1)
 	m.SetTenant("y", "g1", 1)
-	f := m.OpenFlow("x", "siteA", 2)
+	f := m.OpenFlow(m.Tenant("x"), "siteA", 2)
 	clock.Advance(100 * time.Second)
 	m.RecordUsage("y", "", 50)
 	m.SetTenant("x", "g2", 1) // x has accrued 200
@@ -220,9 +241,9 @@ func TestZeroRateFlowRegistersNothing(t *testing.T) {
 		return string(b)
 	}
 	before := export()
-	ghost := m.OpenFlow("ghost", "siteA", 0)
-	twin := m.OpenFlow("ghost", "siteB", 0)
-	known := m.OpenFlow("real", "siteB", 0)
+	ghost := m.OpenFlow(m.Tenant("ghost"), "siteA", 0)
+	twin := m.OpenFlow(m.Tenant("ghost"), "siteB", 0)
+	known := m.OpenFlow(m.Tenant("real"), "siteB", 0)
 	ghost.SetRate(0)
 	known.SetRate(0)
 	if after := export(); after != before {
@@ -255,11 +276,13 @@ func TestZeroRateFlowRegistersNothing(t *testing.T) {
 	}
 }
 
-// TestConcurrentFlowsBesideReaders opens, re-rates and closes flows on
-// several goroutines while others advance the clock, price sort keys, move
-// tenants between groups and export. Rates, totals and clock steps are
-// whole numbers, so the books are exact: at the end each tenant's usage is
-// the sum of its closed flows' totals. Run under -race by make race-smoke.
+// TestConcurrentFlowsBesideReaders opens, re-rates and closes flows and
+// observes starts on several goroutines, each through its tenant's handle,
+// while others advance the clock, price sort keys by name and by handle,
+// move tenants between groups and export. Rates, totals and clock steps
+// are whole numbers, so the books are exact: at the end each tenant's
+// usage is the sum of its closed flows' totals. Run under -race by make
+// race-smoke.
 func TestConcurrentFlowsBesideReaders(t *testing.T) {
 	m, clock := newTestManager(Config{HalfLife: -1, StarvationWindow: time.Second})
 	tenants := []string{"atlas", "cms", "lhcb", "alice"}
@@ -270,8 +293,10 @@ func TestConcurrentFlowsBesideReaders(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			h := m.Tenant(tenant)
 			for i := 0; i < flowsEach; i++ {
-				f := m.OpenFlow(tenant, "site"+strconv.Itoa(i%3), float64(i%3))
+				m.ObserveStart(h, clock.Now())
+				f := m.OpenFlow(h, "site"+strconv.Itoa(i%3), float64(i%3))
 				f.SetRate(float64(i % 5))
 				total := float64(i % 7)
 				f.Close(total)
@@ -300,8 +325,13 @@ func TestConcurrentFlowsBesideReaders(t *testing.T) {
 	for i, tenant := range tenants {
 		refs[i] = JobRef{Owner: tenant, Submitted: clock.Now(), Seq: i}
 	}
-	var keys []SortKey
+	handled := slices.Clone(refs)
+	for i := range handled {
+		handled[i].Tenant = m.Tenant(handled[i].Owner)
+	}
+	var keys, hkeys []SortKey
 	reader(func(int) { keys = m.AppendSortKeys(keys[:0], clock.Now(), refs) })
+	reader(func(int) { hkeys = m.AppendSortKeys(hkeys[:0], clock.Now(), handled) })
 	reader(func(i int) { m.SetTenant(tenants[i%len(tenants)], "g"+strconv.Itoa(i%2), 1) })
 	reader(func(int) { m.Export() })
 	wg.Wait()

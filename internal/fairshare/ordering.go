@@ -23,9 +23,11 @@ func IsNil(v any) bool {
 // JobRef is the ordering view of one queued job: everything a fair-share
 // policy may consider when deciding which idle job the next free machine
 // goes to. The execution service builds these from its queue; the policy
-// never sees execution-service internals.
+// never sees execution-service internals. A ref with a Tenant handle is
+// priced through it; one without resolves Owner by name.
 type JobRef struct {
 	Owner          string    // submitting tenant
+	Tenant         *Tenant   // Owner's handle (Ranker.Tenant), or nil
 	StaticPriority int       // the job ad's static priority (larger first)
 	Submitted      time.Time // when the job entered the queue
 	Seq            int       // submission sequence, the final FIFO tie-break
@@ -44,8 +46,10 @@ type SortKey struct {
 // even on a clock that advances mid-pass — and LessKeys orders any two of
 // them by those keys without calling back into the policy. The keys are
 // appended to the caller's buffer, which a negotiator reuses pass after
-// pass.
+// pass. Tenant resolves the handle a negotiator keeps per owner and puts
+// in its refs, and hands to FlowSink and StartObserver.
 type Ranker interface {
+	Tenant(owner string) *Tenant
 	AppendSortKeys(dst []SortKey, now time.Time, refs []JobRef) []SortKey
 }
 
@@ -70,8 +74,12 @@ func (m *Manager) AppendSortKeys(dst []SortKey, now time.Time, refs []JobRef) []
 	at := now.UnixNano()
 	starved := m.starved[:0]
 	for i, r := range refs {
-		keys[i].Effective = m.effectiveAtLocked(m.tenants[tenantName(r.Owner)], at)
-		if m.cfg.StarvationWindow > 0 && m.starvedLocked(r, now) {
+		t := r.Tenant
+		if t == nil {
+			t = m.tenants[tenantName(r.Owner)]
+		}
+		keys[i].Effective = m.effectiveAtLocked(t, at)
+		if m.cfg.StarvationWindow > 0 && m.starvedLocked(t, r, now) {
 			starved = append(starved, i)
 		}
 	}
@@ -79,7 +87,7 @@ func (m *Manager) AppendSortKeys(dst []SortKey, now time.Time, refs []JobRef) []
 		// Each starved owner's refs in a run, its oldest first.
 		slices.SortFunc(starved, func(i, j int) int {
 			a, b := refs[i], refs[j]
-			if c := strings.Compare(tenantName(a.Owner), tenantName(b.Owner)); c != 0 {
+			if c := strings.Compare(refName(a), refName(b)); c != 0 {
 				return c
 			}
 			if olderRef(a, b) {
@@ -92,12 +100,20 @@ func (m *Manager) AppendSortKeys(dst []SortKey, now time.Time, refs []JobRef) []
 		})
 	}
 	for k, i := range starved {
-		if k == 0 || tenantName(refs[i].Owner) != tenantName(refs[starved[k-1]].Owner) {
+		if k == 0 || refName(refs[i]) != refName(refs[starved[k-1]]) {
 			keys[i].Starved = true
 		}
 	}
 	m.starved = starved
 	return dst
+}
+
+// refName is the name of r's tenant.
+func refName(r JobRef) string {
+	if r.Tenant != nil {
+		return r.Tenant.name
+	}
+	return tenantName(r.Owner)
 }
 
 // olderRef reports whether a entered the queue before b.
@@ -173,26 +189,29 @@ type SiteStanding interface {
 // is backlogged but being served (a burst working its way through) from
 // one that is actually starved: only the latter's jobs are promoted.
 type StartObserver interface {
-	ObserveStart(tenant string, at time.Time)
+	ObserveStart(t *Tenant, at time.Time)
 }
 
-// ObserveStart records that tenant was allocated a machine at the given
-// time. Empty tenants account to Anonymous.
-func (m *Manager) ObserveStart(tenant string, at time.Time) {
-	tenant = tenantName(tenant)
+// ObserveStart records that tenant t (a handle of this manager's, see
+// Tenant) was allocated a machine at the given time. The start lives on
+// the tenant's account, which it registers, so the export carries it.
+func (m *Manager) ObserveStart(t *Tenant, at time.Time) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if at.After(m.lastStart[tenant]) {
-		m.lastStart[tenant] = at
+	if t.g == nil {
+		m.registerLocked(t)
+	}
+	if at.After(t.lastStart) {
+		t.lastStart = at
 	}
 }
 
 // starvedLocked reports whether the job's wait and its owner's allocation
-// drought both exceed the starvation window.
-func (m *Manager) starvedLocked(r JobRef, now time.Time) bool {
+// drought both exceed the starvation window; t is the owner's account, nil
+// when the owner is not known.
+func (m *Manager) starvedLocked(t *Tenant, r JobRef, now time.Time) bool {
 	if now.Sub(r.Submitted) < m.cfg.StarvationWindow {
 		return false
 	}
-	last, ok := m.lastStart[tenantName(r.Owner)]
-	return !ok || now.Sub(last) >= m.cfg.StarvationWindow
+	return t == nil || now.Sub(t.lastStart) >= m.cfg.StarvationWindow
 }

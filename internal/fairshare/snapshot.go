@@ -44,7 +44,7 @@ func (m *Manager) Export() *durable.FairShareState {
 				Name: name, Weight: t.weight, Usage: t.usage, Last: timeOf(t.last, loc),
 			},
 			Group:     t.group,
-			LastStart: m.lastStart[name],
+			LastStart: t.lastStart,
 		}
 		sites := make([]string, 0, len(t.sites))
 		for s := range t.sites {
@@ -66,10 +66,12 @@ func (m *Manager) Export() *durable.FairShareState {
 // Restore overwrites the accounting hierarchy with an exported state.
 // Configuration (half-life, scale, weights of accounts not in the export)
 // is untouched: it comes from the deployment's Config, not the snapshot.
-// It replaces every account, so it runs only on a manager with no open
-// usage flows — a flow holds the accounts it feeds — as on recovery, which
-// builds a fresh deployment and restores it before any pool reopens its
-// running jobs' flows.
+// Tenants are rewritten in place, so a handle taken before the restore
+// stands for the restored account — or, for a name the export lacks, for
+// an unregistered one. Group and site accounts are replaced, and a flow
+// holds the site account it feeds, so Restore runs only on a manager with
+// no open usage flows, as on recovery, which builds a fresh deployment and
+// restores it before any pool reopens its running jobs' flows.
 func (m *Manager) Restore(st *durable.FairShareState) {
 	if st == nil {
 		return
@@ -78,28 +80,32 @@ func (m *Manager) Restore(st *durable.FairShareState) {
 	defer m.mu.Unlock()
 	m.epGen++
 	m.groups = make(map[string]*account, len(st.Groups))
-	m.tenants = make(map[string]*tenantAccount, len(st.Tenants))
-	m.lastStart = make(map[string]time.Time)
+	for name, t := range m.tenants {
+		*t = Tenant{name: name}
+		m.unregistered[name] = t
+	}
+	m.tenants = make(map[string]*Tenant, len(st.Tenants))
 	for _, g := range st.Groups {
 		a := restoredAccount(g)
 		m.groups[g.Name] = &a
 	}
-	for _, t := range st.Tenants {
-		ta := &tenantAccount{
-			account: restoredAccount(t.FairShareAccount),
-			name:    t.Name,
-			group:   t.Group,
-			g:       m.groupLocked(t.Group), // the tenant's group exists even if it carried no usage
-			sites:   make(map[string]*account, len(t.Sites)),
+	for _, ts := range st.Tenants {
+		t, ok := m.unregistered[ts.Name]
+		if ok {
+			delete(m.unregistered, ts.Name)
+		} else {
+			t = &Tenant{name: ts.Name}
 		}
-		for _, s := range t.Sites {
+		t.account = restoredAccount(ts.FairShareAccount)
+		t.group = ts.Group
+		t.g = m.groupLocked(ts.Group) // the tenant's group exists even if it carried no usage
+		t.sites = make(map[string]*account, len(ts.Sites))
+		t.lastStart = ts.LastStart
+		for _, s := range ts.Sites {
 			a := restoredAccount(s)
-			ta.sites[s.Name] = &a
+			t.sites[s.Name] = &a
 		}
-		m.tenants[t.Name] = ta
-		if !t.LastStart.IsZero() {
-			m.lastStart[t.Name] = t.LastStart
-		}
+		m.tenants[ts.Name] = t
 	}
 }
 
