@@ -79,12 +79,14 @@ fuzz-smoke:
 # wire codec, the typed client and the serving mux, in allocations that
 # repeat exactly. Last, what a checkpoint writes and allocates: the same
 # after 10 new charges whether 100 or 10 000 were billed before them
-# (CheckpointFollowsDelta).
+# (CheckpointFollowsDelta), and what one call of the local client
+# allocates, journaled with and without a store and not journaled
+# (LocalCallAllocCeilings).
 bench-smoke:
 	GAE_SCENARIO_SCALE=smoke $(GO) test -run xxx -bench Scenario -benchtime 1x .
 	$(GO) test -run 'MillionSmokeCounts|JobSize|FlowAndSortKeysAllocations|JobBytesCeiling|CompletionMallocCeiling|RunBytesPerJob|RankEvalsFollowChanges|SegmentCalls|WeatherIsEventDriven|FlowFollowsLoadSegments' -count=1 . ./internal/condor ./internal/fairshare ./internal/simgrid
 	$(GO) test -run 'WireAllocCeilings|ServeAllocCeiling' -count=1 ./pkg/gae ./internal/xmlrpc
-	$(GO) test -run 'CheckpointFollowsDelta' -count=1 ./internal/core
+	$(GO) test -run 'CheckpointFollowsDelta|LocalCallAllocCeilings' -count=1 ./internal/core
 
 # Closed-loop serving smoke: the gae-loadgen mixed workload against an
 # embedded durable deployment — exits non-zero if any operation fails.

@@ -186,3 +186,46 @@ func fileSize(t *testing.T, dir, name string) int64 {
 	}
 	return fi.Size()
 }
+
+// TestLocalCallAllocCeilings bounds what one call of the local client
+// allocates, in counts that repeat exactly: a journaled SetState with a
+// store attached (the journal record, its argument array and the fsync
+// wait) 12, the same call with no store 1, and a GetState, which is not
+// journaled, none. Dispatching a call through its method's row adds no
+// closure and no boxed value.
+func TestLocalCallAllocCeilings(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	ctx := context.Background()
+	g := New(durableConfig())
+	alice := g.Client("alice")
+	set := func() {
+		if err := alice.SetState(ctx, "cuts", "pt>20"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	get := func() {
+		if v, err := alice.GetState(ctx, "cuts"); err != nil || v != "pt>20" {
+			t.Fatalf("GetState = %q, %v", v, err)
+		}
+	}
+	set()
+	if n := testing.AllocsPerRun(500, set); n > 1 {
+		t.Errorf("SetState with no store: %v allocations, ceiling 1", n)
+	}
+	if n := testing.AllocsPerRun(500, get); n > 0 {
+		t.Errorf("GetState: %v allocations, ceiling 0", n)
+	}
+	s, err := durable.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := g.AttachStore(s); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(500, set); n > 12 {
+		t.Errorf("SetState with a store: %v allocations, ceiling 12", n)
+	}
+}

@@ -110,7 +110,7 @@ type GAE struct {
 	trace *telemetry.TraceRing // recent RPC spans, served at /debug/rpcs
 
 	// persistMu orders every mutation: a journaled RPC holds it from the
-	// window lookup to the window record (journalCall), Checkpoint and
+	// window lookup to the window record (journal.Begin to End), Checkpoint and
 	// CaptureState across the capture, so no mutation straddles a
 	// checkpoint (applied before the capture but journaled after it —
 	// which replay would then apply twice). It guards store and idem;
@@ -118,9 +118,6 @@ type GAE struct {
 	persistMu sync.Mutex
 	store     *durable.Store
 	idem      *idemWindow
-	// replay maps each journaled service.method to the unjournaled call
-	// ApplyOp drives (replayTable).
-	replay map[string]replayFn
 
 	// durabilityLost fires (once) when a journal enqueue or fsync fails
 	// after its mutation already applied in memory. From that moment the
@@ -268,7 +265,6 @@ func New(cfg Config) *GAE {
 		}
 	}
 	g.registerServices()
-	g.replay = replayTable(g.rawServices(replayUser))
 	return g
 }
 
@@ -286,26 +282,23 @@ func (g *GAE) userOf(ctx context.Context) string {
 // readable by any authenticated user; steering requires authentication
 // (per-job ownership is enforced by the Session Manager). The services
 // are the same typed gae contract implementations local clients use,
-// bound to the wire by the generic handler adapter.
+// bound to the wire by their method rows.
 func (g *GAE) registerServices() {
 	srv := g.Clarens
-	svcs := g.services(g.userOf)
-	srv.RegisterService("jobmon", "Job Monitoring Service (JMExecutable)", gae.JobMonHandlers(svcs.JobMon))
-	srv.RegisterService("steering", "Steering Service", gae.SteeringHandlers(svcs.Steering))
-	srv.RegisterService("estimator", "Estimator Service (runtime, queue time, transfer time)", gae.EstimatorHandlers(svcs.Estimator))
-	srv.RegisterService("quota", "Quota and Accounting Service", gae.QuotaHandlers(svcs.Quota))
-	srv.RegisterService("scheduler", "Sphinx-like scheduling middleware", gae.SchedulerHandlers(svcs.Scheduler))
-	srv.RegisterService("replica", "Replica catalog (data location service)", gae.ReplicaHandlers(svcs.Replica))
-	srv.RegisterService("monitor", "MonALISA repository (Grid weather)", gae.MonitorHandlers(svcs.Monitor))
-	srv.RegisterService("state", "Analysis-session state store", gae.StateHandlers(svcs.State))
-	srv.ACL.Allow("authenticated", "jobmon.*")
-	srv.ACL.Allow("authenticated", "steering.*")
-	srv.ACL.Allow("authenticated", "estimator.*")
-	srv.ACL.Allow("authenticated", "quota.*")
-	srv.ACL.Allow("authenticated", "scheduler.*")
-	srv.ACL.Allow("authenticated", "replica.*")
-	srv.ACL.Allow("authenticated", "monitor.*")
-	srv.ACL.Allow("authenticated", "state.*")
+	c := g.client(g.userOf)
+	for _, svc := range []struct{ name, description string }{
+		{"jobmon", "Job Monitoring Service (JMExecutable)"},
+		{"steering", "Steering Service"},
+		{"estimator", "Estimator Service (runtime, queue time, transfer time)"},
+		{"quota", "Quota and Accounting Service"},
+		{"scheduler", "Sphinx-like scheduling middleware"},
+		{"replica", "Replica catalog (data location service)"},
+		{"monitor", "MonALISA repository (Grid weather)"},
+		{"state", "Analysis-session state store"},
+	} {
+		srv.RegisterService(svc.name, svc.description, gae.Handlers(svc.name, c))
+		srv.ACL.Allow("authenticated", svc.name+".*")
+	}
 
 	// Observability endpoints, served as plain HTTP GET beside the
 	// XML-RPC dispatcher. They bypass the session/drain intercept on

@@ -1,11 +1,9 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"repro/internal/clarens"
-	"repro/internal/xmlrpc"
 	"repro/pkg/gae"
 )
 
@@ -47,28 +45,14 @@ func NewFederation(cfg Config) *Federation {
 }
 
 // registerSiteServices hosts the site-local service set: the central
-// deployment's typed contracts curried to one site and bound to the wire
-// by the same generic handler adapter the central host uses.
+// deployment's estimator and job monitoring rows with their site argument
+// fixed to one site.
 func (f *Federation) registerSiteServices(host *clarens.Server, site string) {
-	svcs := f.Central.services(f.Central.userOf)
+	c := f.Central.client(f.Central.userOf)
 	svcName := "estimator-" + site
-	host.RegisterService(svcName, "site-local runtime estimator", map[string]xmlrpc.Handler{
-		"runtime": gae.Handler1(func(ctx context.Context, task gae.TaskProfile) (gae.RuntimeEstimate, error) {
-			return svcs.Estimator.EstimateRuntime(ctx, site, task)
-		}),
-		"queuetime": gae.Handler1(func(ctx context.Context, id int) (gae.QueueEstimate, error) {
-			return svcs.Estimator.EstimateQueueTime(ctx, site, id)
-		}),
-	})
+	host.RegisterService(svcName, "site-local runtime estimator", gae.SiteHandlers("estimator", site, c, "runtime", "queuetime"))
 	jmName := "jobmon-" + site
-	host.RegisterService(jmName, "site-local job monitoring", map[string]xmlrpc.Handler{
-		"status": gae.Handler1(func(ctx context.Context, id int) (string, error) {
-			return svcs.JobMon.JobStatus(ctx, site, id)
-		}),
-		"info": gae.Handler1(func(ctx context.Context, id int) (gae.JobInfo, error) {
-			return svcs.JobMon.Job(ctx, site, id)
-		}),
-	})
+	host.RegisterService(jmName, "site-local job monitoring", gae.SiteHandlers("jobmon", site, c, "status", "info"))
 	host.ACL.Allow("authenticated", svcName+".*")
 	host.ACL.Allow("authenticated", jmName+".*")
 }

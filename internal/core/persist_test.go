@@ -207,40 +207,22 @@ func TestCrashRecoveryByteIdentical(t *testing.T) {
 	}
 }
 
-// TestEveryJournaledMethodReplays: each of the twelve mutating methods is
-// called once after a checkpoint, under a pinned request ID, and a fresh
-// deployment recovering from the snapshot and that journal tail reaches
-// the live state byte for byte — idempotency window included, so every
-// replayed method re-records the result its live call acknowledged.
-// Simulated time is not advanced after the last op: recovery replays no
-// time that no journal record covers.
-func TestEveryJournaledMethodReplays(t *testing.T) {
-	dir := t.TempDir()
-	cfg := durableConfig()
-	ctx := context.Background()
+// mutationStep is one journaled call of everyMutation.
+type mutationStep struct {
+	method string // the name it journals under
+	call   func(ctx context.Context) error
+}
 
-	g1 := New(cfg)
-	s1, err := durable.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g1.AttachStore(s1); err != nil {
-		t.Fatal(err)
-	}
-	if err := g1.PutDataset("siteA", "hits.root", 40); err != nil {
-		t.Fatal(err)
-	}
-	if err := g1.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	alice, root := g1.Client("alice"), g1.Client("root")
-	steps := []struct {
-		method string
-		call   func(ctx context.Context) error
-	}{
+// everyMutation is a call of each of the twelve mutating methods, made on g
+// (alice's, and root's for the two administrator methods) once hits.root
+// is stored at siteA. Its two submissions give steering a running task and
+// a queued one; it advances simulated time only after the first.
+func everyMutation(g *GAE) []mutationStep {
+	alice, root := g.Client("alice"), g.Client("root")
+	return []mutationStep{
 		{"scheduler.submit", func(ctx context.Context) error {
 			_, err := alice.Submit(ctx, specOf("p-steer", 600))
-			g1.Run(30 * time.Second)
+			g.Run(30 * time.Second)
 			return err
 		}},
 		{"scheduler.submit", func(ctx context.Context) error { _, err := alice.Submit(ctx, specOf("p-kill", 600)); return err }},
@@ -260,9 +242,55 @@ func TestEveryJournaledMethodReplays(t *testing.T) {
 			return err
 		}},
 	}
+}
+
+// journalEveryMutation attaches a store in dir to a fresh deployment,
+// stores hits.root, checkpoints, and makes everyMutation's calls under the
+// request IDs rid-0, rid-1, ... It returns the deployment, its store and
+// the steps.
+func journalEveryMutation(t *testing.T, dir string) (*GAE, *durable.Store, []mutationStep) {
+	t.Helper()
+	g := New(durableConfig())
+	s, err := durable.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.AttachStore(s); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.PutDataset("siteA", "hits.root", 40); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	steps := everyMutation(g)
 	for i, st := range steps {
-		if err := st.call(gae.WithRequestID(ctx, fmt.Sprintf("rid-%d", i))); err != nil {
+		if err := st.call(gae.WithRequestID(context.Background(), fmt.Sprintf("rid-%d", i))); err != nil {
 			t.Fatalf("%s: %v", st.method, err)
+		}
+	}
+	return g, s, steps
+}
+
+// TestEveryJournaledMethodReplays: each of the twelve mutating rows — the
+// tail covers every mutating row's journal name, and no read's — is
+// called after a checkpoint, under a pinned request ID, and a fresh
+// deployment recovering from the snapshot and that journal tail reaches
+// the live state byte for byte — idempotency window included, so every
+// replayed method re-records the result its live call acknowledged.
+// Simulated time is not advanced after the last op: recovery replays no
+// time that no journal record covers.
+func TestEveryJournaledMethodReplays(t *testing.T) {
+	dir := t.TempDir()
+	g1, s1, steps := journalEveryMutation(t, dir)
+	covered := make(map[string]bool)
+	for _, st := range steps {
+		covered[st.method] = true
+	}
+	for _, m := range gae.Methods() {
+		if m.Mutates != covered[m.Op] {
+			t.Errorf("row %s (mutates: %v) is journaled by the tail: %v", m.Op, m.Mutates, covered[m.Op])
 		}
 	}
 	want := encodeState(t, g1)
@@ -270,7 +298,7 @@ func TestEveryJournaledMethodReplays(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	g2 := New(cfg)
+	g2 := New(durableConfig())
 	s2, err := durable.Open(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -293,6 +321,57 @@ func TestEveryJournaledMethodReplays(t *testing.T) {
 	}
 	if got := encodeState(t, g2); !bytes.Equal(want, got) {
 		diffLines(t, want, got)
+	}
+}
+
+// TestPinnedJournalRecovers holds the journal format still. The store
+// under testdata/journal/store (a snapshot and a journal tail of
+// everyMutation's calls) and the state it recovers to, testdata/journal/
+// state.json, were written by the journaling wrappers and replay table the
+// method rows replaced. This tree recovers that store to the same bytes,
+// and journals the same calls into the same journal.
+func TestPinnedJournalRecovers(t *testing.T) {
+	pinned := filepath.Join("testdata", "journal")
+	want, err := os.ReadFile(filepath.Join(pinned, "state.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for _, name := range []string{durable.SnapshotFile, durable.JournalFile, durable.HistoryFile} {
+		raw, err := os.ReadFile(filepath.Join(pinned, "store", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g := New(durableConfig())
+	s, err := durable.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := g.AttachStore(s); err != nil {
+		t.Fatal(err)
+	}
+	if got := encodeState(t, g); !bytes.Equal(want, got) {
+		diffLines(t, want, got)
+	}
+
+	fresh := t.TempDir()
+	_, s2, _ := journalEveryMutation(t, fresh)
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{durable.SnapshotFile, durable.JournalFile} {
+		got, err := os.ReadFile(filepath.Join(fresh, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, err := os.ReadFile(filepath.Join(pinned, "store", name)); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s differs from the pinned one (%v):\n got %s\nwant %s", name, err, got, want)
+		}
 	}
 }
 

@@ -13,26 +13,24 @@ import (
 // This file binds the wired deployment to the typed service contracts of
 // pkg/gae. One implementation per paper service; the same bindings serve
 // both transports: registerServices hosts them on the Clarens endpoint
-// through the generic handler adapter, and GAE.Client hands them to a
+// through the method rows, and GAE.Client hands them to a
 // zero-serialization local client.
 
 // Client returns a local-transport gae.Client acting as user: every call
 // goes straight into the in-process services, no serialization involved.
 func (g *GAE) Client(user string) *gae.Client {
-	return gae.NewClient(g.services(func(context.Context) string { return user }))
+	return g.client(func(context.Context) string { return user })
 }
 
-// services assembles the typed contract implementations with the given
-// user resolution, wrapped so that every mutating call is journaled to
-// the attached durable store (a no-op while no store is attached).
+// client assembles a local client over the services, acting as userOf
+// resolves, whose mutating calls are journaled to the attached durable
+// store (only ordered, deduplicated and traced while none is attached).
+func (g *GAE) client(userOf gae.UserResolver) *gae.Client {
+	return gae.NewClient(g.services(userOf), &journal{g: g, userOf: userOf})
+}
+
+// services assembles the unjournaled contract implementations.
 func (g *GAE) services(userOf gae.UserResolver) gae.Services {
-	return g.journaled(g.rawServices(userOf), userOf)
-}
-
-// rawServices assembles the unjournaled contract implementations —
-// the layer journal replay drives, so replayed operations are not
-// re-recorded.
-func (g *GAE) rawServices(userOf gae.UserResolver) gae.Services {
 	return gae.Services{
 		Scheduler: schedulerAPI{g: g, userOf: userOf},
 		Steering:  g.Steering.API(userOf),

@@ -35,7 +35,7 @@ func InfoDTO(info condor.JobInfo) gae.JobInfo {
 }
 
 // API returns the service's typed gae.JobMon contract — the JMExecutable.
-// Hosting it on Clarens is one line: gae.JobMonHandlers(svc.API()).
+// gae.Handlers binds it to Clarens through the jobmon rows.
 func (s *Service) API() gae.JobMon { return jobMonAPI{s} }
 
 type jobMonAPI struct{ s *Service }

@@ -296,7 +296,7 @@ func rpcFixture(t *testing.T) (*simgrid.Grid, *condor.Pool, *clarens.Client) {
 	t.Helper()
 	g, pool, _, svc := newFixture(t)
 	srv := clarens.NewServer("host", nil)
-	srv.RegisterService("jobmon", "job monitoring service", gae.JobMonHandlers(svc.API()))
+	srv.RegisterService("jobmon", "job monitoring service", gae.Handlers("jobmon", gae.NewClient(gae.Services{JobMon: svc.API()}, nil)))
 	srv.ACL.Allow("*", "jobmon.*") // monitoring data is world-readable
 	hs := httptest.NewServer(srv)
 	t.Cleanup(hs.Close)

@@ -12,9 +12,6 @@ import (
 // session lookup; local clients a fixed identity); per-task ownership is
 // enforced by the Session Manager underneath.
 func (s *Service) API(userOf gae.UserResolver) gae.Steering {
-	if userOf == nil {
-		userOf = func(context.Context) string { return "" }
-	}
 	return steeringAPI{s: s, userOf: userOf}
 }
 

@@ -72,6 +72,12 @@ type Scheduler interface {
 	Sites(ctx context.Context) ([]string, error)
 }
 
+var (
+	schedulerSubmit = row1("scheduler.submit", writes, Scheduler.Submit)
+	schedulerPlan   = row1("scheduler.plan", reads, Scheduler.Plan)
+	schedulerSites  = row0("scheduler.sites", reads, Scheduler.Sites)
+)
+
 // Steering is the Steering Service contract: inspect and control the
 // acting user's tasks (per-task ownership is enforced server-side).
 type Steering interface {
@@ -95,6 +101,25 @@ type Steering interface {
 	SetPreference(ctx context.Context, preference string) (string, error)
 }
 
+var (
+	steeringJobs        = row0("steering.jobs", reads, Steering.Jobs)
+	steeringStatus      = row2("steering.status", reads, Steering.TaskStatus)
+	steeringKill        = row2("steering.kill", writes, acked2(Steering.Kill))
+	steeringPause       = row2("steering.pause", writes, acked2(Steering.Pause))
+	steeringResume      = row2("steering.resume", writes, acked2(Steering.Resume))
+	steeringSetPriority = row3("steering.setpriority", writes, acked3(Steering.SetPriority))
+	steeringEstimate    = row2("steering.estimate", reads, Steering.EstimateCompletion)
+	steeringNotices     = row0("steering.notifications", reads, Steering.Notifications)
+	// The journal records the site a move landed on, not the requested
+	// (possibly empty) one: replay must not re-run site selection against
+	// monitoring state that no longer exists.
+	steeringMove       = row3("steering.move", writes, Steering.Move).optionalLast(func(res MoveResult) string { return res.Site })
+	steeringPreference = row0("steering.preference", reads, Steering.Preference)
+	// SetPreference shares the wire name of the read above, told apart
+	// by its argument, and journals the preference it applied.
+	steeringSetPreference = row1("steering.preference", writes, Steering.SetPreference).journalsAs("steering.setpreference", func(applied string) string { return applied })
+)
+
 // JobMon is the Job Monitoring Service contract (the JMExecutable).
 type JobMon interface {
 	// Job returns the full monitoring snapshot of one job.
@@ -117,6 +142,18 @@ type JobMon interface {
 	Pools(ctx context.Context) ([]string, error)
 }
 
+var (
+	jobmonInfo          = row2("jobmon.info", reads, JobMon.Job)
+	jobmonStatus        = row2("jobmon.status", reads, JobMon.JobStatus)
+	jobmonProgress      = row2("jobmon.progress", reads, JobMon.JobProgress)
+	jobmonWallclock     = row2("jobmon.wallclock", reads, JobMon.JobWallclock)
+	jobmonElapsed       = row2("jobmon.elapsed", reads, JobMon.JobElapsed)
+	jobmonRemaining     = row2("jobmon.remaining", reads, JobMon.JobRemaining)
+	jobmonQueuePosition = row2("jobmon.queueposition", reads, JobMon.JobQueuePosition)
+	jobmonList          = row1("jobmon.list", reads, JobMon.JobList)
+	jobmonPools         = row0("jobmon.pools", reads, JobMon.Pools)
+)
+
 // Estimator is the Estimator Service contract.
 type Estimator interface {
 	// EstimateRuntime predicts a task's runtime at a site from that
@@ -127,6 +164,12 @@ type Estimator interface {
 	// EstimateTransfer predicts moving sizeMB between two sites.
 	EstimateTransfer(ctx context.Context, src, dst string, sizeMB float64) (TransferEstimate, error)
 }
+
+var (
+	estimatorRuntime   = row2("estimator.runtime", reads, Estimator.EstimateRuntime)
+	estimatorQueueTime = row2("estimator.queuetime", reads, Estimator.EstimateQueueTime)
+	estimatorTransfer  = row3("estimator.transfer", reads, Estimator.EstimateTransfer)
+)
 
 // Quota is the Quota and Accounting Service contract.
 type Quota interface {
@@ -144,6 +187,14 @@ type Quota interface {
 	ChargeUsage(ctx context.Context, req ChargeRequest) (float64, error)
 }
 
+var (
+	quotaBalance  = row0("quota.balance", reads, Quota.Balance)
+	quotaCost     = row3("quota.cost", reads, Quota.Cost)
+	quotaCheapest = row3("quota.cheapest", reads, Quota.Cheapest)
+	quotaGrant    = row2("quota.grant", writes, acked2(Quota.Grant))
+	quotaCharge   = row1("quota.charge", writes, Quota.ChargeUsage)
+)
+
 // Replica is the replica catalog (data location service) contract.
 type Replica interface {
 	// Datasets lists the catalog's dataset names.
@@ -156,6 +207,13 @@ type Replica interface {
 	// to a destination site.
 	BestReplica(ctx context.Context, dataset, dstSite string) (ReplicaChoice, error)
 }
+
+var (
+	replicaDatasets  = row0("replica.datasets", reads, Replica.Datasets)
+	replicaLocations = row1("replica.locations", reads, Replica.Replicas)
+	replicaRegister  = row3("replica.register", writes, acked3(Replica.RegisterReplica))
+	replicaBest      = row2("replica.best", reads, Replica.BestReplica)
+)
 
 // Monitor is the MonALISA repository contract — the "Grid weather".
 type Monitor interface {
@@ -172,6 +230,14 @@ type Monitor interface {
 	Weather(ctx context.Context) ([]SiteWeather, error)
 }
 
+var (
+	monitorLatest  = row2("monitor.latest", reads, Monitor.Latest)
+	monitorSeries  = row3("monitor.series", reads, Monitor.Series)
+	monitorMetrics = row0("monitor.metrics", reads, Monitor.Metrics)
+	monitorEvents  = row2("monitor.events", reads, Monitor.Events)
+	monitorSites   = row0("monitor.sites", reads, Monitor.Weather)
+)
+
 // State is the per-user analysis-session state store contract. Keys are
 // private to the acting user.
 type State interface {
@@ -181,3 +247,10 @@ type State interface {
 	// DeleteState removes a key, reporting whether it existed.
 	DeleteState(ctx context.Context, key string) (bool, error)
 }
+
+var (
+	stateSet    = row2("state.set", writes, acked2(State.SetState))
+	stateGet    = row1("state.get", reads, State.GetState)
+	stateKeys   = row0("state.keys", reads, State.StateKeys)
+	stateDelete = row1("state.delete", writes, State.DeleteState)
+)

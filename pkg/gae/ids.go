@@ -16,7 +16,7 @@ import (
 // same ID — returns the originally acknowledged result instead of
 // applying twice. The remote transport is where retries happen, so it is
 // what mints an ID, once per logical call and before its first attempt
-// (mutate in remote.go); reads carry none. An in-process call is never
+// (remoteCall in rows.go); reads carry none. An in-process call is never
 // retried and carries an ID only when the caller pins one. WithRequestID
 // pins an explicit ID on either transport (harnesses pin IDs so an op's
 // identity survives a re-dialed client).

@@ -96,10 +96,10 @@ type TransportStats struct {
 // TransportStats reports the client's retry counters. A local-transport
 // client, or a remote one dialed without WithRetryPolicy, reports zeros.
 func (c *Client) TransportStats() TransportStats {
-	if c.retry == nil {
+	if c.remote == nil || c.remote.retry == nil {
 		return TransportStats{}
 	}
-	return c.retry.snapshot()
+	return c.remote.retry.snapshot()
 }
 
 type breakerState int

@@ -200,10 +200,23 @@ type param struct {
 func (g *reachGraph) reached(allowed map[string]string) map[*types.Func]bool {
 	reached := map[*types.Func]bool{}
 	var queue []*types.Func
-	visit := func(f *types.Func) {
-		if !reached[f] {
-			reached[f] = true
-			queue = append(queue, f)
+	var visit func(f *types.Func)
+	visit = func(f *types.Func) {
+		if reached[f] {
+			return
+		}
+		reached[f] = true
+		queue = append(queue, f)
+		// An interface method reaches the module methods that implement
+		// it, whether the use is inside a function or in a package-level
+		// initializer (a method expression in a table).
+		if recv := f.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
+			iface := recv.Type().Underlying().(*types.Interface)
+			for _, m := range g.methods[f.Name()] {
+				if implements(m, iface) {
+					visit(m)
+				}
+			}
 		}
 	}
 	for _, f := range g.decls {
@@ -222,14 +235,6 @@ func (g *reachGraph) reached(allowed map[string]string) map[*types.Func]bool {
 		queue = queue[1:]
 		for _, u := range g.uses[f] {
 			visit(u)
-			if recv := u.Type().(*types.Signature).Recv(); recv != nil && types.IsInterface(recv.Type()) {
-				iface := recv.Type().Underlying().(*types.Interface)
-				for _, m := range g.methods[u.Name()] {
-					if implements(m, iface) {
-						visit(m)
-					}
-				}
-			}
 		}
 	}
 	return reached
