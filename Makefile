@@ -19,10 +19,12 @@ test-race:
 # scheduler's plan table, and through core's RPC binding), a checkpointed
 # job the engine goroutine starts before its checkpoint is set, a
 # request ID delivered twice at once and applied twice, concurrent
-# mutations journaled in another order than they were applied, or usage
-# flows racing the fair-share manager's readers, fails here.
+# mutations journaled in another order than they were applied, usage
+# flows racing the fair-share manager's readers, or a machine ad
+# rewritten on one goroutine read unsynchronised by the pass on the
+# engine's, fails here.
 race-smoke:
-	$(GO) test -race -count=20 -run 'TestConcurrentSubmitsLaunchEachTaskOnce|TestConcurrentSubmitsOfOneName|TestConcurrentDuplicateDelivery|TestConcurrentMutationsReplayInApplyOrder|TestRunMixedWorkload|TestCheckpointedSubmitBesideRunningEngine|TestConcurrentFlowsBesideReaders' ./internal/scheduler ./internal/core ./internal/loadgen ./internal/condor ./internal/fairshare
+	$(GO) test -race -count=20 -run 'TestConcurrentSubmitsLaunchEachTaskOnce|TestConcurrentSubmitsOfOneName|TestConcurrentDuplicateDelivery|TestConcurrentMutationsReplayInApplyOrder|TestRunMixedWorkload|TestCheckpointedSubmitBesideRunningEngine|TestAdMutationBesideRunningEngine|TestConcurrentFlowsBesideReaders' ./internal/scheduler ./internal/core ./internal/loadgen ./internal/condor ./internal/fairshare
 	$(GO) build -race -o bin/gae-server-race ./cmd/gae-server
 	$(GO) run -race ./cmd/gae-loadgen -clients 2 -ops 8 -data "$$(mktemp -d)" -json -
 	$(GO) run -race ./cmd/gae-chaos -clients 2 -ops 6 -kills 1 -server bin/gae-server-race
@@ -61,8 +63,10 @@ fuzz-smoke:
 # counts (events, wakes, matches per pass, idle wakes — functions of the
 # workload, not of the host: the same on idle Mips-1 machines at 2⁻⁷ s, on
 # loaded Mips-1.5 machines at 10 ms, and with fault-injected jobs), in the
-# size of the pool's job record and of a fair-share usage flow, in the
-# allocations a pass's sort keys cost (none, starved owners or not), in
+# size of the pool's job record and of a fair-share usage flow, in where
+# a completion's fields sit in the node and the machine (a node's Wake,
+# lock, synced and task list lead it; what a machine's completion reads
+# is one 64-byte span: CompletionPathLayout), in the allocations a pass's sort keys cost (none, starved owners or not), in
 # live-heap bytes per queued and per finished job, and in the mallocs and
 # bytes a job costs the run; what
 # keeping the negotiator's ordered views costs is gated in Rank evaluations
@@ -84,7 +88,7 @@ fuzz-smoke:
 # (LocalCallAllocCeilings).
 bench-smoke:
 	GAE_SCENARIO_SCALE=smoke $(GO) test -run xxx -bench Scenario -benchtime 1x .
-	$(GO) test -run 'MillionSmokeCounts|JobSize|FlowAndSortKeysAllocations|JobBytesCeiling|CompletionMallocCeiling|RunBytesPerJob|RankEvalsFollowChanges|SegmentCalls|WeatherIsEventDriven|FlowFollowsLoadSegments' -count=1 . ./internal/condor ./internal/fairshare ./internal/simgrid
+	$(GO) test -run 'MillionSmokeCounts|JobSize|CompletionPathLayout|FlowAndSortKeysAllocations|JobBytesCeiling|CompletionMallocCeiling|RunBytesPerJob|RankEvalsFollowChanges|SegmentCalls|WeatherIsEventDriven|FlowFollowsLoadSegments' -count=1 . ./internal/condor ./internal/fairshare ./internal/simgrid
 	$(GO) test -run 'WireAllocCeilings|ServeAllocCeiling' -count=1 ./pkg/gae ./internal/xmlrpc
 	$(GO) test -run 'CheckpointFollowsDelta|LocalCallAllocCeilings' -count=1 ./internal/core
 

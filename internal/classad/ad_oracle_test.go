@@ -276,7 +276,7 @@ func (p *oraclePair) diverges(rng *rand.Rand, target *oraclePair) string {
 	if got, want := p.ad.String(), p.want.String(); got != want {
 		return fmt.Sprintf("String %s, want %s", got, want)
 	}
-	if got, want := p.ad.Version(), p.want.version; got != want {
+	if got, want := p.ad.version, p.want.version; got != want {
 		return fmt.Sprintf("Version %d, want %d", got, want)
 	}
 	if p.hooks != p.wantHook {

@@ -453,11 +453,6 @@ func (a *Ad) LiteralString(name string) (string, bool) {
 	return a.attrs[i].val.StringVal()
 }
 
-// Version returns a counter incremented by every attribute mutation.
-// Caches built over an ad — compiled Matchers, the negotiator's machine
-// snapshots — key on it to detect staleness cheaply.
-func (a *Ad) Version() uint64 { return a.version }
-
 // Clone returns a deep-enough copy (expressions are immutable and shared).
 func (a *Ad) Clone() *Ad {
 	return &Ad{attrs: slices.Clone(a.attrs)}

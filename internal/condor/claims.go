@@ -19,7 +19,7 @@ func (p *Pool) addFreeLocked(m *machine) {
 	if m.freeIdx >= 0 {
 		return
 	}
-	if m.ad.Version() != m.adVersion {
+	if m.stale.Load() {
 		m.snapshotAd()
 	}
 	m.viewDirty = true
@@ -138,8 +138,8 @@ func (p *Pool) startLocked(j *job, m *machine, now time.Time) {
 }
 
 // runTaskLocked claims m for j and places a task for need CPU-seconds on
-// its node, with the machine's completion callback: the machine names the
-// job it runs, so a start allocates no closure. On the pool's own machine
+// its node, with the machine as its Completer: the machine names the job
+// it runs, so a start allocates no closure. On the pool's own machine
 // the placement is unobserved: the pool is the node's observer, it knows
 // what it just placed (the claim is taken, and the usage flow opens next
 // at the right rate), and the completion comes back through taskDone —
@@ -150,7 +150,7 @@ func (p *Pool) runTaskLocked(j *job, m *machine, need float64) {
 	p.claimMachineLocked(m)
 	j.host, j.claimed = m, true
 	m.runner, m.runnerPool = j, p
-	j.task = simgrid.NewTask(need, m.onDone)
+	j.task = simgrid.NewTaskFor(need, m)
 	if m.owner == p {
 		m.node.PlaceUnobserved(j.task)
 	} else {
@@ -158,16 +158,16 @@ func (p *Pool) runTaskLocked(j *job, m *machine, need float64) {
 	}
 }
 
-// taskDone is every pool task's done callback; it fires lock-free on the
-// engine goroutine when the completion deadline is reached. The claim is
-// released at once (the node drops finished tasks immediately), not at
-// the next harvest — so the free set always mirrors the physical machine
-// state a full rescan would observe, including for flocking peers that
-// negotiate between this pool's harvests. Job status still transitions
-// at harvest time, driven by the doneQ entry left here, and the release
-// requests the wake that runs it: at this boundary if the pool's turn is
-// still ahead, otherwise at the next one — the same tick a harvest at
-// every boundary would see the completion.
+// taskDone is what every pool task's Completer, its machine, calls; it
+// runs lock-free on the engine goroutine when the completion deadline is
+// reached. The claim is released at once (the node drops finished tasks
+// immediately), not at the next harvest — so the free set always mirrors
+// the physical machine state a full rescan would observe, including for
+// flocking peers that negotiate between this pool's harvests. Job status
+// still transitions at harvest time, driven by the doneQ entry left here,
+// and the release requests the wake that runs it: at this boundary if the
+// pool's turn is still ahead, otherwise at the next one — the same tick a
+// harvest at every boundary would see the completion.
 func (p *Pool) taskDone(j *job) {
 	p.mu.Lock()
 	own := j.claimed && j.host.owner == p

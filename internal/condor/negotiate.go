@@ -346,7 +346,7 @@ func (p *Pool) visitFreeLocked(visit func(*machine)) {
 	var stale []*machine
 	for _, b := range p.freeBuckets {
 		for _, m := range b {
-			if m.ad.Version() != m.adVersion {
+			if m.stale.Load() {
 				stale = append(stale, m)
 				continue
 			}

@@ -3,6 +3,7 @@ package condor
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -332,11 +333,19 @@ func TestMachineAdResync(t *testing.T) {
 	}
 }
 
+// pinnedJobAd is jobAd whose Requirements pin the machine's Arch.
+func pinnedJobAd(owner, arch string) *classad.Ad {
+	ad := jobAd(owner, 3, 0)
+	ad.MustSetExpr(AttrRequirements, fmt.Sprintf("TARGET.Arch == %q", arch))
+	return ad
+}
+
 // TestMachineRequirementsGainedWhileClaimed: a machine whose caller ad
-// gains a Requirements while a job holds it is offered, once freed, only
-// to jobs the new Requirements accept — also to a job that constrains
-// nothing, which matches a machine without Requirements unevaluated. One
-// machine is picked by the exhaustive scan, seventeen by an ordered view.
+// gains a Requirements and changes its Arch while a job holds it is
+// offered, once freed, only to jobs the new Requirements accept — also to
+// a job that constrains nothing, which matches a machine without
+// Requirements unevaluated — and only under its new Arch. One machine is
+// picked by the exhaustive scan, seventeen by an ordered view.
 func TestMachineRequirementsGainedWhileClaimed(t *testing.T) {
 	for _, n := range []int{1, sortedPickThreshold + 1} {
 		t.Run(fmt.Sprintf("machines-%d", n), func(t *testing.T) {
@@ -353,9 +362,12 @@ func TestMachineRequirementsGainedWhileClaimed(t *testing.T) {
 			g.Engine.Step()
 			for _, ad := range ads {
 				ad.MustSetExpr(AttrRequirements, `TARGET.Owner != "bob"`)
+				ad.Set("Arch", "sparc")
 			}
 			bob := mustSubmit(t, p, jobAd("bob", 3, 0))
 			carol := mustSubmit(t, p, jobAd("carol", 3, 0))
+			dave := mustSubmit(t, p, pinnedJobAd("dave", "x86"))
+			erin := mustSubmit(t, p, pinnedJobAd("erin", "sparc"))
 			g.Engine.RunFor(10 * time.Second)
 			if got := mustJob(t, p, bob).Status; got != StatusIdle {
 				t.Fatalf("bob's job is %v on a machine whose Requirements reject bob", got)
@@ -363,7 +375,126 @@ func TestMachineRequirementsGainedWhileClaimed(t *testing.T) {
 			if got := mustJob(t, p, carol).Status; got != StatusCompleted {
 				t.Fatalf("carol's job is %v, want completed on a freed machine", got)
 			}
+			if got := mustJob(t, p, dave).Status; got != StatusIdle {
+				t.Fatalf("dave's x86-pinned job is %v on machines that left x86", got)
+			}
+			if got := mustJob(t, p, erin).Status; got != StatusCompleted {
+				t.Fatalf("erin's sparc-pinned job is %v, want completed on a rebucketed machine", got)
+			}
 		})
+	}
+}
+
+// TestFreeMachineHearsItsAdChange: a free machine's caller ad changes
+// between passes, and the very next pass negotiates on the new ad — an
+// Arch change rebuckets it, a Requirements gained is honoured. The ad's
+// mutation hook is the only news of either: nothing else marks the
+// machine. One machine is picked by the exhaustive scan, seventeen by an
+// ordered view.
+func TestFreeMachineHearsItsAdChange(t *testing.T) {
+	for _, n := range []int{1, sortedPickThreshold + 1} {
+		setup := func(t *testing.T) (*simgrid.Grid, *Pool, []*classad.Ad) {
+			g, p := testPool(t, 0)
+			site := g.Sites()[0]
+			ads := make([]*classad.Ad, n)
+			for i := range ads {
+				ads[i] = classad.New().Set("Arch", "x86")
+				p.AddMachine(site.AddNode(g.Engine, fmt.Sprintf("m%02d", i), 1, simgrid.IdleLoad()), ads[i])
+			}
+			g.Engine.Step() // an empty pass: the machines are free and viewed
+			return g, p, ads
+		}
+		t.Run(fmt.Sprintf("arch/machines-%d", n), func(t *testing.T) {
+			g, p, ads := setup(t)
+			for _, ad := range ads {
+				ad.Set("Arch", "sparc")
+			}
+			x86 := mustSubmit(t, p, pinnedJobAd("alice", "x86"))
+			var sparc []int
+			for i := 0; i < n; i++ {
+				sparc = append(sparc, mustSubmit(t, p, pinnedJobAd("alice", "sparc")))
+			}
+			g.Engine.Step()
+			if got := mustJob(t, p, x86).Status; got != StatusIdle {
+				t.Fatalf("x86-pinned job is %v on machines that left x86", got)
+			}
+			for _, id := range sparc {
+				if got := mustJob(t, p, id).Status; got != StatusRunning {
+					t.Fatalf("sparc-pinned job %d is %v after the pass, want running", id, got)
+				}
+			}
+		})
+		t.Run(fmt.Sprintf("requirements/machines-%d", n), func(t *testing.T) {
+			g, p, ads := setup(t)
+			for _, ad := range ads {
+				ad.MustSetExpr(AttrRequirements, `TARGET.Owner != "bob"`)
+			}
+			bob := mustSubmit(t, p, jobAd("bob", 3, 0))
+			var carol []int
+			for i := 0; i < n; i++ {
+				carol = append(carol, mustSubmit(t, p, jobAd("carol", 3, 0)))
+			}
+			g.Engine.Step()
+			if got := mustJob(t, p, bob).Status; got != StatusIdle {
+				t.Fatalf("bob's job is %v on a machine whose Requirements reject bob", got)
+			}
+			for _, id := range carol {
+				if got := mustJob(t, p, id).Status; got != StatusRunning {
+					t.Fatalf("carol's job %d is %v after the pass, want running", id, got)
+				}
+			}
+		})
+	}
+}
+
+// TestAdMutationBesideRunningEngine rewrites machine ads on one goroutine
+// while RunFor negotiates on another. Under -race this pins the hand-off:
+// the write sets the machine's stale flag through the ad's hook, and the
+// engine reads the ad only after it has seen the flag (an ad, like any
+// unsynchronised value, is written once here: a second write could land
+// while the pass copies it). Every machine ends in its new Arch bucket.
+func TestAdMutationBesideRunningEngine(t *testing.T) {
+	const n = 48
+	g, p := testPool(t, 0)
+	site := g.Sites()[0]
+	ads := make([]*classad.Ad, n)
+	for i := range ads {
+		ads[i] = classad.New().Set("Arch", "x86")
+		p.AddMachine(site.AddNode(g.Engine, fmt.Sprintf("m%02d", i), 1, simgrid.IdleLoad()), ads[i])
+	}
+	for i := 0; i < 4*n; i++ {
+		mustSubmit(t, p, jobAd("alice", float64(1+i%3), 0))
+	}
+	written := make(chan struct{})
+	go func() {
+		defer close(written)
+		for _, ad := range ads {
+			ad.Set("Arch", "sparc")
+			runtime.Gosched()
+		}
+	}()
+	for running := true; running; {
+		select {
+		case <-written:
+			running = false
+		default:
+		}
+		g.Engine.RunFor(time.Second)
+	}
+	g.Engine.RunFor(time.Minute)
+	x86 := mustSubmit(t, p, pinnedJobAd("bob", "x86"))
+	var sparc []int
+	for i := 0; i < n; i++ {
+		sparc = append(sparc, mustSubmit(t, p, pinnedJobAd("bob", "sparc")))
+	}
+	g.Engine.RunFor(time.Minute)
+	if got := mustJob(t, p, x86).Status; got != StatusIdle {
+		t.Fatalf("x86-pinned job is %v on machines that left x86", got)
+	}
+	for _, id := range sparc {
+		if got := mustJob(t, p, id).Status; got != StatusCompleted {
+			t.Fatalf("sparc-pinned job %d is %v, want completed", id, got)
+		}
 	}
 }
 

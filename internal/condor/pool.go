@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/classad"
@@ -207,18 +208,40 @@ func (p *Pool) SetTelemetry(reg *telemetry.Registry) {
 const dynamicBucket = "\x00dynamic"
 
 type machine struct {
-	node  *simgrid.Node
-	owner *Pool
-	ad    *classad.Ad // caller-supplied ad, kept free of negotiation scratch
+	// What a completion reads leads the struct, inside one 64-byte span
+	// (TestCompletionPathLayout): the job and pool Complete names, the
+	// owner whose free set takes the machine back, and what
+	// addFreeLocked reads and writes there.
+	//
+	// runner is the job whose task occupies the node, of runnerPool — the
+	// owner, or a pool flocking onto the machine: a claim is exclusive, so
+	// there is one, and the machine is its task's Completer. They stay set
+	// after the task ends, until the next job starts here.
+	runner     *job
+	runnerPool *Pool
+	owner      *Pool
+	// freeIdx is the machine's position in its owner's free bucket, -1
+	// while claimed by a job.
+	freeIdx int
+	archKey string // lowered Arch value, or dynamicBucket
+	// stale is set by the caller ad's mutation hook, on whichever
+	// goroutine writes the ad, and cleared by snapshotAd: callers may keep
+	// updating the ad they registered (the seed re-read it every pick), so
+	// the snapshot and index keys resync when it is set.
+	stale atomic.Bool
+	// viewDirty marks a machine that entered the free set, or whose match
+	// ad changed in place (LoadAvg), since a pass refresh last collected
+	// it: what the ordered views hold of it is stale. viewGen is the pass
+	// (owner's pickGen) whose refresh collected it into Pool.changed.
+	viewDirty bool
+
+	node *simgrid.Node
+	ad   *classad.Ad // caller-supplied ad, kept free of negotiation scratch
 	// matchAd is the pool-owned snapshot offered to the matchmaker; its
 	// LoadAvg is refreshed once per machine per negotiation pass instead
-	// of cloning the ad for every (job, machine) candidate. adVersion
-	// records the source ad's mutation counter at snapshot time: callers
-	// may keep updating the ad they registered (the seed re-read it every
-	// pick), so the snapshot and index keys resync when it changes.
-	matchAd   *classad.Ad
-	matcher   *classad.Matcher
-	adVersion uint64
+	// of cloning the ad for every (job, machine) candidate.
+	matchAd *classad.Ad
+	matcher *classad.Matcher
 	// loadAvg mirrors the LoadAvg last written into matchAd so unchanged
 	// values skip the ad mutation on every negotiation pass.
 	loadAvg    float64
@@ -226,31 +249,19 @@ type machine struct {
 	// anyJob: the match ad has no Requirements, so it takes any job (see
 	// job.anyMachine). Between snapshots only LoadAvg is written.
 	anyJob   bool
-	archKey  string // lowered Arch value, or dynamicBucket
-	opsKey   string // lowered OpSys value when opsKnown
 	opsKnown bool
-	// freeIdx is the machine's position in its owner's free bucket, -1
-	// while claimed by a job.
-	freeIdx int
-	// viewDirty marks a machine that entered the free set, or whose match
-	// ad changed in place (LoadAvg), since a pass refresh last collected
-	// it: what the ordered views hold of it is stale. viewGen is the pass
-	// (owner's pickGen) whose refresh collected it into Pool.changed.
-	viewDirty bool
-	viewGen   uint64
+	opsKey   string // lowered OpSys value when opsKnown
+	viewGen  uint64
 	// skipFor excludes the machine from the named pool's current
 	// negotiation pass: set when an externally placed task occupies the
 	// node, or when a checkpoint-complete job consumed the offer without
 	// placing work.
 	skipFor *Pool
-	// runner is the job whose task occupies the node, of runnerPool — the
-	// owner, or a pool flocking onto the machine: a claim is exclusive, so
-	// there is one. onDone, made once, is that task's completion callback.
-	// They stay set after the task ends, until the next job starts here.
-	runner     *job
-	runnerPool *Pool
-	onDone     func(*simgrid.Task)
 }
+
+// Complete hears that the machine's task ran out (simgrid.Completer): the
+// machine names the job it runs, so a start allocates no closure.
+func (m *machine) Complete(*simgrid.Task) { m.runnerPool.taskDone(m.runner) }
 
 // flowJob returns the job of pool p whose usage flow is open on m — all
 // the open flows there are — or nil. runnerPool is read first: a machine
@@ -307,7 +318,6 @@ func (p *Pool) AddMachine(node *simgrid.Node, ad *classad.Ad) {
 		ad.Set("OpSys", "LINUX")
 	}
 	m := &machine{node: node, owner: p, ad: ad, freeIdx: -1}
-	m.onDone = func(*simgrid.Task) { m.runnerPool.taskDone(m.runner) }
 	m.snapshotAd()
 	// Subscriptions replace per-tick polling: an ad attribute change or a
 	// node-level change made by anyone but this pool's own pass (load
@@ -316,8 +326,12 @@ func (p *Pool) AddMachine(node *simgrid.Node, ad *classad.Ad) {
 	// flocking into it. The hook is registered after the standard
 	// attributes above so the pool's own writes don't self-wake. One
 	// observer per node: a node advertised to several pools keeps only
-	// the last registration.
-	ad.OnMutate(func() { p.machineChanged(nil) })
+	// the last registration. The ad hook flags the machine itself: the
+	// next pass, or its release, resyncs it.
+	ad.OnMutate(func() {
+		m.stale.Store(true)
+		p.machineChanged(nil)
+	})
 	node.SetObserver(func() { p.machineChanged(m) })
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -351,9 +365,10 @@ func (p *Pool) wakeFlockedFrom() {
 }
 
 // snapshotAd (re)builds the machine's match ad, compiled matcher, index
-// keys and anyJob from the caller's ad.
+// keys and anyJob from the caller's ad. The stale flag clears before the
+// copy, so a write landing during it flags the machine again.
 func (m *machine) snapshotAd() {
-	m.adVersion = m.ad.Version()
+	m.stale.Store(false)
 	// LoadAvg takes its slot now: each pass's refresh then writes in place.
 	m.matchAd = m.ad.Clone().Set("LoadAvg", classad.Undefined())
 	m.matcher = classad.NewMatcher(m.matchAd)

@@ -332,7 +332,7 @@ func (p *Pool) negotiationStreamLocked(now time.Time) *negotiationStream {
 	for i := range cursors {
 		cursors[i].ep = keys[i].Effective
 		if keys[i].Starved {
-			j := p.ownerOldest(cursors[i].q)
+			j := cursors[i].q.oldest()
 			s.starved = append(s.starved, j)
 			cursors[i].skip = j
 		}
@@ -352,11 +352,6 @@ func (p *Pool) negotiationStreamLocked(now time.Time) *negotiationStream {
 	heap.Init(&s.heap)
 	return s
 }
-
-// ownerOldest re-reads q's oldest valid job; the stream builder calls
-// it only for starved owners, whose oldest was just computed, so the
-// list head is already compacted.
-func (p *Pool) ownerOldest(q *ownerQueue) *job { return q.oldest() }
 
 // idleOrderedLocked returns the idle jobs in negotiation order by
 // draining a fresh stream without matching. The returned slice aliases a

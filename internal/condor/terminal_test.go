@@ -12,6 +12,30 @@ import (
 	"repro/internal/simgrid"
 )
 
+// TestCompletionPathLayout pins what a completion reads of its machine:
+// Complete names runner and runnerPool, taskDone and releaseClaimLocked
+// read owner, and addFreeLocked tests the stale flag, then writes freeIdx
+// and viewDirty and appends to the bucket archKey names. They sit inside
+// one 64-byte span, so the machine costs a completion one cache line.
+func TestCompletionPathLayout(t *testing.T) {
+	var m machine
+	lo, hi := ^uintptr(0), uintptr(0)
+	for _, f := range []struct{ off, width uintptr }{
+		{unsafe.Offsetof(m.runner), unsafe.Sizeof(m.runner)},
+		{unsafe.Offsetof(m.runnerPool), unsafe.Sizeof(m.runnerPool)},
+		{unsafe.Offsetof(m.owner), unsafe.Sizeof(m.owner)},
+		{unsafe.Offsetof(m.freeIdx), unsafe.Sizeof(m.freeIdx)},
+		{unsafe.Offsetof(m.stale), unsafe.Sizeof(m.stale)},
+		{unsafe.Offsetof(m.viewDirty), unsafe.Sizeof(m.viewDirty)},
+		{unsafe.Offsetof(m.archKey), unsafe.Sizeof(m.archKey)},
+	} {
+		lo, hi = min(lo, f.off), max(hi, f.off+f.width)
+	}
+	if hi-lo > 64 {
+		t.Errorf("the completion path's machine fields span bytes [%d, %d), want at most 64", lo, hi)
+	}
+}
+
 // The pool keeps a job record for every job it ever held. 176 bytes is an
 // allocator size class; one more word puts every job in the 192-byte one
 // (it was 288: three time.Time stamps, two constraint strings, the output

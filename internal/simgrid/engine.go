@@ -225,14 +225,27 @@ func (e *Engine) timeOf(k int64) time.Time {
 	return e.start.Add(time.Duration(k) * e.tick)
 }
 
+// component is what the engine runs when a Wake fires. Node, Network and
+// Poller implement it themselves and hold their Wake by value, so firing
+// one touches the component and nothing allocated beside it; Register
+// wraps a function in wakeFunc.
+type component interface{ onWake(now time.Time) }
+
+// wakeFunc is a registered function as a component.
+type wakeFunc func(now time.Time)
+
+func (f wakeFunc) onWake(now time.Time) { f(now) }
+
 // Wake is a registered component's slot in the event queue. A component
 // holds one Wake and asks to be run at (or after) chosen instants; the
 // engine fires it at most once per tick boundary, ordered against other
 // components by registration order. Requests coalesce: the earliest
-// pending request wins.
+// pending request wins. The simulator's own components hold their Wake
+// inline (see component); a function registered with Register gets one
+// of its own.
 type Wake struct {
 	e     *Engine
-	fn    func(now time.Time)
+	c     component
 	order int
 	// next is the tick index of the earliest pending request and lastFired
 	// that of the latest firing; 0 (the start, where nothing ever fires)
@@ -241,17 +254,25 @@ type Wake struct {
 	lastFired int64
 }
 
-// Register adds a component to the engine and returns its Wake. The
-// registration order is the component's position within a tick boundary.
+// Register adds a component, the function fn, to the engine and returns
+// its Wake. The registration order is the component's position within a
+// tick boundary.
 func (e *Engine) Register(fn func(now time.Time)) *Wake {
 	if fn == nil {
 		panic("simgrid: Register with nil function")
 	}
+	w := new(Wake)
+	e.register(w, wakeFunc(fn))
+	return w
+}
+
+// register makes w, held by c, the Wake of component c, next in
+// registration order.
+func (e *Engine) register(w *Wake, c component) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	w := &Wake{e: e, fn: fn, order: e.nextOrder}
+	*w = Wake{e: e, c: c, order: e.nextOrder}
 	e.nextOrder++
-	return w
 }
 
 // Request asks for the component to run at the first legal tick boundary
@@ -289,7 +310,7 @@ func (w *Wake) Request(at time.Time) {
 // ticks, counted from the previous poll.
 type Poller struct {
 	e        *Engine
-	w        *Wake
+	w        Wake
 	interval func() time.Duration
 	fn       func(now time.Time)
 	mu       sync.Mutex
@@ -304,7 +325,7 @@ func (e *Engine) NewPoller(interval func() time.Duration, fn func(now time.Time)
 		panic("simgrid: NewPoller needs an interval source and a function")
 	}
 	p := &Poller{e: e, interval: interval, fn: fn, last: e.Now()}
-	p.w = e.Register(p.onWake)
+	e.register(&p.w, p)
 	p.w.Request(p.last.Add(e.tick))
 	return p
 }
@@ -395,18 +416,21 @@ func (e *Engine) processBoundary(k int64) {
 	e.ticks++
 	for len(e.eq) > 0 && e.eq[0].tick <= k {
 		ev := e.eq.pop()
-		fn := ev.fn
-		if w := ev.wake; w != nil {
+		w := ev.wake
+		if w != nil {
 			if w.next != ev.tick {
 				continue // superseded request
 			}
 			w.next, w.lastFired = 0, ev.tick
-			fn = w.fn
 		}
 		e.curOrder = ev.order
 		e.events++
 		e.mu.Unlock()
-		fn(t)
+		if w != nil {
+			w.c.onWake(t)
+		} else {
+			ev.fn(t)
+		}
 		e.mu.Lock()
 	}
 	e.processing = false

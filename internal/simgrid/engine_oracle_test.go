@@ -353,11 +353,37 @@ func TestQueuePopsInOrder(t *testing.T) {
 	}
 }
 
+// countCompleter counts the completions it is told of.
+type countCompleter struct{ n int }
+
+func (c *countCompleter) Complete(*Task) { c.n++ }
+
 // TestQueueAllocationFree pins the point of holding events by value: once
 // the queue has grown to its working size, a Wake.Request and its
 // dispatch allocate nothing, and neither does a Schedule of an existing
-// function value.
+// function value. The node leg pins the completion path: a task placed on
+// a node runs out through the node's inline Wake and tells its Completer,
+// allocating nothing but the task.
 func TestQueueAllocationFree(t *testing.T) {
+	t.Run("node", func(t *testing.T) {
+		e := NewEngine(time.Second)
+		n := newNode(e, "n", "s", 1, nil)
+		var c countCompleter
+		var last *Task
+		run := func() {
+			last = NewTaskFor(1, &c) // one tick of work at Mips 1
+			n.Place(last)
+			e.Step()
+		}
+		run() // grow the node's task list and buffer, and the queue, once
+		if avg := testing.AllocsPerRun(200, run); avg != 1 {
+			t.Errorf("a task's placement and completion allocate %.1f times, want 1 (the task)", avg)
+		}
+		if c.n != 202 || last.State() != TaskDone || n.TaskCount() != 0 {
+			t.Fatalf("completer told %d times, last task %v, %d tasks left; want 202, done, 0", c.n, last.State(), n.TaskCount())
+		}
+	})
+
 	e := NewEngine(time.Second)
 	fires := 0
 	w := e.Register(func(time.Time) { fires++ })

@@ -83,7 +83,7 @@ type flow struct {
 // compromise that keeps both engine drivers on identical traces.
 type Network struct {
 	engine *Engine
-	wake   *Wake
+	wake   Wake
 
 	mu      sync.Mutex
 	links   map[[2]string]Link
@@ -110,7 +110,7 @@ func NewNetwork(e *Engine) *Network {
 		flows:   make(map[[2]string][]*flow),
 		linkMin: make(map[[2]string]time.Time),
 	}
-	n.wake = e.Register(n.onWake)
+	e.register(&n.wake, n)
 	return n
 }
 

@@ -10,7 +10,7 @@ import (
 )
 
 // TaskState is the execution state of a task placed on a node.
-type TaskState int
+type TaskState uint8
 
 // Task states.
 const (
@@ -101,29 +101,53 @@ func (w work) less(o work) bool {
 // occupied the CPU — its work divided by the node's speed — exactly
 // Condor's "accumulated wall-clock time" that the paper uses as its
 // job-progress proxy in Figure 7. A running job holds one, so it carries no
-// name: 73 bytes, an 80-byte allocation.
+// name: 80 bytes, an 80-byte allocation.
 type Task struct {
 	Need float64 // total CPU-seconds required on a Mips=1.0 node
 
 	mu    sync.Mutex
 	state TaskState
-	work
-	mips   float64 // speed of the node hosting (or that last hosted) the task
-	onDone func(*Task)
-	node   *Node // node currently hosting the task, nil when detached
 	// unobserved marks a task the node's observer placed itself (see
-	// Node.PlaceUnobserved): its completion is reported through onDone
-	// alone.
+	// Node.PlaceUnobserved): its completion is reported through its
+	// Completer alone.
 	unobserved bool
+	work
+	mips      float64   // speed of the node hosting (or that last hosted) the task
+	completer Completer // told when the work completes; nil for nobody
+	node      *Node     // node currently hosting the task, nil when detached
 }
 
+// Completer is told that a task's work completed. The node's engine
+// event calls Complete, with no lock held, at the boundary the work ran
+// out: the execution service's machine is one, and hears of its own
+// task's end without a closure per task or per machine.
+type Completer interface {
+	Complete(t *Task)
+}
+
+// completeFunc is a function as a Completer.
+type completeFunc func(*Task)
+
+func (f completeFunc) Complete(t *Task) { f(t) }
+
 // NewTask creates a task requiring need CPU-seconds; onDone (optional)
-// fires when the work completes.
+// fires when the work completes. It is NewTaskFor with the function as
+// the Completer.
 func NewTask(need float64, onDone func(*Task)) *Task {
+	var c Completer
+	if onDone != nil {
+		c = completeFunc(onDone)
+	}
+	return NewTaskFor(need, c)
+}
+
+// NewTaskFor creates a task requiring need CPU-seconds whose completion
+// c (optional) is told of.
+func NewTaskFor(need float64, c Completer) *Task {
 	if need <= 0 {
 		panic("simgrid: task needs positive work")
 	}
-	return &Task{Need: need, work: work{need: toUnits(need)}, mips: 1, onDone: onDone}
+	return &Task{Need: need, work: work{need: toUnits(need)}, mips: 1, completer: c}
 }
 
 // nodeRef returns the hosting node, if any.
@@ -234,17 +258,22 @@ const maxSegments = 64
 // settled lazily, one multiplication per task per load segment, whenever
 // state is observed or changed; and the earliest completion is scheduled
 // as one engine event at the boundary a ceiling division finds.
+//
+// What a completion reads leads the struct: the engine's slot (held by
+// value, the node being its own component), the lock, synced and the
+// task list share the node's first cache lines.
 type Node struct {
+	wake   Wake
+	mu     sync.Mutex
+	synced int64 // tick index of the boundary through which accrual has been applied
+	tasks  []*Task
+
 	Name string
 	Site string
 	Mips float64
 
-	mu       sync.Mutex
 	seg      Load // the background load
-	tasks    []*Task
 	eng      *Engine
-	wake     *Wake
-	synced   int64   // tick index of the boundary through which accrual has been applied
 	observer func()  // fired (unlocked) after task-set or load changes
 	finished []*Task // what the last wake completed: settleLocked's reused buffer
 }
@@ -260,7 +289,7 @@ func newNode(e *Engine, name, site string, mips float64, load Load) *Node {
 	}
 	n := &Node{Name: name, Site: site, Mips: mips, seg: orIdle(load), eng: e}
 	n.synced = e.tickNow()
-	n.wake = e.Register(n.onWake)
+	e.register(&n.wake, n)
 	return n
 }
 
@@ -329,7 +358,7 @@ func (n *Node) Place(t *Task) {
 
 // PlaceUnobserved is Place for the node's observer itself: the caller
 // knows what it just placed and hears of the completion through the
-// task's onDone callback, so the observer is notified of neither — an
+// task's Completer, so the observer is notified of neither — an
 // echo of its own action would only make it look again at a picture it
 // has just drawn. Removing the task, and everything other parties do to
 // the node, still notifies.
@@ -394,9 +423,9 @@ func (n *Node) RunningCount() int {
 // event: up to the engine's consistency horizon for this node (mid-boundary,
 // a node whose turn has not yet come reports work as of the previous
 // boundary) and never through a completion, which is the node's event's to
-// find and fire onDone for. On one goroutine none is in reach: the node's
-// wake is requested for the exact completion boundary and fires before any
-// later-ordered component can look at it. One is when another goroutine
+// find and tell the task's Completer of. On one goroutine none is in
+// reach: the node's wake is requested for the exact completion boundary
+// and fires before any later-ordered component can look at it. One is when another goroutine
 // looks between the engine marking the node's turn and running it, or when
 // a load that broke the Load contract made the look-ahead miss; the settle
 // then stops a boundary short and the re-arm brings the node's event to
@@ -418,11 +447,11 @@ func (n *Node) onWake(time.Time) {
 	notify := false
 	for _, t := range fin {
 		t.mu.Lock()
-		cb := t.onDone
+		c := t.completer
 		notify = notify || !t.unobserved
 		t.mu.Unlock()
-		if cb != nil {
-			cb(t)
+		if c != nil {
+			c.Complete(t)
 		}
 	}
 	clear(fin) // the buffer is the node's, reused by its next wake

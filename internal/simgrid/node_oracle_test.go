@@ -106,17 +106,17 @@ func (t *Task) tickOnce(step uint64) bool {
 	if completed {
 		t.done, t.frac, t.state = t.need, 0, TaskDone
 	}
-	cb := t.onDone
+	c := t.completer
 	t.mu.Unlock()
-	if completed && cb != nil {
-		cb(t)
+	if completed && c != nil {
+		c.Complete(t)
 	}
 	return completed
 }
 
 // nodeSide is one subject of a differential scenario — a production Node
 // or the per-tick reference — on an engine of its own, with the tasks
-// placed on it and the completion boundary each reported through onDone
+// placed on it and the completion boundary each reported through its Completer
 // (zero until then).
 type nodeSide struct {
 	e    *Engine

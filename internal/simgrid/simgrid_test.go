@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func TestEngineStepAdvancesClock(t *testing.T) {
@@ -487,5 +488,33 @@ func TestQuickTransferMonotonicity(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCompletionPathLayout pins where a completion first touches a node:
+// the engine pops the node's Wake, then the node locks, settles from
+// synced and walks its tasks. The four lead the struct, in that order and
+// with nothing between them, so the Wake is read from the node's own
+// first cache line rather than from an object allocated apart. A task
+// stays inside the 80-byte allocation size class.
+func TestCompletionPathLayout(t *testing.T) {
+	var n Node
+	var end uintptr
+	for _, f := range []struct {
+		name       string
+		off, width uintptr
+	}{
+		{"wake", unsafe.Offsetof(n.wake), unsafe.Sizeof(n.wake)},
+		{"mu", unsafe.Offsetof(n.mu), unsafe.Sizeof(n.mu)},
+		{"synced", unsafe.Offsetof(n.synced), unsafe.Sizeof(n.synced)},
+		{"tasks", unsafe.Offsetof(n.tasks), unsafe.Sizeof(n.tasks)},
+	} {
+		if f.off != end {
+			t.Errorf("Node.%s at offset %d, want %d: wake, mu, synced and tasks lead the struct", f.name, f.off, end)
+		}
+		end = f.off + f.width
+	}
+	if got := unsafe.Sizeof(Task{}); got > 80 {
+		t.Errorf("unsafe.Sizeof(Task{}) = %d bytes, want <= 80", got)
 	}
 }

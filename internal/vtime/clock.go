@@ -9,7 +9,7 @@
 package vtime
 
 import (
-	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -27,10 +27,15 @@ type realClock struct{}
 func (realClock) Now() time.Time { return time.Now() } //lint:walltime realClock is the explicit wall-clock escape hatch; sim code injects SimClock
 
 // SimClock is a deterministic simulated clock. Time advances only when
-// Advance or AdvanceTo is called.
+// Advance or AdvanceTo is called, and never backwards. It is its epoch
+// plus an offset in nanoseconds held in one atomic word, so a read is a
+// load and an Add, with no lock, beside a writer on another goroutine.
+// Every reading carries the epoch's location: the time a chain of
+// Advance calls reaches is == to the epoch Added the same durations one
+// by one.
 type SimClock struct {
-	mu  sync.Mutex
-	now time.Time
+	epoch time.Time
+	off   atomic.Int64 // nanoseconds since epoch
 }
 
 // NewSimClock returns a SimClock starting at the given epoch. A zero epoch
@@ -40,14 +45,12 @@ func NewSimClock(epoch time.Time) *SimClock {
 	if epoch.IsZero() {
 		epoch = time.Date(2005, time.January, 1, 0, 0, 0, 0, time.UTC)
 	}
-	return &SimClock{now: epoch}
+	return &SimClock{epoch: epoch}
 }
 
 // Now returns the current simulated time.
 func (c *SimClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
+	return c.epoch.Add(time.Duration(c.off.Load()))
 }
 
 // Advance moves simulated time forward by d.
@@ -55,17 +58,18 @@ func (c *SimClock) Advance(d time.Duration) {
 	if d < 0 {
 		panic("vtime: negative advance")
 	}
-	c.mu.Lock()
-	c.now = c.now.Add(d)
-	c.mu.Unlock()
+	c.off.Add(int64(d))
 }
 
 // AdvanceTo moves simulated time forward to the absolute instant t.
-// It is a no-op if t is not after the current time.
+// It is a no-op if t is not after the current time, also when another
+// goroutine moves the clock past t meanwhile.
 func (c *SimClock) AdvanceTo(t time.Time) {
-	c.mu.Lock()
-	if t.After(c.now) {
-		c.now = t
+	to := int64(t.Sub(c.epoch))
+	for {
+		cur := c.off.Load()
+		if to <= cur || c.off.CompareAndSwap(cur, to) {
+			return
+		}
 	}
-	c.mu.Unlock()
 }
