@@ -51,11 +51,15 @@ bench-test:
 # never panics, returns a prefix of what was written, and the length it
 # verified — what Open cuts the file to — rescans clean to the same ops.
 # Then 10 s of the same contract for the history segment's scanner, under
-# every record count a snapshot could name.
+# every record count a snapshot could name. Last, 10 s of the ClassAd
+# expression parser and evaluator against the tree implementation they
+# replaced (kept in a _test.go file as the oracle): the same accept or
+# reject and error text, String, value, rank class and pinned literals.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeAgainstEncodingXML -fuzztime 20s ./internal/xmlrpc
 	$(GO) test -run '^$$' -fuzz FuzzJournalReplay -fuzztime 10s ./internal/durable
 	$(GO) test -run '^$$' -fuzz FuzzHistoryReplay -fuzztime 10s ./internal/durable
+	$(GO) test -run '^$$' -fuzz FuzzExprAgainstTree -fuzztime 10s ./internal/classad
 
 # Short-run scenario smoke: exercises the discrete-event engine end to
 # end without the full sweep. The million-job scenario runs at its
@@ -85,10 +89,17 @@ fuzz-smoke:
 # after 10 new charges whether 100 or 10 000 were billed before them
 # (CheckpointFollowsDelta), and what one call of the local client
 # allocates, journaled with and without a store and not journaled
-# (LocalCallAllocCeilings).
+# (LocalCallAllocCeilings). What a wave of jobs costs is gated in
+# allocations: an expression parses into one block no larger than the
+# tree it replaced (ExprAllocations), a matcher allocates its Rank's class
+# key and nothing else (MatcherAllocatesClassOnlyForRank), and a Submit of
+# a sim-match job ad stays under its malloc ceiling (SubmitMallocCeiling);
+# and what a pass's refresh of the free machines costs is gated in load
+# reads: one per machine that entered the free set, none for one that
+# stayed (RefreshFollowsChanges).
 bench-smoke:
 	GAE_SCENARIO_SCALE=smoke $(GO) test -run xxx -bench Scenario -benchtime 1x .
-	$(GO) test -run 'MillionSmokeCounts|JobSize|CompletionPathLayout|FlowAndSortKeysAllocations|JobBytesCeiling|CompletionMallocCeiling|RunBytesPerJob|RankEvalsFollowChanges|SegmentCalls|WeatherIsEventDriven|FlowFollowsLoadSegments' -count=1 . ./internal/condor ./internal/fairshare ./internal/simgrid
+	$(GO) test -run 'MillionSmokeCounts|JobSize|CompletionPathLayout|FlowAndSortKeysAllocations|JobBytesCeiling|CompletionMallocCeiling|RunBytesPerJob|RankEvalsFollowChanges|SegmentCalls|WeatherIsEventDriven|FlowFollowsLoadSegments|ExprAllocations|MatcherAllocatesClassOnlyForRank|SubmitMallocCeiling|RefreshFollowsChanges' -count=1 . ./internal/condor ./internal/fairshare ./internal/simgrid ./internal/classad
 	$(GO) test -run 'WireAllocCeilings|ServeAllocCeiling' -count=1 ./pkg/gae ./internal/xmlrpc
 	$(GO) test -run 'CheckpointFollowsDelta|LocalCallAllocCeilings' -count=1 ./internal/core
 

@@ -33,8 +33,14 @@ func ParseAd(src string) (*Ad, error) {
 		if err != nil {
 			return nil, fmt.Errorf("classad: attribute %s: %w", name, err)
 		}
-		if lit, ok := e.(*litExpr); ok {
-			ad.put(entry{name: name, val: lit.v})
+		if e.op == opLit {
+			// The literal's own copy: a string's bytes would otherwise be
+			// the whole ad text's.
+			v := (*node)(e).lit()
+			if v.kind == KindString {
+				v = Str(strings.Clone(v.str()))
+			}
+			ad.put(entry{name: name, val: v})
 		} else {
 			ad.put(entry{name: name, expr: e})
 		}

@@ -9,31 +9,43 @@ import (
 // evaluated; error values must propagate.
 type builtin func(args []Value) Value
 
-var builtins map[string]builtin
+// builtins lists the functions by their lower-case names; a call node
+// holds its function's index here.
+var builtins = [...]struct {
+	name string
+	fn   builtin
+}{
+	{"floor", fnFloor},
+	{"ceil", fnCeil},
+	{"ceiling", fnCeil},
+	{"round", fnRound},
+	{"abs", fnAbs},
+	{"min", fnMin},
+	{"max", fnMax},
+	{"pow", fnPow},
+	{"strcat", fnStrcat},
+	{"size", fnSize},
+	{"tolower", fnToLower},
+	{"toupper", fnToUpper},
+	{"substr", fnSubstr},
+	{"member", fnMember},
+	{"isundefined", fnIsUndefined},
+	{"iserror", fnIsError},
+	{"ifthenelse", fnIfThenElse},
+	{"int", fnInt},
+	{"real", fnReal},
+	{"string", fnString},
+}
 
-func init() {
-	builtins = map[string]builtin{
-		"floor":       fnFloor,
-		"ceil":        fnCeil,
-		"ceiling":     fnCeil,
-		"round":       fnRound,
-		"abs":         fnAbs,
-		"min":         fnMin,
-		"max":         fnMax,
-		"pow":         fnPow,
-		"strcat":      fnStrcat,
-		"size":        fnSize,
-		"tolower":     fnToLower,
-		"toupper":     fnToUpper,
-		"substr":      fnSubstr,
-		"member":      fnMember,
-		"isundefined": fnIsUndefined,
-		"iserror":     fnIsError,
-		"ifthenelse":  fnIfThenElse,
-		"int":         fnInt,
-		"real":        fnReal,
-		"string":      fnString,
+// builtinIndex returns the index of the function called name, ignoring
+// case, or -1.
+func builtinIndex(name string) int {
+	for i := range builtins {
+		if foldCompare(name, builtins[i].name) == 0 {
+			return i
+		}
 	}
+	return -1
 }
 
 func firstError(args []Value) (Value, bool) {

@@ -212,32 +212,34 @@ func (v Value) StringVal() (string, bool) { return v.str(), v.kind == KindString
 func (v Value) ListVal() ([]Value, bool) { return v.list(), v.kind == KindList }
 
 // String renders the value in ClassAd literal syntax.
-func (v Value) String() string {
+func (v Value) String() string { return string(v.appendTo(nil)) }
+
+// appendTo appends the value's literal text to b.
+func (v Value) appendTo(b []byte) []byte {
 	switch v.kind {
 	case KindUndefined:
-		return "undefined"
+		return append(b, "undefined"...)
 	case KindError:
-		return "error(" + v.str() + ")"
+		return append(append(append(b, "error("...), v.str()...), ')')
 	case KindBool:
-		if v.b() {
-			return "true"
-		}
-		return "false"
+		return strconv.AppendBool(b, v.b())
 	case KindInt:
-		return strconv.FormatInt(v.i(), 10)
+		return strconv.AppendInt(b, v.i(), 10)
 	case KindReal:
-		return strconv.FormatFloat(v.r(), 'g', -1, 64)
+		return strconv.AppendFloat(b, v.r(), 'g', -1, 64)
 	case KindString:
-		return strconv.Quote(v.str())
+		return strconv.AppendQuote(b, v.str())
 	case KindList:
-		l := v.list()
-		parts := make([]string, len(l))
-		for i, e := range l {
-			parts[i] = e.String()
+		b = append(b, '{')
+		for i, e := range v.list() {
+			if i > 0 {
+				b = append(b, ", "...)
+			}
+			b = e.appendTo(b)
 		}
-		return "{" + strings.Join(parts, ", ") + "}"
+		return append(b, '}')
 	}
-	return "?"
+	return append(b, '?')
 }
 
 // Equal reports deep equality of two values (same kind and content).
@@ -281,8 +283,8 @@ func (v Value) Equal(o Value) bool {
 // system builds carry 3 to 15 attributes: at that size a scan of one
 // contiguous array is as fast as hashing the name (classad.match_ns and
 // classad.rank_ns in bench/ are the rows that would say otherwise), and an
-// ad costs a 48-byte header plus 56 bytes an attribute (a three-attribute
-// job ad: 48 + 176), a fraction of a hash table's smallest bucket group.
+// ad costs a 48-byte header plus 48 bytes an attribute (a three-attribute
+// job ad: 48 + 144), a fraction of a hash table's smallest bucket group.
 // Nothing observable depends on the order: Names, String and so the
 // snapshot text sort.
 type Ad struct {
@@ -325,7 +327,7 @@ func (a *Ad) mutated() {
 type entry struct {
 	name string // as last written, for printing
 	val  Value
-	expr Expr // non-nil when the attribute is an expression
+	expr *Expr // non-nil when the attribute is an expression
 }
 
 // New returns an empty ad.
@@ -422,22 +424,19 @@ func (e *entry) eval(sc scope) Value {
 func (a *Ad) String() string {
 	sorted := slices.Clone(a.attrs)
 	slices.SortFunc(sorted, func(x, y entry) int { return strings.Compare(x.name, y.name) })
-	var sb strings.Builder
-	sb.WriteString("[")
+	b := []byte{'['}
 	for i, e := range sorted {
 		if i > 0 {
-			sb.WriteString("; ")
+			b = append(b, "; "...)
 		}
-		sb.WriteString(e.name)
-		sb.WriteString(" = ")
+		b = append(append(b, e.name...), " = "...)
 		if e.expr != nil {
-			sb.WriteString(e.expr.String())
+			b = appendNode(b, e.expr.nodes(), 0)
 		} else {
-			sb.WriteString(e.val.String())
+			b = e.val.appendTo(b)
 		}
 	}
-	sb.WriteString("]")
-	return sb.String()
+	return string(append(b, ']'))
 }
 
 // LiteralString returns the attribute's value when it is stored as a

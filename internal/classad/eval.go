@@ -18,15 +18,15 @@ const maxEvalDepth = 64
 
 // resolve looks up an attribute reference. Unqualified names search self
 // then target; MY restricts to self; TARGET to target.
-func (sc scope) resolve(name, scopeName string) Value {
+func (sc scope) resolve(name string, in uint8) Value {
 	if sc.depth >= maxEvalDepth {
 		return Errorf("attribute recursion limit reached at %q", strings.ToLower(name))
 	}
-	switch scopeName {
-	case "my":
+	switch in {
+	case scopeMy:
 		v, _ := sc.lookupIn(sc.self, sc.target, name)
 		return v
-	case "target":
+	case scopeTarget:
 		v, _ := sc.lookupIn(sc.target, sc.self, name)
 		return v
 	default:
@@ -51,12 +51,72 @@ func (sc scope) lookupIn(ad, other *Ad, name string) (Value, bool) {
 	return ad.attrs[i].eval(scope{self: ad, target: other, depth: sc.depth + 1}), true
 }
 
-func evalUnary(op string, v Value) Value {
+// Eval evaluates the expression in the given scope.
+func (e *Expr) Eval(sc scope) Value { return eval(e.nodes(), 0, sc) }
+
+// eval evaluates the subtree at ns[i]: by its opcode, with a node's
+// children at i+1 and its elder siblings' ends.
+func eval(ns []node, i int, sc scope) Value {
+	n := &ns[i]
+	switch n.op {
+	case opLit:
+		return n.lit()
+	case opAttr:
+		return sc.resolve(n.name(), n.aux)
+	case opParen:
+		return eval(ns, i+1, sc)
+	case opNeg, opNot:
+		return evalUnary(n.op, eval(ns, i+1, sc))
+	case opAnd:
+		return evalAnd(ns, i+1, sc)
+	case opOr:
+		return evalOr(ns, i+1, sc)
+	case opCond:
+		return evalCond(ns, i+1, sc)
+	case opList, opCall:
+		vs := make([]Value, 0, countChildren(ns, i))
+		for c := i + 1; c < int(n.end); c = int(ns[c].end) {
+			vs = append(vs, eval(ns, c, sc))
+		}
+		if n.op == opCall {
+			return builtins[n.aux].fn(vs)
+		}
+		return List(vs...)
+	}
+	l := i + 1
+	return evalBinary(n.op, eval(ns, l, sc), eval(ns, int(ns[l].end), sc))
+}
+
+func countChildren(ns []node, i int) int {
+	k := 0
+	for c := i + 1; c < int(ns[i].end); c = int(ns[c].end) {
+		k++
+	}
+	return k
+}
+
+// evalCond evaluates c ? a : b, whose condition is at ns[c].
+func evalCond(ns []node, c int, sc scope) Value {
+	v := eval(ns, c, sc)
+	b, ok := v.BoolVal()
+	if !ok {
+		if v.IsUndefined() {
+			return Undefined()
+		}
+		return Errorf("ternary condition is %s", v.Kind())
+	}
+	a := int(ns[c].end)
+	if b {
+		return eval(ns, a, sc)
+	}
+	return eval(ns, int(ns[a].end), sc)
+}
+
+func evalUnary(op opcode, v Value) Value {
 	if v.IsError() {
 		return v
 	}
-	switch op {
-	case "-":
+	if op == opNeg {
 		switch v.kind {
 		case KindInt:
 			return Int(-v.i())
@@ -66,26 +126,25 @@ func evalUnary(op string, v Value) Value {
 			return Undefined()
 		}
 		return Errorf("cannot negate %s", v.Kind())
-	case "!":
-		switch v.kind {
-		case KindBool:
-			return Bool(!v.b())
-		case KindUndefined:
-			return Undefined()
-		}
-		return Errorf("cannot logically negate %s", v.Kind())
 	}
-	return Errorf("unknown unary operator %q", op)
+	switch v.kind {
+	case KindBool:
+		return Bool(!v.b())
+	case KindUndefined:
+		return Undefined()
+	}
+	return Errorf("cannot logically negate %s", v.Kind())
 }
 
 // evalAnd implements Condor's three-valued conjunction:
 // false && anything == false (even error), undefined && true == undefined.
-func evalAnd(le, re Expr, sc scope) Value {
-	l := le.Eval(sc)
+// Its left operand is at ns[i].
+func evalAnd(ns []node, i int, sc scope) Value {
+	l := eval(ns, i, sc)
 	if b, ok := l.BoolVal(); ok && !b {
 		return Bool(false)
 	}
-	r := re.Eval(sc)
+	r := eval(ns, int(ns[i].end), sc)
 	if b, ok := r.BoolVal(); ok && !b {
 		return Bool(false)
 	}
@@ -107,12 +166,12 @@ func evalAnd(le, re Expr, sc scope) Value {
 }
 
 // evalOr mirrors evalAnd: true || anything == true.
-func evalOr(le, re Expr, sc scope) Value {
-	l := le.Eval(sc)
+func evalOr(ns []node, i int, sc scope) Value {
+	l := eval(ns, i, sc)
 	if b, ok := l.BoolVal(); ok && b {
 		return Bool(true)
 	}
-	r := re.Eval(sc)
+	r := eval(ns, int(ns[i].end), sc)
 	if b, ok := r.BoolVal(); ok && b {
 		return Bool(true)
 	}
@@ -133,45 +192,42 @@ func evalOr(le, re Expr, sc scope) Value {
 	return Errorf("non-boolean operand to ||")
 }
 
-func evalBinary(op string, l, r Value) Value {
+func evalBinary(op opcode, l, r Value) Value {
 	if l.IsError() {
 		return l
 	}
 	if r.IsError() {
 		return r
 	}
-	switch op {
-	case "+", "-", "*", "/", "%":
+	if op >= opAdd {
 		return evalArith(op, l, r)
-	case "==", "!=", "<", "<=", ">", ">=":
-		return evalCompare(op, l, r)
 	}
-	return Errorf("unknown operator %q", op)
+	return evalCompare(op, l, r)
 }
 
-func evalArith(op string, l, r Value) Value {
+func evalArith(op opcode, l, r Value) Value {
 	if l.IsUndefined() || r.IsUndefined() {
 		return Undefined()
 	}
 	// String concatenation via "+" is a convenience extension.
-	if op == "+" && l.kind == KindString && r.kind == KindString {
+	if op == opAdd && l.kind == KindString && r.kind == KindString {
 		return Str(l.str() + r.str())
 	}
 	// Integer arithmetic stays integral (Condor semantics).
 	if l.kind == KindInt && r.kind == KindInt {
 		switch op {
-		case "+":
+		case opAdd:
 			return Int(l.i() + r.i())
-		case "-":
+		case opSub:
 			return Int(l.i() - r.i())
-		case "*":
+		case opMul:
 			return Int(l.i() * r.i())
-		case "/":
+		case opDiv:
 			if r.i() == 0 {
 				return Errorf("division by zero")
 			}
 			return Int(l.i() / r.i())
-		case "%":
+		case opMod:
 			if r.i() == 0 {
 				return Errorf("modulo by zero")
 			}
@@ -184,27 +240,25 @@ func evalArith(op string, l, r Value) Value {
 		return Errorf("arithmetic on %s and %s", l.Kind(), r.Kind())
 	}
 	switch op {
-	case "+":
+	case opAdd:
 		return Real(lf + rf)
-	case "-":
+	case opSub:
 		return Real(lf - rf)
-	case "*":
+	case opMul:
 		return Real(lf * rf)
-	case "/":
+	case opDiv:
 		if rf == 0 {
 			return Errorf("division by zero")
 		}
 		return Real(lf / rf)
-	case "%":
-		if rf == 0 {
-			return Errorf("modulo by zero")
-		}
-		return Real(math.Mod(lf, rf))
 	}
-	return Errorf("unknown arithmetic operator %q", op)
+	if rf == 0 { // opMod
+		return Errorf("modulo by zero")
+	}
+	return Real(math.Mod(lf, rf))
 }
 
-func evalCompare(op string, l, r Value) Value {
+func evalCompare(op opcode, l, r Value) Value {
 	if l.IsUndefined() || r.IsUndefined() {
 		return Undefined()
 	}
@@ -214,9 +268,9 @@ func evalCompare(op string, l, r Value) Value {
 	}
 	if l.kind == KindBool && r.kind == KindBool {
 		switch op {
-		case "==":
+		case opEq:
 			return Bool(l.b() == r.b())
-		case "!=":
+		case opNe:
 			return Bool(l.b() != r.b())
 		}
 		return Errorf("ordering comparison on booleans")
@@ -236,20 +290,18 @@ func evalCompare(op string, l, r Value) Value {
 	}
 }
 
-func cmpResult(op string, c int) Value {
+func cmpResult(op opcode, c int) Value {
 	switch op {
-	case "==":
+	case opEq:
 		return Bool(c == 0)
-	case "!=":
+	case opNe:
 		return Bool(c != 0)
-	case "<":
+	case opLt:
 		return Bool(c < 0)
-	case "<=":
+	case opLe:
 		return Bool(c <= 0)
-	case ">":
+	case opGt:
 		return Bool(c > 0)
-	case ">=":
-		return Bool(c >= 0)
 	}
-	return Errorf("unknown comparison %q", op)
+	return Bool(c >= 0)
 }

@@ -4,9 +4,10 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
-type tokKind int
+type tokKind uint8
 
 const (
 	tokEOF tokKind = iota
@@ -14,13 +15,17 @@ const (
 	tokReal
 	tokString
 	tokIdent // identifiers and keyword literals (true/false/undefined/error)
-	tokOp    // operators and punctuation
+	tokOp    // operators and punctuation; token.op says which
 )
 
+// token is the parser's current token. The lexer scans into it in place.
+// text is the token's source text; a string literal's is its content,
+// which is a substring of the source unless the literal has escapes.
 type token struct {
 	kind tokKind
-	text string
+	op   opcode
 	pos  int
+	text string
 }
 
 type lexer struct {
@@ -28,32 +33,92 @@ type lexer struct {
 	pos int
 }
 
-// next scans one token; the parser pulls them on demand, so no token
-// slice is ever materialised. It is strict: unknown characters are errors
-// so misquoted job requirements fail loudly at submit time, not at match
-// time.
-func (l *lexer) next() (token, error) {
+// Character classes of the ASCII bytes; every byte from utf8.RuneSelf up
+// starts a multi-byte rune and is classified by decoding it.
+const (
+	cBad   uint8 = iota // not valid here: the lexer reports it
+	cSpace              // skipped
+	cDigit              // starts a number
+	cIdent              // starts or continues an identifier: a letter or '_'
+	cQuote              // starts a string
+	cOp                 // starts an operator or punctuation
+)
+
+var asciiClass = func() (t [utf8.RuneSelf]uint8) {
+	for _, c := range " \t\n\r" {
+		t[c] = cSpace
+	}
+	for c := '0'; c <= '9'; c++ {
+		t[c] = cDigit
+	}
+	for c := 'a'; c <= 'z'; c++ {
+		t[c], t[c-'a'+'A'] = cIdent, cIdent
+	}
+	t['_'] = cIdent
+	t['"'] = cQuote
+	for _, c := range "+-*/%<>!=&|(),.{}?:" {
+		t[c] = cOp
+	}
+	return t
+}()
+
+// singleOps maps each one-character operator or punctuation mark to its
+// code; '=', '&' and '|' are only the first halves of two-character ones.
+var singleOps = func() (t [utf8.RuneSelf]opcode) {
+	for c, op := range map[byte]opcode{
+		'+': opAdd, '-': opSub, '*': opMul, '/': opDiv, '%': opMod, '<': opLt, '>': opGt, '!': opNot,
+		'(': pLParen, ')': pRParen, ',': pComma, '.': pDot, '{': pLBrace, '}': pRBrace, '?': pQuestion, ':': pColon,
+	} {
+		t[c] = op
+	}
+	return t
+}()
+
+// scan reads the next token into tok; the parser pulls them on demand,
+// so no token slice is ever materialised. It is strict: unknown
+// characters are errors so misquoted job requirements fail loudly at
+// submit time, not at match time.
+func (l *lexer) scan(tok *token) error {
 	l.skipSpace()
+	tok.pos = l.pos
 	if l.pos >= len(l.src) {
-		return token{kind: tokEOF, pos: l.pos}, nil
+		tok.kind, tok.text = tokEOF, ""
+		return nil
 	}
 	c := l.src[l.pos]
-	switch {
-	case c >= '0' && c <= '9', c == '.' && l.peekDigit():
-		return l.lexNumber(), nil
-	case c == '"':
-		return l.lexString()
-	case isIdentStart(rune(c)):
-		return l.lexIdent(), nil
-	default:
-		return l.lexOp()
+	if c >= utf8.RuneSelf {
+		r, size := utf8.DecodeRuneInString(l.src[l.pos:])
+		if !isIdentStart(r) {
+			return fmt.Errorf("classad: unexpected character %q at %d", r, l.pos)
+		}
+		l.pos += size
+		l.lexIdent(tok)
+		return nil
 	}
+	switch asciiClass[c] {
+	case cDigit:
+		l.lexNumber(tok)
+		return nil
+	case cIdent:
+		l.pos++
+		l.lexIdent(tok)
+		return nil
+	case cQuote:
+		return l.lexString(tok)
+	case cOp:
+		if c == '.' && l.peekDigit() {
+			l.lexNumber(tok)
+			return nil
+		}
+		return l.lexOp(tok)
+	}
+	return fmt.Errorf("classad: unexpected character %q at %d", rune(c), l.pos)
 }
 
 func (l *lexer) skipSpace() {
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]
-		if c == ' ' || c == '\t' || c == '\n' || c == '\r' {
+		if c < utf8.RuneSelf && asciiClass[c] == cSpace {
 			l.pos++
 			continue
 		}
@@ -72,7 +137,7 @@ func (l *lexer) peekDigit() bool {
 	return l.pos+1 < len(l.src) && l.src[l.pos+1] >= '0' && l.src[l.pos+1] <= '9'
 }
 
-func (l *lexer) lexNumber() token {
+func (l *lexer) lexNumber(tok *token) {
 	start := l.pos
 	seenDot, seenExp := false, false
 	for l.pos < len(l.src) {
@@ -94,27 +159,36 @@ func (l *lexer) lexNumber() token {
 		}
 	}
 done:
-	text := l.src[start:l.pos]
+	tok.kind, tok.text = tokInt, l.src[start:l.pos]
 	if seenDot || seenExp {
-		return token{kind: tokReal, text: text, pos: start}
+		tok.kind = tokReal
 	}
-	return token{kind: tokInt, text: text, pos: start}
 }
 
-func (l *lexer) lexString() (token, error) {
+// lexString reads a string literal. One without escapes is its source's
+// substring; only an escape costs a copy.
+func (l *lexer) lexString(tok *token) error {
 	start := l.pos
 	l.pos++ // opening quote
 	var sb strings.Builder
+	escaped := false
+	from := l.pos // start of the run not yet copied into sb
 	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		switch c {
+		switch c := l.src[l.pos]; c {
 		case '"':
+			tok.kind, tok.text = tokString, l.src[from:l.pos]
+			if escaped {
+				sb.WriteString(tok.text)
+				tok.text = sb.String()
+			}
 			l.pos++
-			return token{kind: tokString, text: sb.String(), pos: start}, nil
+			return nil
 		case '\\':
+			escaped = true
+			sb.WriteString(l.src[from:l.pos])
 			l.pos++
 			if l.pos >= len(l.src) {
-				return token{}, fmt.Errorf("classad: unterminated escape at %d", start)
+				return fmt.Errorf("classad: unterminated escape at %d", start)
 			}
 			switch e := l.src[l.pos]; e {
 			case 'n':
@@ -126,46 +200,65 @@ func (l *lexer) lexString() (token, error) {
 			case '"', '\\':
 				sb.WriteByte(e)
 			default:
-				return token{}, fmt.Errorf("classad: bad escape \\%c at %d", e, l.pos)
+				return fmt.Errorf("classad: bad escape \\%c at %d", e, l.pos)
 			}
 			l.pos++
+			from = l.pos
 		default:
-			sb.WriteByte(c)
 			l.pos++
 		}
 	}
-	return token{}, fmt.Errorf("classad: unterminated string at %d", start)
+	return fmt.Errorf("classad: unterminated string at %d", start)
 }
 
-func (l *lexer) lexIdent() token {
-	start := l.pos
-	for l.pos < len(l.src) && isIdentPart(rune(l.src[l.pos])) {
-		l.pos++
-	}
-	return token{kind: tokIdent, text: l.src[start:l.pos], pos: start}
-}
-
-var twoCharOps = []string{"==", "!=", "<=", ">=", "&&", "||"}
-
-func (l *lexer) lexOp() (token, error) {
-	start := l.pos
-	if l.pos+1 < len(l.src) {
-		two := l.src[l.pos : l.pos+2]
-		for _, op := range twoCharOps {
-			if two == op {
-				l.pos += 2
-				return token{kind: tokOp, text: op, pos: start}, nil
+// lexIdent reads the rest of an identifier whose first character the
+// caller consumed, decoding runes: names are Unicode letters, digits and
+// '_', as validAttrName accepts them.
+func (l *lexer) lexIdent(tok *token) {
+	start := tok.pos
+	for l.pos < len(l.src) {
+		c := l.src[l.pos]
+		if c < utf8.RuneSelf {
+			if cl := asciiClass[c]; cl != cIdent && cl != cDigit {
+				break
 			}
+			l.pos++
+			continue
 		}
+		r, size := utf8.DecodeRuneInString(l.src[l.pos:])
+		if !isIdentPart(r) {
+			break
+		}
+		l.pos += size
 	}
-	c := l.src[l.pos]
-	switch c {
-	case '+', '-', '*', '/', '%', '<', '>', '!', '(', ')', ',', '.', '{', '}', '?', ':':
-		l.pos++
-		return token{kind: tokOp, text: l.src[start:l.pos], pos: start}, nil
-	}
-	return token{}, fmt.Errorf("classad: unexpected character %q at %d", c, start)
+	tok.kind, tok.text = tokIdent, l.src[start:l.pos]
 }
+
+func (l *lexer) lexOp(tok *token) error {
+	start := l.pos
+	c := l.src[l.pos]
+	var next byte
+	if l.pos+1 < len(l.src) {
+		next = l.src[l.pos+1]
+	}
+	op, size := singleOps[c], 1
+	switch {
+	case next == '=' && (c == '=' || c == '!' || c == '<' || c == '>'):
+		op, size = withEq[c], 2
+	case c == '&' && next == '&':
+		op, size = opAnd, 2
+	case c == '|' && next == '|':
+		op, size = opOr, 2
+	case op == 0:
+		return fmt.Errorf("classad: unexpected character %q at %d", rune(c), start)
+	}
+	l.pos += size
+	tok.kind, tok.op, tok.text = tokOp, op, l.src[start:l.pos]
+	return nil
+}
+
+// withEq codes the comparisons spelled with a trailing '='.
+var withEq = [utf8.RuneSelf]opcode{'=': opEq, '!': opNe, '<': opLe, '>': opGe}
 
 func isIdentStart(r rune) bool {
 	return r == '_' || unicode.IsLetter(r)

@@ -16,32 +16,31 @@ const (
 )
 
 // Matcher is the compiled form of one ad's matchmaking surface, and holds
-// only what a match reads: the Requirements and Rank expressions, the ad
-// version they were compiled at and, out of line, the Rank's class. A
-// Matcher tracks its ad's mutation counter and recompiles lazily after any
-// Set/SetExpr, so holding one across ad updates is safe. Every
-// queued job holds one, so its size is a per-job cost: 56 bytes (a 64-byte
-// allocation), plus the class for a job with a Rank expression. Matchers
-// are not safe for concurrent use.
+// only what a match reads: the Requirements and Rank, the ad version they
+// were compiled at and the Rank's class. A Matcher tracks its ad's
+// mutation counter and recompiles lazily after any Set/SetExpr, so holding
+// one across ad updates is safe. Every queued job holds one, so its size
+// is a per-job cost: 64 bytes, plus the class key's bytes for a job with
+// a Rank expression. Matchers are not safe for concurrent use.
 type Matcher struct {
 	ad      *Ad
 	version uint64
 
-	// req and rank are nil when the attribute is absent; a literal
-	// attribute compiles to a litExpr.
-	req, rank Expr
-	// class is the Rank's class (see RankClass), nil while the Rank is
-	// absent or a literal: the degenerate class.
-	class *rankClass
-}
-
-// rankClass is a Rank expression classified as a function of the target
-// alone or not (byTarget): when it is, its canonical text (key) and the
-// TARGET attributes it reads.
-type rankClass struct {
+	// req and rank are the Requirements and Rank expressions, nil when the
+	// attribute is absent or a literal.
+	req, rank *Expr
+	// rankLit is what Rank returns when the Rank is not an expression:
+	// a literal's number, 0 for anything else or none.
+	rankLit float64
+	// class is the Rank expression's class key (see RankClass); byTarget
+	// says whether it has a class at all.
+	class    string
 	byTarget bool
-	key      string
-	attrs    []string
+	// reqFalse: the Requirements is a literal other than true, which takes
+	// no target.
+	reqFalse bool
+	// constrains: the ad has a Requirements or a Rank, literal or not.
+	constrains bool
 }
 
 // NewMatcher compiles ad's Requirements/Rank for repeated matching.
@@ -52,46 +51,93 @@ func NewMatcher(ad *Ad) *Matcher {
 }
 
 func (m *Matcher) compile() {
-	m.version = m.ad.version
-	m.req = m.ad.compiled(attrRequirements)
-	m.rank = m.ad.compiled(attrRank)
-	if _, literal := m.rank.(*litExpr); m.rank == nil || literal {
-		m.class = nil
-		return
+	a := m.ad
+	*m = Matcher{ad: a, version: a.version}
+	if i := a.find(attrRequirements); i >= 0 {
+		m.constrains = true
+		if e := &a.attrs[i]; e.expr != nil {
+			m.req = e.expr
+		} else {
+			b, ok := e.val.BoolVal()
+			m.reqFalse = !ok || !b
+		}
 	}
-	c := m.class
-	if c == nil {
-		c = &rankClass{}
-		m.class = c
-	}
-	var key strings.Builder
-	key.Grow(64)
-	c.attrs = c.attrs[:0]
-	c.byTarget = targetOnly(m.rank, &key, &c.attrs)
-	c.key = ""
-	if c.byTarget && len(c.attrs) > 0 {
-		c.key = key.String()
+	if i := a.find(attrRank); i >= 0 {
+		m.constrains = true
+		if e := &a.attrs[i]; e.expr != nil {
+			m.rank = e.expr
+			m.classify()
+		} else {
+			m.rankLit = rankOf(e.val)
+		}
 	}
 }
 
-// compiled returns the named attribute as an expression: nil when absent,
-// a literal wrapped in a litExpr.
-func (a *Ad) compiled(name string) Expr {
-	i := a.find(name)
-	if i < 0 {
-		return nil
+// classify finds the Rank expression's class: it has one when every node
+// is a literal, a TARGET.-scoped reference, a parenthesis or an operator,
+// and its key is the canonical text when any node is a reference.
+func (m *Matcher) classify() {
+	ns := m.rank.nodes()
+	reads := false
+	for i := range ns {
+		switch n := &ns[i]; n.op {
+		case opList, opCall, opCond:
+			return
+		case opAttr:
+			if n.aux != scopeTarget {
+				return
+			}
+			reads = true
+		}
 	}
-	e := &a.attrs[i]
-	if e.expr == nil {
-		return &litExpr{v: e.val}
+	m.byTarget = true
+	if reads {
+		var buf [64]byte
+		m.class = string(appendKey(buf[:0], ns, 0))
 	}
-	return e.expr
+}
+
+// appendKey appends the class key text of the subtree at ns[i]: the
+// expression's text with attribute names lower-cased and literals tagged
+// with their kind (Int(2) and Real(2) print alike but divide differently).
+func appendKey(b []byte, ns []node, i int) []byte {
+	n := &ns[i]
+	switch n.op {
+	case opLit:
+		return n.lit().appendTo(append(b, 'a'+n.aux))
+	case opAttr:
+		return appendLower(append(b, "T."...), n.name())
+	case opParen:
+		b = append(b, '(')
+		return append(appendKey(b, ns, i+1), ')')
+	case opNeg, opNot:
+		return appendKey(append(b, opText[n.op]...), ns, i+1)
+	}
+	l := i + 1
+	b = append(appendKey(b, ns, l), ' ')
+	b = append(append(b, opText[n.op]...), ' ')
+	return appendKey(b, ns, int(ns[l].end))
+}
+
+// rankOf is a Rank value as a number, with Condor's absent/non-numeric →
+// 0.0 semantics; NaN is not a number either, so ranks are always ordered.
+func rankOf(v Value) float64 {
+	if f, ok := v.RealVal(); ok && f == f {
+		return f
+	}
+	return 0
 }
 
 func (m *Matcher) sync() {
 	if m.version != m.ad.version {
 		m.compile()
 	}
+}
+
+// Constrains reports whether the ad has a Requirements or a Rank.
+func (m *Matcher) Constrains() bool {
+	m.sync()
+	return m.constrains
 }
 
 // RankClass reports whether this ad's Rank depends on the match target
@@ -107,10 +153,10 @@ func (m *Matcher) sync() {
 // Ranks have no class.
 func (m *Matcher) RankClass() (key string, ok bool) {
 	m.sync()
-	if m.class == nil {
+	if m.rank == nil {
 		return "", true
 	}
-	return m.class.key, m.class.byTarget
+	return m.class, m.byTarget
 }
 
 // TargetRank is Rank for an ad that has a rank class; ok is false when the
@@ -119,12 +165,15 @@ func (m *Matcher) RankClass() (key string, ok bool) {
 // in scope.
 func (m *Matcher) TargetRank(t *Matcher) (rank float64, ok bool) {
 	m.sync()
-	if c := m.class; c != nil {
-		if !c.byTarget {
+	if m.rank != nil {
+		if !m.byTarget {
 			return 0, false
 		}
-		for _, a := range c.attrs {
-			if i := t.ad.find(a); i >= 0 && t.ad.attrs[i].expr != nil {
+		for _, n := range m.rank.nodes() {
+			if n.op != opAttr {
+				continue
+			}
+			if i := t.ad.find(n.name()); i >= 0 && t.ad.attrs[i].expr != nil {
 				return 0, false
 			}
 		}
@@ -132,49 +181,10 @@ func (m *Matcher) TargetRank(t *Matcher) (rank float64, ok bool) {
 	return m.Rank(t), true
 }
 
-// targetOnly reports whether e reads nothing but literals and TARGET.-scoped
-// attributes, appending its canonical text (attribute names lower-cased)
-// to key and the attributes' names to attrs.
-func targetOnly(e Expr, key *strings.Builder, attrs *[]string) bool {
-	switch x := e.(type) {
-	case *litExpr:
-		// Tagged with the kind: Int(2) and Real(2) print alike but divide
-		// differently.
-		key.WriteByte('a' + byte(x.v.kind))
-		key.WriteString(x.v.String())
-		return true
-	case *attrExpr:
-		if x.scope != "target" {
-			return false
-		}
-		key.WriteString("T.")
-		writeLower(key, x.name)
-		*attrs = append(*attrs, x.name)
-		return true
-	case *parenExpr:
-		key.WriteByte('(')
-		ok := targetOnly(x.e, key, attrs)
-		key.WriteByte(')')
-		return ok
-	case *unaryExpr:
-		key.WriteString(x.op)
-		return targetOnly(x.e, key, attrs)
-	case *binExpr:
-		if !targetOnly(x.l, key, attrs) {
-			return false
-		}
-		key.WriteByte(' ')
-		key.WriteString(x.op)
-		key.WriteByte(' ')
-		return targetOnly(x.r, key, attrs)
-	}
-	return false
-}
-
 // halfOK evaluates m's Requirements against target.
 func (m *Matcher) halfOK(target *Ad) bool {
 	if m.req == nil {
-		return true
+		return !m.reqFalse
 	}
 	b, ok := m.req.Eval(scope{self: m.ad, target: target}).BoolVal()
 	return ok && b
@@ -195,90 +205,79 @@ func (m *Matcher) Match(t *Matcher) bool {
 func (m *Matcher) Rank(t *Matcher) float64 {
 	m.sync()
 	if m.rank == nil {
-		return 0
+		return m.rankLit
 	}
-	if f, ok := m.rank.Eval(scope{self: m.ad, target: t.ad}).RealVal(); ok && f == f {
-		return f
-	}
-	return 0
+	return rankOf(m.rank.Eval(scope{self: m.ad, target: t.ad}))
 }
 
-// ReqStringConstraint inspects the ad's Requirements expression for a
-// top-level conjunct pinning TARGET.attr (or unqualified attr) to a string
-// literal — e.g. `TARGET.Arch == "x86"` — and returns that literal. It is
-// the static-analysis hook the negotiator's machine index is built on: a
-// job whose Requirements pin Arch can skip every machine outside the Arch
-// bucket without evaluating the expression. The attr comparison is
-// case-insensitive; the returned literal is lower-cased to match index
-// keys. ok is false when Requirements is absent, a literal, or carries no
-// such conjunct.
-func (a *Ad) ReqStringConstraint(attr string) (string, bool) {
-	i := a.find(attrRequirements)
-	if i < 0 || a.attrs[i].expr == nil {
-		return "", false
+// Pins inspects the Requirements expression for top-level conjuncts
+// pinning TARGET.x (or unqualified x) to a string literal — e.g.
+// `TARGET.Arch == "x86"` — and returns the literals pinning x and y, from
+// one walk; "" stands for no pin, as for a Requirements that is absent or
+// a literal. It is the static-analysis hook the negotiator's machine index
+// is built on: a job whose Requirements pin Arch can skip every machine
+// outside the Arch bucket without evaluating the expression. The
+// attribute comparison is case-insensitive; the literals are lower-cased
+// to match index keys. Where several conjuncts pin one attribute, the
+// first counts.
+func (m *Matcher) Pins(x, y string) (sx, sy string) {
+	m.sync()
+	if m.req == nil {
+		return "", ""
 	}
-	return a.targetStringEq(a.attrs[i].expr, attr)
-}
-
-// targetStringEq walks &&-conjuncts looking for attr == "literal".
-func (a *Ad) targetStringEq(e Expr, attr string) (string, bool) {
-	switch x := e.(type) {
-	case *parenExpr:
-		return a.targetStringEq(x.e, attr)
-	case *binExpr:
-		switch x.op {
-		case "&&":
-			if s, ok := a.targetStringEq(x.l, attr); ok {
-				return s, true
-			}
-			return a.targetStringEq(x.r, attr)
-		case "==":
-			if s, ok := a.eqLiteral(x.l, x.r, attr); ok {
-				return s, true
-			}
-			return a.eqLiteral(x.r, x.l, attr)
+	var xok, yok bool
+	m.ad.eachPin(m.req.nodes(), 0, func(name, lit string) {
+		if !xok && foldCompare(name, x) == 0 {
+			sx, xok = lit, true
+		} else if !yok && foldCompare(name, y) == 0 {
+			sy, yok = lit, true
 		}
-	}
-	return "", false
+	})
+	return sx, sy
 }
 
-// eqLiteral matches the (attrRef, stringLiteral) shape. MY.attr refers to
-// the job's own attributes, so only TARGET references — or unqualified
-// ones the job itself cannot satisfy (unqualified names resolve in self
-// first) — constrain the machine.
-func (a *Ad) eqLiteral(ref, lit Expr, attr string) (string, bool) {
-	ae, ok := ref.(*attrExpr)
-	if !ok || foldCompare(ae.name, attr) != 0 || ae.scope == "my" {
-		return "", false
+// eachPin walks the &&-conjuncts of the subtree at ns[i], left to right,
+// calling pin for each attr == "literal" among them with the attribute's
+// name and the literal lower-cased. MY.attr refers to the job's own
+// attributes, so only TARGET references — or unqualified ones the job
+// itself cannot satisfy (unqualified names resolve in self first) —
+// constrain the machine.
+func (a *Ad) eachPin(ns []node, i int, pin func(name, lit string)) {
+	switch n := &ns[i]; n.op {
+	case opParen:
+		a.eachPin(ns, i+1, pin)
+	case opAnd:
+		a.eachPin(ns, i+1, pin)
+		a.eachPin(ns, int(ns[i+1].end), pin)
+	case opEq:
+		l, r := &ns[i+1], &ns[ns[i+1].end]
+		if l.op != opAttr {
+			l, r = r, l
+		}
+		if l.op != opAttr || l.aux == scopeMy || r.op != opLit || Kind(r.aux) != KindString {
+			return
+		}
+		if l.aux == scopeNone && a.Has(l.name()) {
+			return
+		}
+		pin(l.name(), strings.ToLower(r.lit().str()))
 	}
-	if ae.scope == "" && a.Has(ae.name) {
-		return "", false
-	}
-	le, ok := lit.(*litExpr)
-	if !ok {
-		return "", false
-	}
-	s, ok := le.v.StringVal()
-	if !ok {
-		return "", false
-	}
-	return strings.ToLower(s), true
 }
 
-// writeLower appends strings.ToLower(s) to b, allocating nothing for an
+// appendLower appends strings.ToLower(s) to b, allocating nothing for an
 // ASCII name.
-func writeLower(b *strings.Builder, s string) {
+func appendLower(b []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
 		c := s[i]
 		if c >= utf8.RuneSelf {
-			b.WriteString(strings.ToLower(s[i:]))
-			return
+			return append(b, strings.ToLower(s[i:])...)
 		}
 		if c >= 'A' && c <= 'Z' {
 			c += 'a' - 'A'
 		}
-		b.WriteByte(c)
+		b = append(b, c)
 	}
+	return b
 }
 
 // foldCompare is a case-insensitive string comparison that avoids the

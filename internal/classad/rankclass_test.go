@@ -19,10 +19,10 @@ func TestValueSize(t *testing.T) {
 // holds a Matcher; the pool keeps an ad for every job it ever held. The
 // allocator rounds each object up to a size class, so a field added to
 // either moves memory in steps: fail here first. A three-attribute job ad
-// is a 48-byte header and a 176-byte slot (224 with 72-byte entries).
+// is a 48-byte header and a 144-byte slot (176 with 56-byte entries).
 func TestAdAndMatcherSizes(t *testing.T) {
-	if got := unsafe.Sizeof(entry{}); got > 56 {
-		t.Errorf("unsafe.Sizeof(entry{}) = %d bytes, want <= 56 (name, value, expression)", got)
+	if got := unsafe.Sizeof(entry{}); got > 48 {
+		t.Errorf("unsafe.Sizeof(entry{}) = %d bytes, want <= 48 (name, value, expression pointer)", got)
 	}
 	if got := unsafe.Sizeof(Ad{}); got > 48 {
 		t.Errorf("unsafe.Sizeof(Ad{}) = %d bytes, want <= 48", got)
@@ -34,9 +34,10 @@ func TestAdAndMatcherSizes(t *testing.T) {
 
 var matcherSink *Matcher
 
-// A Matcher holds its Rank class only when the ad has a Rank expression:
-// what it allocates beyond itself follows the Rank, and a recompile reuses
-// the class it has.
+// A Matcher allocates beyond itself only for a Rank expression that reads
+// the target, and then only its class key: the class's attributes are
+// read back off the expression's nodes, and a literal Rank is held as its
+// number.
 func TestMatcherAllocatesClassOnlyForRank(t *testing.T) {
 	plain := New().Set("Owner", "alice").MustSetExpr("Requirements", "TARGET.Memory > 1024")
 	ranked := plain.Clone().MustSetExpr("Rank", "TARGET.KFlops")
@@ -44,9 +45,9 @@ func TestMatcherAllocatesClassOnlyForRank(t *testing.T) {
 		name string
 		ad   *Ad
 		want float64
-	}{{"no Rank", plain, 1}, {"literal Rank", plain.Clone().Set("Rank", 3), 2}, {"Rank expression", ranked, 4}} {
+	}{{"no Rank", plain, 1}, {"literal Rank", plain.Clone().Set("Rank", 3), 1}, {"Rank expression", ranked, 2}} {
 		if got := testing.AllocsPerRun(100, func() { matcherSink = NewMatcher(c.ad) }); got != c.want {
-			t.Errorf("%s: NewMatcher allocates %v times, want %v (the matcher; a literal's wrapper; the class, its attribute list and key)", c.name, got, c.want)
+			t.Errorf("%s: NewMatcher allocates %v times, want %v (the matcher; the class key)", c.name, got, c.want)
 		}
 	}
 	m := NewMatcher(ranked)

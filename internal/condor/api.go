@@ -47,7 +47,7 @@ func (p *Pool) submit(ad *classad.Ad, cpuDone float64) (int, error) {
 		return 0, ErrPoolDown
 	}
 	id := len(p.jobs) + 1
-	j := p.newJob(id, ad.Clone(), p.grid.Engine.Now())
+	j := p.newJob(id, ad.Clone(), need, p.grid.Engine.Now())
 	if cpuDone > 0 && j.ad.Bool(AttrCheckpoint, false) {
 		// A migration carries the checkpointed CPU at Mips 1 as its wall-clock.
 		j.cpuBase = cpuDone

@@ -14,7 +14,8 @@ import (
 // A machine whose caller ad mutated while it was claimed resyncs here so
 // it re-enters under its current Arch key. Entering is what the ordered
 // views key on: a resynced machine re-enters too (resyncMachineLocked), so
-// no rank outlives the match ad it was computed on.
+// no rank outlives the match ad it was computed on. It is also what the
+// next pass's refresh visits.
 func (p *Pool) addFreeLocked(m *machine) {
 	if m.freeIdx >= 0 {
 		return
@@ -23,16 +24,27 @@ func (p *Pool) addFreeLocked(m *machine) {
 		m.snapshotAd()
 	}
 	m.viewDirty = true
+	p.revisitLocked(m)
 	b := p.freeBuckets[m.archKey]
 	m.freeIdx = len(b)
 	p.freeBuckets[m.archKey] = append(b, m)
 }
 
-// removeFreeLocked swap-removes m from its arch bucket.
+// revisitLocked lists m, once, for the next pass's refresh to visit.
+func (p *Pool) revisitLocked(m *machine) {
+	if !m.fresh {
+		m.fresh = true
+		p.fresh = append(p.fresh, m)
+	}
+}
+
+// removeFreeLocked swap-removes m from its arch bucket, and from the
+// pool's offers.
 func (p *Pool) removeFreeLocked(m *machine) {
 	if m.freeIdx < 0 {
 		return
 	}
+	p.countLocked(m, false)
 	b := p.freeBuckets[m.archKey]
 	last := len(b) - 1
 	moved := b[last]
@@ -120,8 +132,12 @@ func (p *Pool) startLocked(j *job, m *machine, now time.Time) {
 		// its fault-injection point); finish immediately. No machine time
 		// was consumed, so this is not an allocation for the starvation
 		// guard — but the offer is spent for this pass, as it was under
-		// the per-pass candidate list.
+		// the per-pass candidate list. The next pass's refresh lifts the
+		// exclusion.
 		m.skipFor = p
+		if m.owner == p {
+			p.revisitLocked(m)
+		}
 		j.started = p.instantOf(now)
 		p.finishLocked(j, now)
 		return

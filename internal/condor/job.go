@@ -206,11 +206,10 @@ type constraintKey uint32
 
 const noConstraint constraintKey = 0
 
-// constraint returns the key of the string ad's Requirements pin attr to
-// (see classad.Ad.ReqStringConstraint), entering it in the pool's table on
-// first sight.
-func (p *Pool) constraint(ad *classad.Ad, attr string) constraintKey {
-	s, _ := ad.ReqStringConstraint(attr)
+// constraint returns the key of a literal a job's Requirements pin Arch
+// or OpSys to (see classad.Matcher.Pins), entering it in the pool's table
+// on first sight.
+func (p *Pool) constraint(s string) constraintKey {
 	if s == "" {
 		return noConstraint
 	}
@@ -240,25 +239,30 @@ func (j *job) stopAt() float64 {
 // newJob builds the pool's record of a job from its ad — the one place
 // that reads the ad's scheduling attributes, shared by Submit and
 // Restore so a recovered job carries exactly what a submitted one does.
-// The job starts idle at the ad's priority; Restore overlays the captured
-// lifecycle state.
-func (p *Pool) newJob(id int, ad *classad.Ad, submitted time.Time) *job {
+// need is the ad's AttrCpuSeconds, which the caller has read. Each
+// attribute is looked up once: Requirements and Rank by the matcher, which
+// also reads both pins off the Requirements in one walk. The job starts
+// idle at the ad's priority; Restore overlays the captured lifecycle
+// state.
+func (p *Pool) newJob(id int, ad *classad.Ad, need float64, submitted time.Time) *job {
+	m := classad.NewMatcher(ad)
+	arch, opsys := m.Pins("Arch", "OpSys")
 	return &job{
 		id:         id,
 		ad:         ad,
 		status:     StatusIdle,
 		priority:   int(ad.Int(AttrPriority, 0)),
 		owner:      ad.Str(AttrOwner, ""),
-		need:       ad.Float(AttrCpuSeconds, 0),
+		need:       need,
 		hasOutput:  ad.Str(AttrOutputFile, "") != "",
-		anyMachine: !ad.Has(AttrRequirements) && !ad.Has(AttrRank),
+		anyMachine: !m.Constrains(),
 		failAfter:  ad.Float(AttrFailAfter, 0),
-		matcher:    classad.NewMatcher(ad),
+		matcher:    m,
 		submitted:  p.instantOf(submitted),
 		started:    notYet,
 		completed:  notYet,
-		reqArch:    p.constraint(ad, "Arch"),
-		reqOpSys:   p.constraint(ad, "OpSys"),
+		reqArch:    p.constraint(arch),
+		reqOpSys:   p.constraint(opsys),
 	}
 }
 

@@ -197,7 +197,19 @@ func (p *Pool) negotiateLocked(now time.Time) int {
 	if p.obsPasses != nil {
 		t0 = time.Now() //lint:walltime telemetry: real pass latency for operator metrics, never read back into sim state
 	}
-	st := p.refreshFreeLocked(now)
+	matched := p.matchLocked(now, p.refreshFreeLocked(now))
+	if p.obsPasses != nil {
+		p.obsPasses.Inc()
+		p.obsMatches.Add(int64(matched))
+		p.obsPassSeconds.Observe(time.Since(t0).Seconds()) //lint:walltime telemetry: real pass latency for operator metrics, never read back into sim state
+	}
+	return matched
+}
+
+// matchLocked is a pass after its refresh: it starts idle jobs, in
+// negotiation order, on the offers st counts and the flocking peer's, and
+// records loadWakeAt. Returns the number of jobs matched.
+func (p *Pool) matchLocked(now time.Time, st freeStats) int {
 	var peerFree []*machine
 	if p.flockPeer != nil {
 		var pst freeStats
@@ -237,17 +249,12 @@ func (p *Pool) negotiateLocked(now time.Time) int {
 		// is needed.
 		p.loadWakeAt = st.until
 	}
-	if p.obsPasses != nil {
-		p.obsPasses.Inc()
-		p.obsMatches.Add(int64(matched))
-		p.obsPassSeconds.Observe(time.Since(t0).Seconds()) //lint:walltime telemetry: real pass latency for operator metrics, never read back into sim state
-	}
 	return matched
 }
 
-// freeStats summarizes one pre-pass walk of the free machines: how many
-// offers the pass holds, and when their advertised loads next change —
-// the earliest segment boundary (until).
+// freeStats summarizes the free machines a pass starts with: how many
+// offers it holds, and when their advertised loads next change — the
+// earliest segment boundary (until).
 type freeStats struct {
 	avail int
 	until time.Time
@@ -264,11 +271,23 @@ func (st *freeStats) merge(o freeStats) {
 
 // refreshFreeLocked prepares the pool's free machines for one negotiation
 // pass: queued cross-pool releases fold back in, machines whose caller ad
-// mutated resync, each machine's LoadAvg is written into its match ad
-// exactly once, machines occupied by externally placed tasks (the
-// pool's free set only tracks its own placements) are excluded for this
-// pass, and the machines the ordered views must take in afresh are
-// collected into p.changed.
+// mutated resync, and each machine that needs it is visited — its LoadAvg
+// written into its match ad, or, occupied by an externally placed task
+// (the pool's free set only tracks its own placements), excluded for this
+// pass — and collected into p.changed when the ordered views must take it
+// in afresh.
+//
+// The pool keeps what a visit finds (offers, offersUntil), so a pass
+// visits only the machines listed fresh since the last: those that entered
+// the free set, and one whose offer a pass spent without a claim. A
+// machine that stayed free, unvisited, still reads as it did: its node's
+// tasks and load change only through the node's observer, its ad only
+// through its mutation hook, and each asks for a walk of every free
+// machine instead (rewalk), as does a flocking peer's snapshot, which
+// writes LoadAvg. So does a counted machine whose load segment ends:
+// offersUntil is then not zero, and time alone may change its LoadAvg.
+// Either way each machine is visited the same way, and the pass sees what
+// a walk of every free machine would.
 func (p *Pool) refreshFreeLocked(now time.Time) freeStats {
 	// New pass: views the last pass had no use for go, so the map holds
 	// only the rank classes now queued — and every view that stays has
@@ -280,22 +299,60 @@ func (p *Pool) refreshFreeLocked(now time.Time) freeStats {
 	}
 	p.pickGen++
 	p.changed = p.changed[:0]
-	var st freeStats
-	p.visitFreeLocked(func(m *machine) {
+	p.drainReleasesLocked()
+	visit := func(m *machine) {
 		if m.node.TaskCount() > 0 {
 			m.skipFor = p
+			p.countLocked(m, false)
 		} else {
 			m.skipFor = nil
 			v, until := m.node.LoadSegment(now)
 			m.setLoadAvg(v)
-			st.observe(until)
+			p.countLocked(m, true)
+			p.offersUntil = earlier(p.offersUntil, until)
 		}
 		if m.viewDirty {
 			m.viewDirty, m.viewGen = false, p.pickGen
 			p.changed = append(p.changed, m)
 		}
-	})
-	return st
+	}
+	p.relMu.Lock()
+	all := p.rewalk || !p.offersUntil.IsZero()
+	p.rewalk = false
+	p.relMu.Unlock()
+	fresh := p.fresh
+	p.fresh, p.freshScratch = p.freshScratch[:0], fresh
+	for _, m := range fresh {
+		m.fresh = false
+	}
+	if all {
+		p.offersUntil = time.Time{}
+		p.visitFreeLocked(visit)
+	} else {
+		for _, m := range fresh {
+			if m.freeIdx < 0 {
+				continue // claimed since: a release lists it again
+			}
+			if m.stale.Load() {
+				p.resyncMachineLocked(m) // which lists it afresh
+			}
+			visit(m)
+		}
+	}
+	return freeStats{avail: p.offers, until: p.offersUntil}
+}
+
+// countLocked enters m into the pool's offers, or takes it out.
+func (p *Pool) countLocked(m *machine, in bool) {
+	if m.counted == in {
+		return
+	}
+	m.counted = in
+	if in {
+		p.offers++
+	} else {
+		p.offers--
+	}
 }
 
 // setLoadAvg writes the machine's current load into its match ad, skipping
@@ -324,6 +381,7 @@ func (p *Pool) snapshotFreeFor(now time.Time, buf []*machine) ([]*machine, freeS
 	if p.down {
 		return buf, st
 	}
+	p.drainReleasesLocked()
 	p.visitFreeLocked(func(m *machine) {
 		if m.node.TaskCount() > 0 {
 			return
@@ -334,15 +392,17 @@ func (p *Pool) snapshotFreeFor(now time.Time, buf []*machine) ([]*machine, freeS
 		st.observe(until)
 		buf = append(buf, m)
 	})
+	p.relMu.Lock()
+	p.rewalk = true // the owner's refresh must see the LoadAvg written here
+	p.relMu.Unlock()
 	return buf, st
 }
 
-// visitFreeLocked is the single pre-pass walk both negotiation views
-// share: queued cross-pool releases fold in, machines whose caller ad
-// mutated resync (possibly moving buckets, hence the deferral past the
-// iteration), and visit runs once per free machine.
+// visitFreeLocked is the walk of every free machine both negotiation
+// views share: machines whose caller ad mutated resync (possibly moving
+// buckets, hence the deferral past the iteration), and visit runs once per
+// free machine. The caller has folded queued cross-pool releases in.
 func (p *Pool) visitFreeLocked(visit func(*machine)) {
-	p.drainReleasesLocked()
 	var stale []*machine
 	for _, b := range p.freeBuckets {
 		for _, m := range b {

@@ -42,11 +42,11 @@ var ErrNoSuchJob = fmt.Errorf("condor: no such job")
 // The negotiation hot path is indexed: free machines are maintained
 // incrementally in per-architecture buckets as jobs start and finish
 // (rather than rescanned from the full machine list every tick), each
-// machine carries a pool-owned match ad whose LoadAvg is written once per
-// negotiation pass (rather than cloned per candidate), and job ads are
-// compiled to classad.Matchers with their static Arch/OpSys Requirements
-// constraints extracted, so each idle job evaluates the full ClassAd
-// match only against plausible candidates. The seed's O(idle × free)
+// machine carries a pool-owned match ad whose LoadAvg is written at most
+// once per negotiation pass (rather than cloned per candidate), and job
+// ads are compiled to classad.Matchers with their static Arch/OpSys
+// Requirements constraints extracted, so each idle job evaluates the full
+// ClassAd match only against plausible candidates. The seed's O(idle × free)
 // clone-based negotiator lives on in oracle_test.go as the specification
 // this path must reproduce assignment for assignment; the golden-parity
 // test runs both on identical workloads.
@@ -101,9 +101,20 @@ type Pool struct {
 	pickViews   map[pickKey]*pickView
 	changed     []*machine
 	pickScratch []pickEntry
-	down        bool
-	flockPeer   *Pool
-	listeners   []func(Event)
+	// offers counts the free machines found unoccupied when last visited
+	// (machine.counted), and offersUntil is the earliest end of a load
+	// segment among them when they were, zero for never: the pool's own
+	// record of what a walk of the free set would find. fresh lists the
+	// machines a refresh has to visit to keep it so — those that entered
+	// the free set since the last pass, and one whose offer a pass spent
+	// without a claim — and freshScratch is its drained buffer.
+	offers       int
+	offersUntil  time.Time
+	fresh        []*machine
+	freshScratch []*machine
+	down         bool
+	flockPeer    *Pool
+	listeners    []func(Event)
 	// fair orders negotiation; fairFlow and fairStart are the same policy
 	// seen as what running jobs' usage flows open against and as what hears
 	// of job starts, nil when it is neither.
@@ -111,8 +122,9 @@ type Pool struct {
 	fairFlow  fairshare.FlowSink
 	fairStart fairshare.StartObserver
 	// negotiateOracle, when set, runs in place of the negotiation pass. It
-	// is nil outside the golden-parity test, which installs the reference
-	// negotiator of oracle_test.go here.
+	// is nil outside tests: the golden-parity test installs the reference
+	// negotiator of oracle_test.go here, and the refresh tests a pass that
+	// looks at the pool around its refresh (refresh_test.go).
 	negotiateOracle func(now time.Time) int
 
 	// owners holds the incrementally maintained negotiation queues (see
@@ -166,9 +178,14 @@ type Pool struct {
 	// whenever this pool's machine picture changes, since their
 	// negotiation reads it. Guarded by relMu because the notification
 	// paths run under the notifying pool's main lock.
+	// rewalk (relMu-guarded too) asks the next refresh to walk every free
+	// machine: something other than the pool's own pass changed a
+	// machine — a node's load or task set, an ad, or, through a flocking
+	// peer's snapshot, a match ad's LoadAvg.
 	dirty        []*machine
 	dirtyScratch []*machine
 	flockedFrom  []*Pool
+	rewalk       bool
 
 	// Pre-resolved telemetry handles (nil without SetTelemetry; nil
 	// instruments no-op).
@@ -234,12 +251,17 @@ type machine struct {
 	// it: what the ordered views hold of it is stale. viewGen is the pass
 	// (owner's pickGen) whose refresh collected it into Pool.changed.
 	viewDirty bool
+	// fresh: the machine is on its owner's list for the next pass's refresh
+	// to visit (Pool.fresh). counted: it is in its owner's offers — free,
+	// and unoccupied when last visited.
+	fresh, counted bool
 
 	node *simgrid.Node
 	ad   *classad.Ad // caller-supplied ad, kept free of negotiation scratch
 	// matchAd is the pool-owned snapshot offered to the matchmaker; its
-	// LoadAvg is refreshed once per machine per negotiation pass instead
-	// of cloning the ad for every (job, machine) candidate.
+	// LoadAvg is refreshed at most once per negotiation pass, when a refresh
+	// visits the machine, instead of cloning the ad for every (job,
+	// machine) candidate.
 	matchAd *classad.Ad
 	matcher *classad.Matcher
 	// loadAvg mirrors the LoadAvg last written into matchAd so unchanged
@@ -345,11 +367,12 @@ func (p *Pool) AddMachine(node *simgrid.Node, ad *classad.Ad) {
 // negotiator that reads this pool's machines. It must not take p.mu:
 // node observers fire from paths already holding it (detach, harvest).
 func (p *Pool) machineChanged(m *machine) {
+	p.relMu.Lock()
 	if m != nil {
-		p.relMu.Lock()
 		p.dirty = append(p.dirty, m)
-		p.relMu.Unlock()
 	}
+	p.rewalk = true
+	p.relMu.Unlock()
 	p.requestWake()
 	p.wakeFlockedFrom()
 }

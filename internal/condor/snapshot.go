@@ -81,7 +81,7 @@ func (p *Pool) Restore(st durable.PoolState) error {
 		if err != nil {
 			return fmt.Errorf("condor: restoring job %d: %w", js.ID, err)
 		}
-		j := p.newJob(js.ID, ad, js.SubmitTime)
+		j := p.newJob(js.ID, ad, ad.Float(AttrCpuSeconds, 0), js.SubmitTime)
 		j.status = Status(js.Status)
 		j.priority = js.Priority
 		j.owner = js.Owner
