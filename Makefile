@@ -14,17 +14,28 @@ test-race:
 # Race-enabled smoke legs at reduced sizes: the serving, chaos, and
 # observability harnesses under the race detector, with a
 # race-instrumented gae-server for the spawning harnesses. First, twenty
-# runs each of the concurrent-submission tests: a pump that launches a
-# task twice, a plan name that two submissions both win (in the
-# scheduler's plan table, and through core's RPC binding), a checkpointed
-# job the engine goroutine starts before its checkpoint is set, a
-# request ID delivered twice at once and applied twice, concurrent
-# mutations journaled in another order than they were applied, usage
-# flows racing the fair-share manager's readers, or a machine ad
-# rewritten on one goroutine read unsynchronised by the pass on the
-# engine's, fails here.
+# runs each of the tests that pin the one-owner rule — every call into a
+# deployment takes its one lock, and Run gives it up at each boundary —
+# and the bugs it closed: every method row called through the local
+# client and the wire handler beside a running engine, reads and writes
+# alike, so that any call or boundary outside the lock, usage flows racing
+# the fair-share manager's readers among them, is a race, and a journal
+# replay must reach the live state (TestCallsBesideRun); a read waiting
+# out a whole Run (TestReadDuringRunReturnsFirst); a pump that launches a
+# task twice (TestConcurrentSubmitsLaunchEachTaskOnce); a plan name that
+# two submissions both win, in the scheduler's plan table through core's
+# RPC binding (TestConcurrentSubmitsOfOneName); a checkpointed job the
+# engine starts before its checkpoint is set (TestCheckpointedMoveBesideRun);
+# a request ID delivered twice at once and applied twice
+# (TestConcurrentDuplicateDeliveryAppliesOnce); concurrent mutations
+# journaled in another order than they were applied
+# (TestConcurrentMutationsReplayInApplyOrder, and the loadgen mix,
+# TestRunMixedWorkload); and a machine ad rewritten between passes that
+# the next pass does not resync (TestIncrementalRefreshMatchesFullWalk;
+# test-race also runs TestAdMutationBesideRunningEngine, which writes the
+# ads from a goroutine that shares one lock with the engine's).
 race-smoke:
-	$(GO) test -race -count=20 -run 'TestConcurrentSubmitsLaunchEachTaskOnce|TestConcurrentSubmitsOfOneName|TestConcurrentDuplicateDelivery|TestConcurrentMutationsReplayInApplyOrder|TestRunMixedWorkload|TestCheckpointedSubmitBesideRunningEngine|TestAdMutationBesideRunningEngine|TestConcurrentFlowsBesideReaders' ./internal/scheduler ./internal/core ./internal/loadgen ./internal/condor ./internal/fairshare
+	$(GO) test -race -count=20 -run 'TestCallsBesideRun|TestReadDuringRunReturnsFirst|TestConcurrentSubmitsLaunchEachTaskOnce|TestConcurrentSubmitsOfOneName|TestCheckpointedMoveBesideRun|TestConcurrentDuplicateDeliveryAppliesOnce|TestConcurrentMutationsReplayInApplyOrder|TestRunMixedWorkload|TestIncrementalRefreshMatchesFullWalk' ./internal/core ./internal/loadgen ./internal/condor
 	$(GO) build -race -o bin/gae-server-race ./cmd/gae-server
 	$(GO) run -race ./cmd/gae-loadgen -clients 2 -ops 8 -data "$$(mktemp -d)" -json -
 	$(GO) run -race ./cmd/gae-chaos -clients 2 -ops 6 -kills 1 -server bin/gae-server-race
@@ -69,7 +80,7 @@ fuzz-smoke:
 # loaded Mips-1.5 machines at 10 ms, and with fault-injected jobs), in the
 # size of the pool's job record and of a fair-share usage flow, in where
 # a completion's fields sit in the node and the machine (a node's Wake,
-# lock, synced and task list lead it; what a machine's completion reads
+# synced and task list lead it; what a machine's completion reads
 # is one 64-byte span: CompletionPathLayout), in the allocations a pass's sort keys cost (none, starved owners or not), in
 # live-heap bytes per queued and per finished job, and in the mallocs and
 # bytes a job costs the run; what

@@ -41,8 +41,6 @@ func (p *Pool) submit(ad *classad.Ad, cpuDone float64) (int, error) {
 	if need <= 0 {
 		return 0, fmt.Errorf("condor: job ad missing positive %s", AttrCpuSeconds)
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if p.down {
 		return 0, ErrPoolDown
 	}
@@ -57,43 +55,39 @@ func (p *Pool) submit(ad *classad.Ad, cpuDone float64) (int, error) {
 	p.active = append(p.active, j)
 	p.liveCount++
 	p.idleCount++
-	j.queue = p.queueLocked(j.owner)
+	j.queue = p.queue(j.owner)
 	j.queue.add(j)
-	p.emitLocked(j, 0, StatusIdle)
+	p.emit(j, 0, StatusIdle)
 	p.requestWake()
 	return id, nil
 }
 
 // Job returns a snapshot of the identified job.
 func (p *Pool) Job(id int) (JobInfo, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if p.down {
 		return JobInfo{}, ErrPoolDown
 	}
-	j := p.jobLocked(id)
+	j := p.job(id)
 	if j == nil {
 		return JobInfo{}, fmt.Errorf("%w: %d", ErrNoSuchJob, id)
 	}
-	return p.snapshotLocked(j, p.queuePositionLocked(j)), nil
+	return p.snapshot(j, p.queuePosition(j)), nil
 }
 
 // Jobs returns snapshots of every job, ordered by ID. The idle ones take
 // their queue positions from one drain of the negotiation stream.
 func (p *Pool) Jobs() ([]JobInfo, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if p.down {
 		return nil, ErrPoolDown
 	}
 	out := make([]JobInfo, 0, len(p.jobs))
 	for _, j := range p.jobs {
 		if j != nil {
-			out = append(out, p.snapshotLocked(j, 0))
+			out = append(out, p.snapshot(j, 0))
 		}
 	}
 	if p.idleCount > 0 {
-		for i, j := range p.idleOrderedLocked() {
+		for i, j := range p.idleOrdered() {
 			k, _ := slices.BinarySearchFunc(out, j.id, func(info JobInfo, id int) int { return cmp.Compare(info.ID, id) })
 			out[k].QueuePosition = i + 1
 		}
@@ -101,10 +95,10 @@ func (p *Pool) Jobs() ([]JobInfo, error) {
 	return out, nil
 }
 
-// jobLocked returns the job with the given ID, or nil. IDs are handed out
+// job returns the job with the given ID, or nil. IDs are handed out
 // densely from 1: job id sits at jobs[id-1], the next ID is the table's
 // length plus one, and only a snapshot that skips IDs leaves nil slots.
-func (p *Pool) jobLocked(id int) *job {
+func (p *Pool) job(id int) *job {
 	if id < 1 || id > len(p.jobs) {
 		return nil
 	}
@@ -116,15 +110,13 @@ func (p *Pool) jobLocked(id int) *job {
 // the jobs now in the pool rather than every job it ever held, for callers
 // that total over the queue.
 func (p *Pool) LiveJobs() ([]JobInfo, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if p.down {
 		return nil, ErrPoolDown
 	}
 	out := make([]JobInfo, 0, p.liveCount)
 	for _, j := range p.active {
 		if !j.status.Terminal() {
-			out = append(out, p.snapshotLocked(j, 0))
+			out = append(out, p.snapshot(j, 0))
 		}
 	}
 	return out, nil
@@ -137,12 +129,10 @@ func (p *Pool) LiveJobs() ([]JobInfo, error) {
 // job plus the idle jobs the policy orders before this one, so queue-time
 // estimates track the order the negotiator will actually use.
 func (p *Pool) QueueAbove(id int) ([]JobInfo, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if p.down {
 		return nil, ErrPoolDown
 	}
-	j := p.jobLocked(id)
+	j := p.job(id)
 	if j == nil {
 		return nil, fmt.Errorf("%w: %d", ErrNoSuchJob, id)
 	}
@@ -154,24 +144,24 @@ func (p *Pool) QueueAbove(id int) ([]JobInfo, error) {
 		// the target itself is idle.
 		for _, o := range p.active {
 			if o.id != id && (o.status == StatusRunning || o.status == StatusSuspended) {
-				out = append(out, p.snapshotLocked(o, 0))
+				out = append(out, p.snapshot(o, 0))
 			}
 		}
 		if j.status == StatusIdle {
-			s := p.negotiationStreamLocked(p.grid.Engine.Now())
+			s := p.negotiationStream(p.grid.Engine.Now())
 			for o, n := s.next(), 1; o != nil && o != j; o, n = s.next(), n+1 {
-				out = append(out, p.snapshotLocked(o, n))
+				out = append(out, p.snapshot(o, n))
 			}
 		}
 		return out, nil
 	}
-	pos := positionsOf(p.idleOrderedLocked())
+	pos := positionsOf(p.idleOrdered())
 	for _, o := range p.active {
 		if o.id == id || o.status.Terminal() {
 			continue
 		}
 		if o.priority > j.priority {
-			out = append(out, p.snapshotLocked(o, pos[o.id]))
+			out = append(out, p.snapshot(o, pos[o.id]))
 		}
 	}
 	return out, nil
@@ -184,8 +174,8 @@ func (p *Pool) Suspend(id int) error {
 			return fmt.Errorf("condor: job %d is %v, cannot suspend", id, j.status)
 		}
 		j.task.Suspend()
-		p.rerateLocked(j) // a paused task consumes nothing
-		p.setStatusLocked(j, StatusSuspended)
+		p.rerate(j) // a paused task consumes nothing
+		p.setStatus(j, StatusSuspended)
 		return nil
 	})
 }
@@ -197,15 +187,15 @@ func (p *Pool) Resume(id int) error {
 			return fmt.Errorf("condor: job %d is %v, cannot resume", id, j.status)
 		}
 		j.task.Resume()
-		p.rerateLocked(j) // at what the node gives it now, not what it had
-		p.setStatusLocked(j, StatusRunning)
+		p.rerate(j) // at what the node gives it now, not what it had
+		p.setStatus(j, StatusRunning)
 		if j.task.State() == simgrid.TaskDone {
 			// The task completed before the suspend caught it; re-enter the
 			// harvest queue so the fast path still promotes it.
 			p.doneQ = append(p.doneQ, j)
 			p.requestWake()
 		}
-		p.rearmLocked() // the flow may have a load boundary to be woken at
+		p.rearm() // the flow may have a load boundary to be woken at
 		return nil
 	})
 }
@@ -217,9 +207,9 @@ func (p *Pool) Remove(id int) error {
 		if j.status.Terminal() {
 			return fmt.Errorf("condor: job %d already %v", id, j.status)
 		}
-		p.detachLocked(j)
+		p.detach(j)
 		j.completed = p.instantOf(p.grid.Engine.Now())
-		p.setStatusLocked(j, StatusRemoved)
+		p.setStatus(j, StatusRemoved)
 		return nil
 	})
 }
@@ -246,20 +236,18 @@ func (p *Pool) SetPriority(id, prio int) error {
 func (p *Pool) Checkpoint(id int) (float64, error) {
 	var cpu float64
 	err := p.transition(id, func(j *job) error {
-		cpu = p.cpuSecondsLocked(j)
+		cpu = p.cpuSeconds(j)
 		return nil
 	})
 	return cpu, err
 }
 
-// transition runs fn on the identified job under the pool lock.
+// transition runs fn on the identified job of a pool that is up.
 func (p *Pool) transition(id int, fn func(*job) error) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if p.down {
 		return ErrPoolDown
 	}
-	j := p.jobLocked(id)
+	j := p.job(id)
 	if j == nil {
 		return fmt.Errorf("%w: %d", ErrNoSuchJob, id)
 	}

@@ -10,41 +10,40 @@ import (
 // on it, the task on the node, the fair-share usage it accrues, and the
 // status transitions that open and close all three.
 
-// addFreeLocked inserts m into its arch bucket; the owner's lock is held.
-// A machine whose caller ad mutated while it was claimed resyncs here so
+// addFree inserts m into its arch bucket. A machine whose caller ad mutated while it was claimed resyncs here so
 // it re-enters under its current Arch key. Entering is what the ordered
-// views key on: a resynced machine re-enters too (resyncMachineLocked), so
+// views key on: a resynced machine re-enters too (resyncMachine), so
 // no rank outlives the match ad it was computed on. It is also what the
 // next pass's refresh visits.
-func (p *Pool) addFreeLocked(m *machine) {
+func (p *Pool) addFree(m *machine) {
 	if m.freeIdx >= 0 {
 		return
 	}
-	if m.stale.Load() {
+	if m.stale {
 		m.snapshotAd()
 	}
 	m.viewDirty = true
-	p.revisitLocked(m)
+	p.revisit(m)
 	b := p.freeBuckets[m.archKey]
 	m.freeIdx = len(b)
 	p.freeBuckets[m.archKey] = append(b, m)
 }
 
-// revisitLocked lists m, once, for the next pass's refresh to visit.
-func (p *Pool) revisitLocked(m *machine) {
+// revisit lists m, once, for the next pass's refresh to visit.
+func (p *Pool) revisit(m *machine) {
 	if !m.fresh {
 		m.fresh = true
 		p.fresh = append(p.fresh, m)
 	}
 }
 
-// removeFreeLocked swap-removes m from its arch bucket, and from the
+// removeFree swap-removes m from its arch bucket, and from the
 // pool's offers.
-func (p *Pool) removeFreeLocked(m *machine) {
+func (p *Pool) removeFree(m *machine) {
 	if m.freeIdx < 0 {
 		return
 	}
-	p.countLocked(m, false)
+	p.count(m, false)
 	b := p.freeBuckets[m.archKey]
 	last := len(b) - 1
 	moved := b[last]
@@ -55,28 +54,12 @@ func (p *Pool) removeFreeLocked(m *machine) {
 	m.freeIdx = -1
 }
 
-// claimMachineLocked removes m from its owner's free set when a job starts on
-// it. The caller holds p.mu; a flocked machine's owner is locked briefly,
-// which cannot deadlock because all cross-pool negotiation runs on the
-// single engine goroutine.
-func (p *Pool) claimMachineLocked(m *machine) {
-	if m.owner == p {
-		p.removeFreeLocked(m)
-		return
-	}
-	m.owner.mu.Lock()
-	m.owner.removeFreeLocked(m)
-	m.owner.mu.Unlock()
-}
-
-// releaseClaimLocked returns j's claimed machine (if any) to its owner's
+// releaseClaim returns j's claimed machine (if any) to its owner's
 // free set — the completion/removal half of the incremental free-set
 // maintenance. A foreign (flocked-onto) machine is enqueued on its
-// owner's leaf-locked release queue rather than locked directly: this
-// path runs from API goroutines (Remove, fault teardown) already holding
-// this pool's lock, and taking another pool's main lock here would
-// invert the engine's negotiation lock order.
-func (p *Pool) releaseClaimLocked(j *job) {
+// owner's release queue, which the owner folds in at its next wake or
+// peer snapshot.
+func (p *Pool) releaseClaim(j *job) {
 	if !j.claimed {
 		return
 	}
@@ -84,11 +67,9 @@ func (p *Pool) releaseClaimLocked(j *job) {
 	m := j.host
 	o := m.owner
 	if o == p {
-		p.addFreeLocked(m)
+		p.addFree(m)
 	} else {
-		o.relMu.Lock()
 		o.pendingRel = append(o.pendingRel, m)
-		o.relMu.Unlock()
 	}
 	// A machine freed is its owner's signal to negotiate again (and, for
 	// a foreign machine, to fold the queued release back into its free
@@ -98,17 +79,15 @@ func (p *Pool) releaseClaimLocked(j *job) {
 	o.wakeFlockedFrom()
 }
 
-// drainReleasesLocked folds queued foreign releases into the free
+// drainReleases folds queued foreign releases into the free
 // buckets. Called wherever the buckets are about to be read — tick
 // start, pass refresh, peer snapshot — so the indexed view never lags
 // the physical machine state a full rescan would observe.
-func (p *Pool) drainReleasesLocked() {
-	p.relMu.Lock()
+func (p *Pool) drainReleases() {
 	for _, m := range p.pendingRel {
-		p.addFreeLocked(m)
+		p.addFree(m)
 	}
 	p.pendingRel = p.pendingRel[:0]
-	p.relMu.Unlock()
 }
 
 func removeMachine(ms []*machine, m *machine) []*machine {
@@ -123,9 +102,9 @@ func removeMachine(ms []*machine, m *machine) []*machine {
 	return ms
 }
 
-// startLocked launches job j on machine m, claiming the machine in its
+// start launches job j on machine m, claiming the machine in its
 // owner's free set for as long as the task occupies the node.
-func (p *Pool) startLocked(j *job, m *machine, now time.Time) {
+func (p *Pool) start(j *job, m *machine, now time.Time) {
 	need := j.stopAt() - j.cpuBase
 	if need <= 0 {
 		// Checkpoint covered all remaining work (or carried the job past
@@ -136,24 +115,24 @@ func (p *Pool) startLocked(j *job, m *machine, now time.Time) {
 		// exclusion.
 		m.skipFor = p
 		if m.owner == p {
-			p.revisitLocked(m)
+			p.revisit(m)
 		}
 		j.started = p.instantOf(now)
-		p.finishLocked(j, now)
+		p.finish(j, now)
 		return
 	}
 	if p.fairStart != nil {
 		p.fairStart.ObserveStart(j.queue.tenant, now)
 	}
-	p.runTaskLocked(j, m, need)
+	p.runTask(j, m, need)
 	if j.started == notYet {
 		j.started = p.instantOf(now)
 	}
-	p.openUsageLocked(j)
-	p.setStatusLocked(j, StatusRunning)
+	p.openUsage(j)
+	p.setStatus(j, StatusRunning)
 }
 
-// runTaskLocked claims m for j and places a task for need CPU-seconds on
+// runTask claims m for j and places a task for need CPU-seconds on
 // its node, with the machine as its Completer: the machine names the job
 // it runs, so a start allocates no closure. On the pool's own machine
 // the placement is unobserved: the pool is the node's observer, it knows
@@ -162,8 +141,8 @@ func (p *Pool) startLocked(j *job, m *machine, now time.Time) {
 // marking the node dirty and waking for either would only buy a pass that
 // finds nothing changed. A flocked-onto machine belongs to another pool,
 // which is told as ever.
-func (p *Pool) runTaskLocked(j *job, m *machine, need float64) {
-	p.claimMachineLocked(m)
+func (p *Pool) runTask(j *job, m *machine, need float64) {
+	m.owner.removeFree(m)
 	j.host, j.claimed = m, true
 	m.runner, m.runnerPool = j, p
 	j.task = simgrid.NewTaskFor(need, m)
@@ -174,9 +153,8 @@ func (p *Pool) runTaskLocked(j *job, m *machine, need float64) {
 	}
 }
 
-// taskDone is what every pool task's Completer, its machine, calls; it
-// runs lock-free on the engine goroutine when the completion deadline is
-// reached. The claim is released at once (the node drops finished tasks
+// taskDone is what every pool task's Completer, its machine, calls when
+// the completion deadline is reached. The claim is released at once (the node drops finished tasks
 // immediately), not at the next harvest — so the free set always mirrors
 // the physical machine state a full rescan would observe, including for
 // flocking peers that negotiate between this pool's harvests. Job status
@@ -185,35 +163,33 @@ func (p *Pool) runTaskLocked(j *job, m *machine, need float64) {
 // pool's turn is still ahead, otherwise at the next one — the same tick a
 // harvest at every boundary would see the completion.
 func (p *Pool) taskDone(j *job) {
-	p.mu.Lock()
 	own := j.claimed && j.host.owner == p
-	p.releaseClaimLocked(j)
+	p.releaseClaim(j)
 	p.doneQ = append(p.doneQ, j)
-	p.mu.Unlock()
 	if !own {
 		p.requestWake() // a flocked-onto machine's release woke its owner, not this pool
 	}
 }
 
-// openUsageLocked opens j's usage flow against the installed policy, at
+// openUsage opens j's usage flow against the installed policy, at
 // the rate its node gives its task now; the flow is the one way running
 // CPU reaches a fair-share policy. With no policy that takes flows
 // installed, nothing is accounted.
-func (p *Pool) openUsageLocked(j *job) {
+func (p *Pool) openUsage(j *job) {
 	if p.fairFlow == nil {
 		return
 	}
-	j.flowRate = p.flowRateForLocked(j)
+	j.flowRate = p.flowRateFor(j)
 	j.flow = p.fairFlow.OpenFlow(j.queue.tenant, j.host.node.Site, j.flowRate)
 }
 
-// flowRateForLocked returns what j's usage flow accrues per second from
+// flowRateFor returns what j's usage flow accrues per second from
 // now on: what its node gives each running task in the load segment in
 // force (Node.RateSegment), nothing while j's own task is paused. The
 // rate holds until the node's load segment ends or its occupancy changes;
 // the first is folded into flowWakeAt so the pool is woken to ask again,
 // the second reaches the pool as a dirty node.
-func (p *Pool) flowRateForLocked(j *job) float64 {
+func (p *Pool) flowRateFor(j *job) float64 {
 	if j.task.State() != simgrid.TaskRunning {
 		return 0
 	}
@@ -222,43 +198,43 @@ func (p *Pool) flowRateForLocked(j *job) float64 {
 	return rate
 }
 
-// rerateLocked brings j's usage flow, if it has one, to the rate in force.
+// rerate brings j's usage flow, if it has one, to the rate in force.
 // A flow already at that rate is left alone, so a boundary between equal
 // segments costs the policy's books nothing.
-func (p *Pool) rerateLocked(j *job) {
+func (p *Pool) rerate(j *job) {
 	if j.flow == nil {
 		return
 	}
-	if rate := p.flowRateForLocked(j); rate != j.flowRate {
+	if rate := p.flowRateFor(j); rate != j.flowRate {
 		j.flowRate = rate
 		j.flow.SetRate(rate)
 	}
 }
 
-// closeFlowLocked settles and closes j's usage flow against the CPU-seconds
+// closeFlow settles and closes j's usage flow against the CPU-seconds
 // its task measured: the flow accrues in floats at the node's analytic
 // rate, the node in whole work units, and Close applies the residual.
 // Work carried in from a checkpoint is excluded — the site that ran it
 // accounted for it — and so is what an earlier flow of j's already reported.
-func (p *Pool) closeFlowLocked(j *job) {
-	cpu := max(p.cpuSecondsLocked(j)-j.cpuBase, 0)
+func (p *Pool) closeFlow(j *job) {
+	cpu := max(p.cpuSeconds(j)-j.cpuBase, 0)
 	j.flow.Close(cpu - j.usageRecorded)
 	j.flow = nil
 	j.usageRecorded = cpu
 }
 
-// detachLocked removes the job's task from its node, if any, and releases
+// detach removes the job's task from its node, if any, and releases
 // its machine claim.
-func (p *Pool) detachLocked(j *job) {
+func (p *Pool) detach(j *job) {
 	if j.task != nil {
 		j.task.Kill()
 		j.host.node.Remove(j.task)
 	}
-	p.releaseClaimLocked(j)
+	p.releaseClaim(j)
 }
 
-// cpuSecondsLocked returns checkpoint base plus live task CPU.
-func (p *Pool) cpuSecondsLocked(j *job) float64 {
+// cpuSeconds returns checkpoint base plus live task CPU.
+func (p *Pool) cpuSeconds(j *job) float64 {
 	cpu := j.cpuBase
 	if j.task != nil {
 		cpu += j.task.CPUSeconds()
@@ -266,9 +242,9 @@ func (p *Pool) cpuSecondsLocked(j *job) float64 {
 	return cpu
 }
 
-// wallClockLocked returns the job's accumulated execution time: what it
+// wallClock returns the job's accumulated execution time: what it
 // carried in plus what its task has run.
-func (p *Pool) wallClockLocked(j *job) time.Duration {
+func (p *Pool) wallClock(j *job) time.Duration {
 	wall := j.wallBase
 	if j.task != nil {
 		wall += j.task.WallClock()
@@ -276,12 +252,12 @@ func (p *Pool) wallClockLocked(j *job) time.Duration {
 	return wall
 }
 
-// setStatusLocked applies a state change, maintains the queue summary
+// setStatus applies a state change, maintains the queue summary
 // counters the wake-up policy reads, and notifies listeners. A job
 // reaching a terminal state closes its usage flow with the measured total
 // and is then sealed: every terminal transition passes here, so this is
 // where a job becomes its terminal record.
-func (p *Pool) setStatusLocked(j *job, to Status) {
+func (p *Pool) setStatus(j *job, to Status) {
 	from := j.status
 	j.status = to
 	if from == StatusIdle && to != StatusIdle {
@@ -291,14 +267,14 @@ func (p *Pool) setStatusLocked(j *job, to Status) {
 	if to.Terminal() {
 		p.liveCount--
 		if j.flow != nil {
-			p.closeFlowLocked(j)
+			p.closeFlow(j)
 		}
 		j.seal()
 	}
-	p.emitLocked(j, from, to)
+	p.emit(j, from, to)
 }
 
-func (p *Pool) emitLocked(j *job, from, to Status) {
+func (p *Pool) emit(j *job, from, to Status) {
 	if len(p.listeners) == 0 {
 		return
 	}

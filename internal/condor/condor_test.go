@@ -3,6 +3,7 @@ package condor
 import (
 	"errors"
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -453,13 +454,16 @@ func TestNonCheckpointableRestartsFromZero(t *testing.T) {
 }
 
 // TestCheckpointedSubmitBesideRunningEngine submits checkpointed jobs while
-// the engine runs on another goroutine, as gae-server's does. A job the
+// the engine runs on another goroutine, as gae-server's does: the two
+// share one lock, as a deployment's callers share its owner's, and the
+// engine gives it up after every second of simulated time. A job the
 // engine could start between being queued and getting its checkpoint
 // would run its full work on top of the checkpoint: 1 600 CPU-seconds for
 // a 1 000-second job.
 func TestCheckpointedSubmitBesideRunningEngine(t *testing.T) {
 	const jobs, machines, need, done = 20000, 64, 1000.0, 600.0
 	g, p := testPool(t, machines)
+	var owner sync.Mutex
 	stop, stopped := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(stopped)
@@ -468,12 +472,17 @@ func TestCheckpointedSubmitBesideRunningEngine(t *testing.T) {
 			case <-stop:
 				return
 			default:
+				owner.Lock()
 				g.Engine.RunFor(time.Second)
+				owner.Unlock()
 			}
 		}
 	}()
 	for i := 0; i < jobs; i++ {
-		if _, err := p.SubmitCheckpointed(jobAd("alice", need, 0).Set(AttrCheckpoint, true), done); err != nil {
+		owner.Lock()
+		_, err := p.SubmitCheckpointed(jobAd("alice", need, 0).Set(AttrCheckpoint, true), done)
+		owner.Unlock()
+		if err != nil {
 			t.Error(err)
 			break
 		}

@@ -211,9 +211,7 @@ func TestPoolWakesOnlyForNews(t *testing.T) {
 	if got := reg.Snapshot().Total("negotiation_matches_total"); got != n {
 		t.Fatalf("matched %v jobs, want %d", got, n)
 	}
-	p.relMu.Lock()
 	dirty := len(p.dirty)
-	p.relMu.Unlock()
 	if dirty != 0 {
 		t.Fatalf("%d nodes marked dirty by the pool's own placements and completions", dirty)
 	}

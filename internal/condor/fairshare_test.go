@@ -197,9 +197,7 @@ func TestFlockedFlowIsRatedByItsOwnPool(t *testing.T) {
 	before := fsA.Usage("alice")
 	n.SetLoad(simgrid.ConstantLoad(0.5)) // the peer's node changes: the peer wakes with it dirty
 	g.Engine.RunFor(10 * time.Second)
-	origin.mu.Lock()
-	rate := origin.jobLocked(id).flowRate
-	origin.mu.Unlock()
+	rate := origin.job(id).flowRate
 	if rate != 1 {
 		t.Fatalf("flocked flow rate = %v after the peer's wake, want the origin's 1", rate)
 	}

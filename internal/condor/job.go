@@ -171,7 +171,7 @@ type job struct {
 	reqArch, reqOpSys constraintKey
 
 	// queue is the owner queue the job files under while it is not
-	// terminal; set at submit and restore, moved by rebuildQueuesLocked.
+	// terminal; set at submit and restore, moved by rebuildQueues.
 	queue *ownerQueue
 }
 

@@ -17,29 +17,27 @@ import (
 // one negotiation cycle, and re-arms. A failed (down) pool does not
 // re-arm: Recover requests a fresh wakeup.
 func (p *Pool) onWake(now time.Time) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.drainReleasesLocked()
+	p.drainReleases()
 	if p.down {
 		return
 	}
 	p.obsWakes.Inc()
-	did := p.harvestLocked(now)
-	did += p.rerateFlowsLocked(now)
-	did += p.negotiateLocked(now)
+	did := p.harvest(now)
+	did += p.rerateFlows(now)
+	did += p.negotiate(now)
 	if did == 0 && p.loadWakeAt.IsZero() {
 		p.obsIdleWakes.Inc()
 	}
-	p.rearmLocked()
+	p.rearm()
 }
 
-// rearmLocked schedules the pool's next wakeup. The pool sleeps until an
+// rearm schedules the pool's next wakeup. The pool sleeps until an
 // event wakes it, with two analytic exceptions, both the end of a load
 // segment: the earliest instant a free machine's advertised load changes
 // while idle jobs went unmatched (loadWakeAt, recorded by the last pass),
 // and the earliest instant the rate of a node carrying one of the pool's
 // usage flows changes (flowWakeAt). Nothing here asks for the next tick as such.
-func (p *Pool) rearmLocked() {
+func (p *Pool) rearm() {
 	if at := earlier(p.loadWakeAt, p.flowWakeAt); !at.IsZero() {
 		p.wake.Request(at)
 	}
@@ -54,19 +52,19 @@ func earlier(a, b time.Time) time.Time {
 	return a
 }
 
-// harvestLocked takes jobs whose tasks ran out to their terminal state:
+// harvest takes jobs whose tasks ran out to their terminal state:
 // exactly the jobs whose completion deadlines fired (doneQ), in ID order,
 // with the active list compacting lazily. A done task needs no Remove: the
 // node dropped it the moment it completed. Returns the number of jobs
 // taken to a terminal state.
-func (p *Pool) harvestLocked(now time.Time) int {
+func (p *Pool) harvest(now time.Time) int {
 	ended := 0
 	if len(p.doneQ) > 1 {
 		slices.SortFunc(p.doneQ, func(a, b *job) int { return cmp.Compare(a.id, b.id) })
 	}
 	for _, j := range p.doneQ {
 		if j.status == StatusRunning && j.task != nil && j.task.State() == simgrid.TaskDone {
-			p.finishLocked(j, now)
+			p.finish(j, now)
 			ended++
 		}
 	}
@@ -83,21 +81,21 @@ func (p *Pool) harvestLocked(now time.Time) int {
 	return ended
 }
 
-// finishLocked takes a job whose task ran out — or that had nothing left
+// finish takes a job whose task ran out — or that had nothing left
 // to run — to its terminal state: Failed when the task was cut at the
 // fault-injection point, Completed, with its output, otherwise.
-func (p *Pool) finishLocked(j *job, now time.Time) {
-	p.releaseClaimLocked(j) // a no-op once taskDone has run
+func (p *Pool) finish(j *job, now time.Time) {
+	p.releaseClaim(j) // a no-op once taskDone has run
 	j.completed = p.instantOf(now)
 	if j.faulty() {
-		p.setStatusLocked(j, StatusFailed)
+		p.setStatus(j, StatusFailed)
 		return
 	}
-	p.setStatusLocked(j, StatusCompleted)
-	p.produceOutputLocked(j)
+	p.setStatus(j, StatusCompleted)
+	p.produceOutput(j)
 }
 
-// rerateFlowsLocked re-derives usage-flow rates where a node's per-task
+// rerateFlows re-derives usage-flow rates where a node's per-task
 // rate may have changed since the flow was last rated: on the machines
 // whose node's observer fired (someone else placed or removed a task
 // there, or replaced the load), and — once the earliest end of a load
@@ -109,21 +107,15 @@ func (p *Pool) finishLocked(j *job, now time.Time) {
 // rate by float additions, whose result depends on their order. The
 // harvest has already closed the flows of jobs completing at this wake.
 // Returns the number of flows looked at.
-func (p *Pool) rerateFlowsLocked(now time.Time) int {
-	p.relMu.Lock()
+func (p *Pool) rerateFlows(now time.Time) int {
 	dirty := p.dirty
-	p.dirty = p.dirtyScratch[:0]
-	p.relMu.Unlock()
-	p.dirtyScratch = dirty
+	p.dirty, p.dirtyScratch = p.dirtyScratch[:0], dirty
 	due := p.flowScratch[:0]
 	if !p.flowWakeAt.IsZero() && !now.Before(p.flowWakeAt) {
 		p.flowWakeAt = time.Time{}
 		due = p.appendFlowJobs(due, p.machines)
 		if q := p.flockPeer; q != nil && q != p {
-			// Negotiation's lock order: this pool, then its peer.
-			q.mu.Lock()
 			due = p.appendFlowJobs(due, q.machines)
-			q.mu.Unlock()
 		}
 	} else {
 		for _, m := range dirty {
@@ -134,7 +126,7 @@ func (p *Pool) rerateFlowsLocked(now time.Time) int {
 	}
 	slices.SortFunc(due, func(a, b *job) int { return cmp.Compare(a.id, b.id) })
 	for _, j := range due {
-		p.rerateLocked(j)
+		p.rerate(j)
 	}
 	p.flowScratch = due
 	return len(due)
@@ -151,10 +143,10 @@ func (p *Pool) appendFlowJobs(due []*job, ms []*machine) []*job {
 	return due
 }
 
-// produceOutputLocked materializes the job's declared output file in the
+// produceOutput materializes the job's declared output file in the
 // site's storage element, so Backup & Recovery can fetch "local files that
 // were produced". Only a job whose ad names one reads it.
-func (p *Pool) produceOutputLocked(j *job) {
+func (p *Pool) produceOutput(j *job) {
 	if !j.hasOutput {
 		return
 	}
@@ -172,7 +164,7 @@ func (p *Pool) jobRef(j *job) fairshare.JobRef {
 	}
 }
 
-// negotiateLocked matches idle jobs to free machines in negotiation
+// negotiate matches idle jobs to free machines in negotiation
 // order; each job picks its highest-Rank matching machine. Idle jobs
 // arrive from the incrementally maintained queues (see queue.go), and
 // the walk stops the moment no offer remains — O(matched) plus the
@@ -185,7 +177,7 @@ func (p *Pool) jobRef(j *job) fairshare.JobRef {
 // advertised load is known to change — the only time-driven reason to
 // negotiate again before the next event. Returns the number of jobs
 // matched.
-func (p *Pool) negotiateLocked(now time.Time) int {
+func (p *Pool) negotiate(now time.Time) int {
 	p.loadWakeAt = time.Time{}
 	if p.negotiateOracle != nil {
 		return p.negotiateOracle(now)
@@ -197,7 +189,7 @@ func (p *Pool) negotiateLocked(now time.Time) int {
 	if p.obsPasses != nil {
 		t0 = time.Now() //lint:walltime telemetry: real pass latency for operator metrics, never read back into sim state
 	}
-	matched := p.matchLocked(now, p.refreshFreeLocked(now))
+	matched := p.match(now, p.refreshFree(now))
 	if p.obsPasses != nil {
 		p.obsPasses.Inc()
 		p.obsMatches.Add(int64(matched))
@@ -206,10 +198,10 @@ func (p *Pool) negotiateLocked(now time.Time) int {
 	return matched
 }
 
-// matchLocked is a pass after its refresh: it starts idle jobs, in
+// match is a pass after its refresh: it starts idle jobs, in
 // negotiation order, on the offers st counts and the flocking peer's, and
 // records loadWakeAt. Returns the number of jobs matched.
-func (p *Pool) matchLocked(now time.Time, st freeStats) int {
+func (p *Pool) match(now time.Time, st freeStats) int {
 	var peerFree []*machine
 	if p.flockPeer != nil {
 		var pst freeStats
@@ -219,7 +211,7 @@ func (p *Pool) matchLocked(now time.Time, st freeStats) int {
 	}
 	matched := 0
 	if st.avail > 0 || len(peerFree) > 0 {
-		stream := p.negotiationStreamLocked(now)
+		stream := p.negotiationStream(now)
 		for st.avail > 0 || len(peerFree) > 0 {
 			j := stream.next()
 			if j == nil {
@@ -227,7 +219,7 @@ func (p *Pool) matchLocked(now time.Time, st freeStats) int {
 			}
 			var m *machine
 			if st.avail > 0 {
-				m = p.pickIndexedLocked(j)
+				m = p.pickIndexed(j)
 			}
 			if m != nil {
 				st.avail--
@@ -238,7 +230,7 @@ func (p *Pool) matchLocked(now time.Time, st freeStats) int {
 			if m == nil {
 				continue
 			}
-			p.startLocked(j, m, now)
+			p.start(j, m, now)
 			matched++
 		}
 	}
@@ -269,7 +261,7 @@ func (st *freeStats) merge(o freeStats) {
 	st.until = earlier(st.until, o.until)
 }
 
-// refreshFreeLocked prepares the pool's free machines for one negotiation
+// refreshFree prepares the pool's free machines for one negotiation
 // pass: queued cross-pool releases fold back in, machines whose caller ad
 // mutated resync, and each machine that needs it is visited — its LoadAvg
 // written into its match ad, or, occupied by an externally placed task
@@ -288,7 +280,7 @@ func (st *freeStats) merge(o freeStats) {
 // offersUntil is then not zero, and time alone may change its LoadAvg.
 // Either way each machine is visited the same way, and the pass sees what
 // a walk of every free machine would.
-func (p *Pool) refreshFreeLocked(now time.Time) freeStats {
+func (p *Pool) refreshFree(now time.Time) freeStats {
 	// New pass: views the last pass had no use for go, so the map holds
 	// only the rank classes now queued — and every view that stays has
 	// seen every changed list but this pass's.
@@ -299,16 +291,16 @@ func (p *Pool) refreshFreeLocked(now time.Time) freeStats {
 	}
 	p.pickGen++
 	p.changed = p.changed[:0]
-	p.drainReleasesLocked()
+	p.drainReleases()
 	visit := func(m *machine) {
 		if m.node.TaskCount() > 0 {
 			m.skipFor = p
-			p.countLocked(m, false)
+			p.count(m, false)
 		} else {
 			m.skipFor = nil
 			v, until := m.node.LoadSegment(now)
 			m.setLoadAvg(v)
-			p.countLocked(m, true)
+			p.count(m, true)
 			p.offersUntil = earlier(p.offersUntil, until)
 		}
 		if m.viewDirty {
@@ -316,10 +308,8 @@ func (p *Pool) refreshFreeLocked(now time.Time) freeStats {
 			p.changed = append(p.changed, m)
 		}
 	}
-	p.relMu.Lock()
 	all := p.rewalk || !p.offersUntil.IsZero()
 	p.rewalk = false
-	p.relMu.Unlock()
 	fresh := p.fresh
 	p.fresh, p.freshScratch = p.freshScratch[:0], fresh
 	for _, m := range fresh {
@@ -327,14 +317,14 @@ func (p *Pool) refreshFreeLocked(now time.Time) freeStats {
 	}
 	if all {
 		p.offersUntil = time.Time{}
-		p.visitFreeLocked(visit)
+		p.visitFree(visit)
 	} else {
 		for _, m := range fresh {
 			if m.freeIdx < 0 {
 				continue // claimed since: a release lists it again
 			}
-			if m.stale.Load() {
-				p.resyncMachineLocked(m) // which lists it afresh
+			if m.stale {
+				p.resyncMachine(m) // which lists it afresh
 			}
 			visit(m)
 		}
@@ -342,8 +332,8 @@ func (p *Pool) refreshFreeLocked(now time.Time) freeStats {
 	return freeStats{avail: p.offers, until: p.offersUntil}
 }
 
-// countLocked enters m into the pool's offers, or takes it out.
-func (p *Pool) countLocked(m *machine, in bool) {
+// count enters m into the pool's offers, or takes it out.
+func (p *Pool) count(m *machine, in bool) {
 	if m.counted == in {
 		return
 	}
@@ -370,19 +360,15 @@ func (m *machine) setLoadAvg(v float64) {
 }
 
 // snapshotFreeFor lists this pool's free machines for a flocking peer's
-// negotiation pass, refreshing each match ad's LoadAvg under this pool's
-// lock. The caller supplies (and re-owns) the scratch buffer. Safe against
-// deadlock: cross-pool calls happen only on the engine goroutine, where
-// ticks are serialized.
+// negotiation pass, refreshing each match ad's LoadAvg. The caller
+// supplies (and re-owns) the scratch buffer.
 func (p *Pool) snapshotFreeFor(now time.Time, buf []*machine) ([]*machine, freeStats) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	var st freeStats
 	if p.down {
 		return buf, st
 	}
-	p.drainReleasesLocked()
-	p.visitFreeLocked(func(m *machine) {
+	p.drainReleases()
+	p.visitFree(func(m *machine) {
 		if m.node.TaskCount() > 0 {
 			return
 		}
@@ -392,21 +378,19 @@ func (p *Pool) snapshotFreeFor(now time.Time, buf []*machine) ([]*machine, freeS
 		st.observe(until)
 		buf = append(buf, m)
 	})
-	p.relMu.Lock()
 	p.rewalk = true // the owner's refresh must see the LoadAvg written here
-	p.relMu.Unlock()
 	return buf, st
 }
 
-// visitFreeLocked is the walk of every free machine both negotiation
+// visitFree is the walk of every free machine both negotiation
 // views share: machines whose caller ad mutated resync (possibly moving
 // buckets, hence the deferral past the iteration), and visit runs once per
 // free machine. The caller has folded queued cross-pool releases in.
-func (p *Pool) visitFreeLocked(visit func(*machine)) {
+func (p *Pool) visitFree(visit func(*machine)) {
 	var stale []*machine
 	for _, b := range p.freeBuckets {
 		for _, m := range b {
-			if m.stale.Load() {
+			if m.stale {
 				stale = append(stale, m)
 				continue
 			}
@@ -414,7 +398,7 @@ func (p *Pool) visitFreeLocked(visit func(*machine)) {
 		}
 	}
 	for _, m := range stale {
-		p.resyncMachineLocked(m)
+		p.resyncMachine(m)
 		visit(m)
 	}
 }

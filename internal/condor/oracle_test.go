@@ -22,15 +22,13 @@ import (
 
 // useReferenceNegotiator switches p to the reference negotiator.
 func (p *Pool) useReferenceNegotiator() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.negotiateOracle = p.negotiateReferenceLocked
+	p.negotiateOracle = p.negotiateReference
 }
 
-// idleSortedLocked returns the idle jobs in negotiation order by sorting
+// idleSorted returns the idle jobs in negotiation order by sorting
 // all of them: the fair-share policy's order when one is installed,
 // otherwise priority descending with FIFO within a level.
-func (p *Pool) idleSortedLocked() []*job {
+func (p *Pool) idleSorted() []*job {
 	var idle []*job
 	for _, j := range p.active {
 		if j.status == StatusIdle {
@@ -72,12 +70,12 @@ func (p *Pool) idleSortedLocked() []*job {
 	return idle
 }
 
-func (p *Pool) negotiateReferenceLocked(now time.Time) int {
-	idle := p.idleSortedLocked()
+func (p *Pool) negotiateReference(now time.Time) int {
+	idle := p.idleSorted()
 	if len(idle) == 0 {
 		return 0
 	}
-	free := p.scanFreeRefLocked()
+	free := p.scanFreeRef()
 	var peerFree []*machine
 	if p.flockPeer != nil {
 		peerFree = p.flockPeer.freeMachinesRef()
@@ -94,7 +92,7 @@ func (p *Pool) negotiateReferenceLocked(now time.Time) int {
 		if m == nil {
 			continue
 		}
-		p.startLocked(j, m, now)
+		p.start(j, m, now)
 		matched++
 	}
 	if p.idleCount > 0 {
@@ -103,9 +101,9 @@ func (p *Pool) negotiateReferenceLocked(now time.Time) int {
 	return matched
 }
 
-// scanFreeRefLocked lists machines with no running task by scanning the
+// scanFreeRef lists machines with no running task by scanning the
 // full machine list — the seed's per-tick behavior.
-func (p *Pool) scanFreeRefLocked() []*machine {
+func (p *Pool) scanFreeRef() []*machine {
 	var out []*machine
 	for _, m := range p.machines {
 		if m.node.TaskCount() == 0 {
@@ -116,12 +114,10 @@ func (p *Pool) scanFreeRefLocked() []*machine {
 }
 
 func (p *Pool) freeMachinesRef() []*machine {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if p.down {
 		return nil
 	}
-	return p.scanFreeRefLocked()
+	return p.scanFreeRef()
 }
 
 // pickMachineReference returns the matching machine with the highest job
@@ -173,17 +169,15 @@ func newEagerAccrual(e *simgrid.Engine, sink fairshare.Sink) *eagerAccrual {
 
 func (d *eagerAccrual) onWake(now time.Time) {
 	p := d.pool
-	p.mu.Lock()
 	for _, j := range p.active {
 		if j.status != StatusRunning || j.task == nil {
 			continue
 		}
-		cpu := p.cpuSecondsLocked(j) - j.cpuBase
+		cpu := p.cpuSeconds(j) - j.cpuBase
 		if delta := cpu - d.recorded[j.id]; delta > 0 {
 			d.sink.RecordUsage(j.owner, j.host.node.Site, delta)
 			d.recorded[j.id] = cpu
 		}
 	}
-	p.mu.Unlock()
 	d.wake.Request(now.Add(p.grid.Engine.Tick()))
 }

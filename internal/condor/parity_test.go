@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -257,12 +258,9 @@ func TestIndexedArchConstraint(t *testing.T) {
 	p.AddMachine(site.AddNode(g.Engine, "d1", 1, simgrid.IdleLoad()), dyn)
 	// Both expression-valued machines must sit in the catch-all bucket:
 	// only literal Arch values are target-independent index keys.
-	p.mu.Lock()
 	if got := len(p.freeBuckets[dynamicBucket]); got != 2 {
-		p.mu.Unlock()
 		t.Fatalf("dynamic bucket holds %d machines, want 2", got)
 	}
-	p.mu.Unlock()
 
 	submit := func(req string, extra map[string]any) int {
 		ad := classad.New().Set(AttrCpuSeconds, 5.0)
@@ -448,11 +446,12 @@ func TestFreeMachineHearsItsAdChange(t *testing.T) {
 }
 
 // TestAdMutationBesideRunningEngine rewrites machine ads on one goroutine
-// while RunFor negotiates on another. Under -race this pins the hand-off:
-// the write sets the machine's stale flag through the ad's hook, and the
-// engine reads the ad only after it has seen the flag (an ad, like any
-// unsynchronised value, is written once here: a second write could land
-// while the pass copies it). Every machine ends in its new Arch bucket.
+// while RunFor negotiates on another. The two share one lock, as a
+// deployment's callers share its owner's, so each write lands between two
+// engine calls. Under -race this pins the hand-off: the write sets the
+// machine's stale flag through the ad's hook, and the next pass reads the
+// ad only after it has seen the flag. Every machine ends in its new Arch
+// bucket.
 func TestAdMutationBesideRunningEngine(t *testing.T) {
 	const n = 48
 	g, p := testPool(t, 0)
@@ -465,11 +464,14 @@ func TestAdMutationBesideRunningEngine(t *testing.T) {
 	for i := 0; i < 4*n; i++ {
 		mustSubmit(t, p, jobAd("alice", float64(1+i%3), 0))
 	}
+	var owner sync.Mutex
 	written := make(chan struct{})
 	go func() {
 		defer close(written)
 		for _, ad := range ads {
+			owner.Lock()
 			ad.Set("Arch", "sparc")
+			owner.Unlock()
 			runtime.Gosched()
 		}
 	}()
@@ -479,7 +481,9 @@ func TestAdMutationBesideRunningEngine(t *testing.T) {
 			running = false
 		default:
 		}
+		owner.Lock()
 		g.Engine.RunFor(time.Second)
+		owner.Unlock()
 	}
 	g.Engine.RunFor(time.Minute)
 	x86 := mustSubmit(t, p, pinnedJobAd("bob", "x86"))
@@ -498,11 +502,10 @@ func TestAdMutationBesideRunningEngine(t *testing.T) {
 	}
 }
 
-// TestCrossPoolRemoveNoDeadlock hammers the flocked-job teardown path
-// from an API goroutine while the engine negotiates: Remove on a job
-// running on a peer's machine must enqueue the foreign release (leaf
-// lock) instead of taking the peer's main lock, or this test deadlocks
-// against engine-side peer snapshots.
+// TestCrossPoolRemoveNoDeadlock tears flocked jobs down between engine
+// steps: Remove on a job running on a peer's machine queues the foreign
+// release on the peer, which folds it back into its free set at its next
+// wake, instead of reaching into the peer's state mid-call.
 func TestCrossPoolRemoveNoDeadlock(t *testing.T) {
 	g := simgrid.NewGrid(time.Second, 1)
 	siteA, siteB := g.AddSite("siteA"), g.AddSite("siteB")
@@ -521,42 +524,30 @@ func TestCrossPoolRemoveNoDeadlock(t *testing.T) {
 		}
 		ids = append(ids, id)
 	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for _, id := range ids {
-			for {
-				info, err := poolB.Job(id)
-				if err != nil {
-					return
-				}
-				if info.Status == StatusRunning {
-					_ = poolB.Remove(id)
-					break
-				}
-				if info.Status.Terminal() {
-					break
-				}
+	for _, id := range ids {
+		for i := 0; ; i++ {
+			info, err := poolB.Job(id)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}()
-	for i := 0; i < 2000; i++ {
-		g.Engine.Step()
-		select {
-		case <-done:
-			i = 2000
-		default:
+			if info.Status == StatusRunning {
+				if err := poolB.Remove(id); err != nil {
+					t.Fatal(err)
+				}
+				break
+			}
+			if info.Status.Terminal() || i == 100 {
+				t.Fatalf("job %d is %v after %d steps, want running", id, info.Status, i)
+			}
+			g.Engine.Step()
 		}
 	}
-	<-done
-	// Every machine must eventually return to A's free set.
+	// Every machine must return to A's free set.
 	g.Engine.Step() // drain queued releases
-	poolA.mu.Lock()
 	free := 0
 	for _, b := range poolA.freeBuckets {
 		free += len(b)
 	}
-	poolA.mu.Unlock()
 	if free != 4 {
 		t.Fatalf("poolA free machines after teardown = %d, want 4", free)
 	}
@@ -573,8 +564,6 @@ func TestFreeSetReleasedOnCompletion(t *testing.T) {
 		p.AddMachine(site.AddNode(g.Engine, fmt.Sprintf("n%d", i), 1, simgrid.IdleLoad()), nil)
 	}
 	freeCount := func() int {
-		p.mu.Lock()
-		defer p.mu.Unlock()
 		n := 0
 		for _, b := range p.freeBuckets {
 			n += len(b)

@@ -46,21 +46,21 @@ func (a pickEntry) compare(b pickEntry) int {
 	return strings.Compare(a.m.node.Name, b.m.node.Name)
 }
 
-// pickIndexedLocked returns j's best matching local machine. Jobs whose
+// pickIndexed returns j's best matching local machine. Jobs whose
 // Requirements pin Arch scan only that bucket (plus machines with
 // non-literal Arch); unconstrained jobs scan every bucket. The winner is
 // the highest job-Rank match, ties broken by machine name, a total order
 // that makes the result independent of bucket iteration order.
-func (p *Pool) pickIndexedLocked(j *job) *machine {
+func (p *Pool) pickIndexed(j *job) *machine {
 	if j.reqArch != noConstraint {
-		best, bestRank := p.pickFromBucketLocked(j, p.constraints[j.reqArch], nil, 0)
-		best, _ = p.pickFromBucketLocked(j, dynamicBucket, best, bestRank)
+		best, bestRank := p.pickFromBucket(j, p.constraints[j.reqArch], nil, 0)
+		best, _ = p.pickFromBucket(j, dynamicBucket, best, bestRank)
 		return best
 	}
 	var best *machine
 	bestRank := 0.0
 	for key := range p.freeBuckets {
-		best, bestRank = p.pickFromBucketLocked(j, key, best, bestRank)
+		best, bestRank = p.pickFromBucket(j, key, best, bestRank)
 	}
 	return best
 }
@@ -71,7 +71,7 @@ func (p *Pool) pickIndexedLocked(j *job) *machine {
 // view would cost more.
 const sortedPickThreshold = 16
 
-// pickFromBucketLocked folds one free bucket into the running
+// pickFromBucket folds one free bucket into the running
 // (best, bestRank) pair. Jobs of one rank class rank a machine alike, so
 // under the pinned total order (rank, then machine name) the winner is
 // the first acceptable machine of the class's ordered view: Rank runs once
@@ -80,7 +80,7 @@ const sortedPickThreshold = 16
 // without changing a single placement. Small buckets, Ranks that read the
 // job, and buckets holding a machine whose ranked attribute is an
 // expression keep the exhaustive scan.
-func (p *Pool) pickFromBucketLocked(j *job, key string, best *machine, bestRank float64) (*machine, float64) {
+func (p *Pool) pickFromBucket(j *job, key string, best *machine, bestRank float64) (*machine, float64) {
 	b := p.freeBuckets[key]
 	if len(b) > sortedPickThreshold {
 		class, ok := "", true // a job without Rank is of the degenerate class
@@ -102,7 +102,7 @@ func (p *Pool) pickFromBucketLocked(j *job, key string, best *machine, bestRank 
 				v.sync(p, j, k, p.changed)
 			}
 			if len(v.unranked) == 0 {
-				return p.pickOrderedLocked(j, v, best, bestRank)
+				return p.pickOrdered(j, v, best, bestRank)
 			}
 		}
 	}
@@ -114,7 +114,7 @@ func (p *Pool) pickFromBucketLocked(j *job, key string, best *machine, bestRank 
 // since, or collected into this pass's changed list, go; the machines of
 // fresh that are free in this bucket are ranked by j (any job of the class
 // ranks them alike), sorted and merged in. Every surviving view saw the
-// previous pass (refreshFreeLocked drops the others), so the pass's
+// previous pass (refreshFree drops the others), so the pass's
 // changed list is exactly what it has missed.
 func (v *pickView) sync(p *Pool, j *job, k pickKey, fresh []*machine) {
 	v.gen, v.cur = p.pickGen, 0
@@ -157,9 +157,9 @@ func (v *pickView) sync(p *Pool, j *job, k pickKey, fresh []*machine) {
 	v.sorted, v.unranked, p.pickScratch = kept, unranked, add[:0]
 }
 
-// pickOrderedLocked walks a view from its cursor to j's first acceptable
+// pickOrdered walks a view from its cursor to j's first acceptable
 // machine and folds it against the other buckets' carry.
-func (p *Pool) pickOrderedLocked(j *job, v *pickView, best *machine, bestRank float64) (*machine, float64) {
+func (p *Pool) pickOrdered(j *job, v *pickView, best *machine, bestRank float64) (*machine, float64) {
 	for i := v.cur; i < len(v.sorted); i++ {
 		m := v.sorted[i].m
 		if m.freeIdx < 0 || m.skipFor == p {

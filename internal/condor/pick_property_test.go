@@ -12,12 +12,12 @@ import (
 )
 
 // The ordered pick must be invisible: over random pools and jobs,
-// pickIndexedLocked returns exactly the machine an exhaustive bestCandidate
+// pickIndexed returns exactly the machine an exhaustive bestCandidate
 // scan of every free bucket returns, pass after pass, while machines are
 // claimed, excluded, released and re-advertised under it. The views live
 // across the passes, so what one pass leaves in them is the next pass's
 // input: after every pass each view a pass used is also held, entry by
-// entry, to the bucket it orders (checkViewLocked).
+// entry, to the bucket it orders (checkView).
 
 var (
 	propArchs  = []string{"x86", "ppc64", "sparc"}
@@ -57,8 +57,8 @@ var (
 // job: a bucket holding such a machine cannot be pre-ordered.
 const propExprKFlops = "1000 + TARGET.Boost * 300"
 
-// exhaustivePickLocked is the oracle: every free bucket, scanned whole.
-func exhaustivePickLocked(p *Pool, j *job) *machine {
+// exhaustivePick is the oracle: every free bucket, scanned whole.
+func exhaustivePick(p *Pool, j *job) *machine {
 	var best *machine
 	bestRank := 0.0
 	for _, b := range p.freeBuckets {
@@ -137,11 +137,9 @@ func runPickProperty(t *testing.T, seed int64, sum *pickPropertyTally) {
 			ad.MustSetExpr(AttrRank, rank)
 		}
 		id := mustSubmit(t, p, ad)
-		jobs = append(jobs, p.jobLocked(id))
+		jobs = append(jobs, p.job(id))
 	}
 
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	now := g.Engine.Now()
 	var claimed []*machine
 	type moved struct {
@@ -185,28 +183,28 @@ func runPickProperty(t *testing.T, seed int64, sum *pickPropertyTally) {
 		rng.Shuffle(len(claimed), func(a, b int) { claimed[a], claimed[b] = claimed[b], claimed[a] })
 		back := rng.Intn(len(claimed) + 1)
 		for _, m := range claimed[:back] {
-			p.addFreeLocked(m)
+			p.addFree(m)
 		}
 		claimed = claimed[back:]
 		if m := p.machines[rng.Intn(n)]; m.freeIdx >= 0 {
-			p.claimMachineLocked(m)
-			p.addFreeLocked(m)
+			m.owner.removeFree(m)
+			p.addFree(m)
 			if rng.Intn(2) == 0 {
-				p.claimMachineLocked(m)
+				m.owner.removeFree(m)
 				claimed = append(claimed, m)
 				sum.rebound++
 			}
 		}
 
-		p.refreshFreeLocked(now)
+		p.refreshFree(now)
 		sum.kept += len(p.pickViews)
 		// A pass negotiates for the jobs queued at the time: a random part
 		// of them, so rank classes come and go and their views with them,
 		// and the first degenerate-class job differs from pass to pass.
 		rng.Shuffle(len(jobs), func(a, b int) { jobs[a], jobs[b] = jobs[b], jobs[a] })
 		for _, j := range jobs[:1+rng.Intn(len(jobs))] {
-			want := exhaustivePickLocked(p, j)
-			got := p.pickIndexedLocked(j)
+			want := exhaustivePick(p, j)
+			got := p.pickIndexed(j)
 			if got != want {
 				name := func(m *machine) string {
 					if m == nil {
@@ -225,7 +223,7 @@ func runPickProperty(t *testing.T, seed int64, sum *pickPropertyTally) {
 				got.skipFor = p
 			case 1: // left free: the next job may pick it again
 			default:
-				p.claimMachineLocked(got)
+				got.owner.removeFree(got)
 				claimed = append(claimed, got)
 			}
 		}
@@ -234,7 +232,7 @@ func runPickProperty(t *testing.T, seed int64, sum *pickPropertyTally) {
 				continue // unused this pass: the next refresh drops it
 			}
 			everBuilt[k] = struct{}{}
-			checkViewLocked(t, p, k, v, jobs, fmt.Sprintf("seed %d pass %d", seed, pass))
+			checkView(t, p, k, v, jobs, fmt.Sprintf("seed %d pass %d", seed, pass))
 			if exhaustive[k] && len(v.unranked) == 0 {
 				sum.cleared++
 			}
@@ -248,13 +246,13 @@ func runPickProperty(t *testing.T, seed int64, sum *pickPropertyTally) {
 	sum.rebuilt += int(builds) - len(everBuilt)
 }
 
-// checkViewLocked holds one synced view to the bucket it orders: its
+// checkView holds one synced view to the bucket it orders: its
 // entries still free, together with its unranked machines, are the
 // bucket's machines, each exactly once; the entries stand in (rank
 // descending, name ascending) order; and each carries the rank a job of
 // the class gives its machine now — 0 in the degenerate class, whatever
 // constants its jobs rank by.
-func checkViewLocked(t *testing.T, p *Pool, k pickKey, v *pickView, jobs []*job, at string) {
+func checkView(t *testing.T, p *Pool, k pickKey, v *pickView, jobs []*job, at string) {
 	t.Helper()
 	var ranker *job
 	for _, j := range jobs {
@@ -370,9 +368,7 @@ func TestRankEvalsFollowChanges(t *testing.T) {
 			}
 			continue
 		}
-		p.mu.Lock()
 		changed, views := len(p.changed), len(p.pickViews)
-		p.mu.Unlock()
 		if d > changed*views {
 			t.Errorf("t=%ds: %d rank evaluations in a pass that saw %d machines change under %d views", s, d, changed, views)
 		}
@@ -434,9 +430,7 @@ func TestLiveJobsWalksLiveJobsOnly(t *testing.T) {
 		}
 	}
 	all, _ := p.Jobs()
-	p.mu.Lock()
 	walked := len(p.active)
-	p.mu.Unlock()
 	if len(all) != rounds || walked > 128+2*keep {
 		t.Fatalf("pool holds %d jobs and LiveJobs walks %d entries; want %d held and a walk bounded by the live count", len(all), walked, rounds)
 	}

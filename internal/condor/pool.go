@@ -3,8 +3,6 @@ package condor
 import (
 	"fmt"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/classad"
@@ -61,7 +59,6 @@ type Pool struct {
 	// offsets from it (job.submitted, .started, .completed).
 	epoch time.Time
 
-	mu       sync.Mutex
 	machines []*machine
 	// constraints lists the Arch and OpSys literals jobs' Requirements
 	// have pinned, constraintKeys indexes it: a job holds the index
@@ -87,12 +84,12 @@ type Pool struct {
 	// streamScratch is the recycled negotiation stream, its slices reused
 	// instead of reallocated on every wake. At most one stream is live at
 	// a time: a pass and an ordering query (Job, Jobs, QueueAbove) each
-	// build and read theirs inside one critical section of p.mu, and
-	// nothing a pass calls asks for the order.
+	// build and read theirs before anything else runs, and nothing a pass
+	// calls asks for the order.
 	streamScratch negotiationStream
 	// pickGen/pickViews back the rank-ordered pick: large free buckets are
 	// kept in preference order, one view per rank class, and consumed by a
-	// per-pass cursor (see pickFromBucketLocked). pickGen numbers the
+	// per-pass cursor (see pickFromBucket). pickGen numbers the
 	// passes; changed lists what the current pass's refresh collected —
 	// the machines that entered the free set or whose match ad changed
 	// since the previous pass — which is all a view has to rank and merge
@@ -157,30 +154,23 @@ type Pool struct {
 	// found on the machines carrying them (machine.flowJob).
 	flowScratch []*job
 
-	// relMu guards pendingRel, the cross-pool release queue. A flocked
-	// job's terminal transition can run on an arbitrary API goroutine
-	// that already holds its own pool's lock, so it must not take the
-	// machine owner's main lock (AB-BA inversion against engine-side peer
-	// negotiation, which locks pools in the opposite order). Releases of
-	// foreign machines enqueue here under this leaf lock instead; the
-	// owner folds the queue back into its free buckets at the next tick
-	// or peer snapshot — the same point a physical rescan would first
-	// observe the machine idle.
-	relMu      sync.Mutex
+	// pendingRel is the cross-pool release queue. A flocked job's
+	// terminal transition does not put the machine straight back into its
+	// owner's free buckets: it queues here, and the owner folds the queue
+	// in at its next wake or peer snapshot — the same point a physical
+	// rescan would first observe the machine idle. When an owner sees a
+	// foreign release decides placements, so the deferral stays.
 	pendingRel []*machine
-	// dirty (relMu-guarded, like pendingRel) collects the machines whose
-	// node's observer fired since the last pass — someone other than this
-	// pool's own pass changed their load or task set; the pool folds them
-	// in at the next wake to re-rate usage flows. A machine may be listed
-	// twice (folding is idempotent); dirtyScratch (p.mu-guarded) is the
-	// drained buffer, swapped back in so a drain allocates nothing.
-	// flockedFrom lists pools flocking into this one; they are woken
-	// whenever this pool's machine picture changes, since their
-	// negotiation reads it. Guarded by relMu because the notification
-	// paths run under the notifying pool's main lock.
-	// rewalk (relMu-guarded too) asks the next refresh to walk every free
-	// machine: something other than the pool's own pass changed a
-	// machine — a node's load or task set, an ad, or, through a flocking
+	// dirty collects the machines whose node's observer fired since the
+	// last pass — someone other than this pool's own pass changed their
+	// load or task set; the pool folds them in at the next wake to re-rate
+	// usage flows. A machine may be listed twice (folding is idempotent);
+	// dirtyScratch is the drained buffer, swapped back in so a drain
+	// allocates nothing. flockedFrom lists pools flocking into this one;
+	// they are woken whenever this pool's machine picture changes, since
+	// their negotiation reads it. rewalk asks the next refresh to walk
+	// every free machine: something other than the pool's own pass changed
+	// a machine — a node's load or task set, an ad, or, through a flocking
 	// peer's snapshot, a match ad's LoadAvg.
 	dirty        []*machine
 	dirtyScratch []*machine
@@ -228,7 +218,7 @@ type machine struct {
 	// What a completion reads leads the struct, inside one 64-byte span
 	// (TestCompletionPathLayout): the job and pool Complete names, the
 	// owner whose free set takes the machine back, and what
-	// addFreeLocked reads and writes there.
+	// addFree reads and writes there.
 	//
 	// runner is the job whose task occupies the node, of runnerPool — the
 	// owner, or a pool flocking onto the machine: a claim is exclusive, so
@@ -241,11 +231,11 @@ type machine struct {
 	// while claimed by a job.
 	freeIdx int
 	archKey string // lowered Arch value, or dynamicBucket
-	// stale is set by the caller ad's mutation hook, on whichever
-	// goroutine writes the ad, and cleared by snapshotAd: callers may keep
-	// updating the ad they registered (the seed re-read it every pick), so
-	// the snapshot and index keys resync when it is set.
-	stale atomic.Bool
+	// stale is set by the caller ad's mutation hook and cleared by
+	// snapshotAd: callers may keep updating the ad they registered (the
+	// seed re-read it every pick), so the snapshot and index keys resync
+	// when it is set.
+	stale bool
 	// viewDirty marks a machine that entered the free set, or whose match
 	// ad changed in place (LoadAvg), since a pass refresh last collected
 	// it: what the ordered views hold of it is stale. viewGen is the pass
@@ -351,47 +341,38 @@ func (p *Pool) AddMachine(node *simgrid.Node, ad *classad.Ad) {
 	// the last registration. The ad hook flags the machine itself: the
 	// next pass, or its release, resyncs it.
 	ad.OnMutate(func() {
-		m.stale.Store(true)
+		m.stale = true
 		p.machineChanged(nil)
 	})
 	node.SetObserver(func() { p.machineChanged(m) })
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.machines = append(p.machines, m)
-	p.addFreeLocked(m)
+	p.addFree(m)
 	p.requestWake()
 	p.wakeFlockedFrom()
 }
 
 // machineChanged records a machine-side change and wakes every
-// negotiator that reads this pool's machines. It must not take p.mu:
-// node observers fire from paths already holding it (detach, harvest).
+// negotiator that reads this pool's machines.
 func (p *Pool) machineChanged(m *machine) {
-	p.relMu.Lock()
 	if m != nil {
 		p.dirty = append(p.dirty, m)
 	}
 	p.rewalk = true
-	p.relMu.Unlock()
 	p.requestWake()
 	p.wakeFlockedFrom()
 }
 
 // wakeFlockedFrom wakes the pools flocking into this one.
 func (p *Pool) wakeFlockedFrom() {
-	p.relMu.Lock()
-	ff := p.flockedFrom
-	p.relMu.Unlock()
-	for _, q := range ff {
+	for _, q := range p.flockedFrom {
 		q.requestWake()
 	}
 }
 
 // snapshotAd (re)builds the machine's match ad, compiled matcher, index
-// keys and anyJob from the caller's ad. The stale flag clears before the
-// copy, so a write landing during it flags the machine again.
+// keys and anyJob from the caller's ad.
 func (m *machine) snapshotAd() {
-	m.stale.Store(false)
+	m.stale = false
 	// LoadAvg takes its slot now: each pass's refresh then writes in place.
 	m.matchAd = m.ad.Clone().Set("LoadAvg", classad.Undefined())
 	m.matcher = classad.NewMatcher(m.matchAd)
@@ -410,23 +391,21 @@ func (m *machine) snapshotAd() {
 	}
 }
 
-// resyncMachineLocked refreshes a machine whose caller-side ad mutated
+// resyncMachine refreshes a machine whose caller-side ad mutated
 // since the last snapshot, rebucketing it if its Arch changed.
-func (p *Pool) resyncMachineLocked(m *machine) {
+func (p *Pool) resyncMachine(m *machine) {
 	wasFree := m.freeIdx >= 0
 	if wasFree {
-		p.removeFreeLocked(m)
+		p.removeFree(m)
 	}
 	m.snapshotAd()
 	if wasFree {
-		p.addFreeLocked(m)
+		p.addFree(m)
 	}
 }
 
 // Machines returns the advertised machine count.
 func (p *Pool) Machines() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	return len(p.machines)
 }
 
@@ -435,13 +414,9 @@ func (p *Pool) Machines() int {
 // job's identity; here the job simply also negotiates against the peer's
 // machines.
 func (p *Pool) EnableFlocking(peer *Pool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.flockPeer = peer
 	if peer != nil {
-		peer.relMu.Lock()
 		peer.flockedFrom = append(peer.flockedFrom, p)
-		peer.relMu.Unlock()
 	}
 	p.requestWake()
 }
@@ -459,15 +434,13 @@ func (p *Pool) SetFairShare(pol fairshare.Ranker) {
 	if fairshare.IsNil(pol) {
 		pol = nil
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	// A running job's usage flow follows the policy across the swap: it
 	// closes against the outgoing sink with its measured total, so those
 	// books end where the job stands, and reopens against the incoming one
 	// to report what is executed from here on.
 	for _, j := range p.active {
 		if j.flow != nil {
-			p.closeFlowLocked(j)
+			p.closeFlow(j)
 		}
 	}
 	rekey := (pol == nil) != (p.fair == nil)
@@ -475,7 +448,7 @@ func (p *Pool) SetFairShare(pol fairshare.Ranker) {
 	p.fairFlow, _ = pol.(fairshare.FlowSink)
 	p.fairStart, _ = pol.(fairshare.StartObserver)
 	if rekey {
-		p.rebuildQueuesLocked()
+		p.rebuildQueues()
 	} else if pol != nil {
 		// The queues stay; the tenants they hold are the incoming policy's.
 		for _, q := range p.queues {
@@ -485,31 +458,27 @@ func (p *Pool) SetFairShare(pol fairshare.Ranker) {
 	if p.fairFlow != nil {
 		for _, j := range p.active {
 			if j.task != nil {
-				p.openUsageLocked(j)
+				p.openUsage(j)
 			}
 		}
-		p.rearmLocked() // an opened flow may have a load boundary to be woken at
+		p.rearm() // an opened flow may have a load boundary to be woken at
 	}
 }
 
 // Subscribe registers a listener for job state transitions. Listeners run
-// synchronously on the simulation goroutine; they must not block.
+// synchronously, inside the transition; they must not block.
 func (p *Pool) Subscribe(fn func(Event)) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.listeners = append(p.listeners, fn)
 }
 
 // Fail marks the execution service down: all API calls error and running
 // tasks stop progressing (their nodes keep ticking, but harvest pauses).
 func (p *Pool) Fail() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.down = true
 	for _, j := range p.active {
 		if j.status == StatusRunning && j.task != nil {
 			j.task.Suspend()
-			p.rerateLocked(j) // tasks stop progressing while down
+			p.rerate(j) // tasks stop progressing while down
 		}
 	}
 }
@@ -517,13 +486,11 @@ func (p *Pool) Fail() {
 // Recover brings a failed service back; suspended-by-failure jobs resume
 // and the pool re-arms its engine wakeup.
 func (p *Pool) Recover() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.down = false
 	for _, j := range p.active {
 		if j.status == StatusRunning && j.task != nil {
 			j.task.Resume()
-			p.rerateLocked(j)
+			p.rerate(j)
 		}
 	}
 	p.requestWake()
@@ -533,7 +500,5 @@ func (p *Pool) Recover() {
 // Healthy reports whether the execution service answers requests — the
 // probe the Backup & Recovery module polls.
 func (p *Pool) Healthy() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	return !p.down
 }

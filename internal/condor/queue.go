@@ -247,10 +247,10 @@ func (s *negotiationStream) next() *job {
 	return nil
 }
 
-// queueLocked returns the queue a job of owner files under, made on first
+// queue returns the queue a job of owner files under, made on first
 // use: the owner's own, holding its tenant handle, when a fair-share policy
 // is installed; the one shared queue under the static policy.
-func (p *Pool) queueLocked(owner string) *ownerQueue {
+func (p *Pool) queue(owner string) *ownerQueue {
 	if p.fair == nil {
 		owner = ""
 	}
@@ -266,17 +266,17 @@ func (p *Pool) queueLocked(owner string) *ownerQueue {
 	return q
 }
 
-// rebuildQueuesLocked files every live job under a queue of the policy
+// rebuildQueues files every live job under a queue of the policy
 // mode (per-owner vs shared) now installed, and every idle one in it
 // afresh; called when the mode changes.
-func (p *Pool) rebuildQueuesLocked() {
+func (p *Pool) rebuildQueues() {
 	p.owners = make(map[string]*ownerQueue)
 	p.queues = nil
 	for _, j := range p.active {
 		if j.status.Terminal() {
 			continue
 		}
-		j.queue = p.queueLocked(j.owner)
+		j.queue = p.queue(j.owner)
 		if j.status == StatusIdle {
 			j.qgen++
 			j.queue.add(j)
@@ -284,13 +284,13 @@ func (p *Pool) rebuildQueuesLocked() {
 	}
 }
 
-// negotiationStreamLocked builds the pass's job stream at the given
+// negotiationStream builds the pass's job stream at the given
 // instant. One SortKeysAt call over each owner's oldest job prices the
 // whole pass: it yields every owner's effective priority and marks the
 // starved picks, which a full-queue SortKeysAt would mark identically
 // (an owner's oldest job is starved iff any of its jobs is, and the
 // guard promotes exactly the oldest).
-func (p *Pool) negotiationStreamLocked(now time.Time) *negotiationStream {
+func (p *Pool) negotiationStream(now time.Time) *negotiationStream {
 	s := &p.streamScratch
 	s.starved, s.si, s.heap = s.starved[:0], 0, s.heap[:0]
 	if p.fair == nil {
@@ -353,11 +353,11 @@ func (p *Pool) negotiationStreamLocked(now time.Time) *negotiationStream {
 	return s
 }
 
-// idleOrderedLocked returns the idle jobs in negotiation order by
+// idleOrdered returns the idle jobs in negotiation order by
 // draining a fresh stream without matching. The returned slice aliases a
-// per-pool scratch buffer valid until the next call under the same lock.
-func (p *Pool) idleOrderedLocked() []*job {
-	s := p.negotiationStreamLocked(p.grid.Engine.Now())
+// per-pool scratch buffer valid until the next call.
+func (p *Pool) idleOrdered() []*job {
+	s := p.negotiationStream(p.grid.Engine.Now())
 	out := p.idleScratch[:0]
 	for j := s.next(); j != nil; j = s.next() {
 		out = append(out, j)

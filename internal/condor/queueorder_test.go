@@ -31,10 +31,8 @@ func orderIDs(js []*job) []int {
 
 func checkOrderParity(t *testing.T, p *Pool, label string) {
 	t.Helper()
-	p.mu.Lock()
-	stream := orderIDs(p.idleOrderedLocked())
-	legacy := orderIDs(p.idleSortedLocked())
-	p.mu.Unlock()
+	stream := orderIDs(p.idleOrdered())
+	legacy := orderIDs(p.idleSorted())
 	if len(stream) != len(legacy) {
 		t.Fatalf("%s: stream yields %d jobs, legacy sort %d\nstream: %v\nlegacy: %v",
 			label, len(stream), len(legacy), stream, legacy)

@@ -12,14 +12,14 @@ import (
 )
 
 // onRefresh makes every pass of p refresh through refresh, which calls
-// p.refreshFreeLocked and looks at the pool around it, and match on what
+// p.refreshFree and looks at the pool around it, and match on what
 // it returns.
 func onRefresh(p *Pool, refresh func(now time.Time) freeStats) {
 	p.negotiateOracle = func(now time.Time) int {
 		if p.idleCount == 0 {
 			return 0
 		}
-		return p.matchLocked(now, refresh(now))
+		return p.match(now, refresh(now))
 	}
 }
 
@@ -67,7 +67,7 @@ func TestRefreshFollowsChanges(t *testing.T) {
 				return 0
 			}
 			before := slices.Clone(calls)
-			st := p.refreshFreeLocked(now)
+			st := p.refreshFree(now)
 			for i, m := range p.machines {
 				want := 0
 				switch {
@@ -83,7 +83,7 @@ func TestRefreshFollowsChanges(t *testing.T) {
 				}
 			}
 			passes++
-			matched := p.matchLocked(now, st)
+			matched := p.match(now, st)
 			for _, m := range p.machines {
 				wasFree[m] = m.freeIdx >= 0
 			}
@@ -109,7 +109,7 @@ func walkFree(t *testing.T, p *Pool, now time.Time) freeStats {
 	var want freeStats
 	for _, b := range p.freeBuckets {
 		for _, m := range b {
-			if m.stale.Load() {
+			if m.stale {
 				t.Fatalf("%s: free with a stale match ad", m.node.Name)
 			}
 			if m.node.TaskCount() > 0 {
@@ -158,7 +158,7 @@ func TestIncrementalRefreshMatchesFullWalk(t *testing.T) {
 		q.EnableFlocking(p) // q's passes snapshot p's machines and claim some
 		passes := 0
 		onRefresh(p, func(now time.Time) freeStats {
-			st := p.refreshFreeLocked(now)
+			st := p.refreshFree(now)
 			if want := walkFree(t, p, now); st != want || p.offers != want.avail {
 				t.Fatalf("seed %d pass %d: refresh found %+v (offers %d), a walk %+v", seed, passes, st, p.offers, want)
 			}

@@ -16,8 +16,6 @@ import (
 // disk longer than leaseTTL of simulated time therefore recovers with its
 // leases expired and its running jobs requeued.
 func (p *Pool) Export(leaseTTL time.Duration) durable.PoolState {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	now := p.grid.Engine.Now()
 	st := durable.PoolState{Name: p.Name, NextID: len(p.jobs), Jobs: make([]durable.JobState, 0, len(p.jobs))}
 	for _, j := range p.jobs {
@@ -33,8 +31,8 @@ func (p *Pool) Export(leaseTTL time.Duration) durable.PoolState {
 			SubmitTime:     p.timeOf(j.submitted),
 			StartTime:      p.timeOf(j.started),
 			CompletionTime: p.timeOf(j.completed),
-			CPUSeconds:     p.cpuSecondsLocked(j),
-			WallClock:      p.wallClockLocked(j),
+			CPUSeconds:     p.cpuSeconds(j),
+			WallClock:      p.wallClock(j),
 		}
 		if j.host != nil {
 			js.Node = j.host.node.Name
@@ -61,8 +59,6 @@ func (p *Pool) Export(leaseTTL time.Duration) durable.PoolState {
 // listeners learn state by asking, and pre-crash usage is restored
 // through the fair-share snapshot, not re-accrued.
 func (p *Pool) Restore(st durable.PoolState) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if len(p.jobs) != 0 {
 		return fmt.Errorf("condor: restore into non-empty pool %s", p.Name)
 	}
@@ -98,26 +94,26 @@ func (p *Pool) Restore(st durable.PoolState) error {
 		if j.status.Terminal() {
 			// Terminal jobs keep their node name for the monitoring view
 			// but hold no claim.
-			j.host = p.machineByNameLocked(js.Node)
+			j.host = p.machineByName(js.Node)
 			j.seal()
 			continue
 		}
 		p.active = append(p.active, j)
 		p.liveCount++
-		j.queue = p.queueLocked(j.owner)
+		j.queue = p.queue(j.owner)
 
 		if j.status == StatusRunning || j.status == StatusSuspended {
-			m := p.machineByNameLocked(js.Node)
+			m := p.machineByName(js.Node)
 			leaseLive := !js.LeaseExpires.IsZero() && js.LeaseExpires.After(now)
 			if m == nil || !leaseLive || m.freeIdx < 0 {
-				p.requeueRestoredLocked(j)
+				p.requeueRestored(j)
 				continue
 			}
-			p.rebindLocked(j, m, now)
+			p.rebind(j, m, now)
 			continue
 		}
 		// Idle: nothing held; cpuBase is whatever the capture carried
-		// (checkpointed submissions), which cpuSecondsLocked re-exports.
+		// (checkpointed submissions), which cpuSeconds re-exports.
 		p.idleCount++
 		j.queue.add(j)
 	}
@@ -125,10 +121,10 @@ func (p *Pool) Restore(st durable.PoolState) error {
 	return nil
 }
 
-// requeueRestoredLocked turns a restored running/suspended job back into
+// requeueRestored turns a restored running/suspended job back into
 // an idle one: its lease died with the crash. Non-checkpointable work is
 // lost, exactly as it would be on a migration.
-func (p *Pool) requeueRestoredLocked(j *job) {
+func (p *Pool) requeueRestored(j *job) {
 	if !j.ad.Bool(AttrCheckpoint, false) {
 		j.cpuBase, j.wallBase = 0, 0
 	}
@@ -138,13 +134,13 @@ func (p *Pool) requeueRestoredLocked(j *job) {
 	j.queue.add(j)
 }
 
-// rebindLocked re-places a restored job on its leased machine: the task
+// rebind re-places a restored job on its leased machine: the task
 // restarts with the remaining work, the claim is re-taken, the usage flow
 // reopens at the load segment in force at the restored instant — at
 // nothing for a suspended job — (the fair-share policy must already hold
 // its restored accounts: a flow feeds the accounts it finds), and the
 // status is reinstated without events or fair-share start observation.
-func (p *Pool) rebindLocked(j *job, m *machine, now time.Time) {
+func (p *Pool) rebind(j *job, m *machine, now time.Time) {
 	remaining := j.stopAt() - j.cpuBase
 	if remaining <= 0 {
 		// The capture raced the task's end; the next harvest would have
@@ -155,19 +151,19 @@ func (p *Pool) rebindLocked(j *job, m *machine, now time.Time) {
 		j.status = StatusFailed
 		if !j.faulty() {
 			j.status = StatusCompleted
-			p.produceOutputLocked(j)
+			p.produceOutput(j)
 		}
 		return
 	}
-	p.runTaskLocked(j, m, remaining)
+	p.runTask(j, m, remaining)
 	if j.status == StatusSuspended {
 		j.task.Suspend()
 	}
-	p.openUsageLocked(j)
+	p.openUsage(j)
 }
 
-// machineByNameLocked resolves an advertised machine by node name.
-func (p *Pool) machineByNameLocked(name string) *machine {
+// machineByName resolves an advertised machine by node name.
+func (p *Pool) machineByName(name string) *machine {
 	if name == "" {
 		return nil
 	}

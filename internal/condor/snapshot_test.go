@@ -249,14 +249,14 @@ func TestRestoredJobsCarrySubmitFields(t *testing.T) {
 	}
 	states := map[Status]int{}
 	for _, id := range ids {
-		got, want := submitFieldsOf(p2, p2.jobLocked(id)), submitFieldsOf(twin, twin.jobLocked(id))
+		got, want := submitFieldsOf(p2, p2.job(id)), submitFieldsOf(twin, twin.job(id))
 		if got != want {
 			t.Errorf("job %d restored with %+v,\n a submitted twin has %+v", id, got, want)
 		}
 		if want.need <= 0 || !want.hasOutput || !want.compiled {
 			t.Fatalf("job %d: vacuous twin %+v", id, want)
 		}
-		states[p2.jobLocked(id).status]++
+		states[p2.job(id).status]++
 	}
 	if states[StatusRunning] != 1 || states[StatusIdle] != 2 {
 		t.Fatalf("restored states %v, want one re-bound and two idle (one requeued, one queued)", states)

@@ -13,8 +13,8 @@ import (
 )
 
 // TestCompletionPathLayout pins what a completion reads of its machine:
-// Complete names runner and runnerPool, taskDone and releaseClaimLocked
-// read owner, and addFreeLocked tests the stale flag, then writes freeIdx
+// Complete names runner and runnerPool, taskDone and releaseClaim
+// read owner, and addFree tests the stale flag, then writes freeIdx
 // and viewDirty and appends to the bucket archKey names. They sit inside
 // one 64-byte span, so the machine costs a completion one cache line.
 func TestCompletionPathLayout(t *testing.T) {
@@ -210,9 +210,7 @@ func TestTerminalRecord(t *testing.T) {
 				}
 
 				sealed := func(p *Pool, which string) {
-					p.mu.Lock()
-					defer p.mu.Unlock()
-					if j := p.jobLocked(id); j.task != nil || j.matcher != nil || j.flow != nil || j.claimed {
+					if j := p.job(id); j.task != nil || j.matcher != nil || j.flow != nil || j.claimed {
 						t.Errorf("%s terminal record still holds task %v matcher %v flow %v claim %v",
 							which, j.task != nil, j.matcher != nil, j.flow != nil, j.claimed)
 					}

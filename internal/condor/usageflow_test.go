@@ -375,13 +375,11 @@ func TestFlowsMatchPerTickEagerOracle(t *testing.T) {
 				// and what is left of an account's rate after its flows were
 				// added and taken away, an ulp of it, shows.)
 				slack := 1e-9
-				sc.pool.mu.Lock()
 				for _, m := range sc.pool.machines {
 					if j := m.flowJob(sc.pool); j != nil {
 						slack += 0.5e-6 * sc.g.Engine.Now().Sub(sc.pool.timeOf(j.started)).Seconds()
 					}
 				}
-				sc.pool.mu.Unlock()
 				for _, tenant := range []string{"alice", "bob", "carol"} {
 					lazyU, eagerU := sc.mgr.Usage(tenant), eager.Usage(tenant)
 					if d := math.Abs(lazyU - eagerU); d > leg.tol*math.Max(lazyU, eagerU)+slack {

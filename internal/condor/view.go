@@ -12,15 +12,15 @@ func positionsOf(ordered []*job) map[int]int {
 	return pos
 }
 
-// queuePositionLocked returns j's 1-based place among the idle jobs in
+// queuePosition returns j's 1-based place among the idle jobs in
 // negotiation order, 0 when it is not idle: the stream is drained only up
 // to j, so a status query costs the jobs ahead of it and no map of the
 // queue.
-func (p *Pool) queuePositionLocked(j *job) int {
+func (p *Pool) queuePosition(j *job) int {
 	if j.status != StatusIdle {
 		return 0
 	}
-	s := p.negotiationStreamLocked(p.grid.Engine.Now())
+	s := p.negotiationStream(p.grid.Engine.Now())
 	for n := 1; ; n++ {
 		switch s.next() {
 		case j:
@@ -31,9 +31,9 @@ func (p *Pool) queuePositionLocked(j *job) int {
 	}
 }
 
-// snapshotLocked builds the JobInfo view of a job at queue position pos
+// snapshot builds the JobInfo view of a job at queue position pos
 // (0 for a job that is not idle).
-func (p *Pool) snapshotLocked(j *job, pos int) JobInfo {
+func (p *Pool) snapshot(j *job, pos int) JobInfo {
 	now := p.grid.Engine.Now()
 	info := JobInfo{
 		ID:               j.id,
@@ -49,8 +49,8 @@ func (p *Pool) snapshotLocked(j *job, pos int) JobInfo {
 		EstimatedRuntime: j.ad.Float(AttrEstimate, 0),
 		InputMB:          j.ad.Float(AttrInputMB, 0),
 		OutputMB:         j.ad.Float(AttrOutputMB, 0),
-		CPUSeconds:       p.cpuSecondsLocked(j),
-		WallClock:        p.wallClockLocked(j),
+		CPUSeconds:       p.cpuSeconds(j),
+		WallClock:        p.wallClock(j),
 	}
 	if j.host != nil {
 		info.Node = j.host.node.Name

@@ -27,14 +27,14 @@ func TestProducerCoversEveryStateField(t *testing.T) {
 	}
 	g := New(durableConfig())
 	var got []string
-	g.persistMu.Lock()
+	g.mu.Lock()
 	err := g.emitStateLocked(0, func(field string, value any) {
 		if i := len(got); i < st.NumField() && reflect.TypeOf(value) != st.Field(i).Type {
 			t.Errorf("section %d (%q) emitted as %T, want %v", i, field, value, st.Field(i).Type)
 		}
 		got = append(got, field)
 	})
-	g.persistMu.Unlock()
+	g.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)
 	}

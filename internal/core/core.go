@@ -87,7 +87,18 @@ type Config struct {
 	FairShare *fairshare.Config
 }
 
-// GAE is a fully wired Grid Analysis Environment.
+// GAE is a fully wired Grid Analysis Environment. It is the one owner of
+// the deployment's state: every entry into it — each call of a client's
+// method rows (g.Client, the Clarens host's handlers, a federation's site
+// hosts), Run and RunUntilDone, Checkpoint and CaptureState, and the
+// recovery AttachStore runs — holds its one lock, and Run gives the lock
+// up at every boundary it processes. The services below it hold no lock
+// of their own.
+//
+// The exported fields reach the services directly, around that lock: they
+// are for single-goroutine use — building a deployment, experiments and
+// examples that drive it on one goroutine — never beside a serving host
+// or a Run on another goroutine.
 type GAE struct {
 	Grid      *simgrid.Grid
 	MonALISA  *monalisa.Repository
@@ -109,15 +120,16 @@ type GAE struct {
 	obs   *rpcObserver         // per-method RPC handles over Telemetry
 	trace *telemetry.TraceRing // recent RPC spans, served at /debug/rpcs
 
-	// persistMu orders every mutation: a journaled RPC holds it from the
-	// window lookup to the window record (journal.Begin to End), Checkpoint and
-	// CaptureState across the capture, so no mutation straddles a
-	// checkpoint (applied before the capture but journaled after it —
-	// which replay would then apply twice). It guards store and idem;
-	// recovery runs without it, on one goroutine, before serving starts.
-	persistMu sync.Mutex
-	store     *durable.Store
-	idem      *idemWindow
+	// mu is the deployment's one lock. A call holds it from journal.Begin
+	// to End — a mutation from the window lookup to the window record —
+	// Run for one boundary at a time, Checkpoint and CaptureState across
+	// the capture, so no mutation straddles a checkpoint (applied before
+	// the capture but journaled after it — which replay would then apply
+	// twice), and AttachStore across recovery. It guards every service's
+	// state, store and idem.
+	mu    sync.Mutex
+	store *durable.Store
+	idem  *idemWindow
 
 	// durabilityLost fires (once) when a journal enqueue or fsync fails
 	// after its mutation already applied in memory. From that moment the
@@ -258,7 +270,9 @@ func New(cfg Config) *GAE {
 			panic(err)
 		}
 		if u.Credits > 0 {
-			q.Grant(u.Name, u.Credits)
+			if err := q.Grant(u.Name, u.Credits); err != nil {
+				panic(err)
+			}
 		}
 		if u.Admin {
 			g.Steering.Sessions.GrantAdmin(u.Name)
@@ -351,13 +365,38 @@ func (g *GAE) Stop() error { return g.Clarens.Stop() }
 func (g *GAE) Handler() http.Handler { return g.Clarens }
 
 // RunUntilDone advances simulated time until the plan reaches a terminal
-// state or max simulated time passes.
+// state or max simulated time passes. It runs Engine.RunUntil under the
+// deployment's lock and gives the lock up for a moment before each look
+// at the plan, which comes after every boundary: it holds the lock for one
+// boundary at a time, and looks at the plan under it.
 func (g *GAE) RunUntilDone(cp *scheduler.ConcretePlan, max time.Duration) error {
-	return g.Grid.Engine.RunUntil(func() bool { d, _ := cp.Done(); return d }, max)
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.Grid.Engine.RunUntil(func() bool {
+		g.mu.Unlock()
+		g.mu.Lock()
+		d, _ := cp.Done()
+		return d
+	}, max)
 }
 
-// Run advances simulated time by d.
-func (g *GAE) Run(d time.Duration) { g.Grid.Engine.RunFor(d) }
+// Run advances simulated time by d, as Engine.RunFor does, holding the
+// deployment's lock for one boundary at a time: a call waiting on the
+// lock gets it between two boundaries.
+func (g *GAE) Run(d time.Duration) {
+	g.mu.Lock()
+	limit := g.Grid.Engine.Horizon(d)
+	g.mu.Unlock()
+	for g.advance(limit) {
+	}
+}
+
+// advance is one Engine.Advance under the deployment's lock.
+func (g *GAE) advance(limit time.Time) bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.Grid.Engine.Advance(limit)
+}
 
 // Now returns the current simulated time.
 func (g *GAE) Now() time.Time { return g.Grid.Engine.Now() }

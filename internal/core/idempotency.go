@@ -32,9 +32,8 @@ type idemUserWin struct {
 }
 
 // idemWindow is the deployment-wide duplicate-suppression state. It has
-// no lock of its own: journal, Checkpoint and CaptureState reach it
-// under GAE.persistMu, and recovery (RestoreState, ApplyOp) runs on one
-// goroutine before serving starts. It is exported into every snapshot, so
+// no lock of its own: journal, Checkpoint, CaptureState and recovery
+// reach it under the deployment's lock (GAE.mu). It is exported into every snapshot, so
 // duplicate suppression survives a restart that falls between a call's
 // first delivery and its retry.
 //

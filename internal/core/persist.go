@@ -48,6 +48,8 @@ const DefaultLeaseTTL = 10 * time.Minute
 // tail replay — and every subsequent mutating RPC is journaled. Attach at
 // most once, before serving traffic.
 func (g *GAE) AttachStore(s *durable.Store) error {
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	s.SetTelemetry(g.Telemetry)
 	snap, tail := s.TakeRecovery()
 	if snap != nil {
@@ -60,20 +62,18 @@ func (g *GAE) AttachStore(s *durable.Store) error {
 			return fmt.Errorf("core: replaying journal op %d (%s.%s): %w", op.Seq, op.Service, op.Method, err)
 		}
 	}
-	g.persistMu.Lock()
 	g.store = s
-	g.persistMu.Unlock()
 	return nil
 }
 
 // Checkpoint streams the deployment state into the store — live state
 // into the snapshot, the ledger entries billed since the last checkpoint
 // into the history segment — and truncates the journal it supersedes. It
-// holds persistMu, so no journaled RPC applies while the state is read.
+// holds the deployment's lock, so no call applies while the state is read.
 // Without an attached store it does nothing.
 func (g *GAE) Checkpoint() error {
-	g.persistMu.Lock()
-	defer g.persistMu.Unlock()
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	if g.store == nil {
 		return nil
 	}
@@ -84,8 +84,8 @@ func (g *GAE) Checkpoint() error {
 // canonical (sorted, settled) snapshot form. The recovery test suite
 // compares its encoded bytes across a kill and restart.
 func (g *GAE) CaptureState() (durable.State, error) {
-	g.persistMu.Lock()
-	defer g.persistMu.Unlock()
+	g.mu.Lock()
+	defer g.mu.Unlock()
 	return durable.CollectState(func(emit durable.Emit) error { return g.emitStateLocked(0, emit) })
 }
 
@@ -295,18 +295,20 @@ func journalArg(args xmlrpc.Params, i int, dst any) error {
 	return nil
 }
 
-// journal is the gae.Journal of a client acting as userOf resolves: it
-// suppresses duplicates and journals each call that succeeded, which is
-// acknowledged only once its record is fsynced, so every acknowledged
-// mutation survives a crash. The record's arguments are the call's wire
-// arguments, as its row resolves them from the result.
+// journal is the gae.Journal of a client acting as userOf resolves: every
+// call, read or write, holds the deployment's lock from Begin to End. A
+// mutating call it also journals, suppressing duplicates and journaling
+// each call that succeeded, which is acknowledged only once its record is
+// fsynced, so every acknowledged mutation survives a crash. The record's
+// arguments are the call's wire arguments, as its row resolves them from
+// the result.
 //
-// Begin takes persistMu and looks the request ID up in the per-user
-// window; End enqueues the applied call's record, records its result in
-// the window and releases the lock, so journal order is apply order, then
-// waits for the fsync concurrent calls share. A delivery whose ID the
-// window holds — the retry of an ack-lost call, or a duplicate of one still
-// waiting on its fsync — gets the recorded result without re-applying,
+// Begin takes the lock and, for a mutation, looks the request ID up in the
+// per-user window; End enqueues the applied call's record, records its
+// result in the window and releases the lock, so journal order is apply
+// order, then waits for the fsync concurrent calls share. A delivery whose
+// ID the window holds — the retry of an ack-lost call, or a duplicate of
+// one still waiting on its fsync — gets the recorded result without re-applying,
 // once everything enqueued so far is durable. A failed fsync fails every
 // caller waiting on it, duplicates included, until the next checkpoint
 // persists what was applied. A call whose enqueue failed is not recorded:
@@ -316,9 +318,14 @@ type journal struct {
 	userOf gae.UserResolver
 }
 
-func (j *journal) Begin(ctx context.Context, op string) (gae.Pending, error) {
-	p := gae.Pending{Op: op, User: j.userOf(ctx), RequestID: clarens.RequestID(ctx), Start: time.Now()} //lint:walltime telemetry: real RPC latency span, never read back into deployment state
-	j.g.persistMu.Lock()
+func (j *journal) Begin(ctx context.Context, m *gae.Method) (gae.Pending, error) {
+	if !m.Mutates {
+		j.g.mu.Lock()
+		return gae.Pending{Op: m.Op}, nil
+	}
+	op := m.Op
+	p := gae.Pending{Op: op, Mutates: true, User: j.userOf(ctx), RequestID: clarens.RequestID(ctx), Start: time.Now()} //lint:walltime telemetry: real RPC latency span, never read back into deployment state
+	j.g.mu.Lock()
 	p.Journaling = j.g.store != nil
 	p.Recording = p.RequestID != "" && p.User != ""
 	if p.Recording {
@@ -332,13 +339,18 @@ func (j *journal) Begin(ctx context.Context, op string) (gae.Pending, error) {
 	return p, nil
 }
 
-// End closes the call Begin opened and records its span with the op's
-// request, error and latency observations. The handler stage runs from
-// Begin until the service returned, so it includes the wait for
-// persistMu; the journal stage runs from there to the end once an enqueue
-// was attempted; a window hit ran neither.
+// End closes the call Begin opened: a read's by releasing the lock, a
+// mutation's also by recording its span with the op's request, error and
+// latency observations. The handler stage runs from Begin until the
+// service returned, so it includes the wait for the lock; the journal
+// stage runs from there to the end once an enqueue was attempted; a window
+// hit ran neither.
 func (j *journal) End(p gae.Pending, args []any, result []byte, err error) error {
 	g := j.g
+	if !p.Mutates {
+		g.mu.Unlock()
+		return err
+	}
 	span := telemetry.Span{RequestID: p.RequestID, Method: p.Op, User: p.User, Start: p.Start, Dedup: p.Acked && err == nil}
 	store := g.store
 	appending := false
@@ -366,7 +378,7 @@ func (j *journal) End(p gae.Pending, args []any, result []byte, err error) error
 			g.idem.record(p.User, p.RequestID, p.Op, result, span.Seq, now)
 		}
 	}
-	g.persistMu.Unlock()
+	g.mu.Unlock()
 	if err == nil && store != nil {
 		if err = store.Wait(batch); err != nil {
 			g.durabilityLost(err)

@@ -389,6 +389,12 @@ func serveRaw(t *testing.T, g *GAE, method string, args ...any) []byte {
 // serveDoc serves one request document on g's Clarens host, as alice.
 func serveDoc(t *testing.T, g *GAE, body []byte) []byte {
 	t.Helper()
+	return serveDocAs(t, g, "alice", "pw", body)
+}
+
+// serveDocAs is serveDoc logged in as user.
+func serveDocAs(t *testing.T, g *GAE, user, pass string, body []byte) []byte {
+	t.Helper()
 	post := func(token string, body []byte) []byte {
 		req := httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(body))
 		req.Header.Set(clarens.SessionHeader, token)
@@ -396,7 +402,7 @@ func serveDoc(t *testing.T, g *GAE, body []byte) []byte {
 		g.Handler().ServeHTTP(rec, req)
 		return rec.Body.Bytes()
 	}
-	login, err := xmlrpc.EncodeRequest("system.auth", []any{"alice", "pw"})
+	login, err := xmlrpc.EncodeRequest("system.auth", []any{user, pass})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -213,8 +213,7 @@ func (q quotaAPI) Grant(ctx context.Context, user string, credits float64) error
 	if user == "" {
 		return fmt.Errorf("quota: grant for empty user")
 	}
-	q.g.Quota.Grant(user, credits)
-	return nil
+	return q.g.Quota.Grant(user, credits)
 }
 
 func (q quotaAPI) ChargeUsage(ctx context.Context, req gae.ChargeRequest) (float64, error) {

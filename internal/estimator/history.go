@@ -28,7 +28,6 @@ package estimator
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/durable"
 )
@@ -55,9 +54,8 @@ func Validate(r TaskRecord) error {
 	return nil
 }
 
-// History is a bounded, concurrency-safe store of completed-task records.
+// History is a bounded store of completed-task records.
 type History struct {
-	mu      sync.RWMutex
 	records []TaskRecord
 	cap     int
 }
@@ -73,8 +71,6 @@ func (h *History) Add(r TaskRecord) error {
 	if err := Validate(r); err != nil {
 		return err
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	h.records = append(h.records, r)
 	if h.cap > 0 && len(h.records) > h.cap {
 		h.records = h.records[len(h.records)-h.cap:]
@@ -84,18 +80,14 @@ func (h *History) Add(r TaskRecord) error {
 
 // Len returns the record count.
 func (h *History) Len() int {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
 	return len(h.records)
 }
 
 // similarRuns returns the runtimes and requested CPU-hours of the
 // successful records that agree with target on every attribute of tpl, in
 // insertion order: the two columns an estimate computes on, sized by a
-// counting pass, so no record is copied out from under the lock.
+// counting pass, so no record is copied.
 func (h *History) similarRuns(tpl Template, target *TaskRecord) (runtimes, reqs []float64) {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
 	similar := func(r *TaskRecord) bool { return r.Succeeded && tpl.matches(target, r) }
 	n := 0
 	for i := range h.records {

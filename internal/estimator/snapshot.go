@@ -5,16 +5,12 @@ import "slices"
 // Export copies the history's records in insertion order for the durable
 // snapshot codec.
 func (h *History) Export() []TaskRecord {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
 	return slices.Clone(h.records)
 }
 
 // Restore replaces the history's contents with exported records,
 // re-applying the capacity bound.
 func (h *History) Restore(records []TaskRecord) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	if h.cap > 0 && len(records) > h.cap {
 		records = records[len(records)-h.cap:]
 	}

@@ -28,7 +28,6 @@ package fairshare
 
 import (
 	"math"
-	"sync"
 	"time"
 
 	"repro/internal/vtime"
@@ -131,9 +130,8 @@ type Tenant struct {
 // usage, and each tenant the instant it was last allocated a machine.
 // Callers on a hot path resolve a tenant's name once (Tenant) and hand the
 // handle to OpenFlow, ObserveStart and the refs of AppendSortKeys, which
-// then look nothing up by name. All methods are safe for concurrent use.
+// then look nothing up by name.
 type Manager struct {
-	mu     sync.Mutex
 	clock  vtime.Clock
 	cfg    Config
 	groups map[string]*account
@@ -184,9 +182,7 @@ func (m *Manager) SetGroup(name string, weight float64) {
 	if weight <= 0 {
 		panic("fairshare: non-positive group weight")
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	g := m.groupLocked(name)
+	g := m.group(name)
 	g.weight = weight
 	m.epGen++
 }
@@ -203,22 +199,20 @@ func (m *Manager) SetTenant(name, group string, weight float64) {
 	if group == "" {
 		group = defaultGroup
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	t := m.tenantLocked(name)
+	t := m.tenant(name)
 	t.weight = weight
 	if t.group != group {
-		now := m.nowLocked()
-		m.decayLocked(&t.account, now)
+		now := m.nanos()
+		m.decay(&t.account, now)
 		old := t.g
-		m.decayLocked(old, now)
+		m.decay(old, now)
 		old.usage -= t.usage
 		if old.usage < 0 {
 			old.usage = 0
 		}
 		old.rate -= t.rate
-		next := m.groupLocked(group)
-		m.decayLocked(next, now)
+		next := m.group(group)
+		m.decay(next, now)
 		next.usage += t.usage
 		next.rate += t.rate
 		t.group, t.g = group, next
@@ -236,18 +230,16 @@ func (m *Manager) RecordUsage(tenant, site string, cpuSeconds float64) {
 		return
 	}
 	tenant = tenantName(tenant)
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.epGen++
-	now := m.nowLocked()
-	t := m.tenantLocked(tenant)
-	m.decayLocked(&t.account, now)
+	now := m.nanos()
+	t := m.tenant(tenant)
+	m.decay(&t.account, now)
 	t.usage += cpuSeconds
-	m.decayLocked(t.g, now)
+	m.decay(t.g, now)
 	t.g.usage += cpuSeconds
 	if site != "" {
-		s := m.siteLocked(t, site, now)
-		m.decayLocked(s, now)
+		s := m.site(t, site, now)
+		m.decay(s, now)
 		s.usage += cpuSeconds
 	}
 }
@@ -255,26 +247,22 @@ func (m *Manager) RecordUsage(tenant, site string, cpuSeconds float64) {
 // Usage returns the tenant's decayed CPU-second usage (0 for unknown
 // tenants).
 func (m *Manager) Usage(tenant string) float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	t, ok := m.tenants[tenantName(tenant)]
 	if !ok {
 		return 0
 	}
-	m.decayLocked(&t.account, m.nowLocked())
+	m.decay(&t.account, m.nanos())
 	return t.usage
 }
 
 // GroupUsage returns the group's decayed CPU-second usage, aggregated
 // over its tenants (0 for unknown groups).
 func (m *Manager) GroupUsage(group string) float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	g, ok := m.groups[group]
 	if !ok {
 		return 0
 	}
-	m.decayLocked(g, m.nowLocked())
+	m.decay(g, m.nanos())
 	return g.usage
 }
 
@@ -282,8 +270,6 @@ func (m *Manager) GroupUsage(group string) float64 {
 // SiteStanding implementation the scheduler uses as its site-selection
 // tie-break.
 func (m *Manager) SiteUsage(tenant, site string) float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	t, ok := m.tenants[tenantName(tenant)]
 	if !ok {
 		return 0
@@ -292,7 +278,7 @@ func (m *Manager) SiteUsage(tenant, site string) float64 {
 	if !ok {
 		return 0
 	}
-	m.decayLocked(s, m.nowLocked())
+	m.decay(s, m.nanos())
 	return s.usage
 }
 
@@ -303,18 +289,16 @@ func (m *Manager) SiteUsage(tenant, site string) float64 {
 // factor. Higher is better. Unknown tenants score as fresh default-weight
 // tenants.
 func (m *Manager) EffectivePriority(tenant string) float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.effectiveAtLocked(m.tenants[tenantName(tenant)], m.nowLocked())
+	return m.effectiveAt(m.tenants[tenantName(tenant)], m.nanos())
 }
 
-// effectiveAtLocked returns t's effective priority at now, from t's memo
+// effectiveAt returns t's effective priority at now, from t's memo
 // when the memo generation still holds. A nil t, or one not registered, is
 // an unknown tenant: it scores as a fresh default-weight member of the
 // default group without being registered (registration happens on
 // RecordUsage, SetTenant, a start or a flow's first running instant, so a
 // typo'd query can't mint ghost tenants); a nil t has no memo.
-func (m *Manager) effectiveAtLocked(t *Tenant, now int64) float64 {
+func (m *Manager) effectiveAt(t *Tenant, now int64) float64 {
 	if now != m.epAt {
 		m.epAt = now
 		m.epGen++
@@ -325,14 +309,14 @@ func (m *Manager) effectiveAtLocked(t *Tenant, now int64) float64 {
 	tw, tu := defaultWeight, 0.0
 	var g *account
 	if t != nil && t.g != nil {
-		m.decayLocked(&t.account, now)
+		m.decay(&t.account, now)
 		tw, tu, g = t.weight, t.usage, t.g
 	} else {
 		g = m.groups[defaultGroup]
 	}
 	gw, gu := defaultWeight, 0.0
 	if g != nil {
-		m.decayLocked(g, now)
+		m.decay(g, now)
 		gw, gu = g.weight, g.usage
 	}
 	const u = usageScale
@@ -343,14 +327,14 @@ func (m *Manager) effectiveAtLocked(t *Tenant, now int64) float64 {
 	return ep
 }
 
-// decayLocked brings an account's usage forward to now: the recorded
+// decay brings an account's usage forward to now: the recorded
 // usage decays exponentially, and any constant-rate flow inflow over the
 // elapsed window accrues in closed form. With u' = rate − λ·u and
 // λ = ln2/HalfLife, the interval solution is
 // u(now) = u·2^(−dt/HL) + rate·(HL/ln2)·(1 − 2^(−dt/HL)); with decay
 // disabled it degenerates to u += rate·dt. When no flows feed the
 // account (rate == 0) this is exactly the pre-flow settle, bit for bit.
-func (m *Manager) decayLocked(a *account, now int64) {
+func (m *Manager) decay(a *account, now int64) {
 	if a.last == unsettled {
 		a.last = now
 		return
@@ -378,12 +362,12 @@ func (m *Manager) decayLocked(a *account, now int64) {
 	a.usage = u
 }
 
-// nowLocked reads the clock in Unix nanoseconds, the unit accounts settle in.
-func (m *Manager) nowLocked() int64 { return m.clock.Now().UnixNano() }
+// nanos reads the clock in Unix nanoseconds, the unit accounts settle in.
+func (m *Manager) nanos() int64 { return m.clock.Now().UnixNano() }
 
-// groupLocked returns the named group, creating it with the default
+// group returns the named group, creating it with the default
 // weight on first reference.
-func (m *Manager) groupLocked(name string) *account {
+func (m *Manager) group(name string) *account {
 	g, ok := m.groups[name]
 	if !ok {
 		g = &account{weight: defaultWeight, last: unsettled}
@@ -408,8 +392,6 @@ func tenantName(s string) string {
 // usage or start registers in place.
 func (m *Manager) Tenant(name string) *Tenant {
 	name = tenantName(name)
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if t, ok := m.tenants[name]; ok {
 		return t
 	}
@@ -421,33 +403,33 @@ func (m *Manager) Tenant(name string) *Tenant {
 	return t
 }
 
-// tenantLocked returns the named tenant, auto-registering unknown ones in
+// tenant returns the named tenant, auto-registering unknown ones in
 // the default group with the default weight.
-func (m *Manager) tenantLocked(name string) *Tenant {
+func (m *Manager) tenant(name string) *Tenant {
 	name = tenantName(name)
 	t, ok := m.tenants[name]
 	if !ok {
 		if t, ok = m.unregistered[name]; !ok {
 			t = &Tenant{name: name}
 		}
-		m.registerLocked(t)
+		m.register(t)
 	}
 	return t
 }
 
-// registerLocked enters t, named but otherwise blank, as a fresh tenant of
+// register enters t, named but otherwise blank, as a fresh tenant of
 // the default group with the default weight.
-func (m *Manager) registerLocked(t *Tenant) {
+func (m *Manager) register(t *Tenant) {
 	t.account = account{weight: defaultWeight, last: unsettled}
-	t.group, t.g = defaultGroup, m.groupLocked(defaultGroup)
+	t.group, t.g = defaultGroup, m.group(defaultGroup)
 	t.sites = make(map[string]*account)
 	delete(m.unregistered, t.name)
 	m.tenants[t.name] = t
 }
 
-// siteLocked returns t's account at site, creating it settled at now on
+// site returns t's account at site, creating it settled at now on
 // first reference.
-func (m *Manager) siteLocked(t *Tenant, site string, now int64) *account {
+func (m *Manager) site(t *Tenant, site string, now int64) *account {
 	s, ok := t.sites[site]
 	if !ok {
 		s = &account{last: now}

@@ -68,11 +68,9 @@ func (m *Manager) OpenFlow(t *Tenant, site string, rate float64) UsageFlow {
 	if rate < 0 {
 		rate = 0
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	now := m.nowLocked()
+	now := m.nanos()
 	f := &flow{m: m, t: t, site: site, since: now}
-	m.setFlowRateLocked(f, rate, now)
+	m.setFlowRate(f, rate, now)
 	return f
 }
 
@@ -82,19 +80,15 @@ func (f *flow) SetRate(rate float64) {
 		rate = 0
 	}
 	m := f.m
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if f.since == flowClosed {
 		return
 	}
-	m.setFlowRateLocked(f, rate, m.nowLocked())
+	m.setFlowRate(f, rate, m.nanos())
 }
 
-// setFlowRateLocked settles the accounts f feeds through now at the old
-// rate, then swaps in the new one. It is a Manager method — the mutex
-// it runs under is m.mu, not anything of the flow's — so the *Locked
-// suffix names whose lock is held.
-func (m *Manager) setFlowRateLocked(f *flow, rate float64, now int64) {
+// setFlowRate settles the accounts f feeds through now at the old
+// rate, then swaps in the new one.
+func (m *Manager) setFlowRate(f *flow, rate float64, now int64) {
 	f.emitted += f.rate * time.Duration(now-f.since).Seconds()
 	delta := rate - f.rate
 	f.rate = rate
@@ -103,24 +97,24 @@ func (m *Manager) setFlowRateLocked(f *flow, rate float64, now int64) {
 		return
 	}
 	m.epGen++
-	t := m.flowTenantLocked(f)
-	m.decayLocked(&t.account, now)
+	t := m.flowTenant(f)
+	m.decay(&t.account, now)
 	t.rate += delta
-	m.decayLocked(t.g, now)
+	m.decay(t.g, now)
 	t.g.rate += delta
 	if f.site != "" {
 		if f.s == nil {
-			f.s = m.siteLocked(t, f.site, now)
+			f.s = m.site(t, f.site, now)
 		}
-		m.decayLocked(f.s, now)
+		m.decay(f.s, now)
 		f.s.rate += delta
 	}
 }
 
-// flowTenantLocked returns f's tenant, registering it on first use.
-func (m *Manager) flowTenantLocked(f *flow) *Tenant {
+// flowTenant returns f's tenant, registering it on first use.
+func (m *Manager) flowTenant(f *flow) *Tenant {
 	if f.t.g == nil {
-		m.registerLocked(f.t)
+		m.register(f.t)
 	}
 	return f.t
 }
@@ -128,26 +122,24 @@ func (m *Manager) flowTenantLocked(f *flow) *Tenant {
 // Close implements UsageFlow.
 func (f *flow) Close(total float64) {
 	m := f.m
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if f.since == flowClosed {
 		return
 	}
-	now := m.nowLocked()
-	m.setFlowRateLocked(f, 0, now)
+	now := m.nanos()
+	m.setFlowRate(f, 0, now)
 	f.since = flowClosed
 	residual := total - f.emitted
 	if residual == 0 {
 		return
 	}
 	m.epGen++
-	t := m.flowTenantLocked(f)
-	m.decayLocked(&t.account, now)
+	t := m.flowTenant(f)
+	m.decay(&t.account, now)
 	t.usage += residual
 	if t.usage < 0 {
 		t.usage = 0
 	}
-	m.decayLocked(t.g, now)
+	m.decay(t.g, now)
 	t.g.usage += residual
 	if t.g.usage < 0 {
 		t.g.usage = 0
@@ -157,7 +149,7 @@ func (f *flow) Close(total float64) {
 		s = t.sites[f.site] // a flow that never ran made no site account; another may have
 	}
 	if s != nil {
-		m.decayLocked(s, now)
+		m.decay(s, now)
 		s.usage += residual
 		if s.usage < 0 {
 			s.usage = 0

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"slices"
 	"strconv"
-	"sync"
 	"testing"
 	"time"
 	"unsafe"
@@ -276,51 +275,17 @@ func TestZeroRateFlowRegistersNothing(t *testing.T) {
 	}
 }
 
-// TestConcurrentFlowsBesideReaders opens, re-rates and closes flows and
-// observes starts on several goroutines, each through its tenant's handle,
-// while others advance the clock, price sort keys by name and by handle,
-// move tenants between groups and export. Rates, totals and clock steps
-// are whole numbers, so the books are exact: at the end each tenant's
-// usage is the sum of its closed flows' totals. Run under -race by make
-// race-smoke.
+// TestConcurrentFlowsBesideReaders keeps one flow per tenant open at once
+// and opens, re-rates and closes them and observes starts, each through
+// its tenant's handle, interleaved with clock steps, sort keys priced by
+// name and by handle, tenants moved between groups and exports. Rates,
+// totals and clock steps are whole numbers, so the books are exact: at
+// the end each tenant's usage is the sum of its closed flows' totals.
 func TestConcurrentFlowsBesideReaders(t *testing.T) {
 	m, clock := newTestManager(Config{HalfLife: -1, StarvationWindow: time.Second})
 	tenants := []string{"atlas", "cms", "lhcb", "alice"}
 	const flowsEach = 200
-	var wg sync.WaitGroup
 	totals := make([]float64, len(tenants))
-	for w, tenant := range tenants {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			h := m.Tenant(tenant)
-			for i := 0; i < flowsEach; i++ {
-				m.ObserveStart(h, clock.Now())
-				f := m.OpenFlow(h, "site"+strconv.Itoa(i%3), float64(i%3))
-				f.SetRate(float64(i % 5))
-				total := float64(i % 7)
-				f.Close(total)
-				totals[w] += total
-			}
-		}()
-	}
-	stop := make(chan struct{})
-	var readers sync.WaitGroup
-	reader := func(do func(i int)) {
-		readers.Add(1)
-		go func() {
-			defer readers.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-					do(i)
-				}
-			}
-		}()
-	}
-	reader(func(int) { clock.Advance(time.Second) })
 	refs := make([]JobRef, len(tenants))
 	for i, tenant := range tenants {
 		refs[i] = JobRef{Owner: tenant, Submitted: clock.Now(), Seq: i}
@@ -330,13 +295,27 @@ func TestConcurrentFlowsBesideReaders(t *testing.T) {
 		handled[i].Tenant = m.Tenant(handled[i].Owner)
 	}
 	var keys, hkeys []SortKey
-	reader(func(int) { keys = m.AppendSortKeys(keys[:0], clock.Now(), refs) })
-	reader(func(int) { hkeys = m.AppendSortKeys(hkeys[:0], clock.Now(), handled) })
-	reader(func(i int) { m.SetTenant(tenants[i%len(tenants)], "g"+strconv.Itoa(i%2), 1) })
-	reader(func(int) { m.Export() })
-	wg.Wait()
-	close(stop)
-	readers.Wait()
+	flows := make([]UsageFlow, len(tenants))
+	for i := 0; i < flowsEach; i++ {
+		for w, tenant := range tenants {
+			h := m.Tenant(tenant)
+			m.ObserveStart(h, clock.Now())
+			flows[w] = m.OpenFlow(h, "site"+strconv.Itoa(i%3), float64(i%3))
+		}
+		for w := range tenants {
+			clock.Advance(time.Second)
+			flows[w].SetRate(float64(i % 5))
+			keys = m.AppendSortKeys(keys[:0], clock.Now(), refs)
+			hkeys = m.AppendSortKeys(hkeys[:0], clock.Now(), handled)
+			m.SetTenant(tenants[(i+w)%len(tenants)], "g"+strconv.Itoa(i%2), 1)
+			m.Export()
+		}
+		for w := range tenants {
+			total := float64(i % 7)
+			flows[w].Close(total)
+			totals[w] += total
+		}
+	}
 	for w, tenant := range tenants {
 		if u := m.Usage(tenant); u != totals[w] {
 			t.Errorf("%s usage = %v, want %v, the sum of its closed flows' totals", tenant, u, totals[w])

@@ -59,7 +59,7 @@ func (m *Manager) SortKeysAt(now time.Time, refs []JobRef) []SortKey {
 }
 
 // AppendSortKeys computes each ref's standing at the given instant in a
-// single locked pass and appends the keys to dst. Among a starved tenant's
+// single pass and appends the keys to dst. Among a starved tenant's
 // refs, only the oldest is marked Starved: promoting one job per tenant per
 // pass bounds the guard to its purpose — guaranteeing progress — instead of
 // handing a starved tenant's whole backlog every machine that frees in the
@@ -69,8 +69,6 @@ func (m *Manager) AppendSortKeys(dst []SortKey, now time.Time, refs []JobRef) []
 	dst = slices.Grow(dst, len(refs))[:n+len(refs)]
 	keys := dst[n:]
 	clear(keys)
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	at := now.UnixNano()
 	starved := m.starved[:0]
 	for i, r := range refs {
@@ -78,8 +76,8 @@ func (m *Manager) AppendSortKeys(dst []SortKey, now time.Time, refs []JobRef) []
 		if t == nil {
 			t = m.tenants[tenantName(r.Owner)]
 		}
-		keys[i].Effective = m.effectiveAtLocked(t, at)
-		if m.cfg.StarvationWindow > 0 && m.starvedLocked(t, r, now) {
+		keys[i].Effective = m.effectiveAt(t, at)
+		if m.cfg.StarvationWindow > 0 && m.isStarved(t, r, now) {
 			starved = append(starved, i)
 		}
 	}
@@ -196,20 +194,18 @@ type StartObserver interface {
 // Tenant) was allocated a machine at the given time. The start lives on
 // the tenant's account, which it registers, so the export carries it.
 func (m *Manager) ObserveStart(t *Tenant, at time.Time) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if t.g == nil {
-		m.registerLocked(t)
+		m.register(t)
 	}
 	if at.After(t.lastStart) {
 		t.lastStart = at
 	}
 }
 
-// starvedLocked reports whether the job's wait and its owner's allocation
+// isStarved reports whether the job's wait and its owner's allocation
 // drought both exceed the starvation window; t is the owner's account, nil
 // when the owner is not known.
-func (m *Manager) starvedLocked(t *Tenant, r JobRef, now time.Time) bool {
+func (m *Manager) isStarved(t *Tenant, r JobRef, now time.Time) bool {
 	if now.Sub(r.Submitted) < m.cfg.StarvationWindow {
 		return false
 	}

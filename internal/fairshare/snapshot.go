@@ -12,8 +12,6 @@ import (
 // instant), so two exports of the same logical state at the same clock
 // reading are identical — the canonical form the recovery suite compares.
 func (m *Manager) Export() *durable.FairShareState {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	clk := m.clock.Now()
 	now, loc := clk.UnixNano(), clk.Location()
 	st := &durable.FairShareState{}
@@ -25,7 +23,7 @@ func (m *Manager) Export() *durable.FairShareState {
 	sort.Strings(groups)
 	for _, name := range groups {
 		g := m.groups[name]
-		m.decayLocked(g, now)
+		m.decay(g, now)
 		st.Groups = append(st.Groups, durable.FairShareAccount{
 			Name: name, Weight: g.weight, Usage: g.usage, Last: timeOf(g.last, loc),
 		})
@@ -38,7 +36,7 @@ func (m *Manager) Export() *durable.FairShareState {
 	sort.Strings(tenants)
 	for _, name := range tenants {
 		t := m.tenants[name]
-		m.decayLocked(&t.account, now)
+		m.decay(&t.account, now)
 		ft := durable.FairShareTenant{
 			FairShareAccount: durable.FairShareAccount{
 				Name: name, Weight: t.weight, Usage: t.usage, Last: timeOf(t.last, loc),
@@ -53,7 +51,7 @@ func (m *Manager) Export() *durable.FairShareState {
 		sort.Strings(sites)
 		for _, s := range sites {
 			a := t.sites[s]
-			m.decayLocked(a, now)
+			m.decay(a, now)
 			ft.Sites = append(ft.Sites, durable.FairShareAccount{
 				Name: s, Weight: a.weight, Usage: a.usage, Last: timeOf(a.last, loc),
 			})
@@ -76,8 +74,6 @@ func (m *Manager) Restore(st *durable.FairShareState) {
 	if st == nil {
 		return
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.epGen++
 	m.groups = make(map[string]*account, len(st.Groups))
 	for name, t := range m.tenants {
@@ -98,7 +94,7 @@ func (m *Manager) Restore(st *durable.FairShareState) {
 		}
 		t.account = restoredAccount(ts.FairShareAccount)
 		t.group = ts.Group
-		t.g = m.groupLocked(ts.Group) // the tenant's group exists even if it carried no usage
+		t.g = m.group(ts.Group) // the tenant's group exists even if it carried no usage
 		t.sites = make(map[string]*account, len(ts.Sites))
 		t.lastStart = ts.LastStart
 		for _, s := range ts.Sites {

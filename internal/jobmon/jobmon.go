@@ -32,7 +32,6 @@ package jobmon
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/condor"
@@ -56,7 +55,6 @@ type Service struct {
 	drainWake *simgrid.Wake
 	repo      *monalisa.Repository // nil disables publication
 
-	mu      sync.RWMutex
 	pools   map[string]*condor.Pool
 	records map[jobKey]condor.JobInfo
 	events  []condor.Event // terminal transitions awaiting Drain
@@ -88,17 +86,13 @@ func NewService(grid *simgrid.Grid, repo *monalisa.Repository) *Service {
 // happens — the repository's event log is bounded, a backlog here is not —
 // and only a terminal one, whose snapshot needs the pool, waits for Drain.
 func (s *Service) Watch(pool *condor.Pool) {
-	s.mu.Lock()
 	s.pools[pool.Name] = pool
-	s.mu.Unlock()
 	pool.Subscribe(func(e condor.Event) {
 		if !e.To.Terminal() {
 			s.publish(e)
 			return
 		}
-		s.mu.Lock()
 		s.events = append(s.events, e)
-		s.mu.Unlock()
 		s.drainWake.Request(s.engine.Now())
 	})
 }
@@ -114,8 +108,6 @@ func (s *Service) publish(e condor.Event) {
 
 // Pools returns the watched execution service names, sorted.
 func (s *Service) Pools() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	out := make([]string, 0, len(s.pools))
 	for name := range s.pools {
 		out = append(out, name)
@@ -126,9 +118,7 @@ func (s *Service) Pools() []string {
 
 // pool returns a watched execution service by name.
 func (s *Service) pool(name string) (*condor.Pool, error) {
-	s.mu.RLock()
 	p, ok := s.pools[name]
-	s.mu.RUnlock()
 	if !ok {
 		return nil, fmt.Errorf("jobmon: unknown execution service %q", name)
 	}
@@ -139,11 +129,8 @@ func (s *Service) pool(name string) (*condor.Pool, error) {
 // MonALISA, and the job's final snapshot is stored in the records and
 // published there.
 func (s *Service) Drain() {
-	s.mu.Lock()
 	events := s.events
 	s.events = nil
-	s.mu.Unlock()
-
 	for _, e := range events {
 		s.publish(e)
 		pool, err := s.pool(e.Pool)
@@ -154,9 +141,7 @@ func (s *Service) Drain() {
 		if err != nil {
 			continue // service down; the record stays live-only
 		}
-		s.mu.Lock()
 		s.records[jobKey{pool: info.Pool, id: info.ID}] = info
-		s.mu.Unlock()
 		if s.repo != nil {
 			src := monalisa.FormatJobSource(info.Pool, info.ID)
 			s.repo.PublishEvent(info.CompletionTime, src, "status", info.Status.String())
@@ -168,15 +153,12 @@ func (s *Service) Drain() {
 // Job resolves a job's monitoring information: the stored record first,
 // then the execution service.
 func (s *Service) Job(pool string, id int) (condor.JobInfo, error) {
-	s.mu.RLock()
-	info, stored := s.records[jobKey{pool: pool, id: id}]
-	p, ok := s.pools[pool]
-	s.mu.RUnlock()
-	if stored {
+	if info, stored := s.records[jobKey{pool: pool, id: id}]; stored {
 		return info, nil
 	}
-	if !ok {
-		return condor.JobInfo{}, fmt.Errorf("jobmon: unknown execution service %q", pool)
+	p, err := s.pool(pool)
+	if err != nil {
+		return condor.JobInfo{}, err
 	}
 	return p.Job(id)
 }

@@ -59,15 +59,11 @@ func submit(t *testing.T, pool *condor.Pool, cpu float64, prio int) int {
 
 // stored counts the finished-job records.
 func (s *Service) stored() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	return len(s.records)
 }
 
 // record fetches a finished-job record.
 func (s *Service) record(pool string, id int) (condor.JobInfo, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	info, ok := s.records[jobKey{pool: pool, id: id}]
 	return info, ok
 }
@@ -169,10 +165,7 @@ func TestLiveTransitionsAreNotBacklogged(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	svc.mu.Lock()
-	queued := len(svc.events)
-	svc.mu.Unlock()
-	if queued != 0 {
+	if queued := len(svc.events); queued != 0 {
 		t.Fatalf("collector queues %d events with no terminal transition among them", queued)
 	}
 	events := repo.Events(time.Time{}, monalisa.FormatJobSource("poolA", id))

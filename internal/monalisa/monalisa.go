@@ -16,7 +16,6 @@ package monalisa
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 )
 
@@ -44,9 +43,7 @@ type Event struct {
 }
 
 // Repository is the MonALISA store: bounded time series plus an event log.
-// All methods are safe for concurrent use.
 type Repository struct {
-	mu        sync.RWMutex
 	series    map[Metric][]Point
 	events    []Event
 	maxEvents int
@@ -83,8 +80,6 @@ func NewRepository(opts ...Option) *Repository {
 // Publish appends a sample to the metric's series.
 func (r *Repository) Publish(source, name string, t time.Time, v float64) {
 	m := Metric{Source: source, Name: name}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	s := append(r.series[m], Point{Time: t, Value: v})
 	if len(s) > seriesCap {
 		s = s[len(s)-seriesCap:]
@@ -94,8 +89,6 @@ func (r *Repository) Publish(source, name string, t time.Time, v float64) {
 
 // PublishEvent appends a discrete event (e.g. a job status transition).
 func (r *Repository) PublishEvent(t time.Time, source, kind, detail string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.events = append(r.events, Event{Time: t, Source: source, Kind: kind, Detail: detail})
 	if len(r.events) > r.maxEvents {
 		r.events = r.events[len(r.events)-r.maxEvents:]
@@ -105,8 +98,6 @@ func (r *Repository) PublishEvent(t time.Time, source, kind, detail string) {
 // Latest returns the most recent sample of the metric: the tail of its
 // series, one map lookup.
 func (r *Repository) Latest(source, name string) (Point, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	s := r.series[Metric{Source: source, Name: name}]
 	if len(s) == 0 {
 		return Point{}, false
@@ -126,8 +117,6 @@ func (r *Repository) LatestValue(source, name string, def float64) float64 {
 
 // Series returns the samples of a metric within [from, to], inclusive.
 func (r *Repository) Series(source, name string, from, to time.Time) []Point {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	s := r.series[Metric{Source: source, Name: name}]
 	out := make([]Point, 0, len(s))
 	for _, p := range s {
@@ -140,8 +129,6 @@ func (r *Repository) Series(source, name string, from, to time.Time) []Point {
 
 // Metrics lists every known metric, sorted by source then name.
 func (r *Repository) Metrics() []Metric {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	out := make([]Metric, 0, len(r.series))
 	for m := range r.series {
 		out = append(out, m)
@@ -158,8 +145,6 @@ func (r *Repository) Metrics() []Metric {
 // Events returns events since t (inclusive), optionally filtered by source
 // ("" matches all).
 func (r *Repository) Events(since time.Time, source string) []Event {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	var out []Event
 	for _, e := range r.events {
 		if e.Time.Before(since) {

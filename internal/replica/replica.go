@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"repro/internal/durable"
 	"repro/internal/estimator"
@@ -27,9 +26,8 @@ import (
 // catalog entry.
 type Location = durable.ReplicaLocation
 
-// Catalog is a concurrency-safe replica catalog.
+// Catalog is a replica catalog.
 type Catalog struct {
-	mu   sync.RWMutex
 	sets map[string]map[string]float64 // dataset → site → size
 }
 
@@ -46,8 +44,6 @@ func (c *Catalog) Register(dataset, site string, sizeMB float64) error {
 	if sizeMB < 0 || math.IsNaN(sizeMB) || math.IsInf(sizeMB, 0) {
 		return fmt.Errorf("replica: invalid size %v for %q", sizeMB, dataset)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	m, ok := c.sets[dataset]
 	if !ok {
 		m = make(map[string]float64)
@@ -59,8 +55,6 @@ func (c *Catalog) Register(dataset, site string, sizeMB float64) error {
 
 // Locations lists a dataset's replicas sorted by site.
 func (c *Catalog) Locations(dataset string) []Location {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	m := c.sets[dataset]
 	out := make([]Location, 0, len(m))
 	for site, size := range m {
@@ -72,8 +66,6 @@ func (c *Catalog) Locations(dataset string) []Location {
 
 // Datasets lists the catalogued dataset names, sorted.
 func (c *Catalog) Datasets() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	out := make([]string, 0, len(c.sets))
 	for d := range c.sets {
 		out = append(out, d)

@@ -12,9 +12,7 @@ func (c *Catalog) Export() []Location {
 
 // Restore overwrites the catalog with the exported entries.
 func (c *Catalog) Restore(locs []Location) error {
-	c.mu.Lock()
 	c.sets = make(map[string]map[string]float64)
-	c.mu.Unlock()
 	for _, l := range locs {
 		if err := c.Register(l.Dataset, l.Site, l.SizeMB); err != nil {
 			return err

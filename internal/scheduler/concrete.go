@@ -3,7 +3,6 @@ package scheduler
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 )
 
@@ -65,7 +64,6 @@ type Assignment struct {
 type ConcretePlan struct {
 	Plan *JobPlan
 
-	mu          sync.Mutex
 	assignments map[string]*Assignment
 }
 
@@ -79,8 +77,6 @@ func newConcretePlan(p *JobPlan) *ConcretePlan {
 
 // Assignment returns a copy of the named task's current assignment.
 func (cp *ConcretePlan) Assignment(taskID string) (Assignment, bool) {
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
 	a, ok := cp.assignments[taskID]
 	if !ok {
 		return Assignment{}, false
@@ -90,8 +86,6 @@ func (cp *ConcretePlan) Assignment(taskID string) (Assignment, bool) {
 
 // Assignments returns copies of all assignments sorted by task ID.
 func (cp *ConcretePlan) Assignments() []Assignment {
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
 	out := make([]Assignment, 0, len(cp.assignments))
 	for _, a := range cp.assignments {
 		out = append(out, *a)
@@ -103,8 +97,6 @@ func (cp *ConcretePlan) Assignments() []Assignment {
 // Done reports whether every task reached a terminal state, and whether
 // all of them completed successfully.
 func (cp *ConcretePlan) Done() (done, succeeded bool) {
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
 	succeeded = true
 	for _, a := range cp.assignments {
 		switch a.State {
@@ -120,8 +112,6 @@ func (cp *ConcretePlan) Done() (done, succeeded bool) {
 
 // hasPending reports whether any task still waits to be launched.
 func (cp *ConcretePlan) hasPending() bool {
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
 	for _, a := range cp.assignments {
 		if a.State == TaskPending {
 			return true
@@ -130,10 +120,8 @@ func (cp *ConcretePlan) hasPending() bool {
 	return false
 }
 
-// update mutates an assignment under the plan lock.
+// update mutates an assignment.
 func (cp *ConcretePlan) update(taskID string, fn func(*Assignment)) {
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
 	if a, ok := cp.assignments[taskID]; ok {
 		fn(a)
 	}

@@ -695,11 +695,7 @@ func TestPumpWalksPendingPlansOnly(t *testing.T) {
 		nodes int
 		load  float64
 	}{"siteA": {2, 0}})
-	pending := func() int {
-		f.sched.mu.Lock()
-		defer f.sched.mu.Unlock()
-		return len(f.sched.pending)
-	}
+	pending := func() int { return len(f.sched.pending) }
 	for i := 0; i < 1000; i++ {
 		if _, err := f.sched.Submit(&JobPlan{Name: fmt.Sprintf("p%d", i), Owner: "u", Tasks: []TaskPlan{task("a", 1e6)}}); err != nil {
 			t.Fatal(err)
@@ -741,26 +737,20 @@ func TestSubscriberQueuesOnlyWhatDrainActsOn(t *testing.T) {
 	if a.State != TaskSubmitted {
 		t.Fatalf("task a is %v after 5 s, want it submitted", a.State)
 	}
-	state := func() (queued int, gen uint64) {
-		f.sched.mu.Lock()
-		defer f.sched.mu.Unlock()
-		return len(f.sched.events), f.sched.backlogGen
-	}
-	_, gen0 := state()
+	pool := f.pools["siteA"]
 	for i := 0; i < 5000; i++ {
-		if err := f.pools["siteA"].Suspend(a.CondorID); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.pools["siteA"].Resume(a.CondorID); err != nil {
-			t.Fatal(err)
+		for _, transition := range []func(int) error{pool.Suspend, pool.Resume} {
+			f.sched.backlogCache["siteA"] = -1
+			if err := transition(a.CondorID); err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := f.sched.backlogCache["siteA"]; ok {
+				t.Fatalf("pause/resume %d left the site's cached backlog", i)
+			}
 		}
 	}
-	queued, gen := state()
-	if queued != 0 {
+	if queued := len(f.sched.events); queued != 0 {
 		t.Fatalf("the scheduler queues %d pause/resume events its drain would drop", queued)
-	}
-	if gen != gen0+10000 {
-		t.Fatalf("10000 transitions invalidated the backlog cache %d times", gen-gen0)
 	}
 	f.grid.Engine.RunFor(60 * time.Second)
 	if a, _ := cp.Assignment("a"); a.State != TaskCompleted {
@@ -768,10 +758,11 @@ func TestSubscriberQueuesOnlyWhatDrainActsOn(t *testing.T) {
 	}
 }
 
-// TestConcurrentSubmitsLaunchEachTaskOnce: Submit pumps on its caller's
-// goroutine, so concurrent submissions walk the pending plans at the same
-// time. Each task must still launch exactly once, on the site its
-// assignment names.
+// TestConcurrentSubmitsLaunchEachTaskOnce: submissions arrive on goroutines
+// of their own and take turns through one lock, as a deployment's callers
+// take turns through its owner's. Submit pumps on its caller's turn, so
+// each turn walks the plans the earlier turns left pending. Each task must
+// still launch exactly once, on the site its assignment names.
 func TestConcurrentSubmitsLaunchEachTaskOnce(t *testing.T) {
 	f := newFixture(t, map[string]struct {
 		nodes int
@@ -779,11 +770,14 @@ func TestConcurrentSubmitsLaunchEachTaskOnce(t *testing.T) {
 	}{"siteA": {4, 0}, "siteB": {4, 0}})
 	const n = 8
 	cps := make([]*ConcretePlan, n)
+	var owner sync.Mutex
 	var wg sync.WaitGroup
 	for i := range cps {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
+			owner.Lock()
+			defer owner.Unlock()
 			cp, err := f.sched.Submit(&JobPlan{Name: fmt.Sprintf("p%d", i), Owner: "u", Tasks: []TaskPlan{task("a", 100)}})
 			if err != nil {
 				t.Error(err)
@@ -823,20 +817,24 @@ func TestConcurrentSubmitsLaunchEachTaskOnce(t *testing.T) {
 	}
 }
 
-// TestConcurrentSubmitsOfOneName: of concurrent submissions of one plan
-// name, exactly one succeeds and the plan table holds one plan.
+// TestConcurrentSubmitsOfOneName: of submissions of one plan name from
+// goroutines taking turns through one lock, exactly one succeeds and the
+// plan table holds one plan.
 func TestConcurrentSubmitsOfOneName(t *testing.T) {
 	f := newFixture(t, map[string]struct {
 		nodes int
 		load  float64
 	}{"siteA": {4, 0}, "siteB": {4, 0}})
 	const n = 8
+	var owner sync.Mutex
 	var wg sync.WaitGroup
 	var won atomic.Int32
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			owner.Lock()
+			defer owner.Unlock()
 			if _, err := f.sched.Submit(&JobPlan{Name: "same", Owner: "u", Tasks: []TaskPlan{task("a", 100)}}); err == nil {
 				won.Add(1)
 			}

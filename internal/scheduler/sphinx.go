@@ -5,7 +5,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/classad"
@@ -51,11 +50,6 @@ type Scheduler struct {
 	replicas *replica.Catalog       // optional
 	fair     fairshare.SiteStanding // optional
 
-	// pumpMu serializes pump: two walks reading one task as pending
-	// would both launch it.
-	pumpMu sync.Mutex
-
-	mu    sync.Mutex
 	sites map[string]*SiteServices
 	// plans is the plan table: every submitted or restored plan by name,
 	// the one place a plan is registered and looked up.
@@ -74,11 +68,9 @@ type Scheduler struct {
 	// Entries are dropped whenever the site's queue changes at the same
 	// instant — on any pool event (completion, start, failure) and on
 	// scheduler-side submit/remove — so cached reads always equal what a
-	// fresh walk would return. backlogGen guards against a stale value
-	// computed concurrently with an invalidation being stored back.
+	// fresh walk would return.
 	backlogAt    time.Time
 	backlogCache map[string]float64
-	backlogGen   uint64
 
 	// Pre-resolved telemetry handles (nil without Config.Telemetry; nil
 	// instruments no-op).
@@ -152,29 +144,22 @@ func (s *Scheduler) RegisterSite(site string, svc *SiteServices) {
 	if svc.Runtime == nil {
 		svc.Runtime = estimator.NewRuntimeEstimator(estimator.NewHistory(0))
 	}
-	s.mu.Lock()
 	s.sites[site] = svc
-	s.mu.Unlock()
 	// Queue the transitions drainEvents acts on; they are processed at
-	// the scheduler's next engine wakeup to avoid re-entering the pool
-	// from inside its own lock. Any event means the site's queue changed,
-	// so its cached backlog is stale immediately.
+	// the scheduler's next engine wakeup rather than inside the pool's
+	// transition. Any event means the site's queue changed, so its cached
+	// backlog is stale immediately.
 	svc.Pool.Subscribe(func(e condor.Event) {
-		s.mu.Lock()
 		if e.To == condor.StatusCompleted || e.To == condor.StatusFailed {
 			s.events = append(s.events, e)
 		}
 		delete(s.backlogCache, site)
-		s.backlogGen++
-		s.mu.Unlock()
 		s.wake.Request(s.grid.Engine.Now())
 	})
 }
 
 // Sites returns registered site names, sorted.
 func (s *Scheduler) Sites() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	out := make([]string, 0, len(s.sites))
 	for name := range s.sites {
 		out = append(out, name)
@@ -185,8 +170,6 @@ func (s *Scheduler) Sites() []string {
 
 // SiteServicesFor returns the registered services for a site.
 func (s *Scheduler) SiteServicesFor(site string) (*SiteServices, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	svc, ok := s.sites[site]
 	return svc, ok
 }
@@ -194,7 +177,7 @@ func (s *Scheduler) SiteServicesFor(site string) (*SiteServices, bool) {
 // Submit validates an abstract plan, registers its concrete plan under
 // the plan's name in the plan table — a plan's one home (ROADMAP "A
 // finished job has one home, and what the system holds is bounded by
-// what is live") — and begins scheduling ready tasks. Of concurrent
+// what is live") — and begins scheduling ready tasks. Of several
 // submissions of one name exactly one succeeds (see add).
 func (s *Scheduler) Submit(plan *JobPlan) (*ConcretePlan, error) {
 	if err := plan.Validate(); err != nil {
@@ -211,11 +194,9 @@ func (s *Scheduler) Submit(plan *JobPlan) (*ConcretePlan, error) {
 // add registers cp in the plan table and hands it to pump; its submitted
 // tasks (a restored plan's) rejoin the job index, so pool completions find
 // their plan again. It is the one way a plan enters the table — Submit's
-// and RestorePlan's — and the name check and the registration are one
-// critical section, so no name ever holds two plans.
+// and RestorePlan's — and it refuses a name the table holds, so no name
+// ever holds two plans.
 func (s *Scheduler) add(cp *ConcretePlan) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if len(s.sites) == 0 {
 		return fmt.Errorf("scheduler: no registered sites")
 	}
@@ -237,20 +218,16 @@ func (s *Scheduler) add(cp *ConcretePlan) error {
 
 // Plan returns the registered plan by name.
 func (s *Scheduler) Plan(name string) (*ConcretePlan, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	cp, ok := s.plans[name]
 	return cp, ok
 }
 
 // Plans returns every registered plan, sorted by name.
 func (s *Scheduler) Plans() []*ConcretePlan {
-	s.mu.Lock()
 	out := make([]*ConcretePlan, 0, len(s.plans))
 	for _, cp := range s.plans {
 		out = append(out, cp)
 	}
-	s.mu.Unlock()
 	slices.SortFunc(out, func(a, b *ConcretePlan) int { return strings.Compare(a.Plan.Name, b.Plan.Name) })
 	return out
 }
@@ -268,14 +245,10 @@ func (s *Scheduler) onWake(now time.Time) {
 
 // drainEvents applies completion/failure events to assignments.
 func (s *Scheduler) drainEvents() {
-	s.mu.Lock()
 	events := s.events
 	s.events = nil
-	s.mu.Unlock()
 	for _, e := range events {
-		s.mu.Lock()
 		pt, ok := s.jobIndex[jobKey{pool: e.Pool, id: e.JobID}]
-		s.mu.Unlock()
 		if !ok {
 			continue
 		}
@@ -303,9 +276,7 @@ func (s *Scheduler) learnFrom(pt planTask) {
 	if !ok {
 		return
 	}
-	s.mu.Lock()
 	svc := s.sites[a.Site]
-	s.mu.Unlock()
 	if svc == nil || svc.Runtime == nil || svc.Runtime.History == nil {
 		return
 	}
@@ -354,19 +325,12 @@ func (s *Scheduler) registerOutput(pt planTask) {
 
 // pump launches every pending task whose dependencies completed, plan by
 // plan in submission order, and forgets the plans left with none. Submit
-// calls it on API goroutines and onWake on the engine's; one walk runs at
-// a time, and nothing under launch re-enters it.
+// and onWake call it; nothing under launch re-enters it or submits a plan.
 func (s *Scheduler) pump() {
-	s.pumpMu.Lock()
-	defer s.pumpMu.Unlock()
-	s.mu.Lock()
-	plans := make([]*ConcretePlan, len(s.pending))
-	copy(plans, s.pending)
-	s.mu.Unlock()
-	if len(plans) == 0 {
+	if len(s.pending) == 0 {
 		return
 	}
-	for _, cp := range plans {
+	for _, cp := range s.pending {
 		for _, t := range cp.Plan.Tasks {
 			a, ok := cp.Assignment(t.ID)
 			if !ok || a.State != TaskPending {
@@ -380,12 +344,8 @@ func (s *Scheduler) pump() {
 			}
 		}
 	}
-	// Re-derived under the lock rather than carried over from the walk:
-	// Submit may have appended a plan meanwhile; no task turns pending
-	// again, so a plan seen without one can go.
-	s.mu.Lock()
+	// No task turns pending again, so a plan seen without one can go.
 	s.pending = slices.DeleteFunc(s.pending, func(cp *ConcretePlan) bool { return !cp.hasPending() })
-	s.mu.Unlock()
 }
 
 func (s *Scheduler) depsDone(cp *ConcretePlan, t TaskPlan) bool {
@@ -430,7 +390,6 @@ func (s *Scheduler) SelectSite(t TaskPlan, exclude map[string]bool) (SiteEstimat
 // in the execution service). The returned slice holds every candidate for
 // explainability.
 func (s *Scheduler) SelectSiteFor(owner string, t TaskPlan, exclude map[string]bool) (SiteEstimate, []SiteEstimate, error) {
-	s.mu.Lock()
 	names := make([]string, 0, len(s.sites))
 	svcs := make([]*SiteServices, 0, len(s.sites))
 	for name := range s.sites {
@@ -442,7 +401,6 @@ func (s *Scheduler) SelectSiteFor(owner string, t TaskPlan, exclude map[string]b
 	for _, name := range names {
 		svcs = append(svcs, s.sites[name])
 	}
-	s.mu.Unlock()
 	if len(names) == 0 {
 		return SiteEstimate{}, nil, fmt.Errorf("scheduler: no eligible sites for task %q", t.ID)
 	}
@@ -514,26 +472,14 @@ func (s *Scheduler) runtimeEstimate(svc *SiteServices, t TaskPlan) float64 {
 // reuses the first walk.
 func (s *Scheduler) backlogSeconds(site string, svc *SiteServices) float64 {
 	now := s.grid.Engine.Now()
-	s.mu.Lock()
 	if !s.backlogAt.Equal(now) {
 		s.backlogAt = now
-		for k := range s.backlogCache {
-			delete(s.backlogCache, k)
-		}
+		clear(s.backlogCache)
 	} else if v, ok := s.backlogCache[site]; ok {
-		s.mu.Unlock()
 		return v
 	}
-	gen := s.backlogGen
-	s.mu.Unlock()
 	v := s.backlogSecondsUncached(svc)
-	s.mu.Lock()
-	// Store only if nothing invalidated while we walked the queue
-	// unlocked; otherwise the value may predate a concurrent change.
-	if s.backlogAt.Equal(now) && s.backlogGen == gen {
-		s.backlogCache[site] = v
-	}
-	s.mu.Unlock()
+	s.backlogCache[site] = v
 	return v
 }
 
@@ -625,28 +571,18 @@ func (s *Scheduler) stageAndSubmit(cp *ConcretePlan, t TaskPlan, est SiteEstimat
 	dst := s.grid.Site(site)
 	pending := 0
 	aborted := false
-	var mu sync.Mutex
 	submit := func() {
 		if err := s.submitTask(cp, t, est, cpuDone); err != nil {
 			cp.update(t.ID, func(a *Assignment) { a.State = TaskFailed })
 		}
 	}
 	done := func() {
-		mu.Lock()
-		pending--
 		// A later input in the loop may have failed to stage after this
 		// transfer was already in flight; the task was marked failed then,
 		// and the surviving transfers must not resurrect it by submitting.
-		ready := pending == 0 && !aborted
-		mu.Unlock()
-		if ready {
+		if pending--; pending == 0 && !aborted {
 			submit()
 		}
-	}
-	abort := func() {
-		mu.Lock()
-		aborted = true
-		mu.Unlock()
 	}
 	for _, f := range t.Inputs {
 		if dst != nil {
@@ -656,7 +592,7 @@ func (s *Scheduler) stageAndSubmit(cp *ConcretePlan, t TaskPlan, est SiteEstimat
 		}
 		srcSite, size, err := s.resolveInput(f, site)
 		if err != nil {
-			abort()
+			aborted = true
 			return fmt.Errorf("scheduler: staging %q to %s: %w", f.Name, site, err)
 		}
 		if srcSite == site {
@@ -677,20 +613,14 @@ func (s *Scheduler) stageAndSubmit(cp *ConcretePlan, t TaskPlan, est SiteEstimat
 			}
 			done()
 		}); err != nil {
-			abort()
+			aborted = true
 			return fmt.Errorf("scheduler: staging %q to %s: %w", f.Name, site, err)
 		}
-		// Counted only once the transfer is actually in flight (callbacks
-		// cannot fire before simulated time advances, so this cannot race
-		// the transfer completing).
-		mu.Lock()
+		// Counted only once the transfer is actually in flight: callbacks
+		// cannot fire before simulated time advances.
 		pending++
-		mu.Unlock()
 	}
-	mu.Lock()
-	none := pending == 0 && !aborted
-	mu.Unlock()
-	if none {
+	if pending == 0 {
 		submit()
 	}
 	return nil
@@ -698,9 +628,7 @@ func (s *Scheduler) stageAndSubmit(cp *ConcretePlan, t TaskPlan, est SiteEstimat
 
 // submitTask hands the task to the chosen site's execution service.
 func (s *Scheduler) submitTask(cp *ConcretePlan, t TaskPlan, est SiteEstimate, cpuDone float64) error {
-	s.mu.Lock()
 	svc := s.sites[est.Site]
-	s.mu.Unlock()
 	if svc == nil {
 		return fmt.Errorf("scheduler: site %q vanished", est.Site)
 	}
@@ -734,13 +662,10 @@ func (s *Scheduler) submitTask(cp *ConcretePlan, t TaskPlan, est SiteEstimate, c
 	if err != nil {
 		return fmt.Errorf("scheduler: submitting %q to %s: %w", t.ID, est.Site, err)
 	}
-	s.mu.Lock()
 	s.jobIndex[jobKey{pool: svc.Pool.Name, id: id}] = planTask{cp: cp, taskID: t.ID}
 	// The submission changed this site's queue mid-tick; drop its cached
 	// backlog so sibling tasks scored later this tick see the new depth.
 	delete(s.backlogCache, est.Site)
-	s.backlogGen++
-	s.mu.Unlock()
 	cp.update(t.ID, func(a *Assignment) {
 		a.CondorID = id
 		a.State = TaskSubmitted
@@ -771,9 +696,7 @@ func (s *Scheduler) Reschedule(cp *ConcretePlan, taskID string, exclude []string
 	}
 	cpuDone := 0.0
 	if a.State == TaskSubmitted {
-		s.mu.Lock()
 		svc := s.sites[a.Site]
-		s.mu.Unlock()
 		if svc != nil {
 			if t.Checkpointable {
 				if cpu, err := svc.Pool.Checkpoint(a.CondorID); err == nil {
@@ -781,11 +704,8 @@ func (s *Scheduler) Reschedule(cp *ConcretePlan, taskID string, exclude []string
 				}
 			}
 			_ = svc.Pool.Remove(a.CondorID)
-			s.mu.Lock()
 			delete(s.jobIndex, jobKey{pool: svc.Pool.Name, id: a.CondorID})
 			delete(s.backlogCache, a.Site)
-			s.backlogGen++
-			s.mu.Unlock()
 		}
 	}
 	if err := s.launch(cp, t, excl, cpuDone); err != nil {

@@ -42,7 +42,6 @@ package simgrid
 import (
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"repro/internal/vtime"
@@ -136,8 +135,11 @@ func (q *eventQueue) pop() event {
 // one second matches the resolution of the paper's figures (seconds on
 // every axis); the tick is the simulation's time resolution — every event
 // fires on a multiple of it.
+//
+// An engine is used from one goroutine at a time; a deployment that serves
+// calls beside a running engine orders them itself, stepping the engine
+// with Advance one boundary at a time.
 type Engine struct {
-	mu    sync.Mutex
 	clock *vtime.SimClock
 	start time.Time
 	tick  time.Duration
@@ -185,20 +187,12 @@ func (e *Engine) Tick() time.Duration { return e.tick }
 
 // Ticks returns the number of tick boundaries visited so far: those with
 // scheduled events, plus one per Step call.
-func (e *Engine) Ticks() int64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.ticks
-}
+func (e *Engine) Ticks() int64 { return e.ticks }
 
 // Events returns the number of events dispatched so far — the
 // discrete-event engine's work counter, reported by the scenario
 // benchmarks.
-func (e *Engine) Events() int64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.events
-}
+func (e *Engine) Events() int64 { return e.events }
 
 // AlignTicks rounds d up to a whole number of ticks (minimum one) — the
 // period at which a component polling every d actually fires.
@@ -249,7 +243,7 @@ type Wake struct {
 	order int
 	// next is the tick index of the earliest pending request and lastFired
 	// that of the latest firing; 0 (the start, where nothing ever fires)
-	// means none. Guarded by e.mu.
+	// means none.
 	next      int64
 	lastFired int64
 }
@@ -269,8 +263,6 @@ func (e *Engine) Register(fn func(now time.Time)) *Wake {
 // register makes w, held by c, the Wake of component c, next in
 // registration order.
 func (e *Engine) register(w *Wake, c component) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	*w = Wake{e: e, c: c, order: e.nextOrder}
 	e.nextOrder++
 }
@@ -284,8 +276,6 @@ func (e *Engine) register(w *Wake, c component) {
 // request.
 func (w *Wake) Request(at time.Time) {
 	e := w.e
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	k := e.tickCeil(at)
 	if k <= e.nowTick {
 		if e.processing && w.order > e.curOrder && w.lastFired != e.nowTick {
@@ -313,7 +303,6 @@ type Poller struct {
 	w        Wake
 	interval func() time.Duration
 	fn       func(now time.Time)
-	mu       sync.Mutex
 	last     time.Time
 }
 
@@ -332,15 +321,11 @@ func (e *Engine) NewPoller(interval func() time.Duration, fn func(now time.Time)
 
 func (p *Poller) onWake(now time.Time) {
 	period := p.e.AlignTicks(p.interval())
-	p.mu.Lock()
-	due := p.last.Add(period)
-	if now.Before(due) {
-		p.mu.Unlock()
+	if due := p.last.Add(period); now.Before(due) {
 		p.w.Request(due)
 		return
 	}
 	p.last = now
-	p.mu.Unlock()
 	p.w.Request(now.Add(period))
 	p.fn(now)
 }
@@ -351,8 +336,6 @@ func (p *Poller) onWake(now time.Time) {
 // boundary — the ordering contract the every-boundary equivalence suites
 // pin.
 func (e *Engine) horizonFor(order int) int64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if e.processing && order > e.curOrder {
 		return e.nowTick - 1
 	}
@@ -372,8 +355,6 @@ func (e *Engine) Schedule(delay time.Duration, fn func(now time.Time)) {
 	if fn == nil {
 		panic("simgrid: Schedule with nil function")
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	at := e.nowTick*int64(e.tick) + int64(delay)
 	k := int64(0)
 	if at > 0 {
@@ -386,22 +367,10 @@ func (e *Engine) Schedule(delay time.Duration, fn func(now time.Time)) {
 	e.eq.push(event{tick: k, at: at, seq: e.seq, order: orderTimer, fn: fn})
 }
 
-// nextEventTick peeks the earliest pending boundary.
-func (e *Engine) nextEventTick() (int64, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if len(e.eq) == 0 {
-		return 0, false
-	}
-	return e.eq[0].tick, true
-}
-
 // jumpTo moves the clock to boundary k without dispatching anything.
 func (e *Engine) jumpTo(k int64) {
 	e.clock.AdvanceTo(e.timeOf(k))
-	e.mu.Lock()
 	e.nowTick = max(e.nowTick, k)
-	e.mu.Unlock()
 }
 
 // processBoundary advances the clock to boundary k and dispatches every
@@ -411,7 +380,6 @@ func (e *Engine) jumpTo(k int64) {
 func (e *Engine) processBoundary(k int64) {
 	t := e.timeOf(k)
 	e.clock.AdvanceTo(t)
-	e.mu.Lock()
 	e.nowTick, e.processing, e.curOrder = k, true, math.MinInt
 	e.ticks++
 	for len(e.eq) > 0 && e.eq[0].tick <= k {
@@ -425,45 +393,51 @@ func (e *Engine) processBoundary(k int64) {
 		}
 		e.curOrder = ev.order
 		e.events++
-		e.mu.Unlock()
 		if w != nil {
 			w.c.onWake(t)
 		} else {
 			ev.fn(t)
 		}
-		e.mu.Lock()
 	}
 	e.processing = false
-	e.mu.Unlock()
 }
 
-// tickNow returns the clock's position as a tick index.
-func (e *Engine) tickNow() int64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.nowTick
+// Advance is the engine's one step: it dispatches the earliest boundary
+// with events due at or before limit and reports true, or, with none due
+// there, moves the clock to limit and reports false. A limit off the tick
+// grid stands for the first boundary after it. RunFor and RunUntil are
+// loops over Advance; so is a deployment that holds a lock for one
+// boundary at a time.
+func (e *Engine) Advance(limit time.Time) bool {
+	lim := e.tickCeil(limit)
+	if len(e.eq) == 0 || e.eq[0].tick > lim {
+		e.jumpTo(lim)
+		return false
+	}
+	e.processBoundary(e.eq[0].tick)
+	return true
 }
 
 // Step advances the simulation by exactly one tick, dispatching whatever
 // is due at that boundary. A Step loop visits every boundary RunFor would
 // jump over; the two leave identical traces.
 func (e *Engine) Step() {
-	e.processBoundary(e.tickNow() + 1)
+	e.processBoundary(e.nowTick + 1)
+}
+
+// Horizon returns the boundary RunFor(d) stops at: d rounded up to whole
+// ticks past the current one.
+func (e *Engine) Horizon(d time.Duration) time.Time {
+	return e.timeOf(e.nowTick + int64((d+e.tick-1)/e.tick))
 }
 
 // RunFor advances the simulation by d (rounded up to whole ticks): the
 // clock jumps from scheduled boundary to scheduled boundary and then
 // straight to the target.
 func (e *Engine) RunFor(d time.Duration) {
-	target := e.tickNow() + int64((d+e.tick-1)/e.tick)
-	for {
-		k, ok := e.nextEventTick()
-		if !ok || k > target {
-			break
-		}
-		e.processBoundary(k)
+	limit := e.Horizon(d)
+	for e.Advance(limit) {
 	}
-	e.jumpTo(target)
 }
 
 // RunUntil advances the simulation until pred returns true, or fails once
@@ -474,26 +448,22 @@ func (e *Engine) RunUntil(pred func() bool, max time.Duration) error {
 	deadline := e.Now().Add(max)
 	// A Step loop keeps stepping while now ≤ deadline, so the last
 	// boundary it processes — and where it leaves the clock on timeout —
-	// is the first grid boundary strictly after the deadline. The jumps
+	// is the first grid boundary strictly after the deadline. The steps
 	// honor the same limit (not the raw deadline, which may lie off-grid)
-	// so events landing in that final overshoot step still fire.
-	limit := e.tickCeil(deadline)
-	if !e.timeOf(limit).After(deadline) {
-		limit++
+	// so events landing in that final overshoot step still fire, and with
+	// nothing left inside the window that could change pred the clock
+	// jumps there, so the next iteration reports the timeout with the
+	// clock exactly where a Step loop would leave it.
+	k := e.tickCeil(deadline)
+	if !e.timeOf(k).After(deadline) {
+		k++
 	}
+	limit := e.timeOf(k)
 	for !pred() {
 		if e.Now().After(deadline) {
 			return fmt.Errorf("simgrid: condition not reached within %v (now %v)", max, e.Now())
 		}
-		k, ok := e.nextEventTick()
-		if !ok || k > limit {
-			// Nothing left inside the window can change pred; jump to the
-			// overshoot boundary so the next iteration reports the timeout
-			// with the clock exactly where a Step loop would leave it.
-			e.jumpTo(limit)
-			continue
-		}
-		e.processBoundary(k)
+		e.Advance(limit)
 	}
 	return nil
 }

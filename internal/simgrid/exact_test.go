@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -293,62 +291,47 @@ func TestSegPredictionAgreesWithSync(t *testing.T) {
 	}
 }
 
-// TestReadersLeaveCompletionsToTheNode runs the engine on one goroutine
-// while others read the tasks, as cmd/gae-server's ticker and its RPC
-// handlers do. A reader that gets the node lock after the engine marked the
-// node's turn and before the node's event took it is current through the
-// completion boundary; it must stop short of it, so that every completion
-// is still found — and its onDone fired — by the node's own event. Run with
-// -race.
+// TestReadersLeaveCompletionsToTheNode reads every node's task at every
+// boundary from a timer, which runs ahead of every component: the read
+// lands after the engine marked the boundary and before the node's event,
+// so the node is current only through the previous boundary. It must stop
+// short of a completion due at this one, so that every completion is still
+// found — and its onDone fired — by the node's own event.
 func TestReadersLeaveCompletionsToTheNode(t *testing.T) {
 	const nodes, perNode = 4, 5000
 	g := NewGrid(time.Second, 1)
 	site := g.AddSite("s")
-	var current [nodes]atomic.Pointer[Task]
-	var done atomic.Int64
+	var current [nodes]*Task
+	done := 0
 	for i := range current {
 		n := site.AddNode(g.Engine, fmt.Sprint("n", i), 1, ConstantLoad(0.3))
 		left := perNode
 		var next func(*Task)
 		next = func(*Task) {
-			done.Add(1)
+			done++
 			if left--; left > 0 {
-				task := NewTask(0.7*float64(1+left%3), next) // one to three ticks
-				current[i].Store(task)
-				n.Place(task)
+				current[i] = NewTask(0.7*float64(1+left%3), next) // one to three ticks
+				n.Place(current[i])
 			}
 		}
 		left++
-		done.Add(-1)
+		done--
 		next(nil)
 	}
-	stop := make(chan struct{})
-	var readers sync.WaitGroup
-	for r := 0; r < 2; r++ {
-		readers.Add(1)
-		go func() {
-			defer readers.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				for i := range current {
-					task := current[i].Load()
-					if cpu := task.CPUSeconds(); cpu > task.Need {
-						t.Errorf("read cpu %v of a task needing %v", cpu, task.Need)
-					}
-					task.WallClock()
-				}
+	var read func(time.Time)
+	read = func(time.Time) {
+		for _, task := range current {
+			if cpu := task.CPUSeconds(); cpu > task.Need {
+				t.Errorf("read cpu %v of a task needing %v", cpu, task.Need)
 			}
-		}()
+			task.WallClock()
+		}
+		g.Engine.Schedule(time.Second, read)
 	}
+	g.Engine.Schedule(0, read)
 	g.Engine.RunFor(3 * perNode * time.Second)
-	close(stop)
-	readers.Wait()
-	if got := done.Load(); got != nodes*perNode {
-		t.Fatalf("%d completions reported, want %d", got, nodes*perNode)
+	if done != nodes*perNode {
+		t.Fatalf("%d completions reported, want %d", done, nodes*perNode)
 	}
 }
 

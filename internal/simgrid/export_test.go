@@ -21,16 +21,12 @@ func (n *Network) startFlow(a, b string, sizeMB float64, done func(time.Duration
 		return nil, quote, err
 	}
 	k := linkKey(a, b)
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	fs := n.flows[k]
 	return &flowHandle{n: n, k: k, f: fs[len(fs)-1]}, quote, nil
 }
 
 // Finished reports whether the flow has completed, that is left its link.
 func (h *flowHandle) Finished() bool {
-	h.n.mu.Lock()
-	defer h.n.mu.Unlock()
 	return !slices.Contains(h.n.flows[h.k], h.f)
 }
 
@@ -40,24 +36,18 @@ func (h *flowHandle) Remaining() float64 {
 	if h.Finished() {
 		return 0
 	}
-	h.n.mu.Lock()
-	defer h.n.mu.Unlock()
 	f := h.f
 	return max(f.remaining-f.rate*h.n.engine.Now().Sub(f.lastSettle).Seconds(), 0)
 }
 
 // Deadline reports the flow's current analytic completion instant.
 func (h *flowHandle) Deadline() time.Time {
-	h.n.mu.Lock()
-	defer h.n.mu.Unlock()
 	return h.f.deadline
 }
 
 // ActiveFlows reports how many transfers occupy bandwidth on the link
 // between a and b; flows riding out their latency tail are not counted.
 func (n *Network) ActiveFlows(a, b string) int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	active := 0
 	for _, f := range n.flows[linkKey(a, b)] {
 		if f.drainedAt.IsZero() {

@@ -3,7 +3,6 @@ package simgrid
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 )
 
@@ -52,7 +51,6 @@ func (l Link) EffectiveMBps() float64 {
 // rate and deadline re-derived, the same settle-and-re-derive pattern
 // Node uses for CPU shares.
 type flow struct {
-	// Guarded by the owning Network's mu.
 	seq        int64
 	started    time.Time
 	lastSettle time.Time
@@ -85,7 +83,6 @@ type Network struct {
 	engine *Engine
 	wake   Wake
 
-	mu      sync.Mutex
 	links   map[[2]string]Link
 	flows   map[[2]string][]*flow
 	linkMin map[[2]string]time.Time // earliest flow deadline per link
@@ -135,18 +132,14 @@ func (n *Network) Connect(a, b string, link Link) {
 	link.Utilization = clampUtil(link.Utilization)
 	now := n.engine.Now()
 	k := linkKey(a, b)
-	n.mu.Lock()
-	n.settleLinkLocked(k, now)
+	n.settleLink(k, now)
 	n.links[k] = link
-	n.rederiveLinkLocked(k)
-	n.requestWakeLocked()
-	n.mu.Unlock()
+	n.rederiveLink(k)
+	n.requestWake()
 }
 
 // LinkBetween returns the link between two sites.
 func (n *Network) LinkBetween(a, b string) (Link, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	l, ok := n.links[linkKey(a, b)]
 	return l, ok
 }
@@ -157,18 +150,16 @@ func (n *Network) LinkBetween(a, b string) (Link, bool) {
 // deadlines are re-derived under the new effective bandwidth.
 func (n *Network) SetUtilization(a, b string, u float64) error {
 	now := n.engine.Now()
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	k := linkKey(a, b)
 	l, ok := n.links[k]
 	if !ok {
 		return fmt.Errorf("simgrid: no link %s—%s", a, b)
 	}
-	n.settleLinkLocked(k, now)
+	n.settleLink(k, now)
 	l.Utilization = clampUtil(u)
 	n.links[k] = l
-	n.rederiveLinkLocked(k)
-	n.requestWakeLocked()
+	n.rederiveLink(k)
+	n.requestWake()
 	return nil
 }
 
@@ -214,8 +205,7 @@ func (n *Network) StartTransfer(a, b string, sizeMB float64, done func(elapsed t
 	}
 	now := n.engine.Now()
 	k := linkKey(a, b)
-	n.mu.Lock()
-	n.settleLinkLocked(k, now)
+	n.settleLink(k, now)
 	n.seq++
 	f := &flow{seq: n.seq, started: now, lastSettle: now, remaining: sizeMB, done: done}
 	if sizeMB == 0 {
@@ -226,13 +216,12 @@ func (n *Network) StartTransfer(a, b string, sizeMB float64, done func(elapsed t
 		f.deadline = now.Add(l.Latency)
 	}
 	n.flows[k] = append(n.flows[k], f)
-	n.rederiveLinkLocked(k)
-	n.requestWakeLocked()
-	n.mu.Unlock()
+	n.rederiveLink(k)
+	n.requestWake()
 	return quote, nil
 }
 
-// settleLinkLocked accrues every undrained flow on link k through t at
+// settleLink accrues every undrained flow on link k through t at
 // its current rate. A flow whose payload finishes draining inside the
 // settled interval is marked drained at the exact drain instant: its
 // deadline freezes at drain + latency and its share is released (the
@@ -241,7 +230,7 @@ func (n *Network) StartTransfer(a, b string, sizeMB float64, done func(elapsed t
 // perturbation and deadline instants loses nothing; settles at other
 // instants are avoided (reads are pure) so both engine drivers perform
 // the identical float arithmetic.
-func (n *Network) settleLinkLocked(k [2]string, t time.Time) {
+func (n *Network) settleLink(k [2]string, t time.Time) {
 	l := n.links[k]
 	for _, f := range n.flows[k] {
 		if !f.drainedAt.IsZero() {
@@ -264,12 +253,12 @@ func (n *Network) settleLinkLocked(k [2]string, t time.Time) {
 	}
 }
 
-// rederiveLinkLocked recomputes the equal-share rate for link k's
+// rederiveLink recomputes the equal-share rate for link k's
 // undrained flows and each one's analytic completion deadline — the
 // instant its remaining payload drains at the new rate, plus the link's
 // one-way latency — then refreshes the link's cached earliest deadline.
 // Drained flows keep their frozen deadlines and take no share.
-func (n *Network) rederiveLinkLocked(k [2]string) {
+func (n *Network) rederiveLink(k [2]string) {
 	fs := n.flows[k]
 	if len(fs) == 0 {
 		delete(n.flows, k)
@@ -306,12 +295,12 @@ func (n *Network) rederiveLinkLocked(k [2]string) {
 	n.linkMin[k] = min
 }
 
-// requestWakeLocked points the network's wake at the earliest pending
+// requestWake points the network's wake at the earliest pending
 // deadline across all links. Requests coalesce earliest-first in the
 // engine, so a deadline that moved later leaves a stale earlier request
 // behind; the wake fires there, finds nothing due, and simply
 // re-requests — exactly how Node handles deadlines that move.
-func (n *Network) requestWakeLocked() {
+func (n *Network) requestWake() {
 	var min time.Time
 	for _, m := range n.linkMin {
 		if min.IsZero() || m.Before(min) {
@@ -332,7 +321,6 @@ func (n *Network) requestWakeLocked() {
 // Done callbacks fire after all link state is consistent, in flow-start
 // order.
 func (n *Network) onWake(now time.Time) {
-	n.mu.Lock()
 	var completed []*flow
 	for k, m := range n.linkMin {
 		if m.After(now) {
@@ -340,7 +328,7 @@ func (n *Network) onWake(now time.Time) {
 		}
 		// One perturbation per link even when several flows finish at the
 		// same boundary: settle everyone, drop the finished, re-derive.
-		n.settleLinkLocked(k, now)
+		n.settleLink(k, now)
 		fs := n.flows[k]
 		keep := fs[:0]
 		for _, f := range fs {
@@ -351,10 +339,9 @@ func (n *Network) onWake(now time.Time) {
 			}
 		}
 		n.flows[k] = keep
-		n.rederiveLinkLocked(k)
+		n.rederiveLink(k)
 	}
-	n.requestWakeLocked()
-	n.mu.Unlock()
+	n.requestWake()
 	sort.Slice(completed, func(i, j int) bool { return completed[i].seq < completed[j].seq })
 	for _, f := range completed {
 		if f.done != nil {
@@ -386,7 +373,6 @@ func (n *Network) Probe(a, b string) (BandwidthProbe, error) {
 	if a == b {
 		return BandwidthProbe{SteadyStateMBps: LocalCopyMBps}, nil
 	}
-	n.mu.Lock()
 	k := linkKey(a, b)
 	l, ok := n.links[k]
 	active := 0
@@ -395,7 +381,6 @@ func (n *Network) Probe(a, b string) (BandwidthProbe, error) {
 			active++
 		}
 	}
-	n.mu.Unlock()
 	if !ok {
 		return BandwidthProbe{}, fmt.Errorf("simgrid: no link %s—%s", a, b)
 	}

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sync"
 	"time"
 )
 
@@ -101,11 +100,10 @@ func (w work) less(o work) bool {
 // occupied the CPU — its work divided by the node's speed — exactly
 // Condor's "accumulated wall-clock time" that the paper uses as its
 // job-progress proxy in Figure 7. A running job holds one, so it carries no
-// name: 80 bytes, an 80-byte allocation.
+// name: 72 bytes, an 80-byte allocation.
 type Task struct {
 	Need float64 // total CPU-seconds required on a Mips=1.0 node
 
-	mu    sync.Mutex
 	state TaskState
 	// unobserved marks a task the node's observer placed itself (see
 	// Node.PlaceUnobserved): its completion is reported through its
@@ -118,8 +116,7 @@ type Task struct {
 }
 
 // Completer is told that a task's work completed. The node's engine
-// event calls Complete, with no lock held, at the boundary the work ran
-// out: the execution service's machine is one, and hears of its own
+// event calls Complete at the boundary the work ran out: the execution service's machine is one, and hears of its own
 // task's end without a closure per task or per machine.
 type Completer interface {
 	Complete(t *Task)
@@ -150,29 +147,18 @@ func NewTaskFor(need float64, c Completer) *Task {
 	return &Task{Need: need, work: work{need: toUnits(need)}, mips: 1, completer: c}
 }
 
-// nodeRef returns the hosting node, if any.
-func (t *Task) nodeRef() *Node {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.node
-}
-
 // observe brings the task's accrued work up to date with simulated time:
 // a node accrues work lazily, settling in closed form whenever someone
 // looks.
 func (t *Task) observe() {
-	if n := t.nodeRef(); n != nil {
-		n.mu.Lock()
-		n.settleObservedLocked()
-		n.mu.Unlock()
+	if n := t.node; n != nil {
+		n.settleObserved()
 	}
 }
 
 // State returns the task state. State transitions happen eagerly (at
 // engine events or API calls), so no lazy synchronization is needed.
 func (t *Task) State() TaskState {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return t.state
 }
 
@@ -180,8 +166,6 @@ func (t *Task) State() TaskState {
 // to the microsecond.
 func (t *Task) WallClock() time.Duration {
 	t.observe()
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	return time.Duration(float64(t.done)/t.mips) * (time.Second / unitsPerSecond)
 }
 
@@ -189,8 +173,6 @@ func (t *Task) WallClock() time.Duration {
 // is done, whole work units before.
 func (t *Task) CPUSeconds() float64 {
 	t.observe()
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if t.state == TaskDone {
 		return t.Need
 	}
@@ -201,23 +183,19 @@ func (t *Task) CPUSeconds() float64 {
 // the old one, then re-derives the node's completion deadline. from lists
 // the states the transition applies to.
 func (t *Task) setState(to TaskState, from ...TaskState) {
-	n := t.nodeRef()
+	n := t.node
 	if n == nil {
 		t.flip(to, from)
 		return
 	}
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.settleObservedLocked()
+	n.settleObserved()
 	if t.flip(to, from) {
-		n.rearmLocked()
+		n.rearm()
 	}
 }
 
 // flip moves the task to state to if it is in one of from.
 func (t *Task) flip(to TaskState, from []TaskState) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	if !slices.Contains(from, t.state) {
 		return false
 	}
@@ -260,11 +238,10 @@ const maxSegments = 64
 // as one engine event at the boundary a ceiling division finds.
 //
 // What a completion reads leads the struct: the engine's slot (held by
-// value, the node being its own component), the lock, synced and the
-// task list share the node's first cache lines.
+// value, the node being its own component), synced and the task list
+// share the node's first cache lines.
 type Node struct {
 	wake   Wake
-	mu     sync.Mutex
 	synced int64 // tick index of the boundary through which accrual has been applied
 	tasks  []*Task
 
@@ -274,8 +251,8 @@ type Node struct {
 
 	seg      Load // the background load
 	eng      *Engine
-	observer func()  // fired (unlocked) after task-set or load changes
-	finished []*Task // what the last wake completed: settleLocked's reused buffer
+	observer func()  // fired after task-set or load changes
+	finished []*Task // what the last wake completed: settle's reused buffer
 }
 
 // newNode creates a node on engine e. A nil load means idle; mips<=0
@@ -288,7 +265,7 @@ func newNode(e *Engine, name, site string, mips float64, load Load) *Node {
 		panic("simgrid: Mips × tick too large for exact work accounting")
 	}
 	n := &Node{Name: name, Site: site, Mips: mips, seg: orIdle(load), eng: e}
-	n.synced = e.tickNow()
+	n.synced = e.nowTick
 	e.register(&n.wake, n)
 	return n
 }
@@ -304,35 +281,24 @@ func orIdle(load Load) Load {
 // SetLoad replaces the node's background load. Work accrued so far is
 // settled under the old load first.
 func (n *Node) SetLoad(load Load) {
-	n.mu.Lock()
-	n.settleObservedLocked()
+	n.settleObserved()
 	n.seg = orIdle(load)
-	n.rearmLocked()
-	n.mu.Unlock()
+	n.rearm()
 	n.notifyObserver()
 }
 
-// SetObserver installs a callback fired — outside the node lock — after
-// any change that can alter the node's scheduling picture: a task placed,
+// SetObserver installs a callback fired after any change that can alter the node's scheduling picture: a task placed,
 // completed or removed, or the load replaced. Pools subscribe here so a
 // freed machine wakes the negotiator instead of the negotiator polling
 // every tick. The observer's own placements (PlaceUnobserved) are the one
 // exception: it is told nothing it did or arranged to hear itself. Only
 // one observer is supported; nil clears it.
-func (n *Node) SetObserver(fn func()) {
-	n.mu.Lock()
-	n.observer = fn
-	n.mu.Unlock()
-}
+func (n *Node) SetObserver(fn func()) { n.observer = fn }
 
-// notifyObserver fires the observer callback, if any, without holding
-// the node lock (the observer typically takes its own locks).
+// notifyObserver fires the observer callback, if any.
 func (n *Node) notifyObserver() {
-	n.mu.Lock()
-	fn := n.observer
-	n.mu.Unlock()
-	if fn != nil {
-		fn()
+	if n.observer != nil {
+		n.observer()
 	}
 }
 
@@ -345,8 +311,6 @@ func (n *Node) LoadAt(t time.Time) float64 {
 // LoadSegment reports the background load at t together with the end of
 // the current constant segment: zero when the value holds forever.
 func (n *Node) LoadSegment(t time.Time) (value float64, until time.Time) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	return n.seg.Segment(t)
 }
 
@@ -367,49 +331,35 @@ func (n *Node) PlaceUnobserved(t *Task) {
 }
 
 func (n *Node) place(t *Task, unobserved bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.settleObservedLocked() // existing tasks first, before the share changes
-	t.mu.Lock()
+	n.settleObserved() // existing tasks first, before the share changes
 	t.node, t.mips, t.unobserved = n, n.Mips, unobserved
-	t.mu.Unlock()
 	n.tasks = append(n.tasks, t)
-	n.rearmLocked()
+	n.rearm()
 }
 
 // Remove detaches a task (completed, killed, or migrating) from the node.
 func (n *Node) Remove(t *Task) {
-	n.mu.Lock()
-	n.settleObservedLocked()
+	n.settleObserved()
 	i := slices.Index(n.tasks, t)
-	removed := i >= 0
-	if removed {
-		n.tasks = slices.Delete(n.tasks, i, i+1)
-		n.rearmLocked()
+	if i < 0 {
+		return
 	}
-	n.mu.Unlock()
-	if removed {
-		t.mu.Lock()
-		if t.node == n {
-			t.node = nil
-		}
-		t.mu.Unlock()
-		n.notifyObserver()
+	n.tasks = slices.Delete(n.tasks, i, i+1)
+	n.rearm()
+	if t.node == n {
+		t.node = nil
 	}
+	n.notifyObserver()
 }
 
 // TaskCount returns the number of tasks placed on the node without
 // allocating — the negotiator's free-machine validation probe.
 func (n *Node) TaskCount() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	return len(n.tasks)
 }
 
 // RunningCount returns the number of tasks in the running state.
 func (n *Node) RunningCount() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	c := 0
 	for _, t := range n.tasks {
 		if t.State() == TaskRunning {
@@ -419,39 +369,33 @@ func (n *Node) RunningCount() int {
 	return c
 }
 
-// settleObservedLocked is settleLocked for everyone but the node's own
+// settleObserved is settle for everyone but the node's own
 // event: up to the engine's consistency horizon for this node (mid-boundary,
 // a node whose turn has not yet come reports work as of the previous
 // boundary) and never through a completion, which is the node's event's to
-// find and tell the task's Completer of. On one goroutine none is in
-// reach: the node's wake is requested for the exact completion boundary
-// and fires before any later-ordered component can look at it. One is when another goroutine
-// looks between the engine marking the node's turn and running it, or when
-// a load that broke the Load contract made the look-ahead miss; the settle
-// then stops a boundary short and the re-arm brings the node's event to
-// the next legal boundary.
-func (n *Node) settleObservedLocked() {
+// find and tell the task's Completer of. None is normally in reach: the
+// node's wake is requested for the exact completion boundary and fires
+// before any later-ordered component can look at it. One is when a load
+// that broke the Load contract made the look-ahead miss; the settle then
+// stops a boundary short and the re-arm brings the node's event to the
+// next legal boundary.
+func (n *Node) settleObserved() {
 	to := n.eng.horizonFor(n.wake.order)
-	if n.settleLocked(to, false); n.synced < to {
-		n.rearmLocked()
+	if n.settle(to, false); n.synced < to {
+		n.rearm()
 	}
 }
 
 // onWake is the node's engine event: settle accrual through now (firing
 // completions due at this boundary), then schedule the next deadline.
 func (n *Node) onWake(time.Time) {
-	n.mu.Lock()
-	fin := n.settleLocked(n.eng.horizonFor(n.wake.order), true)
-	n.rearmLocked()
-	n.mu.Unlock()
+	fin := n.settle(n.eng.horizonFor(n.wake.order), true)
+	n.rearm()
 	notify := false
 	for _, t := range fin {
-		t.mu.Lock()
-		c := t.completer
 		notify = notify || !t.unobserved
-		t.mu.Unlock()
-		if c != nil {
-			c.Complete(t)
+		if t.completer != nil {
+			t.completer.Complete(t)
 		}
 	}
 	clear(fin) // the buffer is the node's, reused by its next wake
@@ -468,10 +412,10 @@ func perTick(v, mips float64, m int, tick time.Duration) uint64 {
 	return rate / uint64(m) * uint64(tick)
 }
 
-// perTickLocked returns what one tick is worth to each of m running tasks
+// perTickAt returns what one tick is worth to each of m running tasks
 // in the load segment holding boundary k, and the last boundary of that
 // segment (never, when it has no end).
-func (n *Node) perTickLocked(k int64, m int) (step uint64, last int64) {
+func (n *Node) perTickAt(k int64, m int) (step uint64, last int64) {
 	v, until := n.seg.Segment(n.eng.timeOf(k))
 	last = never
 	if !until.IsZero() {
@@ -483,55 +427,51 @@ func (n *Node) perTickLocked(k int64, m int) (step uint64, last int64) {
 // RateSegment reports what each running task accrues, in CPU-seconds per
 // second of simulated time, in the load segment holding t, and when that
 // segment ends (zero: never). It is the float reading of the rule
-// perTickLocked quantises: the free capacity (1-load)·Mips, shared equally
+// perTickAt quantises: the free capacity (1-load)·Mips, shared equally
 // among the running tasks — a suspended neighbour takes nothing. With
 // nothing running it is what a sole task would get.
 func (n *Node) RateSegment(t time.Time) (perTask float64, until time.Time) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	v, until := n.seg.Segment(t)
 	perTask = (1 - v) * n.Mips
-	if m, _ := n.leastLeftLocked(); m > 1 {
+	if m, _ := n.leastLeft(); m > 1 {
 		perTask /= float64(m)
 	}
 	return perTask, until
 }
 
-// leastLeftLocked counts the running tasks and copies out the accrual
+// leastLeft counts the running tasks and copies out the accrual
 // state of the one with the least work left. Running tasks share the node
 // equally, so whatever the load does they all accrue the same work: that
 // one completes first.
-func (n *Node) leastLeftLocked() (m int, least work) {
+func (n *Node) leastLeft() (m int, least work) {
 	for _, t := range n.tasks {
-		t.mu.Lock()
 		if t.state == TaskRunning {
 			if m++; m == 1 || t.work.less(least) {
 				least = t.work
 			}
 		}
-		t.mu.Unlock()
 	}
 	return m, least
 }
 
-// settleLocked applies the accrual of every boundary in (synced, to] and
+// settle applies the accrual of every boundary in (synced, to] and
 // returns the tasks that completed, removed from the node. It steps from
 // one change of rate to the next — the end of a load segment, or a
 // completion, which changes the sharing count — never over ticks. With
 // complete unset it stops at the boundary before the first completion,
 // leaving synced short of to. The completed tasks are listed in the node's
 // own buffer, which only its wake (complete set) writes.
-func (n *Node) settleLocked(to int64, complete bool) (finished []*Task) {
+func (n *Node) settle(to int64, complete bool) (finished []*Task) {
 	if complete {
 		finished = n.finished[:0]
 	}
 	for n.synced < to {
-		m, least := n.leastLeftLocked()
+		m, least := n.leastLeft()
 		if m == 0 {
 			n.synced = to
 			break
 		}
-		step, last := n.perTickLocked(n.synced+1, m)
+		step, last := n.perTickAt(n.synced+1, m)
 		left := least.ticksLeft(step)
 		if !complete {
 			left--
@@ -542,14 +482,12 @@ func (n *Node) settleLocked(to int64, complete bool) (finished []*Task) {
 		}
 		n.synced += k
 		for _, t := range n.tasks {
-			t.mu.Lock()
 			if t.state == TaskRunning {
 				if t.advance(step, k); t.done >= t.need {
 					t.done, t.frac, t.state, t.node = t.need, 0, TaskDone, nil
 					finished = append(finished, t)
 				}
 			}
-			t.mu.Unlock()
 		}
 		if len(finished) > 0 {
 			n.tasks = slices.DeleteFunc(n.tasks, func(t *Task) bool { return slices.Contains(finished, t) })
@@ -561,19 +499,19 @@ func (n *Node) settleLocked(to int64, complete bool) (finished []*Task) {
 	return finished
 }
 
-// ticksToCompleteLocked returns how many boundaries past synced the first
+// ticksToComplete returns how many boundaries past synced the first
 // running task completes, walking the load segments ahead: ok is false
 // when nothing runs or nothing can ever complete (full load for ever). A
 // completion more than maxSegments segments off is reported at the last
 // one looked at.
-func (n *Node) ticksToCompleteLocked() (ticks int64, ok bool) {
-	m, least := n.leastLeftLocked()
+func (n *Node) ticksToComplete() (ticks int64, ok bool) {
+	m, least := n.leastLeft()
 	if m == 0 {
 		return 0, false
 	}
 	k := n.synced
 	for i := 0; i < maxSegments; i++ {
-		step, last := n.perTickLocked(k+1, m)
+		step, last := n.perTickAt(k+1, m)
 		if c := least.ticksLeft(step); c != never && c <= last-k {
 			return k - n.synced + c, true
 		}
@@ -586,12 +524,12 @@ func (n *Node) ticksToCompleteLocked() (ticks int64, ok bool) {
 	return k - n.synced, true
 }
 
-// rearmLocked requests the node's next wake at the earliest completion.
+// rearm requests the node's next wake at the earliest completion.
 // Idle nodes — and nodes pinned at full load for ever — schedule nothing;
 // this is what lets RunFor skip their boundaries entirely and keeps the
 // event count independent of the tick resolution.
-func (n *Node) rearmLocked() {
-	if k, ok := n.ticksToCompleteLocked(); ok {
+func (n *Node) rearm() {
+	if k, ok := n.ticksToComplete(); ok {
 		k = min(k, math.MaxInt64/int64(n.eng.tick)-n.synced) // keep the duration multiply from overflowing
 		n.wake.Request(n.eng.timeOf(n.synced + k))
 	}

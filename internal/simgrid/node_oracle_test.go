@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"sync"
 	"testing"
 	"time"
 )
@@ -23,7 +22,6 @@ import (
 type tickNode struct {
 	Mips float64
 
-	mu    sync.Mutex
 	load  Load
 	tasks []*Task
 }
@@ -42,15 +40,11 @@ func newTickNode(e *Engine, mips float64, load Load) *tickNode {
 }
 
 func (n *tickNode) Place(t *Task) {
-	n.mu.Lock()
 	t.mips = n.Mips
 	n.tasks = append(n.tasks, t)
-	n.mu.Unlock()
 }
 
 func (n *tickNode) Remove(t *Task) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	for i, x := range n.tasks {
 		if x == t {
 			n.tasks = append(n.tasks[:i], n.tasks[i+1:]...)
@@ -60,15 +54,12 @@ func (n *tickNode) Remove(t *Task) {
 }
 
 func (n *tickNode) SetLoad(load Load) {
-	n.mu.Lock()
 	n.load = load
-	n.mu.Unlock()
 }
 
 // OnTick advances every running task by one tick: the free capacity
 // (1-load)×Mips, quantised and divided equally among running tasks.
 func (n *tickNode) OnTick(now time.Time, dt time.Duration) {
-	n.mu.Lock()
 	load, _ := n.load.Segment(now)
 	running := make([]*Task, 0, len(n.tasks))
 	for _, t := range n.tasks {
@@ -76,8 +67,6 @@ func (n *tickNode) OnTick(now time.Time, dt time.Duration) {
 			running = append(running, t)
 		}
 	}
-	n.mu.Unlock()
-
 	if len(running) == 0 {
 		return
 	}
@@ -88,17 +77,13 @@ func (n *tickNode) OnTick(now time.Time, dt time.Duration) {
 			finished = append(finished, t)
 		}
 	}
-	n.mu.Lock()
 	n.tasks = slices.DeleteFunc(n.tasks, func(t *Task) bool { return slices.Contains(finished, t) })
-	n.mu.Unlock()
 }
 
 // tickOnce gives the task one tick's worth of work; it reports whether
 // the task just completed.
 func (t *Task) tickOnce(step uint64) bool {
-	t.mu.Lock()
 	if t.state != TaskRunning {
-		t.mu.Unlock()
 		return false
 	}
 	t.advance(step, 1)
@@ -106,10 +91,8 @@ func (t *Task) tickOnce(step uint64) bool {
 	if completed {
 		t.done, t.frac, t.state = t.need, 0, TaskDone
 	}
-	c := t.completer
-	t.mu.Unlock()
-	if completed && c != nil {
-		c.Complete(t)
+	if completed && t.completer != nil {
+		t.completer.Complete(t)
 	}
 	return completed
 }

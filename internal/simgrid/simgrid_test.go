@@ -492,11 +492,12 @@ func TestQuickTransferMonotonicity(t *testing.T) {
 }
 
 // TestCompletionPathLayout pins where a completion first touches a node:
-// the engine pops the node's Wake, then the node locks, settles from
-// synced and walks its tasks. The four lead the struct, in that order and
-// with nothing between them, so the Wake is read from the node's own
-// first cache line rather than from an object allocated apart. A task
-// stays inside the 80-byte allocation size class.
+// the engine pops the node's Wake, then the node settles from synced and
+// walks its tasks. The three lead the struct, in that order and with
+// nothing between them, so the Wake is read from the node's own first
+// cache line rather than from an object allocated apart. A task is 72
+// bytes, inside the 80-byte allocation size class, with no lock of its
+// own.
 func TestCompletionPathLayout(t *testing.T) {
 	var n Node
 	var end uintptr
@@ -505,16 +506,15 @@ func TestCompletionPathLayout(t *testing.T) {
 		off, width uintptr
 	}{
 		{"wake", unsafe.Offsetof(n.wake), unsafe.Sizeof(n.wake)},
-		{"mu", unsafe.Offsetof(n.mu), unsafe.Sizeof(n.mu)},
 		{"synced", unsafe.Offsetof(n.synced), unsafe.Sizeof(n.synced)},
 		{"tasks", unsafe.Offsetof(n.tasks), unsafe.Sizeof(n.tasks)},
 	} {
 		if f.off != end {
-			t.Errorf("Node.%s at offset %d, want %d: wake, mu, synced and tasks lead the struct", f.name, f.off, end)
+			t.Errorf("Node.%s at offset %d, want %d: wake, synced and tasks lead the struct", f.name, f.off, end)
 		}
 		end = f.off + f.width
 	}
-	if got := unsafe.Sizeof(Task{}); got > 80 {
-		t.Errorf("unsafe.Sizeof(Task{}) = %d bytes, want <= 80", got)
+	if got := unsafe.Sizeof(Task{}); got > 72 {
+		t.Errorf("unsafe.Sizeof(Task{}) = %d bytes, want <= 72", got)
 	}
 }

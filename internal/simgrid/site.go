@@ -3,7 +3,6 @@ package simgrid
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 )
 
@@ -13,7 +12,6 @@ import (
 type Site struct {
 	Name string
 
-	mu      sync.Mutex
 	nodes   []*Node
 	storage *Storage
 }
@@ -28,16 +26,12 @@ func NewSite(name string) *Site {
 // own completion deadlines, so idle nodes cost the simulation nothing.
 func (s *Site) AddNode(e *Engine, name string, mips float64, load Load) *Node {
 	n := newNode(e, name, s.Name, mips, load)
-	s.mu.Lock()
 	s.nodes = append(s.nodes, n)
-	s.mu.Unlock()
 	return n
 }
 
 // Nodes returns a snapshot of the site's nodes.
 func (s *Site) Nodes() []*Node {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	out := make([]*Node, len(s.nodes))
 	copy(out, s.nodes)
 	return out
@@ -45,8 +39,6 @@ func (s *Site) Nodes() []*Node {
 
 // Node returns the named node or nil.
 func (s *Site) Node(name string) *Node {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	for _, n := range s.nodes {
 		if n.Name == name {
 			return n
@@ -86,7 +78,6 @@ type Grid struct {
 	Engine  *Engine
 	Network *Network
 
-	mu    sync.Mutex
 	sites map[string]*Site
 }
 
@@ -100,8 +91,6 @@ func NewGrid(tick time.Duration, seed int64) *Grid {
 
 // AddSite creates and registers a site.
 func (g *Grid) AddSite(name string) *Site {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	if _, dup := g.sites[name]; dup {
 		panic(fmt.Sprintf("simgrid: duplicate site %q", name))
 	}
@@ -112,15 +101,11 @@ func (g *Grid) AddSite(name string) *Site {
 
 // Site returns the named site or nil.
 func (g *Grid) Site(name string) *Site {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	return g.sites[name]
 }
 
 // Sites returns all sites sorted by name.
 func (g *Grid) Sites() []*Site {
-	g.mu.Lock()
-	defer g.mu.Unlock()
 	out := make([]*Site, 0, len(g.sites))
 	for _, s := range g.sites {
 		out = append(out, s)

@@ -1,9 +1,6 @@
 package simgrid
 
-import (
-	"fmt"
-	"sync"
-)
+import "fmt"
 
 // File is a named dataset replica held by a storage element.
 type File struct {
@@ -18,7 +15,6 @@ type File struct {
 // to another site is the scheduler's: Network.StartTransfer, then Put at
 // the destination and a replica-catalog registration when the flow lands.
 type Storage struct {
-	mu    sync.Mutex
 	files map[string]File
 }
 
@@ -35,16 +31,12 @@ func (s *Storage) Put(name string, sizeMB float64) error {
 	if sizeMB < 0 {
 		return fmt.Errorf("simgrid: negative size for %q", name)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.files[name] = File{Name: name, SizeMB: sizeMB}
 	return nil
 }
 
 // Get returns the named file.
 func (s *Storage) Get(name string) (File, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	f, ok := s.files[name]
 	return f, ok
 }

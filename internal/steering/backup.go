@@ -18,20 +18,15 @@ const serviceFailureGrace = 20 * time.Second
 // grace period, the module "contacts Sphinx to allocate a new execution
 // service" and the scheduler resubmits the job there.
 func (s *Service) handleServiceFailure(w watched, a scheduler.Assignment, now time.Time) {
-	s.mu.Lock()
-	st := s.steeredLocked(w.ref)
+	st := s.record(w.ref)
 	if st.downSince.IsZero() {
 		st.downSince = now
 	}
 	waited := now.Sub(st.downSince)
-	handled := st.downHandled
-	s.mu.Unlock()
-	if handled || waited < serviceFailureGrace {
+	if st.downHandled || waited < serviceFailureGrace {
 		return
 	}
-	s.mu.Lock()
 	st.downHandled = true
-	s.mu.Unlock()
 	s.notify(w.owner(), Notification{
 		Time: now, Plan: w.ref.Plan, Task: w.ref.Task, Kind: "service-failure",
 		Message: fmt.Sprintf("execution service at %s unresponsive for %v; reallocating", a.Site, waited),
@@ -83,9 +78,7 @@ func (s *Service) handleTerminal(w watched, a scheduler.Assignment, now time.Tim
 // firstTerminal marks ref's terminal state announced and reports whether
 // it was not already.
 func (s *Service) firstTerminal(ref TaskRef) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := s.steeredLocked(ref)
+	st := s.record(ref)
 	first := !st.terminalNotified
 	st.terminalNotified = true
 	return first
@@ -103,8 +96,6 @@ func (s *Service) collectFiles(w watched, a scheduler.Assignment) {
 		return
 	}
 	if f, ok := site.Storage().Get(task.OutputFile); ok {
-		s.mu.Lock()
 		s.execState[w.ref] = append(s.execState[w.ref], f)
-		s.mu.Unlock()
 	}
 }

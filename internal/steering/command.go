@@ -86,9 +86,7 @@ func (s *Service) moveTask(w watched, before scheduler.Assignment, target string
 	if err != nil {
 		return scheduler.Assignment{}, err
 	}
-	s.mu.Lock()
-	s.steeredLocked(w.ref).moves++
-	s.mu.Unlock()
+	s.record(w.ref).moves++
 	s.notify(w.owner(), Notification{
 		Time: s.cfg.Grid.Engine.Now(),
 		Plan: w.ref.Plan,

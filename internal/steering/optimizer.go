@@ -55,12 +55,10 @@ func (s *Service) pollTask(w watched, now time.Time) {
 		s.handleServiceFailure(w, a, now)
 		return
 	}
-	s.mu.Lock()
 	if st := s.tasks[w.ref]; st != nil {
 		st.downSince = time.Time{}
 		st.downHandled = false
 	}
-	s.mu.Unlock()
 
 	info, err := s.cfg.Monitor.Job(a.Site, a.CondorID)
 	if err != nil {
@@ -78,11 +76,7 @@ func (s *Service) pollTask(w watched, now time.Time) {
 // optimize is the Optimizer: detect a slow execution rate via the Job
 // Monitoring Service and redirect the job to the best site.
 func (s *Service) optimize(w watched, a scheduler.Assignment, info condor.JobInfo, now time.Time) {
-	s.mu.Lock()
-	st := s.tasks[w.ref]
-	moved := st != nil && st.moves >= maxMoves
-	s.mu.Unlock()
-	if moved {
+	if st := s.tasks[w.ref]; st != nil && st.moves >= maxMoves {
 		return
 	}
 	if info.StartTime.IsZero() {

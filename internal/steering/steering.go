@@ -29,7 +29,6 @@ package steering
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/condor"
@@ -141,7 +140,6 @@ type Service struct {
 
 	Sessions *SessionManager
 
-	mu            sync.Mutex
 	tasks         map[TaskRef]*steered
 	notifications map[string][]Notification
 	execState     map[TaskRef][]simgrid.File
@@ -192,9 +190,8 @@ func (s *Service) lookup(ref TaskRef) (watched, scheduler.Assignment, error) {
 	return watched{}, scheduler.Assignment{}, fmt.Errorf("steering: no watched task %s", ref)
 }
 
-// steeredLocked returns ref's record, creating it on first need. s.mu
-// must be held.
-func (s *Service) steeredLocked(ref TaskRef) *steered {
+// record returns ref's record, creating it on first need.
+func (s *Service) record(ref TaskRef) *steered {
 	st := s.tasks[ref]
 	if st == nil {
 		st = &steered{}
@@ -205,15 +202,11 @@ func (s *Service) steeredLocked(ref TaskRef) *steered {
 
 // notify queues a message for an owner.
 func (s *Service) notify(owner string, n Notification) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.notifications[owner] = append(s.notifications[owner], n)
 }
 
 // Notifications drains (and returns) the owner's queued messages.
 func (s *Service) Notifications(owner string) []Notification {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	out := s.notifications[owner]
 	delete(s.notifications, owner)
 	return out
@@ -222,8 +215,6 @@ func (s *Service) Notifications(owner string) []Notification {
 // ExecutionState returns the files collected from a finished task's site
 // — the paper's "execution state ... made available for download".
 func (s *Service) ExecutionState(ref TaskRef) []simgrid.File {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return append([]simgrid.File(nil), s.execState[ref]...)
 }
 

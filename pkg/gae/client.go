@@ -19,19 +19,18 @@ type Services struct {
 // State interfaces, regardless of transport:
 //
 //   - local: core.GAE.Client(user) calls the in-process services — zero
-//     serialization — with the mutating calls run through the
-//     deployment's Journal;
+//     serialization — each call run through the deployment's Journal;
 //   - remote: Dial sends the calls to a Clarens XML-RPC endpoint.
 //
 // Each method calls its row (rows.go), which picks the transport.
 type Client struct {
 	services Services // the local transport's services
-	journal  Journal  // runs the local transport's mutating calls; nil runs them bare
+	journal  Journal  // runs the local transport's calls; nil runs them bare
 	remote   *remote  // nil on the local transport
 }
 
 // NewClient assembles a local client over service implementations; j, if
-// not nil, runs its mutating calls. Deployments normally use
+// not nil, runs its calls. Deployments normally use
 // core.GAE.Client (local) or Dial (remote) instead.
 func NewClient(s Services, j Journal) *Client { return &Client{services: s, journal: j} }
 

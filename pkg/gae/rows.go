@@ -20,7 +20,7 @@ import (
 // interface. Everything else reads the rows: a Client method calls its row
 // (client.go), which on the remote transport encodes the arguments and
 // stamps a mutating call with a request ID, and on the local one calls the
-// service, a mutating row inside the deployment's Journal; Handlers binds
+// service inside the deployment's Journal; Handlers binds
 // the rows to the wire, decoding positional parameters into the row's
 // types before entering that local path; journal replay decodes a
 // record's arguments through the same row (Method.Call). Arity is checked
@@ -36,7 +36,7 @@ type Method struct {
 	// the Preference read.
 	Op string
 	// Mutates marks a row that changes deployment state. Its remote calls
-	// carry a request ID; its local calls run inside the Journal.
+	// carry a request ID; its local calls are journaled.
 	Mutates bool
 
 	arity int
@@ -66,8 +66,8 @@ func define(m *Method, name string, mutates bool, arity int, call func(*Client, 
 }
 
 // Call decodes args through into and makes the row's call on c: the
-// local transport's services, so a mutating row is journaled when c has a
-// Journal and applied bare when it has none, as on replay.
+// local transport's services, inside c's Journal when it has one and bare
+// when it has none, as on replay.
 func (m *Method) Call(c *Client, ctx context.Context, args xmlrpc.Params, into Into) (any, error) {
 	if n := len(args); n != m.arity && !(m.optional && n == m.arity-1) {
 		if m.optional {
@@ -156,14 +156,16 @@ func wireResult(v any, err error) (any, error) {
 	return nil, xmlrpc.NewFault(xmlrpc.FaultApplication, "%v", err)
 }
 
-// A Journal runs the mutating calls of a local client: the deployment's
-// orders them under one lock, answers a request ID it acknowledged with
-// the result it acknowledged, and acknowledges a call once its journal
-// record is durable. Begin takes the lock; End, which follows every Begin,
-// releases it. Only values cross, so a call allocates nothing to cross.
+// A Journal runs every call of a local client: the deployment's holds its
+// one lock across each, so no two calls and no step of its engine
+// interleave. A mutating call it also journals: it answers a request ID it
+// acknowledged with the result it acknowledged, and acknowledges a call
+// once its journal record is durable. Begin takes the lock; End, which
+// follows every Begin, releases it — for a read that is all they do. Only
+// values cross, so a call allocates nothing to cross.
 type Journal interface {
-	// Begin opens a call of the row journaled as op; an error refuses it.
-	Begin(ctx context.Context, op string) (Pending, error)
+	// Begin opens a call of row m; an error refuses it.
+	Begin(ctx context.Context, m *Method) (Pending, error)
 	// End closes the call with its journal arguments and JSON result,
 	// each given only if p asked for it, and the error it ended with, and
 	// returns the error it answers with.
@@ -173,6 +175,8 @@ type Journal interface {
 // Pending is a call between its Journal's Begin and End.
 type Pending struct {
 	Op, User, RequestID string
+	// Mutates is the row's flag: End of a read only releases the lock.
+	Mutates bool
 	// Start is when Begin was entered, Applied when the service returned
 	// (zero if it was not called).
 	Start, Applied time.Time
@@ -189,12 +193,12 @@ type Pending struct {
 // resolved from the result out.
 func local[S, R any](c *Client, ctx context.Context, r *Method, apply func(S) (R, error), args func(out R) []any) (out R, err error) {
 	s := serviceOf[S](&c.services)
-	if !r.Mutates || c.journal == nil {
+	if c.journal == nil {
 		return apply(s)
 	}
 	var rec []any
 	var result []byte
-	p, err := c.journal.Begin(ctx, r.Op)
+	p, err := c.journal.Begin(ctx, r)
 	defer func() {
 		if err = c.journal.End(p, rec, result, err); err != nil {
 			var zero R
@@ -211,6 +215,8 @@ func local[S, R any](c *Client, ctx context.Context, r *Method, apply func(S) (R
 			}
 		}
 		out = acked
+	case !r.Mutates:
+		out, err = apply(s)
 	default:
 		out, err = apply(s)
 		p.Applied = time.Now()

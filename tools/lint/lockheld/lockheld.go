@@ -1,7 +1,9 @@
 // Package lockheld implements the gae-lint analyzer that enforces the
-// repo's *Locked method-suffix contract — the convention (141
-// occurrences in internal/condor/pool.go alone) that is the only thing
-// standing between the serving stack and data races.
+// repo's *Locked method-suffix contract. A deployment has one lock, taken
+// at its boundary (core.GAE), and the services under it hold none; the
+// contract remains where a lock guards a helper its callers must hold it
+// for — core's emitStateLocked under the deployment's lock, and the
+// durable journal's flushLocked under the journal's.
 //
 // The contract, as enforced:
 //
