@@ -20,7 +20,11 @@ test-race:
 # client and the wire handler beside a running engine, reads and writes
 # alike, so that any call or boundary outside the lock, usage flows racing
 # the fair-share manager's readers among them, is a race, and a journal
-# replay must reach the live state (TestCallsBesideRun); a read waiting
+# replay must reach the live state (TestCallsBesideRun); the same calls
+# beside goroutines that checkpoint and capture the deployment, so that a
+# capture outside the lock, or a call's metric handles made outside it,
+# is a race, and recovery from the last checkpoint plus its journal tail
+# must reach the live state (TestCheckpointBesideCalls); a read waiting
 # out a whole Run (TestReadDuringRunReturnsFirst); a pump that launches a
 # task twice (TestConcurrentSubmitsLaunchEachTaskOnce); a plan name that
 # two submissions both win, in the scheduler's plan table through core's
@@ -35,7 +39,7 @@ test-race:
 # test-race also runs TestAdMutationBesideRunningEngine, which writes the
 # ads from a goroutine that shares one lock with the engine's).
 race-smoke:
-	$(GO) test -race -count=20 -run 'TestCallsBesideRun|TestReadDuringRunReturnsFirst|TestConcurrentSubmitsLaunchEachTaskOnce|TestConcurrentSubmitsOfOneName|TestCheckpointedMoveBesideRun|TestConcurrentDuplicateDeliveryAppliesOnce|TestConcurrentMutationsReplayInApplyOrder|TestRunMixedWorkload|TestIncrementalRefreshMatchesFullWalk' ./internal/core ./internal/loadgen ./internal/condor
+	$(GO) test -race -count=20 -run 'TestCallsBesideRun|TestCheckpointBesideCalls|TestReadDuringRunReturnsFirst|TestConcurrentSubmitsLaunchEachTaskOnce|TestConcurrentSubmitsOfOneName|TestCheckpointedMoveBesideRun|TestConcurrentDuplicateDeliveryAppliesOnce|TestConcurrentMutationsReplayInApplyOrder|TestRunMixedWorkload|TestIncrementalRefreshMatchesFullWalk' ./internal/core ./internal/loadgen ./internal/condor
 	$(GO) build -race -o bin/gae-server-race ./cmd/gae-server
 	$(GO) run -race ./cmd/gae-loadgen -clients 2 -ops 8 -data "$$(mktemp -d)" -json -
 	$(GO) run -race ./cmd/gae-chaos -clients 2 -ops 6 -kills 1 -server bin/gae-server-race
@@ -160,7 +164,7 @@ fmt:
 vet:
 	$(GO) vet ./...
 
-# gae-lint: the repo's own analyzers (detorder, simtime, lockheld) over
+# gae-lint: the repo's own analyzers (detorder, simtime) over
 # the main module. Lives in its own module so the main go.mod stays
 # dependency-free; `make lint` must exit 0 on the committed tree.
 lint:

@@ -94,13 +94,18 @@ type Session struct {
 	Expires time.Time
 }
 
-// SessionStore issues and validates session tokens.
+// SessionStore issues and validates session tokens. Every session lives
+// for the one TTL from its opening, on a clock that does not step back, so
+// sessions expire in the order they were opened. Open reaps the expired
+// head of that order, so the session of a client that logs in and goes
+// away is gone by the first login after it expires.
 type SessionStore struct {
 	clock vtime.Clock
 	ttl   time.Duration
 
 	mu       sync.Mutex
 	sessions map[string]*Session
+	opened   []string // tokens in open order; a closed one stays until reaped
 }
 
 // NewSessionStore creates a session store; sessions expire after ttl
@@ -121,14 +126,24 @@ func (s *SessionStore) Open(u User) (*Session, error) {
 	if _, err := rand.Read(raw); err != nil {
 		return nil, fmt.Errorf("clarens: generating session token: %w", err)
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	now := s.clock.Now() // read under the lock, so open order is expiry order
+	for len(s.opened) > 0 {
+		tok := s.opened[0]
+		if head, ok := s.sessions[tok]; ok && !now.After(head.Expires) {
+			break
+		}
+		delete(s.sessions, tok)
+		s.opened = s.opened[1:]
+	}
 	sess := &Session{
 		Token:   hex.EncodeToString(raw),
 		User:    u,
-		Expires: s.clock.Now().Add(s.ttl),
+		Expires: now.Add(s.ttl),
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.sessions[sess.Token] = sess
+	s.opened = append(s.opened, sess.Token)
 	return sess, nil
 }
 

@@ -114,6 +114,31 @@ func TestSessionExpiry(t *testing.T) {
 	}
 }
 
+// TestUnpresentedSessionsAreReaped: sessions whose clients log in and go
+// away are never presented again, so nothing but the next login reaps
+// them. A thousand such sessions past their TTL leave only the login that
+// follows them in the store.
+func TestUnpresentedSessionsAreReaped(t *testing.T) {
+	clock := vtime.NewSimClock(time.Time{})
+	s := NewSessionStore(clock, time.Hour)
+	for range 1000 {
+		if _, err := s.Open(User{Name: "alice"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clock.Advance(2 * time.Hour)
+	sess, err := s.Open(User{Name: "alice"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := s.Active(); n != 1 {
+		t.Fatalf("store holds %d sessions after the TTL passed, want 1", n)
+	}
+	if _, ok := s.Lookup(sess.Token); !ok {
+		t.Fatal("the fresh session was reaped")
+	}
+}
+
 func TestStolenTokenIsRejected(t *testing.T) {
 	_, c := startHost(t, nil)
 	c.SetToken("deadbeef")

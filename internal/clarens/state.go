@@ -3,7 +3,6 @@ package clarens
 import (
 	"fmt"
 	"sort"
-	"sync"
 )
 
 // StateStore holds per-user analysis-session state. The GAE's services
@@ -12,8 +11,11 @@ import (
 // space for exactly that: selected datasets, cut definitions, job plan
 // drafts, UI layout — whatever an interactive analysis client wants to
 // find again at its next login.
+//
+// The store has no lock of its own: the deployment that holds it guards
+// it with its one lock (core.GAE's), under which the state.* rows, the
+// checkpoint and recovery all reach it.
 type StateStore struct {
-	mu   sync.RWMutex
 	data map[string]map[string]string // user → key → value
 }
 
@@ -30,8 +32,6 @@ func (s *StateStore) Set(user, key, value string) error {
 	if key == "" {
 		return fmt.Errorf("clarens: empty state key")
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	m, ok := s.data[user]
 	if !ok {
 		m = make(map[string]string)
@@ -43,16 +43,12 @@ func (s *StateStore) Set(user, key, value string) error {
 
 // Get fetches the user's value for key.
 func (s *StateStore) Get(user, key string) (string, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	v, ok := s.data[user][key]
 	return v, ok
 }
 
 // Delete removes a key; it reports whether the key existed.
 func (s *StateStore) Delete(user, key string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	m, ok := s.data[user]
 	if !ok {
 		return false
@@ -69,8 +65,6 @@ func (s *StateStore) Delete(user, key string) bool {
 
 // Keys lists the user's state keys, sorted.
 func (s *StateStore) Keys(user string) []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	m := s.data[user]
 	out := make([]string, 0, len(m))
 	for k := range m {
@@ -83,8 +77,6 @@ func (s *StateStore) Keys(user string) []string {
 // Export copies the full user→key→value contents for the durable snapshot
 // codec (nil when empty, so an empty store round-trips canonically).
 func (s *StateStore) Export() map[string]map[string]string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
 	if len(s.data) == 0 {
 		return nil
 	}
@@ -101,8 +93,6 @@ func (s *StateStore) Export() map[string]map[string]string {
 
 // Restore replaces the store contents with an exported copy.
 func (s *StateStore) Restore(data map[string]map[string]string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.data = make(map[string]map[string]string, len(data))
 	for user, m := range data {
 		um := make(map[string]string, len(m))

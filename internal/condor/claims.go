@@ -214,13 +214,11 @@ func (p *Pool) rerate(j *job) {
 // closeFlow settles and closes j's usage flow against the CPU-seconds
 // its task measured: the flow accrues in floats at the node's analytic
 // rate, the node in whole work units, and Close applies the residual.
-// Work carried in from a checkpoint is excluded — the site that ran it
-// accounted for it — and so is what an earlier flow of j's already reported.
+// Work carried in from a checkpoint is excluded: the site that ran it
+// accounted for it.
 func (p *Pool) closeFlow(j *job) {
-	cpu := max(p.cpuSeconds(j)-j.cpuBase, 0)
-	j.flow.Close(cpu - j.usageRecorded)
+	j.flow.Close(max(p.cpuSeconds(j)-j.cpuBase, 0))
 	j.flow = nil
-	j.usageRecorded = cpu
 }
 
 // detach removes the job's task from its node, if any, and releases

@@ -50,14 +50,20 @@ func TestFairShareOrdersNegotiation(t *testing.T) {
 	if got := mustJob(t, p, heavy).QueuePosition; got != 3 {
 		t.Fatalf("heavy cold position = %d, want 3", got)
 	}
-	// Uninstalling the policy restores static order; a typed-nil manager
-	// means the same thing.
-	var none *fairshare.Manager
-	p.SetFairShare(none)
-	if got := mustJob(t, p, hot).QueuePosition; got != 1 {
-		t.Fatalf("static position after uninstall = %d, want 1", got)
-	}
-	g.Engine.Step() // negotiation must not panic with the policy cleared
+}
+
+// TestFairShareIsSetBeforeTheFirstJob: a pool's policy is set once, before
+// it holds a job; setting one on a pool that holds a job panics.
+func TestFairShareIsSetBeforeTheFirstJob(t *testing.T) {
+	_, p := testPool(t, 1)
+	p.SetFairShare(fairManager(p))
+	mustSubmit(t, p, jobAd("alice", 10, 0))
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SetFairShare on a pool holding a job did not panic")
+		}
+	}()
+	p.SetFairShare(fairManager(p))
 }
 
 func TestFairShareRecordsCompletionUsage(t *testing.T) {
@@ -300,42 +306,6 @@ func TestSetPriorityEdgeCases(t *testing.T) {
 	}
 	if got := mustJob(t, p, x).QueuePosition; got != 2 {
 		t.Fatalf("demoted x position = %d, want 2", got)
-	}
-}
-
-// TestPolicySwapReordersByIncomingStandings: queues made under one
-// manager price their owners, once another is installed, by its standings
-// — the next pass's order and the machine it hands out both follow them —
-// and what the job it starts uses accrues to the incoming manager alone.
-func TestPolicySwapReordersByIncomingStandings(t *testing.T) {
-	g, p := testPool(t, 1)
-	first, second := fairManager(p), fairManager(p)
-	first.RecordUsage("alice", "siteA", 1000)
-	second.RecordUsage("bob", "siteA", 1000)
-	p.SetFairShare(first)
-	mustSubmit(t, p, jobAd("carol", 100, 0)) // holds the one machine
-	g.Engine.Step()
-	alice := mustSubmit(t, p, jobAd("alice", 10, 0))
-	bob := mustSubmit(t, p, jobAd("bob", 10, 0))
-	if a, b := mustJob(t, p, alice).QueuePosition, mustJob(t, p, bob).QueuePosition; a != 2 || b != 1 {
-		t.Fatalf("under the first manager alice is %d, bob %d; want bob first", a, b)
-	}
-	p.SetFairShare(second)
-	if a, b := mustJob(t, p, alice).QueuePosition, mustJob(t, p, bob).QueuePosition; a != 1 || b != 2 {
-		t.Fatalf("under the second manager alice is %d, bob %d; want alice first", a, b)
-	}
-	g.Engine.RunFor(105 * time.Second) // carol's job ends, the machine frees
-	if got := mustJob(t, p, alice).Status; got != StatusRunning {
-		t.Fatalf("alice's job is %v, want running on the freed machine", got)
-	}
-	if got := mustJob(t, p, bob).Status; got != StatusIdle {
-		t.Fatalf("bob's job is %v, want idle", got)
-	}
-	if u := second.Usage("alice"); u <= 0 {
-		t.Fatalf("the incoming manager accrued alice %v, want her running job's usage", u)
-	}
-	if u := first.Usage("alice"); u != 1000 {
-		t.Fatalf("the outgoing manager accrued alice %v, want 1000", u)
 	}
 }
 

@@ -142,12 +142,6 @@ type job struct {
 	// completion is the job's failure (see stopAt).
 	failAfter float64
 
-	// usageRecorded is the locally-executed CPU already reported through a
-	// flow that has closed — the base the next one reports against — which
-	// for a job that outlives the policy it started under (SetFairShare
-	// mid-run) keeps the accounting exactly-once across the swap.
-	usageRecorded float64
-
 	// flow is the job's fair-share usage stream, open while its task
 	// occupies a node and a policy takes flows; flowRate is the rate it was
 	// last given: what the node gives the task, nothing while it is paused.
@@ -171,7 +165,7 @@ type job struct {
 	reqArch, reqOpSys constraintKey
 
 	// queue is the owner queue the job files under while it is not
-	// terminal; set at submit and restore, moved by rebuildQueues.
+	// terminal; set at submit and restore.
 	queue *ownerQueue
 }
 

@@ -428,41 +428,16 @@ func (p *Pool) EnableFlocking(peer *Pool) {
 // *fairshare.Manager does — the CPU-seconds each job executes here accrue
 // to its owner at the executing site while it runs, through a usage flow
 // closed with the measured total when the job reaches a terminal state,
-// closing the accounting loop the paper's stack lacks. A nil pol restores
-// the static ordering.
+// closing the accounting loop the paper's stack lacks. A pool's policy is
+// set once, before it holds its first job, submitted or restored; it
+// panics after.
 func (p *Pool) SetFairShare(pol fairshare.Ranker) {
-	if fairshare.IsNil(pol) {
-		pol = nil
+	if len(p.jobs) != 0 {
+		panic(fmt.Sprintf("condor: fair-share policy set on pool %s, which holds jobs", p.Name))
 	}
-	// A running job's usage flow follows the policy across the swap: it
-	// closes against the outgoing sink with its measured total, so those
-	// books end where the job stands, and reopens against the incoming one
-	// to report what is executed from here on.
-	for _, j := range p.active {
-		if j.flow != nil {
-			p.closeFlow(j)
-		}
-	}
-	rekey := (pol == nil) != (p.fair == nil)
 	p.fair = pol
 	p.fairFlow, _ = pol.(fairshare.FlowSink)
 	p.fairStart, _ = pol.(fairshare.StartObserver)
-	if rekey {
-		p.rebuildQueues()
-	} else if pol != nil {
-		// The queues stay; the tenants they hold are the incoming policy's.
-		for _, q := range p.queues {
-			q.tenant = pol.Tenant(q.owner)
-		}
-	}
-	if p.fairFlow != nil {
-		for _, j := range p.active {
-			if j.task != nil {
-				p.openUsage(j)
-			}
-		}
-		p.rearm() // an opened flow may have a load boundary to be woken at
-	}
 }
 
 // Subscribe registers a listener for job state transitions. Listeners run

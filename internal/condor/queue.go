@@ -75,11 +75,10 @@ func (l *qlist) gcHead() {
 // the whole pool's) in negotiation order: per-priority FIFO buckets
 // plus a submission-order list for the starvation guard's oldest pick.
 // Under a fair-share policy it also holds the owner's tenant handle,
-// resolved when the queue is made and again when the policy changes: what
-// the pass prices the owner by, and what its jobs' starts and usage flows
-// are accounted to. The static policy's shared queue has none.
+// resolved when the queue is made: what the pass prices the owner by, and
+// what its jobs' starts and usage flows are accounted to. The static
+// policy's shared queue has none.
 type ownerQueue struct {
-	owner  string
 	tenant *fairshare.Tenant
 	prios  []int // distinct priorities seen, sorted desc
 	byPrio map[int]*qlist
@@ -256,7 +255,7 @@ func (p *Pool) queue(owner string) *ownerQueue {
 	}
 	q, ok := p.owners[owner]
 	if !ok {
-		q = &ownerQueue{owner: owner, byPrio: make(map[int]*qlist)}
+		q = &ownerQueue{byPrio: make(map[int]*qlist)}
 		if p.fair != nil {
 			q.tenant = p.fair.Tenant(owner)
 		}
@@ -264,24 +263,6 @@ func (p *Pool) queue(owner string) *ownerQueue {
 		p.queues = append(p.queues, q)
 	}
 	return q
-}
-
-// rebuildQueues files every live job under a queue of the policy
-// mode (per-owner vs shared) now installed, and every idle one in it
-// afresh; called when the mode changes.
-func (p *Pool) rebuildQueues() {
-	p.owners = make(map[string]*ownerQueue)
-	p.queues = nil
-	for _, j := range p.active {
-		if j.status.Terminal() {
-			continue
-		}
-		j.queue = p.queue(j.owner)
-		if j.status == StatusIdle {
-			j.qgen++
-			j.queue.add(j)
-		}
-	}
 }
 
 // negotiationStream builds the pass's job stream at the given

@@ -272,62 +272,6 @@ func TestFlowRerateOrderIsDeterministic(t *testing.T) {
 	}
 }
 
-// TestPolicySwapMidRun: a policy installed while jobs run takes over their
-// accounting where the outgoing one's ends. Between them the two see each
-// job's CPU once: the old one what was executed up to the swap, the new one
-// the rest — for a job suspended across the swap as for the running ones,
-// and for one that ran before any policy was installed, whose first policy
-// sees all of it.
-func TestPolicySwapMidRun(t *testing.T) {
-	g := simgrid.NewGrid(time.Second, 1)
-	site := g.AddSite("siteA")
-	p := NewPool("poolA", g, site)
-	load := simgrid.StepLoad(flowEpoch, []time.Duration{150 * time.Second}, []float64{0.5, 0})
-	for i := 0; i < 3; i++ {
-		p.AddMachine(site.AddNode(g.Engine, nodeName(i), 1, load), nil)
-	}
-	manager := func() *fairshare.Manager {
-		return fairshare.NewManager(fairshare.Config{Clock: g.Engine.Clock(), HalfLife: -1})
-	}
-	early := mustSubmit(t, p, jobAd("early", 400, 0))
-	g.Engine.RunFor(20 * time.Second) // runs under no policy at all
-	before, after := manager(), manager()
-	p.SetFairShare(before)
-	mustSubmit(t, p, jobAd("alice", 300, 0))
-	paused := mustSubmit(t, p, jobAd("bob", 200, 0))
-	g.Engine.RunFor(80 * time.Second)
-	if err := p.Suspend(paused); err != nil {
-		t.Fatal(err)
-	}
-	atSwap := map[string]float64{}
-	for _, j := range mustJobs(t, p) {
-		atSwap[j.Owner] = j.CPUSeconds
-	}
-	p.SetFairShare(after)
-	for tenant, cpu := range atSwap {
-		if u := before.Usage(tenant); cpu <= 0 || math.Abs(u-cpu) > 1e-9*cpu {
-			t.Errorf("%s: outgoing policy holds %v at the swap, the job has executed %v", tenant, u, cpu)
-		}
-	}
-	g.Engine.RunFor(50 * time.Second)
-	if err := p.Resume(paused); err != nil {
-		t.Fatal(err)
-	}
-	g.Engine.RunFor(1000 * time.Second)
-	for _, j := range mustJobs(t, p) {
-		if j.Status != StatusCompleted {
-			t.Fatalf("job %d is %v at the horizon", j.ID, j.Status)
-		}
-		old, new := before.Usage(j.Owner), after.Usage(j.Owner)
-		if new <= 0 || math.Abs(old+new-j.CPUSeconds) > 1e-9*j.CPUSeconds {
-			t.Errorf("%s: %v with the outgoing policy + %v with the incoming one, the job executed %v", j.Owner, old, new, j.CPUSeconds)
-		}
-	}
-	if u := before.Usage("early"); math.Abs(u-atSwap["early"]) > 1e-9*u {
-		t.Errorf("the job started under no policy: %v with its first policy, %v executed by the swap (job %d)", u, atSwap["early"], early)
-	}
-}
-
 // TestFlowsMatchPerTickEagerOracle runs the piecewise-load scenario — step
 // and diurnal machines, and again with the noisy one — once, with
 // two sets of books kept on it: the installed policy's, fed by usage flows,

@@ -16,7 +16,7 @@ import (
 
 // TestProducerCoversEveryStateField: the deployment's producer emits
 // every field of durable.State, in declaration order, exactly once. A
-// field added to State and forgotten in emitStateLocked fails here (and
+// field added to State and forgotten in emitState fails here (and
 // at the first Checkpoint) instead of recovering as zero.
 func TestProducerCoversEveryStateField(t *testing.T) {
 	var want []string
@@ -28,7 +28,7 @@ func TestProducerCoversEveryStateField(t *testing.T) {
 	g := New(durableConfig())
 	var got []string
 	g.mu.Lock()
-	err := g.emitStateLocked(0, func(field string, value any) {
+	err := g.emitState(0, func(field string, value any) {
 		if i := len(got); i < st.NumField() && reflect.TypeOf(value) != st.Field(i).Type {
 			t.Errorf("section %d (%q) emitted as %T, want %v", i, field, value, st.Field(i).Type)
 		}

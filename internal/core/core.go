@@ -92,8 +92,8 @@ type Config struct {
 // method rows (g.Client, the Clarens host's handlers, a federation's site
 // hosts), Run and RunUntilDone, Checkpoint and CaptureState, and the
 // recovery AttachStore runs — holds its one lock, and Run gives the lock
-// up at every boundary it processes. The services below it hold no lock
-// of their own.
+// up at every boundary it processes. The services below it and State,
+// the users' session state, hold no lock of their own.
 //
 // The exported fields reach the services directly, around that lock: they
 // are for single-goroutine use — building a deployment, experiments and
@@ -126,7 +126,7 @@ type GAE struct {
 	// the capture, so no mutation straddles a checkpoint (applied before
 	// the capture but journaled after it — which replay would then apply
 	// twice), and AttachStore across recovery. It guards every service's
-	// state, store and idem.
+	// state, State, store, idem and obs's table of handles.
 	mu    sync.Mutex
 	store *durable.Store
 	idem  *idemWindow
@@ -231,8 +231,7 @@ func New(cfg Config) *GAE {
 		})
 	}
 
-	// Scheduler with per-site decentralized estimator histories. A nil
-	// FairShare manager is normalized away by scheduler.New.
+	// Scheduler with per-site decentralized estimator histories.
 	g.Scheduler = scheduler.New(scheduler.Config{
 		Grid:      grid,
 		Monitor:   repo,

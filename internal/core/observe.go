@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/json"
 	"net/http"
-	"sync"
 	"time"
 
 	"repro/internal/telemetry"
@@ -20,10 +19,13 @@ type methodObs struct {
 	latency  *telemetry.Histogram
 }
 
-// rpcObserver caches methodObs by method name.
+// rpcObserver caches methodObs by method name, making each on first use
+// so /metrics carries a series only for a method that was called. It has
+// no lock of its own: journal.End resolves a method's handles before it
+// releases the deployment's lock, which guards the map; observing into
+// the handles, which are atomic, happens after.
 type rpcObserver struct {
 	reg  *telemetry.Registry
-	mu   sync.RWMutex
 	byFQ map[string]*methodObs
 }
 
@@ -32,23 +34,15 @@ func newRPCObserver(reg *telemetry.Registry) *rpcObserver {
 }
 
 func (o *rpcObserver) forMethod(fq string) *methodObs {
-	o.mu.RLock()
 	mo := o.byFQ[fq]
-	o.mu.RUnlock()
-	if mo != nil {
-		return mo
+	if mo == nil {
+		mo = &methodObs{
+			requests: o.reg.LabeledCounter("rpc_requests_total", "method", fq),
+			errors:   o.reg.LabeledCounter("rpc_errors_total", "method", fq),
+			latency:  o.reg.LabeledHistogram("rpc_latency_seconds", "method", fq, nil),
+		}
+		o.byFQ[fq] = mo
 	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if mo = o.byFQ[fq]; mo != nil {
-		return mo
-	}
-	mo = &methodObs{
-		requests: o.reg.LabeledCounter("rpc_requests_total", "method", fq),
-		errors:   o.reg.LabeledCounter("rpc_errors_total", "method", fq),
-		latency:  o.reg.LabeledHistogram("rpc_latency_seconds", "method", fq, nil),
-	}
-	o.byFQ[fq] = mo
 	return mo
 }
 

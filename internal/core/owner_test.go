@@ -106,12 +106,52 @@ func dialAs(t *testing.T, url, user, pass string) *gae.Client {
 // reached a service outside the deployment's lock, or a boundary that ran
 // outside it, is a data race. The journal must then hold the mutations in
 // the order they applied: a deployment recovered from the journal alone
-// reaches the live state byte for byte. Fair share runs without decay: a
-// read settles the accounts it prices, and decayed usage has float bits
-// that depend on where a settle falls; undecayed whole-second accrual at
-// whole rates is exact wherever it is split.
+// reaches the live state byte for byte.
 func TestCallsBesideRun(t *testing.T) {
-	const rounds = 6
+	ops := map[string]bool{}
+	for _, m := range gae.Methods() {
+		ops[m.Op] = true
+	}
+	for _, rc := range everyRow(context.Background(), nil, nil, "", 0) {
+		if !ops[rc.op] {
+			t.Fatalf("everyRow calls %s, which no row is journaled or measured as", rc.op)
+		}
+		delete(ops, rc.op)
+	}
+	if len(ops) != 0 {
+		t.Fatalf("everyRow calls no %v", ops)
+	}
+	callsBesideRun(t, 3)
+}
+
+// TestCheckpointBesideCalls checkpoints and captures the deployment from
+// goroutines of their own while every method row is called on both
+// transports and the engine runs. Under -race, a capture that read the
+// state outside the deployment's lock, or a call's metric handles made
+// outside it, is a data race. Recovery from the last checkpoint plus the
+// journal tail after it must reach the live state byte for byte.
+func TestCheckpointBesideCalls(t *testing.T) {
+	var checkpoints atomic.Int64
+	callsBesideRun(t, 3,
+		func(g *GAE) error { checkpoints.Add(1); return g.Checkpoint() },
+		func(g *GAE) error { _, err := g.CaptureState(); return err },
+	)
+	if checkpoints.Load() == 0 {
+		t.Fatal("no checkpoint ran beside the calls")
+	}
+}
+
+// callsBesideRun attaches a durable store in a fresh directory to a
+// deployment and calls every method row rounds times from two local and
+// two wire callers, while one goroutine runs the engine and one per function
+// in loops calls it over and over, until the callers are done. A
+// deployment recovered from the directory must then encode the live state
+// byte for byte. Fair share runs without decay: a read settles the
+// accounts it prices, and decayed usage has float bits that depend on
+// where a settle falls; undecayed whole-second accrual at whole rates is
+// exact wherever it is split.
+func callsBesideRun(t *testing.T, rounds int, loops ...func(g *GAE) error) {
+	t.Helper()
 	dir := t.TempDir()
 	cfg := twoSiteConfig()
 	cfg.Sites[0].Nodes, cfg.Sites[1].Nodes = 3, 3
@@ -131,41 +171,37 @@ func TestCallsBesideRun(t *testing.T) {
 	}
 	hs := httptest.NewServer(g1.Handler())
 	defer hs.Close()
-	callers := []struct {
+	type caller struct {
 		name     string
 		c, admin *gae.Client
-	}{
-		{"local", g1.Client("alice"), g1.Client("root")},
-		{"wire", dialAs(t, hs.URL, "alice", "pw"), dialAs(t, hs.URL, "root", "rootpw")},
 	}
-
-	ops := map[string]bool{}
-	for _, m := range gae.Methods() {
-		ops[m.Op] = true
-	}
-	for _, rc := range everyRow(ctx, nil, nil, "", 0) {
-		if !ops[rc.op] {
-			t.Fatalf("everyRow calls %s, which no row is journaled or measured as", rc.op)
-		}
-		delete(ops, rc.op)
-	}
-	if len(ops) != 0 {
-		t.Fatalf("everyRow calls no %v", ops)
+	var callers []caller
+	for k := range 2 {
+		callers = append(callers,
+			caller{fmt.Sprint("local", k), g1.Client("alice"), g1.Client("root")},
+			caller{fmt.Sprint("wire", k), dialAs(t, hs.URL, "alice", "pw"), dialAs(t, hs.URL, "root", "rootpw")})
 	}
 
 	stop := make(chan struct{})
-	ran := make(chan struct{})
-	go func() {
-		defer close(ran)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				g1.Run(7 * time.Second)
+	var bg sync.WaitGroup
+	loops = append(loops, func(g *GAE) error { g.Run(7 * time.Second); return nil })
+	for _, loop := range loops {
+		bg.Add(1)
+		go func() {
+			defer bg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					if err := loop(g1); err != nil {
+						t.Error(err)
+						return
+					}
+				}
 			}
-		}
-	}()
+		}()
+	}
 	var wg sync.WaitGroup
 	for _, c := range callers {
 		wg.Add(1)
@@ -180,7 +216,10 @@ func TestCallsBesideRun(t *testing.T) {
 	}
 	wg.Wait()
 	close(stop)
-	<-ran
+	bg.Wait()
+	if t.Failed() {
+		return
+	}
 	// A last journaled call, so that recovery replays time up to where the
 	// live clock stands.
 	if err := g1.Client("alice").SetState(ctx, "done", "yes"); err != nil {
@@ -198,7 +237,7 @@ func TestCallsBesideRun(t *testing.T) {
 	}
 	defer s2.Close()
 	if err := g2.AttachStore(s2); err != nil {
-		t.Fatalf("journal-only recovery: %v", err)
+		t.Fatalf("recovery: %v", err)
 	}
 	if got := encodeState(t, g2); !bytes.Equal(want, got) {
 		diffLines(t, want, got)

@@ -77,7 +77,7 @@ func (g *GAE) Checkpoint() error {
 	if g.store == nil {
 		return nil
 	}
-	return g.store.Checkpoint(g.Now(), g.emitStateLocked)
+	return g.store.Checkpoint(g.Now(), g.emitState)
 }
 
 // CaptureState exports the deployment's full mutable state in the
@@ -86,16 +86,17 @@ func (g *GAE) Checkpoint() error {
 func (g *GAE) CaptureState() (durable.State, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return durable.CollectState(func(emit durable.Emit) error { return g.emitStateLocked(0, emit) })
+	return durable.CollectState(func(emit durable.Emit) error { return g.emitState(0, emit) })
 }
 
-// emitStateLocked is the one list of what a deployment's state is made
-// of: it exports each durable.State section in field order and hands it
-// to emit before exporting the next, so a checkpoint holds one section at
-// a time. Checkpoint writes the sections out; CaptureState collects them.
-// The ledger is emitted from entry ledgerFrom on: everything for a
-// capture, what the store's history segment lacks for a checkpoint.
-func (g *GAE) emitStateLocked(ledgerFrom int, emit durable.Emit) error {
+// emitState is the one list of what a deployment's state is made of: it
+// exports each durable.State section in field order and hands it to emit
+// before exporting the next, so a checkpoint holds one section at a time.
+// Checkpoint writes the sections out; CaptureState collects them. Both
+// run it under g.mu. The ledger is emitted from entry ledgerFrom on:
+// everything for a capture, what the store's history segment lacks for a
+// checkpoint.
+func (g *GAE) emitState(ledgerFrom int, emit durable.Emit) error {
 	sites := g.Scheduler.Sites()
 	pools := make([]durable.PoolState, 0, len(sites))
 	for _, site := range sites {
@@ -344,7 +345,9 @@ func (j *journal) Begin(ctx context.Context, m *gae.Method) (gae.Pending, error)
 // latency observations. The handler stage runs from Begin until the
 // service returned, so it includes the wait for the lock; the journal
 // stage runs from there to the end once an enqueue was attempted; a window
-// hit ran neither.
+// hit ran neither. A mutation's metric handles are resolved before the
+// lock is released, since it guards the observer's map; they are observed
+// into after.
 func (j *journal) End(p gae.Pending, args []any, result []byte, err error) error {
 	g := j.g
 	if !p.Mutates {
@@ -378,6 +381,7 @@ func (j *journal) End(p gae.Pending, args []any, result []byte, err error) error
 			g.idem.record(p.User, p.RequestID, p.Op, result, span.Seq, now)
 		}
 	}
+	mo := g.obs.forMethod(p.Op)
 	g.mu.Unlock()
 	if err == nil && store != nil {
 		if err = store.Wait(batch); err != nil {
@@ -385,7 +389,6 @@ func (j *journal) End(p gae.Pending, args []any, result []byte, err error) error
 		}
 	}
 	end := time.Now() //lint:walltime telemetry: real RPC latency span, never read back into deployment state
-	mo := g.obs.forMethod(p.Op)
 	mo.requests.Inc()
 	mo.latency.Observe(end.Sub(p.Start).Seconds())
 	span.TotalMillis = millis(end.Sub(p.Start))

@@ -110,15 +110,29 @@ func (j *Journal) enqueue(payload []byte) (uint64, error) {
 
 // waitDurable blocks until batch generation gen is on disk and returns the
 // sticky error, if any. The first waiter to observe no active flusher
-// becomes the flusher for everything pending.
+// becomes the flusher for everything pending: it takes the batch, writes
+// and fsyncs it with j.mu released — flushing keeps every other waiter
+// from starting a second flush meanwhile — then publishes the outcome.
 func (j *Journal) waitDurable(gen uint64) error {
 	j.mu.Lock()
 	for j.synced < gen && j.err == nil && !j.closed {
-		if !j.flushing {
-			j.flushLocked()
+		if j.flushing {
+			j.cond.Wait()
 			continue
 		}
-		j.cond.Wait()
+		batch, records, flushed := j.pending, j.pendingN, j.queued
+		j.pending, j.pendingN = nil, 0
+		j.queued++
+		j.flushing = true
+		j.mu.Unlock()
+		err := j.write(batch, records)
+		j.mu.Lock()
+		j.flushing = false
+		if err != nil && j.err == nil {
+			j.err = err
+		}
+		j.synced = flushed
+		j.cond.Broadcast()
 	}
 	err := j.err
 	if err == nil && j.synced < gen && j.closed {
@@ -128,18 +142,9 @@ func (j *Journal) waitDurable(gen uint64) error {
 	return err
 }
 
-// flushLocked writes and fsyncs the whole pending batch. Called with the
-// mutex held; releases it around the I/O.
-func (j *Journal) flushLocked() {
-	batch := j.pending
-	records := j.pendingN
-	j.pending = nil
-	j.pendingN = 0
-	gen := j.queued
-	j.queued++
-	j.flushing = true
-	j.mu.Unlock()
-
+// write writes and fsyncs one batch of records and observes the flush.
+// It touches no field j.mu guards, so waitDurable calls it unlocked.
+func (j *Journal) write(batch []byte, records int64) error {
 	var t0 time.Time
 	if j.obsFlushes != nil {
 		t0 = time.Now() //lint:walltime telemetry: real fsync latency for operator metrics, never read back into store state
@@ -156,15 +161,7 @@ func (j *Journal) flushLocked() {
 		j.obsBatchBytes.Observe(float64(len(batch)))
 		j.obsBatchRecords.Observe(float64(records))
 	}
-
-	//lint:lockheld flushLocked's contract releases j.mu around the I/O and re-acquires it here; j.flushing excludes concurrent flushers
-	j.mu.Lock()
-	j.flushing = false
-	if err != nil && j.err == nil {
-		j.err = err
-	}
-	j.synced = gen
-	j.cond.Broadcast()
+	return err
 }
 
 // Truncate discards the journal's contents (the checkpoint cycle's

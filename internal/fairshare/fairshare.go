@@ -266,9 +266,8 @@ func (m *Manager) GroupUsage(group string) float64 {
 	return g.usage
 }
 
-// SiteUsage returns the tenant's decayed usage accrued at one site — the
-// SiteStanding implementation the scheduler uses as its site-selection
-// tie-break.
+// SiteUsage returns the tenant's decayed usage accrued at one site — what
+// the scheduler breaks site-selection ties by.
 func (m *Manager) SiteUsage(tenant, site string) float64 {
 	t, ok := m.tenants[tenantName(tenant)]
 	if !ok {

@@ -2,23 +2,10 @@ package fairshare
 
 import (
 	"cmp"
-	"reflect"
 	"slices"
 	"strings"
 	"time"
 )
-
-// IsNil reports whether a policy interface value is nil or wraps a
-// typed-nil pointer (e.g. a nil *Manager stored in a Ranker). Integration
-// points use it so a typed nil means "no policy", not a crash — the
-// subtle rule lives in one place instead of being re-derived per caller.
-func IsNil(v any) bool {
-	if v == nil {
-		return true
-	}
-	rv := reflect.ValueOf(v)
-	return rv.Kind() == reflect.Pointer && rv.IsNil()
-}
 
 // JobRef is the ordering view of one queued job: everything a fair-share
 // policy may consider when deciding which idle job the next free machine
@@ -173,13 +160,6 @@ func LessKeys(a, b JobRef, ka, kb SortKey) bool {
 // reports running jobs' CPU through the FlowSink extension instead.
 type Sink interface {
 	RecordUsage(tenant, site string, cpuSeconds float64)
-}
-
-// SiteStanding exposes per-site fair-share standing — the scheduler's
-// site-selection tie-break: among sites with near-equal estimated cost,
-// prefer the one where the tenant has consumed the least recent usage.
-type SiteStanding interface {
-	SiteUsage(tenant, site string) float64
 }
 
 // StartObserver receives job-start notifications from the execution

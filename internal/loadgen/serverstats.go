@@ -16,7 +16,8 @@ type ServerStats struct {
 	// RPCP99Millis is the server-observed p99 latency per journaled RPC
 	// method, in milliseconds.
 	RPCP99Millis map[string]float64 `json:"rpc_p99_ms,omitempty"`
-	// RPCRequests and RPCErrors total the server's journaled RPC path.
+	// RPCRequests and RPCErrors total the server's journaled RPC path:
+	// mutating calls only, since a read is not counted.
 	RPCRequests float64 `json:"rpc_requests"`
 	RPCErrors   float64 `json:"rpc_errors"`
 	// IdemHits counts duplicate requests answered from the idempotency

@@ -47,8 +47,8 @@ type Scheduler struct {
 	wake     *simgrid.Wake
 	repo     *monalisa.Repository // nil: score with zero load
 	transfer *estimator.TransferEstimator
-	replicas *replica.Catalog       // optional
-	fair     fairshare.SiteStanding // optional
+	replicas *replica.Catalog   // optional
+	fair     *fairshare.Manager // optional
 
 	sites map[string]*SiteServices
 	// plans is the plan table: every submitted or restored plan by name,
@@ -100,7 +100,7 @@ type Config struct {
 	Replicas *replica.Catalog
 	// FairShare, when set, supplies per-tenant per-site standing used as
 	// the site-selection tie-break (see tieMargin).
-	FairShare fairshare.SiteStanding
+	FairShare *fairshare.Manager
 	// Telemetry, when set, records scheduler vitals: wake-ups and site-
 	// selection latency.
 	Telemetry *telemetry.Registry
@@ -110,9 +110,6 @@ type Config struct {
 func New(cfg Config) *Scheduler {
 	if cfg.Grid == nil {
 		panic("scheduler: Config.Grid is required")
-	}
-	if fairshare.IsNil(cfg.FairShare) {
-		cfg.FairShare = nil
 	}
 	if cfg.Transfer == nil {
 		cfg.Transfer = &estimator.TransferEstimator{Network: cfg.Grid.Network}

@@ -6,10 +6,9 @@
 // compile against the real framework with only an import-path change
 // if the dependency ever becomes available.
 //
-// Only the subset gae-lint uses is implemented: no Facts (all three
-// analyzers are strictly package-local — the *Locked contract forbids
-// exported *Locked methods, so the lock call graph never crosses a
-// package boundary), no Requires/ResultOf chaining, no suggested fixes.
+// Only the subset gae-lint uses is implemented: no Facts (both analyzers
+// are strictly package-local), no Requires/ResultOf chaining, no
+// suggested fixes.
 package analysis
 
 import (

@@ -1,7 +1,6 @@
 // gae-lint machine-checks the source conventions the reproduction's
 // guarantees rest on: sorted iteration before serialization (detorder),
-// sim-time-only simulation state (simtime), and the *Locked
-// mutex-suffix contract (lockheld).
+// and sim-time-only simulation state (simtime).
 //
 // Standalone:
 //

@@ -27,7 +27,7 @@ func Main(analyzers ...*analysis.Analyzer) int {
 	fs := flag.NewFlagSet("gae-lint", flag.ExitOnError)
 	fs.Usage = func() {
 		fmt.Fprintf(fs.Output(), "usage: gae-lint [-dir dir] [-NAME] [-NAME.flag=value] [package pattern ...]\n\n")
-		fmt.Fprintf(fs.Output(), "Runs the gae determinism/locking analyzers. With no -NAME flags all\nanalyzers run; naming one or more runs only those.\n\nAnalyzers:\n")
+		fmt.Fprintf(fs.Output(), "Runs the gae determinism analyzers. With no -NAME flags all\nanalyzers run; naming one or more runs only those.\n\nAnalyzers:\n")
 		for _, a := range analyzers {
 			fmt.Fprintf(fs.Output(), "  %-10s %s\n", a.Name, a.Doc)
 		}

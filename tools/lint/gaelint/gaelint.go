@@ -6,7 +6,6 @@ package gaelint
 import (
 	"repro/tools/lint/analysis"
 	"repro/tools/lint/detorder"
-	"repro/tools/lint/lockheld"
 	"repro/tools/lint/simtime"
 )
 
@@ -15,6 +14,5 @@ func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		detorder.Analyzer,
 		simtime.Analyzer,
-		lockheld.Analyzer,
 	}
 }
