@@ -111,10 +111,13 @@ fuzz-smoke:
 # a sim-match job ad stays under its malloc ceiling (SubmitMallocCeiling);
 # and what a pass's refresh of the free machines costs is gated in load
 # reads: one per machine that entered the free set, none for one that
-# stayed (RefreshFollowsChanges).
+# stayed (RefreshFollowsChanges). The layouts the matchmaker reads are
+# pinned in bytes: an ad entry, carrying its name's key, stays at 48, a
+# parse node, carrying a reference's key in its payload, at 24, an Ad at
+# 48 and a Matcher at 64 (AdAndMatcherSizes).
 bench-smoke:
 	GAE_SCENARIO_SCALE=smoke $(GO) test -run xxx -bench Scenario -benchtime 1x .
-	$(GO) test -run 'MillionSmokeCounts|JobSize|CompletionPathLayout|FlowAndSortKeysAllocations|JobBytesCeiling|CompletionMallocCeiling|RunBytesPerJob|RankEvalsFollowChanges|SegmentCalls|WeatherIsEventDriven|FlowFollowsLoadSegments|ExprAllocations|MatcherAllocatesClassOnlyForRank|SubmitMallocCeiling|RefreshFollowsChanges' -count=1 . ./internal/condor ./internal/fairshare ./internal/simgrid ./internal/classad
+	$(GO) test -run 'MillionSmokeCounts|JobSize|CompletionPathLayout|FlowAndSortKeysAllocations|JobBytesCeiling|CompletionMallocCeiling|RunBytesPerJob|RankEvalsFollowChanges|SegmentCalls|WeatherIsEventDriven|FlowFollowsLoadSegments|ExprAllocations|MatcherAllocatesClassOnlyForRank|SubmitMallocCeiling|RefreshFollowsChanges|AdAndMatcherSizes' -count=1 . ./internal/condor ./internal/fairshare ./internal/simgrid ./internal/classad
 	$(GO) test -run 'WireAllocCeilings|ServeAllocCeiling' -count=1 ./pkg/gae ./internal/xmlrpc
 	$(GO) test -run 'CheckpointFollowsDelta|LocalCallAllocCeilings' -count=1 ./internal/core
 

@@ -27,6 +27,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"os/signal"
 	"strconv"
@@ -153,6 +154,9 @@ func parseSites(s string) ([]core.SiteSpec, error) {
 		cost, err := strconv.ParseFloat(parts[3], 64)
 		if err != nil {
 			return nil, fmt.Errorf("site spec %q: bad cost: %v", spec, err)
+		}
+		if cost < 0 || math.IsNaN(cost) || math.IsInf(cost, 0) {
+			return nil, fmt.Errorf("site spec %q: bad cost: %v is not a finite, non-negative rate", spec, cost)
 		}
 		out = append(out, core.SiteSpec{
 			Name:             parts[0],

@@ -29,6 +29,10 @@ func TestParseSitesMalformed(t *testing.T) {
 		{"caltech:four:0.2:0.05", "bad node count"},
 		{"caltech:4:heavy:0.05", "bad load"},
 		{"caltech:4:0.2:free", "bad cost"},
+		{"caltech:4:0.2:-0.05", "bad cost"},
+		{"caltech:4:0:NaN", "bad cost"},
+		{"caltech:4:0:Inf", "bad cost"},
+		{"caltech:4:0:-inf", "bad cost"},
 	} {
 		_, err := parseSites(tc.in)
 		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {

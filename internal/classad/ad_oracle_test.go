@@ -17,12 +17,19 @@ import (
 // differential test below holds Ad to it observation for observation.
 
 type mapAd struct {
-	attrs    map[string]entry
+	attrs    map[string]mapEntry
 	version  uint64
 	onMutate []func()
 }
 
-func newMapAd() *mapAd { return &mapAd{attrs: make(map[string]entry)} }
+// mapEntry is one attribute as the map held it: its name as a string.
+type mapEntry struct {
+	name string
+	val  Value
+	expr *Expr
+}
+
+func newMapAd() *mapAd { return &mapAd{attrs: make(map[string]mapEntry)} }
 
 func (a *mapAd) OnMutate(fn func()) { a.onMutate = append(a.onMutate, fn) }
 
@@ -34,7 +41,7 @@ func (a *mapAd) mutated() {
 }
 
 func (a *mapAd) Set(name string, v any) {
-	a.attrs[strings.ToLower(name)] = entry{name: name, val: From(v)}
+	a.attrs[strings.ToLower(name)] = mapEntry{name: name, val: From(v)}
 	a.mutated()
 }
 
@@ -43,7 +50,7 @@ func (a *mapAd) SetExpr(name, src string) error {
 	if err != nil {
 		return fmt.Errorf("classad: attribute %s: %w", name, err)
 	}
-	a.attrs[strings.ToLower(name)] = entry{name: name, expr: e}
+	a.attrs[strings.ToLower(name)] = mapEntry{name: name, expr: e}
 	a.mutated()
 	return nil
 }
@@ -94,7 +101,7 @@ func (a *mapAd) LiteralString(name string) (string, bool) {
 }
 
 func (a *mapAd) Clone() *mapAd {
-	c := &mapAd{attrs: make(map[string]entry, len(a.attrs))}
+	c := &mapAd{attrs: make(map[string]mapEntry, len(a.attrs))}
 	for k, e := range a.attrs {
 		c.attrs[k] = e
 	}
@@ -114,7 +121,8 @@ func (a *mapAd) fresh() *Ad {
 	sort.Strings(keys)
 	ad := New()
 	for _, k := range keys {
-		ad.attrs = append(ad.attrs, a.attrs[k])
+		e := a.attrs[k]
+		ad.put(newEntry(e.name, e.val, e.expr))
 	}
 	return ad
 }
@@ -152,18 +160,20 @@ func newOraclePair(ad *Ad, want *mapAd) *oraclePair {
 	return p
 }
 
-// oracleNames are the differential's attribute vocabulary: 24 names, more
-// than an ad is allowed to hold, each written in several spellings. One is
-// not ASCII (the lexer reads no such name, Set stores any), so the
-// compare's ToLower fallback runs too. Only the last eight are ever given
-// an expression.
+// oracleNames are the differential's attribute vocabulary: 26 names, more
+// than an ad is allowed to hold, each written in several spellings. Two are
+// not ASCII, so the compare's ToLower fallback runs too, and "\u212Aey"
+// (the Kelvin sign, which lower-cases to an ASCII k) is the attribute "key"
+// under a spelling one byte longer: a keyed lookup that hashed the bytes as
+// written, or filtered on length, would find neither under the other's
+// name. Only the last eight are ever given an expression.
 var oracleNames = []string{
 	"Owner", "CpuSeconds", "JobPrio", "Memory", "Arch", "OpSys", "KFlops", "LoadAvg",
-	"Disk", "ImageSize", "Cmd", "Env", "Mips", "Machine", "Ärger", "x_1",
+	"Disk", "ImageSize", "Cmd", "Env", "Mips", "Machine", "Ärger", "x_1", "key", "\u212Aey",
 	"Requirements", "Rank", "a", "b", "ab", "abc", "Reqs", "Ranking",
 }
 
-const oracleLiteralNames = 16
+const oracleLiteralNames = 18
 
 func spelling(rng *rand.Rand, name string) string {
 	switch rng.Intn(4) {
@@ -197,6 +207,7 @@ var oracleExprs = []string{
 	"true", "7", "2.5",
 	"a + 1", "B + Memory", "AB ? Memory : Disk", "TARGET.abc", "my.a",
 	"Rank + 1", "Requirements", "target.rank", "Reqs && TARGET.Mips >= 1", "ranking",
+	"\u212Aey * 2", "TARGET.\u212AEY > MY.KEY",
 }
 
 func randomLiteral(rng *rand.Rand) any {

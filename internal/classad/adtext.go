@@ -40,9 +40,9 @@ func ParseAd(src string) (*Ad, error) {
 			if v.kind == KindString {
 				v = Str(strings.Clone(v.str()))
 			}
-			ad.put(entry{name: name, val: v})
+			ad.put(newEntry(name, v, nil))
 		} else {
-			ad.put(entry{name: name, expr: e})
+			ad.put(newEntry(name, Value{}, e))
 		}
 		ad.version++
 	}

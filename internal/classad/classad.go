@@ -278,15 +278,16 @@ func (v Value) Equal(o Value) bool {
 // Ad is a ClassAd: a case-insensitive set of named attributes, each a
 // literal (Value) or an unevaluated expression (Expr).
 //
-// The attributes sit in one slice, in the order they were first set, and
-// are found by linear search with a case-folding compare. The ads this
-// system builds carry 3 to 15 attributes: at that size a scan of one
-// contiguous array is as fast as hashing the name (classad.match_ns and
-// classad.rank_ns in bench/ are the rows that would say otherwise), and an
-// ad costs a 48-byte header plus 48 bytes an attribute (a three-attribute
-// job ad: 48 + 144), a fraction of a hash table's smallest bucket group.
-// Nothing observable depends on the order: Names, String and so the
-// snapshot text sort.
+// The attributes sit in one slice, in the order they were first set, each
+// with a 32-bit key of its case-folded name (foldKey), as each attribute
+// reference of a parsed expression has: a lookup compares keys and
+// confirms a hit by the name. The ads this system builds carry 3 to 15
+// attributes: at that size a scan of one contiguous array is as fast as a
+// hash table (classad.match_ns and classad.rank_ns in bench/ would say
+// otherwise), and an ad costs a 48-byte header plus 48 bytes an attribute
+// (a three-attribute job ad: 48 + 144), a fraction of a hash table's
+// smallest bucket group. Nothing observable depends on the order: Names,
+// String and so the snapshot text sort.
 type Ad struct {
 	attrs []entry
 	// version counts mutations; compiled Matchers use it to detect that
@@ -298,6 +299,7 @@ type Ad struct {
 	// one, so they sit behind a pointer. Hooks are not carried by Clone —
 	// a clone is a private snapshot.
 	onMutate *[]func()
+	exprs    int32 // attributes that hold an expression
 }
 
 // OnMutate registers fn to run after every mutation of this ad (Set,
@@ -322,22 +324,34 @@ func (a *Ad) mutated() {
 	}
 }
 
-// entry is one attribute; names compare ignoring case, so there is no
-// second, lower-cased copy of one.
+// entry is one attribute: its name as last written, as its bytes and
+// length, and the name's foldKey; there is no lower-cased copy of it.
 type entry struct {
-	name string // as last written, for printing
+	np   unsafe.Pointer
+	nlen uint32
+	key  uint32
 	val  Value
 	expr *Expr // non-nil when the attribute is an expression
 }
+
+func newEntry(name string, val Value, expr *Expr) entry {
+	return entry{np: unsafe.Pointer(unsafe.StringData(name)), nlen: uint32(len(name)), key: foldKey(name), val: val, expr: expr}
+}
+
+func (e *entry) name() string { return unsafe.String((*byte)(e.np), int(e.nlen)) }
 
 // New returns an empty ad.
 func New() *Ad { return &Ad{} }
 
 // find returns the index of the attribute called name, or -1. Two names
 // are the same attribute when they are equal after strings.ToLower.
-func (a *Ad) find(name string) int {
+func (a *Ad) find(name string) int { return a.index(name, foldKey(name)) }
+
+// index is find for a name whose foldKey is known: a key hit is confirmed
+// by the name, compared as written first.
+func (a *Ad) index(name string, key uint32) int {
 	for i := range a.attrs {
-		if foldCompare(a.attrs[i].name, name) == 0 {
+		if e := &a.attrs[i]; e.key == key && (e.name() == name || foldCompare(e.name(), name) == 0) {
 			return i
 		}
 	}
@@ -347,7 +361,13 @@ func (a *Ad) find(name string) int {
 // put writes e over the attribute of the same name, in place, or appends
 // it; the first append sizes the slice for a small ad in one step.
 func (a *Ad) put(e entry) {
-	if i := a.find(e.name); i >= 0 {
+	if e.expr != nil {
+		a.exprs++
+	}
+	if i := a.index(e.name(), e.key); i >= 0 {
+		if a.attrs[i].expr != nil {
+			a.exprs--
+		}
 		a.attrs[i] = e
 		return
 	}
@@ -359,7 +379,7 @@ func (a *Ad) put(e entry) {
 
 // Set stores a literal attribute, converting the Go value via From.
 func (a *Ad) Set(name string, v any) *Ad {
-	a.put(entry{name: name, val: From(v)})
+	a.put(newEntry(name, From(v), nil))
 	a.mutated()
 	return a
 }
@@ -370,7 +390,7 @@ func (a *Ad) SetExpr(name, src string) error {
 	if err != nil {
 		return fmt.Errorf("classad: attribute %s: %w", name, err)
 	}
-	a.put(entry{name: name, expr: e})
+	a.put(newEntry(name, Value{}, e))
 	a.mutated()
 	return nil
 }
@@ -390,7 +410,7 @@ func (a *Ad) Has(name string) bool { return a.find(name) >= 0 }
 func (a *Ad) Names() []string {
 	out := make([]string, len(a.attrs))
 	for i := range a.attrs {
-		out[i] = a.attrs[i].name
+		out[i] = a.attrs[i].name()
 	}
 	sort.Strings(out)
 	return out
@@ -423,13 +443,13 @@ func (e *entry) eval(sc scope) Value {
 // String renders the ad in [a = 1; b = "x";] form with sorted attributes.
 func (a *Ad) String() string {
 	sorted := slices.Clone(a.attrs)
-	slices.SortFunc(sorted, func(x, y entry) int { return strings.Compare(x.name, y.name) })
+	slices.SortFunc(sorted, func(x, y entry) int { return strings.Compare(x.name(), y.name()) })
 	b := []byte{'['}
 	for i, e := range sorted {
 		if i > 0 {
 			b = append(b, "; "...)
 		}
-		b = append(append(b, e.name...), " = "...)
+		b = append(append(b, e.name()...), " = "...)
 		if e.expr != nil {
 			b = appendNode(b, e.expr.nodes(), 0)
 		} else {
@@ -454,7 +474,7 @@ func (a *Ad) LiteralString(name string) (string, bool) {
 
 // Clone returns a deep-enough copy (expressions are immutable and shared).
 func (a *Ad) Clone() *Ad {
-	return &Ad{attrs: slices.Clone(a.attrs)}
+	return &Ad{attrs: slices.Clone(a.attrs), exprs: a.exprs}
 }
 
 // Float fetches a numeric attribute as float64 with a default.

@@ -16,35 +16,36 @@ type scope struct {
 
 const maxEvalDepth = 64
 
-// resolve looks up an attribute reference. Unqualified names search self
-// then target; MY restricts to self; TARGET to target.
-func (sc scope) resolve(name string, in uint8) Value {
+// resolve looks up an attribute reference, name with its foldKey.
+// Unqualified names search self then target; MY restricts to self; TARGET
+// to target.
+func (sc scope) resolve(name string, key uint32, in uint8) Value {
 	if sc.depth >= maxEvalDepth {
 		return Errorf("attribute recursion limit reached at %q", strings.ToLower(name))
 	}
 	switch in {
 	case scopeMy:
-		v, _ := sc.lookupIn(sc.self, sc.target, name)
+		v, _ := sc.lookupIn(sc.self, sc.target, name, key)
 		return v
 	case scopeTarget:
-		v, _ := sc.lookupIn(sc.target, sc.self, name)
+		v, _ := sc.lookupIn(sc.target, sc.self, name, key)
 		return v
 	default:
-		if v, ok := sc.lookupIn(sc.self, sc.target, name); ok {
+		if v, ok := sc.lookupIn(sc.self, sc.target, name, key); ok {
 			return v
 		}
-		v, _ := sc.lookupIn(sc.target, sc.self, name)
+		v, _ := sc.lookupIn(sc.target, sc.self, name, key)
 		return v
 	}
 }
 
 // lookupIn fetches name from ad; expression attributes evaluate with ad as
 // self and other as target, one depth level down.
-func (sc scope) lookupIn(ad, other *Ad, name string) (Value, bool) {
+func (sc scope) lookupIn(ad, other *Ad, name string, key uint32) (Value, bool) {
 	if ad == nil {
 		return Undefined(), false
 	}
-	i := ad.find(name)
+	i := ad.index(name, key)
 	if i < 0 {
 		return Undefined(), false
 	}
@@ -62,7 +63,7 @@ func eval(ns []node, i int, sc scope) Value {
 	case opLit:
 		return n.lit()
 	case opAttr:
-		return sc.resolve(n.name(), n.aux)
+		return sc.resolve(n.name(), n.key(), n.aux)
 	case opParen:
 		return eval(ns, i+1, sc)
 	case opNeg, opNot:

@@ -103,12 +103,15 @@ func FuzzExprAgainstTree(f *testing.F) {
 		"99999999999999999999", "1e", `"open`, `"bad\q"`, "a ? b", "// only a comment", "x // c\n + 1",
 		`TARGET.Arch == "X86" && (TARGET.OpSys == "Linux" && Memory > 1)`, `"x86" == Arch`, `MY.Arch == "x"`,
 		"TARGET.KFlops + TARGET.Memory/4.0", "-(TARGET.Memory % 7) * 2.5e3", "İnt(2.5)", "falſe",
+		// The Kelvin sign lower-cases to an ASCII k, one byte shorter: the
+		// keyed lookup must find KFlops and Key under it.
+		"TARGET.\u212AFlops > 1000", "\u212AEY + \u212Aflops", "MY.\u212Aey == TARGET.kEY",
 	} {
 		f.Add(src)
 	}
-	self := New().Set("A", 3).Set("B", 4.5).Set("C", false).Set("Arch", "x86").Set("Größe", 4).
+	self := New().Set("A", 3).Set("B", 4.5).Set("C", false).Set("Arch", "x86").Set("Größe", 4).Set("Key", 7).
 		MustSetExpr("X", "A * 2").MustSetExpr("Loop", "Loop + 1")
-	target := New().Set("Memory", 2048).Set("KFlops", 600000).Set("Arch", "X86_64").Set("OpSys", "LINUX").
+	target := New().Set("Memory", 2048).Set("KFlops", 600000).Set("Arch", "X86_64").Set("OpSys", "LINUX").Set("\u212Aey", 7).
 		Set("Name", "n1").MustSetExpr("Free", "Memory - MY.Memory / 2")
 	f.Fuzz(func(t *testing.T, src string) {
 		got, gerr := Parse(src)

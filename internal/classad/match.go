@@ -162,18 +162,18 @@ func (m *Matcher) RankClass() (key string, ok bool) {
 // TargetRank is Rank for an ad that has a rank class; ok is false when the
 // value is not a function of the target alone after all: t defines an
 // attribute the Rank reads as an expression, which evaluates with this ad
-// in scope.
+// in scope. A target with no expression attribute defines none.
 func (m *Matcher) TargetRank(t *Matcher) (rank float64, ok bool) {
 	m.sync()
-	if m.rank != nil {
-		if !m.byTarget {
-			return 0, false
-		}
+	if m.rank != nil && !m.byTarget {
+		return 0, false
+	}
+	if m.rank != nil && t.ad.exprs > 0 {
 		for _, n := range m.rank.nodes() {
 			if n.op != opAttr {
 				continue
 			}
-			if i := t.ad.find(n.name()); i >= 0 && t.ad.attrs[i].expr != nil {
+			if i := t.ad.index(n.name(), n.key()); i >= 0 && t.ad.attrs[i].expr != nil {
 				return 0, false
 			}
 		}
@@ -257,7 +257,7 @@ func (a *Ad) eachPin(ns []node, i int, pin func(name, lit string)) {
 		if l.op != opAttr || l.aux == scopeMy || r.op != opLit || Kind(r.aux) != KindString {
 			return
 		}
-		if l.aux == scopeNone && a.Has(l.name()) {
+		if l.aux == scopeNone && a.index(l.name(), l.key()) >= 0 {
 			return
 		}
 		pin(l.name(), strings.ToLower(r.lit().str()))
@@ -278,6 +278,25 @@ func appendLower(b []byte, s string) []byte {
 		b = append(b, c)
 	}
 	return b
+}
+
+// foldKey is a 32-bit FNV-1a hash of strings.ToLower(name), two names of
+// one attribute having one key; from its first non-ASCII byte on, a name
+// is lowered whole, and may change length (the Kelvin sign becomes k).
+func foldKey(name string) uint32 {
+	h, lowered := uint32(2166136261), false
+	for i := 0; i < len(name); i++ {
+		c := name[i]
+		if c >= utf8.RuneSelf && !lowered {
+			name, i, lowered = strings.ToLower(name[i:]), -1, true
+			continue
+		}
+		if c >= 'A' && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		h = (h ^ uint32(c)) * 16777619
+	}
+	return h
 }
 
 // foldCompare is a case-insensitive string comparison that avoids the

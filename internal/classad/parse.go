@@ -26,7 +26,8 @@ type node struct {
 	// first node.
 	end uint32
 	// x and p are a literal's Value payload (Value.n, Value.p), or a
-	// reference's name, as its length and bytes.
+	// reference's name, as its bytes and, in x, its length in the lower
+	// half and its foldKey in the upper.
 	x uint64
 	p unsafe.Pointer
 }
@@ -128,7 +129,10 @@ func (e *Expr) nodes() []node { return unsafe.Slice((*node)(e), e.end) }
 func (n *node) lit() Value { return Value{kind: Kind(n.aux), n: n.x, p: n.p} }
 
 // name returns a reference node's attribute name, as written.
-func (n *node) name() string { return unsafe.String((*byte)(n.p), int(n.x)) }
+func (n *node) name() string { return unsafe.String((*byte)(n.p), int(uint32(n.x))) }
+
+// key returns a reference node's foldKey.
+func (n *node) key() uint32 { return uint32(n.x >> 32) }
 
 func litNode(v Value) node {
 	return node{op: opLit, aux: uint8(v.kind), x: v.n, p: v.p}
@@ -416,7 +420,8 @@ func (p *parser) parseIdent() (int, error) {
 }
 
 func refNode(name string, scope uint8) node {
-	return node{op: opAttr, aux: scope, x: uint64(len(name)), p: unsafe.Pointer(unsafe.StringData(name))}
+	x := uint64(len(name)) | uint64(foldKey(name))<<32
+	return node{op: opAttr, aux: scope, x: x, p: unsafe.Pointer(unsafe.StringData(name))}
 }
 
 // String renders the expression in parseable form.

@@ -19,10 +19,17 @@ func TestValueSize(t *testing.T) {
 // holds a Matcher; the pool keeps an ad for every job it ever held. The
 // allocator rounds each object up to a size class, so a field added to
 // either moves memory in steps: fail here first. A three-attribute job ad
-// is a 48-byte header and a 144-byte slot (176 with 56-byte entries).
+// is a 48-byte header and a 144-byte slot (176 with 56-byte entries). An
+// expression is one block of nodes, so a node's size is an expression's
+// cost per operator, reference and literal. The name keys ride inside
+// these: an entry's beside its name's length, a reference node's in the
+// upper half of x.
 func TestAdAndMatcherSizes(t *testing.T) {
 	if got := unsafe.Sizeof(entry{}); got > 48 {
-		t.Errorf("unsafe.Sizeof(entry{}) = %d bytes, want <= 48 (name, value, expression pointer)", got)
+		t.Errorf("unsafe.Sizeof(entry{}) = %d bytes, want <= 48 (name and key, value, expression pointer)", got)
+	}
+	if got := unsafe.Sizeof(node{}); got != 24 {
+		t.Errorf("unsafe.Sizeof(node{}) = %d bytes, want 24", got)
 	}
 	if got := unsafe.Sizeof(Ad{}); got > 48 {
 		t.Errorf("unsafe.Sizeof(Ad{}) = %d bytes, want <= 48", got)

@@ -16,9 +16,10 @@ import (
 // FuzzExprAgainstTree holds the block to — accept or reject with the same
 // error, the same String, the same value, rank class and pinned literals
 // — and as the byte count TestExprAllocations compares the block against.
-// Attribute references resolve through the production scope, so an ad's
-// own expression attributes evaluate as blocks; the fuzzed expression
-// itself is all tree.
+// An attribute reference of the tree finds its attribute by comparing
+// names, as every lookup did before names carried keys; an ad's own
+// expression attributes then evaluate as blocks, through the keyed lookup.
+// The fuzzed expression itself is all tree.
 
 type treeTokKind int
 
@@ -529,14 +530,31 @@ type treeAttr struct {
 }
 
 func (e *treeAttr) Eval(sc scope) Value {
-	in := scopeNone
-	switch e.scope {
-	case "my":
-		in = scopeMy
-	case "target":
-		in = scopeTarget
+	if sc.depth >= maxEvalDepth {
+		return Errorf("attribute recursion limit reached at %q", strings.ToLower(e.name))
 	}
-	return sc.resolve(e.name, in)
+	first, second := sc.self, sc.target
+	if e.scope == "target" {
+		first, second = second, first
+	}
+	if v, ok := e.lookupIn(sc, first, second); ok || e.scope != "" {
+		return v
+	}
+	v, _ := e.lookupIn(sc, sc.target, sc.self)
+	return v
+}
+
+// lookupIn is scope.lookupIn with the name compared, not its key.
+func (e *treeAttr) lookupIn(sc scope, ad, other *Ad) (Value, bool) {
+	if ad == nil {
+		return Undefined(), false
+	}
+	for i := range ad.attrs {
+		if foldCompare(ad.attrs[i].name(), e.name) == 0 {
+			return ad.attrs[i].eval(scope{self: ad, target: other, depth: sc.depth + 1}), true
+		}
+	}
+	return Undefined(), false
 }
 
 func (e *treeAttr) String() string {

@@ -193,16 +193,18 @@ func (p *Pool) timeOf(i instant) time.Time {
 }
 
 // constraintKey is a lower-cased Arch or OpSys literal pinned by a job's
-// Requirements, as its index in the pool's table of those seen
-// (Pool.constraints, which only grows); noConstraint is the unconstrained
-// job.
+// Requirements or advertised by a machine, as its index in the pool's
+// table of those seen (Pool.constraints, which only grows); noConstraint
+// is the unconstrained job, and dynamicBucket a machine's non-literal
+// value (an expression, which may depend on the job): every job scans that
+// Arch bucket, and no OpSys pin filters it.
 type constraintKey uint32
 
-const noConstraint constraintKey = 0
+const noConstraint, dynamicBucket constraintKey = 0, 1
 
 // constraint returns the key of a literal a job's Requirements pin Arch
-// or OpSys to (see classad.Matcher.Pins), entering it in the pool's table
-// on first sight.
+// or OpSys to (see classad.Matcher.Pins), or a machine advertises, entering
+// it in the pool's table, and a free bucket for it, on first sight.
 func (p *Pool) constraint(s string) constraintKey {
 	if s == "" {
 		return noConstraint
@@ -212,6 +214,7 @@ func (p *Pool) constraint(s string) constraintKey {
 		k = constraintKey(len(p.constraints))
 		p.constraints = append(p.constraints, s)
 		p.constraintKeys[s] = k
+		p.freeBuckets = append(p.freeBuckets, nil)
 	}
 	return k
 }

@@ -281,12 +281,15 @@ func (st *freeStats) merge(o freeStats) {
 // Either way each machine is visited the same way, and the pass sees what
 // a walk of every free machine would.
 func (p *Pool) refreshFree(now time.Time) freeStats {
-	// New pass: views the last pass had no use for go, so the map holds
-	// only the rank classes now queued — and every view that stays has
-	// seen every changed list but this pass's.
-	for k, v := range p.pickViews {
-		if v.gen != p.pickGen {
-			delete(p.pickViews, k)
+	// New pass: the classes the last pass had no use for go, so the map
+	// holds only the rank classes now queued. A machine that joined
+	// renumbers the machines, which drops every view.
+	if len(p.byName) != len(p.machines) {
+		p.numberMachines()
+	}
+	for class, cv := range p.pickViews {
+		if cv.gen != p.pickGen {
+			delete(p.pickViews, class)
 		}
 	}
 	p.pickGen++

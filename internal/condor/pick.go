@@ -3,15 +3,19 @@ package condor
 import (
 	"cmp"
 	"slices"
-	"strings"
 )
 
 // Picking one job's machine out of the free buckets: rank-ordered views
 // for large buckets, the exhaustive scan for the rest.
 
-// pickKey names one ordered view: an arch bucket as one rank class (see
-// classad.Matcher.RankClass) orders it.
-type pickKey struct{ arch, rank string }
+// classViews are one rank class's views (see classad.Matcher.RankClass)
+// by arch key, and the last pass that used them. ranked: the class has a
+// key, so an entry's rank is the one every job of the class gives it.
+type classViews struct {
+	byArch []*pickView
+	gen    uint64
+	ranked bool
+}
 
 // pickView is one (arch bucket, rank class) view: the bucket's free
 // machines by (rank descending, node name ascending), kept from pass to
@@ -34,16 +38,19 @@ type pickView struct {
 	unranked []*machine
 }
 
+// pickEntry is a machine in a view, as its rank and its node name's
+// ordinal (machine.ord, its index in Pool.byName): no pointer for the
+// collector to scan.
 type pickEntry struct {
-	m    *machine
 	rank float64
+	ord  uint32
 }
 
 func (a pickEntry) compare(b pickEntry) int {
 	if byRank := cmp.Compare(b.rank, a.rank); byRank != 0 {
 		return byRank
 	}
-	return strings.Compare(a.m.node.Name, b.m.node.Name)
+	return cmp.Compare(a.ord, b.ord)
 }
 
 // pickIndexed returns j's best matching local machine. Jobs whose
@@ -52,15 +59,16 @@ func (a pickEntry) compare(b pickEntry) int {
 // the highest job-Rank match, ties broken by machine name, a total order
 // that makes the result independent of bucket iteration order.
 func (p *Pool) pickIndexed(j *job) *machine {
+	var cv *classViews // j's class's views, looked up at the first large bucket
 	if j.reqArch != noConstraint {
-		best, bestRank := p.pickFromBucket(j, p.constraints[j.reqArch], nil, 0)
-		best, _ = p.pickFromBucket(j, dynamicBucket, best, bestRank)
+		best, bestRank := p.pickFromBucket(j, &cv, j.reqArch, nil, 0)
+		best, _ = p.pickFromBucket(j, &cv, dynamicBucket, best, bestRank)
 		return best
 	}
 	var best *machine
 	bestRank := 0.0
 	for key := range p.freeBuckets {
-		best, bestRank = p.pickFromBucket(j, key, best, bestRank)
+		best, bestRank = p.pickFromBucket(j, &cv, constraintKey(key), best, bestRank)
 	}
 	return best
 }
@@ -71,7 +79,7 @@ func (p *Pool) pickIndexed(j *job) *machine {
 // view would cost more.
 const sortedPickThreshold = 16
 
-// pickFromBucket folds one free bucket into the running
+// pickFromBucket folds the free bucket of arch key into the running
 // (best, bestRank) pair. Jobs of one rank class rank a machine alike, so
 // under the pinned total order (rank, then machine name) the winner is
 // the first acceptable machine of the class's ordered view: Rank runs once
@@ -79,30 +87,24 @@ const sortedPickThreshold = 16
 // machines that match) Match calls, not one Match + Rank per free machine,
 // without changing a single placement. Small buckets, Ranks that read the
 // job, and buckets holding a machine whose ranked attribute is an
-// expression keep the exhaustive scan.
-func (p *Pool) pickFromBucket(j *job, key string, best *machine, bestRank float64) (*machine, float64) {
+// expression keep the exhaustive scan. *cv is j's class's views, looked
+// up at the pick's first large bucket.
+func (p *Pool) pickFromBucket(j *job, cv **classViews, key constraintKey, best *machine, bestRank float64) (*machine, float64) {
 	b := p.freeBuckets[key]
+	if len(b) == 0 {
+		return best, bestRank
+	}
 	if len(b) > sortedPickThreshold {
 		class, ok := "", true // a job without Rank is of the degenerate class
 		if !j.anyMachine {
 			class, ok = j.matcher.RankClass()
 		}
 		if ok {
-			k := pickKey{key, class}
-			v := p.pickViews[k]
-			if v == nil {
-				if p.pickViews == nil {
-					p.pickViews = make(map[pickKey]*pickView)
-				}
-				v = &pickView{}
-				p.pickViews[k] = v
-				p.obsViewBuilds.Inc()
-				v.sync(p, j, k, b) // from empty, every free machine is new
-			} else if v.gen != p.pickGen {
-				v.sync(p, j, k, p.changed)
+			if *cv == nil {
+				*cv = p.classViews(class)
 			}
-			if len(v.unranked) == 0 {
-				return p.pickOrdered(j, v, best, bestRank)
+			if v := (*cv).view(p, j, key, b); len(v.unranked) == 0 {
+				return p.pickOrdered(j, *cv, v, best, bestRank)
 			}
 		}
 	}
@@ -110,26 +112,60 @@ func (p *Pool) pickFromBucket(j *job, key string, best *machine, bestRank float6
 	return p.bestCandidate(j, b, best, bestRank)
 }
 
+// classViews returns rank class class's views, made on first use, marked
+// used in this pass.
+func (p *Pool) classViews(class string) *classViews {
+	cv := p.pickViews[class]
+	if cv == nil {
+		if p.pickViews == nil {
+			p.pickViews = make(map[string]*classViews)
+		}
+		cv = &classViews{ranked: class != ""}
+		p.pickViews[class] = cv
+	}
+	cv.gen = p.pickGen
+	return cv
+}
+
+// view returns the view of bucket b of arch key, synced to this pass; one
+// that missed the previous pass's changed list is built afresh, from b.
+func (cv *classViews) view(p *Pool, j *job, key constraintKey, b []*machine) *pickView {
+	if n := int(key) + 1 - len(cv.byArch); n > 0 {
+		cv.byArch = append(cv.byArch, make([]*pickView, n)...)
+	}
+	v := cv.byArch[key]
+	switch {
+	case v == nil || v.gen+1 < p.pickGen:
+		v = &pickView{}
+		cv.byArch[key] = v
+		p.obsViewBuilds.Inc()
+		v.sync(p, j, cv, key, b)
+	case v.gen != p.pickGen:
+		v.sync(p, j, cv, key, p.changed)
+	}
+	return v
+}
+
 // sync brings the view up to the current pass: entries of machines claimed
 // since, or collected into this pass's changed list, go; the machines of
 // fresh that are free in this bucket are ranked by j (any job of the class
-// ranks them alike), sorted and merged in. Every surviving view saw the
-// previous pass (refreshFree drops the others), so the pass's
-// changed list is exactly what it has missed.
-func (v *pickView) sync(p *Pool, j *job, k pickKey, fresh []*machine) {
+// ranks them alike), sorted and merged in. A view synced here saw the
+// previous pass (view builds the others afresh), so the pass's changed
+// list is exactly what it has missed.
+func (v *pickView) sync(p *Pool, j *job, cv *classViews, arch constraintKey, fresh []*machine) {
 	v.gen, v.cur = p.pickGen, 0
 	gone := func(m *machine) bool { return m.freeIdx < 0 || m.viewGen == p.pickGen }
-	kept := slices.DeleteFunc(v.sorted, func(e pickEntry) bool { return gone(e.m) })
+	kept := slices.DeleteFunc(v.sorted, func(e pickEntry) bool { return gone(p.byName[e.ord]) })
 	unranked := slices.DeleteFunc(v.unranked, gone)
 	add := p.pickScratch[:0]
 	for _, m := range fresh {
-		if m.freeIdx < 0 || m.archKey != k.arch {
+		if m.freeIdx < 0 || m.archKey != arch {
 			continue
 		}
-		e := pickEntry{m: m}
+		e := pickEntry{ord: m.ord}
 		// The degenerate class orders by name alone: its "rank" is each
 		// job's own constant, which must not outlive the job.
-		if k.rank != "" {
+		if cv.ranked {
 			p.obsRankEvals.Inc()
 			r, ok := j.matcher.TargetRank(m.matcher)
 			if !ok {
@@ -158,10 +194,12 @@ func (v *pickView) sync(p *Pool, j *job, k pickKey, fresh []*machine) {
 }
 
 // pickOrdered walks a view from its cursor to j's first acceptable
-// machine and folds it against the other buckets' carry.
-func (p *Pool) pickOrdered(j *job, v *pickView, best *machine, bestRank float64) (*machine, float64) {
+// machine and folds it against the other buckets' carry. In a ranked
+// class the entry's rank is j's Rank of the machine, so only Match runs.
+func (p *Pool) pickOrdered(j *job, cv *classViews, v *pickView, best *machine, bestRank float64) (*machine, float64) {
 	for i := v.cur; i < len(v.sorted); i++ {
-		m := v.sorted[i].m
+		e := &v.sorted[i]
+		m := p.byName[e.ord]
 		if m.freeIdx < 0 || m.skipFor == p {
 			// Claimed earlier in this pass, or excluded for the whole
 			// pass: gone for good — compact the cursor past a leading run.
@@ -170,10 +208,15 @@ func (p *Pool) pickOrdered(j *job, v *pickView, best *machine, bestRank float64)
 			}
 			continue
 		}
-		if j.reqOpSys != noConstraint && m.opsKnown && m.opsKey != p.constraints[j.reqOpSys] {
+		if j.reqOpSys != noConstraint && m.opsKey != dynamicBucket && m.opsKey != j.reqOpSys {
 			continue // rejected for this job only; later jobs may differ
 		}
-		r, ok := pairMatch(j, m)
+		r, ok := e.rank, false
+		if cv.ranked {
+			ok = j.matcher.Match(m.matcher)
+		} else {
+			r, ok = pairMatch(j, m)
+		}
 		if !ok {
 			continue
 		}
@@ -188,18 +231,24 @@ func (p *Pool) pickOrdered(j *job, v *pickView, best *machine, bestRank float64)
 	return best, bestRank
 }
 
-// bestCandidate scans cands for j's best match, carrying the running
-// (best, bestRank) pair. Static Arch/OpSys filters prune candidates
-// before the ClassAd match evaluates.
+// bestCandidate scans cands, machines of one pool, for j's best match,
+// carrying the running (best, bestRank) pair. Static Arch/OpSys filters
+// prune candidates before the ClassAd match evaluates; a flocking peer's
+// machines are keyed in the peer's table, so j's pins are looked up there.
 func (p *Pool) bestCandidate(j *job, cands []*machine, best *machine, bestRank float64) (*machine, float64) {
+	arch, opsys := j.reqArch, j.reqOpSys
+	if len(cands) > 0 && cands[0].owner != p {
+		q := cands[0].owner
+		arch, opsys = q.constraint(p.constraints[arch]), q.constraint(p.constraints[opsys])
+	}
 	for _, m := range cands {
 		if m.skipFor == p {
 			continue
 		}
-		if j.reqArch != noConstraint && m.archKey != p.constraints[j.reqArch] && m.archKey != dynamicBucket {
+		if arch != noConstraint && m.archKey != arch && m.archKey != dynamicBucket {
 			continue
 		}
-		if j.reqOpSys != noConstraint && m.opsKnown && m.opsKey != p.constraints[j.reqOpSys] {
+		if opsys != noConstraint && m.opsKey != dynamicBucket && m.opsKey != opsys {
 			continue
 		}
 		r, ok := pairMatch(j, m)

@@ -14,10 +14,13 @@ import (
 // The ordered pick must be invisible: over random pools and jobs,
 // pickIndexed returns exactly the machine an exhaustive bestCandidate
 // scan of every free bucket returns, pass after pass, while machines are
-// claimed, excluded, released and re-advertised under it. The views live
-// across the passes, so what one pass leaves in them is the next pass's
-// input: after every pass each view a pass used is also held, entry by
-// entry, to the bucket it orders (checkView).
+// claimed, excluded, released, re-advertised and join under it. The views
+// live across the passes, so what one pass leaves in them is the next
+// pass's input: after every pass each view a pass used is also held, entry
+// by entry, to the bucket it orders (checkView). A view orders rank ties by
+// an ordinal of the node name and a pick reuses the rank the view holds,
+// so machines join with names that sort anywhere among the others, and
+// jobs of one rank class spell their Rank differently.
 
 var (
 	propArchs  = []string{"x86", "ppc64", "sparc"}
@@ -41,8 +44,10 @@ var (
 		"-1.5",
 		"TARGET.KFlops",
 		"TARGET.KFlops + TARGET.Memory/4",
+		"target.KFLOPS+TARGET.memory / 4", // the class above, spelled otherwise
 		"-(TARGET.Memory) * 2",
 		"TARGET.KFlops - TARGET.LoadAvg * 1000", // a class that reads what the refresh writes
+		"TARGET.kflops-target.loadavg*1000",
 		"TARGET.KFlops / TARGET.NoSuchAttr",
 		"MY.Boost * TARGET.KFlops",
 		"TARGET.KFlops - MY.Boost * TARGET.Memory",
@@ -86,6 +91,14 @@ type pickPropertyTally struct {
 	rebuilt       int // views dropped and built again
 	cleared       int // views that left exhaustive mode
 	rebound       int // machines claimed, freed and claimed again between two passes
+	joined        int // machines that joined the pool between two passes
+	respelled     int // ranked views checked against jobs of two Rank spellings
+}
+
+// viewKey names one ordered view: an arch bucket as one rank class orders it.
+type viewKey struct {
+	class string
+	arch  constraintKey
 }
 
 func TestOrderedPickEqualsExhaustiveScan(t *testing.T) {
@@ -95,7 +108,8 @@ func TestOrderedPickEqualsExhaustiveScan(t *testing.T) {
 	}
 	// The property is vacuous unless both paths ran and views persisted
 	// through everything that can stale them.
-	if sum.builds == 0 || sum.scans == 0 || sum.kept == 0 || sum.rebuilt == 0 || sum.cleared == 0 || sum.rebound == 0 {
+	if sum.builds == 0 || sum.scans == 0 || sum.kept == 0 || sum.rebuilt == 0 || sum.cleared == 0 || sum.rebound == 0 ||
+		sum.joined == 0 || sum.respelled == 0 {
 		t.Fatalf("not every path was exercised: %+v", sum)
 	}
 	t.Logf("%+v", sum)
@@ -125,6 +139,7 @@ func runPickProperty(t *testing.T, seed int64, sum *pickPropertyTally) {
 	}
 
 	var jobs []*job
+	rankSrc := map[*job]string{}
 	for i := 0; i < 40; i++ {
 		ad := jobAd("u", 10, 0).Set("Boost", rng.Intn(5)-2)
 		if rng.Intn(3) == 0 {
@@ -133,11 +148,13 @@ func runPickProperty(t *testing.T, seed int64, sum *pickPropertyTally) {
 		if req := propReqs[rng.Intn(len(propReqs))]; req != "" {
 			ad.MustSetExpr(AttrRequirements, req)
 		}
-		if rank := propRanks[rng.Intn(len(propRanks))]; rank != "" {
+		rank := propRanks[rng.Intn(len(propRanks))]
+		if rank != "" {
 			ad.MustSetExpr(AttrRank, rank)
 		}
 		id := mustSubmit(t, p, ad)
 		jobs = append(jobs, p.job(id))
+		rankSrc[p.job(id)] = rank
 	}
 
 	now := g.Engine.Now()
@@ -147,21 +164,30 @@ func runPickProperty(t *testing.T, seed int64, sum *pickPropertyTally) {
 		arch string
 	}
 	var away []moved                 // machines advertised under another Arch for one pass
-	exhaustive := map[pickKey]bool{} // views the previous pass left in exhaustive mode
-	everBuilt := map[pickKey]struct{}{}
+	exhaustive := map[viewKey]bool{} // views the previous pass left in exhaustive mode
+	everBuilt := map[viewKey]struct{}{}
 	for pass := 0; pass < 10; pass++ {
 		// Between passes: an external task occupies a node (excluded by
 		// the refresh), advertised ads and loads change, claimed machines
-		// return, and a free one is claimed, freed and claimed again.
+		// return, a free one is claimed, freed and claimed again, and
+		// machines join under names that sort before, among and after the
+		// others'.
 		if rng.Intn(2) == 0 {
-			p.machines[rng.Intn(n)].node.Place(simgrid.NewTask(1e9, nil))
+			p.machines[rng.Intn(len(p.machines))].node.Place(simgrid.NewTask(1e9, nil))
+		}
+		if pass > 0 && rng.Intn(2) == 0 {
+			for k := 1 + rng.Intn(3); k > 0; k-- {
+				name := fmt.Sprintf("%s%05d.%d.%d", []string{"m", "n", "o"}[rng.Intn(3)], rng.Intn(100000), pass, k)
+				p.AddMachine(site.AddNode(g.Engine, name, 1, simgrid.IdleLoad()), propMachineAd(rng))
+				sum.joined++
+			}
 		}
 		for _, a := range away {
 			a.m.ad.Set("Arch", a.arch) // and back
 		}
 		away = away[:0]
 		for k := rng.Intn(5); k > 0; k-- {
-			m := p.machines[rng.Intn(n)]
+			m := p.machines[rng.Intn(len(p.machines))]
 			switch rng.Intn(6) {
 			case 0:
 				m.ad.Set("KFlops", propKFlops[rng.Intn(len(propKFlops))])
@@ -186,7 +212,7 @@ func runPickProperty(t *testing.T, seed int64, sum *pickPropertyTally) {
 			p.addFree(m)
 		}
 		claimed = claimed[back:]
-		if m := p.machines[rng.Intn(n)]; m.freeIdx >= 0 {
+		if m := p.machines[rng.Intn(len(p.machines))]; m.freeIdx >= 0 {
 			m.owner.removeFree(m)
 			p.addFree(m)
 			if rng.Intn(2) == 0 {
@@ -197,7 +223,7 @@ func runPickProperty(t *testing.T, seed int64, sum *pickPropertyTally) {
 		}
 
 		p.refreshFree(now)
-		sum.kept += len(p.pickViews)
+		sum.kept += viewsSyncedIn(p, p.pickGen-1)
 		// A pass negotiates for the jobs queued at the time: a random part
 		// of them, so rank classes come and go and their views with them,
 		// and the first degenerate-class job differs from pass to pass.
@@ -227,16 +253,21 @@ func runPickProperty(t *testing.T, seed int64, sum *pickPropertyTally) {
 				claimed = append(claimed, got)
 			}
 		}
-		for k, v := range p.pickViews {
-			if v.gen != p.pickGen {
-				continue // unused this pass: the next refresh drops it
+		for class, cv := range p.pickViews {
+			for arch, v := range cv.byArch {
+				if v == nil || v.gen != p.pickGen {
+					continue // unused this pass: the next refresh drops it
+				}
+				k := viewKey{class, constraintKey(arch)}
+				everBuilt[k] = struct{}{}
+				if checkView(t, p, k, v, jobs, rankSrc, fmt.Sprintf("seed %d pass %d", seed, pass)) {
+					sum.respelled++
+				}
+				if exhaustive[k] && len(v.unranked) == 0 {
+					sum.cleared++
+				}
+				exhaustive[k] = len(v.unranked) > 0
 			}
-			everBuilt[k] = struct{}{}
-			checkView(t, p, k, v, jobs, fmt.Sprintf("seed %d pass %d", seed, pass))
-			if exhaustive[k] && len(v.unranked) == 0 {
-				sum.cleared++
-			}
-			exhaustive[k] = len(v.unranked) > 0
 		}
 	}
 	snap := reg.Snapshot()
@@ -246,55 +277,79 @@ func runPickProperty(t *testing.T, seed int64, sum *pickPropertyTally) {
 	sum.rebuilt += int(builds) - len(everBuilt)
 }
 
+// viewsSyncedIn counts the pool's views last synced in pass gen.
+func viewsSyncedIn(p *Pool, gen uint64) int {
+	n := 0
+	for _, cv := range p.pickViews {
+		for _, v := range cv.byArch {
+			if v != nil && v.gen == gen {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 // checkView holds one synced view to the bucket it orders: its
 // entries still free, together with its unranked machines, are the
 // bucket's machines, each exactly once; the entries stand in (rank
-// descending, name ascending) order; and each carries the rank a job of
-// the class gives its machine now — 0 in the degenerate class, whatever
-// constants its jobs rank by.
-func checkView(t *testing.T, p *Pool, k pickKey, v *pickView, jobs []*job, at string) {
+// descending, name ascending) order, the names read through the entries'
+// ordinals; and each carries the rank every job of the class gives its
+// machine now — 0 in the degenerate class, whatever constants its jobs
+// rank by. It reports whether the class's jobs spell their Rank in more
+// than one way.
+func checkView(t *testing.T, p *Pool, k viewKey, v *pickView, jobs []*job, rankSrc map[*job]string, at string) (respelled bool) {
 	t.Helper()
-	var ranker *job
+	var rankers []*job
+	spellings := map[string]bool{}
 	for _, j := range jobs {
-		if class, ok := j.matcher.RankClass(); ok && class == k.rank {
-			ranker = j
+		if class, ok := j.matcher.RankClass(); ok && class == k.class {
+			rankers = append(rankers, j)
+			spellings[rankSrc[j]] = true
 		}
 	}
 	seen, tombs := map[*machine]bool{}, map[*machine]bool{}
 	var prev *pickEntry
+	var prevM *machine
 	for i := range v.sorted {
 		e := &v.sorted[i]
-		if seen[e.m] || tombs[e.m] {
-			t.Fatalf("%s view %q: %s is in the view twice", at, k, e.m.node.Name)
+		m := p.byName[e.ord]
+		if seen[m] || tombs[m] {
+			t.Fatalf("%s view %q: %s is in the view twice", at, k, m.node.Name)
 		}
-		if e.m.freeIdx < 0 {
+		if m.freeIdx < 0 {
 			// Claimed in this pass: a tombstone. The sync left none, so
 			// there is at most one per machine and the next sync's
 			// compaction keeps them from piling up.
-			tombs[e.m] = true
+			tombs[m] = true
 			continue
 		}
-		seen[e.m] = true
-		want := 0.0
-		if k.rank != "" {
-			var ok bool
-			if want, ok = ranker.matcher.TargetRank(e.m.matcher); !ok {
-				t.Fatalf("%s view %q: %s is ranked but has no target rank", at, k, e.m.node.Name)
+		seen[m] = true
+		for _, j := range rankers {
+			want := 0.0
+			if k.class != "" {
+				var ok bool
+				if want, ok = j.matcher.TargetRank(m.matcher); !ok {
+					t.Fatalf("%s view %q: %s is ranked but has no target rank", at, k, m.node.Name)
+				}
+				if own := j.matcher.Rank(m.matcher); own != want {
+					t.Fatalf("%s view %q: job %s ranks %s %v, its target rank is %v", at, k, j.ad, m.node.Name, own, want)
+				}
+			}
+			if e.rank != want {
+				t.Fatalf("%s view %q: %s carries rank %v, its match ad %s ranks %v for job %s", at, k, m.node.Name, e.rank, m.matchAd, want, j.ad)
 			}
 		}
-		if e.rank != want {
-			t.Fatalf("%s view %q: %s carries rank %v, its match ad %s ranks %v", at, k, e.m.node.Name, e.rank, e.m.matchAd, want)
+		if prev != nil && (prev.rank < e.rank || prev.rank == e.rank && prevM.node.Name >= m.node.Name) {
+			t.Fatalf("%s view %q: %s (%v) stands before %s (%v)", at, k, prevM.node.Name, prev.rank, m.node.Name, e.rank)
 		}
-		if prev != nil && prev.compare(*e) >= 0 {
-			t.Fatalf("%s view %q: %s (%v) stands before %s (%v)", at, k, prev.m.node.Name, prev.rank, e.m.node.Name, e.rank)
-		}
-		prev = e
+		prev, prevM = e, m
 	}
 	for _, m := range v.unranked {
 		if m.freeIdx < 0 {
 			continue
 		}
-		if _, ok := ranker.matcher.TargetRank(m.matcher); ok || seen[m] {
+		if _, ok := rankers[0].matcher.TargetRank(m.matcher); ok || seen[m] {
 			t.Fatalf("%s view %q: %s is unranked but rankable, or listed twice", at, k, m.node.Name)
 		}
 		seen[m] = true
@@ -306,8 +361,9 @@ func checkView(t *testing.T, p *Pool, k pickKey, v *pickView, jobs []*job, at st
 		delete(seen, m)
 	}
 	if len(seen) > 0 {
-		t.Fatalf("%s view %q: holds %d machines that are not free in bucket %q", at, k, len(seen), k.arch)
+		t.Fatalf("%s view %q: holds %d machines that are not free in bucket %d", at, k, len(seen), k.arch)
 	}
+	return k.class != "" && len(spellings) > 1
 }
 
 // TestRankEvalsFollowChanges is the count gate on what keeping the views
@@ -368,7 +424,7 @@ func TestRankEvalsFollowChanges(t *testing.T) {
 			}
 			continue
 		}
-		changed, views := len(p.changed), len(p.pickViews)
+		changed, views := len(p.changed), viewsSyncedIn(p, p.pickGen)
 		if d > changed*views {
 			t.Errorf("t=%ds: %d rank evaluations in a pass that saw %d machines change under %d views", s, d, changed, views)
 		}

@@ -2,6 +2,7 @@ package condor
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -60,16 +61,18 @@ type Pool struct {
 	epoch time.Time
 
 	machines []*machine
-	// constraints lists the Arch and OpSys literals jobs' Requirements
-	// have pinned, constraintKeys indexes it: a job holds the index
-	// (job.reqArch, job.reqOpSys). Entry 0 is "", noConstraint.
+	// constraints lists the lower-cased Arch and OpSys literals that jobs'
+	// Requirements pin and that machines advertise, constraintKeys indexes
+	// it: a job holds the index (job.reqArch, job.reqOpSys), and so does a
+	// machine (machine.archKey, .opsKey). Entry 0 is "", noConstraint;
+	// entry 1 is dynamicBucket's, which no literal has.
 	constraints    []string
 	constraintKeys map[string]constraintKey
-	// freeBuckets holds machines with no pool-placed task, keyed by the
-	// lower-cased literal Arch of their ad (dynamicBucket for machines
-	// whose Arch is not a static string). Maintained incrementally by
-	// claim/release on job start/completion.
-	freeBuckets map[string][]*machine
+	// freeBuckets holds machines with no pool-placed task, indexed by the
+	// key of their ad's lower-cased literal Arch (dynamicBucket for
+	// machines whose Arch is not a static string), one bucket a key.
+	// Maintained incrementally by claim/release on job start/completion.
+	freeBuckets [][]*machine
 	// jobs holds every job the pool ever held, job id at jobs[id-1].
 	jobs []*job
 	// active lists the non-terminal jobs in submission order; harvest
@@ -93,11 +96,14 @@ type Pool struct {
 	// passes; changed lists what the current pass's refresh collected —
 	// the machines that entered the free set or whose match ad changed
 	// since the previous pass — which is all a view has to rank and merge
-	// in. Derived state: rebuilt on demand, never exported.
+	// in; byName lists the machines by node name as a refresh last
+	// numbered them (numberMachines). Derived state: rebuilt on demand,
+	// never exported.
 	pickGen     uint64
-	pickViews   map[pickKey]*pickView
+	pickViews   map[string]*classViews
 	changed     []*machine
 	pickScratch []pickEntry
+	byName      []*machine
 	// offers counts the free machines found unoccupied when last visited
 	// (machine.counted), and offersUntil is the earliest end of a load
 	// segment among them when they were, zero for never: the pool's own
@@ -209,11 +215,6 @@ func (p *Pool) SetTelemetry(reg *telemetry.Registry) {
 	p.obsPassSeconds = reg.LabeledHistogram("negotiation_pass_seconds", "site", p.Name, nil)
 }
 
-// dynamicBucket indexes machines whose Arch is not a literal string
-// (i.e. an expression, whose value may depend on the candidate job);
-// they are scanned for every job regardless of its constraint.
-const dynamicBucket = "\x00dynamic"
-
 type machine struct {
 	// What a completion reads leads the struct, inside one 64-byte span
 	// (TestCompletionPathLayout): the job and pool Complete names, the
@@ -230,7 +231,7 @@ type machine struct {
 	// freeIdx is the machine's position in its owner's free bucket, -1
 	// while claimed by a job.
 	freeIdx int
-	archKey string // lowered Arch value, or dynamicBucket
+	archKey constraintKey // lowered Arch value, or dynamicBucket
 	// stale is set by the caller ad's mutation hook and cleared by
 	// snapshotAd: callers may keep updating the ad they registered (the
 	// seed re-read it every pick), so the snapshot and index keys resync
@@ -260,10 +261,10 @@ type machine struct {
 	loadAvgSet bool
 	// anyJob: the match ad has no Requirements, so it takes any job (see
 	// job.anyMachine). Between snapshots only LoadAvg is written.
-	anyJob   bool
-	opsKnown bool
-	opsKey   string // lowered OpSys value when opsKnown
-	viewGen  uint64
+	anyJob  bool
+	opsKey  constraintKey // lowered OpSys value, or dynamicBucket
+	ord     uint32        // node name's place among the pool's (numberMachines)
+	viewGen uint64
 	// skipFor excludes the machine from the named pool's current
 	// negotiation pass: set when an externally placed task occupies the
 	// node, or when a checkpoint-complete job consumed the offer without
@@ -298,9 +299,9 @@ func NewPool(name string, grid *simgrid.Grid, site *simgrid.Site) *Pool {
 		grid:           grid,
 		site:           site,
 		epoch:          grid.Engine.Now(),
-		constraints:    []string{""},
+		constraints:    []string{"", ""},
 		constraintKeys: make(map[string]constraintKey),
-		freeBuckets:    make(map[string][]*machine),
+		freeBuckets:    make([][]*machine, 2),
 		owners:         make(map[string]*ownerQueue),
 	}
 	p.wake = grid.Engine.Register(p.onWake)
@@ -381,14 +382,25 @@ func (m *machine) snapshotAd() {
 	// Only literal attributes are safe index keys: an expression-valued
 	// Arch/OpSys can evaluate differently per candidate job, so such
 	// machines take the catch-all bucket / skip the OpSys pre-filter.
-	m.archKey = dynamicBucket
+	m.archKey, m.opsKey = dynamicBucket, dynamicBucket
 	if s, ok := m.matchAd.LiteralString("Arch"); ok {
-		m.archKey = strings.ToLower(s)
+		m.archKey = m.owner.constraint(strings.ToLower(s))
 	}
-	m.opsKey, m.opsKnown = "", false
 	if s, ok := m.matchAd.LiteralString("OpSys"); ok {
-		m.opsKey, m.opsKnown = strings.ToLower(s), true
+		m.opsKey = m.owner.constraint(strings.ToLower(s))
 	}
+}
+
+// numberMachines lists the pool's machines by node name (byName), each at
+// its ordinal (machine.ord), and drops the ordered views, whose entries
+// carry the old numbers.
+func (p *Pool) numberMachines() {
+	p.byName = slices.Clone(p.machines)
+	slices.SortStableFunc(p.byName, func(a, b *machine) int { return strings.Compare(a.node.Name, b.node.Name) })
+	for i, m := range p.byName {
+		m.ord = uint32(i)
+	}
+	clear(p.pickViews)
 }
 
 // resyncMachine refreshes a machine whose caller-side ad mutated

@@ -7,6 +7,7 @@
 package quota
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -73,10 +74,11 @@ func NewService() *Service {
 	}
 }
 
-// SetRate configures a site's pricing.
+// SetRate configures a site's pricing; a negative or non-finite rate,
+// which every quote for the site would carry, panics.
 func (s *Service) SetRate(site string, r Rate) {
-	if r.CPUSecond < 0 || r.TransferMB < 0 {
-		panic("quota: negative rate")
+	if err := errors.Join(amount("rate", r.CPUSecond), amount("rate", r.TransferMB)); err != nil {
+		panic(err)
 	}
 	s.rates[site] = r
 }

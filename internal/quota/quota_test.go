@@ -40,6 +40,24 @@ func TestSetRateNegativePanics(t *testing.T) {
 	NewService().SetRate("x", Rate{CPUSecond: -1})
 }
 
+// TestSetRateRefusesNonFinite: a NaN or infinite rate is refused like a
+// negative one, for either price; a NaN rate would make every quote for
+// the site NaN, and CheapestSite could return it.
+func TestSetRateRefusesNonFinite(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, r := range []Rate{{CPUSecond: v}, {TransferMB: v}} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("SetRate(%+v) accepted", r)
+					}
+				}()
+				NewService().SetRate("x", r)
+			}()
+		}
+	}
+}
+
 func TestGrantBalanceCharge(t *testing.T) {
 	s := NewService()
 	s.SetRate("nust", Rate{CPUSecond: 0.02})
