@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-race race-smoke bench bench-test fuzz-smoke bench-smoke load-smoke chaos-smoke obs-smoke examples-smoke sim fmt vet lint lint-test loc
+.PHONY: build test test-race race-smoke bench bench-test fuzz-smoke bench-smoke load-smoke chaos-smoke obs-smoke examples-smoke sim sim-smoke fmt vet lint lint-test loc
 
 build:
 	$(GO) build ./...
@@ -154,12 +154,31 @@ examples-smoke:
 		sed -E '$(PORTMASK)' "$$out" | diff -u $${d}testdata/stdout.golden -; \
 	done
 
-# Replay a fairness scenario; override with e.g.
+# Replay a fairness scenario, testdata/scenarios/$(SCENARIO).json;
+# override with e.g.
 #   make sim SCENARIO=bursty-tenant SIMFLAGS=-fairshare=false
 SCENARIO ?= starvation-recovery
 SIMFLAGS ?=
 sim:
-	$(GO) run ./cmd/gae-sim -scenario $(SCENARIO) $(SIMFLAGS) -output -
+	$(GO) run ./cmd/gae-sim -scenario testdata/scenarios/$(SCENARIO).json $(SIMFLAGS) -output -
+
+# The gae-sim binary run on every scenario file, fair share on and off; a
+# non-zero exit fails the target, and so does a CSV that differs from
+# testdata/golden/NAME.fairshare-BOOL.csv. The in-process golden test
+# (TestFairnessGoldens) holds the library to the same files; this holds
+# the flags and the file loading too.
+sim-smoke:
+	@set -e; bin=$$(mktemp -d); trap 'rm -rf "$$bin"' EXIT; \
+	$(GO) build -o $$bin/gae-sim ./cmd/gae-sim; \
+	for f in testdata/scenarios/*.json; do \
+		name=$$(basename $$f .json); \
+		for fair in true false; do \
+			echo "sim-smoke: $$name fairshare=$$fair"; \
+			$$bin/gae-sim -scenario $$f -fairshare=$$fair -output $$bin/out.csv 2>$$bin/summary \
+				|| { cat $$bin/summary; exit 1; }; \
+			diff -u testdata/golden/$$name.fairshare-$$fair.csv $$bin/out.csv; \
+		done; \
+	done
 
 fmt:
 	gofmt -w $$(find . -name '*.go' -not -path './tools/lint/*/testdata/*')

@@ -503,7 +503,7 @@ func BenchmarkAblationCheckpointing(b *testing.B) {
 
 // --- Fair-share fairness (multi-tenant arbitration) ------------------------
 
-// BenchmarkFairShare replays the built-in multi-tenant scenarios with the
+// BenchmarkFairShare replays the multi-tenant scenario files with the
 // fair-share subsystem arbitrating and reports Jain's fairness index over
 // entitlement-normalized completed CPU-seconds (1 = perfectly
 // weight-proportional) plus the worst-off tenant's share. Equal-weight
@@ -512,12 +512,11 @@ func BenchmarkFairShare(b *testing.B) {
 	for _, sc := range []string{
 		"bursty-tenant", "starvation-recovery", "weighted-groups", "federated-flocking",
 	} {
+		scenario := loadScenario(b, sc)
 		b.Run(sc, func(b *testing.B) {
 			var jain, minShare float64
 			for i := 0; i < b.N; i++ {
-				res, err := experiments.Fairness(experiments.FairnessConfig{
-					Scenario: sc, FairShare: true,
-				})
+				res, err := experiments.Fairness(scenario, true)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -536,12 +535,11 @@ func BenchmarkFairShare(b *testing.B) {
 // subsystem removes.
 func BenchmarkAblationFairShareOff(b *testing.B) {
 	for _, sc := range []string{"bursty-tenant", "starvation-recovery"} {
+		scenario := loadScenario(b, sc)
 		b.Run(sc, func(b *testing.B) {
 			var jain, minShare float64
 			for i := 0; i < b.N; i++ {
-				res, err := experiments.Fairness(experiments.FairnessConfig{
-					Scenario: sc, FairShare: false,
-				})
+				res, err := experiments.Fairness(scenario, false)
 				if err != nil {
 					b.Fatal(err)
 				}

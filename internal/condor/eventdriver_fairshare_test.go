@@ -6,6 +6,7 @@ package condor_test
 
 import (
 	"fmt"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -44,7 +45,7 @@ func (tr *fsTrace) diff(other *fsTrace) string {
 }
 
 // runDriverFairshareScenario replays a multi-tenant fairness scenario
-// (the same specs the fairness simulator and benchmark use) under the
+// (the same files the fairness simulator and benchmark replay) under the
 // clock advanced by runFor and returns the full trace plus per-tenant
 // completed CPU.
 func runDriverFairshareScenario(t *testing.T, sc workload.FairnessScenario, runFor func(*simgrid.Engine, time.Duration)) (*fsTrace, map[string]float64) {
@@ -76,28 +77,31 @@ func runDriverFairshareScenario(t *testing.T, sc workload.FairnessScenario, runF
 
 	tr := &fsTrace{}
 	byTenant := make(map[string]float64)
-	meta := make(map[int]workload.Submission)
+	meta := make(map[int]workload.TenantSpec)
 	pool.Subscribe(func(e condor.Event) {
 		tr.events = append(tr.events, e)
 		if e.To == condor.StatusCompleted {
-			byTenant[meta[e.JobID].Tenant] += meta[e.JobID].CPUSeconds
+			byTenant[meta[e.JobID].Name] += meta[e.JobID].JobCPUSeconds
 		}
 	})
 
-	for _, sub := range sc.Submissions() {
-		sub := sub
-		g.Engine.Schedule(time.Duration(sub.Tick)*time.Second, func(time.Time) {
-			ad := classad.New().
-				Set(condor.AttrOwner, sub.Tenant).
-				Set(condor.AttrCpuSeconds, sub.CPUSeconds).
-				Set(condor.AttrPriority, sub.Priority)
-			id, err := pool.Submit(ad)
-			if err != nil {
-				t.Errorf("submit: %v", err)
-				return
+	for tick := 0; tick < sc.Ticks; tick++ {
+		for _, tn := range sc.Tenants {
+			for n := tn.ArrivalsAt(tick); n > 0; n-- {
+				g.Engine.Schedule(time.Duration(tick)*time.Second, func(time.Time) {
+					ad := classad.New().
+						Set(condor.AttrOwner, tn.Name).
+						Set(condor.AttrCpuSeconds, tn.JobCPUSeconds).
+						Set(condor.AttrPriority, tn.Priority)
+					id, err := pool.Submit(ad)
+					if err != nil {
+						t.Errorf("submit: %v", err)
+						return
+					}
+					meta[id] = tn
+				})
 			}
-			meta[id] = sub
-		})
+		}
 	}
 	runFor(g.Engine, time.Duration(sc.Ticks+60)*time.Second)
 	for _, p := range pools {
@@ -110,14 +114,21 @@ func runDriverFairshareScenario(t *testing.T, sc workload.FairnessScenario, runF
 	return tr, byTenant
 }
 
-// TestDriverEquivalenceFairshareScenarios runs every built-in
-// multi-tenant fairness scenario stepped and jumped: traces and
+// TestDriverEquivalenceFairshareScenarios runs every multi-tenant
+// fairness scenario file stepped and jumped: traces and
 // per-tenant allocation metrics must match exactly — the fair-share
 // accounting (decayed usage accrued tick by tick) is the most
 // timing-sensitive consumer of the engine.
 func TestDriverEquivalenceFairshareScenarios(t *testing.T) {
-	for _, sc := range workload.FairnessScenarios() {
-		sc := sc
+	paths, err := filepath.Glob("../../testdata/scenarios/*.json")
+	if err != nil || len(paths) == 0 {
+		t.Fatalf("no scenario files: %v", err)
+	}
+	for _, path := range paths {
+		sc, err := workload.LoadScenario(path)
+		if err != nil {
+			t.Fatal(err)
+		}
 		t.Run(sc.Name, func(t *testing.T) {
 			tick, tickCPU := runDriverFairshareScenario(t, sc, condor.StepFor)
 			ev, evCPU := runDriverFairshareScenario(t, sc, (*simgrid.Engine).RunFor)

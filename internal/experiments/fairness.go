@@ -13,29 +13,8 @@ import (
 	"repro/internal/workload"
 )
 
-// FairnessConfig parameterizes a multi-tenant fairness replay: one of the
-// built-in workload scenarios executed on the simulated grid, with the
-// fair-share subsystem either arbitrating the queue or (the ablation)
-// switched off so the seed's static-priority/FIFO negotiation runs.
-type FairnessConfig struct {
-	// Scenario names a workload.FairnessScenarios entry.
-	Scenario string
-	// Ticks overrides the scenario's horizon (1 tick = 1 simulated
-	// second); zero keeps the scenario default.
-	Ticks int
-	// FairShare installs the fair-share policy on every pool. False is
-	// the ablation: static priority with FIFO, no usage feedback.
-	FairShare bool
-	// HalfLife overrides the usage decay half-life (zero: fairshare
-	// default; negative: decay disabled).
-	HalfLife time.Duration
-	// StarvationWindow overrides the starvation guard (zero: default;
-	// negative: guard disabled).
-	StarvationWindow time.Duration
-	// SampleEvery is the allocation-history sampling period in ticks
-	// (default 5).
-	SampleEvery int
-}
+// sampleEvery is the allocation-history sampling period in ticks.
+const sampleEvery = 5
 
 // FairnessRow is one tenant's allocation sample at one tick.
 type FairnessRow struct {
@@ -109,55 +88,34 @@ func (r *FairnessResult) Summary() string {
 	return sb.String()
 }
 
-// Fairness replays a multi-tenant scenario and measures who actually got
-// the machines. Everything runs on the virtual clock: a 900-second
-// scenario finishes in milliseconds of wall time, and the emitted history
-// is deterministic for a given configuration.
-func Fairness(cfg FairnessConfig) (*FairnessResult, error) {
-	sc, ok := workload.FairnessScenarioByName(cfg.Scenario)
-	if !ok {
-		names := make([]string, 0)
-		for _, s := range workload.FairnessScenarios() {
-			names = append(names, s.Name)
-		}
-		return nil, fmt.Errorf("experiments: unknown fairness scenario %q (have %s)",
-			cfg.Scenario, strings.Join(names, ", "))
-	}
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
-	ticks := cfg.Ticks
-	if ticks <= 0 {
-		ticks = sc.Ticks
-	}
-	sample := cfg.SampleEvery
-	if sample <= 0 {
-		sample = 5
-	}
-
+// Fairness replays a multi-tenant scenario for sc.Ticks ticks and
+// measures who actually got the machines: with fairShare the fair-share
+// policy arbitrates every pool; without it (the ablation) the seed's
+// static-priority/FIFO negotiation runs, with no usage feedback.
+// Everything runs on the virtual clock: a 900-second scenario finishes
+// in milliseconds of wall time, and the emitted history is
+// deterministic for a given scenario.
+func Fairness(sc workload.FairnessScenario, fairShare bool) (*FairnessResult, error) {
 	grid := simgrid.NewGrid(time.Second, 0)
-	site := grid.AddSite("siteA")
-	pool := condor.NewPool("siteA", grid, site)
-	for i := 0; i < sc.Machines; i++ {
-		n := site.AddNode(grid.Engine, fmt.Sprintf("siteA-n%d", i), 1, nil)
-		pool.AddMachine(n, nil)
-	}
-	if sc.FlockMachines > 0 {
-		peerSite := grid.AddSite("siteB")
-		peer := condor.NewPool("siteB", grid, peerSite)
-		for i := 0; i < sc.FlockMachines; i++ {
-			n := peerSite.AddNode(grid.Engine, fmt.Sprintf("siteB-n%d", i), 1, nil)
-			peer.AddMachine(n, nil)
+	addPool := func(name string, machines int) *condor.Pool {
+		site := grid.AddSite(name)
+		p := condor.NewPool(name, grid, site)
+		for i := 0; i < machines; i++ {
+			p.AddMachine(site.AddNode(grid.Engine, fmt.Sprintf("%s-n%d", name, i), 1, nil), nil)
 		}
-		pool.EnableFlocking(peer)
+		return p
+	}
+	pool := addPool("siteA", sc.Machines)
+	if sc.FlockMachines > 0 {
+		pool.EnableFlocking(addPool("siteB", sc.FlockMachines))
 	}
 
 	var fs *fairshare.Manager
-	if cfg.FairShare {
+	if fairShare {
 		fs = fairshare.NewManager(fairshare.Config{
 			Clock:            grid.Engine.Clock(),
-			HalfLife:         cfg.HalfLife,
-			StarvationWindow: cfg.StarvationWindow,
+			HalfLife:         time.Duration(sc.HalfLifeSeconds * float64(time.Second)),
+			StarvationWindow: time.Duration(sc.StarvationWindowSeconds * float64(time.Second)),
 		})
 		for _, g := range sc.Groups {
 			fs.SetGroup(g.Name, g.Weight)
@@ -168,42 +126,32 @@ func Fairness(cfg FairnessConfig) (*FairnessResult, error) {
 		pool.SetFairShare(fs)
 	}
 
-	// Per-tenant bookkeeping, fed by pool completion events.
-	type jobMeta struct {
-		tenant string
-		cpu    float64
-	}
-	meta := make(map[int]jobMeta)
-	epoch := grid.Engine.Now()
-	completedCPU := make(map[string]float64)
-	completedJobs := make(map[string]int)
-	submitted := make(map[string]int)
-	firstDone := make(map[string]int)
-	pool.Subscribe(func(e condor.Event) {
-		if e.To != condor.StatusCompleted {
-			return
-		}
-		m, ok := meta[e.JobID]
-		if !ok {
-			return
-		}
-		completedCPU[m.tenant] += m.cpu
-		completedJobs[m.tenant]++
-		if _, seen := firstDone[m.tenant]; !seen {
-			firstDone[m.tenant] = int(e.At.Sub(epoch) / time.Second)
-		}
-	})
-
-	groupOf := make(map[string]string)
-	for _, t := range sc.Tenants {
+	// Per-tenant tallies in declaration order, fed by pool completion
+	// events; sorted by name into the result's outcomes at the end.
+	out := make([]FairnessOutcome, len(sc.Tenants))
+	for i, t := range sc.Tenants {
 		g := t.Group
 		if g == "" {
 			g = "default"
 		}
-		groupOf[t.Name] = g
+		out[i] = FairnessOutcome{Tenant: t.Name, Group: g, Weight: t.Weight, FirstCompletionTick: -1}
 	}
+	tenantOf := make(map[int]int) // job ID → tenant index
+	epoch := grid.Engine.Now()
+	pool.Subscribe(func(e condor.Event) {
+		i, ok := tenantOf[e.JobID]
+		if e.To != condor.StatusCompleted || !ok {
+			return
+		}
+		o := &out[i]
+		o.CompletedJobs++
+		o.CompletedCPU += sc.Tenants[i].JobCPUSeconds
+		if o.FirstCompletionTick < 0 {
+			o.FirstCompletionTick = int(e.At.Sub(epoch) / time.Second)
+		}
+	})
 
-	res := &FairnessResult{Scenario: sc.Name, FairShare: cfg.FairShare, Ticks: ticks}
+	res := &FairnessResult{Scenario: sc.Name, FairShare: fairShare, Ticks: sc.Ticks}
 	snapshot := func(tick int) {
 		running := make(map[string]int)
 		idle := make(map[string]int)
@@ -218,15 +166,15 @@ func Fairness(cfg FairnessConfig) (*FairnessResult, error) {
 				}
 			}
 		}
-		for _, t := range sc.Tenants {
+		for i, t := range sc.Tenants {
 			row := FairnessRow{
 				Tick:          tick,
 				Tenant:        t.Name,
-				Group:         groupOf[t.Name],
+				Group:         out[i].Group,
 				Running:       running[t.Name],
 				Idle:          idle[t.Name],
-				CompletedJobs: completedJobs[t.Name],
-				CompletedCPU:  completedCPU[t.Name],
+				CompletedJobs: out[i].CompletedJobs,
+				CompletedCPU:  out[i].CompletedCPU,
 			}
 			if fs != nil {
 				row.DecayedUsage = fs.Usage(t.Name)
@@ -236,71 +184,51 @@ func Fairness(cfg FairnessConfig) (*FairnessResult, error) {
 		}
 	}
 
-	subs := sc.Submissions()
-	si := 0
-	for tick := 0; tick < ticks; tick++ {
-		for si < len(subs) && subs[si].Tick <= tick {
-			sub := subs[si]
-			ad := classad.New().
-				Set(condor.AttrOwner, sub.Tenant).
-				Set(condor.AttrCpuSeconds, sub.CPUSeconds).
-				Set(condor.AttrPriority, sub.Priority)
-			id, err := pool.Submit(ad)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: fairness submit: %w", err)
+	for tick := 0; tick < sc.Ticks; tick++ {
+		for i, t := range sc.Tenants {
+			for n := t.ArrivalsAt(tick); n > 0; n-- {
+				ad := classad.New().
+					Set(condor.AttrOwner, t.Name).
+					Set(condor.AttrCpuSeconds, t.JobCPUSeconds).
+					Set(condor.AttrPriority, t.Priority)
+				id, err := pool.Submit(ad)
+				if err != nil {
+					return nil, fmt.Errorf("experiments: fairness submit: %w", err)
+				}
+				tenantOf[id] = i
+				out[i].SubmittedJobs++
 			}
-			meta[id] = jobMeta{tenant: sub.Tenant, cpu: sub.CPUSeconds}
-			submitted[sub.Tenant]++
-			si++
 		}
 		grid.Engine.Step()
-		if tick%sample == 0 || tick == ticks-1 {
+		if tick%sampleEvery == 0 || tick == sc.Ticks-1 {
 			snapshot(tick)
 		}
 	}
 
-	// Entitlements: group share by group weight, split within the group
-	// by tenant weight.
+	// Entitlements: group share by group weight (1 for a group the
+	// scenario does not weigh), split within the group by tenant weight.
 	groupWeight := make(map[string]float64)
 	for _, g := range sc.Groups {
 		groupWeight[g.Name] = g.Weight
 	}
-	tenantsInGroup := make(map[string]float64) // summed tenant weights
-	for _, t := range sc.Tenants {
-		tenantsInGroup[groupOf[t.Name]] += t.Weight
-	}
+	tenantWeight := make(map[string]float64) // summed over the group's tenants
 	totalGroupWeight := 0.0
-	for g := range tenantsInGroup {
-		w := groupWeight[g]
-		if w <= 0 {
-			w = 1
+	for _, o := range out {
+		if _, seen := tenantWeight[o.Group]; !seen {
+			if groupWeight[o.Group] <= 0 {
+				groupWeight[o.Group] = 1
+			}
+			totalGroupWeight += groupWeight[o.Group]
 		}
-		groupWeight[g] = w
-		totalGroupWeight += w
+		tenantWeight[o.Group] += o.Weight
 	}
-
-	var normalized []float64
-	for _, t := range sc.Tenants {
-		g := groupOf[t.Name]
-		ent := (groupWeight[g] / totalGroupWeight) * (t.Weight / tenantsInGroup[g])
-		o := FairnessOutcome{
-			Tenant:              t.Name,
-			Group:               g,
-			Weight:              t.Weight,
-			SubmittedJobs:       submitted[t.Name],
-			CompletedJobs:       completedJobs[t.Name],
-			CompletedCPU:        completedCPU[t.Name],
-			FirstCompletionTick: -1,
-		}
-		if ft, ok := firstDone[t.Name]; ok {
-			o.FirstCompletionTick = ft
-		}
-		res.Outcomes = append(res.Outcomes, o)
-		normalized = append(normalized, o.CompletedCPU/ent)
+	normalized := make([]float64, len(out))
+	for i, o := range out {
+		ent := (groupWeight[o.Group] / totalGroupWeight) * (o.Weight / tenantWeight[o.Group])
+		normalized[i] = o.CompletedCPU / ent
 	}
-	sort.Slice(res.Outcomes, func(i, j int) bool {
-		return res.Outcomes[i].Tenant < res.Outcomes[j].Tenant
-	})
+	sort.Slice(out, func(i, j int) bool { return out[i].Tenant < out[j].Tenant })
+	res.Outcomes = out
 	res.JainIndex = fairshare.JainIndex(normalized)
 	res.MinShare = fairshare.MinShare(normalized)
 	return res, nil

@@ -3,11 +3,22 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/workload"
 )
 
-func runFairness(t *testing.T, cfg FairnessConfig) *FairnessResult {
+func loadScenario(t *testing.T, name string) workload.FairnessScenario {
 	t.Helper()
-	res, err := Fairness(cfg)
+	sc, err := workload.LoadScenario("../../testdata/scenarios/" + name + ".json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sc
+}
+
+func runFairness(t *testing.T, name string, fairShare bool) *FairnessResult {
+	t.Helper()
+	res, err := Fairness(loadScenario(t, name), fairShare)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,11 +41,11 @@ func outcome(t *testing.T, r *FairnessResult, tenant string) FairnessOutcome {
 // scenario with a Jain index of at least 0.9, while the ablation (static
 // priority + FIFO) measurably does not.
 func TestFairnessEqualWeightsJain(t *testing.T) {
-	fair := runFairness(t, FairnessConfig{Scenario: "bursty-tenant", FairShare: true})
+	fair := runFairness(t, "bursty-tenant", true)
 	if fair.JainIndex < 0.9 {
 		t.Fatalf("fair-share Jain = %.4f, want ≥ 0.9\n%s", fair.JainIndex, fair.Summary())
 	}
-	ablation := runFairness(t, FairnessConfig{Scenario: "bursty-tenant", FairShare: false})
+	ablation := runFairness(t, "bursty-tenant", false)
 	if ablation.JainIndex >= fair.JainIndex-0.05 {
 		t.Fatalf("ablation Jain %.4f not measurably worse than fair %.4f",
 			ablation.JainIndex, fair.JainIndex)
@@ -49,7 +60,7 @@ func TestFairnessEqualWeightsJain(t *testing.T) {
 // completes everything despite the priority flood; without it, the meek
 // tenant is fully starved — the "measurable starvation" ablation.
 func TestFairnessStarvationRecovery(t *testing.T) {
-	fair := runFairness(t, FairnessConfig{Scenario: "starvation-recovery", FairShare: true})
+	fair := runFairness(t, "starvation-recovery", true)
 	meek := outcome(t, fair, "meek")
 	if meek.CompletedJobs != meek.SubmittedJobs || meek.FirstCompletionTick < 0 {
 		t.Fatalf("meek not recovered: %+v\n%s", meek, fair.Summary())
@@ -58,7 +69,7 @@ func TestFairnessStarvationRecovery(t *testing.T) {
 		t.Fatalf("fair min share = %.4f, want > 0.5", fair.MinShare)
 	}
 
-	ablation := runFairness(t, FairnessConfig{Scenario: "starvation-recovery", FairShare: false})
+	ablation := runFairness(t, "starvation-recovery", false)
 	starved := outcome(t, ablation, "meek")
 	if starved.CompletedJobs != 0 || starved.FirstCompletionTick != -1 {
 		t.Fatalf("ablation meek unexpectedly served: %+v", starved)
@@ -71,7 +82,7 @@ func TestFairnessStarvationRecovery(t *testing.T) {
 // TestFairnessWeightedGroups: group allocations track group weights
 // (atlas weight 3 vs cms weight 1), not head counts.
 func TestFairnessWeightedGroups(t *testing.T) {
-	fair := runFairness(t, FairnessConfig{Scenario: "weighted-groups", FairShare: true})
+	fair := runFairness(t, "weighted-groups", true)
 	atlas := outcome(t, fair, "atlas-a").CompletedCPU + outcome(t, fair, "atlas-b").CompletedCPU
 	cms := outcome(t, fair, "cms-a").CompletedCPU
 	if cms <= 0 {
@@ -86,7 +97,7 @@ func TestFairnessWeightedGroups(t *testing.T) {
 	}
 	// Ablation ignores weights: the three tenants split evenly, so the
 	// group ratio collapses toward 2 (two atlas tenants vs one cms).
-	ablation := runFairness(t, FairnessConfig{Scenario: "weighted-groups", FairShare: false})
+	ablation := runFairness(t, "weighted-groups", false)
 	aAtlas := outcome(t, ablation, "atlas-a").CompletedCPU + outcome(t, ablation, "atlas-b").CompletedCPU
 	aCms := outcome(t, ablation, "cms-a").CompletedCPU
 	if r := aAtlas / aCms; r > ratio-0.5 {
@@ -97,11 +108,11 @@ func TestFairnessWeightedGroups(t *testing.T) {
 // TestFairnessFederatedFlocking: one fairness state spans the flocked
 // pools, so the bursty tenant cannot monopolize overflow capacity.
 func TestFairnessFederatedFlocking(t *testing.T) {
-	fair := runFairness(t, FairnessConfig{Scenario: "federated-flocking", FairShare: true})
+	fair := runFairness(t, "federated-flocking", true)
 	if fair.JainIndex < 0.9 {
 		t.Fatalf("federated Jain = %.4f, want ≥ 0.9\n%s", fair.JainIndex, fair.Summary())
 	}
-	ablation := runFairness(t, FairnessConfig{Scenario: "federated-flocking", FairShare: false})
+	ablation := runFairness(t, "federated-flocking", false)
 	burstFair := outcome(t, fair, "dana").CompletedCPU
 	burstAblation := outcome(t, ablation, "dana").CompletedCPU
 	if burstFair >= burstAblation {
@@ -112,8 +123,8 @@ func TestFairnessFederatedFlocking(t *testing.T) {
 // TestFairnessDeterministic: identical configurations produce
 // byte-identical allocation histories — no wall-time dependence.
 func TestFairnessDeterministic(t *testing.T) {
-	a := runFairness(t, FairnessConfig{Scenario: "starvation-recovery", FairShare: true})
-	b := runFairness(t, FairnessConfig{Scenario: "starvation-recovery", FairShare: true})
+	a := runFairness(t, "starvation-recovery", true)
+	b := runFairness(t, "starvation-recovery", true)
 	if a.CSV() != b.CSV() {
 		t.Fatal("same config produced different CSV histories")
 	}
@@ -122,19 +133,18 @@ func TestFairnessDeterministic(t *testing.T) {
 	}
 }
 
-func TestFairnessUnknownScenario(t *testing.T) {
-	if _, err := Fairness(FairnessConfig{Scenario: "nope"}); err == nil {
-		t.Fatal("unknown scenario accepted")
-	}
-}
-
 // TestFairnessCSVShape: every sampled tick carries one row per tenant
 // with the documented columns.
 func TestFairnessCSVShape(t *testing.T) {
-	res := runFairness(t, FairnessConfig{Scenario: "bursty-tenant", FairShare: true, Ticks: 50, SampleEvery: 10})
+	sc := loadScenario(t, "bursty-tenant")
+	sc.Ticks = 50
+	res, err := Fairness(sc, true)
+	if err != nil {
+		t.Fatal(err)
+	}
 	lines := strings.Split(strings.TrimSpace(res.CSV()), "\n")
-	// 1 comment + 1 header + samples at ticks 0,10,20,30,40,49 × 4 tenants.
-	want := 2 + 6*4
+	// 1 comment + 1 header + samples at ticks 0,5,…,45,49 × 4 tenants.
+	want := 2 + 11*4
 	if len(lines) != want {
 		t.Fatalf("CSV lines = %d, want %d", len(lines), want)
 	}

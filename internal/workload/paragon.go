@@ -1,8 +1,8 @@
-// Package workload synthesizes the inputs of the paper's evaluation:
+// Package workload synthesizes the inputs of the paper's evaluation —
 // an SDSC Paragon-style accounting trace for the runtime-estimator
-// experiment (Figure 5), the prime-counting test job of the steering
-// experiment (Figure 7), and client request drivers for the service
-// response-time experiment (Figure 6).
+// experiment (Figure 5) and the prime-counting test job of the steering
+// experiment (Figure 7) — and loads the multi-tenant fairness scenarios
+// the fair-share replay runs from their JSON files (LoadScenario).
 //
 // The original trace — "accounting data from the Paragon Supercomputer at
 // the San Diego Supercomputing Center ... collected by Allen Downey in

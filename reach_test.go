@@ -64,7 +64,6 @@ var settingAllowed = map[string]string{
 	"core.Config.FairShare":                    "drives the durable fair_share section and TestFairShareWiring; making it the serving default changes behaviour",
 	"core.SiteSpec.CostPerTransferMB":          "bench/ prices transfers with it (ROADMAP item 4)",
 	"simgrid.NewGrid(seed)":                    "bench/ passes it (ROADMAP item 4)",
-	"workload.TenantSpec.StartTick":            "scenario vocabulary that scenarios as data will turn into data",
 }
 
 // reachInterfaceMethods are method names a standard-library interface
