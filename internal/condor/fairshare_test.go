@@ -392,3 +392,40 @@ func TestFailRecoverWalkLiveJobsInSubmissionOrder(t *testing.T) {
 		t.Fatalf("Fail then Recover set rates\n %v\nwant %v", pol.calls, want)
 	}
 }
+
+// TestOwnersOfOneTenantGetOneStarvedPick: the owners "" and "anonymous"
+// are one tenant. When both queue jobs and both starve, the guard promotes
+// one job of that tenant per pass, the older of the two owners' oldest
+// jobs, beside the other starved tenant's oldest; the rest of the tenant's
+// jobs wait behind on its (low) effective priority. The stream's order is
+// the reference sort's.
+func TestOwnersOfOneTenantGetOneStarvedPick(t *testing.T) {
+	for _, first := range []string{"", fairshare.Anonymous} {
+		second := fairshare.Anonymous
+		if first == fairshare.Anonymous {
+			second = ""
+		}
+		g, p := testPool(t, 0) // no machines: nobody starts, so everybody starves
+		fs := fairshare.NewManager(fairshare.Config{
+			Clock:            g.Engine.Clock(),
+			HalfLife:         -1,
+			StarvationWindow: 30 * time.Second,
+		})
+		p.SetFairShare(fs)
+		fs.RecordUsage(fairshare.Anonymous, "siteA", 1000)
+		older := mustSubmit(t, p, jobAd(first, 10, 0))
+		g.Engine.RunFor(time.Second)
+		younger := mustSubmit(t, p, jobAd(second, 10, 5)) // its owner's oldest, and first by priority
+		mustSubmit(t, p, jobAd(first, 10, 0))
+		bob := mustSubmit(t, p, jobAd("bob", 10, 0))
+		mustSubmit(t, p, jobAd(second, 10, 0))
+		g.Engine.RunFor(time.Minute)
+
+		label := "oldest owner " + strconv.Quote(first)
+		checkOrderParity(t, p, label)
+		got := orderIDs(p.idleOrdered())
+		if want := []int{older, bob, younger}; !slices.Equal(got[:3], want) {
+			t.Fatalf("%s: stream %v, want it to open %v (the tenant's one starved pick, bob's, then the tenant by priority)", label, got, want)
+		}
+	}
+}

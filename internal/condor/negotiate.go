@@ -5,7 +5,6 @@ import (
 	"slices"
 	"time"
 
-	"repro/internal/fairshare"
 	"repro/internal/simgrid"
 )
 
@@ -151,17 +150,6 @@ func (p *Pool) produceOutput(j *job) {
 		return
 	}
 	_ = p.site.Storage().Put(j.ad.Str(AttrOutputFile, ""), j.ad.Float(AttrOutputMB, 1))
-}
-
-// jobRef is the fair-share policy's view of a queued job.
-func (p *Pool) jobRef(j *job) fairshare.JobRef {
-	return fairshare.JobRef{
-		Owner:          j.owner,
-		Tenant:         j.queue.tenant,
-		StaticPriority: j.priority,
-		Submitted:      p.timeOf(j.submitted),
-		Seq:            j.id,
-	}
 }
 
 // negotiate matches idle jobs to free machines in negotiation

@@ -40,7 +40,7 @@ func (p *Pool) idleSorted() []*job {
 		// classad attributes per comparison dominates negotiation cost.
 		refs := make([]fairshare.JobRef, len(idle))
 		for i, j := range idle {
-			refs[i] = p.jobRef(j)
+			refs[i] = fairshare.JobRef{Owner: j.owner, Tenant: j.queue.tenant, StaticPriority: j.priority, Submitted: p.timeOf(j.submitted), Seq: j.id}
 		}
 		order := make([]int, len(idle))
 		for i := range order {
@@ -50,7 +50,7 @@ func (p *Pool) idleSorted() []*job {
 		// weak ordering even on a clock that advances mid-sort, and the
 		// key form computes standing in one locked pass so the sort
 		// itself runs lock-free.
-		keys := p.fair.AppendSortKeys(nil, p.grid.Engine.Now(), refs)
+		keys := p.fair.(*fairshare.Manager).SortKeysAt(p.grid.Engine.Now(), refs)
 		sort.SliceStable(order, func(a, b int) bool {
 			ia, ib := order[a], order[b]
 			return fairshare.LessKeys(refs[ia], refs[ib], keys[ia], keys[ib])

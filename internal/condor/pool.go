@@ -81,8 +81,6 @@ type Pool struct {
 	active      []*job
 	idleScratch []*job
 	peerScratch []*machine
-	refScratch  []fairshare.JobRef
-	keyScratch  []fairshare.SortKey
 	curScratch  []ownerCursor
 	// streamScratch is the recycled negotiation stream, its slices reused
 	// instead of reallocated on every wake. At most one stream is live at
@@ -131,8 +129,8 @@ type Pool struct {
 	negotiateOracle func(now time.Time) int
 
 	// owners holds the incrementally maintained negotiation queues (see
-	// queue.go): per-owner under a fair-share policy, one shared queue
-	// under the static policy. queues lists the same queues in the order
+	// queue.go) by tenant name: per tenant under a fair-share policy, one
+	// shared queue under the static policy. queues lists them in the order
 	// they were made, for the per-pass stream to read without a map walk.
 	owners map[string]*ownerQueue
 	queues []*ownerQueue

@@ -34,23 +34,25 @@ import (
 // per-owner streams with a small heap keyed by the time-varying
 // owner-level standing — O(matched · log owners) instead of a full
 // sort. Stale entries (job left Idle, or priority changed) are skipped
-// lazily and garbage-collected as bucket heads advance past them.
+// lazily and garbage-collected as bucket heads advance past them. There
+// is no submission-order list: each bucket is in (submit time, id) order,
+// so an owner's oldest idle job is the earliest of its bucket heads.
 
 // qentry is one queue slot; it is stale once the job left Idle or its
-// qgen moved on (priority change re-filed it). A negative gen opts out
-// of the generation check: the submission-order list is
-// priority-independent, so its entries stay valid across refiles.
+// qgen moved on (priority change re-filed it).
 type qentry struct {
 	j   *job
 	gen int32
 }
 
 func (e qentry) valid() bool {
-	return e.j.status == StatusIdle && (e.gen < 0 || e.gen == e.j.qgen)
+	return e.j.status == StatusIdle && e.gen == e.j.qgen
 }
 
-// qlist is an append-only FIFO with lazy head compaction.
+// qlist is one priority's bucket: an append-only FIFO with lazy head
+// compaction.
 type qlist struct {
+	prio  int
 	items []qentry
 	head  int
 }
@@ -59,7 +61,8 @@ func (l *qlist) push(e qentry) { l.items = append(l.items, e) }
 
 // gcHead drops exhausted prefixes and stale heads so repeated scans do
 // not re-walk dead entries; interior stale entries are skipped by
-// cursors and collected when the head reaches them.
+// cursors and collected when the head reaches them. After it the head,
+// if any, is the bucket's oldest idle job.
 func (l *qlist) gcHead() {
 	for l.head < len(l.items) && !l.items[l.head].valid() {
 		l.items[l.head].j = nil
@@ -71,27 +74,27 @@ func (l *qlist) gcHead() {
 	}
 }
 
-// ownerQueue holds one owner's idle jobs (or, under the static policy,
-// the whole pool's) in negotiation order: per-priority FIFO buckets
-// plus a submission-order list for the starvation guard's oldest pick.
-// Under a fair-share policy it also holds the owner's tenant handle,
-// resolved when the queue is made: what the pass prices the owner by, and
-// what its jobs' starts and usage flows are accounted to. The static
-// policy's shared queue has none.
+// ownerQueue holds one tenant's idle jobs (or, under the static policy,
+// the whole pool's) in negotiation order: one FIFO bucket per priority,
+// the buckets sorted by priority, highest first. Under a fair-share
+// policy it also holds the tenant's handle, resolved when the queue is
+// made: what the pass prices the owner by, and what its jobs' starts and
+// usage flows are accounted to. The static policy's shared queue has none.
 type ownerQueue struct {
-	tenant *fairshare.Tenant
-	prios  []int // distinct priorities seen, sorted desc
-	byPrio map[int]*qlist
-	sub    qlist
-	count  int // valid entries (one per idle job filed here)
+	tenant  *fairshare.Tenant
+	buckets []qlist
+	count   int // idle jobs filed here, one valid entry each
+}
+
+// fifo orders jobs by submission: submit time, then ID.
+func fifo(a, b *job) int {
+	return cmp.Or(cmp.Compare(a.submitted, b.submitted), cmp.Compare(a.id, b.id))
 }
 
 // add files j under its current priority. Submissions arrive in
-// (submitTime, id) order, so bucket and submission lists stay sorted by
-// appending.
+// (submitTime, id) order, so buckets stay sorted by appending.
 func (q *ownerQueue) add(j *job) {
 	q.bucket(j.priority).push(qentry{j: j, gen: j.qgen})
-	q.sub.push(qentry{j: j, gen: -1})
 	q.count++
 }
 
@@ -103,43 +106,33 @@ func (q *ownerQueue) refile(j *job) {
 	j.qgen++
 	b := q.bucket(j.priority)
 	b.gcHead()
-	items := b.items
-	i := b.head + sort.Search(len(items)-b.head, func(k int) bool {
-		o := items[b.head+k].j
-		if o.submitted != j.submitted {
-			return o.submitted > j.submitted
-		}
-		return o.id > j.id
-	})
-	items = append(items, qentry{})
-	copy(items[i+1:], items[i:])
-	items[i] = qentry{j: j, gen: j.qgen}
-	b.items = items
+	i := b.head + sort.Search(len(b.items)-b.head, func(k int) bool { return fifo(j, b.items[b.head+k].j) < 0 })
+	b.items = slices.Insert(b.items, i, qentry{j: j, gen: j.qgen})
 }
 
+// bucket returns prio's bucket, made on first use.
 func (q *ownerQueue) bucket(prio int) *qlist {
-	b, ok := q.byPrio[prio]
+	i, ok := slices.BinarySearchFunc(q.buckets, prio, func(b qlist, prio int) int { return cmp.Compare(prio, b.prio) })
 	if !ok {
-		b = &qlist{}
-		q.byPrio[prio] = b
-		i := sort.Search(len(q.prios), func(k int) bool { return q.prios[k] < prio })
-		q.prios = append(q.prios, 0)
-		copy(q.prios[i+1:], q.prios[i:])
-		q.prios[i] = prio
+		q.buckets = slices.Insert(q.buckets, i, qlist{prio: prio})
 	}
-	return b
+	return &q.buckets[i]
 }
 
-// oldest returns the owner's oldest valid idle job (submission order),
-// or nil.
+// oldest returns the owner's oldest idle job, the earliest of the bucket
+// heads, or nil.
 func (q *ownerQueue) oldest() *job {
-	q.sub.gcHead()
-	for k := q.sub.head; k < len(q.sub.items); k++ {
-		if q.sub.items[k].valid() {
-			return q.sub.items[k].j
+	var old *job
+	for i := range q.buckets {
+		b := &q.buckets[i]
+		b.gcHead()
+		if b.head < len(b.items) {
+			if j := b.items[b.head].j; old == nil || fifo(j, old) < 0 {
+				old = j
+			}
 		}
 	}
-	return nil
+	return old
 }
 
 // ownerCursor walks one owner's buckets in (priority desc, FIFO) order,
@@ -149,7 +142,7 @@ type ownerCursor struct {
 	q    *ownerQueue
 	ep   float64
 	skip *job
-	pi   int // index into q.prios
+	pi   int // index into q.buckets
 	idx  int // index into current bucket, counted from items[0]
 	cur  *job
 }
@@ -157,8 +150,8 @@ type ownerCursor struct {
 // advance moves cur to the next valid job, or nil when exhausted.
 func (c *ownerCursor) advance() {
 	c.cur = nil
-	for c.pi < len(c.q.prios) {
-		b := c.q.byPrio[c.q.prios[c.pi]]
+	for c.pi < len(c.q.buckets) {
+		b := &c.q.buckets[c.pi]
 		b.gcHead()
 		if c.idx < b.head {
 			c.idx = b.head
@@ -247,15 +240,19 @@ func (s *negotiationStream) next() *job {
 }
 
 // queue returns the queue a job of owner files under, made on first
-// use: the owner's own, holding its tenant handle, when a fair-share policy
-// is installed; the one shared queue under the static policy.
+// use: under a fair-share policy the queue of the owner's tenant, holding
+// its handle (an empty owner is fairshare.Anonymous, so the two share
+// one); under the static policy the one shared queue.
 func (p *Pool) queue(owner string) *ownerQueue {
-	if p.fair == nil {
+	switch {
+	case p.fair == nil:
 		owner = ""
+	case owner == "":
+		owner = fairshare.Anonymous
 	}
 	q, ok := p.owners[owner]
 	if !ok {
-		q = &ownerQueue{byPrio: make(map[int]*qlist)}
+		q = &ownerQueue{}
 		if p.fair != nil {
 			q.tenant = p.fair.Tenant(owner)
 		}
@@ -265,64 +262,36 @@ func (p *Pool) queue(owner string) *ownerQueue {
 	return q
 }
 
-// negotiationStream builds the pass's job stream at the given
-// instant. One SortKeysAt call over each owner's oldest job prices the
-// whole pass: it yields every owner's effective priority and marks the
-// starved picks, which a full-queue SortKeysAt would mark identically
-// (an owner's oldest job is starved iff any of its jobs is, and the
-// guard promotes exactly the oldest).
+// negotiationStream builds the pass's job stream at the given instant.
+// Under a fair-share policy each tenant with an idle job is priced once,
+// through its handle, at that instant; its oldest job is looked up only
+// when the tenant has gone a starvation window without a start, and
+// promoted when it is starved, which is when any of the tenant's jobs is.
 func (p *Pool) negotiationStream(now time.Time) *negotiationStream {
 	s := &p.streamScratch
 	s.starved, s.si, s.heap = s.starved[:0], 0, s.heap[:0]
-	if p.fair == nil {
-		// Static policy: single shared queue, priority desc then ID asc
-		// (submission order within a bucket), no owner-level standing.
-		if len(p.queues) == 1 && p.queues[0].count > 0 {
-			q := p.queues[0]
-			cursors := append(p.curScratch[:0], ownerCursor{q: q})
-			p.curScratch = cursors[:0]
-			c := &cursors[0]
-			c.advance()
-			if c.cur != nil {
-				s.heap = append(s.heap, c)
-			}
-		}
-		return s
-	}
-	refs := p.refScratch[:0]
 	cursors := p.curScratch[:0]
 	for _, q := range p.queues {
-		if q.count <= 0 {
+		if q.count == 0 {
 			continue
 		}
-		j := q.oldest()
-		if j == nil {
-			q.count = 0 // lost count to stale entries; resync
-			continue
+		c := ownerCursor{q: q}
+		if p.fair != nil {
+			st := p.fair.StandingAt(q.tenant, now)
+			c.ep = st.Effective
+			if st.Drought() {
+				if j := q.oldest(); st.Starved(p.timeOf(j.submitted)) {
+					s.starved = append(s.starved, j)
+					c.skip = j
+				}
+			}
 		}
-		refs = append(refs, p.jobRef(j))
-		cursors = append(cursors, ownerCursor{q: q})
+		cursors = append(cursors, c)
 	}
-	p.refScratch = refs[:0]
 	p.curScratch = cursors[:0]
-	if len(refs) == 0 {
-		return s
-	}
-	keys := p.fair.AppendSortKeys(p.keyScratch[:0], now, refs)
-	p.keyScratch = keys
-	for i := range cursors {
-		cursors[i].ep = keys[i].Effective
-		if keys[i].Starved {
-			j := cursors[i].q.oldest()
-			s.starved = append(s.starved, j)
-			cursors[i].skip = j
-		}
-	}
 	// Phase (a): starved picks in strict FIFO, as LessKeys orders the
 	// starved block.
-	slices.SortFunc(s.starved, func(a, b *job) int {
-		return cmp.Or(cmp.Compare(a.submitted, b.submitted), cmp.Compare(a.id, b.id))
-	})
+	slices.SortFunc(s.starved, fifo)
 	for i := range cursors {
 		c := &cursors[i]
 		c.advance()

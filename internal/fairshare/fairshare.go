@@ -21,8 +21,8 @@
 // A caller that accounts to the same tenant over and over — the execution
 // service, once per job start, usage flow and negotiation pass — resolves
 // the tenant's name once (Manager.Tenant) and holds the handle, the
-// tenant's account itself: OpenFlow, ObserveStart and a JobRef carrying it
-// look nothing up by name. The tenant's last start lives on that account,
+// tenant's account itself: OpenFlow, ObserveStart and StandingAt look
+// nothing up by name. The tenant's last start lives on that account,
 // beside its usage, and is exported with it.
 package fairshare
 
@@ -129,8 +129,8 @@ type Tenant struct {
 // groups and tenants, each carrying exponentially-decayed CPU-second
 // usage, and each tenant the instant it was last allocated a machine.
 // Callers on a hot path resolve a tenant's name once (Tenant) and hand the
-// handle to OpenFlow, ObserveStart and the refs of AppendSortKeys, which
-// then look nothing up by name.
+// handle to OpenFlow, ObserveStart and StandingAt, which then look nothing
+// up by name.
 type Manager struct {
 	clock  vtime.Clock
 	cfg    Config
@@ -153,6 +153,13 @@ type Manager struct {
 	// starved is AppendSortKeys' scratch list of the refs found starved,
 	// kept across calls so a pass with starved owners allocates nothing.
 	starved []int
+
+	// decayDt and decayFactor are the elapsed time of the last settle that
+	// decayed and its factor 2^(−dt/HalfLife). A pass settles a pool's
+	// accounts together, mostly over one elapsed time, so most settles
+	// reuse the factor; the same inputs give the same bits.
+	decayDt     time.Duration
+	decayFactor float64
 }
 
 // NewManager creates a Manager. It panics if cfg.Clock is nil, since a
@@ -352,7 +359,10 @@ func (m *Manager) decay(a *account, now int64) {
 	if a.usage == 0 && a.rate == 0 {
 		return // nothing to decay, nothing flowing in
 	}
-	d := math.Exp2(-float64(dt) / float64(m.cfg.HalfLife))
+	if dt != m.decayDt {
+		m.decayDt, m.decayFactor = dt, math.Exp2(-float64(dt)/float64(m.cfg.HalfLife))
+	}
+	d := m.decayFactor
 	u := a.usage * d
 	if a.rate != 0 {
 		tau := m.cfg.HalfLife.Seconds() / math.Ln2
@@ -384,8 +394,8 @@ func tenantName(s string) string {
 }
 
 // Tenant returns the handle on the named tenant's account, for callers
-// that account to one tenant over and over: OpenFlow, ObserveStart and a
-// JobRef's Tenant read through it instead of looking the name up. An empty
+// that account to one tenant over and over: OpenFlow, ObserveStart and
+// StandingAt read through it instead of looking the name up. An empty
 // name is Anonymous. Resolving registers nothing: the handle of a name
 // nothing has accounted to is an unregistered Tenant, which the first
 // usage or start registers in place.

@@ -337,3 +337,66 @@ func TestMinShare(t *testing.T) {
 		t.Fatalf("empty: %v", s)
 	}
 }
+
+// TestDecayFactorReuseIsExact: a settle reuses the decay factor of the
+// last settle when its elapsed time is the same, and the reuse is exact.
+// Accounts settled back to back over one elapsed time, over alternating
+// ones, around a change of inflow rate, and with decay disabled each end
+// bit for bit where a settle that calls math.Exp2 every time puts them.
+func TestDecayFactorReuseIsExact(t *testing.T) {
+	for _, hl := range []time.Duration{time.Minute, 7 * time.Second, -1} {
+		m, _ := newTestManager(Config{HalfLife: hl})
+		// settle is decay as it reads without the memo.
+		settle := func(a *account, now int64) {
+			dt := time.Duration(now - a.last)
+			if a.last == unsettled || dt <= 0 {
+				a.last = max(a.last, now)
+				return
+			}
+			a.last = now
+			if hl < 0 {
+				a.usage += a.rate * dt.Seconds()
+				return
+			}
+			d := math.Exp2(-float64(dt) / float64(hl))
+			u := a.usage * d
+			if a.rate != 0 {
+				u += a.rate * (hl.Seconds() / math.Ln2) * (1 - d)
+			}
+			a.usage = u
+		}
+		got := []*account{{usage: 100, last: 0}, {usage: 3, rate: 0.75, last: 0}, {rate: 2, last: 0}, {usage: 41, last: 5e8}}
+		want := make([]*account, len(got))
+		for i, a := range got {
+			want[i] = &account{usage: a.usage, rate: a.rate, last: a.last}
+		}
+		now := int64(5e8)
+		step := func(dt time.Duration, accounts ...int) {
+			now += int64(dt)
+			for _, i := range accounts {
+				m.decay(got[i], now)
+				settle(want[i], now)
+			}
+		}
+		for k := 0; k < 6; k++ { // one elapsed time, back to back
+			step(3*time.Second, 0, 1, 2, 3)
+		}
+		for k := 0; k < 6; k++ { // alternating elapsed times
+			step([]time.Duration{time.Second, 5 * time.Second}[k%2], 0, 1, 2, 3)
+		}
+		step(2*time.Second, 0, 1) // 2 and 3 fall behind: their elapsed times differ
+		step(2*time.Second, 2, 3, 0, 1)
+		got[1].rate, want[1].rate = 4.5, 4.5 // a rate change between settles
+		got[3].rate, want[3].rate = 0.25, 0.25
+		for k := 0; k < 4; k++ {
+			step(3*time.Second, 3, 2, 1, 0)
+			step(time.Duration(k+1)*time.Second, 1, 3)
+		}
+		for i := range got {
+			if math.Float64bits(got[i].usage) != math.Float64bits(want[i].usage) {
+				t.Errorf("half-life %v, account %d: usage %v (bits %x), settling with math.Exp2 every time %v (bits %x)",
+					hl, i, got[i].usage, math.Float64bits(got[i].usage), want[i].usage, math.Float64bits(want[i].usage))
+			}
+		}
+	}
+}

@@ -120,9 +120,13 @@ func TestFlowRateZeroAccruesNothing(t *testing.T) {
 }
 
 // Every running job holds a usage flow for as long as it runs: one 64-byte
-// allocation, and none for a negotiation pass's sort keys once the
-// negotiator's buffer has grown to the pass — nor when owners have starved
-// and the guard picks each one's oldest ref, by name or by handle.
+// allocation. A negotiation pass prices each tenant with an idle job once,
+// through its handle (StandingAt), and that allocates nothing, in a pool
+// of many tenants, with tenants starved, and with the two owners that are
+// one tenant. The per-job form, AppendSortKeys, allocates nothing into a
+// grown buffer either — nor when owners have starved and the guard picks
+// each one's oldest ref, by name or by handle — and is a loop over
+// StandingAt plus the guard's one starved pick per tenant.
 func TestFlowAndSortKeysAllocations(t *testing.T) {
 	if got := unsafe.Sizeof(flow{}); got > 64 {
 		t.Errorf("unsafe.Sizeof(flow{}) = %d bytes, want <= 64", got)
@@ -182,6 +186,86 @@ func TestFlowAndSortKeysAllocations(t *testing.T) {
 		if keys[i].Starved != want {
 			t.Errorf("ref %d (%+v): Starved = %v, want %v", i, starved[i], keys[i].Starved, want)
 		}
+	}
+
+	// A grown pool: 64 owners, "" and Anonymous among them, some with
+	// usage, flows and recent starts. Pricing every one at a new instant,
+	// which settles their accounts, allocates nothing.
+	owners := []string{"", Anonymous}
+	for i := len(owners); i < 64; i++ {
+		owners = append(owners, "t"+strconv.Itoa(i))
+	}
+	handles := make([]*Tenant, len(owners))
+	for i, o := range owners {
+		handles[i] = m.Tenant(o)
+		switch i % 4 {
+		case 1:
+			m.RecordUsage(o, "site", float64(i))
+		case 2:
+			m.OpenFlow(handles[i], "site", float64(i)/8)
+		case 3:
+			m.ObserveStart(handles[i], clk.Now())
+		}
+	}
+	if handles[0] != handles[1] {
+		t.Fatalf(`Tenant("") and Tenant(%q) are different handles`, Anonymous)
+	}
+	price := func() {
+		clk.Advance(time.Second)
+		for _, h := range handles {
+			if st := m.StandingAt(h, clk.Now()); st.Drought() {
+				st.Starved(submitted)
+			}
+		}
+	}
+	if got := testing.AllocsPerRun(100, price); got != 0 {
+		t.Errorf("pricing %d owners allocates %v times, want 0", len(handles), got)
+	}
+	clk.Advance(2 * DefaultStarvationWindow) // the recent starts are old now: every tenant starves
+	if got := testing.AllocsPerRun(100, price); got != 0 {
+		t.Errorf("pricing %d starved owners allocates %v times, want 0", len(handles), got)
+	}
+
+	// SortKeysAt is StandingAt per ref plus one starved pick per tenant,
+	// its oldest starved ref. Some tenants started just now, so they are
+	// not starved; the rest are, with refs young and old.
+	for i := 2; i < len(handles); i += 5 {
+		m.ObserveStart(handles[i], clk.Now())
+	}
+	now := clk.Now()
+	var pool []JobRef
+	for i, o := range owners {
+		pool = append(pool,
+			JobRef{Owner: o, Submitted: now.Add(-time.Duration(i%3) * DefaultStarvationWindow), Seq: 2 * i},
+			JobRef{Owner: o, Submitted: now.Add(-DefaultStarvationWindow), Seq: 2*i + 1})
+	}
+	keys = m.SortKeysAt(now, pool)
+	pick := make(map[*Tenant]int)
+	picks := 0
+	for i, r := range pool {
+		h := m.Tenant(r.Owner)
+		st := m.StandingAt(h, now)
+		if keys[i].Effective != st.Effective {
+			t.Errorf("ref %d (%q): SortKeysAt's effective %v, StandingAt's %v", i, r.Owner, keys[i].Effective, st.Effective)
+		}
+		if !st.Starved(r.Submitted) {
+			continue
+		}
+		if k, ok := pick[h]; !ok || olderRef(r, pool[k]) {
+			pick[h] = i
+		}
+	}
+	for i, r := range pool {
+		k, ok := pick[m.Tenant(r.Owner)]
+		if want := ok && k == i; keys[i].Starved != want {
+			t.Errorf("ref %d (%+v): Starved = %v, want %v", i, r, keys[i].Starved, want)
+		}
+		if keys[i].Starved {
+			picks++
+		}
+	}
+	if _, ok := pick[handles[0]]; !ok || picks >= len(handles)-1 {
+		t.Errorf("%d starved picks among %d tenants, the one of %q and %q picked: %v; the case is vacuous", picks, len(handles)-1, "", Anonymous, ok)
 	}
 }
 

@@ -7,11 +7,11 @@ import (
 	"time"
 )
 
-// JobRef is the ordering view of one queued job: everything a fair-share
-// policy may consider when deciding which idle job the next free machine
-// goes to. The execution service builds these from its queue; the policy
-// never sees execution-service internals. A ref with a Tenant handle is
-// priced through it; one without resolves Owner by name.
+// JobRef is one queued job as SortKeysAt prices it, the per-job form of
+// the order that the benchmark's sort-key row and condor's reference
+// negotiator read (a negotiation pass prices tenants through StandingAt).
+// A ref with a Tenant handle is priced through it; one without resolves
+// Owner by name.
 type JobRef struct {
 	Owner          string    // submitting tenant
 	Tenant         *Tenant   // Owner's handle (Ranker.Tenant), or nil
@@ -27,17 +27,50 @@ type SortKey struct {
 	Effective float64
 }
 
-// Ranker is a fair-share policy: AppendSortKeys prices the refs considered
-// together in one negotiation pass — one key per ref, all at the single
-// instant the caller captured, so the order stays a strict weak ordering
-// even on a clock that advances mid-pass — and LessKeys orders any two of
-// them by those keys without calling back into the policy. The keys are
-// appended to the caller's buffer, which a negotiator reuses pass after
-// pass. Tenant resolves the handle a negotiator keeps per owner and puts
-// in its refs, and hands to FlowSink and StartObserver.
+// Standing is one tenant's place in negotiation order at one instant: its
+// effective priority, and which of its jobs the starvation guard may
+// promote. A job is starved when it has waited a whole starvation window
+// and its tenant has gone one without a start (drought); due is the latest
+// submission instant at which a job has waited one.
+type Standing struct {
+	Effective float64
+	drought   bool
+	due       time.Time
+}
+
+// Drought reports whether the tenant has gone a whole starvation window
+// without being allocated a machine (with the guard on): only then can one
+// of its jobs be starved.
+func (s Standing) Drought() bool { return s.drought }
+
+// Starved reports whether a job of the tenant submitted at the given
+// instant is starved: the one definition of the guard's rule.
+func (s Standing) Starved(submitted time.Time) bool {
+	return s.drought && !submitted.After(s.due)
+}
+
+// Ranker is a fair-share policy as a negotiator sees it. Tenant resolves
+// the handle a negotiator keeps per owner, and hands to FlowSink and
+// StartObserver. StandingAt prices one tenant at the single instant the
+// caller captured for its pass, so the order stays a strict weak ordering
+// even on a clock that advances mid-pass: a pass asks once per tenant
+// with an idle job, orders tenants by Effective and a tenant's jobs
+// statically (LessKeys' steps 2–4), and promotes a tenant's oldest job
+// when its Standing says it is starved — one job per tenant per pass.
 type Ranker interface {
 	Tenant(owner string) *Tenant
-	AppendSortKeys(dst []SortKey, now time.Time, refs []JobRef) []SortKey
+	StandingAt(t *Tenant, now time.Time) Standing
+}
+
+// StandingAt returns t's standing at now. A nil t, or one not registered,
+// is an unknown tenant: it scores as a fresh default-weight tenant and has
+// never been allocated a machine.
+func (m *Manager) StandingAt(t *Tenant, now time.Time) Standing {
+	s := Standing{Effective: m.effectiveAt(t, now.UnixNano())}
+	if w := m.cfg.StarvationWindow; w > 0 && (t == nil || now.Sub(t.lastStart) >= w) {
+		s.drought, s.due = true, now.Add(-w)
+	}
+	return s
 }
 
 // SortKeysAt is AppendSortKeys into a fresh slice.
@@ -45,26 +78,28 @@ func (m *Manager) SortKeysAt(now time.Time, refs []JobRef) []SortKey {
 	return m.AppendSortKeys(nil, now, refs)
 }
 
-// AppendSortKeys computes each ref's standing at the given instant in a
-// single pass and appends the keys to dst. Among a starved tenant's
-// refs, only the oldest is marked Starved: promoting one job per tenant per
-// pass bounds the guard to its purpose — guaranteeing progress — instead of
-// handing a starved tenant's whole backlog every machine that frees in the
-// same cycle.
+// AppendSortKeys prices each ref at the given instant in a single pass
+// and appends the keys to dst: the per-job form of what a negotiator reads
+// off StandingAt, which stays for the benchmark's sort-key row and for
+// condor's reference negotiator. Among a starved tenant's refs, only the
+// oldest is marked Starved: promoting one job per tenant per pass bounds
+// the guard to its purpose — guaranteeing progress — instead of handing a
+// starved tenant's whole backlog every machine that frees in the same
+// cycle.
 func (m *Manager) AppendSortKeys(dst []SortKey, now time.Time, refs []JobRef) []SortKey {
 	n := len(dst)
 	dst = slices.Grow(dst, len(refs))[:n+len(refs)]
 	keys := dst[n:]
 	clear(keys)
-	at := now.UnixNano()
 	starved := m.starved[:0]
 	for i, r := range refs {
 		t := r.Tenant
 		if t == nil {
 			t = m.tenants[tenantName(r.Owner)]
 		}
-		keys[i].Effective = m.effectiveAt(t, at)
-		if m.cfg.StarvationWindow > 0 && m.isStarved(t, r, now) {
+		st := m.StandingAt(t, now)
+		keys[i].Effective = st.Effective
+		if st.Starved(r.Submitted) {
 			starved = append(starved, i)
 		}
 	}
@@ -180,14 +215,4 @@ func (m *Manager) ObserveStart(t *Tenant, at time.Time) {
 	if at.After(t.lastStart) {
 		t.lastStart = at
 	}
-}
-
-// isStarved reports whether the job's wait and its owner's allocation
-// drought both exceed the starvation window; t is the owner's account, nil
-// when the owner is not known.
-func (m *Manager) isStarved(t *Tenant, r JobRef, now time.Time) bool {
-	if now.Sub(r.Submitted) < m.cfg.StarvationWindow {
-		return false
-	}
-	return t == nil || now.Sub(t.lastStart) >= m.cfg.StarvationWindow
 }
