@@ -41,7 +41,7 @@ test-race:
 race-smoke:
 	$(GO) test -race -count=20 -run 'TestCallsBesideRun|TestCheckpointBesideCalls|TestReadDuringRunReturnsFirst|TestConcurrentSubmitsLaunchEachTaskOnce|TestConcurrentSubmitsOfOneName|TestCheckpointedMoveBesideRun|TestConcurrentDuplicateDeliveryAppliesOnce|TestConcurrentMutationsReplayInApplyOrder|TestRunMixedWorkload|TestIncrementalRefreshMatchesFullWalk' ./internal/core ./internal/loadgen ./internal/condor
 	$(GO) build -race -o bin/gae-server-race ./cmd/gae-server
-	$(GO) run -race ./cmd/gae-loadgen -clients 2 -ops 8 -data "$$(mktemp -d)" -json -
+	$(GO) run -race ./cmd/gae load -clients 2 -ops 8 -data "$$(mktemp -d)"
 	$(GO) run -race ./cmd/gae-chaos -clients 2 -ops 6 -kills 1 -server bin/gae-server-race
 	$(GO) run -race ./cmd/gae-obs-smoke -clients 2 -ops 8 -server bin/gae-server-race
 
@@ -121,10 +121,10 @@ bench-smoke:
 	$(GO) test -run 'WireAllocCeilings|ServeAllocCeiling' -count=1 ./pkg/gae ./internal/xmlrpc
 	$(GO) test -run 'CheckpointFollowsDelta|LocalCallAllocCeilings' -count=1 ./internal/core
 
-# Closed-loop serving smoke: the gae-loadgen mixed workload against an
-# embedded durable deployment — exits non-zero if any operation fails.
+# Closed-loop serving smoke: gae load's analysis mix against an embedded
+# durable deployment — exits non-zero if any operation fails.
 load-smoke:
-	$(GO) run ./cmd/gae-loadgen -clients 4 -ops 32 -data "$$(mktemp -d)" -json -
+	$(GO) run ./cmd/gae load -clients 4 -ops 32 -data "$$(mktemp -d)"
 
 # Exactly-once chaos smoke: concurrent mutating load through a
 # fault-injecting transport (drops, ack losses, duplicate deliveries)

@@ -1,10 +1,10 @@
 // Command gae-obs-smoke is the observability smoke check: it boots a
-// real gae-server on a scratch durable directory, drives a short
-// gae-loadgen burst at it over a wire that delivers every request twice,
-// then scrapes /metrics and fails unless every required metric family is
-// present and non-zero. The second delivery of each mutation must be
-// answered from the server's idempotency window, so a mutating call that
-// goes out without a request ID fails the burst.
+// real gae-server on a scratch durable directory, drives a short burst
+// of loadgen's analysis mix at it over a wire that delivers every request
+// twice, then scrapes /metrics and fails unless every required metric
+// family is present and non-zero. The second delivery of each mutation
+// must be answered from the server's idempotency window, so a mutating
+// call that goes out without a request ID fails the burst.
 // It also checks /healthz answers 200 and /debug/rpcs carries spans
 // for the burst, so a regression anywhere in the telemetry plumbing —
 // registry, instrumentation points, or the HTTP surface — turns the
@@ -120,7 +120,7 @@ func run(ctx context.Context, clients, ops int, server string) error {
 	// Every request is delivered twice, back to back; the client sees the
 	// second reply. That is what moves idem_hits_total.
 	dup := chaos.NewTransport(nil, chaos.Faults{DupProb: 1})
-	res, err := loadgen.Run(ctx, loadgen.Config{
+	res, err := loadgen.Run(ctx, loadgen.Analysis, loadgen.Config{
 		Clients: clients, Ops: ops, Seed: 7, Prefix: "obs",
 	}, func(ctx context.Context, _ int) (*gae.Client, error) {
 		return gae.Dial(ctx, url, gae.WithCredentials("alice", "pw"), gae.WithTransport(dup))

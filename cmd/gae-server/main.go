@@ -19,8 +19,8 @@
 //	  -links caltech-nust:10:50 \
 //	  -users alice:secret:1000
 //
-// then point gae-submit / gae-steer / gae-loadgen at
-// http://localhost:8080.
+// then call its methods with the gae command (gae scheduler.sites), or
+// load it with gae load, at http://localhost:8080.
 package main
 
 import (
@@ -30,6 +30,7 @@ import (
 	"math"
 	"os"
 	"os/signal"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -69,7 +70,7 @@ func main() {
 	if cfg.Sites, err = parseSites(*sites); err != nil {
 		log.Fatalf("gae-server: %v", err)
 	}
-	if cfg.Links, err = parseLinks(*links); err != nil {
+	if cfg.Links, err = parseLinks(*links, cfg.Sites); err != nil {
 		log.Fatalf("gae-server: %v", err)
 	}
 	if cfg.Users, err = parseUsers(*users); err != nil {
@@ -138,25 +139,32 @@ func main() {
 
 func parseSites(s string) ([]core.SiteSpec, error) {
 	var out []core.SiteSpec
+	seen := map[string]bool{}
 	for _, spec := range splitNonEmpty(s) {
 		parts := strings.Split(spec, ":")
 		if len(parts) != 4 {
 			return nil, fmt.Errorf("site spec %q: want name:nodes:load:cost", spec)
 		}
+		if err := newName(seen, parts[0]); err != nil {
+			return nil, fmt.Errorf("site spec %q: %v", spec, err)
+		}
 		nodes, err := strconv.Atoi(parts[1])
+		if err == nil && nodes < 1 {
+			err = fmt.Errorf("%d is not positive", nodes)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("site spec %q: bad node count: %v", spec, err)
 		}
 		load, err := strconv.ParseFloat(parts[2], 64)
+		if err == nil && (load < 0 || load > 1 || math.IsNaN(load)) {
+			err = fmt.Errorf("%v is not a fraction in [0, 1]", load)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("site spec %q: bad load: %v", spec, err)
 		}
-		cost, err := strconv.ParseFloat(parts[3], 64)
+		cost, err := parseAmount(parts[3])
 		if err != nil {
 			return nil, fmt.Errorf("site spec %q: bad cost: %v", spec, err)
-		}
-		if cost < 0 || math.IsNaN(cost) || math.IsInf(cost, 0) {
-			return nil, fmt.Errorf("site spec %q: bad cost: %v is not a finite, non-negative rate", spec, cost)
 		}
 		out = append(out, core.SiteSpec{
 			Name:             parts[0],
@@ -171,7 +179,8 @@ func parseSites(s string) ([]core.SiteSpec, error) {
 	return out, nil
 }
 
-func parseLinks(s string) ([]core.LinkSpec, error) {
+// parseLinks reads link specs between the given sites.
+func parseLinks(s string, sites []core.SiteSpec) ([]core.LinkSpec, error) {
 	var out []core.LinkSpec
 	for _, spec := range splitNonEmpty(s) {
 		parts := strings.Split(spec, ":")
@@ -182,11 +191,25 @@ func parseLinks(s string) ([]core.LinkSpec, error) {
 		if len(ends) != 2 {
 			return nil, fmt.Errorf("link spec %q: endpoints must be a-b", spec)
 		}
+		for _, end := range ends {
+			if !slices.ContainsFunc(sites, func(site core.SiteSpec) bool { return site.Name == end }) {
+				return nil, fmt.Errorf("link spec %q: %q is not a site", spec, end)
+			}
+		}
+		if ends[0] == ends[1] {
+			return nil, fmt.Errorf("link spec %q: a link joins two different sites", spec)
+		}
 		mbps, err := strconv.ParseFloat(parts[1], 64)
+		if err == nil && (mbps <= 0 || math.IsNaN(mbps) || math.IsInf(mbps, 0)) {
+			err = fmt.Errorf("%v is not a positive, finite rate", mbps)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("link spec %q: bad bandwidth: %v", spec, err)
 		}
 		lat, err := strconv.Atoi(parts[2])
+		if err == nil && lat < 0 {
+			err = fmt.Errorf("%d is negative", lat)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("link spec %q: bad latency: %v", spec, err)
 		}
@@ -197,12 +220,16 @@ func parseLinks(s string) ([]core.LinkSpec, error) {
 
 func parseUsers(s string) ([]core.UserSpec, error) {
 	var out []core.UserSpec
+	seen := map[string]bool{}
 	for i, spec := range splitNonEmpty(s) {
 		parts := strings.Split(spec, ":")
 		if len(parts) != 3 {
 			return nil, fmt.Errorf("user spec %q: want name:password:credits", spec)
 		}
-		credits, err := strconv.ParseFloat(parts[2], 64)
+		if err := newName(seen, parts[0]); err != nil {
+			return nil, fmt.Errorf("user spec %q: %v", spec, err)
+		}
+		credits, err := parseAmount(parts[2])
 		if err != nil {
 			return nil, fmt.Errorf("user spec %q: bad credits: %v", spec, err)
 		}
@@ -214,6 +241,27 @@ func parseUsers(s string) ([]core.UserSpec, error) {
 		})
 	}
 	return out, nil
+}
+
+// newName records name in seen, refusing an empty or repeated one.
+func newName(seen map[string]bool, name string) error {
+	switch {
+	case name == "":
+		return fmt.Errorf("empty name")
+	case seen[name]:
+		return fmt.Errorf("duplicate name %q", name)
+	}
+	seen[name] = true
+	return nil
+}
+
+// parseAmount reads a finite, non-negative number: credits or a price.
+func parseAmount(s string) (float64, error) {
+	v, err := strconv.ParseFloat(s, 64)
+	if err == nil && (v < 0 || math.IsNaN(v) || math.IsInf(v, 0)) {
+		err = fmt.Errorf("%v is not a finite, non-negative amount", v)
+	}
+	return v, err
 }
 
 func splitNonEmpty(s string) []string {

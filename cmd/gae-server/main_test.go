@@ -3,6 +3,8 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 func TestParseSites(t *testing.T) {
@@ -33,6 +35,13 @@ func TestParseSitesMalformed(t *testing.T) {
 		{"caltech:4:0:NaN", "bad cost"},
 		{"caltech:4:0:Inf", "bad cost"},
 		{"caltech:4:0:-inf", "bad cost"},
+		{"caltech:-1:0:0", "bad node count"},
+		{"caltech:0:0:0", "bad node count"},
+		{"caltech:2:NaN:0", "bad load"},
+		{"caltech:2:1.5:0", "bad load"},
+		{"caltech:2:-0.2:0", "bad load"},
+		{":2:0:0", "empty name"},
+		{"caltech:2:0:0,caltech:2:0:0", "duplicate name"},
 	} {
 		_, err := parseSites(tc.in)
 		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
@@ -41,8 +50,11 @@ func TestParseSitesMalformed(t *testing.T) {
 	}
 }
 
+// sitesABC are the sites the link tests join.
+var sitesABC = []core.SiteSpec{{Name: "a"}, {Name: "b"}, {Name: "c"}}
+
 func TestParseLinks(t *testing.T) {
-	links, err := parseLinks("a-b:10:50,b-c:2.5:0")
+	links, err := parseLinks("a-b:10:50,b-c:2.5:0", sitesABC)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +62,7 @@ func TestParseLinks(t *testing.T) {
 		t.Fatalf("links = %+v", links)
 	}
 	// An empty link list is allowed (single-site deployments).
-	if links, err := parseLinks(""); err != nil || len(links) != 0 {
+	if links, err := parseLinks("", sitesABC); err != nil || len(links) != 0 {
 		t.Fatalf("empty links = %v, %v", links, err)
 	}
 }
@@ -62,11 +74,25 @@ func TestParseLinksMalformed(t *testing.T) {
 		{"a-b-c:10:50", "endpoints must be a-b"},
 		{"a-b:fast:50", "bad bandwidth"},
 		{"a-b:10:soon", "bad latency"},
+		{"a-b:0:50", "bad bandwidth"},
+		{"a-b:-10:50", "bad bandwidth"},
+		{"a-b:NaN:50", "bad bandwidth"},
+		{"a-b:Inf:50", "bad bandwidth"},
+		{"a-b:10:-5", "bad latency"},
+		{"a-a:10:5", "two different sites"},
 	} {
-		_, err := parseLinks(tc.in)
+		_, err := parseLinks(tc.in, sitesABC)
 		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 			t.Errorf("parseLinks(%q) error = %v, want %q", tc.in, err, tc.wantErr)
 		}
+	}
+}
+
+// A link's endpoints must be configured sites.
+func TestParseLinksUnknownSite(t *testing.T) {
+	_, err := parseLinks("a-b:10:50,a-d:10:50", sitesABC)
+	if err == nil || !strings.Contains(err.Error(), `"d" is not a site`) {
+		t.Fatalf("link to an unconfigured site: error = %v", err)
 	}
 }
 
@@ -88,6 +114,11 @@ func TestParseUsersMalformed(t *testing.T) {
 		{"alice:secret", "want name:password:credits"},
 		{"alice:secret:1000:extra", "want name:password:credits"},
 		{"alice:secret:rich", "bad credits"},
+		{":pw:1", "empty name"},
+		{"alice:pw:NaN", "bad credits"},
+		{"alice:pw:-5", "bad credits"},
+		{"alice:pw:Inf", "bad credits"},
+		{"alice:pw:1,alice:pw:2", "duplicate name"},
 	} {
 		_, err := parseUsers(tc.in)
 		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {

@@ -9,7 +9,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/estimator"
+	"repro/internal/loadgen"
 	"repro/internal/scheduler"
+	"repro/pkg/gae"
 )
 
 func TestTableCSV(t *testing.T) {
@@ -213,8 +215,15 @@ func TestFig6StopReturnsPromptly(t *testing.T) {
 			t.Fatal(err)
 		}
 		g.Run(60 * time.Second)
-		if _, err := measureLevel(context.Background(), url, 50, 10, len(tasks)); err != nil {
+		res, err := loadgen.Run(context.Background(), loadgen.JobMon("siteA", len(tasks)), loadgen.Config{Clients: 50, Ops: 10},
+			func(ctx context.Context, _ int) (*gae.Client, error) {
+				return gae.Dial(ctx, url, gae.WithCredentials("client", "pw"))
+			})
+		if err != nil {
 			t.Fatal(err)
+		}
+		if res.Errors > 0 {
+			t.Fatalf("cycle %d: %d of %d calls failed", cycle, res.Errors, res.Ops)
 		}
 		start := time.Now()
 		if err := g.Stop(); err != nil {

@@ -3,12 +3,12 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
-	"repro/internal/clarens"
 	"repro/internal/core"
+	"repro/internal/loadgen"
 	"repro/internal/scheduler"
+	"repro/pkg/gae"
 )
 
 // Fig6Config parameterizes the Job Monitoring Service load test.
@@ -41,10 +41,10 @@ type Fig6Result struct {
 
 // Fig6 reproduces "Response times for queries to Job Monitoring Service":
 // the service is hosted on a real Clarens HTTP endpoint (loopback) and
-// hit by increasing numbers of concurrent XML-RPC clients; the row for
-// each level is the mean time to fulfil a request. Unlike the other
-// experiments this one measures real wall-clock time, as the paper did
-// on its Windows-XP JClarens host.
+// hit by increasing numbers of concurrent XML-RPC clients, each running
+// loadgen's jobmon mix; the row for each level is the mean time to fulfil
+// a request. Unlike the other experiments this one measures real
+// wall-clock time, as the paper did on its Windows-XP JClarens host.
 func Fig6(cfg Fig6Config) (*Fig6Result, error) {
 	if len(cfg.ClientCounts) == 0 {
 		cfg.ClientCounts = DefaultFig6().ClientCounts
@@ -87,71 +87,20 @@ func Fig6(cfg Fig6Config) (*Fig6Result, error) {
 		},
 	}
 	ctx := context.Background()
+	mix := loadgen.JobMon("siteA", cfg.Jobs)
+	dial := func(ctx context.Context, _ int) (*gae.Client, error) {
+		return gae.Dial(ctx, url, gae.WithCredentials("client", "pw"))
+	}
 	for _, n := range cfg.ClientCounts {
-		avg, err := measureLevel(ctx, url, n, cfg.RequestsPerClient, cfg.Jobs)
+		level, err := loadgen.Run(ctx, mix, loadgen.Config{Clients: n, Ops: cfg.RequestsPerClient}, dial)
+		if err == nil && level.Errors > 0 {
+			err = fmt.Errorf("%d of %d requests failed", level.Errors, level.Ops)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("experiments: fig6 level %d: %w", n, err)
 		}
-		ms := avg.Seconds() * 1000
-		res.AvgMillis = append(res.AvgMillis, ms)
-		res.Table.Rows = append(res.Table.Rows, []float64{float64(n), ms})
+		res.AvgMillis = append(res.AvgMillis, level.MeanMillis)
+		res.Table.Rows = append(res.Table.Rows, []float64{float64(n), level.MeanMillis})
 	}
 	return res, nil
-}
-
-// measureLevel runs n concurrent clients, each issuing reqs monitoring
-// calls, and returns the mean per-request latency.
-func measureLevel(ctx context.Context, url string, n, reqs, jobs int) (time.Duration, error) {
-	clients := make([]*clarens.Client, n)
-	for i := range clients {
-		c := clarens.NewClient(url)
-		if err := c.Login(ctx, "client", "pw"); err != nil {
-			return 0, err
-		}
-		clients[i] = c
-	}
-	var (
-		wg      sync.WaitGroup
-		mu      sync.Mutex
-		total   time.Duration
-		count   int
-		callErr error
-	)
-	for i, c := range clients {
-		wg.Add(1)
-		go func(i int, c *clarens.Client) {
-			defer wg.Done()
-			defer c.Close() // no idle connection may outlive the level: see xmlrpc.NewClient
-			for r := 0; r < reqs; r++ {
-				jobID := (i+r)%jobs + 1
-				start := time.Now() //lint:walltime benchmark harness: measures real RPC round-trip latency over the wire
-				var err error
-				// Mix the call types as concurrent analysis clients would.
-				switch r % 3 {
-				case 0:
-					_, err = c.Call(ctx, "jobmon.status", "siteA", jobID)
-				case 1:
-					_, err = c.Call(ctx, "jobmon.info", "siteA", jobID)
-				default:
-					_, err = c.Call(ctx, "jobmon.wallclock", "siteA", jobID)
-				}
-				elapsed := time.Since(start) //lint:walltime benchmark harness: measures real RPC round-trip latency over the wire
-				mu.Lock()
-				if err != nil && callErr == nil {
-					callErr = err
-				}
-				total += elapsed
-				count++
-				mu.Unlock()
-			}
-		}(i, c)
-	}
-	wg.Wait()
-	if callErr != nil {
-		return 0, callErr
-	}
-	if count == 0 {
-		return 0, fmt.Errorf("no requests issued")
-	}
-	return total / time.Duration(count), nil
 }

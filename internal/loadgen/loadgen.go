@@ -1,11 +1,12 @@
 // Package loadgen is the closed-loop load-generation harness for a GAE
-// deployment. It drives N concurrent clients through a mixed analysis
-// workload — plan submission, plan/steering monitoring, priority
-// steering, session-state reads and writes, and grid-weather queries —
-// and reports throughput plus latency percentiles.
+// deployment. A workload is a Mix: a named list of operations, each a
+// weight and a call on the worker's client (mix.go, which holds the
+// mixes). Run drives N
+// concurrent clients through a mix and reports throughput plus mean and
+// percentile latency.
 //
 // The harness is transport-agnostic: each worker gets its client from a
-// Dialer, so the same workload measures the in-process local transport
+// Dialer, so the same mix measures the in-process local transport
 // (core.GAE.Client) and the Clarens XML-RPC wire (gae.Dial). Closed loop
 // means every worker issues its next operation only after the previous
 // one returns, so reported RPS is the service rate at concurrency
@@ -15,6 +16,7 @@ package loadgen
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"sync"
@@ -43,7 +45,9 @@ type Config struct {
 
 // Result is the outcome of one run.
 type Result struct {
-	Clients int `json:"clients"`
+	// Mix names the workload the run drew from.
+	Mix     string `json:"mix"`
+	Clients int    `json:"clients"`
 	// Ops counts completed operations, successful or not.
 	Ops    int `json:"ops"`
 	Errors int `json:"errors"`
@@ -57,10 +61,12 @@ type Result struct {
 	ElapsedSeconds float64 `json:"elapsed_seconds"`
 	// RPS is Ops / ElapsedSeconds across all workers.
 	RPS float64 `json:"rps"`
-	// Latency percentiles over individual operations, in milliseconds.
-	P50Millis float64 `json:"p50_ms"`
-	P95Millis float64 `json:"p95_ms"`
-	P99Millis float64 `json:"p99_ms"`
+	// Latency mean and nearest-rank percentiles over individual
+	// operations, in milliseconds.
+	MeanMillis float64 `json:"mean_ms"`
+	P50Millis  float64 `json:"p50_ms"`
+	P95Millis  float64 `json:"p95_ms"`
+	P99Millis  float64 `json:"p99_ms"`
 	// Server holds the server-side view from the deployment's /metrics
 	// (nil when the target exposes none).
 	Server *ServerStats `json:"server,omitempty"`
@@ -73,10 +79,10 @@ type sample struct {
 	err error
 }
 
-// Run executes the workload and aggregates the measurements. Dial
-// failures abort the run; operation failures are counted in
-// Result.Errors and the run continues.
-func Run(ctx context.Context, cfg Config, dial Dialer) (Result, error) {
+// Run drives cfg.Clients workers through mix and aggregates the
+// measurements. Dial failures abort the run; operation failures are
+// counted in Result.Errors and the run continues.
+func Run(ctx context.Context, mix Mix, cfg Config, dial Dialer) (Result, error) {
 	if cfg.Clients <= 0 {
 		cfg.Clients = 1
 	}
@@ -102,12 +108,13 @@ func Run(ctx context.Context, cfg Config, dial Dialer) (Result, error) {
 				return
 			}
 			clients[w] = client
-			perWorker[w] = runWorker(ctx, cfg, client, w)
+			perWorker[w] = mix.run(ctx, cfg, client, w)
 		}(w)
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
 	res := Result{
+		Mix:            mix.Name,
 		Clients:        cfg.Clients,
 		ByOp:           make(map[string]int),
 		ErrorsByOp:     make(map[string]int),
@@ -125,6 +132,7 @@ func Run(ctx context.Context, cfg Config, dial Dialer) (Result, error) {
 		}
 	}
 	var lat []time.Duration
+	var total time.Duration
 	for _, samples := range perWorker {
 		for _, s := range samples {
 			res.Ops++
@@ -134,10 +142,14 @@ func Run(ctx context.Context, cfg Config, dial Dialer) (Result, error) {
 				res.ErrorsByOp[s.op]++
 			}
 			lat = append(lat, s.d)
+			total += s.d
 		}
 	}
 	if elapsed > 0 {
 		res.RPS = float64(res.Ops) / elapsed.Seconds()
+	}
+	if res.Ops > 0 {
+		res.MeanMillis = float64(total) / float64(res.Ops) / float64(time.Millisecond)
 	}
 	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
 	res.P50Millis = percentileMillis(lat, 0.50)
@@ -147,113 +159,34 @@ func Run(ctx context.Context, cfg Config, dial Dialer) (Result, error) {
 }
 
 // percentileMillis reads the q-th percentile from sorted latencies using
-// the nearest-rank method.
+// the nearest-rank method: the ⌈q·n⌉-th smallest of n samples.
 func percentileMillis(sorted []time.Duration, q float64) float64 {
 	if len(sorted) == 0 {
 		return 0
 	}
-	i := int(q*float64(len(sorted))+0.5) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
+	i := int(math.Ceil(q*float64(len(sorted)))) - 1
+	i = min(max(i, 0), len(sorted)-1)
 	return float64(sorted[i]) / float64(time.Millisecond)
 }
 
-// runWorker is one closed-loop client: a weighted mix of the operations
-// an interactive analysis session performs. Plans are submitted with
-// multi-hour tasks so monitoring and steering targets stay alive for the
-// whole run.
-func runWorker(ctx context.Context, cfg Config, client *gae.Client, w int) []sample {
-	rng := rand.New(rand.NewSource(cfg.Seed + int64(w)*7919))
+// run is one closed-loop worker: the mix's open op, if it has one, then
+// draws from the mix until it has issued cfg.Ops operations.
+func (m Mix) run(ctx context.Context, cfg Config, client *gae.Client, id int) []sample {
+	rng := rand.New(rand.NewSource(cfg.Seed + int64(id)*7919))
+	w := &worker{client: client, id: id, rng: rng, prefix: cfg.Prefix}
 	samples := make([]sample, 0, cfg.Ops)
-	var (
-		lastPlan  string
-		submitted int
-		keysSet   []string
-	)
-	timed := func(op string, call func() error) {
+	do := func(o *op) {
+		w.op = o.name
 		t0 := time.Now()
-		err := call()
-		samples = append(samples, sample{op: op, d: time.Since(t0), err: err})
+		err := o.call(ctx, w)
+		samples = append(samples, sample{op: w.op, d: time.Since(t0), err: err})
+		w.n++
 	}
-	// Every worker opens with a submission so monitor/steer ops have a
-	// target from the first dice roll.
-	submit := func() {
-		name := fmt.Sprintf("%s-w%d-%d", cfg.Prefix, w, submitted)
-		submitted++
-		spec := gae.PlanSpec{
-			Name: name,
-			Tasks: []gae.TaskSpec{{
-				ID:         "t0",
-				CPUSeconds: 3600 + rng.Float64()*3600,
-				Queue:      "batch",
-				Nodes:      1,
-				ReqHours:   2,
-			}},
-		}
-		timed("submit", func() error {
-			_, err := client.Submit(ctx, spec)
-			if err == nil {
-				lastPlan = name
-			}
-			return err
-		})
+	if m.open != nil {
+		do(m.open)
 	}
-	submit()
 	for len(samples) < cfg.Ops {
-		switch p := rng.Float64(); {
-		case p < 0.10:
-			submit()
-		case p < 0.30:
-			timed("plan", func() error {
-				_, err := client.Plan(ctx, lastPlan)
-				return err
-			})
-		case p < 0.45:
-			timed("taskstatus", func() error {
-				_, err := client.TaskStatus(ctx, lastPlan, "t0")
-				return err
-			})
-		case p < 0.55:
-			timed("steer", func() error {
-				return client.SetPriority(ctx, lastPlan, "t0", rng.Intn(10))
-			})
-		case p < 0.70:
-			key := fmt.Sprintf("%s-w%d-k%d", cfg.Prefix, w, rng.Intn(8))
-			timed("state-set", func() error {
-				err := client.SetState(ctx, key, fmt.Sprintf("v%d", len(samples)))
-				if err == nil {
-					keysSet = append(keysSet, key)
-				}
-				return err
-			})
-		case p < 0.85:
-			if len(keysSet) == 0 {
-				timed("state-keys", func() error {
-					_, err := client.StateKeys(ctx)
-					return err
-				})
-				continue
-			}
-			key := keysSet[rng.Intn(len(keysSet))]
-			timed("state-get", func() error {
-				_, err := client.GetState(ctx, key)
-				return err
-			})
-		case p < 0.95:
-			timed("weather", func() error {
-				_, err := client.Weather(ctx)
-				return err
-			})
-		default:
-			timed("sites", func() error {
-				_, err := client.Sites(ctx)
-				return err
-			})
-		}
+		do(m.draw(w.rng.Float64()))
 	}
 	return samples
 }

@@ -3,7 +3,9 @@ package loadgen
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/simgrid"
@@ -25,7 +27,7 @@ func testDeployment() *core.GAE {
 
 func TestRunMixedWorkload(t *testing.T) {
 	g := testDeployment()
-	res, err := Run(context.Background(), Config{Clients: 3, Ops: 40, Seed: 1},
+	res, err := Run(context.Background(), Analysis, Config{Clients: 3, Ops: 40, Seed: 1},
 		func(context.Context, int) (*gae.Client, error) { return g.Client("alice"), nil })
 	if err != nil {
 		t.Fatal(err)
@@ -57,7 +59,7 @@ func TestRunMixedWorkload(t *testing.T) {
 
 func TestRunDialFailure(t *testing.T) {
 	boom := errors.New("boom")
-	_, err := Run(context.Background(), Config{Clients: 2, Ops: 4},
+	_, err := Run(context.Background(), Analysis, Config{Clients: 2, Ops: 4},
 		func(_ context.Context, w int) (*gae.Client, error) { return nil, boom })
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped dial error", err)
@@ -75,7 +77,7 @@ func TestRunDialFailureClosesDialledClients(t *testing.T) {
 	defer g.Stop() //nolint:errcheck
 	boom := errors.New("boom")
 	var dialled *gae.Client
-	_, err = Run(context.Background(), Config{Clients: 2, Ops: 2},
+	_, err = Run(context.Background(), Analysis, Config{Clients: 2, Ops: 2},
 		func(ctx context.Context, w int) (*gae.Client, error) {
 			if w == 1 {
 				return nil, boom
@@ -98,5 +100,32 @@ func TestRunDialFailureClosesDialledClients(t *testing.T) {
 func TestPercentileMillis(t *testing.T) {
 	if got := percentileMillis(nil, 0.5); got != 0 {
 		t.Fatalf("empty percentile = %v, want 0", got)
+	}
+	// Nearest rank: the ⌈q·n⌉-th of 1…160 ms, not the rounded q·n-th.
+	lat := make([]time.Duration, 160)
+	for i := range lat {
+		lat[i] = time.Duration(i+1) * time.Millisecond
+	}
+	for _, tc := range []struct{ q, want float64 }{{0.50, 80}, {0.95, 152}, {0.99, 159}, {1, 160}} {
+		if got := percentileMillis(lat, tc.q); got != tc.want {
+			t.Errorf("p%v of 1…160 ms = %v ms, want %v", tc.q*100, got, tc.want)
+		}
+	}
+}
+
+// The analysis mix's weights draw at exactly the cumulative fractions
+// the hand-written switch it replaced compared against, so a seed gives
+// the same operations as before.
+func TestAnalysisDrawBounds(t *testing.T) {
+	bounds := []float64{0.10, 0.30, 0.45, 0.55, 0.70, 0.85, 0.95}
+	for i, b := range bounds {
+		below, at := Analysis.draw(math.Nextafter(b, 0)), Analysis.draw(b)
+		if below != &Analysis.ops[i] || at != &Analysis.ops[i+1] {
+			t.Errorf("bound %v: draws %s below and %s at it, want %s and %s",
+				b, below.name, at.name, Analysis.ops[i].name, Analysis.ops[i+1].name)
+		}
+	}
+	if last := Analysis.draw(math.Nextafter(1, 0)); last != &Analysis.ops[len(Analysis.ops)-1] {
+		t.Errorf("p just below 1 draws %s", last.name)
 	}
 }

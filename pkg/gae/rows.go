@@ -23,7 +23,8 @@ import (
 // service inside the deployment's Journal; Handlers binds
 // the rows to the wire, decoding positional parameters into the row's
 // types before entering that local path; journal replay decodes a
-// record's arguments through the same row (Method.Call). Arity is checked
+// record's arguments through the same row (Method.Call), and so does the
+// gae command, after Lookup finds the row by wire name. Arity is checked
 // exactly, for every method.
 
 // A Method is one row of the API, as the code that does not know its
@@ -90,8 +91,9 @@ func decode(args xmlrpc.Params, into Into, dst ...any) error {
 }
 
 // Handlers binds the rows of service ("steering") to the wire, calling
-// them on c. Rows sharing a wire name are told apart by their arity:
-// steering.preference reads with no argument and sets with one.
+// them on c. It groups the rows by name once; a call picks its row by
+// argument count, as Lookup does: steering.preference reads with no
+// argument and sets with one.
 func Handlers(service string, c *Client) map[string]xmlrpc.Handler {
 	byName := make(map[string][]*Method)
 	for _, m := range methods {
@@ -102,15 +104,36 @@ func Handlers(service string, c *Client) map[string]xmlrpc.Handler {
 	hs := make(map[string]xmlrpc.Handler, len(byName))
 	for name, rows := range byName {
 		hs[name] = func(ctx context.Context, args []any) (any, error) {
-			for _, m := range rows {
-				if m.arity == len(args) || len(rows) == 1 {
-					return wireResult(m.Call(c, ctx, args, xmlrpc.Params.Into))
-				}
+			m, err := pick(rows, len(args))
+			if err != nil {
+				return nil, err
 			}
-			return nil, xmlrpc.NewFault(xmlrpc.FaultInvalidParams, "got %d arguments, want %d or %d", len(args), rows[0].arity, rows[1].arity)
+			return wireResult(m.Call(c, ctx, args, xmlrpc.Params.Into))
 		}
 	}
 	return hs
+}
+
+// Lookup returns the row a call of the wire name with n arguments makes,
+// as a served call resolves it.
+func Lookup(name string, n int) (*Method, error) {
+	rows := slices.DeleteFunc(slices.Clone(methods), func(m *Method) bool { return m.Name != name })
+	if len(rows) == 0 {
+		return nil, xmlrpc.NewFault(xmlrpc.FaultMethodNotFound, "no such method %q", name)
+	}
+	return pick(rows, n)
+}
+
+// pick returns the row of rows, which share a wire name, that a call of
+// n arguments makes: the one row of a name whatever n is (its Call checks
+// the count), else the row of arity n.
+func pick(rows []*Method, n int) (*Method, error) {
+	for _, m := range rows {
+		if m.arity == n || len(rows) == 1 {
+			return m, nil
+		}
+	}
+	return nil, xmlrpc.NewFault(xmlrpc.FaultInvalidParams, "got %d arguments, want %d or %d", n, rows[0].arity, rows[1].arity)
 }
 
 // SiteHandlers binds the named rows of service, whose first argument is a

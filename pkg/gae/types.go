@@ -4,9 +4,11 @@ import "time"
 
 // The request/response types below are the wire contract of every GAE
 // service. The xmlrpc tags fix the struct member names on the XML-RPC
-// transport; the json tags make PlanSpec/TaskSpec double as the
-// gae-submit plan-file schema. Field names, member names, and shapes are
-// pinned by the transport-parity test suite.
+// transport, and so in the gae command's JSON arguments and replies (a
+// plan file is a PlanSpec); the json tags, which name PlanSpec/TaskSpec
+// members the same way, fix a plan's encoding in the journal and the
+// snapshot. Field names, member names, and shapes are pinned by the
+// transport-parity test suite.
 
 // TaskSpec is one node of an abstract job plan.
 type TaskSpec struct {
