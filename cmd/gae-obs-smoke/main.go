@@ -1,14 +1,16 @@
 // Command gae-obs-smoke is the observability smoke check: it boots a
-// real gae-server on a scratch durable directory, drives a short burst
+// real gae-server on a scratch durable directory (the chaos harness's
+// launcher, without its faults), drives a short burst
 // of loadgen's analysis mix at it over a wire that delivers every request
 // twice, then scrapes /metrics and fails unless every required metric
 // family is present and non-zero. The second delivery of each mutation
 // must be answered from the server's idempotency window, so a mutating
 // call that goes out without a request ID fails the burst.
-// It also checks /healthz answers 200 and /debug/rpcs carries spans
-// for the burst, so a regression anywhere in the telemetry plumbing —
-// registry, instrumentation points, or the HTTP surface — turns the
-// build red.
+// The launcher waits for /healthz to answer 200; the check also wants
+// /debug/rpcs to carry spans for the burst, so a regression anywhere in
+// the telemetry plumbing — registry, instrumentation points, or the HTTP
+// surface — turns the build red. Any exit of the server, or a run longer
+// than two minutes, fails it too.
 package main
 
 import (
@@ -18,11 +20,7 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"net"
 	"net/http"
-	"os"
-	"os/exec"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -46,87 +44,51 @@ var requiredFamilies = []string{
 	"idem_hits_total",
 }
 
+const runTimeout = 2 * time.Minute
+
 func main() {
 	var (
 		clients = flag.Int("clients", 4, "concurrent loadgen clients")
 		ops     = flag.Int("ops", 32, "operations per client")
 		server  = flag.String("server", "", "prebuilt gae-server binary (empty: go build ./cmd/gae-server)")
-		timeout = flag.Duration("timeout", 2*time.Minute, "overall deadline")
 	)
 	flag.Parse()
 	log.SetPrefix("gae-obs-smoke: ")
 	log.SetFlags(0)
 
-	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
-	defer cancel()
-	if err := run(ctx, *clients, *ops, *server); err != nil {
+	if err := run(*clients, *ops, *server); err != nil {
 		log.Fatalf("FAIL: %v", err)
 	}
 	log.Print("PASS")
 }
 
-func run(ctx context.Context, clients, ops int, server string) error {
-	scratch, err := os.MkdirTemp("", "gae-obs-smoke-")
+func run(clients, ops int, server string) error {
+	ctx, cancel := context.WithTimeout(context.Background(), runTimeout)
+	defer cancel()
+	ctx, fail := context.WithCancelCause(ctx)
+	// A prebuilt -server binary (e.g. a race-instrumented one from the
+	// race-smoke leg) skips the build.
+	srv, err := chaos.StartServer(ctx, server, 0, fail)
 	if err != nil {
 		return err
 	}
-	defer os.RemoveAll(scratch)
-	data := filepath.Join(scratch, "data")
-	if err := os.Mkdir(data, 0o755); err != nil {
-		return err
-	}
-
-	// A real binary, as in the chaos harness: `go run` would leave the
-	// server a process group away. A prebuilt -server binary (e.g. a
-	// race-instrumented one from the race-smoke leg) skips the build.
-	bin := server
-	if bin == "" {
-		bin = filepath.Join(scratch, "gae-server")
-		build := exec.CommandContext(ctx, "go", "build", "-o", bin, "./cmd/gae-server")
-		build.Stderr = os.Stderr
-		if err := build.Run(); err != nil {
-			return fmt.Errorf("building gae-server: %w", err)
-		}
-	}
-
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	addr := l.Addr().String()
-	l.Close()
-	srv := exec.Command(bin,
-		"-addr", addr,
-		"-data", data,
-		"-users", "alice:pw:1000000",
-		"-checkpoint", "1s",
-		"-drain-timeout", "5s",
-	)
-	srv.Stderr = os.Stderr
-	if err := srv.Start(); err != nil {
-		return fmt.Errorf("starting gae-server: %w", err)
-	}
-	defer func() {
-		srv.Process.Kill()
-		srv.Wait()
-	}()
-	url := "http://" + addr
-
-	// Readiness via the new health endpoint.
-	if err := waitHealthy(ctx, url); err != nil {
-		return err
-	}
+	defer srv.Close()
+	url := srv.URL()
 
 	// Every request is delivered twice, back to back; the client sees the
 	// second reply. That is what moves idem_hits_total.
-	dup := chaos.NewTransport(nil, chaos.Faults{DupProb: 1})
+	dup := chaos.DuplicatingTransport()
 	res, err := loadgen.Run(ctx, loadgen.Analysis, loadgen.Config{
-		Clients: clients, Ops: ops, Seed: 7, Prefix: "obs",
+		Clients: clients, Ops: ops, Seed: 7,
 	}, func(ctx context.Context, _ int) (*gae.Client, error) {
+		// The launched deployment's administrator.
 		return gae.Dial(ctx, url, gae.WithCredentials("alice", "pw"), gae.WithTransport(dup))
 	})
 	if err != nil {
 		return fmt.Errorf("loadgen burst: %w", err)
+	}
+	if cause := context.Cause(ctx); cause != nil {
+		return fmt.Errorf("loadgen burst: %w", cause)
 	}
 	if res.Errors > 0 {
 		return fmt.Errorf("loadgen burst: %d of %d ops failed", res.Errors, res.Ops)
@@ -175,23 +137,6 @@ func run(ctx context.Context, clients, ops int, server string) error {
 	}
 	log.Printf("traced %d rpcs; all %d required families live", spans.Total, len(requiredFamilies))
 	return nil
-}
-
-func waitHealthy(ctx context.Context, url string) error {
-	for {
-		resp, err := http.Get(url + "/healthz")
-		if err == nil {
-			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				return nil
-			}
-		}
-		select {
-		case <-ctx.Done():
-			return fmt.Errorf("server at %s never became healthy: %w", url, ctx.Err())
-		case <-time.After(25 * time.Millisecond):
-		}
-	}
 }
 
 // pollFamilies scrapes /metrics until every required family is non-zero,

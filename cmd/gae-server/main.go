@@ -40,6 +40,9 @@ import (
 	"repro/internal/simgrid"
 )
 
+// faultFsyncs is how many journal fsyncs -fault-fsync-after fails.
+const faultFsyncs = 2
+
 func main() {
 	var (
 		addr  = flag.String("addr", ":8080", "listen address for the Clarens host")
@@ -56,12 +59,8 @@ func main() {
 			"wall-clock period between checkpoints when -data is set")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second,
 			"bound on the graceful drain; past it the server exits nonzero (0 = unbounded)")
-		faultFsyncAfter = flag.Duration("fault-fsync-after", 0,
-			"arm injected journal fsync failures this long after start (0 = never; needs -data)")
-		faultFsyncCount = flag.Int("fault-fsync-count", 2,
-			"consecutive journal fsyncs to fail when -fault-fsync-after fires")
-		faultShortWrite = flag.Bool("fault-short-write", false,
-			"also truncate the journal write under the armed fault (torn-write shape)")
+		faultAfter = flag.Duration("fault-fsync-after", 0,
+			"this long after start, tear the next journal write and fail the next 2 fsyncs (0 = never; needs -data)")
 	)
 	flag.Parse()
 
@@ -96,20 +95,16 @@ func main() {
 	srv.CheckpointEvery = *checkpoint
 	srv.DrainTimeout = *drainTimeout
 	srv.Logf = log.Printf
-	if *faultFsyncAfter > 0 {
+	if *faultAfter > 0 {
 		// Interpose the fault file before traffic starts (the swap must not
-		// race live appends), then script it on a timer so the fsync
-		// failures land mid-load. The journal's sticky error nacks every
-		// append until the next checkpoint truncation clears it — clients
-		// retry through the outage and exactly-once must still hold.
+		// race live appends), then script it on a timer so the fault lands
+		// mid-load: the torn write fails its append, and the durability
+		// loss above ends the process for journal recovery.
 		if ff := srv.InjectFaults(); ff != nil {
-			after, count, short := *faultFsyncAfter, *faultFsyncCount, *faultShortWrite
-			time.AfterFunc(after, func() {
-				if short {
-					ff.ShortWriteNext()
-				}
-				ff.FailSyncs(count)
-				log.Printf("fault injection armed: next %d journal fsyncs fail (short write: %v)", count, short)
+			time.AfterFunc(*faultAfter, func() {
+				ff.ShortWriteNext()
+				ff.FailSyncs(faultFsyncs)
+				log.Printf("fault injection armed: next journal write torn, next %d fsyncs fail", faultFsyncs)
 			})
 		} else {
 			log.Printf("fault injection ignored: no durable store (-data unset)")

@@ -17,7 +17,6 @@ import (
 
 func testConfig() core.Config {
 	return core.Config{
-		Seed:  7,
 		Sites: []core.SiteSpec{{Name: "siteA", Nodes: 2, CostPerCPUSecond: 0.1}},
 		Users: []core.UserSpec{{Name: "alice", Password: "pw", Credits: 100, Admin: true}},
 	}

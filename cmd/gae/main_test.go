@@ -135,6 +135,25 @@ func TestLoadDialsServer(t *testing.T) {
 	}
 }
 
+// A second gae load on one data directory recovers the first run's plans
+// and keys, and names its own after them: neither run has an error.
+func TestLoadTwiceOnOneDataDir(t *testing.T) {
+	dir := t.TempDir()
+	for i := 1; i <= 2; i++ {
+		var out bytes.Buffer
+		if err := run([]string{"load", "-clients", "2", "-ops", "8", "-data", dir}, &out); err != nil {
+			t.Fatalf("run %d: %v\n%s", i, err, out.Bytes())
+		}
+		var rep report
+		if err := json.Unmarshal(out.Bytes(), &rep); err != nil {
+			t.Fatal(err)
+		}
+		if rep.Ops != 16 || rep.Errors != 0 {
+			t.Fatalf("run %d: %d errors in %d ops (%v)", i, rep.Errors, rep.Ops, rep.ErrorsByOp)
+		}
+	}
+}
+
 // serve starts a two-site deployment on loopback for the test and
 // returns its URL. Nothing runs its engine.
 func serve(t *testing.T) string {

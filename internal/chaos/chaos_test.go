@@ -105,7 +105,6 @@ func serverConfig() core.Config {
 	// no explicit target, and the scheduler always excludes the current
 	// site, so a second site must exist for a move to land anywhere.
 	return core.Config{
-		Seed: 11,
 		Sites: []core.SiteSpec{
 			{Name: "siteA", Nodes: 2, CostPerCPUSecond: 0.1},
 			{Name: "siteB", Nodes: 2, CostPerCPUSecond: 0.1},
@@ -115,15 +114,17 @@ func serverConfig() core.Config {
 	}
 }
 
-func (ts *testServer) start() (string, error) {
+func (ts *testServer) URL() string { return ts.url }
+
+func (ts *testServer) Start() error {
 	g := core.New(serverConfig())
 	store, err := durable.Open(ts.dir)
 	if err != nil {
-		return "", err
+		return err
 	}
 	if err := g.AttachStore(store); err != nil {
 		store.Close()
-		return "", err
+		return err
 	}
 	g.Clarens.SetBaseURL(ts.url)
 	srv := &http.Server{Handler: g.Handler()}
@@ -131,10 +132,10 @@ func (ts *testServer) start() (string, error) {
 	ts.mu.Lock()
 	ts.g, ts.store, ts.srv = g, store, srv
 	ts.mu.Unlock()
-	return ts.url, nil
+	return nil
 }
 
-func (ts *testServer) kill() error {
+func (ts *testServer) Kill() error {
 	ts.mu.Lock()
 	srv, store := ts.srv, ts.store
 	ts.mu.Unlock()
@@ -171,10 +172,10 @@ func startTestServer(t *testing.T) *testServer {
 	t.Helper()
 	ts := &testServer{t: t, dir: t.TempDir(), ln: listenShared(t)}
 	ts.url = "http://" + ts.ln.Addr().String()
-	if _, err := ts.start(); err != nil {
+	if err := ts.Start(); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { _ = ts.kill() })
+	t.Cleanup(func() { _ = ts.Kill() })
 	return ts
 }
 
@@ -189,23 +190,10 @@ func TestChaosExactlyOnceAcrossKills(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 90*time.Second)
 	defer cancel()
 	rep, err := Run(ctx, Config{
-		URL:     ts.url,
-		User:    "alice",
-		Pass:    "pw",
+		Server:  ts,
 		Workers: 3,
 		Ops:     12,
 		Kills:   2,
-		Faults:  Faults{Seed: 1, DropProb: 0.05, AckLossProb: 0.10, DupProb: 0.10},
-		Nonce:   "run1",
-		Retry: gae.RetryPolicy{
-			MaxAttempts: 3,
-			BaseBackoff: 5 * time.Millisecond,
-			MaxBackoff:  50 * time.Millisecond,
-			// Keep the breaker out of the way: the outer
-			// retry-until-acked loop is the availability mechanism here.
-			BreakerThreshold: 1000,
-		},
-		Control: ServerControl{Kill: ts.kill, Start: ts.start},
 		Logf:    t.Logf,
 	})
 	if err != nil {
@@ -249,10 +237,10 @@ func TestDuplicateSuppressedAcrossCheckpointRestart(t *testing.T) {
 	if err := ts.current().Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if err := ts.kill(); err != nil {
+	if err := ts.Kill(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ts.start(); err != nil {
+	if err := ts.Start(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -266,5 +254,29 @@ func TestDuplicateSuppressedAcrossCheckpointRestart(t *testing.T) {
 	}
 	if after != before {
 		t.Fatalf("balance %v after duplicate, want %v (grant must not re-apply)", after, before)
+	}
+}
+
+// TestOnlyTheArmedFaultCrashRestarts: the launcher's watchdog restarts a
+// server only after the crash its armed journal fault causes; every other
+// exit it did not cause ends the run.
+func TestOnlyTheArmedFaultCrashRestarts(t *testing.T) {
+	for _, tc := range []struct {
+		armed  bool
+		status int
+		what   string
+		want   bool
+	}{
+		{true, durabilityLost, "the armed fault's durability-lost exit", true},
+		{false, durabilityLost, "durability lost with no fault armed", false},
+		{true, 2, "a panic in an armed lifetime", false},
+		{false, 2, "a panic", false},
+		{true, 0, "a clean exit", false},
+		{true, 1, "log.Fatal", false},
+		{true, -1, "a signal", false},
+	} {
+		if got := faultCrash(tc.armed, tc.status); got != tc.want {
+			t.Errorf("%s (armed %v, status %d): restart = %v, want %v", tc.what, tc.armed, tc.status, got, tc.want)
+		}
 	}
 }

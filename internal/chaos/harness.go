@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/clarens"
 	"repro/internal/loadgen"
 	"repro/internal/xmlrpc"
 	"repro/pkg/gae"
@@ -29,35 +28,29 @@ var replicaSites = []string{"siteA", "siteB"}
 // registration can be pinned to exactly one acked op.
 func replicaSize(w, n, ops int) float64 { return float64(1 + w*ops + n) }
 
-// ServerControl lets the harness crash and restart the system under
-// test: Kill must stop it without a drain (the crash), Start must bring
-// it back over the same durable state and return its endpoint URL.
-type ServerControl struct {
-	Kill  func() error
-	Start func() (string, error)
+// user and pass are the harness user's credentials: an administrator,
+// so its grants to itself are honored.
+const user, pass = "alice", "pw"
+
+// A Deployment is the system under test.
+type Deployment interface {
+	// URL is its endpoint; restarts keep it.
+	URL() string
+	// Kill stops it without a drain: the crash.
+	Kill() error
+	// Start brings it back over the same durable state and returns once
+	// it answers.
+	Start() error
 }
 
 // Config drives one chaos run.
 type Config struct {
-	// URL is the initial endpoint; restarts may move it (Start returns
-	// the new one).
-	URL        string
-	User, Pass string
-
-	Workers int // concurrent clients (default 3)
-	Ops     int // acked ops each worker must complete (default 12)
+	// Server is up, on a fresh data directory, when Run begins.
+	Server  Deployment
+	Workers int // concurrent clients
+	Ops     int // acked ops each worker must complete
 	Kills   int // kill/restart cycles spread across the run
-
-	Faults Faults
-	// Nonce namespaces every request ID, plan name, and state key, so a
-	// reused data directory cannot alias ops from an earlier run.
-	Nonce string
-
-	Control ServerControl
-	// Retry tunes the clients' transport retry layer; zero-value fields
-	// take the layer's defaults.
-	Retry gae.RetryPolicy
-	Logf  func(format string, args ...any)
+	Logf    func(format string, args ...any)
 }
 
 // OpRecord is one entry of the client-side acked-op log: the harness
@@ -100,6 +93,7 @@ func (r *Report) Passed() bool {
 
 type harness struct {
 	cfg          Config
+	url          string
 	transport    *Transport
 	startBalance float64
 
@@ -107,53 +101,17 @@ type harness struct {
 	// acked progress, so they always land while load is in flight.
 	acked       atomic.Int64
 	workersDone chan struct{}
-
-	mu  sync.Mutex
-	url string
 }
 
-func (h *harness) logf(format string, args ...any) {
-	if h.cfg.Logf != nil {
-		h.cfg.Logf(format, args...)
-	}
-}
-
-func (h *harness) endpoint() string {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.url
-}
-
-func (h *harness) setEndpoint(u string) {
-	h.mu.Lock()
-	h.url = u
-	h.mu.Unlock()
-}
-
-// Run waits for the server at cfg.URL to answer, drives the configured
-// load through the fault transport while the controller kills and
-// restarts the server, then reconciles. The returned Report is valid when
-// err is nil.
+// Run drives the configured load through the fault transport while the
+// controller kills and restarts the server, then reconciles. The
+// returned Report is valid when err is nil.
 func Run(ctx context.Context, cfg Config) (*Report, error) {
-	if cfg.Workers <= 0 {
-		cfg.Workers = 3
-	}
-	if cfg.Ops <= 0 {
-		cfg.Ops = 12
-	}
-	if cfg.Nonce == "" {
-		return nil, fmt.Errorf("chaos: Config.Nonce is required (it namespaces ops across runs)")
-	}
-	h := &harness{cfg: cfg, url: cfg.URL, workersDone: make(chan struct{})}
-	h.transport = NewTransport(nil, cfg.Faults)
-	if err := h.waitReady(ctx, cfg.URL); err != nil {
-		return nil, fmt.Errorf("chaos: %w", err)
-	}
+	h := &harness{cfg: cfg, url: cfg.Server.URL(), transport: newTransport(harnessFaults), workersDone: make(chan struct{})}
 
 	// The grant ledger is reconciled by exact arithmetic from this
-	// starting balance (the data dir may carry credits from other runs).
-	pre, err := gae.Dial(ctx, cfg.URL,
-		gae.WithCredentials(cfg.User, cfg.Pass), gae.WithTimeout(10*time.Second))
+	// starting balance.
+	pre, err := gae.Dial(ctx, h.url, gae.WithCredentials(user, pass), gae.WithTimeout(10*time.Second))
 	if err != nil {
 		return nil, fmt.Errorf("chaos: pre-run dial: %w", err)
 	}
@@ -180,6 +138,11 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	if err := <-killDone; err != nil {
 		return nil, err
 	}
+	if ctx.Err() != nil {
+		// A worker's error is then only a consequence; the cause (the
+		// deadline, or a server that died) says why the run ended.
+		return nil, fmt.Errorf("chaos: run ended early: %w", context.Cause(ctx))
+	}
 	for w, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("chaos: worker %d: %w", w, err)
@@ -203,12 +166,12 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 	if err := h.reconcile(ctx, acked, rep); err != nil {
 		return nil, err
 	}
-	// Fold in the recovered server's own telemetry; chaos runs survive a
-	// missing /metrics (e.g. an externally managed older server).
-	if st, err := loadgen.ScrapeServerStats(ctx, h.endpoint()); err == nil {
+	// Fold in the recovered server's own telemetry; a failed scrape is
+	// logged and does not fail the run.
+	if st, err := loadgen.ScrapeServerStats(ctx, h.url); err == nil {
 		rep.Server = st
 	} else {
-		h.logf("chaos: scraping %s/metrics: %v", h.endpoint(), err)
+		h.cfg.Logf("chaos: scraping %s/metrics: %v", h.url, err)
 	}
 	return rep, nil
 }
@@ -217,16 +180,16 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 // the server answers (it may be mid-restart).
 func (h *harness) dial(ctx context.Context) (*gae.Client, error) {
 	for {
-		cl, err := gae.Dial(ctx, h.endpoint(),
-			gae.WithCredentials(h.cfg.User, h.cfg.Pass),
+		cl, err := gae.Dial(ctx, h.url,
+			gae.WithCredentials(user, pass),
 			gae.WithTransport(h.transport),
-			gae.WithRetryPolicy(h.cfg.Retry),
+			gae.WithRetries(),
 			gae.WithTimeout(10*time.Second))
 		if err == nil {
 			return cl, nil
 		}
 		if err := sleep(ctx, 25*time.Millisecond); err != nil {
-			return nil, fmt.Errorf("dialing %s: %w", h.endpoint(), err)
+			return nil, fmt.Errorf("dialing %s: %w", h.url, err)
 		}
 	}
 }
@@ -250,7 +213,7 @@ func (h *harness) runWorker(ctx context.Context, w int) ([]OpRecord, error) {
 	var lastPlan string
 	for n := 0; n < h.cfg.Ops; n++ {
 		kind := kinds[n%len(kinds)]
-		rid := fmt.Sprintf("%s-w%d-op%d", h.cfg.Nonce, w, n)
+		rid := fmt.Sprintf("w%d-op%d", w, n)
 		rec := OpRecord{Worker: w, N: n, RID: rid, Kind: kind}
 		opCtx := gae.WithRequestID(ctx, rid)
 		for {
@@ -261,7 +224,7 @@ func (h *harness) runWorker(ctx context.Context, w int) ([]OpRecord, error) {
 			var err error
 			switch kind {
 			case "submit":
-				name := fmt.Sprintf("%s-plan-w%d-op%d", h.cfg.Nonce, w, n)
+				name := fmt.Sprintf("plan-w%d-op%d", w, n)
 				rec.Key = name
 				var got string
 				// Long-running tasks: the cycle's later steering ops (and
@@ -277,10 +240,10 @@ func (h *harness) runWorker(ctx context.Context, w int) ([]OpRecord, error) {
 					lastPlan = name
 				}
 			case "grant":
-				rec.Key = h.cfg.User
-				err = cl.Grant(opCtx, h.cfg.User, GrantAmount)
+				rec.Key = user
+				err = cl.Grant(opCtx, user, GrantAmount)
 			case "set":
-				key := fmt.Sprintf("%s-key-w%d-op%d", h.cfg.Nonce, w, n)
+				key := fmt.Sprintf("key-w%d-op%d", w, n)
 				rec.Key = key
 				err = cl.SetState(opCtx, key, rid)
 			case "move":
@@ -298,7 +261,7 @@ func (h *harness) runWorker(ctx context.Context, w int) ([]OpRecord, error) {
 				rec.Result = strconv.Itoa(prio)
 				err = cl.SetPriority(opCtx, lastPlan, "t0", prio)
 			case "replica":
-				ds := fmt.Sprintf("%s-ds-w%d-op%d", h.cfg.Nonce, w, n)
+				ds := fmt.Sprintf("ds-w%d-op%d", w, n)
 				rec.Key = ds
 				site := replicaSites[(w+n)%len(replicaSites)]
 				rec.Result = site
@@ -333,9 +296,8 @@ func (h *harness) runWorker(ctx context.Context, w int) ([]OpRecord, error) {
 }
 
 // controller performs the configured kill/restart cycles while load is
-// in flight — each kill waits for its share of total acked progress, so
-// crashes always interleave with traffic — then waits for the endpoint
-// to answer pings after each restart.
+// in flight: each kill waits for its share of total acked progress, so
+// crashes always interleave with traffic.
 func (h *harness) controller(ctx context.Context) error {
 	total := int64(h.cfg.Workers * h.cfg.Ops)
 	for k := 0; k < h.cfg.Kills; k++ {
@@ -350,35 +312,16 @@ func (h *harness) controller(ctx context.Context) error {
 				return nil
 			}
 		}
-		h.logf("chaos: kill %d/%d", k+1, h.cfg.Kills)
-		if err := h.cfg.Control.Kill(); err != nil {
+		h.cfg.Logf("chaos: kill %d/%d", k+1, h.cfg.Kills)
+		if err := h.cfg.Server.Kill(); err != nil {
 			return fmt.Errorf("chaos: kill %d: %w", k+1, err)
 		}
-		url, err := h.cfg.Control.Start()
-		if err != nil {
+		if err := h.cfg.Server.Start(); err != nil {
 			return fmt.Errorf("chaos: restart %d: %w", k+1, err)
 		}
-		h.setEndpoint(url)
-		if err := h.waitReady(ctx, url); err != nil {
-			return fmt.Errorf("chaos: restart %d: %w", k+1, err)
-		}
-		h.logf("chaos: server back at %s", url)
+		h.cfg.Logf("chaos: server back at %s", h.url)
 	}
 	return nil
-}
-
-func (h *harness) waitReady(ctx context.Context, url string) error {
-	cc := clarens.NewClient(url)
-	cc.HTTP.Timeout = 5 * time.Second
-	defer cc.Close()
-	for {
-		if _, err := cc.Call(ctx, "system.ping"); err == nil {
-			return nil
-		}
-		if err := sleep(ctx, 25*time.Millisecond); err != nil {
-			return fmt.Errorf("endpoint %s never answered: %w", url, err)
-		}
-	}
 }
 
 // reconcile compares the acked-op log against the recovered server
@@ -389,9 +332,7 @@ func (h *harness) reconcile(ctx context.Context, acked []OpRecord, rep *Report) 
 	var cl *gae.Client
 	var err error
 	for {
-		cl, err = gae.Dial(ctx, h.endpoint(),
-			gae.WithCredentials(h.cfg.User, h.cfg.Pass),
-			gae.WithTimeout(10*time.Second))
+		cl, err = gae.Dial(ctx, h.url, gae.WithCredentials(user, pass), gae.WithTimeout(10*time.Second))
 		if err == nil {
 			break
 		}

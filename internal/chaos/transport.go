@@ -1,10 +1,11 @@
 // Package chaos is the fault-injection and reconciliation harness for
-// the exactly-once RPC layer: a wrappable HTTP transport that drops,
-// duplicates, or ack-loses requests, and a load harness that
-// drives real traffic through those faults — across server kills — then
-// reconciles the client-side acked-op log against the recovered server
-// state. The invariant it checks is the paper-era durability contract:
-// every acknowledged operation survives, and no operation applies twice.
+// the exactly-once RPC layer: an HTTP transport that drops, duplicates,
+// or ack-loses requests, a load harness that drives real traffic through
+// those faults — across server kills — then reconciles the client-side
+// acked-op log against the recovered server state, and the launcher of
+// the gae-server child every harness command runs (server.go). The
+// invariant it checks is the paper-era durability contract: every
+// acknowledged operation survives, and no operation applies twice.
 package chaos
 
 import (
@@ -16,21 +17,24 @@ import (
 	"sync/atomic"
 )
 
-// Faults scripts a Transport. Probabilities are evaluated per request in
+// faults scripts a Transport. Probabilities are evaluated per request in
 // the order drop, ack-loss, duplicate; at most one fires.
-type Faults struct {
-	Seed int64
-	// DropProb fails the request without delivering it — the server
-	// never sees the call.
-	DropProb float64
-	// AckLossProb delivers the request but discards the response and
-	// reports a transport error — the server applied the call, the
-	// client cannot know. The shape that makes naive retries double-apply.
-	AckLossProb float64
-	// DupProb delivers the request twice, back to back, returning the
-	// second response — a retransmitting network.
-	DupProb float64
+type faults struct {
+	seed int64
+	// drop fails the request without delivering it — the server never
+	// sees the call.
+	drop float64
+	// ackLoss delivers the request but discards the response and reports
+	// a transport error — the server applied the call, the client cannot
+	// know. The shape that makes naive retries double-apply.
+	ackLoss float64
+	// dup delivers the request twice, back to back, returning the second
+	// response — a retransmitting network.
+	dup float64
 }
+
+// harnessFaults are the faults Run's workers meet.
+var harnessFaults = faults{seed: 1, drop: 0.05, ackLoss: 0.10, dup: 0.10}
 
 // Stats counts the faults a Transport actually injected.
 type Stats struct {
@@ -43,19 +47,21 @@ type Stats struct {
 // Transport wraps an http.RoundTripper with scripted faults. It is safe
 // for concurrent use.
 type Transport struct {
-	Base http.RoundTripper // nil means http.DefaultTransport
-
-	f  Faults
+	f  faults
 	mu sync.Mutex
 	rn *rand.Rand
 
 	calls, drops, ackLosses, dups atomic.Int64
 }
 
-// NewTransport wraps base (nil for the default transport) with f.
-func NewTransport(base http.RoundTripper, f Faults) *Transport {
-	return &Transport{Base: base, f: f, rn: rand.New(rand.NewSource(f.Seed))}
+func newTransport(f faults) *Transport {
+	return &Transport{f: f, rn: rand.New(rand.NewSource(f.seed))}
 }
+
+// DuplicatingTransport delivers every request twice, back to back, and
+// returns the second reply: a mutation that goes out without a request
+// ID applies twice over it.
+func DuplicatingTransport() *Transport { return newTransport(faults{dup: 1}) }
 
 // Stats snapshots the injected-fault counters.
 func (t *Transport) Stats() Stats {
@@ -65,13 +71,6 @@ func (t *Transport) Stats() Stats {
 		AckLosses: t.ackLosses.Load(),
 		Dups:      t.dups.Load(),
 	}
-}
-
-func (t *Transport) base() http.RoundTripper {
-	if t.Base != nil {
-		return t.Base
-	}
-	return http.DefaultTransport
 }
 
 type faultKind int
@@ -88,11 +87,11 @@ func (t *Transport) pick() faultKind {
 	defer t.mu.Unlock()
 	p := t.rn.Float64()
 	switch {
-	case p < t.f.DropProb:
+	case p < t.f.drop:
 		return faultDrop
-	case p < t.f.DropProb+t.f.AckLossProb:
+	case p < t.f.drop+t.f.ackLoss:
 		return faultAckLost
-	case p < t.f.DropProb+t.f.AckLossProb+t.f.DupProb:
+	case p < t.f.drop+t.f.ackLoss+t.f.dup:
 		return faultDup
 	}
 	return faultNone
@@ -108,7 +107,7 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		t.drops.Add(1)
 		return nil, fmt.Errorf("chaos: request to %s dropped", req.URL.Path)
 	case faultAckLost:
-		resp, err := t.base().RoundTrip(req)
+		resp, err := http.DefaultTransport.RoundTrip(req)
 		if err != nil {
 			return nil, err
 		}
@@ -124,7 +123,7 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 			clone := req.Clone(req.Context())
 			if body, err := req.GetBody(); err == nil {
 				clone.Body = body
-				if resp, err := t.base().RoundTrip(clone); err == nil {
+				if resp, err := http.DefaultTransport.RoundTrip(clone); err == nil {
 					io.Copy(io.Discard, resp.Body)
 					resp.Body.Close()
 					t.dups.Add(1)
@@ -132,5 +131,5 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 			}
 		}
 	}
-	return t.base().RoundTrip(req)
+	return http.DefaultTransport.RoundTrip(req)
 }

@@ -29,7 +29,6 @@ func callAs[T any](ctx context.Context, c *clarens.Client, method string, args .
 // with a 10 MB/s link, alice and an admin user.
 func twoSiteConfig() Config {
 	return Config{
-		Seed: 1,
 		Sites: []SiteSpec{
 			{Name: "siteA", Nodes: 1, CostPerCPUSecond: 0.10},
 			{Name: "siteB", Nodes: 1, CostPerCPUSecond: 0.02},

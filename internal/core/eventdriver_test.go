@@ -26,7 +26,6 @@ type coreTrace struct {
 func runCoreScenario(t *testing.T, run func(*GAE, time.Duration)) *coreTrace {
 	t.Helper()
 	g := New(Config{
-		Seed: 7,
 		Sites: []SiteSpec{
 			{Name: "siteA", Nodes: 2, CostPerCPUSecond: 0.05},
 			{Name: "siteB", Nodes: 2, CostPerCPUSecond: 0.02},

@@ -16,7 +16,6 @@ import (
 // threeSiteConfig is a 3-site, 10-node deployment for stress tests.
 func threeSiteConfig() Config {
 	return Config{
-		Seed: 99,
 		Sites: []SiteSpec{
 			{Name: "siteA", Nodes: 4, CostPerCPUSecond: 0.05},
 			{Name: "siteB", Nodes: 4, Load: simgrid.ConstantLoad(0.2), CostPerCPUSecond: 0.02},

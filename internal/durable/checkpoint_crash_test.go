@@ -36,7 +36,6 @@ func (f *failAfter) Write(p []byte) (int, error) {
 
 func crashConfig() core.Config {
 	return core.Config{
-		Seed:  1,
 		Sites: []core.SiteSpec{{Name: "siteA", Nodes: 1, CostPerCPUSecond: 0.1}, {Name: "siteB", Nodes: 1, CostPerCPUSecond: 0.02}},
 		Links: []core.LinkSpec{{A: "siteA", B: "siteB", MBps: 10}},
 		Users: []core.UserSpec{{Name: "alice", Password: "pw", Credits: 1000}},

@@ -199,7 +199,6 @@ func TestFig7CheckpointingIsFaster(t *testing.T) {
 func TestFig6StopReturnsPromptly(t *testing.T) {
 	for cycle := 0; cycle < 10; cycle++ {
 		g := core.New(core.Config{
-			Seed:  6,
 			Sites: []core.SiteSpec{{Name: "siteA", Nodes: 4, CostPerCPUSecond: 0.01}},
 			Users: []core.UserSpec{{Name: "client", Password: "pw", Credits: 1e6}},
 		})

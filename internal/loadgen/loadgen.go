@@ -37,10 +37,6 @@ type Config struct {
 	Ops int
 	// Seed makes the per-worker operation mix reproducible.
 	Seed int64
-	// Prefix namespaces the plan names and state keys the run creates
-	// (default "load") so repeated runs against one deployment — or one
-	// durable data directory — never collide.
-	Prefix string
 }
 
 // Result is the outcome of one run.
@@ -54,11 +50,8 @@ type Result struct {
 	// ByOp counts operations per workload kind.
 	ByOp map[string]int `json:"by_op,omitempty"`
 	// ErrorsByOp counts failed operations per workload kind.
-	ErrorsByOp map[string]int `json:"errors_by_op,omitempty"`
-	// Retries sums the clients' transport-level re-attempts (zero unless
-	// the dialer enabled a retry policy).
-	Retries        int64   `json:"retries"`
-	ElapsedSeconds float64 `json:"elapsed_seconds"`
+	ErrorsByOp     map[string]int `json:"errors_by_op,omitempty"`
+	ElapsedSeconds float64        `json:"elapsed_seconds"`
 	// RPS is Ops / ElapsedSeconds across all workers.
 	RPS float64 `json:"rps"`
 	// Latency mean and nearest-rank percentiles over individual
@@ -79,9 +72,9 @@ type sample struct {
 	err error
 }
 
-// Run drives cfg.Clients workers through mix and aggregates the
-// measurements. Dial failures abort the run; operation failures are
-// counted in Result.Errors and the run continues.
+// Run dials cfg.Clients workers, drives them through mix and aggregates
+// the measurements. A dial failure aborts the run before any operation;
+// operation failures are counted in Result.Errors and the run continues.
 func Run(ctx context.Context, mix Mix, cfg Config, dial Dialer) (Result, error) {
 	if cfg.Clients <= 0 {
 		cfg.Clients = 1
@@ -89,29 +82,29 @@ func Run(ctx context.Context, mix Mix, cfg Config, dial Dialer) (Result, error) 
 	if cfg.Ops <= 0 {
 		cfg.Ops = 1
 	}
-	if cfg.Prefix == "" {
-		cfg.Prefix = "load"
-	}
 
-	perWorker := make([][]sample, cfg.Clients)
-	clients := make([]*gae.Client, cfg.Clients)
-	dialErrs := make([]error, cfg.Clients)
 	start := time.Now()
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Clients; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			client, err := dial(ctx, w)
-			if err != nil {
-				dialErrs[w] = fmt.Errorf("loadgen: worker %d dial: %w", w, err)
-				return
+	clients := make([]*gae.Client, cfg.Clients)
+	defer func() {
+		for _, c := range clients {
+			if c != nil {
+				c.Close(ctx) //nolint:errcheck // best-effort logout; the run is over
 			}
-			clients[w] = client
-			perWorker[w] = mix.run(ctx, cfg, client, w)
-		}(w)
+		}
+	}()
+	dialErrs := make([]error, cfg.Clients)
+	each(cfg.Clients, func(w int) { clients[w], dialErrs[w] = dial(ctx, w) })
+	for w, err := range dialErrs {
+		if err != nil {
+			return Result{}, fmt.Errorf("loadgen: worker %d dial: %w", w, err)
+		}
 	}
-	wg.Wait()
+	prefix, err := mix.namespace(ctx, clients[0])
+	if err != nil {
+		return Result{}, err
+	}
+	perWorker := make([][]sample, cfg.Clients)
+	each(cfg.Clients, func(w int) { perWorker[w] = mix.run(ctx, cfg, clients[w], w, prefix) })
 	elapsed := time.Since(start)
 	res := Result{
 		Mix:            mix.Name,
@@ -119,17 +112,6 @@ func Run(ctx context.Context, mix Mix, cfg Config, dial Dialer) (Result, error) 
 		ByOp:           make(map[string]int),
 		ErrorsByOp:     make(map[string]int),
 		ElapsedSeconds: elapsed.Seconds(),
-	}
-	for _, c := range clients {
-		if c != nil {
-			res.Retries += c.TransportStats().Retries
-			c.Close(ctx) //nolint:errcheck // best-effort logout; the run is over
-		}
-	}
-	for _, err := range dialErrs {
-		if err != nil {
-			return Result{}, err
-		}
 	}
 	var lat []time.Duration
 	var total time.Duration
@@ -169,11 +151,25 @@ func percentileMillis(sorted []time.Duration, q float64) float64 {
 	return float64(sorted[i]) / float64(time.Millisecond)
 }
 
+// each runs f(0) … f(n-1) concurrently and waits for them.
+func each(n int, f func(i int)) {
+	var wg sync.WaitGroup
+	for i := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f(i)
+		}()
+	}
+	wg.Wait()
+}
+
 // run is one closed-loop worker: the mix's open op, if it has one, then
-// draws from the mix until it has issued cfg.Ops operations.
-func (m Mix) run(ctx context.Context, cfg Config, client *gae.Client, id int) []sample {
+// draws from the mix until it has issued cfg.Ops operations. prefix
+// namespaces the names it creates.
+func (m Mix) run(ctx context.Context, cfg Config, client *gae.Client, id int, prefix string) []sample {
 	rng := rand.New(rand.NewSource(cfg.Seed + int64(id)*7919))
-	w := &worker{client: client, id: id, rng: rng, prefix: cfg.Prefix}
+	w := &worker{client: client, id: id, rng: rng, prefix: prefix}
 	samples := make([]sample, 0, cfg.Ops)
 	do := func(o *op) {
 		w.op = o.name

@@ -15,7 +15,6 @@ import (
 
 func testDeployment() *core.GAE {
 	return core.New(core.Config{
-		Seed: 3,
 		Sites: []core.SiteSpec{
 			{Name: "siteA", Nodes: 2, Load: simgrid.IdleLoad(), CostPerCPUSecond: 0.05},
 			{Name: "siteB", Nodes: 2, Load: simgrid.ConstantLoad(0.2), CostPerCPUSecond: 0.02},
@@ -52,7 +51,7 @@ func TestRunMixedWorkload(t *testing.T) {
 			res.P50Millis, res.P95Millis, res.P99Millis)
 	}
 	// The workload's plans really landed in the deployment.
-	if _, ok := g.Scheduler.Plan("load-w0-0"); !ok {
+	if _, ok := g.Scheduler.Plan("load0-w0-0"); !ok {
 		t.Fatal("worker 0's first plan not found in the deployment")
 	}
 }

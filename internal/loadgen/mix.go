@@ -42,6 +42,23 @@ func (m Mix) draw(p float64) *op {
 	return &m.ops[len(m.ops)-1]
 }
 
+// namespace prefixes the names a run of m creates. A mix that opens a
+// session creates plans and state keys; it names them after the count of
+// tasks the user already holds (steering.jobs), which every run that
+// submits a plan raises, so a rerun against one deployment — or one
+// durable data directory — never reuses a name, and a fresh deployment
+// always gets "load0". A mix without an open op creates nothing.
+func (m Mix) namespace(ctx context.Context, c *gae.Client) (string, error) {
+	if m.open == nil {
+		return "", nil
+	}
+	held, err := c.Jobs(ctx)
+	if err != nil {
+		return "", fmt.Errorf("loadgen: counting the user's jobs: %w", err)
+	}
+	return fmt.Sprintf("load%d", len(held)), nil
+}
+
 // A worker is one closed-loop client of a run, as an op's call sees it.
 type worker struct {
 	client *gae.Client

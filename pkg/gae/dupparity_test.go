@@ -43,7 +43,7 @@ func TestParityDuplicateDelivery(t *testing.T) {
 	hs := httptest.NewServer(gr.Handler())
 	t.Cleanup(hs.Close)
 	gr.Clarens.SetBaseURL(hs.URL)
-	dupTransport := chaos.NewTransport(nil, chaos.Faults{DupProb: 1})
+	dupTransport := chaos.DuplicatingTransport()
 	rc, err := gae.Dial(ctx, hs.URL,
 		gae.WithCredentials("alice", "pw"), gae.WithTransport(dupTransport))
 	if err != nil {

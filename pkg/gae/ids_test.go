@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/clarens"
 	"repro/internal/xmlrpc"
@@ -122,7 +121,7 @@ func TestRemoteRequestIDs(t *testing.T) {
 // attempt fails is re-sent with the ID its first attempt carried.
 func TestRetryResendsRequestID(t *testing.T) {
 	stub := &idStub{unavailable: 1, ok: true}
-	c := dialStub(t, stub, gae.WithRetryPolicy(gae.RetryPolicy{BaseBackoff: time.Microsecond, MaxBackoff: time.Microsecond}))
+	c := dialStub(t, stub, gae.WithRetries())
 	if err := c.SetState(context.Background(), "k", "v"); err != nil {
 		t.Fatal(err)
 	}

@@ -227,7 +227,7 @@ func TestRetryDecodesIntoFreshResult(t *testing.T) {
 	}
 	stub := &stubTransport{bodies: [][]byte{long[:len(long)*2/3], short}}
 	c, err := gae.Dial(context.Background(), "http://stub.invalid/", gae.WithTransport(stub),
-		gae.WithRetryPolicy(gae.RetryPolicy{BaseBackoff: time.Microsecond, MaxBackoff: time.Microsecond}))
+		gae.WithRetries())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,6 @@ import (
 
 func parityConfig() core.Config {
 	return core.Config{
-		Seed: 1,
 		Sites: []core.SiteSpec{
 			{Name: "siteA", Nodes: 1, CostPerCPUSecond: 0.10},
 			{Name: "siteB", Nodes: 1, CostPerCPUSecond: 0.02},

@@ -13,8 +13,9 @@ import (
 // honor the caller's context (cancellation and deadlines propagate into
 // the HTTP layer), the session token from Dial rides every call, and the
 // HTTP client enforces a configurable timeout so a hung server cannot
-// wedge a CLI. Each mutating call carries a request ID (see ids.go)
-// across all of its attempts.
+// wedge a CLI. A client dialed WithRetries re-sends a call that failed in
+// transport or met FaultUnavailable (retry.go); each mutating call carries
+// one request ID (see ids.go) across all of its attempts.
 
 // Option configures Dial.
 type Option func(*dialOptions)
@@ -23,7 +24,7 @@ type dialOptions struct {
 	user, pass string
 	token      string
 	timeout    time.Duration
-	retry      *RetryPolicy
+	retry      bool
 	transport  http.RoundTripper
 }
 
@@ -44,12 +45,12 @@ func WithTimeout(d time.Duration) Option {
 	return func(o *dialOptions) { o.timeout = d }
 }
 
-// WithRetryPolicy enables the retry layer (see retry.go): transport
-// failures and FaultUnavailable are retried with exponential backoff
-// under a per-endpoint circuit breaker. Without this option every wire
-// error surfaces directly, as before.
-func WithRetryPolicy(p RetryPolicy) Option {
-	return func(o *dialOptions) { o.retry = &p }
+// WithRetries enables the retry layer (see retry.go): a call that failed
+// in transport or met FaultUnavailable is tried again, up to three
+// attempts, after a jittered exponential backoff from 10 ms capped at
+// 200 ms. Without this option every wire error surfaces directly.
+func WithRetries() Option {
+	return func(o *dialOptions) { o.retry = true }
 }
 
 // WithTransport installs a custom HTTP round-tripper on the underlying
@@ -80,8 +81,8 @@ func Dial(ctx context.Context, endpoint string, opts ...Option) (*Client, error)
 		}
 		r.ownsSession = true
 	}
-	if o.retry != nil {
-		r.retry = newRetryState(*o.retry)
+	if o.retry {
+		r.retry = new(retryState)
 	}
 	return &Client{remote: r}, nil
 }
@@ -95,5 +96,5 @@ type remote struct {
 	// credentials); only those are closed server-side by Close, so a
 	// token borrowed via WithToken stays valid for its other holders.
 	ownsSession bool
-	retry       *retryState // nil unless Dial got WithRetryPolicy
+	retry       *retryState // nil unless Dial got WithRetries
 }

@@ -46,7 +46,6 @@ var fieldAllowed = map[string]string{}
 // settingTypes are the types a caller fills in to configure something
 // whose names do not end in Config, Spec or Policy.
 var settingTypes = map[string]bool{
-	"chaos.Faults":                true,
 	"estimator.RuntimeEstimator":  true,
 	"estimator.TransferEstimator": true,
 }
