@@ -1,10 +1,13 @@
 GO ?= go
 
-.PHONY: build test test-race race-smoke bench bench-test fuzz-smoke bench-smoke load-smoke chaos-smoke obs-smoke examples-smoke sim sim-smoke fmt vet lint lint-test loc
+.PHONY: build test test-race race-smoke bench bench-test fuzz-smoke bench-smoke load-smoke chaos-smoke obs-smoke examples-smoke sim sim-smoke fmt vet loc
 
 build:
 	$(GO) build ./...
 
+# Every package's tests. The root package's include the static checks,
+# over one type-check of the module and bench/: reachability
+# (reach_test.go) and determinism, simtime and detorder (lint_test.go).
 test:
 	$(GO) test ./...
 
@@ -41,7 +44,8 @@ test-race:
 race-smoke:
 	$(GO) test -race -count=20 -run 'TestCallsBesideRun|TestCheckpointBesideCalls|TestReadDuringRunReturnsFirst|TestConcurrentSubmitsLaunchEachTaskOnce|TestConcurrentSubmitsOfOneName|TestCheckpointedMoveBesideRun|TestConcurrentDuplicateDeliveryAppliesOnce|TestConcurrentMutationsReplayInApplyOrder|TestRunMixedWorkload|TestIncrementalRefreshMatchesFullWalk' ./internal/core ./internal/loadgen ./internal/condor
 	$(GO) build -race -o bin/gae-server-race ./cmd/gae-server
-	$(GO) run -race ./cmd/gae load -clients 2 -ops 8 -data "$$(mktemp -d)"
+	@set -e; data=$$(mktemp -d); trap 'rm -rf "$$data"' EXIT; \
+	$(GO) run -race ./cmd/gae load -clients 2 -ops 8 -data "$$data"
 	$(GO) run -race ./cmd/gae-chaos -clients 2 -ops 6 -kills 1 -server bin/gae-server-race
 	$(GO) run -race ./cmd/gae-obs-smoke -clients 2 -ops 8 -server bin/gae-server-race
 
@@ -124,7 +128,8 @@ bench-smoke:
 # Closed-loop serving smoke: gae load's analysis mix against an embedded
 # durable deployment — exits non-zero if any operation fails.
 load-smoke:
-	$(GO) run ./cmd/gae load -clients 4 -ops 32 -data "$$(mktemp -d)"
+	@set -e; data=$$(mktemp -d); trap 'rm -rf "$$data"' EXIT; \
+	$(GO) run ./cmd/gae load -clients 4 -ops 32 -data "$$data"
 
 # Exactly-once chaos smoke: concurrent mutating load through a
 # fault-injecting transport (drops, ack losses, duplicate deliveries)
@@ -181,29 +186,17 @@ sim-smoke:
 	done
 
 fmt:
-	gofmt -w $$(find . -name '*.go' -not -path './tools/lint/*/testdata/*')
+	gofmt -w .
 
 vet:
 	$(GO) vet ./...
 
-# gae-lint: the repo's own analyzers (detorder, simtime) over
-# the main module. Lives in its own module so the main go.mod stays
-# dependency-free; `make lint` must exit 0 on the committed tree.
-lint:
-	cd tools/lint && $(GO) run ./cmd/gae-lint -dir ../.. ./...
-
-# The analyzers' own test suite: per-analyzer fixtures plus the
-# self-lint regression test (equivalent to `make lint`, as a test).
-lint-test:
-	cd tools/lint && $(GO) vet ./... && $(GO) test ./...
-
 # The tracked sizes (ROADMAP north-star criterion 2), one definition each:
 # Go lines of the main module outside and inside _test.go files (and of the
-# node's arithmetic, internal/simgrid/node.go, within the former), of
-# tools/lint, and of bench/.
+# node's arithmetic, internal/simgrid/node.go, within the former), and of
+# bench/.
 loc:
-	@echo "main module, non-test: $$(find . -name '*.go' -not -name '*_test.go' -not -path './tools/*' -not -path './bench/*' | xargs cat | wc -l)"
+	@echo "main module, non-test: $$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l)"
 	@echo "  simgrid/node.go:     $$(wc -l < internal/simgrid/node.go)"
-	@echo "main module, tests:    $$(find . -name '*_test.go' -not -path './tools/*' -not -path './bench/*' | xargs cat | wc -l)"
-	@echo "tools/lint:            $$(find tools/lint -name '*.go' | xargs cat | wc -l)"
+	@echo "main module, tests:    $$(find . -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l)"
 	@echo "bench:                 $$(find bench -name '*.go' | xargs cat | wc -l)"

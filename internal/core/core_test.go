@@ -349,8 +349,7 @@ func TestFigure7ScenarioInProcess(t *testing.T) {
 
 	// Make siteB look busy at decision time so the job starts at siteA.
 	g.MonALISA.Publish("siteB", "LoadAvg", g.Now(), 0.95)
-	job := workload.PaperPrimeJob()
-	cp, err := g.Scheduler.Submit(primePlan("alice", "primes", job.CPUSeconds()))
+	cp, err := g.Scheduler.Submit(primePlan("alice", "primes", workload.PrimeJobCPUSeconds))
 	if err != nil {
 		t.Fatal(err)
 	}

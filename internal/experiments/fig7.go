@@ -11,7 +11,7 @@ import (
 )
 
 // The steering-rescue scenario's fixed shape. The job is the paper's
-// prime-number program, 283 s on an unloaded CPU (workload.PaperPrimeJob).
+// prime-number program, 283 s on an unloaded CPU (workload.PrimeJobCPUSeconds).
 const (
 	// fig7SiteALoad is the background load that develops at the job's
 	// first site (paper: "significant CPU load"; ~0.7 reproduces the
@@ -64,7 +64,7 @@ type Fig7Result struct {
 // measured it: accumulated Condor wall-clock divided by the free-CPU
 // estimate.
 func Fig7(cfg Fig7Config) (*Fig7Result, error) {
-	freeCPU := workload.PaperPrimeJob().CPUSeconds()
+	const freeCPU = workload.PrimeJobCPUSeconds
 	g := core.New(core.Config{
 		Sites: []core.SiteSpec{
 			{Name: "siteA", Nodes: 2, CostPerCPUSecond: 0.05},

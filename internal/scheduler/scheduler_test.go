@@ -247,6 +247,26 @@ func TestSelectSiteAccountsForBacklog(t *testing.T) {
 	if best.Site != "siteB" {
 		t.Fatalf("backlog ignored: best = %+v", best)
 	}
+
+	// At one instant, a task scored after another's submission sees it:
+	// the first takes one of two idle sites, so the second takes the
+	// other.
+	f = newFixture(t, map[string]struct {
+		nodes int
+		load  float64
+	}{"siteA": {1, 0}, "siteB": {1, 0}})
+	cp, err := f.sched.Submit(simplePlan("u", task("first", 1000)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, _ := cp.Assignment("first")
+	second, _, err := f.sched.SelectSite(task("second", 1000), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.State != TaskSubmitted || second.Site == first.Site {
+		t.Fatalf("first task %v at %s; a second scored at that instant takes %s, want the other site", first.State, first.Site, second.Site)
+	}
 }
 
 func TestSelectSiteExclusion(t *testing.T) {

@@ -66,9 +66,10 @@ type Scheduler struct {
 	// instant: site scoring walks every queued job at a site, and a plan
 	// with N ready tasks would otherwise pay that walk N times per tick.
 	// Entries are dropped whenever the site's queue changes at the same
-	// instant — on any pool event (completion, start, failure) and on
-	// scheduler-side submit/remove — so cached reads always equal what a
-	// fresh walk would return.
+	// instant — on any pool event (submission, start, completion,
+	// failure), through the subscriber RegisterSite installs, and on a
+	// scheduler-side remove, which a down pool does not announce — so
+	// cached reads always equal what a fresh walk would return.
 	backlogAt    time.Time
 	backlogCache map[string]float64
 
@@ -660,9 +661,6 @@ func (s *Scheduler) submitTask(cp *ConcretePlan, t TaskPlan, est SiteEstimate, c
 		return fmt.Errorf("scheduler: submitting %q to %s: %w", t.ID, est.Site, err)
 	}
 	s.jobIndex[jobKey{pool: svc.Pool.Name, id: id}] = planTask{cp: cp, taskID: t.ID}
-	// The submission changed this site's queue mid-tick; drop its cached
-	// backlog so sibling tasks scored later this tick see the new depth.
-	delete(s.backlogCache, est.Site)
 	cp.update(t.ID, func(a *Assignment) {
 		a.CondorID = id
 		a.State = TaskSubmitted
@@ -702,6 +700,7 @@ func (s *Scheduler) Reschedule(cp *ConcretePlan, taskID string, exclude []string
 			}
 			_ = svc.Pool.Remove(a.CondorID)
 			delete(s.jobIndex, jobKey{pool: svc.Pool.Name, id: a.CondorID})
+			// A Remove on a down pool emits no event to drop the backlog.
 			delete(s.backlogCache, a.Site)
 		}
 	}

@@ -1,8 +1,9 @@
 // Package workload synthesizes the inputs of the paper's evaluation —
 // an SDSC Paragon-style accounting trace for the runtime-estimator
-// experiment (Figure 5) and the prime-counting test job of the steering
-// experiment (Figure 7) — and loads the multi-tenant fairness scenarios
-// the fair-share replay runs from their JSON files (LoadScenario).
+// experiment (Figure 5) and the cost of the steering experiment's
+// prime-counting job (Figure 7) — and loads the multi-tenant fairness
+// scenarios the fair-share replay runs from their JSON files
+// (LoadScenario).
 //
 // The original trace — "accounting data from the Paragon Supercomputer at
 // the San Diego Supercomputing Center ... collected by Allen Downey in
@@ -23,6 +24,11 @@ import (
 
 	"repro/internal/estimator"
 )
+
+// PrimeJobCPUSeconds is the cost of Figure 7's job on a free reference
+// (Mips = 1) CPU: the paper's "simple C++ program that calculates prime
+// numbers over an input range", which it times at 283 seconds.
+const PrimeJobCPUSeconds = 283.0
 
 // QueueClass describes one Paragon queue: its node count and the
 // log-normal runtime distribution of jobs submitted to it.

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"math"
 	"reflect"
 	"testing"
 
@@ -158,20 +157,5 @@ func TestEstimatorOnParagonTrace(t *testing.T) {
 	}
 	if mape > 60 {
 		t.Fatalf("mean error %.1f%% — estimator is not learning the trace", mape)
-	}
-}
-
-func TestPrimeJobCostModel(t *testing.T) {
-	paper := PaperPrimeJob()
-	if got := paper.CPUSeconds(); math.Abs(got-283) > 1e-9 {
-		t.Fatalf("paper job = %v cpu-s, want 283", got)
-	}
-	// Cost scales linearly with range width.
-	half := PrimeJob{From: PaperRangeFrom, To: PaperRangeFrom + (PaperRangeTo-PaperRangeFrom)/2}
-	if got := half.CPUSeconds(); math.Abs(got-141.5) > 0.01 {
-		t.Fatalf("half job = %v cpu-s, want 141.5", got)
-	}
-	if (PrimeJob{From: 10, To: 5}).CPUSeconds() != 0 {
-		t.Fatal("inverted range has nonzero cost")
 	}
 }

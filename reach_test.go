@@ -15,6 +15,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -87,7 +88,7 @@ var reachInterfaceMethods = map[string]bool{
 // does not count, so a chain that only tests enter is reported whole.
 // bench/ is type-checked with the module and is all roots, never reported.
 func TestEveryFunctionIsReached(t *testing.T) {
-	g := loadReachGraph(t)
+	g := loadModule(t).graph
 	if unreached := g.unreached(reachAllowed); len(unreached) > 0 {
 		t.Errorf("%d functions only tests reach; delete them, move them into an export_test.go, or allow them in reachAllowed with a reason:\n\t%s",
 			len(unreached), strings.Join(unreached, "\n\t"))
@@ -112,7 +113,7 @@ func TestEveryFunctionIsReached(t *testing.T) {
 // codec (transitively), the fields of a struct used as a map key, and an
 // embedded field.
 func TestEveryFieldIsRead(t *testing.T) {
-	reportFindings(t, "fieldAllowed", fieldAllowed, loadReachGraph(t).unread(),
+	reportFindings(t, "fieldAllowed", fieldAllowed, loadModule(t).graph.unread(),
 		"fields nothing reached reads; delete them, or allow them in fieldAllowed with a reason")
 }
 
@@ -124,7 +125,7 @@ func TestEveryFieldIsRead(t *testing.T) {
 // defaults nor a test's values count. A method an interface asks for, and
 // a function used as a value, may ignore a parameter.
 func TestEverySettingIsSet(t *testing.T) {
-	reportFindings(t, "settingAllowed", settingAllowed, loadReachGraph(t).unset(),
+	reportFindings(t, "settingAllowed", settingAllowed, loadModule(t).graph.unset(),
 		"settings nothing sets and parameters nothing reads; delete them, make them constants, or allow them in settingAllowed with a reason")
 }
 
@@ -368,16 +369,51 @@ type reachPkg struct {
 	Error      *struct{ Err string }
 }
 
-// loadReachGraph type-checks the main module's packages and bench/ from
-// source, in dependency order, with the standard library imported from
-// the export data `go list -export` leaves in the build cache.
-func loadReachGraph(t *testing.T) *reachGraph {
+// moduleLoad is the main module's non-test packages and bench/,
+// type-checked once per test binary: the reach tests and the lint checks
+// read the same load.
+type moduleLoad struct {
+	graph *reachGraph
+	pkgs  []checkedPkg
+	std   types.Importer // the standard library, from export data
+}
+
+// checkedPkg is one package of the load, parsed with its comments.
+type checkedPkg struct {
+	path  string
+	files []*ast.File
+	info  *types.Info
+}
+
+var typeCheckOnce = sync.OnceValues(typeCheckModule)
+
+// loadModule returns the test binary's one load of the module.
+func loadModule(t *testing.T) *moduleLoad {
 	t.Helper()
-	root, err := filepath.Abs(".")
+	m, err := typeCheckOnce()
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgs := append(goListDeps(t, root), goListDeps(t, filepath.Join(root, "bench"))...)
+	return m
+}
+
+// typeCheckModule type-checks the main module's packages and bench/ from
+// source, in dependency order, with the standard library imported from
+// the export data `go list -export` leaves in the build cache.
+func typeCheckModule() (*moduleLoad, error) {
+	root, err := filepath.Abs(".")
+	if err != nil {
+		return nil, err
+	}
+	pkgs, err := goListDeps(root)
+	if err != nil {
+		return nil, err
+	}
+	benchPkgs, err := goListDeps(filepath.Join(root, "bench"))
+	if err != nil {
+		return nil, err
+	}
+	pkgs = append(pkgs, benchPkgs...)
 	exports := map[string]string{}
 	for _, p := range pkgs {
 		if p.Export != "" {
@@ -396,7 +432,8 @@ func loadReachGraph(t *testing.T) *reachGraph {
 		asValue:   map[*types.Func]bool{},
 		seenIface: map[*types.Interface]bool{},
 	}
-	std := importer.ForCompiler(g.fset, "gc", func(path string) (io.ReadCloser, error) {
+	m := &moduleLoad{graph: g}
+	m.std = importer.ForCompiler(g.fset, "gc", func(path string) (io.ReadCloser, error) {
 		f, ok := exports[path]
 		if !ok {
 			return nil, fmt.Errorf("no export data for %q", path)
@@ -408,7 +445,7 @@ func loadReachGraph(t *testing.T) *reachGraph {
 		if p := checked[path]; p != nil {
 			return p, nil
 		}
-		return std.Import(path)
+		return m.std.Import(path)
 	})}
 	for _, p := range pkgs {
 		if p.Standard || checked[p.ImportPath] != nil || len(p.GoFiles) == 0 {
@@ -416,9 +453,9 @@ func loadReachGraph(t *testing.T) *reachGraph {
 		}
 		var files []*ast.File
 		for _, name := range p.GoFiles {
-			f, err := parser.ParseFile(g.fset, filepath.Join(p.Dir, name), nil, parser.SkipObjectResolution)
+			f, err := parser.ParseFile(g.fset, filepath.Join(p.Dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
 			if err != nil {
-				t.Fatal(err)
+				return nil, err
 			}
 			files = append(files, f)
 		}
@@ -430,12 +467,13 @@ func loadReachGraph(t *testing.T) *reachGraph {
 		}
 		tpkg, err := conf.Check(p.ImportPath, g.fset, files, info)
 		if err != nil {
-			t.Fatalf("type-checking %s: %v", p.ImportPath, err)
+			return nil, fmt.Errorf("type-checking %s: %v", p.ImportPath, err)
 		}
 		checked[p.ImportPath] = tpkg
+		m.pkgs = append(m.pkgs, checkedPkg{p.ImportPath, files, info})
 		g.scan(tpkg, files, info, strings.HasPrefix(p.ImportPath, "repro/bench"))
 	}
-	return g
+	return m, nil
 }
 
 // scan adds one type-checked package to the graph. In bench/ nothing is
@@ -683,8 +721,7 @@ func isPointer(t types.Type) bool {
 
 // goListDeps lists the packages of the module in dir and their
 // dependencies, dependencies first, compiling export data as it goes.
-func goListDeps(t *testing.T, dir string) []reachPkg {
-	t.Helper()
+func goListDeps(dir string) ([]reachPkg, error) {
 	cmd := exec.Command("go", "list", "-deps", "-export",
 		"-json=ImportPath,Dir,Export,GoFiles,Standard,Error", "./...")
 	cmd.Dir = dir
@@ -692,7 +729,7 @@ func goListDeps(t *testing.T, dir string) []reachPkg {
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
 	if err != nil {
-		t.Fatalf("go list in %s: %v\n%s", dir, err, stderr.String())
+		return nil, fmt.Errorf("go list in %s: %v\n%s", dir, err, stderr.String())
 	}
 	var pkgs []reachPkg
 	for dec := json.NewDecoder(bytes.NewReader(out)); ; {
@@ -700,14 +737,14 @@ func goListDeps(t *testing.T, dir string) []reachPkg {
 		if err := dec.Decode(&p); err == io.EOF {
 			break
 		} else if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 		if p.Error != nil {
-			t.Fatalf("go list: %s: %s", p.ImportPath, p.Error.Err)
+			return nil, fmt.Errorf("go list: %s: %s", p.ImportPath, p.Error.Err)
 		}
 		pkgs = append(pkgs, p)
 	}
-	return pkgs
+	return pkgs, nil
 }
 
 type reachImporter func(path string) (*types.Package, error)
