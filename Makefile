@@ -73,7 +73,9 @@ bench-test:
 # every record count a snapshot could name. Last, 10 s of the ClassAd
 # expression parser and evaluator against the tree implementation they
 # replaced (kept in a _test.go file as the oracle): the same accept or
-# reject and error text, String, value, rank class and pinned literals.
+# reject and error text, String, value, rank class and pinned literals,
+# and the same again from two ads that store the input through the
+# shared-block table, which must give both one block.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeAgainstEncodingXML -fuzztime 20s ./internal/xmlrpc
 	$(GO) test -run '^$$' -fuzz FuzzJournalReplay -fuzztime 10s ./internal/durable
@@ -110,7 +112,9 @@ fuzz-smoke:
 # allocates, journaled with and without a store and not journaled
 # (LocalCallAllocCeilings). What a wave of jobs costs is gated in
 # allocations: an expression parses into one block no larger than the
-# tree it replaced (ExprAllocations), a matcher allocates its Rank's class
+# tree it replaced (ExprAllocations), storing a text the shared-block
+# table already holds allocates nothing (SetExprOfSeenSource), a matcher
+# allocates its Rank's class
 # key and nothing else (MatcherAllocatesClassOnlyForRank), and a Submit of
 # a sim-match job ad stays under its malloc ceiling (SubmitMallocCeiling);
 # and what a pass's refresh of the free machines costs is gated in load
@@ -121,7 +125,7 @@ fuzz-smoke:
 # 48 and a Matcher at 64 (AdAndMatcherSizes).
 bench-smoke:
 	GAE_SCENARIO_SCALE=smoke $(GO) test -run xxx -bench Scenario -benchtime 1x .
-	$(GO) test -run 'MillionSmokeCounts|JobSize|CompletionPathLayout|FlowAndSortKeysAllocations|JobBytesCeiling|CompletionMallocCeiling|RunBytesPerJob|RankEvalsFollowChanges|SegmentCalls|WeatherIsEventDriven|FlowFollowsLoadSegments|ExprAllocations|MatcherAllocatesClassOnlyForRank|SubmitMallocCeiling|RefreshFollowsChanges|AdAndMatcherSizes' -count=1 . ./internal/condor ./internal/fairshare ./internal/simgrid ./internal/classad
+	$(GO) test -run 'MillionSmokeCounts|JobSize|CompletionPathLayout|FlowAndSortKeysAllocations|JobBytesCeiling|CompletionMallocCeiling|RunBytesPerJob|RankEvalsFollowChanges|SegmentCalls|WeatherIsEventDriven|FlowFollowsLoadSegments|ExprAllocations|SetExprOfSeenSource|MatcherAllocatesClassOnlyForRank|SubmitMallocCeiling|RefreshFollowsChanges|AdAndMatcherSizes' -count=1 . ./internal/condor ./internal/fairshare ./internal/simgrid ./internal/classad
 	$(GO) test -run 'WireAllocCeilings|ServeAllocCeiling' -count=1 ./pkg/gae ./internal/xmlrpc
 	$(GO) test -run 'CheckpointFollowsDelta|LocalCallAllocCeilings' -count=1 ./internal/core
 

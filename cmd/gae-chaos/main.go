@@ -11,10 +11,11 @@
 //
 //	gae-chaos -clients 3 -ops 12 -kills 2
 //
-// The first two server lifetimes also arm a journal fault 25 ms after
-// they start: the next journal write is torn, the server exits with its
-// durability-lost status, and the harness restarts it. Any other exit
-// of the server fails the run, as does a run longer than two minutes.
+// Two server lifetimes also arm a journal fault 25 ms after they start
+// (one killed first passes it on): the next journal write is torn, the
+// server exits with its durability-lost status, and the harness restarts
+// it; the report counts FaultArmed and FaultCrashes. Any other exit of
+// the server fails the run, as does a run longer than two minutes.
 package main
 
 import (
@@ -74,9 +75,10 @@ func run(server string, clients, ops, kills int) error {
 	}
 	enc, err := json.MarshalIndent(struct {
 		*chaos.Report
+		FaultArmed   int  `json:"FaultArmed"`
 		FaultCrashes int  `json:"FaultCrashes"`
 		Passed       bool `json:"Passed"`
-	}{rep, srv.FaultCrashes(), rep.Passed()}, "", "  ")
+	}{rep, srv.FaultArmed(), srv.FaultCrashes(), rep.Passed()}, "", "  ")
 	if err != nil {
 		return err
 	}

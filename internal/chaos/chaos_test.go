@@ -280,3 +280,27 @@ func TestOnlyTheArmedFaultCrashRestarts(t *testing.T) {
 		}
 	}
 }
+
+// TestKilledLifetimeGivesItsFaultBack: a faulted lifetime that Kill ended
+// before its fault crashed it hands the fault to the next launch; one the
+// fault crashed, or one that armed nothing, hands nothing back.
+func TestKilledLifetimeGivesItsFaultBack(t *testing.T) {
+	for _, tc := range []struct {
+		armed, killed bool
+		status        int
+		what          string
+		want          bool
+	}{
+		{true, true, -1, "an armed lifetime killed before its fault fired", true},
+		{true, true, 0, "an armed lifetime that exited cleanly as Kill signalled", true},
+		{true, true, durabilityLost, "an armed lifetime the fault crashed as Kill signalled", false},
+		{true, false, durabilityLost, "the armed fault's own crash", false},
+		{true, false, 2, "a panic in an armed lifetime", false},
+		{false, true, -1, "a killed lifetime that armed nothing", false},
+		{false, false, durabilityLost, "durability lost with no fault armed", false},
+	} {
+		if got := faultUnspent(tc.armed, tc.killed, tc.status); got != tc.want {
+			t.Errorf("%s (armed %v, killed %v, status %d): gives back = %v, want %v", tc.what, tc.armed, tc.killed, tc.status, got, tc.want)
+		}
+	}
+}

@@ -49,6 +49,7 @@ type Server struct {
 	cmd          *exec.Cmd
 	done         chan struct{} // closed once cmd has been reaped
 	faultLives   int           // lifetimes left that arm the journal fault
+	faultArmed   int           // lifetimes that armed it and did not give it back
 	faultCrashes int
 }
 
@@ -58,7 +59,8 @@ type Server struct {
 // the journal fault (gae-server -fault-fsync-after): the next journal
 // write is torn and fails, and the server exits durabilityLost. Such a
 // crash is restarted; any other exit Kill did not cause calls fail, and
-// so ends the run. Close kills the server and removes its directory.
+// so ends the run; one Kill ends first gives its fault back (faultUnspent).
+// Close kills the server and removes its directory.
 func StartServer(ctx context.Context, bin string, faultLives int, fail func(error)) (*Server, error) {
 	scratch, err := os.MkdirTemp("", "gae-server-")
 	if err != nil {
@@ -119,6 +121,7 @@ func (s *Server) launch() error {
 	armed := s.faultLives > 0
 	if armed {
 		s.faultLives--
+		s.faultArmed++
 		args = append(args, "-fault-fsync-after", faultAfter.String())
 	}
 	cmd := exec.Command(s.bin, args...)
@@ -132,17 +135,23 @@ func (s *Server) launch() error {
 }
 
 // watch reaps a lifetime. An exit Kill did not cause restarts the server
-// if it is the armed fault's crash and fails the run otherwise.
+// if it is the armed fault's crash and fails the run otherwise. done
+// closes after the bookkeeping, so a Start after Kill sees a fault given back.
 func (s *Server) watch(cmd *exec.Cmd, done chan struct{}, armed bool) {
 	exit := cmd.Wait()
-	close(done)
+	defer close(done)
+	status := cmd.ProcessState.ExitCode()
 	var failure error
 	s.mu.Lock()
 	// Kill clears s.cmd before it signals; at the end of a run nothing
 	// restarts.
+	if faultUnspent(armed, s.cmd != cmd, status) {
+		s.faultLives++
+		s.faultArmed--
+	}
 	if s.cmd == cmd && s.ctx.Err() == nil {
 		s.cmd = nil
-		if faultCrash(armed, cmd.ProcessState.ExitCode()) {
+		if faultCrash(armed, status) {
 			s.faultCrashes++
 			if err := s.launch(); err != nil {
 				failure = fmt.Errorf("restarting gae-server after its fault crash: %w", err)
@@ -164,6 +173,19 @@ func (s *Server) watch(cmd *exec.Cmd, done chan struct{}, armed bool) {
 // the fault cannot explain.
 func faultCrash(armed bool, status int) bool {
 	return armed && status == durabilityLost
+}
+
+// faultUnspent reports whether a lifetime gives its journal fault back:
+// it armed it and Kill ended it with any status but the fault's crash's.
+func faultUnspent(armed, killed bool, status int) bool {
+	return armed && killed && status != durabilityLost
+}
+
+// FaultArmed counts the lifetimes that armed the journal fault and kept it.
+func (s *Server) FaultArmed() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.faultArmed
 }
 
 // FaultCrashes counts the lifetimes the armed fault crashed.

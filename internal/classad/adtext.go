@@ -11,7 +11,8 @@ import (
 // (so LiteralString and the negotiator's index builders behave exactly as
 // they did for the original ad), while anything else is stored as a
 // parsed expression. It is the snapshot codec's inverse of Ad.String —
-// ParseAd(a.String()).String() == a.String().
+// ParseAd(a.String()).String() == a.String(). Its values are shared
+// blocks (see Ad) and keep nothing of src; its attribute names do.
 func ParseAd(src string) (*Ad, error) {
 	s := strings.TrimSpace(src)
 	if len(s) < 2 || s[0] != '[' || s[len(s)-1] != ']' {
@@ -29,18 +30,12 @@ func ParseAd(src string) (*Ad, error) {
 		if err != nil {
 			return nil, err
 		}
-		e, err := Parse(exprSrc)
+		e, err := parseShared(exprSrc)
 		if err != nil {
 			return nil, fmt.Errorf("classad: attribute %s: %w", name, err)
 		}
 		if e.op == opLit {
-			// The literal's own copy: a string's bytes would otherwise be
-			// the whole ad text's.
-			v := (*node)(e).lit()
-			if v.kind == KindString {
-				v = Str(strings.Clone(v.str()))
-			}
-			ad.put(newEntry(name, v, nil))
+			ad.put(newEntry(name, (*node)(e).lit(), nil))
 		} else {
 			ad.put(newEntry(name, Value{}, e))
 		}

@@ -1,6 +1,9 @@
 package classad
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 func TestParseAdRoundTrip(t *testing.T) {
 	a := New().
@@ -81,6 +84,34 @@ func TestParseAdRejectsMalformed(t *testing.T) {
 	} {
 		if _, err := ParseAd(src); err == nil {
 			t.Errorf("ParseAd(%q) should fail", src)
+		}
+	}
+}
+
+// A restored ad's values point into the shared blocks' own copies of
+// their texts, not into the ad text ParseAd was given: neither a
+// reference name nor a string literal keeps that buffer alive.
+func TestParseAdKeepsNoPointerIntoItsText(t *testing.T) {
+	a := New().Set("Owner", "alice").Set("Cmd", "reco.sh").Set("Slots", 2).
+		MustSetExpr("Requirements", `TARGET.Arch == "X86_64" && TARGET.Memory >= MY.Slots * 1024`).
+		MustSetExpr("Rank", "TARGET.Mips / 1000.0")
+	text := a.String()
+	b, err := ParseAd(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := b.String(); got != text {
+		t.Fatalf("ParseAd(%q).String() = %q", text, got)
+	}
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(text)))
+	hi := lo + uintptr(len(text))
+	texts := b.textOf()
+	if len(texts) < 6 {
+		t.Fatalf("found %d texts (%q), want the two literals and four names at least", len(texts), texts)
+	}
+	for _, s := range texts {
+		if p := uintptr(unsafe.Pointer(unsafe.StringData(s))); p >= lo && p < hi {
+			t.Errorf("%q points into the ad text at offset %d", s, p-lo)
 		}
 	}
 }

@@ -288,6 +288,10 @@ func (v Value) Equal(o Value) bool {
 // (a three-attribute job ad: 48 + 144), a fraction of a hash table's
 // smallest bucket group. Nothing observable depends on the order: Names,
 // String and so the snapshot text sort.
+//
+// An expression attribute points at a block shared by every ad that
+// stored the same source text (a table of at most 4 096 texts, none over
+// 1 KiB; see shared): a block retains only its own copy of that text.
 type Ad struct {
 	attrs []entry
 	// version counts mutations; compiled Matchers use it to detect that
@@ -384,9 +388,10 @@ func (a *Ad) Set(name string, v any) *Ad {
 	return a
 }
 
-// SetExpr parses src as an expression and stores it under name.
+// SetExpr stores src's expression under name, parsed once per text (see
+// Ad).
 func (a *Ad) SetExpr(name, src string) error {
-	e, err := Parse(src)
+	e, err := parseShared(src)
 	if err != nil {
 		return fmt.Errorf("classad: attribute %s: %w", name, err)
 	}

@@ -53,3 +53,38 @@ func Rank(self, target *Ad) float64 {
 	}
 	return 0
 }
+
+// sharedLen is the number of texts the shared-block table holds.
+func sharedLen() int {
+	shared.Lock()
+	defer shared.Unlock()
+	return len(shared.m)
+}
+
+// textOf returns the texts an ad's values point at: every string
+// literal, stored as a literal or inside an expression, and every
+// reference name of its expressions.
+func (a *Ad) textOf() []string {
+	var out []string
+	add := func(v Value) {
+		if v.kind == KindString {
+			out = append(out, v.str())
+		}
+	}
+	for i := range a.attrs {
+		e := &a.attrs[i]
+		if e.expr == nil {
+			add(e.val)
+			continue
+		}
+		for _, n := range e.expr.nodes() {
+			switch n.op {
+			case opAttr:
+				out = append(out, n.name())
+			case opLit:
+				add(n.lit())
+			}
+		}
+	}
+	return out
+}

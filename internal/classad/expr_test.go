@@ -88,7 +88,11 @@ func TestUnicodeIdentifiers(t *testing.T) {
 // to the tree implementation they replaced (tree_oracle_test.go): the
 // same accept or reject with the same error text, the same String, the
 // same value against a fixed pair of ads, and the same rank class and
-// pinned Arch and OpSys literals.
+// pinned Arch and OpSys literals. Each input is also stored through
+// SetExpr, as Rank and Requirements, on two ads: both hold a fresh
+// Parse's answers, one shared block between them when the table keeps the
+// text, and a rejected text gives SetExpr's error around Parse's and
+// leaves the table as it was.
 func FuzzExprAgainstTree(f *testing.F) {
 	for _, src := range simMatchShapes {
 		f.Add(src)
@@ -120,26 +124,53 @@ func FuzzExprAgainstTree(f *testing.F) {
 			t.Fatalf("Parse(%q): error %v, the tree's %v", src, gerr, werr)
 		}
 		if gerr != nil {
+			held := sharedLen()
+			for _, attr := range []string{"Rank", "Requirements"} {
+				err := New().SetExpr(attr, src)
+				if w := "classad: attribute " + attr + ": " + gerr.Error(); err == nil || err.Error() != w {
+					t.Fatalf("SetExpr(%s, %q): error %v, want %s", attr, src, err, w)
+				}
+			}
+			if n := sharedLen(); n != held {
+				t.Fatalf("rejected %q changed the table from %d to %d texts", src, held, n)
+			}
 			return
 		}
-		if g, w := got.String(), want.String(); g != w {
-			t.Fatalf("Parse(%q).String() = %q, the tree's %q", src, g, w)
+		fresh := self.Clone()
+		fresh.put(newEntry("Rank", Value{}, got))
+		fresh.put(newEntry("Requirements", Value{}, got))
+		stored := [2]*Ad{
+			self.Clone().MustSetExpr("Rank", src).MustSetExpr("Requirements", src),
+			self.Clone().MustSetExpr("Rank", src).MustSetExpr("Requirements", src),
+		}
+		block := func(ad *Ad, attr string) *Expr { return ad.attrs[ad.find(attr)].expr }
+		if len(src) <= sharedMaxLen {
+			for _, attr := range []string{"Rank", "Requirements"} {
+				if block(stored[0], attr) != block(stored[1], attr) {
+					t.Fatalf("SetExpr(%s, %q) on two ads stored two blocks", attr, src)
+				}
+			}
 		}
 		sc := scope{self: self, target: target}
-		if g, w := got.Eval(sc), want.Eval(sc); !g.Equal(w) {
-			t.Fatalf("Parse(%q).Eval = %v, the tree's %v", src, g, w)
-		}
-		ad := self.Clone().MustSetExpr("Rank", src).MustSetExpr("Requirements", src)
-		m := NewMatcher(ad)
-		gk, gok := m.RankClass()
-		wk, wok := treeRankClass(want)
-		if gk != wk || gok != wok {
-			t.Fatalf("RankClass of %q = %q, %v, the tree's %q, %v", src, gk, gok, wk, wok)
-		}
-		arch, opsys := m.Pins("Arch", "OpSys")
-		for _, c := range []struct{ attr, pin string }{{"Arch", arch}, {"OpSys", opsys}} {
-			if w, _ := ad.treeTargetStringEq(want, c.attr); c.pin != w {
-				t.Fatalf("%q pins %s to %q, the tree to %q", src, c.attr, c.pin, w)
+		for _, ad := range []*Ad{fresh, stored[0], stored[1]} {
+			e := block(ad, "Requirements")
+			if g, w := e.String(), want.String(); g != w {
+				t.Fatalf("Parse(%q).String() = %q, the tree's %q", src, g, w)
+			}
+			if g, w := e.Eval(sc), want.Eval(sc); !g.Equal(w) {
+				t.Fatalf("Parse(%q).Eval = %v, the tree's %v", src, g, w)
+			}
+			m := NewMatcher(ad)
+			gk, gok := m.RankClass()
+			wk, wok := treeRankClass(want)
+			if gk != wk || gok != wok {
+				t.Fatalf("RankClass of %q = %q, %v, the tree's %q, %v", src, gk, gok, wk, wok)
+			}
+			arch, opsys := m.Pins("Arch", "OpSys")
+			for _, c := range []struct{ attr, pin string }{{"Arch", arch}, {"OpSys", opsys}} {
+				if w, _ := ad.treeTargetStringEq(want, c.attr); c.pin != w {
+					t.Fatalf("%q pins %s to %q, the tree to %q", src, c.attr, c.pin, w)
+				}
 			}
 		}
 	})

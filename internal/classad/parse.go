@@ -3,6 +3,8 @@ package classad
 import (
 	"fmt"
 	"strconv"
+	"strings"
+	"sync"
 	"unsafe"
 )
 
@@ -106,6 +108,45 @@ func Parse(src string) (*Expr, error) {
 	block := make([]node, p.n)
 	p.place(block, p.n-1, 0)
 	return (*Expr)(&block[0]), nil
+}
+
+// shared maps a source text, byte for byte, to its parsed block: the one
+// table SetExpr and ParseAd read. A miss parses a copy of the text, so a
+// block keeps nothing of the caller's buffer. Like xmlrpc's typePlans it
+// memoizes immutable data; its mutex never covers a parse. It holds at
+// most sharedCap texts of at most sharedMaxLen bytes, and a full table is
+// replaced by an empty one.
+const (
+	sharedCap    = 4096
+	sharedMaxLen = 1024
+)
+
+var shared struct {
+	sync.Mutex
+	m map[string]*Expr
+}
+
+// parseShared returns src's shared block, parsing and storing it on a
+// miss. A text that does not parse is never stored.
+func parseShared(src string) (*Expr, error) {
+	shared.Lock()
+	e := shared.m[src]
+	shared.Unlock()
+	if e != nil {
+		return e, nil
+	}
+	src = strings.Clone(src)
+	e, err := Parse(src)
+	if err != nil || len(src) > sharedMaxLen {
+		return e, err
+	}
+	shared.Lock()
+	if shared.m == nil || len(shared.m) >= sharedCap {
+		shared.m = make(map[string]*Expr)
+	}
+	shared.m[src] = e
+	shared.Unlock()
+	return e, nil
 }
 
 // place writes the subtree whose root is the postfix node i to block in
