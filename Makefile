@@ -113,11 +113,15 @@ fuzz-smoke:
 # (LocalCallAllocCeilings). What a wave of jobs costs is gated in
 # allocations: an expression parses into one block no larger than the
 # tree it replaced (ExprAllocations), storing a text the shared-block
-# table already holds allocates nothing (SetExprOfSeenSource), a matcher
-# allocates its Rank's class
-# key and nothing else (MatcherAllocatesClassOnlyForRank), and a Submit of
-# a sim-match job ad stays under its malloc ceiling (SubmitMallocCeiling);
-# and what a pass's refresh of the free machines costs is gated in load
+# table already holds allocates nothing (SetExprOfSeenSource), the table
+# stores no literal (SharedTableSkipsLiterals), a restored ad's literals
+# take no block (ParseAdLiteralAllocations), a matcher allocates its
+# Rank's class key and nothing else (MatcherAllocatesClassOnlyForRank),
+# and a Submit of a sim-match job ad, and of one that constrains nothing
+# and so gets no matcher, stays under its malloc ceiling
+# (SubmitMallocCeiling); a snapshot shows the five optional attributes an
+# ad carries, read by keyed names (JobInfoReadsWhatTheAdCarries); and
+# what a pass's refresh of the free machines costs is gated in load
 # reads: one per machine that entered the free set, none for one that
 # stayed (RefreshFollowsChanges). The layouts the matchmaker reads are
 # pinned in bytes: an ad entry, carrying its name's key, stays at 48, a
@@ -125,7 +129,7 @@ fuzz-smoke:
 # 48 and a Matcher at 64 (AdAndMatcherSizes).
 bench-smoke:
 	GAE_SCENARIO_SCALE=smoke $(GO) test -run xxx -bench Scenario -benchtime 1x .
-	$(GO) test -run 'MillionSmokeCounts|JobSize|CompletionPathLayout|FlowAndSortKeysAllocations|JobBytesCeiling|CompletionMallocCeiling|RunBytesPerJob|RankEvalsFollowChanges|SegmentCalls|WeatherIsEventDriven|FlowFollowsLoadSegments|ExprAllocations|SetExprOfSeenSource|MatcherAllocatesClassOnlyForRank|SubmitMallocCeiling|RefreshFollowsChanges|AdAndMatcherSizes' -count=1 . ./internal/condor ./internal/fairshare ./internal/simgrid ./internal/classad
+	$(GO) test -run 'MillionSmokeCounts|JobSize|CompletionPathLayout|FlowAndSortKeysAllocations|JobBytesCeiling|CompletionMallocCeiling|RunBytesPerJob|RankEvalsFollowChanges|SegmentCalls|WeatherIsEventDriven|FlowFollowsLoadSegments|ExprAllocations|SetExprOfSeenSource|SharedTableSkipsLiterals|ParseAdLiteralAllocations|MatcherAllocatesClassOnlyForRank|SubmitMallocCeiling|JobInfoReadsWhatTheAdCarries|RefreshFollowsChanges|AdAndMatcherSizes' -count=1 . ./internal/condor ./internal/fairshare ./internal/simgrid ./internal/classad
 	$(GO) test -run 'WireAllocCeilings|ServeAllocCeiling' -count=1 ./pkg/gae ./internal/xmlrpc
 	$(GO) test -run 'CheckpointFollowsDelta|LocalCallAllocCeilings' -count=1 ./internal/core
 

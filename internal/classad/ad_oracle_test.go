@@ -309,10 +309,19 @@ func (p *oraclePair) diverges(rng *rand.Rand, target *oraclePair) string {
 		if gs != ws || gok != wok {
 			return fmt.Sprintf("LiteralString(%q) %q %v, want %q %v", name, gs, gok, ws, wok)
 		}
+		if got, want := p.ad.Get(NameOf(name)), p.want.EvalAttr(name, nil); !sameValue(got, want) {
+			return fmt.Sprintf("Get(%q) %v, want %v", name, got, want)
+		}
+	}
+	if got, want := Constrains(p.ad), p.want.Has("requirements") || p.want.Has("rank"); got != want {
+		return fmt.Sprintf("Constrains %v, want %v", got, want)
 	}
 	// The held Matcher answers as a freshly compiled one over an ad with
 	// no history does.
 	self, other := p.want.fresh(), target.want.fresh()
+	if got, want := p.m.Accepts(target.ad), halfMatch(self, other); got != want {
+		return fmt.Sprintf("held Matcher.Accepts %v, want %v", got, want)
+	}
 	if got, want := p.m.Match(target.m), Match(self, other); got != want {
 		return fmt.Sprintf("held Matcher.Match %v, want %v", got, want)
 	}
@@ -325,4 +334,21 @@ func (p *oraclePair) diverges(rng *rand.Rand, target *oraclePair) string {
 		return fmt.Sprintf("held Matcher.RankClass %q %v, want %q %v", gk, gok, wk, wok)
 	}
 	return ""
+}
+
+// Two names whose keys collide are two attributes: a key hit is confirmed
+// by the name, in a lookup by name and by a keyed name alike.
+func TestKeyCollisionIsConfirmedByName(t *testing.T) {
+	a, b := "ovfrcre", "yoiqyss"
+	if foldKey(a) != foldKey(b) {
+		t.Fatalf("foldKey(%q) = %#x and foldKey(%q) = %#x no longer collide", a, foldKey(a), b, foldKey(b))
+	}
+	ad := New().Set(a, 1)
+	if ad.Has(b) || !ad.Get(NameOf(b)).IsUndefined() {
+		t.Errorf("an ad of %s has %s", a, b)
+	}
+	ad.Set(b, 2)
+	if ad.Len() != 2 || !ad.Get(NameOf(a)).Equal(Int(1)) || !ad.Get(NameOf(b)).Equal(Int(2)) {
+		t.Errorf("setting %s over an ad of %s gave %v", b, a, ad)
+	}
 }

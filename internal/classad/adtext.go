@@ -11,8 +11,9 @@ import (
 // (so LiteralString and the negotiator's index builders behave exactly as
 // they did for the original ad), while anything else is stored as a
 // parsed expression. It is the snapshot codec's inverse of Ad.String —
-// ParseAd(a.String()).String() == a.String(). Its values are shared
-// blocks (see Ad) and keep nothing of src; its attribute names do.
+// ParseAd(a.String()).String() == a.String(). A literal is read straight
+// from src (literal), an expression is a shared block (see Ad); its
+// values keep nothing of src, its attribute names do.
 func ParseAd(src string) (*Ad, error) {
 	s := strings.TrimSpace(src)
 	if len(s) < 2 || s[0] != '[' || s[len(s)-1] != ']' {
@@ -30,13 +31,13 @@ func ParseAd(src string) (*Ad, error) {
 		if err != nil {
 			return nil, err
 		}
-		e, err := parseShared(exprSrc)
-		if err != nil {
-			return nil, fmt.Errorf("classad: attribute %s: %w", name, err)
-		}
-		if e.op == opLit {
-			ad.put(newEntry(name, (*node)(e).lit(), nil))
+		if v, ok := literal(exprSrc); ok {
+			ad.put(newEntry(name, v, nil))
 		} else {
+			e, err := parseShared(exprSrc)
+			if err != nil {
+				return nil, fmt.Errorf("classad: attribute %s: %w", name, err)
+			}
 			ad.put(newEntry(name, Value{}, e))
 		}
 		ad.version++
@@ -48,7 +49,7 @@ func ParseAd(src string) (*Ad, error) {
 // string literals (with escapes), parenthesis/brace nesting, and line
 // comments.
 func splitAdSegments(inner string) []string {
-	var segs []string
+	segs := make([]string, 0, strings.Count(inner, ";")+1)
 	depth := 0
 	start := 0
 	for i := 0; i < len(inner); i++ {

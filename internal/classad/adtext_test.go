@@ -115,3 +115,22 @@ func TestParseAdKeepsNoPointerIntoItsText(t *testing.T) {
 		}
 	}
 }
+
+// A restored ad's literals are read straight from its text: a literal
+// takes no block and no trip through the shared table, and only a string
+// allocates, for the copy of its bytes. Six literals cost five
+// allocations: the ad, its entries (sized for four, then grown), the
+// segment list and the copy of "alice". Sending each literal through the
+// table as an uncached text cost 19.
+func TestParseAdLiteralAllocations(t *testing.T) {
+	src := `[Owner = "alice"; CpuSeconds = 30.5; JobPrio = 2; Done = true; InputMB = 12; Note = undefined]`
+	got := testing.AllocsPerRun(100, func() {
+		if _, err := ParseAd(src); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("ParseAd of six literals: %v allocations", got)
+	if got > 5 {
+		t.Errorf("ParseAd of six literals allocates %v times, want <= 5", got)
+	}
+}

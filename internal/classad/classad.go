@@ -351,6 +351,30 @@ func New() *Ad { return &Ad{} }
 // are the same attribute when they are equal after strings.ToLower.
 func (a *Ad) find(name string) int { return a.index(name, foldKey(name)) }
 
+// Name is an attribute name with its foldKey computed once, for a caller
+// that looks the same name up again and again: a lookup by a Name is
+// find's, without hashing the name.
+type Name struct {
+	text string
+	key  uint32
+}
+
+// NameOf returns name keyed.
+func NameOf(name string) Name { return Name{text: name, key: foldKey(name)} }
+
+// at is find for a keyed name.
+func (a *Ad) at(n Name) int { return a.index(n.text, n.key) }
+
+// Get evaluates attribute n in the context of this ad alone: undefined
+// when the ad has no such attribute.
+func (a *Ad) Get(n Name) Value {
+	i := a.at(n)
+	if i < 0 {
+		return Undefined()
+	}
+	return a.attrs[i].eval(scope{self: a})
+}
+
 // index is find for a name whose foldKey is known: a key hit is confirmed
 // by the name, compared as written first.
 func (a *Ad) index(name string, key uint32) int {
@@ -424,18 +448,6 @@ func (a *Ad) Names() []string {
 // Len returns the number of attributes.
 func (a *Ad) Len() int { return len(a.attrs) }
 
-// Lookup evaluates the attribute in the context of this ad alone.
-func (a *Ad) Lookup(name string) Value { return a.EvalAttr(name, nil) }
-
-// EvalAttr evaluates attribute name with target as the TARGET scope.
-func (a *Ad) EvalAttr(name string, target *Ad) Value {
-	i := a.find(name)
-	if i < 0 {
-		return Undefined()
-	}
-	return a.attrs[i].eval(scope{self: a, target: target})
-}
-
 // eval returns the attribute's value: its literal, or its expression
 // evaluated in sc.
 func (e *entry) eval(sc scope) Value {
@@ -480,36 +492,4 @@ func (a *Ad) LiteralString(name string) (string, bool) {
 // Clone returns a deep-enough copy (expressions are immutable and shared).
 func (a *Ad) Clone() *Ad {
 	return &Ad{attrs: slices.Clone(a.attrs), exprs: a.exprs}
-}
-
-// Float fetches a numeric attribute as float64 with a default.
-func (a *Ad) Float(name string, def float64) float64 {
-	if f, ok := a.Lookup(name).RealVal(); ok {
-		return f
-	}
-	return def
-}
-
-// Int fetches an integer attribute with a default.
-func (a *Ad) Int(name string, def int64) int64 {
-	if n, ok := a.Lookup(name).IntVal(); ok {
-		return n
-	}
-	return def
-}
-
-// Str fetches a string attribute with a default.
-func (a *Ad) Str(name, def string) string {
-	if s, ok := a.Lookup(name).StringVal(); ok {
-		return s
-	}
-	return def
-}
-
-// Bool fetches a boolean attribute with a default.
-func (a *Ad) Bool(name string, def bool) bool {
-	if b, ok := a.Lookup(name).BoolVal(); ok {
-		return b
-	}
-	return def
 }

@@ -27,6 +27,49 @@ func (v Value) Go() any {
 	return nil
 }
 
+// Lookup evaluates the attribute in the context of this ad alone: Get by
+// a name hashed at each call.
+func (a *Ad) Lookup(name string) Value { return a.EvalAttr(name, nil) }
+
+// EvalAttr evaluates attribute name with target as the TARGET scope.
+func (a *Ad) EvalAttr(name string, target *Ad) Value {
+	i := a.find(name)
+	if i < 0 {
+		return Undefined()
+	}
+	return a.attrs[i].eval(scope{self: a, target: target})
+}
+
+// Float, Int, Str and Bool fetch an attribute of their kind, def when the
+// ad has none.
+func (a *Ad) Float(name string, def float64) float64 {
+	if f, ok := a.Lookup(name).RealVal(); ok {
+		return f
+	}
+	return def
+}
+
+func (a *Ad) Int(name string, def int64) int64 {
+	if n, ok := a.Lookup(name).IntVal(); ok {
+		return n
+	}
+	return def
+}
+
+func (a *Ad) Str(name, def string) string {
+	if s, ok := a.Lookup(name).StringVal(); ok {
+		return s
+	}
+	return def
+}
+
+func (a *Ad) Bool(name string, def bool) bool {
+	if b, ok := a.Lookup(name).BoolVal(); ok {
+		return b
+	}
+	return def
+}
+
 // Match reports whether left.Requirements is satisfied against right and
 // vice versa, evaluating each attribute afresh: the interpreted match the
 // compiled Matcher is held to. A missing Requirements attribute counts as
@@ -37,7 +80,7 @@ func Match(left, right *Ad) bool {
 
 // halfMatch evaluates self's Requirements with target in scope.
 func halfMatch(self, target *Ad) bool {
-	i := self.find(attrRequirements)
+	i := self.find(attrRequirements.text)
 	if i < 0 {
 		return true
 	}
@@ -48,7 +91,7 @@ func halfMatch(self, target *Ad) bool {
 // Rank evaluates self's Rank expression against target, returning 0.0 when
 // absent or non-numeric, NaN included (Condor semantics).
 func Rank(self, target *Ad) float64 {
-	if f, ok := self.EvalAttr(attrRank, target).RealVal(); ok && f == f {
+	if f, ok := self.EvalAttr(attrRank.text, target).RealVal(); ok && f == f {
 		return f
 	}
 	return 0

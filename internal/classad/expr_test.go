@@ -107,6 +107,7 @@ func FuzzExprAgainstTree(f *testing.F) {
 		"99999999999999999999", "1e", `"open`, `"bad\q"`, "a ? b", "// only a comment", "x // c\n + 1",
 		`TARGET.Arch == "X86" && (TARGET.OpSys == "Linux" && Memory > 1)`, `"x86" == Arch`, `MY.Arch == "x"`,
 		"TARGET.KFlops + TARGET.Memory/4.0", "-(TARGET.Memory % 7) * 2.5e3", "İnt(2.5)", "falſe",
+		"42", " 2.5 // c", "-5", "1e999", `"alice"`, `"a" "b"`, "true )", "UnDefined",
 		// The Kelvin sign lower-cases to an ASCII k, one byte shorter: the
 		// keyed lookup must find KFlops and Key under it.
 		"TARGET.\u212AFlops > 1000", "\u212AEY + \u212Aflops", "MY.\u212Aey == TARGET.kEY",
@@ -119,6 +120,11 @@ func FuzzExprAgainstTree(f *testing.F) {
 		Set("Name", "n1").MustSetExpr("Free", "Memory - MY.Memory / 2")
 	f.Fuzz(func(t *testing.T, src string) {
 		got, gerr := Parse(src)
+		// literal reads exactly the texts Parse makes a one-node block of.
+		lit := gerr == nil && got.op == opLit
+		if v, ok := literal(src); ok != lit || ok && !sameValue(v, (*node)(got).lit()) {
+			t.Fatalf("literal(%q) = %v, %v; Parse gives a literal: %v (error %v)", src, v, ok, lit, gerr)
+		}
 		want, werr := treeParse(src)
 		if (gerr == nil) != (werr == nil) || gerr != nil && gerr.Error() != werr.Error() {
 			t.Fatalf("Parse(%q): error %v, the tree's %v", src, gerr, werr)
@@ -144,11 +150,11 @@ func FuzzExprAgainstTree(f *testing.F) {
 			self.Clone().MustSetExpr("Rank", src).MustSetExpr("Requirements", src),
 		}
 		block := func(ad *Ad, attr string) *Expr { return ad.attrs[ad.find(attr)].expr }
-		if len(src) <= sharedMaxLen {
-			for _, attr := range []string{"Rank", "Requirements"} {
-				if block(stored[0], attr) != block(stored[1], attr) {
-					t.Fatalf("SetExpr(%s, %q) on two ads stored two blocks", attr, src)
-				}
+		// The table keeps every text it may (see shared), and no literal.
+		keep := len(src) <= sharedMaxLen && got.op != opLit
+		for _, attr := range []string{"Rank", "Requirements"} {
+			if one := block(stored[0], attr) == block(stored[1], attr); one != keep {
+				t.Fatalf("SetExpr(%s, %q) on two ads stored one block: %v, want %v", attr, src, one, keep)
 			}
 		}
 		sc := scope{self: self, target: target}

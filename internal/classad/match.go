@@ -9,19 +9,22 @@ import (
 // an ad's Requirements and Rank once, so the negotiator's inner loop
 // searches neither ad for them and allocates nothing per candidate.
 
-// Canonical lower-case names of the matchmaking attributes.
-const (
-	attrRequirements = "requirements"
-	attrRank         = "rank"
+// The matchmaking attributes, keyed once.
+var (
+	attrRequirements = NameOf("requirements")
+	attrRank         = NameOf("rank")
 )
 
 // Matcher is the compiled form of one ad's matchmaking surface, and holds
 // only what a match reads: the Requirements and Rank, the ad version they
 // were compiled at and the Rank's class. A Matcher tracks its ad's
 // mutation counter and recompiles lazily after any Set/SetExpr, so holding
-// one across ad updates is safe. Every queued job holds one, so its size
-// is a per-job cost: 64 bytes, plus the class key's bytes for a job with
-// a Rank expression. Matchers are not safe for concurrent use.
+// one across ad updates is safe. Every queued job whose ad has a
+// Requirements or a Rank holds one, so its size is a per-job cost: 64
+// bytes, plus the class key's bytes for a job with a Rank expression. A
+// job with neither (Constrains) needs none: it takes any machine whose
+// Requirements take it (Accepts), at rank 0. Matchers are not safe for
+// concurrent use.
 type Matcher struct {
 	ad      *Ad
 	version uint64
@@ -39,8 +42,6 @@ type Matcher struct {
 	// reqFalse: the Requirements is a literal other than true, which takes
 	// no target.
 	reqFalse bool
-	// constrains: the ad has a Requirements or a Rank, literal or not.
-	constrains bool
 }
 
 // NewMatcher compiles ad's Requirements/Rank for repeated matching.
@@ -53,8 +54,7 @@ func NewMatcher(ad *Ad) *Matcher {
 func (m *Matcher) compile() {
 	a := m.ad
 	*m = Matcher{ad: a, version: a.version}
-	if i := a.find(attrRequirements); i >= 0 {
-		m.constrains = true
+	if i := a.at(attrRequirements); i >= 0 {
 		if e := &a.attrs[i]; e.expr != nil {
 			m.req = e.expr
 		} else {
@@ -62,8 +62,7 @@ func (m *Matcher) compile() {
 			m.reqFalse = !ok || !b
 		}
 	}
-	if i := a.find(attrRank); i >= 0 {
-		m.constrains = true
+	if i := a.at(attrRank); i >= 0 {
 		if e := &a.attrs[i]; e.expr != nil {
 			m.rank = e.expr
 			m.classify()
@@ -134,12 +133,6 @@ func (m *Matcher) sync() {
 	}
 }
 
-// Constrains reports whether the ad has a Requirements or a Rank.
-func (m *Matcher) Constrains() bool {
-	m.sync()
-	return m.constrains
-}
-
 // RankClass reports whether this ad's Rank depends on the match target
 // alone — built from literals, parentheses and unary/binary operators over
 // explicitly TARGET.-scoped attributes — and returns the expression's
@@ -188,6 +181,18 @@ func (m *Matcher) halfOK(target *Ad) bool {
 	}
 	b, ok := m.req.Eval(scope{self: m.ad, target: target}).BoolVal()
 	return ok && b
+}
+
+// Constrains reports whether ad has a Requirements or a Rank. An ad with
+// neither needs no Matcher: it takes, at rank 0, any target whose
+// Requirements take it (Accepts).
+func Constrains(ad *Ad) bool { return ad.at(attrRequirements) >= 0 || ad.at(attrRank) >= 0 }
+
+// Accepts reports whether m's Requirements hold with target as TARGET:
+// Match's half for a target ad that has no Requirements of its own.
+func (m *Matcher) Accepts(target *Ad) bool {
+	m.sync()
+	return m.halfOK(target)
 }
 
 // Match reports symmetric gang-matching between the two compiled ads: each

@@ -115,7 +115,11 @@ func Parse(src string) (*Expr, error) {
 // block keeps nothing of the caller's buffer. Like xmlrpc's typePlans it
 // memoizes immutable data; its mutex never covers a parse. It holds at
 // most sharedCap texts of at most sharedMaxLen bytes, and a full table is
-// replaced by an empty one.
+// replaced by an empty one. A literal is never stored: the texts a
+// cluster of jobs repeats are its Requirements and Rank, while the
+// literals ads carry are mostly each job's own values, which would fill
+// the table and push the shared expressions out (ParseAd reads those with
+// no block at all: see literal).
 const (
 	sharedCap    = 4096
 	sharedMaxLen = 1024
@@ -126,8 +130,35 @@ var shared struct {
 	m map[string]*Expr
 }
 
+// literal returns the value of a text that is one literal and nothing
+// else — the texts Parse makes a one-node block of — without the block
+// or the table: a number or keyword from src itself, a string as a copy
+// of its bytes, so the value keeps nothing of src. ok is false for any
+// other text, one Parse rejects among them.
+func literal(src string) (v Value, ok bool) {
+	l := lexer{src: src}
+	var t, end token
+	if l.scan(&t) != nil || l.scan(&end) != nil || end.kind != tokEOF {
+		return Value{}, false
+	}
+	switch t.kind {
+	case tokInt:
+		n, err := strconv.ParseInt(t.text, 10, 64)
+		return Int(n), err == nil
+	case tokReal:
+		f, err := strconv.ParseFloat(t.text, 64)
+		return Real(f), err == nil
+	case tokString:
+		return Str(strings.Clone(t.text)), true
+	case tokIdent:
+		return keyword(t.text)
+	}
+	return Value{}, false
+}
+
 // parseShared returns src's shared block, parsing and storing it on a
-// miss. A text that does not parse is never stored.
+// miss. A text that does not parse, or parses to a literal, is never
+// stored.
 func parseShared(src string) (*Expr, error) {
 	shared.Lock()
 	e := shared.m[src]
@@ -137,7 +168,7 @@ func parseShared(src string) (*Expr, error) {
 	}
 	src = strings.Clone(src)
 	e, err := Parse(src)
-	if err != nil || len(src) > sharedMaxLen {
+	if err != nil || len(src) > sharedMaxLen || e.op == opLit {
 		return e, err
 	}
 	shared.Lock()
@@ -421,15 +452,8 @@ func (p *parser) parseIdent() (int, error) {
 	t := p.tok
 	first := p.n
 	p.advance()
-	switch {
-	case foldCompare(t.text, "true") == 0:
-		return p.emit(litNode(Bool(true)), first), nil
-	case foldCompare(t.text, "false") == 0:
-		return p.emit(litNode(Bool(false)), first), nil
-	case foldCompare(t.text, "undefined") == 0:
-		return p.emit(litNode(Undefined()), first), nil
-	case foldCompare(t.text, "error") == 0:
-		return p.emit(litNode(errorLiteral), first), nil
+	if v, ok := keyword(t.text); ok {
+		return p.emit(litNode(v), first), nil
 	}
 	// Scope-qualified reference: MY.attr / TARGET.attr.
 	scope := scopeNone
@@ -458,6 +482,22 @@ func (p *parser) parseIdent() (int, error) {
 		return p.emit(node{op: opCall, aux: uint8(fn)}, first), nil
 	}
 	return p.emit(refNode(t.text, scopeNone), first), nil
+}
+
+// keyword returns the value of a keyword literal: true, false, undefined
+// or error, in any case.
+func keyword(text string) (Value, bool) {
+	switch {
+	case foldCompare(text, "true") == 0:
+		return Bool(true), true
+	case foldCompare(text, "false") == 0:
+		return Bool(false), true
+	case foldCompare(text, "undefined") == 0:
+		return Undefined(), true
+	case foldCompare(text, "error") == 0:
+		return errorLiteral, true
+	}
+	return Value{}, false
 }
 
 func refNode(name string, scope uint8) node {

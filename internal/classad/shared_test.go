@@ -75,3 +75,33 @@ func TestSharedTableConcurrentSetExpr(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// The table is for the texts a cluster of jobs repeats: restoring 5 000
+// ads that each carry values of their own stores none of those literals,
+// and a Requirements block seen before they came stays the one a later
+// ad gets.
+func TestSharedTableSkipsLiterals(t *testing.T) {
+	const req = `TARGET.Arch == "x86" && TARGET.Memory >= 1024`
+	first, err := ParseAd("[Requirements = " + req + "]")
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := sharedLen()
+	for i := range 5000 {
+		src := fmt.Sprintf(`[Owner = "user%d"; CpuSeconds = %d.5; JobPrio = %d; Done = %v]`, i, i, 100000+i, i%2 == 0)
+		if _, err := ParseAd(src); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := sharedLen(); n != held {
+		t.Errorf("5 000 ads of literals changed the table from %d to %d texts", held, n)
+	}
+	again, err := ParseAd("[Requirements = " + req + "]")
+	if err != nil {
+		t.Fatal(err)
+	}
+	block := func(ad *Ad) *Expr { return ad.attrs[ad.find("Requirements")].expr }
+	if block(first) == nil || block(again) != block(first) {
+		t.Errorf("the Requirements block seen before the literals is not shared after them")
+	}
+}

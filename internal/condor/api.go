@@ -37,7 +37,7 @@ func (p *Pool) submit(ad *classad.Ad, cpuDone float64) (int, error) {
 	if ad == nil {
 		return 0, fmt.Errorf("condor: nil job ad")
 	}
-	need := ad.Float(AttrCpuSeconds, 0)
+	need := num(ad.Get(nameNeed), 0)
 	if need <= 0 {
 		return 0, fmt.Errorf("condor: job ad missing positive %s", AttrCpuSeconds)
 	}
@@ -46,7 +46,7 @@ func (p *Pool) submit(ad *classad.Ad, cpuDone float64) (int, error) {
 	}
 	id := len(p.jobs) + 1
 	j := p.newJob(id, ad.Clone(), need, p.grid.Engine.Now())
-	if cpuDone > 0 && j.ad.Bool(AttrCheckpoint, false) {
+	if cpuDone > 0 && checkpointable(j.ad) {
 		// A migration carries the checkpointed CPU at Mips 1 as its wall-clock.
 		j.cpuBase = cpuDone
 		j.wallBase = time.Duration(cpuDone * float64(time.Second))

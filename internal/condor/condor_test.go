@@ -36,6 +36,9 @@ func jobAd(owner string, cpu float64, prio int) *classad.Ad {
 		Set(AttrPriority, prio)
 }
 
+// byName looks attribute name up in ad by a name keyed at the call.
+func byName(ad *classad.Ad, name string) classad.Value { return ad.Get(classad.NameOf(name)) }
+
 func mustSubmit(t *testing.T, p *Pool, ad *classad.Ad) int {
 	t.Helper()
 	id, err := p.Submit(ad)

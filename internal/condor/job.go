@@ -85,6 +85,46 @@ const (
 	AttrFailAfter    = "FailAfterCpuSeconds" // real: fault injection point
 )
 
+// The attributes the pool reads of a job's ad, keyed once (classad.Name):
+// newJob's, a snapshot's, the completion path's and a migration's.
+var (
+	nameNeed       = classad.NameOf(AttrCpuSeconds)
+	namePriority   = classad.NameOf(AttrPriority)
+	nameOwner      = classad.NameOf(AttrOwner)
+	nameOutputFile = classad.NameOf(AttrOutputFile)
+	nameFailAfter  = classad.NameOf(AttrFailAfter)
+	nameCmd        = classad.NameOf(AttrCmd)
+	nameEnv        = classad.NameOf(AttrEnv)
+	nameEstimate   = classad.NameOf(AttrEstimate)
+	nameInputMB    = classad.NameOf(AttrInputMB)
+	nameOutputMB   = classad.NameOf(AttrOutputMB)
+	nameCheckpoint = classad.NameOf(AttrCheckpoint)
+)
+
+// num and text read an attribute's value as a number or a string: def, or
+// "", for a value of another kind, an absent attribute's (undefined)
+// among them.
+func num(v classad.Value, def float64) float64 {
+	if f, ok := v.RealVal(); ok {
+		return f
+	}
+	return def
+}
+
+func text(v classad.Value) string {
+	if s, ok := v.StringVal(); ok {
+		return s
+	}
+	return ""
+}
+
+// checkpointable reports whether the ad declares the job resumable from
+// a checkpoint.
+func checkpointable(ad *classad.Ad) bool {
+	b, ok := ad.Get(nameCheckpoint).BoolVal()
+	return ok && b
+}
+
 // Event records a job state transition; the Job Monitoring Service's
 // collector subscribes to these and forwards them to MonALISA.
 type Event struct {
@@ -107,9 +147,12 @@ type Event struct {
 // static machine constraints are keys into a pool-local table, whether the
 // ad names an output file is a bool (the completion path reads the ad only
 // then), and the flags share a word with the queue generation: the
-// status, the claim, the output file, and whether the ad constrains its
-// match at all. The pool's clone of the ad is written only at JobPrio
-// (SetPriority), so what newJob read of Requirements and Rank stays true.
+// status, the claim and the output file. A job whose ad has neither
+// Requirements nor Rank holds no Matcher: it takes, at rank 0, any machine
+// whose own Requirements take it (see pairMatch and machine.anyJob). The
+// pool's clone of the ad is written only at JobPrio (SetPriority), so
+// what newJob read of it stays true, whether the job needs a Matcher
+// among it.
 // queue is the owner queue the job files under, which holds the owner's
 // fair-share tenant: a start and a flow read the tenant through it, not by
 // the owner's name.
@@ -120,8 +163,8 @@ type job struct {
 	owner    string  // cached AttrOwner, read on every accounting pass
 	need     float64 // AttrCpuSeconds: total work
 
-	// matcher is the job ad compiled for repeated matchmaking, nil once the
-	// job is terminal.
+	// matcher is the job ad compiled for repeated matchmaking: nil for an
+	// ad with neither Requirements nor Rank, and once the job is terminal.
 	matcher *classad.Matcher
 
 	submitted, started, completed instant // started and completed notYet until then
@@ -155,10 +198,6 @@ type job struct {
 	status    Status
 	claimed   bool // host is held for the task
 	hasOutput bool // the ad names an AttrOutputFile
-	// anyMachine: the ad has neither Requirements nor Rank, so it takes, at
-	// rank 0, any machine whose own Requirements take it (see
-	// machine.anyJob).
-	anyMachine bool
 	// reqArch and reqOpSys are the static machine constraints extracted
 	// from the Requirements, which key the negotiator's free-machine index
 	// (see Pool.constraint); noConstraint when unconstrained.
@@ -236,31 +275,32 @@ func (j *job) stopAt() float64 {
 // newJob builds the pool's record of a job from its ad — the one place
 // that reads the ad's scheduling attributes, shared by Submit and
 // Restore so a recovered job carries exactly what a submitted one does.
-// need is the ad's AttrCpuSeconds, which the caller has read. Each
-// attribute is looked up once: Requirements and Rank by the matcher, which
-// also reads both pins off the Requirements in one walk. The job starts
-// idle at the ad's priority; Restore overlays the captured lifecycle
-// state.
+// need is the ad's AttrCpuSeconds, which the caller has read. Only an ad
+// with a Requirements or a Rank is compiled to a Matcher, which also reads
+// both pins off the Requirements in one walk. The job starts idle at the
+// ad's priority; Restore overlays the captured lifecycle state.
 func (p *Pool) newJob(id int, ad *classad.Ad, need float64, submitted time.Time) *job {
-	m := classad.NewMatcher(ad)
-	arch, opsys := m.Pins("Arch", "OpSys")
-	return &job{
-		id:         id,
-		ad:         ad,
-		status:     StatusIdle,
-		priority:   int(ad.Int(AttrPriority, 0)),
-		owner:      ad.Str(AttrOwner, ""),
-		need:       need,
-		hasOutput:  ad.Str(AttrOutputFile, "") != "",
-		anyMachine: !m.Constrains(),
-		failAfter:  ad.Float(AttrFailAfter, 0),
-		matcher:    m,
-		submitted:  p.instantOf(submitted),
-		started:    notYet,
-		completed:  notYet,
-		reqArch:    p.constraint(arch),
-		reqOpSys:   p.constraint(opsys),
+	j := &job{
+		id:        id,
+		ad:        ad,
+		status:    StatusIdle,
+		owner:     text(ad.Get(nameOwner)),
+		need:      need,
+		hasOutput: text(ad.Get(nameOutputFile)) != "",
+		failAfter: num(ad.Get(nameFailAfter), 0),
+		submitted: p.instantOf(submitted),
+		started:   notYet,
+		completed: notYet,
 	}
+	if n, ok := ad.Get(namePriority).IntVal(); ok {
+		j.priority = int(n)
+	}
+	if classad.Constrains(ad) {
+		j.matcher = classad.NewMatcher(ad)
+		arch, opsys := j.matcher.Pins("Arch", "OpSys")
+		j.reqArch, j.reqOpSys = p.constraint(arch), p.constraint(opsys)
+	}
+	return j
 }
 
 // seal makes j the terminal record, the one Restore builds for a job

@@ -149,7 +149,7 @@ func (p *Pool) produceOutput(j *job) {
 	if !j.hasOutput {
 		return
 	}
-	_ = p.site.Storage().Put(j.ad.Str(AttrOutputFile, ""), j.ad.Float(AttrOutputMB, 1))
+	_ = p.site.Storage().Put(text(j.ad.Get(nameOutputFile)), num(j.ad.Get(nameOutputMB), 1))
 }
 
 // negotiate matches idle jobs to free machines in negotiation

@@ -73,7 +73,7 @@ func parityWorkload(seed int64) []paritySubmission {
 			// Checkpoint-complete migrant: all work already done elsewhere,
 			// completes the instant it wins an offer.
 			ad.Set(AttrCheckpoint, true)
-			need := ad.Float(AttrCpuSeconds, 0)
+			need := num(byName(ad, AttrCpuSeconds), 0)
 			sub.ckptCPU = need + 1
 		}
 		subs = append(subs, sub)

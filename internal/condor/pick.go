@@ -95,10 +95,7 @@ func (p *Pool) pickFromBucket(j *job, cv **classViews, key constraintKey, best *
 		return best, bestRank
 	}
 	if len(b) > sortedPickThreshold {
-		class, ok := "", true // a job without Rank is of the degenerate class
-		if !j.anyMachine {
-			class, ok = j.matcher.RankClass()
-		}
+		class, ok := j.rankClass()
 		if ok {
 			if *cv == nil {
 				*cv = p.classViews(class)
@@ -262,12 +259,22 @@ func (p *Pool) bestCandidate(j *job, cands []*machine, best *machine, bestRank f
 	return best, bestRank
 }
 
+// rankClass is j's Rank class (classad.Matcher.RankClass): a job without
+// a Matcher has no Rank, and is of the degenerate class.
+func (j *job) rankClass() (key string, ok bool) {
+	if j.matcher == nil {
+		return "", true
+	}
+	return j.matcher.RankClass()
+}
+
 // pairMatch reports whether j and m match and, if they do, j's Rank of m.
-// A job with neither Requirements nor Rank ranks every machine 0, and
-// matches one without Requirements without evaluating either ad.
+// A job without a Matcher has neither Requirements nor Rank: it ranks
+// every machine 0, matches one without Requirements without evaluating
+// either ad, and any other by that machine's Requirements alone.
 func pairMatch(j *job, m *machine) (rank float64, ok bool) {
-	if j.anyMachine {
-		return 0, m.anyJob || j.matcher.Match(m.matcher)
+	if j.matcher == nil {
+		return 0, m.anyJob || m.matcher.Accepts(j.ad)
 	}
 	if !j.matcher.Match(m.matcher) {
 		return 0, false

@@ -199,7 +199,7 @@ func runPickProperty(t *testing.T, seed int64, sum *pickPropertyTally) {
 			case 2:
 				m.ad.Set("Memory", propMemory[rng.Intn(len(propMemory))])
 			case 3:
-				m.ad.Set("Memory", m.ad.Int("Memory", 0)) // same ad, new match ad
+				m.ad.Set("Memory", byName(m.ad, "Memory")) // same ad, new match ad
 			case 4:
 				m.ad.MustSetExpr("KFlops", propExprKFlops)
 			default:
@@ -296,14 +296,18 @@ func viewsSyncedIn(p *Pool, gen uint64) int {
 // descending, name ascending) order, the names read through the entries'
 // ordinals; and each carries the rank every job of the class gives its
 // machine now — 0 in the degenerate class, whatever constants its jobs
-// rank by. It reports whether the class's jobs spell their Rank in more
-// than one way.
+// rank by. A job without a Matcher must have neither Requirements nor
+// Rank, and is of the degenerate class. It reports whether the class's
+// jobs spell their Rank in more than one way.
 func checkView(t *testing.T, p *Pool, k viewKey, v *pickView, jobs []*job, rankSrc map[*job]string, at string) (respelled bool) {
 	t.Helper()
 	var rankers []*job
 	spellings := map[string]bool{}
 	for _, j := range jobs {
-		if class, ok := j.matcher.RankClass(); ok && class == k.class {
+		if j.matcher == nil && (j.ad.Has(AttrRequirements) || j.ad.Has(AttrRank)) {
+			t.Fatalf("%s: job %s constrains its match but has no Matcher", at, j.ad)
+		}
+		if class, ok := j.rankClass(); ok && class == k.class {
 			rankers = append(rankers, j)
 			spellings[rankSrc[j]] = true
 		}
@@ -489,5 +493,43 @@ func TestLiveJobsWalksLiveJobsOnly(t *testing.T) {
 	walked := len(p.active)
 	if len(all) != rounds || walked > 128+2*keep {
 		t.Fatalf("pool holds %d jobs and LiveJobs walks %d entries; want %d held and a walk bounded by the live count", len(all), walked, rounds)
+	}
+}
+
+// A job whose ad has neither Requirements nor Rank holds no Matcher, and a
+// machine's Requirements alone decide whether it takes the job: one that
+// rejects it leaves the job idle, one that accepts it runs it, and among
+// twenty machines (an ordered view's bucket) only the one that accepts it
+// gets it.
+func TestUnconstrainedJobMeetsMachineRequirements(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		machines int
+		want     string // the node the job runs on, "" for none
+	}{
+		{"rejecting", 1, ""},
+		{"accepting", 1, "n00"},
+		{"one of twenty accepting", 20, "n13"},
+	} {
+		g := simgrid.NewGrid(time.Second, 1)
+		site := g.AddSite("siteA")
+		p := NewPool("poolA", g, site)
+		for i := range c.machines {
+			name := fmt.Sprintf("n%02d", i)
+			req := `TARGET.Owner == "bob"`
+			if name == c.want {
+				req = `TARGET.Owner == "alice" && TARGET.CpuSeconds < 100`
+			}
+			p.AddMachine(site.AddNode(g.Engine, name, 1, simgrid.IdleLoad()), classad.New().MustSetExpr(AttrRequirements, req))
+		}
+		id := mustSubmit(t, p, jobAd("alice", 30, 0))
+		if p.job(id).matcher != nil {
+			t.Fatalf("%s: a job with neither Requirements nor Rank holds a Matcher", c.name)
+		}
+		g.Engine.RunFor(2 * time.Second)
+		got := mustJob(t, p, id)
+		if got.Node != c.want || (got.Status == StatusRunning) != (c.want != "") {
+			t.Errorf("%s: job is %v on %q, want it running on %q", c.name, got.Status, got.Node, c.want)
+		}
 	}
 }

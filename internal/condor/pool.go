@@ -258,7 +258,7 @@ type machine struct {
 	loadAvg    float64
 	loadAvgSet bool
 	// anyJob: the match ad has no Requirements, so it takes any job (see
-	// job.anyMachine). Between snapshots only LoadAvg is written.
+	// pairMatch). Between snapshots only LoadAvg is written.
 	anyJob  bool
 	opsKey  constraintKey // lowered OpSys value, or dynamicBucket
 	ord     uint32        // node name's place among the pool's (numberMachines)

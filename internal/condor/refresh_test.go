@@ -122,7 +122,7 @@ func walkFree(t *testing.T, p *Pool, now time.Time) freeStats {
 				t.Fatalf("%s: unoccupied and excluded", m.node.Name)
 			}
 			v, until := m.node.LoadSegment(now)
-			if got := m.matchAd.Float("LoadAvg", -1); !m.loadAvgSet || m.loadAvg != v || got != v {
+			if got := num(byName(m.matchAd, "LoadAvg"), -1); !m.loadAvgSet || m.loadAvg != v || got != v {
 				t.Fatalf("%s: LoadAvg %v (cached %v), want %v", m.node.Name, got, m.loadAvg, v)
 			}
 			want.observe(until)
@@ -208,17 +208,29 @@ func TestIncrementalRefreshMatchesFullWalk(t *testing.T) {
 }
 
 // Submitting a job costs what the record of it is made of — the pool's
-// clone of the ad, the job, its matcher and its Rank's class key — and
-// not a parse or a lookup's garbage: measured on a sim-match job ad,
-// whose Requirements pin Arch and whose Rank reads the target.
+// clone of the ad, the job, and, for an ad with a Requirements or a Rank,
+// its matcher and its Rank's class key — and not a parse or a lookup's
+// garbage: measured on a sim-match job ad, whose Requirements pin Arch and
+// whose Rank reads the target, and on an ad that constrains nothing, as
+// sim-backlog's do.
 func TestSubmitMallocCeiling(t *testing.T) {
-	_, p := testPool(t, 1)
-	ad := jobAd("alice", 30, 1).
-		MustSetExpr(AttrRequirements, `TARGET.Arch == "x86" && TARGET.Memory >= 2048`).
-		MustSetExpr(AttrRank, "TARGET.KFlops + TARGET.Memory/4")
-	got := testing.AllocsPerRun(1000, func() { mustSubmit(t, p, ad) })
-	t.Logf("Submit: %v allocations", got)
-	if got > 5.1 {
-		t.Errorf("Submit allocates %v times, want <= 5.1 (the ad's header and entries, the job, its matcher and class key, and a share of the tables' growth)", got)
+	for _, c := range []struct {
+		name    string
+		ad      *classad.Ad
+		ceiling float64
+		what    string
+	}{
+		{"constrained", jobAd("alice", 30, 1).
+			MustSetExpr(AttrRequirements, `TARGET.Arch == "x86" && TARGET.Memory >= 2048`).
+			MustSetExpr(AttrRank, "TARGET.KFlops + TARGET.Memory/4"),
+			5.1, "the ad's header and entries, the job, its matcher and class key"},
+		{"unconstrained", jobAd("alice", 30, 1), 3.1, "the ad's header and entries, the job"},
+	} {
+		_, p := testPool(t, 1)
+		got := testing.AllocsPerRun(1000, func() { mustSubmit(t, p, c.ad) })
+		t.Logf("Submit (%s ad): %v allocations", c.name, got)
+		if got > c.ceiling {
+			t.Errorf("Submit (%s ad) allocates %v times, want <= %v (%s, and a share of the tables' growth)", c.name, got, c.ceiling, c.what)
+		}
 	}
 }

@@ -77,7 +77,7 @@ func (p *Pool) Restore(st durable.PoolState) error {
 		if err != nil {
 			return fmt.Errorf("condor: restoring job %d: %w", js.ID, err)
 		}
-		j := p.newJob(js.ID, ad, ad.Float(AttrCpuSeconds, 0), js.SubmitTime)
+		j := p.newJob(js.ID, ad, num(ad.Get(nameNeed), 0), js.SubmitTime)
 		j.status = Status(js.Status)
 		j.priority = js.Priority
 		j.owner = js.Owner
@@ -125,7 +125,7 @@ func (p *Pool) Restore(st durable.PoolState) error {
 // an idle one: its lease died with the crash. Non-checkpointable work is
 // lost, exactly as it would be on a migration.
 func (p *Pool) requeueRestored(j *job) {
-	if !j.ad.Bool(AttrCheckpoint, false) {
+	if !checkpointable(j.ad) {
 		j.cpuBase, j.wallBase = 0, 0
 	}
 	j.status = StatusIdle

@@ -248,12 +248,13 @@ func TestRestoredJobsCarrySubmitFields(t *testing.T) {
 		t.Fatal(err)
 	}
 	states := map[Status]int{}
-	for _, id := range ids {
+	for i, id := range ids {
 		got, want := submitFieldsOf(p2, p2.job(id)), submitFieldsOf(twin, twin.job(id))
 		if got != want {
 			t.Errorf("job %d restored with %+v,\n a submitted twin has %+v", id, got, want)
 		}
-		if want.need <= 0 || !want.hasOutput || !want.compiled {
+		constrains := ads[i].Has(AttrRequirements) || ads[i].Has(AttrRank)
+		if want.need <= 0 || !want.hasOutput || want.compiled != constrains {
 			t.Fatalf("job %d: vacuous twin %+v", id, want)
 		}
 		states[p2.job(id).status]++
@@ -275,9 +276,9 @@ func TestRestoredJobsCarrySubmitFields(t *testing.T) {
 		if got := mustJob(t, p2, id); got.Status != StatusCompleted {
 			t.Fatalf("job %d did not finish after restore: %+v", id, got)
 		}
-		name := ads[i].Str(AttrOutputFile, "")
+		name := text(byName(ads[i], AttrOutputFile))
 		f, ok := p2.site.Storage().Get(name)
-		if want := ads[i].Float(AttrOutputMB, 1); !ok || f.SizeMB != want {
+		if want := num(byName(ads[i], AttrOutputMB), 1); !ok || f.SizeMB != want {
 			t.Errorf("output %s after restore = %+v (present %v), want %v MB", name, f, ok, want)
 		}
 	}
@@ -400,6 +401,57 @@ func testRestoredPoolReopensUsageFlows(t *testing.T, load simgrid.Load, boundari
 		}
 		if want, got := fs.SiteUsage(tenant, "siteA"), fs2.SiteUsage(tenant, "siteA"); math.Abs(got-want) > 1e-9*want {
 			t.Errorf("%s at siteA: usage %v after recovery, %v without the crash", tenant, got, want)
+		}
+	}
+}
+
+// A snapshot shows the optional attributes a job's ad carries, found
+// whatever their spelling, read from an expression, and zero for a value
+// of another kind: for ads carrying each of the five, all five at once,
+// and none — submitted, and restored from a snapshot.
+func TestJobInfoReadsWhatTheAdCarries(t *testing.T) {
+	base := func() *classad.Ad { return classad.New().Set(AttrOwner, "alice").Set(AttrCpuSeconds, 50) }
+	type shown struct {
+		cmd, env                    string
+		estimate, inputMB, outputMB float64
+	}
+	cases := []struct {
+		ad   *classad.Ad
+		want shown
+	}{
+		{base(), shown{}},
+		{base().Set(AttrCmd, "reco.sh"), shown{cmd: "reco.sh"}},
+		{base().Set("cmd", "skim.sh"), shown{cmd: "skim.sh"}},
+		{base().Set(AttrCmd, 42), shown{}},
+		{base().Set(AttrEnv, "A=1"), shown{env: "A=1"}},
+		{base().Set("ENV", "B=2;C=3"), shown{env: "B=2;C=3"}},
+		{base().Set(AttrEstimate, 120.5), shown{estimate: 120.5}},
+		{base().Set("estimatedruntime", 30), shown{estimate: 30}},
+		{base().Set(AttrInputMB, 7), shown{inputMB: 7}},
+		{base().MustSetExpr("inputMB", "CpuSeconds / 10"), shown{inputMB: 5}},
+		{base().Set(AttrOutputMB, 3.5), shown{outputMB: 3.5}},
+		{base().Set("OUTPUTMB", "many"), shown{}},
+		{base().Set(AttrCmd, "all.sh").Set(AttrEnv, "X=1").Set(AttrEstimate, 60).
+			Set(AttrInputMB, 1.5).Set(AttrOutputMB, 2).Set(AttrOutputFile, "all.root"),
+			shown{"all.sh", "X=1", 60, 1.5, 2}},
+	}
+	_, p := testPool(t, 1)
+	for _, c := range cases {
+		mustSubmit(t, p, c.ad)
+	}
+	restored := restoredPool(t, 1, 0)
+	if err := restored.Restore(p.Export(testTTL)); err != nil {
+		t.Fatal(err)
+	}
+	for _, pool := range []*Pool{p, restored} {
+		infos, err := pool.Jobs()
+		if err != nil || len(infos) != len(cases) {
+			t.Fatalf("Jobs() = %d jobs, %v, want %d", len(infos), err, len(cases))
+		}
+		for i, got := range infos {
+			if have := (shown{got.Cmd, got.Env, got.EstimatedRuntime, got.InputMB, got.OutputMB}); have != cases[i].want {
+				t.Errorf("job of %s shows %+v, want %+v", cases[i].ad, have, cases[i].want)
+			}
 		}
 	}
 }

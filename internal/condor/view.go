@@ -40,15 +40,15 @@ func (p *Pool) snapshot(j *job, pos int) JobInfo {
 		Pool:             p.Name,
 		Status:           j.status,
 		Owner:            j.owner,
-		Cmd:              j.ad.Str(AttrCmd, ""),
+		Cmd:              text(j.ad.Get(nameCmd)),
 		Priority:         j.priority,
-		Env:              j.ad.Str(AttrEnv, ""),
+		Env:              text(j.ad.Get(nameEnv)),
 		SubmitTime:       p.timeOf(j.submitted),
 		StartTime:        p.timeOf(j.started),
 		CompletionTime:   p.timeOf(j.completed),
-		EstimatedRuntime: j.ad.Float(AttrEstimate, 0),
-		InputMB:          j.ad.Float(AttrInputMB, 0),
-		OutputMB:         j.ad.Float(AttrOutputMB, 0),
+		EstimatedRuntime: num(j.ad.Get(nameEstimate), 0),
+		InputMB:          num(j.ad.Get(nameInputMB), 0),
+		OutputMB:         num(j.ad.Get(nameOutputMB), 0),
 		CPUSeconds:       p.cpuSeconds(j),
 		WallClock:        p.wallClock(j),
 	}
