@@ -141,12 +141,14 @@ load-smoke:
 
 # Exactly-once chaos smoke: concurrent mutating load through a
 # fault-injecting transport (drops, ack losses, duplicate deliveries)
-# against a real gae-server that is SIGKILLed and restarted mid-load.
+# against a real gae-server, running testdata/deployments/harness.json,
+# that is SIGKILLed and restarted mid-load.
 # Exits non-zero if any acked op is lost or applied twice.
 chaos-smoke:
 	$(GO) run ./cmd/gae-chaos -clients 3 -ops 12 -kills 2
 
-# Observability smoke: boots a gae-server, drives a loadgen burst, and
+# Observability smoke: boots a gae-server on the same harness deployment,
+# drives a loadgen burst, and
 # fails unless every required /metrics family is live, /healthz answers,
 # and /debug/rpcs carries the burst's trace spans.
 obs-smoke:

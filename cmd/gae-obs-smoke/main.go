@@ -82,7 +82,7 @@ func run(clients, ops int, server string) error {
 		Clients: clients, Ops: ops, Seed: 7,
 	}, func(ctx context.Context, _ int) (*gae.Client, error) {
 		// The launched deployment's administrator.
-		return gae.Dial(ctx, url, gae.WithCredentials("alice", "pw"), gae.WithTransport(dup))
+		return gae.Dial(ctx, url, gae.WithCredentials(chaos.User, chaos.Pass), gae.WithTransport(dup))
 	})
 	if err != nil {
 		return fmt.Errorf("loadgen burst: %w", err)

@@ -23,7 +23,8 @@ var ErrDrainTimeout = errors.New("drain deadline exceeded")
 type Server struct {
 	G *core.GAE
 
-	// Accel is simulated seconds advanced per wall-clock second.
+	// Accel is simulated seconds advanced per wall-clock second (at
+	// least 1; NewServer sets 1).
 	Accel int
 	// CheckpointEvery is the wall-clock period between checkpoints
 	// (0 disables periodic checkpoints; the final one still runs).
@@ -95,10 +96,6 @@ func (s *Server) InjectFaults() *durable.FaultyFile {
 // checkpoint captures the drained state, and the store is released.
 // It returns nil on a clean shutdown.
 func (s *Server) Run() error {
-	accel := s.Accel
-	if accel < 1 {
-		accel = 1
-	}
 	advance := time.NewTicker(time.Second)
 	defer advance.Stop()
 	var checkpoint <-chan time.Time
@@ -110,7 +107,7 @@ func (s *Server) Run() error {
 	for {
 		select {
 		case <-advance.C:
-			s.G.Run(time.Duration(accel) * time.Second)
+			s.G.Run(time.Duration(s.Accel) * time.Second)
 		case <-checkpoint:
 			if err := s.G.Checkpoint(); err != nil {
 				return fmt.Errorf("checkpoint: %w", err)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"net"
 	"net/http"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -100,24 +101,40 @@ func (l *instanceListener) Close() error {
 	return nil
 }
 
-func serverConfig() core.Config {
-	// Two sites with a link: the workload's move ops redirect tasks with
-	// no explicit target, and the scheduler always excludes the current
-	// site, so a second site must exist for a move to land anywhere.
-	return core.Config{
-		Sites: []core.SiteSpec{
-			{Name: "siteA", Nodes: 2, CostPerCPUSecond: 0.1},
-			{Name: "siteB", Nodes: 2, CostPerCPUSecond: 0.1},
-		},
-		Links: []core.LinkSpec{{A: "siteA", B: "siteB", MBps: 10, LatencyMS: 5}},
-		Users: []core.UserSpec{{Name: "alice", Password: "pw", Credits: 100, Admin: true}},
+// serverConfig is the deployment the launcher runs, harnessFile: two
+// sites with a link, because the workload's move ops redirect tasks with
+// no explicit target, and the scheduler always excludes the current site,
+// so a second site must exist for a move to land anywhere.
+func serverConfig() (core.Config, error) {
+	return core.LoadDeployment(filepath.Join("..", "..", harnessFile))
+}
+
+// TestHarnessFileAdminIsTheHarnessUser: the harness logs in as User and
+// grants to itself, which only the deployment's administrator may do.
+func TestHarnessFileAdminIsTheHarnessUser(t *testing.T) {
+	cfg, err := serverConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var admins []core.UserSpec
+	for _, u := range cfg.Users {
+		if u.Admin {
+			admins = append(admins, u)
+		}
+	}
+	if len(admins) != 1 || admins[0].Name != User || admins[0].Password != Pass {
+		t.Fatalf("admins %+v, want only %s with the harness password", admins, User)
 	}
 }
 
 func (ts *testServer) URL() string { return ts.url }
 
 func (ts *testServer) Start() error {
-	g := core.New(serverConfig())
+	cfg, err := serverConfig()
+	if err != nil {
+		return err
+	}
+	g := core.New(cfg)
 	store, err := durable.Open(ts.dir)
 	if err != nil {
 		return err
@@ -157,7 +174,7 @@ func dialRetry(t *testing.T, ctx context.Context, url string) *gae.Client {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		cl, err := gae.Dial(ctx, url, gae.WithCredentials("alice", "pw"))
+		cl, err := gae.Dial(ctx, url, gae.WithCredentials(User, Pass))
 		if err == nil {
 			return cl
 		}
@@ -219,12 +236,12 @@ func TestChaosExactlyOnceAcrossKills(t *testing.T) {
 func TestDuplicateSuppressedAcrossCheckpointRestart(t *testing.T) {
 	ts := startTestServer(t)
 	ctx := context.Background()
-	cl, err := gae.Dial(ctx, ts.url, gae.WithCredentials("alice", "pw"))
+	cl, err := gae.Dial(ctx, ts.url, gae.WithCredentials(User, Pass))
 	if err != nil {
 		t.Fatal(err)
 	}
 	rctx := gae.WithRequestID(ctx, "dup-grant-1")
-	if err := cl.Grant(rctx, "alice", GrantAmount); err != nil {
+	if err := cl.Grant(rctx, User, GrantAmount); err != nil {
 		t.Fatal(err)
 	}
 	before, err := cl.Balance(ctx)
@@ -245,7 +262,7 @@ func TestDuplicateSuppressedAcrossCheckpointRestart(t *testing.T) {
 	}
 
 	cl2 := dialRetry(t, ctx, ts.url)
-	if err := cl2.Grant(gae.WithRequestID(ctx, "dup-grant-1"), "alice", GrantAmount); err != nil {
+	if err := cl2.Grant(gae.WithRequestID(ctx, "dup-grant-1"), User, GrantAmount); err != nil {
 		t.Fatalf("retried grant after restart: %v, want deduplicated success", err)
 	}
 	after, err := cl2.Balance(ctx)

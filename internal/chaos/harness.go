@@ -28,9 +28,9 @@ var replicaSites = []string{"siteA", "siteB"}
 // registration can be pinned to exactly one acked op.
 func replicaSize(w, n, ops int) float64 { return float64(1 + w*ops + n) }
 
-// user and pass are the harness user's credentials: an administrator,
-// so its grants to itself are honored.
-const user, pass = "alice", "pw"
+// User and Pass are the harness user's credentials: the administrator of
+// the harness deployment (harnessFile), so its grants to itself are honored.
+const User, Pass = "alice", "pw"
 
 // A Deployment is the system under test.
 type Deployment interface {
@@ -111,7 +111,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 
 	// The grant ledger is reconciled by exact arithmetic from this
 	// starting balance.
-	pre, err := gae.Dial(ctx, h.url, gae.WithCredentials(user, pass), gae.WithTimeout(10*time.Second))
+	pre, err := gae.Dial(ctx, h.url, gae.WithCredentials(User, Pass), gae.WithTimeout(10*time.Second))
 	if err != nil {
 		return nil, fmt.Errorf("chaos: pre-run dial: %w", err)
 	}
@@ -181,7 +181,7 @@ func Run(ctx context.Context, cfg Config) (*Report, error) {
 func (h *harness) dial(ctx context.Context) (*gae.Client, error) {
 	for {
 		cl, err := gae.Dial(ctx, h.url,
-			gae.WithCredentials(user, pass),
+			gae.WithCredentials(User, Pass),
 			gae.WithTransport(h.transport),
 			gae.WithRetries(),
 			gae.WithTimeout(10*time.Second))
@@ -240,8 +240,8 @@ func (h *harness) runWorker(ctx context.Context, w int) ([]OpRecord, error) {
 					lastPlan = name
 				}
 			case "grant":
-				rec.Key = user
-				err = cl.Grant(opCtx, user, GrantAmount)
+				rec.Key = User
+				err = cl.Grant(opCtx, User, GrantAmount)
 			case "set":
 				key := fmt.Sprintf("key-w%d-op%d", w, n)
 				rec.Key = key
@@ -332,7 +332,7 @@ func (h *harness) reconcile(ctx context.Context, acked []OpRecord, rep *Report) 
 	var cl *gae.Client
 	var err error
 	for {
-		cl, err = gae.Dial(ctx, h.url, gae.WithCredentials(user, pass), gae.WithTimeout(10*time.Second))
+		cl, err = gae.Dial(ctx, h.url, gae.WithCredentials(User, Pass), gae.WithTimeout(10*time.Second))
 		if err == nil {
 			break
 		}

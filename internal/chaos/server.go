@@ -13,16 +13,12 @@ import (
 	"time"
 )
 
-// deployment is what every launched gae-server runs: two sites joined by
-// a link (a move with no target needs a second site to land on), the
-// harness user as its administrator, and a checkpoint every second.
-var deployment = []string{
-	"-sites", "siteA:2:0.0:0.1,siteB:2:0.0:0.1",
-	"-links", "siteA-siteB:10:5",
-	"-users", user + ":" + pass + ":1000000",
-	"-checkpoint", "1s",
-	"-drain-timeout", "5s",
-}
+// harnessFile is the deployment every launched gae-server runs, relative
+// to the repository root: two sites joined by a link (a move with no
+// target needs a second site to land on) and the harness user as its
+// administrator. Each launch also checkpoints every second and bounds
+// its drain.
+const harnessFile = "testdata/deployments/harness.json"
 
 const (
 	// faultAfter is how long after its start a faulted lifetime arms the
@@ -44,6 +40,8 @@ type Server struct {
 	scratch string
 	data    string
 	addr    string
+	// deployment is harnessFile's absolute path.
+	deployment string
 
 	mu           sync.Mutex
 	cmd          *exec.Cmd
@@ -75,12 +73,18 @@ func StartServer(ctx context.Context, bin string, faultLives int, fail func(erro
 	return s, nil
 }
 
-// boot makes the data directory, builds the binary if need be, pins the
-// port and starts the first lifetime.
+// boot makes the data directory, resolves the deployment file from the
+// repository root (the working directory), builds the binary if need be,
+// pins the port and starts the first lifetime.
 func (s *Server) boot() error {
 	if err := os.Mkdir(s.data, 0o755); err != nil {
 		return err
 	}
+	deployment, err := filepath.Abs(harnessFile)
+	if err != nil {
+		return err
+	}
+	s.deployment = deployment
 	if s.bin == "" {
 		// A real binary: `go run` would put the server a process group
 		// away and orphan it when the wrapper is killed.
@@ -117,7 +121,8 @@ func (s *Server) Start() error {
 
 // launch starts one lifetime of the child; s.mu is held.
 func (s *Server) launch() error {
-	args := append([]string{"-addr", s.addr, "-data", s.data}, deployment...)
+	args := []string{"-addr", s.addr, "-data", s.data, "-deployment", s.deployment,
+		"-checkpoint", "1s", "-drain-timeout", "5s"}
 	armed := s.faultLives > 0
 	if armed {
 		s.faultLives--

@@ -44,7 +44,7 @@ type SiteSpec struct {
 	// CostPerTransferMB prices data movement at this site. Besides
 	// billing, it is what lets transfer charges reach the fair-share
 	// state when Config.FairShare is enabled.
-	CostPerTransferMB float64
+	CostPerTransferMB float64 `json:"-"`
 }
 
 // LinkSpec describes a network link between two sites.
@@ -64,19 +64,21 @@ type UserSpec struct {
 	Admin bool
 }
 
-// Config describes a GAE deployment.
+// Config describes a GAE deployment. Validate is its one check, and New
+// runs it; LoadDeployment reads one from a JSON file, which holds Sites,
+// Links and Users and none of the fields tagged json:"-".
 type Config struct {
 	// Seed is ignored: nothing in the simulator draws random numbers. The
 	// field stays only because bench/ sets it, and goes with ROADMAP item
 	// 4, the benchmark change.
-	Seed int64
+	Seed int64 `json:"-"`
 
 	Sites []SiteSpec
 	Links []LinkSpec
 	Users []UserSpec
 
 	// MonitorInterval is the MonALISA farm sampling period (default 5s).
-	MonitorInterval time.Duration
+	MonitorInterval time.Duration `json:"-"`
 
 	// FairShare, when non-nil, enables time-aware fair-share arbitration:
 	// every pool orders idle jobs by effective priority, the scheduler
@@ -84,7 +86,7 @@ type Config struct {
 	// component of quota charges folds into the shared usage state
 	// (execution CPU is accounted by the pools themselves). The Clock
 	// field may be left nil — the grid engine's simulated clock is used.
-	FairShare *fairshare.Config
+	FairShare *fairshare.Config `json:"-"`
 }
 
 // GAE is a fully wired Grid Analysis Environment. It is the one owner of
@@ -143,12 +145,12 @@ type GAE struct {
 	onDurabilityLoss   func(error)
 }
 
-// New builds a deployment from cfg. It panics on structural errors
-// (duplicate sites, links to unknown sites) since a Config is
-// programmer-authored.
+// New builds a deployment from cfg. It panics with cfg.Validate's error
+// when cfg is invalid, since a Config is programmer-authored (a file is
+// checked as LoadDeployment reads it).
 func New(cfg Config) *GAE {
-	if len(cfg.Sites) == 0 {
-		panic("core: Config needs at least one site")
+	if err := cfg.Validate(); err != nil {
+		panic(err)
 	}
 	grid := simgrid.NewGrid(time.Second, cfg.Seed)
 	repo := monalisa.NewRepository()
@@ -171,11 +173,7 @@ func New(cfg Config) *GAE {
 		site := grid.AddSite(spec.Name)
 		pool := condor.NewPool(spec.Name, grid, site)
 		pool.SetTelemetry(reg)
-		nodes := spec.Nodes
-		if nodes <= 0 {
-			nodes = 1
-		}
-		for i := 0; i < nodes; i++ {
+		for i := 0; i < spec.Nodes; i++ {
 			n := site.AddNode(grid.Engine, fmt.Sprintf("%s-n%d", spec.Name, i), 1, spec.Load)
 			pool.AddMachine(n, nil)
 		}

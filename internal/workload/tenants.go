@@ -11,14 +11,12 @@ package workload
 // byte-stable across runs.
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"os"
 	"path/filepath"
 	"strings"
+
+	"repro/internal/jsonfile"
 )
 
 // TenantSpec is one tenant's demand pattern inside a scenario. A tenant
@@ -69,17 +67,8 @@ type FairnessScenario struct {
 // and validated.
 func LoadScenario(path string) (FairnessScenario, error) {
 	var sc FairnessScenario
-	data, err := os.ReadFile(path)
-	if err != nil {
+	if err := jsonfile.Read(path, &sc); err != nil {
 		return sc, fmt.Errorf("workload: %w", err)
-	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&sc); err != nil {
-		return sc, fmt.Errorf("workload: %s: %w", path, err)
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return sc, fmt.Errorf("workload: %s: trailing data after the scenario", path)
 	}
 	sc.Name = strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
 	if err := sc.Validate(); err != nil {

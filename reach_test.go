@@ -13,7 +13,9 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -109,9 +111,10 @@ func TestEveryFunctionIsReached(t *testing.T) {
 // that nothing a binary, example, experiment or the benchmark harness
 // reaches reads. Writes are not reads: an assignment's left side, a
 // composite-literal key, ++ and --. Reads by reflection are: a tagged
-// field, every field of a type handed to encoding/json or the XML-RPC
-// codec (transitively), the fields of a struct used as a map key, and an
-// embedded field.
+// field, every field of a type handed to encoding/json, the XML-RPC
+// codec or the strict JSON file reader (transitively), the fields of a
+// struct used as a map key, and an embedded field; a field tagged
+// json:"-" is none of these.
 func TestEveryFieldIsRead(t *testing.T) {
 	reportFindings(t, "fieldAllowed", fieldAllowed, loadModule(t).graph.unread(),
 		"fields nothing reached reads; delete them, or allow them in fieldAllowed with a reason")
@@ -571,13 +574,12 @@ func (g *reachGraph) scan(pkg *types.Package, files []*ast.File, info *types.Inf
 				case *ast.CallExpr:
 					id := identOf(n.Fun)
 					callee[id] = true
-					// What encoding/json or the XML-RPC codec is handed is
-					// read field by field.
-					if fn, ok := info.Uses[id].(*types.Func); ok && fn.Pkg() != nil &&
-						(fn.Pkg().Path() == "encoding/json" || fn.Pkg().Path() == "repro/internal/xmlrpc") {
+					// What encoding/json, the XML-RPC codec or the strict
+					// JSON file reader is handed is read field by field.
+					if fn, ok := info.Uses[id].(*types.Func); ok && fn.Pkg() != nil && codecs[fn.Pkg().Path()] != "" {
 						for _, arg := range n.Args {
 							if t := info.TypeOf(arg); t != nil && !types.IsInterface(t) {
-								g.reflect(t, map[types.Type]bool{})
+								g.reflect(t, codecs[fn.Pkg().Path()], map[types.Type]bool{})
 							}
 						}
 					}
@@ -603,7 +605,8 @@ func (g *reachGraph) scan(pkg *types.Package, files []*ast.File, info *types.Inf
 // keyFields names the fields of the structs f declares "package.Type.Field",
 // a nested anonymous struct's as "package.Type.Field.Sub" and one outside a
 // type declaration's as "package.struct.Field". A tagged field is read by
-// reflection, and so is an embedded one, which is not listed.
+// reflection, unless the tag is json:"-", and so is an embedded one,
+// which is not listed.
 func (g *reachGraph) keyFields(pkg *types.Package, f *ast.File, info *types.Info) {
 	var walk func(prefix string, e ast.Node)
 	walk = func(prefix string, e ast.Node) {
@@ -623,7 +626,9 @@ func (g *reachGraph) keyFields(pkg *types.Package, f *ast.File, info *types.Info
 						g.fields = append(g.fields, v)
 					}
 					if fl.Tag != nil {
-						g.reflected[v] = true
+						if tag, _ := strconv.Unquote(fl.Tag.Value); reflect.StructTag(tag).Get("json") != "-" {
+							g.reflected[v] = true
+						}
 					}
 					walk(prefix+"."+name.Name, fl.Type)
 				}
@@ -654,7 +659,7 @@ func (g *reachGraph) noteType(t types.Type) {
 		}
 	case *types.Map:
 		if _, ok := u.Key().Underlying().(*types.Struct); ok {
-			g.reflect(u.Key(), map[types.Type]bool{})
+			g.reflect(u.Key(), "", map[types.Type]bool{})
 		}
 	case *types.Signature:
 		for _, v := range append(tupleVars(u.Params()), tupleVars(u.Results())...) {
@@ -663,29 +668,41 @@ func (g *reachGraph) noteType(t types.Type) {
 	}
 }
 
-// reflect marks every field t holds, transitively, as read.
-func (g *reachGraph) reflect(t types.Type, seen map[types.Type]bool) {
+// reflect marks every field t holds, transitively, as read, but for
+// those a codec skips: the ones tagged key:"-" (key empty: none).
+func (g *reachGraph) reflect(t types.Type, key string, seen map[types.Type]bool) {
 	switch u := types.Unalias(t).(type) {
 	case *types.Named:
 		if !seen[u] {
 			seen[u] = true
-			g.reflect(u.Underlying(), seen)
+			g.reflect(u.Underlying(), key, seen)
 		}
 	case *types.Pointer:
-		g.reflect(u.Elem(), seen)
+		g.reflect(u.Elem(), key, seen)
 	case *types.Slice:
-		g.reflect(u.Elem(), seen)
+		g.reflect(u.Elem(), key, seen)
 	case *types.Array:
-		g.reflect(u.Elem(), seen)
+		g.reflect(u.Elem(), key, seen)
 	case *types.Map:
-		g.reflect(u.Key(), seen)
-		g.reflect(u.Elem(), seen)
+		g.reflect(u.Key(), key, seen)
+		g.reflect(u.Elem(), key, seen)
 	case *types.Struct:
 		for i := 0; i < u.NumFields(); i++ {
-			g.reflected[u.Field(i).Origin()] = true
-			g.reflect(u.Field(i).Type(), seen)
+			if key == "" || reflect.StructTag(u.Tag(i)).Get(key) != "-" {
+				g.reflected[u.Field(i).Origin()] = true
+				g.reflect(u.Field(i).Type(), key, seen)
+			}
 		}
 	}
+}
+
+// codecs are the packages whose functions read what they are handed
+// field by field, each to the struct-tag key it honours: encoding/json,
+// the XML-RPC codec and the strict JSON file reader.
+var codecs = map[string]string{
+	"encoding/json":           "json",
+	"repro/internal/xmlrpc":   "xmlrpc",
+	"repro/internal/jsonfile": "json",
 }
 
 func tupleVars(t *types.Tuple) []*types.Var {
