@@ -204,9 +204,13 @@ vet:
 # The tracked sizes (ROADMAP north-star criterion 2), one definition each:
 # Go lines of the main module outside and inside _test.go files (and of the
 # node's arithmetic, internal/simgrid/node.go, within the former), and of
-# bench/.
+# bench/; then the entries of reach_test.go's three allowlists (one
+# `"key": "reason",` line each).
 loc:
 	@echo "main module, non-test: $$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l)"
 	@echo "  simgrid/node.go:     $$(wc -l < internal/simgrid/node.go)"
 	@echo "main module, tests:    $$(find . -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l)"
 	@echo "bench:                 $$(find bench -name '*.go' | xargs cat | wc -l)"
+	@awk '/^var [a-z]+Allowed = map\[string\]string\{/ { name = $$2; n[name] = 0; order[++k] = name; f = !/\{\}$$/; next } \
+		f && /^}/ { f = 0 } f && /^\t"/ { n[name]++ } \
+		END { for (i = 1; i <= k; i++) printf "%-22s %d\n", order[i] ":", n[order[i]] }' reach_test.go

@@ -1,8 +1,9 @@
 // Command gae-sim replays a multi-tenant fairness scenario file on the
-// simulated grid and emits per-tick CSV allocation history — the
-// KAI-style scenario simulator for the fair-share subsystem. Everything
-// runs on the virtual clock, so a 900-second scenario takes milliseconds
-// and the output is deterministic.
+// simulated grid, tick by tick, and emits its allocation history as CSV,
+// sampled every 5 ticks and at the last — the KAI-style scenario
+// simulator for the fair-share subsystem. Everything runs on the virtual
+// clock, so a 900-second scenario takes milliseconds and the output is
+// deterministic.
 //
 //	gae-sim -scenario testdata/scenarios/starvation-recovery.json -output -
 //	gae-sim -scenario testdata/scenarios/bursty-tenant.json -fairshare=false -output ablation.csv

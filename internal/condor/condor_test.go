@@ -77,7 +77,7 @@ func TestJobRunsToCompletion(t *testing.T) {
 	if info.Status != StatusIdle || info.QueuePosition != 1 {
 		t.Fatalf("fresh job = %+v", info)
 	}
-	g.Engine.Step() // negotiation places the job
+	g.Engine.RunFor(time.Second) // negotiation places the job
 	if got := mustJob(t, p, id); got.Status != StatusRunning || got.Node == "" {
 		t.Fatalf("after negotiation = %+v", got)
 	}
@@ -101,7 +101,7 @@ func TestPriorityOrdering(t *testing.T) {
 	g, p := testPool(t, 1) // single machine: jobs run one at a time
 	low := mustSubmit(t, p, jobAd("alice", 10, 1))
 	high := mustSubmit(t, p, jobAd("bob", 10, 9))
-	g.Engine.Step()
+	g.Engine.RunFor(time.Second)
 	if got := mustJob(t, p, high); got.Status != StatusRunning {
 		t.Fatalf("high-priority job = %v", got.Status)
 	}
@@ -214,7 +214,7 @@ func TestRemove(t *testing.T) {
 	if err := p.Remove(idle); err != nil {
 		t.Fatal(err)
 	}
-	g.Engine.Step()
+	g.Engine.RunFor(time.Second)
 	if got := mustJob(t, p, idle); got.Status != StatusRemoved {
 		t.Fatalf("idle remove = %v", got.Status)
 	}
@@ -269,7 +269,7 @@ func TestRequirementsRespected(t *testing.T) {
 	ad := jobAd("alice", 10, 0)
 	ad.MustSetExpr(AttrRequirements, "TARGET.Memory >= 2048")
 	id := mustSubmit(t, p, ad)
-	g.Engine.Step()
+	g.Engine.RunFor(time.Second)
 	info := mustJob(t, p, id)
 	if info.Node != "big" {
 		t.Fatalf("job placed on %q, want big", info.Node)
@@ -298,7 +298,7 @@ func TestRankPrefersFasterMachine(t *testing.T) {
 	ad := jobAd("alice", 10, 0)
 	ad.MustSetExpr(AttrRank, "TARGET.Mips")
 	id := mustSubmit(t, p, ad)
-	g.Engine.Step()
+	g.Engine.RunFor(time.Second)
 	if got := mustJob(t, p, id); got.Node != "fast" {
 		t.Fatalf("ranked job on %q, want fast", got.Node)
 	}
@@ -517,7 +517,7 @@ func TestCheckpointCoversAllWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.Engine.Step()
+	g.Engine.RunFor(time.Second)
 	if got := mustJob(t, p, id); got.Status != StatusCompleted {
 		t.Fatalf("fully-checkpointed job = %v", got.Status)
 	}

@@ -1,6 +1,6 @@
 package condor_test
 
-// The fair-share half of the tick-vs-event equivalence suite lives in an
+// The fair-share half of the driver equivalence suite lives in an
 // external test package: the scenario specs come from internal/workload,
 // which (through the estimator) imports condor itself.
 
@@ -115,8 +115,8 @@ func runDriverFairshareScenario(t *testing.T, sc workload.FairnessScenario, runF
 }
 
 // TestDriverEquivalenceFairshareScenarios runs every multi-tenant
-// fairness scenario file stepped and jumped: traces and
-// per-tenant allocation metrics must match exactly — the fair-share
+// fairness scenario file in one RunFor and in one RunFor per tick: traces
+// and per-tenant allocation metrics must match exactly — the fair-share
 // accounting (decayed usage accrued tick by tick) is the most
 // timing-sensitive consumer of the engine.
 func TestDriverEquivalenceFairshareScenarios(t *testing.T) {
@@ -133,14 +133,14 @@ func TestDriverEquivalenceFairshareScenarios(t *testing.T) {
 			tick, tickCPU := runDriverFairshareScenario(t, sc, condor.StepFor)
 			ev, evCPU := runDriverFairshareScenario(t, sc, (*simgrid.Engine).RunFor)
 			if d := tick.diff(ev); d != "" {
-				t.Fatalf("stepping and event jumps diverged: %s", d)
+				t.Fatalf("a per-tick RunFor loop and one RunFor diverged: %s", d)
 			}
 			if len(tickCPU) != len(evCPU) {
 				t.Fatalf("tenant sets diverged: %v vs %v", tickCPU, evCPU)
 			}
 			for tenant, cpu := range tickCPU {
 				if evCPU[tenant] != cpu {
-					t.Errorf("tenant %s completed CPU %v (tick) vs %v (event)", tenant, cpu, evCPU[tenant])
+					t.Errorf("tenant %s completed CPU %v (per tick) vs %v (one RunFor)", tenant, cpu, evCPU[tenant])
 				}
 			}
 			if len(tick.events) == 0 {

@@ -11,19 +11,19 @@ import (
 	"repro/internal/telemetry"
 )
 
-// The tick-vs-event equivalence suite: identically seeded scenarios must
-// produce byte-identical job traces (every state transition with its
-// timestamp), assignments, and accounting whether the clock steps through
-// every tick boundary or jumps from event to event. This is the contract
-// that lets RunFor skip idle boundaries: nothing observable may depend on
-// visiting them.
+// The driver equivalence suite: identically seeded scenarios must produce
+// byte-identical job traces (every state transition with its timestamp),
+// assignments, and accounting whether a span is run as one RunFor call or
+// cut into one RunFor call per tick. This is the contract that lets a
+// caller advance by whatever spans it likes: nothing observable may depend
+// on where the engine is asked to stop.
 
-// StepFor is Engine.RunFor visiting every boundary: the fixed-tick loop
-// whose traces RunFor's event jumps must reproduce. Exported for the
-// package's external tests.
+// StepFor is Engine.RunFor cut into one call per tick: the fixed-tick loop
+// whose traces a single RunFor must reproduce. Exported for the package's
+// external tests.
 func StepFor(e *simgrid.Engine, d time.Duration) {
 	for n := (d + e.Tick() - 1) / e.Tick(); n > 0; n-- {
-		e.Step()
+		e.RunFor(e.Tick())
 	}
 }
 
@@ -128,7 +128,7 @@ func runDriverParityScenario(t *testing.T, seed int64, runFor func(*simgrid.Engi
 }
 
 // TestDriverEquivalenceParitySeeds pins the engine's core promise on the
-// condor parity seeds: event jumps reproduce every-boundary stepping's
+// condor parity seeds: one RunFor reproduces a per-tick RunFor loop's
 // traces transition for transition.
 func TestDriverEquivalenceParitySeeds(t *testing.T) {
 	for _, seed := range []int64{7, 42, 216} {
@@ -137,7 +137,7 @@ func TestDriverEquivalenceParitySeeds(t *testing.T) {
 			tick := runDriverParityScenario(t, seed, StepFor)
 			ev := runDriverParityScenario(t, seed, (*simgrid.Engine).RunFor)
 			if d := tick.diff(ev); d != "" {
-				t.Fatalf("stepping and event jumps diverged: %s", d)
+				t.Fatalf("a per-tick RunFor loop and one RunFor diverged: %s", d)
 			}
 			if len(tick.events) == 0 {
 				t.Fatal("scenario produced no events; equivalence test is vacuous")
@@ -148,9 +148,10 @@ func TestDriverEquivalenceParitySeeds(t *testing.T) {
 
 // TestDriverEquivalenceSparseLongHorizon is the sparse case the event
 // engine exists for: a long-horizon run with a handful of long jobs.
-// RunFor must visit orders of magnitude fewer boundaries while producing
-// the identical trace.
+// RunFor must visit orders of magnitude fewer boundaries than the span
+// has ticks, and a per-tick loop must leave the identical trace.
 func TestDriverEquivalenceSparseLongHorizon(t *testing.T) {
+	const span = 200000 * time.Second
 	run := func(runFor func(*simgrid.Engine, time.Duration)) (*driverTrace, int64) {
 		g := simgrid.NewGrid(time.Second, 1)
 		site := g.AddSite("s")
@@ -165,22 +166,22 @@ func TestDriverEquivalenceSparseLongHorizon(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		runFor(g.Engine, 200000*time.Second)
+		runFor(g.Engine, span)
 		tr.outcomes = collectOutcomes(t, pool)
 		return tr, g.Engine.Ticks()
 	}
-	tick, tickBoundaries := run(StepFor)
+	tick, _ := run(StepFor)
 	ev, evBoundaries := run((*simgrid.Engine).RunFor)
 	if d := tick.diff(ev); d != "" {
-		t.Fatalf("stepping and event jumps diverged: %s", d)
+		t.Fatalf("a per-tick RunFor loop and one RunFor diverged: %s", d)
 	}
 	for _, o := range tick.outcomes {
 		if o.Status != StatusCompleted {
 			t.Fatalf("job %d not completed (%v); scenario broken", o.ID, o.Status)
 		}
 	}
-	if evBoundaries*100 > tickBoundaries {
-		t.Fatalf("RunFor visited %d boundaries vs %d ticks — expected ≥100x sparser", evBoundaries, tickBoundaries)
+	if ticks := int64(span / time.Second); evBoundaries*100 > ticks {
+		t.Fatalf("RunFor visited %d boundaries of %d ticks — expected ≥100x sparser", evBoundaries, ticks)
 	}
 }
 

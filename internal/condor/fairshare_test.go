@@ -29,7 +29,7 @@ func TestFairShareOrdersNegotiation(t *testing.T) {
 
 	heavy := mustSubmit(t, p, jobAd("heavy", 30, 0))
 	light := mustSubmit(t, p, jobAd("light", 30, 0))
-	g.Engine.Step()
+	g.Engine.RunFor(time.Second)
 	if got := mustJob(t, p, light).Status; got != StatusRunning {
 		t.Fatalf("light job = %v, want running", got)
 	}
@@ -122,7 +122,7 @@ func TestFairShareCheckpointBaseNotDoubleCounted(t *testing.T) {
 	if _, err := p.SubmitCheckpointed(full, 30); err != nil {
 		t.Fatal(err)
 	}
-	g.Engine.Step()
+	g.Engine.RunFor(time.Second)
 	drought := fairshare.JobRef{Owner: "bob", Submitted: g.Engine.Now().Add(-time.Hour), Seq: 99}
 	fresh := fairshare.JobRef{Owner: "carol", Submitted: g.Engine.Now(), Seq: 100}
 	keys := fs.SortKeysAt(g.Engine.Now(), []fairshare.JobRef{drought, fresh})
@@ -228,7 +228,7 @@ func TestQueueAboveFollowsFairShareOrder(t *testing.T) {
 	p.SetFairShare(fs)
 	fs.RecordUsage("heavy", "siteA", 1000)
 	running := mustSubmit(t, p, jobAd("other", 100, 0))
-	g.Engine.Step() // occupies the machine
+	g.Engine.RunFor(time.Second) // occupies the machine
 	hot := mustSubmit(t, p, jobAd("heavy", 30, 99))
 	cold := mustSubmit(t, p, jobAd("light", 30, 0))
 	// Fair order puts light's job ahead of heavy's despite priority 99,
@@ -259,7 +259,7 @@ func TestQueueAboveExcludesTerminalAndEqual(t *testing.T) {
 		t.Fatalf("setup: %v", got)
 	}
 	running := mustSubmit(t, p, jobAd("b", 100, 7))
-	g.Engine.Step() // running now occupies the machine
+	g.Engine.RunFor(time.Second) // running now occupies the machine
 	equal := mustSubmit(t, p, jobAd("c", 10, 3))
 	target := mustSubmit(t, p, jobAd("d", 10, 3))
 	above, err := p.QueueAbove(target)
@@ -287,7 +287,7 @@ func TestSetPriorityEdgeCases(t *testing.T) {
 	// Running jobs accept priority changes (affects QueueAbove, not the
 	// running task), and the ad stays in sync.
 	run := mustSubmit(t, p, jobAd("b", 100, 0))
-	g.Engine.Step()
+	g.Engine.RunFor(time.Second)
 	if err := p.SetPriority(run, -5); err != nil {
 		t.Fatal(err)
 	}

@@ -147,7 +147,7 @@ func runParityScenario(t *testing.T, seed int64, reference bool) []parityOutcome
 				t.Fatalf("submit: %v", err)
 			}
 		}
-		g.Engine.Step()
+		g.Engine.RunFor(time.Second)
 	}
 
 	var out []parityOutcome
@@ -225,7 +225,7 @@ func TestPickMachineDeterminismOnRankTies(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			g.Engine.Step()
+			g.Engine.RunFor(time.Second)
 			info, err := p.Job(id)
 			if err != nil {
 				t.Fatal(err)
@@ -277,7 +277,7 @@ func TestIndexedArchConstraint(t *testing.T) {
 	sparcJob := submit(`TARGET.Arch == "sparc"`, nil)
 	exprJob := submit(`TARGET.Arch == "mips64"`, nil)
 	dynJob := submit(`TARGET.Arch == "alpha"`, map[string]any{"WantArch": "alpha"})
-	g.Engine.Step()
+	g.Engine.RunFor(time.Second)
 	for id, want := range map[int]string{sparcJob: "s1", exprJob: "e1", dynJob: "d1"} {
 		info, err := p.Job(id)
 		if err != nil {
@@ -305,12 +305,12 @@ func TestMachineAdResync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.Engine.Step()
+	g.Engine.RunFor(time.Second)
 	if info, _ := p.Job(id1); info.Status != StatusIdle {
 		t.Fatalf("job with Disk 400 requirement = %v on a Disk-100 machine, want idle", info.Status)
 	}
 	ad.Set("Disk", 500) // capacity upgrade on the caller's ad
-	g.Engine.Step()
+	g.Engine.RunFor(time.Second)
 	if info, _ := p.Job(id1); info.Node != "m1" {
 		t.Fatalf("job did not match after Disk upgrade; status %v", info.Status)
 	}
@@ -325,7 +325,7 @@ func TestMachineAdResync(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.Engine.Step()
+	g.Engine.RunFor(time.Second)
 	if info, _ := p.Job(id2); info.Node != "m1" {
 		t.Fatalf("sparc-pinned job did not match rebucketed machine; status %v", info.Status)
 	}
@@ -357,7 +357,7 @@ func TestMachineRequirementsGainedWhileClaimed(t *testing.T) {
 			for i := 0; i < n; i++ {
 				mustSubmit(t, p, jobAd("alice", 3, 0))
 			}
-			g.Engine.Step()
+			g.Engine.RunFor(time.Second)
 			for _, ad := range ads {
 				ad.MustSetExpr(AttrRequirements, `TARGET.Owner != "bob"`)
 				ad.Set("Arch", "sparc")
@@ -399,7 +399,7 @@ func TestFreeMachineHearsItsAdChange(t *testing.T) {
 				ads[i] = classad.New().Set("Arch", "x86")
 				p.AddMachine(site.AddNode(g.Engine, fmt.Sprintf("m%02d", i), 1, simgrid.IdleLoad()), ads[i])
 			}
-			g.Engine.Step() // an empty pass: the machines are free and viewed
+			g.Engine.RunFor(time.Second) // an empty pass: the machines are free and viewed
 			return g, p, ads
 		}
 		t.Run(fmt.Sprintf("arch/machines-%d", n), func(t *testing.T) {
@@ -412,7 +412,7 @@ func TestFreeMachineHearsItsAdChange(t *testing.T) {
 			for i := 0; i < n; i++ {
 				sparc = append(sparc, mustSubmit(t, p, pinnedJobAd("alice", "sparc")))
 			}
-			g.Engine.Step()
+			g.Engine.RunFor(time.Second)
 			if got := mustJob(t, p, x86).Status; got != StatusIdle {
 				t.Fatalf("x86-pinned job is %v on machines that left x86", got)
 			}
@@ -432,7 +432,7 @@ func TestFreeMachineHearsItsAdChange(t *testing.T) {
 			for i := 0; i < n; i++ {
 				carol = append(carol, mustSubmit(t, p, jobAd("carol", 3, 0)))
 			}
-			g.Engine.Step()
+			g.Engine.RunFor(time.Second)
 			if got := mustJob(t, p, bob).Status; got != StatusIdle {
 				t.Fatalf("bob's job is %v on a machine whose Requirements reject bob", got)
 			}
@@ -539,11 +539,11 @@ func TestCrossPoolRemoveNoDeadlock(t *testing.T) {
 			if info.Status.Terminal() || i == 100 {
 				t.Fatalf("job %d is %v after %d steps, want running", id, info.Status, i)
 			}
-			g.Engine.Step()
+			g.Engine.RunFor(time.Second)
 		}
 	}
 	// Every machine must return to A's free set.
-	g.Engine.Step() // drain queued releases
+	g.Engine.RunFor(time.Second) // drain queued releases
 	free := 0
 	for _, b := range poolA.freeBuckets {
 		free += len(b)
@@ -578,7 +578,7 @@ func TestFreeSetReleasedOnCompletion(t *testing.T) {
 	// The fault point is two ticks in: a task cut to one tick would end — and
 	// hand its machine back — at the boundary the pool placed it at.
 	c, _ := p.Submit(classad.New().Set(AttrCpuSeconds, 100.0).Set(AttrFailAfter, 2.0))
-	g.Engine.Step()
+	g.Engine.RunFor(time.Second)
 	if got := freeCount(); got != 0 {
 		t.Fatalf("free machines while 3 jobs run = %d, want 0", got)
 	}
@@ -609,11 +609,11 @@ func TestFreeSetReleasedOnCompletion(t *testing.T) {
 	// a task the tick that ends at its placement — and the status follows
 	// when the pool next harvests, one boundary on.
 	d, _ := p.Submit(classad.New().Set(AttrCpuSeconds, 100.0).Set(AttrFailAfter, 1.0))
-	g.Engine.Step()
+	g.Engine.RunFor(time.Second)
 	if info, _ := p.Job(d); info.Status != StatusRunning || freeCount() != 3 {
 		t.Errorf("at the fault boundary: job %v with %d machines free, want running and 3", info.Status, freeCount())
 	}
-	g.Engine.Step()
+	g.Engine.RunFor(time.Second)
 	if info, _ := p.Job(d); info.Status != StatusFailed || info.CPUSeconds != 1 || freeCount() != 3 {
 		t.Errorf("one boundary on: job %v at cpu %v with %d machines free, want failed at exactly 1 and 3", info.Status, info.CPUSeconds, freeCount())
 	}

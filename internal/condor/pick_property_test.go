@@ -417,7 +417,7 @@ func TestRankEvalsFollowChanges(t *testing.T) {
 	count := func(name string) int { return int(reg.Snapshot().Total(name)) }
 	var passes, evals, quiet, spent int
 	for s := 0; s < (waves+6)*gap; s++ {
-		g.Engine.Step()
+		g.Engine.RunFor(time.Second)
 		ranPass := count("negotiation_passes_total") - passes
 		passes += ranPass
 		d := count("negotiation_rank_evals_total") - evals
@@ -475,7 +475,7 @@ func TestLiveJobsWalksLiveJobsOnly(t *testing.T) {
 		if err := p.Remove(id); err != nil {
 			t.Fatal(err)
 		}
-		g.Engine.Step()
+		g.Engine.RunFor(time.Second)
 	}
 	got, err := p.LiveJobs()
 	if err != nil {

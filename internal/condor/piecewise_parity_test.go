@@ -10,14 +10,14 @@ import (
 	"repro/internal/simgrid"
 )
 
-// Step/event parity across load-segment boundaries: machines whose
+// Driver parity across load-segment boundaries: machines whose
 // background load steps (StepLoad) or cycles (DiurnalLoad) gate matching
 // through LoadAvg requirements, so a job can only start once a segment
 // boundary lowers the load. The pool computes those boundaries
-// analytically (loadWakeAt); a Step loop visits every boundary anyway.
-// Their traces must be byte-identical, and the event run must stay sparse
-// when every load is piecewise. A NoisyLoad machine is a segment a second,
-// through the same path.
+// analytically (loadWakeAt); a per-tick RunFor loop asks the engine to
+// stop at every boundary anyway. Their traces must be byte-identical, and
+// the event run must stay sparse when every load is piecewise. A
+// NoisyLoad machine is a segment a second, through the same path.
 
 // piecewiseScenario is the scenario, built and not yet run: mgr is the
 // fair-share policy installed on pool, tr collects the pool's transitions.
@@ -90,10 +90,10 @@ func runPiecewiseParityScenario(t *testing.T, runFor func(*simgrid.Engine, time.
 }
 
 func TestDriverEquivalencePiecewiseLoads(t *testing.T) {
-	tick, tickN := runPiecewiseParityScenario(t, StepFor, false)
+	tick, _ := runPiecewiseParityScenario(t, StepFor, false)
 	ev, evN := runPiecewiseParityScenario(t, (*simgrid.Engine).RunFor, false)
 	if d := tick.diff(ev); d != "" {
-		t.Fatalf("stepping and event jumps diverged: %s", d)
+		t.Fatalf("a per-tick RunFor loop and one RunFor diverged: %s", d)
 	}
 	completed := 0
 	for _, o := range tick.outcomes {
@@ -109,8 +109,8 @@ func TestDriverEquivalencePiecewiseLoads(t *testing.T) {
 	// machine for an idle job, or a running job's usage flow — never at a
 	// tick for being a tick: 69 boundaries of 10 800 (430 while the flows of
 	// jobs on these machines were accrued tick by tick).
-	if evN*100 > tickN {
-		t.Fatalf("RunFor visited %d boundaries vs %d ticks — expected ≥100x sparser", evN, tickN)
+	if ticks := int64(3 * time.Hour / time.Second); evN*100 > ticks {
+		t.Fatalf("RunFor visited %d boundaries of %d ticks — expected ≥100x sparser", evN, ticks)
 	}
 }
 
@@ -118,6 +118,6 @@ func TestDriverEquivalenceOpaqueLoadFallback(t *testing.T) {
 	tick, _ := runPiecewiseParityScenario(t, StepFor, true)
 	ev, _ := runPiecewiseParityScenario(t, (*simgrid.Engine).RunFor, true)
 	if d := tick.diff(ev); d != "" {
-		t.Fatalf("stepping and event jumps diverged with a noisy load present: %s", d)
+		t.Fatalf("a per-tick RunFor loop and one RunFor diverged with a noisy load present: %s", d)
 	}
 }

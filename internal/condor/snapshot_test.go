@@ -110,7 +110,7 @@ func TestRestoreExpiredLeaseRequeues(t *testing.T) {
 		t.Fatalf("checkpointable job after expired lease = %+v", js)
 	}
 	// The pool is healthy: the requeued jobs negotiate back onto machines.
-	p2.grid.Engine.Step()
+	p2.grid.Engine.RunFor(time.Second)
 	if got := mustJob(t, p2, plain); got.Status != StatusRunning {
 		t.Fatalf("requeued job did not re-match: %+v", got)
 	}
@@ -265,7 +265,7 @@ func TestRestoredJobsCarrySubmitFields(t *testing.T) {
 
 	// And the fields are live: every job runs its full remaining work on
 	// the one node and leaves its declared output behind.
-	p2.grid.Engine.Step()
+	p2.grid.Engine.RunFor(time.Second)
 	for _, id := range ids {
 		if got := mustJob(t, p2, id); got.Status == StatusCompleted {
 			t.Fatalf("job %d completed one tick after restore: %+v", id, got)

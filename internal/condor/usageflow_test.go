@@ -312,7 +312,7 @@ func TestFlowsMatchPerTickEagerOracle(t *testing.T) {
 			oracle.pool = sc.pool
 			worst := 0.0
 			for k := 0; k < 3*3600; k++ {
-				sc.g.Engine.Step()
+				sc.g.Engine.RunFor(time.Second)
 				// What rate quantisation can be holding back: half a work
 				// unit per second each open flow has run. (The nano is for the
 				// idle tail under decay, where both books fall towards zero

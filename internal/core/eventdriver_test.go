@@ -10,12 +10,12 @@ import (
 	"repro/internal/steering"
 )
 
-// The core-level half of the tick-vs-event equivalence suite: a full
-// deployment (scheduler site selection, input staging over the network,
-// MonALISA sampling, steering with an automatic migration, fault
-// injection with resubmission) must produce identical assignments, job
-// footprints, and notifications whether the clock steps through every
-// boundary or jumps from event to event.
+// The core-level half of the driver equivalence suite: a full deployment
+// (scheduler site selection, input staging over the network, MonALISA
+// sampling, steering with an automatic migration, fault injection with
+// resubmission) must produce identical assignments, job footprints, and
+// notifications whether the engine runs one RunFor call per tick or
+// Run's Advance loop over the whole span.
 
 type coreTrace struct {
 	assignments []scheduler.Assignment
@@ -90,7 +90,7 @@ func runCoreScenario(t *testing.T, run func(*GAE, time.Duration)) *coreTrace {
 func TestDriverEquivalenceCoreScenario(t *testing.T) {
 	tick := runCoreScenario(t, func(g *GAE, d time.Duration) {
 		for n := d / g.Grid.Engine.Tick(); n > 0; n-- {
-			g.Grid.Engine.Step()
+			g.Grid.Engine.RunFor(g.Grid.Engine.Tick())
 		}
 	})
 	ev := runCoreScenario(t, (*GAE).Run)

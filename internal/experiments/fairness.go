@@ -40,9 +40,10 @@ type FairnessOutcome struct {
 	FirstCompletionTick int // -1 if the tenant never completed a job
 }
 
-// FairnessResult is the replay's full output: the per-tick allocation
-// history, per-tenant outcomes, and the headline fairness metrics over
-// entitlement-normalized completed CPU-seconds.
+// FairnessResult is the replay's full output: the allocation history
+// sampled every 5 ticks (and at the last), per-tenant outcomes, and the
+// headline fairness metrics over entitlement-normalized completed
+// CPU-seconds.
 type FairnessResult struct {
 	Scenario  string
 	FairShare bool
@@ -126,8 +127,10 @@ func Fairness(sc workload.FairnessScenario, fairShare bool) (*FairnessResult, er
 		pool.SetFairShare(fs)
 	}
 
-	// Per-tenant tallies in declaration order, fed by pool completion
-	// events; sorted by name into the result's outcomes at the end.
+	// Per-tenant tallies in declaration order, fed by pool events; the
+	// outcomes are sorted by name into the result at the end. A job's
+	// submit event fires inside Submit, before its tenant is known, so
+	// the submit loop counts the arrival as idle itself.
 	out := make([]FairnessOutcome, len(sc.Tenants))
 	for i, t := range sc.Tenants {
 		g := t.Group
@@ -136,11 +139,17 @@ func Fairness(sc workload.FairnessScenario, fairShare bool) (*FairnessResult, er
 		}
 		out[i] = FairnessOutcome{Tenant: t.Name, Group: g, Weight: t.Weight, FirstCompletionTick: -1}
 	}
-	tenantOf := make(map[int]int) // job ID → tenant index
+	jobs := make([][condor.StatusRemoved + 1]int, len(sc.Tenants)) // tenant index → jobs per status
+	tenantOf := make(map[int]int)                                  // job ID → tenant index
 	epoch := grid.Engine.Now()
 	pool.Subscribe(func(e condor.Event) {
 		i, ok := tenantOf[e.JobID]
-		if e.To != condor.StatusCompleted || !ok {
+		if !ok {
+			return
+		}
+		jobs[i][e.From]--
+		jobs[i][e.To]++
+		if e.To != condor.StatusCompleted {
 			return
 		}
 		o := &out[i]
@@ -152,38 +161,6 @@ func Fairness(sc workload.FairnessScenario, fairShare bool) (*FairnessResult, er
 	})
 
 	res := &FairnessResult{Scenario: sc.Name, FairShare: fairShare, Ticks: sc.Ticks}
-	snapshot := func(tick int) {
-		running := make(map[string]int)
-		idle := make(map[string]int)
-		jobs, err := pool.Jobs()
-		if err == nil {
-			for _, j := range jobs {
-				switch j.Status {
-				case condor.StatusRunning:
-					running[j.Owner]++
-				case condor.StatusIdle:
-					idle[j.Owner]++
-				}
-			}
-		}
-		for i, t := range sc.Tenants {
-			row := FairnessRow{
-				Tick:          tick,
-				Tenant:        t.Name,
-				Group:         out[i].Group,
-				Running:       running[t.Name],
-				Idle:          idle[t.Name],
-				CompletedJobs: out[i].CompletedJobs,
-				CompletedCPU:  out[i].CompletedCPU,
-			}
-			if fs != nil {
-				row.DecayedUsage = fs.Usage(t.Name)
-				row.EffectivePriority = fs.EffectivePriority(t.Name)
-			}
-			res.History = append(res.History, row)
-		}
-	}
-
 	for tick := 0; tick < sc.Ticks; tick++ {
 		for i, t := range sc.Tenants {
 			for n := t.ArrivalsAt(tick); n > 0; n-- {
@@ -197,11 +174,28 @@ func Fairness(sc workload.FairnessScenario, fairShare bool) (*FairnessResult, er
 				}
 				tenantOf[id] = i
 				out[i].SubmittedJobs++
+				jobs[i][condor.StatusIdle]++
 			}
 		}
-		grid.Engine.Step()
-		if tick%sampleEvery == 0 || tick == sc.Ticks-1 {
-			snapshot(tick)
+		grid.Engine.RunFor(time.Second)
+		if tick%sampleEvery != 0 && tick != sc.Ticks-1 {
+			continue
+		}
+		for i, t := range sc.Tenants {
+			row := FairnessRow{
+				Tick:          tick,
+				Tenant:        t.Name,
+				Group:         out[i].Group,
+				Running:       jobs[i][condor.StatusRunning],
+				Idle:          jobs[i][condor.StatusIdle],
+				CompletedJobs: out[i].CompletedJobs,
+				CompletedCPU:  out[i].CompletedCPU,
+			}
+			if fs != nil {
+				row.DecayedUsage = fs.Usage(t.Name)
+				row.EffectivePriority = fs.EffectivePriority(t.Name)
+			}
+			res.History = append(res.History, row)
 		}
 	}
 

@@ -157,3 +157,33 @@ func TestFairnessCSVShape(t *testing.T) {
 		}
 	}
 }
+
+// TestFairnessHistoryAccountsForEveryJob holds the history's running and
+// idle counts, tallied from pool events, to the arrivals: at every sampled
+// tick a tenant's running, idle and completed jobs add up to what it
+// submitted up to and including that tick.
+func TestFairnessHistoryAccountsForEveryJob(t *testing.T) {
+	for _, name := range []string{"bursty-tenant", "federated-flocking", "starvation-recovery", "weighted-groups"} {
+		sc := loadScenario(t, name)
+		for _, fairShare := range []bool{true, false} {
+			res, err := Fairness(sc, fairShare)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, row := range res.History {
+				submitted := 0
+				for _, tn := range sc.Tenants {
+					if tn.Name == row.Tenant {
+						for tick := 0; tick <= row.Tick; tick++ {
+							submitted += tn.ArrivalsAt(tick)
+						}
+					}
+				}
+				if got := row.Running + row.Idle + row.CompletedJobs; got != submitted {
+					t.Fatalf("%s fairshare=%v tick %d %s: %d running + %d idle + %d completed = %d, submitted %d",
+						name, fairShare, row.Tick, row.Tenant, row.Running, row.Idle, row.CompletedJobs, got, submitted)
+				}
+			}
+		}
+	}
+}

@@ -236,7 +236,7 @@ func TestManagerList(t *testing.T) {
 	g, pool, _, svc := newFixture(t)
 	submit(t, pool, 10, 0)
 	submit(t, pool, 20, 0)
-	g.Engine.Step()
+	g.Engine.RunFor(time.Second)
 	jobs, err := svc.List("poolA")
 	if err != nil {
 		t.Fatal(err)
@@ -336,7 +336,7 @@ func TestRPCListAndPools(t *testing.T) {
 	g, pool, c := rpcFixture(t)
 	submit(t, pool, 10, 0)
 	submit(t, pool, 20, 0)
-	g.Engine.Step()
+	g.Engine.RunFor(time.Second)
 	ctx := context.Background()
 	jobs, err := callAs[[]any](ctx, c, "jobmon.list", "poolA")
 	if err != nil {

@@ -345,7 +345,7 @@ func TestEstimateRecordedAtSubmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.grid.Engine.Step()
+	f.grid.Engine.RunFor(time.Second)
 	a, _ := cp.Assignment("t1")
 	info, err := f.pools["siteA"].Job(a.CondorID)
 	if err != nil {
@@ -660,7 +660,7 @@ func TestUnresolvableInputFailsTask(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.grid.Engine.Step()
+	f.grid.Engine.RunFor(time.Second)
 	a, _ := cp.Assignment("t1")
 	if a.State != TaskFailed {
 		t.Fatalf("state = %v, want failed", a.State)

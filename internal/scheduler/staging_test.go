@@ -83,17 +83,17 @@ func TestStagingAbortedTaskNotSubmitted(t *testing.T) {
 	}
 }
 
-// stepFor and stepUntil are Engine.RunFor and Engine.RunUntil visiting
-// every boundary: the fixed-tick loop whose traces the engine's event
-// jumps must reproduce.
+// stepFor and stepUntil are Engine.RunFor and Engine.RunUntil cut into
+// one RunFor call per tick: the fixed-tick loop whose traces the whole
+// spans must reproduce.
 func stepFor(e *simgrid.Engine, d time.Duration) {
 	for n := (d + e.Tick() - 1) / e.Tick(); n > 0; n-- {
-		e.Step()
+		e.RunFor(e.Tick())
 	}
 }
 
 func stepUntil(e *simgrid.Engine, pred func() bool, max time.Duration) error {
-	for deadline := e.Now().Add(max); !pred(); e.Step() {
+	for deadline := e.Now().Add(max); !pred(); e.RunFor(e.Tick()) {
 		if e.Now().After(deadline) {
 			return fmt.Errorf("condition not reached within %v", max)
 		}
@@ -102,7 +102,7 @@ func stepUntil(e *simgrid.Engine, pred func() bool, max time.Duration) error {
 }
 
 // runStagingStorm drives a staging storm, advancing the clock with runFor
-// and until (every boundary, or event to event): two tasks,
+// and until (one tick per call, or whole spans): two tasks,
 // four 50MB inputs, all staged from siteA to siteB over one shared
 // 10MB/s link, with background utilization jumping to 0.5 mid-staging.
 // The trace captures assignments, pool job snapshots, and the staged
@@ -185,7 +185,7 @@ func runStagingStorm(t *testing.T, runFor func(*simgrid.Engine, time.Duration),
 
 // TestStagingStormParityTickVsEvent: concurrent staging on a shared link
 // plus a mid-flight SetUtilization must leave byte-identical traces
-// whether the clock steps through every boundary or jumps between events.
+// whether the clock advances one tick per RunFor call or a whole span.
 func TestStagingStormParityTickVsEvent(t *testing.T) {
 	tick := runStagingStorm(t, stepFor, stepUntil)
 	ev := runStagingStorm(t, (*simgrid.Engine).RunFor, (*simgrid.Engine).RunUntil)

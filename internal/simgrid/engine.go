@@ -18,11 +18,12 @@
 // boundary, skipping grid points where nothing is scheduled — so cost
 // scales with work performed, not with simulated duration. The queue is
 // the one way anything waits on simulated time: the clock itself only
-// reads and advances, and nothing blocks on it. Skipped
-// boundaries are empty by construction: stepping through every one of them
-// (Step) leaves the same trace, which the equivalence suites pin. Nothing
-// here draws random numbers — NoisyLoad's noise is a hash of its seed and
-// the second — so every experiment is reproducible bit for bit.
+// reads and advances, and nothing blocks on it. Outside dispatch nothing
+// is due at or before the current boundary, so however a span is cut
+// into RunFor calls it leaves the same trace, which the equivalence
+// suites pin. Nothing here draws random numbers — NoisyLoad's noise is a
+// hash of its seed and the second — so every experiment is reproducible
+// bit for bit.
 //
 // CPU work is accounted exactly: in integer micro-CPU-seconds, at rates
 // quantised once where a load segment or a node's occupancy changes, with
@@ -186,7 +187,7 @@ func (e *Engine) Now() time.Time { return e.clock.Now() }
 func (e *Engine) Tick() time.Duration { return e.tick }
 
 // Ticks returns the number of tick boundaries visited so far: those with
-// scheduled events, plus one per Step call.
+// scheduled events.
 func (e *Engine) Ticks() int64 { return e.ticks }
 
 // Events returns the number of events dispatched so far — the
@@ -333,8 +334,7 @@ func (p *Poller) onWake(now time.Time) {
 // horizonFor reports the boundary (as a tick index) up to which a
 // component with the given registration order is current: mid-boundary,
 // components whose turn has not yet come see state as of the previous
-// boundary — the ordering contract the every-boundary equivalence suites
-// pin.
+// boundary — the ordering contract the equivalence suites pin.
 func (e *Engine) horizonFor(order int) int64 {
 	if e.processing && order > e.curOrder {
 		return e.nowTick - 1
@@ -418,13 +418,6 @@ func (e *Engine) Advance(limit time.Time) bool {
 	return true
 }
 
-// Step advances the simulation by exactly one tick, dispatching whatever
-// is due at that boundary. A Step loop visits every boundary RunFor would
-// jump over; the two leave identical traces.
-func (e *Engine) Step() {
-	e.processBoundary(e.nowTick + 1)
-}
-
 // Horizon returns the boundary RunFor(d) stops at: d rounded up to whole
 // ticks past the current one.
 func (e *Engine) Horizon(d time.Duration) time.Time {
@@ -446,14 +439,10 @@ func (e *Engine) RunFor(d time.Duration) {
 // so skipping empty boundaries cannot delay detection.
 func (e *Engine) RunUntil(pred func() bool, max time.Duration) error {
 	deadline := e.Now().Add(max)
-	// A Step loop keeps stepping while now ≤ deadline, so the last
-	// boundary it processes — and where it leaves the clock on timeout —
-	// is the first grid boundary strictly after the deadline. The steps
-	// honor the same limit (not the raw deadline, which may lie off-grid)
-	// so events landing in that final overshoot step still fire, and with
-	// nothing left inside the window that could change pred the clock
-	// jumps there, so the next iteration reports the timeout with the
-	// clock exactly where a Step loop would leave it.
+	// The window ends at the first grid boundary strictly after the
+	// deadline, whose events still fire. Once Advance finds nothing due
+	// up to it, it moves the clock there, past the deadline, and the next
+	// iteration reports the timeout.
 	k := e.tickCeil(deadline)
 	if !e.timeOf(k).After(deadline) {
 		k++

@@ -76,12 +76,18 @@ func (s stepLoad) Segment(t time.Time) (float64, time.Time) {
 
 // StepLoad switches between levels at fixed boundaries. Boundaries are
 // offsets from epoch; levels[i] applies before boundaries[i], and the
-// last level applies afterwards. len(levels) must be len(boundaries)+1.
+// last level applies afterwards. len(levels) must be len(boundaries)+1
+// and every level finite (a level is clamped into [0, 1] only when read).
 // Each level is one constant segment, so event-driven nodes wake only at
 // the step boundaries.
 func StepLoad(epoch time.Time, boundaries []time.Duration, levels []float64) Load {
 	if len(levels) != len(boundaries)+1 {
 		panic("simgrid: StepLoad needs len(levels) == len(boundaries)+1")
+	}
+	for _, v := range levels {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			panic("simgrid: StepLoad levels must be finite")
+		}
 	}
 	for i := 1; i < len(boundaries); i++ {
 		if boundaries[i] <= boundaries[i-1] {

@@ -2,6 +2,7 @@ package simgrid
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"time"
 )
@@ -119,15 +120,19 @@ func linkKey(a, b string) [2]string {
 }
 
 // Connect installs (or replaces) the symmetric link between sites a and b.
-// Utilization is clamped into [0, MaxUtilization]. Replacing a link that
+// It panics on a bandwidth that is not positive or a NaN utilization;
+// utilization is clamped into [0, MaxUtilization]. Replacing a link that
 // carries active flows settles them under the old parameters and
 // re-derives their rates and deadlines under the new ones.
 func (n *Network) Connect(a, b string, link Link) {
 	if a == b {
 		panic("simgrid: cannot link a site to itself")
 	}
-	if link.BandwidthMBps <= 0 {
+	if !(link.BandwidthMBps > 0) {
 		panic("simgrid: link needs positive bandwidth")
+	}
+	if math.IsNaN(link.Utilization) {
+		panic("simgrid: link utilization is NaN")
 	}
 	link.Utilization = clampUtil(link.Utilization)
 	now := n.engine.Now()
@@ -145,15 +150,18 @@ func (n *Network) LinkBetween(a, b string) (Link, bool) {
 }
 
 // SetUtilization adjusts background traffic on an existing link, clamped
-// into [0, MaxUtilization]. In-flight flows are settled at the current
-// sim time under their old rate, then their rates and completion
-// deadlines are re-derived under the new effective bandwidth.
+// into [0, MaxUtilization]; a NaN is refused. In-flight flows are settled
+// at the current sim time under their old rate, then their rates and
+// completion deadlines are re-derived under the new effective bandwidth.
 func (n *Network) SetUtilization(a, b string, u float64) error {
 	now := n.engine.Now()
 	k := linkKey(a, b)
 	l, ok := n.links[k]
 	if !ok {
 		return fmt.Errorf("simgrid: no link %s—%s", a, b)
+	}
+	if math.IsNaN(u) {
+		return fmt.Errorf("simgrid: utilization of link %s—%s is NaN", a, b)
 	}
 	n.settleLink(k, now)
 	l.Utilization = clampUtil(u)

@@ -171,6 +171,19 @@ func TestLinkUtilizationClamped(t *testing.T) {
 	}
 }
 
+// TestSetUtilizationRefusesNaN: clamping keeps a NaN, so SetUtilization
+// refuses one and leaves the link as it was.
+func TestSetUtilizationRefusesNaN(t *testing.T) {
+	g := NewGrid(time.Second, 1)
+	g.Network.Connect("a", "b", Link{BandwidthMBps: 100, Utilization: 0.25})
+	if err := g.Network.SetUtilization("a", "b", math.NaN()); err == nil {
+		t.Fatal("SetUtilization(NaN) returned no error")
+	}
+	if l, _ := g.Network.LinkBetween("a", "b"); l.Utilization != 0.25 {
+		t.Fatalf("refused SetUtilization left utilization %v, want 0.25", l.Utilization)
+	}
+}
+
 // TestLatencyTailNotRecharged: a flow whose payload has fully drained is
 // only riding out the link's one-way latency — a perturbation during
 // that tail must neither postpone its frozen completion (the bytes are

@@ -260,6 +260,21 @@ func TestStepLoadValidation(t *testing.T) {
 	StepLoad(time.Time{}, []time.Duration{time.Second}, []float64{0.5})
 }
 
+// A level is clamped only when read, and clamping keeps a NaN: StepLoad
+// refuses a non-finite level when it is built, as it does bad boundaries.
+func TestStepLoadRefusesNonFiniteLevels(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("StepLoad with a level of %v did not panic", bad)
+				}
+			}()
+			StepLoad(time.Time{}, []time.Duration{time.Hour}, []float64{0.5, bad})
+		}()
+	}
+}
+
 func TestNoisyLoadDeterministicAndBounded(t *testing.T) {
 	base := ConstantLoad(0.5)
 	noisy := NoisyLoad(base, 0.2, 42)
@@ -381,6 +396,8 @@ func TestNetworkConnectValidation(t *testing.T) {
 	for _, f := range []func(){
 		func() { g.Network.Connect("a", "a", Link{BandwidthMBps: 1}) },
 		func() { g.Network.Connect("a", "b", Link{}) },
+		func() { g.Network.Connect("a", "b", Link{BandwidthMBps: math.NaN()}) },
+		func() { g.Network.Connect("a", "b", Link{BandwidthMBps: 1, Utilization: math.NaN()}) },
 	} {
 		func() {
 			defer func() {

@@ -30,8 +30,8 @@ var reachAllowed = map[string]string{
 	"condor.Pool.Recover":             "fault injection for the recovery, jobmon and core tests",
 	"simgrid.StepLoad":                "stepped-load fixture the condor and root tests share",
 	"simgrid.Network.SetUtilization":  "background-traffic fixture the estimator and scheduler tests share",
-	"simgrid.Engine.Tick":             "the time resolution the condor, scheduler and core step loops and oracles advance by",
-	"simgrid.Engine.Ticks":            "boundaries visited: the count the condor and simgrid event gates read",
+	"simgrid.Engine.Tick":             "the span of the per-tick RunFor calls the condor, scheduler and core equivalence suites and condor's oracles make",
+	"simgrid.Engine.Ticks":            "boundaries visited: the count condor's sparsity and weather gates and simgrid's event tests read",
 	"vtime.SimClock.Advance":          "how tests move a simulated clock without an engine",
 	"fairshare.LessKeys":              "the reference order condor's oracle tests compare against",
 	"classad.Ad.Names":                "how the condor tests read which attributes an ad carries",

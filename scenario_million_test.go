@@ -53,8 +53,9 @@ type millionScale struct {
 	// with AttrFailAfter at its full need: the job fails where it would have
 	// completed, so fault injection leaves every instant where it was.
 	failEvery int
-	// stepped runs the horizon one Step at a time instead of RunFor's event
-	// jumps: the fixed-tick loop whose placements the jumps must reproduce.
+	// stepped runs the horizon as one RunFor call per tick instead of one
+	// call: the fixed-tick loop whose placements the one call must
+	// reproduce.
 	stepped bool
 }
 
@@ -132,7 +133,7 @@ func buildMillionScenario(tb testing.TB, sc millionScale, reg *telemetry.Registr
 	return pools, func() *simgrid.Engine {
 		if sc.stepped {
 			for n := sc.horizon / sc.tick; n > 0; n-- {
-				g.Engine.Step()
+				g.Engine.RunFor(sc.tick)
 			}
 		} else {
 			g.Engine.RunFor(sc.horizon)
@@ -232,7 +233,7 @@ func TestMillionSmokeCounts(t *testing.T) {
 }
 
 // goldenScale is a 2-pool x 200-machine x 4,000-job backlog, ten waves
-// deep — small enough to also step through every boundary in every test run.
+// deep — small enough to also run one tick at a time in every test run.
 var goldenScale = millionScale{
 	pools:    2,
 	machines: 200,
@@ -274,8 +275,8 @@ func placementHash(tb testing.TB, pools []*condor.Pool) uint64 {
 // optimisation must not move, kept apart from Engine.Events(), which such
 // a change is free to lower. The value was computed on the commit before
 // the completion cycle was reworked (echo wakes, by-value event queue,
-// job fields cached at submit) and holds whether the clock jumps from
-// event to event or steps through every boundary.
+// job fields cached at submit) and holds whether the horizon is one
+// RunFor call or one per tick.
 func TestPlacementGolden(t *testing.T) {
 	const want = uint64(0x8d99e4b4a361b743)
 	for _, stepped := range []bool{false, true} {
