@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-race race-smoke bench bench-test fuzz-smoke bench-smoke load-smoke chaos-smoke obs-smoke examples-smoke sim sim-smoke fmt vet loc
+.PHONY: build test test-race race-smoke bench bench-test fuzz-smoke bench-smoke load-smoke chaos-smoke obs-smoke examples-smoke sim sim-smoke fig-smoke fmt vet loc
 
 build:
 	$(GO) build ./...
@@ -193,6 +193,21 @@ sim-smoke:
 				|| { cat $$bin/summary; exit 1; }; \
 			diff -u testdata/golden/$$name.fairshare-$$fair.csv $$bin/out.csv; \
 		done; \
+	done
+
+# The gae-bench binary regenerating Figures 5 and 7; a non-zero exit fails
+# the target, and so does a CSV that differs from
+# testdata/golden/figureN.csv. The in-process golden test
+# (TestFigureGoldens) holds the library to the same files; this holds the
+# flags and the file writing too. Figure 6 times real RPCs, so it has no
+# golden.
+fig-smoke:
+	@set -e; bin=$$(mktemp -d); trap 'rm -rf "$$bin"' EXIT; \
+	$(GO) build -o $$bin/gae-bench ./cmd/gae-bench; \
+	for n in 5 7; do \
+		echo "fig-smoke: figure $$n"; \
+		$$bin/gae-bench -fig $$n -chart=false -out $$bin >/dev/null; \
+		diff -u testdata/golden/figure$$n.csv $$bin/figure$$n.csv; \
 	done
 
 fmt:

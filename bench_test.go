@@ -324,9 +324,10 @@ func BenchmarkScenarioNetworkContention(b *testing.B) {
 		g := simgrid.NewGrid(time.Second, 1)
 		leaves := []string{"leaf0", "leaf1", "leaf2", "leaf3"}
 		hub := g.AddSite("hub")
+		link := simgrid.Link{BandwidthMBps: 25, Latency: 50 * time.Millisecond}
 		for i, name := range leaves {
 			leaf := g.AddSite(name)
-			g.Network.Connect(name, "hub", simgrid.Link{BandwidthMBps: 25, Latency: 50 * time.Millisecond})
+			g.Network.Connect(name, "hub", link)
 			for f := 0; f < 3; f++ {
 				leaf.Storage().Put(fmt.Sprintf("d%d-%d", i, f), float64(200+50*f))
 			}
@@ -352,18 +353,16 @@ func BenchmarkScenarioNetworkContention(b *testing.B) {
 			})
 			// Background traffic shifts mid-burst and clears afterwards,
 			// re-deriving every in-flight deadline both times.
+			busy := link
+			busy.Utilization = 0.6
 			g.Engine.Schedule(at+20*time.Second, func(time.Time) {
 				for _, name := range leaves {
-					if err := g.Network.SetUtilization(name, "hub", 0.6); err != nil {
-						b.Error(err)
-					}
+					g.Network.Connect(name, "hub", busy)
 				}
 			})
 			g.Engine.Schedule(at+400*time.Second, func(time.Time) {
 				for _, name := range leaves {
-					if err := g.Network.SetUtilization(name, "hub", 0); err != nil {
-						b.Error(err)
-					}
+					g.Network.Connect(name, "hub", link)
 				}
 			})
 		}

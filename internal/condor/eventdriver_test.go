@@ -189,8 +189,8 @@ func TestDriverEquivalenceSparseLongHorizon(t *testing.T) {
 // machine a backlog of n jobs costs the first negotiation plus one wake
 // per completion — the pool's own placement marks nothing dirty and
 // requests nothing, and a completion requests its wake once. Changes made
-// by anyone else (a load replaced, a foreign task placed, a job removed
-// through the API) wake it as ever.
+// by anyone else (a foreign task placed or completed, a job submitted or
+// removed through the API) wake it as ever.
 func TestPoolWakesOnlyForNews(t *testing.T) {
 	g, p := testPool(t, 1)
 	reg := telemetry.NewRegistry()
@@ -223,7 +223,6 @@ func TestPoolWakesOnlyForNews(t *testing.T) {
 		what string
 		do   func()
 	}{
-		{"a load change", func() { node.SetLoad(simgrid.ConstantLoad(0.25)) }},
 		{"a foreign placement", func() { node.Place(simgrid.NewTask(6, nil)) }},
 		{"a foreign completion", func() { g.Engine.RunFor(10 * time.Second) }},
 		{"a submission", func() { mustSubmit(t, p, jobAd("bob", 1000, 0)) }},

@@ -2,6 +2,7 @@ package condor
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"slices"
 	"strconv"
@@ -179,11 +180,12 @@ func TestFairShareFlockedUsageChargesExecutingSite(t *testing.T) {
 }
 
 // TestFlockedFlowIsRatedByItsOwnPool: a flocked job's usage flow on the
-// peer's machine is the origin pool's to re-rate. A change to that node is
-// news to the peer, the machine's owner, and the peer's wake re-rates only
-// the flows of its own jobs: it leaves the origin's at the rate the origin
-// gave it, without calling into the origin's policy under its own lock.
-// The job's Close then reconciles the books to the measured CPU.
+// peer's machine is the origin pool's to re-rate. A foreign task placed on
+// that node is news to the peer, the machine's owner, and the peer's wake
+// re-rates only the flows of its own jobs: it leaves the origin's at the
+// rate the origin gave it, without calling into the origin's policy under
+// its own lock. The job's Close then reconciles the books to the measured
+// CPU.
 func TestFlockedFlowIsRatedByItsOwnPool(t *testing.T) {
 	g, origin := testPool(t, 0)
 	peerSite := g.AddSite("siteB")
@@ -201,7 +203,7 @@ func TestFlockedFlowIsRatedByItsOwnPool(t *testing.T) {
 		t.Fatalf("job is %v on %q, want running on the peer's siteB-n0", got.Status, got.Node)
 	}
 	before := fsA.Usage("alice")
-	n.SetLoad(simgrid.ConstantLoad(0.5)) // the peer's node changes: the peer wakes with it dirty
+	n.Place(simgrid.NewTask(1000, nil)) // halves the job's share: the peer wakes with the node dirty
 	g.Engine.RunFor(10 * time.Second)
 	rate := origin.job(id).flowRate
 	if rate != 1 {
@@ -218,6 +220,46 @@ func TestFlockedFlowIsRatedByItsOwnPool(t *testing.T) {
 		t.Fatalf("job = %v, want completed", got)
 	}
 	if u := fsA.Usage("alice"); math.Abs(u-30) > 1e-6 {
+		t.Fatalf("closed flow usage = %v, want the measured 30", u)
+	}
+}
+
+// TestFlockedFlowFollowsPeerLoadStep: the origin pool re-rates its flocked
+// job's usage flow at its peer's machine's load boundaries — the origin's
+// flow wake walks the peer's machines too — so the flow halves at the step
+// the node's rate halves at, and the job's Close reconciles the books to
+// the measured CPU.
+func TestFlockedFlowFollowsPeerLoadStep(t *testing.T) {
+	g, origin := testPool(t, 0)
+	peerSite := g.AddSite("siteB")
+	peer := NewPool("poolB", g, peerSite)
+	const step = 20 * time.Second
+	load := simgrid.StepLoad(flowEpoch, []time.Duration{step}, []float64{0, 0.5})
+	peer.AddMachine(peerSite.AddNode(g.Engine, "siteB-n0", 1.0, load), nil)
+	origin.EnableFlocking(peer)
+	pol := newRateLog(origin)
+	origin.SetFairShare(pol)
+	peer.SetFairShare(fairManager(peer))
+
+	id := mustSubmit(t, origin, jobAd("alice", 30, 0))
+	g.Engine.RunFor(15 * time.Second)
+	if got := mustJob(t, origin, id); got.Status != StatusRunning || got.Node != "siteB-n0" {
+		t.Fatalf("job is %v on %q, want running on the peer's siteB-n0", got.Status, got.Node)
+	}
+	g.Engine.RunFor(time.Minute)
+	if got := mustJob(t, origin, id).Status; got != StatusCompleted {
+		t.Fatalf("job = %v, want completed", got)
+	}
+	var rated []string
+	for _, op := range pol.ops {
+		if op.op == "rate" {
+			rated = append(rated, fmt.Sprintf("%v@%v", op.v, op.at.Sub(flowEpoch)))
+		}
+	}
+	if want := []string{"0.5@20s"}; !slices.Equal(rated, want) {
+		t.Fatalf("origin re-rated the flocked flow %v, want %v", rated, want)
+	}
+	if u := pol.Usage("alice"); math.Abs(u-30) > 1e-6 {
 		t.Fatalf("closed flow usage = %v, want the measured 30", u)
 	}
 }

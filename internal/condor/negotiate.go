@@ -96,8 +96,8 @@ func (p *Pool) finish(j *job, now time.Time) {
 
 // rerateFlows re-derives usage-flow rates where a node's per-task
 // rate may have changed since the flow was last rated: on the machines
-// whose node's observer fired (someone else placed or removed a task
-// there, or replaced the load), and — once the earliest end of a load
+// whose node's observer fired (someone else placed, completed or removed a
+// task there), and — once the earliest end of a load
 // segment among the nodes carrying a flow has come (flowWakeAt) — on every
 // machine carrying one of this pool's flows, its own and its flocking
 // peer's, which also finds the next such instant. The work follows the
@@ -261,11 +261,12 @@ func (st *freeStats) merge(o freeStats) {
 // visits only the machines listed fresh since the last: those that entered
 // the free set, and one whose offer a pass spent without a claim. A
 // machine that stayed free, unvisited, still reads as it did: its node's
-// tasks and load change only through the node's observer, its ad only
-// through its mutation hook, and each asks for a walk of every free
-// machine instead (rewalk), as does a flocking peer's snapshot, which
-// writes LoadAvg. So does a counted machine whose load segment ends:
-// offersUntil is then not zero, and time alone may change its LoadAvg.
+// tasks change only through the node's observer, its ad only through its
+// mutation hook, and each asks for a walk of every free machine instead
+// (rewalk), as does a flocking peer's snapshot, which writes LoadAvg. Its
+// load changes only where a segment ends, and a counted machine's segment
+// end asks for the same walk: offersUntil is then not zero, and time alone
+// may change its LoadAvg.
 // Either way each machine is visited the same way, and the pass sees what
 // a walk of every free machine would.
 func (p *Pool) refreshFree(now time.Time) freeStats {

@@ -125,9 +125,17 @@ func runPickProperty(t *testing.T, seed int64, sum *pickPropertyTally) {
 
 	// 3 archs over 1..90 machines: buckets land on both sides of
 	// sortedPickThreshold, and drift across it as machines are claimed.
+	// One pass a second: about one machine in ten has a load that steps
+	// at one or two of the passes, drawn before the first.
+	const passes = 10
+	epoch := g.Engine.Now()
 	n := 1 + rng.Intn(90)
 	for i := 0; i < n; i++ {
-		node := site.AddNode(g.Engine, fmt.Sprintf("n%03d", rng.Intn(1000)*100+i), 1, simgrid.IdleLoad())
+		load := simgrid.IdleLoad()
+		if rng.Intn(10) == 0 {
+			load = randomStepLoad(rng, epoch, passes*time.Second, 1+rng.Intn(2), 0, propLoads)
+		}
+		node := site.AddNode(g.Engine, fmt.Sprintf("n%03d", rng.Intn(1000)*100+i), 1, load)
 		ad := propMachineAd(rng)
 		switch {
 		case i == 0 && seed%2 == 0:
@@ -157,7 +165,6 @@ func runPickProperty(t *testing.T, seed int64, sum *pickPropertyTally) {
 		rankSrc[p.job(id)] = rank
 	}
 
-	now := g.Engine.Now()
 	var claimed []*machine
 	type moved struct {
 		m    *machine
@@ -166,12 +173,13 @@ func runPickProperty(t *testing.T, seed int64, sum *pickPropertyTally) {
 	var away []moved                 // machines advertised under another Arch for one pass
 	exhaustive := map[viewKey]bool{} // views the previous pass left in exhaustive mode
 	everBuilt := map[viewKey]struct{}{}
-	for pass := 0; pass < 10; pass++ {
+	for pass := 0; pass < passes; pass++ {
 		// Between passes: an external task occupies a node (excluded by
-		// the refresh), advertised ads and loads change, claimed machines
-		// return, a free one is claimed, freed and claimed again, and
-		// machines join under names that sort before, among and after the
-		// others'.
+		// the refresh), advertised ads change and loads step, claimed
+		// machines return, a free one is claimed, freed and claimed again,
+		// and machines join under names that sort before, among and after
+		// the others'.
+		now := epoch.Add(time.Duration(pass) * time.Second)
 		if rng.Intn(2) == 0 {
 			p.machines[rng.Intn(len(p.machines))].node.Place(simgrid.NewTask(1e9, nil))
 		}
@@ -188,7 +196,7 @@ func runPickProperty(t *testing.T, seed int64, sum *pickPropertyTally) {
 		away = away[:0]
 		for k := rng.Intn(5); k > 0; k-- {
 			m := p.machines[rng.Intn(len(p.machines))]
-			switch rng.Intn(6) {
+			switch rng.Intn(5) {
 			case 0:
 				m.ad.Set("KFlops", propKFlops[rng.Intn(len(propKFlops))])
 			case 1:
@@ -202,8 +210,6 @@ func runPickProperty(t *testing.T, seed int64, sum *pickPropertyTally) {
 				m.ad.Set("Memory", byName(m.ad, "Memory")) // same ad, new match ad
 			case 4:
 				m.ad.MustSetExpr("KFlops", propExprKFlops)
-			default:
-				m.node.SetLoad(simgrid.ConstantLoad(propLoads[rng.Intn(len(propLoads))]))
 			}
 		}
 		rng.Shuffle(len(claimed), func(a, b int) { claimed[a], claimed[b] = claimed[b], claimed[a] })

@@ -25,8 +25,8 @@ var ErrNoSuchJob = fmt.Errorf("condor: no such job")
 // (matchmaker) over the site's machines. The pool is event-driven: it
 // asks the engine for a wakeup when there is work to do — a job was
 // submitted, a machine was freed, a running task completed, or someone
-// else changed one of its machines (a load replaced, a foreign task
-// placed or removed, an ad attribute written). What the pool does to its
+// else changed one of its machines (a foreign task placed, completed or
+// removed, an ad attribute written). What the pool does to its
 // own machines inside a pass wakes nobody: a placement it just made
 // offers it nothing new, and a completion reaches it through the task's
 // done callback, which requests the one wake that harvests it. Time
@@ -331,9 +331,9 @@ func (p *Pool) AddMachine(node *simgrid.Node, ad *classad.Ad) {
 	m := &machine{node: node, owner: p, ad: ad, freeIdx: -1}
 	m.snapshotAd()
 	// Subscriptions replace per-tick polling: an ad attribute change or a
-	// node-level change made by anyone but this pool's own pass (load
-	// replaced, foreign task placed or completed, any task removed) marks
-	// the node dirty and wakes the negotiator — this pool's and any pool
+	// change to the node's tasks made by anyone but this pool's own pass
+	// (a foreign task placed or completed, any task removed) marks the
+	// node dirty and wakes the negotiator — this pool's and any pool
 	// flocking into it. The hook is registered after the standard
 	// attributes above so the pool's own writes don't self-wake. One
 	// observer per node: a node advertised to several pools keeps only

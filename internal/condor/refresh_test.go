@@ -11,6 +11,23 @@ import (
 	"repro/internal/simgrid"
 )
 
+// randomStepLoad draws a load timeline: first until the first step, then
+// up to steps changes on distinct whole seconds in (0, horizon), each to a
+// level drawn from levels.
+func randomStepLoad(rng *rand.Rand, epoch time.Time, horizon time.Duration, steps int, first float64, levels []float64) simgrid.Load {
+	var at []time.Duration
+	for range steps {
+		at = append(at, time.Duration(1+rng.Intn(int(horizon/time.Second)-1))*time.Second)
+	}
+	slices.Sort(at)
+	at = slices.Compact(at)
+	vals := []float64{first}
+	for range at {
+		vals = append(vals, levels[rng.Intn(len(levels))])
+	}
+	return simgrid.StepLoad(epoch, at, vals)
+}
+
 // onRefresh makes every pass of p refresh through refresh, which calls
 // p.refreshFree and looks at the pool around it, and match on what
 // it returns.
@@ -137,8 +154,10 @@ func walkFree(t *testing.T, p *Pool, now time.Time) freeStats {
 // seeded histories of everything that changes it: jobs started and
 // finished, a machine ad rewritten, a foreign task placed and removed, a
 // flocking peer claiming machines, a checkpoint-complete job spending an
-// offer without a claim, and a load that steps.
+// offer without a claim, and loads that step: each machine's timeline is
+// drawn before the run, two steps somewhere in its first ten minutes.
 func TestIncrementalRefreshMatchesFullWalk(t *testing.T) {
+	levels := []float64{0, 0.1, 0.2, 0.3, 0.4}
 	for seed := int64(1); seed <= 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		g := simgrid.NewGrid(time.Second, 1)
@@ -146,10 +165,7 @@ func TestIncrementalRefreshMatchesFullWalk(t *testing.T) {
 		q := NewPool("b", g, g.AddSite("b"))
 		const n = 12
 		for i := range n {
-			var load simgrid.Load = simgrid.ConstantLoad(float64(i%3) / 10)
-			if i == 0 && seed%2 == 0 {
-				load = simgrid.StepLoad(g.Engine.Now(), []time.Duration{40 * time.Second, 3 * time.Minute}, []float64{0.1, 0.6, 0.2})
-			}
+			load := randomStepLoad(rng, g.Engine.Now(), 10*time.Minute, 2, float64(i%3)/10, levels)
 			p.AddMachine(p.site.AddNode(g.Engine, fmt.Sprintf("a%02d", i), 1, load), classad.New().Set("Memory", 1024*(1+i%4)))
 			if i < 3 {
 				q.AddMachine(q.site.AddNode(g.Engine, fmt.Sprintf("b%02d", i), 1, nil), nil)
@@ -168,7 +184,7 @@ func TestIncrementalRefreshMatchesFullWalk(t *testing.T) {
 		var foreign []*simgrid.Task
 		for range 150 {
 			m := p.machines[rng.Intn(n)]
-			switch rng.Intn(9) {
+			switch rng.Intn(8) {
 			case 0, 1, 2:
 				ad := jobAd("alice", float64(5+rng.Intn(60)), 0)
 				if rng.Intn(2) == 0 {
@@ -196,8 +212,6 @@ func TestIncrementalRefreshMatchesFullWalk(t *testing.T) {
 				if _, err := p.SubmitCheckpointed(ad, 10); err != nil {
 					t.Fatal(err)
 				}
-			default:
-				m.node.SetLoad(simgrid.ConstantLoad(float64(rng.Intn(5)) / 10))
 			}
 			g.Engine.RunFor(time.Duration(1+rng.Intn(8)) * time.Second)
 		}

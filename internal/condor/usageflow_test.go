@@ -202,12 +202,18 @@ func TestFlowFollowsOccupancy(t *testing.T) {
 	}
 }
 
-// TestResumeRatesFlowFromNode: a job resumed after its node's load was
-// replaced gets its flow back at what the node gives it now — asked of the
+// TestResumeRatesFlowFromNode: a job resumed after its node's load
+// stepped gets its flow back at what the node gives it now — asked of the
 // node at the Resume, which runs on an API goroutine between two wakes of
-// the pool — not at the rate it had when it was suspended.
+// the pool — not at the rate it had when it was suspended. The step falls
+// while the job is suspended, so the pool's wake there finds a flow at
+// rate 0 and leaves it.
 func TestResumeRatesFlowFromNode(t *testing.T) {
-	g, p := testPool(t, 1)
+	g := simgrid.NewGrid(time.Second, 1)
+	site := g.AddSite("siteA")
+	p := NewPool("poolA", g, site)
+	load := simgrid.StepLoad(flowEpoch, []time.Duration{7 * time.Second}, []float64{0, 0.5})
+	p.AddMachine(site.AddNode(g.Engine, "a-node", 1, load), nil)
 	pol := newRateLog(p)
 	p.SetFairShare(pol)
 	id := mustSubmit(t, p, jobAd("alice", 100, 0))
@@ -215,7 +221,7 @@ func TestResumeRatesFlowFromNode(t *testing.T) {
 	if err := p.Suspend(id); err != nil {
 		t.Fatal(err)
 	}
-	p.machines[0].node.SetLoad(simgrid.ConstantLoad(0.5))
+	g.Engine.RunFor(3 * time.Second)
 	if err := p.Resume(id); err != nil {
 		t.Fatal(err)
 	}

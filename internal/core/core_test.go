@@ -13,6 +13,7 @@ import (
 	"repro/internal/replica"
 	"repro/internal/scheduler"
 	"repro/internal/simgrid"
+	"repro/internal/vtime"
 	"repro/internal/workload"
 	"repro/internal/xmlrpc"
 	"repro/pkg/gae"
@@ -340,9 +341,12 @@ func TestQuotaOverRPC(t *testing.T) {
 }
 
 func TestFigure7ScenarioInProcess(t *testing.T) {
-	// The full steering rescue: job lands at siteA, siteA becomes loaded,
-	// the optimizer moves it, and completion beats the unsteered copy.
+	// The full steering rescue: job lands at siteA, siteA becomes loaded
+	// (significant CPU load two seconds in), the optimizer moves it, and
+	// completion beats the unsteered copy.
 	cfg := twoSiteConfig()
+	epoch := vtime.NewSimClock(time.Time{}).Now()
+	cfg.Sites[0].Load = simgrid.StepLoad(epoch, []time.Duration{2 * time.Second}, []float64{0, 0.7})
 	g := New(cfg)
 	g.Steering.PollInterval = 10 * time.Second
 	g.Steering.MinObservation = 30 * time.Second
@@ -358,8 +362,6 @@ func TestFigure7ScenarioInProcess(t *testing.T) {
 	if a.Site != "siteA" {
 		t.Fatalf("job started at %s, want siteA", a.Site)
 	}
-	// siteA develops significant CPU load.
-	g.Grid.Site("siteA").Nodes()[0].SetLoad(simgrid.ConstantLoad(0.7))
 	if err := g.RunUntilDone(cp, 15*time.Minute); err != nil {
 		t.Fatal(err)
 	}

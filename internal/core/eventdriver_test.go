@@ -2,20 +2,22 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/scheduler"
 	"repro/internal/simgrid"
 	"repro/internal/steering"
+	"repro/internal/vtime"
 )
 
 // The core-level half of the driver equivalence suite: a full deployment
 // (scheduler site selection, input staging over the network, MonALISA
 // sampling, steering with an automatic migration, fault injection with
 // resubmission) must produce identical assignments, job footprints, and
-// notifications whether the engine runs one RunFor call per tick or
-// Run's Advance loop over the whole span.
+// notifications whether the span runs as Run's Advance loop, as one
+// RunFor call per tick, or as one RunFor call.
 
 type coreTrace struct {
 	assignments []scheduler.Assignment
@@ -25,9 +27,14 @@ type coreTrace struct {
 
 func runCoreScenario(t *testing.T, run func(*GAE, time.Duration)) *coreTrace {
 	t.Helper()
+	// 40 s in, the site the main task runs at develops heavy load: the
+	// steering service should detect the slow execution rate and migrate
+	// the main task.
+	epoch := vtime.NewSimClock(time.Time{}).Now()
+	heavy := simgrid.StepLoad(epoch, []time.Duration{40 * time.Second}, []float64{0, 0.9})
 	g := New(Config{
 		Sites: []SiteSpec{
-			{Name: "siteA", Nodes: 2, CostPerCPUSecond: 0.05},
+			{Name: "siteA", Nodes: 2, Load: heavy, CostPerCPUSecond: 0.05},
 			{Name: "siteB", Nodes: 2, CostPerCPUSecond: 0.02},
 		},
 		Links: []LinkSpec{{A: "siteA", B: "siteB", MBps: 10, LatencyMS: 100}},
@@ -54,16 +61,6 @@ func runCoreScenario(t *testing.T, run func(*GAE, time.Duration)) *coreTrace {
 		t.Fatal(err)
 	}
 
-	// Mid-run, the first site develops heavy load: the steering service
-	// should detect the slow execution rate and migrate the main task.
-	g.Grid.Engine.Schedule(40*time.Second, func(time.Time) {
-		if a, ok := cp.Assignment("main"); ok && a.Site != "" {
-			for _, n := range g.Grid.Site(a.Site).Nodes() {
-				n.SetLoad(simgrid.ConstantLoad(0.9))
-			}
-		}
-	})
-
 	run(g, 600*time.Second)
 
 	tr := &coreTrace{notes: g.Steering.Notifications("physicist")}
@@ -88,40 +85,57 @@ func runCoreScenario(t *testing.T, run func(*GAE, time.Duration)) *coreTrace {
 }
 
 func TestDriverEquivalenceCoreScenario(t *testing.T) {
-	tick := runCoreScenario(t, func(g *GAE, d time.Duration) {
-		for n := d / g.Grid.Engine.Tick(); n > 0; n-- {
-			g.Grid.Engine.RunFor(g.Grid.Engine.Tick())
-		}
-	})
 	ev := runCoreScenario(t, (*GAE).Run)
+	moved := false
+	for _, n := range ev.notes {
+		moved = moved || n.Task == "main" && n.Kind == "moved" && strings.Contains(n.Message, "siteA → siteB (slow execution rate")
+	}
+	if !moved {
+		t.Fatalf("the main task was not steered off the loaded siteA; the scenario tests nothing:\n%+v", ev.notes)
+	}
+	for _, leg := range []struct {
+		name string
+		run  func(*GAE, time.Duration)
+	}{
+		{"one RunFor per tick", func(g *GAE, d time.Duration) {
+			for n := d / g.Grid.Engine.Tick(); n > 0; n-- {
+				g.Grid.Engine.RunFor(g.Grid.Engine.Tick())
+			}
+		}},
+		{"one RunFor", func(g *GAE, d time.Duration) { g.Grid.Engine.RunFor(d) }},
+	} {
+		diffCoreTraces(t, leg.name, runCoreScenario(t, leg.run), ev)
+	}
+}
 
-	if len(tick.assignments) != len(ev.assignments) {
-		t.Fatalf("assignment counts diverged: %d vs %d", len(tick.assignments), len(ev.assignments))
+// diffCoreTraces reports where got, the trace of the leg named leg,
+// departs from want, Run's.
+func diffCoreTraces(t *testing.T, leg string, got, want *coreTrace) {
+	t.Helper()
+	if len(got.assignments) != len(want.assignments) {
+		t.Fatalf("%s: %d assignments, Run %d", leg, len(got.assignments), len(want.assignments))
 	}
-	for i := range tick.assignments {
-		a, b := tick.assignments[i], ev.assignments[i]
+	for i := range got.assignments {
+		a, b := got.assignments[i], want.assignments[i]
 		if fmt.Sprintf("%+v", a) != fmt.Sprintf("%+v", b) {
-			t.Errorf("assignment %d diverged:\n tick:  %+v\n event: %+v", i, a, b)
+			t.Errorf("%s: assignment %d diverged:\n got: %+v\n Run: %+v", leg, i, a, b)
 		}
 	}
-	if len(tick.jobs) != len(ev.jobs) {
-		t.Fatalf("job counts diverged: %d vs %d", len(tick.jobs), len(ev.jobs))
+	if len(got.jobs) != len(want.jobs) {
+		t.Fatalf("%s: %d jobs, Run %d", leg, len(got.jobs), len(want.jobs))
 	}
-	for i := range tick.jobs {
-		if tick.jobs[i] != ev.jobs[i] {
-			t.Errorf("job %d diverged:\n tick:  %s\n event: %s", i, tick.jobs[i], ev.jobs[i])
+	for i := range got.jobs {
+		if got.jobs[i] != want.jobs[i] {
+			t.Errorf("%s: job %d diverged:\n got: %s\n Run: %s", leg, i, got.jobs[i], want.jobs[i])
 		}
 	}
-	if len(tick.notes) != len(ev.notes) {
-		t.Fatalf("notification counts diverged: %d vs %d\n tick: %+v\n event: %+v",
-			len(tick.notes), len(ev.notes), tick.notes, ev.notes)
+	if len(got.notes) != len(want.notes) {
+		t.Fatalf("%s: %d notifications, Run %d\n got: %+v\n Run: %+v",
+			leg, len(got.notes), len(want.notes), got.notes, want.notes)
 	}
-	for i := range tick.notes {
-		if tick.notes[i] != ev.notes[i] {
-			t.Errorf("notification %d diverged:\n tick:  %+v\n event: %+v", i, tick.notes[i], ev.notes[i])
+	for i := range got.notes {
+		if got.notes[i] != want.notes[i] {
+			t.Errorf("%s: notification %d diverged:\n got: %+v\n Run: %+v", leg, i, got.notes[i], want.notes[i])
 		}
-	}
-	if len(tick.notes) == 0 {
-		t.Fatal("scenario produced no steering notifications; equivalence test is weaker than intended")
 	}
 }

@@ -423,7 +423,7 @@ func TestTransferEstimator(t *testing.T) {
 		t.Fatalf("measured bandwidth = %v", got.BandwidthMBps)
 	}
 	// Background utilization raises the estimate.
-	g.Network.SetUtilization("a", "b", 0.5)
+	g.Network.Connect("a", "b", simgrid.Link{BandwidthMBps: 10, Utilization: 0.5})
 	loaded, err := te.Estimate("a", "b", 250)
 	if err != nil {
 		t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/scheduler"
 	"repro/internal/simgrid"
+	"repro/internal/vtime"
 	"repro/internal/workload"
 )
 
@@ -17,6 +18,9 @@ const (
 	// first site (paper: "significant CPU load"; ~0.7 reproduces the
 	// observed ~0.3 progress rate).
 	fig7SiteALoad = 0.7
+	// fig7LoadStep is when that load develops, after the job has started
+	// there.
+	fig7LoadStep = 2 * time.Second
 	// fig7SampleEvery is the progress-sampling period (paper's chart uses
 	// ≈28.3 s ticks; 5 s gives a smoother series).
 	fig7SampleEvery = 5 * time.Second
@@ -65,9 +69,12 @@ type Fig7Result struct {
 // estimate.
 func Fig7(cfg Fig7Config) (*Fig7Result, error) {
 	const freeCPU = workload.PrimeJobCPUSeconds
+	// Site A develops significant CPU load on both nodes at fig7LoadStep.
+	siteALoad := simgrid.StepLoad(vtime.NewSimClock(time.Time{}).Now(),
+		[]time.Duration{fig7LoadStep}, []float64{0, fig7SiteALoad})
 	g := core.New(core.Config{
 		Sites: []core.SiteSpec{
-			{Name: "siteA", Nodes: 2, CostPerCPUSecond: 0.05},
+			{Name: "siteA", Nodes: 2, Load: siteALoad, CostPerCPUSecond: 0.05},
 			{Name: "siteB", Nodes: 1, CostPerCPUSecond: 0.05},
 		},
 		Links: []core.LinkSpec{{A: "siteA", B: "siteB", MBps: 10}},
@@ -95,7 +102,7 @@ func Fig7(cfg Fig7Config) (*Fig7Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	g.Run(2 * time.Second)
+	g.Run(fig7LoadStep)
 	a, _ := cp.Assignment("main")
 	if a.Site != "siteA" {
 		return nil, fmt.Errorf("experiments: fig7 job started at %s, want siteA", a.Site)
@@ -104,14 +111,8 @@ func Fig7(cfg Fig7Config) (*Fig7Result, error) {
 	// The control copy runs on site A's second node, outside steering —
 	// the paper "allowed [the original] to continue running on site A for
 	// testing purposes".
-	siteA := g.Grid.Site("siteA")
 	control := simgrid.NewTask(freeCPU, nil)
-	siteA.Node("siteA-n1").Place(control)
-
-	// Site A develops significant CPU load on both nodes.
-	for _, n := range siteA.Nodes() {
-		n.SetLoad(simgrid.ConstantLoad(fig7SiteALoad))
-	}
+	g.Grid.Site("siteA").Node("siteA-n1").Place(control)
 
 	res := &Fig7Result{
 		Estimate: freeCPU,

@@ -124,7 +124,8 @@ func runStagingStorm(t *testing.T, runFor func(*simgrid.Engine, time.Duration),
 			Runtime: estimator.NewRuntimeEstimator(estimator.NewHistory(0)),
 		})
 	}
-	g.Network.Connect("siteA", "siteB", simgrid.Link{BandwidthMBps: 10})
+	link := simgrid.Link{BandwidthMBps: 10}
+	g.Network.Connect("siteA", "siteB", link)
 	monalisa.NewFarmMonitor(repo, g, 5*time.Second)
 	for i := 0; i < 4; i++ {
 		g.Site("siteA").Storage().Put(fmt.Sprintf("d%d.root", i), 50)
@@ -151,12 +152,10 @@ func runStagingStorm(t *testing.T, runFor func(*simgrid.Engine, time.Duration),
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Mid-staging, the shared link loses half its capacity.
-	g.Engine.Schedule(6*time.Second, func(time.Time) {
-		if err := g.Network.SetUtilization("siteA", "siteB", 0.5); err != nil {
-			t.Error(err)
-		}
-	})
+	// Mid-staging, the shared link loses half its capacity to background
+	// traffic.
+	link.Utilization = 0.5
+	g.Engine.Schedule(6*time.Second, func(time.Time) { g.Network.Connect("siteA", "siteB", link) })
 	if err := until(g.Engine, func() bool { d, ok := cp.Done(); return d && ok }, 10*time.Minute); err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +183,7 @@ func runStagingStorm(t *testing.T, runFor func(*simgrid.Engine, time.Duration),
 }
 
 // TestStagingStormParityTickVsEvent: concurrent staging on a shared link
-// plus a mid-flight SetUtilization must leave byte-identical traces
+// plus a mid-flight utilization change must leave byte-identical traces
 // whether the clock advances one tick per RunFor call or a whole span.
 func TestStagingStormParityTickVsEvent(t *testing.T) {
 	tick := runStagingStorm(t, stepFor, stepUntil)

@@ -402,45 +402,60 @@ func TestAttachedNodeShareRecomputedOnPlacement(t *testing.T) {
 	}
 }
 
-// TestAttachedNodeSetLoadRederives: SetLoad mid-flight (the Figure 7
-// "site develops significant CPU load" move) settles accrual under the
-// old load and re-derives the completion deadline under the new one.
-func TestAttachedNodeSetLoadRederives(t *testing.T) {
+// TestAttachedNodeRederivesAtLoadStep: a load that steps mid-flight (the
+// Figure 7 "site develops significant CPU load" move) is settled under the
+// old level up to the step and the completion deadline re-derived under
+// the new one. The tick ending at the step is the new level's: 49 s of
+// work at rate 1, then 51 s at rate 0.5.
+func TestAttachedNodeRederivesAtLoadStep(t *testing.T) {
 	g := NewGrid(time.Second, 1)
-	n := g.AddSite("s").AddNode(g.Engine, "n", 1, IdleLoad())
+	epoch := time.Date(2005, 1, 1, 0, 0, 0, 0, time.UTC)
+	load := StepLoad(epoch, []time.Duration{50 * time.Second}, []float64{0, 0.5})
+	n := g.AddSite("s").AddNode(g.Engine, "n", 1, load)
 	var doneAt time.Time
 	task := NewTask(100, func(*Task) { doneAt = g.Engine.Now() })
 	n.Place(task)
 	g.Engine.RunFor(50 * time.Second)
-	n.SetLoad(ConstantLoad(0.5)) // remaining 50 cpu-seconds at rate 0.5
+	if got := task.CPUSeconds(); got != 49.5 {
+		t.Fatalf("cpu at the step = %v, want 49.5", got)
+	}
 	g.Engine.RunFor(200 * time.Second)
 	if task.State() != TaskDone {
 		t.Fatalf("task state = %v", task.State())
 	}
-	if got := doneAt.Sub(time.Date(2005, 1, 1, 0, 0, 0, 0, time.UTC)); got != 150*time.Second {
-		t.Fatalf("completed at +%v, want +150s", got)
+	if got := doneAt.Sub(epoch); got != 151*time.Second {
+		t.Fatalf("completed at +%v, want +151s", got)
 	}
 }
 
-// TestFullyLoadedNodeSchedulesNothing: a constant load of 1.0 means no
-// progress is possible; the node must not busy-wake the engine.
+// TestFullyLoadedNodeSchedulesNothing: a load of 1.0 means no progress is
+// possible; the node must not busy-wake the engine. A node fully loaded
+// for ever schedules nothing at all; one whose full load is relieved at a
+// step wakes once, at the completion past the relief.
 func TestFullyLoadedNodeSchedulesNothing(t *testing.T) {
 	g := NewGrid(time.Second, 1)
-	n := g.AddSite("s").AddNode(g.Engine, "n", 1, ConstantLoad(1.0))
-	task := NewTask(10, nil)
-	n.Place(task)
+	site := g.AddSite("s")
+	epoch := time.Date(2005, 1, 1, 0, 0, 0, 0, time.UTC)
+	relief := StepLoad(epoch, []time.Duration{10000 * time.Second}, []float64{1, 0})
+	stuck, relieved := NewTask(10, nil), NewTask(10, nil)
+	site.AddNode(g.Engine, "stuck", 1, ConstantLoad(1.0)).Place(stuck)
+	site.AddNode(g.Engine, "relieved", 1, relief).Place(relieved)
 	g.Engine.RunFor(10000 * time.Second)
 	if g.Engine.Ticks() != 0 {
-		t.Fatalf("fully loaded node woke the engine %d times", g.Engine.Ticks())
+		t.Fatalf("fully loaded nodes woke the engine %d times", g.Engine.Ticks())
 	}
-	if got := task.CPUSeconds(); got != 0 {
+	if got := stuck.CPUSeconds(); got != 0 {
 		t.Fatalf("task progressed to %v cpu-seconds under full load", got)
 	}
-	// Relieving the load re-derives a deadline and the task completes.
-	n.SetLoad(IdleLoad())
+	if got := relieved.CPUSeconds(); got != 1 { // the tick ending at the relief
+		t.Fatalf("relieved task has %v cpu-seconds at the relief, want 1", got)
+	}
 	g.Engine.RunFor(20 * time.Second)
-	if task.State() != TaskDone {
-		t.Fatalf("task state after load relief = %v", task.State())
+	if relieved.State() != TaskDone || stuck.State() != TaskRunning {
+		t.Fatalf("after the relief: relieved task %v, stuck one %v", relieved.State(), stuck.State())
+	}
+	if g.Engine.Ticks() != 1 {
+		t.Fatalf("the relieved node woke the engine %d times, want once at its completion", g.Engine.Ticks())
 	}
 }
 
@@ -535,11 +550,13 @@ func TestRunUntilTimeoutLeavesClockOnGrid(t *testing.T) {
 // TestPlaceUnobservedTellsObserverNothingItDid pins the observer
 // contract: a task the observer placed itself (PlaceUnobserved) fires the
 // observer neither when placed nor when it completes — onDone reports
-// that — while everything other parties do to the node, and any removal,
-// still notifies.
+// that — while everything other parties do to the node's tasks, and any
+// removal, still notifies. The load's step at 12 s, under the foreign
+// task, is no one's news: a reader finds it through LoadSegment.
 func TestPlaceUnobservedTellsObserverNothingItDid(t *testing.T) {
 	g := NewGrid(time.Second, 1)
-	n := g.AddSite("s").AddNode(g.Engine, "n", 1, IdleLoad())
+	load := StepLoad(time.Date(2005, 1, 1, 0, 0, 0, 0, time.UTC), []time.Duration{12 * time.Second}, []float64{0, 0.5})
+	n := g.AddSite("s").AddNode(g.Engine, "n", 1, load)
 	fired := 0
 	n.SetObserver(func() { fired++ })
 	expect := func(want int, after string) {
@@ -562,18 +579,15 @@ func TestPlaceUnobservedTellsObserverNothingItDid(t *testing.T) {
 	n.Place(NewTask(5, nil))
 	expect(1, "a foreign placement")
 	g.Engine.RunFor(10 * time.Second)
-	expect(2, "a foreign completion")
+	expect(2, "a load step and a foreign completion")
 
 	killed := NewTask(50, nil)
 	n.PlaceUnobserved(killed)
 	killed.Kill()
 	n.Remove(killed)
 	expect(3, "a removal")
-	n.SetLoad(ConstantLoad(0.5))
-	expect(4, "a load change")
 
 	// Sharing a completion boundary with a foreign task does not hide it.
-	n.SetLoad(IdleLoad())
 	fired = 0
 	n.PlaceUnobserved(NewTask(4, nil))
 	n.Place(NewTask(4, nil))

@@ -13,14 +13,14 @@ type Link struct {
 	Latency       time.Duration // one-way latency
 	// Utilization in [0, MaxUtilization] models background traffic eating
 	// into the available bandwidth; the effective rate is
-	// Bandwidth×(1−Utilization). Connect and SetUtilization clamp into
-	// that range, so background traffic can squeeze a link down to a
-	// sliver but never produce a permanently unusable ("saturated") one.
+	// Bandwidth×(1−Utilization). Connect clamps into that range, so
+	// background traffic can squeeze a link down to a sliver but never
+	// produce a permanently unusable ("saturated") one.
 	Utilization float64
 }
 
 // MaxUtilization is the ceiling background utilization is clamped to at
-// Connect and SetUtilization: a link always retains at least 0.1% of its
+// Connect: a link always retains at least 0.1% of its
 // bandwidth for grid transfers. Values at or above 1 used to create links
 // on which every transfer failed "saturated"; clamping makes the boundary
 // a slow link instead of a broken one.
@@ -46,11 +46,11 @@ func (l Link) EffectiveMBps() float64 {
 // remaining payload and its current rate (the link's effective
 // bandwidth split equally among concurrent flows), and its completion is
 // an analytically derived deadline event on the engine queue. On any
-// perturbation — a flow starting or finishing on the link, a background
-// utilization change, a link replacement — every flow on the link is
-// settled (progress accrued at the old rate through the present) and its
-// rate and deadline re-derived, the same settle-and-re-derive pattern
-// Node uses for CPU shares.
+// perturbation — a flow starting or finishing on the link, the link
+// replaced (a change of background traffic among them) — every flow on
+// the link is settled (progress accrued at the old rate through the
+// present) and its rate and deadline re-derived, the same
+// settle-and-re-derive pattern Node uses for CPU shares.
 type flow struct {
 	seq        int64
 	started    time.Time
@@ -123,7 +123,8 @@ func linkKey(a, b string) [2]string {
 // It panics on a bandwidth that is not positive or a NaN utilization;
 // utilization is clamped into [0, MaxUtilization]. Replacing a link that
 // carries active flows settles them under the old parameters and
-// re-derives their rates and deadlines under the new ones.
+// re-derives their rates and deadlines under the new ones: this is how
+// background traffic changes mid-flight.
 func (n *Network) Connect(a, b string, link Link) {
 	if a == b {
 		panic("simgrid: cannot link a site to itself")
@@ -147,28 +148,6 @@ func (n *Network) Connect(a, b string, link Link) {
 func (n *Network) LinkBetween(a, b string) (Link, bool) {
 	l, ok := n.links[linkKey(a, b)]
 	return l, ok
-}
-
-// SetUtilization adjusts background traffic on an existing link, clamped
-// into [0, MaxUtilization]; a NaN is refused. In-flight flows are settled
-// at the current sim time under their old rate, then their rates and
-// completion deadlines are re-derived under the new effective bandwidth.
-func (n *Network) SetUtilization(a, b string, u float64) error {
-	now := n.engine.Now()
-	k := linkKey(a, b)
-	l, ok := n.links[k]
-	if !ok {
-		return fmt.Errorf("simgrid: no link %s—%s", a, b)
-	}
-	if math.IsNaN(u) {
-		return fmt.Errorf("simgrid: utilization of link %s—%s is NaN", a, b)
-	}
-	n.settleLink(k, now)
-	l.Utilization = clampUtil(u)
-	n.links[k] = l
-	n.rederiveLink(k)
-	n.requestWake()
-	return nil
 }
 
 // TransferDuration quotes how long moving sizeMB from site a to site b

@@ -9,8 +9,8 @@ import (
 )
 
 // Tests for the event-driven network flow model: equal-share contention,
-// settle-and-re-derive on perturbations (start/finish/SetUtilization/
-// Connect), probe semantics, zero-size edge cases, and tick-vs-event
+// settle-and-re-derive on perturbations (start/finish/Connect replacing
+// a link), probe semantics, zero-size edge cases, and tick-vs-event
 // trace parity for network-heavy scenarios.
 
 func netEpoch(g *Grid) time.Time { return time.Date(2005, 1, 1, 0, 0, 0, 0, time.UTC) }
@@ -73,11 +73,13 @@ func TestFlowStaggeredContention(t *testing.T) {
 	}
 }
 
-// TestSetUtilizationMovesInFlightDeadline pins the acceptance criterion:
-// a mid-flight SetUtilization(0.5) moves an in-flight flow's completion
-// to the analytically derived instant. 100MB at 10MB/s would finish at
-// 10s; halving the link at 5s leaves 50MB at 5MB/s → completion at 15s.
-func TestSetUtilizationMovesInFlightDeadline(t *testing.T) {
+// TestUtilizationChangeMovesInFlightDeadline pins the acceptance
+// criterion: a mid-flight change of background traffic to 0.5 (the link
+// connected again with the new Utilization) moves an in-flight flow's
+// completion to the analytically derived instant. 100MB at 10MB/s would
+// finish at 10s; halving the link at 5s leaves 50MB at 5MB/s → completion
+// at 15s.
+func TestUtilizationChangeMovesInFlightDeadline(t *testing.T) {
 	g := NewGrid(time.Second, 1)
 	g.Network.Connect("a", "b", Link{BandwidthMBps: 10})
 	epoch := netEpoch(g)
@@ -90,9 +92,7 @@ func TestSetUtilizationMovesInFlightDeadline(t *testing.T) {
 		t.Fatalf("initial deadline = +%v, want +10s", got)
 	}
 	g.Engine.Schedule(5*time.Second, func(time.Time) {
-		if err := g.Network.SetUtilization("a", "b", 0.5); err != nil {
-			t.Error(err)
-		}
+		g.Network.Connect("a", "b", Link{BandwidthMBps: 10, Utilization: 0.5})
 	})
 	g.Engine.RunFor(12 * time.Second)
 	if !doneAt.IsZero() {
@@ -131,9 +131,9 @@ func TestConnectReplacementRederivesInFlight(t *testing.T) {
 	}
 }
 
-// TestLinkUtilizationClamped pins the boundary semantics at both entry
-// points: utilization is clamped into [0, MaxUtilization] by Connect and
-// SetUtilization, so no setting can produce a link on which every
+// TestLinkUtilizationClamped pins the boundary semantics: utilization is
+// clamped into [0, MaxUtilization] by Connect, whether it installs or
+// replaces the link, so no setting can produce a link on which every
 // transfer errors "saturated".
 func TestLinkUtilizationClamped(t *testing.T) {
 	g := NewGrid(time.Second, 1)
@@ -142,25 +142,19 @@ func TestLinkUtilizationClamped(t *testing.T) {
 	if !ok || l.Utilization != MaxUtilization {
 		t.Fatalf("Connect stored utilization %v, want clamp to %v", l.Utilization, MaxUtilization)
 	}
-	if err := g.Network.SetUtilization("a", "b", 1.0); err != nil {
-		t.Fatal(err)
-	}
+	g.Network.Connect("a", "b", Link{BandwidthMBps: 1000, Utilization: 1.0})
 	l, _ = g.Network.LinkBetween("a", "b")
 	if l.Utilization != MaxUtilization {
-		t.Fatalf("SetUtilization(1.0) stored %v, want %v", l.Utilization, MaxUtilization)
+		t.Fatalf("replacing Connect stored utilization 1.0 as %v, want %v", l.Utilization, MaxUtilization)
 	}
-	if err := g.Network.SetUtilization("a", "b", -3); err != nil {
-		t.Fatal(err)
-	}
+	g.Network.Connect("a", "b", Link{BandwidthMBps: 1000, Utilization: -3})
 	l, _ = g.Network.LinkBetween("a", "b")
 	if l.Utilization != 0 {
 		t.Fatalf("negative utilization stored %v, want 0", l.Utilization)
 	}
 	// A maximally utilized link is slow, not broken: 1000 MB/s at
 	// MaxUtilization leaves 1 MB/s, so 1 MB takes 1s.
-	if err := g.Network.SetUtilization("a", "b", 5); err != nil {
-		t.Fatal(err)
-	}
+	g.Network.Connect("a", "b", Link{BandwidthMBps: 1000, Utilization: 5})
 	var done time.Duration
 	if _, err := g.Network.StartTransfer("a", "b", 1, func(e time.Duration) { done = e }); err != nil {
 		t.Fatalf("transfer on maximally utilized link failed: %v", err)
@@ -168,19 +162,6 @@ func TestLinkUtilizationClamped(t *testing.T) {
 	g.Engine.RunFor(2 * time.Second)
 	if done != time.Second {
 		t.Fatalf("transfer on maximally utilized link took %v, want 1s", done)
-	}
-}
-
-// TestSetUtilizationRefusesNaN: clamping keeps a NaN, so SetUtilization
-// refuses one and leaves the link as it was.
-func TestSetUtilizationRefusesNaN(t *testing.T) {
-	g := NewGrid(time.Second, 1)
-	g.Network.Connect("a", "b", Link{BandwidthMBps: 100, Utilization: 0.25})
-	if err := g.Network.SetUtilization("a", "b", math.NaN()); err == nil {
-		t.Fatal("SetUtilization(NaN) returned no error")
-	}
-	if l, _ := g.Network.LinkBetween("a", "b"); l.Utilization != 0.25 {
-		t.Fatalf("refused SetUtilization left utilization %v, want 0.25", l.Utilization)
 	}
 }
 
@@ -327,7 +308,8 @@ func runNetworkScenario(t *testing.T, runFor func(*Engine, time.Duration)) (trac
 	for _, s := range []string{"a", "b", "c"} {
 		g.AddSite(s)
 	}
-	g.Network.Connect("a", "b", Link{BandwidthMBps: 10, Latency: 250 * time.Millisecond})
+	ab := Link{BandwidthMBps: 10, Latency: 250 * time.Millisecond}
+	g.Network.Connect("a", "b", ab)
 	g.Network.Connect("a", "c", Link{BandwidthMBps: 4})
 	epoch := netEpoch(g)
 	record := func(name string) func(time.Duration) {
@@ -346,17 +328,11 @@ func runNetworkScenario(t *testing.T, runFor func(*Engine, time.Duration)) (trac
 		start("T3", "b", "a", 60)
 		start("T4", "a", "c", 30)
 	})
-	g.Engine.Schedule(13*time.Second, func(time.Time) {
-		if err := g.Network.SetUtilization("a", "b", 0.35); err != nil {
-			t.Error(err)
-		}
-	})
+	busy := ab
+	busy.Utilization = 0.35
+	g.Engine.Schedule(13*time.Second, func(time.Time) { g.Network.Connect("a", "b", busy) })
 	g.Engine.Schedule(20*time.Second, func(time.Time) { start("T5", "a", "b", 50) })
-	g.Engine.Schedule(31*time.Second, func(time.Time) {
-		if err := g.Network.SetUtilization("a", "b", 0); err != nil {
-			t.Error(err)
-		}
-	})
+	g.Engine.Schedule(31*time.Second, func(time.Time) { g.Network.Connect("a", "b", ab) })
 	runFor(g.Engine, 300*time.Second)
 	return trace, g.Engine.Ticks(), g.Engine.Events()
 }

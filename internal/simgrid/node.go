@@ -213,7 +213,7 @@ func (t *Task) Resume() { t.setState(TaskRunning, TaskSuspended) }
 func (t *Task) Kill() { t.setState(TaskKilled, TaskRunning, TaskSuspended) }
 
 // maxSegments bounds how many load segments one deadline derivation looks
-// ahead, and so what a placement, suspend, resume, removal or load change
+// ahead, and so what a placement, suspend, resume or removal
 // costs: at most maxSegments Segment calls. A completion further off wakes
 // the node at the last segment looked at, where it derives again, so an
 // undisturbed task under a load of many short segments (NoisyLoad's last a
@@ -249,9 +249,9 @@ type Node struct {
 	Site string
 	Mips float64
 
-	seg      Load // the background load
+	seg      Load // the background load, fixed for the node's life
 	eng      *Engine
-	observer func()  // fired after task-set or load changes
+	observer func()  // fired after task-set changes
 	finished []*Task // what the last wake completed: settle's reused buffer
 }
 
@@ -264,35 +264,24 @@ func newNode(e *Engine, name, site string, mips float64, load Load) *Node {
 	if mips*unitsPerSecond*float64(e.tick) >= 1<<63 {
 		panic("simgrid: Mips × tick too large for exact work accounting")
 	}
-	n := &Node{Name: name, Site: site, Mips: mips, seg: orIdle(load), eng: e}
+	if load == nil {
+		load = IdleLoad()
+	}
+	n := &Node{Name: name, Site: site, Mips: mips, seg: load, eng: e}
 	n.synced = e.nowTick
 	e.register(&n.wake, n)
 	return n
 }
 
-// orIdle is load, or the idle load for nil.
-func orIdle(load Load) Load {
-	if load == nil {
-		return IdleLoad()
-	}
-	return load
-}
-
-// SetLoad replaces the node's background load. Work accrued so far is
-// settled under the old load first.
-func (n *Node) SetLoad(load Load) {
-	n.settleObserved()
-	n.seg = orIdle(load)
-	n.rearm()
-	n.notifyObserver()
-}
-
-// SetObserver installs a callback fired after any change that can alter the node's scheduling picture: a task placed,
-// completed or removed, or the load replaced. Pools subscribe here so a
-// freed machine wakes the negotiator instead of the negotiator polling
-// every tick. The observer's own placements (PlaceUnobserved) are the one
-// exception: it is told nothing it did or arranged to hear itself. Only
-// one observer is supported; nil clears it.
+// SetObserver installs a callback fired after a change to the node's task
+// set that can alter its scheduling picture: a task placed, completed or
+// removed. Pools subscribe here so a freed machine wakes the negotiator
+// instead of the negotiator polling every tick. The observer's own
+// placements (PlaceUnobserved) are the one exception: it is told nothing
+// it did or arranged to hear itself. The load is fixed when the node is
+// made, so its changes are the ends of its segments, which a reader finds
+// through LoadSegment and not through the observer. Only one observer is
+// supported; nil clears it.
 func (n *Node) SetObserver(fn func()) { n.observer = fn }
 
 // notifyObserver fires the observer callback, if any.

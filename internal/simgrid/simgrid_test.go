@@ -379,15 +379,10 @@ func TestNetworkUtilizationSlowsTransfers(t *testing.T) {
 	g := NewGrid(time.Second, 1)
 	g.Network.Connect("a", "b", Link{BandwidthMBps: 10})
 	base, _ := g.Network.TransferDuration("a", "b", 100)
-	if err := g.Network.SetUtilization("a", "b", 0.5); err != nil {
-		t.Fatal(err)
-	}
+	g.Network.Connect("a", "b", Link{BandwidthMBps: 10, Utilization: 0.5})
 	loaded, _ := g.Network.TransferDuration("a", "b", 100)
 	if loaded <= base {
 		t.Fatalf("utilized link not slower: %v vs %v", loaded, base)
-	}
-	if err := g.Network.SetUtilization("x", "y", 0.5); err == nil {
-		t.Fatal("SetUtilization on missing link succeeded")
 	}
 }
 

@@ -31,6 +31,13 @@ type fixture struct {
 
 func newFixture(t *testing.T) *fixture {
 	t.Helper()
+	return newLoadedFixture(t, nil)
+}
+
+// newLoadedFixture is newFixture with the named sites' nodes under the
+// given loads (the others idle).
+func newLoadedFixture(t *testing.T, loads map[string]simgrid.Load) *fixture {
+	t.Helper()
 	g := simgrid.NewGrid(time.Second, 1)
 	repo := monalisa.NewRepository()
 	f := &fixture{
@@ -42,7 +49,7 @@ func newFixture(t *testing.T) *fixture {
 	for _, name := range []string{"siteA", "siteB"} {
 		site := g.AddSite(name)
 		pool := condor.NewPool(name, g, site)
-		node := site.AddNode(g.Engine, name+"-n1", 1.0, simgrid.IdleLoad())
+		node := site.AddNode(g.Engine, name+"-n1", 1.0, loads[name])
 		pool.AddMachine(node, nil)
 		f.pools[name] = pool
 		f.nodes[name] = node
@@ -67,6 +74,24 @@ func newFixture(t *testing.T) *fixture {
 	f.svc.PollInterval = 5 * time.Second
 	f.svc.MinObservation = 20 * time.Second
 	return f
+}
+
+// loadedAt2s is a load that develops to level two seconds in, once the
+// job has started.
+func loadedAt2s(level float64) simgrid.Load {
+	epoch := time.Date(2005, 1, 1, 0, 0, 0, 0, time.UTC)
+	return simgrid.StepLoad(epoch, []time.Duration{2 * time.Second}, []float64{0, level})
+}
+
+// startsAt fails the test unless the task was placed at site: the site
+// the test loads.
+func startsAt(t *testing.T, cp *scheduler.ConcretePlan, id, site string) scheduler.Assignment {
+	t.Helper()
+	a, _ := cp.Assignment(id)
+	if a.Site != site {
+		t.Fatalf("%s placed at %q, want %q, the site the test loads", id, a.Site, site)
+	}
+	return a
 }
 
 func primeTask(id string, cpu float64) scheduler.TaskPlan {
@@ -253,15 +278,14 @@ func TestUnknownRefErrors(t *testing.T) {
 // on a site that then becomes heavily loaded; the Optimizer detects the
 // slow execution rate via the Job Monitoring Service and reschedules.
 func TestOptimizerMovesSlowJob(t *testing.T) {
-	f := newFixture(t)
+	// The chosen site develops a 70% background load.
+	f := newLoadedFixture(t, map[string]simgrid.Load{"siteA": loadedAt2s(0.7)})
 	cp := f.submit(t, "alice", "p1", primeTask("t1", 283))
 	f.grid.Engine.RunFor(2 * time.Second)
-	start, _ := cp.Assignment("t1")
+	start := startsAt(t, cp, "t1", "siteA")
 	if start.State != scheduler.TaskSubmitted {
 		t.Fatalf("state = %v", start.State)
 	}
-	// The chosen site develops a 70% background load.
-	f.nodes[start.Site].SetLoad(simgrid.ConstantLoad(0.7))
 
 	if err := f.grid.Engine.RunUntil(func() bool {
 		a, _ := cp.Assignment("t1")
@@ -299,12 +323,11 @@ func TestOptimizerMovesSlowJob(t *testing.T) {
 }
 
 func TestOptimizerRespectsMinObservation(t *testing.T) {
-	f := newFixture(t)
+	f := newLoadedFixture(t, map[string]simgrid.Load{"siteA": loadedAt2s(0.7)})
 	f.svc.MinObservation = 60 * time.Second
 	cp := f.submit(t, "alice", "p1", primeTask("t1", 283))
 	f.grid.Engine.RunFor(2 * time.Second)
-	start, _ := cp.Assignment("t1")
-	f.nodes[start.Site].SetLoad(simgrid.ConstantLoad(0.7))
+	start := startsAt(t, cp, "t1", "siteA")
 	f.grid.Engine.RunFor(50 * time.Second)
 	a, _ := cp.Assignment("t1")
 	if a.Site != start.Site {
@@ -313,20 +336,15 @@ func TestOptimizerRespectsMinObservation(t *testing.T) {
 }
 
 func TestOptimizerMaxMovesBound(t *testing.T) {
-	f := newFixture(t)
-	cp := f.submit(t, "alice", "p1", primeTask("t1", 500))
-	f.grid.Engine.RunFor(2 * time.Second)
-	first, _ := cp.Assignment("t1")
 	// Both sites loaded: after the first move the job is slow again, but
 	// maxMoves must prevent thrashing.
-	f.nodes["siteA"].SetLoad(simgrid.ConstantLoad(0.8))
-	f.nodes["siteB"].SetLoad(simgrid.ConstantLoad(0.8))
-	f.grid.Engine.RunFor(3 * time.Minute)
+	f := newLoadedFixture(t, map[string]simgrid.Load{"siteA": loadedAt2s(0.8), "siteB": loadedAt2s(0.8)})
+	cp := f.submit(t, "alice", "p1", primeTask("t1", 500))
+	f.grid.Engine.RunFor(3*time.Minute + 2*time.Second)
 	a, _ := cp.Assignment("t1")
 	if a.Attempts > 2 {
 		t.Fatalf("attempts = %d; optimizer thrashing", a.Attempts)
 	}
-	_ = first
 }
 
 func TestOptimizerIgnoresHealthyJobs(t *testing.T) {
@@ -340,7 +358,7 @@ func TestOptimizerIgnoresHealthyJobs(t *testing.T) {
 }
 
 func TestPreferCheapUsesQuota(t *testing.T) {
-	f := newFixture(t)
+	f := newLoadedFixture(t, map[string]simgrid.Load{"siteA": loadedAt2s(0.8)})
 	f.svc.Preference = PreferCheap
 	// Add a third site so "cheapest other site" differs from "only other
 	// site".
@@ -356,8 +374,7 @@ func TestPreferCheapUsesQuota(t *testing.T) {
 
 	cp := f.submit(t, "alice", "p1", primeTask("t1", 283))
 	f.grid.Engine.RunFor(2 * time.Second)
-	start, _ := cp.Assignment("t1")
-	f.nodes[start.Site].SetLoad(simgrid.ConstantLoad(0.8))
+	start := startsAt(t, cp, "t1", "siteA")
 	if err := f.grid.Engine.RunUntil(func() bool {
 		a, _ := cp.Assignment("t1")
 		return a.Site != start.Site
@@ -461,7 +478,7 @@ func TestCompletionNotificationAndExecutionState(t *testing.T) {
 // runtime estimate the job's ad carries, not the placement-time decision
 // record (which a recovered plan holds zeroed) nor the task's CPU seconds.
 func TestCheapMovePricesTheJobsEstimate(t *testing.T) {
-	f := newFixture(t)
+	f := newLoadedFixture(t, map[string]simgrid.Load{"siteA": loadedAt2s(0.8)})
 	f.svc.Preference = PreferCheap
 	f.submit(t, "alice", "p1", primeTask("t1", 283))
 	w, _, err := f.svc.lookup(TaskRef{Plan: "p1", Task: "t1"})

@@ -80,7 +80,10 @@ func LoadScenario(path string) (FairnessScenario, error) {
 // Validate rejects scenario specs that would crash the replay or
 // silently distort the fairness metrics — a tenant that can never
 // submit makes a low Jain index look like a scheduler regression
-// instead of a spec typo. Each error names the offending field.
+// instead of a spec typo. Each error names the offending field. A tenant
+// or group needs a name: the fair-share policy files an unnamed tenant as
+// "anonymous" and an unnamed group as the default one, so either would
+// silently share another's account.
 func (s FairnessScenario) Validate() error {
 	if s.Machines <= 0 {
 		return errors.New("Machines must be positive")
@@ -92,7 +95,10 @@ func (s FairnessScenario) Validate() error {
 		return errors.New("Ticks must be positive")
 	}
 	groups := map[string]bool{}
-	for _, g := range s.Groups {
+	for i, g := range s.Groups {
+		if g.Name == "" {
+			return fmt.Errorf("Groups[%d].Name is empty", i)
+		}
 		if groups[g.Name] {
 			return fmt.Errorf("Groups: duplicate group %q", g.Name)
 		}
@@ -102,7 +108,10 @@ func (s FairnessScenario) Validate() error {
 		}
 	}
 	tenants := map[string]bool{}
-	for _, t := range s.Tenants {
+	for i, t := range s.Tenants {
+		if t.Name == "" {
+			return fmt.Errorf("Tenants[%d].Name is empty", i)
+		}
 		if tenants[t.Name] {
 			return fmt.Errorf("Tenants: duplicate tenant %q", t.Name)
 		}

@@ -149,6 +149,8 @@ func TestLoadScenarioRejectsMalformed(t *testing.T) {
 		{"group-weight-zero", "Weight", func(s *FairnessScenario) { s.Groups[0].Weight = 0 }},
 		{"duplicate-tenant", "Tenants", func(s *FairnessScenario) { s.Tenants[1].Name = "a" }},
 		{"duplicate-group", "Groups", func(s *FairnessScenario) { s.Groups = append(s.Groups, s.Groups[0]) }},
+		{"empty-tenant-name", "Tenants[1].Name", func(s *FairnessScenario) { s.Tenants[1].Name = "" }},
+		{"empty-group-name", "Groups[0].Name", func(s *FairnessScenario) { s.Groups[0].Name = "" }},
 		{"negative-burst", "BurstJobs", func(s *FairnessScenario) { s.Tenants[1].BurstJobs = -1 }},
 		{"negative-steady", "SteadyJobs", func(s *FairnessScenario) { s.Tenants[0].SteadyJobs = -2 }},
 		{"negative-start", "StartTick", func(s *FairnessScenario) { s.Tenants[0].StartTick = -1 }},

@@ -28,8 +28,6 @@ import (
 var reachAllowed = map[string]string{
 	"condor.Pool.Fail":                "fault injection for the recovery, jobmon and core tests",
 	"condor.Pool.Recover":             "fault injection for the recovery, jobmon and core tests",
-	"simgrid.StepLoad":                "stepped-load fixture the condor and root tests share",
-	"simgrid.Network.SetUtilization":  "background-traffic fixture the estimator and scheduler tests share",
 	"simgrid.Engine.Tick":             "the span of the per-tick RunFor calls the condor, scheduler and core equivalence suites and condor's oracles make",
 	"simgrid.Engine.Ticks":            "boundaries visited: the count condor's sparsity and weather gates and simgrid's event tests read",
 	"vtime.SimClock.Advance":          "how tests move a simulated clock without an engine",
