@@ -1,13 +1,15 @@
 GO ?= go
 
-.PHONY: build test test-race race-smoke bench bench-test fuzz-smoke bench-smoke load-smoke chaos-smoke obs-smoke examples-smoke sim sim-smoke fig-smoke fmt vet loc
+.PHONY: build test test-race race-smoke bench bench-test fuzz-smoke bench-smoke chaos-smoke obs-smoke sim fmt vet loc
 
 build:
 	$(GO) build ./...
 
-# Every package's tests. The root package's include the static checks,
-# over one type-check of the module and bench/: reachability
-# (reach_test.go) and determinism, simtime and detorder (lint_test.go).
+# Every package's tests: the contract. They include every golden (the
+# gae-sim, gae-bench and examples/* outputs, run in process), and the root
+# package's static checks over one type-check of the module and bench/:
+# reachability (reach_test.go) and determinism, simtime and detorder
+# (lint_test.go).
 test:
 	$(GO) test ./...
 
@@ -82,62 +84,11 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzHistoryReplay -fuzztime 10s ./internal/durable
 	$(GO) test -run '^$$' -fuzz FuzzExprAgainstTree -fuzztime 10s ./internal/classad
 
-# Short-run scenario smoke: exercises the discrete-event engine end to
-# end without the full sweep. The million-job scenario runs at its
-# scaled-down CI size (100k jobs, 10k machines), then its cost is gated in
-# counts (events, wakes, matches per pass, idle wakes — functions of the
-# workload, not of the host: the same on idle Mips-1 machines at 2⁻⁷ s, on
-# loaded Mips-1.5 machines at 10 ms, and with fault-injected jobs), in the
-# size of the pool's job record and of a fair-share usage flow, in where
-# a completion's fields sit in the node and the machine (a node's Wake,
-# synced and task list lead it; what a machine's completion reads
-# is one 64-byte span: CompletionPathLayout), in the allocations a pass's sort keys cost (none, starved owners or not), in
-# live-heap bytes per queued and per finished job, and in the mallocs and
-# bytes a job costs the run; what
-# keeping the negotiator's ordered views costs is gated in Rank evaluations
-# per machine that changed; and what reading, suspending and resuming a long task costs
-# is gated in Segment calls, the same whatever the tick and the time gone by
-# (under a load of one-minute segments: the same whatever the tick, and at
-# most the look-ahead bound per change). What a grid with weather costs is
-# gated in boundaries and pool wakes: a load that steps costs each pool one
-# wake per step on top of the constant legs' counts (the stepped leg of
-# MillionSmokeCounts), six hours of two jobs under a diurnal load visit a
-# boundary a minute and not one a second (WeatherIsEventDriven), and a
-# usage flow is re-rated at its node's load boundaries by wakes that count
-# them (FlowFollowsLoadSegments). Then what one monitoring reply costs the
-# wire codec, the typed client and the serving mux, in allocations that
-# repeat exactly. Last, what a checkpoint writes and allocates: the same
-# after 10 new charges whether 100 or 10 000 were billed before them
-# (CheckpointFollowsDelta), and what one call of the local client
-# allocates, journaled with and without a store and not journaled
-# (LocalCallAllocCeilings). What a wave of jobs costs is gated in
-# allocations: an expression parses into one block no larger than the
-# tree it replaced (ExprAllocations), storing a text the shared-block
-# table already holds allocates nothing (SetExprOfSeenSource), the table
-# stores no literal (SharedTableSkipsLiterals), a restored ad's literals
-# take no block (ParseAdLiteralAllocations), a matcher allocates its
-# Rank's class key and nothing else (MatcherAllocatesClassOnlyForRank),
-# and a Submit of a sim-match job ad, and of one that constrains nothing
-# and so gets no matcher, stays under its malloc ceiling
-# (SubmitMallocCeiling); a snapshot shows the five optional attributes an
-# ad carries, read by keyed names (JobInfoReadsWhatTheAdCarries); and
-# what a pass's refresh of the free machines costs is gated in load
-# reads: one per machine that entered the free set, none for one that
-# stayed (RefreshFollowsChanges). The layouts the matchmaker reads are
-# pinned in bytes: an ad entry, carrying its name's key, stays at 48, a
-# parse node, carrying a reference's key in its payload, at 24, an Ad at
-# 48 and a Matcher at 64 (AdAndMatcherSizes).
+# The million-job scenario at its scaled-down CI size (100k jobs, 10k
+# machines) through the discrete-event engine end to end, once. Its cost
+# gates, in counts and allocations, are tier-1 tests (`make test`).
 bench-smoke:
 	GAE_SCENARIO_SCALE=smoke $(GO) test -run xxx -bench Scenario -benchtime 1x .
-	$(GO) test -run 'MillionSmokeCounts|JobSize|CompletionPathLayout|FlowAndSortKeysAllocations|JobBytesCeiling|CompletionMallocCeiling|RunBytesPerJob|RankEvalsFollowChanges|SegmentCalls|WeatherIsEventDriven|FlowFollowsLoadSegments|ExprAllocations|SetExprOfSeenSource|SharedTableSkipsLiterals|ParseAdLiteralAllocations|MatcherAllocatesClassOnlyForRank|SubmitMallocCeiling|JobInfoReadsWhatTheAdCarries|RefreshFollowsChanges|AdAndMatcherSizes' -count=1 . ./internal/condor ./internal/fairshare ./internal/simgrid ./internal/classad
-	$(GO) test -run 'WireAllocCeilings|ServeAllocCeiling' -count=1 ./pkg/gae ./internal/xmlrpc
-	$(GO) test -run 'CheckpointFollowsDelta|LocalCallAllocCeilings' -count=1 ./internal/core
-
-# Closed-loop serving smoke: gae load's analysis mix against an embedded
-# durable deployment — exits non-zero if any operation fails.
-load-smoke:
-	@set -e; data=$$(mktemp -d); trap 'rm -rf "$$data"' EXIT; \
-	$(GO) run ./cmd/gae load -clients 4 -ops 32 -data "$$data"
 
 # Exactly-once chaos smoke: concurrent mutating load through a
 # fault-injecting transport (drops, ack losses, duplicate deliveries)
@@ -154,21 +105,6 @@ chaos-smoke:
 obs-smoke:
 	$(GO) run ./cmd/gae-obs-smoke
 
-# Every program under examples/ built and run to completion; a non-zero
-# exit fails the target, and so does stdout that differs from the
-# program's testdata/stdout.golden once loopback ports (which federation
-# binds anew each run) are masked. Each runs in well under a second. After
-# an intended change of output, rewrite a golden with
-#   go run ./examples/NAME | sed -E 's/127\.0\.0\.1:[0-9]+/127.0.0.1:PORT/g' \
-#     > examples/NAME/testdata/stdout.golden
-PORTMASK = s/127\.0\.0\.1:[0-9]+/127.0.0.1:PORT/g
-examples-smoke:
-	@set -e; out=$$(mktemp); trap 'rm -f "$$out"' EXIT; \
-	for d in examples/*/; do \
-		echo "examples-smoke: $$d"; $(GO) run ./$$d > "$$out"; \
-		sed -E '$(PORTMASK)' "$$out" | diff -u $${d}testdata/stdout.golden -; \
-	done
-
 # Replay a fairness scenario, testdata/scenarios/$(SCENARIO).json;
 # override with e.g.
 #   make sim SCENARIO=bursty-tenant SIMFLAGS=-fairshare=false
@@ -176,39 +112,6 @@ SCENARIO ?= starvation-recovery
 SIMFLAGS ?=
 sim:
 	$(GO) run ./cmd/gae-sim -scenario testdata/scenarios/$(SCENARIO).json $(SIMFLAGS) -output -
-
-# The gae-sim binary run on every scenario file, fair share on and off; a
-# non-zero exit fails the target, and so does a CSV that differs from
-# testdata/golden/NAME.fairshare-BOOL.csv. The in-process golden test
-# (TestFairnessGoldens) holds the library to the same files; this holds
-# the flags and the file loading too.
-sim-smoke:
-	@set -e; bin=$$(mktemp -d); trap 'rm -rf "$$bin"' EXIT; \
-	$(GO) build -o $$bin/gae-sim ./cmd/gae-sim; \
-	for f in testdata/scenarios/*.json; do \
-		name=$$(basename $$f .json); \
-		for fair in true false; do \
-			echo "sim-smoke: $$name fairshare=$$fair"; \
-			$$bin/gae-sim -scenario $$f -fairshare=$$fair -output $$bin/out.csv 2>$$bin/summary \
-				|| { cat $$bin/summary; exit 1; }; \
-			diff -u testdata/golden/$$name.fairshare-$$fair.csv $$bin/out.csv; \
-		done; \
-	done
-
-# The gae-bench binary regenerating Figures 5 and 7; a non-zero exit fails
-# the target, and so does a CSV that differs from
-# testdata/golden/figureN.csv. The in-process golden test
-# (TestFigureGoldens) holds the library to the same files; this holds the
-# flags and the file writing too. Figure 6 times real RPCs, so it has no
-# golden.
-fig-smoke:
-	@set -e; bin=$$(mktemp -d); trap 'rm -rf "$$bin"' EXIT; \
-	$(GO) build -o $$bin/gae-bench ./cmd/gae-bench; \
-	for n in 5 7; do \
-		echo "fig-smoke: figure $$n"; \
-		$$bin/gae-bench -fig $$n -chart=false -out $$bin >/dev/null; \
-		diff -u testdata/golden/figure$$n.csv $$bin/figure$$n.csv; \
-	done
 
 fmt:
 	gofmt -w .

@@ -18,6 +18,7 @@ package repro_test
 
 import (
 	"fmt"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -501,6 +502,16 @@ func BenchmarkAblationCheckpointing(b *testing.B) {
 }
 
 // --- Fair-share fairness (multi-tenant arbitration) ------------------------
+
+// loadScenario loads testdata/scenarios/<name>.json.
+func loadScenario(tb testing.TB, name string) workload.FairnessScenario {
+	tb.Helper()
+	sc, err := workload.LoadScenario(filepath.Join("testdata", "scenarios", name+".json"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return sc
+}
 
 // BenchmarkFairShare replays the multi-tenant scenario files with the
 // fair-share subsystem arbitrating and reports Jain's fairness index over

@@ -8,8 +8,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
@@ -18,13 +20,27 @@ import (
 )
 
 func main() {
-	var (
-		fig   = flag.String("fig", "all", "figure to regenerate: 5, 6, 7, or all")
-		out   = flag.String("out", "", "directory to write CSV files (stdout only if empty)")
-		chart = flag.Bool("chart", true, "render ASCII charts")
-	)
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
+		log.Fatalf("gae-bench: %v", err)
+	}
+}
 
+// run is the whole command: args are its arguments, without the
+// program name.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("gae-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		fig   = fs.String("fig", "all", "figure to regenerate: 5, 6, 7, or all")
+		out   = fs.String("out", "", "directory to write CSV files (stdout only if empty)")
+		chart = fs.Bool("chart", true, "render ASCII charts")
+	)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
 	runs := map[string]func() (*experiments.Table, error){
 		"5": func() (*experiments.Table, error) {
 			r, err := experiments.Fig5(experiments.DefaultFig5())
@@ -48,36 +64,35 @@ func main() {
 			return r.Table, nil
 		},
 	}
-	var order []string
-	switch *fig {
-	case "all":
-		order = []string{"5", "6", "7"}
-	case "5", "6", "7":
+	order := []string{"5", "6", "7"}
+	if *fig != "all" {
+		if runs[*fig] == nil {
+			return fmt.Errorf("unknown figure %q", *fig)
+		}
 		order = []string{*fig}
-	default:
-		log.Fatalf("gae-bench: unknown figure %q", *fig)
 	}
 	for _, f := range order {
-		fmt.Printf("=== Figure %s ===\n", f)
+		fmt.Fprintf(stdout, "=== Figure %s ===\n", f)
 		table, err := runs[f]()
 		if err != nil {
-			log.Fatalf("gae-bench: figure %s: %v", f, err)
+			return fmt.Errorf("figure %s: %w", f, err)
 		}
 		if *chart {
-			fmt.Println(table.Chart(72, 20))
+			fmt.Fprintln(stdout, table.Chart(72, 20))
 		}
 		csv := table.CSV()
 		if *out == "" {
-			fmt.Println(csv)
+			fmt.Fprintln(stdout, csv)
 			continue
 		}
 		if err := os.MkdirAll(*out, 0o755); err != nil {
-			log.Fatalf("gae-bench: %v", err)
+			return err
 		}
 		path := filepath.Join(*out, "figure"+f+".csv")
 		if err := os.WriteFile(path, []byte(csv), 0o644); err != nil {
-			log.Fatalf("gae-bench: %v", err)
+			return err
 		}
-		fmt.Printf("wrote %s\n", path)
+		fmt.Fprintf(stdout, "wrote %s\n", path)
 	}
+	return nil
 }

@@ -14,8 +14,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 
@@ -24,32 +26,48 @@ import (
 )
 
 func main() {
-	var (
-		scenario = flag.String("scenario", "", "scenario file to replay, e.g. testdata/scenarios/bursty-tenant.json")
-		output   = flag.String("output", "-", "CSV destination path, or - for stdout")
-		fair     = flag.Bool("fairshare", true, "arbitrate with the fair-share subsystem (false = static-priority ablation)")
-	)
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
+		log.Fatalf("gae-sim: %v", err)
+	}
+}
 
-	if *scenario == "" {
-		log.Fatal("gae-sim: -scenario is required")
+// run is the whole command: args are its arguments, without the
+// program name.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("gae-sim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		scenario = fs.String("scenario", "", "scenario file to replay, e.g. testdata/scenarios/bursty-tenant.json")
+		output   = fs.String("output", "-", "CSV destination path, or - for stdout")
+		fair     = fs.Bool("fairshare", true, "arbitrate with the fair-share subsystem (false = static-priority ablation)")
+	)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	switch {
+	case fs.NArg() > 0:
+		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	case *scenario == "":
+		return errors.New("-scenario is required")
 	}
 	sc, err := workload.LoadScenario(*scenario)
 	if err != nil {
-		log.Fatalf("gae-sim: %v", err)
+		return err
 	}
 	res, err := experiments.Fairness(sc, *fair)
 	if err != nil {
-		log.Fatalf("gae-sim: %v", err)
+		return err
 	}
 
 	csv := res.CSV()
 	if *output == "-" {
-		fmt.Print(csv)
+		_, err = io.WriteString(stdout, csv)
 	} else {
-		if err := os.WriteFile(*output, []byte(csv), 0o644); err != nil {
-			log.Fatalf("gae-sim: %v", err)
-		}
+		err = os.WriteFile(*output, []byte(csv), 0o644)
 	}
-	fmt.Fprint(os.Stderr, res.Summary())
+	if err != nil {
+		return err
+	}
+	fmt.Fprint(stderr, res.Summary())
+	return nil
 }

@@ -12,7 +12,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"repro/internal/core"
@@ -21,6 +23,12 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(stdout io.Writer) error {
 	gae := core.New(core.Config{
 		Sites: []core.SiteSpec{
 			// CERN holds the data but its farm is saturated, so analysis
@@ -39,13 +47,13 @@ func main() {
 
 	// The run data starts at CERN only.
 	if err := gae.PutDataset("cern", "run2005A.raw", 600); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("dataset run2005A.raw (600 MB) registered at:", locationsOf(gae, "run2005A.raw"))
+	fmt.Fprintln(stdout, "dataset run2005A.raw (600 MB) registered at:", locationsOf(gae, "run2005A.raw"))
 
 	// First analysis pass: wherever it runs, the scheduler stages from
 	// the closest replica (only CERN exists yet).
-	run := func(planName string) {
+	pass := func(planName string) error {
 		cp, err := gae.Scheduler.Submit(&scheduler.JobPlan{
 			Name: planName, Owner: "alice",
 			Tasks: []scheduler.TaskPlan{{
@@ -56,24 +64,29 @@ func main() {
 			}},
 		})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if err := gae.RunUntilDone(cp, 30*time.Minute); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		gae.Run(3 * time.Second)
 		a, _ := cp.Assignment("analyze")
-		fmt.Printf("%s ran at %-8s (staging estimate %.0fs); replicas now at: %v\n",
+		fmt.Fprintf(stdout, "%s ran at %-8s (staging estimate %.0fs); replicas now at: %v\n",
 			planName, a.Site, a.Estimates.TransferSeconds, locationsOf(gae, "run2005A.raw"))
+		return nil
 	}
-	run("pass1")
-	run("pass2") // finds a closer replica created by pass1's staging
-	run("pass3")
+	// pass2 finds a closer replica created by pass1's staging.
+	for _, name := range []string{"pass1", "pass2", "pass3"} {
+		if err := pass(name); err != nil {
+			return err
+		}
+	}
 
-	fmt.Println("\nreplica catalog after the campaign:")
+	fmt.Fprintln(stdout, "\nreplica catalog after the campaign:")
 	for _, d := range gae.Replicas.Datasets() {
-		fmt.Printf("  %-14s %v\n", d, locationsOf(gae, d))
+		fmt.Fprintf(stdout, "  %-14s %v\n", d, locationsOf(gae, d))
 	}
+	return nil
 }
 
 func locationsOf(gae *core.GAE, dataset string) []string {

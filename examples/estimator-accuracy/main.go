@@ -9,22 +9,30 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/internal/estimator"
 	"repro/internal/experiments"
 )
 
 func main() {
-	res, err := experiments.Fig5(experiments.DefaultFig5())
-	if err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("case  actual(s)  estimated(s)  error%")
-	for _, row := range res.Table.Rows {
-		fmt.Printf("%4.0f  %9.0f  %12.0f  %+6.1f\n", row[0], row[1], row[2], row[3])
+}
+
+func run(stdout io.Writer) error {
+	res, err := experiments.Fig5(experiments.DefaultFig5())
+	if err != nil {
+		return err
 	}
-	fmt.Printf("\nmean error: %.2f%%   (paper: 13.53%%)\n\n", res.MeanError)
+	fmt.Fprintln(stdout, "case  actual(s)  estimated(s)  error%")
+	for _, row := range res.Table.Rows {
+		fmt.Fprintf(stdout, "%4.0f  %9.0f  %12.0f  %+6.1f\n", row[0], row[1], row[2], row[3])
+	}
+	fmt.Fprintf(stdout, "\nmean error: %.2f%%   (paper: 13.53%%)\n\n", res.MeanError)
 
 	// Ablation: how much does the statistic matter?
 	for _, stat := range []estimator.Statistic{
@@ -34,9 +42,9 @@ func main() {
 			HistoryJobs: 100, TestJobs: 20, Seed: 216, Statistic: stat,
 		})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("statistic %-10s → mean error %6.2f%%\n", stat, r.MeanError)
+		fmt.Fprintf(stdout, "statistic %-10s → mean error %6.2f%%\n", stat, r.MeanError)
 	}
 
 	// Ablation: similarity template granularity.
@@ -52,8 +60,9 @@ func main() {
 			HistoryJobs: 100, TestJobs: 20, Seed: 216, Templates: tc.templates,
 		})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("template %-12s → mean error %6.2f%%\n", tc.name, r.MeanError)
+		fmt.Fprintf(stdout, "template %-12s → mean error %6.2f%%\n", tc.name, r.MeanError)
 	}
+	return nil
 }

@@ -12,7 +12,9 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"repro/internal/clarens"
@@ -23,6 +25,12 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(stdout io.Writer) error {
 	fed := core.NewFederation(core.Config{
 		Sites: []core.SiteSpec{
 			{Name: "caltech", Nodes: 2, CostPerCPUSecond: 0.05},
@@ -33,19 +41,19 @@ func main() {
 	})
 	central, err := fed.Start()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	defer fed.Stop()
-	fmt.Println("central Clarens host:", central)
+	fmt.Fprintln(stdout, "central Clarens host:", central)
 	for _, site := range fed.Central.Sites() {
 		url, _ := fed.URL(site)
-		fmt.Printf("site host %-8s at %s\n", site, url)
+		fmt.Fprintf(stdout, "site host %-8s at %s\n", site, url)
 	}
 
 	ctx := context.Background()
 	c := clarens.NewClient(central)
 	if err := c.Login(ctx, "alice", "pw"); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Run a job so caltech's estimator has history.
@@ -57,23 +65,23 @@ func main() {
 		}},
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := fed.Central.RunUntilDone(cp, 10*time.Minute); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	fed.Central.Run(5 * time.Second)
 	a, _ := cp.Assignment("t")
-	fmt.Printf("\ntraining job ran at %s\n", a.Site)
+	fmt.Fprintf(stdout, "\ntraining job ran at %s\n", a.Site)
 
 	// Discover that site's estimator through the P2P mesh and query it
 	// with the same session token (sessions are grid-wide).
 	svc := "estimator-" + a.Site
 	info, err := c.Discover(ctx, svc)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("discovered %s at %s via P2P lookup\n", svc, info.Endpoint)
+	fmt.Fprintf(stdout, "discovered %s at %s via P2P lookup\n", svc, info.Endpoint)
 	sc := clarens.NewClient(info.Endpoint)
 	sc.SetToken(c.Token())
 	profile := gae.TaskProfile{
@@ -82,9 +90,9 @@ func main() {
 	}
 	var est gae.RuntimeEstimate
 	if err := sc.CallInto(ctx, svc+".runtime", &est, profile); err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("site-local runtime estimate: %.0fs from %d similar task(s) [%s]\n",
+	fmt.Fprintf(stdout, "site-local runtime estimate: %.0fs from %d similar task(s) [%s]\n",
 		est.Seconds, est.Similar, est.Statistic)
 
 	// And the reverse: a client attached to a site host finds the central
@@ -94,7 +102,8 @@ func main() {
 	nc.SetToken(c.Token())
 	steering, err := nc.Discover(ctx, "steering")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("steering service discovered from nust's host: %s\n", steering.Endpoint)
+	fmt.Fprintf(stdout, "steering service discovered from nust's host: %s\n", steering.Endpoint)
+	return nil
 }

@@ -11,7 +11,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"repro/internal/core"
@@ -22,6 +24,12 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(stdout io.Writer) error {
 	gae := core.New(core.Config{
 		Sites: []core.SiteSpec{
 			// Peak hours chosen so the sites trade places through the day.
@@ -43,25 +51,24 @@ func main() {
 		Title:   "Grid weather over one simulated day (site background load)",
 		Columns: []string{"hour", "cern", "caltech", "nust"},
 	}
-	fmt.Println("hour  cern  caltech  nust   scheduler would pick")
-	epoch := gae.Now()
+	fmt.Fprintln(stdout, "hour  cern  caltech  nust   scheduler would pick")
 	for h := 0; h <= 24; h += 2 {
 		best, _, err := gae.Scheduler.SelectSite(probe, nil)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		loads := make(map[string]float64, 3)
 		for _, s := range []string{"cern", "caltech", "nust"} {
 			loads[s] = gae.MonALISA.LatestValue(s, monalisa.MetricLoadAvg, 0)
 		}
-		fmt.Printf("%4d  %.2f  %7.2f  %.2f   → %s\n",
+		fmt.Fprintf(stdout, "%4d  %.2f  %7.2f  %.2f   → %s\n",
 			h, loads["cern"], loads["caltech"], loads["nust"], best.Site)
 		table.Rows = append(table.Rows, []float64{
 			float64(h), loads["cern"], loads["caltech"], loads["nust"],
 		})
 		gae.Run(2 * time.Hour)
 	}
-	_ = epoch
-	fmt.Println()
-	fmt.Println(table.Chart(72, 16))
+	fmt.Fprintln(stdout)
+	fmt.Fprintln(stdout, table.Chart(72, 16))
+	return nil
 }

@@ -10,8 +10,11 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"repro/internal/core"
@@ -20,6 +23,12 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(stdout io.Writer) error {
 	gae := core.New(core.Config{
 		Sites: []core.SiteSpec{
 			{Name: "cern", Nodes: 2, Load: simgrid.DiurnalLoad(0.3, 0.2, 14), CostPerCPUSecond: 0.08},
@@ -66,9 +75,9 @@ func main() {
 	}
 	cp, err := gae.Scheduler.Submit(plan)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("submitted CMS-style DAG: stage → {reco-muons, reco-jets} → merge")
+	fmt.Fprintln(stdout, "submitted CMS-style DAG: stage → {reco-muons, reco-jets} → merge")
 
 	epoch := gae.Now()
 	lastState := map[string]string{}
@@ -79,7 +88,7 @@ func main() {
 			state := fmt.Sprintf("%s@%s", a.State, orDash(a.Site))
 			if lastState[key] != state {
 				lastState[key] = state
-				fmt.Printf("t=%4.0fs %-11s → %s\n",
+				fmt.Fprintf(stdout, "t=%4.0fs %-11s → %s\n",
 					gae.Now().Sub(epoch).Seconds(), a.TaskID, state)
 			}
 		}
@@ -87,17 +96,17 @@ func main() {
 			break
 		}
 		if gae.Now().Sub(epoch) > 2*time.Hour {
-			log.Fatal("plan did not finish within 2 simulated hours")
+			return errors.New("plan did not finish within 2 simulated hours")
 		}
 	}
 	_, ok := cp.Done()
-	fmt.Printf("\nplan finished (succeeded=%v) in %.0f simulated seconds\n",
+	fmt.Fprintf(stdout, "\nplan finished (succeeded=%v) in %.0f simulated seconds\n",
 		ok, gae.Now().Sub(epoch).Seconds())
 
 	// Where did everything run, and what did the estimators predict?
-	fmt.Println("\ntask      site      est(s)  queue(s)  transfer(s)")
+	fmt.Fprintln(stdout, "\ntask      site      est(s)  queue(s)  transfer(s)")
 	for _, a := range cp.Assignments() {
-		fmt.Printf("%-9s %-9s %6.0f  %8.0f  %11.0f\n",
+		fmt.Fprintf(stdout, "%-9s %-9s %6.0f  %8.0f  %11.0f\n",
 			a.TaskID, a.Site, a.Estimates.RuntimeSeconds,
 			a.Estimates.QueueSeconds, a.Estimates.TransferSeconds)
 	}
@@ -116,19 +125,20 @@ func main() {
 		}
 		cost, err := gae.Quota.Charge("physicist", a.Site, info.CPUSeconds, 0, gae.Now(), a.TaskID)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		total += cost
 	}
 	bal, _ := gae.Quota.Balance("physicist")
-	fmt.Printf("\ntotal CPU charges: %.2f credits (balance now %.2f)\n", total, bal)
+	fmt.Fprintf(stdout, "\ntotal CPU charges: %.2f credits (balance now %.2f)\n", total, bal)
 
 	// The final dataset is downloadable where merge ran.
 	if a, okA := cp.Assignment("merge"); okA {
 		if f, okF := gae.Grid.Site(a.Site).Storage().Get("analysis.root"); okF {
-			fmt.Printf("analysis.root (%.0f MB) available at %s\n", f.SizeMB, a.Site)
+			fmt.Fprintf(stdout, "analysis.root (%.0f MB) available at %s\n", f.SizeMB, a.Site)
 		}
 	}
+	return nil
 }
 
 func orDash(s string) string {

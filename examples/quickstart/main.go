@@ -10,7 +10,9 @@ package main
 import (
 	"context"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"time"
 
 	"repro/internal/core"
@@ -19,6 +21,12 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(stdout io.Writer) error {
 	ctx := context.Background()
 	// A deployment: two sites, one link, one user.
 	gae := core.New(core.Config{
@@ -45,7 +53,7 @@ func main() {
 	}
 	cp, err := gae.Scheduler.Submit(plan)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// The typed client: every paper service behind one API, no
@@ -54,9 +62,9 @@ func main() {
 
 	// The scheduler consulted every site's estimators and MonALISA load.
 	a, _ := cp.Assignment("analysis")
-	fmt.Printf("scheduler placed %q at %s\n", "analysis", a.Site)
+	fmt.Fprintf(stdout, "scheduler placed %q at %s\n", "analysis", a.Site)
 	for _, e := range a.Considered {
-		fmt.Printf("  candidate %-8s runtime=%.0fs queue=%.0fs transfer=%.0fs load=%.2f score=%.0f\n",
+		fmt.Fprintf(stdout, "  candidate %-8s runtime=%.0fs queue=%.0fs transfer=%.0fs load=%.2f score=%.0f\n",
 			e.Site, e.RuntimeSeconds, e.QueueSeconds, e.TransferSeconds, e.Load, e.Score)
 	}
 
@@ -71,7 +79,7 @@ func main() {
 		if err != nil {
 			continue
 		}
-		fmt.Printf("t=%3.0fs status=%-9s progress=%3.0f%% wallclock=%.0fs queuepos=%d\n",
+		fmt.Fprintf(stdout, "t=%3.0fs status=%-9s progress=%3.0f%% wallclock=%.0fs queuepos=%d\n",
 			gae.Now().Sub(time.Date(2005, 1, 1, 0, 0, 0, 0, time.UTC)).Seconds(),
 			info.Status, info.Progress*100, info.WallclockSeconds, info.QueuePosition)
 	}
@@ -80,27 +88,28 @@ func main() {
 	// the scheduler's event queue on the following ticks.
 	gae.Run(5 * time.Second)
 	done, ok := cp.Done()
-	fmt.Printf("plan done=%v succeeded=%v\n", done, ok)
+	fmt.Fprintf(stdout, "plan done=%v succeeded=%v\n", done, ok)
 
 	// The steering service collected the execution state.
 	gae.Run(15 * time.Second)
 	ns, err := client.Notifications(ctx)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	for _, n := range ns {
-		fmt.Printf("notification [%s]: %s\n", n.Kind, n.Message)
+		fmt.Fprintf(stdout, "notification [%s]: %s\n", n.Kind, n.Message)
 	}
 	site := gae.Grid.Site(a.Site)
 	if f, ok := site.Storage().Get("histograms.root"); ok {
-		fmt.Printf("output %s (%.0f MB) available at %s\n", f.Name, f.SizeMB, a.Site)
+		fmt.Fprintf(stdout, "output %s (%.0f MB) available at %s\n", f.Name, f.SizeMB, a.Site)
 	}
 
 	// The estimator service answers what-if questions.
 	est, err := client.EstimateTransfer(ctx, "caltech", "nust", 500)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("moving a 500 MB dataset caltech→nust would take %.0fs at %.1f MB/s (+%.2fs latency)\n",
+	fmt.Fprintf(stdout, "moving a 500 MB dataset caltech→nust would take %.0fs at %.1f MB/s (+%.2fs latency)\n",
 		est.Seconds, est.BandwidthMBps, est.LatencySeconds)
+	return nil
 }

@@ -10,25 +10,34 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/internal/experiments"
 )
 
 func main() {
-	res, err := experiments.Fig7(experiments.Fig7Config{})
-	if err != nil {
+	if err := run(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println(res.Table.Chart(72, 22))
-	fmt.Printf("free-CPU estimate        : %.0f s (the paper's dashed line)\n", res.Estimate)
-	fmt.Printf("steering moved the job at: %.0f s\n", res.MovedAt.Seconds())
-	fmt.Printf("steered job completed at : %.0f s (paper: 369 s)\n", res.SteeredDone.Seconds())
+}
+
+func run(stdout io.Writer) error {
+	res, err := experiments.Fig7(experiments.Fig7Config{})
+	if err != nil {
+		return err
+	}
+	fmt.Fprintln(stdout, res.Table.Chart(72, 22))
+	fmt.Fprintf(stdout, "free-CPU estimate        : %.0f s (the paper's dashed line)\n", res.Estimate)
+	fmt.Fprintf(stdout, "steering moved the job at: %.0f s\n", res.MovedAt.Seconds())
+	fmt.Fprintf(stdout, "steered job completed at : %.0f s (paper: 369 s)\n", res.SteeredDone.Seconds())
 	if res.UnsteeredDone > 0 {
-		fmt.Printf("unsteered copy at site A : %.0f s (%.1fx slower)\n",
+		fmt.Fprintf(stdout, "unsteered copy at site A : %.0f s (%.1fx slower)\n",
 			res.UnsteeredDone.Seconds(),
 			res.UnsteeredDone.Seconds()/res.SteeredDone.Seconds())
 	}
-	fmt.Println("\nconclusion: periodically monitoring job progress and rescheduling")
-	fmt.Println("slow jobs dramatically reduces completion time — the paper's §7 claim.")
+	fmt.Fprintln(stdout, "\nconclusion: periodically monitoring job progress and rescheduling")
+	fmt.Fprintln(stdout, "slow jobs dramatically reduces completion time — the paper's §7 claim.")
+	return nil
 }

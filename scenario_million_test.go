@@ -167,10 +167,10 @@ func BenchmarkScenarioMillionJobs(b *testing.B) {
 	b.ReportMetric(float64(events), "events")
 }
 
-// TestMillionSmokeCounts is the CI-sized gate behind `make bench-smoke`:
-// what the smoke scale (100k jobs over 10k machines, a 26,000-second
-// horizon) costs, in counts that are functions of the workload and not of
-// the host. A completion is one node event plus the pool wake that
+// TestMillionSmokeCounts gates what the million-job scenario costs at its
+// smoke scale (100k jobs over 10k machines, a 26,000-second horizon), in
+// counts that are functions of the workload and not of the host.
+// A completion is one node event plus the pool wake that
 // harvests it and starts the next job, and completions landing on one
 // boundary share that wake; so events stay under 1.7 per job, wakes under
 // 0.7, a pass matches 1.5 jobs or more, and no wake finds nothing to do.
