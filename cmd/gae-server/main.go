@@ -66,6 +66,8 @@ func run(args []string) error {
 		return err
 	}
 	switch {
+	case fs.NArg() > 0:
+		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
 	case *deployment == "":
 		return errors.New("-deployment is required")
 	case *accel < 1:

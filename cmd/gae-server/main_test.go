@@ -30,6 +30,7 @@ func TestRunRefusesArguments(t *testing.T) {
 		{"a retired flag", []string{"-deployment", quickstart, "-sites", "a:1:0:0"}, "flag provided but not defined: -sites"},
 		{"a missing file", []string{"-deployment", "absent.json"}, "absent.json"},
 		{"an invalid file", []string{"-deployment", filepath.Join("..", "..", "testdata", "scenarios", "bursty-tenant.json")}, "unknown field"},
+		{"a stray argument", []string{"-deployment", quickstart, "-addr", "127.0.0.1:0", "extra"}, `unexpected argument "extra"`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if err := run(tc.args); err == nil || !strings.Contains(err.Error(), tc.wantErr) {

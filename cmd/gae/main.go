@@ -130,6 +130,9 @@ func load(ctx context.Context, args []string, server, user, pass string, stdout 
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
 	rep := report{Target: server}
 	dial := func(ctx context.Context, _ int) (*gae.Client, error) {
 		return gae.Dial(ctx, server, gae.WithCredentials(user, pass))

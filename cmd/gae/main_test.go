@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -151,6 +152,25 @@ func TestLoadTwiceOnOneDataDir(t *testing.T) {
 		if rep.Ops != 16 || rep.Errors != 0 {
 			t.Fatalf("run %d: %d errors in %d ops (%v)", i, rep.Errors, rep.Ops, rep.ErrorsByOp)
 		}
+	}
+}
+
+// TestLoadRefusesArguments: gae load returns an error, before it loads
+// anything, for arguments it cannot run as written.
+func TestLoadRefusesArguments(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		args    []string
+		wantErr string
+	}{
+		{"a stray argument", []string{"load", "-clients", "1", "-ops", "1", "-data", t.TempDir(), "extra"}, `unexpected argument "extra"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var out bytes.Buffer
+			if err := run(tc.args, &out); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("run(%q) = %v, want an error containing %q\n%s", tc.args, err, tc.wantErr, out.Bytes())
+			}
+		})
 	}
 }
 

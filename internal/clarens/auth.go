@@ -95,29 +95,29 @@ type Session struct {
 }
 
 // SessionStore issues and validates session tokens. Every session lives
-// for the one TTL from its opening, on a clock that does not step back, so
+// for sessionTTL from its opening, on a clock that does not step back, so
 // sessions expire in the order they were opened. Open reaps the expired
 // head of that order, so the session of a client that logs in and goes
 // away is gone by the first login after it expires.
 type SessionStore struct {
 	clock vtime.Clock
-	ttl   time.Duration
 
 	mu       sync.Mutex
 	sessions map[string]*Session
 	opened   []string // tokens in open order; a closed one stays until reaped
 }
 
-// NewSessionStore creates a session store; sessions expire after ttl
-// (default 12 hours, Clarens' proxy-lifetime-scale default).
-func NewSessionStore(clock vtime.Clock, ttl time.Duration) *SessionStore {
+// sessionTTL is how long a session lives from its opening: Clarens'
+// proxy-lifetime-scale default.
+const sessionTTL = 12 * time.Hour
+
+// NewSessionStore creates a session store whose sessions expire
+// sessionTTL after they open, on clock (nil means the real clock).
+func NewSessionStore(clock vtime.Clock) *SessionStore {
 	if clock == nil {
 		clock = vtime.Real()
 	}
-	if ttl <= 0 {
-		ttl = 12 * time.Hour
-	}
-	return &SessionStore{clock: clock, ttl: ttl, sessions: make(map[string]*Session)}
+	return &SessionStore{clock: clock, sessions: make(map[string]*Session)}
 }
 
 // Open creates a session for the user and returns its token.
@@ -140,7 +140,7 @@ func (s *SessionStore) Open(u User) (*Session, error) {
 	sess := &Session{
 		Token:   hex.EncodeToString(raw),
 		User:    u,
-		Expires: now.Add(s.ttl),
+		Expires: now.Add(sessionTTL),
 	}
 	s.sessions[sess.Token] = sess
 	s.opened = append(s.opened, sess.Token)

@@ -6,7 +6,9 @@
 // XML-RPC codec:
 //
 //   - a web-service host: services register named methods, dispatched as
-//     "service.method" XML-RPC calls over HTTP POST
+//     "service.method" XML-RPC calls over HTTP POST; Server holds the
+//     method table and the service records itself, and xmlrpc.Serve hands
+//     it each decoded call
 //   - authentication: system.auth issues session tokens; requests carry
 //     the token in the X-Clarens-Session header
 //   - access control: per-method ACLs checked on every dispatch; a rule
@@ -16,9 +18,11 @@
 //     hosted by any connected peer (the paper's "peer-to-peer based
 //     lookup service")
 //
-// The Figure 6 experiment (Job Monitoring Service response time versus
-// parallel clients) exercises this exact path: HTTP → session check →
-// ACL check → service dispatch → XML-RPC response.
+// A call is refused, in this order, for an unknown method, while the host
+// drains, and when the caller's session does not pass the ACL. The Figure
+// 6 experiment (Job Monitoring Service response time versus parallel
+// clients) exercises this exact path: HTTP → method lookup → drain check
+// → session and ACL check → service dispatch → XML-RPC response.
 package clarens
 
 import (

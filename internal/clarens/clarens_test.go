@@ -3,6 +3,7 @@ package clarens
 import (
 	"context"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -96,7 +97,7 @@ func TestAuthFlow(t *testing.T) {
 }
 
 func TestSessionExpiry(t *testing.T) {
-	clock := vtime.NewSimClock(time.Time{})
+	clock := vtime.NewSimClock()
 	srv, c := startHost(t, clock)
 	ctx := context.Background()
 	if err := c.Login(ctx, "alice", "secret"); err != nil {
@@ -105,7 +106,7 @@ func TestSessionExpiry(t *testing.T) {
 	if _, err := c.Call(ctx, "demo.echo", 1); err != nil {
 		t.Fatalf("fresh session rejected: %v", err)
 	}
-	clock.Advance(13 * time.Hour) // default TTL is 12h
+	clock.Advance(sessionTTL + time.Hour)
 	if _, err := c.Call(ctx, "demo.echo", 1); !xmlrpc.IsFault(err, xmlrpc.FaultAuth) {
 		t.Fatalf("expired session error = %v", err)
 	}
@@ -119,14 +120,14 @@ func TestSessionExpiry(t *testing.T) {
 // them. A thousand such sessions past their TTL leave only the login that
 // follows them in the store.
 func TestUnpresentedSessionsAreReaped(t *testing.T) {
-	clock := vtime.NewSimClock(time.Time{})
-	s := NewSessionStore(clock, time.Hour)
+	clock := vtime.NewSimClock()
+	s := NewSessionStore(clock)
 	for range 1000 {
 		if _, err := s.Open(User{Name: "alice"}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	clock.Advance(2 * time.Hour)
+	clock.Advance(sessionTTL + time.Hour)
 	sess, err := s.Open(User{Name: "alice"})
 	if err != nil {
 		t.Fatal(err)
@@ -360,25 +361,88 @@ func TestStartStopRealListener(t *testing.T) {
 	}
 }
 
+// TestRegisterServiceValidation: an empty service name is a programming
+// error, caught when the service is registered.
 func TestRegisterServiceValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("empty service name accepted")
-		}
-	}()
-	NewServer("x", nil).RegisterService("", "", nil)
+	echo := func(_ context.Context, args []any) (any, error) { return args, nil }
+	for _, methods := range []map[string]xmlrpc.Handler{nil, {"echo": echo}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("RegisterService(\"\", %v) did not panic", methods)
+				}
+			}()
+			NewServer("x", nil).RegisterService("", "", methods)
+		}()
+	}
 }
 
+// TestRegisterServicePanicsOnBadMethods: an empty method name or a nil
+// handler is caught when the service is registered rather than when it
+// is first called, and leaves the method table as it was.
+func TestRegisterServicePanicsOnBadMethods(t *testing.T) {
+	echo := func(_ context.Context, args []any) (any, error) { return args, nil }
+	for _, methods := range []map[string]xmlrpc.Handler{
+		{"": echo},
+		{"echo": nil},
+		{"echo": echo, "": echo},
+	} {
+		srv := NewServer("x", nil)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("RegisterService(\"svc\", %v) did not panic", methods)
+				}
+			}()
+			srv.RegisterService("svc", "", methods)
+		}()
+		hs := httptest.NewServer(srv)
+		var names []string
+		err := NewClient(hs.URL).CallInto(context.Background(), "system.listMethods", &names)
+		hs.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range names {
+			if strings.HasPrefix(n, "svc.") {
+				t.Errorf("rejected registration %v left %s in the table", methods, n)
+			}
+		}
+	}
+}
+
+// TestMethodsIncludeBuiltinsAndService: system.listMethods is a host
+// builtin whose reply is every hosted method, itself included, sorted.
 func TestMethodsIncludeBuiltinsAndService(t *testing.T) {
 	_, c := startHost(t, nil)
-	var methods []string
-	if err := c.CallInto(context.Background(), "system.listMethods", &methods); err != nil {
+	var names []string
+	if err := c.CallInto(context.Background(), "system.listMethods", &names); err != nil {
 		t.Fatal(err)
 	}
-	joined := strings.Join(methods, ",")
-	for _, want := range []string{"system.auth", "system.ping", "registry.discover", "demo.echo"} {
-		if !strings.Contains(joined, want) {
-			t.Errorf("Methods missing %s", want)
+	want := []string{"demo.echo", "demo.who", "registry.discover", "registry.list", "registry.lookup", "registry.peers",
+		"system.auth", "system.listMethods", "system.logout", "system.ping", "system.whoami"}
+	if strings.Join(names, ",") != strings.Join(want, ",") {
+		t.Errorf("listMethods = %v\nwant %v", names, want)
+	}
+}
+
+// TestSystemListMethods: a service registered while the host serves
+// shows up in the next system.listMethods reply, which stays sorted and
+// names itself.
+func TestSystemListMethods(t *testing.T) {
+	srv, c := startHost(t, nil)
+	echo := func(_ context.Context, args []any) (any, error) { return args, nil }
+	srv.RegisterService("late", "registered after start", map[string]xmlrpc.Handler{"b": echo, "a": echo})
+	var names []string
+	if err := c.CallInto(context.Background(), "system.listMethods", &names); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.IsSorted(names) {
+		t.Errorf("listMethods not sorted: %v", names)
+	}
+	for _, want := range []string{"late.a", "late.b", "system.listMethods"} {
+		if !slices.Contains(names, want) {
+			t.Errorf("listMethods missing %s in %v", want, names)
 		}
 	}
 }

@@ -1,8 +1,11 @@
 package clarens
 
 import (
+	"context"
 	"sort"
-	"sync"
+	"time"
+
+	"repro/internal/xmlrpc"
 )
 
 // ServiceInfo describes one registered service for lookup and discovery.
@@ -13,45 +16,68 @@ type ServiceInfo struct {
 	Methods     []string `xmlrpc:"methods"` // fully qualified method names
 }
 
-// Registry is a Clarens host's service directory. Lookups can be local or
-// federated across peers (see Server.Discover).
-type Registry struct {
-	mu       sync.RWMutex
-	services map[string]ServiceInfo
-}
-
-// NewRegistry creates an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{services: make(map[string]ServiceInfo)}
-}
-
-// Register adds or replaces a service record.
-func (r *Registry) Register(info ServiceInfo) {
-	if info.Name == "" {
-		panic("clarens: registering service with empty name")
-	}
-	sort.Strings(info.Methods)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.services[info.Name] = info
-}
-
-// Lookup finds a service by name.
-func (r *Registry) Lookup(name string) (ServiceInfo, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	info, ok := r.services[name]
+// lookup finds a hosted service by name.
+func (s *Server) lookup(name string) (ServiceInfo, bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	info, ok := s.services[name]
 	return info, ok
 }
 
-// List returns every registered service sorted by name.
-func (r *Registry) List() []ServiceInfo {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]ServiceInfo, 0, len(r.services))
-	for _, info := range r.services {
+// listServices returns every hosted service sorted by name.
+func (s *Server) listServices() []ServiceInfo {
+	s.mu.RLock()
+	out := make([]ServiceInfo, 0, len(s.services))
+	for _, info := range s.services {
 		out = append(out, info)
 	}
+	s.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
+}
+
+// AddPeer connects this host to another Clarens server's endpoint for
+// federated discovery.
+func (s *Server) AddPeer(endpoint string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, p := range s.peers {
+		if p == endpoint {
+			return
+		}
+	}
+	s.peers = append(s.peers, endpoint)
+}
+
+// Peers returns the configured peer endpoints.
+func (s *Server) Peers() []string {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	out := make([]string, len(s.peers))
+	copy(out, s.peers)
+	return out
+}
+
+// Discover resolves a service name locally, then (if forward is true)
+// asks each peer with forwarding disabled — one-hop flooding, the shape of
+// Clarens' P2P lookup without loop risk. The peers are a copy taken
+// before the first call, so no network wait holds the host's lock.
+func (s *Server) Discover(ctx context.Context, name string, forward bool) (ServiceInfo, bool) {
+	if info, ok := s.lookup(name); ok {
+		return info, true
+	}
+	if !forward {
+		return ServiceInfo{}, false
+	}
+	for _, peer := range s.Peers() {
+		c := xmlrpc.NewClient(peer)
+		c.HTTP.Timeout = 5 * time.Second
+		var info ServiceInfo
+		err := c.CallInto(ctx, "registry.discover", &info, name, false)
+		c.Close()
+		if err == nil && info.Name == name {
+			return info, true
+		}
+	}
+	return ServiceInfo{}, false
 }

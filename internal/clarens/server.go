@@ -21,17 +21,16 @@ type Server struct {
 	Users    *UserStore
 	Sessions *SessionStore
 	ACL      *ACL
-	Registry *Registry
 
-	mux *xmlrpc.ServeMux
+	draining atomic.Bool // read on every RPC
 
-	mu       sync.Mutex
+	mu       sync.RWMutex // guards the tables below
+	methods  map[string]xmlrpc.Handler
+	services map[string]ServiceInfo
+	http     map[string]http.Handler // extra plain-HTTP paths (exact match)
 	baseURL  string
 	peers    []string
 	httpSrv  *http.Server
-	draining atomic.Bool // read on every RPC
-	httpMu   sync.RWMutex
-	http     map[string]http.Handler // extra plain-HTTP paths (exact match)
 }
 
 // NewServer creates a host named name. The clock governs session expiry;
@@ -40,20 +39,31 @@ func NewServer(name string, clock vtime.Clock) *Server {
 	s := &Server{
 		Name:     name,
 		Users:    NewUserStore(),
-		Sessions: NewSessionStore(clock, 0),
+		Sessions: NewSessionStore(clock),
 		ACL:      NewACL(),
-		Registry: NewRegistry(),
-		mux:      xmlrpc.NewServeMux(),
+		services: make(map[string]ServiceInfo),
+		http:     make(map[string]http.Handler),
 	}
-	s.mux.Intercept = s.intercept
-	s.registerBuiltins()
+	s.methods = s.builtins()
+	// Built-in ACLs: registry reads are open to all; logout/whoami need a
+	// session.
+	s.ACL.Allow("*", "registry.*")
+	s.ACL.Allow("authenticated", "system.logout")
+	s.ACL.Allow("authenticated", "system.whoami")
 	return s
 }
 
-// intercept enforces authentication and access control on every dispatch.
-// A draining host rejects everything with FaultUnavailable — the one
-// fault clients may retry, against this host or a successor.
-func (s *Server) intercept(ctx context.Context, method string, args []any, next xmlrpc.Handler) (any, error) {
+// dispatch runs one decoded call. An unknown method is refused first;
+// then a draining host refuses everything with FaultUnavailable — the one
+// fault clients may retry, against this host or a successor; then the
+// caller's session must pass the ACL.
+func (s *Server) dispatch(ctx context.Context, method string, args []any) (any, error) {
+	s.mu.RLock()
+	h, ok := s.methods[method]
+	s.mu.RUnlock()
+	if !ok {
+		return nil, xmlrpc.NewFault(xmlrpc.FaultMethodNotFound, "no such method %q", method)
+	}
 	if s.Draining() {
 		return nil, xmlrpc.NewFault(xmlrpc.FaultUnavailable, "host %s is draining", s.Name)
 	}
@@ -64,124 +74,138 @@ func (s *Server) intercept(ctx context.Context, method string, args []any, next 
 		}
 		return nil, xmlrpc.NewFault(xmlrpc.FaultAuth, "user %s may not call %s", sess.User.Name, method)
 	}
-	return next(ctx, args)
+	return h(ctx, args)
 }
 
 // RegisterService hosts a set of methods under the service name and
 // records it in the registry. Method keys are bare names ("status"); they
-// are exposed as "name.key".
+// are exposed as "name.key", replacing any earlier registration.
 func (s *Server) RegisterService(name, description string, methods map[string]xmlrpc.Handler) {
 	if name == "" {
 		panic("clarens: empty service name")
 	}
 	full := make([]string, 0, len(methods))
 	for m, h := range methods {
-		fq := name + "." + m
-		s.mux.Handle(fq, h)
-		full = append(full, fq)
+		if m == "" || h == nil {
+			panic(fmt.Sprintf("clarens: service %s: empty method name or nil handler", name))
+		}
+		full = append(full, name+"."+m)
 	}
 	// The method list is wire-visible through the registry's service
 	// listing; map order must not leak into it.
 	sort.Strings(full)
 	s.mu.Lock()
-	base := s.baseURL
-	s.mu.Unlock()
-	s.Registry.Register(ServiceInfo{
+	defer s.mu.Unlock()
+	for m, h := range methods {
+		s.methods[name+"."+m] = h
+	}
+	s.services[name] = ServiceInfo{
 		Name:        name,
-		Endpoint:    base,
+		Endpoint:    s.baseURL,
 		Description: description,
 		Methods:     full,
-	})
+	}
 }
 
-// registerBuiltins installs the system.* and registry.* methods every
-// Clarens host exposes. Like every hosted service they are strict: a
-// surplus argument, or one of the wrong type, is FaultInvalidParams.
-func (s *Server) registerBuiltins() {
-	s.mux.Handle("system.ping", func(_ context.Context, args []any) (any, error) {
-		if err := decodeArgs(args); err != nil {
-			return nil, err
-		}
-		return s.Name, nil
-	})
-	s.mux.Handle("system.auth", func(_ context.Context, args []any) (any, error) {
-		var user, pass string
-		if err := decodeArgs(args, &user, &pass); err != nil {
-			return nil, err
-		}
-		u, err := s.Users.Verify(user, pass)
-		if err != nil {
-			return nil, xmlrpc.NewFault(xmlrpc.FaultAuth, "authentication failed for %q", user)
-		}
-		sess, err := s.Sessions.Open(u)
-		if err != nil {
-			return nil, err
-		}
-		return sess.Token, nil
-	})
-	s.mux.Handle("system.logout", func(ctx context.Context, args []any) (any, error) {
-		if err := decodeArgs(args); err != nil {
-			return nil, err
-		}
-		return s.Sessions.Close(SessionToken(ctx)), nil
-	})
-	s.mux.Handle("system.whoami", func(ctx context.Context, args []any) (any, error) {
-		if err := decodeArgs(args); err != nil {
-			return nil, err
-		}
-		sess, ok := s.Sessions.Lookup(SessionToken(ctx))
-		if !ok {
-			return nil, xmlrpc.NewFault(xmlrpc.FaultAuth, "no session")
-		}
-		return Identity{User: sess.User.Name, Roles: sess.User.Roles}, nil
-	})
-	s.mux.Handle("registry.list", func(_ context.Context, args []any) (any, error) {
-		if err := decodeArgs(args); err != nil {
-			return nil, err
-		}
-		return s.Registry.List(), nil
-	})
-	s.mux.Handle("registry.lookup", func(_ context.Context, args []any) (any, error) {
-		var name string
-		if err := decodeArgs(args, &name); err != nil {
-			return nil, err
-		}
-		info, ok := s.Registry.Lookup(name)
-		if !ok {
-			return nil, xmlrpc.NewFault(xmlrpc.FaultApplication, "no service %q", name)
-		}
-		return info, nil
-	})
-	s.mux.Handle("registry.peers", func(_ context.Context, args []any) (any, error) {
-		if err := decodeArgs(args); err != nil {
-			return nil, err
-		}
-		return s.Peers(), nil
-	})
-	// registry.discover takes an optional second argument, whether to ask
-	// the peers (the default) or this host alone.
-	s.mux.Handle("registry.discover", func(ctx context.Context, args []any) (any, error) {
-		var name string
-		forward := true
-		dst := []any{&name, &forward}
-		if len(args) < 2 {
-			dst = dst[:1]
-		}
-		if err := decodeArgs(args, dst...); err != nil {
-			return nil, err
-		}
-		info, ok := s.Discover(ctx, name, forward)
-		if !ok {
-			return nil, xmlrpc.NewFault(xmlrpc.FaultApplication, "service %q not found in federation", name)
-		}
-		return info, nil
-	})
+// builtins returns the system.* and registry.* methods every Clarens
+// host exposes. Like every hosted service they are strict: a surplus
+// argument, or one of the wrong type, is FaultInvalidParams.
+func (s *Server) builtins() map[string]xmlrpc.Handler {
+	return map[string]xmlrpc.Handler{
+		"system.listMethods": func(context.Context, []any) (any, error) {
+			return s.methodNames(), nil
+		},
+		"system.ping": func(_ context.Context, args []any) (any, error) {
+			if err := decodeArgs(args); err != nil {
+				return nil, err
+			}
+			return s.Name, nil
+		},
+		"system.auth": func(_ context.Context, args []any) (any, error) {
+			var user, pass string
+			if err := decodeArgs(args, &user, &pass); err != nil {
+				return nil, err
+			}
+			u, err := s.Users.Verify(user, pass)
+			if err != nil {
+				return nil, xmlrpc.NewFault(xmlrpc.FaultAuth, "authentication failed for %q", user)
+			}
+			sess, err := s.Sessions.Open(u)
+			if err != nil {
+				return nil, err
+			}
+			return sess.Token, nil
+		},
+		"system.logout": func(ctx context.Context, args []any) (any, error) {
+			if err := decodeArgs(args); err != nil {
+				return nil, err
+			}
+			return s.Sessions.Close(SessionToken(ctx)), nil
+		},
+		"system.whoami": func(ctx context.Context, args []any) (any, error) {
+			if err := decodeArgs(args); err != nil {
+				return nil, err
+			}
+			sess, ok := s.Sessions.Lookup(SessionToken(ctx))
+			if !ok {
+				return nil, xmlrpc.NewFault(xmlrpc.FaultAuth, "no session")
+			}
+			return Identity{User: sess.User.Name, Roles: sess.User.Roles}, nil
+		},
+		"registry.list": func(_ context.Context, args []any) (any, error) {
+			if err := decodeArgs(args); err != nil {
+				return nil, err
+			}
+			return s.listServices(), nil
+		},
+		"registry.lookup": func(_ context.Context, args []any) (any, error) {
+			var name string
+			if err := decodeArgs(args, &name); err != nil {
+				return nil, err
+			}
+			info, ok := s.lookup(name)
+			if !ok {
+				return nil, xmlrpc.NewFault(xmlrpc.FaultApplication, "no service %q", name)
+			}
+			return info, nil
+		},
+		"registry.peers": func(_ context.Context, args []any) (any, error) {
+			if err := decodeArgs(args); err != nil {
+				return nil, err
+			}
+			return s.Peers(), nil
+		},
+		// registry.discover takes an optional second argument, whether to
+		// ask the peers (the default) or this host alone.
+		"registry.discover": func(ctx context.Context, args []any) (any, error) {
+			var name string
+			forward := true
+			dst := []any{&name, &forward}
+			if len(args) < 2 {
+				dst = dst[:1]
+			}
+			if err := decodeArgs(args, dst...); err != nil {
+				return nil, err
+			}
+			info, ok := s.Discover(ctx, name, forward)
+			if !ok {
+				return nil, xmlrpc.NewFault(xmlrpc.FaultApplication, "service %q not found in federation", name)
+			}
+			return info, nil
+		},
+	}
+}
 
-	// Built-in ACLs: registry reads are open to all; logout/whoami need a
-	// session.
-	s.ACL.Allow("*", "registry.*")
-	s.ACL.Allow("authenticated", "system.logout")
-	s.ACL.Allow("authenticated", "system.whoami")
+// methodNames returns the hosted method names, sorted.
+func (s *Server) methodNames() []string {
+	s.mu.RLock()
+	names := make([]string, 0, len(s.methods))
+	for m := range s.methods {
+		names = append(names, m)
+	}
+	s.mu.RUnlock()
+	sort.Strings(names)
+	return names
 }
 
 // Identity is system.whoami's reply: the session's user and roles.
@@ -204,75 +228,28 @@ func decodeArgs(args []any, dst ...any) error {
 	return nil
 }
 
-// AddPeer connects this host to another Clarens server's endpoint for
-// federated discovery.
-func (s *Server) AddPeer(endpoint string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, p := range s.peers {
-		if p == endpoint {
-			return
-		}
-	}
-	s.peers = append(s.peers, endpoint)
-}
-
-// Peers returns the configured peer endpoints.
-func (s *Server) Peers() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, len(s.peers))
-	copy(out, s.peers)
-	return out
-}
-
-// Discover resolves a service name locally, then (if forward is true)
-// asks each peer with forwarding disabled — one-hop flooding, the shape of
-// Clarens' P2P lookup without loop risk.
-func (s *Server) Discover(ctx context.Context, name string, forward bool) (ServiceInfo, bool) {
-	if info, ok := s.Registry.Lookup(name); ok {
-		return info, true
-	}
-	if !forward {
-		return ServiceInfo{}, false
-	}
-	for _, peer := range s.Peers() {
-		c := xmlrpc.NewClient(peer)
-		c.HTTP.Timeout = 5 * time.Second
-		var info ServiceInfo
-		err := c.CallInto(ctx, "registry.discover", &info, name, false)
-		c.Close()
-		if err == nil && info.Name == name {
-			return info, true
-		}
-	}
-	return ServiceInfo{}, false
-}
-
 // HandleHTTP mounts a plain-HTTP handler at an exact path beside the
 // XML-RPC dispatcher ("/metrics", "/healthz"). These paths are served
-// directly — no session, ACL, or drain interception — so read-only
+// directly — no session, ACL or drain check — so read-only
 // observability endpoints keep answering while the host drains. The
 // XML-RPC surface is unaffected: it serves every path not claimed here.
 func (s *Server) HandleHTTP(path string, h http.Handler) {
 	if path == "" || path[0] != '/' {
 		panic(fmt.Sprintf("clarens: HandleHTTP path %q must start with /", path))
 	}
-	s.httpMu.Lock()
-	if s.http == nil {
-		s.http = make(map[string]http.Handler)
-	}
+	s.mu.Lock()
 	s.http[path] = h
-	s.httpMu.Unlock()
+	s.mu.Unlock()
 }
 
 // ServeHTTP implements http.Handler: extra plain-HTTP paths mounted by
 // HandleHTTP are dispatched directly; everything else moves the session
-// header into the request context and goes through the XML-RPC mux.
+// and request-ID headers into the request context and is served as an
+// XML-RPC call.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.httpMu.RLock()
+	s.mu.RLock()
 	h := s.http[r.URL.Path]
-	s.httpMu.RUnlock()
+	s.mu.RUnlock()
 	if h != nil {
 		h.ServeHTTP(w, r)
 		return
@@ -281,7 +258,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		token:     r.Header.Get(SessionHeader),
 		requestID: r.Header.Get(RequestIDHeader),
 	})
-	s.mux.ServeHTTP(w, r.WithContext(ctx))
+	xmlrpc.Serve(w, r.WithContext(ctx), s.dispatch)
 }
 
 // SetBaseURL records the host's public endpoint and rewrites existing
@@ -289,18 +266,18 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // this with the test server URL.
 func (s *Server) SetBaseURL(url string) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.baseURL = url
-	s.mu.Unlock()
-	for _, info := range s.Registry.List() {
+	for name, info := range s.services {
 		info.Endpoint = url
-		s.Registry.Register(info)
+		s.services[name] = info
 	}
 }
 
 // BaseURL returns the configured endpoint ("" before Start/SetBaseURL).
 func (s *Server) BaseURL() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	return s.baseURL
 }
 

@@ -312,7 +312,7 @@ func (g *GAE) registerServices() {
 	}
 
 	// Observability endpoints, served as plain HTTP GET beside the
-	// XML-RPC dispatcher. They bypass the session/drain intercept on
+	// XML-RPC dispatcher. They bypass the session and drain checks on
 	// purpose: a draining host must still answer /healthz (that is how a
 	// balancer learns to stop routing) and /metrics (that is how the
 	// drain is watched).

@@ -345,11 +345,9 @@ func TestFigure7ScenarioInProcess(t *testing.T) {
 	// (significant CPU load two seconds in), the optimizer moves it, and
 	// completion beats the unsteered copy.
 	cfg := twoSiteConfig()
-	epoch := vtime.NewSimClock(time.Time{}).Now()
-	cfg.Sites[0].Load = simgrid.StepLoad(epoch, []time.Duration{2 * time.Second}, []float64{0, 0.7})
+	cfg.Sites[0].Load = simgrid.StepLoad(vtime.Epoch, []time.Duration{2 * time.Second}, []float64{0, 0.7})
 	g := New(cfg)
 	g.Steering.PollInterval = 10 * time.Second
-	g.Steering.MinObservation = 30 * time.Second
 
 	// Make siteB look busy at decision time so the job starts at siteA.
 	g.MonALISA.Publish("siteB", "LoadAvg", g.Now(), 0.95)

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
 	"repro/internal/jsonfile"
 	"repro/internal/simgrid"
@@ -22,7 +21,6 @@ func (c Config) Validate() error {
 	if len(c.Sites) == 0 {
 		return errors.New("Sites: a deployment needs at least one site")
 	}
-	epoch := vtime.NewSimClock(time.Time{}).Now() // where a grid's engine starts
 	sites := make(map[string]bool, len(c.Sites))
 	for i, s := range c.Sites {
 		if err := newName(sites, s.Name); err != nil {
@@ -32,7 +30,7 @@ func (c Config) Validate() error {
 			return fmt.Errorf("Sites[%d].Nodes: %d is not positive", i, s.Nodes)
 		}
 		if s.Load != nil {
-			if v, _ := s.Load.Segment(epoch); !(v >= 0 && v <= 1) {
+			if v, _ := s.Load.Segment(vtime.Epoch); !(v >= 0 && v <= 1) {
 				return fmt.Errorf("Sites[%d].Load: %v at the epoch is not a level in [0, 1]", i, v)
 			}
 		}

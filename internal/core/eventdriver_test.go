@@ -30,8 +30,7 @@ func runCoreScenario(t *testing.T, run func(*GAE, time.Duration)) *coreTrace {
 	// 40 s in, the site the main task runs at develops heavy load: the
 	// steering service should detect the slow execution rate and migrate
 	// the main task.
-	epoch := vtime.NewSimClock(time.Time{}).Now()
-	heavy := simgrid.StepLoad(epoch, []time.Duration{40 * time.Second}, []float64{0, 0.9})
+	heavy := simgrid.StepLoad(vtime.Epoch, []time.Duration{40 * time.Second}, []float64{0, 0.9})
 	g := New(Config{
 		Sites: []SiteSpec{
 			{Name: "siteA", Nodes: 2, Load: heavy, CostPerCPUSecond: 0.05},
@@ -41,7 +40,6 @@ func runCoreScenario(t *testing.T, run func(*GAE, time.Duration)) *coreTrace {
 		Users: []UserSpec{{Name: "physicist", Password: "pw", Credits: 1e6}},
 	})
 	g.Steering.PollInterval = 5 * time.Second
-	g.Steering.MinObservation = 20 * time.Second
 
 	// Input dataset at site A only, so a site-B assignment must stage it.
 	if err := g.PutDataset("siteA", "hits.root", 200); err != nil {

@@ -118,7 +118,7 @@ func TestHealthzDrainAware(t *testing.T) {
 	}
 
 	// While draining, RPC traffic is refused but /healthz must still
-	// answer — it deliberately bypasses the drain intercept — and report
+	// answer — it deliberately bypasses the drain check — and report
 	// the drain with a 503 so balancers stop routing here.
 	g.Clarens.SetDraining(true)
 	code, body = httpGet(t, hs.URL+"/healthz")

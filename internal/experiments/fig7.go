@@ -70,7 +70,7 @@ type Fig7Result struct {
 func Fig7(cfg Fig7Config) (*Fig7Result, error) {
 	const freeCPU = workload.PrimeJobCPUSeconds
 	// Site A develops significant CPU load on both nodes at fig7LoadStep.
-	siteALoad := simgrid.StepLoad(vtime.NewSimClock(time.Time{}).Now(),
+	siteALoad := simgrid.StepLoad(vtime.Epoch,
 		[]time.Duration{fig7LoadStep}, []float64{0, fig7SiteALoad})
 	g := core.New(core.Config{
 		Sites: []core.SiteSpec{

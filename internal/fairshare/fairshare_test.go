@@ -11,7 +11,7 @@ import (
 )
 
 func newTestManager(cfg Config) (*Manager, *vtime.SimClock) {
-	clock := vtime.NewSimClock(time.Time{})
+	clock := vtime.NewSimClock()
 	cfg.Clock = clock
 	return NewManager(cfg), clock
 }

@@ -30,8 +30,8 @@ func TestFlowLazyMatchesEagerAccrual(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	const tick = 50 * time.Millisecond
 	for trial := 0; trial < 12; trial++ {
-		clkL := vtime.NewSimClock(time.Time{})
-		clkE := vtime.NewSimClock(time.Time{})
+		clkL := vtime.NewSimClock()
+		clkE := vtime.NewSimClock()
 		halfLife := time.Minute
 		if trial%3 == 2 {
 			halfLife = -1 // decay disabled: totals must agree almost exactly
@@ -101,7 +101,7 @@ func TestFlowLazyMatchesEagerAccrual(t *testing.T) {
 // TestFlowRateZeroAccruesNothing: a suspended flow (rate 0) must leave
 // usage exactly flat across an arbitrarily long idle gap.
 func TestFlowRateZeroAccruesNothing(t *testing.T) {
-	clk := vtime.NewSimClock(time.Time{})
+	clk := vtime.NewSimClock()
 	m := NewManager(Config{Clock: clk, HalfLife: -1})
 	f := m.OpenFlow(m.Tenant("bob"), "desy", 2.0)
 	clk.Advance(10 * time.Second)
@@ -131,7 +131,7 @@ func TestFlowAndSortKeysAllocations(t *testing.T) {
 	if got := unsafe.Sizeof(flow{}); got > 64 {
 		t.Errorf("unsafe.Sizeof(flow{}) = %d bytes, want <= 64", got)
 	}
-	clk := vtime.NewSimClock(time.Time{})
+	clk := vtime.NewSimClock()
 	m := NewManager(Config{Clock: clk})
 	submitted := clk.Now()
 	refs := []JobRef{{Owner: "atlas", Submitted: submitted, Seq: 1}, {Owner: "cms", Submitted: submitted, Seq: 2}}

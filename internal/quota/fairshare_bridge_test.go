@@ -3,7 +3,6 @@ package quota_test
 import (
 	"math"
 	"testing"
-	"time"
 
 	"repro/internal/fairshare"
 	"repro/internal/quota"
@@ -15,7 +14,7 @@ import (
 // manager, so tenants who buy lots of computation see their effective
 // priority sink like tenants who queue lots of jobs.
 func TestChargesFlowIntoFairShare(t *testing.T) {
-	clock := vtime.NewSimClock(time.Time{})
+	clock := vtime.NewSimClock()
 	fs := fairshare.NewManager(fairshare.Config{Clock: clock, HalfLife: -1})
 	q := quota.NewService()
 	q.SetRate("caltech", quota.Rate{CPUSecond: 0.01})

@@ -168,7 +168,7 @@ func NewEngine(tick time.Duration) *Engine {
 	if tick <= 0 {
 		tick = time.Second
 	}
-	clock := vtime.NewSimClock(time.Time{})
+	clock := vtime.NewSimClock()
 	return &Engine{
 		clock: clock,
 		start: clock.Now(),

@@ -79,7 +79,7 @@ type oracleWake struct {
 }
 
 func newOracleEngine(tick time.Duration) *oracleEngine {
-	clock := vtime.NewSimClock(time.Time{})
+	clock := vtime.NewSimClock()
 	return &oracleEngine{clock: clock, start: clock.Now(), tick: tick}
 }
 

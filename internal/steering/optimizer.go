@@ -83,7 +83,7 @@ func (s *Service) optimize(w watched, a scheduler.Assignment, info condor.JobInf
 		return
 	}
 	runningFor := now.Sub(info.StartTime)
-	if runningFor < s.MinObservation {
+	if runningFor < minObservation {
 		return
 	}
 	// Execution rate: the fraction of real time the job actually got the

@@ -47,6 +47,11 @@ const (
 	// maxMoves bounds automatic moves per task, so a job slow everywhere
 	// is not thrashed between sites.
 	maxMoves = 1
+	// minObservation is how long a job must have been running before the
+	// Optimizer judges its rate — moving a job on one slow tick would
+	// thrash (the paper: "it takes some time to detect the slow execution
+	// rate of a job").
+	minObservation = 30 * time.Second
 )
 
 // Preference selects the Optimizer's notion of "Best Site".
@@ -125,11 +130,6 @@ type Service struct {
 	// PollInterval is how often the Optimizer and Backup & Recovery
 	// modules examine watched jobs (default 10 s of simulated time).
 	PollInterval time.Duration
-	// MinObservation is how long a job must have been running before the
-	// Optimizer judges its rate — moving a job on one slow tick would
-	// thrash (the paper: "it takes some time to detect the slow execution
-	// rate of a job").
-	MinObservation time.Duration
 	// AutoSteer lets the Optimizer move slow jobs without a client
 	// command. Advanced users can instead move jobs manually (the paper
 	// notes "the user could have moved the job from site A to site B
@@ -152,14 +152,13 @@ func New(cfg Config) *Service {
 		panic("steering: Config needs Grid, Scheduler and Monitor")
 	}
 	s := &Service{
-		cfg:            cfg,
-		PollInterval:   10 * time.Second,
-		MinObservation: 30 * time.Second,
-		AutoSteer:      true,
-		Sessions:       NewSessionManager(),
-		tasks:          make(map[TaskRef]*steered),
-		notifications:  make(map[string][]Notification),
-		execState:      make(map[TaskRef][]simgrid.File),
+		cfg:           cfg,
+		PollInterval:  10 * time.Second,
+		AutoSteer:     true,
+		Sessions:      NewSessionManager(),
+		tasks:         make(map[TaskRef]*steered),
+		notifications: make(map[string][]Notification),
+		execState:     make(map[TaskRef][]simgrid.File),
 	}
 	cfg.Grid.Engine.NewPoller(func() time.Duration { return s.PollInterval }, s.poll)
 	return s

@@ -72,7 +72,6 @@ func newLoadedFixture(t *testing.T, loads map[string]simgrid.Load) *fixture {
 	}
 	f.svc = New(Config{Grid: g, Scheduler: f.sched, Monitor: f.mon, Quota: f.quota})
 	f.svc.PollInterval = 5 * time.Second
-	f.svc.MinObservation = 20 * time.Second
 	return f
 }
 
@@ -295,7 +294,7 @@ func TestOptimizerMovesSlowJob(t *testing.T) {
 	}
 	moved := f.grid.Engine.Now()
 	sinceSubmit := moved.Sub(time.Date(2005, 1, 1, 0, 0, 0, 0, time.UTC))
-	// Detection requires MinObservation (20s) + a poll boundary, but must
+	// Detection requires minObservation (30s) + a poll boundary, but must
 	// happen long before the job would finish at 0.3 rate (~940s).
 	if sinceSubmit < 20*time.Second || sinceSubmit > 120*time.Second {
 		t.Fatalf("moved after %v", sinceSubmit)
@@ -322,16 +321,26 @@ func TestOptimizerMovesSlowJob(t *testing.T) {
 	}
 }
 
+// TestOptimizerRespectsMinObservation: a slow job is left alone until it
+// has run minObservation, and moved at the first poll after.
 func TestOptimizerRespectsMinObservation(t *testing.T) {
 	f := newLoadedFixture(t, map[string]simgrid.Load{"siteA": loadedAt2s(0.7)})
-	f.svc.MinObservation = 60 * time.Second
 	cp := f.submit(t, "alice", "p1", primeTask("t1", 283))
 	f.grid.Engine.RunFor(2 * time.Second)
 	start := startsAt(t, cp, "t1", "siteA")
-	f.grid.Engine.RunFor(50 * time.Second)
-	a, _ := cp.Assignment("t1")
-	if a.Site != start.Site {
-		t.Fatal("moved before MinObservation elapsed")
+	info, err := f.mon.Job(start.Site, start.CondorID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	started := info.StartTime
+	// RunFor rounds up to whole ticks: stop one short of minObservation.
+	f.grid.Engine.RunFor(started.Add(minObservation - f.grid.Engine.Tick()).Sub(f.grid.Engine.Now()))
+	if a, _ := cp.Assignment("t1"); a.Site != start.Site {
+		t.Fatalf("moved to %s after %v of running, before minObservation", a.Site, f.grid.Engine.Now().Sub(started))
+	}
+	f.grid.Engine.RunFor(f.svc.PollInterval)
+	if a, _ := cp.Assignment("t1"); a.Site == start.Site {
+		t.Fatalf("still at %s after %v of running, a poll past minObservation", a.Site, f.grid.Engine.Now().Sub(started))
 	}
 }
 

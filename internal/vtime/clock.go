@@ -38,15 +38,13 @@ type SimClock struct {
 	off   atomic.Int64 // nanoseconds since epoch
 }
 
-// NewSimClock returns a SimClock starting at the given epoch. A zero epoch
-// defaults to 2005-01-01T00:00:00Z, a nod to the paper's publication year
-// and a stable base for golden outputs.
-func NewSimClock(epoch time.Time) *SimClock {
-	if epoch.IsZero() {
-		epoch = time.Date(2005, time.January, 1, 0, 0, 0, 0, time.UTC)
-	}
-	return &SimClock{epoch: epoch}
-}
+// Epoch is where every simulated clock starts: 2005-01-01T00:00:00Z, a
+// nod to the paper's publication year and a stable base for golden
+// outputs.
+var Epoch = time.Date(2005, time.January, 1, 0, 0, 0, 0, time.UTC)
+
+// NewSimClock returns a SimClock starting at Epoch.
+func NewSimClock() *SimClock { return &SimClock{epoch: Epoch} }
 
 // Now returns the current simulated time.
 func (c *SimClock) Now() time.Time {

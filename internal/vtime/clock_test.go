@@ -17,24 +17,23 @@ func TestRealClockNow(t *testing.T) {
 }
 
 func TestSimClockDefaultEpoch(t *testing.T) {
-	c := NewSimClock(time.Time{})
+	c := NewSimClock()
 	want := time.Date(2005, time.January, 1, 0, 0, 0, 0, time.UTC)
-	if !c.Now().Equal(want) {
-		t.Fatalf("default epoch = %v, want %v", c.Now(), want)
+	if c.Now() != want || Epoch != want {
+		t.Fatalf("clock starts at %v, Epoch is %v, want %v", c.Now(), Epoch, want)
 	}
 }
 
 func TestSimClockAdvance(t *testing.T) {
-	epoch := time.Date(2020, 6, 1, 12, 0, 0, 0, time.UTC)
-	c := NewSimClock(epoch)
+	c := NewSimClock()
 	c.Advance(90 * time.Second)
-	if got, want := c.Now(), epoch.Add(90*time.Second); !got.Equal(want) {
+	if got, want := c.Now(), Epoch.Add(90*time.Second); !got.Equal(want) {
 		t.Fatalf("Now() = %v, want %v", got, want)
 	}
 }
 
 func TestSimClockAdvanceTo(t *testing.T) {
-	c := NewSimClock(time.Time{})
+	c := NewSimClock()
 	target := c.Now().Add(5 * time.Minute)
 	c.AdvanceTo(target)
 	if !c.Now().Equal(target) {
@@ -55,7 +54,7 @@ func TestSimClockNegativeAdvancePanics(t *testing.T) {
 			t.Fatal("Advance(-1) did not panic")
 		}
 	}()
-	NewSimClock(time.Time{}).Advance(-1)
+	NewSimClock().Advance(-1)
 }
 
 // TestSimClockEqualsAddChain: goldens print the clock's readings, so a
@@ -63,7 +62,7 @@ func TestSimClockNegativeAdvancePanics(t *testing.T) {
 // wall, extended and location words, not merely the same instant — to
 // the default epoch Added the same durations one by one.
 func TestSimClockEqualsAddChain(t *testing.T) {
-	c := NewSimClock(time.Time{})
+	c := NewSimClock()
 	want := time.Date(2005, time.January, 1, 0, 0, 0, 0, time.UTC)
 	if c.Now() != want {
 		t.Fatalf("epoch: Now() = %#v, want %#v", c.Now(), want)
@@ -86,7 +85,7 @@ func TestSimClockEqualsAddChain(t *testing.T) {
 // while one advances it by both methods: run under -race, a read needs
 // no lock, and every reader sees the clock only go forward.
 func TestSimClockConcurrentReaders(t *testing.T) {
-	c := NewSimClock(time.Time{})
+	c := NewSimClock()
 	const steps = 2000
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -129,7 +128,7 @@ func TestSimClockConcurrentReaders(t *testing.T) {
 // TestSimClockConcurrentAdvanceTo: racing AdvanceTo calls leave the
 // clock at the latest target, whatever order they land in.
 func TestSimClockConcurrentAdvanceTo(t *testing.T) {
-	c := NewSimClock(time.Time{})
+	c := NewSimClock()
 	epoch := c.Now()
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {

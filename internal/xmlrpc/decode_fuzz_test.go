@@ -186,7 +186,7 @@ func TestDecodeDepthBound(t *testing.T) {
 	// As deep as MaxRequestBytes allows, unclosed: a request, which the
 	// server answers with a parse fault, and a reply, which fails the call.
 	var reply string
-	srv := httptest.NewServer(NewServeMux())
+	srv := httptest.NewServer(table{})
 	defer srv.Close()
 	hostile := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		io.WriteString(w, reply) //nolint:errcheck

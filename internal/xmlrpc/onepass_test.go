@@ -260,8 +260,7 @@ func TestServeAllocCeiling(t *testing.T) {
 	job := mirrorJob{ID: 4711, Pool: "siteA", Status: "running", Owner: "alice", Cmd: "cmsRun -p <cfg> && echo 'done'",
 		Priority: -3, Env: "A=1;B=\"two\"", QueuePosition: 2, EstimatedRuntime: 1234.5, CPUSeconds: 3141.59265358979,
 		Progress: 0.75, Node: "siteA-node-07", SubmitTime: time.Date(2005, 4, 15, 10, 30, 45, 0, time.UTC)}
-	mux := NewServeMux()
-	mux.Handle("jobmon.info", func(_ context.Context, args []any) (any, error) { return job, nil })
+	host := table{"jobmon.info": func(_ context.Context, args []any) (any, error) { return job, nil }}
 	body, err := EncodeRequest("jobmon.info", []any{"siteA", 4711})
 	if err != nil {
 		t.Fatal(err)
@@ -276,7 +275,7 @@ func TestServeAllocCeiling(t *testing.T) {
 	serve := func() {
 		rd.Reset(body)
 		rec.Body.Reset()
-		mux.ServeHTTP(rec, req)
+		host.ServeHTTP(rec, req)
 	}
 	serve()
 	if !bytes.Equal(rec.Body.Bytes(), want) || rec.Header().Get("Content-Length") != strconv.Itoa(len(want)) {

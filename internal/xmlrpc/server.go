@@ -3,9 +3,7 @@ package xmlrpc
 import (
 	"context"
 	"net/http"
-	"sort"
 	"strconv"
-	"sync"
 )
 
 // Handler executes a single XML-RPC method. Args carry the decoded
@@ -15,70 +13,11 @@ import (
 // FaultInternal with the error text.
 type Handler func(ctx context.Context, args []any) (any, error)
 
-// ServeMux dispatches XML-RPC method calls to registered handlers and
-// implements http.Handler. Method names are conventionally
-// "service.method" (e.g. "jobmon.status"), matching Clarens conventions.
-type ServeMux struct {
-	mu       sync.RWMutex
-	handlers map[string]Handler
-
-	// Intercept, if non-nil, wraps every dispatch. Clarens uses it to
-	// enforce sessions and ACLs without teaching this package about
-	// either concept.
-	Intercept func(ctx context.Context, method string, args []any, next Handler) (any, error)
-}
-
-// NewServeMux returns an empty mux with the built-in system.listMethods
-// introspection method registered.
-func NewServeMux() *ServeMux {
-	m := &ServeMux{handlers: make(map[string]Handler)}
-	m.Handle("system.listMethods", func(context.Context, []any) (any, error) {
-		return m.Methods(), nil
-	})
-	return m
-}
-
-// Handle registers a handler for the given method name, replacing any
-// existing registration.
-func (m *ServeMux) Handle(method string, h Handler) {
-	if method == "" || h == nil {
-		panic("xmlrpc: Handle with empty method or nil handler")
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.handlers[method] = h
-}
-
-// Methods returns the registered method names, sorted.
-func (m *ServeMux) Methods() []string {
-	m.mu.RLock()
-	names := make([]string, 0, len(m.handlers))
-	for k := range m.handlers {
-		names = append(names, k)
-	}
-	m.mu.RUnlock()
-	sort.Strings(names)
-	return names
-}
-
-// Dispatch runs one decoded request through the interceptor and handler.
-func (m *ServeMux) Dispatch(ctx context.Context, method string, args []any) (any, error) {
-	m.mu.RLock()
-	h, ok := m.handlers[method]
-	intercept := m.Intercept
-	m.mu.RUnlock()
-	if !ok {
-		return nil, NewFault(FaultMethodNotFound, "no such method %q", method)
-	}
-	if intercept != nil {
-		return intercept(ctx, method, args, h)
-	}
-	return h(ctx, args)
-}
-
-// ServeHTTP implements http.Handler: it decodes one method call from the
-// request body, dispatches it, and writes the response or fault.
-func (m *ServeMux) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+// Serve answers one XML-RPC request: it decodes the method call from the
+// request body, passes it to dispatch with the request's context, and
+// writes the result or fault. The host that calls it owns the method
+// table, and with it the fault for an unknown method.
+func Serve(w http.ResponseWriter, r *http.Request, dispatch func(ctx context.Context, method string, args []any) (any, error)) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		http.Error(w, "xmlrpc requires POST", http.StatusMethodNotAllowed)
@@ -94,7 +33,7 @@ func (m *ServeMux) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		writeFault(w, NewFault(FaultParse, "parse error: %v", err))
 		return
 	}
-	result, err := m.Dispatch(r.Context(), req.Method, req.Args)
+	result, err := dispatch(r.Context(), req.Method, req.Args)
 	if err != nil {
 		writeFault(w, toFault(err))
 		return

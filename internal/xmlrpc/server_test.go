@@ -17,37 +17,51 @@ func echoHandler(_ context.Context, args []any) (any, error) {
 	return args, nil
 }
 
-func newTestServer(t *testing.T) (*ServeMux, *Client) {
+// table is the smallest host Serve needs: a method table, and the fault
+// for a name it does not hold.
+type table map[string]Handler
+
+func (t table) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	Serve(w, r, func(ctx context.Context, method string, args []any) (any, error) {
+		h, ok := t[method]
+		if !ok {
+			return nil, NewFault(FaultMethodNotFound, "no such method %q", method)
+		}
+		return h(ctx, args)
+	})
+}
+
+func newTestServer(t *testing.T) *Client {
 	t.Helper()
-	mux := NewServeMux()
-	mux.Handle("test.echo", echoHandler)
-	mux.Handle("test.add", func(_ context.Context, args []any) (any, error) {
-		p := Params(args)
-		var a, b int
-		if err := p.Want(2); err != nil {
-			return nil, err
-		}
-		if err := p.Into(0, &a); err != nil {
-			return nil, err
-		}
-		if err := p.Into(1, &b); err != nil {
-			return nil, err
-		}
-		return a + b, nil
+	srv := httptest.NewServer(table{
+		"test.echo": echoHandler,
+		"test.add": func(_ context.Context, args []any) (any, error) {
+			p := Params(args)
+			var a, b int
+			if err := p.Want(2); err != nil {
+				return nil, err
+			}
+			if err := p.Into(0, &a); err != nil {
+				return nil, err
+			}
+			if err := p.Into(1, &b); err != nil {
+				return nil, err
+			}
+			return a + b, nil
+		},
+		"test.fail": func(context.Context, []any) (any, error) {
+			return nil, errors.New("boom")
+		},
+		"test.fault": func(context.Context, []any) (any, error) {
+			return nil, NewFault(FaultApplication, "no such plan")
+		},
 	})
-	mux.Handle("test.fail", func(context.Context, []any) (any, error) {
-		return nil, errors.New("boom")
-	})
-	mux.Handle("test.fault", func(context.Context, []any) (any, error) {
-		return nil, NewFault(FaultApplication, "no such plan")
-	})
-	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
-	return mux, NewClient(srv.URL)
+	return NewClient(srv.URL)
 }
 
 func TestEndToEndEcho(t *testing.T) {
-	_, c := newTestServer(t)
+	c := newTestServer(t)
 	got, err := c.Call(context.Background(), "test.echo", 1, "two", 3.5, true)
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +73,7 @@ func TestEndToEndEcho(t *testing.T) {
 }
 
 func TestEndToEndAdd(t *testing.T) {
-	_, c := newTestServer(t)
+	c := newTestServer(t)
 	var n int
 	if err := c.CallInto(context.Background(), "test.add", &n, 40, 2); err != nil {
 		t.Fatal(err)
@@ -70,7 +84,7 @@ func TestEndToEndAdd(t *testing.T) {
 }
 
 func TestEndToEndMethodNotFound(t *testing.T) {
-	_, c := newTestServer(t)
+	c := newTestServer(t)
 	_, err := c.Call(context.Background(), "test.nope")
 	if !IsFault(err, FaultMethodNotFound) {
 		t.Fatalf("error = %v, want method-not-found fault", err)
@@ -78,7 +92,7 @@ func TestEndToEndMethodNotFound(t *testing.T) {
 }
 
 func TestEndToEndInternalFault(t *testing.T) {
-	_, c := newTestServer(t)
+	c := newTestServer(t)
 	_, err := c.Call(context.Background(), "test.fail")
 	f, ok := AsFault(err)
 	if !ok || f.Code != FaultInternal || !strings.Contains(f.Message, "boom") {
@@ -87,7 +101,7 @@ func TestEndToEndInternalFault(t *testing.T) {
 }
 
 func TestEndToEndApplicationFault(t *testing.T) {
-	_, c := newTestServer(t)
+	c := newTestServer(t)
 	_, err := c.Call(context.Background(), "test.fault")
 	if !IsFault(err, FaultApplication) {
 		t.Fatalf("error = %v, want application fault", err)
@@ -95,7 +109,7 @@ func TestEndToEndApplicationFault(t *testing.T) {
 }
 
 func TestEndToEndInvalidParams(t *testing.T) {
-	_, c := newTestServer(t)
+	c := newTestServer(t)
 	_, err := c.Call(context.Background(), "test.add", 1)
 	if !IsFault(err, FaultInvalidParams) {
 		t.Fatalf("error = %v, want invalid-params fault", err)
@@ -106,35 +120,8 @@ func TestEndToEndInvalidParams(t *testing.T) {
 	}
 }
 
-func TestSystemListMethods(t *testing.T) {
-	_, c := newTestServer(t)
-	var names []string
-	if err := c.CallInto(context.Background(), "system.listMethods", &names); err != nil {
-		t.Fatal(err)
-	}
-	joined := strings.Join(names, ",")
-	for _, want := range []string{"system.listMethods", "test.add", "test.echo"} {
-		if !strings.Contains(joined, want) {
-			t.Errorf("listMethods missing %s in %v", want, names)
-		}
-	}
-	if !sortedStrings(names) {
-		t.Errorf("listMethods not sorted: %v", names)
-	}
-}
-
-func sortedStrings(s []string) bool {
-	for i := 1; i < len(s); i++ {
-		if s[i-1] > s[i] {
-			return false
-		}
-	}
-	return true
-}
-
 func TestServerRejectsGET(t *testing.T) {
-	mux := NewServeMux()
-	srv := httptest.NewServer(mux)
+	srv := httptest.NewServer(table{})
 	defer srv.Close()
 	resp, err := http.Get(srv.URL)
 	if err != nil {
@@ -147,8 +134,7 @@ func TestServerRejectsGET(t *testing.T) {
 }
 
 func TestServerParseFault(t *testing.T) {
-	mux := NewServeMux()
-	srv := httptest.NewServer(mux)
+	srv := httptest.NewServer(table{})
 	defer srv.Close()
 	resp, err := http.Post(srv.URL, "text/xml", strings.NewReader("this is not xml"))
 	if err != nil {
@@ -161,51 +147,8 @@ func TestServerParseFault(t *testing.T) {
 	}
 }
 
-func TestInterceptSeesEveryCall(t *testing.T) {
-	mux, c := newTestServer(t)
-	var mu sync.Mutex
-	var seen []string
-	mux.Intercept = func(ctx context.Context, method string, args []any, next Handler) (any, error) {
-		mu.Lock()
-		seen = append(seen, method)
-		mu.Unlock()
-		if method == "test.fault" {
-			return nil, NewFault(FaultAuth, "blocked")
-		}
-		return next(ctx, args)
-	}
-	if _, err := c.Call(context.Background(), "test.echo", 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Call(context.Background(), "test.fault"); !IsFault(err, FaultAuth) {
-		t.Fatalf("intercepted error = %v, want auth fault", err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(seen) != 2 || seen[0] != "test.echo" || seen[1] != "test.fault" {
-		t.Fatalf("intercept saw %v", seen)
-	}
-}
-
-func TestHandlePanicsOnBadArgs(t *testing.T) {
-	mux := NewServeMux()
-	for _, f := range []func(){
-		func() { mux.Handle("", echoHandler) },
-		func() { mux.Handle("x", nil) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("Handle with invalid args did not panic")
-				}
-			}()
-			f()
-		}()
-	}
-}
-
 func TestConcurrentCalls(t *testing.T) {
-	_, c := newTestServer(t)
+	c := newTestServer(t)
 	const n = 32
 	var wg sync.WaitGroup
 	errs := make(chan error, n)
@@ -278,7 +221,7 @@ func TestParamsAccessors(t *testing.T) {
 }
 
 func TestClientTypedCallErrors(t *testing.T) {
-	_, c := newTestServer(t)
+	c := newTestServer(t)
 	ctx := context.Background()
 	// test.echo returns an array; every scalar destination must fail cleanly.
 	for _, dst := range []any{new(string), new(int), new(bool), new(map[string]any), new(float64)} {
@@ -289,9 +232,7 @@ func TestClientTypedCallErrors(t *testing.T) {
 }
 
 func TestServerRejectsOversizedRequest(t *testing.T) {
-	mux := NewServeMux()
-	mux.Handle("big.echo", echoHandler)
-	srv := httptest.NewServer(mux)
+	srv := httptest.NewServer(table{"big.echo": echoHandler})
 	defer srv.Close()
 	// A single string argument larger than MaxRequestBytes must produce a
 	// parse fault that names the bound, not a success or a hang.
@@ -331,11 +272,9 @@ func TestClientRejectsOversizedResponse(t *testing.T) {
 // Responses declare their length (net/http would chunk anything over
 // 2 KiB), which is what lets the client read into one buffer.
 func TestServerDeclaresContentLength(t *testing.T) {
-	mux := NewServeMux()
-	mux.Handle("big.list", func(context.Context, []any) (any, error) {
+	srv := httptest.NewServer(table{"big.list": func(context.Context, []any) (any, error) {
 		return strings.Repeat("y", 10<<10), nil
-	})
-	srv := httptest.NewServer(mux)
+	}})
 	defer srv.Close()
 	for _, method := range []string{"big.list", "no.such"} {
 		body, err := EncodeRequest(method, nil)
@@ -362,9 +301,7 @@ func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { retu
 // A program may have put its own round-tripper in http.DefaultTransport;
 // NewClient must still hand out a working pool rather than panic.
 func TestNewClientWithReplacedDefaultTransport(t *testing.T) {
-	mux := NewServeMux()
-	mux.Handle("test.echo", echoHandler)
-	srv := httptest.NewServer(mux)
+	srv := httptest.NewServer(table{"test.echo": echoHandler})
 	defer srv.Close()
 	saved := http.DefaultTransport
 	defer func() { http.DefaultTransport = saved }()

@@ -1,6 +1,8 @@
 // Package xmlrpc implements the XML-RPC wire protocol: a codec of its own
 // (a scanner and an appender for the twenty-odd tags XML-RPC has) under
-// net/http.
+// net/http, a client, and Serve, which answers one request through a
+// dispatch function. The host owns the method table: in this repository
+// that is the Clarens server, which also checks sessions and ACLs.
 //
 // The Clarens framework that hosts every GAE service speaks XML-RPC, so
 // this package is the transport substrate of the whole reproduction: the
