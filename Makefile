@@ -39,10 +39,9 @@ test-race:
 # (TestConcurrentDuplicateDeliveryAppliesOnce); concurrent mutations
 # journaled in another order than they were applied
 # (TestConcurrentMutationsReplayInApplyOrder, and the loadgen mix,
-# TestRunMixedWorkload); and a machine ad rewritten between passes that
-# the next pass does not resync (TestIncrementalRefreshMatchesFullWalk;
-# test-race also runs TestAdMutationBesideRunningEngine, which writes the
-# ads from a goroutine that shares one lock with the engine's).
+# TestRunMixedWorkload); and a pool whose own record of its free machines
+# drifts from a walk of every free machine
+# (TestIncrementalRefreshMatchesFullWalk).
 race-smoke:
 	$(GO) test -race -count=20 -run 'TestCallsBesideRun|TestCheckpointBesideCalls|TestReadDuringRunReturnsFirst|TestConcurrentSubmitsLaunchEachTaskOnce|TestConcurrentSubmitsOfOneName|TestCheckpointedMoveBesideRun|TestConcurrentDuplicateDeliveryAppliesOnce|TestConcurrentMutationsReplayInApplyOrder|TestRunMixedWorkload|TestIncrementalRefreshMatchesFullWalk' ./internal/core ./internal/loadgen ./internal/condor
 	$(GO) build -race -o bin/gae-server-race ./cmd/gae-server

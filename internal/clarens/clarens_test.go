@@ -2,9 +2,12 @@ package clarens
 
 import (
 	"context"
+	"net"
+	"net/http"
 	"net/http/httptest"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -335,6 +338,52 @@ func TestDiscoverLocalWinsOverPeers(t *testing.T) {
 	}
 }
 
+// A host asks a peer through one client, made when the peer is added:
+// ten forwarded lookups of a service the peer holds open one connection
+// to it, and Stop closes it.
+func TestDiscoverReusesPeerConnection(t *testing.T) {
+	peer := NewServer("peer", nil)
+	peer.RegisterService("estimator", "estimates", map[string]xmlrpc.Handler{
+		"runtime": func(context.Context, []any) (any, error) { return 1.0, nil },
+	})
+	var opened atomic.Int32
+	closed := make(chan struct{}, 1)
+	hs := httptest.NewUnstartedServer(peer)
+	hs.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		switch st {
+		case http.StateNew:
+			opened.Add(1)
+		case http.StateClosed:
+			select {
+			case closed <- struct{}{}:
+			default:
+			}
+		}
+	}
+	hs.Start()
+	defer hs.Close()
+	peer.SetBaseURL(hs.URL)
+
+	host := NewServer("host", nil)
+	host.AddPeer(hs.URL)
+	for i := 0; i < 10; i++ {
+		if info, ok := host.Discover(context.Background(), "estimator", true); !ok || info.Endpoint != hs.URL {
+			t.Fatalf("lookup %d: Discover = %+v, %v", i, info, ok)
+		}
+	}
+	if got := opened.Load(); got != 1 {
+		t.Fatalf("ten forwarded lookups opened %d connections to the peer, want 1", got)
+	}
+	if err := host.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the peer's connection is still open 5 s after the host's Stop")
+	}
+}
+
 func TestStartStopRealListener(t *testing.T) {
 	srv := NewServer("live", nil)
 	url, err := srv.Start("127.0.0.1:0")
@@ -524,6 +573,7 @@ func TestBuiltinsAreStrict(t *testing.T) {
 		args   []any
 	}{
 		{"system.ping", []any{1}},
+		{"system.listMethods", []any{"surplus", 7}},
 		{"system.whoami", []any{"x"}},
 		{"system.auth", []any{"alice"}},
 		{"system.auth", []any{"alice", 7}},

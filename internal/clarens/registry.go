@@ -2,6 +2,7 @@ package clarens
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"time"
 
@@ -37,16 +38,19 @@ func (s *Server) listServices() []ServiceInfo {
 }
 
 // AddPeer connects this host to another Clarens server's endpoint for
-// federated discovery.
+// federated discovery, through one client that every forwarded lookup to
+// it reuses, with its connections.
 func (s *Server) AddPeer(endpoint string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, p := range s.peers {
-		if p == endpoint {
+	for _, c := range s.peers {
+		if c.URL == endpoint {
 			return
 		}
 	}
-	s.peers = append(s.peers, endpoint)
+	c := xmlrpc.NewClient(endpoint)
+	c.HTTP.Timeout = 5 * time.Second
+	s.peers = append(s.peers, c)
 }
 
 // Peers returns the configured peer endpoints.
@@ -54,13 +58,15 @@ func (s *Server) Peers() []string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	out := make([]string, len(s.peers))
-	copy(out, s.peers)
+	for i, c := range s.peers {
+		out[i] = c.URL
+	}
 	return out
 }
 
 // Discover resolves a service name locally, then (if forward is true)
 // asks each peer with forwarding disabled — one-hop flooding, the shape of
-// Clarens' P2P lookup without loop risk. The peers are a copy taken
+// Clarens' P2P lookup without loop risk. The peer clients are a copy taken
 // before the first call, so no network wait holds the host's lock.
 func (s *Server) Discover(ctx context.Context, name string, forward bool) (ServiceInfo, bool) {
 	if info, ok := s.lookup(name); ok {
@@ -69,12 +75,12 @@ func (s *Server) Discover(ctx context.Context, name string, forward bool) (Servi
 	if !forward {
 		return ServiceInfo{}, false
 	}
-	for _, peer := range s.Peers() {
-		c := xmlrpc.NewClient(peer)
-		c.HTTP.Timeout = 5 * time.Second
+	s.mu.RLock()
+	peers := slices.Clone(s.peers)
+	s.mu.RUnlock()
+	for _, c := range peers {
 		var info ServiceInfo
 		err := c.CallInto(ctx, "registry.discover", &info, name, false)
-		c.Close()
 		if err == nil && info.Name == name {
 			return info, true
 		}

@@ -29,7 +29,7 @@ type Server struct {
 	services map[string]ServiceInfo
 	http     map[string]http.Handler // extra plain-HTTP paths (exact match)
 	baseURL  string
-	peers    []string
+	peers    []*xmlrpc.Client // one per peer endpoint, made by AddPeer
 	httpSrv  *http.Server
 }
 
@@ -112,7 +112,10 @@ func (s *Server) RegisterService(name, description string, methods map[string]xm
 // argument, or one of the wrong type, is FaultInvalidParams.
 func (s *Server) builtins() map[string]xmlrpc.Handler {
 	return map[string]xmlrpc.Handler{
-		"system.listMethods": func(context.Context, []any) (any, error) {
+		"system.listMethods": func(_ context.Context, args []any) (any, error) {
+			if err := decodeArgs(args); err != nil {
+				return nil, err
+			}
 			return s.methodNames(), nil
 		},
 		"system.ping": func(_ context.Context, args []any) (any, error) {
@@ -307,11 +310,15 @@ func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
 // Draining reports whether the host is refusing calls ahead of a stop.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-// Stop shuts the HTTP listener down.
+// Stop shuts the HTTP listener down and closes the peer clients' idle
+// connections.
 func (s *Server) Stop() error {
 	s.mu.Lock()
 	srv := s.httpSrv
 	s.httpSrv = nil
+	for _, c := range s.peers {
+		c.Close()
+	}
 	s.mu.Unlock()
 	if srv == nil {
 		return nil

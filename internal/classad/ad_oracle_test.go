@@ -17,9 +17,8 @@ import (
 // differential test below holds Ad to it observation for observation.
 
 type mapAd struct {
-	attrs    map[string]mapEntry
-	version  uint64
-	onMutate []func()
+	attrs   map[string]mapEntry
+	version uint64
 }
 
 // mapEntry is one attribute as the map held it: its name as a string.
@@ -31,14 +30,7 @@ type mapEntry struct {
 
 func newMapAd() *mapAd { return &mapAd{attrs: make(map[string]mapEntry)} }
 
-func (a *mapAd) OnMutate(fn func()) { a.onMutate = append(a.onMutate, fn) }
-
-func (a *mapAd) mutated() {
-	a.version++
-	for _, fn := range a.onMutate {
-		fn()
-	}
-}
+func (a *mapAd) mutated() { a.version++ }
 
 func (a *mapAd) Set(name string, v any) {
 	a.attrs[strings.ToLower(name)] = mapEntry{name: name, val: From(v)}
@@ -142,22 +134,16 @@ func (a *mapAd) EvalAttr(name string, target *mapAd) Value {
 	return e.expr.Eval(scope{self: a.fresh(), target: t})
 }
 
-// oraclePair is one ad under test with its oracle, the mutation-hook
-// counts of both, and a Matcher compiled when the pair was made and held
-// across everything done to the ad since.
+// oraclePair is one ad under test with its oracle, and a Matcher compiled
+// when the pair was made and held across everything done to the ad since.
 type oraclePair struct {
-	ad       *Ad
-	want     *mapAd
-	hooks    int
-	wantHook int
-	m        *Matcher
+	ad   *Ad
+	want *mapAd
+	m    *Matcher
 }
 
 func newOraclePair(ad *Ad, want *mapAd) *oraclePair {
-	p := &oraclePair{ad: ad, want: want, m: NewMatcher(ad)}
-	ad.OnMutate(func() { p.hooks++ })
-	want.OnMutate(func() { p.wantHook++ })
-	return p
+	return &oraclePair{ad: ad, want: want, m: NewMatcher(ad)}
 }
 
 // oracleNames are the differential's attribute vocabulary: 26 names, more
@@ -289,9 +275,6 @@ func (p *oraclePair) diverges(rng *rand.Rand, target *oraclePair) string {
 	}
 	if got, want := p.ad.version, p.want.version; got != want {
 		return fmt.Sprintf("Version %d, want %d", got, want)
-	}
-	if p.hooks != p.wantHook {
-		return fmt.Sprintf("%d OnMutate calls, want %d", p.hooks, p.wantHook)
 	}
 	for _, base := range oracleNames {
 		name := spelling(rng, base)

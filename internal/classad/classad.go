@@ -284,9 +284,9 @@ func (v Value) Equal(o Value) bool {
 // confirms a hit by the name. The ads this system builds carry 3 to 15
 // attributes: at that size a scan of one contiguous array is as fast as a
 // hash table (classad.match_ns and classad.rank_ns in bench/ would say
-// otherwise), and an ad costs a 48-byte header plus 48 bytes an attribute
-// (a three-attribute job ad: 48 + 144), a fraction of a hash table's
-// smallest bucket group. Nothing observable depends on the order: Names,
+// otherwise), and an ad costs a 40-byte header (the allocator's 48-byte
+// class) plus 48 bytes an attribute (a three-attribute job ad: 48 + 144),
+// a fraction of a hash table's smallest bucket group. Nothing observable depends on the order: Names,
 // String and so the snapshot text sort.
 //
 // An expression attribute points at a block shared by every ad that
@@ -297,36 +297,11 @@ type Ad struct {
 	// version counts mutations; compiled Matchers use it to detect that
 	// their compiled Requirements/Rank are stale.
 	version uint64
-	// onMutate hooks fire synchronously after every mutation. Negotiators
-	// subscribe to advertised machine ads so an attribute change wakes
-	// them instead of being discovered by per-tick polling; no job ad has
-	// one, so they sit behind a pointer. Hooks are not carried by Clone —
-	// a clone is a private snapshot.
-	onMutate *[]func()
-	exprs    int32 // attributes that hold an expression
+	exprs   int32 // attributes that hold an expression
 }
 
-// OnMutate registers fn to run after every mutation of this ad (Set,
-// SetExpr). Hooks must be fast and must not mutate the ad.
-func (a *Ad) OnMutate(fn func()) {
-	if fn == nil {
-		return
-	}
-	if a.onMutate == nil {
-		a.onMutate = new([]func())
-	}
-	*a.onMutate = append(*a.onMutate, fn)
-}
-
-// mutated bumps the version and fires mutation hooks.
-func (a *Ad) mutated() {
-	a.version++
-	if a.onMutate != nil {
-		for _, fn := range *a.onMutate {
-			fn()
-		}
-	}
-}
+// mutated bumps the version.
+func (a *Ad) mutated() { a.version++ }
 
 // entry is one attribute: its name as last written, as its bytes and
 // length, and the name's foldKey; there is no lower-cased copy of it.

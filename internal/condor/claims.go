@@ -10,17 +10,11 @@ import (
 // on it, the task on the node, the fair-share usage it accrues, and the
 // status transitions that open and close all three.
 
-// addFree inserts m into its arch bucket. A machine whose caller ad mutated while it was claimed resyncs here so
-// it re-enters under its current Arch key. Entering is what the ordered
-// views key on: a resynced machine re-enters too (resyncMachine), so
-// no rank outlives the match ad it was computed on. It is also what the
-// next pass's refresh visits.
+// addFree inserts m into its arch bucket. Entering is what the ordered
+// views key on, and what the next pass's refresh visits.
 func (p *Pool) addFree(m *machine) {
 	if m.freeIdx >= 0 {
 		return
-	}
-	if m.stale {
-		m.snapshotAd()
 	}
 	m.viewDirty = true
 	p.revisit(m)

@@ -250,23 +250,21 @@ func (st *freeStats) merge(o freeStats) {
 }
 
 // refreshFree prepares the pool's free machines for one negotiation
-// pass: queued cross-pool releases fold back in, machines whose caller ad
-// mutated resync, and each machine that needs it is visited — its LoadAvg
-// written into its match ad, or, occupied by an externally placed task
-// (the pool's free set only tracks its own placements), excluded for this
-// pass — and collected into p.changed when the ordered views must take it
-// in afresh.
+// pass: queued cross-pool releases fold back in, and each machine that
+// needs it is visited — its LoadAvg written into its ad, or, occupied by
+// an externally placed task (the pool's free set only tracks its own
+// placements), excluded for this pass — and collected into p.changed
+// when the ordered views must take it in afresh.
 //
 // The pool keeps what a visit finds (offers, offersUntil), so a pass
 // visits only the machines listed fresh since the last: those that entered
 // the free set, and one whose offer a pass spent without a claim. A
 // machine that stayed free, unvisited, still reads as it did: its node's
-// tasks change only through the node's observer, its ad only through its
-// mutation hook, and each asks for a walk of every free machine instead
-// (rewalk), as does a flocking peer's snapshot, which writes LoadAvg. Its
-// load changes only where a segment ends, and a counted machine's segment
-// end asks for the same walk: offersUntil is then not zero, and time alone
-// may change its LoadAvg.
+// tasks change only through the node's observer, which asks for a walk of
+// every free machine instead (rewalk), as does a flocking peer's snapshot,
+// which writes LoadAvg. Its load changes only where a segment ends, and
+// a counted machine's segment end asks for the same walk: offersUntil is
+// then not zero, and time alone may change its LoadAvg.
 // Either way each machine is visited the same way, and the pass sees what
 // a walk of every free machine would.
 func (p *Pool) refreshFree(now time.Time) freeStats {
@@ -315,9 +313,6 @@ func (p *Pool) refreshFree(now time.Time) freeStats {
 			if m.freeIdx < 0 {
 				continue // claimed since: a release lists it again
 			}
-			if m.stale {
-				p.resyncMachine(m) // which lists it afresh
-			}
 			visit(m)
 		}
 	}
@@ -337,7 +332,7 @@ func (p *Pool) count(m *machine, in bool) {
 	}
 }
 
-// setLoadAvg writes the machine's current load into its match ad, skipping
+// setLoadAvg writes the machine's current load into its ad, skipping
 // the ad mutation (a version bump, which recompiles the machine's matcher
 // and stales its place in the ordered views) when the value hasn't changed
 // since the last pass — the overwhelmingly common case for idle and
@@ -346,13 +341,13 @@ func (m *machine) setLoadAvg(v float64) {
 	if m.loadAvgSet && m.loadAvg == v {
 		return
 	}
-	m.matchAd.Set("LoadAvg", v)
+	m.ad.Set("LoadAvg", v)
 	m.loadAvg, m.loadAvgSet = v, true
 	m.viewDirty = true
 }
 
 // snapshotFreeFor lists this pool's free machines for a flocking peer's
-// negotiation pass, refreshing each match ad's LoadAvg. The caller
+// negotiation pass, refreshing each ad's LoadAvg. The caller
 // supplies (and re-owns) the scratch buffer.
 func (p *Pool) snapshotFreeFor(now time.Time, buf []*machine) ([]*machine, freeStats) {
 	var st freeStats
@@ -374,23 +369,13 @@ func (p *Pool) snapshotFreeFor(now time.Time, buf []*machine) ([]*machine, freeS
 	return buf, st
 }
 
-// visitFree is the walk of every free machine both negotiation
-// views share: machines whose caller ad mutated resync (possibly moving
-// buckets, hence the deferral past the iteration), and visit runs once per
-// free machine. The caller has folded queued cross-pool releases in.
+// visitFree is the walk of every free machine both negotiation views
+// share: visit runs once per free machine. The caller has folded queued
+// cross-pool releases in.
 func (p *Pool) visitFree(visit func(*machine)) {
-	var stale []*machine
 	for _, b := range p.freeBuckets {
 		for _, m := range b {
-			if m.stale {
-				stale = append(stale, m)
-				continue
-			}
 			visit(m)
 		}
-	}
-	for _, m := range stale {
-		p.resyncMachine(m)
-		visit(m)
 	}
 }

@@ -3,8 +3,6 @@ package condor
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
-	"sync"
 	"testing"
 	"time"
 
@@ -285,219 +283,6 @@ func TestIndexedArchConstraint(t *testing.T) {
 		}
 		if info.Node != want {
 			t.Errorf("job %d landed on %q, want %q", id, info.Node, want)
-		}
-	}
-}
-
-// TestMachineAdResync mutates the caller's machine ad after AddMachine —
-// supported in the seed, which re-read the ad every pick — and checks
-// the indexed negotiator honors the update, including an Arch rebucket.
-func TestMachineAdResync(t *testing.T) {
-	g := simgrid.NewGrid(time.Second, 1)
-	site := g.AddSite("s")
-	p := NewPool("p", g, site)
-	ad := classad.New().Set("Arch", "x86").Set("Disk", 100)
-	p.AddMachine(site.AddNode(g.Engine, "m1", 1, simgrid.IdleLoad()), ad)
-
-	needDisk := classad.New().Set(AttrCpuSeconds, 2.0).Set("ImageSize", 400)
-	needDisk.MustSetExpr(AttrRequirements, `TARGET.Disk >= MY.ImageSize`)
-	id1, err := p.Submit(needDisk.Clone())
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.Engine.RunFor(time.Second)
-	if info, _ := p.Job(id1); info.Status != StatusIdle {
-		t.Fatalf("job with Disk 400 requirement = %v on a Disk-100 machine, want idle", info.Status)
-	}
-	ad.Set("Disk", 500) // capacity upgrade on the caller's ad
-	g.Engine.RunFor(time.Second)
-	if info, _ := p.Job(id1); info.Node != "m1" {
-		t.Fatalf("job did not match after Disk upgrade; status %v", info.Status)
-	}
-	g.Engine.RunFor(5 * time.Second)
-
-	ad.Set("Arch", "sparc") // rebucket while free
-	id2, err := p.Submit(func() *classad.Ad {
-		a := classad.New().Set(AttrCpuSeconds, 2.0)
-		a.MustSetExpr(AttrRequirements, `TARGET.Arch == "sparc"`)
-		return a
-	}())
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.Engine.RunFor(time.Second)
-	if info, _ := p.Job(id2); info.Node != "m1" {
-		t.Fatalf("sparc-pinned job did not match rebucketed machine; status %v", info.Status)
-	}
-}
-
-// pinnedJobAd is jobAd whose Requirements pin the machine's Arch.
-func pinnedJobAd(owner, arch string) *classad.Ad {
-	ad := jobAd(owner, 3, 0)
-	ad.MustSetExpr(AttrRequirements, fmt.Sprintf("TARGET.Arch == %q", arch))
-	return ad
-}
-
-// TestMachineRequirementsGainedWhileClaimed: a machine whose caller ad
-// gains a Requirements and changes its Arch while a job holds it is
-// offered, once freed, only to jobs the new Requirements accept — also to
-// a job that constrains nothing, which matches a machine without
-// Requirements unevaluated — and only under its new Arch. One machine is
-// picked by the exhaustive scan, seventeen by an ordered view.
-func TestMachineRequirementsGainedWhileClaimed(t *testing.T) {
-	for _, n := range []int{1, sortedPickThreshold + 1} {
-		t.Run(fmt.Sprintf("machines-%d", n), func(t *testing.T) {
-			g, p := testPool(t, 0)
-			site := g.Sites()[0]
-			ads := make([]*classad.Ad, n)
-			for i := range ads {
-				ads[i] = classad.New()
-				p.AddMachine(site.AddNode(g.Engine, fmt.Sprintf("m%02d", i), 1, simgrid.IdleLoad()), ads[i])
-			}
-			for i := 0; i < n; i++ {
-				mustSubmit(t, p, jobAd("alice", 3, 0))
-			}
-			g.Engine.RunFor(time.Second)
-			for _, ad := range ads {
-				ad.MustSetExpr(AttrRequirements, `TARGET.Owner != "bob"`)
-				ad.Set("Arch", "sparc")
-			}
-			bob := mustSubmit(t, p, jobAd("bob", 3, 0))
-			carol := mustSubmit(t, p, jobAd("carol", 3, 0))
-			dave := mustSubmit(t, p, pinnedJobAd("dave", "x86"))
-			erin := mustSubmit(t, p, pinnedJobAd("erin", "sparc"))
-			g.Engine.RunFor(10 * time.Second)
-			if got := mustJob(t, p, bob).Status; got != StatusIdle {
-				t.Fatalf("bob's job is %v on a machine whose Requirements reject bob", got)
-			}
-			if got := mustJob(t, p, carol).Status; got != StatusCompleted {
-				t.Fatalf("carol's job is %v, want completed on a freed machine", got)
-			}
-			if got := mustJob(t, p, dave).Status; got != StatusIdle {
-				t.Fatalf("dave's x86-pinned job is %v on machines that left x86", got)
-			}
-			if got := mustJob(t, p, erin).Status; got != StatusCompleted {
-				t.Fatalf("erin's sparc-pinned job is %v, want completed on a rebucketed machine", got)
-			}
-		})
-	}
-}
-
-// TestFreeMachineHearsItsAdChange: a free machine's caller ad changes
-// between passes, and the very next pass negotiates on the new ad — an
-// Arch change rebuckets it, a Requirements gained is honoured. The ad's
-// mutation hook is the only news of either: nothing else marks the
-// machine. One machine is picked by the exhaustive scan, seventeen by an
-// ordered view.
-func TestFreeMachineHearsItsAdChange(t *testing.T) {
-	for _, n := range []int{1, sortedPickThreshold + 1} {
-		setup := func(t *testing.T) (*simgrid.Grid, *Pool, []*classad.Ad) {
-			g, p := testPool(t, 0)
-			site := g.Sites()[0]
-			ads := make([]*classad.Ad, n)
-			for i := range ads {
-				ads[i] = classad.New().Set("Arch", "x86")
-				p.AddMachine(site.AddNode(g.Engine, fmt.Sprintf("m%02d", i), 1, simgrid.IdleLoad()), ads[i])
-			}
-			g.Engine.RunFor(time.Second) // an empty pass: the machines are free and viewed
-			return g, p, ads
-		}
-		t.Run(fmt.Sprintf("arch/machines-%d", n), func(t *testing.T) {
-			g, p, ads := setup(t)
-			for _, ad := range ads {
-				ad.Set("Arch", "sparc")
-			}
-			x86 := mustSubmit(t, p, pinnedJobAd("alice", "x86"))
-			var sparc []int
-			for i := 0; i < n; i++ {
-				sparc = append(sparc, mustSubmit(t, p, pinnedJobAd("alice", "sparc")))
-			}
-			g.Engine.RunFor(time.Second)
-			if got := mustJob(t, p, x86).Status; got != StatusIdle {
-				t.Fatalf("x86-pinned job is %v on machines that left x86", got)
-			}
-			for _, id := range sparc {
-				if got := mustJob(t, p, id).Status; got != StatusRunning {
-					t.Fatalf("sparc-pinned job %d is %v after the pass, want running", id, got)
-				}
-			}
-		})
-		t.Run(fmt.Sprintf("requirements/machines-%d", n), func(t *testing.T) {
-			g, p, ads := setup(t)
-			for _, ad := range ads {
-				ad.MustSetExpr(AttrRequirements, `TARGET.Owner != "bob"`)
-			}
-			bob := mustSubmit(t, p, jobAd("bob", 3, 0))
-			var carol []int
-			for i := 0; i < n; i++ {
-				carol = append(carol, mustSubmit(t, p, jobAd("carol", 3, 0)))
-			}
-			g.Engine.RunFor(time.Second)
-			if got := mustJob(t, p, bob).Status; got != StatusIdle {
-				t.Fatalf("bob's job is %v on a machine whose Requirements reject bob", got)
-			}
-			for _, id := range carol {
-				if got := mustJob(t, p, id).Status; got != StatusRunning {
-					t.Fatalf("carol's job %d is %v after the pass, want running", id, got)
-				}
-			}
-		})
-	}
-}
-
-// TestAdMutationBesideRunningEngine rewrites machine ads on one goroutine
-// while RunFor negotiates on another. The two share one lock, as a
-// deployment's callers share its owner's, so each write lands between two
-// engine calls. Under -race this pins the hand-off: the write sets the
-// machine's stale flag through the ad's hook, and the next pass reads the
-// ad only after it has seen the flag. Every machine ends in its new Arch
-// bucket.
-func TestAdMutationBesideRunningEngine(t *testing.T) {
-	const n = 48
-	g, p := testPool(t, 0)
-	site := g.Sites()[0]
-	ads := make([]*classad.Ad, n)
-	for i := range ads {
-		ads[i] = classad.New().Set("Arch", "x86")
-		p.AddMachine(site.AddNode(g.Engine, fmt.Sprintf("m%02d", i), 1, simgrid.IdleLoad()), ads[i])
-	}
-	for i := 0; i < 4*n; i++ {
-		mustSubmit(t, p, jobAd("alice", float64(1+i%3), 0))
-	}
-	var owner sync.Mutex
-	written := make(chan struct{})
-	go func() {
-		defer close(written)
-		for _, ad := range ads {
-			owner.Lock()
-			ad.Set("Arch", "sparc")
-			owner.Unlock()
-			runtime.Gosched()
-		}
-	}()
-	for running := true; running; {
-		select {
-		case <-written:
-			running = false
-		default:
-		}
-		owner.Lock()
-		g.Engine.RunFor(time.Second)
-		owner.Unlock()
-	}
-	g.Engine.RunFor(time.Minute)
-	x86 := mustSubmit(t, p, pinnedJobAd("bob", "x86"))
-	var sparc []int
-	for i := 0; i < n; i++ {
-		sparc = append(sparc, mustSubmit(t, p, pinnedJobAd("bob", "sparc")))
-	}
-	g.Engine.RunFor(time.Minute)
-	if got := mustJob(t, p, x86).Status; got != StatusIdle {
-		t.Fatalf("x86-pinned job is %v on machines that left x86", got)
-	}
-	for _, id := range sparc {
-		if got := mustJob(t, p, id).Status; got != StatusCompleted {
-			t.Fatalf("sparc-pinned job %d is %v, want completed", id, got)
 		}
 	}
 }

@@ -20,7 +20,7 @@ type classViews struct {
 // pickView is one (arch bucket, rank class) view: the bucket's free
 // machines by (rank descending, node name ascending), kept from pass to
 // pass. A rank is computed when a machine enters the view and stands until
-// the machine re-enters it — a machine freed, or whose match ad changed, is
+// the machine re-enters it — a machine freed, or whose LoadAvg changed, is
 // collected by the pass refresh (machine.viewDirty) and merged in afresh,
 // which also retires its old entry. Machines claimed since stay behind as
 // tombstones the cursor skips; the next pass's sync compacts them away, so

@@ -14,10 +14,10 @@ import (
 // The ordered pick must be invisible: over random pools and jobs,
 // pickIndexed returns exactly the machine an exhaustive bestCandidate
 // scan of every free bucket returns, pass after pass, while machines are
-// claimed, excluded, released, re-advertised and join under it. The views
-// live across the passes, so what one pass leaves in them is the next
-// pass's input: after every pass each view a pass used is also held, entry
-// by entry, to the bucket it orders (checkView). A view orders rank ties by
+// claimed, excluded, released and join under it. The views live across
+// the passes, so what one pass leaves in them is the next pass's input:
+// after every pass each view a pass used is also held, entry by entry, to
+// the bucket it orders (checkView). A view orders rank ties by
 // an ordinal of the node name and a pick reuses the rank the view holds,
 // so machines join with names that sort anywhere among the others, and
 // jobs of one rank class spell their Rank differently.
@@ -166,19 +166,13 @@ func runPickProperty(t *testing.T, seed int64, sum *pickPropertyTally) {
 	}
 
 	var claimed []*machine
-	type moved struct {
-		m    *machine
-		arch string
-	}
-	var away []moved                 // machines advertised under another Arch for one pass
 	exhaustive := map[viewKey]bool{} // views the previous pass left in exhaustive mode
 	everBuilt := map[viewKey]struct{}{}
 	for pass := 0; pass < passes; pass++ {
 		// Between passes: an external task occupies a node (excluded by
-		// the refresh), advertised ads change and loads step, claimed
-		// machines return, a free one is claimed, freed and claimed again,
-		// and machines join under names that sort before, among and after
-		// the others'.
+		// the refresh), loads step, claimed machines return, a free one is
+		// claimed, freed and claimed again, and machines join under names
+		// that sort before, among and after the others'.
 		now := epoch.Add(time.Duration(pass) * time.Second)
 		if rng.Intn(2) == 0 {
 			p.machines[rng.Intn(len(p.machines))].node.Place(simgrid.NewTask(1e9, nil))
@@ -188,28 +182,6 @@ func runPickProperty(t *testing.T, seed int64, sum *pickPropertyTally) {
 				name := fmt.Sprintf("%s%05d.%d.%d", []string{"m", "n", "o"}[rng.Intn(3)], rng.Intn(100000), pass, k)
 				p.AddMachine(site.AddNode(g.Engine, name, 1, simgrid.IdleLoad()), propMachineAd(rng))
 				sum.joined++
-			}
-		}
-		for _, a := range away {
-			a.m.ad.Set("Arch", a.arch) // and back
-		}
-		away = away[:0]
-		for k := rng.Intn(5); k > 0; k-- {
-			m := p.machines[rng.Intn(len(p.machines))]
-			switch rng.Intn(5) {
-			case 0:
-				m.ad.Set("KFlops", propKFlops[rng.Intn(len(propKFlops))])
-			case 1:
-				if arch, ok := m.ad.LiteralString("Arch"); ok {
-					away = append(away, moved{m, arch})
-				}
-				m.ad.Set("Arch", propArchs[rng.Intn(len(propArchs))])
-			case 2:
-				m.ad.Set("Memory", propMemory[rng.Intn(len(propMemory))])
-			case 3:
-				m.ad.Set("Memory", byName(m.ad, "Memory")) // same ad, new match ad
-			case 4:
-				m.ad.MustSetExpr("KFlops", propExprKFlops)
 			}
 		}
 		rng.Shuffle(len(claimed), func(a, b int) { claimed[a], claimed[b] = claimed[b], claimed[a] })
@@ -242,7 +214,7 @@ func runPickProperty(t *testing.T, seed int64, sum *pickPropertyTally) {
 					if m == nil {
 						return "<none>"
 					}
-					return m.node.Name + " " + m.matchAd.String()
+					return m.node.Name + " " + m.ad.String()
 				}
 				t.Fatalf("seed %d pass %d job %s:\n ordered pick %s\n exhaustive   %s",
 					seed, pass, j.ad, name(got), name(want))
@@ -347,7 +319,7 @@ func checkView(t *testing.T, p *Pool, k viewKey, v *pickView, jobs []*job, rankS
 				}
 			}
 			if e.rank != want {
-				t.Fatalf("%s view %q: %s carries rank %v, its match ad %s ranks %v for job %s", at, k, m.node.Name, e.rank, m.matchAd, want, j.ad)
+				t.Fatalf("%s view %q: %s carries rank %v, its ad %s ranks %v for job %s", at, k, m.node.Name, e.rank, m.ad, want, j.ad)
 			}
 		}
 		if prev != nil && (prev.rank < e.rank || prev.rank == e.rank && prevM.node.Name >= m.node.Name) {
@@ -382,7 +354,7 @@ func checkView(t *testing.T, p *Pool, k viewKey, v *pickView, jobs []*job, rankS
 // arriving in waves, and a few stragglers between waves. Counts are
 // functions of the workload, not of the host: a pass evaluates Rank at most
 // once per view for each machine that entered the free set or changed its
-// match ad since the pass before, never for a machine that merely stayed
+// LoadAvg since the pass before, never for a machine that merely stayed
 // free, and not at all in a pass before which nothing changed; and no view
 // is built twice, since every pass queues every class. A view re-ranked
 // per pass — the rebuild this replaced — would spend ~150 evaluations per

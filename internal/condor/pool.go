@@ -41,7 +41,7 @@ var ErrNoSuchJob = fmt.Errorf("condor: no such job")
 // The negotiation hot path is indexed: free machines are maintained
 // incrementally in per-architecture buckets as jobs start and finish
 // (rather than rescanned from the full machine list every tick), each
-// machine carries a pool-owned match ad whose LoadAvg is written at most
+// machine carries one pool-owned ad whose LoadAvg is written at most
 // once per negotiation pass (rather than cloned per candidate), and job
 // ads are compiled to classad.Matchers with their static Arch/OpSys
 // Requirements constraints extracted, so each idle job evaluates the full
@@ -92,7 +92,7 @@ type Pool struct {
 	// kept in preference order, one view per rank class, and consumed by a
 	// per-pass cursor (see pickFromBucket). pickGen numbers the
 	// passes; changed lists what the current pass's refresh collected —
-	// the machines that entered the free set or whose match ad changed
+	// the machines that entered the free set or whose ad's LoadAvg changed
 	// since the previous pass — which is all a view has to rank and merge
 	// in; byName lists the machines by node name as a refresh last
 	// numbered them (numberMachines). Derived state: rebuilt on demand,
@@ -174,8 +174,8 @@ type Pool struct {
 	// they are woken whenever this pool's machine picture changes, since
 	// their negotiation reads it. rewalk asks the next refresh to walk
 	// every free machine: something other than the pool's own pass changed
-	// a machine — a node's load or task set, an ad, or, through a flocking
-	// peer's snapshot, a match ad's LoadAvg.
+	// a machine — a node's load or task set, or, through a flocking
+	// peer's snapshot, an ad's LoadAvg.
 	dirty        []*machine
 	dirtyScratch []*machine
 	flockedFrom  []*Pool
@@ -230,13 +230,8 @@ type machine struct {
 	// while claimed by a job.
 	freeIdx int
 	archKey constraintKey // lowered Arch value, or dynamicBucket
-	// stale is set by the caller ad's mutation hook and cleared by
-	// snapshotAd: callers may keep updating the ad they registered (the
-	// seed re-read it every pick), so the snapshot and index keys resync
-	// when it is set.
-	stale bool
-	// viewDirty marks a machine that entered the free set, or whose match
-	// ad changed in place (LoadAvg), since a pass refresh last collected
+	// viewDirty marks a machine that entered the free set, or whose ad's
+	// LoadAvg changed in place, since a pass refresh last collected
 	// it: what the ordered views hold of it is stale. viewGen is the pass
 	// (owner's pickGen) whose refresh collected it into Pool.changed.
 	viewDirty bool
@@ -246,19 +241,18 @@ type machine struct {
 	fresh, counted bool
 
 	node *simgrid.Node
-	ad   *classad.Ad // caller-supplied ad, kept free of negotiation scratch
-	// matchAd is the pool-owned snapshot offered to the matchmaker; its
-	// LoadAvg is refreshed at most once per negotiation pass, when a refresh
-	// visits the machine, instead of cloning the ad for every (job,
-	// machine) candidate.
-	matchAd *classad.Ad
+	// ad is the machine's one ad, the pool's from AddMachine on: the
+	// matchmaker, the index keys and the ordered views read it, and only
+	// its LoadAvg is written after AddMachine — in place, at most once per
+	// negotiation pass, when a refresh visits the machine.
+	ad      *classad.Ad
 	matcher *classad.Matcher
-	// loadAvg mirrors the LoadAvg last written into matchAd so unchanged
+	// loadAvg mirrors the LoadAvg last written into ad so unchanged
 	// values skip the ad mutation on every negotiation pass.
 	loadAvg    float64
 	loadAvgSet bool
-	// anyJob: the match ad has no Requirements, so it takes any job (see
-	// pairMatch). Between snapshots only LoadAvg is written.
+	// anyJob: the ad has no Requirements, so it takes any job (see
+	// pairMatch).
 	anyJob  bool
 	opsKey  constraintKey // lowered OpSys value, or dynamicBucket
 	ord     uint32        // node name's place among the pool's (numberMachines)
@@ -314,8 +308,11 @@ func (p *Pool) requestWake() {
 	p.wake.Request(p.grid.Engine.Now())
 }
 
-// AddMachine advertises a node to the negotiator. The machine ad is
-// augmented with standard attributes (Machine, Mips); a nil ad is allowed.
+// AddMachine advertises a node to the negotiator. The pool owns ad from
+// this call on, or makes a fresh one when ad is nil: it writes the
+// standard attributes (Machine, Mips, and Arch and OpSys where the ad has
+// none) and a LoadAvg slot into it, and reads that ad for the machine's
+// whole life. The caller must not change the ad afterwards.
 func (p *Pool) AddMachine(node *simgrid.Node, ad *classad.Ad) {
 	if ad == nil {
 		ad = classad.New()
@@ -328,21 +325,24 @@ func (p *Pool) AddMachine(node *simgrid.Node, ad *classad.Ad) {
 	if !ad.Has("OpSys") {
 		ad.Set("OpSys", "LINUX")
 	}
-	m := &machine{node: node, owner: p, ad: ad, freeIdx: -1}
-	m.snapshotAd()
-	// Subscriptions replace per-tick polling: an ad attribute change or a
-	// change to the node's tasks made by anyone but this pool's own pass
-	// (a foreign task placed or completed, any task removed) marks the
-	// node dirty and wakes the negotiator — this pool's and any pool
-	// flocking into it. The hook is registered after the standard
-	// attributes above so the pool's own writes don't self-wake. One
+	// LoadAvg takes its slot now: each pass's refresh then writes in place.
+	ad.Set("LoadAvg", classad.Undefined())
+	m := &machine{
+		node:    node,
+		owner:   p,
+		ad:      ad,
+		matcher: classad.NewMatcher(ad),
+		anyJob:  !ad.Has(AttrRequirements),
+		archKey: p.literalKey(ad, "Arch"),
+		opsKey:  p.literalKey(ad, "OpSys"),
+		freeIdx: -1,
+	}
+	// Subscriptions replace per-tick polling: a change to the node's tasks
+	// made by anyone but this pool's own pass (a foreign task placed or
+	// completed, any task removed) marks the node dirty and wakes the
+	// negotiator — this pool's and any pool flocking into it. One
 	// observer per node: a node advertised to several pools keeps only
-	// the last registration. The ad hook flags the machine itself: the
-	// next pass, or its release, resyncs it.
-	ad.OnMutate(func() {
-		m.stale = true
-		p.machineChanged(nil)
-	})
+	// the last registration.
 	node.SetObserver(func() { p.machineChanged(m) })
 	p.machines = append(p.machines, m)
 	p.addFree(m)
@@ -353,9 +353,7 @@ func (p *Pool) AddMachine(node *simgrid.Node, ad *classad.Ad) {
 // machineChanged records a machine-side change and wakes every
 // negotiator that reads this pool's machines.
 func (p *Pool) machineChanged(m *machine) {
-	if m != nil {
-		p.dirty = append(p.dirty, m)
-	}
+	p.dirty = append(p.dirty, m)
 	p.rewalk = true
 	p.requestWake()
 	p.wakeFlockedFrom()
@@ -368,25 +366,16 @@ func (p *Pool) wakeFlockedFrom() {
 	}
 }
 
-// snapshotAd (re)builds the machine's match ad, compiled matcher, index
-// keys and anyJob from the caller's ad.
-func (m *machine) snapshotAd() {
-	m.stale = false
-	// LoadAvg takes its slot now: each pass's refresh then writes in place.
-	m.matchAd = m.ad.Clone().Set("LoadAvg", classad.Undefined())
-	m.matcher = classad.NewMatcher(m.matchAd)
-	m.loadAvgSet = false
-	m.anyJob = !m.matchAd.Has(AttrRequirements)
-	// Only literal attributes are safe index keys: an expression-valued
-	// Arch/OpSys can evaluate differently per candidate job, so such
-	// machines take the catch-all bucket / skip the OpSys pre-filter.
-	m.archKey, m.opsKey = dynamicBucket, dynamicBucket
-	if s, ok := m.matchAd.LiteralString("Arch"); ok {
-		m.archKey = m.owner.constraint(strings.ToLower(s))
+// literalKey is the constraint key of ad's name attribute, lowered, or
+// dynamicBucket. Only literal attributes are safe index keys: an
+// expression-valued Arch/OpSys can evaluate differently per candidate
+// job, so such machines take the catch-all bucket / skip the OpSys
+// pre-filter.
+func (p *Pool) literalKey(ad *classad.Ad, name string) constraintKey {
+	if s, ok := ad.LiteralString(name); ok {
+		return p.constraint(strings.ToLower(s))
 	}
-	if s, ok := m.matchAd.LiteralString("OpSys"); ok {
-		m.opsKey = m.owner.constraint(strings.ToLower(s))
-	}
+	return dynamicBucket
 }
 
 // numberMachines lists the pool's machines by node name (byName), each at
@@ -399,19 +388,6 @@ func (p *Pool) numberMachines() {
 		m.ord = uint32(i)
 	}
 	clear(p.pickViews)
-}
-
-// resyncMachine refreshes a machine whose caller-side ad mutated
-// since the last snapshot, rebucketing it if its Arch changed.
-func (p *Pool) resyncMachine(m *machine) {
-	wasFree := m.freeIdx >= 0
-	if wasFree {
-		p.removeFree(m)
-	}
-	m.snapshotAd()
-	if wasFree {
-		p.addFree(m)
-	}
 }
 
 // Machines returns the advertised machine count.

@@ -14,8 +14,8 @@ import (
 
 // TestCompletionPathLayout pins what a completion reads of its machine:
 // Complete names runner and runnerPool, taskDone and releaseClaim
-// read owner, and addFree tests the stale flag, then writes freeIdx
-// and viewDirty and appends to the bucket archKey names. They sit inside
+// read owner, and addFree writes freeIdx and viewDirty and appends to
+// the bucket archKey names. They sit inside
 // one 64-byte span, so the machine costs a completion one cache line.
 func TestCompletionPathLayout(t *testing.T) {
 	var m machine
@@ -25,7 +25,6 @@ func TestCompletionPathLayout(t *testing.T) {
 		{unsafe.Offsetof(m.runnerPool), unsafe.Sizeof(m.runnerPool)},
 		{unsafe.Offsetof(m.owner), unsafe.Sizeof(m.owner)},
 		{unsafe.Offsetof(m.freeIdx), unsafe.Sizeof(m.freeIdx)},
-		{unsafe.Offsetof(m.stale), unsafe.Sizeof(m.stale)},
 		{unsafe.Offsetof(m.viewDirty), unsafe.Sizeof(m.viewDirty)},
 		{unsafe.Offsetof(m.archKey), unsafe.Sizeof(m.archKey)},
 	} {

@@ -384,6 +384,71 @@ func TestJobBytesCeiling(t *testing.T) {
 	}
 }
 
+// TestMachineBytesCeiling bounds what advertising one machine weighs on
+// the live heap — the machine, its one ad, its matcher and the node's
+// observer, the ad built inside the measurement — for an ad AddMachine
+// makes (nil, as sim-backlog's and a deployment's machines are) and for a
+// sim-match machine's (Arch, Memory, KFlops): the pool keeps them for the
+// machine's whole life: 647 and 659 bytes, ceilings 672 and 688. With
+// the caller's ad watched through a mutation hook beside the pool's clone
+// of it, they were 943 and 1,402 bytes. An AddMachine of a nil ad makes
+// ten objects (fifteen with the hook and the clone): the machine, the ad,
+// its attribute array twice (four slots, then eight), the matcher, the
+// observer, the three values Set boxes (Machine, Mips and the LoadAvg
+// slot) and the lowered OpSys.
+func TestMachineBytesCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes what objects weigh")
+	}
+	const n = 4000
+	archs := []string{"x86", "ppc64", "sparc"}
+	for _, c := range []struct {
+		name    string
+		ad      func(i int) *classad.Ad
+		ceiling float64
+	}{
+		{"nil ad", func(int) *classad.Ad { return nil }, 672},
+		{"sim-match ad", func(i int) *classad.Ad {
+			return classad.New().Set("Arch", archs[i%3]).Set("Memory", 1024<<(i%3)).Set("KFlops", 500+i%2000)
+		}, 688},
+	} {
+		g := simgrid.NewGrid(time.Second, 1)
+		site := g.AddSite("s")
+		pool := condor.NewPool("s", g, site)
+		nodes := make([]*simgrid.Node, n)
+		for i := range nodes {
+			nodes[i] = site.AddNode(g.Engine, fmt.Sprintf("n%05d", i), 1, simgrid.IdleLoad())
+		}
+		before := heapAfterGC()
+		for i, node := range nodes {
+			pool.AddMachine(node, c.ad(i))
+		}
+		perMachine := float64(heapAfterGC()-before) / n
+		runtime.KeepAlive(pool)
+		t.Logf("%s: %.0f bytes per machine", c.name, perMachine)
+		if perMachine > c.ceiling {
+			t.Errorf("%s: %.0f bytes of heap per machine, ceiling %.0f", c.name, perMachine, c.ceiling)
+		}
+	}
+
+	g := simgrid.NewGrid(time.Second, 1)
+	site := g.AddSite("s")
+	pool := condor.NewPool("s", g, site)
+	const runs = 1000
+	nodes := make([]*simgrid.Node, runs+1)
+	for i := range nodes {
+		nodes[i] = site.AddNode(g.Engine, fmt.Sprintf("n%05d", i), 1, simgrid.IdleLoad())
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		pool.AddMachine(nodes[next], nil)
+		next++
+	})
+	if allocs != 10 {
+		t.Errorf("AddMachine(node, nil) allocates %v times, want 10", allocs)
+	}
+}
+
 // TestMillionScenarioEventCountTickIndependent pins the tentpole's
 // structural claim: the number of processed events depends on the
 // workload, not on the tick resolution. A 128x finer grid
