@@ -67,6 +67,9 @@ bench-test:
 # response both decoders accept is decoded straight into a set of Go types
 # and compared with Unmarshal over the oracle's tree, so the one-pass
 # decoder needs no target of its own.
+# Then 10 s of the typed round trip: a struct built from fuzz inputs fails
+# to encode exactly when a string of it holds a rune XML cannot carry, and
+# otherwise comes back equal, through Marshal and Unmarshal and in one pass.
 # Then 10 s of the journal scanner on arbitrary and corrupted journals: it
 # never panics, returns a prefix of what was written, and the length it
 # verified — what Open cuts the file to — rescans clean to the same ops.
@@ -79,6 +82,7 @@ bench-test:
 # shared-block table, which must give both one block.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeAgainstEncodingXML -fuzztime 20s ./internal/xmlrpc
+	$(GO) test -run '^$$' -fuzz FuzzStructCodecRoundTrip -fuzztime 10s ./internal/xmlrpc
 	$(GO) test -run '^$$' -fuzz FuzzJournalReplay -fuzztime 10s ./internal/durable
 	$(GO) test -run '^$$' -fuzz FuzzHistoryReplay -fuzztime 10s ./internal/durable
 	$(GO) test -run '^$$' -fuzz FuzzExprAgainstTree -fuzztime 10s ./internal/classad

@@ -381,11 +381,19 @@ func (a *Ad) put(e entry) {
 }
 
 // Set stores a literal attribute, converting the Go value via From.
-func (a *Ad) Set(name string, v any) *Ad {
-	a.put(newEntry(name, From(v), nil))
+func (a *Ad) Set(name string, v any) *Ad { return a.SetValue(name, From(v)) }
+
+// SetValue stores a literal attribute: Set for a value already converted,
+// which a caller that writes often can hand over without boxing it.
+func (a *Ad) SetValue(name string, v Value) *Ad {
+	a.put(newEntry(name, v, nil))
 	a.mutated()
 	return a
 }
+
+// Grow makes room for n more attributes, so that an ad whose size its
+// builder knows is allocated once and to that size.
+func (a *Ad) Grow(n int) { a.attrs = slices.Grow(a.attrs, n) }
 
 // SetExpr stores src's expression under name, parsed once per text (see
 // Ad).

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"time"
 
+	"repro/internal/classad"
 	"repro/internal/simgrid"
 )
 
@@ -341,7 +342,7 @@ func (m *machine) setLoadAvg(v float64) {
 	if m.loadAvgSet && m.loadAvg == v {
 		return
 	}
-	m.ad.Set("LoadAvg", v)
+	m.ad.SetValue("LoadAvg", classad.Real(v))
 	m.loadAvg, m.loadAvgSet = v, true
 	m.viewDirty = true
 }

@@ -317,16 +317,17 @@ func (p *Pool) AddMachine(node *simgrid.Node, ad *classad.Ad) {
 	if ad == nil {
 		ad = classad.New()
 	}
-	ad.Set("Machine", node.Name)
-	ad.Set("Mips", node.Mips)
+	ad.Grow(5) // the attributes below, at most
+	ad.SetValue("Machine", classad.Str(node.Name))
+	ad.SetValue("Mips", classad.Real(node.Mips))
 	if !ad.Has("Arch") {
-		ad.Set("Arch", "x86")
+		ad.SetValue("Arch", classad.Str("x86"))
 	}
 	if !ad.Has("OpSys") {
-		ad.Set("OpSys", "LINUX")
+		ad.SetValue("OpSys", classad.Str("LINUX"))
 	}
 	// LoadAvg takes its slot now: each pass's refresh then writes in place.
-	ad.Set("LoadAvg", classad.Undefined())
+	ad.SetValue("LoadAvg", classad.Undefined())
 	m := &machine{
 		node:    node,
 		owner:   p,

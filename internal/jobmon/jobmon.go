@@ -102,8 +102,27 @@ func (s *Service) Watch(pool *condor.Pool) {
 func (s *Service) publish(e condor.Event) {
 	if s.repo != nil {
 		src := monalisa.FormatJobSource(e.Pool, e.JobID)
-		s.repo.PublishEvent(e.At, src, "status", fmt.Sprintf("%v->%v", e.From, e.To))
+		s.repo.PublishEvent(e.At, src, "status", transition(e.From, e.To))
 	}
+}
+
+// transitions holds the text publish sends for every pair of statuses a
+// job has, made once so that no transition formats its own copy.
+var transitions = func() (t [condor.StatusRemoved + 1][condor.StatusRemoved + 1]string) {
+	for from := range t {
+		for to := range t[from] {
+			t[from][to] = fmt.Sprintf("%v->%v", condor.Status(from), condor.Status(to))
+		}
+	}
+	return t
+}()
+
+// transition returns "from->to", each status as its String.
+func transition(from, to condor.Status) string {
+	if int(from) < len(transitions) && int(to) < len(transitions) {
+		return transitions[from][to]
+	}
+	return fmt.Sprintf("%v->%v", from, to)
 }
 
 // Pools returns the watched execution service names, sorted.

@@ -463,3 +463,17 @@ func TestPollSnapshotsLiveJobsOnly(t *testing.T) {
 			got, got/uint64(unsafe.Sizeof(condor.JobInfo{})), len(all))
 	}
 }
+
+// TestTransitionTextIsSprintf: the table publish reads its texts from says
+// what formatting each transition said, for every pair of statuses a byte
+// holds, the ones past the table included.
+func TestTransitionTextIsSprintf(t *testing.T) {
+	for from := 0; from < 256; from++ {
+		for to := 0; to < 256; to++ {
+			f, g := condor.Status(from), condor.Status(to)
+			if got, want := transition(f, g), fmt.Sprintf("%v->%v", f, g); got != want {
+				t.Fatalf("transition(%d, %d) = %q, want %q", from, to, got, want)
+			}
+		}
+	}
+}

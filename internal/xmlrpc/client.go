@@ -133,9 +133,10 @@ func (c *Client) CallInto(ctx context.Context, method string, out any, args ...a
 		snippet, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
 		return fmt.Errorf("xmlrpc: %s returned HTTP %d: %s", method, resp.StatusCode, snippet)
 	}
-	raw, err := readBody(resp.Body, resp.ContentLength)
-	if err != nil {
+	var derr error
+	if err := encode(func(buf []byte) ([]byte, error) { return readBody(resp.Body, resp.ContentLength, buf) },
+		func(raw []byte) { derr = decodeResponse(raw, out) }); err != nil {
 		return fmt.Errorf("xmlrpc: reading %s response: %w", method, err)
 	}
-	return decodeResponse(raw, out)
+	return derr
 }

@@ -2,13 +2,17 @@ package xmlrpc
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math"
+	"math/rand"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
 	"time"
+	"unicode/utf8"
 )
 
 // The literal documents the decode tests feed the decoder, named so that
@@ -224,6 +228,43 @@ func TestEncodeRejectsNonFiniteDouble(t *testing.T) {
 	}
 }
 
+// TestEncodeRefusesRunesXMLCannotCarry: a document holding such a rune is
+// one every decoder refuses, so no encoder may write one. EncodeRequest and
+// EncodeResponse fail on it, in a value, a member name or the method name,
+// as Serve then answers with an "unencodable result" fault; EncodeFault,
+// which cannot fail, writes U+FFFD in its place.
+func TestEncodeRefusesRunesXMLCannotCarry(t *testing.T) {
+	srv := httptest.NewServer(table{"test.say": func(_ context.Context, args []any) (any, error) {
+		b, _ := args[0].([]byte) // the string, sent as base64
+		return string(b), nil
+	}})
+	defer srv.Close()
+	c := NewClient(srv.URL)
+	defer c.Close()
+	for _, s := range []string{"a\uffffb", "a\ufffeb", "a\x01b", "a\x00b"} {
+		for what, encode := range map[string]func() ([]byte, error){
+			"EncodeRequest arg":    func() ([]byte, error) { return EncodeRequest("m", []any{s}) },
+			"EncodeRequest method": func() ([]byte, error) { return EncodeRequest(s, nil) },
+			"EncodeResponse":       func() ([]byte, error) { return EncodeResponse([]any{s}) },
+			"EncodeResponse key":   func() ([]byte, error) { return EncodeResponse(map[string]int{s: 1}) },
+			"EncodeResponse field": func() ([]byte, error) { return EncodeResponse(sample{Tags: []string{s}}) },
+		} {
+			if doc, err := encode(); !errors.Is(err, ErrUnsupportedType) {
+				t.Errorf("%s of %q: %q, %v; want ErrUnsupportedType", what, s, doc, err)
+			}
+		}
+		_, err := DecodeResponse(bytes.NewReader(EncodeFault(&Fault{Code: 7, Message: s})))
+		if f, ok := AsFault(err); !ok || *f != (Fault{Code: 7, Message: "a\uFFFDb"}) {
+			t.Errorf("EncodeFault of %q decodes to %v, want fault 7 %q", s, err, "a\uFFFDb")
+		}
+		var got string
+		err = c.CallInto(context.Background(), "test.say", &got, []byte(s))
+		if f, ok := AsFault(err); !ok || f.Code != FaultInternal || !strings.Contains(f.Message, "unencodable result") {
+			t.Errorf("served %q: %q, %v; want an unencodable-result fault", s, got, err)
+		}
+	}
+}
+
 func TestEncodeRejectsInt64Overflow(t *testing.T) {
 	if _, err := EncodeRequest("m", []any{int64(math.MaxInt32) + 1}); !errors.Is(err, ErrUnsupportedType) {
 		t.Fatalf("overflowing int64 error = %v, want ErrUnsupportedType", err)
@@ -367,23 +408,29 @@ func (w wrapErr) Unwrap() error { return w.inner }
 
 func errorsJoin(err error) error { return wrapErr{inner: err} }
 
-// Property: every printable string survives a request round trip.
+// Property: a string fails to encode exactly when it holds a rune no XML
+// document can carry, and every other string survives a request round
+// trip. A quarter of the runes come from the edges of XML's Char range.
 func TestQuickStringRoundTrip(t *testing.T) {
-	f := func(s string) bool {
-		if !isValidXMLString(s) {
-			return true // XML cannot carry arbitrary control bytes; skip
+	edges := []rune{0, 1, '\t', '\n', '\r', 0x1F, '<', '&', 0xD7FF, 0xE000, 0xFFFD, 0xFFFE, 0xFFFF, 0x10000, 0x10FFFF}
+	values := func(args []reflect.Value, r *rand.Rand) {
+		rs := make([]rune, r.Intn(20))
+		for i := range rs {
+			if rs[i] = rune(r.Intn(utf8.MaxRune + 1)); r.Intn(4) == 0 {
+				rs[i] = edges[r.Intn(len(edges))]
+			}
 		}
+		args[0] = reflect.ValueOf(string(rs))
+	}
+	f := func(s string) bool {
 		raw, err := EncodeRequest("m", []any{s})
-		if err != nil {
-			return false
+		if strings.ContainsFunc(s, outsideXML) || err != nil {
+			return strings.ContainsFunc(s, outsideXML) && errors.Is(err, ErrUnsupportedType)
 		}
 		req, err := DecodeRequest(bytes.NewReader(raw))
-		if err != nil {
-			return false
-		}
-		return req.Args[0] == s
+		return err == nil && req.Args[0] == s
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 300, Values: values}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -442,17 +489,9 @@ func TestQuickBase64RoundTrip(t *testing.T) {
 	}
 }
 
-func isValidXMLString(s string) bool {
-	for _, r := range s {
-		if r == 0xFFFD { // replacement: input was invalid UTF-8
-			return false
-		}
-		if r < 0x20 && r != '\t' && r != '\n' && r != '\r' {
-			return false
-		}
-		if r >= 0xD800 && r <= 0xDFFF {
-			return false
-		}
-	}
-	return true
+// outsideXML reports whether r, a rune of a valid UTF-8 string, is outside
+// XML 1.0's Char production: a C0 control other than TAB, LF and CR, or
+// U+FFFE or U+FFFF.
+func outsideXML(r rune) bool {
+	return r < 0x20 && r != '\t' && r != '\n' && r != '\r' || r == 0xFFFE || r == 0xFFFF
 }

@@ -9,6 +9,7 @@ import (
 	"math"
 	"reflect"
 	"strconv"
+	"strings"
 	"time"
 	"unicode/utf8"
 )
@@ -24,7 +25,7 @@ var errTooLarge = errors.New("exceeds MaxRequestBytes")
 
 // DecodeRequest parses a <methodCall> document.
 func DecodeRequest(r io.Reader) (*Request, error) {
-	body, err := readBody(r, -1)
+	body, err := readBody(r, -1, nil)
 	if err != nil {
 		return nil, fmt.Errorf("xmlrpc: reading methodCall: %w", err)
 	}
@@ -45,30 +46,33 @@ func DecodeResponse(r io.Reader) (any, error) {
 // the scanner meets them. A fault is returned as the *Fault error. *out is
 // overwritten, never merged into, and is left zero on any error.
 func DecodeResponseInto(r io.Reader, out any) error {
-	body, err := readBody(r, -1)
+	body, err := readBody(r, -1, nil)
 	if err != nil {
 		return fmt.Errorf("xmlrpc: reading methodResponse: %w", err)
 	}
 	return decodeResponse(body, out)
 }
 
-// readBody reads a message body of at most MaxRequestBytes into a buffer
-// of its declared size (negative: unknown).
-func readBody(r io.Reader, size int64) ([]byte, error) {
+// readBody reads a message body of at most MaxRequestBytes into buf, grown
+// to the body's declared size (negative: unknown). On an error it returns
+// buf emptied, so a pooled buffer keeps what it has grown to.
+func readBody(r io.Reader, size int64, buf []byte) ([]byte, error) {
 	if size < 0 || size > MaxRequestBytes {
 		size = 1024
 	}
-	buf := make([]byte, 0, size+1) // +1: the Read that reports EOF needs room
+	if buf = buf[:0]; cap(buf) <= int(size) {
+		buf = make([]byte, 0, size+1) // +1: the Read that reports EOF needs room
+	}
 	for {
 		n, err := r.Read(buf[len(buf):cap(buf)])
 		buf = buf[:len(buf)+n]
 		switch {
 		case len(buf) > MaxRequestBytes:
-			return nil, errTooLarge
+			return buf[:0], errTooLarge
 		case err == io.EOF:
 			return buf, nil
 		case err != nil:
-			return nil, err
+			return buf[:0], err
 		case len(buf) == cap(buf):
 			buf = append(buf, 0)[:len(buf)]
 		}
@@ -78,34 +82,33 @@ func readBody(r io.Reader, size int64) ([]byte, error) {
 func decodeRequest(body []byte) (*Request, error) {
 	s := scanner{buf: body}
 	req := &Request{}
-	err := s.document("methodCall", func(name []byte) (err error) {
+	if name := s.next("", nil); string(name) != "methodCall" {
+		s.fail("root element is not <methodCall>")
+	}
+	for name := s.next("methodCall", nil); name != nil; name = s.next("methodCall", nil) {
 		switch string(name) {
 		case "methodName":
-			var b []byte
-			b, err = s.text("methodName")
-			req.Method = string(bytes.TrimSpace(b))
+			req.Method = string(bytes.TrimSpace(s.text(name)))
 		case "params":
-			req.Args, err = s.params(reflect.Value{})
+			req.Args, _ = s.params(reflect.Value{})
 		default:
-			err = s.skip(string(name))
+			s.skip(string(name))
 		}
-		return err
-	})
-	if err == nil && req.Method == "" {
-		err = errors.New("xmlrpc: methodCall missing methodName")
 	}
-	if err != nil {
-		return nil, err
+	if s.skip(""); s.err == nil && req.Method == "" {
+		s.err = errors.New("xmlrpc: methodCall missing methodName")
+	}
+	if s.err != nil {
+		return nil, s.err
 	}
 	return req, nil
 }
 
 // errRedo is the direct walk into a typed destination giving up on a
-// document that is well-formed so far but whose value the destination
-// cannot hold or whose shape only a tree decides (a member repeated, named
-// twice or valued before its name; a second value in a <param>):
-// decodeResponse decodes it into a tree and leaves the verdict to
-// unmarshalValue, so such documents mean what they always did.
+// document, well-formed so far, whose value the destination cannot hold or
+// whose shape only a tree decides (a member repeated, named twice or valued
+// before its name; a second value in a <param>): decodeResponse decodes a
+// tree and leaves the verdict to unmarshalValue, as the two steps did.
 var errRedo = errors.New("xmlrpc: document needs the tree")
 
 func decodeResponse(body []byte, out any) error {
@@ -129,35 +132,37 @@ func decodeResponse(body []byte, out any) error {
 	return err
 }
 
-// decodeResponseInto decodes the result into dst or, dst being invalid,
-// returns it as a tree.
+// scanResponse decodes the result into dst or, dst being invalid, returns
+// it as a tree.
 func scanResponse(body []byte, dst reflect.Value) (any, error) {
 	s := scanner{buf: body}
 	var result any
 	var fault *Fault
 	answered := false
-	err := s.document("methodResponse", func(name []byte) (err error) {
+	if name := s.next("", nil); string(name) != "methodResponse" {
+		s.fail("root element is not <methodResponse>")
+	}
+	for name := s.next("methodResponse", nil); name != nil; name = s.next("methodResponse", nil) {
 		// The first params or fault element is the answer; what follows
 		// it only has to be well-formed.
 		switch {
 		case answered || string(name) != "params" && string(name) != "fault":
-			return s.skip(string(name))
+			s.skip(string(name))
 		case string(name) == "fault":
-			fault, err = s.fault()
+			fault, answered = s.fault(), true
 		default:
-			var args []any
-			if args, err = s.params(dst); err == nil && len(args) != 1 {
-				err = fmt.Errorf("xmlrpc: response carries %d params, want 1", len(args))
-			} else if err == nil {
+			args, n := s.params(dst)
+			if s.err == nil && n != 1 {
+				s.err = fmt.Errorf("xmlrpc: response carries %d params, want 1", n)
+			} else if len(args) == 1 {
 				result = args[0]
 			}
+			answered = true
 		}
-		answered = true
-		return err
-	})
-	switch {
-	case err != nil:
-		return nil, err
+	}
+	switch s.skip(""); {
+	case s.err != nil:
+		return nil, s.err
 	case !answered:
 		return nil, errors.New("xmlrpc: empty methodResponse")
 	case fault != nil:
@@ -166,16 +171,17 @@ func scanResponse(body []byte, dst reflect.Value) (any, error) {
 	return result, nil
 }
 
-// scanner walks one XML-RPC document held in memory. It knows the subset
-// of XML the package comment lists and nothing else.
+// scanner walks one XML-RPC document held in memory, one loop over next per
+// element, and knows the subset of XML the package comment lists. Once err
+// is set, every read returns nothing.
 type scanner struct {
 	buf []byte
 	pos int
-	// selfClosed is set after the start half of <x/> was returned: the
-	// next token is x's end tag, as if the document had said <x></x>.
+	err error
+	// selfClosed: <x/>'s start half was read, so x's end tag is next.
 	selfClosed bool
-	// depth counts the open elements; the grammar walk recurses once per
-	// level, so bounding it bounds the stack a hostile document can take.
+	// depth counts the open elements; the walk recurses once per level, so
+	// bounding it bounds the stack a hostile document can take.
 	depth int
 }
 
@@ -183,142 +189,160 @@ type scanner struct {
 // wire type nests 20 elements.
 const maxDepth = 256
 
-func (s *scanner) errorf(format string, args ...any) error {
-	return fmt.Errorf("xmlrpc: offset %d: %s", s.pos, fmt.Sprintf(format, args...))
+// fail sets the scanner's error, unless one is set, and returns nil.
+func (s *scanner) fail(format string, args ...any) []byte {
+	if s.err == nil {
+		s.err = fmt.Errorf("xmlrpc: offset %d: %s", s.pos, fmt.Sprintf(format, args...))
+	}
+	return nil
 }
 
-// token advances to the next element tag and returns its name and whether
-// it is a start tag. elem is the innermost open element ("" outside the
-// root): its end tag is the only one accepted, and only outside the root
-// may the input end, which reads as an end tag. Character data and CDATA
-// sections on the way are validated and, when text is not nil, collected
-// into *text; comments and processing instructions are skipped.
-func (s *scanner) token(elem string, text *[]byte) (name []byte, start bool, err error) {
+// class sorts bytes. plainByte marks what character data carries as it
+// is: ASCII other than '<', '&', '>' (which may end a "]]>") and the
+// controls XML refuses or folds. A name is a nameStart byte, then nameRest
+// bytes; a nameBad byte (a prefix's ':', non-ASCII) makes it unsupported.
+var class = func() (t [256]uint8) {
+	for c := range t {
+		if c == '\t' || c == '\n' || c >= 0x20 && c < utf8.RuneSelf && c != '<' && c != '&' && c != '>' {
+			t[c] = plainByte
+		}
+		switch {
+		case c|0x20 >= 'a' && c|0x20 <= 'z' || c == '_':
+			t[c] |= nameStart | nameRest
+		case c >= '0' && c <= '9' || c == '.' || c == '-':
+			t[c] |= nameRest
+		case c == ':' || c >= utf8.RuneSelf:
+			t[c] |= nameBad
+		}
+	}
+	return t
+}()
+
+const (
+	plainByte = 1 << iota
+	nameStart
+	nameRest
+	nameBad
+)
+
+// next reads on to the next tag: a start tag, whose name it returns, or the
+// end tag of elem, the innermost open element, the only end tag accepted
+// (outside the root, elem is "" and the end of input reads as one). Text
+// and CDATA on the way are checked and, text not nil, collected into
+// *text. elem reaches an error only as a copy, so a caller may pass bytes
+// converted to a string on its stack.
+func (s *scanner) next(elem string, text *[]byte) []byte {
+	if s.err != nil {
+		return nil
+	}
 	if s.selfClosed {
 		s.selfClosed = false
 		s.depth--
-		return nil, false, nil
+		return nil
 	}
 	for {
-		if s.pos == len(s.buf) || s.buf[s.pos] != '<' {
-			n := bytes.IndexByte(s.buf[s.pos:], '<')
-			if n < 0 {
-				n = len(s.buf) - s.pos
-			}
-			if err := s.chars(s.buf[s.pos:s.pos+n], false, text); err != nil {
-				return nil, false, err
-			}
-			s.pos += n
+		if s.pos < len(s.buf) && s.buf[s.pos] != '<' && !s.chars(text) {
+			return nil
 		}
 		rest := s.buf[s.pos:]
 		switch {
 		case len(rest) == 0 && elem == "":
-			return nil, false, nil
+			return nil
 		case len(rest) < 2:
-			return nil, false, s.errorf("unexpected end of document inside <%s>", elem)
+			return s.fail("unexpected end of document inside <%s>", strings.Clone(elem))
+		case rest[1] == '/' && elem != "" && len(rest) > len(elem)+2 && rest[2+len(elem)] == '>' && string(rest[2:2+len(elem)]) == elem:
+			s.pos += len(elem) + 3 // elem's end tag, as an encoder writes it
+			s.depth--
+			return nil
 		case rest[1] == '?':
-			end, err := s.name(s.pos + 2)
-			if err != nil {
-				return nil, false, err
-			}
+			end := s.name(s.pos + 2)
 			n := bytes.Index(s.buf[end:], []byte("?>"))
-			if n < 0 {
-				return nil, false, s.errorf("unterminated processing instruction")
-			}
-			if string(s.buf[s.pos+2:end]) == "xml" {
-				if err := s.declaration(s.buf[end : end+n]); err != nil {
-					return nil, false, err
-				}
+			switch {
+			case end == s.pos+2:
+				return s.fail("missing or unsupported tag name")
+			case n < 0:
+				return s.fail("unterminated processing instruction")
+			case string(s.buf[s.pos+2:end]) == "xml" && !s.declaration(s.buf[end:end+n]):
+				return nil
 			}
 			s.pos = end + n + 2
 		case rest[1] != '!':
 			i := s.pos + 1
-			start = rest[1] != '/'
+			start := rest[1] != '/'
 			if !start {
 				i++
 			}
-			end, err := s.name(i)
-			if err != nil {
-				return nil, false, err
+			end := s.name(i)
+			name := s.buf[i:end]
+			if end < len(s.buf) && s.buf[end] != '>' {
+				end = len(s.buf) - len(bytes.TrimLeft(s.buf[end:], " \t\n\r"))
+				if start && bytes.HasPrefix(s.buf[end:], []byte("/>")) {
+					s.selfClosed = true
+					end++
+				}
 			}
-			name, end = s.buf[i:end], s.space(end)
-			if start && bytes.HasPrefix(s.buf[end:], []byte("/>")) {
-				s.selfClosed = true
-				end++
-			}
-			if end >= len(s.buf) || s.buf[end] != '>' {
-				return nil, false, s.errorf("malformed <%s> tag (attributes are not supported)", name)
-			}
-			if !start && string(name) != elem {
-				return nil, false, s.errorf("</%s> closes <%s>", name, elem)
-			}
-			if !start {
+			switch {
+			case len(name) == 0:
+				return s.fail("missing or unsupported tag name")
+			case end >= len(s.buf) || s.buf[end] != '>':
+				return s.fail("malformed <%s> tag (attributes are not supported)", name)
+			case !start && string(name) != elem:
+				return s.fail("</%s> closes <%s>", name, strings.Clone(elem))
+			case !start:
 				s.depth--
-			} else if s.depth++; s.depth > maxDepth {
-				return nil, false, s.errorf("elements nested deeper than %d", maxDepth)
+			case s.depth >= maxDepth:
+				return s.fail("elements nested deeper than %d", maxDepth)
+			default:
+				s.depth++
 			}
-			s.pos = end + 1
-			return name, start, nil
+			if s.pos = end + 1; !start {
+				return nil
+			}
+			return name
 		case bytes.HasPrefix(rest, []byte("<!--")):
 			n := bytes.Index(rest[4:], []byte("--"))
 			if n < 0 || 4+n+2 >= len(rest) || rest[4+n+2] != '>' {
-				return nil, false, s.errorf(`unterminated comment or "--" inside one`)
+				return s.fail(`unterminated comment or "--" inside one`)
 			}
 			s.pos += 4 + n + 3
 		case bytes.HasPrefix(rest, []byte("<![CDATA[")):
 			n := bytes.Index(rest[9:], []byte("]]>"))
 			if n < 0 {
-				return nil, false, s.errorf("unterminated CDATA section")
+				return s.fail("unterminated CDATA section")
 			}
-			if err := s.chars(rest[9:9+n], true, text); err != nil {
-				return nil, false, err
+			if collect(text, s.expand(rest[9:9+n], 0, true)); s.err != nil {
+				return nil
 			}
 			s.pos += 9 + n + 3
 		default:
-			return nil, false, s.errorf("DOCTYPE and other <! directives are not supported")
+			return s.fail("DOCTYPE and other <! directives are not supported")
 		}
 	}
 }
 
-// name scans the element or target name starting at i and returns the
-// index after it. Names are ASCII and carry no namespace prefix.
-func (s *scanner) name(i int) (int, error) {
-	j := i
-	for j < len(s.buf) {
-		c := s.buf[j]
-		if c|0x20 >= 'a' && c|0x20 <= 'z' || c == '_' || j > i && (c >= '0' && c <= '9' || c == '.' || c == '-') {
-			j++
-			continue
-		}
-		if c == ':' || c >= utf8.RuneSelf {
-			j = i // prefixed and non-ASCII names are not supported
-		}
-		break
+// name returns the index after the element or target name starting at i,
+// or i if there is none. Names are ASCII and carry no namespace prefix.
+func (s *scanner) name(i int) int {
+	b, j := s.buf, i
+	for j < len(b) && class[b[j]]&nameRest != 0 {
+		j++
 	}
-	if j == i {
-		return 0, s.errorf("missing or unsupported tag name")
+	if j == i || class[b[i]]&nameStart == 0 || j < len(b) && class[b[j]]&nameBad != 0 {
+		return i
 	}
-	return j, nil
-}
-
-// space returns the index of the first non-space byte at or after i.
-func (s *scanner) space(i int) int {
-	for i < len(s.buf) && (s.buf[i] == ' ' || s.buf[i] == '\t' || s.buf[i] == '\n' || s.buf[i] == '\r') {
-		i++
-	}
-	return i
+	return j
 }
 
 // declaration checks the pseudo-attributes of an <?xml ...?> declaration:
 // version 1.0 and, since there is no transcoder, UTF-8.
-func (s *scanner) declaration(decl []byte) error {
+func (s *scanner) declaration(decl []byte) bool {
 	if v := declParam(decl, "version="); len(v) > 0 && string(v) != "1.0" {
-		return s.errorf("unsupported XML version %q", v)
+		s.fail("unsupported XML version %q", v)
 	}
 	if enc := declParam(decl, "encoding="); len(enc) > 0 && !bytes.EqualFold(enc, []byte("utf-8")) {
-		return s.errorf("unsupported encoding %q", enc)
+		s.fail("unsupported encoding %q", enc)
 	}
-	return nil
+	return s.err == nil
 }
 
 // declParam returns the quoted value after the first param (which ends in
@@ -340,42 +364,53 @@ func declParam(decl []byte, param string) []byte {
 	}
 }
 
-// chars validates one run of character data (raw: the inside of a CDATA
-// section) and, when text is not nil, appends it to *text with entities
-// expanded and line ends folded. A run that needs no rewriting is not
-// copied: *text aliases the document until a second run arrives.
-func (s *scanner) chars(b []byte, raw bool, text *[]byte) error {
-	i := 0
-	for i < len(b) && (b[i] >= 0x20 && b[i] < utf8.RuneSelf && b[i] != '&' && b[i] != '>' || b[i] == '\n' || b[i] == '\t') {
+// chars consumes the character data up to the next '<' or the end of the
+// document, appending it to *text if text is not nil, and reports whether
+// it is valid. A run of plain bytes is read once: one pass finds its end
+// and checks it.
+func (s *scanner) chars(text *[]byte) bool {
+	b, i := s.buf[s.pos:], 0
+	for i < len(b) && class[b[i]]&plainByte != 0 {
 		i++
 	}
-	if i < len(b) {
-		var err error
-		if b, err = s.expand(b, i, raw); err != nil {
-			return err
+	run := b[:i]
+	if i < len(b) && b[i] != '<' {
+		if n := bytes.IndexByte(b[i:], '<'); n >= 0 {
+			b = b[:i+n]
 		}
+		run, i = s.expand(b, i, false), len(b)
 	}
-	if text != nil {
-		if len(*text) == 0 {
-			*text = b[:len(b):len(b)]
-		} else {
-			*text = append(*text, b...)
-		}
-	}
-	return nil
+	collect(text, run)
+	s.pos += i
+	return s.err == nil
 }
 
-// expand is the slow path of chars, entered at the first byte b[i] that
-// is not plain ASCII text: it returns a rewritten copy of b.
-func (s *scanner) expand(b []byte, i int, raw bool) ([]byte, error) {
+// collect appends a run of character data to *text, if text is not nil.
+// A run is not copied: *text aliases the document until a second arrives.
+func collect(text *[]byte, b []byte) {
+	switch {
+	case text == nil:
+	case len(*text) == 0:
+		*text = b[:len(b):len(b)]
+	default:
+		*text = append(*text, b...)
+	}
+}
+
+// expand returns a checked copy of b, character data (raw: CDATA) plain up
+// to b[i], with its entities expanded and its line ends folded.
+func (s *scanner) expand(b []byte, i int, raw bool) []byte {
 	out := append(make([]byte, 0, len(b)), b[:i]...)
 	for i < len(b) {
 		switch c := b[i]; {
+		case class[c]&plainByte != 0:
+			out = append(out, c)
+			i++
 		case c == '&' && !raw:
 			end := bytes.IndexByte(b[i:], ';')
 			r, ok := entity(b[i+1 : i+max(end, 1)])
 			if !ok {
-				return nil, s.errorf("invalid entity %q", b[i:i+max(end+1, 1)])
+				return s.fail("invalid entity %q", b[i:i+max(end+1, 1)])
 			}
 			out = utf8.AppendRune(out, r)
 			i += end + 1
@@ -385,17 +420,17 @@ func (s *scanner) expand(b []byte, i int, raw bool) ([]byte, error) {
 				i++
 			}
 		case c == '>' && !raw && i >= 2 && b[i-1] == ']' && b[i-2] == ']':
-			return nil, s.errorf(`"]]>" in character data`)
+			return s.fail(`"]]>" in character data`)
 		default:
 			r, n := utf8.DecodeRune(b[i:])
 			if r == utf8.RuneError && n == 1 || !inCharRange(r) {
-				return nil, s.errorf("invalid UTF-8 or a character XML does not allow: %#x", c)
+				return s.fail("invalid UTF-8 or a character XML does not allow: %#x", c)
 			}
 			out = append(out, b[i:i+n]...)
 			i += n
 		}
 	}
-	return out, nil
+	return out
 }
 
 var entities = map[string]rune{"lt": '<', "gt": '>', "amp": '&', "apos": '\'', "quot": '"'}
@@ -414,14 +449,13 @@ func entity(ref []byte) (rune, bool) {
 		base, digits = 16, digits[1:]
 	}
 	n, err := strconv.ParseUint(string(digits), base, 64)
-	if err != nil || n > utf8.MaxRune {
-		return 0, false
+	if r := rune(n); err == nil && n <= utf8.MaxRune {
+		if !utf8.ValidRune(r) {
+			r = utf8.RuneError // what encoding/xml makes of a surrogate
+		}
+		return r, inCharRange(r)
 	}
-	r := rune(n)
-	if !utf8.ValidRune(r) {
-		r = utf8.RuneError // what encoding/xml makes of a surrogate
-	}
-	return r, inCharRange(r)
+	return 0, false
 }
 
 // inCharRange reports whether r is in XML 1.0's Char production.
@@ -430,200 +464,103 @@ func inCharRange(r rune) bool {
 		r >= 0xE000 && r <= 0xFFFD || r >= 0x10000 && r <= 0x10FFFF
 }
 
-// document walks the children of the root element, which must be <root>,
-// and requires whatever follows the root to be well-formed.
-func (s *scanner) document(root string, child func(name []byte) error) error {
-	name, start, err := s.token("", nil)
-	if err == nil && (!start || string(name) != root) {
-		err = s.errorf("root element is not <%s>", root)
-	}
-	if err == nil {
-		err = s.each(root, child)
-	}
-	if err == nil {
-		err = s.skip("")
-	}
-	return err
-}
-
-// each calls child for every child of the open element elem, through
-// elem's end tag (with elem "", through the end of the input).
-func (s *scanner) each(elem string, child func(name []byte) error) error {
-	for {
-		name, start, err := s.token(elem, nil)
-		if err != nil || !start {
-			return err
-		}
-		if err := child(name); err != nil {
-			return err
-		}
+// skip consumes the rest of elem, or with elem "" of the document, checking
+// only that it is well-formed.
+func (s *scanner) skip(elem string) {
+	for name := s.next(elem, nil); name != nil; name = s.next(elem, nil) {
+		s.skip(string(name))
 	}
 }
 
-// skip consumes the rest of elem, checking only that it is well-formed.
-func (s *scanner) skip(elem string) error {
-	return s.each(elem, func(name []byte) error { return s.skip(string(name)) })
-}
-
-func (s *scanner) unexpected(name []byte, elem string) error {
-	return s.errorf("unexpected <%s> in <%s>", name, elem)
-}
-
-// text collects the character data of the leaf element elem.
-func (s *scanner) text(elem string) ([]byte, error) {
-	var text []byte
-	name, start, err := s.token(elem, &text)
-	if err == nil && start {
-		err = s.unexpected(name, elem)
+// text collects the character data of the open leaf element elem.
+func (s *scanner) text(elem []byte) (text []byte) {
+	if name := s.next(string(elem), &text); name != nil {
+		s.fail("unexpected <%s> in <%s>", name, elem)
 	}
-	return text, err
+	return text
 }
 
-// The value builders below take the destination dst a value goes to. An
-// invalid dst stands for an interface{} one: the value is returned as its
-// canonical tree (int, bool, string, float64, time.Time, []byte, []any,
-// map[string]any), which costs no reflection. A valid dst is zero when a
-// builder is given it.
+// The value readers below fill dst, zero when they are given it; a value it
+// cannot take sets errRedo. An invalid dst stands for an interface{} one:
+// the value is returned as its canonical tree, which costs no reflection.
 
-// params consumes an open <params> element. Of several values in one
+// params consumes an open <params> element and returns how many <param>
+// it holds and, dst being invalid, their values. Of several values in one
 // <param> the last wins. Every value goes to dst, which takes one.
-func (s *scanner) params(dst reflect.Value) (args []any, err error) {
-	err = s.each("params", func(name []byte) error {
+func (s *scanner) params(dst reflect.Value) (args []any, n int) {
+	for name := s.next("params", nil); name != nil; name = s.next("params", nil) {
 		if string(name) != "param" {
-			return s.unexpected(name, "params")
+			s.fail("unexpected <%s> in <params>", name)
+			break
 		}
-		var val any
-		seen := false
-		err := s.each("param", func(name []byte) (err error) {
-			if string(name) != "value" {
-				return s.unexpected(name, "param")
+		val, seen := any(nil), false
+		for name := s.next("param", nil); name != nil; name = s.next("param", nil) {
+			switch {
+			case string(name) != "value":
+				s.fail("unexpected <%s> in <param>", name)
+			case dst.IsValid() && !isAny(dst) && (seen || n > 0):
+				s.err = errRedo
+			default:
+				val, seen = s.value(dst), true
 			}
-			if dst.IsValid() && !isAny(dst) && (seen || len(args) > 0) {
-				return errRedo
-			}
-			val, err = s.value(dst)
-			seen = true
-			return err
-		})
-		if err == nil && !seen {
-			err = s.errorf("param without value")
 		}
-		args = append(args, val)
-		return err
-	})
-	return args, err
+		if !seen {
+			s.fail("param without value")
+		}
+		if n++; !dst.IsValid() {
+			args = append(args, val)
+		}
+	}
+	return args, n
 }
 
 // value consumes an open <value> element: a typed element or, per the
 // specification, bare text that is a string.
-func (s *scanner) value(dst reflect.Value) (any, error) {
+func (s *scanner) value(dst reflect.Value) (tree any) {
 	if isAny(dst) {
-		v, err := s.value(reflect.Value{})
-		if dst.SetZero(); err == nil && v != nil {
+		v := s.value(reflect.Value{})
+		if dst.SetZero(); s.err == nil && v != nil {
 			dst.Set(reflect.ValueOf(v))
 		}
-		return nil, err
+		return nil
 	}
 	var text []byte
-	name, start, err := s.token("value", &text)
-	if err != nil {
-		return nil, err
+	switch name := s.next("value", &text); {
+	case name == nil:
+		return s.scalar(nil, text, dst)
+	case string(name) == "array" || string(name) == "struct":
+		tree = s.container(name[0] == 'a', dst)
+	default:
+		tree = s.scalar(name, s.text(name), dst)
 	}
-	if !start {
-		return s.deliver(&scalar{kind: reflect.String, s: string(text)}, dst)
+	if name := s.next("value", nil); name != nil {
+		s.fail("unexpected <%s> in <value>", name)
 	}
-	v, err := s.typed(name, dst)
-	if err != nil {
-		return nil, err
-	}
-	if name, start, err = s.token("value", nil); err == nil && start {
-		err = s.unexpected(name, "value")
-	}
-	return v, err
+	return tree
 }
 
-// deliver hands a scalar to its destination.
-func (s *scanner) deliver(v *scalar, dst reflect.Value) (any, error) {
-	if !dst.IsValid() {
-		return v.box(), nil
-	}
-	if v.into(dst) != nil {
-		return nil, errRedo
-	}
-	return nil, nil
-}
-
-var typeNames = [...]string{"string", "int", "double", "struct", "array", "boolean",
-	"dateTime.iso8601", "i4", "i8", "base64", "nil"}
-
-// typed decodes the body of an open type element such as <int> or <array>.
-func (s *scanner) typed(name []byte, dst reflect.Value) (any, error) {
-	typ := ""
-	for _, n := range typeNames { // most frequent first
-		if string(name) == n {
-			typ = n // the constant, so no string is allocated per value
-			break
-		}
-	}
-	switch typ {
-	case "":
-		return nil, s.errorf("unknown value type <%s>", name)
-	case "array", "struct":
-		// A slice takes the elements and a struct the members one by one;
-		// any other destination takes the tree, under unmarshalValue.
-		switch d := settle(dst); {
-		case typ == "array" && d.Kind() == reflect.Slice && d.Type().Elem().Kind() != reflect.Uint8:
-			_, err := s.array("array", nil, d)
-			if err == nil && d.IsNil() {
-				d.Set(reflect.MakeSlice(d.Type(), 0, 0))
-			}
-			return nil, err
-		case typ == "struct" && d.Kind() == reflect.Struct && d.Type() != timeType:
-			if plan := planOf(d.Type()); plan.direct {
-				return s.structure(d, plan)
-			}
-		}
-		var tree any
-		var err error
-		if typ == "array" {
-			tree, err = s.array("array", []any{}, reflect.Value{})
-		} else {
-			tree, err = s.structure(reflect.Value{}, nil)
-		}
-		if err == nil && dst.IsValid() && unmarshalValue(tree, dst) != nil {
-			err = errRedo
-		}
-		return tree, err
-	}
-	b, err := s.text(typ)
-	if err != nil {
-		return nil, err
-	}
-	t := bytes.TrimSpace(b)
+// scalar hands the text b of the type element name (nil: of a <value>
+// without one) to dst as a value of that type.
+func (s *scanner) scalar(name, b []byte, dst reflect.Value) any {
 	var v scalar // "nil": the zero scalar
-	ok := true
-	switch typ {
-	case "string":
+	t, ok, err := bytes.TrimSpace(b), true, error(nil)
+	switch string(name) {
+	case "", "string":
 		v.kind, v.s = reflect.String, string(b)
 	case "int", "i4", "i8":
 		v.kind = reflect.Int
 		v.n, err = strconv.ParseInt(string(t), 10, 64)
-		ok = err == nil
-	case "boolean":
-		v.kind = reflect.Bool
-		switch string(t) {
-		case "1", "true":
-			v.n = 1
-		case "0", "false":
-		default:
-			ok = false
-		}
 	case "double":
 		// Finite only, as appendDouble writes: strconv also reads NaN and
 		// Inf, which no caller can store or journal.
 		v.kind = reflect.Float64
 		v.f, err = strconv.ParseFloat(string(t), 64)
-		ok = err == nil && !math.IsNaN(v.f) && !math.IsInf(v.f, 0)
+		ok = !math.IsNaN(v.f) && !math.IsInf(v.f, 0)
+	case "boolean":
+		v.kind, ok = reflect.Bool, string(t) == "0" || string(t) == "false"
+		if string(t) == "1" || string(t) == "true" {
+			v.n, ok = 1, true
+		}
 	case "dateTime.iso8601":
 		v.kind, ok = reflect.Struct, false
 		for _, layout := range [...]string{iso8601, time.RFC3339, "2006-01-02T15:04:05"} {
@@ -636,120 +573,144 @@ func (s *scanner) typed(name []byte, dst reflect.Value) (any, error) {
 		// The base64 decoder skips CR and LF itself.
 		t = bytes.ReplaceAll(bytes.ReplaceAll(b, []byte(" "), nil), []byte("\t"), nil)
 		v.kind = reflect.Slice
-		v.b = make([]byte, base64.StdEncoding.DecodedLen(len(t)))
-		n, err := base64.StdEncoding.Decode(v.b, t)
-		v.b, ok = v.b[:n], err == nil
+		v.b, err = base64.StdEncoding.AppendDecode([]byte{}, t)
+	case "nil":
+	default:
+		s.fail("unknown value type <%s>", name)
 	}
-	if !ok {
-		return nil, s.errorf("bad %s %q", typ, b[:min(len(b), 32)])
+	switch {
+	case s.err != nil:
+	case err != nil || !ok:
+		s.fail("bad %s %q", name, b[:min(len(b), 32)])
+	case !dst.IsValid():
+		return v.box()
+	case v.into(dst) != nil:
+		s.err = errRedo
 	}
-	return s.deliver(&v, dst)
+	return nil
+}
+
+// container consumes the body of an open <array> (array) or <struct>. A
+// slice takes the elements and a struct the members one by one; any other
+// destination takes the tree, under unmarshalValue.
+func (s *scanner) container(array bool, dst reflect.Value) any {
+	switch d := settle(dst); {
+	case array && d.Kind() == reflect.Slice && d.Type().Elem().Kind() != reflect.Uint8:
+		if s.array("array", nil, d); s.err == nil && d.IsNil() {
+			d.Set(reflect.MakeSlice(d.Type(), 0, 0))
+		}
+		return nil
+	case !array && d.Kind() == reflect.Struct && d.Type() != timeType:
+		if plan := planOf(d.Type()); plan.direct {
+			s.structure(d, plan)
+			return nil
+		}
+	}
+	var tree any
+	if array {
+		tree = s.array("array", []any{}, reflect.Value{})
+	} else {
+		tree = s.structure(reflect.Value{}, nil)
+	}
+	if s.err == nil && dst.IsValid() && unmarshalValue(tree, dst) != nil {
+		s.err = errRedo
+	}
+	return tree
 }
 
 // array adds the values of an open <array> element, or of a <data> inside
 // one, to the slice dst, which grows, or to out. <data> wrappers may be
 // absent, repeated or nested.
-func (s *scanner) array(elem string, out []any, dst reflect.Value) ([]any, error) {
-	err := s.each(elem, func(name []byte) (err error) {
+func (s *scanner) array(elem string, out []any, dst reflect.Value) []any {
+	for name := s.next(elem, nil); name != nil; name = s.next(elem, nil) {
 		switch {
 		case string(name) == "data":
-			out, err = s.array("data", out, dst)
+			out = s.array("data", out, dst)
 		case string(name) != "value":
-			err = s.unexpected(name, "array")
+			s.fail("unexpected <%s> in <array>", name)
 		case dst.IsValid():
 			n := dst.Len()
 			dst.Grow(1)
 			dst.SetLen(n + 1)
-			_, err = s.value(dst.Index(n))
+			s.value(dst.Index(n))
 		default:
-			var v any
-			v, err = s.value(dst)
-			out = append(out, v)
+			out = append(out, s.value(dst))
 		}
-		return err
-	})
-	return out, err
+	}
+	return out
 }
 
-// structure consumes an open <struct> element into the struct dst by its
-// plan, a direct one, or without a plan into the map it returns; of members
-// with one name the last wins. A member dst has no field for is decoded all
-// the same, and dropped.
-func (s *scanner) structure(dst reflect.Value, plan *typePlan) (map[string]any, error) {
+// structure consumes an open <struct> into the struct dst by its direct
+// plan, or without a plan into the map it returns; of members with one name
+// the last wins. A member dst has no field for is decoded, and dropped.
+func (s *scanner) structure(dst reflect.Value, plan *typePlan) map[string]any {
 	var out map[string]any
 	if plan == nil {
 		out = map[string]any{}
 	}
 	seen, next := uint64(0), 0
-	err := s.each("struct", func(name []byte) error {
+	for name := s.next("struct", nil); name != nil; name = s.next("struct", nil) {
 		if string(name) != "member" {
-			return s.unexpected(name, "struct")
+			s.fail("unexpected <%s> in <struct>", name)
+			break
 		}
 		var key []byte
-		var val any
-		haveName, haveVal := false, false
-		err := s.each("member", func(name []byte) (err error) {
+		val, haveName, haveVal := any(nil), false, false
+		for name := s.next("member", nil); name != nil; name = s.next("member", nil) {
 			switch string(name) {
 			case "name":
 				if haveName && plan != nil {
-					return errRedo
+					s.err = errRedo
 				}
-				key, err = s.text("name")
-				haveName = true
+				key, haveName = s.text(name), true
 			case "value":
 				var field reflect.Value
 				if plan != nil {
-					if !haveName || haveVal {
-						return errRedo
-					}
-					if i := plan.find(key, next); i >= 0 {
-						if seen&(1<<i) != 0 {
-							return errRedo
-						}
+					i := plan.find(key, next)
+					if !haveName || haveVal || i >= 0 && seen&(1<<i) != 0 {
+						s.err = errRedo
+					} else if i >= 0 {
 						seen, next = seen|1<<i, i+1
 						field = dst.FieldByIndex(plan.members[i].index)
 					}
 				}
-				val, err = s.value(field)
-				haveVal = true
+				val, haveVal = s.value(field), true
 			default:
-				err = s.unexpected(name, "member")
+				s.fail("unexpected <%s> in <member>", name)
 			}
-			return err
-		})
-		if err == nil && !(haveName && haveVal) {
-			err = s.errorf("incomplete struct member")
+		}
+		if !(haveName && haveVal) {
+			s.fail("incomplete struct member")
 		}
 		if out != nil {
 			out[string(key)] = val
 		}
-		return err
-	})
-	return out, err
+	}
+	return out
 }
 
 // fault consumes an open <fault> element: its first value is the fault,
 // what follows only has to be well-formed.
-func (s *scanner) fault() (f *Fault, err error) {
-	err = s.each("fault", func(name []byte) error {
-		if f != nil {
-			return s.skip(string(name))
+func (s *scanner) fault() (f *Fault) {
+	for name := s.next("fault", nil); name != nil; name = s.next("fault", nil) {
+		switch {
+		case f != nil:
+			s.skip(string(name))
+		case string(name) != "value":
+			s.fail("unexpected <%s> in <fault>", name)
+		default:
+			v := s.value(reflect.Value{})
+			m, ok := v.(map[string]any)
+			if !ok {
+				s.fail("fault value is %T, want struct", v)
+			}
+			f = &Fault{}
+			f.Code, _ = m["faultCode"].(int)
+			f.Message, _ = m["faultString"].(string)
 		}
-		if string(name) != "value" {
-			return s.unexpected(name, "fault")
-		}
-		v, err := s.value(reflect.Value{})
-		m, ok := v.(map[string]any)
-		if err == nil && !ok {
-			err = s.errorf("fault value is %T, want struct", v)
-		}
-		f = &Fault{}
-		f.Code, _ = m["faultCode"].(int)
-		f.Message, _ = m["faultString"].(string)
-		return err
-	})
-	if err == nil && f == nil {
-		err = s.errorf("empty fault")
 	}
-	return f, err
+	if f == nil {
+		s.fail("empty fault")
+	}
+	return f
 }

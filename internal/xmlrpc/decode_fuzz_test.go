@@ -73,6 +73,8 @@ var grammarContract = []grammarCase{
 	{name: "unclosed root", doc: `<methodCall><methodName>m</methodName>`, fail: true},
 	{name: "mismatched end tag", doc: reqDoc(`<value><int>1</string></value>`), fail: true},
 	{name: "stray end tag after the root", doc: reqDoc(`<value>v</value>`) + `</methodCall>`, fail: true},
+	{name: "nameless end tag after the root", doc: reqDoc(`<value>v</value>`) + `</>`, fail: true},
+	{name: "junk behind a nameless end tag", doc: reqDoc(`<value>v</value>`) + "</>\xff<", fail: true},
 	{name: "unclosed trailer", doc: reqDoc(`<value>v</value>`) + `<trailer>`, fail: true},
 	{name: "element inside a scalar", doc: reqDoc(`<value><int><b>1</b></int></value>`), fail: true},
 	{name: "two typed elements in a value", doc: reqDoc(`<value><int>1</int><int>2</int></value>`), fail: true},
@@ -133,6 +135,8 @@ func TestDecodeResponseGrammar(t *testing.T) {
 		{doc: `<methodResponse>` + fault, fail: true},
 		{doc: `<methodResponse><params><param><value>a</value></param></params><x></methodResponse>`, fail: true},
 		{doc: `<methodCall><methodName>m</methodName></methodCall>`, fail: true},
+		{doc: `<methodResponse><params><param><value>a</value></param></params></methodResponse></>`, fail: true},
+		{doc: "<methodResponse><params><param><value>a</value></param></params></methodResponse></>\xff<", fail: true},
 	}
 	for _, c := range cases {
 		got, err := DecodeResponse(strings.NewReader(c.doc))
@@ -343,7 +347,8 @@ func FuzzDecodeAgainstEncodingXML(f *testing.F) {
 	for _, c := range grammarContract {
 		seeds = append(seeds, c.doc)
 	}
-	seeds = append(seeds, nestedDoc(maxDepth-1, "<a>", "</a>"), nestedDoc(maxDepth, "<a>", "</a>"))
+	seeds = append(seeds, nestedDoc(maxDepth-1, "<a>", "</a>"), nestedDoc(maxDepth, "<a>", "</a>"),
+		"<methodResponse><params><param><value><int>1</int></value></param></params></methodResponse></>\xff<")
 	for _, s := range seeds {
 		f.Add([]byte(s))
 	}

@@ -20,11 +20,13 @@ const iso8601 = "20060102T15:04:05"
 const xmlHeader = `<?xml version="1.0" encoding="UTF-8"?>`
 
 // encodeBufs recycles the scratch buffers documents are built in, so the
-// only allocation an encoding keeps is its result, made at its final size.
+// only allocation an encoding keeps is its result, made at its final size,
+// and a body read off the wire allocates nothing once it is decoded.
 var encodeBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-// encode builds a document in a scratch buffer and hands it to use before
-// the buffer goes back to the pool.
+// encode builds a document in a scratch buffer, encoding it or reading it
+// off the wire, and hands it to use, which keeps nothing of it, before the
+// buffer goes back to the pool.
 func encode(build func(buf []byte) ([]byte, error), use func(doc []byte)) error {
 	scratch := encodeBufs.Get().(*[]byte)
 	buf, err := build((*scratch)[:0])
@@ -41,12 +43,13 @@ func encode(build func(buf []byte) ([]byte, error), use func(doc []byte)) error 
 // EncodeRequest serializes a method call with the given arguments.
 func EncodeRequest(method string, args []any) (out []byte, err error) {
 	err = encode(func(buf []byte) ([]byte, error) {
-		buf = append(buf, xmlHeader+"<methodCall><methodName>"...)
-		buf = appendEscaped(buf, method)
+		buf, err := appendEscaped(append(buf, xmlHeader+"<methodCall><methodName>"...), method)
+		if err != nil {
+			return buf, fmt.Errorf("encoding method name: %w", err)
+		}
 		buf = append(buf, "</methodName><params>"...)
 		for _, a := range args {
 			buf = append(buf, "<param>"...)
-			var err error
 			if buf, err = appendValue(buf, a); err != nil {
 				return buf, fmt.Errorf("encoding request %q: %w", method, err)
 			}
@@ -77,12 +80,12 @@ func encodeResponse(result any, use func(doc []byte)) error {
 // EncodeFault serializes a fault response.
 func EncodeFault(f *Fault) []byte {
 	// A fault struct has exactly two members; encode by hand so EncodeFault
-	// cannot itself fail.
+	// cannot itself fail (a rune XML cannot carry becomes U+FFFD).
 	buf := append([]byte(nil), xmlHeader+"<methodResponse><fault><value><struct>"+
 		"<member><name>faultCode</name><value><int>"...)
 	buf = strconv.AppendInt(buf, int64(f.Code), 10)
 	buf = append(buf, "</int></value></member><member><name>faultString</name><value><string>"...)
-	buf = appendEscaped(buf, f.Message)
+	buf, _ = appendEscaped(buf, f.Message)
 	return append(buf, "</string></value></member></struct></value></fault></methodResponse>"...)
 }
 
@@ -107,7 +110,7 @@ func appendInner(buf []byte, v any) ([]byte, error) {
 	case float64:
 		return appendDouble(buf, x)
 	case string:
-		return appendString(buf, x), nil
+		return appendString(buf, x)
 	case time.Time:
 		return appendTime(buf, x), nil
 	case []byte:
@@ -131,9 +134,11 @@ func appendInner(buf []byte, v any) ([]byte, error) {
 		}
 		sort.Strings(keys)
 		for _, k := range keys {
-			buf = appendMemberOpen(buf, k)
 			var err error
-			if buf, err = appendInner(buf, x[k]); err != nil {
+			if buf, err = appendMemberOpen(buf, k); err == nil {
+				buf, err = appendInner(buf, x[k])
+			}
+			if err != nil {
 				return buf, err
 			}
 			buf = append(buf, "</value></member>"...)
@@ -167,7 +172,7 @@ func appendReflect(buf []byte, rv reflect.Value) ([]byte, error) {
 	case reflect.Bool:
 		return appendBool(buf, rv.Bool()), nil
 	case reflect.String:
-		return appendString(buf, rv.String()), nil
+		return appendString(buf, rv.String())
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
 		return appendInt(buf, rv.Int())
 	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
@@ -198,8 +203,10 @@ func appendReflect(buf []byte, rv reflect.Value) ([]byte, error) {
 		sort.Slice(keys, func(i, j int) bool { return keys[i].String() < keys[j].String() })
 		buf = append(buf, "<struct>"...)
 		for _, k := range keys {
-			buf = appendMemberOpen(buf, k.String())
-			if buf, err = appendReflect(buf, rv.MapIndex(k)); err != nil {
+			if buf, err = appendMemberOpen(buf, k.String()); err == nil {
+				buf, err = appendReflect(buf, rv.MapIndex(k))
+			}
+			if err != nil {
 				return buf, err
 			}
 			buf = append(buf, "</value></member>"...)
@@ -232,10 +239,9 @@ func appendReflect(buf []byte, rv reflect.Value) ([]byte, error) {
 
 // appendMemberOpen appends a struct member up to where its value's typed
 // element goes.
-func appendMemberOpen(buf []byte, name string) []byte {
-	buf = append(buf, "<member><name>"...)
-	buf = appendEscaped(buf, name)
-	return append(buf, "</name><value>"...)
+func appendMemberOpen(buf []byte, name string) ([]byte, error) {
+	buf, err := appendEscaped(append(buf, "<member><name>"...), name)
+	return append(buf, "</name><value>"...), err
 }
 
 func appendBool(buf []byte, x bool) []byte {
@@ -254,10 +260,9 @@ func appendDouble(buf []byte, x float64) ([]byte, error) {
 	return append(buf, "</double>"...), nil
 }
 
-func appendString(buf []byte, x string) []byte {
-	buf = append(buf, "<string>"...)
-	buf = appendEscaped(buf, x)
-	return append(buf, "</string>"...)
+func appendString(buf []byte, x string) ([]byte, error) {
+	buf, err := appendEscaped(append(buf, "<string>"...), x)
+	return append(buf, "</string>"...), err
 }
 
 func appendTime(buf []byte, x time.Time) []byte {
@@ -284,14 +289,17 @@ func appendInt(buf []byte, x int64) ([]byte, error) {
 // appendEscaped appends s with the five XML predefined entities escaped.
 // Carriage returns become character references: a literal CR in content
 // would be folded to LF by the parser's line-ending normalization, while
-// the reference survives the round trip. Most strings are ASCII with
-// nothing to escape and are appended whole.
-func appendEscaped(buf []byte, s string) []byte {
+// the reference survives the round trip. A rune outside XML 1.0's Char
+// production, which no document can carry (a C0 control but TAB, LF and
+// CR, U+FFFE, U+FFFF), is written as U+FFFD and reported as the error.
+// Most strings are ASCII with nothing to escape and are appended whole.
+func appendEscaped(buf []byte, s string) ([]byte, error) {
 	i := 0
-	for i < len(s) && s[i] < utf8.RuneSelf && s[i] != '&' && s[i] != '<' && s[i] != '>' && s[i] != '\'' && s[i] != '"' && s[i] != '\r' {
+	for i < len(s) && class[s[i]]&plainByte != 0 && s[i] != '\'' && s[i] != '"' {
 		i++
 	}
 	buf = append(buf, s[:i]...)
+	var err error
 	for _, r := range s[i:] {
 		switch r {
 		case '&':
@@ -307,8 +315,11 @@ func appendEscaped(buf []byte, s string) []byte {
 		case '\r':
 			buf = append(buf, "&#13;"...)
 		default:
+			if !inCharRange(r) {
+				err, r = fmt.Errorf("%w: string holding %U, which XML cannot carry", ErrUnsupportedType, r), utf8.RuneError
+			}
 			buf = utf8.AppendRune(buf, r)
 		}
 	}
-	return buf
+	return buf, err
 }

@@ -72,11 +72,14 @@ func planOf(t reflect.Type) *typePlan {
 }
 
 // find returns the index of the member named key, or -1. Peers send
-// members in wire order, so the search starts at hint, one past the
-// member found last.
+// members in wire order, so the member at hint, one past the member found
+// last, is tried first.
 func (p *typePlan) find(key []byte, hint int) int {
-	for k := range p.members {
-		if i := (hint + k) % len(p.members); p.members[i].name == string(key) {
+	if hint < len(p.members) && p.members[hint].name == string(key) {
+		return hint
+	}
+	for i := range p.members {
+		if p.members[i].name == string(key) {
 			return i
 		}
 	}
@@ -101,8 +104,9 @@ func appendStructPlan(plan []structField, t reflect.Type, prefix []int) []struct
 		if name == "" {
 			name = f.Name
 		}
+		open, _ := appendMemberOpen(nil, name)
 		plan = append(plan, structField{name: name, goName: f.Name, index: index,
-			omitempty: strings.Contains(","+opts+",", ",omitempty,"), open: string(appendMemberOpen(nil, name))})
+			omitempty: strings.Contains(","+opts+",", ",omitempty,"), open: string(open)})
 	}
 	return plan
 }

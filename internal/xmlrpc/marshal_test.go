@@ -2,6 +2,7 @@ package xmlrpc
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"reflect"
 	"strings"
@@ -213,30 +214,22 @@ func TestStructCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// xmlSafe reports whether s survives the XML wire: valid UTF-8 with no
-// control characters XML 1.0 cannot represent.
-func xmlSafe(s string) bool {
-	if !utf8.ValidString(s) {
-		return false
-	}
-	return !strings.ContainsFunc(s, func(r rune) bool {
-		return r < 0x20 && r != '\t' && r != '\n' && r != '\r'
-	})
-}
-
 // FuzzStructCodecRoundTrip fuzzes the typed struct encoder/decoder
-// end-to-end: build a struct from fuzz inputs, marshal, encode to XML,
-// decode, unmarshal, and require value equality.
+// end-to-end: build a struct from fuzz inputs; if a string of it holds a
+// rune XML cannot carry, encoding must fail; otherwise marshal, encode to
+// XML, decode, unmarshal, and require value equality, and the one-pass
+// EncodeResponse and DecodeResponseInto must give the same value.
 func FuzzStructCodecRoundTrip(f *testing.F) {
 	f.Add("plan", int32(3), 0.5, true, "tag", int64(1104537600))
 	f.Add("", int32(-1), -12.75, false, "", int64(0))
 	f.Add("a&b<c>'d\"", int32(math.MaxInt32), math.SmallestNonzeroFloat64, true, "x\ny", int64(4102444800))
+	f.Add("a\uffffb", int32(0), 0.0, false, "\x01", int64(0))
 	f.Fuzz(func(t *testing.T, name string, count int32, ratio float64, ok bool, tag string, sec int64) {
 		if math.IsNaN(ratio) || math.IsInf(ratio, 0) {
 			t.Skip("non-finite doubles are rejected by the encoder")
 		}
-		if !xmlSafe(name) || !xmlSafe(tag) {
-			t.Skip("string not representable in XML 1.0")
+		if !utf8.ValidString(name) || !utf8.ValidString(tag) {
+			t.Skip("invalid UTF-8 is written as U+FFFD")
 		}
 		in := sample{Name: name, Count: int(count), Ratio: ratio, OK: ok, Tags: []string{tag}}
 		if sec > 0 {
@@ -245,7 +238,14 @@ func FuzzStructCodecRoundTrip(f *testing.F) {
 				in.Started = ts
 			}
 		}
-		var out sample
+		doc, err := EncodeResponse(in)
+		if strings.ContainsFunc(name+tag, outsideXML) {
+			if !errors.Is(err, ErrUnsupportedType) {
+				t.Fatalf("%+v: encoded %q, %v; want ErrUnsupportedType", in, doc, err)
+			}
+			return
+		}
+		var out, direct sample
 		roundTrip(t, in, &out)
 		if out.Name != in.Name || out.Count != in.Count || out.Ratio != in.Ratio || out.OK != in.OK {
 			t.Fatalf("scalars: in=%+v out=%+v", in, out)
@@ -255,6 +255,9 @@ func FuzzStructCodecRoundTrip(f *testing.F) {
 		}
 		if !out.Started.Equal(in.Started) {
 			t.Fatalf("time: in=%v out=%v", in.Started, out.Started)
+		}
+		if err != nil || DecodeResponseInto(bytes.NewReader(doc), &direct) != nil || !reflect.DeepEqual(direct, out) {
+			t.Fatalf("one pass (%v): %+v, two steps %+v", err, direct, out)
 		}
 	})
 }

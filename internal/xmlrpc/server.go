@@ -23,12 +23,12 @@ func Serve(w http.ResponseWriter, r *http.Request, dispatch func(ctx context.Con
 		http.Error(w, "xmlrpc requires POST", http.StatusMethodNotAllowed)
 		return
 	}
-	body, err := readBody(r.Body, r.ContentLength)
-	if err != nil {
-		writeFault(w, NewFault(FaultParse, "parse error: request %v", err))
+	req, err := (*Request)(nil), error(nil)
+	if rerr := encode(func(buf []byte) ([]byte, error) { return readBody(r.Body, r.ContentLength, buf) },
+		func(body []byte) { req, err = decodeRequest(body) }); rerr != nil {
+		writeFault(w, NewFault(FaultParse, "parse error: request %v", rerr))
 		return
 	}
-	req, err := decodeRequest(body)
 	if err != nil {
 		writeFault(w, NewFault(FaultParse, "parse error: %v", err))
 		return

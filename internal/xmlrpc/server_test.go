@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"testing/iotest"
 )
 
 func echoHandler(_ context.Context, args []any) (any, error) {
@@ -266,6 +267,16 @@ func TestClientRejectsOversizedResponse(t *testing.T) {
 	_, err := c.Call(context.Background(), "big.reply")
 	if err == nil || !strings.Contains(err.Error(), "exceeds MaxRequestBytes") {
 		t.Fatalf("oversized response error = %v, want one naming MaxRequestBytes", err)
+	}
+}
+
+// A body that fails part way is handed back emptied, not dropped, so the
+// pooled buffer Serve and CallInto read into keeps the room it has grown.
+func TestReadBodyKeepsBufferOnError(t *testing.T) {
+	r := io.MultiReader(strings.NewReader("<methodCall>"), iotest.ErrReader(errors.New("reset")))
+	got, err := readBody(r, -1, make([]byte, 0, 4096))
+	if err == nil || len(got) != 0 || cap(got) < 4096 {
+		t.Fatalf("readBody = len %d cap %d, %v; want an empty buffer of cap >= 4096 and the error", len(got), cap(got), err)
 	}
 }
 

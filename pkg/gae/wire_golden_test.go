@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -141,11 +142,12 @@ func TestRegistryDiscoverWireGolden(t *testing.T) {
 }
 
 // TestWireAllocCeilings is the deterministic gate on the codec's cost for
-// the commonest monitoring reply, one JobInfo: allocation counts repeat
-// exactly where wall time does not. The encoding/xml decoder needed 600
-// allocations for this document and the bytes.Buffer encoder 65. The
-// two-step legs are the exported API the benchmark's codec replay still
-// calls; the one-pass legs are what a served call costs.
+// the commonest monitoring reply, one JobInfo, and the largest, a list of
+// sixteen: allocation counts repeat exactly where wall time does not. The
+// encoding/xml decoder needed 600 allocations for one JobInfo and the
+// bytes.Buffer encoder 65. The two-step legs are the exported API the
+// benchmark's codec replay still calls; the one-pass legs are what a
+// served call costs.
 func TestWireAllocCeilings(t *testing.T) {
 	_, job := wireJob()
 	encode := func() []byte {
@@ -170,8 +172,9 @@ func TestWireAllocCeilings(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := testing.AllocsPerRun(100, decode); n > 160 {
-		t.Errorf("DecodeResponse of one JobInfo: %v allocations, ceiling 160", n)
+	// 57 while the scanner nested a callback per element.
+	if n := testing.AllocsPerRun(100, decode); n > 56 {
+		t.Errorf("DecodeResponse of one JobInfo: %v allocations, ceiling 56", n)
 	}
 
 	var boxed any = job
@@ -185,8 +188,28 @@ func TestWireAllocCeilings(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := testing.AllocsPerRun(100, decodeInto); n > 12 || out != job {
-		t.Errorf("DecodeResponseInto one JobInfo: %v allocations, ceiling 12; decoded %+v", n, out)
+	// 12 as the tree leg's 57 was; 11 is the buffer and its two growths
+	// (the reader's length unknown), the six strings and the copies of the
+	// two that hold entities.
+	if n := testing.AllocsPerRun(100, decodeInto); n > 11 || out != job {
+		t.Errorf("DecodeResponseInto one JobInfo: %v allocations, ceiling 11; decoded %+v", n, out)
+	}
+	list := jobList(job, 16)
+	listDoc, err := xmlrpc.EncodeResponse(list)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var listOut []gae.JobInfo
+	decodeList := func() {
+		rd.Reset(listDoc)
+		if err := xmlrpc.DecodeResponseInto(rd, &listOut); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// 146 as the tree leg's 57 was, with a slice for the one <param>
+	// besides the destination.
+	if n := testing.AllocsPerRun(20, decodeList); n > 145 || !slices.Equal(listOut, list) {
+		t.Errorf("DecodeResponseInto sixteen JobInfos: %v allocations, ceiling 145", n)
 	}
 
 	// One call of the typed client over a transport that costs nothing:
@@ -206,7 +229,53 @@ func TestWireAllocCeilings(t *testing.T) {
 	}
 }
 
+// jobList is n copies of job: the largest monitoring reply, a JobList.
+func jobList(job gae.JobInfo, n int) []gae.JobInfo {
+	list := make([]gae.JobInfo, n)
+	for i := range list {
+		list[i] = job
+	}
+	return list
+}
+
+// BenchmarkDecodeReply times the client's decoding of two monitoring
+// replies into their typed destinations: the golden SteeringStatus reply
+// of a TaskStatus call (2 283 bytes) and a JobList reply of sixteen jobs.
+func BenchmarkDecodeReply(b *testing.B) {
+	_, job := wireJob()
+	jobs, err := xmlrpc.EncodeResponse(jobList(job, 16))
+	if err != nil {
+		b.Fatal(err)
+	}
+	steering, err := os.ReadFile(filepath.Join("testdata", "wire", "steering_status.response.xml"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		doc  []byte
+		out  any
+	}{
+		{"steering_status", steering, new(gae.SteeringStatus)},
+		{"job_list_16", jobs, new([]gae.JobInfo)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			rd := bytes.NewReader(c.doc)
+			b.SetBytes(int64(len(c.doc)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rd.Reset(c.doc)
+				if err := xmlrpc.DecodeResponseInto(rd, c.out); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // clientCallAllocs is the measured cost of one typed call, net/http's
-// share and the stub's three included (103 with the endpoint parsed and the
-// header keys canonicalized per call, and argument and reply built twice).
-const clientCallAllocs = 52
+// share and the stub's three included (52 with the reply read into a
+// buffer of its own rather than a pooled one; 103 with the endpoint parsed
+// and the header keys canonicalized per call, and argument and reply built
+// twice).
+const clientCallAllocs = 50
