@@ -74,7 +74,14 @@ bench-test:
 # never panics, returns a prefix of what was written, and the length it
 # verified — what Open cuts the file to — rescans clean to the same ops.
 # Then 10 s of the same contract for the history segment's scanner, under
-# every record count a snapshot could name. Last, 10 s of the ClassAd
+# every record count a snapshot could name. Then 10 s of crash states: a
+# seeded write mix through a core deployment on internal/durable's
+# recording in-memory file system, one fsync of it failed or none, and one
+# disk state a power loss can leave at one crash point (torn and lost
+# unsynced writes, creates and renames not yet durable) recovered through
+# durable.Open: it must be the live state after a prefix of the ops that
+# holds every acknowledged one. A crasher goes under
+# internal/durable/testdata/fuzz/. Last, 10 s of the ClassAd
 # expression parser and evaluator against the tree implementation they
 # replaced (kept in a _test.go file as the oracle): the same accept or
 # reject and error text, String, value, rank class and pinned literals,
@@ -85,6 +92,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzStructCodecRoundTrip -fuzztime 10s ./internal/xmlrpc
 	$(GO) test -run '^$$' -fuzz FuzzJournalReplay -fuzztime 10s ./internal/durable
 	$(GO) test -run '^$$' -fuzz FuzzHistoryReplay -fuzztime 10s ./internal/durable
+	$(GO) test -run '^$$' -fuzz FuzzCrashStates -fuzztime 10s ./internal/durable
 	$(GO) test -run '^$$' -fuzz FuzzExprAgainstTree -fuzztime 10s ./internal/classad
 
 # The million-job scenario at its scaled-down CI size (100k jobs, 10k
@@ -97,7 +105,10 @@ bench-smoke:
 # fault-injecting transport (drops, ack losses, duplicate deliveries)
 # against a real gae-server, running testdata/deployments/harness.json,
 # that is SIGKILLed and restarted mid-load.
-# Exits non-zero if any acked op is lost or applied twice.
+# Exits non-zero if any acked op is lost or applied twice, or if the
+# server exits of anything but the harness's SIGKILL. Torn writes and
+# failed fsyncs are not injected here: they are crash states of
+# internal/durable's TestCrashStates (tier-1) and FuzzCrashStates.
 chaos-smoke:
 	$(GO) run ./cmd/gae-chaos -clients 3 -ops 12 -kills 2
 

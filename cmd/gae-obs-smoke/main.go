@@ -1,9 +1,8 @@
 // Command gae-obs-smoke is the observability smoke check: it boots a
 // real gae-server on a scratch durable directory (the chaos harness's
-// launcher, without its faults), drives a short burst
-// of loadgen's analysis mix at it over a wire that delivers every request
-// twice, then scrapes /metrics and fails unless every required metric
-// family is present and non-zero. The second delivery of each mutation
+// launcher), drives a short burst of loadgen's analysis mix at it over
+// a wire that delivers every request twice, then scrapes /metrics and
+// fails unless every required metric family is present and non-zero. The second delivery of each mutation
 // must be answered from the server's idempotency window, so a mutating
 // call that goes out without a request ID fails the burst.
 // The launcher waits for /healthz to answer 200; the check also wants
@@ -68,7 +67,7 @@ func run(clients, ops int, server string) error {
 	ctx, fail := context.WithCancelCause(ctx)
 	// A prebuilt -server binary (e.g. a race-instrumented one from the
 	// race-smoke leg) skips the build.
-	srv, err := chaos.StartServer(ctx, server, 0, fail)
+	srv, err := chaos.StartServer(ctx, server, fail)
 	if err != nil {
 		return err
 	}

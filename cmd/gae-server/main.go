@@ -36,9 +36,6 @@ import (
 	"repro/internal/core"
 )
 
-// faultFsyncs is how many journal fsyncs -fault-fsync-after fails.
-const faultFsyncs = 2
-
 func main() {
 	if err := run(os.Args[1:]); err != nil && !errors.Is(err, flag.ErrHelp) {
 		log.Fatalf("gae-server: %v", err)
@@ -59,8 +56,6 @@ func run(args []string) error {
 			"wall-clock period between checkpoints when -data is set")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second,
 			"bound on the graceful drain; past it the server exits nonzero (0 = unbounded)")
-		faultAfter = fs.Duration("fault-fsync-after", 0,
-			"this long after start, tear the next journal write and fail the next 2 fsyncs (0 = never; needs -data)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -72,8 +67,6 @@ func run(args []string) error {
 		return errors.New("-deployment is required")
 	case *accel < 1:
 		return fmt.Errorf("-accel %d is not positive", *accel)
-	case *faultAfter > 0 && *data == "":
-		return errors.New("-fault-fsync-after needs -data: faults are injected into the journal")
 	}
 	cfg, err := core.LoadDeployment(*deployment)
 	if err != nil {
@@ -99,18 +92,6 @@ func run(args []string) error {
 	srv.CheckpointEvery = *checkpoint
 	srv.DrainTimeout = *drainTimeout
 	srv.Logf = log.Printf
-	if *faultAfter > 0 {
-		// Interpose the fault file before traffic starts (the swap must not
-		// race live appends), then script it on a timer so the fault lands
-		// mid-load: the torn write fails its append, and the durability
-		// loss above ends the process for journal recovery.
-		ff := srv.InjectFaults()
-		time.AfterFunc(*faultAfter, func() {
-			ff.ShortWriteNext()
-			ff.FailSyncs(faultFsyncs)
-			log.Printf("fault injection armed: next journal write torn, next %d fsyncs fail", faultFsyncs)
-		})
-	}
 	url, err := srv.Start(*addr)
 	if err != nil {
 		return err

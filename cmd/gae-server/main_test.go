@@ -24,7 +24,6 @@ func TestRunRefusesArguments(t *testing.T) {
 		wantErr string
 	}{
 		{"no deployment", []string{"-addr", "127.0.0.1:0"}, "-deployment is required"},
-		{"fault without data", []string{"-deployment", quickstart, "-fault-fsync-after", "1s"}, "-fault-fsync-after needs -data"},
 		{"zero accel", []string{"-deployment", quickstart, "-accel", "0"}, "-accel 0 is not positive"},
 		{"negative accel", []string{"-deployment", quickstart, "-accel", "-2"}, "-accel -2 is not positive"},
 		{"a retired flag", []string{"-deployment", quickstart, "-sites", "a:1:0:0"}, "flag provided but not defined: -sites"},

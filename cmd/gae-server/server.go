@@ -81,16 +81,6 @@ func (s *Server) Start(addr string) (string, error) {
 	return s.G.Start(addr)
 }
 
-// InjectFaults interposes a scriptable FaultyFile on the journal's
-// write path (nil without a durable store). It must run before Start —
-// the swap is not safe under concurrent appends; the returned handle is.
-func (s *Server) InjectFaults() *durable.FaultyFile {
-	if s.store == nil {
-		return nil
-	}
-	return s.store.InjectFaults()
-}
-
 // Run drives the simulation until Shutdown, then drains: the Clarens
 // endpoint stops accepting calls and finishes in-flight ones, a final
 // checkpoint captures the drained state, and the store is released.

@@ -59,15 +59,13 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 
 	// The final checkpoint landed: the snapshot alone carries the state.
-	if _, err := os.Stat(filepath.Join(dir, durable.SnapshotFile)); err != nil {
+	raw, err := os.ReadFile(filepath.Join(dir, durable.SnapshotFile))
+	if err != nil {
 		t.Fatalf("no final snapshot: %v", err)
 	}
-	snap, err := durable.LoadSnapshot(filepath.Join(dir, durable.SnapshotFile))
+	snap, err := durable.DecodeSnapshot(raw)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if snap == nil {
-		t.Fatal("snapshot missing after shutdown")
 	}
 	if got := snap.State.UserState["alice"]["survives"]; got != "shutdown" {
 		t.Fatalf("snapshot user state = %q, want %q", got, "shutdown")

@@ -20,15 +20,6 @@ import (
 // its drain.
 const harnessFile = "testdata/deployments/harness.json"
 
-const (
-	// faultAfter is how long after its start a faulted lifetime arms the
-	// journal fault, so the fault lands while mutations are in flight.
-	faultAfter = 25 * time.Millisecond
-	// durabilityLost is gae-server's exit status once a journal write
-	// fails: it exits without a drain so recovery rolls the write back.
-	durabilityLost = 3
-)
-
 // Server is a gae-server child on a pinned loopback port over a scratch
 // data directory: the one launcher the harness commands use. It is a
 // Deployment: Kill is SIGKILL, Start relaunches on the same port and
@@ -43,29 +34,22 @@ type Server struct {
 	// deployment is harnessFile's absolute path.
 	deployment string
 
-	mu           sync.Mutex
-	cmd          *exec.Cmd
-	done         chan struct{} // closed once cmd has been reaped
-	faultLives   int           // lifetimes left that arm the journal fault
-	faultArmed   int           // lifetimes that armed it and did not give it back
-	faultCrashes int
+	mu   sync.Mutex
+	cmd  *exec.Cmd
+	done chan struct{} // closed once cmd has been reaped
 }
 
 // StartServer builds gae-server unless bin names a binary, pins a
 // loopback port and starts the server on a fresh data directory,
-// returning once it answers /healthz. Its first faultLives lifetimes arm
-// the journal fault (gae-server -fault-fsync-after): the next journal
-// write is torn and fails, and the server exits durabilityLost. Such a
-// crash is restarted; any other exit Kill did not cause calls fail, and
-// so ends the run; one Kill ends first gives its fault back (faultUnspent).
-// Close kills the server and removes its directory.
-func StartServer(ctx context.Context, bin string, faultLives int, fail func(error)) (*Server, error) {
+// returning once it answers /healthz. Any exit of the server that Kill
+// did not cause calls fail, and so ends the run. Close kills the server
+// and removes its directory.
+func StartServer(ctx context.Context, bin string, fail func(error)) (*Server, error) {
 	scratch, err := os.MkdirTemp("", "gae-server-")
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{ctx: ctx, fail: fail, bin: bin, scratch: scratch,
-		data: filepath.Join(scratch, "data"), faultLives: faultLives}
+	s := &Server{ctx: ctx, fail: fail, bin: bin, scratch: scratch, data: filepath.Join(scratch, "data")}
 	if err := s.boot(); err != nil {
 		s.Close()
 		return nil, err
@@ -121,83 +105,32 @@ func (s *Server) Start() error {
 
 // launch starts one lifetime of the child; s.mu is held.
 func (s *Server) launch() error {
-	args := []string{"-addr", s.addr, "-data", s.data, "-deployment", s.deployment,
-		"-checkpoint", "1s", "-drain-timeout", "5s"}
-	armed := s.faultLives > 0
-	if armed {
-		s.faultLives--
-		s.faultArmed++
-		args = append(args, "-fault-fsync-after", faultAfter.String())
-	}
-	cmd := exec.Command(s.bin, args...)
+	cmd := exec.Command(s.bin, "-addr", s.addr, "-data", s.data, "-deployment", s.deployment,
+		"-checkpoint", "1s", "-drain-timeout", "5s")
 	cmd.Stderr = os.Stderr
 	if err := cmd.Start(); err != nil {
 		return fmt.Errorf("starting gae-server: %w", err)
 	}
 	s.cmd, s.done = cmd, make(chan struct{})
-	go s.watch(cmd, s.done, armed)
+	go s.watch(cmd, s.done)
 	return nil
 }
 
-// watch reaps a lifetime. An exit Kill did not cause restarts the server
-// if it is the armed fault's crash and fails the run otherwise. done
-// closes after the bookkeeping, so a Start after Kill sees a fault given back.
-func (s *Server) watch(cmd *exec.Cmd, done chan struct{}, armed bool) {
+// watch reaps a lifetime and fails the run if the exit is not Kill's.
+func (s *Server) watch(cmd *exec.Cmd, done chan struct{}) {
 	exit := cmd.Wait()
 	defer close(done)
-	status := cmd.ProcessState.ExitCode()
-	var failure error
 	s.mu.Lock()
-	// Kill clears s.cmd before it signals; at the end of a run nothing
-	// restarts.
-	if faultUnspent(armed, s.cmd != cmd, status) {
-		s.faultLives++
-		s.faultArmed--
-	}
-	if s.cmd == cmd && s.ctx.Err() == nil {
+	// Kill clears s.cmd before it signals; at the end of a run any exit is
+	// expected.
+	own := s.cmd == cmd && s.ctx.Err() == nil
+	if own {
 		s.cmd = nil
-		if faultCrash(armed, status) {
-			s.faultCrashes++
-			if err := s.launch(); err != nil {
-				failure = fmt.Errorf("restarting gae-server after its fault crash: %w", err)
-			}
-		} else {
-			failure = fmt.Errorf("gae-server exited on its own (fault armed: %v): %v", armed, exit)
-		}
 	}
 	s.mu.Unlock()
-	if failure != nil {
-		s.fail(failure)
+	if own {
+		s.fail(fmt.Errorf("gae-server exited on its own: %v", exit))
 	}
-}
-
-// faultCrash reports whether a lifetime's own exit is the one the
-// harness restarts: the lifetime armed the journal fault and the server
-// exited with the durability-lost status. A panic (status 2), a signal,
-// a clean exit, or any exit of a lifetime that armed nothing is a crash
-// the fault cannot explain.
-func faultCrash(armed bool, status int) bool {
-	return armed && status == durabilityLost
-}
-
-// faultUnspent reports whether a lifetime gives its journal fault back:
-// it armed it and Kill ended it with any status but the fault's crash's.
-func faultUnspent(armed, killed bool, status int) bool {
-	return armed && killed && status != durabilityLost
-}
-
-// FaultArmed counts the lifetimes that armed the journal fault and kept it.
-func (s *Server) FaultArmed() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.faultArmed
-}
-
-// FaultCrashes counts the lifetimes the armed fault crashed.
-func (s *Server) FaultCrashes() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.faultCrashes
 }
 
 // Kill is the crash: SIGKILL, no drain, no final checkpoint — recovery

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"bytes"
 	"context"
-	"errors"
 	"strings"
 	"sync"
 	"testing"
@@ -144,68 +142,6 @@ func TestConcurrentDuplicateDeliveryAppliesOnce(t *testing.T) {
 	}
 	if got := (after - before) / 7; got != ids {
 		t.Fatalf("%v grants applied for %d request IDs delivered twice each", got, ids)
-	}
-}
-
-// TestFailedFsyncIsNeverAcknowledged: a grant whose fsync fails is not
-// acknowledged, and neither is a second delivery of its request ID while
-// the journal is broken — it gets the journal's error, not the recorded
-// result. The checkpoint that heals the journal persists the grant, so a
-// third delivery returns the recorded result, the balance shows the grant
-// once, and a restart recovers the same state byte for byte.
-func TestFailedFsyncIsNeverAcknowledged(t *testing.T) {
-	dir := t.TempDir()
-	cfg := durableConfig()
-	ctx := context.Background()
-	g := New(cfg)
-	s, err := durable.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.AttachStore(s); err != nil {
-		t.Fatal(err)
-	}
-	alice, root := g.Client("alice"), g.Client("root")
-	before, err := alice.Balance(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.InjectFaults().FailSyncs(1)
-	r1 := clarens.WithRequestID(ctx, "r1")
-	if err := root.Grant(r1, "alice", 25); !errors.Is(err, durable.ErrInjected) {
-		t.Fatalf("first delivery: err = %v, want the failed fsync", err)
-	}
-	if err := root.Grant(r1, "alice", 25); !errors.Is(err, durable.ErrInjected) {
-		t.Fatalf("second delivery: err = %v, want the journal's error, not the recorded result", err)
-	}
-	if err := g.Checkpoint(); err != nil {
-		t.Fatalf("checkpoint over the broken journal: %v", err)
-	}
-	if err := root.Grant(r1, "alice", 25); err != nil {
-		t.Fatalf("third delivery, after the checkpoint: %v", err)
-	}
-	if after, err := alice.Balance(ctx); err != nil || after != before+25 {
-		t.Fatalf("balance %v (%v), want %v: the grant once", after, err, before+25)
-	}
-	if err := root.Grant(clarens.WithRequestID(ctx, "r2"), "alice", 5); err != nil {
-		t.Fatalf("fresh call after the checkpoint: %v", err)
-	}
-	want := encodeState(t, g)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	g2 := New(cfg)
-	s2, err := durable.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if err := g2.AttachStore(s2); err != nil {
-		t.Fatal(err)
-	}
-	if got := encodeState(t, g2); !bytes.Equal(want, got) {
-		diffLines(t, want, got)
 	}
 }
 

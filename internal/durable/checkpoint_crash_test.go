@@ -6,8 +6,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -17,21 +15,38 @@ import (
 	"repro/pkg/gae"
 )
 
-// failAfter is a snapshot temp file whose disk fills up: writes succeed
-// until left bytes have landed, then come up short with ErrInjected.
-type failAfter struct {
-	durable.File
-	left int
+// snapshotTemp is the base name of the temp file a checkpoint streams the
+// snapshot into.
+const snapshotTemp = "." + durable.SnapshotFile + ".tmp"
+
+// fillAfter is a MemFS fault script: a disk that fills up under file name,
+// whose writes land until left bytes have, then come up short with
+// ErrInjected.
+func fillAfter(name string, left int) func(op, file string, n int) (int, error) {
+	return func(op, file string, n int) (int, error) {
+		if op != "write" || file != name {
+			return n, nil
+		}
+		if n <= left {
+			left -= n
+			return n, nil
+		}
+		kept := left
+		left = 0
+		return kept, durable.ErrInjected
+	}
 }
 
-func (f *failAfter) Write(p []byte) (int, error) {
-	if len(p) <= f.left {
-		f.left -= len(p)
-		return f.File.Write(p)
+// failOnce is a MemFS fault script: the first call op on file name fails.
+func failOnce(op, name string) func(string, string, int) (int, error) {
+	armed := true
+	return func(o, file string, n int) (int, error) {
+		if armed && o == op && file == name {
+			armed = false
+			return 0, durable.ErrInjected
+		}
+		return n, nil
 	}
-	n, _ := f.File.Write(p[:f.left])
-	f.left = 0
-	return n, durable.ErrInjected
 }
 
 func crashConfig() core.Config {
@@ -42,7 +57,7 @@ func crashConfig() core.Config {
 	}
 }
 
-func encodedState(t *testing.T, g *core.GAE) []byte {
+func encodedState(t testing.TB, g *core.GAE) []byte {
 	t.Helper()
 	st, err := g.CaptureState()
 	if err != nil {
@@ -61,23 +76,20 @@ func encodedState(t *testing.T, g *core.GAE) []byte {
 // after whole buffers have already reached the file — or a failed fsync
 // makes Checkpoint return the error and leaves snapshot.json and the
 // journal byte for byte what they were, no temp file behind, and a
-// recovery from the directory equal to the live state.
+// recovery from the directory equal to the live state. The process lives
+// on here; TestCrashStates holds the one that dies of the fault.
 func TestFailedCheckpointWriteChangesNothing(t *testing.T) {
-	faults := map[string]func(durable.File) durable.File{
-		"write fails in the first buffer": func(f durable.File) durable.File { return &failAfter{File: f, left: 100} },
-		"write fails after 100 KiB":       func(f durable.File) durable.File { return &failAfter{File: f, left: 100 << 10} },
-		"fsync fails": func(f durable.File) durable.File {
-			ff := durable.NewFaultyFile(f)
-			ff.FailSyncs(1)
-			return ff
-		},
+	faults := map[string]func(op, name string, n int) (int, error){
+		"write fails in the first buffer": fillAfter(snapshotTemp, 100),
+		"write fails after 100 KiB":       fillAfter(snapshotTemp, 100<<10),
+		"fsync fails":                     failOnce("sync", snapshotTemp),
 	}
-	for name, wrap := range faults {
+	for name, fault := range faults {
 		t.Run(name, func(t *testing.T) {
-			dir := t.TempDir()
 			ctx := context.Background()
+			mem := durable.NewMemFS("data", nil)
 			g := core.New(crashConfig())
-			s, err := durable.Open(dir)
+			s, err := durable.OpenOn(mem, "data")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -99,35 +111,26 @@ func TestFailedCheckpointWriteChangesNothing(t *testing.T) {
 			if err := alice.SetState(ctx, "tail", "journaled after the good checkpoint"); err != nil {
 				t.Fatal(err)
 			}
-			read := func(name string) []byte {
-				raw, err := os.ReadFile(filepath.Join(dir, name))
-				if err != nil {
-					t.Fatal(err)
-				}
-				return raw
-			}
-			snapBefore, journalBefore := read(durable.SnapshotFile), read(durable.JournalFile)
+			before := mem.Files("data")
+			snapBefore, journalBefore := before[durable.SnapshotFile], before[durable.JournalFile]
 			if len(snapBefore) < 128<<10 || len(journalBefore) == 0 {
 				t.Fatalf("set-up: snapshot %d bytes, journal %d bytes", len(snapBefore), len(journalBefore))
 			}
 
-			s.WrapSnapshotTemp(wrap)
+			mem.Fail = fault
 			if err := g.Checkpoint(); !errors.Is(err, durable.ErrInjected) {
 				t.Fatalf("Checkpoint over a failing temp file: err = %v, want the injected fault", err)
 			}
-			if !bytes.Equal(read(durable.SnapshotFile), snapBefore) {
+			after := mem.Files("data")
+			if !bytes.Equal(after[durable.SnapshotFile], snapBefore) {
 				t.Error("the failed checkpoint changed snapshot.json")
 			}
-			if !bytes.Equal(read(durable.JournalFile), journalBefore) {
+			if !bytes.Equal(after[durable.JournalFile], journalBefore) {
 				t.Error("the failed checkpoint changed the journal")
 			}
-			entries, err := os.ReadDir(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, e := range entries {
-				if e.Name() != durable.SnapshotFile && e.Name() != durable.JournalFile && e.Name() != durable.HistoryFile {
-					t.Errorf("the failed checkpoint left %s behind", e.Name())
+			for name := range after {
+				if name != durable.SnapshotFile && name != durable.JournalFile && name != durable.HistoryFile {
+					t.Errorf("the failed checkpoint left %s behind", name)
 				}
 			}
 
@@ -141,7 +144,7 @@ func TestFailedCheckpointWriteChangesNothing(t *testing.T) {
 				t.Fatal(err)
 			}
 			g2 := core.New(crashConfig())
-			s2, err := durable.Open(dir)
+			s2, err := durable.OpenOn(mem, "data")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -156,6 +159,7 @@ func TestFailedCheckpointWriteChangesNothing(t *testing.T) {
 				t.Fatalf("recovered state differs from the live one (%d vs %d bytes)", len(recovered), len(live))
 			}
 			// With the fault gone the next checkpoint lands.
+			mem.Fail = nil
 			if err := g2.Checkpoint(); err != nil {
 				t.Fatal(err)
 			}
@@ -163,45 +167,58 @@ func TestFailedCheckpointWriteChangesNothing(t *testing.T) {
 	}
 }
 
-// failTruncate is a journal file whose truncate fails: the checkpoint dies
-// between renaming the snapshot in and cutting the journal it supersedes.
-type failTruncate struct{ durable.File }
-
-func (failTruncate) Truncate(int64) error { return durable.ErrInjected }
-
-// crashDir is a data directory as a process death left it.
-type crashDir struct{ snapshot, journal, history []byte }
-
-func readCrashDir(t *testing.T, dir string) crashDir {
-	t.Helper()
-	read := func(name string) []byte {
-		raw, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil && !errors.Is(err, os.ErrNotExist) {
-			t.Fatal(err)
-		}
-		return raw
+// TestFailedFsyncIsNeverAcknowledged: a grant whose fsync fails is not
+// acknowledged, and neither is a second delivery of its request ID while
+// the journal is broken — it gets the journal's error, not the recorded
+// result. The checkpoint that heals the journal persists the grant, so a
+// third delivery returns the recorded result, the balance shows the grant
+// once, and a restart recovers the same state byte for byte.
+func TestFailedFsyncIsNeverAcknowledged(t *testing.T) {
+	ctx := context.Background()
+	mem := durable.NewMemFS("data", nil)
+	g, s := recoverInto(t, mem)
+	alice, root := g.Client("alice"), g.Client("root")
+	before, err := alice.Balance(ctx)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return crashDir{read(durable.SnapshotFile), read(durable.JournalFile), read(durable.HistoryFile)}
+	mem.Fail = failOnce("sync", durable.JournalFile)
+	r1 := gae.WithRequestID(ctx, "r1")
+	if err := root.Grant(r1, "alice", 25); !errors.Is(err, durable.ErrInjected) {
+		t.Fatalf("first delivery: err = %v, want the failed fsync", err)
+	}
+	if err := root.Grant(r1, "alice", 25); !errors.Is(err, durable.ErrInjected) {
+		t.Fatalf("second delivery: err = %v, want the journal's error, not the recorded result", err)
+	}
+	if err := g.Checkpoint(); err != nil {
+		t.Fatalf("checkpoint over the broken journal: %v", err)
+	}
+	if err := root.Grant(r1, "alice", 25); err != nil {
+		t.Fatalf("third delivery, after the checkpoint: %v", err)
+	}
+	if after, err := alice.Balance(ctx); err != nil || after != before+25 {
+		t.Fatalf("balance %v (%v), want %v: the grant once", after, err, before+25)
+	}
+	if err := root.Grant(gae.WithRequestID(ctx, "r2"), "alice", 5); err != nil {
+		t.Fatalf("fresh call after the checkpoint: %v", err)
+	}
+	want := encodedState(t, g)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	g2, s2 := recoverInto(t, mem)
+	defer s2.Close()
+	if got := encodedState(t, g2); !bytes.Equal(want, got) {
+		t.Fatalf("recovered state differs from the live one (%d vs %d bytes)", len(got), len(want))
+	}
 }
 
-func (c crashDir) write(t *testing.T) string {
+// recoverInto opens the data directory on mem and attaches a fresh
+// deployment to it.
+func recoverInto(t *testing.T, mem *durable.MemFS) (*core.GAE, *durable.Store) {
 	t.Helper()
-	dir := t.TempDir()
-	for name, raw := range map[string][]byte{durable.SnapshotFile: c.snapshot, durable.JournalFile: c.journal, durable.HistoryFile: c.history} {
-		if raw == nil {
-			continue
-		}
-		if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return dir
-}
-
-// recoverInto opens dir and attaches a fresh deployment to it.
-func recoverInto(t *testing.T, dir string) (*core.GAE, *durable.Store) {
-	t.Helper()
-	s, err := durable.Open(dir)
+	s, err := durable.OpenOn(mem, "data")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,30 +238,32 @@ func chargeConfig() core.Config {
 	return cfg
 }
 
-// TestHistoryCrashEnumeration enumerates the crash windows the history
-// segment opens instead of sampling them. For every split of up to six
-// charges over two checkpoints (the first one also skipped: no snapshot
-// yet), the second checkpoint dies
+// TestHistoryCrashEnumeration enumerates the faults a checkpoint's history
+// append can meet in a process that sees them. For every split of up to
+// six charges over two checkpoints (the first one also skipped: no
+// snapshot yet), the second checkpoint fails
 //
-//   - inside its history append — at every record boundary and the byte
-//     either side of it, and for the histories of one and two charges at
-//     every byte offset (the old snapshot counts none of the append, the
-//     journal holds every op),
-//   - between the append's fsync and the snapshot's rename, on either
-//     side of the snapshot's own fsync (whole records no snapshot counts),
-//   - between the rename and the journal's truncate (the new snapshot
-//     meets the records it counts; the journal's ops are all covered),
+//   - inside its history append, on a full disk — at every record boundary
+//     and the byte either side of it, and for the histories of one and two
+//     charges at every byte offset — and the process dies (the old
+//     snapshot counts none of the append, the journal holds every op);
+//   - at each of its steps — a torn history append, a failed history
+//     fsync, a failed snapshot write or fsync after the history fsync, a
+//     failed journal truncate after the rename — and the process lives on
+//     to a checkpoint that lands (whole records no snapshot counts sit in
+//     the segment when it does), and dies then;
 //
 // and then the directory is reopened, replayed and checkpointed again.
 // Every acknowledged charge must be in the ledger exactly once, in order,
 // the encoded state must equal the uncrashed run's byte for byte — after
 // the replay and again from the snapshot and the segment alone — and the
-// segment must hold each charge once.
+// segment must hold each charge once. A process that dies of a fault at
+// one of the steps, and a power loss anywhere, are TestCrashStates's.
 func TestHistoryCrashEnumeration(t *testing.T) {
 	ctx := context.Background()
 	type split struct {
 		first, second int
-		coldStart     bool // no first checkpoint: the crash hits the first snapshot ever written
+		coldStart     bool // no first checkpoint: the fault hits the first snapshot ever written
 	}
 	var splits []split
 	for total := 1; total <= 6; total++ {
@@ -256,8 +275,8 @@ func TestHistoryCrashEnumeration(t *testing.T) {
 	points := 0
 	for _, sp := range splits {
 		// The uncrashed run, stopped where the second checkpoint begins.
-		dir := t.TempDir()
-		g, s := recoverInto(t, dir)
+		mem := durable.NewMemFS("data", nil)
+		g, s := recoverInto(t, mem)
 		root := g.Client("root")
 		charge := func(i int) {
 			t.Helper()
@@ -278,11 +297,11 @@ func TestHistoryCrashEnumeration(t *testing.T) {
 			charge(i)
 		}
 		want := encodedState(t, g)
-		before := readCrashDir(t, dir)
+		before := mem.Files("data")
 		if err := g.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
-		delta := readCrashDir(t, dir).history[len(before.history):]
+		delta := mem.Files("data")[durable.HistoryFile][len(before[durable.HistoryFile]):]
 		appended := len(delta)
 		s.Close()
 		// Where to tear the append: around every record boundary, and
@@ -303,11 +322,11 @@ func TestHistoryCrashEnumeration(t *testing.T) {
 			cuts[cut] = true
 		}
 
-		verify := func(name, dir string) {
+		verify := func(name string, mem *durable.MemFS) {
 			t.Helper()
 			points++
 			for _, from := range []string{"after the replay", "from snapshot and segment alone"} {
-				g, s := recoverInto(t, dir)
+				g, s := recoverInto(t, mem)
 				st, err := g.Quota.Export(0)
 				if err != nil {
 					t.Fatal(err)
@@ -329,71 +348,43 @@ func TestHistoryCrashEnumeration(t *testing.T) {
 				}
 				s.Close()
 			}
-			after := readCrashDir(t, dir)
-			if len(after.history) != len(before.history)+appended || len(after.journal) != 0 || bytes.Contains(after.snapshot, []byte("ledger")) {
-				t.Fatalf("split %+v, %s: history.log is %d bytes (want %d), journal %d, snapshot:\n%s", sp, name, len(after.history), len(before.history)+appended, len(after.journal), after.snapshot)
+			after := mem.Files("data")
+			if len(after[durable.HistoryFile]) != len(before[durable.HistoryFile])+appended || len(after[durable.JournalFile]) != 0 || bytes.Contains(after[durable.SnapshotFile], []byte("ledger")) {
+				t.Fatalf("split %+v, %s: history.log is %d bytes (want %d), journal %d, snapshot:\n%s", sp, name, len(after[durable.HistoryFile]), len(before[durable.HistoryFile])+appended, len(after[durable.JournalFile]), after[durable.SnapshotFile])
 			}
 		}
-		// crash recovers the pre-checkpoint directory, arms one fault, and
-		// lets the second checkpoint die of it. With survive set the process
-		// lives on instead — disarm lifts the fault and the same store
+		// crash recovers the pre-checkpoint directory, scripts one fault,
+		// and lets the second checkpoint fail of it. The process dies there,
+		// or with survive set lives on — the fault lifted, the same store
 		// checkpoints again — and is killed then.
-		crash := func(name string, survive bool, arm func(*durable.Store) (disarm func())) {
+		crash := func(name string, survive bool, fault func(op, file string, n int) (int, error)) {
 			t.Helper()
-			dir := before.write(t)
-			g, s := recoverInto(t, dir)
-			disarm := arm(s)
+			mem := durable.NewMemFS("data", before)
+			g, s := recoverInto(t, mem)
+			mem.Fail = fault
 			if err := g.Checkpoint(); !errors.Is(err, durable.ErrInjected) {
 				t.Fatalf("split %+v, %s: Checkpoint = %v, want the injected fault", sp, name, err)
 			}
+			mem.Fail = nil
 			if survive {
 				name += ", then a checkpoint that lands"
-				disarm()
 				if err := g.Checkpoint(); err != nil {
 					t.Fatalf("split %+v, %s: %v", sp, name, err)
 				}
 			}
 			s.Close()
-			verify(name, dir)
-		}
-		tornAt := func(cut int) func(*durable.Store) func() {
-			return func(s *durable.Store) func() {
-				torn := &failAfter{left: cut}
-				s.WrapHistory(func(f durable.File) durable.File { torn.File = f; return torn })
-				return func() { torn.left = 1 << 30 }
-			}
-		}
-		failSync := func(f durable.File) durable.File {
-			ff := durable.NewFaultyFile(f)
-			ff.FailSyncs(1)
-			return ff
+			verify(name, mem)
 		}
 		for cut := 0; cut < appended; cut++ {
 			if cuts[cut] {
-				crash(fmt.Sprintf("append torn at byte %d of %d", cut, appended), false, tornAt(cut))
+				crash(fmt.Sprintf("append torn at byte %d of %d", cut, appended), false, fillAfter(durable.HistoryFile, cut))
 			}
 		}
-		for _, survive := range []bool{false, true} {
-			crash(fmt.Sprintf("append torn at byte %d of %d", appended/2, appended), survive, tornAt(appended/2))
-			crash("history fsync fails", survive, func(s *durable.Store) func() {
-				s.WrapHistory(failSync)
-				return func() {}
-			})
-			crash("snapshot write fails after the history fsync", survive, func(s *durable.Store) func() {
-				s.WrapSnapshotTemp(func(f durable.File) durable.File { return &failAfter{File: f} })
-				return func() { s.WrapSnapshotTemp(nil) }
-			})
-			crash("snapshot fsync fails after the history fsync", survive, func(s *durable.Store) func() {
-				s.WrapSnapshotTemp(failSync)
-				return func() { s.WrapSnapshotTemp(nil) }
-			})
-			crash("journal truncate fails after the rename", survive, func(s *durable.Store) func() {
-				ff := s.InjectFaults()
-				journal := ff.F
-				ff.F = failTruncate{journal}
-				return func() { ff.F = journal }
-			})
-		}
+		crash(fmt.Sprintf("append torn at byte %d of %d", appended/2, appended), true, fillAfter(durable.HistoryFile, appended/2))
+		crash("history fsync fails", true, failOnce("sync", durable.HistoryFile))
+		crash("snapshot write fails after the history fsync", true, fillAfter(snapshotTemp, 0))
+		crash("snapshot fsync fails after the history fsync", true, failOnce("sync", snapshotTemp))
+		crash("journal truncate fails after the rename", true, failOnce("truncate", durable.JournalFile))
 	}
 	t.Logf("%d splits, %d crash points", len(splits), points)
 }

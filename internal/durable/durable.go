@@ -57,6 +57,27 @@
 // the journal, not yet truncated, still holds the ops that re-create
 // them. A segment that verifies fewer records than the snapshot counts is
 // an error, never a shorter ledger.
+//
+// # Persistence model
+//
+// Every file-system call goes through one seam (fileSystem; the operating
+// system's in production), and recovery must be right on every disk state
+// a power loss can leave under this model, ALICE's (Pillai et al., "All
+// File Systems Are Not Created Equal", OSDI 2014), whose states the crash
+// tests enumerate:
+//
+//   - a write or truncate is durable only after its file's fsync; until
+//     then an append may survive cut at any 512-byte boundary;
+//   - a create, rename or remove in the data directory is durable only
+//     after the directory's fsync; until then the ones made since survive
+//     as a prefix, in the order they were made;
+//   - a failed fsync makes nothing durable, and the crash may follow it.
+//
+// So Open fsyncs the directory once it has created the journal and the
+// history, and a checkpoint cuts the journal only after the directory
+// fsync behind its rename succeeded. The model covers the entries inside
+// the data directory: creating the directory itself, durably, is the
+// operator's job.
 package durable
 
 import (

@@ -59,8 +59,8 @@ func scanHistory(r io.Reader, limit int) ([]QuotaCharge, int64, error) {
 // the journal's torn-tail rule, applied to a crash between a checkpoint's
 // append and its rename. A segment that verifies fewer records than the
 // snapshot counts is an error: those records exist nowhere else.
-func recoverHistory(path string, covered int) (*history, []QuotaCharge, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+func recoverHistory(fsys fileSystem, path string, covered int) (*history, []QuotaCharge, error) {
+	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, nil, fmt.Errorf("durable: opening history: %w", err)
 	}

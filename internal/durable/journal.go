@@ -57,10 +57,10 @@ func (j *Journal) SetTelemetry(reg *telemetry.Registry) {
 	j.obsBatchRecords = reg.Histogram("journal_batch_records", telemetry.CountBuckets)
 }
 
-// File is the slice of *os.File the journal writes through. It is an
-// interface so fault-injection tests (and the chaos harness) can
-// substitute a FaultyFile and script fsync failures or short writes.
+// File is the slice of *os.File the package reads and writes a file
+// through: what fileSystem.OpenFile returns.
 type File interface {
+	io.Reader
 	io.Writer
 	io.Seeker
 	io.Closer
@@ -68,9 +68,8 @@ type File interface {
 	Truncate(size int64) error
 }
 
-// NewJournal wraps an already-open journal file: the one recoverJournal
-// has scanned and cut, or a failing file a test injects.
-func NewJournal(f File) *Journal {
+// newJournal wraps the journal file recoverJournal has scanned and cut.
+func newJournal(f File) *Journal {
 	j := &Journal{f: f, queued: 1}
 	j.cond = sync.NewCond(&j.mu)
 	return j
@@ -286,8 +285,8 @@ func scanOps(r io.Reader, visit func(Op)) (int64, error) {
 // torn length prefix would swallow the records appended behind it at the
 // next scan, and that scan would drop them as corrupt. warn is the scan's
 // ErrCorrupt, if any.
-func recoverJournal(path string, visit func(Op)) (j *Journal, warn, err error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+func recoverJournal(fsys fileSystem, path string, visit func(Op)) (j *Journal, warn, err error) {
+	f, err := fsys.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, nil, fmt.Errorf("durable: opening journal: %w", err)
 	}
@@ -303,7 +302,7 @@ func recoverJournal(path string, visit func(Op)) (j *Journal, warn, err error) {
 		f.Close()
 		return nil, nil, fmt.Errorf("durable: cutting journal to its verified prefix: %w", err)
 	}
-	return NewJournal(f), warn, nil
+	return newJournal(f), warn, nil
 }
 
 // ScanJournalOps scans r into the ops of its longest verified prefix; a

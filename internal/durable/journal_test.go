@@ -31,7 +31,7 @@ func OpenJournal(path string) (*Journal, error) {
 	if err != nil {
 		return nil, err
 	}
-	return NewJournal(f), nil
+	return newJournal(f), nil
 }
 
 // appendRaw journals one encoded payload the way Store.Append does:
@@ -255,5 +255,105 @@ func TestJournalAppendAfterClose(t *testing.T) {
 	}
 	if err := appendOp(j, testOp(1, "late")); !errors.Is(err, ErrClosed) {
 		t.Fatalf("want ErrClosed, got %v", err)
+	}
+}
+
+// memJournal opens a journal on a fresh MemFS.
+func memJournal(t *testing.T) (*Journal, *MemFS) {
+	t.Helper()
+	mem := NewMemFS("data", nil)
+	j, _, err := recoverJournal(mem, filepath.Join("data", JournalFile), func(Op) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return j, mem
+}
+
+// TestJournalFsyncFailureFailsWholeBatch pins the group-commit error
+// contract: when the flush that would make a batch durable fails, every
+// waiter in that batch gets the error — no op in the batch is ever
+// acknowledged. The batch is built deterministically by enqueueing all
+// payloads before any waiter runs, so one flusher serves all of them.
+func TestJournalFsyncFailureFailsWholeBatch(t *testing.T) {
+	j, mem := memJournal(t)
+	defer j.Close()
+	// Two armed failures: one flush consumes one of them.
+	syncs, failing := 0, 2
+	mem.Fail = func(op, _ string, n int) (int, error) {
+		if op != "sync" {
+			return n, nil
+		}
+		syncs++
+		if failing > 0 {
+			failing--
+			return 0, ErrInjected
+		}
+		return 0, nil
+	}
+
+	const waiters = 5
+	gens := make([]uint64, waiters)
+	for i := range gens {
+		gen, err := j.enqueue([]byte("op"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		gens[i] = gen
+	}
+	errs := make([]error, waiters)
+	var wg sync.WaitGroup
+	for i, gen := range gens {
+		wg.Add(1)
+		go func(i int, gen uint64) {
+			defer wg.Done()
+			errs[i] = j.waitDurable(gen)
+		}(i, gen)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if !errors.Is(err, ErrInjected) {
+			t.Fatalf("waiter %d: err = %v, want injected fsync failure", i, err)
+		}
+	}
+	if syncs != 1 {
+		t.Fatalf("%d syncs, want one shared (failed) flush", syncs)
+	}
+	failing = 0
+
+	// The error is sticky: the journal refuses further appends until the
+	// checkpoint cycle truncates it.
+	if err := appendRaw(j, []byte("late")); !errors.Is(err, ErrInjected) {
+		t.Fatalf("append after failed flush: err = %v, want sticky injected error", err)
+	}
+	if err := j.Truncate(); err != nil {
+		t.Fatal(err)
+	}
+	if err := appendRaw(j, []byte("recovered")); err != nil {
+		t.Fatalf("append after truncate: %v", err)
+	}
+}
+
+// TestJournalShortWriteNeverAcks injects a short write (the full-disk
+// shape): Append must report the failure, and recovery must treat the
+// torn bytes as an unacknowledged tail, not a verified record.
+func TestJournalShortWriteNeverAcks(t *testing.T) {
+	j, mem := memJournal(t)
+	mem.Fail = shortWriteNext()
+	if err := appendOp(j, testOp(1, "set")); !errors.Is(err, ErrInjected) {
+		t.Fatalf("append: err = %v, want injected short write", err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw := mem.Files("data")[JournalFile]
+	if len(raw) == 0 {
+		t.Fatal("short write should leave torn bytes to scan past")
+	}
+	ops, scanErr := ScanJournalOps(bytes.NewReader(raw))
+	if scanErr != nil {
+		t.Fatalf("torn tail must scan as clean truncation, got %v", scanErr)
+	}
+	if len(ops) != 0 {
+		t.Fatalf("recovered %d records from an unacknowledged write, want 0", len(ops))
 	}
 }

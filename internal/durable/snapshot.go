@@ -3,10 +3,8 @@ package durable
 import (
 	"bufio"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
-	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -74,33 +72,24 @@ func isEmptyValue(v reflect.Value) bool {
 }
 
 // writeAtomic writes path with crash-safe replacement: fill writes the
-// content through a 64 KiB buffer into a temp file in the same directory,
+// content through a 64 KiB buffer into the temp file beside it (tempPath),
 // which is fsynced and only then renamed over the destination, followed by
 // a directory fsync so the rename itself is durable — a crash at any point
 // leaves either the old file or the new one, never a torn mix. The byte
-// count written is returned. wrap, when non-nil, interposes on
-// the temp file (the fault-injection seam; nil in production).
-func writeAtomic(path string, perm fs.FileMode, wrap func(File) File, fill func(io.Writer) error) (int64, error) {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-*")
+// count written is returned.
+func writeAtomic(fsys fileSystem, path string, fill func(io.Writer) error) (int64, error) {
+	tmp := tempPath(path)
+	f, err := fsys.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return 0, fmt.Errorf("durable: creating temp file: %w", err)
 	}
-	tmpName := tmp.Name()
-	defer os.Remove(tmpName) // no-op after a successful rename
+	defer fsys.Remove(tmp) // no-op after a successful rename
 
-	var f File = tmp
-	if wrap != nil {
-		f = wrap(f)
-	}
 	var size int64
 	bw := bufio.NewWriterSize(f, 64<<10)
 	err = fill(bw)
 	if err == nil {
 		err = bw.Flush()
-	}
-	if err == nil {
-		err = tmp.Chmod(perm)
 	}
 	if err == nil {
 		err = f.Sync()
@@ -115,34 +104,18 @@ func writeAtomic(path string, perm fs.FileMode, wrap func(File) File, fill func(
 	if err := f.Close(); err != nil {
 		return 0, fmt.Errorf("durable: closing %s: %w", path, err)
 	}
-	if err := os.Rename(tmpName, path); err != nil {
+	if err := fsys.Rename(tmp, path); err != nil {
 		return 0, fmt.Errorf("durable: renaming into %s: %w", path, err)
 	}
-	return size, syncDir(dir)
+	if err := fsys.SyncDir(filepath.Dir(path)); err != nil {
+		return 0, fmt.Errorf("durable: syncing the rename into %s: %w", path, err)
+	}
+	return size, nil
 }
 
-// syncDir fsyncs a directory so a just-completed rename survives a crash.
-// Directory fsync is best-effort: some filesystems (and CI sandboxes)
-// reject it with EINVAL even though the rename is already safe on them.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("durable: opening dir %s: %w", dir, err)
-	}
-	defer d.Close()
-	d.Sync()
-	return nil
-}
-
-// LoadSnapshot reads and validates the snapshot at path. A missing file
-// returns (nil, nil): a cold start, not an error.
-func LoadSnapshot(path string) (*Snapshot, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return nil, nil
-		}
-		return nil, fmt.Errorf("durable: reading snapshot: %w", err)
-	}
-	return DecodeSnapshot(raw)
+// tempPath is where writeAtomic writes path's next content: one name, so
+// the temp file a crash left behind is the one the next write truncates,
+// and Open removes it.
+func tempPath(path string) string {
+	return filepath.Join(filepath.Dir(path), "."+filepath.Base(path)+".tmp")
 }

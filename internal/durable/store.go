@@ -2,10 +2,12 @@ package durable
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
-	"os"
+	"io/fs"
 	"path/filepath"
+	"strings"
 	"sync"
 	"time"
 
@@ -26,6 +28,7 @@ const (
 // atomically writes a new snapshot that counts them, then truncates the
 // journal.
 type Store struct {
+	fsys    fileSystem
 	dir     string
 	journal *Journal
 	history *history
@@ -38,10 +41,6 @@ type Store struct {
 	snapshot *Snapshot // nil on cold start
 	tail     []Op      // verified journal ops with Seq > snapshot.LastSeq
 	scanErr  error     // non-fatal corruption note from the journal scan
-
-	// wrapTemp, when non-nil, interposes on the snapshot's temp file: the
-	// fault-injection seam of the checkpoint write (nil outside tests).
-	wrapTemp func(File) File
 
 	// Pre-resolved telemetry handles (nil without SetTelemetry).
 	obsCkpts       *telemetry.Counter
@@ -67,20 +66,47 @@ func (s *Store) SetTelemetry(reg *telemetry.Registry) {
 // journal is not fatal: the verified prefix is kept, whatever follows it
 // is cut off the file, and ScanWarning reports corruption. History past
 // the snapshot's count is cut the same way; history short of it is fatal.
-func Open(dir string) (*Store, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+// The temp file of a checkpoint that died mid-write is removed, and the
+// directory is fsynced once all of that is done, so the names of a
+// journal and a history just created are durable before anything is
+// acknowledged through them.
+func Open(dir string) (*Store, error) { return open(osFS{}, dir) }
+
+func open(fsys fileSystem, dir string) (*Store, error) {
+	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("durable: creating data dir: %w", err)
 	}
-	snap, err := LoadSnapshot(filepath.Join(dir, SnapshotFile))
+	path := filepath.Join(dir, SnapshotFile)
+	names, err := fsys.ReadDir(dir)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("durable: listing data dir: %w", err)
+	}
+	// A checkpoint that died mid-write left its temp file behind: tmp, or
+	// tmp and a random suffix when an earlier version wrote it.
+	tmp := filepath.Base(tempPath(path))
+	for _, name := range names {
+		if strings.HasPrefix(name, tmp) {
+			if err := fsys.Remove(filepath.Join(dir, name)); err != nil {
+				return nil, fmt.Errorf("durable: removing a dead checkpoint's temp file: %w", err)
+			}
+		}
+	}
+	var snap *Snapshot
+	raw, err := fsys.ReadFile(path)
+	switch {
+	case err == nil:
+		if snap, err = DecodeSnapshot(raw); err != nil {
+			return nil, err
+		}
+	case !errors.Is(err, fs.ErrNotExist): // a missing snapshot is a cold start
+		return nil, fmt.Errorf("durable: reading snapshot: %w", err)
 	}
 
 	seq, covered := uint64(0), 0
 	if snap != nil {
 		seq, covered = snap.LastSeq, snap.HistoryRecords
 	}
-	hist, ledger, err := recoverHistory(filepath.Join(dir, HistoryFile), covered)
+	hist, ledger, err := recoverHistory(fsys, filepath.Join(dir, HistoryFile), covered)
 	if err != nil {
 		return nil, err
 	}
@@ -91,7 +117,7 @@ func Open(dir string) (*Store, error) {
 	// between snapshot write and journal truncate leaves covered ops
 	// behind, which replay must skip.
 	var tail []Op
-	j, scanErr, err := recoverJournal(filepath.Join(dir, JournalFile), func(op Op) {
+	j, scanErr, err := recoverJournal(fsys, filepath.Join(dir, JournalFile), func(op Op) {
 		if snap == nil || op.Seq > snap.LastSeq {
 			tail = append(tail, op)
 			seq = max(seq, op.Seq)
@@ -101,7 +127,13 @@ func Open(dir string) (*Store, error) {
 		hist.f.Close()
 		return nil, err
 	}
+	if err := fsys.SyncDir(dir); err != nil {
+		hist.f.Close()
+		j.Close()
+		return nil, fmt.Errorf("durable: syncing data dir: %w", err)
+	}
 	return &Store{
+		fsys:     fsys,
 		dir:      dir,
 		journal:  j,
 		history:  hist,
@@ -204,7 +236,7 @@ func (s *Store) Checkpoint(simTime time.Time, produce func(ledgerFrom int, emit 
 		t0 = time.Now() //lint:walltime telemetry: real checkpoint latency for operator metrics, never read back into store state
 	}
 	heldRecords, heldSize := s.history.records, s.history.size
-	size, err := writeAtomic(filepath.Join(s.dir, SnapshotFile), 0o644, s.wrapTemp, func(w io.Writer) error {
+	size, err := writeAtomic(s.fsys, filepath.Join(s.dir, SnapshotFile), func(w io.Writer) error {
 		return writeSnapshot(w, s.seq, simTime, func(emit Emit) error {
 			return produce(s.history.records, emit)
 		}, s.history.append)

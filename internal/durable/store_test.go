@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -97,7 +98,7 @@ func TestStoreSkipsCoveredOps(t *testing.T) {
 	}
 	// Write the snapshot directly (bypassing Checkpoint's truncate) to
 	// model the torn checkpoint.
-	_, err = writeAtomic(filepath.Join(dir, SnapshotFile), 0o644, nil, func(w io.Writer) error {
+	_, err = writeAtomic(osFS{}, filepath.Join(dir, SnapshotFile), func(w io.Writer) error {
 		return writeSnapshot(w, 3, storeEpoch, producerOf(&State{}), countLedger)
 	})
 	if err != nil {
@@ -181,7 +182,7 @@ func TestWriteFileAtomicReplaces(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "f.json")
 	for _, content := range []string{"one", "two"} {
-		n, err := writeAtomic(path, 0o644, nil, func(w io.Writer) error {
+		n, err := writeAtomic(osFS{}, path, func(w io.Writer) error {
 			_, err := io.WriteString(w, content)
 			return err
 		})
@@ -206,6 +207,35 @@ func TestWriteFileAtomicReplaces(t *testing.T) {
 	}
 }
 
+// TestOpenRemovesDeadCheckpointTemps: a checkpoint killed mid-write
+// leaves its temp file behind — under tempPath, or with a random suffix
+// when an earlier version wrote it — and Open removes it, and nothing
+// else.
+func TestOpenRemovesDeadCheckpointTemps(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{".snapshot.json.tmp", ".snapshot.json.tmp-3141592", "notes.txt"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(`{"version":`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if want := []string{HistoryFile, JournalFile, "notes.txt"}; !reflect.DeepEqual(names, want) {
+		t.Fatalf("after Open the directory holds %v, want %v", names, want)
+	}
+}
+
 // TestSnapshotVersionRejected: a loader reads its own version only —
 // version 1, whose ledger sat in the document, as much as one from the
 // future.
@@ -220,7 +250,7 @@ func TestSnapshotVersionRejected(t *testing.T) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := LoadSnapshot(path); err == nil {
+		if _, err := DecodeSnapshot(data); err == nil {
 			t.Fatalf("version %d snapshot should be rejected", version)
 		}
 		if _, err := Open(dir); err == nil {
@@ -229,11 +259,11 @@ func TestSnapshotVersionRejected(t *testing.T) {
 	}
 }
 
-// reopenTail opens dir and returns the store with the tail it recovered,
-// failing on a scan warning.
-func reopenTail(t *testing.T, dir string) (*Store, []Op) {
+// reopenTail opens dir on fsys and returns the store with the tail it
+// recovered, failing on a scan warning.
+func reopenTail(t *testing.T, fsys fileSystem, dir string) (*Store, []Op) {
 	t.Helper()
-	s, err := Open(dir)
+	s, err := open(fsys, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +318,7 @@ func TestTornTailThenAppendKeepsAckedOps(t *testing.T) {
 		if err := os.WriteFile(jpath, full[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		s, tail := reopenTail(t, dir)
+		s, tail := reopenTail(t, osFS{}, dir)
 		if len(tail) != 2 {
 			t.Fatalf("cut %d: %d ops recovered, want the 2 whole records", cut, len(tail))
 		}
@@ -299,7 +329,7 @@ func TestTornTailThenAppendKeepsAckedOps(t *testing.T) {
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
-		s, tail = reopenTail(t, dir)
+		s, tail = reopenTail(t, osFS{}, dir)
 		if len(tail) != 5 || tail[4].Seq != 5 {
 			t.Fatalf("cut %d: %d ops after the restart, want 2 + the 3 acknowledged since (last seq 5)", cut, len(tail))
 		}
@@ -312,13 +342,13 @@ func TestTornTailThenAppendKeepsAckedOps(t *testing.T) {
 // journal turns sticky, the server exits), and the restart must cut the
 // half-written record off before it appends.
 func TestShortWriteThenRestartKeepsAckedOps(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "data")
-	s, err := Open(dir)
+	mem := NewMemFS("data", nil)
+	s, err := open(mem, "data")
 	if err != nil {
 		t.Fatal(err)
 	}
 	appendN(t, s, 2)
-	s.InjectFaults().ShortWriteNext()
+	mem.Fail = shortWriteNext()
 	if _, err := s.Append(storeEpoch, "alice", "state", "set", "", nil); !errors.Is(err, ErrInjected) {
 		t.Fatalf("append over a short write: err = %v, want the injected fault", err)
 	}
@@ -326,7 +356,7 @@ func TestShortWriteThenRestartKeepsAckedOps(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s, tail := reopenTail(t, dir)
+	s, tail := reopenTail(t, mem, "data")
 	if len(tail) != 2 {
 		t.Fatalf("%d ops recovered, want the 2 acknowledged", len(tail))
 	}
@@ -334,9 +364,30 @@ func TestShortWriteThenRestartKeepsAckedOps(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s, tail = reopenTail(t, dir)
+	s, tail = reopenTail(t, mem, "data")
 	defer s.Close()
 	if len(tail) != 5 || tail[4].Seq != 5 {
 		t.Fatalf("%d ops after the second restart, want 5 ending at seq 5: %+v", len(tail), tail)
+	}
+}
+
+// TestStoreAppendPropagatesFlushFailure covers the Store wrapper: the
+// sequence-assigning Append path must surface the journal's flush error
+// to its caller (core acks RPCs only on a nil return).
+func TestStoreAppendPropagatesFlushFailure(t *testing.T) {
+	mem := NewMemFS("data", nil)
+	s, err := open(mem, "data")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	mem.Fail = func(op, name string, n int) (int, error) {
+		if op == "sync" && name == JournalFile {
+			return 0, ErrInjected
+		}
+		return n, nil
+	}
+	if _, err := s.Append(storeEpoch, "alice", "state", "set", "rid-1", nil); !errors.Is(err, ErrInjected) {
+		t.Fatalf("store append: err = %v, want injected fsync failure", err)
 	}
 }
