@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test test-race race-smoke bench bench-test fuzz-smoke bench-smoke chaos-smoke obs-smoke sim fmt vet loc
+.PHONY: build test test-race race-smoke bench bench-test fuzz-smoke bench-smoke chaos-smoke sim fmt vet loc
 
 build:
 	$(GO) build ./...
@@ -16,9 +16,9 @@ test:
 test-race:
 	$(GO) test -race ./...
 
-# Race-enabled smoke legs at reduced sizes: the serving, chaos, and
-# observability harnesses under the race detector, with a
-# race-instrumented gae-server for the spawning harnesses. First, twenty
+# Race-enabled smoke legs at reduced sizes: the serving and chaos
+# harnesses under the race detector, with a race-instrumented gae-server
+# for the chaos harness, which spawns it. First, twenty
 # runs each of the tests that pin the one-owner rule — every call into a
 # deployment takes its one lock, and Run gives it up at each boundary —
 # and the bugs it closed: every method row called through the local
@@ -48,7 +48,6 @@ race-smoke:
 	@set -e; data=$$(mktemp -d); trap 'rm -rf "$$data"' EXIT; \
 	$(GO) run -race ./cmd/gae load -clients 2 -ops 8 -data "$$data"
 	$(GO) run -race ./cmd/gae-chaos -clients 2 -ops 6 -kills 1 -server bin/gae-server-race
-	$(GO) run -race ./cmd/gae-obs-smoke -clients 2 -ops 8 -server bin/gae-server-race
 
 # Full benchmark sweep (figures, ablations, micro, fairness).
 bench:
@@ -87,13 +86,15 @@ bench-test:
 # reject and error text, String, value, rank class and pinned literals,
 # and the same again from two ads that store the input through the
 # shared-block table, which must give both one block.
+# Each target minimizes a newly interesting input for at most 1 s: by
+# default that may take 60 s, during which the run counts no executions.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz FuzzDecodeAgainstEncodingXML -fuzztime 20s ./internal/xmlrpc
-	$(GO) test -run '^$$' -fuzz FuzzStructCodecRoundTrip -fuzztime 10s ./internal/xmlrpc
-	$(GO) test -run '^$$' -fuzz FuzzJournalReplay -fuzztime 10s ./internal/durable
-	$(GO) test -run '^$$' -fuzz FuzzHistoryReplay -fuzztime 10s ./internal/durable
-	$(GO) test -run '^$$' -fuzz FuzzCrashStates -fuzztime 10s ./internal/durable
-	$(GO) test -run '^$$' -fuzz FuzzExprAgainstTree -fuzztime 10s ./internal/classad
+	$(GO) test -run '^$$' -fuzz FuzzDecodeAgainstEncodingXML -fuzztime 20s -fuzzminimizetime 1s ./internal/xmlrpc
+	$(GO) test -run '^$$' -fuzz FuzzStructCodecRoundTrip -fuzztime 10s -fuzzminimizetime 1s ./internal/xmlrpc
+	$(GO) test -run '^$$' -fuzz FuzzJournalReplay -fuzztime 10s -fuzzminimizetime 1s ./internal/durable
+	$(GO) test -run '^$$' -fuzz FuzzHistoryReplay -fuzztime 10s -fuzzminimizetime 1s ./internal/durable
+	$(GO) test -run '^$$' -fuzz FuzzCrashStates -fuzztime 10s -fuzzminimizetime 1s ./internal/durable
+	$(GO) test -run '^$$' -fuzz FuzzExprAgainstTree -fuzztime 10s -fuzzminimizetime 1s ./internal/classad
 
 # The million-job scenario at its scaled-down CI size (100k jobs, 10k
 # machines) through the discrete-event engine end to end, once. Its cost
@@ -111,13 +112,6 @@ bench-smoke:
 # internal/durable's TestCrashStates (tier-1) and FuzzCrashStates.
 chaos-smoke:
 	$(GO) run ./cmd/gae-chaos -clients 3 -ops 12 -kills 2
-
-# Observability smoke: boots a gae-server on the same harness deployment,
-# drives a loadgen burst, and
-# fails unless every required /metrics family is live, /healthz answers,
-# and /debug/rpcs carries the burst's trace spans.
-obs-smoke:
-	$(GO) run ./cmd/gae-obs-smoke
 
 # Replay a fairness scenario, testdata/scenarios/$(SCENARIO).json;
 # override with e.g.

@@ -58,11 +58,6 @@ func newTransport(f faults) *Transport {
 	return &Transport{f: f, rn: rand.New(rand.NewSource(f.seed))}
 }
 
-// DuplicatingTransport delivers every request twice, back to back, and
-// returns the second reply: a mutation that goes out without a request
-// ID applies twice over it.
-func DuplicatingTransport() *Transport { return newTransport(faults{dup: 1}) }
-
 // Stats snapshots the injected-fault counters.
 func (t *Transport) Stats() Stats {
 	return Stats{

@@ -28,42 +28,83 @@ package clarens
 import (
 	"context"
 	"errors"
+	"net/http"
+
+	"repro/internal/telemetry"
 )
 
 // callInfo is what a handler context carries about the call being served:
-// one context value, set once per request by Server.ServeHTTP.
+// one context value, set once per request by Server.ServeHTTP, which also
+// writes the reply through it.
 type callInfo struct {
-	token     string // session token ("" when unauthenticated)
-	requestID string // idempotency key ("" when unstamped)
+	token     string   // session token ("" when unauthenticated)
+	requestID string   // idempotency key ("" when unstamped)
+	session   *Session // the session dispatch checked the ACL against
+
+	// span times the call from the request's first byte read to the
+	// reply's first byte written. Dispatch marks the decode and session
+	// stages; a method row's journal goes on from there (CallSpan); Write
+	// marks the encode and adds the span to the ring the journal named.
+	span telemetry.OpenSpan
+	http.ResponseWriter
+}
+
+// Write closes the call's span before the reply's first byte is written.
+func (ci *callInfo) Write(b []byte) (int, error) {
+	if ci.span.Ring != nil {
+		ci.span.Mark("encode")
+		ci.span.Close()
+	}
+	return ci.ResponseWriter.Write(b)
 }
 
 type callInfoKey struct{}
 
-func callInfoOf(ctx context.Context) callInfo {
+// callInfoOf returns the call a handler context serves, or nil.
+func callInfoOf(ctx context.Context) *callInfo {
 	ci, _ := ctx.Value(callInfoKey{}).(*callInfo)
-	if ci == nil {
-		return callInfo{}
-	}
-	return *ci
+	return ci
 }
 
-// SessionToken extracts the caller's session token from a handler context;
-// empty when the request was unauthenticated.
-func SessionToken(ctx context.Context) string { return callInfoOf(ctx).token }
+// Caller returns the user of the session the host checked the call's ACL
+// against, as that check found it; empty when the call had no session or
+// was not served by a host.
+func Caller(ctx context.Context) string {
+	if ci := callInfoOf(ctx); ci != nil && ci.session != nil {
+		return ci.session.User.Name
+	}
+	return ""
+}
 
 // RequestID extracts the caller's idempotency key from a handler context;
 // empty when the call was not stamped. The key identifies one logical
 // mutation across retries: a server that has already applied it returns
 // the recorded result instead of applying it again.
-func RequestID(ctx context.Context) string { return callInfoOf(ctx).requestID }
+func RequestID(ctx context.Context) string {
+	if ci := callInfoOf(ctx); ci != nil {
+		return ci.requestID
+	}
+	return ""
+}
+
+// CallSpan returns the open span of the call a host is serving; nil off
+// the wire.
+func CallSpan(ctx context.Context) *telemetry.OpenSpan {
+	if ci := callInfoOf(ctx); ci != nil && !ci.span.Start.IsZero() {
+		return &ci.span
+	}
+	return nil
+}
 
 // WithRequestID stamps an idempotency key onto a context. On the wire the
 // key travels in RequestIDHeader; on the local transport the context
 // reaches the service layer directly.
 func WithRequestID(ctx context.Context, id string) context.Context {
-	ci := callInfoOf(ctx)
-	ci.requestID = id
-	return context.WithValue(ctx, callInfoKey{}, &ci)
+	ci := &callInfo{requestID: id}
+	if old := callInfoOf(ctx); old != nil {
+		ci.token, ci.session = old.token, old.session
+	}
+	return context.WithValue(ctx, callInfoKey{}, ci)
 }
 
 // ErrBadCredentials is returned by Authenticator implementations.

@@ -29,11 +29,10 @@ func startHost(t *testing.T, clock vtime.Clock) (*Server, *Client) {
 	srv.RegisterService("demo", "demo service", map[string]xmlrpc.Handler{
 		"echo": func(_ context.Context, args []any) (any, error) { return args, nil },
 		"who": func(ctx context.Context, _ []any) (any, error) {
-			sess, ok := srv.Sessions.Lookup(SessionToken(ctx))
-			if !ok {
-				return "anonymous", nil
+			if user := Caller(ctx); user != "" {
+				return user, nil
 			}
-			return sess.User.Name, nil
+			return "anonymous", nil
 		},
 	})
 	srv.ACL.Allow("authenticated", "demo.*")

@@ -56,8 +56,11 @@ func NewServer(name string, clock vtime.Clock) *Server {
 // dispatch runs one decoded call. An unknown method is refused first;
 // then a draining host refuses everything with FaultUnavailable — the one
 // fault clients may retry, against this host or a successor; then the
-// caller's session must pass the ACL.
+// caller's session must pass the ACL. The session it checked is the
+// call's (Caller): no handler looks it up again.
 func (s *Server) dispatch(ctx context.Context, method string, args []any) (any, error) {
+	ci := callInfoOf(ctx)
+	ci.span.Mark("decode")
 	s.mu.RLock()
 	h, ok := s.methods[method]
 	s.mu.RUnlock()
@@ -67,13 +70,15 @@ func (s *Server) dispatch(ctx context.Context, method string, args []any) (any, 
 	if s.Draining() {
 		return nil, xmlrpc.NewFault(xmlrpc.FaultUnavailable, "host %s is draining", s.Name)
 	}
-	sess, _ := s.Sessions.Lookup(SessionToken(ctx))
+	sess, _ := s.Sessions.Lookup(ci.token)
 	if !s.ACL.Check(sess, method) {
 		if sess == nil {
 			return nil, xmlrpc.NewFault(xmlrpc.FaultAuth, "method %s requires authentication", method)
 		}
 		return nil, xmlrpc.NewFault(xmlrpc.FaultAuth, "user %s may not call %s", sess.User.Name, method)
 	}
+	ci.session = sess
+	ci.span.Mark("session")
 	return h(ctx, args)
 }
 
@@ -143,14 +148,14 @@ func (s *Server) builtins() map[string]xmlrpc.Handler {
 			if err := decodeArgs(args); err != nil {
 				return nil, err
 			}
-			return s.Sessions.Close(SessionToken(ctx)), nil
+			return s.Sessions.Close(callInfoOf(ctx).token), nil
 		},
 		"system.whoami": func(ctx context.Context, args []any) (any, error) {
 			if err := decodeArgs(args); err != nil {
 				return nil, err
 			}
-			sess, ok := s.Sessions.Lookup(SessionToken(ctx))
-			if !ok {
+			sess := callInfoOf(ctx).session
+			if sess == nil {
 				return nil, xmlrpc.NewFault(xmlrpc.FaultAuth, "no session")
 			}
 			return Identity{User: sess.User.Name, Roles: sess.User.Roles}, nil
@@ -248,7 +253,7 @@ func (s *Server) HandleHTTP(path string, h http.Handler) {
 // ServeHTTP implements http.Handler: extra plain-HTTP paths mounted by
 // HandleHTTP are dispatched directly; everything else moves the session
 // and request-ID headers into the request context and is served as an
-// XML-RPC call.
+// XML-RPC call, timed from here (CallSpan).
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mu.RLock()
 	h := s.http[r.URL.Path]
@@ -257,11 +262,13 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		h.ServeHTTP(w, r)
 		return
 	}
-	ctx := context.WithValue(r.Context(), callInfoKey{}, &callInfo{
-		token:     r.Header.Get(SessionHeader),
-		requestID: r.Header.Get(RequestIDHeader),
-	})
-	xmlrpc.Serve(w, r.WithContext(ctx), s.dispatch)
+	ci := &callInfo{
+		token:          r.Header.Get(SessionHeader),
+		requestID:      r.Header.Get(RequestIDHeader),
+		ResponseWriter: w,
+	}
+	ci.span.Open()
+	xmlrpc.Serve(ci, r.WithContext(context.WithValue(r.Context(), callInfoKey{}, ci)), s.dispatch)
 }
 
 // SetBaseURL records the host's public endpoint and rewrites existing

@@ -11,7 +11,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"net/http"
 	"sync"
@@ -279,15 +278,6 @@ func New(cfg Config) *GAE {
 	return g
 }
 
-// userOf resolves a request context to the Clarens session user.
-func (g *GAE) userOf(ctx context.Context) string {
-	sess, ok := g.Clarens.Sessions.Lookup(clarens.SessionToken(ctx))
-	if !ok {
-		return ""
-	}
-	return sess.User.Name
-}
-
 // registerServices hosts the GAE services on the Clarens server and
 // installs the paper's access policy: monitoring and estimates are
 // readable by any authenticated user; steering requires authentication
@@ -296,7 +286,7 @@ func (g *GAE) userOf(ctx context.Context) string {
 // bound to the wire by their method rows.
 func (g *GAE) registerServices() {
 	srv := g.Clarens
-	c := g.client(g.userOf)
+	c := g.client(clarens.Caller)
 	for _, svc := range []struct{ name, description string }{
 		{"jobmon", "Job Monitoring Service (JMExecutable)"},
 		{"steering", "Steering Service"},

@@ -48,7 +48,7 @@ func NewFederation(cfg Config) *Federation {
 // deployment's estimator and job monitoring rows with their site argument
 // fixed to one site.
 func (f *Federation) registerSiteServices(host *clarens.Server, site string) {
-	c := f.Central.client(f.Central.userOf)
+	c := f.Central.client(clarens.Caller)
 	svcName := "estimator-" + site
 	host.RegisterService(svcName, "site-local runtime estimator", gae.SiteHandlers("estimator", site, c, "runtime", "queuetime"))
 	jmName := "jobmon-" + site

@@ -11,7 +11,6 @@ import (
 	"repro/internal/durable"
 	"repro/internal/scheduler"
 	"repro/internal/steering"
-	"repro/internal/telemetry"
 	"repro/internal/xmlrpc"
 	"repro/pkg/gae"
 )
@@ -297,12 +296,12 @@ func journalArg(args xmlrpc.Params, i int, dst any) error {
 }
 
 // journal is the gae.Journal of a client acting as userOf resolves: every
-// call, read or write, holds the deployment's lock from Begin to End. A
-// mutating call it also journals, suppressing duplicates and journaling
-// each call that succeeded, which is acknowledged only once its record is
-// fsynced, so every acknowledged mutation survives a crash. The record's
-// arguments are the call's wire arguments, as its row resolves them from
-// the result.
+// call, read or write, holds the deployment's lock from Begin to End and
+// leaves one span and one request observation. A mutating call it also
+// journals, suppressing duplicates and journaling each call that
+// succeeded, which is acknowledged only once its record is fsynced, so
+// every acknowledged mutation survives a crash. The record's arguments
+// are the call's wire arguments, as its row resolves them from the result.
 //
 // Begin takes the lock and, for a mutation, looks the request ID up in the
 // per-user window; End enqueues the applied call's record, records its
@@ -320,19 +319,23 @@ type journal struct {
 }
 
 func (j *journal) Begin(ctx context.Context, m *gae.Method) (gae.Pending, error) {
-	if !m.Mutates {
-		j.g.mu.Lock()
-		return gae.Pending{Op: m.Op}, nil
+	p := gae.Pending{Mutates: m.Mutates, Host: clarens.CallSpan(ctx)}
+	if p.Host == nil {
+		p.Span.Open()
 	}
-	op := m.Op
-	p := gae.Pending{Op: op, Mutates: true, User: j.userOf(ctx), RequestID: clarens.RequestID(ctx), Start: time.Now()} //lint:walltime telemetry: real RPC latency span, never read back into deployment state
+	sp := p.Timer()
+	sp.Method, sp.User, sp.RequestID, sp.Ring = m.Op, j.userOf(ctx), clarens.RequestID(ctx), j.g.trace
 	j.g.mu.Lock()
+	sp.Mark("lock")
+	if !m.Mutates {
+		return p, nil
+	}
 	p.Journaling = j.g.store != nil
-	p.Recording = p.RequestID != "" && p.User != ""
+	p.Recording = sp.RequestID != "" && sp.User != ""
 	if p.Recording {
-		if e, ok := j.g.idem.lookup(p.User, p.RequestID); ok {
-			if e.Method != op {
-				return p, fmt.Errorf("core: request id %q reused for %s (recorded for %s)", p.RequestID, op, e.Method)
+		if e, ok := j.g.idem.lookup(sp.User, sp.RequestID); ok {
+			if e.Method != sp.Method {
+				return p, fmt.Errorf("core: request id %q reused for %s (recorded for %s)", sp.RequestID, sp.Method, e.Method)
 			}
 			p.Acked, p.Result = true, e.Result
 		}
@@ -340,26 +343,20 @@ func (j *journal) Begin(ctx context.Context, m *gae.Method) (gae.Pending, error)
 	return p, nil
 }
 
-// End closes the call Begin opened: a read's by releasing the lock, a
-// mutation's also by recording its span with the op's request, error and
-// latency observations. The handler stage runs from Begin until the
-// service returned, so it includes the wait for the lock; the journal
-// stage runs from there to the end once an enqueue was attempted; a window
-// hit ran neither. A mutation's metric handles are resolved before the
-// lock is released, since it guards the observer's map; they are observed
-// into after.
+// End closes the call Begin opened: it journals an applied mutation,
+// releases the lock, waits for a mutation's commit, and observes the
+// call's request, error and latency. It marks the journal stage at the
+// unlock and the commit stage after the wait, then closes a local call's
+// span; a served call's its host closes. A method's metric handles are
+// resolved before the lock is released, since it guards the observer's
+// map; they are observed into after.
 func (j *journal) End(p gae.Pending, args []any, result []byte, err error) error {
 	g := j.g
-	if !p.Mutates {
-		g.mu.Unlock()
-		return err
-	}
-	span := telemetry.Span{RequestID: p.RequestID, Method: p.Op, User: p.User, Start: p.Start, Dedup: p.Acked && err == nil}
+	sp := p.Timer()
 	store := g.store
-	appending := false
 	var batch uint64 // the journal batch to wait on
 	switch {
-	case err != nil || p.Applied.IsZero() && !p.Acked:
+	case err != nil || !p.Mutates:
 	case p.Acked:
 		if store != nil {
 			batch = store.Enqueued()
@@ -371,38 +368,34 @@ func (j *journal) End(p gae.Pending, args []any, result []byte, err error) error
 		// recovery byte-identity suite compares the two).
 		now := g.Now()
 		if store != nil {
-			appending = true
-			service, method, _ := strings.Cut(p.Op, ".")
-			if span.Seq, batch, err = store.Enqueue(now, p.User, service, method, p.RequestID, args); err != nil {
+			service, method, _ := strings.Cut(sp.Method, ".")
+			if sp.Seq, batch, err = store.Enqueue(now, sp.User, service, method, sp.RequestID, args); err != nil {
 				g.durabilityLost(err)
 			}
 		}
 		if err == nil && result != nil {
-			g.idem.record(p.User, p.RequestID, p.Op, result, span.Seq, now)
+			g.idem.record(sp.User, sp.RequestID, sp.Method, result, sp.Seq, now)
 		}
 	}
-	mo := g.obs.forMethod(p.Op)
+	mo := g.obs.forMethod(sp.Method)
 	g.mu.Unlock()
-	if err == nil && store != nil {
+	sp.Mark("journal")
+	if err == nil && store != nil && p.Mutates {
 		if err = store.Wait(batch); err != nil {
 			g.durabilityLost(err)
 		}
 	}
-	end := time.Now() //lint:walltime telemetry: real RPC latency span, never read back into deployment state
+	end := sp.Mark("commit")
 	mo.requests.Inc()
-	mo.latency.Observe(end.Sub(p.Start).Seconds())
-	span.TotalMillis = millis(end.Sub(p.Start))
+	mo.latency.Observe(end.Seconds())
+	sp.Dedup = p.Acked && err == nil
 	if err != nil {
 		mo.errors.Inc()
-		span.Err = err.Error()
+		sp.Err = err.Error()
 	}
-	if !p.Applied.IsZero() {
-		span.Stages = []telemetry.Stage{{Name: "handler", Millis: millis(p.Applied.Sub(p.Start))}}
-		if appending {
-			span.Stages = append(span.Stages, telemetry.Stage{Name: "journal", Millis: millis(end.Sub(p.Applied))})
-		}
+	if p.Host == nil {
+		sp.Close()
 	}
-	g.trace.Add(span)
 	return err
 }
 
@@ -420,5 +413,3 @@ func (g *GAE) durabilityLost(err error) {
 	}
 	g.durabilityLossOnce.Do(func() { g.onDurabilityLoss(err) })
 }
-
-func millis(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }

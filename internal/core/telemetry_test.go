@@ -61,8 +61,11 @@ func httpGet(t *testing.T, url string) (int, string) {
 func TestMetricsEndpoint(t *testing.T) {
 	g, c := startGAE(t, twoSiteConfig())
 	ctx := context.Background()
-	// Drive the journaled RPC path so the server-side families have data.
+	// A write and a read: each call is one request of its method.
 	if _, err := c.Call(ctx, "state.set", "k1", "v1"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Call(ctx, "state.get", "k1"); err != nil {
 		t.Fatal(err)
 	}
 	base := g.Clarens.BaseURL()
@@ -74,6 +77,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE rpc_requests_total counter",
 		`rpc_requests_total{method="state.set"} 1`,
+		`rpc_requests_total{method="state.get"} 1`,
 		"# TYPE rpc_latency_seconds histogram",
 	} {
 		if !strings.Contains(text, want) {
@@ -89,11 +93,13 @@ func TestMetricsEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parsing /metrics JSON: %v", err)
 	}
-	if got := snap.Total("rpc_requests_total"); got != 1 {
-		t.Fatalf("rpc_requests_total = %v, want 1", got)
+	if got := snap.Total("rpc_requests_total"); got != 2 {
+		t.Fatalf("rpc_requests_total = %v, want 2", got)
 	}
-	if _, ok := snap.Find("rpc_latency_seconds", "state.set"); !ok {
-		t.Fatal("rpc_latency_seconds{state.set} missing from snapshot")
+	for _, method := range []string{"state.set", "state.get"} {
+		if _, ok := snap.Find("rpc_latency_seconds", method); !ok {
+			t.Fatalf("rpc_latency_seconds{%s} missing from snapshot", method)
+		}
 	}
 }
 
@@ -141,6 +147,9 @@ func TestDebugRPCsEndpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if _, err := c.Call(ctx, "state.get", "k0"); err != nil {
+		t.Fatal(err)
+	}
 	code, body := httpGet(t, g.Clarens.BaseURL()+"/debug/rpcs?limit=2")
 	if code != http.StatusOK {
 		t.Fatalf("/debug/rpcs: status %d", code)
@@ -152,26 +161,41 @@ func TestDebugRPCsEndpoint(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &out); err != nil {
 		t.Fatalf("parsing /debug/rpcs: %v", err)
 	}
-	if out.Total != 3 {
-		t.Fatalf("span total = %d, want 3", out.Total)
+	if out.Total != 4 {
+		t.Fatalf("span total = %d, want 4", out.Total)
 	}
 	if len(out.Spans) != 2 {
 		t.Fatalf("spans returned = %d, want limit 2", len(out.Spans))
 	}
-	for _, sp := range out.Spans {
-		if sp.Method != "state.set" || sp.User != "alice" {
-			t.Fatalf("span = %+v, want state.set by alice", sp)
+	for i, method := range []string{"state.get", "state.set"} {
+		sp := out.Spans[i]
+		if sp.Method != method || sp.User != "alice" {
+			t.Fatalf("span %d = %+v, want %s by alice", i, sp, method)
 		}
-		if len(sp.Stages) == 0 || sp.Stages[0].Name != "handler" {
-			t.Fatalf("span stages = %+v, want leading handler stage", sp.Stages)
+		if got := stageNames(sp); got != servedStages {
+			t.Fatalf("span %d stages = %s, want %s", i, got, servedStages)
 		}
 	}
 }
 
-// TestEveryJournaledExitLeavesOneSpan: a success, a dedup, a request ID
-// reused for another method and a handler error each record one span
-// and one request, built the same way: a stage for each of handler and
-// journal that ran.
+// servedStages and localStages are the stages of every span, in order:
+// a served call's, whatever it did, and a local client's.
+const (
+	servedStages = "[decode session lock handler journal commit encode]"
+	localStages  = "[lock handler journal commit]"
+)
+
+func stageNames(sp telemetry.Span) string {
+	var names []string
+	for _, st := range sp.Stages {
+		names = append(names, st.Name)
+	}
+	return fmt.Sprint(names)
+}
+
+// TestEveryJournaledExitLeavesOneSpan: a read, a success, a dedup, a
+// request ID reused for another method and a handler error each record
+// one span and one request, built the same way: every stage, in order.
 func TestEveryJournaledExitLeavesOneSpan(t *testing.T) {
 	g := New(twoSiteConfig())
 	store, err := durable.Open(t.TempDir())
@@ -185,6 +209,9 @@ func TestEveryJournaledExitLeavesOneSpan(t *testing.T) {
 	alice := g.Client("alice")
 	ctx := context.Background()
 	pinned := clarens.WithRequestID(ctx, "rid-1")
+	if _, err := alice.Sites(ctx); err != nil {
+		t.Fatal(err)
+	}
 	if err := alice.SetState(pinned, "k", "v"); err != nil {
 		t.Fatal(err)
 	}
@@ -200,23 +227,20 @@ func TestEveryJournaledExitLeavesOneSpan(t *testing.T) {
 
 	var got []string
 	for _, sp := range g.Trace().Recent(0) {
-		var stages []string
-		for _, st := range sp.Stages {
-			stages = append(stages, st.Name)
-		}
-		got = append([]string{fmt.Sprintf("%s dedup=%v failed=%v stages=%v", sp.Method, sp.Dedup, sp.Err != "", stages)}, got...)
+		got = append([]string{fmt.Sprintf("%s dedup=%v failed=%v stages=%s", sp.Method, sp.Dedup, sp.Err != "", stageNames(sp))}, got...)
 	}
 	want := []string{
-		"state.set dedup=false failed=false stages=[handler journal]",
-		"state.set dedup=true failed=false stages=[]",
-		"state.delete dedup=false failed=true stages=[]",
-		"steering.kill dedup=false failed=true stages=[handler]",
+		"scheduler.sites dedup=false failed=false stages=" + localStages,
+		"state.set dedup=false failed=false stages=" + localStages,
+		"state.set dedup=true failed=false stages=" + localStages,
+		"state.delete dedup=false failed=true stages=" + localStages,
+		"steering.kill dedup=false failed=true stages=" + localStages,
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Fatalf("spans:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 	snap := g.Telemetry.Snapshot()
-	if n, e := snap.Total("rpc_requests_total"), snap.Total("rpc_errors_total"); n != 4 || e != 2 {
-		t.Fatalf("rpc_requests_total = %v, rpc_errors_total = %v; want 4 and 2", n, e)
+	if n, e := snap.Total("rpc_requests_total"), snap.Total("rpc_errors_total"); n != 5 || e != 2 {
+		t.Fatalf("rpc_requests_total = %v, rpc_errors_total = %v; want 5 and 2", n, e)
 	}
 }

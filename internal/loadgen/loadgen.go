@@ -35,8 +35,6 @@ type Config struct {
 	Clients int
 	// Ops is the number of operations each worker issues (default 1).
 	Ops int
-	// Seed makes the per-worker operation mix reproducible.
-	Seed int64
 }
 
 // Result is the outcome of one run.
@@ -165,10 +163,11 @@ func each(n int, f func(i int)) {
 }
 
 // run is one closed-loop worker: the mix's open op, if it has one, then
-// draws from the mix until it has issued cfg.Ops operations. prefix
-// namespaces the names it creates.
+// draws from the mix until it has issued cfg.Ops operations, from a source
+// seeded by its index, so every run draws the same ops. prefix namespaces
+// the names it creates.
 func (m Mix) run(ctx context.Context, cfg Config, client *gae.Client, id int, prefix string) []sample {
-	rng := rand.New(rand.NewSource(cfg.Seed + int64(id)*7919))
+	rng := rand.New(rand.NewSource(int64(id) * 7919))
 	w := &worker{client: client, id: id, rng: rng, prefix: prefix}
 	samples := make([]sample, 0, cfg.Ops)
 	do := func(o *op) {

@@ -26,7 +26,7 @@ func testDeployment() *core.GAE {
 
 func TestRunMixedWorkload(t *testing.T) {
 	g := testDeployment()
-	res, err := Run(context.Background(), Analysis, Config{Clients: 3, Ops: 40, Seed: 1},
+	res, err := Run(context.Background(), Analysis, Config{Clients: 3, Ops: 40},
 		func(context.Context, int) (*gae.Client, error) { return g.Client("alice"), nil })
 	if err != nil {
 		t.Fatal(err)

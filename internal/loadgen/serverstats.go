@@ -13,11 +13,11 @@ type ServerStats struct {
 	// JournalFsyncP99Millis is the p99 of one journal flush's
 	// write+fsync, in milliseconds (zero without a durable store).
 	JournalFsyncP99Millis float64 `json:"journal_fsync_p99_ms"`
-	// RPCP99Millis is the server-observed p99 latency per journaled RPC
-	// method, in milliseconds.
+	// RPCP99Millis is the server-observed p99 latency per RPC method, in
+	// milliseconds.
 	RPCP99Millis map[string]float64 `json:"rpc_p99_ms,omitempty"`
-	// RPCRequests and RPCErrors total the server's journaled RPC path:
-	// mutating calls only, since a read is not counted.
+	// RPCRequests and RPCErrors total the server's calls of its method
+	// rows, reads and writes alike.
 	RPCRequests float64 `json:"rpc_requests"`
 	RPCErrors   float64 `json:"rpc_errors"`
 	// IdemHits counts duplicate requests answered from the idempotency

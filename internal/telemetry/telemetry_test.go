@@ -49,7 +49,9 @@ func TestNilSafety(t *testing.T) {
 	r.Gauge("y").Set(1)
 	r.Histogram("z", nil).Observe(0.5)
 	var ring *TraceRing
-	ring.Add(Span{Method: "m"})
+	dropped := OpenSpan{Span: Span{Method: "m"}, Ring: ring}
+	dropped.Open()
+	dropped.Close()
 	if got := ring.Recent(10); got != nil {
 		t.Fatalf("nil ring Recent = %v, want nil", got)
 	}
@@ -176,10 +178,20 @@ func TestScrape(t *testing.T) {
 	}
 }
 
+// closeSpan adds a span of method to ring, with one stage per name.
+func closeSpan(ring *TraceRing, method string, stages ...string) {
+	o := OpenSpan{Span: Span{Method: method}, Ring: ring}
+	o.Open()
+	for _, st := range stages {
+		o.Mark(st)
+	}
+	o.Close()
+}
+
 func TestTraceRing(t *testing.T) {
 	ring := NewTraceRing(4)
 	for i := 0; i < 10; i++ {
-		ring.Add(Span{Method: fmt.Sprintf("m%d", i), Start: time.Now()})
+		closeSpan(ring, fmt.Sprintf("m%d", i), fmt.Sprintf("s%d", i))
 	}
 	if got := ring.Total(); got != 10 {
 		t.Fatalf("Total = %d, want 10", got)
@@ -188,21 +200,70 @@ func TestTraceRing(t *testing.T) {
 	if len(recent) != 4 {
 		t.Fatalf("Recent len = %d, want 4", len(recent))
 	}
-	// Newest first: m9, m8, m7, m6.
-	for i, want := range []string{"m9", "m8", "m7", "m6"} {
-		if recent[i].Method != want {
-			t.Fatalf("recent[%d] = %s, want %s", i, recent[i].Method, want)
+	// Newest first: m9, m8, m7, m6, each with its own stage.
+	for i, want := range []string{"9", "8", "7", "6"} {
+		if recent[i].Method != "m"+want || len(recent[i].Stages) != 1 || recent[i].Stages[0].Name != "s"+want {
+			t.Fatalf("recent[%d] = %+v, want m%s with stage s%s", i, recent[i], want, want)
 		}
 	}
 	if got := ring.Recent(2); len(got) != 2 || got[0].Method != "m9" {
 		t.Fatalf("Recent(2) = %+v", got)
 	}
+	// What Recent returned is a copy: later adds overwrite the ring's
+	// slots, not it.
+	closeSpan(ring, "m10", "s10")
+	if recent[3].Method != "m6" || recent[3].Stages[0].Name != "s6" {
+		t.Fatalf("an add changed a span Recent returned before: %+v", recent[3])
+	}
+}
+
+// TestOpenSpanStagesMeet: the stages of a closed span are in the order
+// they were marked, non-negative, and add up to its total; an open span
+// that is marked and closed allocates nothing, and closes once.
+func TestOpenSpanStagesMeet(t *testing.T) {
+	ring := NewTraceRing(8)
+	names := []string{"a", "b", "c", "d", "e", "f", "g"}
+	o := OpenSpan{Span: Span{Method: "m"}, Ring: ring}
+	o.Open()
+	for _, name := range names {
+		time.Sleep(100 * time.Microsecond)
+		o.Mark(name)
+	}
+	o.Close()
+	o.Close()
+	if ring.Total() != 1 {
+		t.Fatalf("%d spans after two closes, want 1", ring.Total())
+	}
+	sp := ring.Recent(0)[0]
+	var sum float64
+	for i, st := range sp.Stages {
+		if st.Name != names[i] || st.Millis < 0 {
+			t.Fatalf("stage %d = %+v, want %s, non-negative", i, st, names[i])
+		}
+		sum += st.Millis
+	}
+	if len(sp.Stages) != len(names) || sp.TotalMillis < 0.7 || math.Abs(sum-sp.TotalMillis) > 1e-9 {
+		t.Fatalf("stages %+v sum to %v ms, total %v ms", sp.Stages, sum, sp.TotalMillis)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		o := OpenSpan{Span: Span{Method: "m"}, Ring: ring}
+		o.Open()
+		for _, name := range names {
+			o.Mark(name)
+		}
+		o.Close()
+	}); n != 0 {
+		t.Fatalf("timing a span: %v allocations, want 0", n)
+	}
 }
 
 func TestTraceHandler(t *testing.T) {
 	ring := NewTraceRing(8)
-	ring.Add(Span{Method: "scheduler.submit", RequestID: "r1", TotalMillis: 1.5,
-		Stages: []Stage{{Name: "handler", Millis: 1.0}, {Name: "journal", Millis: 0.5}}})
+	o := OpenSpan{Span: Span{Method: "scheduler.submit", RequestID: "r1"}, Ring: ring}
+	o.Open()
+	o.Mark("handler")
+	o.Mark("journal")
+	o.Close()
 	srv := httptest.NewServer(TraceHandler(ring))
 	defer srv.Close()
 	body := get(t, srv.URL+"/debug/rpcs?limit=5")

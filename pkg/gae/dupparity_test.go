@@ -2,8 +2,8 @@ package gae_test
 
 // Duplicate-delivery parity: two identically-seeded deployments run the
 // same scripted mutations — one over the local transport with each op
-// delivered exactly once, one over Clarens XML-RPC behind a chaos
-// transport that delivers every request twice. With pinned request IDs
+// delivered exactly once, one over Clarens XML-RPC behind a transport
+// that delivers every request twice. With pinned request IDs
 // the server-side idempotency window must suppress every second
 // delivery, leaving the two deployments with byte-identical captured
 // state.
@@ -11,14 +11,46 @@ package gae_test
 import (
 	"context"
 	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/chaos"
+	"repro/internal/clarens"
 	"repro/internal/core"
 	"repro/pkg/gae"
 )
+
+// deliverTwice is a transport that delivers every request twice, back to
+// back, and returns the second reply — a retransmitting network: a
+// mutation that goes out without a request ID applies twice over it. It
+// counts the requests that carry one.
+type deliverTwice struct{ stamped atomic.Int64 }
+
+func (d *deliverTwice) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.Header.Get(clarens.RequestIDHeader) != "" {
+		d.stamped.Add(1)
+	}
+	if req.GetBody == nil {
+		return nil, fmt.Errorf("deliverTwice: the request to %s cannot be replayed", req.URL.Path)
+	}
+	first := req.Clone(req.Context())
+	body, err := req.GetBody()
+	if err != nil {
+		return nil, err
+	}
+	first.Body = body
+	resp, err := http.DefaultTransport.RoundTrip(first)
+	if err != nil {
+		return nil, err
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	return http.DefaultTransport.RoundTrip(req)
+}
 
 func encodeState(t *testing.T, g *core.GAE) string {
 	t.Helper()
@@ -43,7 +75,7 @@ func TestParityDuplicateDelivery(t *testing.T) {
 	hs := httptest.NewServer(gr.Handler())
 	t.Cleanup(hs.Close)
 	gr.Clarens.SetBaseURL(hs.URL)
-	dupTransport := chaos.DuplicatingTransport()
+	dupTransport := &deliverTwice{}
 	rc, err := gae.Dial(ctx, hs.URL,
 		gae.WithCredentials("alice", "pw"), gae.WithTransport(dupTransport))
 	if err != nil {
@@ -79,8 +111,8 @@ func TestParityDuplicateDelivery(t *testing.T) {
 	script(gl, lc)
 	script(gr, rc)
 
-	if s := dupTransport.Stats(); s.Dups == 0 {
-		t.Fatalf("chaos transport duplicated nothing (stats %+v); the scenario is vacuous", s)
+	if n := dupTransport.stamped.Load(); n != 3 {
+		t.Fatalf("%d stamped requests went out twice, want the 3 mutations", n)
 	}
 	local, remote := encodeState(t, gl), encodeState(t, gr)
 	if local != remote {

@@ -8,9 +8,9 @@ import (
 	"reflect"
 	"slices"
 	"strings"
-	"time"
 
 	"repro/internal/clarens"
+	"repro/internal/telemetry"
 	"repro/internal/xmlrpc"
 )
 
@@ -184,8 +184,8 @@ func wireResult(v any, err error) (any, error) {
 // interleave. A mutating call it also journals: it answers a request ID it
 // acknowledged with the result it acknowledged, and acknowledges a call
 // once its journal record is durable. Begin takes the lock; End, which
-// follows every Begin, releases it — for a read that is all they do. Only
-// values cross, so a call allocates nothing to cross.
+// follows every Begin, releases it. Every call, read or write, leaves one
+// span. Only values cross, so a call allocates nothing to cross.
 type Journal interface {
 	// Begin opens a call of row m; an error refuses it.
 	Begin(ctx context.Context, m *Method) (Pending, error)
@@ -197,18 +197,29 @@ type Journal interface {
 
 // Pending is a call between its Journal's Begin and End.
 type Pending struct {
-	Op, User, RequestID string
-	// Mutates is the row's flag: End of a read only releases the lock.
+	// Mutates is the row's flag: End of a read journals nothing.
 	Mutates bool
-	// Start is when Begin was entered, Applied when the service returned
-	// (zero if it was not called).
-	Start, Applied time.Time
+	// Span times a local call, Host a served one: the span its host
+	// opened, which the host closes once the reply is encoded. Begin
+	// opens Span or takes Host, and marks the lock held; the call marks
+	// its handler stage before End, which marks the rest and closes Span.
+	Span telemetry.OpenSpan
+	Host *telemetry.OpenSpan
 	// Acked marks a request ID acknowledged before, with Result.
 	Acked  bool
 	Result []byte
 	// Journaling asks End for the journal arguments, Recording for the
 	// JSON result.
 	Journaling, Recording bool
+}
+
+// Timer returns the span that times the call: Host, if a host opened
+// one, else Span.
+func (p *Pending) Timer() *telemetry.OpenSpan {
+	if p.Host != nil {
+		return p.Host
+	}
+	return &p.Span
 }
 
 // local makes one call of row r on c's local transport. apply calls the
@@ -223,6 +234,7 @@ func local[S, R any](c *Client, ctx context.Context, r *Method, apply func(S) (R
 	var result []byte
 	p, err := c.journal.Begin(ctx, r)
 	defer func() {
+		p.Timer().Mark("handler")
 		if err = c.journal.End(p, rec, result, err); err != nil {
 			var zero R
 			out = zero
@@ -238,11 +250,8 @@ func local[S, R any](c *Client, ctx context.Context, r *Method, apply func(S) (R
 			}
 		}
 		out = acked
-	case !r.Mutates:
-		out, err = apply(s)
 	default:
 		out, err = apply(s)
-		p.Applied = time.Now()
 		if err == nil && p.Journaling {
 			rec = args(out)
 		}
