@@ -84,8 +84,9 @@ bench-test:
 # expression parser and evaluator against the tree implementation they
 # replaced (kept in a _test.go file as the oracle): the same accept or
 # reject and error text, String, value, rank class and pinned literals,
-# and the same again from two ads that store the input through the
-# shared-block table, which must give both one block.
+# and the same again from two slab copies of an ad that store the input
+# through the shared-block table, which must give both one block, and
+# from a slab copy of one of them, as the pool keeps a job's ad.
 # Each target minimizes a newly interesting input for at most 1 s: by
 # default that may take 60 s, during which the run counts no executions.
 fuzz-smoke:

@@ -11,8 +11,8 @@ import (
 
 // The map-backed ad: attribute storage as Ad kept it before it became one
 // slice searched linearly — a map keyed by the lower-cased name. Set,
-// SetExpr, Has, Names, Len, String, LiteralString and Clone are
-// the replaced production code, verbatim but for the
+// SetExpr, Has, Names, Len, String, LiteralString and Clone (now
+// Slab.Copy) are the replaced production code, verbatim but for the
 // lower-casing, which is strings.ToLower where production interned. The
 // differential test below holds Ad to it observation for observation.
 
@@ -215,6 +215,8 @@ func sameValue(a, b Value) bool { return a.Equal(b) && a.String() == b.String() 
 func TestAdMatchesMapOracle(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
+		// Copies come from one slab, side by side, and are written to after.
+		var slab Slab
 		pairs := []*oraclePair{newOraclePair(New(), newMapAd()), newOraclePair(New(), newMapAd())}
 		var trace []string
 		for step := 0; step < 300; step++ {
@@ -240,16 +242,17 @@ func TestAdMatchesMapOracle(t *testing.T) {
 					t.Fatalf("seed %d: SetExpr(%q, %q): %v / %v", seed, name, src, err, werr)
 				}
 			default:
-				trace = append(trace, "Clone")
-				c := newOraclePair(p.ad.Clone(), p.want.Clone())
+				trace = append(trace, "Copy")
+				c := newOraclePair(slab.Copy(p.ad), p.want.Clone())
 				if len(pairs) < 4 {
 					pairs = append(pairs, c)
 				} else {
 					pairs[rng.Intn(len(pairs))] = c
 				}
 			}
-			// Every pair, not only the one touched: a Clone that shares
-			// storage with its source shows up in the other.
+			// Every pair, not only the one touched: a copy that shares
+			// storage with its source, or with the copy carved beside it,
+			// shows up in the other.
 			for i, q := range pairs {
 				target := pairs[(i+1)%len(pairs)]
 				if msg := q.diverges(rng, target); msg != "" {

@@ -31,11 +31,14 @@ package classad
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"unsafe"
+
+	"repro/internal/chunk"
 )
 
 // Kind enumerates value kinds.
@@ -175,7 +178,8 @@ func From(v any) Value {
 		}
 		return List(vs...)
 	default:
-		return Errorf("unconvertible Go type %T", v)
+		// Not %T: a v handed to fmt escapes, and every Set boxes its value.
+		return Errorf("unconvertible Go type %s", reflect.TypeOf(v))
 	}
 }
 
@@ -472,7 +476,20 @@ func (a *Ad) LiteralString(name string) (string, bool) {
 	return a.attrs[i].val.StringVal()
 }
 
-// Clone returns a deep-enough copy (expressions are immutable and shared).
-func (a *Ad) Clone() *Ad {
-	return &Ad{attrs: slices.Clone(a.attrs), exprs: a.exprs}
+// Slab carves the copies of ads its owner keeps, each an Ad and an
+// exactly sized run of attributes, out of chunks it owns (see chunk.Of):
+// a write that grows a copy moves its attributes to the heap and leaves
+// the next copy's alone. The zero Slab is ready to use.
+type Slab struct {
+	ads   chunk.Of[Ad]
+	attrs chunk.Of[entry]
+}
+
+// Copy returns a copy of a carved from the slab. Expressions are
+// immutable and shared, so the copy shares them.
+func (s *Slab) Copy(a *Ad) *Ad {
+	c := &s.ads.Take(1)[0]
+	*c = Ad{attrs: s.attrs.Take(len(a.attrs)), exprs: a.exprs}
+	copy(c.attrs, a.attrs)
+	return c
 }

@@ -376,12 +376,31 @@ func TestAdStringRoundTrips(t *testing.T) {
 	}
 }
 
-func TestAdCloneIsIndependent(t *testing.T) {
-	a := New().Set("X", 1)
-	b := a.Clone()
-	b.Set("X", 2)
-	if got := a.Int("X", 0); got != 1 {
-		t.Fatalf("clone mutated original: X=%d", got)
+// clone is a copy of a from a slab of its own.
+func clone(a *Ad) *Ad { return new(Slab).Copy(a) }
+
+// A slab's copies sit side by side in its chunks, each attribute run
+// exactly as long as the ad: a write that grows one copy moves it off the
+// chunk, so the original and the copy carved after it read as before.
+func TestSlabCopiesAreIndependent(t *testing.T) {
+	var slab Slab
+	a := New().Set("X", 1).Set("Y", "y").MustSetExpr("Z", "X + 1")
+	first, next := slab.Copy(a), slab.Copy(New().Set("A", 1).Set("B", 2.5).Set("C", "c"))
+	want, wantNext := a.String(), next.String()
+	first.Set("X", 2)
+	first.Set("JobPrio", 7)
+	first.MustSetExpr("Rank", "X * 2")
+	if got := a.String(); got != want {
+		t.Errorf("writing the copy changed the original: %s, want %s", got, want)
+	}
+	if got := next.String(); got != wantNext {
+		t.Errorf("growing a copy changed the next one: %s, want %s", got, wantNext)
+	}
+	if got, w := first.String(), `[JobPrio = 7; Rank = X * 2; X = 2; Y = "y"; Z = X + 1]`; got != w {
+		t.Errorf("grown copy = %s, want %s", got, w)
+	}
+	if got := first.EvalAttr("Rank", nil); !got.Equal(Int(4)) {
+		t.Errorf("grown copy's Rank = %v, want 4", got)
 	}
 }
 
@@ -396,6 +415,7 @@ func TestAdAllocations(t *testing.T) {
 	owner, need, prio := "alice", 120.5, 300
 	job := New().Set("Owner", "alice").Set("CpuSeconds", 120.0).Set("JobPrio", 1)
 	machine := New().Set("Memory", 2048).MustSetExpr("Free", "Memory - 512")
+	var slab Slab
 	for _, c := range []struct {
 		name string
 		max  float64
@@ -405,10 +425,14 @@ func TestAdAllocations(t *testing.T) {
 		{"EvalAttr of a literal", 0, func() { allocSink.v = job.EvalAttr("OWNER", machine) }},
 		{"EvalAttr of an expression", 0, func() { allocSink.v = machine.EvalAttr("Free", job) }},
 		{"Set on an existing attribute", 0, func() { job.Set("jobprio", 2) }},
-		{"Clone", 2, func() { allocSink.ad = job.Clone() }},
-		{"New and three Sets", 5, func() {
-			// Values from variables, as a submitter's are: boxing the
-			// string, the float and the int is three of the five.
+		// The header and the attributes come from the slab's chunks, which
+		// 200 copies share.
+		{"Slab copy", 0, func() { allocSink.ad = slab.Copy(job) }},
+		{"New and three Sets", 2, func() {
+			// Values from variables, as a submitter's are: the header and
+			// the attribute array. From names an unconvertible type by
+			// reflect.TypeOf, so Set does not box its value (it did, five
+			// allocations, while the error path handed v to fmt).
 			allocSink.ad = New().Set("Owner", owner).Set("CpuSeconds", need).Set("JobPrio", prio)
 		}},
 	} {
@@ -441,6 +465,8 @@ func TestValueFromAndGo(t *testing.T) {
 		{nil, nil},
 		{[]string{"a"}, []any{"a"}},
 		{[]any{1, "b"}, []any{1, "b"}},
+		{uint8(3), "error:unconvertible Go type uint8"},
+		{[]int{1}, "error:unconvertible Go type []int"},
 	}
 	for _, c := range cases {
 		got := From(c.in).Go()

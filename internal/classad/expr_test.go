@@ -89,10 +89,11 @@ func TestUnicodeIdentifiers(t *testing.T) {
 // same accept or reject with the same error text, the same String, the
 // same value against a fixed pair of ads, and the same rank class and
 // pinned Arch and OpSys literals. Each input is also stored through
-// SetExpr, as Rank and Requirements, on two ads: both hold a fresh
-// Parse's answers, one shared block between them when the table keeps the
-// text, and a rejected text gives SetExpr's error around Parse's and
-// leaves the table as it was.
+// SetExpr, as Rank and Requirements, on two slab copies of an ad: both,
+// and a slab copy of the first, hold a fresh Parse's answers, one shared
+// block between the two when the table keeps the text, and a rejected
+// text gives SetExpr's error around Parse's and leaves the table as it
+// was.
 func FuzzExprAgainstTree(f *testing.F) {
 	for _, src := range simMatchShapes {
 		f.Add(src)
@@ -142,13 +143,16 @@ func FuzzExprAgainstTree(f *testing.F) {
 			}
 			return
 		}
-		fresh := self.Clone()
+		var slab Slab
+		fresh := slab.Copy(self)
 		fresh.put(newEntry("Rank", Value{}, got))
 		fresh.put(newEntry("Requirements", Value{}, got))
 		stored := [2]*Ad{
-			self.Clone().MustSetExpr("Rank", src).MustSetExpr("Requirements", src),
-			self.Clone().MustSetExpr("Rank", src).MustSetExpr("Requirements", src),
+			slab.Copy(self).MustSetExpr("Rank", src).MustSetExpr("Requirements", src),
+			slab.Copy(self).MustSetExpr("Rank", src).MustSetExpr("Requirements", src),
 		}
+		// The pool's path: a slab copy of an ad that already holds the input.
+		copied := slab.Copy(stored[0])
 		block := func(ad *Ad, attr string) *Expr { return ad.attrs[ad.find(attr)].expr }
 		// The table keeps every text it may (see shared), and no literal.
 		keep := len(src) <= sharedMaxLen && got.op != opLit
@@ -158,7 +162,7 @@ func FuzzExprAgainstTree(f *testing.F) {
 			}
 		}
 		sc := scope{self: self, target: target}
-		for _, ad := range []*Ad{fresh, stored[0], stored[1]} {
+		for _, ad := range []*Ad{fresh, stored[0], stored[1], copied} {
 			e := block(ad, "Requirements")
 			if g, w := e.String(), want.String(); g != w {
 				t.Fatalf("Parse(%q).String() = %q, the tree's %q", src, g, w)

@@ -47,12 +47,12 @@ var matcherSink *Matcher
 // number.
 func TestMatcherAllocatesClassOnlyForRank(t *testing.T) {
 	plain := New().Set("Owner", "alice").MustSetExpr("Requirements", "TARGET.Memory > 1024")
-	ranked := plain.Clone().MustSetExpr("Rank", "TARGET.KFlops")
+	ranked := clone(plain).MustSetExpr("Rank", "TARGET.KFlops")
 	for _, c := range []struct {
 		name string
 		ad   *Ad
 		want float64
-	}{{"no Rank", plain, 1}, {"literal Rank", plain.Clone().Set("Rank", 3), 1}, {"Rank expression", ranked, 2}} {
+	}{{"no Rank", plain, 1}, {"literal Rank", clone(plain).Set("Rank", 3), 1}, {"Rank expression", ranked, 2}} {
 		if got := testing.AllocsPerRun(100, func() { matcherSink = NewMatcher(c.ad) }); got != c.want {
 			t.Errorf("%s: NewMatcher allocates %v times, want %v (the matcher; the class key)", c.name, got, c.want)
 		}

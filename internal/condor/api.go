@@ -15,8 +15,8 @@ import (
 // re-prioritise, checkpoint.
 
 // Submit enqueues a job described by ad. The ad must carry AttrCpuSeconds
-// (the ground-truth work) and should carry AttrOwner. The returned ID is
-// the pool-local "Condor ID".
+// (the ground-truth work) and should carry AttrOwner; the pool keeps a
+// copy of it. The returned ID is the pool-local "Condor ID".
 func (p *Pool) Submit(ad *classad.Ad) (int, error) { return p.submit(ad, 0) }
 
 // SubmitCheckpointed enqueues a job that already completed cpuDone seconds
@@ -45,7 +45,7 @@ func (p *Pool) submit(ad *classad.Ad, cpuDone float64) (int, error) {
 		return 0, ErrPoolDown
 	}
 	id := len(p.jobs) + 1
-	j := p.newJob(id, ad.Clone(), need, p.grid.Engine.Now())
+	j := p.newJob(id, ad, need, p.grid.Engine.Now())
 	if cpuDone > 0 && checkpointable(j.ad) {
 		// A migration carries the checkpointed CPU at Mips 1 as its wall-clock.
 		j.cpuBase = cpuDone

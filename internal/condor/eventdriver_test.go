@@ -113,9 +113,9 @@ func runDriverParityScenario(t *testing.T, seed int64, runFor func(*simgrid.Engi
 		g.Engine.Schedule(time.Duration(s.tick)*time.Second, func(time.Time) {
 			var err error
 			if s.ckptCPU > 0 {
-				_, err = pools[s.pool].SubmitCheckpointed(s.ad.Clone(), s.ckptCPU)
+				_, err = pools[s.pool].SubmitCheckpointed(s.ad, s.ckptCPU)
 			} else {
-				_, err = pools[s.pool].Submit(s.ad.Clone())
+				_, err = pools[s.pool].Submit(s.ad)
 			}
 			if err != nil {
 				t.Errorf("submit: %v", err)

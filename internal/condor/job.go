@@ -141,8 +141,8 @@ type Event struct {
 // runtime ago, and re-reading attributes from it is a cache miss apiece.
 //
 // The pool keeps one for every job it ever held, so the size is a budget
-// (TestJobSize): 176 bytes, an allocator class of its own, and one more
-// word costs every job the next one. So the record holds facts, not their
+// (TestJobSize): 176 bytes, the stride of the pool's job chunks, and a
+// word more costs every job 8 bytes. So the record holds facts, not their
 // containers: timestamps are 8-byte offsets from the pool's epoch, the
 // static machine constraints are keys into a pool-local table, whether the
 // ad names an output file is a bool (the completion path reads the ad only
@@ -150,7 +150,7 @@ type Event struct {
 // status, the claim and the output file. A job whose ad has neither
 // Requirements nor Rank holds no Matcher: it takes, at rank 0, any machine
 // whose own Requirements take it (see pairMatch and machine.anyJob). The
-// pool's clone of the ad is written only at JobPrio (SetPriority), so
+// pool's copy of the ad is written only at JobPrio (SetPriority), so
 // what newJob read of it stays true, whether the job needs a Matcher
 // among it.
 // queue is the owner queue the job files under, which holds the owner's
@@ -275,12 +275,16 @@ func (j *job) stopAt() float64 {
 // newJob builds the pool's record of a job from its ad — the one place
 // that reads the ad's scheduling attributes, shared by Submit and
 // Restore so a recovered job carries exactly what a submitted one does.
-// need is the ad's AttrCpuSeconds, which the caller has read. Only an ad
-// with a Requirements or a Rank is compiled to a Matcher, which also reads
-// both pins off the Requirements in one walk. The job starts idle at the
-// ad's priority; Restore overlays the captured lifecycle state.
+// need is the ad's AttrCpuSeconds, which the caller has read. The record
+// and the job's copy of the ad are carved from the pool's chunks: a chunk
+// is freed only once every job in it retires (none does yet). Only an ad
+// with a Requirements or a Rank is compiled to a Matcher, which also
+// reads both pins off the Requirements in one walk. The job starts idle
+// at the ad's priority; Restore overlays the captured lifecycle state.
 func (p *Pool) newJob(id int, ad *classad.Ad, need float64, submitted time.Time) *job {
-	j := &job{
+	ad = p.ads.Copy(ad)
+	j := &p.jobChunks.Take(1)[0]
+	*j = job{
 		id:        id,
 		ad:        ad,
 		status:    StatusIdle,

@@ -121,14 +121,15 @@ func (p *Pool) freeMachinesRef() []*machine {
 }
 
 // pickMachineReference returns the matching machine with the highest job
-// Rank, breaking ties by machine name for determinism — cloning each
+// Rank, breaking ties by machine name for determinism — copying each
 // candidate's ad to overlay LoadAvg, as the seed did.
 func pickMachineReference(jobAd *classad.Ad, machines []*machine, now time.Time) *machine {
 	var best *machine
 	bestRank := 0.0
 	job := classad.NewMatcher(jobAd)
+	var slab classad.Slab
 	for _, m := range machines {
-		ad := m.ad.Clone()
+		ad := slab.Copy(m.ad)
 		ad.Set("LoadAvg", m.node.LoadAt(now))
 		target := classad.NewMatcher(ad)
 		if !job.Match(target) {

@@ -137,9 +137,9 @@ func runParityScenario(t *testing.T, seed int64, reference bool) []parityOutcome
 			}
 			var err error
 			if s.ckptCPU > 0 {
-				_, err = pools[s.pool].SubmitCheckpointed(s.ad.Clone(), s.ckptCPU)
+				_, err = pools[s.pool].SubmitCheckpointed(s.ad, s.ckptCPU)
 			} else {
-				_, err = pools[s.pool].Submit(s.ad.Clone())
+				_, err = pools[s.pool].Submit(s.ad)
 			}
 			if err != nil {
 				t.Fatalf("submit: %v", err)

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/chunk"
 	"repro/internal/classad"
 	"repro/internal/fairshare"
 	"repro/internal/simgrid"
@@ -73,8 +74,11 @@ type Pool struct {
 	// machines whose Arch is not a static string), one bucket a key.
 	// Maintained incrementally by claim/release on job start/completion.
 	freeBuckets [][]*machine
-	// jobs holds every job the pool ever held, job id at jobs[id-1].
-	jobs []*job
+	// jobs holds every job the pool ever held, job id at jobs[id-1], its
+	// record carved from jobChunks and its ad from ads (see newJob).
+	jobs      []*job
+	jobChunks chunk.Of[job]
+	ads       classad.Slab
 	// active lists the non-terminal jobs in submission order; harvest
 	// compacts terminal entries out so a walk of it costs O(live jobs), not
 	// O(every job ever submitted).

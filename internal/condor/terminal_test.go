@@ -35,10 +35,12 @@ func TestCompletionPathLayout(t *testing.T) {
 	}
 }
 
-// The pool keeps a job record for every job it ever held. 176 bytes is an
-// allocator size class; one more word puts every job in the 192-byte one
-// (it was 288: three time.Time stamps, two constraint strings, the output
-// file name and a task ID).
+// The pool keeps a job record for every job it ever held, side by side in
+// its job chunks: 176 bytes is the stride, and every word more is 8 bytes
+// a job (it was 288: three time.Time stamps, two constraint strings, the
+// output file name and a task ID; while each record was an allocation of
+// its own, 176 was an allocator size class and one more word took every
+// job to the 192-byte one).
 func TestJobSize(t *testing.T) {
 	if got := unsafe.Sizeof(job{}); got > 176 {
 		t.Fatalf("unsafe.Sizeof(job{}) = %d bytes, want <= 176", got)

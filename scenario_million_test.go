@@ -355,16 +355,20 @@ func heapAfterGC() uint64 {
 }
 
 // TestJobBytesCeiling bounds what the pool's record of one job weighs on
-// the live heap: at most 536 bytes while it waits and 540 once it is
-// terminal. It was 1,496 / 1,611 with a hash table per ad, a 216-byte
-// matcher, a map slot per job and a finished job keeping its task; 754 /
-// 659 with a 288-byte job record, 72-byte attributes, a 64-byte ad header,
-// a 96-byte matcher and a task-ID string; 527 / 465 with a 176-byte
-// record, 56-byte attributes, a 48-byte header and a 64-byte matcher; 477
-// / 414 with 48-byte attributes; 413 / 414 with no matcher for a job whose
-// ad has neither Requirements nor Rank, as these have. The pool keeps
-// every job it ever held, so these are the bytes a long-lived server grows
-// by; a million queued jobs hold about 0.41 GB.
+// the live heap: at most 402 bytes while it waits and 404 once it is
+// terminal (measured 397 / 399). It was 1,496 / 1,611 with a hash table
+// per ad, a 216-byte matcher, a map slot per job and a finished job
+// keeping its task; 754 / 659 with a 288-byte job record, 72-byte
+// attributes, a 64-byte ad header, a 96-byte matcher and a task-ID
+// string; 527 / 465 with a 176-byte record, 56-byte attributes, a 48-byte
+// header and a 64-byte matcher; 477 / 414 with 48-byte attributes; 413 /
+// 414 with no matcher for a job whose ad has neither Requirements nor
+// Rank, as these have; 408 / 410 while the record, the ad's header and
+// its attributes were three allocations a job, before the pool carved
+// them from its chunks (the 40-byte header no longer rounds up to the
+// allocator's 48). The pool keeps every job it ever held, so these are
+// the bytes a long-lived server grows by; a million queued jobs hold
+// about 0.40 GB.
 func TestJobBytesCeiling(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes what objects weigh")
@@ -376,11 +380,46 @@ func TestJobBytesCeiling(t *testing.T) {
 	terminal := float64(heapAfterGC()-before) / float64(bytesScale.jobs)
 	runtime.KeepAlive(pools)
 	t.Logf("%.0f bytes per idle job, %.0f per terminal job", idle, terminal)
-	if idle > 536 {
-		t.Errorf("%.0f bytes of heap per idle job, ceiling 536", idle)
+	if idle > 402 {
+		t.Errorf("%.0f bytes of heap per idle job, ceiling 402", idle)
 	}
-	if terminal > 540 {
-		t.Errorf("%.0f bytes of heap per terminal job, ceiling 540", terminal)
+	if terminal > 404 {
+		t.Errorf("%.0f bytes of heap per terminal job, ceiling 404", terminal)
+	}
+}
+
+// TestSmallPoolBytes bounds what a pool holding four jobs carries on the
+// live heap beyond an empty one: at most 4 KiB. The pool carves job
+// records and ad copies from chunks that start at 1 KiB and double
+// (internal/chunk), so a deployment's pools, which hold a handful of
+// jobs, do not pay for a backlog's 16 KiB chunks: 3,404 bytes, of which
+// the chunks are 2,944 (896 bytes of job records, 1,024 of ad headers and
+// 1,024 of attributes). It was 1,802 bytes with an allocation a record,
+// and 49,482 with chunks of 16 KiB from the first.
+func TestSmallPoolBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes what objects weigh")
+	}
+	const n = 200
+	g := simgrid.NewGrid(time.Second, 1)
+	pools := make([]*condor.Pool, n)
+	for i := range pools {
+		pools[i] = condor.NewPool(fmt.Sprint("s", i), g, g.AddSite(fmt.Sprint("s", i)))
+	}
+	ad := classad.New().Set(condor.AttrOwner, "atlas").Set(condor.AttrCpuSeconds, 600.0).Set(condor.AttrPriority, 1)
+	before := heapAfterGC()
+	for _, pool := range pools {
+		for range 4 {
+			if _, err := pool.Submit(ad); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	perPool := float64(heapAfterGC()-before) / n
+	runtime.KeepAlive(pools)
+	t.Logf("%.0f bytes per pool of four jobs", perPool)
+	if perPool > 4096 {
+		t.Errorf("%.0f bytes of heap per pool of four jobs, ceiling 4096", perPool)
 	}
 }
 
